@@ -30,6 +30,11 @@ class SynthesisConfig:
     The defaults correspond to the full HAP system; the ablation study
     (Fig. 15) switches individual features off.
 
+    On a one-device cluster the theory is the single-device program's (see
+    :func:`~repro.core.rules.build_theory`), so ``enable_sfb``,
+    ``enable_replicated_sources`` and ``min_shard_dim_size`` have no effect
+    there; ``force_data_parallel`` keeps its restricted theory.
+
     Attributes:
         enable_sfb: include the duplicated-computation MatMul rule that makes
             sufficient factor broadcasting reachable (Sec. 4.4).

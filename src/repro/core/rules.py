@@ -520,6 +520,19 @@ def build_theory(
 ) -> Theory:
     """Derive the background theory T for a training graph.
 
+    On one virtual device (``num_devices == 1``) outside baseline emulation
+    (``force_data_parallel``) the theory is the single-device program's:
+    every source is created ``Replicated``, every other node has exactly one
+    variant (all inputs and the output ``Replicated``, unsharded flops — the
+    MatMul one included when ``enable_sfb`` is off), and since nothing but
+    ``Replicated`` is produced or wanted there are no communication rules.
+    This loses nothing.  On one device every variant of a node computes the
+    whole tensor, so all of them cost the same, and every collective costs
+    at least zero; the collective-free replicated program therefore already
+    reaches the lower bound, the sum of its computation times.  A machine
+    group's intra-machine data parallelism is priced by the cost model, not
+    by the theory.
+
     Args:
         graph: single-device training graph (forward + backward + updates).
         num_devices: number of HAP virtual devices in the cluster.
@@ -532,11 +545,14 @@ def build_theory(
     cfg = config or SynthesisConfig()
     graph.validate()
     restricted = moe_restricted_refs(graph)
+    single_device = num_devices == 1 and not cfg.force_data_parallel
 
     source_states: Dict[str, List[DistState]] = {}
     for node in graph:
         if node.kind is OpKind.SOURCE:
-            source_states[node.name] = source_variants(node, cfg, num_devices)
+            source_states[node.name] = (
+                [R] if single_device else source_variants(node, cfg, num_devices)
+            )
 
     # 1. computation rules ------------------------------------------------------
     comp_rules: List[Rule] = []
@@ -549,7 +565,11 @@ def build_theory(
     for node in graph:
         if node.kind is OpKind.SOURCE:
             continue
-        for variant in node_variants(node, graph, cfg, num_devices):
+        if single_device:
+            variants = [Variant((R,) * len(node.inputs), R, flops_sharded=False)]
+        else:
+            variants = node_variants(node, graph, cfg, num_devices)
+        for variant in variants:
             pre = frozenset(
                 Property(inp, state) for inp, state in zip(node.inputs, variant.input_states)
             )
@@ -587,9 +607,6 @@ def build_theory(
         if node.kind is OpKind.SOURCE:
             continue  # optimisation #2: sources use *-Shard instructions instead
         targets = set(wanted[name])
-        if name in graph.outputs:
-            # Outputs only need to exist in some state; no extra targets.
-            pass
         sources = set(produced[name])
         if not sources or not targets:
             continue

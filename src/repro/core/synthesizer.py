@@ -623,15 +623,10 @@ class ProgramSynthesizer:
             if node.topo_ptr < len(self._topo_order):
                 return self._topo_order[node.topo_ptr]
             return None
-        for name in self._topo_order[self._first_pending(node):]:
+        for name in self._topo_order:
             if not node.completed & (1 << self._node_index[name]):
                 return name
         return None
-
-    def _first_pending(self, node: _SearchNode) -> int:
-        # depth is a lower bound on progress; scanning from 0 is still correct
-        # but slower, so start a little earlier than the depth suggests.
-        return 0
 
     def _topological_candidates(self, node: _SearchNode) -> List[Rule]:
         """Rules for the next node in topological order plus enabling comms.

@@ -1,0 +1,111 @@
+"""One virtual device: the background theory is the single-device program.
+
+On one device there is nothing to distribute, so ``build_theory`` emits one
+replicated computation rule per node and no collective, and the synthesized
+program costs exactly the sum of its computation times.  Baseline emulation
+(``force_data_parallel``) keeps its restricted data-parallel theory there.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+
+import numpy as np
+import pytest
+
+from repro.autodiff import build_training_graph
+from repro.baselines import plan_baseline
+from repro.cluster import ClusterSpec, Machine, device_type
+from repro.collectives.cost import CollectiveKind
+from repro.core import CostModel, ProgramSynthesizer, SynthesisConfig, build_theory
+from repro.core.instructions import CommInstruction, is_source_op
+from repro.core.properties import DistState
+from repro.graph.ops import OpKind
+from repro.models import build_tiny_model
+from repro.runtime import SingleDeviceExecutor
+from repro.runtime.spmd import SPMDExecutor
+from repro.verify import verify_program
+
+from .conftest import bindings_for, fast_network
+
+MODELS = ("vgg19", "vit", "bert_base", "bert_moe")
+
+
+def one_machine(num_gpus: int) -> ClusterSpec:
+    """One A100 machine: a single HAP virtual device of ``num_gpus`` GPUs."""
+    return ClusterSpec(
+        [Machine("m0", device_type("A100"), num_gpus=num_gpus)],
+        network=fast_network(),
+        group_by_machine=True,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def training_graph(model: str):
+    return build_training_graph(build_tiny_model(model))
+
+
+@pytest.mark.parametrize("num_gpus", [1, 8])
+@pytest.mark.parametrize("enable_sfb", [True, False])
+@pytest.mark.parametrize("strategy", ["beam", "astar"])
+@pytest.mark.parametrize("model", MODELS)
+def test_one_device_program_is_the_single_device_program(model, strategy, enable_sfb, num_gpus):
+    training = training_graph(model)
+    graph = training.graph
+    cluster = one_machine(num_gpus)
+    assert cluster.num_devices == 1
+    config = SynthesisConfig(search_strategy=strategy, enable_sfb=enable_sfb)
+
+    theory = build_theory(graph, 1, config)
+    assert not any(rule.is_communication for rule in theory.rules)
+    compute = [n.name for n in graph if not is_source_op(n.op)]
+    assert sorted(theory.comp_rules_by_node) == sorted(compute)
+    for name in compute:
+        # One variant per node; the rest are its source-fused copies.
+        unfused = [r for r in theory.comp_rules_by_node[name] if len(r.instructions) == 1]
+        assert len(unfused) == 1
+
+    result = ProgramSynthesizer(graph, cluster, config).synthesize()
+    program = result.program
+    assert not any(isinstance(i, CommInstruction) for i in program.instructions)
+    replicated = DistState.replicated()
+    assert all(i.output.state == replicated for i in program.instructions)
+
+    cost_model = CostModel(graph, cluster)
+    lower_bound = math.fsum(
+        cost_model.comp_times(i, (1.0,))[0] for i in program.instructions
+    )
+    assert result.cost == pytest.approx(lower_bound, rel=1e-12, abs=0.0)
+
+    report = verify_program(program, cluster, [1.0])
+    assert report.ok, report.describe()
+
+    bindings = bindings_for(graph, seed=0)
+    reference = SingleDeviceExecutor(graph).run(bindings)
+    outputs = SPMDExecutor(program, [1.0]).run(bindings).outputs
+    for name, value in reference.items():
+        np.testing.assert_allclose(outputs[name], value, rtol=1e-5, atol=1e-6)
+
+
+def test_data_parallel_baseline_keeps_its_theory_on_one_machine():
+    """``force_data_parallel`` is not collapsed: DP stays batch-sharded with a
+    gradient All-Reduce, so the baseline numbers of Figs. 13/15 do not move."""
+    training = training_graph("bert_base")
+    plan = plan_baseline("DP-EV", training.graph, one_machine(8))
+    placeholders = [
+        i for i in plan.program.instructions
+        if not i.is_communication and i.op == "placeholder"
+    ]
+    assert placeholders
+    assert all(i.output.state == DistState.sharded(0) for i in placeholders)
+    gradients = {
+        i.inputs[1].ref
+        for i in plan.program.instructions
+        if not i.is_communication and training.graph[i.node].kind is OpKind.OPTIMIZER
+    }
+    reduced = {
+        i.input.ref for i in plan.program.instructions
+        if i.is_communication and i.kind is CollectiveKind.ALL_REDUCE
+    }
+    assert gradients and gradients <= reduced
