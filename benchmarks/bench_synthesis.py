@@ -44,7 +44,6 @@ from repro.models import MODEL_NAMES, BenchmarkScale, build_model
 #: The hot-path optimisation switches A/B-ed by this harness.
 OPT_FLAGS = (
     "enable_rule_indexing",
-    "enable_state_interning",
     "enable_pareto_store",
     "enable_cost_memoization",
     "enable_vectorized_cost",

@@ -35,6 +35,12 @@ class SynthesisConfig:
     ``enable_replicated_sources`` and ``min_shard_dim_size`` have no effect
     there; ``force_data_parallel`` keeps its restricted theory.
 
+    Every search, whatever the flags, holds a state as three ints — the live
+    properties as a bit mask over the theory's property index, and the
+    completed and communicated nodes as bit masks over graph positions — plus
+    its costs.  No flag changes that representation, and bit order never
+    orders the search.
+
     Attributes:
         enable_sfb: include the duplicated-computation MatMul rule that makes
             sufficient factor broadcasting reachable (Sec. 4.4).
@@ -72,13 +78,6 @@ class SynthesisConfig:
             never scans the full rule list per expansion.  Purely an
             implementation speed-up: the candidate sets, their order, and
             therefore the synthesized program are identical with the flag off.
-        enable_state_interning: intern search-state keys (the
-            ``(properties, completed, communicated)`` triple) to small integer
-            ids so dominance-table and beam-merge lookups hash a machine word
-            instead of re-hashing large frozensets, and canonicalize equal
-            ``Property`` objects across the theory's rules at build time so
-            frozenset operations hit the pointer-equality fast path.
-            Result-identical.
         enable_pareto_store: store the per-state-key undominated cost vectors
             in a sum-sorted Pareto front with early-exit dominance checks
             instead of a flat list scanned in full.  The dominance predicate
@@ -142,7 +141,6 @@ class SynthesisConfig:
     # Hot-path optimisation switches (all result-identical; kept individually
     # toggleable for A/B benchmarking — see benchmarks/bench_synthesis.py).
     enable_rule_indexing: bool = True
-    enable_state_interning: bool = True
     enable_pareto_store: bool = True
     enable_cost_memoization: bool = True
     enable_vectorized_cost: bool = True

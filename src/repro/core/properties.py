@@ -60,6 +60,11 @@ class DistState:
     def sharded(dim: int) -> DistState:
         return DistState(StateKind.SHARDED, dim)
 
+    @property
+    def sort_key(self) -> Tuple[int, int]:
+        """Name- and hash-seed-free order: kind (declaration order), then dim."""
+        return (_KIND_RANK[self.kind], -1 if self.dim is None else self.dim)
+
     # -- predicates ----------------------------------------------------------
     @property
     def is_replicated(self) -> bool:
@@ -81,6 +86,7 @@ class DistState:
         return "identity"
 
 
+_KIND_RANK = {kind: rank for rank, kind in enumerate(StateKind)}
 _REPLICATED = DistState(StateKind.REPLICATED)
 _PARTIAL = DistState(StateKind.PARTIAL)
 

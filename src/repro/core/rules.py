@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..collectives.cost import CollectiveKind
 from ..graph.graph import ComputationGraph, Node
@@ -55,6 +55,12 @@ class Rule:
             emulated at most once per program).
         communicates: reference tensors communicated by this rule (each may be
             communicated at most once per program).
+        pre_mask, post_mask: ``pre`` / ``post`` as bit masks over the owning
+            theory's property index (:attr:`Theory.props`).
+        comm_mask: ``communicates`` as a bit mask over graph positions.
+
+    The masks are assigned by :func:`build_theory` and take no part in rule
+    equality.
     """
 
     pre: FrozenSet[Property]
@@ -62,6 +68,9 @@ class Rule:
     post: FrozenSet[Property]
     completes: FrozenSet[str]
     communicates: FrozenSet[str]
+    pre_mask: int = field(default=0, compare=False, repr=False)
+    post_mask: int = field(default=0, compare=False, repr=False)
+    comm_mask: int = field(default=0, compare=False, repr=False)
 
     @property
     def is_communication(self) -> bool:
@@ -86,7 +95,14 @@ class Variant:
 
 
 class Theory:
-    """The background theory for one training graph on one cluster size."""
+    """The background theory for one training graph on one cluster size.
+
+    Every property that appears in a rule owns one bit: bit ``i`` stands for
+    ``props[i]``, so a set of properties is an ``int`` (see :meth:`encode` /
+    :meth:`decode`).  Bits are ordered by the ref's position in
+    ``graph.node_names``, then state kind, then dim, so isomorphic graphs
+    share one layout and each ref's properties are contiguous bits.
+    """
 
     def __init__(
         self,
@@ -95,6 +111,7 @@ class Theory:
         config: SynthesisConfig,
         rules: List[Rule],
         restricted_refs: FrozenSet[str],
+        props: Tuple[Property, ...],
     ) -> None:
         self.graph = graph
         self.num_devices = num_devices
@@ -102,6 +119,17 @@ class Theory:
         self.rules = rules
         #: refs restricted to All-To-All communication (MoE capacity tensors)
         self.restricted_refs = restricted_refs
+        #: the property index: bit i of a property mask stands for props[i]
+        self.props = props
+        self.prop_bits: Dict[Property, int] = {p: 1 << i for i, p in enumerate(props)}
+        #: ref -> mask of all of its properties (the liveness drop), in
+        #: graph order whatever the bit order
+        by_ref: Dict[str, int] = {}
+        for prop, bit in self.prop_bits.items():
+            by_ref[prop.ref] = by_ref.get(prop.ref, 0) | bit
+        self.ref_masks: Dict[str, int] = {
+            name: by_ref[name] for name in graph.node_names if name in by_ref
+        }
         # Index rules by the reference tensors appearing in their
         # preconditions (used by the unrestricted A* search) ...
         self.rules_by_pre_ref: Dict[str, List[Rule]] = {}
@@ -121,18 +149,34 @@ class Theory:
                 primary = _primary_completed_node(rule, graph)
                 if primary is not None:
                     self.comp_rules_by_node.setdefault(primary, []).append(rule)
-        # Communication rules indexed by the property they establish.  Lists
-        # preserve the relative order of ``comm_rules_by_ref`` so that indexed
-        # candidate enumeration visits rules in exactly the same order as a
-        # filtering scan of that table (byte-identical synthesis results).
-        self.comm_rules_by_post: Dict[Property, List[Rule]] = {}
+        # Communication rules indexed by the bit of the property they
+        # establish.  Lists preserve the relative order of
+        # ``comm_rules_by_ref`` so that indexed candidate enumeration visits
+        # rules in exactly the same order as a filtering scan of that table
+        # (byte-identical synthesis results).
+        self.comm_rules_by_post: Dict[int, List[Rule]] = {}
         for rules_for_ref in self.comm_rules_by_ref.values():
             for rule in rules_for_ref:
                 for prop in rule.post:
-                    self.comm_rules_by_post.setdefault(prop, []).append(rule)
+                    self.comm_rules_by_post.setdefault(self.prop_bits[prop], []).append(rule)
 
     def __len__(self) -> int:
         return len(self.rules)
+
+    def encode(self, properties: Iterable[Property]) -> int:
+        """Bit mask of a set of the theory's properties."""
+        # A sum is an OR here: the set holds each bit at most once.
+        return sum(map(self.prop_bits.__getitem__, frozenset(properties)))
+
+    def decode(self, bits: int) -> FrozenSet[Property]:
+        """The properties whose bits are set in ``bits``."""
+        props = self.props
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(props[low.bit_length() - 1])
+            bits ^= low
+        return frozenset(out)
 
     def wanted_states_of(self, ref: str) -> Set[DistState]:
         """Distribution states of ``ref`` required by some computation rule."""
@@ -606,8 +650,10 @@ def build_theory(
         name = node.name
         if node.kind is OpKind.SOURCE:
             continue  # optimisation #2: sources use *-Shard instructions instead
-        targets = set(wanted[name])
-        sources = set(produced[name])
+        # Sorted, not set order: a set of states iterates in hash-seed order,
+        # and rule order is the search's candidate order.
+        targets = sorted(wanted[name], key=lambda st: st.sort_key)
+        sources = sorted(produced[name], key=lambda st: st.sort_key)
         if not sources or not targets:
             continue
         for src in sources:
@@ -618,21 +664,20 @@ def build_theory(
                     _comm_rules_for(name, node, src, dst, cfg, name in restricted)
                 )
 
-    rules = all_comp_rules + comm_rules
-    if cfg.enable_state_interning:
-        rules = _intern_rules(rules)
-    return Theory(graph, num_devices, cfg, rules, restricted)
+    rules, props = _index_rules(graph, all_comp_rules + comm_rules)
+    return Theory(graph, num_devices, cfg, rules, restricted, props)
 
 
-def _intern_rules(rules: List[Rule]) -> List[Rule]:
-    """Canonicalize equal ``Property`` objects across all rules.
+def _index_rules(
+    graph: ComputationGraph, rules: List[Rule]
+) -> Tuple[List[Rule], Tuple[Property, ...]]:
+    """Build the property index and rebuild the rules over it.
 
-    Different rules independently construct equal ``Property`` instances for
-    the same (ref, state) pair.  Replacing them with one canonical object per
-    value lets the synthesizer's frozenset operations (subset checks, unions,
-    dominance-key hashing) hit the pointer-equality fast path instead of
-    falling back to field-by-field ``__eq__``.  Values are unchanged, so the
-    synthesized programs compare equal to the non-interned ones.
+    Returns the property index (every property of a pre- or postcondition,
+    ordered by the ref's graph position, then state kind, then dim) and the
+    rules with their bit masks set.  Different rules independently construct
+    equal ``Property`` instances for the same (ref, state) pair; the rebuilt
+    rules share one canonical object per value.  Values are unchanged.
     """
     pool: Dict[Property, Property] = {}
 
@@ -654,23 +699,41 @@ def _intern_rules(rules: List[Rule]) -> List[Rule]:
         return CompInstruction(
             node=instr.node,
             op=instr.op,
-            inputs=tuple(canon(p) for p in instr.inputs),
+            inputs=tuple(map(canon, instr.inputs)),
             output=canon(instr.output),
             flops_sharded=instr.flops_sharded,
         )
 
+    staged = [
+        (
+            rule,
+            frozenset(map(canon, rule.pre)),
+            tuple(map(canon_instr, rule.instructions)),
+            frozenset(map(canon, rule.post)),
+        )
+        for rule in rules
+    ]
+    position = {name: i for i, name in enumerate(graph.node_names)}
+    props = tuple(sorted(pool, key=lambda p: (position[p.ref], p.state.sort_key)))
+    # Keyed by identity: every property in ``staged`` is canonical, and id()
+    # is far cheaper than Property.__hash__.  A mask is the sum of distinct
+    # bits, which equals their OR.
+    bit_of = {id(p): 1 << i for i, p in enumerate(props)}.__getitem__
     out: List[Rule] = []
-    for rule in rules:
+    for rule, pre, instructions, post in staged:
         out.append(
             Rule(
-                pre=frozenset(canon(p) for p in rule.pre),
-                instructions=tuple(canon_instr(i) for i in rule.instructions),
-                post=frozenset(canon(p) for p in rule.post),
+                pre=pre,
+                instructions=instructions,
+                post=post,
                 completes=rule.completes,
                 communicates=rule.communicates,
+                pre_mask=sum(map(bit_of, map(id, pre))),
+                post_mask=sum(map(bit_of, map(id, post))),
+                comm_mask=sum(1 << position[ref] for ref in rule.communicates),
             )
         )
-    return out
+    return out, props
 
 
 def _fuse_sources(
@@ -680,9 +743,14 @@ def _fuse_sources(
 
     For every subset of the rule's preconditions that refer to source nodes,
     produce a variant whose instructions create those sources inline and whose
-    precondition no longer mentions them.
+    precondition no longer mentions them.  Source preconditions are taken in
+    the computation instruction's input order (not ``rule.pre``'s hash-seed
+    dependent set order), which fixes both the fused rules' order and the
+    order of their source instructions.
     """
-    source_pre = [p for p in rule.pre if p.ref in source_states]
+    (instr,) = rule.instructions
+    assert isinstance(instr, CompInstruction)
+    source_pre = [p for p in dict.fromkeys(instr.inputs) if p.ref in source_states]
     fused: List[Rule] = []
     if not source_pre:
         return fused

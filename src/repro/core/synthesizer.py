@@ -4,7 +4,10 @@ The synthesizer searches the space of distributed programs defined by the
 background theory (:mod:`repro.core.rules`).  A partial program is represented
 by its *search state*: the set of live properties, the set of emulated
 single-device nodes, the set of communicated tensors, and the cost bookkeeping
-of the stage currently being filled.  The search repeatedly pops the
+of the stage currently being filled.  The three sets are machine ints — bit
+masks over the theory's property index and over graph positions — so a union
+is ``|``, a precondition check is ``pre & bits == pre`` and a state key is a
+tuple of three ints.  The search repeatedly pops the
 lowest-score state from a priority queue and appends every applicable Hoare
 triple, exactly as in Fig. 10, with the paper's three search-time
 optimisations:
@@ -28,7 +31,7 @@ import itertools
 import time as _time
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -76,43 +79,53 @@ class SynthesisResult:
 
 
 class _SearchNode:
-    """One partial program in the A* frontier (immutable once created)."""
+    """One partial program in the search (immutable once created).
+
+    Its state is ``(pbits, completed, cbits)`` plus the cost bookkeeping:
+
+    * ``pbits``: the live properties, a bit mask over the theory's property
+      index (:attr:`Theory.props`);
+    * ``completed``: the emulated single-device nodes, bits at their
+      ``graph.node_names`` positions;
+    * ``cbits``: the communicated reference tensors, bits at the same
+      positions.
+
+    The triple is the dedupe / dominance key of both searches.  Bit order
+    never orders the search: candidates are visited in rule and
+    precondition order, whatever bits they own.
+    """
 
     __slots__ = (
         "parent",
         "rule",
-        "properties",
+        "pbits",
         "completed",
-        "communicated",
+        "cbits",
         "closed_cost",
         "stage_comp",
         "completed_ideal",
         "depth",
         "topo_ptr",
-        "prop_sid",
-        "comm_sid",
     )
 
     def __init__(
         self,
         parent: Optional[_SearchNode],
         rule: Optional[Rule],
-        properties: FrozenSet[Property],
+        pbits: int,
         completed: int,
-        communicated: FrozenSet[str],
+        cbits: int,
         closed_cost: float,
         stage_comp: Tuple[float, ...],
         completed_ideal: float,
         depth: int,
         topo_ptr: int = 0,
-        prop_sid: int = -1,
-        comm_sid: int = -1,
     ) -> None:
         self.parent = parent
         self.rule = rule
-        self.properties = properties
+        self.pbits = pbits
         self.completed = completed
-        self.communicated = communicated
+        self.cbits = cbits
         self.closed_cost = closed_cost
         self.stage_comp = stage_comp
         self.completed_ideal = completed_ideal
@@ -121,11 +134,6 @@ class _SearchNode:
         #: not yet emulated (maintained incrementally when rule indexing is
         #: on; the naive path rescans from the start instead).
         self.topo_ptr = topo_ptr
-        #: interned ids of ``properties`` / ``communicated`` (-1 when the
-        #: fast _apply path is off).  State keys built from these ids hash
-        #: two machine words instead of two frozensets.
-        self.prop_sid = prop_sid
-        self.comm_sid = comm_sid
 
     def instructions(self) -> List[Instruction]:
         """Reconstruct the instruction sequence by walking parent pointers."""
@@ -152,6 +160,7 @@ class _OccurrenceInfo:
         "ref_idx",
         "ref_bits",
         "relevant_mask",
+        "prop_mask",
         "pending_masks",
         "sigmaps",
     )
@@ -163,13 +172,18 @@ class _OccurrenceInfo:
         ref_idx: Dict[str, int],
         ref_bits: Tuple[int, ...],
         relevant_mask: int,
+        prop_mask: int,
         pending_masks: Tuple[int, ...],
     ) -> None:
         self.node_names = node_names
         self.occ_refs = occ_refs
         self.ref_idx = ref_idx
+        #: graph-position bits of the block's refs (the ``completed`` and
+        #: ``cbits`` space) and their union
         self.ref_bits = ref_bits
         self.relevant_mask = relevant_mask
+        #: every property bit of the block's refs (the ``pbits`` space)
+        self.prop_mask = prop_mask
         self.pending_masks = pending_masks
         #: lazily-built signature -> rule maps per candidate list (signatures
         #: are structural, so the maps survive across synthesize() calls).
@@ -256,13 +270,14 @@ class ProgramSynthesizer:
         self._indexing = self.config.enable_rule_indexing
         #: id(rule) -> bitmask over graph nodes the rule completes.
         self._completes_mask: Dict[int, int] = {}
-        #: ref -> (consumer bitmask, participates-in-liveness flag).
+        #: ref -> (consumer bitmask, participates-in-liveness flag); built
+        #: whatever the flags, since liveness drops read it.
         self._liveness_mask: Dict[str, Tuple[int, bool]] = {}
         #: node name -> candidate rules of the topological-order search.
         self._topo_candidates: Dict[str, List[Rule]] = {}
-        #: id(rule) -> (completes mask, ideal deltas, liveness candidates).
-        self._rule_static_cache: Dict[int, Tuple[int, Tuple[float, ...], Tuple[str, ...]]] = {}
-        #: id(rule) -> (cost plan, completes mask, ideals, liveness candidates)
+        #: id(rule) -> (completes mask, ideal deltas, liveness drops).
+        self._rule_static_cache: Dict[int, Tuple[int, Tuple[float, ...], Tuple[Tuple[int, int], ...]]] = {}
+        #: id(rule) -> (cost plan, completes mask, ideals, liveness drops)
         #: — the single-lookup cache of the fast _apply path (cleared with the
         #: cost plans whenever the ratios change).
         self._rule_runtime: Dict[int, Tuple] = {}
@@ -272,37 +287,19 @@ class ProgramSynthesizer:
                 for name in rule.completes:
                     mask |= 1 << self._node_index[name]
                 self._completes_mask[id(rule)] = mask
-            for name in graph.node_names:
-                consumers = self._consumers.get(name, [])
-                mask = 0
-                for consumer in consumers:
-                    mask |= 1 << self._node_index[consumer]
-                self._liveness_mask[name] = (mask, bool(consumers) or name in self._outputs)
+        for name in graph.node_names:
+            consumers = self._consumers.get(name, [])
+            mask = 0
+            for consumer in consumers:
+                mask |= 1 << self._node_index[consumer]
+            self._liveness_mask[name] = (mask, bool(consumers) or name in self._outputs)
         # -- per-search caches -------------------------------------------------
         #: id(rule) -> cost-replay plan for the current ratios (cost memo).
         self._rule_plans: Dict[int, Tuple] = {}
         self._plan_ratios: Optional[Tuple[float, ...]] = None
-        # -- interned property/communicated sets (state interning + fast apply) --
-        # Children produced by applying one rule to one (property set,
-        # completed mask) are identical, so _apply_fast replays the interned
-        # result instead of rebuilding and re-hashing frozensets per child;
-        # state keys then hash the small ids.  Result-identical (the cached
-        # sets are exactly what the rebuild would produce).
-        self._fast_sids = (
-            self._indexing
-            and self.config.enable_cost_memoization
-            and self.config.enable_state_interning
-        )
-        #: frozenset -> (canonical frozenset, interned id).
-        self._propset_intern: Dict[FrozenSet[Property], Tuple[FrozenSet[Property], int]] = {}
-        self._commset_intern: Dict[FrozenSet[str], Tuple[FrozenSet[str], int]] = {}
-        #: (prop_sid, id(rule), completed-after) -> (properties, prop_sid).
-        self._prop_transition: Dict[Tuple[int, int, int], Tuple[FrozenSet[Property], int]] = {}
-        #: (comm_sid, id(rule)) -> (communicated, comm_sid).
-        self._comm_transition: Dict[Tuple[int, int], Tuple[FrozenSet[str], int]] = {}
+        #: id(rule) -> precondition bits in deterministic order (_ordered_pre).
+        self._pre_order_cache: Dict[int, Tuple[int, ...]] = {}
         # -- block reuse (config.enable_block_reuse) ---------------------------
-        #: id(rule) -> deterministic precondition order (see _ordered_pre).
-        self._pre_order_cache: Dict[int, Tuple[Property, ...]] = {}
         #: segment schedule over the topological order: plain nodes plus
         #: repeated-block occurrences (built lazily on first beam search).
         self._reuse_segments: Optional[List[Tuple]] = None
@@ -314,39 +311,14 @@ class ProgramSynthesizer:
         #: per-synthesize block-reuse accounting (inspectable after a run).
         self.reuse_stats: Dict[str, int] = {}
         # -- parallel beam expansion (config.synthesis_workers) ----------------
-        # Wire tables give search states a process-independent encoding: rules
-        # as indexes into theory.rules, properties / communicated refs as
-        # indexes into deterministically sorted tables.  Workers forked from
-        # this process rebuild (or inherit, via copy-on-write) the identical
-        # tables, so encoded states and children round-trip exactly.
-        self._wire_ready = False
-        self._rule_wire_index: Dict[int, int] = {}
-        self._wire_props: Tuple[Property, ...] = ()
-        self._prop_wire_ids: Dict[Property, int] = {}
-        self._wire_refs: Tuple[str, ...] = ()
-        self._ref_wire_ids: Dict[str, int] = {}
-        #: per-frozenset memo of sorted wire-id tuples (see _encode_sets);
-        #: never stale — the wire tables are fixed for this synthesizer.
-        self._propenc_cache: Dict[FrozenSet[Property], Tuple[int, ...]] = {}
-        self._commenc_cache: Dict[FrozenSet[str], Tuple[int, ...]] = {}
-        #: monotone per-synthesize() serial; workers clear their search-local
-        #: tables when it advances (mirroring synthesize()'s own clears).
-        self._search_serial = 0
+        # Search states cross process boundaries as plain ints and floats:
+        # forked workers hold the identical theory, so property masks mean the
+        # same in every process, and rules travel as indexes into
+        # theory.rules (built lazily, see _rule_indexes).
+        self._rule_index: Dict[int, int] = {}
         #: shared pool used by the current beam search (None = serial).
         self._level_pool: Optional[workerpool.WorkerPool] = None
         self._level_workers = 1
-
-    def _intern_propset(self, fs: FrozenSet[Property]) -> Tuple[FrozenSet[Property], int]:
-        entry = self._propset_intern.get(fs)
-        if entry is None:
-            entry = self._propset_intern[fs] = (fs, len(self._propset_intern))
-        return entry
-
-    def _intern_commset(self, fs: FrozenSet[str]) -> Tuple[FrozenSet[str], int]:
-        entry = self._commset_intern.get(fs)
-        if entry is None:
-            entry = self._commset_intern[fs] = (fs, len(self._commset_intern))
-        return entry
 
     # -- helpers -----------------------------------------------------------------
     def _ideal(self, name: str) -> float:
@@ -387,13 +359,17 @@ class ProgramSynthesizer:
             plan = self._rule_plans[id(rule)] = tuple(steps)
         return plan
 
-    def _rule_static(self, rule: Rule) -> Tuple[int, Tuple[float, ...], Tuple[str, ...]]:
+    def _rule_static(
+        self, rule: Rule
+    ) -> Tuple[int, Tuple[float, ...], Tuple[Tuple[int, int], ...]]:
         """State-independent per-rule quantities (rule indexing).
 
         Returns the bitmask of nodes the rule completes, their ideal-time
         contributions (in the same iteration order as the naive per-name
         accumulation, so the floating-point heuristic is bit-identical), and
-        the reference tensors whose liveness may change when the rule fires.
+        the liveness drops: per reference tensor whose liveness may change
+        when the rule fires, ``(consumer mask, property mask)`` — once every
+        consumer is completed, the ref's property bits leave the state.
         """
         info = self._rule_static_cache.get(id(rule))
         if info is None:
@@ -405,7 +381,13 @@ class ProgramSynthesizer:
                 ideals.append(self._ideal(name))
                 dead_candidates.update(self.graph[name].inputs)
                 dead_candidates.add(name)
-            info = (mask, tuple(ideals), tuple(dead_candidates))
+            drops = []
+            for ref in dead_candidates:
+                consumers, relevant = self._liveness_mask[ref]
+                prop_mask = self.theory.ref_masks.get(ref, 0)
+                if relevant and prop_mask:
+                    drops.append((consumers, prop_mask))
+            info = (mask, tuple(ideals), tuple(drops))
             self._rule_static_cache[id(rule)] = info
         return info
 
@@ -445,8 +427,7 @@ class ProgramSynthesizer:
         for name in rule.completes:
             completed |= 1 << self._node_index[name]
             completed_ideal += self._ideal(name)
-        properties = set(node.properties) | set(rule.post)
-        communicated = node.communicated | rule.communicates
+        pbits = node.pbits | rule.post_mask
         # Optimisation #3: drop properties of tensors that can no longer be
         # consumed (every consumer already emulated).  Program outputs with no
         # consumers (updated parameters, the loss) are dropped from the search
@@ -466,13 +447,13 @@ class ProgramSynthesizer:
                 done = all(completed & (1 << self._node_index[c]) for c in consumers)
                 relevant = bool(consumers) or ref in self._outputs
             if done and relevant:
-                properties = {p for p in properties if p.ref != ref}
+                pbits &= ~self.theory.ref_masks.get(ref, 0)
         return _SearchNode(
             parent=node,
             rule=rule,
-            properties=frozenset(properties),
+            pbits=pbits,
             completed=completed,
-            communicated=communicated,
+            cbits=node.cbits | rule.comm_mask,
             closed_cost=closed,
             stage_comp=tuple(stage),
             completed_ideal=completed_ideal,
@@ -489,7 +470,7 @@ class ProgramSynthesizer:
                 self._rule_plan(rule, ratios),
                 *self._rule_static(rule),
             )
-        plan, mask, ideals, dead_candidates = runtime
+        plan, mask, ideals, drops = runtime
         closed = node.closed_cost
         stage = node.stage_comp
         for kind, payload in plan:
@@ -505,69 +486,24 @@ class ProgramSynthesizer:
         topo_ptr = (
             self._advance_topo_ptr(node.topo_ptr, completed) if mask else node.topo_ptr
         )
-        # The resulting property/communicated sets are pure functions of
-        # (parent set, rule, completed-after), so with interning on they are
-        # computed once and replayed — no per-child frozenset churn.
-        use_sids = self._fast_sids and node.prop_sid >= 0
-        prop_sid = comm_sid = -1
-        if use_sids:
-            pkey = (node.prop_sid, rid, completed)
-            prop_entry = self._prop_transition.get(pkey)
-            if prop_entry is None:
-                prop_entry = self._prop_transition[pkey] = self._intern_propset(
-                    self._child_properties(node, rule, mask, dead_candidates, completed)
-                )
-            properties, prop_sid = prop_entry
-            ckey = (node.comm_sid, rid)
-            comm_entry = self._comm_transition.get(ckey)
-            if comm_entry is None:
-                comm_entry = self._comm_transition[ckey] = self._intern_commset(
-                    node.communicated | rule.communicates
-                )
-            communicated, comm_sid = comm_entry
-        else:
-            properties = self._child_properties(node, rule, mask, dead_candidates, completed)
-            communicated = node.communicated | rule.communicates
+        # Post union, then the liveness drop (a pure communication rule
+        # completes nothing and has no drops).
+        pbits = node.pbits | rule.post_mask
+        for consumers, prop_mask in drops:
+            if completed & consumers == consumers:
+                pbits &= ~prop_mask
         child = _SearchNode.__new__(_SearchNode)
         child.parent = node
         child.rule = rule
-        child.properties = properties
+        child.pbits = pbits
         child.completed = completed
-        child.communicated = communicated
+        child.cbits = node.cbits | rule.comm_mask
         child.closed_cost = closed
         child.stage_comp = stage
         child.completed_ideal = completed_ideal
         child.depth = node.depth + 1
         child.topo_ptr = topo_ptr
-        child.prop_sid = prop_sid
-        child.comm_sid = comm_sid
         return child
-
-    def _child_properties(
-        self,
-        node: _SearchNode,
-        rule: Rule,
-        mask: int,
-        dead_candidates: Tuple[str, ...],
-        completed: int,
-    ) -> FrozenSet[Property]:
-        """Property set after applying ``rule`` (post union, liveness drop)."""
-        properties = node.properties | rule.post
-        if not mask:
-            # Pure communication rule: no node completed, liveness unchanged.
-            return properties
-        liveness = self._liveness_mask
-        dead = None
-        for ref in dead_candidates:
-            ref_mask, relevant = liveness[ref]
-            if relevant and (completed & ref_mask) == ref_mask:
-                if dead is None:
-                    dead = {ref}
-                else:
-                    dead.add(ref)
-        if dead is not None:
-            properties = frozenset([p for p in properties if p.ref not in dead])
-        return properties
 
     def _advance_topo_ptr(self, ptr: int, completed: int) -> int:
         """First index >= ptr in topological order not yet emulated."""
@@ -584,7 +520,7 @@ class ProgramSynthesizer:
         else:
             candidates = self._unrestricted_candidates(node)
         out: List[Rule] = []
-        props = node.properties
+        pbits, cbits = node.pbits, node.cbits
         completed = node.completed
         masks = self._completes_mask if self._indexing else None
         for rule in candidates:
@@ -596,11 +532,11 @@ class ProgramSynthesizer:
                     continue
             else:
                 # pure communication rule: must add a new property
-                if rule.post <= props:
+                if not rule.post_mask & ~pbits:
                     continue
-            if rule.communicates and (rule.communicates & node.communicated):
+            if rule.comm_mask & cbits:
                 continue
-            if rule.pre <= props:
+            if rule.pre_mask & pbits == rule.pre_mask:
                 out.append(rule)
         return out
 
@@ -608,7 +544,11 @@ class ProgramSynthesizer:
         """All rules triggered by the live properties (paper's Fig. 10 search)."""
         candidates: List[Rule] = list(self.theory.rules_by_pre_ref.get("__empty__", []))
         seen: Set[int] = set()
-        for ref in {p.ref for p in node.properties}:
+        pbits = node.pbits
+        # Live refs in graph order (``ref_masks`` is kept in graph order).
+        for ref, ref_mask in self.theory.ref_masks.items():
+            if not pbits & ref_mask:
+                continue
             for rule in self.theory.rules_by_pre_ref.get(ref, []):
                 rid = id(rule)
                 if rid not in seen:
@@ -650,13 +590,19 @@ class ProgramSynthesizer:
 
     def _candidates_for(self, next_node: str) -> List[Rule]:
         comp_rules = self.theory.comp_rules_by_node.get(next_node, [])
-        needed_props: Set[Property] = set()
+        # The needed properties' refs in first-use order over the variants'
+        # ordered preconditions (hash-seed free).
+        props = self.theory.props
+        needed = 0
+        refs: Dict[str, None] = {}
         for rule in comp_rules:
-            needed_props.update(rule.pre)
+            for bit in self._ordered_pre(rule):
+                needed |= bit
+                refs.setdefault(props[bit.bit_length() - 1].ref)
         candidates: List[Rule] = list(comp_rules)
-        for ref in {p.ref for p in needed_props}:
+        for ref in refs:
             for comm_rule in self.theory.comm_rules_by_ref.get(ref, []):
-                if any(p in needed_props for p in comm_rule.post):
+                if comm_rule.post_mask & needed:
                     candidates.append(comm_rule)
         return candidates
 
@@ -691,37 +637,21 @@ class ProgramSynthesizer:
             self._rule_plans.clear()
             self._rule_runtime.clear()
             self._plan_ratios = ratios
-        # Interned sets and transitions are search-local: states never cross
-        # synthesize() calls, so dropping the tables frees last search's sets.
-        self._propset_intern.clear()
-        self._commset_intern.clear()
-        self._prop_transition.clear()
-        self._comm_transition.clear()
-        self._search_serial += 1
         if self.config.search_strategy == "beam":
             return self._beam_search(ratios)
         return self._astar_search(ratios)
 
     def _root(self) -> _SearchNode:
-        m = self.cluster.num_devices
-        prop_sid = comm_sid = -1
-        properties: FrozenSet[Property] = frozenset()
-        communicated: FrozenSet[str] = frozenset()
-        if self._fast_sids:
-            properties, prop_sid = self._intern_propset(properties)
-            communicated, comm_sid = self._intern_commset(communicated)
         return _SearchNode(
             parent=None,
             rule=None,
-            properties=properties,
+            pbits=0,
             completed=0,
-            communicated=communicated,
+            cbits=0,
             closed_cost=0.0,
-            stage_comp=tuple([0.0] * m),
+            stage_comp=self._zero_stage,
             completed_ideal=0.0,
             depth=0,
-            prop_sid=prop_sid,
-            comm_sid=comm_sid,
         )
 
     def _result(
@@ -815,12 +745,7 @@ class ProgramSynthesizer:
         recorded as ``(parent index in the entering beam, applied-rule chain)``
         pairs so a repeated-block occurrence can replay them.
         """
-        interning = self.config.enable_state_interning
-        children: Dict[Tuple, Tuple[_SearchNode, Tuple[float, ...]]] = {}
-        # Keys from different levels never meet in one dict, so the
-        # intern table is per-level — the triples become garbage with the
-        # level instead of accumulating for the whole run.
-        state_ids: Dict[Tuple, int] = {}
+        children: Dict[Tuple[int, int, int], Tuple[_SearchNode, Tuple[float, ...]]] = {}
         comp_rules = self.theory.comp_rules_by_node.get(node_name, [])
         if not comp_rules:
             raise SynthesisError(f"no sharding rules for node {node_name!r}")
@@ -829,17 +754,7 @@ class ProgramSynthesizer:
             for rule in comp_rules:
                 for child in self._expand_with_rule(state, rule, ratios):
                     self._bm_generated += 1
-                    if child.prop_sid >= 0:
-                        # Interned ids from the fast _apply path: the key
-                        # hashes three machine words, no frozensets.
-                        key = (child.prop_sid, child.completed, child.comm_sid)
-                    else:
-                        key = (child.properties, child.completed, child.communicated)
-                        if interning:
-                            sid = state_ids.get(key)
-                            if sid is None:
-                                sid = state_ids[key] = len(state_ids)
-                            key = sid
+                    key = (child.pbits, child.completed, child.cbits)
                     closed = child.closed_cost
                     vector = tuple([closed + c for c in child.stage_comp])
                     existing = children.get(key)
@@ -908,68 +823,23 @@ class ProgramSynthesizer:
             return states
         return self._node_run_parallel(states, node_names, ratios, beam_width)
 
-    def _ensure_wire_tables(self) -> None:
-        """Build the process-independent encodings of rules and state sets.
+    def _rule_indexes(self) -> Dict[int, int]:
+        """id(rule) -> position in ``theory.rules`` (how rules cross processes).
 
-        Rules are indexed by position in ``theory.rules`` (the per-node /
-        per-ref candidate indexes reference those same objects, so every rule
-        a worker can apply has an index).  Properties and communicated refs
-        are indexed by deterministically sorted tables derived from the rule
-        set alone — ``(ref, kind, dim)`` is a complete key for a property —
-        so parent and forked workers agree on every id without coordination.
+        The per-node / per-ref candidate indexes reference those same rule
+        objects, so every rule a worker can apply has an index.
         """
-        if self._wire_ready:
-            return
-        self._rule_wire_index = {id(r): i for i, r in enumerate(self.theory.rules)}
-        props: Set[Property] = set()
-        refs: Set[str] = set()
-        for rule in self.theory.rules:
-            props.update(rule.pre)
-            props.update(rule.post)
-            refs.update(rule.communicates)
-        self._wire_props = tuple(
-            sorted(
-                props,
-                key=lambda p: (
-                    p.ref,
-                    p.state.kind.value,
-                    -1 if p.state.dim is None else p.state.dim,
-                ),
-            )
-        )
-        self._prop_wire_ids = {p: i for i, p in enumerate(self._wire_props)}
-        self._wire_refs = tuple(sorted(refs))
-        self._ref_wire_ids = {r: i for i, r in enumerate(self._wire_refs)}
-        self._wire_ready = True
+        if not self._rule_index:
+            self._rule_index = {id(r): i for i, r in enumerate(self.theory.rules)}
+        return self._rule_index
 
-    def _encode_sets(
-        self, properties: FrozenSet[Property], communicated: FrozenSet[str]
-    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Canonical wire-id tuples for one (property set, communicated set).
-
-        Memoized per frozenset: beam states reuse a small population of
-        interned sets, so the sort runs once per distinct set instead of once
-        per generated child, and the shared tuple objects let pickle's memo
-        table deduplicate them inside one shard reply.  The wire tables are
-        fixed per synthesizer, so the memo never goes stale.
-        """
-        pids = self._propenc_cache.get(properties)
-        if pids is None:
-            pids = tuple(sorted(self._prop_wire_ids[p] for p in properties))
-            self._propenc_cache[properties] = pids
-        cids = self._commenc_cache.get(communicated)
-        if cids is None:
-            cids = tuple(sorted(self._ref_wire_ids[c] for c in communicated))
-            self._commenc_cache[communicated] = cids
-        return pids, cids
-
-    def _encode_state(self, node: _SearchNode) -> Tuple:
+    @staticmethod
+    def _encode_state(node: _SearchNode) -> Tuple:
         """Compact, process-independent snapshot of one beam state."""
-        pids, cids = self._encode_sets(node.properties, node.communicated)
         return (
-            pids,
+            node.pbits,
             node.completed,
-            cids,
+            node.cbits,
             node.closed_cost,
             node.stage_comp,
             node.completed_ideal,
@@ -977,28 +847,21 @@ class ProgramSynthesizer:
             node.topo_ptr,
         )
 
-    def _decode_state(self, encoded: Tuple) -> _SearchNode:
-        """Worker-side inverse of `_encode_state` (a bare, parentless node)."""
-        prop_ids, completed, ref_ids, closed, stage, ideal, depth, topo_ptr = encoded
-        properties = frozenset(self._wire_props[i] for i in prop_ids)
-        communicated = frozenset(self._wire_refs[i] for i in ref_ids)
-        prop_sid = comm_sid = -1
-        if self._fast_sids:
-            properties, prop_sid = self._intern_propset(properties)
-            communicated, comm_sid = self._intern_commset(communicated)
+    @staticmethod
+    def _decode_state(encoded: Tuple) -> _SearchNode:
+        """Inverse of `_encode_state` (a bare, parentless node)."""
+        pbits, completed, cbits, closed, stage, ideal, depth, topo_ptr = encoded
         return _SearchNode(
             parent=None,
             rule=None,
-            properties=properties,
+            pbits=pbits,
             completed=completed,
-            communicated=communicated,
+            cbits=cbits,
             closed_cost=closed,
             stage_comp=stage,
             completed_ideal=ideal,
             depth=depth,
             topo_ptr=topo_ptr,
-            prop_sid=prop_sid,
-            comm_sid=comm_sid,
         )
 
     def _expand_shard(
@@ -1006,15 +869,14 @@ class ProgramSynthesizer:
         node_name: str,
         ratios: Tuple[float, ...],
         shard: List[Tuple[int, Tuple]],
-        search_serial: int,
     ) -> Tuple:
         """Worker-side expansion of one shard of a beam level.
 
         Runs the exact per-state loop of `_beam_level` (same rule order, same
         `_expand_with_rule`, same memoized cost plans) over the shard and
         returns every generated child *unmerged*, in generation order, in
-        columnar form: per-child key columns ``(property ids, completed,
-        comm ids)``, one packed double array holding ``closed ‖ stage_comp ‖
+        columnar form: per-child key columns ``(pbits, completed, cbits)``,
+        one packed double array holding ``closed ‖ stage_comp ‖
         completed_ideal`` per child (the parent reads it zero-copy with
         ``np.frombuffer``), int columns for ``depth``/``topo_ptr``/parent
         index, and the applied-rule chains.  Together the columns are the
@@ -1033,17 +895,11 @@ class ProgramSynthesizer:
             self._rule_plans.clear()
             self._rule_runtime.clear()
             self._plan_ratios = ratios
-        if search_serial != self._search_serial:
-            self._propset_intern.clear()
-            self._commset_intern.clear()
-            self._prop_transition.clear()
-            self._comm_transition.clear()
-            self._search_serial = search_serial
-        self._ensure_wire_tables()
+        rule_index = self._rule_indexes()
         comp_rules = self.theory.comp_rules_by_node.get(node_name, [])
-        pids_col: List[Tuple[int, ...]] = []
+        pbits_col: List[int] = []
         completeds: List[int] = []
-        cids_col: List[Tuple[int, ...]] = []
+        cbits_col: List[int] = []
         floats = array("d")
         depths: List[int] = []
         topos: List[int] = []
@@ -1058,13 +914,12 @@ class ProgramSynthesizer:
                     chain: List[int] = []
                     cursor: Optional[_SearchNode] = child
                     while cursor is not None and cursor.rule is not None:
-                        chain.append(self._rule_wire_index[id(cursor.rule)])
+                        chain.append(rule_index[id(cursor.rule)])
                         cursor = cursor.parent
                     chain.reverse()
-                    pids, cids = self._encode_sets(child.properties, child.communicated)
-                    pids_col.append(pids)
+                    pbits_col.append(child.pbits)
                     completeds.append(child.completed)
-                    cids_col.append(cids)
+                    cbits_col.append(child.cbits)
                     floats.append(child.closed_cost)
                     floats.extend(child.stage_comp)
                     floats.append(child.completed_ideal)
@@ -1072,7 +927,7 @@ class ProgramSynthesizer:
                     topos.append(child.topo_ptr)
                     parents.append(parent_index)
                     chains.append(tuple(chain))
-        return pids_col, completeds, cids_col, floats, depths, topos, parents, chains, generated
+        return pbits_col, completeds, cbits_col, floats, depths, topos, parents, chains, generated
 
     def _node_run_parallel(
         self,
@@ -1104,7 +959,6 @@ class ProgramSynthesizer:
         """
         pool = self._level_pool
         assert pool is not None
-        self._ensure_wire_tables()
         # Carrier: (encoded state, index into `states`, chain link), where a
         # link is None (still the base state) or (parent link, rule tuple).
         carriers: List[Tuple[Tuple, int, Optional[Tuple]]] = [
@@ -1124,9 +978,7 @@ class ProgramSynthesizer:
                     [(cursor + j, carriers[cursor + j][0]) for j in range(size)]
                 )
                 cursor += size
-            tasks = [
-                (node_name, tuple(ratios), shard, self._search_serial) for shard in shards
-            ]
+            tasks = [(node_name, tuple(ratios), shard) for shard in shards]
             try:
                 replies = pool.run_sharded(_expand_shard_task, "synthesizer", tasks)
             except workerpool.WorkerCrash as exc:
@@ -1135,25 +987,25 @@ class ProgramSynthesizer:
                 ) from exc
             # Reassemble the columnar replies in shard order (= serial
             # generation order) and run the single global merge.
-            pids_col: List[Tuple[int, ...]] = []
+            pbits_col: List[int] = []
             completeds: List[int] = []
-            cids_col: List[Tuple[int, ...]] = []
+            cbits_col: List[int] = []
             float_bufs: List[array] = []
             depths: List[int] = []
             topos: List[int] = []
             parents: List[int] = []
             chains: List[Tuple[int, ...]] = []
             for reply in replies:
-                pids_col.extend(reply[0])
+                pbits_col.extend(reply[0])
                 completeds.extend(reply[1])
-                cids_col.extend(reply[2])
+                cbits_col.extend(reply[2])
                 float_bufs.append(reply[3])
                 depths.extend(reply[4])
                 topos.extend(reply[5])
                 parents.extend(reply[6])
                 chains.extend(reply[7])
                 self._bm_generated += reply[8]
-            count = len(pids_col)
+            count = len(pbits_col)
             if count == 0:
                 raise SynthesisError(
                     f"beam search dead-ended at node {node_name!r}: no variant of the "
@@ -1169,9 +1021,9 @@ class ProgramSynthesizer:
             # bit for bit (both are IEEE double additions of the same values).
             vectors = closed[:, None] + stage
             limits = vectors + 1e-15
-            children: Dict[Tuple, int] = {}
+            children: Dict[Tuple[int, int, int], int] = {}
             for i in range(count):
-                key = (pids_col[i], completeds[i], cids_col[i])
+                key = (pbits_col[i], completeds[i], cbits_col[i])
                 j = children.get(key)
                 if j is not None and (vectors[j] <= limits[i]).all():
                     continue
@@ -1186,9 +1038,9 @@ class ProgramSynthesizer:
             for oi in order[:beam_width]:
                 row = rows[oi]
                 encoded = (
-                    pids_col[row],
+                    pbits_col[row],
                     completeds[row],
-                    cids_col[row],
+                    cbits_col[row],
                     float(cols[row, 0]),
                     tuple(cols[row, 1 : k + 1].tolist()),
                     float(cols[row, k + 1]),
@@ -1214,9 +1066,9 @@ class ProgramSynthesizer:
             node = _SearchNode(
                 parent=node,
                 rule=self.theory.rules[rule_index],
-                properties=frozenset(),
+                pbits=0,
                 completed=0,
-                communicated=frozenset(),
+                cbits=0,
                 closed_cost=0.0,
                 stage_comp=(),
                 completed_ideal=0.0,
@@ -1309,6 +1161,9 @@ class ProgramSynthesizer:
         relevant_mask = 0
         for bit in ref_bits:
             relevant_mask |= bit
+        prop_mask = 0
+        for ref in occ_refs:
+            prop_mask |= self.theory.ref_masks.get(ref, 0)
         block_nodes = set(node_names)
         pending_masks: List[int] = []
         for ref in occ_refs:
@@ -1323,6 +1178,7 @@ class ProgramSynthesizer:
             ref_idx=ref_idx,
             ref_bits=ref_bits,
             relevant_mask=relevant_mask,
+            prop_mask=prop_mask,
             pending_masks=tuple(pending_masks),
         )
 
@@ -1368,15 +1224,17 @@ class ProgramSynthesizer:
         return states
 
     def _exit_encoding(self, state: _SearchNode, info: _OccurrenceInfo) -> Tuple:
-        """Block-relevant part of an exit state, in block-local indices."""
+        """Block-relevant part of an exit state, in block-local indices.
+
+        Only the block's own property bits are decoded.
+        """
         ref_idx = info.ref_idx
         rel_props = tuple(
             (ref_idx[p.ref], p.state)
-            for p in state.properties
-            if p.ref in ref_idx
+            for p in self.theory.decode(state.pbits & info.prop_mask)
         )
-        rel_comm = tuple(ref_idx[c] for c in state.communicated if c in ref_idx)
-        completed = state.completed
+        cbits, completed = state.cbits, state.completed
+        rel_comm = tuple(i for i, bit in enumerate(info.ref_bits) if cbits & bit)
         rel_completed = tuple(
             i for i, bit in enumerate(info.ref_bits) if completed & bit
         )
@@ -1491,28 +1349,29 @@ class ProgramSynthesizer:
         ref_bits = info.ref_bits
         pending_masks = info.pending_masks
         relevant_mask = info.relevant_mask
+        prop_mask = info.prop_mask
+        decode = self.theory.decode
         pattern_ids: Dict[Tuple, int] = {}
         sig: List[Tuple] = []
         for state in states:
-            rel_props: List[Tuple] = []
-            irr_props: List[Property] = []
-            for p in state.properties:
-                i = ref_idx.get(p.ref)
-                if i is None:
-                    irr_props.append(p)
-                else:
-                    rel_props.append((i, p.state.kind.value, p.state.dim))
+            pbits, cbits, completed = state.pbits, state.cbits, state.completed
+            rel_props = [
+                (ref_idx[p.ref], p.state.kind.value, p.state.dim)
+                for p in decode(pbits & prop_mask)
+            ]
             rel_props.sort(key=lambda t: (t[0], t[1], -1 if t[2] is None else t[2]))
-            rel_comm = sorted(ref_idx[c] for c in state.communicated if c in ref_idx)
-            irr_comm = frozenset(c for c in state.communicated if c not in ref_idx)
-            completed = state.completed
+            rel_comm = [i for i, bit in enumerate(ref_bits) if cbits & bit]
             rel_completed = tuple(
                 1 if completed & bit else 0 for bit in ref_bits
             )
             ext_pending = tuple(
                 1 if mask & ~completed else 0 for mask in pending_masks
             )
-            pattern_key = (frozenset(irr_props), irr_comm, completed & ~relevant_mask)
+            pattern_key = (
+                pbits & ~prop_mask,
+                cbits & ~relevant_mask,
+                completed & ~relevant_mask,
+            )
             pid = pattern_ids.setdefault(pattern_key, len(pattern_ids))
             sig.append((tuple(rel_props), tuple(rel_comm), rel_completed, ext_pending, pid))
         return tuple(sig)
@@ -1599,7 +1458,7 @@ class ProgramSynthesizer:
         return out
 
     def _replay_runtime(self, rule: Rule, ratios: Sequence[float]) -> Tuple:
-        """(cost plan, completes mask, ideal deltas, liveness candidates).
+        """(cost plan, completes mask, ideal deltas, liveness drops).
 
         Shares the :meth:`_apply_fast` runtime cache; safe to populate even
         when cost memoization is off, because the memoized plans replay the
@@ -1627,34 +1486,27 @@ class ProgramSynthesizer:
     ) -> _SearchNode:
         """Build a full exit state from pass-through context + template encoding."""
         rel_props, rel_comm, rel_completed = exit_rel
-        ref_idx = info.ref_idx
         occ_refs = info.occ_refs
-        props = [p for p in root.properties if p.ref not in ref_idx]
-        props.extend(Property(occ_refs[i], state) for i, state in rel_props)
-        properties: FrozenSet[Property] = frozenset(props)
-        communicated_set = {c for c in root.communicated if c not in ref_idx}
-        communicated_set.update(occ_refs[i] for i in rel_comm)
-        communicated: FrozenSet[str] = frozenset(communicated_set)
+        pbits = (root.pbits & ~info.prop_mask) | self.theory.encode(
+            Property(occ_refs[i], state) for i, state in rel_props
+        )
+        cbits = root.cbits & ~info.relevant_mask
+        for i in rel_comm:
+            cbits |= info.ref_bits[i]
         completed = root.completed & ~info.relevant_mask
         for i in rel_completed:
             completed |= info.ref_bits[i]
-        prop_sid = comm_sid = -1
-        if self._fast_sids:
-            properties, prop_sid = self._intern_propset(properties)
-            communicated, comm_sid = self._intern_commset(communicated)
         node = _SearchNode.__new__(_SearchNode)
         node.parent = tail.parent
         node.rule = tail.rule
-        node.properties = properties
+        node.pbits = pbits
         node.completed = completed
-        node.communicated = communicated
+        node.cbits = cbits
         node.closed_cost = closed
         node.stage_comp = stage
         node.completed_ideal = ideal
         node.depth = depth
         node.topo_ptr = self._advance_topo_ptr(root.topo_ptr, completed)
-        node.prop_sid = prop_sid
-        node.comm_sid = comm_sid
         return node
 
     def _translate_descriptor(
@@ -1689,35 +1541,36 @@ class ProgramSynthesizer:
         self, state: _SearchNode, rule: Rule, ratios: Sequence[float]
     ) -> List[_SearchNode]:
         """Apply a computation rule, inserting enabling collectives if needed."""
-        missing = [p for p in self._ordered_pre(rule) if p not in state.properties]
         if self._indexing:
             if state.completed & self._completes_mask[id(rule)]:
                 return []
         elif any(n for n in rule.completes if state.completed & (1 << self._node_index[n])):
             return []
-        if not missing:
+        pbits, cbits = state.pbits, state.cbits
+        if rule.pre_mask & pbits == rule.pre_mask:
             return [self._apply(state, rule, ratios)]
+        missing = [bit for bit in self._ordered_pre(rule) if not pbits & bit]
         # Find, for every missing precondition, the collectives that produce
         # it.  With rule indexing the state-independent "which collectives
         # establish this property" part comes from the ``comm_rules_by_post``
         # index (same rules, same order as filtering the per-ref table); only
         # the per-state filters remain in the loop.
         option_sets: List[List[Rule]] = []
-        props, communicated = state.properties, state.communicated
-        for prop in missing:
+        for bit in missing:
             if self._indexing:
                 options = [
                     comm
-                    for comm in self.theory.comm_rules_by_post.get(prop, ())
-                    if comm.pre <= props and not (comm.communicates & communicated)
+                    for comm in self.theory.comm_rules_by_post.get(bit, ())
+                    if comm.pre_mask & pbits == comm.pre_mask and not comm.comm_mask & cbits
                 ]
             else:
+                ref = self.theory.props[bit.bit_length() - 1].ref
                 options = [
                     comm
-                    for comm in self.theory.comm_rules_by_ref.get(prop.ref, [])
-                    if prop in comm.post
-                    and comm.pre <= props
-                    and not (comm.communicates & communicated)
+                    for comm in self.theory.comm_rules_by_ref.get(ref, [])
+                    if comm.post_mask & bit
+                    and comm.pre_mask & pbits == comm.pre_mask
+                    and not comm.comm_mask & cbits
                 ]
             if not options:
                 return []
@@ -1744,8 +1597,8 @@ class ProgramSynthesizer:
             results.append(self._apply(current, rule, ratios))
         return results
 
-    def _ordered_pre(self, rule: Rule) -> Tuple[Property, ...]:
-        """Preconditions of a rule in a deterministic, name-independent order.
+    def _ordered_pre(self, rule: Rule) -> Tuple[int, ...]:
+        """Precondition bits of a rule in a deterministic, name-independent order.
 
         ``rule.pre`` is a frozenset, whose iteration order depends on the hash
         values of the reference names; enumerating missing preconditions in
@@ -1753,7 +1606,8 @@ class ProgramSynthesizer:
         enabling-collective instruction order vary between isomorphic graphs
         (and with ``PYTHONHASHSEED``).  The computation instruction's input
         order is structural, so it is used as the primary order, with any
-        leftover preconditions appended in sorted order.
+        leftover preconditions appended in sorted order.  Bit positions play
+        no part in the order.
         """
         entry = self._pre_order_cache.get(id(rule))
         if entry is None:
@@ -1773,7 +1627,8 @@ class ProgramSynthesizer:
                     ),
                 )
                 ordered.extend(leftover)
-            entry = self._pre_order_cache[id(rule)] = tuple(ordered)
+            bits = self.theory.prop_bits
+            entry = self._pre_order_cache[id(rule)] = tuple(bits[p] for p in ordered)
         return entry
 
     # -- unrestricted A* search (Fig. 10) ----------------------------------------------
@@ -1818,9 +1673,8 @@ class ProgramSynthesizer:
         # sum-sorted Pareto front (same dominance predicate, early-exit
         # scans); otherwise in the seed's flat list scanned in full.
         use_pareto = self.config.enable_pareto_store
-        interning = self.config.enable_state_interning
-        fronts: Dict[Tuple, ParetoFront] = {}
-        best_vectors: Dict[Tuple, List[Tuple[float, ...]]] = {}
+        fronts: Dict[Tuple[int, int, int], ParetoFront] = {}
+        best_vectors: Dict[Tuple[int, int, int], List[Tuple[float, ...]]] = {}
         best_complete: Optional[_SearchNode] = None
         best_cost = float("inf")
         #: Most-progressed state popped so far — the completion-fallback seed.
@@ -1828,8 +1682,6 @@ class ProgramSynthesizer:
         trim = _allow_trim and self.config.beam_width is not None
         expanded = 0
         generated = 1
-        # Interned state-key ids live for the duration of one search.
-        state_ids: Dict[Tuple, int] = {}
         # Local bindings of loop-invariant lookups (hot loop).
         output_mask = self._output_mask
         total_ideal = self._total_ideal
@@ -1860,15 +1712,7 @@ class ProgramSynthesizer:
                         best_cost = cost
                         best_complete = child
                     continue
-                if child.prop_sid >= 0:
-                    key = (child.prop_sid, child.completed, child.comm_sid)
-                else:
-                    key = (child.properties, child.completed, child.communicated)
-                    if interning:
-                        sid = state_ids.get(key)
-                        if sid is None:
-                            sid = state_ids[key] = len(state_ids)
-                        key = sid
+                key = (child.pbits, child.completed, child.cbits)
                 vector = tuple([closed + c for c in stage_comp])
                 if use_pareto:
                     front = fronts.get(key)
@@ -1929,8 +1773,8 @@ def _expand_shard_task(
     The synthesizer arrives as the pool's registered ``"synthesizer"``
     payload — shipped to workers by fork copy-on-write, never pickled.
     """
-    node_name, ratios, shard, search_serial = args
-    return synthesizer._expand_shard(node_name, ratios, shard, search_serial)
+    node_name, ratios, shard = args
+    return synthesizer._expand_shard(node_name, ratios, shard)
 
 
 def synthesize_program(

@@ -10,7 +10,7 @@ Both parallel features of the planner draw from the single pool managed here:
   task per (num_stages, chunks) cell.
 
 The pool exists because both callers have the same shape of problem: a large
-read-only context (graph, theory, rule indexes, interned state tables) and
+read-only context (graph, theory, rule indexes) and
 many small tasks against it.  Fork copy-on-write ships the context for free —
 workers are forked from the parent *after* the context exists, so tasks only
 carry compact argument tuples over a pipe, never the context itself.  That is

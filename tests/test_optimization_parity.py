@@ -1,10 +1,10 @@
 """Parity of the synthesizer's hot-path optimisations.
 
-Every optimisation behind a ``SynthesisConfig`` flag (rule indexing, state
-interning, the Pareto dominance store, cost-model memoization, vectorized
-cost evaluation) is required to be *result-identical*: toggling it must not
-change the synthesized instruction sequence nor the estimated cost by a
-single bit.  These tests run the synthesizer with each optimisation disabled
+Every optimisation behind a ``SynthesisConfig`` flag (rule indexing, the
+Pareto dominance store, cost-model memoization, vectorized cost evaluation)
+is required to be *result-identical*: toggling it must not change the
+synthesized instruction sequence nor the estimated cost by a single bit.
+These tests run the synthesizer with each optimisation disabled
 individually and all disabled at once, and compare against the fully
 optimised default.
 """
@@ -31,7 +31,6 @@ from .conftest import build_mlp, build_tiny_moe, build_tiny_transformer, make_cl
 
 OPT_FLAGS = (
     "enable_rule_indexing",
-    "enable_state_interning",
     "enable_pareto_store",
     "enable_cost_memoization",
     "enable_vectorized_cost",
