@@ -42,14 +42,6 @@ A **warm-cache** section re-plans the hetero testbed through an in-memory
 plan cache and records the cold/warm speedup (``warm_cache`` key); the
 ``--min-cache-speedup`` guard enforces that a warm hit stays O(lookup).
 
-A **parallel** section plans the hetero testbed cold, serially and with
-``--planner-workers`` processes fanning out the candidate grid over a shared
-disk plan cache — composed with ``--synthesis-workers`` beam-expansion
-workers per plan, so both dimensions of the shared worker pool run at once —
-and records the wall-clock speedup plus a bit-identical check (``parallel``
-key).  ``--min-parallel-speedup`` turns the speedup into a CI guard (it
-needs at least as many usable cores as workers).
-
 Writes ``benchmarks/results/BENCH_pipeline.json`` (a git-ignored directory,
 so bench runs never dirty the tree).  With ``--max-planning-seconds`` the
 harness exits non-zero when any testbed's planner wall-clock exceeds the
@@ -61,17 +53,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, List
 
 from repro.cluster import ClusterSpec, Machine, NetworkSpec, heterogeneous_testbed, homogeneous_testbed
 from repro.cluster.device import DeviceType
-from repro.core import DiskPlanCache, HierarchicalConfig, InMemoryPlanCache, close_shared_pool
+from repro.core import HierarchicalConfig, InMemoryPlanCache
 from repro.hap import hap_pipeline
 from repro.models import BenchmarkScale, build_model
 from repro.simulator import simulate_hierarchical, simulate_pipeline
@@ -237,75 +227,7 @@ def bench_warm_cache(fast: bool, beam: int, rounds: int) -> Dict[str, object]:
     return record
 
 
-def bench_parallel(
-    fast: bool, beam: int, rounds: int, workers: int, synthesis_workers: int
-) -> Dict[str, object]:
-    """Serial vs multiprocess candidate-grid planning of the hetero testbed.
-
-    Both passes plan cold through their own fresh shared
-    :class:`~repro.core.DiskPlanCache` directory (the topology the worker
-    pool coordinates through), so the comparison is spawn-and-merge overhead
-    against genuine grid-cell parallelism.  The parallel pass also sets
-    ``synthesis_workers`` — both parallelism dimensions drawn from the shared
-    worker pool at once, with the nested per-process budget clamping the
-    composition exercises — while the serial pass keeps both at 1.  The
-    parallel plan must be bit-identical to the serial one — same
-    ``describe()``, same candidate times — which ``identical`` records and
-    ``main`` enforces.
-    """
-    cluster = heterogeneous_testbed(num_gpus=16 if fast else 32, gpus_per_machine=8)
-    scale = BenchmarkScale(
-        "bench", layer_fraction=0.17 if fast else 0.34, batch_per_device=4 if fast else 8
-    )
-    forward = build_model("bert_base", num_gpus=cluster.num_gpus, scale=scale)
-
-    def run(num_workers: int, synth_workers: int, directory: str):
-        config = HierarchicalConfig(
-            planner=bench_planner(
-                beam=beam, rounds=rounds, synthesis_workers=synth_workers
-            ),
-            intra_group_network=NetworkSpec(bandwidth=100e9 / 8),
-            plan_cache=DiskPlanCache(directory),
-            planner_workers=num_workers,
-        )
-        t0 = time.perf_counter()
-        plan = hap_pipeline(forward, cluster, config)
-        return plan, time.perf_counter() - t0
-
-    try:
-        with tempfile.TemporaryDirectory() as serial_dir:
-            serial, serial_seconds = run(1, 1, serial_dir)
-        with tempfile.TemporaryDirectory() as parallel_dir:
-            parallel, parallel_seconds = run(workers, synthesis_workers, parallel_dir)
-    finally:
-        close_shared_pool()
-    record = {
-        "testbed": "hetero-bandwidth",
-        "num_gpus": cluster.num_gpus,
-        "planner_workers": workers,
-        "synthesis_workers": synthesis_workers,
-        "cpu_count": os.cpu_count(),
-        "serial_seconds": serial_seconds,
-        "parallel_seconds": parallel_seconds,
-        "parallel_speedup": serial_seconds / parallel_seconds,
-        "identical": (
-            serial.describe() == parallel.describe()
-            and serial.estimated_time == parallel.estimated_time
-            and serial.schedule_candidate_times == parallel.schedule_candidate_times
-        ),
-    }
-    print(
-        f"{'parallel':>20s}: serial {serial_seconds:6.2f}s -> {workers} workers "
-        f"(x{synthesis_workers} synth) "
-        f"{parallel_seconds:6.2f}s ({record['parallel_speedup']:.2f}x on "
-        f"{record['cpu_count']} cpus, identical={record['identical']})"
-    )
-    return record
-
-
-def run_benchmark(
-    fast: bool, beam: int, rounds: int, workers: int, synthesis_workers: int
-) -> Dict[str, object]:
+def run_benchmark(fast: bool, beam: int, rounds: int) -> Dict[str, object]:
     # The reduced batch exercises BenchmarkScale.batch_per_device end to end:
     # the global batch genuinely shrinks with the scale now.
     default_scale = BenchmarkScale(
@@ -393,7 +315,6 @@ def run_benchmark(
         "python": platform.python_version(),
         "results": results,
         "warm_cache": bench_warm_cache(fast, beam, rounds),
-        "parallel": bench_parallel(fast, beam, rounds, workers, synthesis_workers),
     }
 
 
@@ -421,31 +342,9 @@ def main(argv=None) -> int:
         help="fail when the warm plan-cache re-plan of the hetero testbed is "
         "not at least this much faster than the cold plan",
     )
-    parser.add_argument(
-        "--planner-workers",
-        type=int,
-        default=4,
-        help="worker-process count for the parallel candidate-grid pass",
-    )
-    parser.add_argument(
-        "--min-parallel-speedup",
-        type=float,
-        default=None,
-        help="fail when cold parallel planning is not at least this much "
-        "faster than serial (needs >= --planner-workers usable cores)",
-    )
-    parser.add_argument(
-        "--synthesis-workers",
-        type=int,
-        default=2,
-        help="per-plan beam-expansion worker count composed into the "
-        "parallel pass (exercises the nested worker-pool budget)",
-    )
     args = parser.parse_args(argv)
 
-    report = run_benchmark(
-        args.fast, args.beam, args.rounds, args.planner_workers, args.synthesis_workers
-    )
+    report = run_benchmark(args.fast, args.beam, args.rounds)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=2) + "\n")
@@ -459,24 +358,6 @@ def main(argv=None) -> int:
         print(
             f"FAIL: warm-cache speedup {warm['cache_speedup']:.1f}x is below "
             f"the --min-cache-speedup guard of {args.min_cache_speedup:.1f}x",
-            file=sys.stderr,
-        )
-        return 1
-    par = report["parallel"]  # type: ignore[index]
-    if not par["identical"]:
-        print(
-            "FAIL: parallel planning did not reproduce the serial plan bit for bit",
-            file=sys.stderr,
-        )
-        return 1
-    if (
-        args.min_parallel_speedup is not None
-        and par["parallel_speedup"] < args.min_parallel_speedup
-    ):
-        print(
-            f"FAIL: parallel speedup {par['parallel_speedup']:.2f}x with "
-            f"{par['planner_workers']} workers is below the "
-            f"--min-parallel-speedup guard of {args.min_parallel_speedup:.1f}x",
             file=sys.stderr,
         )
         return 1

@@ -1,17 +1,11 @@
 """Synthesis-time benchmark harness.
 
-Times program synthesis on the registry models across cluster sizes, running
-the optimised hot path (the ``SynthesisConfig`` defaults) and the unoptimised
-path (every ``enable_*`` hot-path flag off) back to back in the same process,
-and writes the results to ``benchmarks/results/BENCH_synthesis.json`` (a
-git-ignored directory, so bench runs never dirty the tree) for future PRs to
-compare against.  Each row also times a third configuration with only
-``enable_vectorized_cost`` off (the ``vectorized_speedup`` column), isolating
-the numpy-batched beam ranking from the other hot-path wins.  It also A/Bs
-``enable_block_reuse`` on a 48-layer BERT, where the synthesizer records each
-distinct block once and replays it, and ``synthesis_workers`` on the same
-model, where beam expansion is sharded across forked workers at every search
-level (serial vs parallel, bit-identical by contract).
+Times program synthesis on the registry models across cluster sizes with the
+default ``SynthesisConfig``, and writes the results to
+``benchmarks/results/BENCH_synthesis.json`` (a git-ignored directory, so
+bench runs never dirty the tree).  It also A/Bs ``enable_block_reuse`` on a
+48-layer BERT, where the synthesizer records each distinct block once and
+replays it.
 
 Usage::
 
@@ -19,18 +13,17 @@ Usage::
     PYTHONPATH=src python -m benchmarks.bench_synthesis --fast     # CI-sized sweep
     PYTHONPATH=src python -m benchmarks.bench_synthesis --full     # paper-sized sweep
 
-The harness verifies on every configuration that both paths synthesize
+Each row records wall-clock (best of ``--repeats``) and expanded/generated
+state counts.  The block-reuse A/B also checks that both paths synthesize
 byte-identical programs and costs (the parity contract also enforced by
-``tests/test_optimization_parity.py``) and records wall-clock (best of
-``--repeats``), expanded/generated state counts, and the speedup.  This file
-deliberately does not match ``test_*.py`` so pytest does not collect it.
+``tests/test_optimization_parity.py``).  This file deliberately does not
+match ``test_*.py`` so pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
 import time
@@ -38,17 +31,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster import ClusterSpec, Machine, NetworkSpec, device_type
-from repro.core import ProgramSynthesizer, SynthesisConfig, close_shared_pool
+from repro.core import ProgramSynthesizer, SynthesisConfig
 from repro.models import MODEL_NAMES, BenchmarkScale, build_model
-
-#: The hot-path optimisation switches A/B-ed by this harness.
-OPT_FLAGS = (
-    "enable_rule_indexing",
-    "enable_pareto_store",
-    "enable_cost_memoization",
-    "enable_vectorized_cost",
-)
-
 
 def heterogeneous_cluster(num_devices: int) -> ClusterSpec:
     """Alternating A100/P100 single-GPU machines (the paper's hetero setup)."""
@@ -98,46 +82,26 @@ def bench_one(
     cluster = heterogeneous_cluster(num_devices)
     graph = build_model(model, num_gpus=num_devices, scale=scale)
 
-    def make(**flags) -> ProgramSynthesizer:
-        config = SynthesisConfig(
-            search_strategy=strategy, beam_width=beam_width, **flags
-        )
+    def make() -> ProgramSynthesizer:
+        config = SynthesisConfig(search_strategy=strategy, beam_width=beam_width)
         return ProgramSynthesizer(graph, cluster, config)
 
     t0 = time.perf_counter()
-    optimized_synth = make()
+    synthesizer = make()
     theory_seconds = time.perf_counter() - t0
 
-    naive = time_synthesis(lambda: make(**{flag: False for flag in OPT_FLAGS}), repeats)
-    # Vectorized-cost A/B: every other optimisation on, only the numpy-batched
-    # beam ranking off — isolates the vectorization win from the rest.
-    scalar_rank = time_synthesis(lambda: make(enable_vectorized_cost=False), repeats)
-    optimized = time_synthesis(make, repeats)
-
-    naive_result = naive.pop("result")
-    scalar_result = scalar_rank.pop("result")
-    optimized_result = optimized.pop("result")
-    parity = (
-        naive_result.cost == scalar_result.cost == optimized_result.cost
-        and list(naive_result.program.instructions)
-        == list(scalar_result.program.instructions)
-        == list(optimized_result.program.instructions)
-    )
+    synthesis = time_synthesis(make, repeats)
+    synthesis.pop("result")
     return {
         "model": model,
         "num_devices": num_devices,
         "strategy": strategy,
         "graph_nodes": len(graph.node_names),
-        "theory_rules": len(optimized_synth.theory),
+        "theory_rules": len(synthesizer.theory),
         "theory_build_seconds": theory_seconds,
         "beam_width": beam_width,
         "repeats": repeats,
-        "naive": naive,
-        "scalar_rank": scalar_rank,
-        "optimized": optimized,
-        "speedup": naive["seconds"] / optimized["seconds"],
-        "vectorized_speedup": scalar_rank["seconds"] / optimized["seconds"],
-        "parity": parity,
+        "synthesis": synthesis,
     }
 
 
@@ -171,21 +135,16 @@ def bench_block_reuse(args: argparse.Namespace) -> Dict[str, object]:
         reuse_synths.append(synthesizer)
         return synthesizer
 
-    naive = time_synthesis(lambda: make(**{flag: False for flag in OPT_FLAGS}), args.repeats)
-    optimized = time_synthesis(make, args.repeats)
+    plain = time_synthesis(make, args.repeats)
     # The replay pass is sub-second, so a single noisy repeat skews the ratio
     # far more than it skews the multi-second searches — take best of more.
     reused = time_synthesis(make_reuse, max(args.repeats, 5))
 
-    naive_result = naive.pop("result")
-    optimized_result = optimized.pop("result")
+    plain_result = plain.pop("result")
     reused_result = reused.pop("result")
-    parity = (
-        naive_result.cost == optimized_result.cost == reused_result.cost
-        and list(naive_result.program.instructions)
-        == list(optimized_result.program.instructions)
-        == list(reused_result.program.instructions)
-    )
+    parity = plain_result.cost == reused_result.cost and list(
+        plain_result.program.instructions
+    ) == list(reused_result.program.instructions)
     stats = dict(reuse_synths[-1].reuse_stats)
     row = {
         "model": model,
@@ -195,89 +154,17 @@ def bench_block_reuse(args: argparse.Namespace) -> Dict[str, object]:
         "beam_width": beam_width,
         "layer_fraction": scale.layer_fraction,
         "repeats": args.repeats,
-        "naive": naive,
-        "optimized_no_reuse": optimized,
-        "optimized": reused,
-        "speedup": naive["seconds"] / reused["seconds"],
-        "block_reuse_speedup": optimized["seconds"] / reused["seconds"],
+        "no_reuse": plain,
+        "reuse": reused,
+        "block_reuse_speedup": plain["seconds"] / reused["seconds"],
         "parity": parity,
         "reuse_stats": stats,
     }
     print(
         f"{model:>10} m={num_devices:<3} beam+block-reuse "
         f"({stats.get('occurrences', 0)} blocks): "
-        f"naive={naive['seconds']:.3f}s optimized={optimized['seconds']:.3f}s "
-        f"reuse={reused['seconds']:.3f}s "
-        f"speedup={row['speedup']:.2f}x "
-        f"(reuse-only {row['block_reuse_speedup']:.2f}x) parity={parity}"
-    )
-    return row
-
-
-def bench_beam_parallel(args: argparse.Namespace) -> Dict[str, object]:
-    """A/B ``synthesis_workers`` on the deep transformer registry model.
-
-    Parallel beam expansion shards the beam across forked workers at every
-    search level, so the win scales with beam *width*: the section runs at the
-    sweep default width 32, where each per-level shard carries enough
-    expansion work to amortize the per-level fan-out/merge, and on *depth*
-    (the 48-layer BERT has ~1.6k levels, so per-level overheads compound).
-    Block reuse stays off — replay skips expansion entirely, which is the
-    composition the pipeline benchmark exercises instead.  Both paths must
-    produce byte-identical programs, costs, and expansion counters (the
-    determinism contract of ``tests/test_parallel_planning.py``); each repeat
-    constructs a fresh synthesizer, so the measured parallel time includes
-    the pool re-fork — the cold-run cost a first ``plan()`` call pays.
-    """
-    scale = BenchmarkScale("reuse", layer_fraction=4.0, batch_per_device=32)
-    model, num_devices, beam_width = "bert_base", 8, 32
-    workers = args.synthesis_workers
-    cluster = heterogeneous_cluster(num_devices)
-    graph = build_model(model, num_gpus=num_devices, scale=scale)
-
-    def make(**flags) -> ProgramSynthesizer:
-        config = SynthesisConfig(
-            search_strategy="beam", beam_width=beam_width, **flags
-        )
-        return ProgramSynthesizer(graph, cluster, config)
-
-    serial = time_synthesis(make, args.repeats)
-    try:
-        parallel = time_synthesis(
-            lambda: make(synthesis_workers=workers), args.repeats
-        )
-    finally:
-        close_shared_pool()
-
-    serial_result = serial.pop("result")
-    parallel_result = parallel.pop("result")
-    parity = (
-        serial_result.cost == parallel_result.cost
-        and list(serial_result.program.instructions)
-        == list(parallel_result.program.instructions)
-        and serial_result.expanded_states == parallel_result.expanded_states
-        and serial_result.generated_states == parallel_result.generated_states
-    )
-    row = {
-        "model": model,
-        "num_devices": num_devices,
-        "strategy": "beam+parallel",
-        "graph_nodes": len(graph.node_names),
-        "beam_width": beam_width,
-        "layer_fraction": scale.layer_fraction,
-        "synthesis_workers": workers,
-        "cpu_count": os.cpu_count(),
-        "repeats": args.repeats,
-        "serial": serial,
-        "parallel": parallel,
-        "beam_parallel_speedup": serial["seconds"] / parallel["seconds"],
-        "parity": parity,
-    }
-    print(
-        f"{model:>10} m={num_devices:<3} beam+parallel "
-        f"(workers={workers}, {os.cpu_count()} cores): "
-        f"serial={serial['seconds']:.3f}s parallel={parallel['seconds']:.3f}s "
-        f"speedup={row['beam_parallel_speedup']:.2f}x parity={parity}"
+        f"no-reuse={plain['seconds']:.3f}s reuse={reused['seconds']:.3f}s "
+        f"speedup={row['block_reuse_speedup']:.2f}x parity={parity}"
     )
     return row
 
@@ -311,56 +198,25 @@ def run_benchmark(args: argparse.Namespace) -> Dict[str, object]:
                 print(
                     f"{model:>10} m={num_devices:<3} {strategy:>5}: "
                     f"nodes={row['graph_nodes']:<4} "
-                    f"naive={row['naive']['seconds']:.3f}s "
-                    f"optimized={row['optimized']['seconds']:.3f}s "
-                    f"speedup={row['speedup']:.2f}x "
-                    f"(vectorized {row['vectorized_speedup']:.2f}x) "
-                    f"parity={row['parity']}"
+                    f"synthesis={row['synthesis']['seconds']:.3f}s "
+                    f"expanded={row['synthesis']['expanded_states']}"
                 )
 
-    # Headline: best configuration of the largest model (most graph nodes),
-    # across the benchmarked strategies and cluster sizes.
-    # The deep block-reuse model is a full sweep row (naive vs the optimized
-    # path *with* reuse); having the most graph nodes it becomes the headline.
     block_reuse = bench_block_reuse(args)
-    rows.append(block_reuse)
-    beam_parallel = bench_beam_parallel(args)
-    rows.append(beam_parallel)
-    largest_nodes = max(r["graph_nodes"] for r in rows)
-    # The beam-parallel row has no naive baseline (it A/Bs serial vs parallel
-    # on the optimized path), so it never competes for the headline.
-    headline_rows = [
-        r for r in rows if r["graph_nodes"] == largest_nodes and "speedup" in r
-    ]
-    headline = max(headline_rows, key=lambda r: r["speedup"])
     summary = {
-        "largest_model": headline["model"],
-        "largest_model_nodes": headline["graph_nodes"],
-        "headline_num_devices": headline["num_devices"],
-        "headline_strategy": headline["strategy"],
-        "headline_naive_seconds": headline["naive"]["seconds"],
-        "headline_optimized_seconds": headline["optimized"]["seconds"],
-        "headline_speedup": headline["speedup"],
-        "all_parity": all(r["parity"] for r in rows),
         "block_reuse_speedup": block_reuse["block_reuse_speedup"],
-        "beam_parallel_speedup": beam_parallel["beam_parallel_speedup"],
-        "synthesis_workers": beam_parallel["synthesis_workers"],
+        "block_reuse_parity": block_reuse["parity"],
     }
-    print(
-        f"\nheadline: {summary['largest_model']} (m={summary['headline_num_devices']}, "
-        f"{summary['headline_strategy']}) — {summary['headline_speedup']:.2f}x speedup, "
-        f"parity={'OK' if summary['all_parity'] else 'BROKEN'}"
-    )
     return {
         "meta": {
             "scale": scale.name,
             "layer_fraction": scale.layer_fraction,
             "python": platform.python_version(),
             "platform": platform.platform(),
-            "opt_flags": list(OPT_FLAGS),
             "repeats": args.repeats,
         },
         "rows": rows,
+        "block_reuse": block_reuse,
         "summary": summary,
     }
 
@@ -382,35 +238,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--beam-width", type=int, default=32)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="fail (exit 2) if the optimized/naive speedup on the largest "
-        "model drops below this — the CI regression guard for the hot-path "
-        "wins (the headline row is the deep transformer with block reuse)",
-    )
-    parser.add_argument(
         "--min-block-reuse-speedup",
         type=float,
         default=None,
         help="fail (exit 2) if enable_block_reuse on the deep registry "
-        "transformer is not at least this much faster than the optimized "
+        "transformer is not at least this much faster than the default "
         "per-layer search — the CI guard for the block-reuse win",
-    )
-    parser.add_argument(
-        "--synthesis-workers",
-        type=int,
-        default=4,
-        help="worker count for the parallel beam-expansion A/B section",
-    )
-    parser.add_argument(
-        "--min-beam-parallel-speedup",
-        type=float,
-        default=None,
-        help="fail (exit 2) if synthesis_workers on the deep registry "
-        "transformer is not at least this much faster than the serial "
-        "optimized search — the CI guard for parallel beam expansion "
-        "(needs >= --synthesis-workers usable cores to be meaningful)",
     )
     parser.add_argument(
         "--output",
@@ -427,19 +260,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args.output.parent.mkdir(parents=True, exist_ok=True)
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.output}")
-    if not report["summary"]["all_parity"]:
-        print("ERROR: optimised and naive paths disagree", file=sys.stderr)
+    if not report["summary"]["block_reuse_parity"]:
+        print("ERROR: block reuse changed the synthesized program", file=sys.stderr)
         return 1
-    if args.min_speedup is not None:
-        headline = report["summary"]["headline_speedup"]
-        if headline < args.min_speedup:
-            print(
-                f"ERROR: headline speedup {headline:.2f}x on "
-                f"{report['summary']['largest_model']} is below the "
-                f"--min-speedup guard of {args.min_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 2
     if args.min_block_reuse_speedup is not None:
         block = report["summary"]["block_reuse_speedup"]
         if block < args.min_block_reuse_speedup:
@@ -448,18 +271,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"registry transformer is below the "
                 f"--min-block-reuse-speedup guard of "
                 f"{args.min_block_reuse_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 2
-    if args.min_beam_parallel_speedup is not None:
-        beam_parallel = report["summary"]["beam_parallel_speedup"]
-        if beam_parallel < args.min_beam_parallel_speedup:
-            print(
-                f"ERROR: parallel beam-expansion speedup "
-                f"{beam_parallel:.2f}x with "
-                f"{report['summary']['synthesis_workers']} workers is below "
-                f"the --min-beam-parallel-speedup guard of "
-                f"{args.min_beam_parallel_speedup:.2f}x",
                 file=sys.stderr,
             )
             return 2

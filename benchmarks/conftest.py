@@ -31,16 +31,12 @@ def bench_scale() -> BenchmarkScale:
     return BenchmarkScale("bench", layer_fraction=0.17)
 
 
-def bench_planner(
-    beam: int = 8, rounds: int = 1, synthesis_workers: int = 1
-) -> PlannerConfig:
+def bench_planner(beam: int = 8, rounds: int = 1) -> PlannerConfig:
     """HAP planner configuration used by the benchmarks."""
     if FULL:
         beam, rounds = 32, 3
     config = PlannerConfig(max_rounds=rounds)
-    config.synthesis = SynthesisConfig(
-        beam_width=beam, synthesis_workers=synthesis_workers
-    )
+    config.synthesis = SynthesisConfig(beam_width=beam)
     return config
 
 

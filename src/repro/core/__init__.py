@@ -29,7 +29,6 @@ from .program import DistributedProgram, Stage
 from .properties import DistState, Property, StateKind, partial, replicated, sharded
 from .rules import Rule, Theory, Variant, build_theory, moe_restricted_refs, node_variants
 from .synthesizer import ProgramSynthesizer, SynthesisError, SynthesisResult, synthesize_program
-from .workerpool import WorkerCrash, WorkerPool, close_shared_pool, shared_pool
 
 __all__ = [
     "SynthesisConfig",
@@ -85,8 +84,4 @@ __all__ = [
     "HierarchicalPlanner",
     "StagePlan",
     "stage_forward_graph",
-    "WorkerCrash",
-    "WorkerPool",
-    "close_shared_pool",
-    "shared_pool",
 ]

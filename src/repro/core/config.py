@@ -69,32 +69,6 @@ class SynthesisConfig:
             freedom of interleaving unrelated instructions.  Setting it to
             False recovers the unrestricted search of Fig. 10, which is only
             practical for small graphs in pure Python.
-        use_subsumption_pruning: prune programs whose property set is a subset
-            of a cheaper program's (lines 9-14 of Fig. 10) in addition to the
-            exact-state dominance check.
-        enable_rule_indexing: precompute candidate-rule indexes (completion
-            bitmasks, per-node topological candidate lists, per-property
-            enabling-collective lists, consumer liveness masks) so the search
-            never scans the full rule list per expansion.  Purely an
-            implementation speed-up: the candidate sets, their order, and
-            therefore the synthesized program are identical with the flag off.
-        enable_pareto_store: store the per-state-key undominated cost vectors
-            in a sum-sorted Pareto front with early-exit dominance checks
-            instead of a flat list scanned in full.  The dominance predicate
-            (and its tolerance) is unchanged, so accept/reject decisions — and
-            the synthesized program — are identical.
-        enable_cost_memoization: memoize per-(rule, sharding-ratio-signature)
-            cost-model evaluations across expansions.  The cached values are
-            replayed in the original per-instruction order, so the accumulated
-            floating-point costs are bit-identical to the unmemoized path.
-        enable_vectorized_cost: rank beam candidates with numpy array
-            arithmetic (stacked per-state cost vectors, a stable lexsort)
-            instead of per-candidate Python ``zip`` loops.  The ranking key —
-            ``(closed + open-stage critical path, total device work)`` with
-            left-to-right float accumulation — is computed by the exact same
-            elementwise operations in the exact same order, so the surviving
-            beam (and therefore the synthesized program) is bit-identical;
-            ``tests/test_optimization_parity.py`` enforces it.
         enable_block_reuse: detect repeated subgraph blocks (transformer
             layers, their backward blocks, per-layer optimizer updates) in the
             topological emulation order and replay the beam-search decisions
@@ -114,19 +88,6 @@ class SynthesisConfig:
             error-severity diagnostic.  Defaults to the ``REPRO_VERIFY``
             environment variable (on in tests); excluded from plan-cache keys
             (verification never changes the plan).
-        synthesis_workers: worker processes used to expand each beam level in
-            parallel (1 = serial, the default).  Each level shards the
-            entering states across a persistent fork-based pool shared with
-            ``planner_workers`` (see :mod:`repro.core.workerpool`); workers
-            return compactly encoded children and the parent merges and ranks
-            them in serial generation order, so the surviving beam — and the
-            synthesized program, its cost, and the ``expanded_states`` /
-            ``generated_states`` counters — are bit-identical to serial.
-            Only the level-synchronised beam search uses it (A* ignores the
-            flag), replayed block-reuse occurrences skip the pool, and the
-            count is clamped to the process budget so nesting under
-            ``planner_workers`` never oversubscribes the machine.  Excluded
-            from plan-cache keys (parallelism never changes the plan).
     """
 
     enable_sfb: bool = True
@@ -136,14 +97,7 @@ class SynthesisConfig:
     max_search_steps: int = 2_000_000
     beam_width: Optional[int] = 32
     follow_topological_order: bool = True
-    use_subsumption_pruning: bool = False
     search_strategy: str = "beam"
-    # Hot-path optimisation switches (all result-identical; kept individually
-    # toggleable for A/B benchmarking — see benchmarks/bench_synthesis.py).
-    enable_rule_indexing: bool = True
-    enable_pareto_store: bool = True
-    enable_cost_memoization: bool = True
-    enable_vectorized_cost: bool = True
     enable_block_reuse: bool = False
     verify_after_plan: bool = field(default_factory=verify_default)
     # Baseline-emulation switches (used by repro.baselines, not by HAP itself):
@@ -151,13 +105,14 @@ class SynthesisConfig:
     # expert parallelism for rank-3 (expert) parameters.
     force_data_parallel: bool = False
     expert_parallel_parameters: bool = False
-    synthesis_workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.synthesis_workers < 1:
+        if self.search_strategy not in ("beam", "astar"):
             raise ValueError(
-                f"synthesis_workers must be >= 1, got {self.synthesis_workers}"
+                f"search_strategy must be 'beam' or 'astar', got {self.search_strategy!r}"
             )
+        if self.beam_width is not None and self.beam_width < 1:
+            raise ValueError(f"beam_width must be None or >= 1, got {self.beam_width}")
 
 
 @dataclass
@@ -169,21 +124,11 @@ class LoadBalancerConfig:
             sharding ratios (Sec. 5.2); 1 reproduces the base case of Sec. 5.1.
         respect_memory: add per-device memory-capacity constraints to the LP.
         solver_method: scipy ``linprog`` method.
-        enable_vectorized_cost: price ratio vectors through the batched
-            (numpy-stacked) cost-model path: the LP polish re-prices the
-            normalised solution in one :meth:`CostModel.evaluate_many` pass
-            (``LoadBalanceResult.polished_objective``) and the planner's
-            per-round (Q, B) pricing evaluates both ratio assignments of a
-            round in a single batched call.  The batched path accumulates
-            floats stage by stage in the scalar path's exact operation order,
-            so every reported cost is bit-identical with the flag off;
-            ``tests/test_optimization_parity.py`` enforces it.
     """
 
     num_segments: int = 1
     respect_memory: bool = False
     solver_method: str = "highs"
-    enable_vectorized_cost: bool = True
 
 
 @dataclass

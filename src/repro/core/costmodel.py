@@ -105,9 +105,8 @@ class StageCoefficients:
 class StageCoefficientArrays:
     """A program's :class:`StageCoefficients` stacked into numpy arrays.
 
-    Prices ``K`` ratio assignments per call instead of one — the batched
-    evaluation path behind ``enable_vectorized_cost``.  Bit-identical to the
-    scalar path by construction: every per-device quantity is computed by the
+    Prices ``K`` ratio assignments per call instead of one (the planner's
+    per-round pricing path).  Bit-identical to the scalar path by construction: every per-device quantity is computed by the
     same elementwise operations in the same order (``slope * ratio + const``,
     then the max/min/subtract chain of :meth:`StageCoefficients.exposed_comm`),
     and per-stage totals are accumulated stage by stage with ``+=`` — never
@@ -684,11 +683,10 @@ class CostModel:
         return self.node_flops(name) / self.cluster.total_flops()
 
 
-# -- beam-ranking order (shared by serial and sharded beam levels) ----------------
+# -- beam-ranking order ------------------------------------------------------------
 def beam_rank_order(
     vectors: Sequence[Tuple[float, ...]],
     stage_comps: Sequence[Tuple[float, ...]],
-    vectorized: bool = True,
 ) -> List[int]:
     """Deterministic ranking permutation of one beam level's merged children.
 
@@ -698,46 +696,17 @@ def beam_rank_order(
     equals ``closed + max(stage_comp)`` bit-exactly, because adding one
     constant to every element moves the maximum by that constant in IEEE
     arithmetic — and the tie-breaker is total device work,
-    ``sum(stage_comps[i])`` with left-to-right float accumulation.
-
-    **Tie-break contract** (relied on by ``synthesis_workers``): both the
-    ``np.lexsort`` path and the ``sorted`` path are *stable*, so candidates
-    with equal ``(cost, work)`` keys survive in *input order*.  Serial beam
-    levels pass candidates in generation order (entering-state order, then
-    rule order, then option order); sharded expansion must therefore
-    reassemble its workers' children in that same serial generation order
-    before calling this function — any other concatenation order would
-    resolve equal-cost ties differently and silently break the bit-identical
-    guarantee of every result-identical flag downstream.  The two paths also
-    rank identically to each other: the column-wise ``+=`` matches Python's
-    left-to-right ``sum()`` and ``lexsort``'s last-key-primary ordering
-    matches the ``(cost, work)`` tuple key.
-
-    Both sequences may also be float64 ``np.ndarray`` matrices (one row per
-    candidate) — the form the sharded path assembles directly from worker
-    replies.  Rows hold the same doubles the tuple form would, so both input
-    forms rank identically.
+    ``sum(stage_comps[i])`` accumulated left to right.  The sort is stable,
+    so candidates with equal ``(cost, work)`` keys keep their input order.
 
     Returns the list of input indexes in surviving order (best first).
     """
     count = len(vectors)
     if count <= 1:
         return list(range(count))
-    if vectorized:
-        arr = np.asarray(vectors)
-        final = arr.max(axis=1)
-        stage = np.asarray(stage_comps)
-        work = np.zeros(count)
-        for j in range(stage.shape[1]):
-            work += stage[:, j]
-        return [int(i) for i in np.lexsort((work, final))]
-    if isinstance(vectors, np.ndarray):
-        # The scalar path needs Python floats so its left-to-right `sum`
-        # matches the serial tuple form bit for bit.
-        vectors = vectors.tolist()
-        stage_comps = stage_comps.tolist()  # type: ignore[union-attr]
-    keys = [
-        (max(vector) if vector else 0.0, sum(stage))
-        for vector, stage in zip(vectors, stage_comps)
-    ]
-    return sorted(range(count), key=lambda i: keys[i])
+    final = np.asarray(vectors).max(axis=1)
+    stage = np.asarray(stage_comps)
+    work = np.zeros(count)
+    for j in range(stage.shape[1]):
+        work += stage[:, j]
+    return [int(i) for i in np.lexsort((work, final))]

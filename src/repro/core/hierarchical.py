@@ -38,7 +38,6 @@ PAPERS.md).
 
 from __future__ import annotations
 
-import concurrent.futures
 import copy
 import dataclasses
 from dataclasses import dataclass, field
@@ -58,11 +57,10 @@ from ..simulator.schedule import (
     get_schedule,
     simulate_pipeline,
 )
-from . import workerpool
 from .config import PlannerConfig, verify_default
 from .costmodel import CostModel
 from .pipeline import HAPPlan, HAPPlanner
-from .plancache import CachedPlan, DiskPlanCache, InMemoryPlanCache, plan_key, remap_plan
+from .plancache import CachedPlan, InMemoryPlanCache, plan_key, remap_plan
 from .program import DistributedProgram
 
 #: Resident bytes per parameter byte: the parameter itself plus its gradient.
@@ -120,40 +118,16 @@ class HierarchicalConfig:
             untouched — only the resident optimizer state shrinks).
         planner: configuration of the flat HAP planner run per stage.
         lr: learning rate stored on the stage graphs' ``sgd_update`` nodes.
-        dedupe_subplans: plan each distinct (chunk-graph content, machine
-            group, planner config) combination once per :meth:`plan` call and
-            rename the resulting flat plan onto every isomorphic chunk —
-            repeated transformer layers produce isomorphic chunk graphs
-            across the (stage x schedule x microbatch) grid.  Result-identical
-            because flat HAP planning is content-deterministic (node names
-            never influence decisions); ``tests/test_optimization_parity.py``
-            enforces it.
         plan_cache: a :class:`~repro.core.plancache.InMemoryPlanCache` /
             :class:`~repro.core.plancache.DiskPlanCache` consulted for every
             chunk plan and for the final whole plan, keyed by content
             fingerprints (see :mod:`repro.core.plancache`).  ``None`` (the
-            default) disables cross-call caching; within-call dedupe is
-            governed by ``dedupe_subplans`` alone.
-        planner_workers: worker processes evaluating the candidate grid.  1
-            (the default) is the serial path.  With more, :meth:`plan` fans
-            the (stage count x chunk variant) cells — each cell runs the
-            expensive per-chunk flat-HAP synthesis and profiling — out to
-            the persistent shared pool of :mod:`repro.core.workerpool`
-            (created lazily, reused by consecutive ``plan()`` calls and by
-            ``synthesis_workers``, torn down by
-            :meth:`HierarchicalPlanner.close`) and assembles
-            the schedule search and candidate selection in the parent, in
-            the serial candidate order with the serial tie-breaks, so the
-            selected plan is **bit-identical** to ``planner_workers=1``
-            (``tests/test_parallel_planning.py`` enforces it).  Workers
-            share a configured :class:`~repro.core.plancache.DiskPlanCache`
-            by directory (synthesis done by one worker is a hit for the
-            others); an in-memory cache is snapshotted into the workers and
-            fresh entries are merged back.  The field is excluded from
-            cache keys.  ``reuse_stats`` are replayed from the workers'
-            chunk-key logs under serial semantics, so they match serial
-            bit for bit too (isomorphic chunks spanning two grid cells may
-            cost duplicated worker compute, never a different result).
+            default) disables cross-call caching.  Within one :meth:`plan`
+            call each distinct (chunk-graph content, machine group, planner
+            config) problem is planned once either way, and the plan is
+            renamed onto every isomorphic chunk — repeated transformer layers
+            produce isomorphic chunk graphs across the (stage x schedule x
+            microbatch) grid.
         verify_after_plan: run the static plan verifier
             (:func:`repro.verify.verify_plan` — partition, boundary,
             round-robin, memory, per-chunk program and schedule checks) on
@@ -182,16 +156,10 @@ class HierarchicalConfig:
     shard_optimizer_state: bool = False
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     lr: float = 0.01
-    dedupe_subplans: bool = True
     plan_cache: Optional[InMemoryPlanCache] = None
-    planner_workers: int = 1
     verify_after_plan: bool = field(default_factory=verify_default)
 
     def __post_init__(self) -> None:
-        if self.planner_workers < 1:
-            raise ValueError(
-                f"planner_workers must be >= 1, got {self.planner_workers}"
-            )
         if self.recompute not in ("never", "always", "auto"):
             raise ValueError(
                 f"recompute must be 'never', 'always' or 'auto', got {self.recompute!r}"
@@ -230,7 +198,7 @@ class ChunkPlan:
         replicated_param_bytes: parameter bytes replicated on every device.
         content_key: content address of the (chunk graph, group, planner
             config) planning problem (see :func:`repro.core.plancache.plan_key`);
-            ``None`` when plan reuse is disabled.  Two chunks with the same
+            the planner sets it on every chunk.  Two chunks with the same
             key have bit-identical cost profiles (the cost model never looks
             at node names), so the planner and simulator profile each
             distinct key once.
@@ -616,14 +584,6 @@ class HierarchicalPlanner:
         )
         # Within-call sub-plan dedupe table and reuse counters; reset per plan().
         self._local_plans: Dict[str, CachedPlan] = {}
-        # Cache entries created (not merely hit) by this planner — what a
-        # parallel worker ships back for merging into the parent's cache.
-        self._fresh_entries: List[CachedPlan] = []
-        # Content key of every _plan_chunk call in order (None = reuse off):
-        # the parallel parent replays these against serial reuse semantics so
-        # reuse_stats never depend on worker scheduling.
-        self._chunk_key_log: List[Optional[str]] = []
-        self._replayed_keys: Set[str] = set()
         # content_key -> phase_profile buckets: each distinct (chunk graph,
         # group, planner config) problem is profiled once per plan() call.
         self._profile_memo: Dict[str, Dict[str, float]] = {}
@@ -695,9 +655,7 @@ class HierarchicalPlanner:
         return sorted(out)
 
     # -- per-candidate construction -------------------------------------------------
-    def _plan_chunk(
-        self, graph: ComputationGraph, group: ClusterSpec
-    ) -> Tuple[HAPPlan, Optional[str]]:
+    def _plan_chunk(self, graph: ComputationGraph, group: ClusterSpec) -> Tuple[HAPPlan, str]:
         """Flat-HAP plan for one chunk graph, reusing isomorphic work.
 
         Lookup order: the within-call dedupe table (isomorphic chunks planned
@@ -706,22 +664,14 @@ class HierarchicalPlanner:
         persistent cache.  Both key on content only — chunk-graph fingerprint
         x machine-group signature x planner config — and a hit is renamed
         onto this chunk's node names, so the result is identical to planning
-        from scratch.  Returns the plan and its content key (``None`` when
-        reuse is disabled and no key was computed).
+        from scratch.  Returns the plan and its content key.
         """
-        reuse = self.config.dedupe_subplans or self.config.plan_cache is not None
-        if not reuse:
-            self.reuse_stats["subplans_planned"] += 1
-            self._chunk_key_log.append(None)
-            return HAPPlanner(graph, group, self.config.planner).plan(), None
         fingerprint, order = fingerprint_with_order(graph)
         key = plan_key(fingerprint, group, self.config.planner)
-        self._chunk_key_log.append(key)
-        if self.config.dedupe_subplans:
-            entry = self._local_plans.get(key)
-            if entry is not None:
-                self.reuse_stats["subplans_deduped"] += 1
-                return remap_plan(entry.plan, entry.node_names, graph), key
+        entry = self._local_plans.get(key)
+        if entry is not None:
+            self.reuse_stats["subplans_deduped"] += 1
+            return remap_plan(entry.plan, entry.node_names, graph), key
         if self.config.plan_cache is not None:
             entry = self.config.plan_cache.get(key)
             if entry is not None:
@@ -748,7 +698,6 @@ class HierarchicalPlanner:
         self._local_plans[key] = entry
         if self.config.plan_cache is not None:
             self.config.plan_cache.put(entry)
-            self._fresh_entries.append(entry)
         return plan, key
 
     def _build_stages(
@@ -855,49 +804,20 @@ class HierarchicalPlanner:
                     needed.add(chunks)
         return sorted(needed)
 
-    def _build_variant(
-        self, partition: ClusterPartition, chunks: int
-    ) -> Optional[Tuple[PipelineCut, List[StagePlan], List[StageTimes]]]:
-        """Cut, plan and profile one (stage count, model-chunk count) cell.
+    def build_candidate(self, num_stages: int) -> Optional[HierarchicalPlan]:
+        """Best plan at one stage count, or ``None`` when none exists.
 
-        This is the expensive, embarrassingly parallel unit of the candidate
-        grid — everything downstream (schedule search, memory checks,
-        selection) is cheap arithmetic on the returned profiles.
+        Cuts, plans and profiles every model-chunk variant the stage count
+        needs (the expensive part), then searches schedules, microbatch
+        counts and recomputation over the profiles.
         """
-        built = self._build_stages(partition, chunks)
-        if built is None:
-            return None
-        return built[0], built[1], self._stage_times(built[1])
-
-    def candidate_grid(self) -> List[Tuple[int, int]]:
-        """The full (stage count, model-chunk count) grid, in serial order.
-
-        One entry per expensive planning cell :meth:`_build_variant` has to
-        evaluate; the parallel planner dispatches exactly these cells to its
-        worker pool.  (The cheaper inner grid — schedule x microbatches x
-        recompute — is searched in the parent over each cell's profiles.)
-        """
-        return [
-            (num_stages, chunks)
-            for num_stages in self._candidates()
-            for chunks in self._candidate_variants(num_stages)
-        ]
-
-    def build_candidate(
-        self,
-        num_stages: int,
-        variants: Optional[
-            Dict[int, Tuple[PipelineCut, List[StagePlan], List[StageTimes]]]
-        ] = None,
-    ) -> Optional[HierarchicalPlan]:
         partition = self._candidate_partition(num_stages)
-        if variants is None:
-            # variant key = model chunks per stage -> (cut, stages, times).
-            variants = {}
-            for chunks in self._candidate_variants(num_stages):
-                built = self._build_variant(partition, chunks)
-                if built is not None:
-                    variants[chunks] = built
+        # variant key = model chunks per stage -> (cut, stages, times).
+        variants: Dict[int, Tuple[PipelineCut, List[StagePlan], List[StageTimes]]] = {}
+        for chunks in self._candidate_variants(num_stages):
+            built = self._build_stages(partition, chunks)
+            if built is not None:
+                variants[chunks] = (built[0], built[1], self._stage_times(built[1]))
         if not variants:
             return None  # the graph has fewer splittable layer blocks
         best = self._search_schedules(partition, variants)
@@ -1093,111 +1013,6 @@ class HierarchicalPlanner:
             "hierarchical:" + graph_fingerprint(self.forward), self.cluster, self.config
         )
 
-    # -- parallel candidate-grid fan-out ----------------------------------------------
-    def _plan_grid_parallel(
-        self, grid: Sequence[Tuple[int, int]]
-    ) -> Dict[int, Dict[int, Tuple[PipelineCut, List[StagePlan], List[StageTimes]]]]:
-        """Evaluate the candidate grid on the shared worker pool.
-
-        One task per (stage count, model-chunk count) cell, dispatched to the
-        process-wide pool of :mod:`repro.core.workerpool` — the same workers
-        ``synthesis_workers`` shards beam levels across.  The pool is created
-        lazily and *persists* across ``plan()`` calls, so warm re-plans no
-        longer pay the per-plan ``ProcessPoolExecutor`` fork/teardown this
-        method used to incur; :meth:`close` (or
-        :func:`repro.core.workerpool.close_shared_pool`) tears it down
-        explicitly.  Each cell carries an equal share of this process's
-        worker budget, so a cell whose own config sets ``synthesis_workers``
-        forks at most ``budget // planner_workers`` nested workers instead of
-        oversubscribing the machine.
-
-        A configured :class:`~repro.core.plancache.DiskPlanCache` is shared
-        with the workers by directory — synthesis finished by one worker is a
-        cache hit for the others and for future runs; a plain in-memory cache
-        is snapshotted into every worker and the workers' fresh entries are
-        merged back afterwards.  Results are collected in submission order
-        (cells are independent, so completion order cannot influence the
-        outcome), and ``reuse_stats`` are reconstructed by replaying every
-        cell's chunk-key log against the serial reuse semantics (dedupe
-        table first, then the pre-dispatch warm cache).  The logs are
-        content-determined per cell, so the counters equal the serial ones
-        even when workers race each other to a shared cache key.
-        """
-        cache = self.config.plan_cache
-        cache_dir = getattr(cache, "directory", None)
-        seed_entries = None
-        warm_keys: Set[str] = cache.keys() if cache is not None else set()
-        if cache is not None and cache_dir is None:
-            seed_entries = cache.entries()
-        workers = min(self.config.planner_workers, len(grid))
-        # Ship the config without the live cache object (workers rebuild
-        # their own view from cache_dir / seed_entries) and already serial.
-        base_config = dataclasses.replace(
-            self.config, plan_cache=None, planner_workers=1
-        )
-        child_budget = max(1, workerpool.process_budget() // workers)
-        tasks = [
-            (
-                self.forward,
-                self.cluster,
-                base_config,
-                cache_dir,
-                seed_entries,
-                num_stages,
-                chunks,
-                child_budget,
-            )
-            for num_stages, chunks in grid
-        ]
-        if workerpool.fork_available():
-            pool = workerpool.shared_pool(workers)
-            outcomes = pool.run_tasks(_plan_variant_pool_task, None, tasks)
-        else:  # pragma: no cover - platforms without fork pay per-plan spawn
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as executor:
-                futures = [
-                    executor.submit(_plan_variant_pool_task, None, task) for task in tasks
-                ]
-                outcomes = [future.result() for future in futures]
-        variants: Dict[int, Dict[int, Tuple[PipelineCut, List[StagePlan], List[StageTimes]]]] = {}
-        for num_stages, chunks, built, key_log, fresh in outcomes:
-            if built is not None:
-                variants.setdefault(num_stages, {})[chunks] = built
-            self._replay_reuse_stats(key_log, warm_keys)
-            for entry in fresh:
-                if cache is not None:
-                    cache.put(entry)
-                self._local_plans.setdefault(entry.key, entry)
-        return variants
-
-    def _replay_reuse_stats(
-        self, key_log: Sequence[Optional[str]], warm_keys: Set[str]
-    ) -> None:
-        """Accumulate one cell's chunk keys under serial reuse semantics.
-
-        Serial :meth:`_plan_chunk` resolves each chunk as dedupe-table hit,
-        then cache hit, then fresh plan; the table and the cache fill as the
-        call proceeds.  Replaying the (content-determined) key sequences in
-        serial cell order against the pre-dispatch warm-key set reproduces
-        those counters exactly — independent of which worker actually
-        synthesized or raced a shared-cache key.
-        """
-        seen = self._replayed_keys
-        for key in key_log:
-            if key is None:
-                self.reuse_stats["subplans_planned"] += 1
-            elif key in seen:
-                if self.config.dedupe_subplans:
-                    self.reuse_stats["subplans_deduped"] += 1
-                else:
-                    # dedupe off: an earlier plan of this key is in the cache
-                    self.reuse_stats["cache_hits"] += 1
-            elif key in warm_keys:
-                self.reuse_stats["cache_hits"] += 1
-                seen.add(key)
-            else:
-                self.reuse_stats["subplans_planned"] += 1
-                seen.add(key)
-
     # -- main entry point -----------------------------------------------------------
     def plan(self) -> HierarchicalPlan:
         """Evaluate every candidate and return the cheapest feasible plan.
@@ -1209,17 +1024,8 @@ class HierarchicalPlanner:
         request exactly (chunk plans are renamed on reuse; a whole
         hierarchical plan is not), otherwise planning falls through to the
         chunk-level cache, which is name-independent.
-
-        With ``planner_workers > 1`` the grid cells (see
-        :meth:`candidate_grid`) are planned by a process pool; the schedule
-        search and selection below run in the parent over the workers'
-        profiles, in the serial candidate order with the serial tie-breaks,
-        so the returned plan is bit-identical to the serial path.
         """
         self._local_plans = {}
-        self._fresh_entries = []
-        self._chunk_key_log = []
-        self._replayed_keys = set()
         self._profile_memo = {}
         self.reuse_stats = {
             "subplans_planned": 0,
@@ -1256,20 +1062,11 @@ class HierarchicalPlanner:
                         entry.plan, reuse_stats=dict(self.reuse_stats)
                     )
                 self.reuse_stats["cache_rejects"] += 1
-        grid = self.candidate_grid()
-        prebuilt: Optional[Dict[int, Dict[int, Tuple]]] = None
-        if self.config.planner_workers > 1 and len(grid) > 1:
-            prebuilt = self._plan_grid_parallel(grid)
         best: Optional[HierarchicalPlan] = None
         candidate_times: Dict[int, float] = {}
         combo_times: Dict[Tuple[int, str, int, bool], float] = {}
         for num_stages in self._candidates():
-            if prebuilt is not None:
-                candidate = self.build_candidate(
-                    num_stages, variants=prebuilt.get(num_stages, {})
-                )
-            else:
-                candidate = self.build_candidate(num_stages)
+            candidate = self.build_candidate(num_stages)
             if candidate is None:
                 continue
             candidate_times[num_stages] = candidate.estimated_time
@@ -1301,83 +1098,3 @@ class HierarchicalPlanner:
             if not report.ok:
                 raise PlanVerificationError(report)
         return best
-
-    # -- worker-pool lifecycle --------------------------------------------------------
-    def close(self) -> None:
-        """Tear down the shared worker pool kept warm between ``plan()`` calls.
-
-        The pool is process-wide (other planners and ``synthesis_workers``
-        share it) and re-forks lazily if planning continues afterwards, so
-        closing is always safe — it only trades the next plan's warm start
-        for releasing the worker processes now.
-        """
-        workerpool.close_shared_pool()
-
-    def __enter__(self) -> "HierarchicalPlanner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def _plan_variant_task(
-    forward: ComputationGraph,
-    cluster: ClusterSpec,
-    config: HierarchicalConfig,
-    cache_dir: Optional[str],
-    seed_entries: Optional[List[CachedPlan]],
-    num_stages: int,
-    chunks: int,
-):
-    """Plan one (stage count, model-chunk count) grid cell in a worker process.
-
-    Rebuilds the planning context from picklable ingredients: a
-    ``cache_dir`` opens the shared :class:`~repro.core.plancache.DiskPlanCache`
-    directory, ``seed_entries`` reconstructs a snapshot of the parent's
-    in-memory cache, and no cache at all mirrors a cache-less parent.  The
-    worker never fans out another grid (``planner_workers=1``); its synthesis
-    may still shard beam levels within the worker budget installed by
-    :func:`_plan_variant_pool_task`.  Returns the built variant, the
-    ordered chunk-key log (the parent replays it into ``reuse_stats``), and
-    the cache entries the worker created (for the parent to merge back).
-    """
-    cache: Optional[InMemoryPlanCache]
-    if cache_dir is not None:
-        cache = DiskPlanCache(cache_dir)
-    elif seed_entries is not None:
-        cache = InMemoryPlanCache()
-        for entry in seed_entries:
-            cache.put(entry)
-    else:
-        cache = None
-    worker_config = dataclasses.replace(config, plan_cache=cache, planner_workers=1)
-    planner = HierarchicalPlanner(forward, cluster, worker_config)
-    partition = planner._candidate_partition(num_stages)
-    built = planner._build_variant(partition, chunks)
-    return num_stages, chunks, built, list(planner._chunk_key_log), list(planner._fresh_entries)
-
-
-def _plan_variant_pool_task(_payload, args):
-    """Shared-pool adapter of :func:`_plan_variant_task`.
-
-    Installs the cell's share of the parent's worker budget before planning,
-    so a cell whose synthesis config sets ``synthesis_workers`` forks at most
-    ``budget // planner_workers`` nested beam workers (usually 1, i.e. serial
-    synthesis) instead of oversubscribing the machine.  The unused first
-    parameter is the worker-pool payload slot (grid cells carry their whole
-    context in ``args``).
-    """
-    (
-        forward,
-        cluster,
-        config,
-        cache_dir,
-        seed_entries,
-        num_stages,
-        chunks,
-        child_budget,
-    ) = args
-    workerpool.set_process_budget(child_budget)
-    return _plan_variant_task(
-        forward, cluster, config, cache_dir, seed_entries, num_stages, chunks
-    )

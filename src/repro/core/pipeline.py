@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Tuple
 from ..cluster.spec import ClusterSpec
 from ..graph.analysis import segment_graph
 from ..graph.graph import ComputationGraph
-from . import workerpool
 from .config import PlannerConfig
 from .costmodel import CostBreakdown, CostModel
 from .load_balancer import LoadBalancer
@@ -90,13 +89,7 @@ class HAPPlanner:
     """End-to-end HAP planning: theory construction, A* synthesis, LP balancing.
 
     The planner keeps one :class:`~repro.core.synthesizer.ProgramSynthesizer`
-    for all optimisation rounds, so with ``synthesis_workers`` set the rounds
-    also share one fork of the lazily created worker pool
-    (:mod:`repro.core.workerpool`) — re-registering an unchanged synthesizer
-    never re-forks.  The pool outlives the planner by design (the next plan
-    starts warm); use :meth:`close`, the context-manager form, or
-    :func:`repro.core.workerpool.close_shared_pool` to release the worker
-    processes explicitly.
+    for all optimisation rounds, so its per-rule caches carry across rounds.
     """
 
     def __init__(
@@ -131,14 +124,6 @@ class HAPPlanner:
             }
 
     # -- helpers ---------------------------------------------------------------
-    def _evaluate(
-        self, program: DistributedProgram, ratios: List[List[float]]
-    ) -> CostBreakdown:
-        per_segment = {k: r for k, r in enumerate(ratios)}
-        return self.cost_model.evaluate(
-            program, ratios[0], ratios_per_segment=per_segment, segment_of=self.segment_of
-        )
-
     def _evaluate_pair(
         self,
         program: DistributedProgram,
@@ -147,40 +132,18 @@ class HAPPlanner:
     ) -> Tuple[CostBreakdown, CostBreakdown]:
         """Price a round's pre- and post-balance ratios for one program.
 
-        With ``enable_vectorized_cost`` both assignments go through one
-        batched :meth:`CostModel.evaluate_many` call (the program is
-        linearised once and the stage arithmetic runs on stacked arrays);
-        otherwise two scalar :meth:`_evaluate` calls.  Evaluation is pure, so
-        the two paths return bit-identical breakdowns.
+        Both assignments go through one batched
+        :meth:`CostModel.evaluate_many` call: the program is linearised once
+        and the stage arithmetic runs on stacked arrays.
         """
-        if self.config.load_balancer.enable_vectorized_cost:
-            sets = [
-                (r[0], {k: seg for k, seg in enumerate(r)})
-                for r in (ratios_q, ratios_b)
-            ]
-            pair = self.cost_model.evaluate_many(program, sets, self.segment_of)
-            return pair[0], pair[1]
-        return self._evaluate(program, ratios_q), self._evaluate(program, ratios_b)
+        sets = [(r[0], {k: seg for k, seg in enumerate(r)}) for r in (ratios_q, ratios_b)]
+        pair = self.cost_model.evaluate_many(program, sets, self.segment_of)
+        return pair[0], pair[1]
 
     def _initial_ratios(self) -> List[List[float]]:
         base = self.cluster.proportional_ratios()
         segments = self.config.load_balancer.num_segments if self.segment_of else 1
         return [list(base) for _ in range(max(segments, 1))]
-
-    # -- worker-pool lifecycle -----------------------------------------------------
-    def close(self) -> None:
-        """Release the shared worker pool ``synthesis_workers`` draws from.
-
-        Process-wide and always safe: the pool re-forks lazily if any
-        planner synthesizes again afterwards.
-        """
-        workerpool.close_shared_pool()
-
-    def __enter__(self) -> "HAPPlanner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- main entry point ---------------------------------------------------------
     def plan(self) -> HAPPlan:

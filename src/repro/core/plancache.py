@@ -20,9 +20,8 @@ reference renaming.  This module turns that observation into a cache:
   planner-as-a-service).
 
 **Concurrency guarantee.**  One :class:`DiskPlanCache` directory may be
-shared by any number of *processes* reading and writing concurrently — this
-is the topology the parallel planner (``HierarchicalConfig.planner_workers``)
-relies on.  Every ``put`` pickles into a process-private temporary file in
+shared by any number of *processes* reading and writing concurrently, e.g.
+several planner invocations pointed at one cache directory.  Every ``put`` pickles into a process-private temporary file in
 the cache directory and publishes it with :func:`os.replace`, which is atomic
 on POSIX and on NTFS: a concurrent ``get`` observes either the complete old
 entry, the complete new entry, or no file — never a torn pickle.  Racing
@@ -32,8 +31,7 @@ plan for the same planning problem.  A corrupt or unreadable entry (e.g. a
 file truncated by the surrounding filesystem, not by this module) is treated
 as a miss and re-written on the next ``put``.  The in-memory write-through
 layer is per-process and never shared, so no locks are needed anywhere;
-``tests/test_parallel_planning.py`` stress-tests the same-key multi-writer
-race.  :class:`InMemoryPlanCache` itself is process-local and makes no
+``tests/test_plancache.py`` stress-tests the same-key multi-writer race.  :class:`InMemoryPlanCache` itself is process-local and makes no
 cross-process claims.
 
 Invalidation is purely structural: any change to the graph content, device
@@ -41,9 +39,9 @@ specs, network model, or any configuration field changes the key, and
 :data:`CACHE_VERSION` is baked into every key so cache entries from older
 layouts of the planner can never be replayed.  Two configuration fields are
 deliberately *excluded* from keys: ``plan_cache`` (the cache never keys on
-itself) and ``planner_workers`` (how many processes evaluated the candidate
-grid cannot influence the resulting plan — the parallel planner is
-bit-identical to serial — so serial and parallel runs must share entries).
+itself) and ``verify_after_plan`` (verification never changes the plan, so
+verified and unverified runs share entries).  Every other field keys, so a
+knob that does not change the plan does not belong in a configuration.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ import pickle
 import tempfile
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cluster.spec import ClusterSpec
 from ..graph.canonical import canonical_rename_map
@@ -69,16 +67,13 @@ from .properties import Property
 #: then unreachable (their keys embed the old version) instead of replayed.
 #: v2: ``ChunkPlan`` gained ``content_key`` and configs gained the
 #: vectorized-cost flags.
-CACHE_VERSION = 2
+#: v3: the worker-count, A/B-optimisation, dedupe and subsumption fields left
+#: the configs.
+CACHE_VERSION = 3
 
-#: Configuration fields excluded from cache keys: the cache itself, the
-#: parallel-planner worker count (result-identical by contract, so serial and
-#: parallel runs must address the same entries), and the static-verifier flag
-#: (verification never changes the plan, so verified and unverified runs must
-#: share entries too).
-_NON_KEY_FIELDS = frozenset(
-    {"plan_cache", "planner_workers", "synthesis_workers", "verify_after_plan"}
-)
+#: Configuration fields excluded from cache keys: the cache itself and the
+#: static-verifier flag (verification never changes the plan).
+_NON_KEY_FIELDS = frozenset({"plan_cache", "verify_after_plan"})
 
 
 # -- key construction ---------------------------------------------------------------
@@ -249,14 +244,6 @@ class InMemoryPlanCache:
     def put(self, entry: CachedPlan) -> None:
         self._entries[entry.key] = entry
 
-    def entries(self) -> List[CachedPlan]:
-        """Snapshot of every entry (used to seed parallel-planner workers)."""
-        return list(self._entries.values())
-
-    def keys(self) -> Set[str]:
-        """Keys currently resolvable by :meth:`get` (the warm set)."""
-        return set(self._entries)
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -303,15 +290,6 @@ class DiskPlanCache(InMemoryPlanCache):
         self._entries[key] = entry
         self.hits += 1
         return entry
-
-    def keys(self) -> Set[str]:
-        """In-memory keys plus every published entry file in the directory."""
-        on_disk = {
-            name[: -len(".plan")]
-            for name in os.listdir(self.directory)
-            if name.endswith(".plan")
-        }
-        return set(self._entries) | on_disk
 
     def put(self, entry: CachedPlan) -> None:
         super().put(entry)

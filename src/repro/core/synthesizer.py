@@ -29,17 +29,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import time as _time
-from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from ..cluster.spec import ClusterSpec
 from ..graph.canonical import BlockRun, find_repeated_blocks
 from ..graph.graph import ComputationGraph
 from ..graph.ops import OpKind
-from . import workerpool
 from .config import SynthesisConfig
 from .costmodel import CostModel, beam_rank_order
 from .instructions import CommInstruction, CompInstruction, Instruction
@@ -48,9 +44,8 @@ from .program import DistributedProgram
 from .properties import Property
 from .rules import Rule, Theory, build_theory
 
-#: Markers of the per-rule cost plan replayed by ``_apply`` when cost
-#: memoization is enabled: a synchronising collective (closes the open stage)
-#: or a per-device computation-time delta.
+#: Markers of the per-rule cost plan replayed by ``_apply``: a synchronising
+#: collective (closes the open stage) or a per-device computation-time delta.
 _SYNC = 0
 _COMP = 1
 
@@ -131,8 +126,7 @@ class _SearchNode:
         self.completed_ideal = completed_ideal
         self.depth = depth
         #: index into the synthesizer's topological order of the first node
-        #: not yet emulated (maintained incrementally when rule indexing is
-        #: on; the naive path rescans from the start instead).
+        #: not yet emulated (maintained incrementally by ``_apply``).
         self.topo_ptr = topo_ptr
 
     def instructions(self) -> List[Instruction]:
@@ -240,9 +234,7 @@ class ProgramSynthesizer:
         self.cluster = cluster
         self.config = config or SynthesisConfig()
         self.theory = theory or build_theory(graph, cluster.num_devices, self.config)
-        self.cost_model = cost_model or CostModel(
-            graph, cluster, memoize=self.config.enable_cost_memoization
-        )
+        self.cost_model = cost_model or CostModel(graph, cluster)
         self._node_index = {name: i for i, name in enumerate(graph.node_names)}
         self._consumers = graph.consumers()
         self._outputs = set(graph.outputs)
@@ -258,35 +250,28 @@ class ProgramSynthesizer:
         # Topological emulation order (non-source nodes only) used when
         # ``config.follow_topological_order`` is set.
         self._topo_order = [n.name for n in graph if n.kind is not OpKind.SOURCE]
-        self._topo_pos = {name: i for i, name in enumerate(self._topo_order)}
         #: completion-bitmask of each topological-order node (topo_ptr scans).
         self._topo_masks = [1 << self._node_index[name] for name in self._topo_order]
-        #: all-zero open-stage vector reused by the fast _apply path.
+        #: all-zero open-stage vector reused by _apply.
         self._zero_stage: Tuple[float, ...] = (0.0,) * cluster.num_devices
-        # -- hot-path indexes (config.enable_rule_indexing) -------------------
-        # Each index precomputes a state-independent quantity that the seed
-        # implementation recomputed per expansion; candidate order is
-        # preserved exactly, so synthesis results are identical either way.
-        self._indexing = self.config.enable_rule_indexing
+        # -- hot-path indexes: state-independent quantities precomputed once ---
         #: id(rule) -> bitmask over graph nodes the rule completes.
         self._completes_mask: Dict[int, int] = {}
-        #: ref -> (consumer bitmask, participates-in-liveness flag); built
-        #: whatever the flags, since liveness drops read it.
+        #: ref -> (consumer bitmask, participates-in-liveness flag).
         self._liveness_mask: Dict[str, Tuple[int, bool]] = {}
         #: node name -> candidate rules of the topological-order search.
         self._topo_candidates: Dict[str, List[Rule]] = {}
         #: id(rule) -> (completes mask, ideal deltas, liveness drops).
         self._rule_static_cache: Dict[int, Tuple[int, Tuple[float, ...], Tuple[Tuple[int, int], ...]]] = {}
         #: id(rule) -> (cost plan, completes mask, ideals, liveness drops)
-        #: — the single-lookup cache of the fast _apply path (cleared with the
-        #: cost plans whenever the ratios change).
+        #: — the single-lookup cache of _apply (cleared with the cost plans
+        #: whenever the ratios change).
         self._rule_runtime: Dict[int, Tuple] = {}
-        if self._indexing:
-            for rule in self.theory.rules:
-                mask = 0
-                for name in rule.completes:
-                    mask |= 1 << self._node_index[name]
-                self._completes_mask[id(rule)] = mask
+        for rule in self.theory.rules:
+            mask = 0
+            for name in rule.completes:
+                mask |= 1 << self._node_index[name]
+            self._completes_mask[id(rule)] = mask
         for name in graph.node_names:
             consumers = self._consumers.get(name, [])
             mask = 0
@@ -310,15 +295,6 @@ class ProgramSynthesizer:
         self._reuse_records: Dict[int, _BlockRecord] = {}
         #: per-synthesize block-reuse accounting (inspectable after a run).
         self.reuse_stats: Dict[str, int] = {}
-        # -- parallel beam expansion (config.synthesis_workers) ----------------
-        # Search states cross process boundaries as plain ints and floats:
-        # forked workers hold the identical theory, so property masks mean the
-        # same in every process, and rules travel as indexes into
-        # theory.rules (built lazily, see _rule_indexes).
-        self._rule_index: Dict[int, int] = {}
-        #: shared pool used by the current beam search (None = serial).
-        self._level_pool: Optional[workerpool.WorkerPool] = None
-        self._level_workers = 1
 
     # -- helpers -----------------------------------------------------------------
     def _ideal(self, name: str) -> float:
@@ -340,11 +316,10 @@ class ProgramSynthesizer:
         return node.closed_cost + node.open_stage_cost()
 
     def _rule_plan(self, rule: Rule, ratios: Sequence[float]) -> Tuple:
-        """Cost-replay plan of a rule for fixed ratios (cost memoization).
+        """Cost-replay plan of a rule for fixed ratios.
 
-        The plan replays the cost-model evaluations of ``_apply`` in the
-        original per-instruction order, so accumulating it produces the exact
-        floating-point values of the unmemoized path.
+        The plan holds the cost-model evaluations of the rule's instructions
+        in their order, so ``_apply`` accumulates them in that order.
         """
         plan = self._rule_plans.get(id(rule))
         if plan is None:
@@ -362,14 +337,13 @@ class ProgramSynthesizer:
     def _rule_static(
         self, rule: Rule
     ) -> Tuple[int, Tuple[float, ...], Tuple[Tuple[int, int], ...]]:
-        """State-independent per-rule quantities (rule indexing).
+        """State-independent per-rule quantities.
 
         Returns the bitmask of nodes the rule completes, their ideal-time
-        contributions (in the same iteration order as the naive per-name
-        accumulation, so the floating-point heuristic is bit-identical), and
-        the liveness drops: per reference tensor whose liveness may change
-        when the rule fires, ``(consumer mask, property mask)`` — once every
-        consumer is completed, the ref's property bits leave the state.
+        contributions (in ``rule.completes`` order), and the liveness drops:
+        per reference tensor whose liveness may change when the rule fires,
+        ``(consumer mask, property mask)`` — once every consumer is
+        completed, the ref's property bits leave the state.
         """
         info = self._rule_static_cache.get(id(rule))
         if info is None:
@@ -392,84 +366,10 @@ class ProgramSynthesizer:
         return info
 
     def _apply(self, node: _SearchNode, rule: Rule, ratios: Sequence[float]) -> _SearchNode:
-        """Append a rule to a partial program, updating state and cost.
-
-        The indexed/memoized fast path and the naive path below compute the
-        same quantities (bit-identical floats, equal state sets); the fast
-        path merely replaces per-expansion recomputation with precomputed
-        lookups and keeps the open-stage vector as a tuple.
-        """
-        if self._indexing and self.config.enable_cost_memoization:
-            return self._apply_fast(node, rule, ratios)
-        closed = node.closed_cost
-        stage = list(node.stage_comp)
-        if self.config.enable_cost_memoization:
-            for kind, payload in self._rule_plan(rule, ratios):
-                if kind == _SYNC:
-                    closed += (max(stage) if stage else 0.0) + payload
-                    stage = [0.0] * len(stage)
-                else:
-                    for j, t in enumerate(payload):
-                        stage[j] += t
-        else:
-            for instr in rule.instructions:
-                if isinstance(instr, CommInstruction):
-                    if not instr.synchronises:
-                        continue  # local slice: no synchronisation, negligible cost
-                    closed += (max(stage) if stage else 0.0) + self.cost_model.comm_time(instr, ratios)
-                    stage = [0.0] * len(stage)
-                else:
-                    times = self.cost_model.comp_times(instr, ratios)
-                    for j, t in enumerate(times):
-                        stage[j] += t
-        completed = node.completed
-        completed_ideal = node.completed_ideal
-        for name in rule.completes:
-            completed |= 1 << self._node_index[name]
-            completed_ideal += self._ideal(name)
-        pbits = node.pbits | rule.post_mask
-        # Optimisation #3: drop properties of tensors that can no longer be
-        # consumed (every consumer already emulated).  Program outputs with no
-        # consumers (updated parameters, the loss) are dropped from the search
-        # state as well — their completion is tracked by the bitmask, and
-        # removing them lets the dominance check merge programs that made
-        # different (already-paid-for) choices for earlier parts of the model.
-        dead_candidates: Set[str] = set()
-        for name in rule.completes:
-            dead_candidates.update(self.graph[name].inputs)
-            dead_candidates.add(name)
-        for ref in dead_candidates:
-            if self._indexing:
-                mask, relevant = self._liveness_mask[ref]
-                done = (completed & mask) == mask
-            else:
-                consumers = self._consumers.get(ref, [])
-                done = all(completed & (1 << self._node_index[c]) for c in consumers)
-                relevant = bool(consumers) or ref in self._outputs
-            if done and relevant:
-                pbits &= ~self.theory.ref_masks.get(ref, 0)
-        return _SearchNode(
-            parent=node,
-            rule=rule,
-            pbits=pbits,
-            completed=completed,
-            cbits=node.cbits | rule.comm_mask,
-            closed_cost=closed,
-            stage_comp=tuple(stage),
-            completed_ideal=completed_ideal,
-            depth=node.depth + 1,
-            topo_ptr=self._advance_topo_ptr(node.topo_ptr, completed),
-        )
-
-    def _apply_fast(self, node: _SearchNode, rule: Rule, ratios: Sequence[float]) -> _SearchNode:
-        """Indexed + memoized variant of :meth:`_apply` (same results)."""
-        rid = id(rule)
-        runtime = self._rule_runtime.get(rid)
+        """Append a rule to a partial program, updating state and cost."""
+        runtime = self._rule_runtime.get(id(rule))
         if runtime is None:
-            runtime = self._rule_runtime[rid] = (
-                self._rule_plan(rule, ratios),
-                *self._rule_static(rule),
-            )
+            runtime = self._replay_runtime(rule, ratios)
         plan, mask, ideals, drops = runtime
         closed = node.closed_cost
         stage = node.stage_comp
@@ -486,8 +386,13 @@ class ProgramSynthesizer:
         topo_ptr = (
             self._advance_topo_ptr(node.topo_ptr, completed) if mask else node.topo_ptr
         )
-        # Post union, then the liveness drop (a pure communication rule
-        # completes nothing and has no drops).
+        # Post union, then optimisation #3: drop the properties of tensors
+        # that can no longer be consumed (every consumer already emulated).
+        # Program outputs with no consumers (updated parameters, the loss) are
+        # dropped as well — the completion bitmask tracks them, and removing
+        # them lets the dominance check merge programs that made different
+        # (already-paid-for) choices for earlier parts of the model.  A pure
+        # communication rule completes nothing and has no drops.
         pbits = node.pbits | rule.post_mask
         for consumers, prop_mask in drops:
             if completed & consumers == consumers:
@@ -522,13 +427,10 @@ class ProgramSynthesizer:
         out: List[Rule] = []
         pbits, cbits = node.pbits, node.cbits
         completed = node.completed
-        masks = self._completes_mask if self._indexing else None
+        masks = self._completes_mask
         for rule in candidates:
             if rule.completes:
-                if masks is not None:
-                    if completed & masks[id(rule)]:
-                        continue
-                elif any(completed & (1 << self._node_index[n]) for n in rule.completes):
+                if completed & masks[id(rule)]:
                     continue
             else:
                 # pure communication rule: must add a new property
@@ -558,14 +460,8 @@ class ProgramSynthesizer:
 
     def _next_node(self, node: _SearchNode) -> Optional[str]:
         """First non-source node in topological order not yet emulated."""
-        if self._indexing:
-            # topo_ptr is maintained incrementally by _apply.
-            if node.topo_ptr < len(self._topo_order):
-                return self._topo_order[node.topo_ptr]
-            return None
-        for name in self._topo_order:
-            if not node.completed & (1 << self._node_index[name]):
-                return name
+        if node.topo_ptr < len(self._topo_order):
+            return self._topo_order[node.topo_ptr]
         return None
 
     def _topological_candidates(self, node: _SearchNode) -> List[Rule]:
@@ -575,18 +471,16 @@ class ProgramSynthesizer:
         pending node.  The communication candidates are restricted to
         collectives whose output property appears in the precondition of one
         of those variants — i.e. collectives that can enable the next node.
-        The candidate list depends only on the next pending node, so with rule
-        indexing enabled it is computed once per node and reused.
+        The candidate list depends only on the next pending node, so it is
+        computed once per node and reused.
         """
         next_node = self._next_node(node)
         if next_node is None:
             return []
-        if self._indexing:
-            cached = self._topo_candidates.get(next_node)
-            if cached is None:
-                cached = self._topo_candidates[next_node] = self._candidates_for(next_node)
-            return cached
-        return self._candidates_for(next_node)
+        cached = self._topo_candidates.get(next_node)
+        if cached is None:
+            cached = self._topo_candidates[next_node] = self._candidates_for(next_node)
+        return cached
 
     def _candidates_for(self, next_node: str) -> List[Rule]:
         comp_rules = self.theory.comp_rules_by_node.get(next_node, [])
@@ -681,47 +575,26 @@ class ProgramSynthesizer:
         it tries each sharding variant, optionally preceded by the collectives
         that establish the variant's missing preconditions, and keeps the
         ``beam_width`` cheapest resulting states (after merging states that
-        are identical or dominated device-wise).
+        are identical or dominated device-wise; ``None`` keeps them all).
         """
         start = _time.perf_counter()
-        beam_width = self.config.beam_width or 64
+        beam_width = self.config.beam_width
         states: List[_SearchNode] = [self._root()]
         self._bm_expanded = 0
         self._bm_generated = 1
 
-        workers = self._parallel_workers()
-        if workers > 1:
-            # The fork snapshot must contain this synthesizer: registering it
-            # (re-)marks the payload, and the shared pool re-forks lazily at
-            # the first dispatch if its workers predate the registration.
-            workerpool.register_payload("synthesizer", self)
-            self._level_pool = workerpool.shared_pool(workers)
-            self._level_workers = workers
-        try:
-            if self.config.enable_block_reuse and self.config.follow_topological_order:
-                self._reuse_records = {}
-                self.reuse_stats = {"occurrences": 0, "replayed": 0, "recorded": 0, "fallbacks": 0}
-                segments = self._reuse_schedule()
-                index = 0
-                while index < len(segments):
-                    if segments[index][0] == "node":
-                        # Maximal run of plain levels: the unit the parallel
-                        # path shards (replayed/recorded occurrences never
-                        # touch the pool).
-                        run_names: List[str] = []
-                        while index < len(segments) and segments[index][0] == "node":
-                            run_names.append(segments[index][1])
-                            index += 1
-                        states = self._node_run(states, run_names, ratios, beam_width)
-                    else:
-                        _, run, occ_idx = segments[index]
-                        index += 1
-                        states = self._block_occurrence(states, run, occ_idx, ratios, beam_width)
-            else:
-                states = self._node_run(states, self._topo_order, ratios, beam_width)
-        finally:
-            self._level_pool = None
-            self._level_workers = 1
+        if self.config.enable_block_reuse and self.config.follow_topological_order:
+            self._reuse_records = {}
+            self.reuse_stats = {"occurrences": 0, "replayed": 0, "recorded": 0, "fallbacks": 0}
+            for segment in self._reuse_schedule():
+                if segment[0] == "node":
+                    states = self._beam_level(states, segment[1], ratios, beam_width)
+                else:
+                    _, run, occ_idx = segment
+                    states = self._block_occurrence(states, run, occ_idx, ratios, beam_width)
+        else:
+            for node_name in self._topo_order:
+                states = self._beam_level(states, node_name, ratios, beam_width)
 
         complete = [s for s in states if self._is_complete(s)]
         if not complete:
@@ -736,7 +609,7 @@ class ProgramSynthesizer:
         states: List[_SearchNode],
         node_name: str,
         ratios: Sequence[float],
-        beam_width: int,
+        beam_width: Optional[int],
         record_into: Optional[List[Tuple]] = None,
     ) -> List[_SearchNode]:
         """Expand one topological-order node and keep the best states.
@@ -772,14 +645,10 @@ class ProgramSynthesizer:
         # the open stage's critical path, with total device work as the
         # tie-breaker).  The A* heuristic term would be identical for all
         # states at the same level and would therefore make them tie.
-        # beam_rank_order's stability makes insertion (= generation) order
-        # the final tie-breaker — the contract sharded expansion reproduces
-        # by reassembling worker children in serial generation order.
+        # beam_rank_order is stable, so generation order breaks exact ties.
         entries = list(children.values())
         order = beam_rank_order(
-            [e[1] for e in entries],
-            [e[0].stage_comp for e in entries],
-            vectorized=self.config.enable_vectorized_cost,
+            [e[1] for e in entries], [e[0].stage_comp for e in entries]
         )
         survivors = [entries[i][0] for i in order[:beam_width]]
         if record_into is not None:
@@ -793,337 +662,6 @@ class ProgramSynthesizer:
                 assert cursor is not None
                 record_into.append((origin[id(cursor)], tuple(reversed(chain))))
         return survivors
-
-    # -- parallel beam expansion (config.synthesis_workers) ----------------------------
-    def _parallel_workers(self) -> int:
-        """Effective worker count for this search (1 = stay serial)."""
-        requested = getattr(self.config, "synthesis_workers", 1)
-        if requested <= 1 or not workerpool.fork_available():
-            return 1
-        return workerpool.effective_workers(requested)
-
-    def _node_run(
-        self,
-        states: List[_SearchNode],
-        node_names: Sequence[str],
-        ratios: Sequence[float],
-        beam_width: int,
-    ) -> List[_SearchNode]:
-        """A maximal run of plain beam levels, serial or pool-sharded.
-
-        Template *recording* and replay for block reuse never reach here:
-        `_block_occurrence` calls `_beam_level` / `_replay_block` directly, so
-        only plain full-expansion levels are ever sharded.  Serial and
-        parallel runs produce the same survivors, so mixing them freely
-        across block boundaries keeps results bit-identical.
-        """
-        if self._level_pool is None:
-            for node_name in node_names:
-                states = self._beam_level(states, node_name, ratios, beam_width)
-            return states
-        return self._node_run_parallel(states, node_names, ratios, beam_width)
-
-    def _rule_indexes(self) -> Dict[int, int]:
-        """id(rule) -> position in ``theory.rules`` (how rules cross processes).
-
-        The per-node / per-ref candidate indexes reference those same rule
-        objects, so every rule a worker can apply has an index.
-        """
-        if not self._rule_index:
-            self._rule_index = {id(r): i for i, r in enumerate(self.theory.rules)}
-        return self._rule_index
-
-    @staticmethod
-    def _encode_state(node: _SearchNode) -> Tuple:
-        """Compact, process-independent snapshot of one beam state."""
-        return (
-            node.pbits,
-            node.completed,
-            node.cbits,
-            node.closed_cost,
-            node.stage_comp,
-            node.completed_ideal,
-            node.depth,
-            node.topo_ptr,
-        )
-
-    @staticmethod
-    def _decode_state(encoded: Tuple) -> _SearchNode:
-        """Inverse of `_encode_state` (a bare, parentless node)."""
-        pbits, completed, cbits, closed, stage, ideal, depth, topo_ptr = encoded
-        return _SearchNode(
-            parent=None,
-            rule=None,
-            pbits=pbits,
-            completed=completed,
-            cbits=cbits,
-            closed_cost=closed,
-            stage_comp=stage,
-            completed_ideal=ideal,
-            depth=depth,
-            topo_ptr=topo_ptr,
-        )
-
-    def _expand_shard(
-        self,
-        node_name: str,
-        ratios: Tuple[float, ...],
-        shard: List[Tuple[int, Tuple]],
-    ) -> Tuple:
-        """Worker-side expansion of one shard of a beam level.
-
-        Runs the exact per-state loop of `_beam_level` (same rule order, same
-        `_expand_with_rule`, same memoized cost plans) over the shard and
-        returns every generated child *unmerged*, in generation order, in
-        columnar form: per-child key columns ``(pbits, completed, cbits)``,
-        one packed double array holding ``closed ‖ stage_comp ‖
-        completed_ideal`` per child (the parent reads it zero-copy with
-        ``np.frombuffer``), int columns for ``depth``/``topo_ptr``/parent
-        index, and the applied-rule chains.  Together the columns are the
-        child's full `_encode_state` snapshot, so the parent can merge/rank
-        the level and feed the survivors straight into the next level's
-        shards without decoding or re-applying anything.  Merging must stay
-        in the parent: the epsilon dominance fold is order-dependent, so only
-        a single global left-to-right pass over all children reproduces the
-        serial survivors.
-        """
-        ratios = tuple(ratios)
-        if ratios != self._plan_ratios:
-            # Mirror synthesize(): cost plans are only valid for one ratio
-            # vector.  A long-lived worker serves every search the parent
-            # runs, so it re-mirrors the parent's per-call invalidation here.
-            self._rule_plans.clear()
-            self._rule_runtime.clear()
-            self._plan_ratios = ratios
-        rule_index = self._rule_indexes()
-        comp_rules = self.theory.comp_rules_by_node.get(node_name, [])
-        pbits_col: List[int] = []
-        completeds: List[int] = []
-        cbits_col: List[int] = []
-        floats = array("d")
-        depths: List[int] = []
-        topos: List[int] = []
-        parents: List[int] = []
-        chains: List[Tuple[int, ...]] = []
-        generated = 0
-        for parent_index, encoded in shard:
-            state = self._decode_state(encoded)
-            for rule in comp_rules:
-                for child in self._expand_with_rule(state, rule, ratios):
-                    generated += 1
-                    chain: List[int] = []
-                    cursor: Optional[_SearchNode] = child
-                    while cursor is not None and cursor.rule is not None:
-                        chain.append(rule_index[id(cursor.rule)])
-                        cursor = cursor.parent
-                    chain.reverse()
-                    pbits_col.append(child.pbits)
-                    completeds.append(child.completed)
-                    cbits_col.append(child.cbits)
-                    floats.append(child.closed_cost)
-                    floats.extend(child.stage_comp)
-                    floats.append(child.completed_ideal)
-                    depths.append(child.depth)
-                    topos.append(child.topo_ptr)
-                    parents.append(parent_index)
-                    chains.append(tuple(chain))
-        return pbits_col, completeds, cbits_col, floats, depths, topos, parents, chains, generated
-
-    def _node_run_parallel(
-        self,
-        states: List[_SearchNode],
-        node_names: Sequence[str],
-        ratios: Sequence[float],
-        beam_width: int,
-    ) -> List[_SearchNode]:
-        """Shard a run of beam levels across the pool; bit-identical to serial.
-
-        Levels are latency-bound (hundreds of sequential rounds of a few
-        milliseconds each on deep graphs), so the parent does as little as
-        possible per round.  Surviving states live in *carrier* form —
-        ``(encoded state, base-state index, rule-chain link)`` — between
-        levels: the worker-returned encodings feed the next level's shards
-        directly, and applied-rule history accumulates in O(1) cons cells.
-        Real `_SearchNode` chains are only materialized once, at the end of
-        the run (`_materialize_carrier`), for block occurrences and the final
-        completion/cost checks.
-
-        Determinism: each level's entering carriers are cut into contiguous
-        shards, so concatenating the workers' (generation-ordered) child
-        lists in shard order restores the exact serial generation order.  The
-        parent then replays the serial merge — the same left-to-right
-        epsilon-dominance fold over canonical state keys and the same stable
-        `beam_rank_order` ranking (see its tie-break contract) — over floats
-        the workers computed with the identical `_apply` arithmetic, so
-        costs, survivors, and the synthesized program are bit-identical.
-        """
-        pool = self._level_pool
-        assert pool is not None
-        # Carrier: (encoded state, index into `states`, chain link), where a
-        # link is None (still the base state) or (parent link, rule tuple).
-        carriers: List[Tuple[Tuple, int, Optional[Tuple]]] = [
-            (self._encode_state(s), i, None) for i, s in enumerate(states)
-        ]
-        for node_name in node_names:
-            if not self.theory.comp_rules_by_node.get(node_name, []):
-                raise SynthesisError(f"no sharding rules for node {node_name!r}")
-            self._bm_expanded += len(carriers)
-            shard_count = min(self._level_workers, len(carriers))
-            base, extra = divmod(len(carriers), shard_count)
-            shards: List[List[Tuple[int, Tuple]]] = []
-            cursor = 0
-            for i in range(shard_count):
-                size = base + (1 if i < extra else 0)
-                shards.append(
-                    [(cursor + j, carriers[cursor + j][0]) for j in range(size)]
-                )
-                cursor += size
-            tasks = [(node_name, tuple(ratios), shard) for shard in shards]
-            try:
-                replies = pool.run_sharded(_expand_shard_task, "synthesizer", tasks)
-            except workerpool.WorkerCrash as exc:
-                raise SynthesisError(
-                    f"parallel beam expansion failed at node {node_name!r}: {exc}"
-                ) from exc
-            # Reassemble the columnar replies in shard order (= serial
-            # generation order) and run the single global merge.
-            pbits_col: List[int] = []
-            completeds: List[int] = []
-            cbits_col: List[int] = []
-            float_bufs: List[array] = []
-            depths: List[int] = []
-            topos: List[int] = []
-            parents: List[int] = []
-            chains: List[Tuple[int, ...]] = []
-            for reply in replies:
-                pbits_col.extend(reply[0])
-                completeds.extend(reply[1])
-                cbits_col.extend(reply[2])
-                float_bufs.append(reply[3])
-                depths.extend(reply[4])
-                topos.extend(reply[5])
-                parents.extend(reply[6])
-                chains.extend(reply[7])
-                self._bm_generated += reply[8]
-            count = len(pbits_col)
-            if count == 0:
-                raise SynthesisError(
-                    f"beam search dead-ended at node {node_name!r}: no variant of the "
-                    "operator is reachable from the surviving states"
-                )
-            k = len(self._zero_stage)
-            cols = np.concatenate(
-                [np.frombuffer(buf, dtype=np.float64) for buf in float_bufs]
-            ).reshape(count, k + 2)
-            closed = cols[:, 0]
-            stage = cols[:, 1 : k + 1]
-            # One broadcast add reproduces the serial per-child Python adds
-            # bit for bit (both are IEEE double additions of the same values).
-            vectors = closed[:, None] + stage
-            limits = vectors + 1e-15
-            children: Dict[Tuple[int, int, int], int] = {}
-            for i in range(count):
-                key = (pbits_col[i], completeds[i], cbits_col[i])
-                j = children.get(key)
-                if j is not None and (vectors[j] <= limits[i]).all():
-                    continue
-                children[key] = i
-            rows = list(children.values())
-            order = beam_rank_order(
-                vectors[rows],
-                stage[rows],
-                vectorized=self.config.enable_vectorized_cost,
-            )
-            next_carriers: List[Tuple[Tuple, int, Optional[Tuple]]] = []
-            for oi in order[:beam_width]:
-                row = rows[oi]
-                encoded = (
-                    pbits_col[row],
-                    completeds[row],
-                    cbits_col[row],
-                    float(cols[row, 0]),
-                    tuple(cols[row, 1 : k + 1].tolist()),
-                    float(cols[row, k + 1]),
-                    depths[row],
-                    topos[row],
-                )
-                parent = carriers[parents[row]]
-                next_carriers.append((encoded, parent[1], (parent[2], chains[row])))
-            carriers = next_carriers
-        memo: Dict[int, _SearchNode] = {}
-        return [self._materialize_carrier(c, states, memo) for c in carriers]
-
-    def _dummy_chain(self, node: _SearchNode, rule_indexes: Sequence[int]) -> _SearchNode:
-        """Append rule-bearing placeholder nodes for an applied-rule segment.
-
-        The placeholders exist only so `instructions()` (and block-reuse
-        origin walks) can traverse the applied-rule history — their state
-        fields are never read, because expansion, completion checks, and
-        costs all look at a run's last node, which carries real decoded
-        fields.
-        """
-        for rule_index in rule_indexes:
-            node = _SearchNode(
-                parent=node,
-                rule=self.theory.rules[rule_index],
-                pbits=0,
-                completed=0,
-                cbits=0,
-                closed_cost=0.0,
-                stage_comp=(),
-                completed_ideal=0.0,
-                depth=0,
-            )
-        return node
-
-    def _materialize_carrier(
-        self,
-        carrier: Tuple[Tuple, int, Optional[Tuple]],
-        base_states: List[_SearchNode],
-        memo: Dict[int, _SearchNode],
-    ) -> _SearchNode:
-        """Rebuild a real `_SearchNode` chain from one surviving carrier.
-
-        The final node gets the exact worker-computed fields via
-        `_decode_state` and hangs off a chain of rule-bearing placeholders
-        (`_dummy_chain`).  ``memo`` caches the materialized node per cons
-        cell (keyed by cell identity), so survivors sharing ancestry — the
-        common case after beam convergence — share one materialized prefix
-        instead of each rebuilding the full run history.
-        """
-        encoded, base_index, link = carrier
-        pending: List[Tuple] = []
-        node: Optional[_SearchNode] = None
-        cell = link
-        while cell is not None:
-            cached = memo.get(id(cell))
-            if cached is not None:
-                node = cached
-                break
-            pending.append(cell)
-            cell = cell[0]
-        if node is None:
-            node = base_states[base_index]
-        if not pending:
-            # Either no levels ran (node is the base state) or the whole
-            # lineage was already materialized; both are final states with
-            # real fields, so return them as-is.
-            return node
-        # Materialize shared ancestor cells fully (placeholder per rule).
-        for cell in reversed(pending[1:]):
-            node = self._dummy_chain(node, cell[1])
-            memo[id(cell)] = node
-        # The carrier's own last cell: all but the last rule become
-        # placeholders; the last rule lands on the decoded final node.  The
-        # cell is deliberately not memoized in this split form — other
-        # lineages passing through it need the full placeholder chain and
-        # will rebuild it (one cell's worth of nodes, not the whole run).
-        last_chain = pending[0][1]
-        node = self._dummy_chain(node, last_chain[:-1])
-        final = self._decode_state(encoded)
-        final.parent = node
-        final.rule = self.theory.rules[last_chain[-1]]
-        return final
 
     # -- repeated-block record/replay (config.enable_block_reuse) ----------------------
     def _reuse_schedule(self) -> List[Tuple]:
@@ -1188,7 +726,7 @@ class ProgramSynthesizer:
         run: BlockRun,
         occ_idx: int,
         ratios: Sequence[float],
-        beam_width: int,
+        beam_width: Optional[int],
     ) -> List[_SearchNode]:
         """Process one occurrence of a repeated block: replay or record.
 
@@ -1460,9 +998,7 @@ class ProgramSynthesizer:
     def _replay_runtime(self, rule: Rule, ratios: Sequence[float]) -> Tuple:
         """(cost plan, completes mask, ideal deltas, liveness drops).
 
-        Shares the :meth:`_apply_fast` runtime cache; safe to populate even
-        when cost memoization is off, because the memoized plans replay the
-        identical float operations.
+        The per-rule entry of the runtime cache that :meth:`_apply` reads.
         """
         rid = id(rule)
         runtime = self._rule_runtime.get(rid)
@@ -1541,60 +1077,43 @@ class ProgramSynthesizer:
         self, state: _SearchNode, rule: Rule, ratios: Sequence[float]
     ) -> List[_SearchNode]:
         """Apply a computation rule, inserting enabling collectives if needed."""
-        if self._indexing:
-            if state.completed & self._completes_mask[id(rule)]:
-                return []
-        elif any(n for n in rule.completes if state.completed & (1 << self._node_index[n])):
+        if state.completed & self._completes_mask[id(rule)]:
             return []
         pbits, cbits = state.pbits, state.cbits
         if rule.pre_mask & pbits == rule.pre_mask:
             return [self._apply(state, rule, ratios)]
         missing = [bit for bit in self._ordered_pre(rule) if not pbits & bit]
         # Find, for every missing precondition, the collectives that produce
-        # it.  With rule indexing the state-independent "which collectives
-        # establish this property" part comes from the ``comm_rules_by_post``
-        # index (same rules, same order as filtering the per-ref table); only
-        # the per-state filters remain in the loop.
+        # it: the ``comm_rules_by_post`` index holds the state-independent
+        # part, so only the per-state filters remain in the loop.
         option_sets: List[List[Rule]] = []
         for bit in missing:
-            if self._indexing:
-                options = [
-                    comm
-                    for comm in self.theory.comm_rules_by_post.get(bit, ())
-                    if comm.pre_mask & pbits == comm.pre_mask and not comm.comm_mask & cbits
-                ]
-            else:
-                ref = self.theory.props[bit.bit_length() - 1].ref
-                options = [
-                    comm
-                    for comm in self.theory.comm_rules_by_ref.get(ref, [])
-                    if comm.post_mask & bit
-                    and comm.pre_mask & pbits == comm.pre_mask
-                    and not comm.comm_mask & cbits
-                ]
+            options = [
+                comm
+                for comm in self.theory.comm_rules_by_post.get(bit, ())
+                if comm.pre_mask & pbits == comm.pre_mask and not comm.comm_mask & cbits
+            ]
             if not options:
                 return []
             option_sets.append(options)
+        if len(option_sets) == 1:
+            return [
+                self._apply(self._apply(state, comm, ratios), rule, ratios)
+                for comm in option_sets[0]
+            ]
+        # Visit the combinations in itertools.product order (last option set
+        # fastest); the depth-first walk applies each shared collective prefix
+        # once.
         results: List[_SearchNode] = []
-        if self._indexing and len(option_sets) > 1:
-            # Share the application of common collective prefixes across
-            # combinations: product() varies the last option set fastest, so a
-            # depth-first walk applies each prefix exactly once while visiting
-            # the combinations (and emitting children) in product() order.
-            def walk(current: _SearchNode, level: int) -> None:
-                if level == len(option_sets):
-                    results.append(self._apply(current, rule, ratios))
-                    return
-                for comm in option_sets[level]:
-                    walk(self._apply(current, comm, ratios), level + 1)
 
-            walk(state, 0)
-            return results
-        for combo in itertools.product(*option_sets):
-            current = state
-            for comm in combo:
-                current = self._apply(current, comm, ratios)
-            results.append(self._apply(current, rule, ratios))
+        def walk(current: _SearchNode, level: int) -> None:
+            if level == len(option_sets):
+                results.append(self._apply(current, rule, ratios))
+                return
+            for comm in option_sets[level]:
+                walk(self._apply(current, comm, ratios), level + 1)
+
+        walk(state, 0)
         return results
 
     def _ordered_pre(self, rule: Rule) -> Tuple[int, ...]:
@@ -1668,13 +1187,9 @@ class ProgramSynthesizer:
         heap: List[Tuple[float, int, int, _SearchNode]] = [
             (self._score(root), 0, next(counter), root)
         ]
-        # Dominance table: state key -> undominated per-device cost vectors.
-        # With ``enable_pareto_store`` the per-key vectors live in a
-        # sum-sorted Pareto front (same dominance predicate, early-exit
-        # scans); otherwise in the seed's flat list scanned in full.
-        use_pareto = self.config.enable_pareto_store
+        # Dominance table: state key -> Pareto front of the undominated
+        # per-device cost vectors.
         fronts: Dict[Tuple[int, int, int], ParetoFront] = {}
-        best_vectors: Dict[Tuple[int, int, int], List[Tuple[float, ...]]] = {}
         best_complete: Optional[_SearchNode] = None
         best_cost = float("inf")
         #: Most-progressed state popped so far — the completion-fallback seed.
@@ -1714,25 +1229,11 @@ class ProgramSynthesizer:
                     continue
                 key = (child.pbits, child.completed, child.cbits)
                 vector = tuple([closed + c for c in stage_comp])
-                if use_pareto:
-                    front = fronts.get(key)
-                    if front is None:
-                        front = fronts[key] = ParetoFront(eps=1e-12)
-                    if not front.insert(vector):
-                        continue  # dominated by an already-known program
-                else:
-                    existing = best_vectors.get(key)
-                    if existing is not None and any(
-                        all(e <= v + 1e-12 for e, v in zip(vec, vector)) for vec in existing
-                    ):
-                        continue  # dominated by an already-known program
-                    if existing is None:
-                        best_vectors[key] = [vector]
-                    else:
-                        existing[:] = [
-                            vec for vec in existing if not all(v <= e + 1e-12 for v, e in zip(vector, vec))
-                        ]
-                        existing.append(vector)
+                front = fronts.get(key)
+                if front is None:
+                    front = fronts[key] = ParetoFront(eps=1e-12)
+                if not front.insert(vector):
+                    continue  # dominated by an already-known program
                 remaining = total_ideal - child.completed_ideal
                 if remaining < 0.0:
                     remaining = 0.0
@@ -1764,17 +1265,6 @@ class ProgramSynthesizer:
             )
         return self._result(best_complete, best_cost, expanded, generated, start)
 
-
-def _expand_shard_task(
-    synthesizer: "ProgramSynthesizer", args: Tuple
-) -> Tuple[List[Tuple], int]:
-    """Worker-pool handler for one beam-level shard (see ``_expand_shard``).
-
-    The synthesizer arrives as the pool's registered ``"synthesizer"``
-    payload — shipped to workers by fork copy-on-write, never pickled.
-    """
-    node_name, ratios, shard = args
-    return synthesizer._expand_shard(node_name, ratios, shard)
 
 
 def synthesize_program(

@@ -37,7 +37,6 @@ import pytest
 from benchmarks.e2e.workloads import _program_encoding
 from repro.autodiff import build_training_graph
 from repro.core import ProgramSynthesizer, SynthesisConfig
-from repro.core.workerpool import fork_available
 from repro.graph import DType, GraphBuilder
 
 from .conftest import build_mlp, build_tiny_moe, build_tiny_transformer, make_cluster
@@ -77,7 +76,6 @@ CLUSTERS = {
 SEARCHES: Dict[str, Dict[str, Any]] = {
     "beam": {},
     "beam-reuse": {"enable_block_reuse": True},
-    "beam-workers2": {"synthesis_workers": 2},
     "astar": {"search_strategy": "astar"},
     "astar-unordered": {"search_strategy": "astar", "follow_topological_order": False},
 }
@@ -134,8 +132,6 @@ def test_golden_covers_every_case(golden):
 
 @pytest.mark.parametrize("case", CASES)
 def test_program_matches_golden(case, golden):
-    if "workers" in case and not fork_available():
-        pytest.skip("parallel beam expansion needs the fork start method")
     assert program_record(case) == golden[case]
 
 

@@ -928,6 +928,71 @@ class TestPerChunkPlanner:
 # hierarchical runtime parity
 # ---------------------------------------------------------------------------
 
+class TestProfileOnce:
+    """Each distinct chunk content key is profiled once per ``plan()`` call."""
+
+    @pytest.fixture(scope="class")
+    def two_machines(self):
+        """Two heterogeneous machines: a 3-cell (stage, chunk-variant) grid."""
+        return make_cluster(("A100", "P100"), group=True)
+
+    def test_phase_profile_called_once_per_content_key(self, two_machines, monkeypatch):
+        from repro.core import CostModel
+
+        calls = []
+        orig = CostModel.phase_profile
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(CostModel, "phase_profile", counting)
+        planner = HierarchicalPlanner(build_mlp(), two_machines, hier_config())
+        plan = planner.plan()
+        assert len(calls) == len(planner._profile_memo)
+        before = len(calls)
+        # Re-deriving stage times for already-profiled chunks is free.
+        planner._stage_times(plan.stages)
+        assert len(calls) == before
+
+    def test_profile_memo_result_identical(self, two_machines):
+        planner = HierarchicalPlanner(build_mlp(), two_machines, hier_config())
+        plan = planner.plan()
+        memoized = planner._stage_times(plan.stages)
+        # Without content keys every chunk is profiled afresh.
+        for chunk in plan.chunk_sequence():
+            chunk.content_key = None
+        assert planner._stage_times(plan.stages) == memoized
+
+    def test_simulator_profiles_once_per_key_and_identically(self, two_machines, monkeypatch):
+        plan = HierarchicalPlanner(build_mlp(), two_machines, hier_config()).plan()
+        baseline = simulate_hierarchical(plan, iterations=2)
+
+        import repro.simulator.engine as engine
+
+        calls = []
+        orig = engine.ExecutionSimulator.profile_program
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine.ExecutionSimulator, "profile_program", counting)
+        memoized = simulate_hierarchical(plan, iterations=2)
+        distinct = {c.content_key for c in plan.chunk_sequence() if c.content_key}
+        assert len(calls) == len(distinct)
+        assert memoized.total == baseline.total
+        assert memoized.schedule.total == baseline.schedule.total
+
+        # Stripping the keys disables the memo but not the numbers.
+        for chunk in plan.chunk_sequence():
+            chunk.content_key = None
+        calls.clear()
+        plain = simulate_hierarchical(plan, iterations=2)
+        assert len(calls) == len(plan.chunk_sequence())
+        assert plain.total == baseline.total
+
+
 class TestHierarchicalRuntimeParity:
     @pytest.mark.parametrize(
         "builder,num_stages,rtol",

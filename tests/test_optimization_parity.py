@@ -1,15 +1,16 @@
-"""Parity of the synthesizer's hot-path optimisations.
+"""Result-identical speed-ups that stay switchable or have a reference path.
 
-Every optimisation behind a ``SynthesisConfig`` flag (rule indexing, the
-Pareto dominance store, cost-model memoization, vectorized cost evaluation)
-is required to be *result-identical*: toggling it must not change the
-synthesized instruction sequence nor the estimated cost by a single bit.
-These tests run the synthesizer with each optimisation disabled
-individually and all disabled at once, and compare against the fully
-optimised default.
+Block reuse (``SynthesisConfig.enable_block_reuse``) replays recorded rule
+chains across repeated layers and must synthesize the same program as the
+full search.  The batched cost evaluation (``CostModel.evaluate_many`` /
+``evaluate_batch``) must agree bit for bit with scalar ``evaluate``, and the
+memoized cost model with ``memoize=False``.  The synthesizer's rule-cost
+memo must be dropped when the ratios change, and the planner's batched
+pricing must agree with the scalar reference.  Sub-plan dedupe in the
+hierarchical planner must actually fire on repeated layers and rename plans
+that equal planning each chunk from scratch.  The synthesized programs of
+the default search are pinned by ``tests/golden/programs.json``.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from repro.core import (
     HAPPlanner,
     HierarchicalConfig,
     HierarchicalPlanner,
-    LoadBalancerConfig,
     PlannerConfig,
     ProgramSynthesizer,
     SynthesisConfig,
@@ -29,13 +29,6 @@ from repro.graph import DType, GraphBuilder
 
 from .conftest import build_mlp, build_tiny_moe, build_tiny_transformer, make_cluster
 
-OPT_FLAGS = (
-    "enable_rule_indexing",
-    "enable_pareto_store",
-    "enable_cost_memoization",
-    "enable_vectorized_cost",
-)
-
 MODEL_BUILDERS = {
     "mlp": build_mlp,
     "tiny_transformer": build_tiny_transformer,
@@ -43,8 +36,8 @@ MODEL_BUILDERS = {
 }
 
 
-def _synthesize(graph, cluster, strategy, **flags):
-    config = SynthesisConfig(search_strategy=strategy, beam_width=8, **flags)
+def _synthesize(graph, cluster):
+    config = SynthesisConfig(search_strategy="beam", beam_width=8)
     return ProgramSynthesizer(graph, cluster, config).synthesize()
 
 
@@ -53,6 +46,14 @@ def _assert_identical(reference, candidate, label):
     assert list(candidate.program.instructions) == list(
         reference.program.instructions
     ), f"{label}: instruction sequence differs"
+
+
+def _assert_search_identical(reference, candidate, label):
+    """Same program and cost, and the search explored the same states."""
+    _assert_identical(reference, candidate, label)
+    assert candidate.expanded_states == reference.expanded_states, label
+    assert candidate.generated_states == reference.generated_states, label
+    assert candidate.program.describe() == reference.program.describe(), label
 
 
 @pytest.fixture(scope="module")
@@ -66,82 +67,6 @@ def training_graphs():
         name: build_training_graph(builder()).graph
         for name, builder in MODEL_BUILDERS.items()
     }
-
-
-class TestBeamParity:
-    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
-    def test_all_optimisations_off(self, model, training_graphs, parity_cluster):
-        graph = training_graphs[model]
-        optimised = _synthesize(graph, parity_cluster, "beam")
-        naive = _synthesize(
-            graph, parity_cluster, "beam", **{flag: False for flag in OPT_FLAGS}
-        )
-        _assert_identical(optimised, naive, f"{model}/beam/all-off")
-        # The optimisations must not change what the search explores either.
-        assert naive.expanded_states == optimised.expanded_states
-        assert naive.generated_states == optimised.generated_states
-
-    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
-    @pytest.mark.parametrize("flag", OPT_FLAGS)
-    def test_each_optimisation_individually(
-        self, model, flag, training_graphs, parity_cluster
-    ):
-        graph = training_graphs[model]
-        optimised = _synthesize(graph, parity_cluster, "beam")
-        toggled = _synthesize(graph, parity_cluster, "beam", **{flag: False})
-        _assert_identical(optimised, toggled, f"{model}/beam/{flag}=False")
-
-
-class TestAStarParity:
-    """A* exercises the Pareto dominance store, which beam search does not."""
-
-    @pytest.mark.parametrize("model", ["mlp", "tiny_transformer"])
-    def test_all_optimisations_off(self, model, training_graphs, parity_cluster):
-        graph = training_graphs[model]
-        optimised = _synthesize(graph, parity_cluster, "astar")
-        naive = _synthesize(
-            graph, parity_cluster, "astar", **{flag: False for flag in OPT_FLAGS}
-        )
-        _assert_identical(optimised, naive, f"{model}/astar/all-off")
-        assert naive.expanded_states == optimised.expanded_states
-        assert naive.generated_states == optimised.generated_states
-
-    @pytest.mark.parametrize("flag", OPT_FLAGS)
-    def test_each_optimisation_individually(self, flag, training_graphs, parity_cluster):
-        graph = training_graphs["mlp"]
-        optimised = _synthesize(graph, parity_cluster, "astar")
-        toggled = _synthesize(graph, parity_cluster, "astar", **{flag: False})
-        _assert_identical(optimised, toggled, f"mlp/astar/{flag}=False")
-
-    def test_unrestricted_search_parity(self, parity_cluster):
-        """Fig. 10's unrestricted search (no topological order) agrees too.
-
-        The unrestricted search is only tractable for very small graphs with
-        an untrimmed open list (matching the seed's own A* test), so parity is
-        checked on a single-matmul classifier.
-        """
-        from repro.graph import DType, GraphBuilder
-
-        b = GraphBuilder("tiny")
-        x = b.placeholder((16, 8), name="x")
-        w = b.parameter((8, 4), name="w")
-        y = b.matmul(x, w)
-        labels = b.placeholder((16,), dtype=DType.INT64, name="labels")
-        b.loss(b.cross_entropy(y, labels))
-        graph = build_training_graph(b.build()).graph
-
-        def run(**flags):
-            config = SynthesisConfig(
-                search_strategy="astar",
-                beam_width=None,
-                follow_topological_order=False,
-                **flags,
-            )
-            return ProgramSynthesizer(graph, parity_cluster, config).synthesize()
-
-        optimised = run()
-        naive = run(**{flag: False for flag in OPT_FLAGS})
-        _assert_identical(optimised, naive, "tiny/astar-unrestricted/all-off")
 
 
 def build_deep_transformer(layers, batch=8, seq=4, hidden=16, heads=2):
@@ -170,7 +95,7 @@ class TestBlockReuseParity:
         return build_training_graph(build_deep_transformer(layers=3)).graph
 
     def test_block_reuse_is_result_identical(self, deep_training, parity_cluster):
-        reference = _synthesize(deep_training, parity_cluster, "beam")
+        reference = _synthesize(deep_training, parity_cluster)
         config = SynthesisConfig(
             search_strategy="beam", beam_width=8, enable_block_reuse=True
         )
@@ -180,19 +105,6 @@ class TestBlockReuseParity:
         # The flag must actually replay — a silent no-op would pass parity.
         assert synthesizer.reuse_stats["replayed"] > 0
         assert synthesizer.reuse_stats["fallbacks"] == 0
-
-    def test_block_reuse_composes_with_other_flags_off(
-        self, deep_training, parity_cluster
-    ):
-        reference = _synthesize(deep_training, parity_cluster, "beam")
-        reused = _synthesize(
-            deep_training,
-            parity_cluster,
-            "beam",
-            enable_block_reuse=True,
-            **{flag: False for flag in OPT_FLAGS},
-        )
-        _assert_identical(reference, reused, "deep/beam/block-reuse+all-off")
 
     def test_block_reuse_across_ratio_changes(self, deep_training, parity_cluster):
         """Replayed rule costs are recomputed when the shard ratios change."""
@@ -211,17 +123,67 @@ class TestBlockReuseParity:
             )
 
 
-class TestSubplanDedupeParity:
-    """``dedupe_subplans`` plans one flat HAP problem per distinct (chunk
-    content, group) pair and renames the plan onto isomorphic chunks; the
-    resulting hierarchical plan must be identical to planning every chunk."""
+@pytest.fixture(scope="module")
+def registry_models():
+    """Every registry model at test scale."""
+    from repro.models import MODEL_NAMES, BenchmarkScale, build_model
 
-    def test_dedupe_is_result_identical(self):
+    scale = BenchmarkScale("test", layer_fraction=0.1, batch_per_device=8)
+    return {name: build_model(name, num_gpus=4, scale=scale) for name in MODEL_NAMES}
+
+
+class TestRegistryModels:
+    """The serial search is reproducible on every registry model, and block
+    reuse leaves its result unchanged there too."""
+
+    @pytest.fixture(scope="class")
+    def grouped_cluster(self):
+        return make_cluster(("A100", "A100", "P100", "P100"), group=True)
+
+    @pytest.mark.parametrize("model_name", ["vgg19", "vit", "bert_base", "bert_moe"])
+    @pytest.mark.parametrize("reuse", [False, True], ids=["plain", "block-reuse"])
+    def test_search_is_reproducible(
+        self, registry_models, grouped_cluster, model_name, reuse
+    ):
+        graph = registry_models[model_name]
+
+        def config(block_reuse):
+            return SynthesisConfig(
+                search_strategy="beam", beam_width=6, enable_block_reuse=block_reuse
+            )
+
+        reference = ProgramSynthesizer(graph, grouped_cluster, config(False)).synthesize()
+        synthesizer = ProgramSynthesizer(graph, grouped_cluster, config(reuse))
+        label = f"{model_name}/{'block-reuse' if reuse else 'plain'}"
+        _assert_search_identical(reference, synthesizer.synthesize(), label)
+        # A second search on the same synthesizer runs on warm rule-cost
+        # memos and must not differ from the cold one.
+        _assert_search_identical(reference, synthesizer.synthesize(), f"{label}/warm")
+
+    @pytest.mark.parametrize("model_name", ["vgg19", "vit", "bert_base", "bert_moe"])
+    def test_program_verifies(self, registry_models, grouped_cluster, model_name):
+        from repro.verify.program import verify_program
+
+        config = SynthesisConfig(search_strategy="beam", beam_width=6)
+        program = ProgramSynthesizer(
+            registry_models[model_name], grouped_cluster, config
+        ).synthesize().program
+        report = verify_program(
+            program, grouped_cluster, grouped_cluster.proportional_ratios()
+        )
+        assert report.ok, report
+
+
+class TestSubplanDedupe:
+    """The hierarchical planner plans one flat HAP problem per distinct
+    (chunk content, group) pair and renames the plan onto isomorphic chunks."""
+
+    def test_dedupe_fires_and_matches_planning_each_chunk(self):
         forward = build_deep_transformer(layers=8)
         # Two *identical* machine groups: isomorphic chunks then share a
         # (fingerprint, group-signature) key across stages and dedupe.
         cluster = make_cluster(("A100", "A100", "A100", "A100"), group=True)
-        base = HierarchicalConfig(
+        config = HierarchicalConfig(
             planner=PlannerConfig(
                 max_rounds=1,
                 synthesis=SynthesisConfig(search_strategy="beam", beam_width=4),
@@ -230,23 +192,12 @@ class TestSubplanDedupeParity:
             schedules=["interleaved-1f1b"],
             num_model_chunks=2,
         )
-        deduped = HierarchicalPlanner(forward, cluster, base).plan()
-        replanned = HierarchicalPlanner(
-            forward, cluster, dataclasses.replace(base, dedupe_subplans=False)
-        ).plan()
-
-        assert deduped.reuse_stats["subplans_deduped"] > 0
-        assert replanned.reuse_stats["subplans_deduped"] == 0
-        assert deduped.estimated_time == replanned.estimated_time
-        assert deduped.schedule_name == replanned.schedule_name
-        assert deduped.num_stages == replanned.num_stages
-        chunks_a = [c for s in deduped.stages for c in s.chunks]
-        chunks_b = [c for s in replanned.stages for c in s.chunks]
-        assert len(chunks_a) == len(chunks_b)
-        for a, b in zip(chunks_a, chunks_b):
-            assert a.virtual_index == b.virtual_index
-            assert list(a.plan.program.instructions) == list(b.plan.program.instructions)
-            assert a.plan.estimated_time.total == b.plan.estimated_time.total
+        plan = HierarchicalPlanner(forward, cluster, config).plan()
+        assert plan.reuse_stats["subplans_deduped"] > 0
+        for chunk in plan.chunk_sequence():
+            fresh = HAPPlanner(chunk.info.graph, chunk.subcluster, config.planner).plan()
+            assert list(chunk.plan.program.instructions) == list(fresh.program.instructions)
+            assert chunk.plan.estimated_time.total == fresh.estimated_time.total
 
 
 class TestVectorizedCostParity:
@@ -262,7 +213,7 @@ class TestVectorizedCostParity:
     @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
     def test_evaluate_many_matches_scalar(self, model, training_graphs, parity_cluster):
         graph = training_graphs[model]
-        program = _synthesize(graph, parity_cluster, "beam").program
+        program = _synthesize(graph, parity_cluster).program
         cost_model = CostModel(graph, parity_cluster)
         batched = cost_model.evaluate_many(program, self.RATIO_SETS)
         for (base, per_segment), b in zip(self.RATIO_SETS, batched):
@@ -276,9 +227,10 @@ class TestVectorizedCostParity:
             assert b.hidden_communication == scalar.hidden_communication
             assert list(b.stage_times) == list(scalar.stage_times)
 
-    def test_evaluate_batch_matches_scalar(self, training_graphs, parity_cluster):
-        graph = training_graphs["mlp"]
-        program = _synthesize(graph, parity_cluster, "beam").program
+    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+    def test_evaluate_batch_matches_scalar(self, model, training_graphs, parity_cluster):
+        graph = training_graphs[model]
+        program = _synthesize(graph, parity_cluster).program
         cost_model = CostModel(graph, parity_cluster)
         ratios = np.array([base for base, _ in self.RATIO_SETS])
         totals = cost_model.evaluate_batch(program, ratios)
@@ -289,15 +241,16 @@ class TestVectorizedCostParity:
         self, training_graphs, parity_cluster
     ):
         graph = training_graphs["mlp"]
-        program = _synthesize(graph, parity_cluster, "beam").program
+        program = _synthesize(graph, parity_cluster).program
         cost_model = CostModel(graph, parity_cluster)
         ratios = np.array([[0.25, 0.25, 0.25, 0.25]])
         serialized = cost_model.evaluate_batch(program, ratios, overlap=0.0)
         assert serialized[0] == cost_model.evaluate(program, ratios[0], overlap=0.0).total
 
-    def test_memoization_off_matches(self, training_graphs, parity_cluster):
-        graph = training_graphs["mlp"]
-        program = _synthesize(graph, parity_cluster, "beam").program
+    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+    def test_memoization_off_matches(self, model, training_graphs, parity_cluster):
+        graph = training_graphs[model]
+        program = _synthesize(graph, parity_cluster).program
         memoized = CostModel(graph, parity_cluster)
         plain = CostModel(graph, parity_cluster, memoize=False)
         a = memoized.evaluate_many(program, self.RATIO_SETS)
@@ -306,44 +259,44 @@ class TestVectorizedCostParity:
         # The memoized arrays are reused across calls, not rebuilt.
         assert memoized.coefficient_arrays(program) is memoized.coefficient_arrays(program)
 
-    def test_full_planner_parity_with_flag_off(self, parity_cluster):
-        """End-to-end composition: synthesis ranking + LP polish pricing both
-        vectorized vs. both scalar must produce the same plan and history."""
-        graph = build_training_graph(build_mlp()).graph
+    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+    def test_planner_prices_like_scalar_evaluate(self, model, training_graphs, parity_cluster):
+        """The planner prices each round in one batched call; its reported
+        costs must equal the unmemoized scalar reference."""
+        graph = training_graphs[model]
+        config = PlannerConfig(
+            max_rounds=2, synthesis=SynthesisConfig(search_strategy="beam", beam_width=8)
+        )
+        planner = HAPPlanner(graph, parity_cluster, config)
+        plan = planner.plan()
+        reference = CostModel(graph, parity_cluster, memoize=False)
 
-        def plan(flag):
-            config = PlannerConfig(
-                max_rounds=2,
-                synthesis=SynthesisConfig(
-                    search_strategy="beam", beam_width=8, enable_vectorized_cost=flag
-                ),
-                load_balancer=LoadBalancerConfig(enable_vectorized_cost=flag),
+        def price(ratios):
+            return reference.evaluate(
+                plan.program,
+                ratios[0],
+                ratios_per_segment={k: seg for k, seg in enumerate(ratios)},
+                segment_of=planner.segment_of,
             )
-            return HAPPlanner(graph, parity_cluster, config).plan()
 
-        vectorized = plan(True)
-        scalar = plan(False)
-        assert vectorized.estimated_time.total == scalar.estimated_time.total
-        assert vectorized.ratios == scalar.ratios
-        assert list(vectorized.program.instructions) == list(scalar.program.instructions)
-        for rv, rs in zip(vectorized.rounds, scalar.rounds):
-            assert rv.cost_after_synthesis == rs.cost_after_synthesis
-            assert rv.cost_after_balancing == rs.cost_after_balancing
+        expected = price(plan.ratios)
+        assert plan.estimated_time.total == expected.total
+        assert plan.estimated_time.communication == expected.communication
+        assert plan.estimated_time.computation == expected.computation
+        assert min(r.cost_after_balancing for r in plan.rounds) == plan.estimated_time.total
+        assert plan.rounds[-1].cost_after_balancing == price(plan.rounds[-1].ratios).total
 
 
 class TestParityAcrossRatios:
-    def test_skewed_ratios(self, training_graphs, parity_cluster):
-        """Memoized cost plans are invalidated when the ratios change."""
-        graph = training_graphs["mlp"]
+    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+    def test_skewed_ratios(self, model, training_graphs, parity_cluster):
+        """Memoized rule-cost plans are dropped when the ratios change: one
+        synthesizer reused across ratio vectors matches a fresh one per vector."""
+        graph = training_graphs[model]
         config = SynthesisConfig(search_strategy="beam", beam_width=8)
-        synthesizer = ProgramSynthesizer(graph, parity_cluster, config)
-        naive_cfg = SynthesisConfig(
-            search_strategy="beam",
-            beam_width=8,
-            **{flag: False for flag in OPT_FLAGS},
-        )
-        naive_synthesizer = ProgramSynthesizer(graph, parity_cluster, naive_cfg)
+        reused = ProgramSynthesizer(graph, parity_cluster, config)
         for ratios in ([0.25] * 4, [0.4, 0.3, 0.2, 0.1], [0.25] * 4):
-            optimised = synthesizer.synthesize(ratios)
-            naive = naive_synthesizer.synthesize(ratios)
-            _assert_identical(optimised, naive, f"mlp/beam/ratios={ratios}")
+            fresh = ProgramSynthesizer(graph, parity_cluster, config).synthesize(ratios)
+            _assert_search_identical(
+                fresh, reused.synthesize(ratios), f"{model}/beam/ratios={ratios}"
+            )

@@ -10,6 +10,7 @@ from repro.core import (
     SynthesisConfig,
     synthesize_program,
 )
+from repro.core.costmodel import beam_rank_order
 from repro.graph import DType, GraphBuilder
 from repro.graph.ops import OpKind
 
@@ -139,6 +140,20 @@ class TestSearchMechanics:
         result = synthesize_program(mlp_training.graph, four_device_cluster)
         assert result.program.graph is mlp_training.graph
 
+    def test_unbounded_beam_keeps_every_candidate(self, mlp_forward, two_device_cluster):
+        """``beam_width=None`` keeps every merged child, like a beam wider
+        than any level (the forward graph keeps the unbounded search small)."""
+        graph = mlp_forward
+        unbounded = ProgramSynthesizer(
+            graph, two_device_cluster, SynthesisConfig(beam_width=None)
+        ).synthesize()
+        wide = ProgramSynthesizer(
+            graph, two_device_cluster, SynthesisConfig(beam_width=10_000)
+        ).synthesize()
+        assert unbounded.cost == wide.cost
+        assert list(unbounded.program.instructions) == list(wide.program.instructions)
+        assert unbounded.expanded_states == wide.expanded_states
+
     def test_ratios_affect_cost(self, four_device_cluster):
         training = build_training_graph(build_mlp(batch=64, hidden=128)).graph
         synthesizer = ProgramSynthesizer(
@@ -224,3 +239,60 @@ class TestAStarCompletionFallback:
         assert spmd.loss == pytest.approx(
             float(reference[training.loss]), rel=2e-4, abs=1e-4
         )
+
+
+class TestSearchConfigValidation:
+    @pytest.mark.parametrize("strategy", ["Beam", "a*", ""])
+    def test_unknown_strategy_rejected(self, strategy):
+        with pytest.raises(ValueError, match="search_strategy"):
+            SynthesisConfig(search_strategy=strategy)
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_non_positive_beam_width_rejected(self, width):
+        with pytest.raises(ValueError, match="beam_width"):
+            SynthesisConfig(beam_width=width)
+
+    @pytest.mark.parametrize(
+        "strategy,width", [("beam", None), ("beam", 1), ("astar", None), ("astar", 8)]
+    )
+    def test_valid_search_config_accepted(self, strategy, width):
+        config = SynthesisConfig(search_strategy=strategy, beam_width=width)
+        assert (config.search_strategy, config.beam_width) == (strategy, width)
+
+
+class TestBeamRankOrder:
+    """Ranking key ``(max(vector), sum(stage))``; exact ties keep input order."""
+
+    def test_equal_keys_keep_input_order(self):
+        vectors = [(2.0, 1.0)] * 4
+        stages = [(0.5, 0.5)] * 4
+        assert beam_rank_order(vectors, stages) == [0, 1, 2, 3]
+
+    def test_tie_resolution_depends_on_input_order(self):
+        """Position, not content, decides a pure tie."""
+        tied_a = (2.0, 1.0)
+        tied_b = (1.0, 2.0)  # same max, same sum
+        stages = [(0.5, 0.5), (0.5, 0.5)]
+        assert beam_rank_order([tied_a, tied_b], stages) == [0, 1]
+        assert beam_rank_order([tied_b, tied_a], stages) == [0, 1]
+
+    def test_primary_key_then_work_tie_break(self):
+        vectors = [(4.0, 1.0), (2.0, 3.0), (3.0, 2.0)]
+        stages = [(1.0, 1.0), (3.0, 1.0), (0.5, 0.5)]
+        # finals 4.0, 3.0, 3.0; works 2.0, 4.0, 1.0
+        assert beam_rank_order(vectors, stages) == [2, 1, 0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_inputs_match_a_stable_sort(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        vectors = []
+        stages = []
+        for _ in range(17):
+            stage = tuple(rng.choice([0.25, 0.5, 1.0, 2.0]) for _ in range(4))
+            closed = rng.choice([0.0, 1.0, 1.5])
+            vectors.append(tuple(closed + s for s in stage))
+            stages.append(stage)
+        keys = [(max(v), sum(s)) for v, s in zip(vectors, stages)]
+        assert beam_rank_order(vectors, stages) == sorted(range(17), key=keys.__getitem__)
