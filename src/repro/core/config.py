@@ -59,26 +59,20 @@ class SynthesisConfig:
             ``beam_width`` cheapest distribution states per level; this is
             what makes Python-side synthesis scale to the full benchmark
             models.  ``"astar"`` runs the priority-queue search of Fig. 10.
-        follow_topological_order: when True (the default) computation nodes
-            are emulated following one fixed topological order of the
-            single-device graph and communication rules are only applied when
-            they enable the next node.  This is the reproduction's analogue of
-            the paper's search-time optimisations for large models: it
-            preserves the per-node sharding/communication choices (the
-            decisions that matter for cost) while removing the combinatorial
-            freedom of interleaving unrelated instructions.  Setting it to
-            False recovers the unrestricted search of Fig. 10, which is only
-            practical for small graphs in pure Python.
-        enable_block_reuse: detect repeated subgraph blocks (transformer
-            layers, their backward blocks, per-layer optimizer updates) in the
-            topological emulation order and replay the beam-search decisions
-            of the first occurrence across the later ones instead of
-            re-expanding the full per-level candidate set.  Every replayed
-            step re-runs the exact cost model on the occurrence's own rules,
-            and replay is guarded by a structural entry signature — any
-            mismatch falls back to full expansion (and re-records the block),
-            so the synthesized program is identical to the flag-off path.
-            Only the level-synchronised beam search uses it.
+        follow_topological_order: A* only.  When True (the default) the A*
+            search emulates computation nodes following one fixed
+            topological order of the single-device graph and applies
+            communication rules only when they enable the next node.  This is
+            the reproduction's analogue of the paper's search-time
+            optimisations for large models: it preserves the per-node
+            sharding/communication choices (the decisions that matter for
+            cost) while removing the combinatorial freedom of interleaving
+            unrelated instructions.  Setting it to False recovers the
+            unrestricted search of Fig. 10, which is only practical for small
+            graphs in pure Python.  The beam search always walks the
+            topological order, replaying repeated blocks (transformer layers,
+            their backward blocks, per-layer optimizer updates) from the
+            decisions recorded on an earlier occurrence, and ignores the flag.
         verify_after_plan: run the static program verifier
             (:func:`repro.verify.verify_program` — dataflow, collective
             legality, compute-flag and cost-accounting checks) on the
@@ -98,7 +92,6 @@ class SynthesisConfig:
     beam_width: Optional[int] = 32
     follow_topological_order: bool = True
     search_strategy: str = "beam"
-    enable_block_reuse: bool = False
     verify_after_plan: bool = field(default_factory=verify_default)
     # Baseline-emulation switches (used by repro.baselines, not by HAP itself):
     # restrict the theory so only data-parallel programs exist, optionally with
@@ -130,6 +123,10 @@ class LoadBalancerConfig:
     respect_memory: bool = False
     solver_method: str = "highs"
 
+    def __post_init__(self) -> None:
+        if self.num_segments < 1:
+            raise ValueError(f"num_segments must be >= 1, got {self.num_segments}")
+
 
 @dataclass
 class PlannerConfig:
@@ -153,3 +150,7 @@ class PlannerConfig:
     load_balancer: LoadBalancerConfig = field(default_factory=LoadBalancerConfig)
     enable_load_balancer: bool = True
     enable_synthesizer: bool = True
+
+    def __post_init__(self) -> None:
+        if self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")

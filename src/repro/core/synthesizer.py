@@ -185,38 +185,46 @@ class _OccurrenceInfo:
 
 
 class _BlockRecord:
-    """Recorded beam decisions of one block template.
+    """Recorded beam decisions of one block template, normalized lazily.
 
-    ``levels[j]`` holds, per surviving beam state of in-block level ``j``, the
-    pair ``(parent index in the entering beam, descriptor chain)`` where the
-    chain lists the applied rules (enabling collectives, then the computation
-    rule) as block-local structural descriptors.  ``needed[j]`` is the set of
-    level-``j`` beam positions consumed by later levels (the rest were padding
-    in the template's beam and need not be replayed); the final level is
-    needed in full, since the post-block search continues from it.
-    ``exit_rel`` describes, per exit-beam position, the block-relevant part of
-    the template's exit state — (property encodings, communicated ref indices,
-    completed ref indices) — from which a replay reconstructs the occurrence's
-    exit states directly: context irrelevant to the block passes through a
-    block unchanged (liveness drops, completions and communications only ever
-    touch the block's own references), so only cost accumulation needs to walk
-    the decision chains.
+    A full expansion keeps only the beam it entered the block with
+    (``entry``) and the beam it left with (``exits``).  Search nodes are
+    immutable and point at their parents, so each exit state's lineage back
+    to the entry beam holds the decisions that led to it.  Only when a later
+    occurrence's entry signature matches are they read back, once, by
+    :meth:`ProgramSynthesizer._normalized`; most recorded blocks never match
+    and never pay for it.
+
+    Normalized, ``levels[j]`` lists the distinct level-``j`` states on those
+    lineages as ``(parent position in level j-1, or in the entry beam for
+    j = 0; descriptor chain)``: the applied rules (enabling collectives, then
+    the computation rule) as block-local structural descriptors.  States the
+    template's beam kept but no exit state descends from were padding and are
+    not replayed.  The last level is in exit-beam order.  ``exit_rel``
+    describes, per exit-beam position, the block-relevant part of the
+    template's exit state — (property encodings, communicated ref indices,
+    completed ref indices) — from which a replay reconstructs the
+    occurrence's exit states directly: context irrelevant to the block passes
+    through a block unchanged (liveness drops, completions and communications
+    only ever touch the block's own references), so only cost accumulation
+    needs to walk the decision chains.
     """
 
-    __slots__ = ("entry_sig", "levels", "needed", "exit_rel")
+    __slots__ = ("entry_sig", "entry", "exits", "info", "levels", "exit_rel")
 
     def __init__(
-        self, entry_sig: Tuple, levels: List[List[Tuple]], exit_rel: List[Tuple]
+        self,
+        entry_sig: Tuple,
+        entry: List[_SearchNode],
+        exits: List[_SearchNode],
+        info: _OccurrenceInfo,
     ) -> None:
         self.entry_sig = entry_sig
-        self.levels = levels
-        self.exit_rel = exit_rel
-        needed: List[Set[int]] = [set() for _ in levels]
-        if levels:
-            needed[-1] = set(range(len(levels[-1])))
-            for j in range(len(levels) - 2, -1, -1):
-                needed[j] = {levels[j + 1][pos][0] for pos in needed[j + 1]}
-        self.needed = needed
+        self.entry = entry
+        self.exits = exits
+        self.info = info
+        self.levels: Optional[List[List[Tuple]]] = None
+        self.exit_rel: List[Tuple] = []
 
 
 class ProgramSynthesizer:
@@ -247,8 +255,8 @@ class ProgramSynthesizer:
             if n.kind is not OpKind.SOURCE
         )
         self._ideal_cache: Dict[str, float] = {}
-        # Topological emulation order (non-source nodes only) used when
-        # ``config.follow_topological_order`` is set.
+        # Topological emulation order (non-source nodes only): the beam
+        # search's, and A*'s when ``config.follow_topological_order`` is set.
         self._topo_order = [n.name for n in graph if n.kind is not OpKind.SOURCE]
         #: completion-bitmask of each topological-order node (topo_ptr scans).
         self._topo_masks = [1 << self._node_index[name] for name in self._topo_order]
@@ -284,15 +292,12 @@ class ProgramSynthesizer:
         self._plan_ratios: Optional[Tuple[float, ...]] = None
         #: id(rule) -> precondition bits in deterministic order (_ordered_pre).
         self._pre_order_cache: Dict[int, Tuple[int, ...]] = {}
-        # -- block reuse (config.enable_block_reuse) ---------------------------
+        # -- block reuse (beam search) ------------------------------------------
         #: segment schedule over the topological order: plain nodes plus
         #: repeated-block occurrences (built lazily on first beam search).
         self._reuse_segments: Optional[List[Tuple]] = None
         #: (id(run), occurrence index) -> per-occurrence static info.
         self._occ_info: Dict[Tuple[int, int], _OccurrenceInfo] = {}
-        #: id(run) -> recorded template decisions (reset per synthesize call;
-        #: decisions depend on the sharding ratios).
-        self._reuse_records: Dict[int, _BlockRecord] = {}
         #: per-synthesize block-reuse accounting (inspectable after a run).
         self.reuse_stats: Dict[str, int] = {}
 
@@ -576,25 +581,27 @@ class ProgramSynthesizer:
         that establish the variant's missing preconditions, and keeps the
         ``beam_width`` cheapest resulting states (after merging states that
         are identical or dominated device-wise; ``None`` keeps them all).
+
+        The order is walked as :meth:`_reuse_schedule`'s plain nodes and
+        repeated-block occurrences; an occurrence replays an earlier one's
+        decisions, with exact costs, when their entry signatures match.
         """
         start = _time.perf_counter()
         beam_width = self.config.beam_width
         states: List[_SearchNode] = [self._root()]
         self._bm_expanded = 0
         self._bm_generated = 1
-
-        if self.config.enable_block_reuse and self.config.follow_topological_order:
-            self._reuse_records = {}
-            self.reuse_stats = {"occurrences": 0, "replayed": 0, "recorded": 0, "fallbacks": 0}
-            for segment in self._reuse_schedule():
-                if segment[0] == "node":
-                    states = self._beam_level(states, segment[1], ratios, beam_width)
-                else:
-                    _, run, occ_idx = segment
-                    states = self._block_occurrence(states, run, occ_idx, ratios, beam_width)
-        else:
-            for node_name in self._topo_order:
-                states = self._beam_level(states, node_name, ratios, beam_width)
+        self.reuse_stats = {"occurrences": 0, "replayed": 0, "recorded": 0, "fallbacks": 0}
+        # id(run) -> template decisions (per call: they depend on the ratios).
+        records: Dict[int, _BlockRecord] = {}
+        for segment in self._reuse_schedule():
+            if segment[0] == "node":
+                states = self._beam_level(states, segment[1], ratios, beam_width)
+            else:
+                _, run, occ_idx = segment
+                states = self._block_occurrence(
+                    states, run, occ_idx, ratios, beam_width, records
+                )
 
         complete = [s for s in states if self._is_complete(s)]
         if not complete:
@@ -610,14 +617,8 @@ class ProgramSynthesizer:
         node_name: str,
         ratios: Sequence[float],
         beam_width: Optional[int],
-        record_into: Optional[List[Tuple]] = None,
     ) -> List[_SearchNode]:
-        """Expand one topological-order node and keep the best states.
-
-        When ``record_into`` is given, the surviving states are additionally
-        recorded as ``(parent index in the entering beam, applied-rule chain)``
-        pairs so a repeated-block occurrence can replay them.
-        """
+        """Expand one topological-order node and keep the best states."""
         children: Dict[Tuple[int, int, int], Tuple[_SearchNode, Tuple[float, ...]]] = {}
         comp_rules = self.theory.comp_rules_by_node.get(node_name, [])
         if not comp_rules:
@@ -650,20 +651,9 @@ class ProgramSynthesizer:
         order = beam_rank_order(
             [e[1] for e in entries], [e[0].stage_comp for e in entries]
         )
-        survivors = [entries[i][0] for i in order[:beam_width]]
-        if record_into is not None:
-            origin = {id(s): i for i, s in enumerate(states)}
-            for survivor in survivors:
-                chain: List[Rule] = []
-                cursor: Optional[_SearchNode] = survivor
-                while cursor is not None and id(cursor) not in origin:
-                    chain.append(cursor.rule)  # type: ignore[arg-type]
-                    cursor = cursor.parent
-                assert cursor is not None
-                record_into.append((origin[id(cursor)], tuple(reversed(chain))))
-        return survivors
+        return [entries[i][0] for i in order[:beam_width]]
 
-    # -- repeated-block record/replay (config.enable_block_reuse) ----------------------
+    # -- repeated-block record/replay ---------------------------------------------------
     def _reuse_schedule(self) -> List[Tuple]:
         """Segment the topological order into plain nodes and block occurrences."""
         if self._reuse_segments is not None:
@@ -727,6 +717,7 @@ class ProgramSynthesizer:
         occ_idx: int,
         ratios: Sequence[float],
         beam_width: Optional[int],
+        records: Dict[int, _BlockRecord],
     ) -> List[_SearchNode]:
         """Process one occurrence of a repeated block: replay or record.
 
@@ -738,7 +729,7 @@ class ProgramSynthesizer:
         """
         info = self._occ_info[(id(run), occ_idx)]
         sig = self._block_entry_signature(states, info)
-        record = self._reuse_records.get(id(run))
+        record = records.get(id(run))
         self.reuse_stats["occurrences"] += 1
         if record is not None and record.entry_sig == sig:
             replayed = self._replay_block(states, info, record, ratios)
@@ -747,18 +738,10 @@ class ProgramSynthesizer:
                 return replayed
             self.reuse_stats["fallbacks"] += 1
         self.reuse_stats["recorded"] += 1
-        levels: List[List[Tuple]] = []
+        entry = states
         for node_name in info.node_names:
-            decisions: List[Tuple] = []
-            states = self._beam_level(
-                states, node_name, ratios, beam_width, record_into=decisions
-            )
-            levels.append(decisions)
-        self._reuse_records[id(run)] = _BlockRecord(
-            entry_sig=sig,
-            levels=self._normalize_levels(levels, info),
-            exit_rel=[self._exit_encoding(state, info) for state in states],
-        )
+            states = self._beam_level(states, node_name, ratios, beam_width)
+        records[id(run)] = _BlockRecord(sig, entry, states, info)
         return states
 
     def _exit_encoding(self, state: _SearchNode, info: _OccurrenceInfo) -> Tuple:
@@ -778,19 +761,40 @@ class ProgramSynthesizer:
         )
         return (rel_props, rel_comm, rel_completed)
 
-    def _normalize_levels(
-        self, levels: List[List[Tuple]], info: _OccurrenceInfo
-    ) -> List[List[Tuple]]:
-        """Convert recorded rule chains into block-local structural descriptors."""
-        out: List[List[Tuple]] = []
-        for decisions in levels:
-            converted: List[Tuple] = []
-            for parent_idx, chain in decisions:
-                converted.append(
-                    (parent_idx, tuple(self._rule_descriptor(rule, info) for rule in chain))
-                )
-            out.append(converted)
-        return out
+    def _normalized(self, record: _BlockRecord) -> List[List[Tuple]]:
+        """The record's decisions as block-local descriptor chains.
+
+        Built, with ``exit_rel``, on the record's first entry-signature
+        match, by walking each exit state's parents back to the entry beam.
+        Every level applies exactly one computation rule, which closes it.
+        """
+        if record.levels is None:
+            info = record.info
+            origin = {id(state): i for i, state in enumerate(record.entry)}
+            levels: List[List[Tuple]] = [[] for _ in info.node_names]
+            positions: List[Dict[int, int]] = [{} for _ in info.node_names]
+            for exit_state in record.exits:
+                lineage: List[_SearchNode] = []
+                cursor: Optional[_SearchNode] = exit_state
+                while cursor is not None and id(cursor) not in origin:
+                    lineage.append(cursor)
+                    cursor = cursor.parent
+                assert cursor is not None
+                parent, level, rules = origin[id(cursor)], 0, []
+                for node in reversed(lineage):
+                    rule: Rule = node.rule  # type: ignore[assignment]
+                    rules.append(rule)
+                    if not rule.completes:
+                        continue  # an enabling collective
+                    position = positions[level].get(id(node))
+                    if position is None:
+                        position = positions[level][id(node)] = len(levels[level])
+                        chain = tuple(self._rule_descriptor(r, info) for r in rules)
+                        levels[level].append((parent, chain))
+                    parent, level, rules = position, level + 1, []
+            record.levels = levels
+            record.exit_rel = [self._exit_encoding(state, info) for state in record.exits]
+        return record.levels
 
     def _rule_descriptor(self, rule: Rule, info: _OccurrenceInfo) -> Tuple:
         """Block-local descriptor of a rule: (kind, lookup ref index, signature).
@@ -941,13 +945,12 @@ class ProgramSynthesizer:
             i: (s.closed_cost, s.stage_comp, s.completed_ideal, s.depth, s, i)
             for i, s in enumerate(states)
         }
+        levels = self._normalized(record)
         applied = 0
-        for level, decisions in enumerate(record.levels):
+        for level, decisions in enumerate(levels):
             node_name = info.node_names[level]
-            needed = record.needed[level]
             new_states: Dict[int, Tuple] = {}
-            for position in sorted(needed):
-                parent_idx, chain = decisions[position]
+            for position, (parent_idx, chain) in enumerate(decisions):
                 entry = current.get(parent_idx)
                 if entry is None:
                     return None
@@ -976,15 +979,15 @@ class ProgramSynthesizer:
                 return None
             current = new_states
         self._bm_generated += applied
-        self._bm_expanded += len(record.levels)
-        # Reconstruct the exit beam (final level is needed in full, so the
-        # positions are contiguous and sorting restores the template order).
+        self._bm_expanded += len(levels)
+        # Reconstruct the exit beam (the last level is in exit-beam order).
         out: List[_SearchNode] = []
-        for position in sorted(current):
-            closed, stage, ideal, depth, tail, root_idx = current[position]
+        for exit_rel, (closed, stage, ideal, depth, tail, root_idx) in zip(
+            record.exit_rel, current.values()
+        ):
             exit_state = self._reconstruct_exit(
                 states[root_idx],
-                record.exit_rel[position],
+                exit_rel,
                 info,
                 closed,
                 stage,

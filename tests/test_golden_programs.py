@@ -8,13 +8,14 @@ configuration and records
   is free of node names and of the interpreter's hash seed;
 * the synthesizer's cost estimate as ``float.hex`` (bit-exact);
 * the ``expanded_states`` / ``generated_states`` counters, which pin what
-  the search explored, not only what it returned, and with block reuse on
-  the synthesizer's ``reuse_stats`` (which occurrences were replayed).
+  the search explored, not only what it returned, and for the beam search
+  the synthesizer's ``reuse_stats`` (which block occurrences were replayed).
 
 The models are the ``mlp`` / ``tiny_transformer`` / ``tiny_moe`` fixtures of
 ``tests/conftest.py`` plus a three-layer transformer whose repeated layers
-give block reuse something to replay.  The clusters are the 4-device cluster of
-``tests/test_optimization_parity.py`` and an 8-device A100/P100 cluster.
+give the beam search's block reuse something to replay.  The clusters are
+the 4-device cluster of ``tests/test_optimization_parity.py`` and an
+8-device A100/P100 cluster.
 Refactors of the theory or the synthesizer must leave every record unchanged
 under any ``PYTHONHASHSEED``.
 
@@ -75,7 +76,6 @@ CLUSTERS = {
 #: Search configuration name -> SynthesisConfig overrides (beam width 8).
 SEARCHES: Dict[str, Dict[str, Any]] = {
     "beam": {},
-    "beam-reuse": {"enable_block_reuse": True},
     "astar": {"search_strategy": "astar"},
     "astar-unordered": {"search_strategy": "astar", "follow_topological_order": False},
 }
@@ -116,7 +116,7 @@ def program_record(case: str) -> Dict[str, Any]:
         "expanded_states": result.expanded_states,
         "generated_states": result.generated_states,
     }
-    if config.enable_block_reuse:
+    if config.search_strategy == "beam":
         record["reuse_stats"] = dict(synthesizer.reuse_stats)
     return record
 

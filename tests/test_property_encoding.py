@@ -128,11 +128,10 @@ def _reversed_bits(theory: Theory) -> Theory:
     "search",
     [
         {"search_strategy": "beam"},
-        {"search_strategy": "beam", "enable_block_reuse": True},
         {"search_strategy": "astar"},
         {"search_strategy": "astar", "follow_topological_order": False},
     ],
-    ids=["beam", "beam-reuse", "astar", "astar-unordered"],
+    ids=["beam", "astar", "astar-unordered"],
 )
 def test_bit_order_never_orders_the_search(search):
     theory = _theory("tiny_moe")
