@@ -370,10 +370,6 @@ class ClusterPartition:
         total = sum(flops)
         return [f / total for f in flops]
 
-    def transfer_time(self, nbytes: float) -> float:
-        """Point-to-point time to move ``nbytes`` between adjacent groups."""
-        return self.inter_group_network.latency + nbytes / self.inter_group_network.bandwidth
-
     def describe(self) -> str:
         """Human-readable partition summary."""
         lines = [

@@ -1,7 +1,7 @@
 """HAP core: properties, background theory, A* synthesis, LP load balancing."""
 
 from .config import LoadBalancerConfig, PlannerConfig, SynthesisConfig
-from .costmodel import CostBreakdown, CostModel, StageCoefficientArrays, StageCoefficients
+from .costmodel import CostBreakdown, CostModel, StageCoefficients
 from .hierarchical import (
     ChunkPlan,
     HierarchicalConfig,
@@ -12,7 +12,7 @@ from .hierarchical import (
 )
 from .instructions import CommInstruction, CompInstruction, Instruction, is_source_op
 from .load_balancer import LoadBalancer, LoadBalanceResult, integer_shard_sizes
-from .pareto import ParetoFront, ParetoStore, dominates
+from .pareto import ParetoFront
 from .pipeline import HAPPlan, HAPPlanner, OptimizationRound
 from .plancache import (
     CACHE_VERSION,
@@ -37,7 +37,6 @@ __all__ = [
     "CostModel",
     "CostBreakdown",
     "StageCoefficients",
-    "StageCoefficientArrays",
     "CompInstruction",
     "CommInstruction",
     "Instruction",
@@ -46,8 +45,6 @@ __all__ = [
     "LoadBalanceResult",
     "integer_shard_sizes",
     "ParetoFront",
-    "ParetoStore",
-    "dominates",
     "HAPPlanner",
     "HAPPlan",
     "OptimizationRound",

@@ -133,9 +133,14 @@ class PlannerConfig:
     """Configuration of the full iterative optimisation (Sec. 3.1).
 
     Attributes:
-        max_rounds: maximum number of (Q, B) alternation rounds.
+        max_rounds: maximum number of (Q, B) alternation rounds.  Known
+            defect: the alternation never runs a second round.  The previous
+            cost starts at ``inf``, so round 1 always passes the convergence
+            test (``inf - cost <= tolerance * inf``) and :meth:`HAPPlanner.plan`
+            stops; any ``max_rounds >= 1`` yields ``len(plan.rounds) == 1``.
         convergence_tolerance: relative cost improvement below which the
-            alternation stops.
+            alternation stops.  Because of the ``max_rounds`` defect above it
+            is never consulted with a finite previous cost.
         synthesis: synthesizer configuration.
         load_balancer: load-balancer configuration.
         enable_load_balancer: if False the initial (computation-proportional)

@@ -33,10 +33,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cluster.spec import ClusterSpec, CommOverlapModel
-from ..collectives.cost import CollectiveCostModel, CollectiveKind
+from ..collectives.cost import CollectiveCostModel
 from ..graph.graph import ComputationGraph
-from .instructions import CommInstruction, CompInstruction, Instruction
-from .program import DistributedProgram, Stage
+from .instructions import CommInstruction, CompInstruction
+from .program import DistributedProgram
 
 
 @dataclass
@@ -102,115 +102,6 @@ class StageCoefficients:
         return comp + self.exposed_comm(ratios, overlap, comm, comp)
 
 
-class StageCoefficientArrays:
-    """A program's :class:`StageCoefficients` stacked into numpy arrays.
-
-    Prices ``K`` ratio assignments per call instead of one (the planner's
-    per-round pricing path).  Bit-identical to the scalar path by construction: every per-device quantity is computed by the
-    same elementwise operations in the same order (``slope * ratio + const``,
-    then the max/min/subtract chain of :meth:`StageCoefficients.exposed_comm`),
-    and per-stage totals are accumulated stage by stage with ``+=`` — never
-    :func:`numpy.sum`, whose pairwise reduction would round differently.
-
-    Attributes:
-        num_stages: number of synchronisation stages ``S``.
-        num_devices: number of virtual devices ``m``.
-        segments: per-stage model-segment index, length ``S``.
-        comm_const / comm_slope: shape ``(S,)`` collective-time lines.
-        comp_slope / comp_const: shape ``(S, m)`` per-device compute lines.
-        indep_slope / indep_const: shape ``(S, m)`` overlap-window lines.
-    """
-
-    def __init__(self, coeffs: Sequence[StageCoefficients], num_devices: int) -> None:
-        m = num_devices
-        self.num_stages = len(coeffs)
-        self.num_devices = m
-        self.segments: List[int] = [c.segment for c in coeffs]
-        self.comm_const = np.array([c.comm_const for c in coeffs], dtype=float)
-        self.comm_slope = np.array([c.comm_slope for c in coeffs], dtype=float)
-        zeros = [0.0] * m
-        self.comp_slope = np.array([c.comp_slope for c in coeffs], dtype=float).reshape(-1, m)
-        self.comp_const = np.array([c.comp_const for c in coeffs], dtype=float).reshape(-1, m)
-        self.indep_slope = np.array(
-            [list(c.indep_slope) or zeros for c in coeffs], dtype=float
-        ).reshape(-1, m)
-        self.indep_const = np.array(
-            [list(c.indep_const) or zeros for c in coeffs], dtype=float
-        ).reshape(-1, m)
-
-    @property
-    def num_segments(self) -> int:
-        return max(self.segments, default=0) + 1
-
-    def breakdowns(self, seg_ratios: np.ndarray, overlap: float) -> List[CostBreakdown]:
-        """Price ``K`` ratio assignments; one :class:`CostBreakdown` each.
-
-        Args:
-            seg_ratios: array of shape ``(K, G, m)`` — candidate ``k`` assigns
-                ``seg_ratios[k, g]`` to stages of segment ``g`` (``G`` must
-                cover every index in :attr:`segments`).
-            overlap: communication/computation overlap efficiency.
-        """
-        totals = self._accumulate(seg_ratios, overlap, want_detail=True)
-        total_comm, total_comp, total_exposed, stage_times = totals
-        out: List[CostBreakdown] = []
-        for k in range(seg_ratios.shape[0]):
-            out.append(
-                CostBreakdown(
-                    total=float(total_comp[k] + total_exposed[k]),
-                    communication=float(total_comm[k]),
-                    computation=float(total_comp[k]),
-                    stage_times=[float(t[k]) for t in stage_times],
-                    exposed_communication=float(total_exposed[k]),
-                    hidden_communication=float(total_comm[k] - total_exposed[k]),
-                )
-            )
-        return out
-
-    def times(self, ratios: np.ndarray, overlap: float) -> np.ndarray:
-        """Total estimated seconds for ``K`` single-segment ratio vectors.
-
-        ``ratios`` has shape ``(K, m)``; every stage is priced with its row
-        (per-segment assignments go through :meth:`breakdowns`).  Returns a
-        ``(K,)`` array equal, element for element, to ``K`` scalar
-        :meth:`CostModel.evaluate` calls.
-        """
-        ratios = np.asarray(ratios, dtype=float)
-        total_comm, total_comp, total_exposed, _ = self._accumulate(
-            ratios[:, None, :], overlap, want_detail=False
-        )
-        return total_comp + total_exposed
-
-    def _accumulate(
-        self, seg_ratios: np.ndarray, overlap: float, want_detail: bool
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[np.ndarray]]:
-        seg_ratios = np.asarray(seg_ratios, dtype=float)
-        k = seg_ratios.shape[0]
-        total_comm = np.zeros(k)
-        total_comp = np.zeros(k)
-        total_exposed = np.zeros(k)
-        stage_times: List[np.ndarray] = []
-        for i in range(self.num_stages):
-            r = seg_ratios[:, self.segments[i], :]  # (K, m)
-            comm = self.comm_const[i] + self.comm_slope[i] * r.max(axis=1)
-            comp_dev = self.comp_slope[i] * r + self.comp_const[i]
-            comp = comp_dev.max(axis=1)
-            if overlap == 0.0:
-                exposed = comm
-            else:
-                indep = np.maximum(self.indep_slope[i] * r + self.indep_const[i], 0.0)
-                wall = (
-                    comp_dev + comm[:, None] - overlap * np.minimum(comm[:, None], indep)
-                ).max(axis=1)
-                exposed = wall - comp
-            total_comm += comm
-            total_comp += comp
-            total_exposed += exposed
-            if want_detail:
-                stage_times.append(comp + exposed)
-        return total_comm, total_comp, total_exposed, stage_times
-
-
 @dataclass
 class CostBreakdown:
     """Estimated per-iteration time of a program, with per-stage detail.
@@ -236,14 +127,16 @@ class CostBreakdown:
 class CostModel:
     """Estimates ``t(Q, B)`` for distributed programs on a cluster.
 
+    A program is priced one way: :meth:`stage_coefficients` linearises it
+    once per ``(program, segment_of)`` pair (cached, so one planner round's
+    pricing and its LP share the linearisation), and :meth:`evaluate` /
+    :meth:`evaluate_many` walk those stage lines with scalar arithmetic.
+    :meth:`phase_profile` prices the same stages per instruction and splits
+    them into pipeline phases.
+
     Args:
         graph: the single-device training graph being distributed.
         cluster: the target cluster.
-        memoize: cache per-(instruction, ratios-signature) evaluations of
-            :meth:`comp_times` and :meth:`comm_time`.  During synthesis the
-            same rule is applied to thousands of partial programs under the
-            same sharding ratios, so the hit rate is very high; the cached
-            values are exactly what the uncached path computes.
         overlap: communication/computation overlap efficiency used by
             :meth:`evaluate` and :meth:`phase_profile`; defaults to the
             cluster's ``comm_overlap_efficiency``.  Pass 0.0 for the fully
@@ -254,7 +147,6 @@ class CostModel:
         self,
         graph: ComputationGraph,
         cluster: ClusterSpec,
-        memoize: bool = True,
         overlap: Optional[float] = None,
     ) -> None:
         self.graph = graph
@@ -268,21 +160,15 @@ class CostModel:
         self.devices = cluster.virtual_devices
         self.num_devices = cluster.num_devices
         self.collectives = CollectiveCostModel(cluster)
-        self.memoize = memoize
         self._flops_cache: Dict[str, float] = {}
         self._bytes_cache: Dict[str, int] = {}
         self._device_flops = cluster.device_flops()
-        self._comp_memo: Dict[Tuple[CompInstruction, Tuple[float, ...]], Tuple[float, ...]] = {}
-        self._comm_memo: Dict[Tuple[CommInstruction, Tuple[float, ...]], float] = {}
-        # Per-(program, segmentation) coefficient caches.  Keys are object
+        # Per-(program, segmentation) coefficient cache.  Keys are object
         # ids; the values keep strong references to the keyed objects so an
         # id can never be recycled while its entry is alive.  Programs are
         # immutable once synthesized, so the cached lists stay valid.
         self._coeff_memo: Dict[
             Tuple[int, int], Tuple[object, object, List[StageCoefficients]]
-        ] = {}
-        self._array_memo: Dict[
-            Tuple[int, int], Tuple[object, object, StageCoefficientArrays]
         ] = {}
 
     # -- per-node cached quantities ------------------------------------------
@@ -297,17 +183,8 @@ class CostModel:
         return self._bytes_cache[name]
 
     # -- per-instruction costs --------------------------------------------------
-    def comp_times(self, instr: CompInstruction, ratios: Sequence[float]) -> Sequence[float]:
+    def comp_times(self, instr: CompInstruction, ratios: Sequence[float]) -> List[float]:
         """Per-device execution time of one computation instruction."""
-        if self.memoize:
-            key = (instr, tuple(ratios))
-            cached = self._comp_memo.get(key)
-            if cached is None:
-                cached = self._comp_memo[key] = tuple(self._comp_times(instr, ratios))
-            return cached
-        return self._comp_times(instr, ratios)
-
-    def _comp_times(self, instr: CompInstruction, ratios: Sequence[float]) -> List[float]:
         flops = self.node_flops(instr.node)
         times: List[float] = []
         for j in range(len(self.devices)):
@@ -333,15 +210,6 @@ class CostModel:
 
     def comm_time(self, instr: CommInstruction, ratios: Sequence[float]) -> float:
         """Execution time of one collective instruction."""
-        if self.memoize:
-            key = (instr, tuple(ratios))
-            cached = self._comm_memo.get(key)
-            if cached is None:
-                cached = self._comm_memo[key] = self._comm_time(instr, ratios)
-            return cached
-        return self._comm_time(instr, ratios)
-
-    def _comm_time(self, instr: CommInstruction, ratios: Sequence[float]) -> float:
         nbytes = float(self.ref_bytes(instr.input.ref))
         time = self.collectives.collective_time(instr.kind, nbytes, ratios)
         time += self._intra_collective_overhead(nbytes, ratios)
@@ -381,49 +249,8 @@ class CostModel:
                 (``self.overlap``); 0.0 gives the serialized estimate.
         """
         e = self.overlap if overlap is None else overlap
-        total_comm = 0.0
-        total_comp = 0.0
-        total_exposed = 0.0
-        stage_times: List[float] = []
-        for coeff in self.stage_coefficients(program, segment_of):
-            seg_ratios = list(ratios)
-            if ratios_per_segment is not None and coeff.segment in ratios_per_segment:
-                seg_ratios = list(ratios_per_segment[coeff.segment])
-            comm = coeff.comm_time(seg_ratios)
-            comp = coeff.comp_time(seg_ratios)
-            exposed = coeff.exposed_comm(seg_ratios, e, comm, comp)
-            total_comm += comm
-            total_comp += comp
-            total_exposed += exposed
-            stage_times.append(comp + exposed)
-        return CostBreakdown(
-            total=total_comp + total_exposed,
-            communication=total_comm,
-            computation=total_comp,
-            stage_times=stage_times,
-            exposed_communication=total_exposed,
-            hidden_communication=total_comm - total_exposed,
-        )
-
-    def coefficient_arrays(
-        self,
-        program: DistributedProgram,
-        segment_of: Optional[Mapping[str, int]] = None,
-    ) -> StageCoefficientArrays:
-        """Stacked-array view of :meth:`stage_coefficients` (memoized alike)."""
-        if not self.memoize:
-            return StageCoefficientArrays(
-                self.stage_coefficients(program, segment_of), self.num_devices
-            )
-        key = (id(program), id(segment_of))
-        hit = self._array_memo.get(key)
-        if hit is not None and hit[0] is program and hit[1] is segment_of:
-            return hit[2]
-        arrays = StageCoefficientArrays(
-            self.stage_coefficients(program, segment_of), self.num_devices
-        )
-        self._array_memo[key] = (program, segment_of, arrays)
-        return arrays
+        coeffs = self.stage_coefficients(program, segment_of)
+        return _price(coeffs, ratios, ratios_per_segment, e)
 
     def evaluate_many(
         self,
@@ -434,41 +261,15 @@ class CostModel:
         segment_of: Optional[Mapping[str, int]] = None,
         overlap: Optional[float] = None,
     ) -> List[CostBreakdown]:
-        """Batched :meth:`evaluate`: price ``K`` ratio assignments in one pass.
+        """:meth:`evaluate` for ``K`` ratio assignments of one program.
 
         Each entry of ``ratio_sets`` is a ``(ratios, ratios_per_segment)``
-        pair with the same meaning as the :meth:`evaluate` arguments.  The
-        returned breakdowns are bit-identical to ``K`` scalar calls (see
-        :class:`StageCoefficientArrays`), but the program is linearised once
-        and the per-stage arithmetic runs on stacked arrays.
+        pair with the same meaning as the :meth:`evaluate` arguments; each
+        breakdown is exactly what :meth:`evaluate` returns for that pair.
         """
         e = self.overlap if overlap is None else overlap
-        arrays = self.coefficient_arrays(program, segment_of)
-        g = arrays.num_segments
-        m = arrays.num_devices
-        tensor = np.empty((len(ratio_sets), g, m), dtype=float)
-        for k, (base, per_segment) in enumerate(ratio_sets):
-            base_row = np.asarray(list(base), dtype=float)
-            for seg in range(g):
-                if per_segment is not None and seg in per_segment:
-                    tensor[k, seg] = np.asarray(list(per_segment[seg]), dtype=float)
-                else:
-                    tensor[k, seg] = base_row
-        return arrays.breakdowns(tensor, e)
-
-    def evaluate_batch(
-        self,
-        program: DistributedProgram,
-        ratios: np.ndarray,
-        overlap: Optional[float] = None,
-    ) -> np.ndarray:
-        """Total times of ``K`` single-segment ratio vectors, shape ``(K,)``.
-
-        ``ratios`` is ``(K, num_devices)``; equivalent to ``K``
-        ``evaluate(program, ratios[k]).total`` calls, bit for bit.
-        """
-        e = self.overlap if overlap is None else overlap
-        return self.coefficient_arrays(program).times(np.asarray(ratios, dtype=float), e)
+        coeffs = self.stage_coefficients(program, segment_of)
+        return [_price(coeffs, base, per_segment, e) for base, per_segment in ratio_sets]
 
     def phase_profile(
         self,
@@ -609,15 +410,12 @@ class CostModel:
     ) -> List[StageCoefficients]:
         """Linear coefficients of every stage of a program.
 
-        Memoized per ``(program, segment_of)`` identity when ``memoize`` is
-        on: one planner round prices the same program through
-        :meth:`evaluate`, the LP load balancer *and* the post-balance
-        re-evaluation, and the linearisation (two collective-model calls per
-        stage plus a per-instruction sweep) is by far the most expensive part
-        of each.  The cached list is exactly what the uncached path computes.
+        Cached per ``(program, segment_of)`` identity: one planner round
+        prices the same program through :meth:`evaluate_many`, the LP load
+        balancer *and* the post-balance re-evaluation, and the linearisation
+        (two collective-model calls per stage plus a per-instruction sweep)
+        is by far the most expensive part of each.
         """
-        if not self.memoize:
-            return self._stage_coefficients(program, segment_of)
         key = (id(program), id(segment_of))
         hit = self._coeff_memo.get(key)
         if hit is not None and hit[0] is program and hit[1] is segment_of:
@@ -681,6 +479,38 @@ class CostModel:
         with infinite bandwidth.
         """
         return self.node_flops(name) / self.cluster.total_flops()
+
+
+def _price(
+    coeffs: Sequence[StageCoefficients],
+    ratios: Sequence[float],
+    ratios_per_segment: Optional[Mapping[int, Sequence[float]]],
+    overlap: float,
+) -> CostBreakdown:
+    """Sum one ratio assignment's stage times over linearised stages."""
+    total_comm = 0.0
+    total_comp = 0.0
+    total_exposed = 0.0
+    stage_times: List[float] = []
+    for coeff in coeffs:
+        seg_ratios = list(ratios)
+        if ratios_per_segment is not None and coeff.segment in ratios_per_segment:
+            seg_ratios = list(ratios_per_segment[coeff.segment])
+        comm = coeff.comm_time(seg_ratios)
+        comp = coeff.comp_time(seg_ratios)
+        exposed = coeff.exposed_comm(seg_ratios, overlap, comm, comp)
+        total_comm += comm
+        total_comp += comp
+        total_exposed += exposed
+        stage_times.append(comp + exposed)
+    return CostBreakdown(
+        total=total_comp + total_exposed,
+        communication=total_comm,
+        computation=total_comp,
+        stage_times=stage_times,
+        exposed_communication=total_exposed,
+        hidden_communication=total_comm - total_exposed,
+    )
 
 
 # -- beam-ranking order ------------------------------------------------------------

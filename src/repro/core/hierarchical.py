@@ -51,10 +51,10 @@ from ..graph.graph import ComputationGraph, GraphError
 from ..graph.ops import OpKind
 from ..simulator.schedule import (
     SCHEDULE_NAMES,
-    ChunkTimes,
     ScheduleResult,
     StageTimes,
     get_schedule,
+    profile_stages,
     simulate_pipeline,
 )
 from .config import PlannerConfig, verify_default
@@ -160,6 +160,21 @@ class HierarchicalConfig:
     verify_after_plan: bool = field(default_factory=verify_default)
 
     def __post_init__(self) -> None:
+        for name in ("max_stages", "num_model_chunks"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.num_microbatches is not None and self.num_microbatches < 1:
+            raise ValueError(
+                f"num_microbatches must be None or >= 1, got {self.num_microbatches}"
+            )
+        for name in ("stage_candidates", "microbatch_candidates"):
+            values = getattr(self, name)
+            if values is not None and any(v < 1 for v in values):
+                raise ValueError(f"{name} entries must be >= 1, got {list(values)}")
+        if self.microbatch_overhead < 0:
+            raise ValueError(
+                f"microbatch_overhead must be >= 0, got {self.microbatch_overhead}"
+            )
         if self.recompute not in ("never", "always", "auto"):
             raise ValueError(
                 f"recompute must be 'never', 'always' or 'auto', got {self.recompute!r}"
@@ -240,11 +255,8 @@ class ChunkPlan:
 class StagePlan:
     """One physical pipeline stage: the model chunks resident on one group.
 
-    With a non-interleaved schedule a stage hosts exactly one chunk and the
-    single-chunk accessors (``plan``/``info``/``program``/``ratios``/
-    ``forward_nodes``) delegate to it; interleaved stages host
-    ``num_model_chunks`` chunk programs and those accessors raise — callers
-    must iterate ``chunks`` (the runtime and simulator do).
+    With a non-interleaved schedule a stage hosts exactly one chunk;
+    interleaved stages host ``num_model_chunks`` chunk programs.
 
     Attributes:
         index: stage position in the pipeline.
@@ -259,34 +271,6 @@ class StagePlan:
     @property
     def num_chunks(self) -> int:
         return len(self.chunks)
-
-    def _single(self) -> ChunkPlan:
-        if len(self.chunks) != 1:
-            raise ValueError(
-                f"stage {self.index} hosts {len(self.chunks)} model chunks; "
-                "use .chunks for per-chunk access"
-            )
-        return self.chunks[0]
-
-    @property
-    def plan(self) -> HAPPlan:
-        return self._single().plan
-
-    @property
-    def info(self) -> StageTrainingInfo:
-        return self._single().info
-
-    @property
-    def program(self) -> DistributedProgram:
-        return self._single().program
-
-    @property
-    def ratios(self) -> List[float]:
-        return self._single().ratios
-
-    @property
-    def forward_nodes(self) -> Set[str]:
-        return self._single().forward_nodes
 
     @property
     def send_bytes(self) -> int:
@@ -817,7 +801,8 @@ class HierarchicalPlanner:
         for chunks in self._candidate_variants(num_stages):
             built = self._build_stages(partition, chunks)
             if built is not None:
-                variants[chunks] = (built[0], built[1], self._stage_times(built[1]))
+                times = profile_stages(built[1], self._profile_chunk, self._profile_memo)
+                variants[chunks] = (built[0], built[1], times)
         if not variants:
             return None  # the graph has fewer splittable layer blocks
         best = self._search_schedules(partition, variants)
@@ -858,57 +843,10 @@ class HierarchicalPlanner:
             microbatch_overhead=0.0 if num_stages == 1 else self.config.microbatch_overhead,
         )
 
-    def _stage_times(self, stages: Sequence[StagePlan]) -> List[StageTimes]:
-        """Per-stage (and per-chunk) timing/memory inputs from the cost models.
-
-        Every chunk program is profiled individually, so the schedule
-        simulator sees real per-chunk forward/backward times and real
-        per-virtual-boundary bytes — including the wrap hop from the last
-        physical stage back to stage 0.  Chunks sharing a ``content_key``
-        (isomorphic graph, same group signature, same planner config) have
-        bit-identical profiles — the cost model never reads node names — so
-        each distinct key is profiled once per :meth:`plan` call and the
-        buckets are reused across variants and stage counts.
-        """
-        times: List[StageTimes] = []
-        for stage in stages:
-            chunk_times: List[ChunkTimes] = []
-            fwd = bwd = sync = 0.0
-            for chunk in stage.chunks:
-                key = chunk.content_key
-                buckets = self._profile_memo.get(key) if key is not None else None
-                if buckets is None:
-                    cost_model = CostModel(
-                        chunk.plan.program.graph, stage.subcluster, overlap=self.overlap
-                    )
-                    buckets = cost_model.phase_profile(
-                        chunk.plan.program, chunk.ratios, chunk.forward_nodes
-                    )
-                    if key is not None:
-                        self._profile_memo[key] = buckets
-                chunk_times.append(
-                    ChunkTimes(
-                        forward=buckets["forward"],
-                        backward=buckets["backward"],
-                        send_bytes=float(chunk.send_bytes),
-                        activation_bytes=float(chunk.activation_bytes),
-                    )
-                )
-                fwd += buckets["forward"]
-                bwd += buckets["backward"]
-                sync += buckets["sync"]
-            times.append(
-                StageTimes(
-                    forward=fwd,
-                    backward=bwd,
-                    sync=sync,
-                    send_bytes=float(stage.send_bytes),
-                    activation_bytes=float(stage.activation_bytes),
-                    weight_bytes=stage.weight_bytes_total(),
-                    chunks=tuple(chunk_times),
-                )
-            )
-        return times
+    def _profile_chunk(self, chunk: ChunkPlan) -> Dict[str, float]:
+        """Cost-model phase buckets of one chunk program on its group."""
+        cost_model = CostModel(chunk.program.graph, chunk.subcluster, overlap=self.overlap)
+        return cost_model.phase_profile(chunk.program, chunk.ratios, chunk.forward_nodes)
 
     def _fits_memory(
         self, stages: Sequence[StagePlan], result: ScheduleResult

@@ -23,14 +23,9 @@ shrinks from ``O(front)`` comparisons to ``O(log front + candidates)``.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import List, Tuple
 
 Vector = Tuple[float, ...]
-
-
-def dominates(a: Sequence[float], b: Sequence[float], eps: float) -> bool:
-    """True if ``a`` is no worse than ``b`` on every device (within ``eps``)."""
-    return all(x <= y + eps for x, y in zip(a, b))
 
 
 class ParetoFront:
@@ -90,27 +85,3 @@ class ParetoFront:
         insort(entries, (vsum, vector))
         return True
 
-
-class ParetoStore:
-    """Dominance table: search-state key -> :class:`ParetoFront`."""
-
-    __slots__ = ("eps", "_fronts")
-
-    def __init__(self, eps: float = 1e-12) -> None:
-        self.eps = eps
-        self._fronts: Dict[Hashable, ParetoFront] = {}
-
-    def __len__(self) -> int:
-        return len(self._fronts)
-
-    def insert(self, key: Hashable, vector: Vector) -> bool:
-        """Insert ``vector`` under ``key``; False iff it was dominated."""
-        front = self._fronts.get(key)
-        if front is None:
-            front = self._fronts[key] = ParetoFront(self.eps)
-        return front.insert(vector)
-
-    def front(self, key: Hashable) -> List[Vector]:
-        """Undominated vectors stored under ``key`` (empty if unseen)."""
-        front = self._fronts.get(key)
-        return front.vectors() if front is not None else []

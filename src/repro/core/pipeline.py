@@ -132,9 +132,9 @@ class HAPPlanner:
     ) -> Tuple[CostBreakdown, CostBreakdown]:
         """Price a round's pre- and post-balance ratios for one program.
 
-        Both assignments go through one batched
-        :meth:`CostModel.evaluate_many` call: the program is linearised once
-        and the stage arithmetic runs on stacked arrays.
+        Both assignments go through one :meth:`CostModel.evaluate_many`
+        call, which prices them over the program's cached stage lines (the
+        ones the LP load balancer just read).
         """
         sets = [(r[0], {k: seg for k, seg in enumerate(r)}) for r in (ratios_q, ratios_b)]
         pair = self.cost_model.evaluate_many(program, sets, self.segment_of)

@@ -158,10 +158,6 @@ class DistributedProgram:
                     phases.append(PHASE_BACKWARD)
         return phases
 
-    def sharding_of(self, ref: str) -> List[Property]:
-        """All properties established for a reference tensor."""
-        return sorted((p for p in self.properties if p.ref == ref), key=str)
-
     def parameter_shardings(self) -> Dict[str, Optional[int]]:
         """Sharding dimension chosen for each parameter (None = replicated)."""
         out: Dict[str, Optional[int]] = {}

@@ -178,16 +178,6 @@ class Theory:
             bits ^= low
         return frozenset(out)
 
-    def wanted_states_of(self, ref: str) -> Set[DistState]:
-        """Distribution states of ``ref`` required by some computation rule."""
-        wanted: Set[DistState] = set()
-        for rules in self.comp_rules_by_node.values():
-            for rule in rules:
-                for prop in rule.pre:
-                    if prop.ref == ref:
-                        wanted.add(prop.state)
-        return wanted
-
     def describe(self, limit: Optional[int] = None) -> str:
         """Multi-line listing of (a prefix of) the rules."""
         rules = self.rules[:limit] if limit else self.rules

@@ -84,10 +84,6 @@ class ComparisonResult:
     cluster: str
     results: Dict[str, SystemResult]
 
-    def time_of(self, system: str) -> Optional[float]:
-        result = self.results.get(system)
-        return result.simulated_time if result else None
-
     def best_baseline(self) -> Optional[SystemResult]:
         """The fastest non-HAP system that does not run out of memory."""
         candidates = [

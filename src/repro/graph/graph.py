@@ -252,11 +252,6 @@ class ComputationGraph:
         if self._loss is not None and self._loss not in self._nodes:
             raise GraphError(f"loss {self._loss!r} is not a node")
 
-    def subgraph_nodes(self, names: Iterable[str]) -> List[Node]:
-        """Nodes with the given names, in topological order."""
-        wanted = set(names)
-        return [n for n in self if n.name in wanted]
-
     def summary(self) -> str:
         """Human-readable multi-line description of the graph."""
         lines = [

@@ -109,10 +109,6 @@ class TensorSpec:
         shape[axis] = new_size
         return TensorSpec(tuple(shape), self.dtype)
 
-    def with_shape(self, shape: Sequence[int]) -> TensorSpec:
-        """Return a copy with a different shape (same dtype)."""
-        return TensorSpec(tuple(shape), self.dtype)
-
     def shardable_dims(self) -> Tuple[int, ...]:
         """Dimensions along which this tensor may be sharded.
 

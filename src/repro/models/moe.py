@@ -43,12 +43,6 @@ class BERTMoEConfig:
     num_experts: int = 16
     capacity_factor: float = 1.25
 
-    @staticmethod
-    def for_devices(num_devices: int, experts_per_device: int = 2, **overrides) -> BERTMoEConfig:
-        """Weak-scaling configuration: experts proportional to device count."""
-        return BERTMoEConfig(num_experts=max(2, experts_per_device * num_devices), **overrides)
-
-
 def build_bert_moe(config: BERTMoEConfig = BERTMoEConfig(), name: str = "bert_moe") -> ComputationGraph:
     """Build the BERT-MoE forward graph with a summed token cross-entropy loss."""
     b = GraphBuilder(name)

@@ -11,7 +11,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..graph.tensor import shard_offsets, shard_sizes
+from ..graph.tensor import shard_sizes
 
 
 def split_along(value: np.ndarray, dim: int, ratios: Sequence[float]) -> List[np.ndarray]:
@@ -31,16 +31,6 @@ def split_along(value: np.ndarray, dim: int, ratios: Sequence[float]) -> List[np
     return shards
 
 
-def concat_along(shards: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    """Concatenate per-device shards back into the global tensor."""
-    return np.concatenate([np.asarray(s) for s in shards], axis=dim)
-
-
 def local_sizes(total: int, ratios: Sequence[float]) -> List[int]:
     """Integer shard sizes of a dimension of length ``total``."""
     return list(shard_sizes(total, ratios))
-
-
-def local_offsets(total: int, ratios: Sequence[float]) -> List[int]:
-    """Start offsets of each device's shard of a dimension of length ``total``."""
-    return list(shard_offsets(shard_sizes(total, ratios)))

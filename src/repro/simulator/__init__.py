@@ -19,6 +19,7 @@ from .schedule import (
     ScheduleResult,
     StageTimes,
     get_schedule,
+    profile_stages,
     simulate_pipeline,
 )
 
@@ -41,4 +42,5 @@ __all__ = [
     "StageTimes",
     "ChunkTimes",
     "simulate_pipeline",
+    "profile_stages",
 ]

@@ -29,7 +29,7 @@ simulator, as everywhere else, is the richer of the two.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from ..core.costmodel import CostModel
 from ..core.instructions import CommInstruction, CompInstruction
 from ..core.program import DistributedProgram
 from ..graph.ops import OpKind
-from .schedule import ChunkTimes, ScheduleResult, StageTimes, simulate_pipeline
+from .schedule import ScheduleResult, StageTimes, profile_stages, simulate_pipeline
 
 
 @dataclass(frozen=True)
@@ -97,11 +97,6 @@ class SimulationResult:
     hidden_communication: float = 0.0
     per_device_comm_busy: List[float] = field(default_factory=list)
     per_device_idle: List[float] = field(default_factory=list)
-
-    @property
-    def throughput_samples_per_second(self) -> float:
-        """Convenience for throughput-style plots (samples normalised to 1)."""
-        return 1.0 / self.total if self.total > 0 else float("inf")
 
 
 class ExecutionSimulator:
@@ -319,14 +314,11 @@ class ExecutionSimulator:
         program: DistributedProgram,
         ratios: Sequence[float],
         forward_nodes,
-        send_bytes: float = 0.0,
-        activation_bytes: float = 0.0,
-        weight_bytes: float = 0.0,
-    ) -> StageTimes:
+    ) -> Dict[str, float]:
         """Measured (overhead-rich, noise-free) pipeline profile of a program.
 
         Splits the simulated per-iteration time of a pipeline-stage program
-        into the forward / backward / once-per-iteration-sync phases the
+        into the ``{"forward", "backward", "sync"}`` phase buckets the
         pipeline-schedule simulator consumes, using the same per-instruction
         time models as :meth:`simulate` via
         :meth:`~repro.core.costmodel.CostModel.phase_profile`.  The phases
@@ -335,7 +327,7 @@ class ExecutionSimulator:
         subtracted from the collective's phase.
         """
         cost_model = CostModel(program.graph, self.cluster, overlap=self.overlap)
-        buckets = cost_model.phase_profile(
+        return cost_model.phase_profile(
             program,
             ratios,
             forward_nodes,
@@ -346,14 +338,6 @@ class ExecutionSimulator:
             comm_time_fn=lambda instr, r: self._comm_time(cost_model, instr, r),
             per_stage_overhead=self.overheads.framework_per_stage,
             overlap=self.overlap,
-        )
-        return StageTimes(
-            forward=buckets["forward"],
-            backward=buckets["backward"],
-            sync=buckets["sync"],
-            send_bytes=send_bytes,
-            activation_bytes=activation_bytes,
-            weight_bytes=weight_bytes,
         )
 
 
@@ -408,59 +392,17 @@ def simulate_hierarchical(
     """
     overheads = overheads or OverheadModel()
     if overlap is None:
-        overlap = getattr(plan, "overlap", None)
-    if overlap is None:  # legacy plans: fall back to the cluster's default
-        overlap = CommOverlapModel.from_cluster(plan.cluster).efficiency
-    stage_times: List[StageTimes] = []
-    # (forward, backward, sync) per chunk content key — see the loop below.
-    profile_memo: Dict[str, Tuple[float, float, float]] = {}
-    for stage in plan.stages:
+        overlap = plan.overlap
+
+    def profile(chunk) -> Dict[str, float]:
         sim = ExecutionSimulator(
-            stage.subcluster, overheads=overheads, seed=seed, overlap=overlap
+            chunk.subcluster, overheads=overheads, seed=seed, overlap=overlap
         )
-        chunk_times: List[ChunkTimes] = []
-        fwd = bwd = sync = 0.0
-        for chunk in stage.chunks:
-            # profile_program is noise-free, and chunks sharing a content key
-            # (isomorphic program, same group signature) profile identically —
-            # the cost model never reads node names — so each distinct key is
-            # profiled once; per-chunk bytes stay per-chunk.
-            key = getattr(chunk, "content_key", None)
-            phases = profile_memo.get(key) if key is not None else None
-            if phases is None:
-                profile = sim.profile_program(
-                    chunk.program,
-                    chunk.ratios,
-                    chunk.forward_nodes,
-                    send_bytes=chunk.send_bytes,
-                    activation_bytes=float(chunk.activation_bytes),
-                    weight_bytes=chunk.weight_bytes_total(),
-                )
-                phases = (profile.forward, profile.backward, profile.sync)
-                if key is not None:
-                    profile_memo[key] = phases
-            chunk_times.append(
-                ChunkTimes(
-                    forward=phases[0],
-                    backward=phases[1],
-                    send_bytes=float(chunk.send_bytes),
-                    activation_bytes=float(chunk.activation_bytes),
-                )
-            )
-            fwd += phases[0]
-            bwd += phases[1]
-            sync += phases[2]
-        stage_times.append(
-            StageTimes(
-                forward=fwd,
-                backward=bwd,
-                sync=sync,
-                send_bytes=float(stage.send_bytes),
-                activation_bytes=float(stage.activation_bytes),
-                weight_bytes=stage.weight_bytes_total(),
-                chunks=tuple(chunk_times),
-            )
-        )
+        return sim.profile_program(chunk.program, chunk.ratios, chunk.forward_nodes)
+
+    # profile_program is noise-free, so chunks sharing a content key are
+    # measured once per simulation.
+    stage_times = profile_stages(plan.stages, profile, {})
     network = plan.partition.inter_group_network
     schedule = simulate_pipeline(
         stage_times,

@@ -58,13 +58,14 @@ per-stage communication-stream load.
 This module is deliberately free of imports from the rest of the package: it
 consumes plain per-stage timings (:class:`StageTimes`) that either the cost
 model (planning estimates) or the execution simulator (measurements) can
-produce, so the planner and the simulator share one schedule implementation.
+produce, so the planner and the simulator share one schedule implementation
+and one stage-profile assembly (:func:`profile_stages`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,63 @@ class StageTimes:
     @property
     def total(self) -> float:
         return self.forward + self.backward + self.sync
+
+
+def profile_stages(
+    stages: Sequence[Any],
+    profile: Callable[[Any], Dict[str, float]],
+    memo: Dict[str, Dict[str, float]],
+) -> List[StageTimes]:
+    """Per-stage (and per-chunk) :class:`StageTimes` of a pipeline's stages.
+
+    ``stages`` are :class:`~repro.core.hierarchical.StagePlan` objects (read
+    duck-typed: ``chunks``, ``send_bytes``, ``activation_bytes`` and
+    ``weight_bytes_total()``).  ``profile(chunk)`` returns the chunk
+    program's ``{"forward", "backward", "sync"}`` seconds — the planner
+    passes the cost model's phase profile, the simulator its measured one.
+    Every chunk keeps its own bytes, so the schedule sees real per-virtual
+    boundary transfers, wrap hops included.
+
+    Chunks sharing a ``content_key`` (isomorphic graph, same group
+    signature, same planner config) have bit-identical profiles — neither
+    profiler reads node names — so ``profile`` runs once per distinct key
+    and the buckets are kept in ``memo``.  A chunk whose key is ``None`` is
+    profiled every time.
+    """
+    times: List[StageTimes] = []
+    for stage in stages:
+        chunk_times: List[ChunkTimes] = []
+        fwd = bwd = sync = 0.0
+        for chunk in stage.chunks:
+            key = chunk.content_key
+            buckets = memo.get(key) if key is not None else None
+            if buckets is None:
+                buckets = profile(chunk)
+                if key is not None:
+                    memo[key] = buckets
+            chunk_times.append(
+                ChunkTimes(
+                    forward=buckets["forward"],
+                    backward=buckets["backward"],
+                    send_bytes=float(chunk.send_bytes),
+                    activation_bytes=float(chunk.activation_bytes),
+                )
+            )
+            fwd += buckets["forward"]
+            bwd += buckets["backward"]
+            sync += buckets["sync"]
+        times.append(
+            StageTimes(
+                forward=fwd,
+                backward=bwd,
+                sync=sync,
+                send_bytes=float(stage.send_bytes),
+                activation_bytes=float(stage.activation_bytes),
+                weight_bytes=stage.weight_bytes_total(),
+                chunks=tuple(chunk_times),
+            )
+        )
+    return times
 
 
 @dataclass

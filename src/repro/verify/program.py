@@ -274,7 +274,7 @@ class CostCrossCheckPass(VerifierPass):
         if cluster is None or ratios is None:
             return
         derived = _rederive_serialized_time(program, cluster, ratios)
-        reported = CostModel(program.graph, cluster, memoize=False).evaluate(
+        reported = CostModel(program.graph, cluster).evaluate(
             program, list(ratios), overlap=0.0
         )
         if not math.isclose(

@@ -36,6 +36,7 @@ from repro.runtime import SingleDeviceExecutor, run_hierarchical_plan
 from repro.simulator import (
     ChunkTimes,
     StageTimes,
+    profile_stages,
     simulate_hierarchical,
     simulate_pipeline,
     simulate_plan,
@@ -716,7 +717,7 @@ class TestHierarchicalPlanner:
         assert plan.fits_memory
         assert plan.num_microbatches > config.max_stages
         # GPipe at the very same microbatch count exceeds device memory.
-        times = planner._stage_times(plan.stages)
+        times = profile_stages(plan.stages, planner._profile_chunk, planner._profile_memo)
         network = plan.partition.inter_group_network
         gpipe = get_schedule("gpipe").simulate(
             times, plan.num_microbatches, network.bandwidth, network.latency
@@ -740,6 +741,34 @@ class TestHierarchicalPlanner:
             hier_config(recompute="sometimes")
         with pytest.raises(KeyError):
             hier_config(schedules=["gpipe", "zig-zag"])
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("max_stages", 0),
+            ("num_model_chunks", 0),
+            ("num_microbatches", 0),
+            ("num_microbatches", -3),
+            ("microbatch_candidates", [0, -1]),
+            ("microbatch_candidates", [4, 0]),
+            ("stage_candidates", [0, 7]),
+            ("microbatch_overhead", -1.0),
+        ],
+    )
+    def test_out_of_range_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HierarchicalConfig(**{field: value})
+
+    def test_smallest_valid_config_accepted(self):
+        config = HierarchicalConfig(
+            max_stages=1,
+            num_model_chunks=1,
+            num_microbatches=1,
+            microbatch_candidates=[1],
+            stage_candidates=[1],
+            microbatch_overhead=0.0,
+        )
+        assert (config.max_stages, config.num_microbatches) == (1, 1)
 
     def test_interleaved_only_with_incompatible_batch_falls_back_to_flat(self):
         # Batch 16 has no divisor that is a multiple of 3, so an
@@ -813,11 +842,10 @@ class TestPerChunkPlanner:
         # Every chunk carries its own flat-HAP program and training info.
         assert len({id(c.program) for c in seq}) == 4
         # The schedule consumed real per-chunk profiles, not equal slices.
+        planner = HierarchicalPlanner(forward, make_cluster(), hier_config())
         chunk_fwd = [
             [ct.forward for ct in times.chunks]
-            for times in HierarchicalPlanner(
-                forward, make_cluster(), hier_config()
-            )._stage_times(plan.stages)
+            for times in profile_stages(plan.stages, planner._profile_chunk, {})
         ]
         assert all(len(f) == 2 for f in chunk_fwd)
 
@@ -844,18 +872,22 @@ class TestPerChunkPlanner:
             forward, make_cluster(), hier_config(max_stages=2, num_model_chunks=1)
         ).plan()
         assert all(stage.num_chunks == 1 for stage in plan.stages)
-        # Legacy single-chunk accessors keep working on v=1 stages.
+        # With one chunk per stage, virtual stage k is physical stage k.
         for stage in plan.stages:
-            assert stage.program is stage.chunks[0].program
-            assert stage.info is stage.chunks[0].info
+            (chunk,) = stage.chunks
+            assert chunk.chunk == 0
+            assert chunk.stage_index == chunk.virtual_index == stage.index
+            assert chunk.subcluster is stage.subcluster
+        assert plan.chunk_sequence() == [stage.chunks[0] for stage in plan.stages]
 
-    def test_single_chunk_accessors_raise_on_interleaved_stages(self):
+    def test_interleaved_stages_report_chunk_aggregates(self):
         plan = self.interleaved_candidate(build_tiny_transformer())
-        with pytest.raises(ValueError, match="chunks"):
-            _ = plan.stages[0].program
+        stage = plan.stages[0]
+        assert stage.num_chunks > 1
         # Aggregates stay available for reporting.
-        assert plan.stages[0].send_bytes > 0
-        assert plan.stages[0].weight_bytes_total() > 0
+        assert stage.send_bytes > 0
+        assert stage.weight_bytes_total() > 0
+        assert stage.send_bytes == sum(c.send_bytes for c in stage.chunks)
 
     def test_round_robin_cut_balances_group_compute(self):
         from repro.graph import interleaved_pipeline_cut
@@ -929,14 +961,61 @@ class TestPerChunkPlanner:
 # ---------------------------------------------------------------------------
 
 class TestProfileOnce:
-    """Each distinct chunk content key is profiled once per ``plan()`` call."""
+    """Planner and simulator assemble stage profiles through one function,
+    :func:`repro.simulator.schedule.profile_stages`, which runs each
+    distinct chunk content key's profiler once."""
 
     @pytest.fixture(scope="class")
     def two_machines(self):
         """Two heterogeneous machines: a 3-cell (stage, chunk-variant) grid."""
         return make_cluster(("A100", "P100"), group=True)
 
-    def test_phase_profile_called_once_per_content_key(self, two_machines, monkeypatch):
+    def test_profile_stages_profiles_each_key_once(self):
+        from types import SimpleNamespace
+
+        def chunk(key, fwd, send):
+            return SimpleNamespace(
+                content_key=key, fwd=fwd, send_bytes=send, activation_bytes=2 * send
+            )
+
+        def stage(*chunks):
+            return SimpleNamespace(
+                chunks=list(chunks),
+                send_bytes=sum(c.send_bytes for c in chunks),
+                activation_bytes=sum(c.activation_bytes for c in chunks),
+                weight_bytes_total=lambda: 7.0,
+            )
+
+        stages = [stage(chunk("a", 1.0, 10), chunk("b", 2.0, 20)), stage(chunk("a", 9.0, 30))]
+        calls = []
+
+        def profile(c):
+            calls.append(c.content_key)
+            return {"forward": c.fwd, "backward": 2 * c.fwd, "sync": 0.5}
+
+        memo = {}
+        times = profile_stages(stages, profile, memo)
+        assert calls == ["a", "b"]  # the second "a" chunk reuses the first's buckets
+        assert sorted(memo) == ["a", "b"]
+        assert times[1] == StageTimes(
+            forward=1.0,
+            backward=2.0,
+            sync=0.5,
+            send_bytes=30.0,
+            activation_bytes=60.0,
+            weight_bytes=7.0,
+            chunks=(ChunkTimes(1.0, 2.0, send_bytes=30.0, activation_bytes=60.0),),
+        )
+        assert times[0].forward == 3.0 and times[0].sync == 1.0
+        # Keyless chunks are profiled every time.
+        for st in stages:
+            for c in st.chunks:
+                c.content_key = None
+        calls.clear()
+        profile_stages(stages, profile, {})
+        assert calls == [None, None, None]
+
+    def test_planner_profiles_once_per_content_key(self, two_machines, monkeypatch):
         from repro.core import CostModel
 
         calls = []
@@ -952,17 +1031,17 @@ class TestProfileOnce:
         assert len(calls) == len(planner._profile_memo)
         before = len(calls)
         # Re-deriving stage times for already-profiled chunks is free.
-        planner._stage_times(plan.stages)
+        profile_stages(plan.stages, planner._profile_chunk, planner._profile_memo)
         assert len(calls) == before
 
-    def test_profile_memo_result_identical(self, two_machines):
+    def test_planner_profile_memo_result_identical(self, two_machines):
         planner = HierarchicalPlanner(build_mlp(), two_machines, hier_config())
         plan = planner.plan()
-        memoized = planner._stage_times(plan.stages)
+        keyed = profile_stages(plan.stages, planner._profile_chunk, planner._profile_memo)
         # Without content keys every chunk is profiled afresh.
         for chunk in plan.chunk_sequence():
             chunk.content_key = None
-        assert planner._stage_times(plan.stages) == memoized
+        assert profile_stages(plan.stages, planner._profile_chunk, {}) == keyed
 
     def test_simulator_profiles_once_per_key_and_identically(self, two_machines, monkeypatch):
         plan = HierarchicalPlanner(build_mlp(), two_machines, hier_config()).plan()
@@ -978,11 +1057,11 @@ class TestProfileOnce:
             return orig(self, *args, **kwargs)
 
         monkeypatch.setattr(engine.ExecutionSimulator, "profile_program", counting)
-        memoized = simulate_hierarchical(plan, iterations=2)
+        keyed = simulate_hierarchical(plan, iterations=2)
         distinct = {c.content_key for c in plan.chunk_sequence() if c.content_key}
         assert len(calls) == len(distinct)
-        assert memoized.total == baseline.total
-        assert memoized.schedule.total == baseline.schedule.total
+        assert keyed.total == baseline.total
+        assert keyed.schedule.total == baseline.schedule.total
 
         # Stripping the keys disables the memo but not the numbers.
         for chunk in plan.chunk_sequence():

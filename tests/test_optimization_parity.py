@@ -3,11 +3,9 @@
 Block reuse replays the beam decisions recorded on one repeated layer across
 the later ones and must synthesize the same program as the plain per-node
 search, which :func:`plain_beam` recovers by hiding the repeated blocks.
-The batched cost evaluation (``CostModel.evaluate_many`` /
-``evaluate_batch``) must agree bit for bit with scalar ``evaluate``, and the
-memoized cost model with ``memoize=False``.  The synthesizer's rule-cost
-memo must be dropped when the ratios change, and the planner's batched
-pricing must agree with the scalar reference.  Sub-plan dedupe in the
+``CostModel.evaluate_many`` must agree bit for bit with scalar ``evaluate``.
+The synthesizer's rule-cost memo must be dropped when the ratios change, and
+the planner's per-round pricing must agree with a fresh cost model.  Sub-plan dedupe in the
 hierarchical planner must actually fire on repeated layers and rename plans
 that equal planning each chunk from scratch.  The synthesized programs of
 the default search are pinned by ``tests/golden/programs.json``.
@@ -15,7 +13,6 @@ the default search are pinned by ``tests/golden/programs.json``.
 
 import contextlib
 
-import numpy as np
 import pytest
 
 from repro.autodiff import build_training_graph
@@ -321,9 +318,10 @@ class TestSubplanDedupe:
             assert chunk.plan.estimated_time.total == fresh.estimated_time.total
 
 
-class TestVectorizedCostParity:
-    """``evaluate_many``/``evaluate_batch`` stack the per-stage coefficients
-    into arrays but must agree with K scalar ``evaluate`` calls bit for bit."""
+class TestCostPricing:
+    """The cost model prices a program one way: ``evaluate_many`` walks the
+    same cached stage lines as ``evaluate`` and must agree with K scalar
+    calls bit for bit."""
 
     RATIO_SETS = [
         ([0.25, 0.25, 0.25, 0.25], None),
@@ -348,49 +346,32 @@ class TestVectorizedCostParity:
             assert b.hidden_communication == scalar.hidden_communication
             assert list(b.stage_times) == list(scalar.stage_times)
 
-    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
-    def test_evaluate_batch_matches_scalar(self, model, training_graphs, parity_cluster):
-        graph = training_graphs[model]
-        program = _synthesize(graph, parity_cluster).program
-        cost_model = CostModel(graph, parity_cluster)
-        ratios = np.array([base for base, _ in self.RATIO_SETS])
-        totals = cost_model.evaluate_batch(program, ratios)
-        for k, (base, _) in enumerate(self.RATIO_SETS):
-            assert totals[k] == cost_model.evaluate(program, base).total
-
-    def test_evaluate_batch_honours_overlap_override(
-        self, training_graphs, parity_cluster
-    ):
+    def test_evaluate_many_honours_overlap_override(self, training_graphs, parity_cluster):
         graph = training_graphs["mlp"]
         program = _synthesize(graph, parity_cluster).program
         cost_model = CostModel(graph, parity_cluster)
-        ratios = np.array([[0.25, 0.25, 0.25, 0.25]])
-        serialized = cost_model.evaluate_batch(program, ratios, overlap=0.0)
-        assert serialized[0] == cost_model.evaluate(program, ratios[0], overlap=0.0).total
+        (serialized,) = cost_model.evaluate_many(program, self.RATIO_SETS[:1], overlap=0.0)
+        base = self.RATIO_SETS[0][0]
+        assert serialized == cost_model.evaluate(program, base, overlap=0.0)
+        assert serialized.exposed_communication == serialized.communication
 
-    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
-    def test_memoization_off_matches(self, model, training_graphs, parity_cluster):
-        graph = training_graphs[model]
+    def test_stage_lines_are_linearised_once(self, training_graphs, parity_cluster):
+        graph = training_graphs["mlp"]
         program = _synthesize(graph, parity_cluster).program
-        memoized = CostModel(graph, parity_cluster)
-        plain = CostModel(graph, parity_cluster, memoize=False)
-        a = memoized.evaluate_many(program, self.RATIO_SETS)
-        b = plain.evaluate_many(program, self.RATIO_SETS)
-        assert [x.total for x in a] == [y.total for y in b]
-        # The memoized arrays are reused across calls, not rebuilt.
-        assert memoized.coefficient_arrays(program) is memoized.coefficient_arrays(program)
+        cost_model = CostModel(graph, parity_cluster)
+        assert cost_model.stage_coefficients(program) is cost_model.stage_coefficients(program)
 
     @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
     def test_planner_prices_like_scalar_evaluate(self, model, training_graphs, parity_cluster):
-        """The planner prices each round in one batched call; its reported
-        costs must equal the unmemoized scalar reference."""
+        """The planner prices each round through ``evaluate_many``; its
+        reported costs must equal a fresh cost model's scalar ``evaluate``."""
         graph = training_graphs[model]
         config = PlannerConfig(
             max_rounds=2, synthesis=SynthesisConfig(search_strategy="beam", beam_width=8)
         )
         planner = HAPPlanner(graph, parity_cluster, config)
         plan = planner.plan()
-        reference = CostModel(graph, parity_cluster, memoize=False)
+        reference = CostModel(graph, parity_cluster)
 
         def price(ratios):
             return reference.evaluate(
@@ -411,7 +392,7 @@ class TestVectorizedCostParity:
 class TestParityAcrossRatios:
     @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
     def test_skewed_ratios(self, model, training_graphs, parity_cluster):
-        """Memoized rule-cost plans are dropped when the ratios change: one
+        """Cached rule-cost plans are dropped when the ratios change: one
         synthesizer reused across ratio vectors matches a fresh one per vector."""
         graph = training_graphs[model]
         config = SynthesisConfig(search_strategy="beam", beam_width=8)

@@ -2,9 +2,7 @@
 
 import random
 
-import pytest
-
-from repro.core import ParetoFront, ParetoStore, dominates
+from repro.core import ParetoFront
 
 
 def naive_insert(front, vector, eps=1e-12):
@@ -14,22 +12,6 @@ def naive_insert(front, vector, eps=1e-12):
     kept = [vec for vec in front if not all(v <= e + eps for v, e in zip(vector, vec))]
     kept.append(vector)
     return kept, True
-
-
-class TestDominates:
-    def test_reflexive(self):
-        assert dominates((1.0, 2.0), (1.0, 2.0), 1e-12)
-
-    def test_strict(self):
-        assert dominates((1.0, 1.0), (2.0, 2.0), 1e-12)
-        assert not dominates((2.0, 2.0), (1.0, 1.0), 1e-12)
-
-    def test_incomparable(self):
-        assert not dominates((1.0, 3.0), (2.0, 2.0), 1e-12)
-        assert not dominates((2.0, 2.0), (1.0, 3.0), 1e-12)
-
-    def test_tolerance(self):
-        assert dominates((1.0 + 1e-13, 1.0), (1.0, 1.0), 1e-12)
 
 
 class TestParetoFront:
@@ -70,13 +52,3 @@ class TestParetoFront:
                 assert accepted == accepted_ref
                 assert sorted(front.vectors()) == sorted(reference)
 
-
-class TestParetoStore:
-    def test_keys_are_independent(self):
-        store = ParetoStore()
-        assert store.insert("a", (2.0, 2.0))
-        assert store.insert("b", (3.0, 3.0))  # not dominated: different key
-        assert not store.insert("a", (3.0, 3.0))
-        assert store.front("a") == [(2.0, 2.0)]
-        assert store.front("missing") == []
-        assert len(store) == 2
