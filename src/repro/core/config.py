@@ -31,9 +31,9 @@ class SynthesisConfig:
     (Fig. 15) switches individual features off.
 
     On a one-device cluster the theory is the single-device program's (see
-    :func:`~repro.core.rules.build_theory`), so ``enable_sfb``,
-    ``enable_replicated_sources`` and ``min_shard_dim_size`` have no effect
-    there; ``force_data_parallel`` keeps its restricted theory.
+    :func:`~repro.core.rules.build_theory`), so ``enable_sfb`` and
+    ``enable_replicated_sources`` have no effect there;
+    ``force_data_parallel`` keeps its restricted theory.
 
     Every search, whatever the flags, holds a state as three ints — the live
     properties as a bit mask over the theory's property index, and the
@@ -48,9 +48,6 @@ class SynthesisConfig:
             implementation of All-Gather as an alternative instruction.
         enable_replicated_sources: allow ``Placeholder()``/``Parameter()``
             (fully replicated) besides the sharded variants.
-        min_shard_dim_size: tensor dimensions smaller than this are never
-            considered as sharding dimensions.
-        max_search_steps: hard cap on A* iterations (safety valve).
         beam_width: number of candidate distribution states kept per level by
             the beam search (and cap on the open list of the A* search);
             ``None`` keeps every candidate.
@@ -87,8 +84,6 @@ class SynthesisConfig:
     enable_sfb: bool = True
     enable_grouped_all_gather: bool = True
     enable_replicated_sources: bool = True
-    min_shard_dim_size: int = 2
-    max_search_steps: int = 2_000_000
     beam_width: Optional[int] = 32
     follow_topological_order: bool = True
     search_strategy: str = "beam"
@@ -116,12 +111,10 @@ class LoadBalancerConfig:
         num_segments: number of model segments that receive independent
             sharding ratios (Sec. 5.2); 1 reproduces the base case of Sec. 5.1.
         respect_memory: add per-device memory-capacity constraints to the LP.
-        solver_method: scipy ``linprog`` method.
     """
 
     num_segments: int = 1
     respect_memory: bool = False
-    solver_method: str = "highs"
 
     def __post_init__(self) -> None:
         if self.num_segments < 1:
@@ -136,25 +129,20 @@ class PlannerConfig:
         max_rounds: maximum number of (Q, B) alternation rounds.  Known
             defect: the alternation never runs a second round.  The previous
             cost starts at ``inf``, so round 1 always passes the convergence
-            test (``inf - cost <= tolerance * inf``) and :meth:`HAPPlanner.plan`
-            stops; any ``max_rounds >= 1`` yields ``len(plan.rounds) == 1``.
-        convergence_tolerance: relative cost improvement below which the
-            alternation stops.  Because of the ``max_rounds`` defect above it
-            is never consulted with a finite previous cost.
+            test (``inf - cost <= tolerance * inf``, with
+            :data:`~repro.core.pipeline.CONVERGENCE_TOLERANCE`) and
+            :meth:`HAPPlanner.plan` stops; any ``max_rounds >= 1`` yields
+            ``len(plan.rounds) == 1``.
         synthesis: synthesizer configuration.
         load_balancer: load-balancer configuration.
         enable_load_balancer: if False the initial (computation-proportional)
             ratios are kept — the "Q"-only ablation point.
-        enable_synthesizer: if False a pure data-parallel program is used —
-            the "B"-only ablation point.
     """
 
     max_rounds: int = 4
-    convergence_tolerance: float = 1e-3
     synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)
     load_balancer: LoadBalancerConfig = field(default_factory=LoadBalancerConfig)
     enable_load_balancer: bool = True
-    enable_synthesizer: bool = True
 
     def __post_init__(self) -> None:
         if self.max_rounds < 1:

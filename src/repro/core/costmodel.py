@@ -389,12 +389,9 @@ class CostModel:
         flops = self.node_flops(instr.node)
         slopes: List[float] = []
         consts: List[float] = []
-        for j, device in enumerate(self.devices):
+        for j in range(len(self.devices)):
             base = flops / self._device_flops[j]
-            intra = 0.0
-            if device.num_gpus > 1 and instr.op == "sgd_update":
-                g = device.num_gpus
-                intra = 2.0 * (g - 1) / g * self.ref_bytes(instr.node) / device.intra_bandwidth
+            intra = self._intra_sync_time(instr, j, 1.0)
             if instr.flops_sharded:
                 slopes.append(base + intra)
                 consts.append(0.0)

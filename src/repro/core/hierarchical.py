@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..autodiff.backward import StageTrainingInfo, build_stage_training_graph
-from ..cluster.spec import ClusterPartition, ClusterSpec, CommOverlapModel, NetworkSpec
+from ..cluster.spec import ClusterPartition, ClusterSpec, NetworkSpec
 from ..graph.analysis import PipelineCut, interleaved_pipeline_cut
 from ..graph.canonical import fingerprint_with_order, graph_fingerprint
 from ..graph.graph import ComputationGraph, GraphError
@@ -73,22 +73,29 @@ OPTIMIZER_MOMENT_FACTOR = 1.0
 #: gradient, and one optimizer moment (the same convention as
 #: :func:`repro.baselines.planners.estimate_memory_per_device`).
 OPTIMIZER_STATE_FACTOR = PARAM_GRAD_FACTOR + OPTIMIZER_MOMENT_FACTOR
+#: Microbatch counts tried per (stage count, schedule); each is snapped to the
+#: nearest divisor of the global batch (and to a multiple of the stage count
+#: for the interleaved schedule, which also tries ``s`` and ``2s``).
+MICROBATCH_CANDIDATES = (2, 4, 8, 16, 32)
+#: Fixed per-microbatch launch/scheduling cost (seconds) of a multi-stage
+#: pipeline; it does not shrink with the microbatch size.
+MICROBATCH_OVERHEAD = 50e-6
 
 
 @dataclass
 class HierarchicalConfig:
     """Knobs of the hierarchical (pipeline-over-SPMD) planner.
 
+    Candidates are priced with the cluster's ``comm_overlap_efficiency``
+    (the schedule search ranks combinations by their *exposed*
+    boundary-transfer and collective time); the same efficiency prices the
+    synthesis of every chunk, since partitions copy it to every group.  Use a
+    cluster with ``comm_overlap_efficiency=0.0`` for the fully blocking
+    model.  Microbatch counts come from :data:`MICROBATCH_CANDIDATES`.
+
     Attributes:
-        stage_candidates: stage counts to evaluate; defaults to
-            ``1..min(max_stages, num_machines)``.  1 is flat HAP.
-        max_stages: cap on the default candidate range.
-        num_microbatches: fixed microbatch count; ``None`` (the default)
-            searches over ``microbatch_candidates`` instead.
-        microbatch_candidates: microbatch counts tried per (stage count,
-            schedule); each is snapped to the nearest divisor of the global
-            batch (and to a multiple of the stage count for the interleaved
-            schedule).
+        max_stages: stage counts ``1..min(max_stages, num_machines)`` are
+            evaluated.  1 is flat HAP.
         schedules: pipeline schedules searched; defaults to all of
             :data:`repro.simulator.schedule.SCHEDULE_NAMES`.
         num_model_chunks: model chunks per stage for ``interleaved-1f1b``.
@@ -101,16 +108,9 @@ class HierarchicalConfig:
             ``"always"``, or ``"auto"`` (try without; a recomputing variant
             only wins when plain stashing exceeds device memory, since it
             costs one extra forward per microbatch).
-        microbatch_overhead: fixed per-microbatch launch/scheduling cost that
-            does not shrink with the microbatch size.
         intra_group_network: network model inside each machine group; defaults
             to the cluster's own network.  Pass the fast rack-local network
             when the cluster's flat network is the slow inter-rack bottleneck.
-        overlap: communication/computation overlap efficiency used to price
-            candidates — the schedule search ranks combinations by their
-            *exposed* boundary-transfer and collective time.  ``None`` (the
-            default) takes the cluster's ``comm_overlap_efficiency``; pass
-            0.0 to rank with the fully blocking model.
         shard_optimizer_state: ZeRO-style optimizer-state sharding in the
             memory model: the optimizer-moment bytes of replicated parameters
             are divided by the data-parallel group size in the per-device
@@ -143,16 +143,11 @@ class HierarchicalConfig:
             never changes the plan).
     """
 
-    stage_candidates: Optional[Sequence[int]] = None
     max_stages: int = 4
-    num_microbatches: Optional[int] = None
-    microbatch_candidates: Optional[Sequence[int]] = None
     schedules: Optional[Sequence[str]] = None
     num_model_chunks: int = 2
     recompute: str = "auto"
-    microbatch_overhead: float = 50e-6
     intra_group_network: Optional[NetworkSpec] = None
-    overlap: Optional[float] = None
     shard_optimizer_state: bool = False
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     lr: float = 0.01
@@ -163,24 +158,10 @@ class HierarchicalConfig:
         for name in ("max_stages", "num_model_chunks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.num_microbatches is not None and self.num_microbatches < 1:
-            raise ValueError(
-                f"num_microbatches must be None or >= 1, got {self.num_microbatches}"
-            )
-        for name in ("stage_candidates", "microbatch_candidates"):
-            values = getattr(self, name)
-            if values is not None and any(v < 1 for v in values):
-                raise ValueError(f"{name} entries must be >= 1, got {list(values)}")
-        if self.microbatch_overhead < 0:
-            raise ValueError(
-                f"microbatch_overhead must be >= 0, got {self.microbatch_overhead}"
-            )
         if self.recompute not in ("never", "always", "auto"):
             raise ValueError(
                 f"recompute must be 'never', 'always' or 'auto', got {self.recompute!r}"
             )
-        if self.overlap is not None:
-            CommOverlapModel(efficiency=self.overlap)  # fail fast on bad values
         for name in self.schedules or ():
             get_schedule(name)  # fail fast on typos
 
@@ -561,11 +542,7 @@ class HierarchicalPlanner:
             if not graph_report.ok:
                 raise PlanVerificationError(graph_report)
         self.batch_size = self._batch_size()
-        self.overlap = (
-            CommOverlapModel.from_cluster(cluster).efficiency
-            if self.config.overlap is None
-            else self.config.overlap
-        )
+        self.overlap = cluster.comm_overlap_efficiency
         # Within-call sub-plan dedupe table and reuse counters; reset per plan().
         self._local_plans: Dict[str, CachedPlan] = {}
         # content_key -> phase_profile buckets: each distinct (chunk graph,
@@ -585,15 +562,9 @@ class HierarchicalPlanner:
         }
         return leading.pop() if len(leading) == 1 else None
 
-    def _candidates(self) -> List[int]:
-        if self.config.stage_candidates is not None:
-            candidates = sorted(set(self.config.stage_candidates))
-        else:
-            upper = min(self.config.max_stages, len(self.cluster.machines))
-            candidates = list(range(1, upper + 1))
-        if 1 not in candidates:
-            candidates.insert(0, 1)  # flat HAP is always a candidate
-        return [s for s in candidates if 1 <= s <= len(self.cluster.machines)]
+    def _candidates(self) -> range:
+        # 1 stage (flat HAP) is always a candidate.
+        return range(1, min(self.config.max_stages, len(self.cluster.machines)) + 1)
 
     def _microbatch_candidates(self, num_stages: int, schedule_name: str) -> List[int]:
         """Microbatch counts to try, snapped to divisors of the global batch.
@@ -607,18 +578,15 @@ class HierarchicalPlanner:
         count, so non-conforming candidates are dropped and ``s``/``2s`` are
         offered instead.
         """
-        if self.config.num_microbatches is not None:
-            base = [self.config.num_microbatches]
-        else:
-            base = list(self.config.microbatch_candidates or (2, 4, 8, 16, 32))
-            if schedule_name == "interleaved-1f1b":
-                base += [num_stages, 2 * num_stages]
+        base = list(MICROBATCH_CANDIDATES)
+        if schedule_name == "interleaved-1f1b":
+            base += [num_stages, 2 * num_stages]
         out: Set[int] = set()
         if schedule_name == "interleaved-1f1b" and self.batch_size is not None:
             # The interleaved schedule needs m to divide the batch *and* be a
-            # multiple of the stage count.  Snap every configured candidate to
-            # the nearest such divisor — the candidate list stays bounded by
-            # the configured candidates instead of enumerating every multiple
+            # multiple of the stage count.  Snap every candidate to the
+            # nearest such divisor — the candidate list stays bounded by
+            # MICROBATCH_CANDIDATES instead of enumerating every multiple
             # of the stage count up to the batch (an O(batch) blow-up at
             # production batch sizes).  An empty ``valid`` means the schedule
             # is genuinely infeasible at this stage count.
@@ -626,11 +594,9 @@ class HierarchicalPlanner:
             if not valid:
                 return []
             for m in base:
-                m = max(1, int(m))
                 out.add(min(valid, key=lambda d, m=m: (abs(d - m), -d)))
             return sorted(out)
         for m in base:
-            m = max(1, int(m))
             if self.batch_size is not None:
                 m = _nearest_divisor(self.batch_size, m)
             if schedule_name == "interleaved-1f1b" and m % num_stages != 0:
@@ -840,12 +806,12 @@ class HierarchicalPlanner:
             stage_memory_utilization=utilization,
             schedule_candidate_times=combo_times,
             batch_size=self.batch_size,
-            microbatch_overhead=0.0 if num_stages == 1 else self.config.microbatch_overhead,
+            microbatch_overhead=0.0 if num_stages == 1 else MICROBATCH_OVERHEAD,
         )
 
     def _profile_chunk(self, chunk: ChunkPlan) -> Dict[str, float]:
         """Cost-model phase buckets of one chunk program on its group."""
-        cost_model = CostModel(chunk.program.graph, chunk.subcluster, overlap=self.overlap)
+        cost_model = CostModel(chunk.program.graph, chunk.subcluster)
         return cost_model.phase_profile(chunk.program, chunk.ratios, chunk.forward_nodes)
 
     def _fits_memory(
@@ -921,9 +887,7 @@ class HierarchicalPlanner:
                     num_microbatches=m,
                     inter_group_bandwidth=network.bandwidth,
                     inter_group_latency=network.latency,
-                    microbatch_overhead=0.0
-                    if num_stages == 1
-                    else self.config.microbatch_overhead,
+                    microbatch_overhead=0.0 if num_stages == 1 else MICROBATCH_OVERHEAD,
                     schedule=name,
                     num_model_chunks=chunks,
                     recompute=rc,

@@ -212,7 +212,7 @@ class LoadBalancer:
             A_eq=np.vstack(rows_eq),
             b_eq=np.asarray(rhs_eq),
             bounds=bounds,
-            method=self.config.solver_method,
+            method="highs",
         )
         if not res.success:
             return None

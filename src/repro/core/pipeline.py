@@ -7,15 +7,16 @@ HAP alternates two optimisers:
 * the load balancer produces the best ratios ``B`` for the current program
   ``Q`` (Eqn. 2),
 
-starting from computation-proportional ratios ``B^(0)`` and stopping on
-convergence or oscillation, in which case the cheapest ``(Q, B)`` pair seen is
-returned.
+starting from computation-proportional ratios ``B^(0)``, stopping after
+``max_rounds`` rounds or once a round improves the cost by less than
+:data:`CONVERGENCE_TOLERANCE` (relative), and returning the cheapest
+``(Q, B)`` pair seen.
 """
 
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster.spec import ClusterSpec
@@ -27,6 +28,12 @@ from .load_balancer import LoadBalancer
 from .program import DistributedProgram
 from .rules import build_theory
 from .synthesizer import ProgramSynthesizer, SynthesisResult
+
+#: Relative cost improvement below which the (Q, B) alternation stops.  Known
+#: defect: the previous cost starts at ``inf``, so round 1 always passes this
+#: test and the alternation never runs a second round (see
+#: :attr:`~repro.core.config.PlannerConfig.max_rounds`).
+CONVERGENCE_TOLERANCE = 1e-3
 
 
 @dataclass
@@ -187,7 +194,7 @@ class HAPPlanner:
                 best = (program, [list(r) for r in ratios], cost_b, synthesis)
 
             improvement = previous_cost - cost_b.total
-            if improvement <= self.config.convergence_tolerance * max(previous_cost, 1e-12):
+            if improvement <= CONVERGENCE_TOLERANCE * max(previous_cost, 1e-12):
                 break
             previous_cost = cost_b.total
 

@@ -42,6 +42,10 @@ deliberately *excluded* from keys: ``plan_cache`` (the cache never keys on
 itself) and ``verify_after_plan`` (verification never changes the plan, so
 verified and unverified runs share entries).  Every other field keys, so a
 knob that does not change the plan does not belong in a configuration.
+Former knobs that are now module constants (``MIN_SHARD_DIM_SIZE``,
+``MAX_SEARCH_STEPS``, ``CONVERGENCE_TOLERANCE``, ``MICROBATCH_CANDIDATES``,
+``MICROBATCH_OVERHEAD``) do not key, so changing one of them needs a
+:data:`CACHE_VERSION` bump.
 """
 
 from __future__ import annotations
@@ -69,7 +73,9 @@ from .properties import Property
 #: vectorized-cost flags.
 #: v3: the worker-count, A/B-optimisation, dedupe and subsumption fields left
 #: the configs.
-CACHE_VERSION = 3
+#: v4: ten never-set fields left the configs (their defaults are now module
+#: constants) and hierarchical plans price at the cluster's overlap.
+CACHE_VERSION = 4
 
 #: Configuration fields excluded from cache keys: the cache itself and the
 #: static-verifier flag (verification never changes the plan).

@@ -40,7 +40,7 @@ from ..graph.graph import ComputationGraph, Node
 from ..graph.ops import OpKind
 from .config import SynthesisConfig
 from .instructions import CommInstruction, CompInstruction, Instruction, is_source_op
-from .properties import DistState, Property, StateKind
+from .properties import DistState, Property
 
 
 @dataclass(frozen=True)
@@ -203,15 +203,19 @@ def _primary_completed_node(rule: Rule, graph: ComputationGraph) -> Optional[str
 R = DistState.replicated()
 P = DistState.partial()
 
+#: Tensor dimensions smaller than this (or than the device count) are never
+#: considered as sharding dimensions.
+MIN_SHARD_DIM_SIZE = 2
+
 
 def S(dim: int) -> DistState:
     return DistState.sharded(dim)
 
 
-def _input_shardable(spec_shape: Tuple[int, ...], dim: int, cfg: SynthesisConfig, num_devices: int) -> bool:
+def _input_shardable(spec_shape: Tuple[int, ...], dim: int, num_devices: int) -> bool:
     if dim >= len(spec_shape):
         return False
-    return spec_shape[dim] >= max(cfg.min_shard_dim_size, num_devices)
+    return spec_shape[dim] >= max(MIN_SHARD_DIM_SIZE, num_devices)
 
 
 def node_variants(
@@ -236,7 +240,7 @@ def node_variants(
         return [
             d
             for d, size in enumerate(out_spec.shape)
-            if size >= max(cfg.min_shard_dim_size, num_devices)
+            if size >= max(MIN_SHARD_DIM_SIZE, num_devices)
         ]
 
     arity = len(node.inputs)
@@ -270,29 +274,29 @@ def node_variants(
         if cfg.enable_sfb:
             add([R, R], R, sharded=False)  # duplicated compute (enables SFB)
         if a.rank == 2 and b.rank == 2:
-            if _input_shardable(a.shape, 0, cfg, num_devices):
+            if _input_shardable(a.shape, 0, num_devices):
                 add([S(0), R], S(0), sharded=True)
-            if _input_shardable(b.shape, 1, cfg, num_devices):
+            if _input_shardable(b.shape, 1, num_devices):
                 add([R, S(1)], S(1), sharded=True)
-            if _input_shardable(a.shape, 1, cfg, num_devices):
+            if _input_shardable(a.shape, 1, num_devices):
                 add([S(1), S(0)], P, sharded=True)
         elif a.rank == 3 and b.rank == 3:
-            if _input_shardable(a.shape, 0, cfg, num_devices):
+            if _input_shardable(a.shape, 0, num_devices):
                 add([S(0), S(0)], S(0), sharded=True)
-            if _input_shardable(a.shape, 1, cfg, num_devices):
+            if _input_shardable(a.shape, 1, num_devices):
                 add([S(1), R], S(1), sharded=True)
-            if _input_shardable(b.shape, 2, cfg, num_devices):
+            if _input_shardable(b.shape, 2, num_devices):
                 add([R, S(2)], S(2), sharded=True)
-            if _input_shardable(a.shape, 2, cfg, num_devices):
+            if _input_shardable(a.shape, 2, num_devices):
                 add([S(2), S(1)], P, sharded=True)
         elif a.rank == 3 and b.rank == 2:
-            if _input_shardable(a.shape, 0, cfg, num_devices):
+            if _input_shardable(a.shape, 0, num_devices):
                 add([S(0), R], S(0), sharded=True)
-            if _input_shardable(a.shape, 1, cfg, num_devices):
+            if _input_shardable(a.shape, 1, num_devices):
                 add([S(1), R], S(1), sharded=True)
-            if _input_shardable(b.shape, 1, cfg, num_devices):
+            if _input_shardable(b.shape, 1, num_devices):
                 add([R, S(1)], S(2), sharded=True)
-            if _input_shardable(a.shape, 2, cfg, num_devices):
+            if _input_shardable(a.shape, 2, num_devices):
                 add([S(2), S(0)], P, sharded=True)
         return variants
 
@@ -300,7 +304,7 @@ def node_variants(
         add([R], R, sharded=False)
         if node.op == "reduce_sum":
             for d, size in enumerate(in_specs[0].shape):
-                if size >= max(cfg.min_shard_dim_size, num_devices):
+                if size >= max(MIN_SHARD_DIM_SIZE, num_devices):
                     add([S(d)], P, sharded=True)
         return variants
 
@@ -316,7 +320,7 @@ def node_variants(
         add([R], R, sharded=False)
         add([P], P, sharded=False)
         for din, dout in _reshape_dim_map(in_specs[0].shape, out_spec.shape):
-            if _input_shardable(in_specs[0].shape, din, cfg, num_devices):
+            if _input_shardable(in_specs[0].shape, din, num_devices):
                 add([S(din)], S(dout), sharded=True)
         return variants
 
@@ -325,7 +329,7 @@ def node_variants(
         add([R], R, sharded=False)
         add([P], P, sharded=False)
         for dout, din in enumerate(perm):
-            if _input_shardable(in_specs[0].shape, din, cfg, num_devices):
+            if _input_shardable(in_specs[0].shape, din, num_devices):
                 add([S(din)], S(dout), sharded=True)
         return variants
 
@@ -333,15 +337,15 @@ def node_variants(
         ids, table = in_specs
         add([R, R], R, sharded=False)
         for d in range(ids.rank):
-            if _input_shardable(ids.shape, d, cfg, num_devices):
+            if _input_shardable(ids.shape, d, num_devices):
                 add([S(d), R], S(d), sharded=True)
-        if _input_shardable(table.shape, 1, cfg, num_devices):
+        if _input_shardable(table.shape, 1, num_devices):
             add([R, S(1)], S(out_spec.rank - 1), sharded=True)
         return variants
 
     if kind in (OpKind.CONV, OpKind.POOL, OpKind.CONV_GRAD_INPUT):
         add([R] * arity, R, sharded=False)
-        if _input_shardable(out_spec.shape, 0, cfg, num_devices):
+        if _input_shardable(out_spec.shape, 0, num_devices):
             states = [S(0)] + [R] * (arity - 1)
             if kind is OpKind.POOL and arity == 2:  # pool grads take (dy, x)
                 states = [S(0), S(0)]
@@ -350,18 +354,18 @@ def node_variants(
 
     if kind is OpKind.CONV_GRAD_WEIGHT:
         add([R, R], R, sharded=False)
-        if _input_shardable(in_specs[0].shape, 0, cfg, num_devices):
+        if _input_shardable(in_specs[0].shape, 0, num_devices):
             add([S(0), S(0)], P, sharded=True)
         return variants
 
     if kind is OpKind.CROSS_ENTROPY:
         if node.op == "cross_entropy":
             add([R, R], R, sharded=False)
-            if _input_shardable(in_specs[0].shape, 0, cfg, num_devices):
+            if _input_shardable(in_specs[0].shape, 0, num_devices):
                 add([S(0), S(0)], P, sharded=True)
         else:  # cross_entropy_grad(dy, logits, labels)
             add([R, R, R], R, sharded=False)
-            if _input_shardable(in_specs[1].shape, 0, cfg, num_devices):
+            if _input_shardable(in_specs[1].shape, 0, num_devices):
                 add([R, S(0), S(0)], S(0), sharded=True)
         return variants
 
@@ -373,9 +377,9 @@ def node_variants(
         src = in_specs[0]
         add([R], R, sharded=False)
         for d in range(src.rank - 1):
-            if _input_shardable(src.shape, d, cfg, num_devices):
+            if _input_shardable(src.shape, d, num_devices):
                 add([S(d)], P, sharded=True)
-        if _input_shardable(src.shape, src.rank - 1, cfg, num_devices):
+        if _input_shardable(src.shape, src.rank - 1, num_devices):
             add([S(src.rank - 1)], S(0), sharded=True)
         return variants
 
@@ -383,9 +387,9 @@ def node_variants(
         dy, ids = in_specs
         add([R, R], R, sharded=False)
         for d in range(ids.rank):
-            if _input_shardable(ids.shape, d, cfg, num_devices):
+            if _input_shardable(ids.shape, d, num_devices):
                 add([S(d), S(d)], P, sharded=True)
-        if _input_shardable(dy.shape, dy.rank - 1, cfg, num_devices):
+        if _input_shardable(dy.shape, dy.rank - 1, num_devices):
             add([S(dy.rank - 1), R], S(1), sharded=True)
         return variants
 
@@ -393,7 +397,7 @@ def node_variants(
         # moe_dispatch(tokens [N,H], gates [N,E]) -> [E, C, H]
         # moe_combine_grad(dy [N,H], gates [N,E]) -> [E, C, H]
         add([R, R], R, sharded=False)
-        if _input_shardable(in_specs[0].shape, 0, cfg, num_devices):
+        if _input_shardable(in_specs[0].shape, 0, num_devices):
             add([S(0), S(0)], S(1), sharded=True)
         return variants
 
@@ -401,7 +405,7 @@ def node_variants(
         # moe_combine(expert_out [E,C,H], gates [N,E]) -> [N,H]
         # moe_dispatch_grad(dy [E,C,H], gates [N,E]) -> [N,H]
         add([R, R], R, sharded=False)
-        if _input_shardable(in_specs[1].shape, 0, cfg, num_devices):
+        if _input_shardable(in_specs[1].shape, 0, num_devices):
             add([S(1), S(0)], S(0), sharded=True)
         return variants
 
@@ -464,14 +468,14 @@ def source_variants(
         # dimension, parameters are replicated (except expert parameters when
         # expert parallelism is requested, as in DeepSpeed-MoE).
         if node.op == "placeholder":
-            if node.spec.rank and node.spec.shape[0] >= max(cfg.min_shard_dim_size, num_devices):
+            if node.spec.rank and node.spec.shape[0] >= max(MIN_SHARD_DIM_SIZE, num_devices):
                 return [S(0)]
             return [R]
         if cfg.expert_parallel_parameters and node.spec.rank == 3:
             return [S(0)]
         return [R]
     for d, size in enumerate(node.spec.shape):
-        if size >= max(cfg.min_shard_dim_size, num_devices):
+        if size >= max(MIN_SHARD_DIM_SIZE, num_devices):
             states.append(S(d))
     if cfg.enable_replicated_sources or not states:
         states.append(R)

@@ -49,6 +49,9 @@ from .rules import Rule, Theory, build_theory
 _SYNC = 0
 _COMP = 1
 
+#: Hard cap on A* expansions (safety valve).
+MAX_SEARCH_STEPS = 2_000_000
+
 
 class SynthesisError(RuntimeError):
     """Raised when no semantically equivalent distributed program is found."""
@@ -272,8 +275,8 @@ class ProgramSynthesizer:
         #: id(rule) -> (completes mask, ideal deltas, liveness drops).
         self._rule_static_cache: Dict[int, Tuple[int, Tuple[float, ...], Tuple[Tuple[int, int], ...]]] = {}
         #: id(rule) -> (cost plan, completes mask, ideals, liveness drops)
-        #: — the single-lookup cache of _apply (cleared with the cost plans
-        #: whenever the ratios change).
+        #: — the single-lookup cache of _apply (cleared whenever the ratios
+        #: change, since the cost plans depend on them).
         self._rule_runtime: Dict[int, Tuple] = {}
         for rule in self.theory.rules:
             mask = 0
@@ -287,8 +290,7 @@ class ProgramSynthesizer:
                 mask |= 1 << self._node_index[consumer]
             self._liveness_mask[name] = (mask, bool(consumers) or name in self._outputs)
         # -- per-search caches -------------------------------------------------
-        #: id(rule) -> cost-replay plan for the current ratios (cost memo).
-        self._rule_plans: Dict[int, Tuple] = {}
+        #: the ratios the runtime cache's cost plans were built for.
         self._plan_ratios: Optional[Tuple[float, ...]] = None
         #: id(rule) -> precondition bits in deterministic order (_ordered_pre).
         self._pre_order_cache: Dict[int, Tuple[int, ...]] = {}
@@ -324,20 +326,18 @@ class ProgramSynthesizer:
         """Cost-replay plan of a rule for fixed ratios.
 
         The plan holds the cost-model evaluations of the rule's instructions
-        in their order, so ``_apply`` accumulates them in that order.
+        in their order, so ``_apply`` accumulates them in that order.  It is
+        cached through :meth:`_replay_runtime`.
         """
-        plan = self._rule_plans.get(id(rule))
-        if plan is None:
-            steps: List[Tuple[int, object]] = []
-            for instr in rule.instructions:
-                if isinstance(instr, CommInstruction):
-                    if not instr.synchronises:
-                        continue  # local slice: no synchronisation, no cost
-                    steps.append((_SYNC, self.cost_model.comm_time(instr, ratios)))
-                else:
-                    steps.append((_COMP, tuple(self.cost_model.comp_times(instr, ratios))))
-            plan = self._rule_plans[id(rule)] = tuple(steps)
-        return plan
+        steps: List[Tuple[int, object]] = []
+        for instr in rule.instructions:
+            if isinstance(instr, CommInstruction):
+                if not instr.synchronises:
+                    continue  # local slice: no synchronisation, no cost
+                steps.append((_SYNC, self.cost_model.comm_time(instr, ratios)))
+            else:
+                steps.append((_COMP, tuple(self.cost_model.comp_times(instr, ratios))))
+        return tuple(steps)
 
     def _rule_static(
         self, rule: Rule
@@ -533,7 +533,6 @@ class ProgramSynthesizer:
         # The rule cost plans are only valid for one ratio vector; drop them
         # when the ratios change between synthesize() calls.
         if ratios != self._plan_ratios:
-            self._rule_plans.clear()
             self._rule_runtime.clear()
             self._plan_ratios = ratios
         if self.config.search_strategy == "beam":
@@ -1209,7 +1208,7 @@ class ProgramSynthesizer:
             score, _, _, node = heappop(heap)
             if score >= best_cost:
                 break
-            if expanded >= self.config.max_search_steps:
+            if expanded >= MAX_SEARCH_STEPS:
                 break
             expanded += 1
             if node.completed_ideal > best_prefix.completed_ideal or (

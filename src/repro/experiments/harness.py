@@ -10,7 +10,6 @@ times come from the execution simulator, which plays the role of the real
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence
 
@@ -31,16 +30,9 @@ DEFAULT_SYSTEMS = ["HAP", "DP-EV", "DP-CP", "DeepSpeed", "TAG"]
 
 
 def default_planner_config(beam_width: Optional[int] = None, max_rounds: int = 2) -> PlannerConfig:
-    """Planner configuration used by the experiment harness.
-
-    The beam width can be overridden with the ``REPRO_BEAM_WIDTH`` environment
-    variable and the number of (Q, B) rounds with ``REPRO_MAX_ROUNDS`` so that
-    the benchmark suite can trade fidelity for runtime.
-    """
-    beam = beam_width or int(os.environ.get("REPRO_BEAM_WIDTH", "16"))
-    rounds = int(os.environ.get("REPRO_MAX_ROUNDS", str(max_rounds)))
-    config = PlannerConfig(max_rounds=rounds)
-    config.synthesis.beam_width = beam
+    """Planner configuration used by the experiment harness (beam 16 by default)."""
+    config = PlannerConfig(max_rounds=max_rounds)
+    config.synthesis.beam_width = beam_width or 16
     return config
 
 

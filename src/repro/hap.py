@@ -12,7 +12,6 @@ execution simulator (:mod:`repro.simulator`).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from .autodiff import build_training_graph
@@ -65,7 +64,6 @@ def hap_pipeline(
     model: ComputationGraph,
     cluster: ClusterSpec,
     config: Optional[HierarchicalConfig] = None,
-    lr: Optional[float] = None,
 ) -> HierarchicalPlan:
     """Plan hierarchical (pipeline-over-SPMD) training of ``model``.
 
@@ -83,9 +81,8 @@ def hap_pipeline(
             differentiated individually, so a pre-built training graph is
             rejected).
         cluster: the (possibly heterogeneous) target cluster.
-        config: hierarchical-planner configuration.
-        lr: learning rate stored on the stage graphs' update nodes; when
-            omitted, ``config.lr`` applies.
+        config: hierarchical-planner configuration (its ``lr`` is stored on
+            the stage graphs' update nodes).
 
     Returns:
         The winning :class:`HierarchicalPlan`.
@@ -95,7 +92,4 @@ def hap_pipeline(
             "hap_pipeline() needs the forward graph (with a marked loss); "
             "pipeline stages are differentiated individually"
         )
-    config = config or HierarchicalConfig()
-    if lr is not None and lr != config.lr:
-        config = replace(config, lr=lr)
     return HierarchicalPlanner(model, cluster, config).plan()

@@ -26,6 +26,7 @@ from repro.core import (
     SynthesisConfig,
     stage_forward_graph,
 )
+from repro.core.hierarchical import MICROBATCH_CANDIDATES
 from repro.graph import cut_transfer_bytes, pipeline_cut
 from repro.graph.ops import OpKind
 from repro.hap import hap, hap_pipeline
@@ -653,13 +654,14 @@ class TestHierarchicalPlanner:
         assert plan.is_flat
 
     def test_microbatch_count_snapped_to_batch_divisor(self):
-        # num_microbatches=24 does not divide the batch of 16; the planner
-        # must snap to a divisor instead of producing ragged/empty
-        # microbatches (regression for the silent acceptance of m > batch).
+        # The candidate 32 exceeds the batch of 16; the planner must snap it
+        # to a divisor instead of producing ragged/empty microbatches
+        # (regression for the silent acceptance of m > batch).
         forward = build_tiny_transformer()  # batch 16
-        plan = HierarchicalPlanner(
-            forward, make_cluster(), hier_config(num_microbatches=24, max_stages=2)
-        ).plan()
+        planner = HierarchicalPlanner(forward, make_cluster(), hier_config(max_stages=2))
+        assert max(MICROBATCH_CANDIDATES) > 16
+        assert planner._microbatch_candidates(2, "gpipe") == [2, 4, 8, 16]
+        plan = planner.plan()
         assert plan.batch_size == 16
         assert plan.num_microbatches <= 16
         assert 16 % plan.num_microbatches == 0
@@ -747,12 +749,6 @@ class TestHierarchicalPlanner:
         [
             ("max_stages", 0),
             ("num_model_chunks", 0),
-            ("num_microbatches", 0),
-            ("num_microbatches", -3),
-            ("microbatch_candidates", [0, -1]),
-            ("microbatch_candidates", [4, 0]),
-            ("stage_candidates", [0, 7]),
-            ("microbatch_overhead", -1.0),
         ],
     )
     def test_out_of_range_config_rejected(self, field, value):
@@ -760,35 +756,29 @@ class TestHierarchicalPlanner:
             HierarchicalConfig(**{field: value})
 
     def test_smallest_valid_config_accepted(self):
-        config = HierarchicalConfig(
-            max_stages=1,
-            num_model_chunks=1,
-            num_microbatches=1,
-            microbatch_candidates=[1],
-            stage_candidates=[1],
-            microbatch_overhead=0.0,
-        )
-        assert (config.max_stages, config.num_microbatches) == (1, 1)
+        config = HierarchicalConfig(max_stages=1, num_model_chunks=1)
+        assert (config.max_stages, config.num_model_chunks) == (1, 1)
 
     def test_interleaved_only_with_incompatible_batch_falls_back_to_flat(self):
         # Batch 16 has no divisor that is a multiple of 3, so an
         # interleaved-only search has no valid microbatch count at 3 stages;
-        # the planner must skip those candidates (not crash) and keep the
+        # the planner must skip that candidate (not crash) and keep the
         # always-valid flat plan.
         forward = build_tiny_transformer()  # batch 16
         cluster = make_cluster(("A100", "A100", "P100"))
-        plan = HierarchicalPlanner(
-            forward,
-            cluster,
-            hier_config(schedules=["interleaved-1f1b"], stage_candidates=[3]),
-        ).plan()
-        assert plan.num_stages == 1
+        planner = HierarchicalPlanner(
+            forward, cluster, hier_config(schedules=["interleaved-1f1b"], max_stages=3)
+        )
+        assert planner.build_candidate(3) is None
+        plan = planner.plan()
+        assert 3 not in plan.candidate_times
+        assert 1 in plan.candidate_times
         # With a compatible stage count the interleaved-only search works and
         # discovers batch divisors that are multiples of the stage count.
         plan2 = HierarchicalPlanner(
             forward,
             cluster,
-            hier_config(schedules=["interleaved-1f1b"], stage_candidates=[2]),
+            hier_config(schedules=["interleaved-1f1b"], max_stages=2),
         ).plan()
         combos = {k for k in plan2.schedule_candidate_times if k[0] == 2}
         assert combos and all(k[2] % 2 == 0 for k in combos)
@@ -820,11 +810,7 @@ class TestHierarchicalPlanner:
 
 class TestPerChunkPlanner:
     def interleaved_candidate(self, forward, num_chunks=2, cluster=None):
-        config = hier_config(
-            schedules=["interleaved-1f1b"],
-            stage_candidates=[2],
-            num_model_chunks=num_chunks,
-        )
+        config = hier_config(schedules=["interleaved-1f1b"], num_model_chunks=num_chunks)
         planner = HierarchicalPlanner(forward, cluster or make_cluster(), config)
         return planner.build_candidate(2)
 
@@ -910,7 +896,7 @@ class TestPerChunkPlanner:
             forward,
             make_cluster(),
             hier_config(
-                schedules=["interleaved-1f1b"], stage_candidates=[2], num_model_chunks=8
+                schedules=["interleaved-1f1b"], max_stages=2, num_model_chunks=8
             ),
         ).plan()
         assert plan.num_stages == 1
@@ -932,14 +918,13 @@ class TestPerChunkPlanner:
     def test_microbatch_candidates_bounded_for_large_batches(self):
         # Regression: the interleaved candidate list used to append every
         # multiple of the stage count up to the batch size — O(batch) work
-        # and an unbounded combo grid.  It must stay bounded by the
-        # configured candidates and contain only valid divisors.
+        # and an unbounded combo grid.  It must stay bounded by
+        # MICROBATCH_CANDIDATES (plus s and 2s) and contain only valid divisors.
         forward = build_mlp(batch=4096)
         planner = HierarchicalPlanner(forward, make_cluster(), hier_config())
         for s in (2, 3, 4):
             cands = planner._microbatch_candidates(s, "interleaved-1f1b")
-            defaults = 5  # (2, 4, 8, 16, 32)
-            assert len(cands) <= defaults + 2
+            assert len(cands) <= len(MICROBATCH_CANDIDATES) + 2
             assert all(4096 % m == 0 and m % s == 0 for m in cands)
         # Incompatible batch: no divisor is a multiple of 3 for batch 16.
         small = HierarchicalPlanner(build_mlp(batch=16), make_cluster(), hier_config())
@@ -1188,9 +1173,7 @@ class TestHierarchicalRuntimeParity:
 
 class TestInterleavedRuntimeParity:
     def interleaved_plan(self, forward):
-        config = hier_config(
-            schedules=["interleaved-1f1b"], stage_candidates=[2], num_model_chunks=2
-        )
+        config = hier_config(schedules=["interleaved-1f1b"], num_model_chunks=2)
         plan = HierarchicalPlanner(forward, make_cluster(), config).build_candidate(2)
         assert plan is not None and plan.num_model_chunks == 2
         return plan

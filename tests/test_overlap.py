@@ -14,7 +14,6 @@ double-buffered boundary handoff.
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.autodiff import build_training_graph
@@ -35,13 +34,15 @@ from repro.core import (
     ProgramSynthesizer,
     SynthesisConfig,
 )
+from repro.core.hierarchical import MICROBATCH_OVERHEAD
 from repro.graph import DType, GraphBuilder, cut_transfer_bytes, pipeline_cut
 from repro.models.bert import BERTConfig, build_bert
-from repro.runtime import SingleDeviceExecutor, run_hierarchical_plan
+from repro.runtime import SingleDeviceExecutor
 from repro.simulator import (
     SCHEDULE_NAMES,
     ExecutionSimulator,
     StageTimes,
+    profile_stages,
     simulate_hierarchical,
     simulate_pipeline,
 )
@@ -58,6 +59,18 @@ def small_planner(beam_width=8):
 def hier_config(**kwargs):
     kwargs.setdefault("planner", small_planner())
     return HierarchicalConfig(**kwargs)
+
+
+def blocking_cluster(cluster):
+    """The same cluster with the fully blocking (no-overlap) model."""
+    return ClusterSpec(
+        cluster.machines,
+        network=cluster.network,
+        group_by_machine=cluster.group_by_machine,
+        name=cluster.name,
+        memory_reserve_fraction=cluster.memory_reserve_fraction,
+        comm_overlap_efficiency=0.0,
+    )
 
 
 def random_stages(rng, s):
@@ -408,15 +421,11 @@ class TestPlannerOverlap:
         plan = HierarchicalPlanner(forward, cluster, hier_config(max_stages=2)).plan()
         assert plan.overlap == pytest.approx(cluster.comm_overlap_efficiency)
         blocking = HierarchicalPlanner(
-            forward, cluster, hier_config(max_stages=2, overlap=0.0)
+            forward, blocking_cluster(cluster), hier_config(max_stages=2)
         ).plan()
         assert blocking.overlap == 0.0
         assert blocking.schedule.overlap == 0.0
         assert plan.estimated_time <= blocking.estimated_time + 1e-12
-
-    def test_invalid_overlap_config_rejected(self):
-        with pytest.raises(ValueError):
-            hier_config(overlap=1.5)
 
     def test_simulate_hierarchical_uses_plan_overlap(self):
         forward = build_tiny_transformer()
@@ -435,16 +444,9 @@ class TestPlannerOverlap:
         cluster = heterogeneous_testbed(num_gpus=32, gpus_per_machine=8)
         forward = build_bert(BERTConfig(batch_size=64, num_layers=4))
         intra = NetworkSpec(bandwidth=100e9 / 8)
-        blocking = HierarchicalPlanner(
-            forward,
-            cluster,
-            hier_config(intra_group_network=intra, overlap=0.0, stage_candidates=[2]),
-        ).plan()
-        overlapped = HierarchicalPlanner(
-            forward,
-            cluster,
-            hier_config(intra_group_network=intra, stage_candidates=[2]),
-        ).plan()
+        config = hier_config(intra_group_network=intra, max_stages=2)
+        blocking = HierarchicalPlanner(forward, blocking_cluster(cluster), config).plan()
+        overlapped = HierarchicalPlanner(forward, cluster, config).plan()
         assert (
             blocking.num_stages,
             blocking.schedule_name,
@@ -482,18 +484,13 @@ class TestOptimizerStateSharding:
 
     def test_previously_infeasible_candidate_becomes_feasible(self):
         # Size device memory strictly between the plain and the ZeRO peak of
-        # one pinned candidate: without sharding the planner's memory check
-        # must reject it, with sharding it must accept the very same
-        # (stages, schedule, microbatches, recompute) combination.
+        # one pinned candidate (2 stages, 1F1B, 4 microbatches, no
+        # recomputation): without sharding the planner's memory check must
+        # reject it, with sharding it must accept the very same schedule.
         from repro.cluster.device import DeviceType
 
         forward = build_tiny_transformer()
-        base = dict(
-            stage_candidates=[2],
-            schedules=["1f1b"],
-            num_microbatches=4,
-            recompute="never",
-        )
+        base = dict(schedules=["1f1b"], recompute="never")
 
         def cluster(memory_bytes):
             a100 = device_type("A100")
@@ -509,12 +506,25 @@ class TestOptimizerStateSharding:
                 group_by_machine=False,
             )
 
-        probe = HierarchicalPlanner(
-            forward, cluster(64e9), hier_config(**base)
-        ).build_candidate(2)
-        assert probe is not None and probe.num_stages == 2
+        def pinned(planner):
+            partition = planner._candidate_partition(2)
+            _cut, stages = planner._build_stages(partition, 1)
+            result = simulate_pipeline(
+                profile_stages(stages, planner._profile_chunk, {}),
+                num_microbatches=4,
+                inter_group_bandwidth=partition.inter_group_network.bandwidth,
+                inter_group_latency=partition.inter_group_network.latency,
+                microbatch_overhead=MICROBATCH_OVERHEAD,
+                schedule="1f1b",
+                overlap=planner.overlap,
+            )
+            return stages, result
+
+        probe_stages, probe = pinned(
+            HierarchicalPlanner(forward, cluster(64e9), hier_config(**base))
+        )
         worst_plain = worst_zero = 0.0
-        for stage, stash in zip(probe.stages, probe.schedule.peak_stash):
+        for stage, stash in zip(probe_stages, probe.peak_stash):
             worst_plain = max(worst_plain, max(stage.peak_device_memory(stash)))
             worst_zero = max(
                 worst_zero,
@@ -523,21 +533,18 @@ class TestOptimizerStateSharding:
         assert worst_zero < worst_plain  # ZeRO genuinely shrinks the peak
         tight = cluster((worst_plain + worst_zero) / 2)
 
-        infeasible = HierarchicalPlanner(
-            forward, tight, hier_config(**base)
-        ).build_candidate(2)
-        feasible = HierarchicalPlanner(
+        plain = HierarchicalPlanner(forward, tight, hier_config(**base))
+        zero = HierarchicalPlanner(
             forward, tight, hier_config(shard_optimizer_state=True, **base)
-        ).build_candidate(2)
-        assert infeasible is not None and feasible is not None
-        assert not infeasible.fits_memory
-        assert feasible.fits_memory
-        assert feasible.shard_optimizer_state
-        assert (feasible.schedule_name, feasible.num_microbatches, feasible.recompute) == (
-            infeasible.schedule_name,
-            infeasible.num_microbatches,
-            infeasible.recompute,
         )
+        stages, result = pinned(plain)
+        assert not plain._fits_memory(stages, result)
+        assert zero._fits_memory(stages, result)
+        # The pinned combination is in the search grid, so the ZeRO planner's
+        # candidate fits too.
+        feasible = zero.build_candidate(2)
+        assert feasible is not None and feasible.fits_memory
+        assert feasible.shard_optimizer_state
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +610,7 @@ class TestPerHopTransferBytes:
         # of the tensors it produces itself.
         graph = build_skip_chain(batch=16, width=64)
         cluster = make_cluster(("A100", "A100", "A100"))
-        planner = HierarchicalPlanner(graph, cluster, hier_config(stage_candidates=[3]))
+        planner = HierarchicalPlanner(graph, cluster, hier_config())
         candidate = planner.build_candidate(3)
         if candidate is None or candidate.num_stages != 3:
             pytest.skip("graph cut to fewer than 3 stages")

@@ -16,7 +16,6 @@ import pytest
 
 from repro.autodiff import build_training_graph
 from repro.cluster import ClusterSpec, NetworkSpec
-from repro.cluster.device import DeviceType
 from repro.core import (
     CachedPlan,
     DiskPlanCache,
@@ -154,14 +153,9 @@ class TestKeySensitivity:
 #: :func:`_other_value` (flip a bool, increment a number) cannot derive.
 OTHER_VALUES = {
     "search_strategy": "astar",
-    "solver_method": "highs-ipm",
-    "stage_candidates": (1, 2),
-    "num_microbatches": 4,
-    "microbatch_candidates": (2, 4),
     "schedules": ("1f1b",),
     "recompute": "never",
     "intra_group_network": NetworkSpec(bandwidth=1e9),
-    "overlap": 0.5,
     "synthesis": SynthesisConfig(enable_sfb=False),
     "load_balancer": LoadBalancerConfig(num_segments=2),
     "planner": PlannerConfig(max_rounds=2),
