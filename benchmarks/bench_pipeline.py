@@ -2,7 +2,7 @@
 
 Times hierarchical (pipeline-over-SPMD) planning — whose candidate space is
 now a (stage count x schedule x microbatch count x recomputation) grid — on
-three representative testbeds, and records the chosen plan so schedule-search
+four representative testbeds, and records the chosen plan so schedule-search
 cost regressions and plan-quality drifts are both visible:
 
 * ``hetero-bandwidth``: the whimpy heterogeneous cluster (fast rack-local
@@ -10,8 +10,10 @@ cost regressions and plan-quality drifts are both visible:
 * ``memory-constrained``: 1 GB devices where GPipe's linear activation
   footprint is infeasible and the planner must fall back to 1F1B-family
   schedules at high microbatch counts;
-* ``homogeneous-fast``: a compute-bound cluster with a fast flat network
-  where the planner must degenerate to flat HAP;
+* ``homogeneous-fast``: a homogeneous cluster with a fast flat network,
+  the control case where neither bandwidth nor memory forces pipelining;
+  it records the stage count the search picks without asserting one (a
+  ``--fast`` run picks 2-stage GPipe with 16 microbatches);
 * ``interleaved-chunked``: the bandwidth-constrained cluster again, with the
   search forced onto ``interleaved-1f1b`` so planning must cut ``s * v`` real
   model chunks and run flat HAP per chunk — the per-chunk planning cost that

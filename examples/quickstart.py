@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autodiff import build_training_graph
 from repro.cluster import ClusterSpec, Machine, NetworkSpec, device_type
 from repro.core import PlannerConfig, SynthesisConfig
 from repro.data import batches_for_graph
@@ -74,7 +73,6 @@ def main() -> None:
 
     # Execute one iteration with the SPMD emulation runtime and compare
     # against single-device execution of the same training graph.
-    training = build_training_graph(forward)
     bindings = {**init_parameters(plan.program.graph, seed=0), **batches_for_graph(plan.program.graph, seed=1)}
     reference = SingleDeviceExecutor(plan.program.graph).run(bindings)
     distributed = run_plan(plan, bindings)
@@ -90,7 +88,6 @@ def main() -> None:
     print(f"max |difference| over updated parameters: {max_err:.2e}")
     assert abs(ref_loss - distributed.loss) < 1e-2
     print("OK: the distributed program is semantically equivalent.")
-    del training
 
 
 if __name__ == "__main__":

@@ -2,7 +2,6 @@
 
 from .backward import (
     GRAD_SEED_SUFFIX,
-    StageTrainingInfo,
     TrainingGraphInfo,
     build_stage_training_graph,
     build_training_graph,
@@ -12,6 +11,5 @@ __all__ = [
     "build_training_graph",
     "build_stage_training_graph",
     "TrainingGraphInfo",
-    "StageTrainingInfo",
     "GRAD_SEED_SUFFIX",
 ]

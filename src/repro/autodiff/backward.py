@@ -6,13 +6,16 @@ paper: each worker applies gradients to its own parameter shards after running
 ``Q``).  The paper obtains this program by tracing PyTorch autograd; here we
 construct it ourselves with reverse-mode differentiation over the IR.
 
-The entry point is :func:`build_training_graph`, which copies the forward
-graph, seeds the loss gradient with a constant ``1.0``, emits vector-Jacobian
-products for every operator in reverse topological order, sums gradient
-contributions from multiple consumers, and finally appends an ``sgd_update``
-node per parameter.  The updated parameters and the loss are the outputs of
-the resulting graph — they are exactly the tensors whose distributed
-properties the synthesizer must establish.
+There is one reverse sweep, :func:`build_stage_training_graph`, which copies
+a (stage) forward graph, seeds the loss gradient with a constant ``1.0`` and
+every outgoing pipeline-boundary activation with a gradient placeholder,
+emits vector-Jacobian products for every operator in reverse topological
+order, sums gradient contributions from multiple consumers, and finally
+appends an ``sgd_update`` node per parameter.  :func:`build_training_graph`
+is its one-stage case: a whole model with a loss and no boundaries.  The
+updated parameters and the loss are the outputs of the resulting graph —
+they are exactly the tensors whose distributed properties the synthesizer
+must establish.
 """
 
 from __future__ import annotations
@@ -25,24 +28,45 @@ from ..graph.graph import ComputationGraph, GraphError, Node
 from ..graph.tensor import DType
 
 
+#: Suffix of the gradient-seed placeholders of a pipeline-stage graph.
+GRAD_SEED_SUFFIX = "__grad_in"
+
+
 @dataclass
 class TrainingGraphInfo:
-    """Book-keeping produced alongside a training graph.
+    """Book-keeping produced alongside a (stage) training graph.
+
+    A whole-model training graph is the one-stage case: it has a loss and no
+    boundaries, so the boundary fields stay empty.
 
     Attributes:
-        graph: the constructed training graph.
-        loss: name of the loss node.
+        graph: the constructed training graph (forward + backward + SGD
+            updates for the graph's own parameters).
+        loss: name of the loss node (``None`` on a non-final pipeline stage).
         gradients: map from parameter name to its gradient node name.
         updates: map from parameter name to its ``sgd_update`` node name.
         skipped_parameters: parameters with no gradient path (e.g. MoE gate
             weights under straight-through routing); they receive no update.
+        forward_nodes: names of the forward nodes (including the placeholder
+            stand-ins for incoming activations) — everything else in
+            ``graph`` is backward or optimizer work.
+        boundary_outputs: activations this stage sends downstream; each is a
+            graph output and has a matching gradient-seed placeholder.
+        grad_input_of: boundary-output ref -> its gradient-seed placeholder
+            (bound by the runtime to the gradient received from downstream).
+        grad_output_of: incoming-activation ref -> node holding the gradient
+            this stage sends back upstream (a graph output).
     """
 
     graph: ComputationGraph
-    loss: str
+    loss: Optional[str]
     gradients: Dict[str, str] = field(default_factory=dict)
     updates: Dict[str, str] = field(default_factory=dict)
     skipped_parameters: List[str] = field(default_factory=list)
+    forward_nodes: List[str] = field(default_factory=list)
+    boundary_outputs: List[str] = field(default_factory=list)
+    grad_input_of: Dict[str, str] = field(default_factory=dict)
+    grad_output_of: Dict[str, str] = field(default_factory=dict)
 
 
 class _GradBuilder:
@@ -71,6 +95,9 @@ def build_training_graph(
 ) -> TrainingGraphInfo:
     """Expand a forward graph with a marked loss into a full training graph.
 
+    The one-stage case of :func:`build_stage_training_graph`: no incoming or
+    outgoing boundaries, so the loss is the only gradient seed.
+
     Args:
         forward: single-device forward graph; ``forward.loss`` must be set.
         lr: learning rate stored on the ``sgd_update`` nodes.
@@ -85,101 +112,7 @@ def build_training_graph(
         GraphError: if the forward graph has no loss or uses an operator with
             no differentiation rule on the path to a parameter.
     """
-    if forward.loss is None:
-        raise GraphError("build_training_graph requires a graph with a marked loss")
-    forward.validate()
-
-    graph = _copy_forward(forward)
-    b = _GradBuilder(graph)
-    loss = forward.loss
-
-    # Gradient accumulation buckets: node name -> list of grad node names.
-    pending: Dict[str, List[str]] = {}
-
-    seed = b.add("grad_seed", "constant", (), shape=(), dtype=DType.FLOAT32, value=1.0)
-    pending[loss] = [seed]
-
-    def grad_of(name: str) -> Optional[str]:
-        """Sum accumulated gradient contributions of a node (or None)."""
-        contribs = pending.get(name)
-        if not contribs:
-            return None
-        total = contribs[0]
-        for extra in contribs[1:]:
-            total = b.add(f"grad_{name}_acc", "add", (total, extra))
-        pending[name] = [total]
-        return total
-
-    def push(name: str, grad: Optional[str]) -> None:
-        if grad is not None:
-            pending.setdefault(name, []).append(grad)
-
-    # Reverse topological sweep of the forward nodes.
-    for node in reversed(forward.nodes):
-        dy = grad_of(node.name)
-        if dy is None:
-            continue
-        for inp, grad in _vjp(b, forward, node, dy).items():
-            push(inp, grad)
-
-    gradients: Dict[str, str] = {}
-    updates: Dict[str, str] = {}
-    skipped: List[str] = []
-    for param in forward.parameters():
-        grad = grad_of(param.name)
-        if grad is None:
-            skipped.append(param.name)
-            continue
-        gradients[param.name] = grad
-        upd = b.add(f"{param.name}_new", "sgd_update", (param.name, grad), lr=lr)
-        updates[param.name] = upd
-        graph.mark_output(upd)
-
-    graph.mark_loss(loss)
-    # The eager VJP sweep materialises gradients for every input, including
-    # data placeholders nobody updates; drop those dead sinks so the planner
-    # never pays (or shards) compute whose result is unobservable.
-    graph.prune_dead()
-    graph.validate()
-    return TrainingGraphInfo(
-        graph=graph, loss=loss, gradients=gradients, updates=updates, skipped_parameters=skipped
-    )
-
-
-#: Suffix of the gradient-seed placeholders of a pipeline-stage graph.
-GRAD_SEED_SUFFIX = "__grad_in"
-
-
-@dataclass
-class StageTrainingInfo:
-    """A pipeline stage's training graph plus its boundary book-keeping.
-
-    Attributes:
-        graph: the stage's training graph (stage forward + backward + SGD
-            updates for the stage's own parameters).
-        loss: loss node name (last stage only).
-        gradients / updates / skipped_parameters: as in
-            :class:`TrainingGraphInfo`, restricted to the stage's parameters.
-        forward_nodes: names of the stage-forward nodes (including the
-            placeholder stand-ins for incoming activations) — everything else
-            in ``graph`` is backward or optimizer work.
-        boundary_outputs: activations this stage sends downstream; each is a
-            graph output and has a matching gradient-seed placeholder.
-        grad_input_of: boundary-output ref -> its gradient-seed placeholder
-            (bound by the runtime to the gradient received from downstream).
-        grad_output_of: incoming-activation ref -> node holding the gradient
-            this stage sends back upstream (a graph output).
-    """
-
-    graph: ComputationGraph
-    loss: Optional[str]
-    gradients: Dict[str, str] = field(default_factory=dict)
-    updates: Dict[str, str] = field(default_factory=dict)
-    skipped_parameters: List[str] = field(default_factory=list)
-    forward_nodes: List[str] = field(default_factory=list)
-    boundary_outputs: List[str] = field(default_factory=list)
-    grad_input_of: Dict[str, str] = field(default_factory=dict)
-    grad_output_of: Dict[str, str] = field(default_factory=dict)
+    return build_stage_training_graph(forward, lr=lr)
 
 
 def build_stage_training_graph(
@@ -187,11 +120,14 @@ def build_stage_training_graph(
     boundary_inputs: Tuple[str, ...] = (),
     boundary_outputs: Tuple[str, ...] = (),
     lr: float = 0.01,
-) -> StageTrainingInfo:
-    """Differentiate one pipeline stage of a forward graph.
+) -> TrainingGraphInfo:
+    """Differentiate a forward graph, or one pipeline stage of it.
 
-    The last stage (the one holding the loss) is differentiated exactly like
-    :func:`build_training_graph`.  Earlier stages have no loss; instead, each
+    The reverse sweep copies the forward graph, seeds the loss gradient (when
+    the stage holds the loss) with a constant ``1.0``, emits vector-Jacobian
+    products for every operator in reverse topological order, sums gradient
+    contributions from multiple consumers, and appends an ``sgd_update`` node
+    per parameter.  Non-final stages have no loss; instead, each
     ``boundary_outputs`` activation gets a gradient-seed *placeholder* (named
     ``<ref>__grad_in``) standing in for the gradient that arrives from the
     downstream stage at run time, and the accumulated gradient of each
@@ -210,20 +146,25 @@ def build_stage_training_graph(
         lr: learning rate stored on the ``sgd_update`` nodes.
 
     Returns:
-        A :class:`StageTrainingInfo`; the graph's outputs are the updated
+        A :class:`TrainingGraphInfo`; the graph's outputs are the updated
         parameters, the boundary activations, the upstream gradients, and the
         loss when present.
+
+    Raises:
+        GraphError: if the graph has neither a loss nor a boundary output to
+            seed the backward pass, or uses an operator with no
+            differentiation rule on the path to a parameter.
     """
     if stage_forward.loss is None and not boundary_outputs:
         raise GraphError(
-            "a stage graph needs a marked loss or at least one boundary output "
-            "to seed its backward pass"
+            "a training graph needs a marked loss or at least one boundary "
+            "output to seed its backward pass"
         )
     stage_forward.validate()
 
     graph = _copy_forward(stage_forward)
-    forward_nodes = list(stage_forward.node_names)
     b = _GradBuilder(graph)
+    # Gradient accumulation buckets: node name -> list of grad node names.
     pending: Dict[str, List[str]] = {}
 
     if stage_forward.loss is not None:
@@ -239,6 +180,7 @@ def build_stage_training_graph(
         grad_input_of[ref] = seed_name
 
     def grad_of(name: str) -> Optional[str]:
+        """Sum accumulated gradient contributions of a node (or None)."""
         contribs = pending.get(name)
         if not contribs:
             return None
@@ -252,6 +194,7 @@ def build_stage_training_graph(
         if grad is not None:
             pending.setdefault(name, []).append(grad)
 
+    # Reverse topological sweep of the forward nodes.
     for node in reversed(stage_forward.nodes):
         dy = grad_of(node.name)
         if dy is None:
@@ -283,18 +226,19 @@ def build_stage_training_graph(
 
     if stage_forward.loss is not None:
         graph.mark_loss(stage_forward.loss)
-    # Same dead-sink pruning as build_training_graph: boundary activations
-    # and exported upstream gradients are outputs, so only unobservable
-    # gradient compute (e.g. towards data placeholders) is removed.
+    # The eager VJP sweep materialises gradients for every input, including
+    # data placeholders nobody updates; drop those dead sinks so the planner
+    # never pays (or shards) compute whose result is unobservable.  Boundary
+    # activations and exported upstream gradients are outputs, so they stay.
     graph.prune_dead()
     graph.validate()
-    return StageTrainingInfo(
+    return TrainingGraphInfo(
         graph=graph,
         loss=stage_forward.loss,
         gradients=gradients,
         updates=updates,
         skipped_parameters=skipped,
-        forward_nodes=[n for n in forward_nodes if n in graph],
+        forward_nodes=[n for n in stage_forward.node_names if n in graph],
         boundary_outputs=list(boundary_outputs),
         grad_input_of=grad_input_of,
         grad_output_of=grad_output_of,

@@ -43,7 +43,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..autodiff.backward import StageTrainingInfo, build_stage_training_graph
+from ..autodiff.backward import TrainingGraphInfo, build_stage_training_graph
 from ..cluster.spec import ClusterPartition, ClusterSpec, NetworkSpec
 from ..graph.analysis import PipelineCut, interleaved_pipeline_cut
 from ..graph.canonical import fingerprint_with_order, graph_fingerprint
@@ -205,7 +205,7 @@ class ChunkPlan:
     virtual_index: int
     subcluster: ClusterSpec
     plan: HAPPlan
-    info: StageTrainingInfo
+    info: TrainingGraphInfo
     send_bytes: int
     activation_bytes: int = 0
     sharded_param_bytes: int = 0

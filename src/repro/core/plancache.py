@@ -75,7 +75,9 @@ from .properties import Property
 #: the configs.
 #: v4: ten never-set fields left the configs (their defaults are now module
 #: constants) and hierarchical plans price at the cluster's overlap.
-CACHE_VERSION = 4
+#: v5: ``ChunkPlan.info`` is a ``TrainingGraphInfo`` (the separate
+#: ``StageTrainingInfo`` class was folded into it).
+CACHE_VERSION = 5
 
 #: Configuration fields excluded from cache keys: the cache itself and the
 #: static-verifier flag (verification never changes the plan).

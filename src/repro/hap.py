@@ -86,10 +86,9 @@ def hap_pipeline(
 
     Returns:
         The winning :class:`HierarchicalPlan`.
+
+    Raises:
+        GraphError: (a ``ValueError``) if ``model`` is a training graph or has
+            no marked loss.
     """
-    if _is_training_graph(model):
-        raise ValueError(
-            "hap_pipeline() needs the forward graph (with a marked loss); "
-            "pipeline stages are differentiated individually"
-        )
     return HierarchicalPlanner(model, cluster, config).plan()

@@ -505,7 +505,9 @@ class HierarchicalResult:
         updated_parameters: parameter name -> updated global value, unified
             across stages (stage graphs generate their own update-node names,
             so results are keyed by the original parameter).
-        outputs: raw per-stage output tensors keyed by output-node name.
+        outputs: the updated parameters keyed by their chunk's update-node
+            name, plus the loss under the loss-node name.  Boundary
+            activations and gradients are not reassembled.
         per_stage_rank_bytes: per-stage per-rank memory footprints.
     """
 
@@ -537,16 +539,20 @@ class HierarchicalExecutor:
        consumers, producing the chunk's parameter updates and the gradients
        it sends upstream.
 
-    When the plan schedules ``m > 1`` microbatches (and the global batch is
-    divisible by ``m``), the mini-batch is split along the leading dimension
-    and the tasks execute **in the plan's schedule order** (Megatron-style
-    interleaved 1F1B included), resolved one task at a time through the same
-    dependency rules as the schedule simulator.  The task order only affects
-    timing, not numerics: per-parameter gradients are accumulated across
-    microbatches (per physical stage the backward tasks of a chunk run in
-    microbatch order, so the accumulation order matches a sequential sweep)
-    and the SGD update is applied exactly once per iteration, mirroring the
-    once-per-iteration gradient synchronisation of the simulated schedules.
+    The mini-batch is split into the plan's ``m`` microbatches along the
+    leading dimension (``m`` falls back to 1 when it does not divide the
+    global batch; one microbatch is the whole batch, run through the same
+    loop) and the tasks execute **in the plan's schedule order**
+    (Megatron-style interleaved 1F1B included; a sequential sweep when the
+    schedule cannot express ``m``), resolved one task at a time through the
+    same dependency rules as the schedule simulator, with boundary handoff
+    double-buffered through a :class:`BoundaryChannel`.  The task order
+    only affects timing, not numerics: per-parameter gradients are
+    accumulated across microbatches (per physical stage the backward tasks
+    of a chunk run in microbatch order, so the accumulation order matches a
+    sequential sweep) and the SGD update is applied exactly once per
+    iteration, mirroring the once-per-iteration gradient synchronisation of
+    the simulated schedules.
     Because the IR's loss reductions are sums over the batch, the summed
     microbatch gradients and losses match the full-batch run bit-for-bit up
     to floating-point reduction order.
@@ -573,7 +579,7 @@ class HierarchicalExecutor:
             SPMDExecutor(chunk.program, chunk.ratios, batch_hint=hint, batch_scale=scale)
             for chunk in self.chunks
         ]
-        #: Boundary channel of the most recent scheduled run (for inspection).
+        #: Boundary channel of the most recent run (for inspection).
         self.channel: Optional[BoundaryChannel] = None
 
     def _chunk_bindings(
@@ -664,15 +670,14 @@ class HierarchicalExecutor:
         micro_bindings: Mapping[str, np.ndarray],
         activations: Dict[str, np.ndarray],
         per_chunk_bytes: List[List[int]],
-        channel: Optional[BoundaryChannel] = None,
-        microbatch: int = 0,
+        channel: BoundaryChannel,
+        microbatch: int,
     ) -> None:
         """Run chunk ``k``'s forward up to its boundary and issue the send.
 
-        With a :class:`BoundaryChannel` the boundary activations are issued
-        as an in-flight payload (the sender's next task may run before the
-        receiver drains it); without one they are delivered synchronously —
-        the blocking handoff of the whole-batch path.
+        The boundary activations are issued as an in-flight payload on the
+        :class:`BoundaryChannel`: the sender's next task may run before the
+        receiver drains it.
         """
         chunk = self.chunks[k]
         if not chunk.info.boundary_outputs:
@@ -683,11 +688,9 @@ class HierarchicalExecutor:
             stop_after=chunk.info.boundary_outputs,
         )
         self._record_bytes(per_chunk_bytes, k, result.per_rank_bytes)
-        payload = {ref: result.outputs[ref] for ref in chunk.info.boundary_outputs}
-        if channel is not None:
-            channel.send_activations(k, microbatch, payload)
-        else:
-            activations.update(payload)
+        channel.send_activations(
+            k, microbatch, {ref: result.outputs[ref] for ref in chunk.info.boundary_outputs}
+        )
 
     def _backward_task(
         self,
@@ -695,18 +698,16 @@ class HierarchicalExecutor:
         micro_bindings: Mapping[str, np.ndarray],
         activations: Dict[str, np.ndarray],
         grads: Dict[str, np.ndarray],
-        gradients: Optional[Dict[str, np.ndarray]],
-        outputs: Optional[Dict[str, np.ndarray]],
+        gradients: Dict[str, np.ndarray],
         per_chunk_bytes: List[List[int]],
-        channel: Optional[BoundaryChannel] = None,
-        microbatch: int = 0,
+        channel: BoundaryChannel,
+        microbatch: int,
     ) -> Optional[float]:
         """Full run of chunk ``k`` with downstream gradient seeds bound.
 
-        Accumulates per-parameter gradients into ``gradients`` (when
-        provided), issues the upstream boundary gradients (through the
-        double-buffered ``channel`` when given, synchronously otherwise) and
-        frees the chunk's own handoffs — once its backward ran, every
+        Accumulates per-parameter gradients into ``gradients``, issues the
+        upstream boundary gradients through the double-buffered ``channel``
+        and frees the chunk's own handoffs — once its backward ran, every
         downstream consumer of this microbatch is already done and drained.
         """
         chunk = self.chunks[k]
@@ -715,62 +716,31 @@ class HierarchicalExecutor:
             self._chunk_bindings(chunk, micro_bindings, activations, grads)
         )
         self._record_bytes(per_chunk_bytes, k, result.per_rank_bytes)
-        if gradients is not None:
-            for param, grad_node in chunk.info.gradients.items():
-                value = executor.gather(grad_node)
-                if value is not None:
-                    gradients[param] = (
-                        value if param not in gradients else gradients[param] + value
-                    )
+        for param, grad_node in chunk.info.gradients.items():
+            value = executor.gather(grad_node)
+            if value is not None:
+                gradients[param] = (
+                    value if param not in gradients else gradients[param] + value
+                )
         upstream = {
             ref: result.outputs[grad_node]
             for ref, grad_node in chunk.info.grad_output_of.items()
         }
-        if channel is not None:
-            if upstream:
-                channel.send_gradients(k, microbatch, upstream)
-        else:
-            for ref, contribution in upstream.items():
-                grads[ref] = grads[ref] + contribution if ref in grads else contribution
-        if outputs is not None:
-            outputs.update(result.outputs)
+        if upstream:
+            channel.send_gradients(k, microbatch, upstream)
         for ref in chunk.info.boundary_outputs:
             activations.pop(ref, None)
             grads.pop(ref, None)
         return result.loss if chunk.info.loss is not None else None
-
-    def _one_pass(
-        self,
-        bindings: Mapping[str, np.ndarray],
-        per_chunk_bytes: List[List[int]],
-    ):
-        """One forward+backward sweep over all chunks for the whole batch.
-
-        Returns ``(loss, outputs)``; the chunk graphs' own ``sgd_update``
-        nodes compute the updated parameters, so no gradient reassembly or
-        accumulation is needed.
-        """
-        activations: Dict[str, np.ndarray] = {}
-        for k in range(len(self.chunks) - 1):
-            self._forward_task(k, bindings, activations, per_chunk_bytes)
-        grads: Dict[str, np.ndarray] = {}
-        loss: Optional[float] = None
-        outputs: Dict[str, np.ndarray] = {}
-        for k in reversed(range(len(self.chunks))):
-            task_loss = self._backward_task(
-                k, bindings, activations, grads, None, outputs, per_chunk_bytes
-            )
-            if task_loss is not None:
-                loss = task_loss
-        return loss, outputs
 
     def _task_orders(self, m: int) -> List[List]:
         """Per-physical-stage task lists in the plan's schedule order.
 
         Falls back to a sequential per-microbatch sweep when the plan's
         schedule cannot express the configuration (e.g. a microbatch count
-        override that violates the interleaved divisibility rule, or a
-        single-chunk schedule name with several resident chunks).
+        override that violates the interleaved divisibility rule, a whole
+        batch run of an interleaved plan, or a single-chunk schedule name
+        with several resident chunks).
         """
         from ..simulator.schedule import get_schedule
 
@@ -793,35 +763,44 @@ class HierarchicalExecutor:
                         orders[i].append(("B", c, j))
             return orders
 
-    def _run_scheduled(self, bindings: Mapping[str, np.ndarray]) -> HierarchicalResult:
-        """Microbatched iteration driven by the schedule's task order.
+    def run(self, bindings: Mapping[str, np.ndarray]) -> HierarchicalResult:
+        """Execute one training iteration across all pipeline chunks.
 
-        Tasks are executed one at a time; a stage's head task runs as soon
-        as its dependencies are met (forward: upstream chunk forward done;
-        backward: own forward and downstream backward done) — the same rules
-        the schedule simulator times, minus the clock.  Boundary handoff is
-        double-buffered through a :class:`BoundaryChannel`: a completed task
-        issues its send and its stage immediately proceeds to the next task
-        in its order, draining incoming payloads only when the consuming
-        task actually starts — the executed task order therefore matches the
-        asynchronous-transfer model the schedule simulator prices.
+        Tasks are executed one at a time in the schedule's task order; a
+        stage's head task runs as soon as its dependencies are met (forward:
+        upstream chunk forward done; backward: own forward and downstream
+        backward done) — the same rules the schedule simulator times, minus
+        the clock.  Boundary handoff is double-buffered through a
+        :class:`BoundaryChannel`: a completed task issues its send and its
+        stage immediately proceeds to the next task in its order, draining
+        incoming payloads only when the consuming task actually starts — the
+        executed task order therefore matches the asynchronous-transfer model
+        the schedule simulator prices.
+
+        Args:
+            bindings: global values for every placeholder and parameter of
+                the *original* single-device graph (chunk graphs reuse the
+                original node names, so one bindings dict serves all chunks).
         """
         m = self.num_microbatches
         s = self.num_stages
-        batch = self.plan.batch_size
-        micro = batch // m
-        data_names = self._data_placeholders()
-        micro_bindings: List[Dict[str, np.ndarray]] = []
-        for j in range(m):
-            mb: Dict[str, np.ndarray] = {}
-            for name, value in bindings.items():
-                arr = np.asarray(value)
-                if name in data_names and arr.ndim > 0 and arr.shape[0] == batch:
-                    mb[name] = arr[j * micro : (j + 1) * micro]
-                else:
-                    mb[name] = arr
-            micro_bindings.append(mb)
-
+        # One microbatch is the whole batch: bindings pass through unsliced,
+        # so a plan without a known batch size still runs.
+        micro_bindings: List[Mapping[str, np.ndarray]] = [bindings]
+        if m > 1:
+            batch = self.plan.batch_size
+            micro = batch // m
+            data_names = self._data_placeholders()
+            micro_bindings = []
+            for j in range(m):
+                mb: Dict[str, np.ndarray] = {}
+                for name, value in bindings.items():
+                    arr = np.asarray(value)
+                    if name in data_names and arr.ndim > 0 and arr.shape[0] == batch:
+                        mb[name] = arr[j * micro : (j + 1) * micro]
+                    else:
+                        mb[name] = arr
+                micro_bindings.append(mb)
         orders = self._task_orders(m)
         last = len(self.chunks) - 1
         activations: List[Dict[str, np.ndarray]] = [{} for _ in range(m)]
@@ -845,12 +824,7 @@ class HierarchicalExecutor:
                             break
                         channel.drain(k, j, activations[j], grads[j])
                         self._forward_task(
-                            k,
-                            micro_bindings[j],
-                            activations[j],
-                            per_chunk_bytes,
-                            channel=channel,
-                            microbatch=j,
+                            k, micro_bindings[j], activations[j], per_chunk_bytes, channel, j
                         )
                         done_f.add((k, j))
                     else:
@@ -865,10 +839,9 @@ class HierarchicalExecutor:
                             activations[j],
                             grads[j],
                             grad_sums,
-                            None,
                             per_chunk_bytes,
-                            channel=channel,
-                            microbatch=j,
+                            channel,
+                            j,
                         )
                         if loss is not None:
                             loss_total = loss if loss_total is None else loss_total + loss
@@ -884,8 +857,8 @@ class HierarchicalExecutor:
 
         updated = self._apply_updates(bindings, grad_sums)
         # Per-iteration outputs: the updated parameters under their
-        # update-node names (matching the whole-batch contract) and the loss.
-        # Raw per-microbatch activations/gradients are not reassembled.
+        # update-node names and the loss.  Raw per-microbatch
+        # activations/gradients are not reassembled.
         outputs: Dict[str, np.ndarray] = {}
         for chunk in self.chunks:
             for param, update_node in chunk.info.updates.items():
@@ -899,40 +872,15 @@ class HierarchicalExecutor:
             per_stage_rank_bytes=self._per_stage_bytes(per_chunk_bytes),
         )
 
-    def run(self, bindings: Mapping[str, np.ndarray]) -> HierarchicalResult:
-        """Execute one training iteration across all pipeline chunks.
-
-        Args:
-            bindings: global values for every placeholder and parameter of
-                the *original* single-device graph (chunk graphs reuse the
-                original node names, so one bindings dict serves all chunks).
-        """
-        if self.num_microbatches > 1:
-            return self._run_scheduled(bindings)
-        per_chunk_bytes: List[List[int]] = [[] for _ in self.chunks]
-        loss, outputs = self._one_pass(bindings, per_chunk_bytes)
-        # Whole-batch run: the graph's own sgd_update nodes computed the
-        # new parameters; no accumulation is needed.
-        updated = {
-            param: outputs[update_node]
-            for chunk in self.chunks
-            for param, update_node in chunk.info.updates.items()
-        }
-        return HierarchicalResult(
-            loss=loss,
-            updated_parameters=updated,
-            outputs=outputs,
-            per_stage_rank_bytes=self._per_stage_bytes(per_chunk_bytes),
-        )
-
     def _apply_updates(
         self, bindings: Mapping[str, np.ndarray], gradients: Mapping[str, np.ndarray]
     ) -> Dict[str, np.ndarray]:
         """Once-per-iteration SGD step from the microbatch-accumulated gradients.
 
-        The chunk graphs' ``sgd_update`` nodes operate on a single pass's
-        gradient, so the cross-microbatch step must be applied here in closed
-        form (``param - lr * sum(grads)``).  The microbatch parity tests
+        The chunk graphs' ``sgd_update`` nodes see one microbatch's gradient
+        only, so the iteration's step is applied here in closed form
+        (``param - lr * sum(grads)``) for every microbatch count, one
+        included.  The runtime parity tests
         compare this against the graph-executed single-device update every
         run, so a drift in ``sgd_update`` semantics would fail loudly; the
         ``lr`` attribute is read strictly for the same reason.

@@ -8,6 +8,8 @@ bandwidth-constrained heterogeneous testbed), and end-to-end runtime parity
 of hierarchical execution against single-device training.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -1156,6 +1158,20 @@ class TestHierarchicalRuntimeParity:
 
         executor = HierarchicalExecutor(plan, num_microbatches=5)  # 5 does not divide 16
         assert executor.num_microbatches == 1
+
+    def test_plan_without_batch_size_runs_as_one_microbatch(self):
+        forward = build_tiny_transformer()
+        plan = HierarchicalPlanner(forward, make_cluster(), hier_config()).build_candidate(2)
+        plan = dataclasses.replace(plan, batch_size=None)
+        from repro.runtime.spmd import HierarchicalExecutor
+
+        training = build_training_graph(forward)
+        bindings = bindings_for(training.graph, seed=6)
+        executor = HierarchicalExecutor(plan)
+        assert executor.num_microbatches == 1
+        result = executor.run(bindings)
+        reference = SingleDeviceExecutor(training.graph).run(bindings)
+        assert result.loss == pytest.approx(float(reference[training.loss]), rel=2e-4, abs=1e-4)
 
     def test_flat_plan_executes_through_hierarchical_runtime(self):
         forward = build_mlp()

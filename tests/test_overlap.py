@@ -667,7 +667,10 @@ class TestDoubleBufferedHandoff:
             float(reference[training.loss]), rel=2e-4, abs=1e-4
         )
 
-    def test_whole_batch_path_has_no_channel(self):
+    def test_whole_batch_runs_through_the_channel(self):
+        # One microbatch is the one-microbatch case of the scheduled loop:
+        # the handoff still goes through the channel, and the outputs are
+        # the updated parameters plus the loss, with no boundary tensors.
         forward = build_tiny_transformer()
         plan = HierarchicalPlanner(
             forward, make_cluster(), hier_config()
@@ -676,5 +679,11 @@ class TestDoubleBufferedHandoff:
 
         training = build_training_graph(forward)
         executor = HierarchicalExecutor(plan, num_microbatches=1)
-        executor.run(bindings_for(training.graph, seed=1))
-        assert executor.channel is None
+        result = executor.run(bindings_for(training.graph, seed=1))
+        channel = executor.channel
+        assert channel is not None and channel.drained
+        assert any(kind == "send" for kind, _, _, _ in channel.events)
+        expected = {training.loss}
+        for chunk in plan.chunk_sequence():
+            expected.update(chunk.info.updates.values())
+        assert set(result.outputs) == expected
