@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..collectives.cost import CollectiveKind
 from ..graph.graph import ComputationGraph, Node
@@ -59,8 +59,10 @@ class Rule:
             theory's property index (:attr:`Theory.props`).
         comm_mask: ``communicates`` as a bit mask over graph positions.
 
-    The masks are assigned by :func:`build_theory` and take no part in rule
-    equality.
+    :func:`build_theory` builds each rule once, masks included, after the
+    property index is sorted; every property a rule mentions (in ``pre``,
+    ``post`` or an instruction) is the interned object at its bit in
+    :attr:`Theory.props`.  The masks take no part in rule equality.
     """
 
     pre: FrozenSet[Property]
@@ -101,7 +103,9 @@ class Theory:
     ``props[i]``, so a set of properties is an ``int`` (see :meth:`encode` /
     :meth:`decode`).  Bits are ordered by the ref's position in
     ``graph.node_names``, then state kind, then dim, so isomorphic graphs
-    share one layout and each ref's properties are contiguous bits.
+    share one layout and each ref's properties are contiguous bits.  Each
+    property exists once: ``props[i]`` is the very object every rule holds
+    for that (ref, state) pair.
     """
 
     def __init__(
@@ -553,6 +557,18 @@ def _propagate_capacity_dim(
 # theory construction
 # ---------------------------------------------------------------------------
 
+#: A rule before its masks are known: (pre, instructions, post, completes,
+#: communicates), over interned properties.
+_RuleParts = Tuple[
+    FrozenSet[Property],
+    Tuple[Instruction, ...],
+    FrozenSet[Property],
+    FrozenSet[str],
+    FrozenSet[str],
+]
+_NO_REFS: FrozenSet[str] = frozenset()
+
+
 def build_theory(
     graph: ComputationGraph, num_devices: int, config: Optional[SynthesisConfig] = None
 ) -> Theory:
@@ -570,6 +586,11 @@ def build_theory(
     reaches the lower bound, the sum of its computation times.  A machine
     group's intra-machine data parallelism is priced by the cost model, not
     by the theory.
+
+    The build is one pass.  Each (ref, state) property is interned on first
+    use, and each instruction is built once over interned properties.  Once
+    every rule's parts are known, the property index is sorted and each
+    :class:`Rule` is built exactly once with its masks.
 
     Args:
         graph: single-device training graph (forward + backward + updates).
@@ -592,8 +613,18 @@ def build_theory(
                 [R] if single_device else source_variants(node, cfg, num_devices)
             )
 
+    # Every (ref, state) property is built once: rules and instructions share
+    # one object per value, the one at its bit in the property index.
+    pool: Dict[Tuple[str, DistState], Property] = {}
+
+    def prop(ref: str, state: DistState) -> Property:
+        found = pool.get((ref, state))
+        if found is None:
+            found = pool[(ref, state)] = Property(ref, state)
+        return found
+
     # 1. computation rules ------------------------------------------------------
-    comp_rules: List[Rule] = []
+    comp_rules: List[_RuleParts] = []
     produced: Dict[str, Set[DistState]] = {name: set() for name in graph.node_names}
     wanted: Dict[str, Set[DistState]] = {name: set() for name in graph.node_names}
 
@@ -607,39 +638,31 @@ def build_theory(
             variants = [Variant((R,) * len(node.inputs), R, flops_sharded=False)]
         else:
             variants = node_variants(node, graph, cfg, num_devices)
+        completes = frozenset((node.name,))
         for variant in variants:
-            pre = frozenset(
-                Property(inp, state) for inp, state in zip(node.inputs, variant.input_states)
-            )
-            out_prop = Property(node.name, variant.output_state)
+            inputs = tuple(map(prop, node.inputs, variant.input_states))
+            out_prop = prop(node.name, variant.output_state)
             instr = CompInstruction(
                 node=node.name,
                 op=node.op,
-                inputs=tuple(Property(i, s) for i, s in zip(node.inputs, variant.input_states)),
+                inputs=inputs,
                 output=out_prop,
                 flops_sharded=variant.flops_sharded,
             )
             comp_rules.append(
-                Rule(
-                    pre=pre,
-                    instructions=(instr,),
-                    post=frozenset({out_prop}),
-                    completes=frozenset({node.name}),
-                    communicates=frozenset(),
-                )
+                (frozenset(inputs), (instr,), frozenset((out_prop,)), completes, _NO_REFS)
             )
             produced[node.name].add(variant.output_state)
             for inp, state in zip(node.inputs, variant.input_states):
                 wanted[inp].add(state)
 
     # 2. fuse source rules into consumers (search-time optimisation #1) ---------
-    fused_rules: List[Rule] = []
-    for rule in comp_rules:
-        fused_rules.extend(_fuse_sources(rule, graph, source_states))
-    all_comp_rules = comp_rules + fused_rules
+    fused_rules: List[_RuleParts] = []
+    for parts in comp_rules:
+        fused_rules.extend(_fuse_sources(parts, graph, source_states))
 
     # 3. communication rules -----------------------------------------------------
-    comm_rules: List[Rule] = []
+    comm_rules: List[_RuleParts] = []
     for node in graph:
         name = node.name
         if node.kind is OpKind.SOURCE:
@@ -654,105 +677,67 @@ def build_theory(
             for dst in targets:
                 if src == dst:
                     continue
-                comm_rules.extend(
-                    _comm_rules_for(name, node, src, dst, cfg, name in restricted)
-                )
+                comm_rules.extend(_comm_rules_for(name, src, dst, cfg, name in restricted, prop))
 
-    rules, props = _index_rules(graph, all_comp_rules + comm_rules)
+    rules, props = _index_rules(graph, comp_rules + fused_rules + comm_rules, pool.values())
     return Theory(graph, num_devices, cfg, rules, restricted, props)
 
 
 def _index_rules(
-    graph: ComputationGraph, rules: List[Rule]
+    graph: ComputationGraph, parts: List[_RuleParts], pool: Iterable[Property]
 ) -> Tuple[List[Rule], Tuple[Property, ...]]:
-    """Build the property index and rebuild the rules over it.
+    """Order the property index and build each rule once, with its masks.
 
-    Returns the property index (every property of a pre- or postcondition,
-    ordered by the ref's graph position, then state kind, then dim) and the
-    rules with their bit masks set.  Different rules independently construct
-    equal ``Property`` instances for the same (ref, state) pair; the rebuilt
-    rules share one canonical object per value.  Values are unchanged.
+    ``pool`` holds exactly the (interned) properties the parts mention.
+    Returns the rules, in ``parts`` order, and the property index: every
+    property of a pre- or postcondition, ordered by the ref's graph
+    position, then state kind, then dim.
     """
-    pool: Dict[Property, Property] = {}
-
-    def canon(prop: Property) -> Property:
-        cached = pool.get(prop)
-        if cached is None:
-            cached = pool[prop] = prop
-        return cached
-
-    def canon_instr(instr: Instruction) -> Instruction:
-        if isinstance(instr, CommInstruction):
-            return CommInstruction(
-                kind=instr.kind,
-                input=canon(instr.input),
-                output=canon(instr.output),
-                dim=instr.dim,
-                dim2=instr.dim2,
-            )
-        return CompInstruction(
-            node=instr.node,
-            op=instr.op,
-            inputs=tuple(map(canon, instr.inputs)),
-            output=canon(instr.output),
-            flops_sharded=instr.flops_sharded,
-        )
-
-    staged = [
-        (
-            rule,
-            frozenset(map(canon, rule.pre)),
-            tuple(map(canon_instr, rule.instructions)),
-            frozenset(map(canon, rule.post)),
-        )
-        for rule in rules
-    ]
     position = {name: i for i, name in enumerate(graph.node_names)}
     props = tuple(sorted(pool, key=lambda p: (position[p.ref], p.state.sort_key)))
-    # Keyed by identity: every property in ``staged`` is canonical, and id()
-    # is far cheaper than Property.__hash__.  A mask is the sum of distinct
-    # bits, which equals their OR.
+    # Keyed by identity: every property is interned, and id() is far cheaper
+    # than Property.__hash__.  A mask is the sum of distinct bits, which
+    # equals their OR.
     bit_of = {id(p): 1 << i for i, p in enumerate(props)}.__getitem__
-    out: List[Rule] = []
-    for rule, pre, instructions, post in staged:
-        out.append(
-            Rule(
-                pre=pre,
-                instructions=instructions,
-                post=post,
-                completes=rule.completes,
-                communicates=rule.communicates,
-                pre_mask=sum(map(bit_of, map(id, pre))),
-                post_mask=sum(map(bit_of, map(id, post))),
-                comm_mask=sum(1 << position[ref] for ref in rule.communicates),
-            )
+    rules = [
+        Rule(
+            pre=pre,
+            instructions=instructions,
+            post=post,
+            completes=completes,
+            communicates=communicates,
+            pre_mask=sum(map(bit_of, map(id, pre))),
+            post_mask=sum(map(bit_of, map(id, post))),
+            comm_mask=sum(1 << position[ref] for ref in communicates),
         )
-    return out, props
+        for pre, instructions, post, completes, communicates in parts
+    ]
+    return rules, props
 
 
 def _fuse_sources(
-    rule: Rule, graph: ComputationGraph, source_states: Dict[str, List[DistState]]
-) -> List[Rule]:
+    parts: _RuleParts, graph: ComputationGraph, source_states: Dict[str, List[DistState]]
+) -> List[_RuleParts]:
     """Fuse source-producing instructions into a consumer rule.
 
     For every subset of the rule's preconditions that refer to source nodes,
     produce a variant whose instructions create those sources inline and whose
     precondition no longer mentions them.  Source preconditions are taken in
-    the computation instruction's input order (not ``rule.pre``'s hash-seed
+    the computation instruction's input order (not ``pre``'s hash-seed
     dependent set order), which fixes both the fused rules' order and the
     order of their source instructions.
     """
-    (instr,) = rule.instructions
+    pre, instructions, post, completes, communicates = parts
+    (instr,) = instructions
     assert isinstance(instr, CompInstruction)
     source_pre = [p for p in dict.fromkeys(instr.inputs) if p.ref in source_states]
-    fused: List[Rule] = []
+    fused: List[_RuleParts] = []
     if not source_pre:
         return fused
     # Only fuse preconditions whose state the source can actually be created in.
     feasible = [p for p in source_pre if p.state in source_states[p.ref]]
     for k in range(1, len(feasible) + 1):
         for subset in itertools.combinations(feasible, k):
-            new_pre = frozenset(p for p in rule.pre if p not in subset)
             prefix_instrs = tuple(
                 CompInstruction(
                     node=p.ref,
@@ -764,12 +749,12 @@ def _fuse_sources(
                 for p in subset
             )
             fused.append(
-                Rule(
-                    pre=new_pre,
-                    instructions=prefix_instrs + rule.instructions,
-                    post=rule.post | frozenset(subset),
-                    completes=rule.completes | frozenset(p.ref for p in subset),
-                    communicates=rule.communicates,
+                (
+                    frozenset(p for p in pre if p not in subset),
+                    prefix_instrs + instructions,
+                    post | frozenset(subset),
+                    completes | frozenset(p.ref for p in subset),
+                    communicates,
                 )
             )
     return fused
@@ -777,34 +762,33 @@ def _fuse_sources(
 
 def _comm_rules_for(
     ref: str,
-    node: Node,
     src: DistState,
     dst: DistState,
     cfg: SynthesisConfig,
     restricted: bool,
-) -> List[Rule]:
-    """Communication rules converting ``ref`` from state ``src`` to ``dst``."""
-    rules: List[Rule] = []
+    prop: Callable[[str, DistState], Property],
+) -> List[_RuleParts]:
+    """Communication rules converting ``ref`` from state ``src`` to ``dst``.
+
+    ``prop`` interns a property; it is called only when a rule is made, so
+    the pool holds no property that no rule mentions.
+    """
+    rules: List[_RuleParts] = []
 
     def make(
         kind: CollectiveKind,
         dim: Optional[int] = None,
         dim2: Optional[int] = None,
         counts_as_communication: bool = True,
-    ) -> Rule:
-        instr = CommInstruction(
-            kind=kind,
-            input=Property(ref, src),
-            output=Property(ref, dst),
-            dim=dim,
-            dim2=dim2,
-        )
-        return Rule(
-            pre=frozenset({Property(ref, src)}),
-            instructions=(instr,),
-            post=frozenset({Property(ref, dst)}),
-            completes=frozenset(),
-            communicates=frozenset({ref}) if counts_as_communication else frozenset(),
+    ) -> _RuleParts:
+        pin, pout = prop(ref, src), prop(ref, dst)
+        instr = CommInstruction(kind=kind, input=pin, output=pout, dim=dim, dim2=dim2)
+        return (
+            frozenset((pin,)),
+            (instr,),
+            frozenset((pout,)),
+            _NO_REFS,
+            frozenset((ref,)) if counts_as_communication else _NO_REFS,
         )
 
     if restricted:

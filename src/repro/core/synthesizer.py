@@ -1103,20 +1103,33 @@ class ProgramSynthesizer:
                 self._apply(self._apply(state, comm, ratios), rule, ratios)
                 for comm in option_sets[0]
             ]
-        # Visit the combinations in itertools.product order (last option set
-        # fastest); the depth-first walk applies each shared collective prefix
-        # once.
         results: List[_SearchNode] = []
-
-        def walk(current: _SearchNode, level: int) -> None:
-            if level == len(option_sets):
-                results.append(self._apply(current, rule, ratios))
-                return
-            for comm in option_sets[level]:
-                walk(self._apply(current, comm, ratios), level + 1)
-
-        walk(state, 0)
+        self._walk_options(state, 0, option_sets, rule, ratios, results)
         return results
+
+    def _walk_options(
+        self,
+        current: _SearchNode,
+        level: int,
+        option_sets: List[List[Rule]],
+        rule: Rule,
+        ratios: Sequence[float],
+        results: List[_SearchNode],
+    ) -> None:
+        """Append ``rule`` applied after every combination of enabling collectives.
+
+        Visits the combinations in itertools.product order (last option set
+        fastest); the depth-first walk applies each shared collective prefix
+        once.  A method, not a self-recursive closure: a closure that calls
+        itself is a reference cycle, and planning must create none.
+        """
+        if level == len(option_sets):
+            results.append(self._apply(current, rule, ratios))
+            return
+        for comm in option_sets[level]:
+            self._walk_options(
+                self._apply(current, comm, ratios), level + 1, option_sets, rule, ratios, results
+            )
 
     def _ordered_pre(self, rule: Rule) -> Tuple[int, ...]:
         """Precondition bits of a rule in a deterministic, name-independent order.

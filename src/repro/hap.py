@@ -12,7 +12,9 @@ execution simulator (:mod:`repro.simulator`).
 
 from __future__ import annotations
 
-from typing import Optional
+import gc
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 from .autodiff import build_training_graph
 from .cluster.spec import ClusterSpec
@@ -21,6 +23,25 @@ from .core.hierarchical import HierarchicalConfig, HierarchicalPlan, Hierarchica
 from .core.pipeline import HAPPlan, HAPPlanner
 from .graph.graph import ComputationGraph
 from .graph.ops import OpKind
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause Python's cyclic garbage collector; restore its state on exit.
+
+    Planning creates no reference cycles (``tests/test_gc_pause.py`` guards
+    it), so a collection during a plan traverses every live object and frees
+    nothing.  Reference counting still frees all of the planner's garbage.
+    The collector is re-enabled only if it was enabled on entry, so nested
+    calls and exceptions leave the caller's state as it was.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _is_training_graph(graph: ComputationGraph) -> bool:
@@ -36,6 +57,9 @@ def hap(
 ) -> HAPPlan:
     """Plan SPMD training of ``model`` on ``cluster``.
 
+    The cyclic garbage collector is paused for the call (theory build in
+    the planner's construction included) and restored on return or raise.
+
     Args:
         model: a single-device computation graph.  A forward graph with a
             marked loss is automatically expanded into the full training graph
@@ -48,16 +72,16 @@ def hap(
     Returns:
         The :class:`HAPPlan` with program, ratios and estimated iteration time.
     """
-    graph = model
-    if not _is_training_graph(model):
-        if model.loss is None:
-            raise ValueError(
-                "hap() needs either a training graph (with sgd_update nodes) or a "
-                "forward graph with a marked loss"
-            )
-        graph = build_training_graph(model, lr=lr).graph
-    planner = HAPPlanner(graph, cluster, config)
-    return planner.plan()
+    with _collector_paused():
+        graph = model
+        if not _is_training_graph(model):
+            if model.loss is None:
+                raise ValueError(
+                    "hap() needs either a training graph (with sgd_update nodes) or a "
+                    "forward graph with a marked loss"
+                )
+            graph = build_training_graph(model, lr=lr).graph
+        return HAPPlanner(graph, cluster, config).plan()
 
 
 def hap_pipeline(
@@ -74,7 +98,8 @@ def hap_pipeline(
     schedule x microbatch count x recomputation) for the cheapest
     memory-feasible iteration (1 stage = flat HAP).  The result can be
     executed with :func:`repro.runtime.run_hierarchical_plan` or simulated
-    with :func:`repro.simulator.simulate_hierarchical`.
+    with :func:`repro.simulator.simulate_hierarchical`.  The cyclic garbage
+    collector is paused for the call and restored on return or raise.
 
     Args:
         model: a single-device *forward* graph with a marked loss (stages are
@@ -91,4 +116,5 @@ def hap_pipeline(
         GraphError: (a ``ValueError``) if ``model`` is a training graph or has
             no marked loss.
     """
-    return HierarchicalPlanner(model, cluster, config).plan()
+    with _collector_paused():
+        return HierarchicalPlanner(model, cluster, config).plan()

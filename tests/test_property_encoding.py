@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.autodiff import build_training_graph
 from repro.core import ProgramSynthesizer, SynthesisConfig, Theory, build_theory
+from repro.core.instructions import CommInstruction
 from repro.graph import ComputationGraph
 
 from .conftest import build_tiny_moe, build_tiny_transformer, make_cluster
@@ -27,9 +28,14 @@ NUM_DEVICES = 4
 
 
 @lru_cache(maxsize=None)
-def _theory(model: str):
+def _training_graph(model: str) -> ComputationGraph:
     builder = {"tiny_transformer": build_tiny_transformer, "tiny_moe": build_tiny_moe}[model]
-    return build_theory(build_training_graph(builder()).graph, NUM_DEVICES)
+    return build_training_graph(builder()).graph
+
+
+@lru_cache(maxsize=None)
+def _theory(model: str):
+    return build_theory(_training_graph(model), NUM_DEVICES)
 
 
 def _subset_and_rule(model: str):
@@ -70,6 +76,31 @@ def test_liveness_drop_matches_filter(case, data):
     ref = data.draw(st.sampled_from(sorted(theory.ref_masks)))
     dropped = theory.encode(subset) & ~theory.ref_masks[ref]
     assert theory.decode(dropped) == frozenset(p for p in subset if p.ref != ref)
+
+
+def _instruction_properties(rule):
+    for instr in rule.instructions:
+        if isinstance(instr, CommInstruction):
+            yield from (instr.input, instr.output)
+        else:
+            yield from (*instr.inputs, instr.output)
+
+
+@pytest.mark.parametrize("force_data_parallel", [False, True], ids=["hap", "data-parallel"])
+@pytest.mark.parametrize("num_devices", [1, 2, 4])
+@pytest.mark.parametrize("model", MODELS)
+def test_rules_share_the_indexed_properties(model, num_devices, force_data_parallel):
+    """Every property a rule mentions is the very object at its bit, and the
+    masks are the encodings of the sets they stand for."""
+    config = SynthesisConfig(force_data_parallel=force_data_parallel)
+    theory = build_theory(_training_graph(model), num_devices, config)
+    position = {name: i for i, name in enumerate(theory.graph.node_names)}
+    for rule in theory.rules:
+        for prop in (*rule.pre, *rule.post, *_instruction_properties(rule)):
+            assert theory.props[theory.prop_bits[prop].bit_length() - 1] is prop
+        assert rule.pre_mask == theory.encode(rule.pre)
+        assert rule.post_mask == theory.encode(rule.post)
+        assert rule.comm_mask == sum(1 << position[ref] for ref in rule.communicates)
 
 
 def _renamed(graph: ComputationGraph) -> ComputationGraph:
