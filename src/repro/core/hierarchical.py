@@ -46,7 +46,14 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..autodiff.backward import TrainingGraphInfo, build_stage_training_graph
 from ..cluster.spec import ClusterPartition, ClusterSpec, NetworkSpec
 from ..graph.analysis import PipelineCut, interleaved_pipeline_cut
-from ..graph.canonical import fingerprint_with_order, graph_fingerprint
+# ``graph_fingerprint`` is not called here (``fingerprint_with_order`` yields
+# the same fingerprint); it stays a module attribute because the e2e
+# benchmark's tracer wraps it on this module by name.
+from ..graph.canonical import (
+    canonical_order,
+    fingerprint_with_order,
+    graph_fingerprint,  # noqa: F401
+)
 from ..graph.graph import ComputationGraph, GraphError
 from ..graph.ops import OpKind
 from ..simulator.schedule import (
@@ -650,6 +657,15 @@ class HierarchicalPlanner:
             self.config.plan_cache.put(entry)
         return plan, key
 
+    def _chunk_training_graph(self, cut: PipelineCut, k: int) -> TrainingGraphInfo:
+        """Training graph of virtual stage ``k`` of ``cut``, differentiated alone."""
+        return build_stage_training_graph(
+            stage_forward_graph(self.forward, cut, k),
+            boundary_inputs=tuple(cut.incoming_refs(k)),
+            boundary_outputs=cut.cut_refs[k],
+            lr=self.config.lr,
+        )
+
     def _build_stages(
         self, partition: ClusterPartition, num_chunks: int
     ) -> Optional[Tuple[PipelineCut, List[StagePlan]]]:
@@ -669,13 +685,7 @@ class HierarchicalPlanner:
         chunk_plans: List[ChunkPlan] = []
         for k in range(cut.num_stages):
             stage_idx = k % s
-            chunk_fwd = stage_forward_graph(self.forward, cut, k)
-            info = build_stage_training_graph(
-                chunk_fwd,
-                boundary_inputs=tuple(cut.incoming_refs(k)),
-                boundary_outputs=cut.cut_refs[k],
-                lr=self.config.lr,
-            )
+            info = self._chunk_training_graph(cut, k)
             plan, content_key = self._plan_chunk(info.graph, partition.groups[stage_idx])
             # Bytes the chunk's *outgoing hop* actually ships: every tensor in
             # flight across virtual boundary k, including skip-connection
@@ -909,23 +919,67 @@ class HierarchicalPlanner:
         _, result, name, rc, fits, chunks = best
         return result, name, rc, fits, combo_times, chunks
 
-    def _whole_plan_key(self) -> str:
-        """Content address of the entire planning request."""
-        return plan_key(
-            "hierarchical:" + graph_fingerprint(self.forward), self.cluster, self.config
+    def _remap_whole(self, entry: CachedPlan, order: List[str]) -> HierarchicalPlan:
+        """Re-express a cached whole plan over this request's node names.
+
+        ``entry.node_names`` is the canonical forward order the plan was
+        stored under and ``order`` is the request's; pairing them renames the
+        cut.  Each chunk's training graph is rebuilt from the renamed cut the
+        way :meth:`_build_stages` builds it, and the chunk's program is renamed
+        onto it against the chunk's canonical order stored in
+        ``entry.extra["chunk_orders"]``.  Sizes, costs and the schedule carry
+        over untouched: they never depend on names.  The identity rename
+        returns the cached plan itself.  A malformed entry raises.
+        """
+        plan = entry.plan
+        if len(entry.node_names) != len(order):
+            raise ValueError(
+                f"cached plan has {len(entry.node_names)} forward nodes, "
+                f"the request {len(order)}"
+            )
+        if entry.node_names == order:
+            return plan
+        rename = dict(zip(entry.node_names, order))
+        chunks = plan.chunk_sequence()
+        chunk_orders = entry.extra["chunk_orders"]
+        if len(chunk_orders) != len(chunks):
+            raise ValueError(
+                f"cached plan has {len(chunks)} chunks but {len(chunk_orders)} chunk orders"
+            )
+        cached_cut = plan.cut
+        cut = PipelineCut(
+            stages=tuple(tuple(rename[n] for n in stage) for stage in cached_cut.stages),
+            stage_of={rename[n]: k for n, k in cached_cut.stage_of.items()},
+            cut_refs=tuple(tuple(rename[r] for r in refs) for refs in cached_cut.cut_refs),
+            stage_flops=cached_cut.stage_flops,
+            consumers=self.forward.consumers(),
         )
+        renamed: Dict[int, ChunkPlan] = {}
+        for chunk, chunk_order in zip(chunks, chunk_orders):
+            info = self._chunk_training_graph(cut, chunk.virtual_index)
+            renamed[chunk.virtual_index] = dataclasses.replace(
+                chunk, plan=remap_plan(chunk.plan, chunk_order, info.graph), info=info
+            )
+        stages = [
+            dataclasses.replace(
+                stage, chunks=[renamed[c.virtual_index] for c in stage.chunks]
+            )
+            for stage in plan.stages
+        ]
+        return dataclasses.replace(plan, cut=cut, stages=stages)
 
     # -- main entry point -----------------------------------------------------------
     def plan(self) -> HierarchicalPlan:
         """Evaluate every candidate and return the cheapest feasible plan.
 
         With a configured ``plan_cache`` the finished plan is stored under the
-        (forward-graph fingerprint, cluster signature, config signature) key
-        and a repeated request is served whole in O(lookup).  Whole plans are
-        only replayed when the forward graph's node names match the cached
-        request exactly (chunk plans are renamed on reuse; a whole
-        hierarchical plan is not), otherwise planning falls through to the
-        chunk-level cache, which is name-independent.
+        (forward-graph fingerprint, cluster signature, config signature) key,
+        together with the canonical orders of the forward graph and of each
+        chosen chunk graph.  A later request for the same problem — under any
+        node names — is served whole: the cached plan is renamed onto the
+        request (:meth:`_remap_whole`) and structurally verified.  A request
+        that misses the whole plan still takes every chunk plan it shares
+        with earlier requests from the chunk-level entries.
         """
         self._local_plans = {}
         self._profile_memo = {}
@@ -938,12 +992,12 @@ class HierarchicalPlanner:
         }
         cache = self.config.plan_cache
         whole_key = None
-        forward_names = None
+        order: List[str] = []
         if cache is not None:
-            whole_key = self._whole_plan_key()
-            forward_names = [node.name for node in self.forward]
+            fingerprint, order = fingerprint_with_order(self.forward)
+            whole_key = plan_key("hierarchical:" + fingerprint, self.cluster, self.config)
             entry = cache.get(whole_key)
-            if entry is not None and entry.extra.get("forward_names") == forward_names:
+            if entry is not None:
                 # A whole plan from the cache is verified structurally (no
                 # cost re-derivation, keeping warm hits O(plan size)) before
                 # it is replayed; a corrupt entry is a diagnosed miss and
@@ -951,18 +1005,15 @@ class HierarchicalPlanner:
                 from ..verify.plan import verify_plan
 
                 try:
-                    accept = verify_plan(
-                        entry.plan, self.forward, check_cost=False
-                    ).ok
+                    hit = self._remap_whole(entry, order)
+                    accept = verify_plan(hit, self.forward, check_cost=False).ok
                 except Exception:  # unreadable entry == failed verification
                     accept = False
                 if accept:
                     self.reuse_stats["whole_plan_hit"] = 1
                     # Shallow copy: the cached entry keeps its own stats and
                     # stays immutable from the caller's point of view.
-                    return dataclasses.replace(
-                        entry.plan, reuse_stats=dict(self.reuse_stats)
-                    )
+                    return dataclasses.replace(hit, reuse_stats=dict(self.reuse_stats))
                 self.reuse_stats["cache_rejects"] += 1
         best: Optional[HierarchicalPlan] = None
         candidate_times: Dict[int, float] = {}
@@ -983,12 +1034,13 @@ class HierarchicalPlanner:
         best.schedule_candidate_times = combo_times
         best.reuse_stats = dict(self.reuse_stats)
         if cache is not None and whole_key is not None:
+            chunk_orders = [canonical_order(c.info.graph) for c in best.chunk_sequence()]
             cache.put(
                 CachedPlan(
                     key=whole_key,
-                    node_names=[],
+                    node_names=order,
                     plan=best,
-                    extra={"forward_names": forward_names},
+                    extra={"chunk_orders": chunk_orders},
                 )
             )
         if self.config.verify_after_plan:

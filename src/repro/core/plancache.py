@@ -12,7 +12,11 @@ reference renaming.  This module turns that observation into a cache:
 * :class:`CachedPlan` stores a :class:`~repro.core.pipeline.HAPPlan` together
   with the canonical node order it was keyed under, so a hit can be
   re-expressed in the requesting graph's own node names
-  (:func:`remap_plan` + :func:`repro.graph.canonical.canonical_rename_map`);
+  (:func:`remap_plan` + :func:`repro.graph.canonical.canonical_rename_map`).
+  The hierarchical planner's whole-plan entries are name-free the same way:
+  they store the forward graph's canonical order and each chosen chunk
+  graph's, and a hit is renamed onto the request
+  (:meth:`repro.core.hierarchical.HierarchicalPlanner.plan`);
 * :class:`InMemoryPlanCache` and :class:`DiskPlanCache` provide the two
   obvious backends; the disk backend writes atomically and keeps a
   write-through in-memory layer, which makes it safe to share one directory
@@ -28,8 +32,9 @@ entry, the complete new entry, or no file — never a torn pickle.  Racing
 writers of the *same* key are last-writer-wins, which is harmless because
 keys are content addresses: every writer of a key is storing an equivalent
 plan for the same planning problem.  A corrupt or unreadable entry (e.g. a
-file truncated by the surrounding filesystem, not by this module) is treated
-as a miss and re-written on the next ``put``.  The in-memory write-through
+file truncated by the surrounding filesystem, not by this module, or one
+pickled against a module or class that no longer exists) is treated as a miss
+and re-written on the next ``put``.  The in-memory write-through
 layer is per-process and never shared, so no locks are needed anywhere;
 ``tests/test_plancache.py`` stress-tests the same-key multi-writer race.  :class:`InMemoryPlanCache` itself is process-local and makes no
 cross-process claims.
@@ -77,7 +82,11 @@ from .properties import Property
 #: constants) and hierarchical plans price at the cluster's overlap.
 #: v5: ``ChunkPlan.info`` is a ``TrainingGraphInfo`` (the separate
 #: ``StageTrainingInfo`` class was folded into it).
-CACHE_VERSION = 5
+#: v6: whole hierarchical plans are name-free: ``node_names`` is the forward
+#: graph's canonical order and ``extra["chunk_orders"]`` holds each chosen
+#: chunk graph's, so a hit is renamed onto any isomorphic request (v5 entries
+#: were replayed only under the exact node names they were planned with).
+CACHE_VERSION = 6
 
 #: Configuration fields excluded from cache keys: the cache itself and the
 #: static-verifier flag (verification never changes the plan).
@@ -222,9 +231,10 @@ class CachedPlan:
     """One cache entry: a plan plus the canonical node order it is keyed under.
 
     ``node_names`` lets a hit be renamed onto the requesting graph; ``extra``
-    carries small planner-specific payloads (e.g. the hierarchical planner's
-    whole-plan entries store the forward graph's node names there for the
-    exact-name guard).
+    carries small planner-specific payloads (the hierarchical planner's
+    whole-plan entries store the canonical order of each chosen chunk graph
+    under ``"chunk_orders"``, in virtual-stage order, so every chunk program
+    can be renamed too).
     """
 
     key: str
@@ -267,8 +277,10 @@ class DiskPlanCache(InMemoryPlanCache):
 
     Writes go through a temporary file and :func:`os.replace`, so a reader
     never observes a torn entry and concurrent writers of the same key are
-    last-writer-wins.  Reads are write-through cached in memory.  A corrupt
-    or unreadable entry is treated as a miss (and re-written on ``put``).
+    last-writer-wins.  Reads are write-through cached in memory.  An entry
+    that fails to unpickle for any reason — missing, truncated, or pickled
+    against code that is gone — is treated as a miss (and re-written on
+    ``put``).
     Safe to share one directory between concurrent processes — see the
     module docstring for the exact guarantee.
     """
@@ -289,7 +301,7 @@ class DiskPlanCache(InMemoryPlanCache):
         try:
             with open(self._path(key), "rb") as fh:
                 entry = pickle.load(fh)
-        except (OSError, pickle.PickleError, EOFError, AttributeError):
+        except Exception:  # missing, truncated, or pickled against gone code
             self.misses += 1
             return None
         if not isinstance(entry, CachedPlan) or entry.key != key:

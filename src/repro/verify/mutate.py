@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..core.hierarchical import HierarchicalPlan
 from ..core.instructions import CommInstruction, CompInstruction, Instruction
+from ..core.plancache import remap_program
 from ..core.program import DistributedProgram
 from ..core.properties import DistState, Property
 from ..graph.graph import ComputationGraph, Node
@@ -193,6 +194,23 @@ def flip_compute_flag(program: DistributedProgram) -> Tuple[DistributedProgram, 
     raise MutationError("program has no computation instruction")
 
 
+def swap_node_names(program: DistributedProgram) -> Tuple[DistributedProgram, str]:
+    """Swap two computed nodes' names throughout the program -> P003.
+
+    What a cached program renamed by a shuffled canonical order looks like:
+    its dataflow stays self-consistent, but instructions land on graph nodes
+    with another op.
+    """
+    computed = [i for i in program.instructions if isinstance(i, CompInstruction)]
+    for a in computed:
+        for b in computed:
+            if a.op != b.op:
+                rename = {name: name for name in program.graph.node_names}
+                rename[a.node], rename[b.node] = b.node, a.node
+                return remap_program(program, rename, program.graph), "P003"
+    raise MutationError("program computes no two nodes with different ops")
+
+
 #: name -> mutator over a DistributedProgram.
 PROGRAM_MUTATIONS: Dict[
     str, Callable[[DistributedProgram], Tuple[DistributedProgram, str]]
@@ -201,6 +219,7 @@ PROGRAM_MUTATIONS: Dict[
     "swap_dist_state": swap_dist_state,
     "duplicate_instruction": duplicate_instruction,
     "flip_compute_flag": flip_compute_flag,
+    "swap_node_names": swap_node_names,
 }
 
 

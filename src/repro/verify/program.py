@@ -9,7 +9,9 @@ synthesizer:
 * ``P002`` — single emulation: no graph node is emulated by two computation
   instructions.
 * ``P003`` — completeness: every non-source graph node is emulated, and every
-  instruction refers to a node of the graph.
+  instruction refers to a node of the graph and matches it (same op, output
+  on the node, inputs on the node's inputs) — a program renamed by a wrong
+  node pairing is otherwise self-consistent.
 * ``P004`` — collective legality: each :class:`CommInstruction` is a valid
   ``DistState`` transition per the rule table (kind, dims, same ref on both
   sides, MoE capacity tensors restricted to All-To-All).
@@ -46,6 +48,15 @@ from .base import Diagnostic, Severity, VerificationReport, VerifierPass, run_pa
 COST_RTOL = 1e-6
 
 
+def _where(idx: int, instr) -> str:
+    """Location of instruction ``idx`` in a diagnostic.
+
+    Built only when a diagnostic is emitted: formatting it for every
+    instruction was most of a clean pass's time.
+    """
+    return f"instr {idx}: {instr.describe()}"
+
+
 class DataflowPass(VerifierPass):
     """P001/P002/P003/P007: def-before-use, single emulation, completeness."""
 
@@ -59,22 +70,34 @@ class DataflowPass(VerifierPass):
         established: Set[Property] = set()
         emulated: Set[str] = set()
         for idx, instr in enumerate(program.instructions):
-            where = f"instr {idx}: {instr.describe()}"
             if isinstance(instr, CompInstruction):
                 if instr.node not in graph:
                     yield Diagnostic(
                         "P003",
                         Severity.ERROR,
                         f"instruction emulates unknown node {instr.node!r}",
-                        where,
+                        _where(idx, instr),
                     )
                     continue
+                node = graph[instr.node]
+                if (
+                    instr.op != node.op
+                    or instr.output.ref != node.name
+                    or tuple(p.ref for p in instr.inputs) != tuple(node.inputs)
+                ):
+                    yield Diagnostic(
+                        "P003",
+                        Severity.ERROR,
+                        f"instruction does not match graph node {node.name!r} "
+                        f"({node.op} of {list(node.inputs)})",
+                        _where(idx, instr),
+                    )
                 if instr.node in emulated:
                     yield Diagnostic(
                         "P002",
                         Severity.ERROR,
                         f"node {instr.node!r} emulated more than once",
-                        where,
+                        _where(idx, instr),
                     )
                 emulated.add(instr.node)
                 if not is_source_op(instr.op):
@@ -85,7 +108,7 @@ class DataflowPass(VerifierPass):
                                 Severity.ERROR,
                                 f"input {p.ref}|{p.state} consumed before any "
                                 "instruction established it",
-                                where,
+                                _where(idx, instr),
                             )
                 established.add(instr.output)
             else:  # CommInstruction
@@ -94,7 +117,7 @@ class DataflowPass(VerifierPass):
                         "P003",
                         Severity.ERROR,
                         f"collective over unknown tensor {instr.input.ref!r}",
-                        where,
+                        _where(idx, instr),
                     )
                     continue
                 if instr.input not in established:
@@ -103,7 +126,7 @@ class DataflowPass(VerifierPass):
                         Severity.ERROR,
                         f"collective consumes {instr.input.ref}|{instr.input.state} "
                         "before any instruction established it",
-                        where,
+                        _where(idx, instr),
                     )
                 established.add(instr.output)
         missing = [
@@ -143,7 +166,6 @@ class CollectiveLegalityPass(VerifierPass):
         for idx, instr in enumerate(program.instructions):
             if not isinstance(instr, CommInstruction):
                 continue
-            where = f"instr {idx}: {instr.describe()}"
             if instr.input.ref != instr.output.ref:
                 yield Diagnostic(
                     "P004",
@@ -151,10 +173,10 @@ class CollectiveLegalityPass(VerifierPass):
                     f"collective changes the reference tensor "
                     f"({instr.input.ref!r} -> {instr.output.ref!r}); collectives "
                     "only change distribution state",
-                    where,
+                    _where(idx, instr),
                 )
                 continue
-            yield from self._check_transition(instr, instr.input.ref in restricted, where)
+            yield from self._check_transition(idx, instr, instr.input.ref in restricted)
             if instr.kind is not CollectiveKind.SLICE:
                 if instr.input.ref in communicated:
                     yield Diagnostic(
@@ -162,13 +184,13 @@ class CollectiveLegalityPass(VerifierPass):
                         Severity.ERROR,
                         f"tensor {instr.input.ref!r} is communicated more than "
                         "once (one-collective-per-tensor budget)",
-                        where,
+                        _where(idx, instr),
                     )
                 communicated.add(instr.input.ref)
 
     @staticmethod
     def _check_transition(
-        instr: CommInstruction, restricted: bool, where: str
+        idx: int, instr: CommInstruction, restricted: bool
     ) -> Iterable[Diagnostic]:
         src, dst = instr.input.state, instr.output.state
         kind = instr.kind
@@ -178,7 +200,7 @@ class CollectiveLegalityPass(VerifierPass):
                 "P004",
                 Severity.ERROR,
                 f"{kind.value} is not a legal {src} -> {dst} transition: {reason}",
-                where,
+                _where(idx, instr),
             )
 
         if restricted and kind is not CollectiveKind.ALL_TO_ALL:
@@ -246,7 +268,7 @@ class ComputeFlagPass(VerifierPass):
                     f"flops_sharded={instr.flops_sharded} but "
                     f"{'some input/output is sharded' if expected else 'nothing is sharded'} "
                     "— per-device flop accounting would be wrong",
-                    f"instr {idx}: {instr.describe()}",
+                    _where(idx, instr),
                 )
 
 

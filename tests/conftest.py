@@ -22,7 +22,7 @@ os.environ.setdefault("REPRO_VERIFY", "1")
 from repro.autodiff import build_training_graph
 from repro.cluster import ClusterSpec, Machine, NetworkSpec, device_type
 from repro.core import PlannerConfig, SynthesisConfig
-from repro.graph import DType, GraphBuilder
+from repro.graph import ComputationGraph, DType, GraphBuilder
 
 
 def fast_network() -> NetworkSpec:
@@ -152,6 +152,20 @@ def moe_forward():
 @pytest.fixture
 def moe_training(moe_forward):
     return build_training_graph(moe_forward)
+
+
+def rename_nodes(forward: ComputationGraph, prefix: str = "r_") -> ComputationGraph:
+    """An isomorphic copy of ``forward`` with ``prefix`` on every node name."""
+    copy = ComputationGraph(f"{prefix}{forward.name}")
+    for node in forward:
+        copy.add_node(
+            prefix + node.name, node.op, tuple(prefix + i for i in node.inputs), dict(node.attrs)
+        )
+    for out in forward.outputs:
+        copy.mark_output(prefix + out)
+    if forward.loss is not None:
+        copy.mark_loss(prefix + forward.loss)
+    return copy
 
 
 def bindings_for(graph, seed=0):

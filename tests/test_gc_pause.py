@@ -44,11 +44,13 @@ def _no_cycles(call):
     return result
 
 
-def _hier_config(cache_dir: str) -> HierarchicalConfig:
+def _hier_config(cache_dir: str, max_stages: int = 4) -> HierarchicalConfig:
     planner = PlannerConfig(
         max_rounds=1, synthesis=SynthesisConfig(search_strategy="beam", beam_width=4)
     )
-    return HierarchicalConfig(planner=planner, plan_cache=DiskPlanCache(cache_dir))
+    return HierarchicalConfig(
+        planner=planner, plan_cache=DiskPlanCache(cache_dir), max_stages=max_stages
+    )
 
 
 def _copy(forward: ComputationGraph, prefix: str = "", loss: bool = True) -> ComputationGraph:
@@ -81,15 +83,27 @@ def test_hap_pipeline_with_disk_cache_creates_no_cycles(tmp_path):
     hit = _no_cycles(lambda: hap_pipeline(forward, cluster, _hier_config(cache_dir)))
     assert hit.reuse_stats["whole_plan_hit"] == 1
 
+    # A renamed request is served whole: the cached plan is renamed onto it.
     renamed = _copy(forward, prefix="r_")
-    replan = _no_cycles(lambda: hap_pipeline(renamed, cluster, _hier_config(cache_dir)))
+    remapped = _no_cycles(lambda: hap_pipeline(renamed, cluster, _hier_config(cache_dir)))
+    assert remapped.reuse_stats["whole_plan_hit"] == 1
+    assert remapped.reuse_stats["subplans_planned"] == 0
+    assert remapped.estimated_time == cold.estimated_time
+
+    # Two machines give max_stages=2 the same grid as the default 4 but
+    # another whole-plan key: the renamed request replans from chunk entries.
+    replan = _no_cycles(
+        lambda: hap_pipeline(renamed, cluster, _hier_config(cache_dir, max_stages=2))
+    )
     assert replan.reuse_stats["whole_plan_hit"] == 0
+    assert replan.reuse_stats["subplans_planned"] == 0
     assert replan.reuse_stats["cache_hits"] > 0
     assert replan.estimated_time == cold.estimated_time
 
-    report = _no_cycles(lambda: verify_plan(replan, renamed))
-    assert report.ok, report.describe()
-    _no_cycles(lambda: simulate_hierarchical(replan, iterations=1, seed=0))
+    for plan in (remapped, replan):
+        report = _no_cycles(lambda plan=plan: verify_plan(plan, renamed))
+        assert report.ok, report.describe()
+        _no_cycles(lambda plan=plan: simulate_hierarchical(plan, iterations=1, seed=0))
 
 
 def _set_collector(enabled: bool) -> None:

@@ -11,11 +11,13 @@ import multiprocessing
 import os
 import pickle
 import sys
+import types
 
+import numpy as np
 import pytest
 
 from repro.autodiff import build_training_graph
-from repro.cluster import ClusterSpec, NetworkSpec
+from repro.cluster import ClusterSpec, Machine, NetworkSpec, device_type
 from repro.core import (
     CachedPlan,
     DiskPlanCache,
@@ -31,8 +33,17 @@ from repro.core import (
     remap_plan,
 )
 from repro.graph import ComputationGraph, fingerprint_with_order, graph_fingerprint
+from repro.runtime import SingleDeviceExecutor, run_hierarchical_plan
+from repro.verify import verify_plan
 
-from .conftest import build_mlp, make_cluster
+from .conftest import (
+    bindings_for,
+    build_mlp,
+    build_tiny_moe,
+    build_tiny_transformer,
+    make_cluster,
+    rename_nodes,
+)
 
 
 def small_planner_config(**synthesis):
@@ -198,12 +209,44 @@ class TestBackends:
         (tmp_path / "bad.plan").write_bytes(b"not a pickle")
         assert cache.get("bad") is None
 
+    @pytest.mark.parametrize("damage", ["truncated", "missing-module"])
+    def test_disk_unpicklable_entry_is_a_miss(self, tmp_path, damage):
+        key = "k" * 64
+        if damage == "truncated":
+            data = pickle.dumps(CachedPlan(key=key, node_names=["a"], plan={"x": 1}))[:-5]
+        else:
+            data = _pickle_from_removed_module(key)
+        (tmp_path / f"{key}.plan").write_bytes(data)
+        cache = DiskPlanCache(str(tmp_path))
+        assert cache.get(key) is None
+        assert cache.misses == 1 and cache.hits == 0
+        # The next put re-writes the entry.
+        cache.put(CachedPlan(key=key, node_names=[], plan="fresh"))
+        assert DiskPlanCache(str(tmp_path)).get(key).plan == "fresh"
+
     def test_disk_key_mismatch_is_a_miss(self, tmp_path):
         cache = DiskPlanCache(str(tmp_path))
         (tmp_path / "stolen.plan").write_bytes(
             pickle.dumps(CachedPlan(key="original", node_names=[], plan=1))
         )
         assert cache.get("stolen") is None
+
+
+def _pickle_from_removed_module(key: str) -> bytes:
+    """A pickled entry whose plan's class lives in a module that is gone."""
+    module = types.ModuleType("repro_removed_plan_module")
+
+    class Gone:
+        pass
+
+    Gone.__module__ = module.__name__
+    Gone.__qualname__ = "Gone"
+    module.Gone = Gone
+    sys.modules[module.__name__] = module
+    try:
+        return pickle.dumps(CachedPlan(key=key, node_names=[], plan=Gone()))
+    finally:
+        del sys.modules[module.__name__]
 
 
 def _hammer_cache(directory: str, key: str, worker_id: int, iterations: int) -> None:
@@ -262,19 +305,7 @@ class TestRemapPlan:
         plan = HAPPlanner(mlp_training, cluster, small_planner_config()).plan()
         _, order = fingerprint_with_order(mlp_training)
 
-        renamed = ComputationGraph("renamed")
-        new_name = {name: f"r_{name}" for name in mlp_training.node_names}
-        for node in mlp_training:
-            renamed.add_node(
-                new_name[node.name],
-                node.op,
-                tuple(new_name[i] for i in node.inputs),
-                dict(node.attrs),
-            )
-        for out in mlp_training.outputs:
-            renamed.mark_output(new_name[out])
-        if mlp_training.loss is not None:
-            renamed.mark_loss(new_name[mlp_training.loss])
+        renamed = rename_nodes(mlp_training)
         assert graph_fingerprint(renamed) == graph_fingerprint(mlp_training)
 
         mapped = remap_plan(plan, order, renamed)
@@ -285,7 +316,7 @@ class TestRemapPlan:
         for orig, new in zip(plan.program.instructions, mapped.program.instructions):
             assert new.node in renamed
             if not orig.is_communication:
-                assert new.node == new_name[orig.node]
+                assert new.node == "r_" + orig.node
                 assert new.op == orig.op
                 assert [p.state for p in new.inputs] == [p.state for p in orig.inputs]
             else:
@@ -316,25 +347,53 @@ class TestHierarchicalIntegration:
         # The cached entry keeps its own (cold) stats: hits never clobber it.
         assert cold.reuse_stats["whole_plan_hit"] == 0
 
-    def test_renamed_forward_falls_back_to_chunk_cache(self, cluster):
+    def test_renamed_forward_is_a_whole_hit(self, cluster):
         forward = build_mlp()
-        renamed = _renamed(forward)
-        cache = InMemoryPlanCache()
+        renamed = rename_nodes(forward)
         config = HierarchicalConfig(
-            planner=small_planner_config(), plan_cache=cache, max_stages=1
+            planner=small_planner_config(), plan_cache=InMemoryPlanCache(), max_stages=2
         )
-        cold = HierarchicalPlanner(forward, cluster, config).plan()
+        HierarchicalPlanner(forward, cluster, config).plan()
         warm = HierarchicalPlanner(renamed, cluster, config).plan()
-        # Node names differ, so the whole-plan entry must NOT be replayed...
+        # Node names are not part of a plan: the whole entry is renamed onto
+        # the request instead of being replanned from chunk entries.
+        assert warm.reuse_stats["whole_plan_hit"] == 1
+        assert warm.reuse_stats["subplans_planned"] == 0
+        cold = HierarchicalPlanner(
+            renamed, cluster, dataclasses.replace(config, plan_cache=None)
+        ).plan()
+        _assert_same_plan(warm, cold)
+        report = verify_plan(warm, renamed)
+        assert report.ok, report.describe()
+        for chunk in warm.chunk_sequence():
+            assert chunk.program.graph is chunk.info.graph
+            assert set(chunk.info.forward_nodes) <= set(renamed.node_names)
+
+    def test_renamed_forward_falls_back_to_chunk_cache(self, cluster):
+        """A renamed request that misses the whole-plan key takes every chunk
+        plan from the chunk entries: ``max_stages`` keys the whole plan,
+        while chunk keys use only the flat planner's configuration."""
+        forward = build_mlp()
+        renamed = rename_nodes(forward)
+        config = HierarchicalConfig(
+            planner=small_planner_config(), plan_cache=InMemoryPlanCache(), max_stages=2
+        )
+        HierarchicalPlanner(forward, cluster, config).plan()
+        one_stage = dataclasses.replace(config, max_stages=1)
+        warm = HierarchicalPlanner(renamed, cluster, one_stage).plan()
         assert warm.reuse_stats["whole_plan_hit"] == 0
-        # ...but every chunk plan comes from the (name-independent) chunk cache.
         assert warm.reuse_stats["subplans_planned"] == 0
         assert warm.reuse_stats["cache_hits"] > 0
+        cold = HierarchicalPlanner(
+            renamed, cluster, dataclasses.replace(one_stage, plan_cache=None)
+        ).plan()
         assert warm.estimated_time == cold.estimated_time
 
     def test_renamed_model_hits_disk_chunk_entries(self, tmp_path):
         """A renamed model planned over the full grid of a two-machine
-        cluster takes every chunk from a disk cache primed by the original."""
+        cluster takes every chunk from a disk cache primed by the original.
+        ``max_stages=2`` evaluates the same grid as the default 4 on two
+        machines, but keys a different whole plan."""
         forward = build_mlp()
         hetero = make_cluster(("A100", "P100"), group=True)
         config = HierarchicalConfig(planner=small_planner_config())
@@ -342,32 +401,87 @@ class TestHierarchicalIntegration:
         HierarchicalPlanner(
             forward, hetero, dataclasses.replace(config, plan_cache=DiskPlanCache(cache_dir))
         ).plan()
-        renamed = _renamed(forward)
+        renamed = rename_nodes(forward)
+        two_stages = dataclasses.replace(config, max_stages=2)
+        warm = HierarchicalPlanner(
+            renamed, hetero, dataclasses.replace(two_stages, plan_cache=DiskPlanCache(cache_dir))
+        ).plan()
+        cold = HierarchicalPlanner(renamed, hetero, two_stages).plan()
+        assert warm.reuse_stats["whole_plan_hit"] == 0
+        assert warm.reuse_stats["subplans_planned"] == 0
+        assert warm.reuse_stats["cache_hits"] > 0
+        _assert_same_plan(warm, cold)
+
+    def test_renamed_model_hits_disk_whole_entry(self, tmp_path):
+        forward = build_mlp()
+        hetero = make_cluster(("A100", "P100"), group=True)
+        config = HierarchicalConfig(planner=small_planner_config())
+        cache_dir = str(tmp_path)
+        HierarchicalPlanner(
+            forward, hetero, dataclasses.replace(config, plan_cache=DiskPlanCache(cache_dir))
+        ).plan()
+        renamed = rename_nodes(forward)
         warm = HierarchicalPlanner(
             renamed, hetero, dataclasses.replace(config, plan_cache=DiskPlanCache(cache_dir))
         ).plan()
         cold = HierarchicalPlanner(renamed, hetero, config).plan()
-        assert warm.reuse_stats["whole_plan_hit"] == 0
+        assert warm.reuse_stats["whole_plan_hit"] == 1
         assert warm.reuse_stats["subplans_planned"] == 0
-        assert warm.reuse_stats["cache_hits"] > 0
-        assert warm.describe().splitlines()[:-1] == cold.describe().splitlines()[:-1]
-        assert warm.estimated_time == cold.estimated_time
-        assert warm.candidate_times == cold.candidate_times
-        assert warm.schedule_candidate_times == cold.schedule_candidate_times
+        _assert_same_plan(warm, cold)
 
-
-def _renamed(forward: ComputationGraph) -> ComputationGraph:
-    """An isomorphic copy of ``forward`` with every node name prefixed."""
-    renamed = ComputationGraph("renamed")
-    new_name = {name: f"r_{name}" for name in forward.node_names}
-    for node in forward:
-        renamed.add_node(
-            new_name[node.name],
-            node.op,
-            tuple(new_name[i] for i in node.inputs),
-            dict(node.attrs),
+    @pytest.mark.parametrize(
+        "builder,schedules,rtol",
+        [
+            (build_mlp, None, 2e-4),
+            (build_tiny_transformer, None, 2e-4),
+            (build_tiny_transformer, ["interleaved-1f1b"], 2e-4),
+            (build_tiny_moe, None, 1e-3),
+        ],
+        ids=["mlp", "transformer", "transformer-interleaved", "moe"],
+    )
+    def test_renamed_whole_hit_matches_single_device_training(self, builder, schedules, rtol):
+        """The renamed chunk graphs, boundaries and gradient seeds of a
+        remapped pipeline plan execute to the single-device numerics."""
+        forward = builder()
+        renamed = rename_nodes(forward)
+        config = HierarchicalConfig(
+            planner=small_planner_config(),
+            schedules=schedules,
+            intra_group_network=NetworkSpec(bandwidth=100e9 / 8),
+            max_stages=2,
+            plan_cache=InMemoryPlanCache(),
         )
-    for out in forward.outputs:
-        renamed.mark_output(new_name[out])
-    renamed.mark_loss(new_name[forward.loss])
-    return renamed
+        HierarchicalPlanner(forward, _two_group_cluster(), config).plan()
+        plan = HierarchicalPlanner(renamed, _two_group_cluster(), config).plan()
+        assert plan.reuse_stats["whole_plan_hit"] == 1
+        assert plan.num_stages == 2  # real boundaries and gradient seeds
+        training = build_training_graph(renamed)
+        bindings = bindings_for(training.graph, seed=0)
+        reference = SingleDeviceExecutor(training.graph).run(bindings)
+        result = run_hierarchical_plan(plan, bindings)
+        assert result.loss == pytest.approx(float(reference[training.loss]), rel=rtol, abs=1e-4)
+        for param, update_node in training.updates.items():
+            np.testing.assert_allclose(
+                result.updated_parameters[param],
+                reference[update_node],
+                rtol=rtol,
+                atol=1e-4,
+                err_msg=f"parameter {param} diverged",
+            )
+
+
+def _two_group_cluster() -> ClusterSpec:
+    """Two 4-GPU machine groups on the slow default network: pipelining wins."""
+    machines = [
+        Machine("v1", device_type("V100"), num_gpus=4),
+        Machine("p1", device_type("P100"), num_gpus=4),
+    ]
+    return ClusterSpec(machines, network=NetworkSpec(), group_by_machine=True)
+
+
+def _assert_same_plan(warm, cold) -> None:
+    """``warm`` is ``cold`` up to the reuse line of ``describe()``."""
+    assert warm.describe().splitlines()[:-1] == cold.describe().splitlines()[:-1]
+    assert warm.estimated_time == cold.estimated_time
+    assert warm.candidate_times == cold.candidate_times
+    assert warm.schedule_candidate_times == cold.schedule_candidate_times

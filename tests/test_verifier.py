@@ -56,7 +56,7 @@ from repro.verify.mutate import (
 )
 from repro.verify.plan import verify_plan_structure
 
-from .conftest import build_mlp, make_cluster
+from .conftest import build_mlp, make_cluster, rename_nodes
 
 
 def small_planner():
@@ -281,7 +281,7 @@ class TestCacheCorruption:
         corrupted = 0
         for path in Path(directory).glob("*.plan"):
             entry = pickle.loads(path.read_bytes())
-            if entry.extra.get("forward_names") is not None:
+            if "chunk_orders" in entry.extra:
                 # Whole-plan entry: break a chunk's boundary accounting.
                 entry.plan.stages[0].chunks[0].send_bytes += 999
             else:
@@ -314,6 +314,40 @@ class TestCacheCorruption:
         assert verify_plan(warm, bert_forward).ok
         assert warm.estimated_time == cold.estimated_time
         assert warm.schedule_name == cold.schedule_name
+
+    @pytest.mark.parametrize("damage", ["shuffled", "truncated"])
+    def test_bad_chunk_order_is_a_diagnosed_miss(self, bert_forward, tmp_path, damage):
+        """A renamed request reads the whole entry's stored chunk orders; a
+        damaged one is rejected and the plan comes from the chunk entries."""
+        directory = str(tmp_path / "plans")
+        cold = HierarchicalPlanner(
+            bert_forward,
+            two_group_cluster(),
+            hier_config(plan_cache=DiskPlanCache(directory)),
+        ).plan()
+        damaged = 0
+        for path in Path(directory).glob("*.plan"):
+            entry = pickle.loads(path.read_bytes())
+            if "chunk_orders" not in entry.extra:
+                continue
+            order = entry.extra["chunk_orders"][-1]
+            order[:] = order[::-1] if damage == "shuffled" else order[:-1]
+            path.write_bytes(pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL))
+            damaged += 1
+        assert damaged == 1
+
+        renamed = rename_nodes(bert_forward)
+        warm = HierarchicalPlanner(
+            renamed,
+            two_group_cluster(),
+            hier_config(plan_cache=DiskPlanCache(directory)),
+        ).plan()
+        assert warm.reuse_stats["whole_plan_hit"] == 0
+        assert warm.reuse_stats["cache_rejects"] == 1
+        assert warm.reuse_stats["subplans_planned"] == 0  # chunk entries are intact
+        assert verify_plan(warm, renamed).ok
+        assert warm.estimated_time == cold.estimated_time
+        assert warm.schedule_candidate_times == cold.schedule_candidate_times
 
     def test_intact_cache_still_hits(self, bert_forward, tmp_path):
         directory = str(tmp_path / "plans")
