@@ -64,7 +64,7 @@ def test_ablation_load_balancer(benchmark, record_rows):
 
     result = benchmark.pedantic(solve, rounds=1, iterations=1)
     rows = [
-        {"ratios": "LP", "time_ms": cost_model.evaluate(program, result.flat_ratios).total * 1e3},
+        {"ratios": "LP", "time_ms": cost_model.evaluate(program, result.ratios).total * 1e3},
         {
             "ratios": "proportional",
             "time_ms": cost_model.evaluate(program, cluster.proportional_ratios()).total * 1e3,

@@ -11,7 +11,6 @@ from .spec import (
     Subcluster,
     a100_p100_pair,
     a100_pair,
-    custom_cluster,
     heterogeneous_testbed,
     homogeneous_testbed,
     p100_a100_mixed,
@@ -35,7 +34,6 @@ __all__ = [
     "a100_p100_pair",
     "a100_pair",
     "p100_a100_mixed",
-    "custom_cluster",
     "ClusterProfile",
     "LinearCommModel",
     "SimulatedProfiler",

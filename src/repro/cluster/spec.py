@@ -9,7 +9,7 @@ when ``group_by_machine`` is requested — the configuration used for the paper'
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .device import Machine, VirtualDevice, device_type
 
@@ -283,8 +283,7 @@ def _balanced_boundaries(weights: Sequence[float], num_groups: int) -> List[int]
 
     Greedy cumulative split against equal-weight targets, constrained so every
     group keeps at least one element and no elements are left over.  Exact for
-    the small machine counts clusters have; mirrors
-    :func:`repro.graph.analysis.segment_graph`.
+    the small machine counts clusters have.
     """
     n = len(weights)
     total = sum(weights) or float(n)
@@ -456,11 +455,3 @@ def p100_a100_mixed(gpus_per_machine: int = 2, group_by_machine: bool = False) -
     machines = _machines("p", 1, "P100", gpus_per_machine, nvlink=False)
     machines += _machines("a", 1, "A100", gpus_per_machine, nvlink=True)
     return ClusterSpec(machines, group_by_machine=group_by_machine, name="p100-a100-2x2")
-
-
-def custom_cluster(spec: Dict[str, int], gpus_per_machine: int = 1, **kwargs) -> ClusterSpec:
-    """Build a cluster from a ``{gpu_name: machine_count}`` dictionary."""
-    machines: List[Machine] = []
-    for gpu_name, count in spec.items():
-        machines += _machines(gpu_name.lower()[0], count, gpu_name, gpus_per_machine, nvlink=gpu_name.upper() in ("V100", "A100"))
-    return ClusterSpec(machines, **kwargs)

@@ -107,18 +107,15 @@ class SynthesisConfig:
 class LoadBalancerConfig:
     """Knobs of the LP-based sharding-ratio optimiser (Sec. 5).
 
+    The LP solves for one sharding-ratio vector per program (the base case of
+    Sec. 5.1); synthesis, the runtime and the simulator all read that one
+    vector.
+
     Attributes:
-        num_segments: number of model segments that receive independent
-            sharding ratios (Sec. 5.2); 1 reproduces the base case of Sec. 5.1.
         respect_memory: add per-device memory-capacity constraints to the LP.
     """
 
-    num_segments: int = 1
     respect_memory: bool = False
-
-    def __post_init__(self) -> None:
-        if self.num_segments < 1:
-            raise ValueError(f"num_segments must be >= 1, got {self.num_segments}")
 
 
 @dataclass

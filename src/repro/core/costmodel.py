@@ -28,7 +28,7 @@ the same overlapped objective.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,9 +46,10 @@ class StageCoefficients:
     Serialized stage time ``= comm_const + comm_slope * max_j(B_j)
     + max_j (comp_slope[j] * B_j + comp_const[j])``; the dual-stream time
     subtracts the hidden fraction of the communication (see :meth:`time`).
+    ``B`` is the program's one ratio vector: every stage is priced against
+    the same ratios.
 
     Attributes:
-        segment: index of the model segment this stage belongs to.
         comm_const: communication time independent of the sharding ratios.
         comm_slope: communication time per unit of the largest ratio.
         comp_slope: per-device computation seconds per unit sharding ratio.
@@ -58,7 +59,6 @@ class StageCoefficients:
         indep_const: ratio-independent part of the overlap window.
     """
 
-    segment: int
     comm_const: float
     comm_slope: float
     comp_slope: List[float]
@@ -128,8 +128,8 @@ class CostModel:
     """Estimates ``t(Q, B)`` for distributed programs on a cluster.
 
     A program is priced one way: :meth:`stage_coefficients` linearises it
-    once per ``(program, segment_of)`` pair (cached, so one planner round's
-    pricing and its LP share the linearisation), and :meth:`evaluate` /
+    once per program (cached, so one planner round's pricing and its LP
+    share the linearisation), and :meth:`evaluate` /
     :meth:`evaluate_many` walk those stage lines with scalar arithmetic.
     :meth:`phase_profile` prices the same stages per instruction and splits
     them into pipeline phases.
@@ -163,12 +163,12 @@ class CostModel:
         self._flops_cache: Dict[str, float] = {}
         self._bytes_cache: Dict[str, int] = {}
         self._device_flops = cluster.device_flops()
-        # Per-(program, segmentation) coefficient cache.  Keys are object
-        # ids; the values keep strong references to the keyed objects so an
-        # id can never be recycled while its entry is alive.  Programs are
-        # immutable once synthesized, so the cached lists stay valid.
+        # Per-program coefficient cache.  Keys are object ids; the values
+        # keep a strong reference to the keyed program so an id can never be
+        # recycled while its entry is alive.  Programs are immutable once
+        # synthesized, so the cached lists stay valid.
         self._coeff_memo: Dict[
-            Tuple[int, int], Tuple[object, object, List[StageCoefficients]]
+            int, Tuple[DistributedProgram, List[StageCoefficients]]
         ] = {}
 
     # -- per-node cached quantities ------------------------------------------
@@ -232,44 +232,33 @@ class CostModel:
         self,
         program: DistributedProgram,
         ratios: Sequence[float],
-        ratios_per_segment: Optional[Mapping[int, Sequence[float]]] = None,
-        segment_of: Optional[Mapping[str, int]] = None,
         overlap: Optional[float] = None,
     ) -> CostBreakdown:
         """Estimated per-iteration time ``t(Q, B)`` on the dual-stream model.
 
         Args:
             program: the distributed program.
-            ratios: global sharding ratios (one entry per virtual device).
-            ratios_per_segment: optional per-segment ratios overriding
-                ``ratios`` for stages assigned to that segment.
-            segment_of: node-name -> segment-index map (required when
-                ``ratios_per_segment`` is given).
+            ratios: sharding ratios (one entry per virtual device).
             overlap: overlap efficiency overriding the model's default
                 (``self.overlap``); 0.0 gives the serialized estimate.
         """
         e = self.overlap if overlap is None else overlap
-        coeffs = self.stage_coefficients(program, segment_of)
-        return _price(coeffs, ratios, ratios_per_segment, e)
+        return _price(self.stage_coefficients(program), ratios, e)
 
     def evaluate_many(
         self,
         program: DistributedProgram,
-        ratio_sets: Sequence[
-            Tuple[Sequence[float], Optional[Mapping[int, Sequence[float]]]]
-        ],
-        segment_of: Optional[Mapping[str, int]] = None,
+        ratio_sets: Sequence[Sequence[float]],
         overlap: Optional[float] = None,
     ) -> List[CostBreakdown]:
-        """:meth:`evaluate` for ``K`` ratio assignments of one program.
+        """:meth:`evaluate` for ``K`` ratio vectors of one program.
 
-        Each entry of ``ratio_sets`` is a ``(ratios, ratios_per_segment)``
-        pair with the same meaning as the :meth:`evaluate` arguments; each
-        breakdown is exactly what :meth:`evaluate` returns for that pair.
+        Each breakdown is exactly what :meth:`evaluate` returns for that
+        vector.
         """
         e = self.overlap if overlap is None else overlap
-        coeffs = self.stage_coefficients(program, segment_of)
-        return [_price(coeffs, base, per_segment, e) for base, per_segment in ratio_sets]
+        coeffs = self.stage_coefficients(program)
+        return [_price(coeffs, ratios, e) for ratios in ratio_sets]
 
     def phase_profile(
         self,
@@ -400,32 +389,22 @@ class CostModel:
                 consts.append(base + intra)
         return slopes, consts
 
-    def stage_coefficients(
-        self,
-        program: DistributedProgram,
-        segment_of: Optional[Mapping[str, int]] = None,
-    ) -> List[StageCoefficients]:
+    def stage_coefficients(self, program: DistributedProgram) -> List[StageCoefficients]:
         """Linear coefficients of every stage of a program.
 
-        Cached per ``(program, segment_of)`` identity: one planner round
-        prices the same program through :meth:`evaluate_many`, the LP load
-        balancer *and* the post-balance re-evaluation, and the linearisation
-        (two collective-model calls per stage plus a per-instruction sweep)
-        is by far the most expensive part of each.
+        Cached per program: one planner round prices the same program
+        through :meth:`evaluate_many` and the LP load balancer, and the
+        linearisation (two collective-model calls per stage plus a
+        per-instruction sweep) is by far the most expensive part of each.
         """
-        key = (id(program), id(segment_of))
-        hit = self._coeff_memo.get(key)
-        if hit is not None and hit[0] is program and hit[1] is segment_of:
-            return hit[2]
-        coeffs = self._stage_coefficients(program, segment_of)
-        self._coeff_memo[key] = (program, segment_of, coeffs)
+        hit = self._coeff_memo.get(id(program))
+        if hit is not None and hit[0] is program:
+            return hit[1]
+        coeffs = self._stage_coefficients(program)
+        self._coeff_memo[id(program)] = (program, coeffs)
         return coeffs
 
-    def _stage_coefficients(
-        self,
-        program: DistributedProgram,
-        segment_of: Optional[Mapping[str, int]] = None,
-    ) -> List[StageCoefficients]:
+    def _stage_coefficients(self, program: DistributedProgram) -> List[StageCoefficients]:
         coeffs: List[StageCoefficients] = []
         m = self.num_devices
         for stage in program.stages():
@@ -436,7 +415,6 @@ class CostModel:
             comp_const = [0.0] * m
             indep_slope = [0.0] * m
             indep_const = [0.0] * m
-            segment = 0
             dependent = stage.dependent_mask()
             for idx, comp in enumerate(stage.comps):
                 if isinstance(comp, CommInstruction):
@@ -448,15 +426,8 @@ class CostModel:
                     if not dependent[idx]:
                         indep_slope[j] += slopes[j]
                         indep_const[j] += consts[j]
-            if segment_of is not None:
-                nodes = [c.node for c in stage.comps]
-                if stage.comm is not None:
-                    nodes.append(stage.comm.input.ref)
-                segments = [segment_of.get(n, 0) for n in nodes]
-                segment = max(set(segments), key=segments.count) if segments else 0
             coeffs.append(
                 StageCoefficients(
-                    segment=segment,
                     comm_const=comm_const,
                     comm_slope=comm_slope,
                     comp_slope=comp_slope,
@@ -481,21 +452,17 @@ class CostModel:
 def _price(
     coeffs: Sequence[StageCoefficients],
     ratios: Sequence[float],
-    ratios_per_segment: Optional[Mapping[int, Sequence[float]]],
     overlap: float,
 ) -> CostBreakdown:
-    """Sum one ratio assignment's stage times over linearised stages."""
+    """Sum one ratio vector's stage times over linearised stages."""
     total_comm = 0.0
     total_comp = 0.0
     total_exposed = 0.0
     stage_times: List[float] = []
     for coeff in coeffs:
-        seg_ratios = list(ratios)
-        if ratios_per_segment is not None and coeff.segment in ratios_per_segment:
-            seg_ratios = list(ratios_per_segment[coeff.segment])
-        comm = coeff.comm_time(seg_ratios)
-        comp = coeff.comp_time(seg_ratios)
-        exposed = coeff.exposed_comm(seg_ratios, overlap, comm, comp)
+        comm = coeff.comm_time(ratios)
+        comp = coeff.comp_time(ratios)
+        exposed = coeff.exposed_comm(ratios, overlap, comm, comp)
         total_comm += comm
         total_comp += comp
         total_exposed += exposed

@@ -103,8 +103,9 @@ class HierarchicalConfig:
     Attributes:
         max_stages: stage counts ``1..min(max_stages, num_machines)`` are
             evaluated.  1 is flat HAP.
-        schedules: pipeline schedules searched; defaults to all of
-            :data:`repro.simulator.schedule.SCHEDULE_NAMES`.
+        schedules: pipeline schedules searched; ``None`` (the default)
+            searches all of :data:`repro.simulator.schedule.SCHEDULE_NAMES`.
+            An empty sequence is rejected.
         num_model_chunks: model chunks per stage for ``interleaved-1f1b``.
             The planner cuts ``num_stages * num_model_chunks`` real chunks,
             plans each with flat HAP and simulates the schedule with the
@@ -169,8 +170,14 @@ class HierarchicalConfig:
             raise ValueError(
                 f"recompute must be 'never', 'always' or 'auto', got {self.recompute!r}"
             )
-        for name in self.schedules or ():
-            get_schedule(name)  # fail fast on typos
+        if self.schedules is not None:
+            if not self.schedules:
+                raise ValueError(
+                    "schedules must be None (search every schedule) or name at "
+                    "least one schedule, got an empty sequence"
+                )
+            for name in self.schedules:
+                get_schedule(name)  # fail fast on typos
 
 
 @dataclass
@@ -379,10 +386,6 @@ class HierarchicalPlan:
     def is_flat(self) -> bool:
         """True when planning degenerated to a single flat SPMD program."""
         return self.num_stages == 1
-
-    @property
-    def estimated_iteration_time(self) -> float:
-        return self.estimated_time
 
     def chunk_sequence(self) -> List[ChunkPlan]:
         """All chunk plans in virtual-stage order (``k = chunk * s + stage``).

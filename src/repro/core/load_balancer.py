@@ -10,22 +10,22 @@ functions, so the overlapped stage time stays convex and the problem
     min  sum_i T_i
     s.t. T_i >= comp_ij(B) + (1 - e) * comm_i(M)               for all i, j
          T_i >= comp_ij(B) + comm_i(M) - e * indep_ij(B)       for all i, j
-         M_k >= B_{k,j}                                        for all k, j
-         sum_j B_{k,j} = 1,  B >= 0
+         M >= B_j                                              for all j
+         sum_j B_j = 1,  B >= 0
 
 is a linear program; we solve it with scipy's HiGHS backend (the paper uses
-CBC).  ``k(i)`` is the model segment a stage belongs to (Sec. 5.2); with a
-single segment this reduces to the base case of Sec. 5.1, and with
-``e = 0`` both constraint families coincide with the paper's original
-serialized LP.  The overlap efficiency ``e`` is taken from the cost model
-(ultimately the cluster spec), so the LP and :meth:`CostModel.evaluate`
-optimise and score the same objective.
+CBC).  ``B`` is one ratio vector for the whole program — the base case of
+Sec. 5.1, and the one vector synthesis, the runtime and the simulator all
+read.  With ``e = 0`` both constraint families coincide with the paper's
+original serialized LP.  The overlap efficiency ``e`` is taken from the
+cost model (ultimately the cluster spec), so the LP and
+:meth:`CostModel.evaluate` optimise and score the same objective.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -42,38 +42,14 @@ class LoadBalanceResult:
     """Outcome of one load-balancing solve.
 
     Attributes:
-        ratios: per-segment sharding ratios, shape ``(num_segments, m)``.
+        ratios: sharding ratios, one per virtual device.
         objective: LP objective value (estimated per-iteration seconds).
         success: whether the LP solver converged.
-        num_segments: number of model segments.
     """
 
-    ratios: List[List[float]]
+    ratios: List[float]
     objective: float
     success: bool
-    num_segments: int
-
-    @property
-    def flat_ratios(self) -> List[float]:
-        """Ratios of the first segment (the common single-segment case)."""
-        return list(self.ratios[0])
-
-    def ratios_for_segment(self, segment: int) -> List[float]:
-        """Ratios of a given segment.
-
-        Raises:
-            ValueError: when ``segment`` is outside ``0..num_segments-1``.
-            An out-of-range index means the caller's segmentation disagrees
-            with the one this result was solved for — silently reusing the
-            last segment's ratios (the old behaviour) would hide such
-            planner/segmentation bugs behind slightly-wrong load balance.
-        """
-        if not 0 <= segment < len(self.ratios):
-            raise ValueError(
-                f"segment index {segment} out of range: this result was solved "
-                f"for {len(self.ratios)} segment(s)"
-            )
-        return list(self.ratios[segment])
 
 
 class LoadBalancer:
@@ -91,62 +67,49 @@ class LoadBalancer:
         self,
         program: DistributedProgram,
         cost_model: CostModel,
-        segment_of: Optional[Mapping[str, int]] = None,
     ) -> LoadBalanceResult:
         """Compute optimal sharding ratios for ``program``.
 
         Args:
             program: the distributed program produced by the synthesizer.
             cost_model: cost model for the same graph/cluster pair.
-            segment_of: optional node-name -> segment-index map; when omitted
-                a single segment is used.
 
         Returns:
             A :class:`LoadBalanceResult`; if the LP fails the computation-
             proportional ratios are returned with ``success=False``.
         """
-        m = self.cluster.num_devices
-        coeffs = cost_model.stage_coefficients(program, segment_of)
-        num_segments = 1
-        if segment_of is not None:
-            num_segments = max((c.segment for c in coeffs), default=0) + 1
-        fallback = [list(self.cluster.proportional_ratios()) for _ in range(num_segments)]
-        if m == 1:
-            return LoadBalanceResult([[1.0]] * num_segments, sum(
+        coeffs = cost_model.stage_coefficients(program)
+        if self.cluster.num_devices == 1:
+            return LoadBalanceResult([1.0], sum(
                 c.time([1.0], overlap=cost_model.overlap) for c in coeffs
-            ), True, num_segments)
+            ), True)
 
-        result = self._solve_lp(coeffs, num_segments, program, cost_model.overlap)
+        result = self._solve_lp(coeffs, program, cost_model.overlap)
         if result is None:
-            return LoadBalanceResult(fallback, float("inf"), False, num_segments)
+            return LoadBalanceResult(
+                list(self.cluster.proportional_ratios()), float("inf"), False
+            )
         return result
 
     # -- LP assembly -------------------------------------------------------------
     def _solve_lp(
         self,
         coeffs: Sequence[StageCoefficients],
-        num_segments: int,
         program: DistributedProgram,
         overlap: float = 0.0,
     ) -> Optional[LoadBalanceResult]:
         m = self.cluster.num_devices
-        g = num_segments
         num_stages = len(coeffs)
         if num_stages == 0:
-            return LoadBalanceResult([[1.0 / m] * m for _ in range(g)], 0.0, True, g)
+            return LoadBalanceResult([1.0 / m] * m, 0.0, True)
 
-        # Variable layout: [B (g*m), M (g), T (num_stages)].  T_i is the full
+        # Variable layout: [B (m), M, T (num_stages)].  T_i is the full
         # (overlapped) stage time, communication included.
-        num_vars = g * m + g + num_stages
-
-        def b_idx(k: int, j: int) -> int:
-            return k * m + j
-
-        def m_idx(k: int) -> int:
-            return g * m + k
+        num_vars = m + 1 + num_stages
+        m_idx = m
 
         def t_idx(i: int) -> int:
-            return g * m + g + i
+            return m + 1 + i
 
         objective = np.zeros(num_vars)
         for i in range(num_stages):
@@ -160,20 +123,19 @@ class LoadBalancer:
         #   T_i >= comp_ij(B) + comm_i(M) - e * indep_ij(B)
         # With e == 0 they coincide with the serialized LP.
         for i, coeff in enumerate(coeffs):
-            k = coeff.segment
             indep_slope = coeff.indep_slope or [0.0] * m
             indep_const = coeff.indep_const or [0.0] * m
             for j in range(m):
                 row = np.zeros(num_vars)
-                row[b_idx(k, j)] = coeff.comp_slope[j]
-                row[m_idx(k)] = (1.0 - overlap) * coeff.comm_slope
+                row[j] = coeff.comp_slope[j]
+                row[m_idx] = (1.0 - overlap) * coeff.comm_slope
                 row[t_idx(i)] = -1.0
                 rows_ub.append(row)
                 rhs_ub.append(-coeff.comp_const[j] - (1.0 - overlap) * coeff.comm_const)
                 if overlap > 0.0:
                     row = np.zeros(num_vars)
-                    row[b_idx(k, j)] = coeff.comp_slope[j] - overlap * indep_slope[j]
-                    row[m_idx(k)] = coeff.comm_slope
+                    row[j] = coeff.comp_slope[j] - overlap * indep_slope[j]
+                    row[m_idx] = coeff.comm_slope
                     row[t_idx(i)] = -1.0
                     rows_ub.append(row)
                     rhs_ub.append(
@@ -181,54 +143,40 @@ class LoadBalancer:
                         - coeff.comm_const
                         + overlap * indep_const[j]
                     )
-        # M_k >= B_kj
-        for k in range(g):
-            for j in range(m):
-                row = np.zeros(num_vars)
-                row[b_idx(k, j)] = 1.0
-                row[m_idx(k)] = -1.0
-                rows_ub.append(row)
-                rhs_ub.append(0.0)
+        # M >= B_j
+        for j in range(m):
+            row = np.zeros(num_vars)
+            row[j] = 1.0
+            row[m_idx] = -1.0
+            rows_ub.append(row)
+            rhs_ub.append(0.0)
         # optional per-device memory constraints
         if self.config.respect_memory:
-            rows_mem, rhs_mem = self._memory_constraints(program, g, m, b_idx, num_vars)
+            rows_mem, rhs_mem = self._memory_constraints(program, m, num_vars)
             rows_ub.extend(rows_mem)
             rhs_ub.extend(rhs_mem)
 
-        rows_eq: List[np.ndarray] = []
-        rhs_eq: List[float] = []
-        for k in range(g):
-            row = np.zeros(num_vars)
-            for j in range(m):
-                row[b_idx(k, j)] = 1.0
-            rows_eq.append(row)
-            rhs_eq.append(1.0)
+        # sum_j B_j = 1
+        row_eq = np.zeros(num_vars)
+        row_eq[:m] = 1.0
 
-        bounds = [(0.0, 1.0)] * (g * m) + [(0.0, 1.0)] * g + [(0.0, None)] * num_stages
+        bounds = [(0.0, 1.0)] * (m + 1) + [(0.0, None)] * num_stages
         res = linprog(
             c=objective,
             A_ub=np.vstack(rows_ub) if rows_ub else None,
             b_ub=np.asarray(rhs_ub) if rhs_ub else None,
-            A_eq=np.vstack(rows_eq),
-            b_eq=np.asarray(rhs_eq),
+            A_eq=np.vstack([row_eq]),
+            b_eq=np.asarray([1.0]),
             bounds=bounds,
             method="highs",
         )
         if not res.success:
             return None
-        ratios = [
-            [float(res.x[b_idx(k, j)]) for j in range(m)] for k in range(g)
-        ]
         # Clean tiny negative numerical noise and renormalise.
-        ratios = [_normalise(r) for r in ratios]
-        return LoadBalanceResult(
-            ratios=ratios,
-            objective=float(res.fun),
-            success=True,
-            num_segments=g,
-        )
+        ratios = _normalise([float(res.x[j]) for j in range(m)])
+        return LoadBalanceResult(ratios=ratios, objective=float(res.fun), success=True)
 
-    def _memory_constraints(self, program, g, m, b_idx, num_vars):
+    def _memory_constraints(self, program, m, num_vars):
         """Per-device memory-capacity rows: sharded params scale with B."""
         graph = program.graph
         shardings = program.parameter_shardings()
@@ -244,11 +192,10 @@ class LoadBalancer:
         rows, rhs = [], []
         memory = self.cluster.device_memory()
         for j in range(m):
-            for k in range(g):
-                row = np.zeros(num_vars)
-                row[b_idx(k, j)] = sharded_bytes * overhead
-                rows.append(row)
-                rhs.append(max(memory[j] - replicated_bytes * overhead, 1.0))
+            row = np.zeros(num_vars)
+            row[j] = sharded_bytes * overhead
+            rows.append(row)
+            rhs.append(max(memory[j] - replicated_bytes * overhead, 1.0))
         return rows, rhs
 
 

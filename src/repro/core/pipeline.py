@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..cluster.spec import ClusterSpec
-from ..graph.analysis import segment_graph
 from ..graph.graph import ComputationGraph
 from .config import PlannerConfig
 from .costmodel import CostBreakdown, CostModel
@@ -43,7 +42,7 @@ class OptimizationRound:
     round_index: int
     cost_after_synthesis: float
     cost_after_balancing: float
-    ratios: List[List[float]]
+    ratios: List[float]
     synthesis_seconds: float
     balancing_seconds: float
 
@@ -54,10 +53,12 @@ class HAPPlan:
 
     Attributes:
         program: the selected distributed program ``Q*``.
-        ratios: the selected per-segment sharding ratios ``B*``.
+        ratios: the selected sharding ratios ``B*`` as a one-row list,
+            ``[B*]``.  A program has one ratio vector; the extra nesting is
+            kept only because the end-to-end benchmark's plan digest
+            iterates this field row by row.  Read :attr:`flat_ratios`.
         estimated_time: cost-model estimate of the per-iteration time.
         rounds: per-round optimisation history.
-        segment_of: node-name -> segment map used for per-segment ratios.
         synthesis: statistics of the final synthesis run.
     """
 
@@ -65,17 +66,12 @@ class HAPPlan:
     ratios: List[List[float]]
     estimated_time: CostBreakdown
     rounds: List[OptimizationRound]
-    segment_of: Optional[Dict[str, int]]
     synthesis: SynthesisResult
 
     @property
     def flat_ratios(self) -> List[float]:
-        """Sharding ratios of the first segment."""
+        """The plan's sharding ratios ``B*``, one per virtual device."""
         return list(self.ratios[0])
-
-    @property
-    def estimated_iteration_time(self) -> float:
-        return self.estimated_time.total
 
     def describe(self) -> str:
         """Readable plan summary."""
@@ -123,75 +119,50 @@ class HAPPlanner:
             graph, cluster, self.config.synthesis, theory=self.theory, cost_model=self.cost_model
         )
         self.load_balancer = LoadBalancer(cluster, self.config.load_balancer)
-        self.segment_of: Optional[Dict[str, int]] = None
-        if self.config.load_balancer.num_segments > 1:
-            segments = segment_graph(graph, self.config.load_balancer.num_segments)
-            self.segment_of = {
-                name: idx for idx, seg in enumerate(segments) for name in seg
-            }
-
-    # -- helpers ---------------------------------------------------------------
-    def _evaluate_pair(
-        self,
-        program: DistributedProgram,
-        ratios_q: List[List[float]],
-        ratios_b: List[List[float]],
-    ) -> Tuple[CostBreakdown, CostBreakdown]:
-        """Price a round's pre- and post-balance ratios for one program.
-
-        Both assignments go through one :meth:`CostModel.evaluate_many`
-        call, which prices them over the program's cached stage lines (the
-        ones the LP load balancer just read).
-        """
-        sets = [(r[0], {k: seg for k, seg in enumerate(r)}) for r in (ratios_q, ratios_b)]
-        pair = self.cost_model.evaluate_many(program, sets, self.segment_of)
-        return pair[0], pair[1]
-
-    def _initial_ratios(self) -> List[List[float]]:
-        base = self.cluster.proportional_ratios()
-        segments = self.config.load_balancer.num_segments if self.segment_of else 1
-        return [list(base) for _ in range(max(segments, 1))]
 
     # -- main entry point ---------------------------------------------------------
     def plan(self) -> HAPPlan:
         """Run the iterative optimisation and return the best (Q, B) pair."""
-        ratios = self._initial_ratios()
-        best: Optional[Tuple[DistributedProgram, List[List[float]], CostBreakdown, SynthesisResult]] = None
+        ratios = list(self.cluster.proportional_ratios())
+        best: Optional[
+            Tuple[DistributedProgram, List[float], CostBreakdown, SynthesisResult]
+        ] = None
         rounds: List[OptimizationRound] = []
         previous_cost = float("inf")
 
         for round_index in range(self.config.max_rounds):
             synth_start = _time.perf_counter()
-            synthesis = self.synthesizer.synthesize(ratios[0])
+            synthesis = self.synthesizer.synthesize(ratios)
             synth_seconds = _time.perf_counter() - synth_start
             program = synthesis.program
-            ratios_q = [list(r) for r in ratios]
+            ratios_q = ratios
 
             balance_seconds = 0.0
             if self.config.enable_load_balancer:
                 balance_start = _time.perf_counter()
-                balance = self.load_balancer.optimize(program, self.cost_model, self.segment_of)
+                balance = self.load_balancer.optimize(program, self.cost_model)
                 balance_seconds = _time.perf_counter() - balance_start
                 if balance.success:
                     ratios = balance.ratios
             # Evaluation is pure, so pricing the pre-balance ratios after the
-            # LP (in one batched call with the post-balance ratios) yields the
-            # same numbers as pricing them before it.
-            cost_q, cost_b = self._evaluate_pair(program, ratios_q, ratios)
+            # LP (in one batched call with the post-balance ratios, over the
+            # stage lines the LP just read) yields the same numbers as
+            # pricing them before it.
+            cost_q, cost_b = self.cost_model.evaluate_many(program, [ratios_q, ratios])
 
             rounds.append(
                 OptimizationRound(
                     round_index=round_index,
                     cost_after_synthesis=cost_q.total,
                     cost_after_balancing=cost_b.total,
-                    ratios=[list(r) for r in ratios],
+                    ratios=list(ratios),
                     synthesis_seconds=synth_seconds,
                     balancing_seconds=balance_seconds,
                 )
             )
 
             if best is None or cost_b.total < best[2].total:
-                best = (program, [list(r) for r in ratios], cost_b, synthesis)
+                best = (program, list(ratios), cost_b, synthesis)
 
             improvement = previous_cost - cost_b.total
             if improvement <= CONVERGENCE_TOLERANCE * max(previous_cost, 1e-12):
@@ -202,10 +173,9 @@ class HAPPlanner:
         program, ratios, cost, synthesis = best
         plan = HAPPlan(
             program=program,
-            ratios=ratios,
+            ratios=[ratios],
             estimated_time=cost,
             rounds=rounds,
-            segment_of=self.segment_of,
             synthesis=synthesis,
         )
         if self.config.synthesis.verify_after_plan:

@@ -86,7 +86,10 @@ from .properties import Property
 #: graph's canonical order and ``extra["chunk_orders"]`` holds each chosen
 #: chunk graph's, so a hit is renamed onto any isomorphic request (v5 entries
 #: were replayed only under the exact node names they were planned with).
-CACHE_VERSION = 6
+#: v7: a plan has one sharding-ratio vector: ``HAPPlan`` lost its node ->
+#: segment map and ``LoadBalancerConfig`` its segment count, so the plan
+#: layout and the config signature both changed.
+CACHE_VERSION = 7
 
 #: Configuration fields excluded from cache keys: the cache itself and the
 #: static-verifier flag (verification never changes the plan).
@@ -150,8 +153,8 @@ def config_signature(config) -> Tuple:
     """Content signature of a (nested) configuration dataclass.
 
     Recurses through dataclass fields so *every* knob — synthesis flags,
-    load-balancer segments, schedule lists, intra-group networks — lands in
-    the key; the ``plan_cache`` field itself is excluded.
+    load-balancer memory constraints, schedule lists, intra-group networks —
+    lands in the key; the ``plan_cache`` field itself is excluded.
     """
     return _canon(config)  # type: ignore[return-value]
 
@@ -210,17 +213,11 @@ def remap_plan(plan: HAPPlan, source_names: List[str], target: ComputationGraph)
     if all(old == new for old, new in rename.items()):
         return plan
     program = remap_program(plan.program, rename, target)
-    segment_of = (
-        {rename[name]: seg for name, seg in plan.segment_of.items()}
-        if plan.segment_of is not None
-        else None
-    )
     return HAPPlan(
         program=program,
         ratios=[list(r) for r in plan.ratios],
         estimated_time=plan.estimated_time,
         rounds=list(plan.rounds),
-        segment_of=segment_of,
         synthesis=replace(plan.synthesis, program=program),
     )
 

@@ -5,14 +5,11 @@ from .analysis import (
     PipelineCut,
     compute_nodes,
     consumers_map,
-    cut_bytes,
     cut_transfer_bytes,
     interleaved_pipeline_cut,
     last_use,
     node_flops_map,
     pipeline_cut,
-    segment_flops,
-    segment_graph,
 )
 from .builder import GraphBuilder
 from .canonical import (
@@ -47,14 +44,11 @@ __all__ = [
     "PipelineCut",
     "compute_nodes",
     "consumers_map",
-    "cut_bytes",
     "cut_transfer_bytes",
     "interleaved_pipeline_cut",
     "last_use",
     "node_flops_map",
     "pipeline_cut",
-    "segment_flops",
-    "segment_graph",
     "BlockRun",
     "canonical_order",
     "canonical_rename_map",

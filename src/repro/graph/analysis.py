@@ -1,12 +1,7 @@
 """Graph analyses used by the synthesizer, the load balancer and the runtime.
 
-Includes consumer/liveness maps, flops accounting per node, and the model
-segmentation used by HAP's per-segment sharding ratios (Sec. 5.2).  The paper
-either takes user-specified segments or runs METIS on the tensor graph; METIS
-is not available offline, so :func:`segment_graph` implements the same
-objective (balance segment weight while cutting small tensors) as a contiguous
-balanced partition of the topological order, which is exact for the chain-like
-graphs produced by the model zoo.
+Includes consumer/liveness maps, flops accounting per node, and the pipeline
+cuts the hierarchical planner splits a forward graph into stages with.
 """
 
 from __future__ import annotations
@@ -73,73 +68,15 @@ class GraphStats:
         )
 
 
-def segment_graph(graph: ComputationGraph, num_segments: int) -> List[List[str]]:
-    """Partition the graph into ``num_segments`` contiguous segments.
-
-    Segments are contiguous slices of the topological order balanced by flops,
-    with source nodes (placeholders/parameters) attached to the segment of
-    their first consumer.  Returns a list of lists of node names; every node
-    appears in exactly one segment.
-    """
-    if num_segments < 1:
-        raise ValueError("num_segments must be >= 1")
-    order = graph.node_names
-    if num_segments == 1:
-        return [list(order)]
-
-    flops = node_flops_map(graph)
-    compute_order = [n.name for n in compute_nodes(graph)]
-    if not compute_order:
-        return [list(order)] + [[] for _ in range(num_segments - 1)]
-    num_segments = min(num_segments, len(compute_order))
-
-    total = sum(flops[n] for n in compute_order) or float(len(compute_order))
-    target = total / num_segments
-
-    # Greedy contiguous split of the compute nodes by cumulative flops.
-    boundaries: List[int] = []
-    acc = 0.0
-    for i, name in enumerate(compute_order):
-        acc += flops[name] if total > 0 else 1.0
-        if len(boundaries) < num_segments - 1 and acc >= target * (len(boundaries) + 1):
-            boundaries.append(i + 1)
-    while len(boundaries) < num_segments - 1:
-        boundaries.append(len(compute_order))
-
-    segments_compute: List[List[str]] = []
-    start = 0
-    for b in boundaries + [len(compute_order)]:
-        segments_compute.append(compute_order[start:b])
-        start = b
-
-    # Attach each source node to the segment of its first consumer.
-    segment_of: Dict[str, int] = {}
-    for idx, seg in enumerate(segments_compute):
-        for name in seg:
-            segment_of[name] = idx
-    consumers = consumers_map(graph)
-    for node in graph:
-        if node.kind is OpKind.SOURCE:
-            cons = consumers.get(node.name, [])
-            idx = min((segment_of.get(c, 0) for c in cons), default=0)
-            segment_of[node.name] = idx
-
-    segments: List[List[str]] = [[] for _ in range(num_segments)]
-    for name in order:
-        segments[segment_of.get(name, 0)].append(name)
-    return segments
-
-
 @dataclass(frozen=True)
 class PipelineCut:
     """A contiguous partition of a forward graph into pipeline stages.
 
-    Unlike :func:`segment_graph` (which tags nodes of one flat program for
-    per-segment sharding ratios), a pipeline cut must yield *executable* stage
-    subgraphs: stages are contiguous in topological order, every parameter's
-    consumers live in a single stage (so the parameter's forward use, gradient
-    and optimizer update stay together once the stage is differentiated), and
-    the tensors crossing each boundary are recorded for activation handoff.
+    A pipeline cut must yield *executable* stage subgraphs: stages are
+    contiguous in topological order, every parameter's consumers live in a
+    single stage (so the parameter's forward use, gradient and optimizer
+    update stay together once the stage is differentiated), and the tensors
+    crossing each boundary are recorded for activation handoff.
 
     Attributes:
         stages: per-stage node names (compute nodes plus attached sources),
@@ -450,27 +387,3 @@ def interleaved_pipeline_cut(
     s = len(stage_weights)
     weights = [stage_weights[k % s] for k in range(s * num_chunks)]
     return pipeline_cut(graph, weights, balance_tolerance=balance_tolerance)
-
-
-def segment_flops(graph: ComputationGraph, segments: Sequence[Sequence[str]]) -> List[float]:
-    """Total flops of each segment."""
-    flops = node_flops_map(graph)
-    return [sum(flops[n] for n in seg) for seg in segments]
-
-
-def cut_bytes(graph: ComputationGraph, segments: Sequence[Sequence[str]]) -> int:
-    """Total bytes of tensors crossing segment boundaries.
-
-    This is the quantity METIS minimises in the paper's segmentation step and
-    is reported by the ablation benchmarks.
-    """
-    segment_of: Dict[str, int] = {}
-    for idx, seg in enumerate(segments):
-        for name in seg:
-            segment_of[name] = idx
-    crossing = 0
-    for node in graph:
-        for inp in node.inputs:
-            if segment_of.get(inp) != segment_of.get(node.name):
-                crossing += graph[inp].spec.size_bytes
-    return crossing

@@ -114,34 +114,14 @@ def canonical_order(graph: ComputationGraph) -> List[str]:
     return out
 
 
-def graph_encoding(graph: ComputationGraph) -> Tuple:
-    """Full name-free canonical encoding of the graph.
-
-    Every node appears in canonical order as (op, attrs, shape, dtype,
-    canonical input indices); outputs and the loss are canonical indices as
-    well.  Equal encodings certify that pairing the two canonical orders
-    position-wise is a graph isomorphism.
-    """
-    order = canonical_order(graph)
-    index = {name: i for i, name in enumerate(order)}
-    nodes = tuple(
-        _node_content(graph, name) + (tuple(index[i] for i in graph[name].inputs),)
-        for name in order
-    )
-    outputs = tuple(index[o] for o in graph.outputs)
-    loss = index[graph.loss] if graph.loss is not None else -1
-    return (nodes, outputs, loss)
-
-
-def graph_fingerprint(graph: ComputationGraph) -> str:
-    """Content-addressed fingerprint (sha256 of :func:`graph_encoding`)."""
-    return _digest(graph_encoding(graph))
-
-
 def fingerprint_with_order(graph: ComputationGraph) -> Tuple[str, List[str]]:
     """Fingerprint plus the canonical order it was computed over.
 
-    One canonicalization pass serves both cache-key construction and the
+    The fingerprint is the sha256 of the graph's name-free encoding: every
+    node in canonical order as (op, attrs, shape, dtype, canonical input
+    indices), then the outputs and the loss as canonical indices.  Equal
+    encodings certify that pairing the two canonical orders position-wise is
+    a graph isomorphism.  One canonicalization pass serves both cache-key construction and the
     rename map a later cache hit needs (``zip(stored_order, new_order)``).
     """
     order = canonical_order(graph)
@@ -153,6 +133,11 @@ def fingerprint_with_order(graph: ComputationGraph) -> Tuple[str, List[str]]:
     outputs = tuple(index[o] for o in graph.outputs)
     loss = index[graph.loss] if graph.loss is not None else -1
     return _digest((nodes, outputs, loss)), order
+
+
+def graph_fingerprint(graph: ComputationGraph) -> str:
+    """Content-addressed fingerprint of the graph (see :func:`fingerprint_with_order`)."""
+    return fingerprint_with_order(graph)[0]
 
 
 def canonical_rename_map(

@@ -292,8 +292,6 @@ def verify_plan_structure(
 def verify_plan(
     plan: HierarchicalPlan,
     forward: ComputationGraph,
-    check_programs: bool = True,
-    check_schedule: bool = True,
     check_cost: bool = True,
     lint: bool = True,
 ) -> VerificationReport:
@@ -307,8 +305,6 @@ def verify_plan(
     Args:
         plan: the plan to verify.
         forward: the forward graph the plan was built from.
-        check_programs: run P001–P008 on every chunk program.
-        check_schedule: run S001–S003 on the plan's task orders.
         check_cost: include the P008 cost cross-check per program (the most
             expensive check; the cache-hit guard disables it to keep warm
             lookups O(instructions)).
@@ -321,38 +317,36 @@ def verify_plan(
         from .lint import lint_plan  # local import: lint depends on plan types
 
         report.merge(lint_plan(plan), prefix="lint")
-    if check_programs:
-        for chunk in plan.chunk_sequence():
-            sub = verify_program(
-                chunk.program,
-                cluster=chunk.subcluster,
-                ratios=chunk.ratios,
-                check_cost=check_cost,
+    for chunk in plan.chunk_sequence():
+        sub = verify_program(
+            chunk.program,
+            cluster=chunk.subcluster,
+            ratios=chunk.ratios,
+            check_cost=check_cost,
+        )
+        report.merge(sub, prefix=f"virtual stage {chunk.virtual_index}")
+    s = plan.num_stages
+    v = max(1, plan.num_model_chunks)
+    try:
+        orders = get_schedule(plan.schedule_name, num_model_chunks=v).task_orders(
+            s, plan.num_microbatches, v
+        )
+    except (KeyError, ValueError) as exc:
+        report.add(
+            Diagnostic(
+                "S003",
+                Severity.ERROR,
+                f"plan's schedule is not constructible: {exc}",
+                f"schedule {plan.schedule_name!r}",
             )
-            report.merge(sub, prefix=f"virtual stage {chunk.virtual_index}")
-    if check_schedule:
-        s = plan.num_stages
-        v = max(1, plan.num_model_chunks)
-        try:
-            orders = get_schedule(plan.schedule_name, num_model_chunks=v).task_orders(
-                s, plan.num_microbatches, v
-            )
-        except (KeyError, ValueError) as exc:
-            report.add(
-                Diagnostic(
-                    "S003",
-                    Severity.ERROR,
-                    f"plan's schedule is not constructible: {exc}",
-                    f"schedule {plan.schedule_name!r}",
-                )
-            )
-        else:
-            sub = verify_schedule_orders(
-                orders,
-                num_stages=s,
-                num_microbatches=plan.num_microbatches,
-                num_chunks=v,
-                schedule_name=plan.schedule_name,
-            )
-            report.merge(sub, prefix=f"schedule {plan.schedule_name}")
+        )
+    else:
+        sub = verify_schedule_orders(
+            orders,
+            num_stages=s,
+            num_microbatches=plan.num_microbatches,
+            num_chunks=v,
+            schedule_name=plan.schedule_name,
+        )
+        report.merge(sub, prefix=f"schedule {plan.schedule_name}")
     return report

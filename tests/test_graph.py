@@ -8,11 +8,8 @@ from repro.graph import (
     GraphBuilder,
     GraphError,
     GraphStats,
-    cut_bytes,
     last_use,
     node_flops_map,
-    segment_flops,
-    segment_graph,
 )
 
 
@@ -127,39 +124,6 @@ class TestAnalyses:
     def test_node_flops_map_keys(self):
         g = simple_graph()
         assert set(node_flops_map(g)) == set(g.node_names)
-
-    def test_segment_single(self):
-        g = simple_graph()
-        segments = segment_graph(g, 1)
-        assert len(segments) == 1
-        assert sorted(segments[0]) == sorted(g.node_names)
-
-    def test_segment_partition_is_exact_cover(self, transformer_training):
-        g = transformer_training.graph
-        segments = segment_graph(g, 4)
-        names = [n for seg in segments for n in seg]
-        assert sorted(names) == sorted(g.node_names)
-
-    def test_segment_flops_roughly_balanced(self, transformer_training):
-        g = transformer_training.graph
-        segments = segment_graph(g, 2)
-        flops = segment_flops(g, segments)
-        assert len(flops) == 2
-        assert min(flops) > 0
-        assert max(flops) / max(min(flops), 1) < 10
-
-    def test_segment_more_than_nodes_clamped(self):
-        g = simple_graph()
-        segments = segment_graph(g, 50)
-        assert sum(len(s) for s in segments) == len(g)
-
-    def test_cut_bytes_zero_for_single_segment(self, transformer_training):
-        g = transformer_training.graph
-        assert cut_bytes(g, segment_graph(g, 1)) == 0
-
-    def test_segment_invalid_count(self):
-        with pytest.raises(ValueError):
-            segment_graph(simple_graph(), 0)
 
 
 class TestBuilder:

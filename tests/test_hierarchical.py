@@ -751,6 +751,9 @@ class TestHierarchicalPlanner:
         [
             ("max_stages", 0),
             ("num_model_chunks", 0),
+            # An empty sequence must not fall through to every schedule.
+            ("schedules", []),
+            ("schedules", ()),
         ],
     )
     def test_out_of_range_config_rejected(self, field, value):

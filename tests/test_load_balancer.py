@@ -13,7 +13,6 @@ from repro.core import (
     SynthesisConfig,
     integer_shard_sizes,
 )
-from repro.graph.analysis import segment_graph
 
 from .conftest import build_mlp, build_tiny_transformer
 
@@ -33,14 +32,14 @@ class TestLoadBalancer:
         _, program, cost_model, cluster = dp_setup
         result = LoadBalancer(cluster).optimize(program, cost_model)
         assert result.success
-        for seg in result.ratios:
-            assert sum(seg) == pytest.approx(1.0, abs=1e-6)
-            assert all(r >= -1e-9 for r in seg)
+        assert len(result.ratios) == cluster.num_devices
+        assert sum(result.ratios) == pytest.approx(1.0, abs=1e-6)
+        assert all(r >= -1e-9 for r in result.ratios)
 
     def test_lp_not_worse_than_proportional_or_even(self, dp_setup):
         _, program, cost_model, cluster = dp_setup
         result = LoadBalancer(cluster).optimize(program, cost_model)
-        optimised = cost_model.evaluate(program, result.flat_ratios).total
+        optimised = cost_model.evaluate(program, result.ratios).total
         proportional = cost_model.evaluate(program, cluster.proportional_ratios()).total
         even = cost_model.evaluate(program, cluster.even_ratios()).total
         assert optimised <= proportional * 1.001
@@ -49,7 +48,7 @@ class TestLoadBalancer:
     def test_lp_objective_matches_cost_model(self, dp_setup):
         _, program, cost_model, cluster = dp_setup
         result = LoadBalancer(cluster).optimize(program, cost_model)
-        evaluated = cost_model.evaluate(program, result.flat_ratios).total
+        evaluated = cost_model.evaluate(program, result.ratios).total
         assert result.objective == pytest.approx(evaluated, rel=0.05)
 
     def test_fast_devices_get_larger_share_when_compute_bound(self, four_device_cluster):
@@ -59,38 +58,11 @@ class TestLoadBalancer:
         program = ProgramSynthesizer(training, four_device_cluster, config).synthesize().program
         cost_model = CostModel(training, four_device_cluster)
         result = LoadBalancer(four_device_cluster).optimize(program, cost_model)
-        ratios = result.flat_ratios
+        ratios = result.ratios
         flops = four_device_cluster.device_flops()
         fast = max(range(4), key=lambda j: flops[j])
         slow = min(range(4), key=lambda j: flops[j])
         assert ratios[fast] > ratios[slow]
-
-    def test_per_segment_ratios(self, dp_setup):
-        training, program, cost_model, cluster = dp_setup
-        segments = segment_graph(training, 2)
-        segment_of = {name: i for i, seg in enumerate(segments) for name in seg}
-        config = LoadBalancerConfig(num_segments=2)
-        result = LoadBalancer(cluster, config).optimize(program, cost_model, segment_of)
-        assert result.num_segments >= 1
-        assert len(result.ratios) == result.num_segments
-
-    def test_ratios_for_segment_rejects_out_of_range_indices(self, dp_setup):
-        # Regression: ratios_for_segment used to clamp the index to the last
-        # segment, silently reusing its ratios when a caller's segmentation
-        # disagreed with the solved one — a planner bug class that must
-        # surface loudly instead.  (In-repo callers were audited: the flat
-        # single-segment path goes through flat_ratios.)
-        training, program, cost_model, cluster = dp_setup
-        segments = segment_graph(training, 2)
-        segment_of = {name: i for i, seg in enumerate(segments) for name in seg}
-        config = LoadBalancerConfig(num_segments=2)
-        result = LoadBalancer(cluster, config).optimize(program, cost_model, segment_of)
-        for seg in range(result.num_segments):
-            assert result.ratios_for_segment(seg) == result.ratios[seg]
-        with pytest.raises(ValueError, match="out of range"):
-            result.ratios_for_segment(result.num_segments)
-        with pytest.raises(ValueError, match="out of range"):
-            result.ratios_for_segment(-1)
 
     def test_memory_constraints_do_not_break_lp(self, dp_setup):
         _, program, cost_model, cluster = dp_setup
@@ -107,7 +79,7 @@ class TestLoadBalancer:
         program = ProgramSynthesizer(training, cluster, config).synthesize().program
         cost_model = CostModel(training, cluster)
         result = LoadBalancer(cluster).optimize(program, cost_model)
-        assert result.ratios[0] == [1.0]
+        assert result.ratios == [1.0]
 
 
 class TestIntegerRounding:

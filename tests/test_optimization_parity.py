@@ -16,6 +16,7 @@ import contextlib
 import pytest
 
 from repro.autodiff import build_training_graph
+from repro.cluster import NetworkSpec
 from repro.core import (
     CostModel,
     HAPPlanner,
@@ -26,6 +27,7 @@ from repro.core import (
     SynthesisConfig,
 )
 from repro.graph import DType, GraphBuilder
+from repro.hap import hap_pipeline
 
 from .conftest import build_mlp, build_tiny_moe, build_tiny_transformer, make_cluster
 
@@ -324,9 +326,9 @@ class TestCostPricing:
     calls bit for bit."""
 
     RATIO_SETS = [
-        ([0.25, 0.25, 0.25, 0.25], None),
-        ([0.4, 0.3, 0.2, 0.1], None),
-        ([0.1, 0.2, 0.3, 0.4], {0: [0.7, 0.1, 0.1, 0.1]}),
+        [0.25, 0.25, 0.25, 0.25],
+        [0.4, 0.3, 0.2, 0.1],
+        [0.7, 0.1, 0.1, 0.1],
     ]
 
     @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
@@ -335,10 +337,8 @@ class TestCostPricing:
         program = _synthesize(graph, parity_cluster).program
         cost_model = CostModel(graph, parity_cluster)
         batched = cost_model.evaluate_many(program, self.RATIO_SETS)
-        for (base, per_segment), b in zip(self.RATIO_SETS, batched):
-            scalar = cost_model.evaluate(
-                program, base, ratios_per_segment=per_segment
-            )
+        for ratios, b in zip(self.RATIO_SETS, batched):
+            scalar = cost_model.evaluate(program, ratios)
             assert b.total == scalar.total
             assert b.communication == scalar.communication
             assert b.computation == scalar.computation
@@ -351,8 +351,7 @@ class TestCostPricing:
         program = _synthesize(graph, parity_cluster).program
         cost_model = CostModel(graph, parity_cluster)
         (serialized,) = cost_model.evaluate_many(program, self.RATIO_SETS[:1], overlap=0.0)
-        base = self.RATIO_SETS[0][0]
-        assert serialized == cost_model.evaluate(program, base, overlap=0.0)
+        assert serialized == cost_model.evaluate(program, self.RATIO_SETS[0], overlap=0.0)
         assert serialized.exposed_communication == serialized.communication
 
     def test_stage_lines_are_linearised_once(self, training_graphs, parity_cluster):
@@ -364,29 +363,43 @@ class TestCostPricing:
     @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
     def test_planner_prices_like_scalar_evaluate(self, model, training_graphs, parity_cluster):
         """The planner prices each round through ``evaluate_many``; its
-        reported costs must equal a fresh cost model's scalar ``evaluate``."""
+        estimate must be a fresh cost model's scalar ``evaluate`` of the one
+        ratio vector every consumer reads, ``flat_ratios``."""
         graph = training_graphs[model]
         config = PlannerConfig(
             max_rounds=2, synthesis=SynthesisConfig(search_strategy="beam", beam_width=8)
         )
-        planner = HAPPlanner(graph, parity_cluster, config)
-        plan = planner.plan()
+        plan = HAPPlanner(graph, parity_cluster, config).plan()
         reference = CostModel(graph, parity_cluster)
-
-        def price(ratios):
-            return reference.evaluate(
-                plan.program,
-                ratios[0],
-                ratios_per_segment={k: seg for k, seg in enumerate(ratios)},
-                segment_of=planner.segment_of,
-            )
-
-        expected = price(plan.ratios)
-        assert plan.estimated_time.total == expected.total
-        assert plan.estimated_time.communication == expected.communication
-        assert plan.estimated_time.computation == expected.computation
+        assert plan.ratios == [plan.flat_ratios]
+        assert plan.estimated_time == reference.evaluate(plan.program, plan.flat_ratios)
         assert min(r.cost_after_balancing for r in plan.rounds) == plan.estimated_time.total
-        assert plan.rounds[-1].cost_after_balancing == price(plan.rounds[-1].ratios).total
+        assert (
+            plan.rounds[-1].cost_after_balancing
+            == reference.evaluate(plan.program, plan.rounds[-1].ratios).total
+        )
+
+    @pytest.mark.parametrize("schedule", ["gpipe", "interleaved-1f1b"])
+    def test_pipeline_chunks_price_like_scalar_evaluate(self, schedule):
+        """Every chunk's estimate is a fresh cost model's scalar ``evaluate``
+        of the chunk program at ``chunk.ratios`` on the chunk's machine group."""
+        # Eight alternating A100/P100 machines on the slow network, fast
+        # inside each group: pipelining wins, so the chunks are real.
+        cluster = make_cluster(("A100", "P100") * 4, network=NetworkSpec(), group=True)
+        config = HierarchicalConfig(
+            planner=PlannerConfig(
+                max_rounds=2, synthesis=SynthesisConfig(search_strategy="beam", beam_width=8)
+            ),
+            max_stages=2,
+            schedules=[schedule],
+            intra_group_network=NetworkSpec(bandwidth=100e9 / 8),
+        )
+        plan = hap_pipeline(build_deep_transformer(layers=4), cluster, config)
+        assert plan.num_stages == 2
+        for chunk in plan.chunk_sequence():
+            reference = CostModel(chunk.program.graph, chunk.subcluster)
+            expected = reference.evaluate(chunk.program, chunk.ratios)
+            assert chunk.plan.estimated_time == expected, chunk.virtual_index
 
 
 class TestParityAcrossRatios:

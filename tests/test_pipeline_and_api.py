@@ -41,14 +41,6 @@ class TestHAPPlanner:
         plan = HAPPlanner(training, four_device_cluster, config).plan()
         assert plan.flat_ratios == pytest.approx(four_device_cluster.proportional_ratios())
 
-    def test_per_segment_planning(self, four_device_cluster):
-        training = build_training_graph(build_tiny_transformer(batch=32)).graph
-        config = planner_config(rounds=2)
-        config.load_balancer.num_segments = 2
-        plan = HAPPlanner(training, four_device_cluster, config).plan()
-        assert plan.segment_of is not None
-        assert len(plan.ratios) >= 1
-
     def test_describe_mentions_ratios(self, four_device_cluster):
         training = build_training_graph(build_mlp(batch=32)).graph
         plan = HAPPlanner(training, four_device_cluster, planner_config(rounds=1)).plan()
@@ -58,9 +50,12 @@ class TestHAPPlanner:
     def test_ratios_valid_distribution(self, four_device_cluster):
         training = build_training_graph(build_mlp(batch=64, hidden=128)).graph
         plan = HAPPlanner(training, four_device_cluster, planner_config()).plan()
-        for seg in plan.ratios:
-            assert sum(seg) == pytest.approx(1.0, abs=1e-6)
-            assert all(r >= -1e-9 for r in seg)
+        assert plan.ratios == [plan.flat_ratios]
+        ratios = plan.flat_ratios
+        assert len(ratios) == four_device_cluster.num_devices
+        assert sum(ratios) == pytest.approx(1.0, abs=1e-6)
+        assert all(r >= -1e-9 for r in ratios)
+        assert all(len(r.ratios) == four_device_cluster.num_devices for r in plan.rounds)
 
 
 class TestUserAPI:

@@ -168,7 +168,7 @@ OTHER_VALUES = {
     "recompute": "never",
     "intra_group_network": NetworkSpec(bandwidth=1e9),
     "synthesis": SynthesisConfig(enable_sfb=False),
-    "load_balancer": LoadBalancerConfig(num_segments=2),
+    "load_balancer": LoadBalancerConfig(respect_memory=True),
     "planner": PlannerConfig(max_rounds=2),
 }
 

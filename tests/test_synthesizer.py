@@ -6,7 +6,6 @@ from repro.autodiff import build_training_graph
 from repro.collectives import CollectiveKind
 from repro.core import (
     CostModel,
-    LoadBalancerConfig,
     PlannerConfig,
     ProgramSynthesizer,
     SynthesisConfig,
@@ -268,14 +267,8 @@ class TestPlannerConfigValidation:
         with pytest.raises(ValueError, match="max_rounds"):
             PlannerConfig(max_rounds=rounds)
 
-    @pytest.mark.parametrize("segments", [0, -1])
-    def test_non_positive_num_segments_rejected(self, segments):
-        with pytest.raises(ValueError, match="num_segments"):
-            LoadBalancerConfig(num_segments=segments)
-
     def test_smallest_valid_values_accepted(self):
         assert PlannerConfig(max_rounds=1).max_rounds == 1
-        assert LoadBalancerConfig(num_segments=1).num_segments == 1
 
 
 class TestBeamRankOrder:
