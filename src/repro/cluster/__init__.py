@@ -13,6 +13,7 @@ from .spec import (
     a100_pair,
     heterogeneous_testbed,
     homogeneous_testbed,
+    memory_constrained_testbed,
     p100_a100_mixed,
 )
 
@@ -31,6 +32,7 @@ __all__ = [
     "Subcluster",
     "heterogeneous_testbed",
     "homogeneous_testbed",
+    "memory_constrained_testbed",
     "a100_p100_pair",
     "a100_pair",
     "p100_a100_mixed",

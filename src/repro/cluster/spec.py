@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from .device import Machine, VirtualDevice, device_type
+from .device import DeviceType, Machine, VirtualDevice, device_type
 
 
 #: Default fraction of a collective/transfer that hides behind independent
@@ -434,6 +434,26 @@ def homogeneous_testbed(
     machines = _machines("h", num_machines, gpu, gpus_per_machine, nvlink=(gpu != "P100"))
     return ClusterSpec(
         machines, group_by_machine=group_by_machine, name=f"homog-{gpu.lower()}-{num_gpus}gpu"
+    )
+
+
+def memory_constrained_testbed(num_machines: int = 4) -> ClusterSpec:
+    """Single-GPU machines with 1 GiB devices and a 12.5 GB/s network.
+
+    GPipe's linear activation stash overflows these devices at batch sizes
+    where a 1F1B-family schedule still fits, so pipeline planning here has to
+    weigh the schedule's memory footprint, not only its speed.
+    """
+    small = DeviceType("SmallGPU", peak_tflops=15.0, memory_bytes=1 * 1024 ** 3)
+    machines = [
+        Machine(f"m{i}", small, num_gpus=1, intra_bandwidth=100e9)
+        for i in range(num_machines)
+    ]
+    return ClusterSpec(
+        machines,
+        network=NetworkSpec(bandwidth=100e9 / 8, latency=5e-6),
+        group_by_machine=True,
+        name="mem-constrained",
     )
 
 

@@ -60,7 +60,6 @@ from ..simulator.schedule import (
     SCHEDULE_NAMES,
     ScheduleResult,
     StageTimes,
-    get_schedule,
     profile_stages,
     simulate_pipeline,
 )
@@ -176,8 +175,11 @@ class HierarchicalConfig:
                     "schedules must be None (search every schedule) or name at "
                     "least one schedule, got an empty sequence"
                 )
-            for name in self.schedules:
-                get_schedule(name)  # fail fast on typos
+            unknown = [name for name in self.schedules if name not in SCHEDULE_NAMES]
+            if unknown:
+                raise ValueError(
+                    f"schedules names unknown schedule(s) {unknown}; known: {SCHEDULE_NAMES}"
+                )
 
 
 @dataclass

@@ -1,14 +1,9 @@
 """Single-device tensor-program IR: specs, operators, graphs and analyses."""
 
 from .analysis import (
-    GraphStats,
     PipelineCut,
-    compute_nodes,
-    consumers_map,
     cut_transfer_bytes,
     interleaved_pipeline_cut,
-    last_use,
-    node_flops_map,
     pipeline_cut,
 )
 from .builder import GraphBuilder
@@ -40,14 +35,9 @@ __all__ = [
     "GraphError",
     "Node",
     "GraphBuilder",
-    "GraphStats",
     "PipelineCut",
-    "compute_nodes",
-    "consumers_map",
     "cut_transfer_bytes",
     "interleaved_pipeline_cut",
-    "last_use",
-    "node_flops_map",
     "pipeline_cut",
     "BlockRun",
     "canonical_order",

@@ -1,71 +1,12 @@
-"""Graph analyses used by the synthesizer, the load balancer and the runtime.
-
-Includes consumer/liveness maps, flops accounting per node, and the pipeline
-cuts the hierarchical planner splits a forward graph into stages with.
-"""
+"""Pipeline cuts: how the hierarchical planner splits a forward graph into stages."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .graph import ComputationGraph, Node
+from .graph import ComputationGraph
 from .ops import OpKind
-
-
-def consumers_map(graph: ComputationGraph) -> Dict[str, List[str]]:
-    """Map from node name to names of consuming nodes."""
-    return graph.consumers()
-
-
-def last_use(graph: ComputationGraph) -> Dict[str, int]:
-    """Index (in topological order) of the last consumer of every node.
-
-    Output nodes are considered live until the end of the program.
-    """
-    order = graph.node_names
-    index = {name: i for i, name in enumerate(order)}
-    last: Dict[str, int] = {name: index[name] for name in order}
-    for node in graph:
-        for inp in node.inputs:
-            last[inp] = max(last[inp], index[node.name])
-    horizon = len(order)
-    for out in graph.outputs:
-        last[out] = horizon
-    return last
-
-
-def node_flops_map(graph: ComputationGraph) -> Dict[str, float]:
-    """Flop estimate for every node."""
-    return {name: graph.node_flops(name) for name in graph.node_names}
-
-
-def compute_nodes(graph: ComputationGraph) -> List[Node]:
-    """All nodes that perform computation (i.e. are not sources)."""
-    return [n for n in graph if n.kind is not OpKind.SOURCE]
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    """Aggregate statistics of a computation graph."""
-
-    num_nodes: int
-    num_parameters: int
-    parameter_elements: int
-    parameter_bytes: int
-    total_flops: float
-    activation_bytes: int
-
-    @staticmethod
-    def of(graph: ComputationGraph) -> GraphStats:
-        return GraphStats(
-            num_nodes=len(graph),
-            num_parameters=len(graph.parameters()),
-            parameter_elements=graph.parameter_count(),
-            parameter_bytes=graph.parameter_bytes(),
-            total_flops=graph.total_flops(),
-            activation_bytes=graph.activation_bytes(),
-        )
 
 
 @dataclass(frozen=True)
@@ -223,8 +164,8 @@ def pipeline_cut(
     if not stage_weights:
         raise ValueError("stage_weights must be non-empty")
     num_stages = len(stage_weights)
-    flops = node_flops_map(graph)
-    compute_order = [n.name for n in compute_nodes(graph)]
+    flops = {name: graph.node_flops(name) for name in graph.node_names}
+    compute_order = [n.name for n in graph if n.kind is not OpKind.SOURCE]
     if not compute_order:
         raise ValueError("pipeline_cut needs at least one compute node")
 

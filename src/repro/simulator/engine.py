@@ -212,7 +212,17 @@ class ExecutionSimulator:
             program: the distributed program to replay.
             ratios: sharding ratios used for data/parameter partitioning.
             iterations: number of iterations to average over (noise reduction).
+
+        Raises:
+            ValueError: when the program or ``ratios`` is sized for a
+                different device count than the simulator's cluster.
         """
+        m = self.cluster.num_devices
+        for what, n in (("program", program.num_devices), ("ratio vector", len(ratios))):
+            if n != m:
+                raise ValueError(
+                    f"{what} is for {n} device(s) but cluster {self.cluster.name!r} has {m}"
+                )
         cost_model = CostModel(program.graph, self.cluster, overlap=self.overlap)
         e = self.overlap
         totals = []
@@ -368,8 +378,6 @@ def simulate_hierarchical(
     plan,
     iterations: int = 3,
     seed: int = 0,
-    overheads: Optional[OverheadModel] = None,
-    overlap: Optional[float] = None,
 ) -> HierarchicalSimulationResult:
     """Simulate a :class:`~repro.core.hierarchical.HierarchicalPlan`.
 
@@ -384,19 +392,12 @@ def simulate_hierarchical(
     run-to-run noise the flat simulator applies per stage is applied to the
     pipelined iteration total.  A 1-stage plan reduces to the flat
     simulation of its single program (whole batch, no transfers).
-
-    ``overlap`` overrides the plan's own overlap efficiency for the whole
-    simulation — chunk profiling and the schedule alike — so callers can
-    measure the fully blocking baseline of an overlap-priced plan
-    (``overlap=0.0``) or a what-if efficiency without replanning.
     """
-    overheads = overheads or OverheadModel()
-    if overlap is None:
-        overlap = plan.overlap
+    overheads = OverheadModel()
 
     def profile(chunk) -> Dict[str, float]:
         sim = ExecutionSimulator(
-            chunk.subcluster, overheads=overheads, seed=seed, overlap=overlap
+            chunk.subcluster, overheads=overheads, seed=seed, overlap=plan.overlap
         )
         return sim.profile_program(chunk.program, chunk.ratios, chunk.forward_nodes)
 
@@ -413,7 +414,7 @@ def simulate_hierarchical(
         schedule=plan.schedule_name,
         num_model_chunks=plan.num_model_chunks,
         recompute=plan.recompute,
-        overlap=overlap,
+        overlap=plan.overlap,
     )
     rng = np.random.default_rng(seed)
     samples = [

@@ -7,8 +7,9 @@ planner-cut chunk graph (G codes), program, plan and schedule checks
 (P/L/S codes, including the P008 cost cross-check), and — with ``--lint`` —
 the warning-severity performance lints (W codes).  Exit status is non-zero
 when any error-severity diagnostic is reported, or, under
-``--strict-warnings``, when any warning is.  The CI ``verify`` and
-``lint-plans`` jobs run exactly this.
+``--strict-warnings``, when any warning is.  The CI ``lint-plans`` job
+runs ``--lint --json``: it fails on any error diagnostic, then ratchets the
+warnings against a committed baseline.
 
 Usage::
 

@@ -39,6 +39,10 @@ SET_ONLY_BY_TESTS = {
     "LoadBalancerConfig.respect_memory":
         "the LP's per-device memory rows; tests check they solve and key the plan cache",
     "PlannerConfig.load_balancer": "carries respect_memory, the only load-balancer knob",
+    "HierarchicalConfig.schedules":
+        "restricting the schedule grid pins one schedule family, e.g. interleaved-only",
+    "HierarchicalConfig.num_model_chunks":
+        "interleaved-1f1b chunks per stage; tests vary it to cut and run more chunks",
     "HierarchicalConfig.recompute":
         "'never'/'always' pin each side of the default 'auto' recomputation policy",
     "HierarchicalConfig.shard_optimizer_state":

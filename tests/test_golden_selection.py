@@ -12,8 +12,8 @@ The two problems are the end-to-end benchmark's (``benchmarks/e2e``):
 
 * ``hetero``: ``bert_base`` (layer fraction 0.09, batch 8 per GPU) on
   ``heterogeneous_testbed(32, 8)`` with a 100 Gbps intra-group network;
-* ``moe-memory``: ``bert_moe`` (layer fraction 0.09, batch 16 per GPU) on the
-  memory-constrained cluster of ``benchmarks/bench_pipeline.py``.
+* ``moe-memory``: ``bert_moe`` (layer fraction 0.09, batch 16 per GPU) on
+  ``repro.cluster.memory_constrained_testbed()``.
 
 Regenerate ``tests/golden/selection.json`` (only when a change is meant to
 alter plan selection, and say so in the change description) with::
@@ -31,6 +31,8 @@ from typing import Any, Dict
 import pytest
 
 from benchmarks.e2e import workloads
+from repro.cluster import memory_constrained_testbed
+from repro.core import cluster_signature
 
 GOLDEN = Path(__file__).with_name("golden") / "selection.json"
 
@@ -57,6 +59,13 @@ def selection_record(problem: str) -> Dict[str, Any]:
         "num_microbatches": plan.num_microbatches,
         "fits_memory": plan.fits_memory,
     }
+
+
+def test_moe_memory_plans_the_library_testbed():
+    """The benchmark's ``moe-memory`` cluster is the library testbed, so the
+    golden ``moe-memory`` record keeps meaning that testbed."""
+    bench = workloads.build_cluster("moe-memory")
+    assert cluster_signature(bench) == cluster_signature(memory_constrained_testbed())
 
 
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))

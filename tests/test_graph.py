@@ -7,9 +7,6 @@ from repro.graph import (
     DType,
     GraphBuilder,
     GraphError,
-    GraphStats,
-    last_use,
-    node_flops_map,
 )
 
 
@@ -106,24 +103,6 @@ class TestGraphQueries:
     def test_node_flops_matmul(self):
         g = simple_graph()
         assert g.node_flops("y") == pytest.approx(2 * 4 * 16 * 8)
-
-    def test_stats(self):
-        stats = GraphStats.of(simple_graph())
-        assert stats.num_nodes == 5
-        assert stats.num_parameters == 1
-        assert stats.parameter_elements == 128
-
-
-class TestAnalyses:
-    def test_last_use_outputs_live_to_end(self):
-        g = simple_graph()
-        lu = last_use(g)
-        assert lu["loss"] == len(g)
-        assert lu["x"] == g.node_names.index("y")
-
-    def test_node_flops_map_keys(self):
-        g = simple_graph()
-        assert set(node_flops_map(g)) == set(g.node_names)
 
 
 class TestBuilder:

@@ -120,3 +120,25 @@ class TestSimulator:
         plan = HAPPlanner(training, four_device_cluster, small_planner_config).plan()
         result = simulate_plan(plan, four_device_cluster, iterations=2)
         assert result.total > 0
+
+    def test_rejects_a_cluster_of_the_wrong_size(self, dp_program_and_cluster, two_device_cluster):
+        """A 4-device program replayed on 2 devices (or the reverse) is refused
+        with both device counts named, not silently priced on the wrong devices."""
+        _, program, cluster = dp_program_and_cluster
+        with pytest.raises(ValueError, match=r"program is for 4 device\(s\).* has 2"):
+            ExecutionSimulator(two_device_cluster).simulate(program, [0.5, 0.5])
+        with pytest.raises(ValueError, match=r"ratio vector is for 2 device\(s\).* has 4"):
+            ExecutionSimulator(cluster).simulate(program, [0.5, 0.5])
+
+    def test_simulate_plan_rejects_a_cluster_of_the_wrong_size(
+        self, four_device_cluster, two_device_cluster, small_planner_config
+    ):
+        from repro.core import HAPPlanner
+
+        training = build_training_graph(build_mlp(batch=32)).graph
+        plan = HAPPlanner(training, four_device_cluster, small_planner_config).plan()
+        with pytest.raises(ValueError, match=r"4 device\(s\).* has 2"):
+            simulate_plan(plan, two_device_cluster)
+        small = HAPPlanner(training, two_device_cluster, small_planner_config).plan()
+        with pytest.raises(ValueError, match=r"2 device\(s\).* has 4"):
+            simulate_plan(small, four_device_cluster)
