@@ -1,7 +1,6 @@
-"""Cluster substrate: device catalogue, cluster specs and simulated profiling."""
+"""Cluster substrate: device catalogue and cluster specs."""
 
 from .device import DEVICE_CATALOG, GB, DeviceType, Machine, VirtualDevice, device_type
-from .profiler import ClusterProfile, LinearCommModel, SimulatedProfiler
 from .spec import (
     DEFAULT_COMM_OVERLAP_EFFICIENCY,
     ClusterPartition,
@@ -36,7 +35,4 @@ __all__ = [
     "a100_p100_pair",
     "a100_pair",
     "p100_a100_mixed",
-    "ClusterProfile",
-    "LinearCommModel",
-    "SimulatedProfiler",
 ]

@@ -3,9 +3,9 @@
 The paper's testbed mixes NVIDIA V100 and P100 machines (plus A100/P100 pairs
 in the case studies).  No GPUs are available to this reproduction, so devices
 are modelled analytically: each :class:`DeviceType` carries the published peak
-throughput and memory of the corresponding GPU, and the profiler
-(:mod:`repro.cluster.profiler`) derates it to a sustained figure.  The cost
-model only ever consumes flops-per-second, memory bytes and link bandwidth, so
+throughput and memory of the corresponding GPU, and :attr:`DeviceType.flops`
+derates it to a sustained figure.  The cost model only ever consumes
+flops-per-second, memory bytes and link bandwidth, so
 these datasheet-derived numbers preserve the heterogeneity ratios that drive
 HAP's decisions.
 """
@@ -27,9 +27,9 @@ class DeviceType:
         name: marketing name, e.g. ``"V100"``.
         peak_tflops: peak dense float32 (tensor-core-less) throughput in TFLOPS.
         memory_bytes: HBM capacity in bytes.
-        sustained_fraction: fraction of peak reachable on DNN kernels; the
-            profiler multiplies peak by this to obtain the flops-per-second
-            figure used by the cost model.
+        sustained_fraction: fraction of peak reachable on DNN kernels;
+            :attr:`flops` multiplies peak by this to obtain the
+            flops-per-second figure used by the cost model.
     """
 
     name: str

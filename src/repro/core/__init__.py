@@ -1,6 +1,6 @@
 """HAP core: properties, background theory, A* synthesis, LP load balancing."""
 
-from .config import LoadBalancerConfig, PlannerConfig, SynthesisConfig
+from .config import PlannerConfig, SynthesisConfig
 from .costmodel import CostBreakdown, CostModel, StageCoefficients
 from .hierarchical import (
     ChunkPlan,
@@ -11,7 +11,7 @@ from .hierarchical import (
     stage_forward_graph,
 )
 from .instructions import CommInstruction, CompInstruction, Instruction, is_source_op
-from .load_balancer import LoadBalancer, LoadBalanceResult, integer_shard_sizes
+from .load_balancer import LoadBalancer, LoadBalanceResult
 from .pareto import ParetoFront
 from .pipeline import HAPPlan, HAPPlanner, OptimizationRound
 from .plancache import (
@@ -28,11 +28,10 @@ from .plancache import (
 from .program import DistributedProgram, Stage
 from .properties import DistState, Property, StateKind, partial, replicated, sharded
 from .rules import Rule, Theory, Variant, build_theory, moe_restricted_refs, node_variants
-from .synthesizer import ProgramSynthesizer, SynthesisError, SynthesisResult, synthesize_program
+from .synthesizer import ProgramSynthesizer, SynthesisError, SynthesisResult
 
 __all__ = [
     "SynthesisConfig",
-    "LoadBalancerConfig",
     "PlannerConfig",
     "CostModel",
     "CostBreakdown",
@@ -43,7 +42,6 @@ __all__ = [
     "is_source_op",
     "LoadBalancer",
     "LoadBalanceResult",
-    "integer_shard_sizes",
     "ParetoFront",
     "HAPPlanner",
     "HAPPlan",
@@ -65,7 +63,6 @@ __all__ = [
     "ProgramSynthesizer",
     "SynthesisResult",
     "SynthesisError",
-    "synthesize_program",
     "CACHE_VERSION",
     "CachedPlan",
     "DiskPlanCache",

@@ -104,21 +104,6 @@ class SynthesisConfig:
 
 
 @dataclass
-class LoadBalancerConfig:
-    """Knobs of the LP-based sharding-ratio optimiser (Sec. 5).
-
-    The LP solves for one sharding-ratio vector per program (the base case of
-    Sec. 5.1); synthesis, the runtime and the simulator all read that one
-    vector.
-
-    Attributes:
-        respect_memory: add per-device memory-capacity constraints to the LP.
-    """
-
-    respect_memory: bool = False
-
-
-@dataclass
 class PlannerConfig:
     """Configuration of the full iterative optimisation (Sec. 3.1).
 
@@ -131,14 +116,12 @@ class PlannerConfig:
             :meth:`HAPPlanner.plan` stops; any ``max_rounds >= 1`` yields
             ``len(plan.rounds) == 1``.
         synthesis: synthesizer configuration.
-        load_balancer: load-balancer configuration.
         enable_load_balancer: if False the initial (computation-proportional)
             ratios are kept — the "Q"-only ablation point.
     """
 
     max_rounds: int = 4
     synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)
-    load_balancer: LoadBalancerConfig = field(default_factory=LoadBalancerConfig)
     enable_load_balancer: bool = True
 
     def __post_init__(self) -> None:

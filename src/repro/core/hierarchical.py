@@ -18,11 +18,11 @@ bandwidth-constrained clusters.  The hierarchical planner instead
 
 For every stage count the planner then searches jointly over the pipeline
 **schedule** (GPipe, 1F1B, interleaved 1F1B — :mod:`repro.simulator.schedule`),
-the **microbatch count** (snapped to divisors of the global batch) and the
-**activation-recomputation** knob, rejecting combinations whose per-device
+the **microbatch count** (snapped to divisors of the global batch) and
+**activation recomputation** (tried only for a multi-stage combination whose
+plain run does not fit), rejecting combinations whose per-device
 peak memory — in-flight microbatch activations plus resident
-parameter/gradient/optimizer state (optionally ZeRO-sharded via
-``shard_optimizer_state``) — exceeds the machine group's capacity
+parameter/gradient/optimizer state — exceeds the machine group's capacity
 from the :class:`~repro.cluster.device.DeviceType` specs.  Candidates are
 priced with the dual-stream overlap model
 (:class:`~repro.cluster.spec.CommOverlapModel`): per-stage collectives and
@@ -69,16 +69,10 @@ from .pipeline import HAPPlan, HAPPlanner
 from .plancache import CachedPlan, InMemoryPlanCache, plan_key, remap_plan
 from .program import DistributedProgram
 
-#: Resident bytes per parameter byte: the parameter itself plus its gradient.
-PARAM_GRAD_FACTOR = 2.0
-#: Resident bytes per parameter byte held by the optimizer (one SGD moment).
-#: Under ZeRO-style optimizer-state sharding this part — and only this part —
-#: is partitioned across the data-parallel group.
-OPTIMIZER_MOMENT_FACTOR = 1.0
 #: Multiplier turning parameter bytes into resident state: the parameter, its
 #: gradient, and one optimizer moment (the same convention as
 #: :func:`repro.baselines.planners.estimate_memory_per_device`).
-OPTIMIZER_STATE_FACTOR = PARAM_GRAD_FACTOR + OPTIMIZER_MOMENT_FACTOR
+OPTIMIZER_STATE_FACTOR = 3.0
 #: Microbatch counts tried per (stage count, schedule); each is snapped to the
 #: nearest divisor of the global batch (and to a multiple of the stage count
 #: for the interleaved schedule, which also tries ``s`` and ``2s``).
@@ -98,6 +92,12 @@ class HierarchicalConfig:
     synthesis of every chunk, since partitions copy it to every group.  Use a
     cluster with ``comm_overlap_efficiency=0.0`` for the fully blocking
     model.  Microbatch counts come from :data:`MICROBATCH_CANDIDATES`.
+    Activation recomputation is not a knob: every combination is tried plain
+    first, and a multi-stage combination is retried with recomputation only
+    when its plain run does not fit device memory (recomputation costs one
+    extra forward per microbatch, so it never beats a plain run that fits).
+    Stage graphs store the default learning rate of
+    :func:`~repro.autodiff.build_stage_training_graph` on their update nodes.
 
     Attributes:
         max_stages: stage counts ``1..min(max_stages, num_machines)`` are
@@ -111,20 +111,10 @@ class HierarchicalConfig:
             per-chunk profiles; when the graph has too few splittable blocks
             for that many chunks the interleaved schedule is skipped at that
             stage count (never approximated with synthetic equal chunks).
-        recompute: activation recomputation policy — ``"never"``,
-            ``"always"``, or ``"auto"`` (try without; a recomputing variant
-            only wins when plain stashing exceeds device memory, since it
-            costs one extra forward per microbatch).
         intra_group_network: network model inside each machine group; defaults
             to the cluster's own network.  Pass the fast rack-local network
             when the cluster's flat network is the slow inter-rack bottleneck.
-        shard_optimizer_state: ZeRO-style optimizer-state sharding in the
-            memory model: the optimizer-moment bytes of replicated parameters
-            are divided by the data-parallel group size in the per-device
-            peak-memory check (the paper's activation/parameter bytes are
-            untouched — only the resident optimizer state shrinks).
         planner: configuration of the flat HAP planner run per stage.
-        lr: learning rate stored on the stage graphs' ``sgd_update`` nodes.
         plan_cache: a :class:`~repro.core.plancache.InMemoryPlanCache` /
             :class:`~repro.core.plancache.DiskPlanCache` consulted for every
             chunk plan and for the final whole plan, keyed by content
@@ -153,11 +143,8 @@ class HierarchicalConfig:
     max_stages: int = 4
     schedules: Optional[Sequence[str]] = None
     num_model_chunks: int = 2
-    recompute: str = "auto"
     intra_group_network: Optional[NetworkSpec] = None
-    shard_optimizer_state: bool = False
     planner: PlannerConfig = field(default_factory=PlannerConfig)
-    lr: float = 0.01
     plan_cache: Optional[InMemoryPlanCache] = None
     verify_after_plan: bool = field(default_factory=verify_default)
 
@@ -165,10 +152,6 @@ class HierarchicalConfig:
         for name in ("max_stages", "num_model_chunks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.recompute not in ("never", "always", "auto"):
-            raise ValueError(
-                f"recompute must be 'never', 'always' or 'auto', got {self.recompute!r}"
-            )
         if self.schedules is not None:
             if not self.schedules:
                 raise ValueError(
@@ -282,9 +265,7 @@ class StagePlan:
         """Group-aggregate resident parameter/gradient/optimizer bytes."""
         return sum(c.weight_bytes_total() for c in self.chunks)
 
-    def peak_device_memory(
-        self, peak_stash: float, shard_optimizer_state: bool = False
-    ) -> List[float]:
+    def peak_device_memory(self, peak_stash: float) -> List[float]:
         """Per-device peak bytes given the schedule's aggregate stash.
 
         ``peak_stash`` is the stage's group-aggregate activation-stash peak
@@ -293,21 +274,11 @@ class StagePlan:
         the stash — chunks may be balanced differently, so the device's worst
         chunk ratio bounds its share — on top of its resident parameter
         state.
-
-        With ``shard_optimizer_state`` (ZeRO-1 style) the optimizer-moment
-        bytes of *replicated* parameters are divided by the data-parallel
-        group size: each device keeps the full parameter and gradient but
-        only its ``1/n`` slice of the optimizer state.  Sharded parameters
-        already hold a ratio's worth of all three, so they are unchanged.
         """
-        n = self.subcluster.num_devices
-        moment = (
-            OPTIMIZER_MOMENT_FACTOR / n if shard_optimizer_state else OPTIMIZER_MOMENT_FACTOR
-        )
         peaks: List[float] = []
-        for j in range(n):
+        for j in range(self.subcluster.num_devices):
             weight = sum(
-                (PARAM_GRAD_FACTOR + moment) * c.replicated_param_bytes
+                OPTIMIZER_STATE_FACTOR * c.replicated_param_bytes
                 + OPTIMIZER_STATE_FACTOR * c.sharded_param_bytes * c.ratios[j]
                 for c in self.chunks
             )
@@ -346,8 +317,6 @@ class HierarchicalPlan:
         overlap: communication overlap efficiency the plan was priced with
             (boundary transfers and per-stage collectives expose only their
             non-hidden part).
-        shard_optimizer_state: whether the memory feasibility checks sharded
-            replicated parameters' optimizer moments ZeRO-style.
         reuse_stats: how much flat-HAP planning the reuse machinery avoided:
             ``subplans_planned`` chunk plans were actually synthesized,
             ``subplans_deduped`` were renamed from an isomorphic chunk planned
@@ -368,7 +337,6 @@ class HierarchicalPlan:
     recompute: bool = False
     fits_memory: bool = True
     overlap: float = 0.0
-    shard_optimizer_state: bool = False
     peak_memory: List[float] = field(default_factory=list)
     stage_memory_capacity: List[float] = field(default_factory=list)
     stage_memory_utilization: List[float] = field(default_factory=list)
@@ -414,7 +382,6 @@ class HierarchicalPlan:
     def describe(self) -> str:
         """Readable plan summary (stages, groups, schedule estimate, memory)."""
         recompute = ", recompute" if self.recompute else ""
-        zero = ", ZeRO opt-state" if self.shard_optimizer_state else ""
         chunks = (
             f" x{self.num_model_chunks} chunks" if self.num_model_chunks > 1 else ""
         )
@@ -427,7 +394,7 @@ class HierarchicalPlan:
         lines = [
             f"Hierarchical plan on {self.cluster.name!r}: {self.num_stages} stage(s), "
             f"{self.schedule_name}{chunks} schedule, {self.num_microbatches} microbatches"
-            f"{recompute}{zero}, estimated {self.estimated_time * 1e3:.2f} ms/iteration "
+            f"{recompute}, estimated {self.estimated_time * 1e3:.2f} ms/iteration "
             f"(bubble {self.schedule.bubble_fraction * 100:.0f}%{overlap_note})"
         ]
         if not self.fits_memory:
@@ -633,7 +600,7 @@ class HierarchicalPlanner:
         entry = self._local_plans.get(key)
         if entry is not None:
             self.reuse_stats["subplans_deduped"] += 1
-            return remap_plan(entry.plan, entry.node_names, graph), key
+            return remap_plan(entry.plan, entry.node_names, graph, order), key
         if self.config.plan_cache is not None:
             entry = self.config.plan_cache.get(key)
             if entry is not None:
@@ -645,7 +612,7 @@ class HierarchicalPlanner:
                 from ..verify.program import verify_program
 
                 try:
-                    remapped = remap_plan(entry.plan, entry.node_names, graph)
+                    remapped = remap_plan(entry.plan, entry.node_names, graph, order)
                     accept = verify_program(remapped.program, check_cost=False).ok
                 except Exception:  # unreadable entry == failed verification
                     accept = False
@@ -668,7 +635,6 @@ class HierarchicalPlanner:
             stage_forward_graph(self.forward, cut, k),
             boundary_inputs=tuple(cut.incoming_refs(k)),
             boundary_outputs=cut.cut_refs[k],
-            lr=self.config.lr,
         )
 
     def _build_stages(
@@ -793,9 +759,7 @@ class HierarchicalPlanner:
         cut, stages, _times = variants[win_chunks]
         utilization: List[float] = []
         for stage, stash in zip(stages, schedule.peak_stash):
-            peaks = stage.peak_device_memory(
-                stash, shard_optimizer_state=self.config.shard_optimizer_state
-            )
+            peaks = stage.peak_device_memory(stash)
             utilization.append(
                 max(
                     peak / cap
@@ -815,7 +779,6 @@ class HierarchicalPlanner:
             recompute=recompute,
             fits_memory=fits,
             overlap=self.overlap,
-            shard_optimizer_state=self.config.shard_optimizer_state,
             peak_memory=list(schedule.peak_memory),
             stage_memory_capacity=[float(s.subcluster.total_memory()) for s in stages],
             stage_memory_utilization=utilization,
@@ -835,9 +798,7 @@ class HierarchicalPlanner:
         """True when every device of every stage group fits its peak bytes."""
         for stage, stash in zip(stages, result.peak_stash):
             capacities = stage.subcluster.device_memory()
-            peaks = stage.peak_device_memory(
-                stash, shard_optimizer_state=self.config.shard_optimizer_state
-            )
+            peaks = stage.peak_device_memory(stash)
             if any(peak > cap for peak, cap in zip(peaks, capacities)):
                 return False
         return True
@@ -860,9 +821,9 @@ class HierarchicalPlanner:
         Combinations are ranked memory-feasible first, then by estimated
         time; activation recomputation trades one extra forward per
         microbatch for an O(1) activation stash, so it can never beat a
-        memory-feasible plain run — under the default ``"auto"`` policy the
-        recomputing variant is only simulated when plain stashing exceeds
-        device memory.  Returns ``None`` when no (schedule, microbatch)
+        memory-feasible plain run — the recomputing variant of a multi-stage
+        combination is only simulated when plain stashing exceeds device
+        memory.  Returns ``None`` when no (schedule, microbatch)
         combination exists for this stage count (e.g. an interleaved-only
         search whose batch has no divisor that is a multiple of the stage
         count) — the flat 1-stage candidate always exists.
@@ -889,14 +850,12 @@ class HierarchicalPlanner:
                 )
         if not combos:
             return None
-        first_recompute = self.config.recompute == "always" and num_stages > 1
         best: Optional[
             Tuple[Tuple[int, float, int], ScheduleResult, str, bool, bool, int]
         ] = None
         for order, (name, m, chunks) in enumerate(combos):
             _cut, stages, times = variants[chunks]
-            attempts = [first_recompute]
-            for rc in attempts:
+            for rc in (False, True):
                 result = simulate_pipeline(
                     times,
                     num_microbatches=m,
@@ -913,13 +872,8 @@ class HierarchicalPlanner:
                 key = (0 if fits else 1, result.total, order)
                 if best is None or key < best[0]:
                     best = (key, result, name, rc, fits, chunks)
-                if (
-                    not rc
-                    and not fits
-                    and self.config.recompute == "auto"
-                    and num_stages > 1
-                ):
-                    attempts.append(True)  # retry with recomputation
+                if fits or num_stages == 1:
+                    break  # only a multi-stage run that does not fit retries
         assert best is not None  # combos is non-empty
         _, result, name, rc, fits, chunks = best
         return result, name, rc, fits, combo_times, chunks
@@ -962,9 +916,10 @@ class HierarchicalPlanner:
         renamed: Dict[int, ChunkPlan] = {}
         for chunk, chunk_order in zip(chunks, chunk_orders):
             info = self._chunk_training_graph(cut, chunk.virtual_index)
-            renamed[chunk.virtual_index] = dataclasses.replace(
-                chunk, plan=remap_plan(chunk.plan, chunk_order, info.graph), info=info
+            chunk_plan = remap_plan(
+                chunk.plan, chunk_order, info.graph, canonical_order(info.graph)
             )
+            renamed[chunk.virtual_index] = dataclasses.replace(chunk, plan=chunk_plan, info=info)
         stages = [
             dataclasses.replace(
                 stage, chunks=[renamed[c.virtual_index] for c in stage.chunks]

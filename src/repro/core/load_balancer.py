@@ -19,20 +19,21 @@ Sec. 5.1, and the one vector synthesis, the runtime and the simulator all
 read.  With ``e = 0`` both constraint families coincide with the paper's
 original serialized LP.  The overlap efficiency ``e`` is taken from the
 cost model (ultimately the cluster spec), so the LP and
-:meth:`CostModel.evaluate` optimise and score the same objective.
+:meth:`CostModel.evaluate` optimise and score the same objective.  The LP
+has no memory rows: the hierarchical planner's per-device check
+(:meth:`repro.core.hierarchical.StagePlan.peak_device_memory`) is the one
+memory model plans are judged by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
 from ..cluster.spec import ClusterSpec
-from ..graph.tensor import shard_sizes
-from .config import LoadBalancerConfig
 from .costmodel import CostModel, StageCoefficients
 from .program import DistributedProgram
 
@@ -55,13 +56,8 @@ class LoadBalanceResult:
 class LoadBalancer:
     """Solves ``argmin_B t(Q, B)`` for a fixed distributed program."""
 
-    def __init__(
-        self,
-        cluster: ClusterSpec,
-        config: Optional[LoadBalancerConfig] = None,
-    ) -> None:
+    def __init__(self, cluster: ClusterSpec) -> None:
         self.cluster = cluster
-        self.config = config or LoadBalancerConfig()
 
     def optimize(
         self,
@@ -84,7 +80,7 @@ class LoadBalancer:
                 c.time([1.0], overlap=cost_model.overlap) for c in coeffs
             ), True)
 
-        result = self._solve_lp(coeffs, program, cost_model.overlap)
+        result = self._solve_lp(coeffs, cost_model.overlap)
         if result is None:
             return LoadBalanceResult(
                 list(self.cluster.proportional_ratios()), float("inf"), False
@@ -95,7 +91,6 @@ class LoadBalancer:
     def _solve_lp(
         self,
         coeffs: Sequence[StageCoefficients],
-        program: DistributedProgram,
         overlap: float = 0.0,
     ) -> Optional[LoadBalanceResult]:
         m = self.cluster.num_devices
@@ -150,11 +145,6 @@ class LoadBalancer:
             row[m_idx] = -1.0
             rows_ub.append(row)
             rhs_ub.append(0.0)
-        # optional per-device memory constraints
-        if self.config.respect_memory:
-            rows_mem, rhs_mem = self._memory_constraints(program, m, num_vars)
-            rows_ub.extend(rows_mem)
-            rhs_ub.extend(rhs_mem)
 
         # sum_j B_j = 1
         row_eq = np.zeros(num_vars)
@@ -176,28 +166,6 @@ class LoadBalancer:
         ratios = _normalise([float(res.x[j]) for j in range(m)])
         return LoadBalanceResult(ratios=ratios, objective=float(res.fun), success=True)
 
-    def _memory_constraints(self, program, m, num_vars):
-        """Per-device memory-capacity rows: sharded params scale with B."""
-        graph = program.graph
-        shardings = program.parameter_shardings()
-        sharded_bytes = 0.0
-        replicated_bytes = 0.0
-        for param in graph.parameters():
-            if shardings.get(param.name) is not None:
-                sharded_bytes += param.spec.size_bytes
-            else:
-                replicated_bytes += param.spec.size_bytes
-        # States (gradients + optimizer moment) roughly triple parameter memory.
-        overhead = 3.0
-        rows, rhs = [], []
-        memory = self.cluster.device_memory()
-        for j in range(m):
-            row = np.zeros(num_vars)
-            row[j] = sharded_bytes * overhead
-            rows.append(row)
-            rhs.append(max(memory[j] - replicated_bytes * overhead, 1.0))
-        return rows, rhs
-
 
 def _normalise(ratios: Sequence[float]) -> List[float]:
     cleaned = [max(float(r), 0.0) for r in ratios]
@@ -205,13 +173,3 @@ def _normalise(ratios: Sequence[float]) -> List[float]:
     if total <= 0:
         return [1.0 / len(cleaned)] * len(cleaned)
     return [r / total for r in cleaned]
-
-
-def integer_shard_sizes(dim_size: int, ratios: Sequence[float]) -> Tuple[int, ...]:
-    """Round fractional ratios to integer shard sizes (Sec. 5.1).
-
-    Re-exported from :mod:`repro.graph.tensor` for convenience: sets shards to
-    the nearest integers, then repairs the sum one element at a time choosing
-    the adjustment with the smallest rounding error.
-    """
-    return shard_sizes(dim_size, ratios)

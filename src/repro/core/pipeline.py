@@ -118,7 +118,7 @@ class HAPPlanner:
         self.synthesizer = ProgramSynthesizer(
             graph, cluster, self.config.synthesis, theory=self.theory, cost_model=self.cost_model
         )
-        self.load_balancer = LoadBalancer(cluster, self.config.load_balancer)
+        self.load_balancer = LoadBalancer(cluster)
 
     # -- main entry point ---------------------------------------------------------
     def plan(self) -> HAPPlan:

@@ -11,8 +11,9 @@ reference renaming.  This module turns that observation into a cache:
   :func:`cluster_signature`, configuration via :func:`config_signature`);
 * :class:`CachedPlan` stores a :class:`~repro.core.pipeline.HAPPlan` together
   with the canonical node order it was keyed under, so a hit can be
-  re-expressed in the requesting graph's own node names
-  (:func:`remap_plan` + :func:`repro.graph.canonical.canonical_rename_map`).
+  re-expressed in the requesting graph's own node names (:func:`remap_plan`
+  pairs the stored order position-wise with the requesting graph's
+  canonical order from :func:`repro.graph.canonical.canonical_order`).
   The hierarchical planner's whole-plan entries are name-free the same way:
   they store the forward graph's canonical order and each chosen chunk
   graph's, and a hit is renamed onto the request
@@ -65,7 +66,6 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster.spec import ClusterSpec
-from ..graph.canonical import canonical_rename_map
 from ..graph.graph import ComputationGraph
 from .instructions import CommInstruction, CompInstruction, Instruction
 from .pipeline import HAPPlan
@@ -87,9 +87,12 @@ from .properties import Property
 #: chunk graph's, so a hit is renamed onto any isomorphic request (v5 entries
 #: were replayed only under the exact node names they were planned with).
 #: v7: a plan has one sharding-ratio vector: ``HAPPlan`` lost its node ->
-#: segment map and ``LoadBalancerConfig`` its segment count, so the plan
+#: segment map and the load-balancer config its segment count, so the plan
 #: layout and the config signature both changed.
-CACHE_VERSION = 7
+#: v8: the load-balancer config (with its memory-row switch) and the
+#: hierarchical recompute policy, ZeRO optimizer-state switch and learning
+#: rate left the configs, and ``HierarchicalPlan`` lost its ZeRO flag.
+CACHE_VERSION = 8
 
 #: Configuration fields excluded from cache keys: the cache itself and the
 #: static-verifier flag (verification never changes the plan).
@@ -153,8 +156,8 @@ def config_signature(config) -> Tuple:
     """Content signature of a (nested) configuration dataclass.
 
     Recurses through dataclass fields so *every* knob — synthesis flags,
-    load-balancer memory constraints, schedule lists, intra-group networks —
-    lands in the key; the ``plan_cache`` field itself is excluded.
+    the load-balancer switch, schedule lists, intra-group networks — lands
+    in the key; ``plan_cache`` and ``verify_after_plan`` are excluded.
     """
     return _canon(config)  # type: ignore[return-value]
 
@@ -200,18 +203,30 @@ def remap_program(
     )
 
 
-def remap_plan(plan: HAPPlan, source_names: List[str], target: ComputationGraph) -> HAPPlan:
+def remap_plan(
+    plan: HAPPlan,
+    source_names: List[str],
+    target: ComputationGraph,
+    target_order: List[str],
+) -> HAPPlan:
     """Re-express a cached :class:`HAPPlan` over ``target``'s node names.
 
-    ``source_names`` is the canonical node order the plan was stored under;
-    matching it positionally against ``target``'s canonical order yields the
-    rename map (the graphs are isomorphic by construction — they share a
-    fingerprint).  Costs, ratios and round history carry over untouched:
-    the cost model only sees shapes and states, never names.
+    ``source_names`` is the canonical node order the plan was stored under
+    and ``target_order`` is ``target``'s canonical order (the caller has it
+    from fingerprinting); pairing them position-wise yields the rename map
+    (the graphs are isomorphic by construction — they share a fingerprint).
+    Orders of different lengths raise ``ValueError``: a cache entry read from
+    disk may be stale.  Costs, ratios and round history carry over
+    untouched: the cost model only sees shapes and states, never names.
     """
-    rename = canonical_rename_map(source_names, target)
-    if all(old == new for old, new in rename.items()):
+    if len(source_names) != len(target_order):
+        raise ValueError(
+            f"cannot remap: {len(source_names)} cached nodes vs "
+            f"{len(target_order)} target nodes"
+        )
+    if source_names == target_order:
         return plan
+    rename = dict(zip(source_names, target_order))
     program = remap_program(plan.program, rename, target)
     return HAPPlan(
         program=program,

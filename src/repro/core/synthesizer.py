@@ -1279,14 +1279,3 @@ class ProgramSynthesizer:
                 "the background theory may be missing rules for some operator"
             )
         return self._result(best_complete, best_cost, expanded, generated, start)
-
-
-
-def synthesize_program(
-    graph: ComputationGraph,
-    cluster: ClusterSpec,
-    ratios: Optional[Sequence[float]] = None,
-    config: Optional[SynthesisConfig] = None,
-) -> SynthesisResult:
-    """Convenience wrapper: build the theory and run one synthesis."""
-    return ProgramSynthesizer(graph, cluster, config).synthesize(ratios)

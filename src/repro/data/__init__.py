@@ -1,5 +1,5 @@
-"""Synthetic datasets standing in for CIFAR-10 and WikiText-2."""
+"""Synthetic input batches standing in for CIFAR-10 and WikiText-2."""
 
-from .synthetic import Cifar10Like, SyntheticDataset, WikiText2Like, batches_for_graph
+from .synthetic import batches_for_graph
 
-__all__ = ["SyntheticDataset", "Cifar10Like", "WikiText2Like", "batches_for_graph"]
+__all__ = ["batches_for_graph"]

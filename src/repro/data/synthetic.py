@@ -1,89 +1,22 @@
-"""Synthetic data generators.
+"""Synthetic input batches.
 
 The paper trains on CIFAR-10 (image classification) and WikiText-2 (language
 modelling).  Training *time* experiments only depend on tensor shapes, not on
-the pixel or token values, so this reproduction generates random batches with
-the same shapes and label/vocabulary statistics.  The generators are
-deterministic given their seed, which keeps the SPMD-equivalence tests and the
-examples reproducible.
+the pixel or token values, so this reproduction generates random batches
+shaped like a graph's placeholders, with labels and token ids bounded by the
+graph's classifier and vocabulary widths.  Batches are deterministic given
+their seed, which keeps the SPMD-equivalence tests and the examples
+reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..graph.graph import ComputationGraph
 from ..graph.tensor import DType
-
-
-@dataclass
-class SyntheticDataset:
-    """Base synthetic dataset: yields dictionaries of named numpy arrays."""
-
-    batch_size: int
-    seed: int = 0
-
-    def batch(self, index: int) -> Dict[str, np.ndarray]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def __iter__(self) -> Iterator[Dict[str, np.ndarray]]:
-        index = 0
-        while True:
-            yield self.batch(index)
-            index += 1
-
-
-@dataclass
-class Cifar10Like(SyntheticDataset):
-    """CIFAR-10-shaped batches: float images and 10-class labels.
-
-    Attributes:
-        image_size: image resolution (CIFAR-10 is 32, the VGG19 configuration
-            of Table 1 upscales to 224).
-        num_classes: number of label classes.
-    """
-
-    image_size: int = 32
-    num_classes: int = 10
-    image_key: str = "images"
-    label_key: str = "labels"
-
-    def batch(self, index: int) -> Dict[str, np.ndarray]:
-        rng = np.random.default_rng(self.seed + index)
-        images = rng.normal(0.0, 1.0, size=(self.batch_size, 3, self.image_size, self.image_size))
-        labels = rng.integers(0, self.num_classes, size=(self.batch_size,))
-        return {
-            self.image_key: images.astype(np.float32),
-            self.label_key: labels.astype(np.int64),
-        }
-
-
-@dataclass
-class WikiText2Like(SyntheticDataset):
-    """WikiText-2-shaped batches: token ids and next-token labels.
-
-    Attributes:
-        seq_len: tokens per sequence.
-        vocab_size: vocabulary size (WikiText-2 has ~33k word-level tokens;
-            BERT's WordPiece vocabulary has 30522 entries).
-    """
-
-    seq_len: int = 128
-    vocab_size: int = 30522
-    input_key: str = "input_ids"
-    label_key: str = "labels"
-
-    def batch(self, index: int) -> Dict[str, np.ndarray]:
-        rng = np.random.default_rng(self.seed + index)
-        ids = rng.integers(0, self.vocab_size, size=(self.batch_size, self.seq_len))
-        labels = np.roll(ids, shift=-1, axis=1)
-        return {
-            self.input_key: ids.astype(np.int64),
-            self.label_key: labels.astype(np.int64),
-        }
 
 
 def batches_for_graph(

@@ -10,7 +10,6 @@ from .builder import GraphBuilder
 from .canonical import (
     BlockRun,
     canonical_order,
-    canonical_rename_map,
     find_repeated_blocks,
     fingerprint_with_order,
     graph_fingerprint,
@@ -41,7 +40,6 @@ __all__ = [
     "pipeline_cut",
     "BlockRun",
     "canonical_order",
-    "canonical_rename_map",
     "find_repeated_blocks",
     "fingerprint_with_order",
     "graph_fingerprint",

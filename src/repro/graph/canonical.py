@@ -9,7 +9,8 @@ Two related capabilities power the planner's reuse layer:
    that canonical order.  Two graphs with equal fingerprints are isomorphic,
    and the position-wise pairing of their canonical orders *is* the
    isomorphism, which is what lets a cached plan be stitched onto a renamed
-   copy of the graph it was synthesized for (:func:`canonical_rename_map`).
+   copy of the graph it was synthesized for
+   (``dict(zip(stored_order, canonical_order(renamed)))``).
    Ties between ancestor-identical twin nodes are broken by insertion order,
    which can only cause a *missed* match between differently-built isomorphic
    graphs — never a false one (the safe direction for caching).
@@ -138,25 +139,6 @@ def fingerprint_with_order(graph: ComputationGraph) -> Tuple[str, List[str]]:
 def graph_fingerprint(graph: ComputationGraph) -> str:
     """Content-addressed fingerprint of the graph (see :func:`fingerprint_with_order`)."""
     return fingerprint_with_order(graph)[0]
-
-
-def canonical_rename_map(
-    source_names: Sequence[str], target_graph: ComputationGraph
-) -> Dict[str, str]:
-    """Node-name map from a cached graph onto an isomorphic target graph.
-
-    ``source_names`` is the canonical order stored with the cached plan;
-    pairing it position-wise with the target's canonical order is a valid
-    isomorphism whenever the two graphs' fingerprints match (the caller's
-    responsibility — cache keys embed the fingerprint).
-    """
-    target_order = canonical_order(target_graph)
-    if len(source_names) != len(target_order):
-        raise ValueError(
-            f"cannot remap: {len(source_names)} cached nodes vs "
-            f"{len(target_order)} target nodes"
-        )
-    return dict(zip(source_names, target_order))
 
 
 # ---------------------------------------------------------------------------

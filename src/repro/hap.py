@@ -53,7 +53,6 @@ def hap(
     model: ComputationGraph,
     cluster: ClusterSpec,
     config: Optional[PlannerConfig] = None,
-    lr: float = 0.01,
 ) -> HAPPlan:
     """Plan SPMD training of ``model`` on ``cluster``.
 
@@ -63,11 +62,13 @@ def hap(
     Args:
         model: a single-device computation graph.  A forward graph with a
             marked loss is automatically expanded into the full training graph
-            (forward + backward + SGD updates); a graph that already contains
-            ``sgd_update`` nodes is used as-is.
+            (forward + backward + SGD updates, at
+            :func:`~repro.autodiff.build_training_graph`'s default learning
+            rate); a graph that already contains ``sgd_update`` nodes is used
+            as-is, so a caller who wants another learning rate builds the
+            training graph first.
         cluster: the (possibly heterogeneous) target cluster.
         config: planner configuration; defaults to full HAP.
-        lr: learning rate used when expanding a forward graph.
 
     Returns:
         The :class:`HAPPlan` with program, ratios and estimated iteration time.
@@ -80,7 +81,7 @@ def hap(
                     "hap() needs either a training graph (with sgd_update nodes) or a "
                     "forward graph with a marked loss"
                 )
-            graph = build_training_graph(model, lr=lr).graph
+            graph = build_training_graph(model).graph
         return HAPPlanner(graph, cluster, config).plan()
 
 
@@ -106,8 +107,8 @@ def hap_pipeline(
             differentiated individually, so a pre-built training graph is
             rejected).
         cluster: the (possibly heterogeneous) target cluster.
-        config: hierarchical-planner configuration (its ``lr`` is stored on
-            the stage graphs' update nodes).
+        config: hierarchical-planner configuration; defaults to searching
+            every stage count, schedule and microbatch count.
 
     Returns:
         The winning :class:`HierarchicalPlan`.

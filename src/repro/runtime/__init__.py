@@ -1,6 +1,6 @@
 """Numpy execution runtimes: single-device reference and SPMD emulation."""
 
-from .single import SingleDeviceExecutor, init_parameters, make_batch
+from .single import SingleDeviceExecutor, init_parameters
 from .spmd import (
     BoundaryChannel,
     HierarchicalExecutor,
@@ -14,7 +14,6 @@ from .spmd import (
 __all__ = [
     "SingleDeviceExecutor",
     "init_parameters",
-    "make_batch",
     "BoundaryChannel",
     "SPMDExecutor",
     "SPMDResult",

@@ -14,7 +14,6 @@ import numpy as np
 from ..graph import grad_ops  # noqa: F401  (ensure backward ops are registered)
 from ..graph.graph import ComputationGraph, GraphError
 from ..graph.ops import get_op
-from ..graph.tensor import DType, TensorSpec
 
 
 def init_parameters(
@@ -30,27 +29,6 @@ def init_parameters(
     for node in graph.parameters():
         params[node.name] = rng.normal(0.0, scale, size=node.spec.shape).astype(np.float32)
     return params
-
-
-def make_batch(
-    graph: ComputationGraph, seed: int = 0, vocab_size: Optional[int] = None
-) -> Dict[str, np.ndarray]:
-    """Generate a synthetic input batch matching the graph's placeholders.
-
-    Integer placeholders get random ids in ``[0, vocab_size)`` (or the range
-    implied by an ``num_classes``/``vocab_size`` attribute, defaulting to 100);
-    float placeholders get standard-normal data.
-    """
-    rng = np.random.default_rng(seed + 10_000)
-    batch: Dict[str, np.ndarray] = {}
-    for node in graph.placeholders():
-        spec = node.spec
-        if spec.dtype in (DType.INT64, DType.INT32):
-            high = int(node.attrs.get("vocab_size", node.attrs.get("num_classes", vocab_size or 100)))
-            batch[node.name] = rng.integers(0, high, size=spec.shape).astype(spec.dtype.numpy_name)
-        else:
-            batch[node.name] = rng.normal(0.0, 1.0, size=spec.shape).astype(np.float32)
-    return batch
 
 
 class SingleDeviceExecutor:

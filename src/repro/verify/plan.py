@@ -248,9 +248,7 @@ class MemoryPass(VerifierPass):
         derived_fits = True
         for i, stage in enumerate(plan.stages):
             capacities = stage.subcluster.device_memory()
-            peaks = stage.peak_device_memory(
-                stash[i], shard_optimizer_state=plan.shard_optimizer_state
-            )
+            peaks = stage.peak_device_memory(stash[i])
             for j, (peak, cap) in enumerate(zip(peaks, capacities)):
                 if peak > cap:
                     derived_fits = False

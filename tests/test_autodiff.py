@@ -6,7 +6,7 @@ import pytest
 from repro.autodiff import build_training_graph
 from repro.graph import DType, GraphBuilder, GraphError
 from repro.graph.ops import OpKind
-from repro.runtime import SingleDeviceExecutor, make_batch
+from repro.runtime import SingleDeviceExecutor
 
 from .conftest import bindings_for, build_mlp, build_tiny_transformer
 

@@ -15,12 +15,14 @@ from repro.graph import (
     DType,
     GraphBuilder,
     canonical_order,
-    canonical_rename_map,
     find_repeated_blocks,
     fingerprint_with_order,
     graph_fingerprint,
     structural_hashes,
 )
+from repro.models import MODEL_NAMES, build_tiny_model
+
+from .conftest import rename_nodes
 
 
 def _mlp_graph(names, hidden=(8, 4), shape=(16, 8), dtype=DType.FLOAT32, scale=0.5):
@@ -56,7 +58,7 @@ class TestFingerprintInvariance:
     def test_rename_map_is_the_isomorphism(self):
         a, b = _mlp_graph(NAMES_A), _mlp_graph(NAMES_B)
         fp, order = fingerprint_with_order(a)
-        rename = canonical_rename_map(order, b)
+        rename = dict(zip(order, canonical_order(b)))
         for old in NAMES_A.values():
             new = rename[old]
             assert a[old].op == b[new].op
@@ -91,8 +93,7 @@ class TestFingerprintInvariance:
         p, q = build("p"), build("q")
         assert graph_fingerprint(p) == graph_fingerprint(q)
         # ... and the canonical orders line up node for node.
-        rename = canonical_rename_map(canonical_order(p), q)
-        assert all(old == new for old, new in rename.items())
+        assert all(old == new for old, new in zip(canonical_order(p), canonical_order(q)))
 
     def test_twin_branches_may_miss_but_never_alias(self):
         """Ancestor-identical twin branches permuted in insertion order may
@@ -177,6 +178,33 @@ class TestStructuralHashes:
         hashes = structural_hashes(g)
         assert hashes["r1"] == hashes["r2"]
         assert hashes["r1"] != hashes["x"]
+
+
+class TestCanonicalOrder:
+    """The order a cache hit pairs with the stored one to rename a plan."""
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_order_is_a_topological_permutation(self, name):
+        graph = build_training_graph(build_tiny_model(name)).graph
+        order = canonical_order(graph)
+        assert sorted(order) == sorted(graph.node_names)
+        position = {node: i for i, node in enumerate(order)}
+        for node in graph:
+            assert all(position[i] < position[node.name] for i in node.inputs)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_orders_pair_renamed_registry_models(self, name):
+        forward = build_tiny_model(name)
+        a = build_training_graph(forward).graph
+        b = build_training_graph(rename_nodes(forward)).graph
+        rename = dict(zip(canonical_order(a), canonical_order(b)))
+        for node in forward:
+            assert rename[node.name] == "r_" + node.name
+        for node in a:
+            twin = b[rename[node.name]]
+            assert (twin.op, twin.spec) == (node.op, node.spec)
+            assert tuple(twin.inputs) == tuple(rename[i] for i in node.inputs)
+        assert rename[a.loss] == b.loss
 
 
 def _deep_transformer(layers=3, batch=8, seq=4, hidden=16, heads=2):

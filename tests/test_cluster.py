@@ -1,4 +1,4 @@
-"""Tests for the cluster model and the simulated profiler."""
+"""Tests for the cluster model."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.cluster import (
     ClusterSpec,
     Machine,
     NetworkSpec,
-    SimulatedProfiler,
     a100_p100_pair,
     a100_pair,
     device_type,
@@ -15,7 +14,6 @@ from repro.cluster import (
     homogeneous_testbed,
     p100_a100_mixed,
 )
-from repro.collectives import CollectiveKind
 
 
 class TestDevices:
@@ -37,6 +35,24 @@ class TestDevices:
         machine = Machine("m", device_type("V100"), num_gpus=8)
         assert machine.total_flops == pytest.approx(8 * device_type("V100").flops)
         assert machine.total_memory == 8 * device_type("V100").memory_bytes
+
+    @pytest.mark.parametrize("name", sorted(DEVICE_CATALOG))
+    def test_flops_derate_peak_by_sustained_fraction(self, name):
+        # The cost model's flops-per-second is the datasheet peak derated by
+        # the device's sustained fraction; nothing else rescales it.
+        gpu = device_type(name)
+        assert 0.0 < gpu.sustained_fraction < 1.0
+        assert gpu.flops == gpu.peak_tflops * 1e12 * gpu.sustained_fraction
+        assert gpu.flops < gpu.peak_tflops * 1e12
+
+    def test_virtual_devices_aggregate_their_gpus(self):
+        cluster = heterogeneous_testbed(64)
+        for device, flops, memory in zip(
+            cluster.virtual_devices, cluster.device_flops(), cluster.device_memory()
+        ):
+            assert flops == device.gpu.flops * device.num_gpus
+            assert device.memory_bytes == device.gpu.memory_bytes * device.num_gpus
+            assert memory <= device.memory_bytes
 
 
 class TestClusterSpec:
@@ -120,40 +136,3 @@ class TestClusterSpec:
         net = NetworkSpec()
         assert net.bandwidth == pytest.approx(10.4e9 / 8)
 
-
-class TestProfiler:
-    def test_device_flops_close_to_nominal(self):
-        cluster = heterogeneous_testbed(16)
-        profile = SimulatedProfiler(cluster, noise=0.02, seed=1).profile()
-        for measured, device in zip(profile.device_flops, cluster.virtual_devices):
-            assert measured == pytest.approx(device.flops, rel=0.15)
-
-    def test_comm_models_fitted_for_all_kinds(self):
-        profile = SimulatedProfiler(a100_pair(), seed=0).profile()
-        for kind in (CollectiveKind.ALL_REDUCE, CollectiveKind.ALL_GATHER, CollectiveKind.ALL_TO_ALL):
-            assert kind in profile.comm_models
-            model = profile.comm_models[kind]
-            assert model.bandwidth > 0
-            assert model.latency >= 0
-
-    def test_fitted_model_monotonic(self):
-        profile = SimulatedProfiler(a100_pair(), seed=0).profile()
-        model = profile.comm_models[CollectiveKind.ALL_REDUCE]
-        assert model.time(1e6) < model.time(64e6)
-
-    def test_fit_close_to_analytic_model(self):
-        cluster = a100_pair()
-        profile = SimulatedProfiler(cluster, noise=0.01, seed=2).profile()
-        from repro.collectives import CollectiveCostModel
-
-        analytic = CollectiveCostModel(cluster)
-        nbytes = 32e6
-        fitted = profile.comm_time(CollectiveKind.ALL_REDUCE, nbytes)
-        truth = analytic.all_reduce(nbytes)
-        assert fitted == pytest.approx(truth, rel=0.3)
-
-    def test_profiling_is_deterministic_per_seed(self):
-        cluster = a100_pair()
-        a = SimulatedProfiler(cluster, seed=7).profile()
-        b = SimulatedProfiler(cluster, seed=7).profile()
-        assert a.device_flops == b.device_flops

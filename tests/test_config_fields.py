@@ -12,7 +12,8 @@ collects keyword arguments to a config constructor or
 ``dataclasses.replace`` (``SynthesisConfig(beam_width=8)``) and attribute
 stores (``config.enable_load_balancer = False``, not ``self.x = ...``).  A
 field with no such setter fails unless :data:`SET_ONLY_BY_TESTS` lists it
-with a reason.
+with a reason, and the same scan over ``tests/`` must find a setter for every
+listed field: a knob that nothing sets at all should be a constant.
 """
 
 import ast
@@ -22,9 +23,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core import HierarchicalConfig, LoadBalancerConfig, PlannerConfig, SynthesisConfig
+from repro.core import HierarchicalConfig, PlannerConfig, SynthesisConfig
 
-CONFIG_TYPES = (SynthesisConfig, LoadBalancerConfig, PlannerConfig, HierarchicalConfig)
+CONFIG_TYPES = (SynthesisConfig, PlannerConfig, HierarchicalConfig)
 
 FIELDS = [(t, f.name) for t in CONFIG_TYPES for f in dataclasses.fields(t)]
 
@@ -36,19 +37,12 @@ SET_ONLY_BY_TESTS = {
         "'astar' is the tests' reference search (Fig. 10) for the beam search",
     "SynthesisConfig.follow_topological_order":
         "False is the unrestricted Fig. 10 A* search the tests run on small graphs",
-    "LoadBalancerConfig.respect_memory":
-        "the LP's per-device memory rows; tests check they solve and key the plan cache",
-    "PlannerConfig.load_balancer": "carries respect_memory, the only load-balancer knob",
     "HierarchicalConfig.schedules":
-        "restricting the schedule grid pins one schedule family, e.g. interleaved-only",
+        "the only way a test reaches an interleaved plan's runtime, verifier and remap "
+        "paths: the default grid prices interleaved-1f1b but selects it on no workload",
     "HierarchicalConfig.num_model_chunks":
-        "interleaved-1f1b chunks per stage; tests vary it to cut and run more chunks",
-    "HierarchicalConfig.recompute":
-        "'never'/'always' pin each side of the default 'auto' recomputation policy",
-    "HierarchicalConfig.shard_optimizer_state":
-        "the ZeRO-style memory model the memory-feasibility tests exercise",
-    "HierarchicalConfig.lr":
-        "a training hyperparameter stored on stage update nodes; callers keep the default",
+        "the only way a test reaches an interleaved plan's runtime, verifier and remap "
+        "paths with more chunks per stage than the default",
 }
 
 
@@ -110,13 +104,17 @@ class _ConfigSets(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-@pytest.fixture(scope="module")
-def config_sets():
+def _scan_sets(*tops):
     visitor = _ConfigSets()
-    for top in ("src", "benchmarks", "examples"):
+    for top in tops:
         for path in sorted((REPO_ROOT / top).rglob("*.py")):
             visitor.visit(ast.parse(path.read_text(), filename=str(path)))
     return visitor.sets
+
+
+@pytest.fixture(scope="module")
+def config_sets():
+    return _scan_sets("src", "benchmarks", "examples")
 
 
 @pytest.mark.parametrize(
@@ -137,3 +135,9 @@ def test_every_config_field_is_set_outside_tests(config_sets, config_type, field
 def test_allowlist_names_real_fields():
     qualified = {f"{t.__name__}.{n}" for t, n in FIELDS}
     assert set(SET_ONLY_BY_TESTS) <= qualified
+
+
+def test_allowlisted_fields_are_set_by_tests():
+    test_sets = _scan_sets("tests")
+    unset = [name for name in SET_ONLY_BY_TESTS if name.split(".")[1] not in test_sets]
+    assert not unset, f"nothing sets {unset}; make each a constant and drop it"

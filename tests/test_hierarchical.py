@@ -701,14 +701,13 @@ class TestHierarchicalPlanner:
 
         cluster = memory_constrained_testbed()
         forward = build_bert(BERTConfig(batch_size=64, num_layers=2))
-        config = hier_config(
-            schedules=["gpipe", "1f1b"], recompute="never", max_stages=2
-        )
+        config = hier_config(schedules=["gpipe", "1f1b"], max_stages=2)
         planner = HierarchicalPlanner(forward, cluster, config)
         plan = planner.plan()
         assert plan.num_stages == 2
         assert plan.schedule_name == "1f1b"
         assert plan.fits_memory
+        assert not plan.recompute
         assert plan.num_microbatches > config.max_stages
         # GPipe at the very same microbatch count exceeds device memory.
         times = profile_stages(plan.stages, planner._profile_chunk, planner._profile_memo)
@@ -723,16 +722,69 @@ class TestHierarchicalPlanner:
         assert planner._fits_memory(plan.stages, ofob)
 
     def test_recompute_auto_only_wins_under_memory_pressure(self):
-        # With abundant memory the "auto" policy must not pick recomputation
-        # (it costs an extra forward per microbatch).
+        # With abundant memory the planner must not pick recomputation (it
+        # costs an extra forward per microbatch).
         plan = HierarchicalPlanner(
             build_tiny_transformer(), make_cluster(), hier_config(max_stages=2)
         ).plan()
         assert plan.recompute is False
 
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            hier_config(recompute="sometimes")
+    def test_recompute_wins_when_nothing_else_fits(self):
+        # On 1 GB devices the plain 2-stage 1F1B run of this batch-256 BERT
+        # does not fit, so the planner retries it with recomputation, and the
+        # retry wins the whole search.
+        from repro.cluster import memory_constrained_testbed
+
+        forward = build_bert(BERTConfig(batch_size=256, num_layers=4))
+        plan = HierarchicalPlanner(
+            forward, memory_constrained_testbed(), hier_config(max_stages=2)
+        ).plan()
+        assert (plan.num_stages, plan.schedule_name, plan.num_microbatches) == (2, "1f1b", 32)
+        assert plan.recompute is True
+        assert plan.fits_memory
+        # The plain run of the winning combination was priced first.
+        assert (2, "1f1b", 32, False) in plan.schedule_candidate_times
+
+    def test_recompute_retried_only_when_the_plain_run_does_not_fit(self):
+        # Recomputation is priced for a multi-stage combination exactly when
+        # its plain run exceeds device memory, and never on its own.
+        from repro.cluster import memory_constrained_testbed
+        from repro.simulator import get_schedule
+
+        forward = build_bert(BERTConfig(batch_size=64, num_layers=2))
+        config = hier_config(schedules=["gpipe", "1f1b"], max_stages=2)
+        planner = HierarchicalPlanner(forward, memory_constrained_testbed(), config)
+        plan = planner.plan()
+        assert plan.num_stages == 2
+        combos = plan.schedule_candidate_times
+        times = profile_stages(plan.stages, planner._profile_chunk, planner._profile_memo)
+        network = plan.partition.inter_group_network
+        retried = set()
+        for stages, name, m, rc in combos:
+            assert (stages, name, m, False) in combos
+            if stages != 2 or rc:
+                continue
+            plain = get_schedule(name).simulate(times, m, network.bandwidth, network.latency)
+            if not planner._fits_memory(plan.stages, plain):
+                assert (stages, name, m, True) in combos
+                retried.add(name)
+            else:
+                assert (stages, name, m, True) not in combos
+        # GPipe never fits here, so every GPipe count was retried.
+        assert "gpipe" in retried
+
+    def test_single_stage_never_recomputes(self):
+        # A flat plan runs the whole batch at once: even when it does not fit,
+        # it is not retried with recomputation.
+        from repro.cluster import memory_constrained_testbed
+
+        forward = build_bert(BERTConfig(batch_size=256, num_layers=4))
+        plan = HierarchicalPlanner(
+            forward, memory_constrained_testbed(), hier_config(max_stages=1)
+        ).plan()
+        assert not plan.fits_memory
+        assert plan.recompute is False
+        assert set(plan.schedule_candidate_times) == {(1, "gpipe", 1, False)}
 
     @pytest.mark.parametrize(
         "field,value",
@@ -871,6 +923,33 @@ class TestPerChunkPlanner:
         assert stage.send_bytes > 0
         assert stage.weight_bytes_total() > 0
         assert stage.send_bytes == sum(c.send_bytes for c in stage.chunks)
+
+    def test_resident_state_splits_by_sharding_ratio(self):
+        # With no stash, the per-device peaks of a stage add up to its
+        # group-aggregate resident state: each chunk's ratios sum to one.
+        cluster = make_cluster(("A100", "P100", "A100", "P100"))
+        plan = self.interleaved_candidate(build_tiny_transformer(), cluster=cluster)
+        for stage in plan.stages:
+            assert stage.num_chunks == 2
+            assert sum(stage.peak_device_memory(0.0)) == pytest.approx(
+                stage.weight_bytes_total(), rel=1e-12
+            )
+
+    def test_stash_share_is_the_worst_chunk_ratio(self):
+        # Chunks of one stage may be balanced differently; each device holds
+        # the stash share of its largest-ratio chunk.
+        cluster = make_cluster(("A100", "P100", "A100", "P100"))
+        plan = self.interleaved_candidate(build_tiny_transformer(), cluster=cluster)
+        stash = 1e6
+        for stage in plan.stages:
+            base = stage.peak_device_memory(0.0)
+            loaded = stage.peak_device_memory(stash)
+            for j, (bare, full) in enumerate(zip(base, loaded)):
+                share = max(chunk.ratios[j] for chunk in stage.chunks)
+                assert full - bare == pytest.approx(stash * share, rel=1e-9)
+        # On this mixed-GPU group the A100 takes the larger share.
+        first = plan.stages[0].peak_device_memory(stash)
+        assert first[0] > first[1]
 
     def test_round_robin_cut_balances_group_compute(self):
         from repro.graph import interleaved_pipeline_cut

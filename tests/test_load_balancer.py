@@ -5,14 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autodiff import build_training_graph
+from repro.cluster import ClusterSpec
 from repro.core import (
     CostModel,
     LoadBalancer,
-    LoadBalancerConfig,
     ProgramSynthesizer,
     SynthesisConfig,
-    integer_shard_sizes,
 )
+from repro.graph import shard_sizes
 
 from .conftest import build_mlp, build_tiny_transformer
 
@@ -64,14 +64,8 @@ class TestLoadBalancer:
         slow = min(range(4), key=lambda j: flops[j])
         assert ratios[fast] > ratios[slow]
 
-    def test_memory_constraints_do_not_break_lp(self, dp_setup):
-        _, program, cost_model, cluster = dp_setup
-        config = LoadBalancerConfig(respect_memory=True)
-        result = LoadBalancer(cluster, config).optimize(program, cost_model)
-        assert result.success
-
     def test_single_device_cluster(self, dp_setup):
-        from repro.cluster import ClusterSpec, Machine, device_type
+        from repro.cluster import Machine, device_type
 
         training, _, _, _ = dp_setup
         cluster = ClusterSpec([Machine("m", device_type("V100"), 1)], group_by_machine=False)
@@ -81,10 +75,27 @@ class TestLoadBalancer:
         result = LoadBalancer(cluster).optimize(program, cost_model)
         assert result.ratios == [1.0]
 
+    def test_lp_ignores_device_memory(self, dp_setup):
+        # The LP prices time only; per-device memory is judged by the
+        # hierarchical planner, so shrinking capacity leaves the ratios alone.
+        training, program, cost_model, cluster = dp_setup
+        tight = ClusterSpec(
+            cluster.machines,
+            network=cluster.network,
+            group_by_machine=cluster.group_by_machine,
+            memory_reserve_fraction=0.99,
+            comm_overlap_efficiency=cluster.comm_overlap_efficiency,
+        )
+        roomy = LoadBalancer(cluster).optimize(program, cost_model)
+        cramped = LoadBalancer(tight).optimize(program, CostModel(training, tight))
+        assert cramped.success
+        assert cramped.ratios == roomy.ratios
+        assert cramped.objective == roomy.objective
+
 
 class TestIntegerRounding:
-    def test_reexported_helper(self):
-        assert integer_shard_sizes(10, [0.5, 0.5]) == (5, 5)
+    def test_even_split(self):
+        assert shard_sizes(10, [0.5, 0.5]) == (5, 5)
 
     @given(
         total=st.integers(min_value=1, max_value=4096),
@@ -92,8 +103,47 @@ class TestIntegerRounding:
     )
     @settings(max_examples=100, deadline=None)
     def test_property_rounding_preserves_total(self, total, ratios):
-        sizes = integer_shard_sizes(total, ratios)
+        sizes = shard_sizes(total, ratios)
         assert sum(sizes) == total
+
+    @pytest.mark.parametrize(
+        "total,ratios,expected",
+        [
+            (9, [0.6, 0.4], (5, 4)),
+            (100, [0.7, 0.2, 0.1], (70, 20, 10)),
+            # 3.33 each rounds down; the first of the tied shards takes the rest.
+            (10, [1, 1, 1], (4, 3, 3)),
+            # 3.5 rounds up, overshooting; the shard closest to its target gives back.
+            (7, [0.5, 0.25, 0.25], (3, 2, 2)),
+            (5, [0.0, 1.0], (0, 5)),
+            # All-zero ratios fall back to an even split.
+            (4, [0.0, 0.0], (2, 2)),
+        ],
+    )
+    def test_hand_computed_splits(self, total, ratios, expected):
+        assert shard_sizes(total, ratios) == expected
+
+    @pytest.mark.parametrize(
+        "total,ratios", [(-1, [0.5, 0.5]), (4, []), (4, [0.5, -0.5])]
+    )
+    def test_invalid_inputs_rejected(self, total, ratios):
+        with pytest.raises(ValueError):
+            shard_sizes(total, ratios)
+
+    @given(
+        total=st.integers(min_value=0, max_value=4096),
+        ratios=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_each_size_within_one_of_its_target(self, total, ratios):
+        sizes = shard_sizes(total, ratios)
+        weight = sum(ratios)
+        if weight > 0:
+            targets = [total * r / weight for r in ratios]
+        else:
+            targets = [total / len(ratios)] * len(ratios)
+        assert all(size >= 0 for size in sizes)
+        assert all(abs(size - t) < 1 for size, t in zip(sizes, targets))
 
 
 class TestCostModelLinearisation:

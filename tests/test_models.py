@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import Cifar10Like, WikiText2Like, batches_for_graph
+from repro.data import batches_for_graph
 from repro.graph.graph import GraphError
 from repro.models import (
     MODEL_NAMES,
@@ -127,30 +127,6 @@ class TestModelZoo:
 
 
 class TestSyntheticData:
-    def test_cifar_like_shapes(self):
-        batch = Cifar10Like(batch_size=16).batch(0)
-        assert batch["images"].shape == (16, 3, 32, 32)
-        assert batch["labels"].shape == (16,)
-        assert batch["labels"].max() < 10
-
-    def test_wikitext_like_shapes(self):
-        batch = WikiText2Like(batch_size=4, seq_len=32).batch(0)
-        assert batch["input_ids"].shape == (4, 32)
-        assert batch["labels"].shape == (4, 32)
-        assert batch["input_ids"].dtype == np.int64
-
-    def test_deterministic_per_index(self):
-        ds = WikiText2Like(batch_size=2, seq_len=8, seed=3)
-        np.testing.assert_array_equal(ds.batch(5)["input_ids"], ds.batch(5)["input_ids"])
-        assert not np.array_equal(ds.batch(5)["input_ids"], ds.batch(6)["input_ids"])
-
-    def test_iteration_protocol(self):
-        ds = Cifar10Like(batch_size=2)
-        it = iter(ds)
-        first = next(it)
-        second = next(it)
-        assert first["images"].shape == second["images"].shape
-
     def test_batches_for_graph_matches_placeholders(self):
         graph = build_tiny_model("bert_base")
         batch = batches_for_graph(graph, seed=0)
@@ -161,3 +137,32 @@ class TestSyntheticData:
         graph = build_tiny_model("vgg19")
         batch = batches_for_graph(graph, seed=0)
         assert batch["labels"].max() < 10
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_batches_for_graph_covers_every_placeholder(self, name):
+        graph = build_tiny_model(name)
+        batch = batches_for_graph(graph, seed=0)
+        assert set(batch) == {node.name for node in graph.placeholders()}
+        for node in graph.placeholders():
+            assert batch[node.name].dtype == np.dtype(node.spec.dtype.numpy_name)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_batches_for_graph_is_deterministic_per_seed(self, name):
+        graph = build_tiny_model(name)
+        first, again = batches_for_graph(graph, seed=3), batches_for_graph(graph, seed=3)
+        other = batches_for_graph(graph, seed=4)
+        for key in first:
+            np.testing.assert_array_equal(first[key], again[key])
+        assert any(not np.array_equal(first[key], other[key]) for key in first)
+
+    def test_token_ids_within_vocabulary(self):
+        graph = build_tiny_model("bert_base")
+        vocab = next(graph[n.inputs[1]].spec.shape[0] for n in graph if n.op == "embedding")
+        batch = batches_for_graph(graph, seed=0)
+        assert 0 <= batch["input_ids"].min()
+        assert batch["input_ids"].max() < vocab
+
+    def test_num_classes_override_bounds_labels(self):
+        graph = build_tiny_model("vgg19")
+        batch = batches_for_graph(graph, seed=0, num_classes=3)
+        assert set(np.unique(batch["labels"])) <= {0, 1, 2}

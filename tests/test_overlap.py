@@ -7,9 +7,8 @@ pipeline-schedule engine's asynchronous boundary transfers (hand-computed
 partial-overlap case, ``overlap=0`` blocking-equivalence and monotonicity
 properties for all three schedules), the hierarchical planner's
 exposed-communication ranking (a slow-network testbed where the default
-overlap selects a different plan), the ZeRO-style optimizer-state sharding
-memory option, per-hop skip-connection byte charging, and the runtime's
-double-buffered boundary handoff.
+overlap selects a different plan), per-hop skip-connection byte charging,
+and the runtime's double-buffered boundary handoff.
 """
 
 import random
@@ -34,7 +33,6 @@ from repro.core import (
     ProgramSynthesizer,
     SynthesisConfig,
 )
-from repro.core.hierarchical import MICROBATCH_OVERHEAD
 from repro.graph import DType, GraphBuilder, cut_transfer_bytes, pipeline_cut
 from repro.models.bert import BERTConfig, build_bert
 from repro.runtime import SingleDeviceExecutor
@@ -42,7 +40,6 @@ from repro.simulator import (
     SCHEDULE_NAMES,
     ExecutionSimulator,
     StageTimes,
-    profile_stages,
     simulate_hierarchical,
     simulate_pipeline,
 )
@@ -460,91 +457,6 @@ class TestPlannerOverlap:
         )
         assert overlapped.estimated_time <= blocking.estimated_time + 1e-12
         assert overlapped.schedule.hidden_transfer > 0.0
-
-
-# ---------------------------------------------------------------------------
-# ZeRO-style optimizer-state sharding
-# ---------------------------------------------------------------------------
-
-class TestOptimizerStateSharding:
-    def test_peak_device_memory_divides_replicated_moment(self):
-        forward = build_tiny_transformer()
-        plan = HierarchicalPlanner(
-            forward, make_cluster(), hier_config(max_stages=2)
-        ).plan()
-        stage = plan.stages[0]
-        n = stage.subcluster.num_devices
-        replicated = sum(c.replicated_param_bytes for c in stage.chunks)
-        assert replicated > 0, "test needs replicated parameters to shard"
-        plain = stage.peak_device_memory(0.0)
-        zero = stage.peak_device_memory(0.0, shard_optimizer_state=True)
-        for j in range(n):
-            saved = plain[j] - zero[j]
-            assert saved == pytest.approx(replicated * (1.0 - 1.0 / n), rel=1e-9)
-
-    def test_previously_infeasible_candidate_becomes_feasible(self):
-        # Size device memory strictly between the plain and the ZeRO peak of
-        # one pinned candidate (2 stages, 1F1B, 4 microbatches, no
-        # recomputation): without sharding the planner's memory check must
-        # reject it, with sharding it must accept the very same schedule.
-        from repro.cluster.device import DeviceType
-
-        forward = build_tiny_transformer()
-        base = dict(schedules=["1f1b"], recompute="never")
-
-        def cluster(memory_bytes):
-            a100 = device_type("A100")
-            gpu = DeviceType(
-                "ProbeGPU", peak_tflops=a100.peak_tflops, memory_bytes=int(memory_bytes)
-            )
-            machines = [Machine(f"t{i}", gpu, num_gpus=1) for i in range(4)]
-            return ClusterSpec(
-                machines,
-                network=NetworkSpec(
-                    bandwidth=200e9, latency=1e-6, kernel_launch_overhead=5e-7
-                ),
-                group_by_machine=False,
-            )
-
-        def pinned(planner):
-            partition = planner._candidate_partition(2)
-            _cut, stages = planner._build_stages(partition, 1)
-            result = simulate_pipeline(
-                profile_stages(stages, planner._profile_chunk, {}),
-                num_microbatches=4,
-                inter_group_bandwidth=partition.inter_group_network.bandwidth,
-                inter_group_latency=partition.inter_group_network.latency,
-                microbatch_overhead=MICROBATCH_OVERHEAD,
-                schedule="1f1b",
-                overlap=planner.overlap,
-            )
-            return stages, result
-
-        probe_stages, probe = pinned(
-            HierarchicalPlanner(forward, cluster(64e9), hier_config(**base))
-        )
-        worst_plain = worst_zero = 0.0
-        for stage, stash in zip(probe_stages, probe.peak_stash):
-            worst_plain = max(worst_plain, max(stage.peak_device_memory(stash)))
-            worst_zero = max(
-                worst_zero,
-                max(stage.peak_device_memory(stash, shard_optimizer_state=True)),
-            )
-        assert worst_zero < worst_plain  # ZeRO genuinely shrinks the peak
-        tight = cluster((worst_plain + worst_zero) / 2)
-
-        plain = HierarchicalPlanner(forward, tight, hier_config(**base))
-        zero = HierarchicalPlanner(
-            forward, tight, hier_config(shard_optimizer_state=True, **base)
-        )
-        stages, result = pinned(plain)
-        assert not plain._fits_memory(stages, result)
-        assert zero._fits_memory(stages, result)
-        # The pinned combination is in the search grid, so the ZeRO planner's
-        # candidate fits too.
-        feasible = zero.build_candidate(2)
-        assert feasible is not None and feasible.fits_memory
-        assert feasible.shard_optimizer_state
 
 
 # ---------------------------------------------------------------------------

@@ -25,16 +25,21 @@ from repro.core import (
     HierarchicalConfig,
     HierarchicalPlanner,
     InMemoryPlanCache,
-    LoadBalancerConfig,
     PlannerConfig,
     SynthesisConfig,
     cluster_signature,
     plan_key,
     remap_plan,
 )
-from repro.graph import ComputationGraph, fingerprint_with_order, graph_fingerprint
+from repro.graph import (
+    ComputationGraph,
+    canonical_order,
+    fingerprint_with_order,
+    graph_fingerprint,
+)
+from repro.models import MODEL_NAMES, build_tiny_model
 from repro.runtime import SingleDeviceExecutor, run_hierarchical_plan
-from repro.verify import verify_plan
+from repro.verify import verify_plan, verify_program
 
 from .conftest import (
     bindings_for,
@@ -66,7 +71,7 @@ def cluster():
 #: Fields excluded from plan keys on purpose (see ``repro.core.plancache``).
 NON_KEY_FIELDS = {"plan_cache", "verify_after_plan"}
 
-CONFIG_TYPES = (SynthesisConfig, LoadBalancerConfig, PlannerConfig, HierarchicalConfig)
+CONFIG_TYPES = (SynthesisConfig, PlannerConfig, HierarchicalConfig)
 
 #: Every (config type, field name) pair that must feed the plan key.
 KEYED_FIELDS = [
@@ -165,10 +170,8 @@ class TestKeySensitivity:
 OTHER_VALUES = {
     "search_strategy": "astar",
     "schedules": ("1f1b",),
-    "recompute": "never",
     "intra_group_network": NetworkSpec(bandwidth=1e9),
     "synthesis": SynthesisConfig(enable_sfb=False),
-    "load_balancer": LoadBalancerConfig(respect_memory=True),
     "planner": PlannerConfig(max_rounds=2),
 }
 
@@ -308,7 +311,7 @@ class TestRemapPlan:
         renamed = rename_nodes(mlp_training)
         assert graph_fingerprint(renamed) == graph_fingerprint(mlp_training)
 
-        mapped = remap_plan(plan, order, renamed)
+        mapped = remap_plan(plan, order, renamed, fingerprint_with_order(renamed)[1])
         assert mapped.program.graph is renamed
         assert mapped.estimated_time.total == plan.estimated_time.total
         assert mapped.ratios == plan.ratios
@@ -326,7 +329,28 @@ class TestRemapPlan:
     def test_remap_identity_is_free(self, mlp_training, cluster):
         plan = HAPPlanner(mlp_training, cluster, small_planner_config()).plan()
         _, order = fingerprint_with_order(mlp_training)
-        assert remap_plan(plan, order, mlp_training) is plan
+        assert remap_plan(plan, order, mlp_training, order) is plan
+
+    def test_remap_rejects_an_order_of_another_length(self, mlp_training, cluster):
+        # A stale disk entry may store an order that no longer matches.
+        plan = HAPPlanner(mlp_training, cluster, small_planner_config()).plan()
+        _, order = fingerprint_with_order(mlp_training)
+        with pytest.raises(ValueError, match="cannot remap"):
+            remap_plan(plan, order[:-1], mlp_training, order)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_remap_onto_renamed_registry_model(self, name, cluster):
+        forward = build_tiny_model(name)
+        training = build_training_graph(forward).graph
+        renamed = build_training_graph(rename_nodes(forward)).graph
+        plan = HAPPlanner(training, cluster, small_planner_config()).plan()
+        _, order = fingerprint_with_order(training)
+        mapped = remap_plan(plan, order, renamed, canonical_order(renamed))
+        assert mapped.program.graph is renamed
+        assert mapped.estimated_time == plan.estimated_time
+        assert all(i.node in renamed for i in mapped.program.instructions)
+        report = verify_program(mapped.program, cluster, mapped.flat_ratios)
+        assert report.ok, report.describe()
 
 
 class TestHierarchicalIntegration:

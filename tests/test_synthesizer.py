@@ -9,7 +9,6 @@ from repro.core import (
     PlannerConfig,
     ProgramSynthesizer,
     SynthesisConfig,
-    synthesize_program,
 )
 from repro.core.costmodel import beam_rank_order
 from repro.graph import DType, GraphBuilder
@@ -137,8 +136,8 @@ class TestSearchMechanics:
         ).synthesize()
         assert astar.cost <= beam.cost * 1.01
 
-    def test_synthesize_program_helper(self, mlp_training, four_device_cluster):
-        result = synthesize_program(mlp_training.graph, four_device_cluster)
+    def test_program_is_over_the_input_graph(self, mlp_training, four_device_cluster):
+        result = ProgramSynthesizer(mlp_training.graph, four_device_cluster).synthesize()
         assert result.program.graph is mlp_training.graph
 
     def test_unbounded_beam_keeps_every_candidate(self, mlp_forward, two_device_cluster):
