@@ -3,7 +3,8 @@
 * beam width of the synthesizer vs plan quality and planning time;
 * LP load balancer vs computation-proportional and even ratios.
 
-These quantify the design choices called out in DESIGN.md.
+These quantify two design choices: the synthesizer's beam search in place of
+an exhaustive one, and the LP load balancer in place of fixed ratios.
 """
 
 import time

@@ -11,7 +11,7 @@ def test_table1_models(benchmark, record_rows):
     names = [row["model"] for row in rows]
     assert names == ["vgg19", "vit", "bert_base", "bert_moe"]
     # Parameter counts stay within 2x of the paper's figures (our BERT LM head
-    # is untied and the MoE expert width differs slightly; see EXPERIMENTS.md).
+    # is untied and the MoE expert width differs slightly).
     for row in rows:
         ratio = row["parameters_millions"] / row["paper_parameters_millions"]
         assert 0.5 < ratio < 2.0, row

@@ -3,8 +3,9 @@
 The baselines reuse HAP's background theory and synthesizer with restricted
 rule sets (see ``SynthesisConfig.force_data_parallel``), so every baseline
 produces a genuine distributed program that can be costed, simulated and even
-executed by the SPMD runtime.  Differences from the real systems that do not
-affect the comparison's shape are documented in DESIGN.md.
+executed by the SPMD runtime.  Where a baseline leaves out part of the real
+system, as the TAG-like one leaves out inter-op placement, its planner's
+docstring says so.
 """
 
 from __future__ import annotations
@@ -182,7 +183,8 @@ def plan_tag_like(
     """TAG-style baseline: data parallelism with automatic SFB.
 
     TAG additionally performs inter-op placement on small clusters; that part
-    is out of scope here (see DESIGN.md), so this baseline captures TAG's
+    is out of scope here, since every system in the comparison runs one SPMD
+    program across all devices.  So this baseline captures TAG's
     communication optimisation (sufficient factor broadcasting and gradient
     aggregation choice) on top of even data parallelism.
     """

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..collectives.cost import CollectiveKind
@@ -134,15 +135,8 @@ class Theory:
         self.ref_masks: Dict[str, int] = {
             name: by_ref[name] for name in graph.node_names if name in by_ref
         }
-        # Index rules by the reference tensors appearing in their
-        # preconditions (used by the unrestricted A* search) ...
-        self.rules_by_pre_ref: Dict[str, List[Rule]] = {}
-        for rule in rules:
-            refs = {p.ref for p in rule.pre} or {"__empty__"}
-            for ref in refs:
-                self.rules_by_pre_ref.setdefault(ref, []).append(rule)
-        # ... and by the computation node they emulate / the tensor they
-        # communicate (used by the topological-order search).
+        # Index rules by the computation node they emulate / the tensor they
+        # communicate (used by the topological-order searches).
         self.comp_rules_by_node: Dict[str, List[Rule]] = {}
         self.comm_rules_by_ref: Dict[str, List[Rule]] = {}
         for rule in rules:
@@ -166,6 +160,21 @@ class Theory:
 
     def __len__(self) -> int:
         return len(self.rules)
+
+    @cached_property
+    def rules_by_pre_ref(self) -> Dict[str, List[Rule]]:
+        """Rules indexed by the reference tensors in their preconditions.
+
+        Only the unrestricted A* search reads it, so it is built on that
+        search's first use rather than with every theory.  Rules without a
+        precondition are listed under ``"__empty__"``.
+        """
+        index: Dict[str, List[Rule]] = {}
+        for rule in self.rules:
+            refs = {p.ref for p in rule.pre} or {"__empty__"}
+            for ref in refs:
+                index.setdefault(ref, []).append(rule)
+        return index
 
     def encode(self, properties: Iterable[Property]) -> int:
         """Bit mask of a set of the theory's properties."""

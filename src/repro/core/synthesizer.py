@@ -91,6 +91,15 @@ class _SearchNode:
     The triple is the dedupe / dominance key of both searches.  Bit order
     never orders the search: candidates are visited in rule and
     precondition order, whatever bits they own.
+
+    The beam search also makes parent-only lineage nodes (:meth:`link`),
+    which set just ``parent`` and ``rule``: one per enabling collective of
+    a surviving child (:meth:`ProgramSynthesizer._materialize`) and one per
+    rule a block replay applies (:meth:`ProgramSynthesizer._replay_block`).
+    They are never search states.  Only lineage walks reach them
+    (:meth:`instructions`, :meth:`ProgramSynthesizer._normalized`, and
+    :meth:`ProgramSynthesizer._reconstruct_exit` on a replay's last one),
+    and those read nothing but the two fields.
     """
 
     __slots__ = (
@@ -131,6 +140,14 @@ class _SearchNode:
         #: index into the synthesizer's topological order of the first node
         #: not yet emulated (maintained incrementally by ``_apply``).
         self.topo_ptr = topo_ptr
+
+    @staticmethod
+    def link(parent: _SearchNode, rule: Rule) -> _SearchNode:
+        """A parent-only lineage node: ``rule`` applied after ``parent``."""
+        node = _SearchNode.__new__(_SearchNode)
+        node.parent = parent
+        node.rule = rule
+        return node
 
     def instructions(self) -> List[Instruction]:
         """Reconstruct the instruction sequence by walking parent pointers."""
@@ -376,14 +393,7 @@ class ProgramSynthesizer:
         if runtime is None:
             runtime = self._replay_runtime(rule, ratios)
         plan, mask, ideals, drops = runtime
-        closed = node.closed_cost
-        stage = node.stage_comp
-        for kind, payload in plan:
-            if kind == _SYNC:
-                closed += max(stage) + payload
-                stage = self._zero_stage
-            else:
-                stage = tuple([s + t for s, t in zip(stage, payload)])
+        closed, stage = self._replay(plan, node.closed_cost, node.stage_comp)
         completed = node.completed | mask if mask else node.completed
         completed_ideal = node.completed_ideal
         for ideal in ideals:
@@ -414,6 +424,23 @@ class ProgramSynthesizer:
         child.depth = node.depth + 1
         child.topo_ptr = topo_ptr
         return child
+
+    def _replay(
+        self, plan: Tuple, closed: float, stage: Tuple[float, ...]
+    ) -> Tuple[float, Tuple[float, ...]]:
+        """Accumulate a cost plan onto a closed cost and an open-stage vector.
+
+        The search's one replay loop: :meth:`_apply`, :meth:`_replay_block`
+        and :meth:`_expand` all run it, so a state's cost is the same float
+        operations in the same order whichever path built it.
+        """
+        for kind, payload in plan:
+            if kind == _SYNC:
+                closed += max(stage) + payload
+                stage = self._zero_stage
+            else:
+                stage = tuple([s + t for s, t in zip(stage, payload)])
+        return closed, stage
 
     def _advance_topo_ptr(self, ptr: int, completed: int) -> int:
         """First index >= ptr in topological order not yet emulated."""
@@ -617,25 +644,35 @@ class ProgramSynthesizer:
         ratios: Sequence[float],
         beam_width: Optional[int],
     ) -> List[_SearchNode]:
-        """Expand one topological-order node and keep the best states."""
-        children: Dict[Tuple[int, int, int], Tuple[_SearchNode, Tuple[float, ...]]] = {}
+        """Expand one topological-order node and keep the best states.
+
+        Children stay plain tuples (see :meth:`_expand`) through the dedupe
+        and the ranking; only the at most ``beam_width`` survivors become
+        search nodes.  The chain memo lives for this level only: the node's
+        rules fire at no other level.
+        """
+        children: Dict[Tuple[int, int, int], Tuple[Tuple[float, ...], Tuple]] = {}
         comp_rules = self.theory.comp_rules_by_node.get(node_name, [])
         if not comp_rules:
             raise SynthesisError(f"no sharding rules for node {node_name!r}")
+        memo: Dict[int, Tuple] = {}
+        expand = self._expand
+        generated = 0
         for state in states:
-            self._bm_expanded += 1
             for rule in comp_rules:
-                for child in self._expand_with_rule(state, rule, ratios):
-                    self._bm_generated += 1
-                    key = (child.pbits, child.completed, child.cbits)
-                    closed = child.closed_cost
-                    vector = tuple([closed + c for c in child.stage_comp])
+                for child in expand(state, rule, ratios, memo):
+                    generated += 1
+                    key = child[0]
+                    closed = child[1]
+                    vector = tuple([closed + c for c in child[2]])
                     existing = children.get(key)
                     if existing is not None and all(
-                        e <= v + 1e-15 for e, v in zip(existing[1], vector)
+                        e <= v + 1e-15 for e, v in zip(existing[0], vector)
                     ):
                         continue
-                    children[key] = (child, vector)
+                    children[key] = (vector, child)
+        self._bm_expanded += len(states)
+        self._bm_generated += generated
         if not children:
             raise SynthesisError(
                 f"beam search dead-ended at node {node_name!r}: no variant of the "
@@ -648,9 +685,9 @@ class ProgramSynthesizer:
         # beam_rank_order is stable, so generation order breaks exact ties.
         entries = list(children.values())
         order = beam_rank_order(
-            [e[1] for e in entries], [e[0].stage_comp for e in entries]
+            [e[0] for e in entries], [e[1][2] for e in entries]
         )
-        return [entries[i][0] for i in order[:beam_width]]
+        return [self._materialize(entries[i][1]) for i in order[:beam_width]]
 
     # -- repeated-block record/replay ---------------------------------------------------
     def _reuse_schedule(self) -> List[Tuple]:
@@ -933,8 +970,9 @@ class ProgramSynthesizer:
         irrelevant to the block passes through unchanged and the relevant
         part of each exit state is recorded on the template, so exit states
         are reconstructed directly.  Intermediate steps only allocate
-        lightweight "ghost" parents carrying the applied rule, which is what
-        program reconstruction walks at the end of the search.
+        parent-only lineage nodes (:meth:`_SearchNode.link`) carrying the
+        applied rule, which is what program reconstruction walks at the end
+        of the search.
 
         Returns ``None`` on any mismatch (untranslatable rule, missing
         parent), in which case the caller re-expands the occurrence in full.
@@ -959,18 +997,10 @@ class ProgramSynthesizer:
                     if rule is None:
                         return None
                     plan, _, ideals, _ = self._replay_runtime(rule, ratios)
-                    for kind, payload in plan:
-                        if kind == _SYNC:
-                            closed += max(stage) + payload
-                            stage = self._zero_stage
-                        else:
-                            stage = tuple([s + t for s, t in zip(stage, payload)])
+                    closed, stage = self._replay(plan, closed, stage)
                     for delta in ideals:
                         ideal += delta
-                    ghost = _SearchNode.__new__(_SearchNode)
-                    ghost.parent = tail
-                    ghost.rule = rule
-                    tail = ghost
+                    tail = _SearchNode.link(tail, rule)
                     depth += 1
                     applied += 1
                 new_states[position] = (closed, stage, ideal, depth, tail, root_idx)
@@ -1075,21 +1105,92 @@ class ProgramSynthesizer:
             info.sigmaps[map_key] = sigmap
         return sigmap.get(sig)
 
-    def _expand_with_rule(
-        self, state: _SearchNode, rule: Rule, ratios: Sequence[float]
-    ) -> List[_SearchNode]:
-        """Apply a computation rule, inserting enabling collectives if needed."""
-        if state.completed & self._completes_mask[id(rule)]:
+    def _expand(
+        self,
+        state: _SearchNode,
+        rule: Rule,
+        ratios: Sequence[float],
+        memo: Dict[int, Tuple],
+    ) -> List[Tuple]:
+        """Fire a computation rule on a state, enabling collectives included.
+
+        Returns one plain tuple per child, ``((pbits, completed, cbits),
+        closed_cost, stage_comp, completed_ideal, topo_ptr, state, rule,
+        collectives)``, in the order that applying each chain's collectives
+        and then the rule one :meth:`_apply` at a time would generate them;
+        :meth:`_materialize` builds a child's search node.
+
+        The caller owns ``memo`` (one per beam level).  Per rule it holds the
+        rule's static data and its chains (:meth:`_chains`), keyed by the
+        only state bits they read: ``(pbits & scope_p, cbits & scope_c)``.
+        Collectives complete nothing and drop nothing, so the completion
+        mask, ideal time, topological pointer and liveness drops are
+        computed once per state and rule; each child then costs one replay
+        of its chain's plan.
+        """
+        entry = memo.get(id(rule))
+        if entry is None:
+            _, mask, ideals, drops = self._replay_runtime(rule, ratios)
+            entry = memo[id(rule)] = (mask, ideals, drops, *self._expansion_scope(rule), {})
+        mask, ideals, drops, scope_p, scope_c, by_bits = entry
+        completed = state.completed
+        if completed & mask:
             return []
         pbits, cbits = state.pbits, state.cbits
-        if rule.pre_mask & pbits == rule.pre_mask:
-            return [self._apply(state, rule, ratios)]
-        missing = [bit for bit in self._ordered_pre(rule) if not pbits & bit]
-        # Find, for every missing precondition, the collectives that produce
-        # it: the ``comm_rules_by_post`` index holds the state-independent
-        # part, so only the per-state filters remain in the loop.
+        key = (pbits & scope_p, cbits & scope_c)
+        chains = by_bits.get(key)
+        if chains is None:
+            chains = by_bits[key] = self._chains(rule, pbits, cbits, ratios)
+        if not chains:
+            return []
+        topo_ptr = state.topo_ptr
+        if mask:
+            completed |= mask
+            topo_ptr = self._advance_topo_ptr(topo_ptr, completed)
+        ideal = state.completed_ideal
+        for delta in ideals:
+            ideal += delta
+        # Optimisation #3 (see _apply): the properties of tensors whose
+        # consumers are now all emulated leave the state.
+        drop = 0
+        for consumers, prop_mask in drops:
+            if completed & consumers == consumers:
+                drop |= prop_mask
+        keep = ~drop
+        closed0, stage0 = state.closed_cost, state.stage_comp
+        replay = self._replay
+        out = []
+        for comms, plan, post, comm in chains:
+            closed, stage = replay(plan, closed0, stage0)
+            out.append(
+                (
+                    ((pbits | post) & keep, completed, cbits | comm),
+                    closed,
+                    stage,
+                    ideal,
+                    topo_ptr,
+                    state,
+                    rule,
+                    comms,
+                )
+            )
+        return out
+
+    def _chains(self, rule: Rule, pbits: int, cbits: int, ratios: Sequence[float]) -> List[Tuple]:
+        """Every chain of enabling collectives that lets ``rule`` fire.
+
+        One ``(collectives, cost plan, post mask, comm mask)`` per chain, in
+        ``itertools.product`` order over the missing preconditions' options
+        (last fastest).  The plan is the collectives' cost plans followed by
+        the rule's; the masks are unions over the chain and the rule.  A
+        state that already holds every precondition gets the one empty
+        chain; a missing precondition that no collective can establish
+        leaves none.
+        """
         option_sets: List[List[Rule]] = []
-        for bit in missing:
+        for bit in self._ordered_pre(rule):
+            if pbits & bit:
+                continue
             options = [
                 comm
                 for comm in self.theory.comm_rules_by_post.get(bit, ())
@@ -1098,38 +1199,56 @@ class ProgramSynthesizer:
             if not options:
                 return []
             option_sets.append(options)
-        if len(option_sets) == 1:
-            return [
-                self._apply(self._apply(state, comm, ratios), rule, ratios)
-                for comm in option_sets[0]
-            ]
-        results: List[_SearchNode] = []
-        self._walk_options(state, 0, option_sets, rule, ratios, results)
-        return results
+        rule_plan = self._replay_runtime(rule, ratios)[0]
+        chains: List[Tuple] = []
+        for comms in itertools.product(*option_sets):
+            plan: Tuple = ()
+            post, comm_mask = rule.post_mask, rule.comm_mask
+            for comm in comms:
+                plan += self._replay_runtime(comm, ratios)[0]
+                post |= comm.post_mask
+                comm_mask |= comm.comm_mask
+            chains.append((comms, plan + rule_plan, post, comm_mask))
+        return chains
 
-    def _walk_options(
-        self,
-        current: _SearchNode,
-        level: int,
-        option_sets: List[List[Rule]],
-        rule: Rule,
-        ratios: Sequence[float],
-        results: List[_SearchNode],
-    ) -> None:
-        """Append ``rule`` applied after every combination of enabling collectives.
+    def _expansion_scope(self, rule: Rule) -> Tuple[int, int]:
+        """The state bits :meth:`_chains` reads for a computation rule.
 
-        Visits the combinations in itertools.product order (last option set
-        fastest); the depth-first walk applies each shared collective prefix
-        once.  A method, not a self-recursive closure: a closure that calls
-        itself is a reference cycle, and planning must create none.
+        ``(scope_p, scope_c)``: the rule's ``pre_mask`` ORed with the
+        ``pre_mask`` of every collective that can establish one of its
+        preconditions, and the OR of those collectives' ``comm_mask``.  Two
+        states that agree on ``pbits & scope_p`` and ``cbits & scope_c`` get
+        the same chains.
         """
-        if level == len(option_sets):
-            results.append(self._apply(current, rule, ratios))
-            return
-        for comm in option_sets[level]:
-            self._walk_options(
-                self._apply(current, comm, ratios), level + 1, option_sets, rule, ratios, results
-            )
+        scope_p, scope_c = rule.pre_mask, 0
+        for bit in self._ordered_pre(rule):
+            for comm in self.theory.comm_rules_by_post.get(bit, ()):
+                scope_p |= comm.pre_mask
+                scope_c |= comm.comm_mask
+        return scope_p, scope_c
+
+    def _materialize(self, child: Tuple) -> _SearchNode:
+        """The search node of an :meth:`_expand` child.
+
+        Each enabling collective gets a lineage node that carries only
+        ``parent`` and ``rule``, as :meth:`_replay_block`'s do.
+        """
+        (pbits, completed, cbits), closed, stage, ideal, topo_ptr, state, rule, comms = child
+        parent = state
+        for comm in comms:
+            parent = _SearchNode.link(parent, comm)
+        node = _SearchNode.__new__(_SearchNode)
+        node.parent = parent
+        node.rule = rule
+        node.pbits = pbits
+        node.completed = completed
+        node.cbits = cbits
+        node.closed_cost = closed
+        node.stage_comp = stage
+        node.completed_ideal = ideal
+        node.depth = state.depth + len(comms) + 1
+        node.topo_ptr = topo_ptr
+        return node
 
     def _ordered_pre(self, rule: Rule) -> Tuple[int, ...]:
         """Precondition bits of a rule in a deterministic, name-independent order.
@@ -1185,8 +1304,12 @@ class ProgramSynthesizer:
             if next_node is None:
                 return None, generated
             children: List[_SearchNode] = []
+            memo: Dict[int, Tuple] = {}
             for rule in self.theory.comp_rules_by_node.get(next_node, []):
-                children.extend(self._expand_with_rule(current, rule, ratios))
+                children.extend(
+                    self._materialize(child)
+                    for child in self._expand(current, rule, ratios, memo)
+                )
             generated += len(children)
             if not children:
                 return None, generated

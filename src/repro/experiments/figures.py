@@ -125,8 +125,7 @@ def fig2_sharding_ratio_tradeoff(
 
     The default cluster uses a 25 GB/s effective interconnect: the original
     experiment communicates mostly over NVLink/PCIe inside the two machines,
-    which our flat network model folds into a single effective bandwidth (see
-    DESIGN.md).
+    which our flat network model folds into a single effective bandwidth.
     """
     if cluster is None:
         from ..cluster.spec import NetworkSpec

@@ -5,7 +5,8 @@ This module is the reproduction of the paper's ``run_all worker.py`` /
 produces one per-iteration training time per system.  Planning happens with
 the corresponding planner (full HAP or a restricted baseline) and "measured"
 times come from the execution simulator, which plays the role of the real
-64-GPU testbed (see DESIGN.md for the substitution argument).
+64-GPU testbed: every system runs on the same simulated cluster, so the
+systems are compared under one execution model.
 """
 
 from __future__ import annotations

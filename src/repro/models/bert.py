@@ -3,8 +3,9 @@
 Token embeddings, a stack of Transformer encoder layers, and a vocabulary
 prediction head with a summed token-level cross-entropy loss (masked-LM
 training shape).  Table 1 lists 102 M parameters for BERT-Base; the exact
-count depends on the vocabulary and whether the LM head is tied — we report
-our count in EXPERIMENTS.md.
+count depends on the vocabulary and whether the LM head is tied.  Ours is
+untied, and ``repro.experiments.table1_models`` reports the count next to
+the paper's.
 """
 
 from __future__ import annotations

@@ -21,7 +21,13 @@ import gc
 import pytest
 
 from repro.autodiff import build_training_graph
-from repro.core import DiskPlanCache, HierarchicalConfig, PlannerConfig, SynthesisConfig
+from repro.core import (
+    DiskPlanCache,
+    HierarchicalConfig,
+    PlannerConfig,
+    ProgramSynthesizer,
+    SynthesisConfig,
+)
 from repro.graph import ComputationGraph, GraphError
 from repro.hap import hap, hap_pipeline
 from repro.simulator import simulate_hierarchical
@@ -71,6 +77,17 @@ def test_hap_creates_no_cycles():
     forward = build_tiny_transformer()
     cluster = make_cluster()
     _no_cycles(lambda: hap(forward, cluster))
+
+
+def test_beam_search_with_enabling_collectives_creates_no_cycles():
+    """The beam search inserts collectives before a rule whose preconditions
+    are missing; each gets a parent-only lineage node.  The training graph
+    repeats its layers, so block replay builds such lineages as well."""
+    training = build_training_graph(build_tiny_transformer()).graph
+    synthesizer = ProgramSynthesizer(training, make_cluster(), SynthesisConfig(beam_width=4))
+    result = _no_cycles(synthesizer.synthesize)
+    assert any(instr.is_communication for instr in result.program.instructions)
+    assert synthesizer.reuse_stats["replayed"] > 0
 
 
 def test_hap_pipeline_with_disk_cache_creates_no_cycles(tmp_path):

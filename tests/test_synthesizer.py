@@ -1,5 +1,9 @@
 """Tests for the program synthesizer (beam search and A* search)."""
 
+import gc
+import itertools
+import types
+
 import pytest
 
 from repro.autodiff import build_training_graph
@@ -11,6 +15,7 @@ from repro.core import (
     SynthesisConfig,
 )
 from repro.core.costmodel import beam_rank_order
+from repro.core.synthesizer import _SearchNode
 from repro.graph import DType, GraphBuilder
 from repro.graph.ops import OpKind
 
@@ -162,6 +167,141 @@ class TestSearchMechanics:
         balanced = synthesizer.synthesize([0.25] * 4)
         skewed = synthesizer.synthesize([0.97, 0.01, 0.01, 0.01])
         assert balanced.cost != pytest.approx(skewed.cost)
+
+
+def _one_apply_at_a_time(synthesizer, state, rule, ratios):
+    """The children of firing ``rule`` on ``state``, one ``_apply`` per rule.
+
+    Every combination of the collectives that establish the missing
+    preconditions (each collective's own precondition held by ``state``, its
+    tensor not yet communicated), in ``itertools.product`` order, then the
+    rule.  Returns the children and the number of option sets they combine.
+    """
+    if state.completed & synthesizer._completes_mask[id(rule)]:
+        return [], 0
+    option_sets = []
+    for bit in synthesizer._ordered_pre(rule):
+        if state.pbits & bit:
+            continue
+        options = [
+            comm
+            for comm in synthesizer.theory.comm_rules_by_post.get(bit, ())
+            if comm.pre_mask & state.pbits == comm.pre_mask
+            and not comm.comm_mask & state.cbits
+        ]
+        if not options:
+            return [], 0
+        option_sets.append(options)
+    children = []
+    for comms in itertools.product(*option_sets):
+        node = state
+        for comm in comms:
+            node = synthesizer._apply(node, comm, ratios)
+        children.append(synthesizer._apply(node, rule, ratios))
+    return children, len(option_sets)
+
+
+def _lineage(node, stop):
+    """The rules from ``node`` back to (not including) ``stop``, newest first."""
+    rules = []
+    while node is not stop:
+        rules.append(node.rule)
+        node = node.parent
+    return rules
+
+
+def _bits(x):
+    return float(x).hex()
+
+
+class TestExpansion:
+    """The per-level expansion yields exactly the children of one ``_apply`` at a time.
+
+    The walk follows the beam search level by level and, with one chain memo
+    per level as ``_beam_level`` keeps it, compares every (state, rule) pair
+    of every level.  Floats are compared bit for bit.
+    """
+
+    @pytest.mark.parametrize("builder", [build_tiny_transformer, build_tiny_moe])
+    def test_matches_one_apply_at_a_time(self, builder, four_device_cluster):
+        training = build_training_graph(builder()).graph
+        synthesizer = ProgramSynthesizer(
+            training, four_device_cluster, SynthesisConfig(beam_width=4)
+        )
+        synthesizer.synthesize()
+        ratios = synthesizer._plan_ratios
+        states = [synthesizer._root()]
+        chains_seen = {1: 0, 2: 0}
+        for node_name in synthesizer._topo_order:
+            memo = {}
+            for state in states:
+                for rule in synthesizer.theory.comp_rules_by_node[node_name]:
+                    expected, missing = _one_apply_at_a_time(synthesizer, state, rule, ratios)
+                    actual = [
+                        synthesizer._materialize(child)
+                        for child in synthesizer._expand(state, rule, ratios, memo)
+                    ]
+                    assert len(actual) == len(expected)
+                    if expected and missing in chains_seen:
+                        chains_seen[missing] += 1
+                    for got, want in zip(actual, expected):
+                        assert (got.pbits, got.completed, got.cbits) == (
+                            want.pbits,
+                            want.completed,
+                            want.cbits,
+                        )
+                        assert _bits(got.closed_cost) == _bits(want.closed_cost)
+                        assert [_bits(c) for c in got.stage_comp] == [
+                            _bits(c) for c in want.stage_comp
+                        ]
+                        assert _bits(got.completed_ideal) == _bits(want.completed_ideal)
+                        assert (got.depth, got.topo_ptr) == (want.depth, want.topo_ptr)
+                        assert got.instructions() == want.instructions()
+                        got_rules = _lineage(got, state)
+                        want_rules = _lineage(want, state)
+                        assert len(got_rules) == len(want_rules)
+                        assert all(a is b for a, b in zip(got_rules, want_rules))
+            states = synthesizer._beam_level(states, node_name, ratios, 4)
+        # Both shapes occurred: one missing precondition, and two (two option sets).
+        assert chains_seen[1] > 0 and chains_seen[2] > 0
+
+    def test_synthesizer_keeps_no_per_state_memo(
+        self, transformer_training, four_device_cluster, monkeypatch
+    ):
+        """The chain memo dies with its search: a second identical search
+        rebuilds every chain, the synthesizer then holds no search node, and
+        every table it keeps is keyed by rule or by name."""
+        built = []
+        chains = ProgramSynthesizer._chains
+
+        def counting_chains(self, *args):
+            built.append(args[0])
+            return chains(self, *args)
+
+        monkeypatch.setattr(ProgramSynthesizer, "_chains", counting_chains)
+        synthesizer = ProgramSynthesizer(
+            transformer_training.graph, four_device_cluster, SynthesisConfig(beam_width=4)
+        )
+        first = synthesizer.synthesize()
+        first_built = len(built)
+        second = synthesizer.synthesize()
+        assert len(built) == 2 * first_built > 0
+        assert second.program.instructions == first.program.instructions
+        assert any(instr.is_communication for instr in first.program.instructions)
+
+        rule_ids = {id(rule) for rule in synthesizer.theory.rules}
+        for name, value in vars(synthesizer).items():
+            if isinstance(value, dict) and name != "_occ_info":
+                for key in value:
+                    assert isinstance(key, str) or key in rule_ids, (name, key)
+        seen, stack = set(), [synthesizer]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, _SearchNode)
+            stack.extend(gc.get_referents(obj))
 
 
 class TestProgramStructure:
