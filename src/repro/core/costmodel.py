@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..cluster.spec import ClusterSpec, CommOverlapModel
 from ..collectives.cost import CollectiveCostModel
 from ..graph.graph import ComputationGraph
@@ -476,31 +474,3 @@ def _price(
         hidden_communication=total_comm - total_exposed,
     )
 
-
-# -- beam-ranking order ------------------------------------------------------------
-def beam_rank_order(
-    vectors: Sequence[Tuple[float, ...]],
-    stage_comps: Sequence[Tuple[float, ...]],
-) -> List[int]:
-    """Deterministic ranking permutation of one beam level's merged children.
-
-    ``vectors[i]`` is candidate *i*'s per-device ``closed + stage_comp``
-    vector and ``stage_comps[i]`` its open-stage computation vector.  The
-    primary key is the cost accumulated so far, ``max(vectors[i])`` — which
-    equals ``closed + max(stage_comp)`` bit-exactly, because adding one
-    constant to every element moves the maximum by that constant in IEEE
-    arithmetic — and the tie-breaker is total device work,
-    ``sum(stage_comps[i])`` accumulated left to right.  The sort is stable,
-    so candidates with equal ``(cost, work)`` keys keep their input order.
-
-    Returns the list of input indexes in surviving order (best first).
-    """
-    count = len(vectors)
-    if count <= 1:
-        return list(range(count))
-    final = np.asarray(vectors).max(axis=1)
-    stage = np.asarray(stage_comps)
-    work = np.zeros(count)
-    for j in range(stage.shape[1]):
-        work += stage[:, j]
-    return [int(i) for i in np.lexsort((work, final))]

@@ -147,16 +147,18 @@ class Theory:
                 primary = _primary_completed_node(rule, graph)
                 if primary is not None:
                     self.comp_rules_by_node.setdefault(primary, []).append(rule)
-        # Communication rules indexed by the bit of the property they
-        # establish.  Lists preserve the relative order of
+        # Communication rules keyed by the index ``i`` of the property
+        # ``props[i]`` they establish (a small int hashes in O(1), a bit mask
+        # in O(bits)).  Lists preserve the relative order of
         # ``comm_rules_by_ref`` so that indexed candidate enumeration visits
         # rules in exactly the same order as a filtering scan of that table
         # (byte-identical synthesis results).
+        index = {p: i for i, p in enumerate(props)}
         self.comm_rules_by_post: Dict[int, List[Rule]] = {}
         for rules_for_ref in self.comm_rules_by_ref.values():
             for rule in rules_for_ref:
                 for prop in rule.post:
-                    self.comm_rules_by_post.setdefault(self.prop_bits[prop], []).append(rule)
+                    self.comm_rules_by_post.setdefault(index[prop], []).append(rule)
 
     def __len__(self) -> int:
         return len(self.rules)

@@ -30,27 +30,126 @@ import heapq
 import itertools
 import time as _time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from operator import add
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..cluster.spec import ClusterSpec
 from ..graph.canonical import BlockRun, find_repeated_blocks
 from ..graph.graph import ComputationGraph
 from ..graph.ops import OpKind
 from .config import SynthesisConfig
-from .costmodel import CostModel, beam_rank_order
+from .costmodel import CostModel
 from .instructions import CommInstruction, CompInstruction, Instruction
 from .pareto import ParetoFront
 from .program import DistributedProgram
 from .properties import Property
 from .rules import Rule, Theory, build_theory
 
-#: Markers of the per-rule cost plan replayed by ``_apply``: a synchronising
-#: collective (closes the open stage) or a per-device computation-time delta.
-_SYNC = 0
-_COMP = 1
-
 #: Hard cap on A* expansions (safety valve).
 MAX_SEARCH_STEPS = 2_000_000
+
+
+class _CostPlan(NamedTuple):
+    """The compiled cost of a rule, or of a chain of rules, for fixed ratios.
+
+    The rules' instructions cost, in order, per-device computation deltas
+    (added to the open stage) and synchronising collectives (each closes the
+    open stage, ``closed += max(stage) + comm``, and restarts it at zero).
+    Only the part up to the first collective depends on the state the plan
+    is replayed on.  The rest is folded when the plan is built, with the
+    float operations a step-by-step replay would perform, in its order:
+
+    * ``head``: the computation deltas before the first collective;
+    * ``sync``: the first collective's cost, ``None`` without one;
+    * ``closes``: the later collectives' closed-cost increments,
+      ``max(stage) + comm`` each;
+    * ``stage``: the open stage after the last collective, with its
+      ``stage_max`` and its left-to-right ``work`` (the beam's rank key).
+
+    Without a collective the last three are ``None``: the open stage is the
+    state's plus the head.
+    """
+
+    head: Tuple[Tuple[float, ...], ...]
+    sync: Optional[float]
+    closes: Tuple[float, ...]
+    stage: Optional[Tuple[float, ...]]
+    stage_max: Optional[float]
+    work: Optional[float]
+
+
+#: The plan of an instruction list that costs nothing (the identity of _then).
+_EMPTY_PLAN = _CostPlan((), None, (), None, None, None)
+
+
+def _work(stage: Tuple[float, ...]) -> float:
+    """Total device work of an open stage, accumulated left to right.
+
+    Not ``sum``: from Python 3.12 it compensates rounding, and the beam's
+    tie-breaker must not depend on the interpreter.
+    """
+    work = 0.0
+    for c in stage:
+        work += c
+    return work
+
+
+def _then(first: _CostPlan, second: _CostPlan) -> _CostPlan:
+    """The plan of ``first``'s instructions followed by ``second``'s."""
+    if first.sync is None:
+        if not first.head:
+            return second
+        return _CostPlan(first.head + second.head, *second[1:])
+    stage = first.stage
+    for delta in second.head:
+        stage = tuple(map(add, stage, delta))
+    closes = first.closes
+    if second.sync is not None:
+        closes += (max(stage) + second.sync,) + second.closes
+        stage = second.stage
+    return _CostPlan(first.head, first.sync, closes, stage, max(stage), _work(stage))
+
+
+def _replay(
+    plan: _CostPlan,
+    closed: float,
+    stage: Tuple[float, ...],
+    open_cost: Optional[float] = None,
+) -> Tuple[float, Tuple[float, ...]]:
+    """Accumulate a cost plan onto a closed cost and an open-stage vector.
+
+    The search's one replay: :meth:`ProgramSynthesizer._apply`,
+    :meth:`~ProgramSynthesizer._replay_block` and
+    :meth:`~ProgramSynthesizer._expand` all run it, so a state's cost is the
+    same float operations in the same order whichever path built it.  A
+    caller replaying many plans onto one state passes ``max(stage)`` as
+    ``open_cost`` to compute it once.
+    """
+    head, sync, closes, final, _, _ = plan
+    if head:
+        for delta in head:
+            stage = tuple(map(add, stage, delta))
+        open_cost = None
+    if sync is None:
+        return closed, stage
+    closed += (max(stage) if open_cost is None else open_cost) + sync
+    for close in closes:
+        closed += close
+    return closed, final
+
+
+def beam_rank_order(keys: Sequence[Tuple[float, float]]) -> List[int]:
+    """Ranking permutation of one beam level's merged children, best first.
+
+    ``keys[i]`` is child *i*'s ``(cost, work)``: the cost accumulated so
+    far, ``closed + max(stage)``, and the total device work of its open
+    stage, summed left to right (:func:`_work`).  ``closed + max(stage)``
+    equals ``max(closed + c for c in stage)`` bit for bit, because rounding
+    is monotone: adding one constant to every element moves the maximum by
+    that constant.  The sort is stable, so children with equal keys keep
+    their generation order.
+    """
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 class SynthesisError(RuntimeError):
@@ -309,8 +408,9 @@ class ProgramSynthesizer:
         # -- per-search caches -------------------------------------------------
         #: the ratios the runtime cache's cost plans were built for.
         self._plan_ratios: Optional[Tuple[float, ...]] = None
-        #: id(rule) -> precondition bits in deterministic order (_ordered_pre).
-        self._pre_order_cache: Dict[int, Tuple[int, ...]] = {}
+        #: id(rule) -> (index, bit) of its preconditions in deterministic order
+        #: (_ordered_pre).
+        self._pre_order_cache: Dict[int, Tuple[Tuple[int, int], ...]] = {}
         # -- block reuse (beam search) ------------------------------------------
         #: segment schedule over the topological order: plain nodes plus
         #: repeated-block occurrences (built lazily on first beam search).
@@ -339,22 +439,25 @@ class ProgramSynthesizer:
     def _final_cost(self, node: _SearchNode) -> float:
         return node.closed_cost + node.open_stage_cost()
 
-    def _rule_plan(self, rule: Rule, ratios: Sequence[float]) -> Tuple:
-        """Cost-replay plan of a rule for fixed ratios.
+    def _rule_plan(self, rule: Rule, ratios: Sequence[float]) -> _CostPlan:
+        """Compiled cost plan of a rule's instructions for fixed ratios.
 
-        The plan holds the cost-model evaluations of the rule's instructions
-        in their order, so ``_apply`` accumulates them in that order.  It is
-        cached through :meth:`_replay_runtime`.
+        Cached through :meth:`_replay_runtime`; :meth:`_chains` joins the
+        plans of a chain's rules with :func:`_then`.
         """
-        steps: List[Tuple[int, object]] = []
+        plan = _EMPTY_PLAN
+        zero = self._zero_stage
         for instr in rule.instructions:
             if isinstance(instr, CommInstruction):
                 if not instr.synchronises:
                     continue  # local slice: no synchronisation, no cost
-                steps.append((_SYNC, self.cost_model.comm_time(instr, ratios)))
+                cost = self.cost_model.comm_time(instr, ratios)
+                step = _CostPlan((), cost, (), zero, 0.0, 0.0)
             else:
-                steps.append((_COMP, tuple(self.cost_model.comp_times(instr, ratios))))
-        return tuple(steps)
+                times = tuple(self.cost_model.comp_times(instr, ratios))
+                step = _CostPlan((times,), None, (), None, None, None)
+            plan = _then(plan, step)
+        return plan
 
     def _rule_static(
         self, rule: Rule
@@ -393,7 +496,7 @@ class ProgramSynthesizer:
         if runtime is None:
             runtime = self._replay_runtime(rule, ratios)
         plan, mask, ideals, drops = runtime
-        closed, stage = self._replay(plan, node.closed_cost, node.stage_comp)
+        closed, stage = _replay(plan, node.closed_cost, node.stage_comp)
         completed = node.completed | mask if mask else node.completed
         completed_ideal = node.completed_ideal
         for ideal in ideals:
@@ -424,23 +527,6 @@ class ProgramSynthesizer:
         child.depth = node.depth + 1
         child.topo_ptr = topo_ptr
         return child
-
-    def _replay(
-        self, plan: Tuple, closed: float, stage: Tuple[float, ...]
-    ) -> Tuple[float, Tuple[float, ...]]:
-        """Accumulate a cost plan onto a closed cost and an open-stage vector.
-
-        The search's one replay loop: :meth:`_apply`, :meth:`_replay_block`
-        and :meth:`_expand` all run it, so a state's cost is the same float
-        operations in the same order whichever path built it.
-        """
-        for kind, payload in plan:
-            if kind == _SYNC:
-                closed += max(stage) + payload
-                stage = self._zero_stage
-            else:
-                stage = tuple([s + t for s, t in zip(stage, payload)])
-        return closed, stage
 
     def _advance_topo_ptr(self, ptr: int, completed: int) -> int:
         """First index >= ptr in topological order not yet emulated."""
@@ -522,9 +608,9 @@ class ProgramSynthesizer:
         needed = 0
         refs: Dict[str, None] = {}
         for rule in comp_rules:
-            for bit in self._ordered_pre(rule):
+            for index, bit in self._ordered_pre(rule):
                 needed |= bit
-                refs.setdefault(props[bit.bit_length() - 1].ref)
+                refs.setdefault(props[index].ref)
         candidates: List[Rule] = list(comp_rules)
         for ref in refs:
             for comm_rule in self.theory.comm_rules_by_ref.get(ref, []):
@@ -605,8 +691,8 @@ class ProgramSynthesizer:
         Processes the single-device nodes in topological order; for every node
         it tries each sharding variant, optionally preceded by the collectives
         that establish the variant's missing preconditions, and keeps the
-        ``beam_width`` cheapest resulting states (after merging states that
-        are identical or dominated device-wise; ``None`` keeps them all).
+        ``beam_width`` cheapest resulting states (after merging children that
+        share a state key, see :meth:`_beam_level`; ``None`` keeps them all).
 
         The order is walked as :meth:`_reuse_schedule`'s plain nodes and
         repeated-block occurrences; an occurrence replays an earlier one's
@@ -646,12 +732,20 @@ class ProgramSynthesizer:
     ) -> List[_SearchNode]:
         """Expand one topological-order node and keep the best states.
 
-        Children stay plain tuples (see :meth:`_expand`) through the dedupe
+        Children stay plain tuples (see :meth:`_expand`) through the merge
         and the ranking; only the at most ``beam_width`` survivors become
         search nodes.  The chain memo lives for this level only: the node's
         rules fire at no other level.
+
+        The merge keeps one child per state key, at the position of the
+        key's first child.  A later child with the same key is dropped when
+        the kept one dominates it: each device's ``closed + stage_comp`` is
+        at most the later child's plus ``1e-15``.  Otherwise the later child
+        replaces the kept one, even when it ranks worse.  Those vectors are
+        built only for such a key collision.  The survivors are then ranked
+        by the keys :meth:`_expand` carries (:func:`beam_rank_order`).
         """
-        children: Dict[Tuple[int, int, int], Tuple[Tuple[float, ...], Tuple]] = {}
+        children: Dict[Tuple[int, int, int], Tuple] = {}
         comp_rules = self.theory.comp_rules_by_node.get(node_name, [])
         if not comp_rules:
             raise SynthesisError(f"no sharding rules for node {node_name!r}")
@@ -660,17 +754,17 @@ class ProgramSynthesizer:
         generated = 0
         for state in states:
             for rule in comp_rules:
-                for child in expand(state, rule, ratios, memo):
-                    generated += 1
-                    key = child[0]
-                    closed = child[1]
-                    vector = tuple([closed + c for c in child[2]])
-                    existing = children.get(key)
-                    if existing is not None and all(
-                        e <= v + 1e-15 for e, v in zip(existing[0], vector)
-                    ):
-                        continue
-                    children[key] = (vector, child)
+                batch = expand(state, rule, ratios, memo)
+                generated += len(batch)
+                for child in batch:
+                    existing = children.setdefault(child[0], child)
+                    if existing is not child:
+                        kept, closed = existing[1], child[1]
+                        if not all(
+                            kept + e <= closed + c + 1e-15
+                            for e, c in zip(existing[2], child[2])
+                        ):
+                            children[child[0]] = child
         self._bm_expanded += len(states)
         self._bm_generated += generated
         if not children:
@@ -682,12 +776,9 @@ class ProgramSynthesizer:
         # the open stage's critical path, with total device work as the
         # tie-breaker).  The A* heuristic term would be identical for all
         # states at the same level and would therefore make them tie.
-        # beam_rank_order is stable, so generation order breaks exact ties.
         entries = list(children.values())
-        order = beam_rank_order(
-            [e[0] for e in entries], [e[1][2] for e in entries]
-        )
-        return [self._materialize(entries[i][1]) for i in order[:beam_width]]
+        order = beam_rank_order([child[3] for child in entries])
+        return [self._materialize(entries[i]) for i in order[:beam_width]]
 
     # -- repeated-block record/replay ---------------------------------------------------
     def _reuse_schedule(self) -> List[Tuple]:
@@ -997,7 +1088,7 @@ class ProgramSynthesizer:
                     if rule is None:
                         return None
                     plan, _, ideals, _ = self._replay_runtime(rule, ratios)
-                    closed, stage = self._replay(plan, closed, stage)
+                    closed, stage = _replay(plan, closed, stage)
                     for delta in ideals:
                         ideal += delta
                     tail = _SearchNode.link(tail, rule)
@@ -1115,18 +1206,23 @@ class ProgramSynthesizer:
         """Fire a computation rule on a state, enabling collectives included.
 
         Returns one plain tuple per child, ``((pbits, completed, cbits),
-        closed_cost, stage_comp, completed_ideal, topo_ptr, state, rule,
-        collectives)``, in the order that applying each chain's collectives
-        and then the rule one :meth:`_apply` at a time would generate them;
-        :meth:`_materialize` builds a child's search node.
+        closed_cost, stage_comp, rank, completed_ideal, topo_ptr, state,
+        rule, collectives)``, in the order that applying each chain's
+        collectives and then the rule one :meth:`_apply` at a time would
+        generate them; :meth:`_materialize` builds a child's search node.
+        ``rank`` is the child's :func:`beam_rank_order` key.
 
         The caller owns ``memo`` (one per beam level).  Per rule it holds the
         rule's static data and its chains (:meth:`_chains`), keyed by the
         only state bits they read: ``(pbits & scope_p, cbits & scope_c)``.
         Collectives complete nothing and drop nothing, so the completion
-        mask, ideal time, topological pointer and liveness drops are
-        computed once per state and rule; each child then costs one replay
-        of its chain's plan.
+        mask, ideal time, topological pointer, liveness drops and
+        ``max(stage_comp)`` are computed once per state and rule.  A child
+        then costs one :func:`_replay` of its chain's compiled plan: for a
+        chain that starts with a collective, a few float adds, with the open
+        stage and the rank key's ``max`` and work taken from the plan.  Only
+        a chain with no collective before its computation builds a new
+        open-stage vector.
         """
         entry = memo.get(id(rule))
         if entry is None:
@@ -1158,15 +1254,20 @@ class ProgramSynthesizer:
                 drop |= prop_mask
         keep = ~drop
         closed0, stage0 = state.closed_cost, state.stage_comp
-        replay = self._replay
+        open0 = max(stage0)
         out = []
         for comms, plan, post, comm in chains:
-            closed, stage = replay(plan, closed0, stage0)
+            closed, stage = _replay(plan, closed0, stage0, open0)
+            if plan.sync is None:
+                rank = (closed + max(stage), _work(stage))
+            else:
+                rank = (closed + plan.stage_max, plan.work)
             out.append(
                 (
                     ((pbits | post) & keep, completed, cbits | comm),
                     closed,
                     stage,
+                    rank,
                     ideal,
                     topo_ptr,
                     state,
@@ -1179,21 +1280,24 @@ class ProgramSynthesizer:
     def _chains(self, rule: Rule, pbits: int, cbits: int, ratios: Sequence[float]) -> List[Tuple]:
         """Every chain of enabling collectives that lets ``rule`` fire.
 
-        One ``(collectives, cost plan, post mask, comm mask)`` per chain, in
-        ``itertools.product`` order over the missing preconditions' options
-        (last fastest).  The plan is the collectives' cost plans followed by
-        the rule's; the masks are unions over the chain and the rule.  A
-        state that already holds every precondition gets the one empty
-        chain; a missing precondition that no collective can establish
-        leaves none.
+        One ``(collectives, compiled cost plan, post mask, comm mask)`` per
+        chain, in ``itertools.product`` order over the missing
+        preconditions' options (last fastest).  The plan is the collectives'
+        compiled plans followed by the rule's, joined with :func:`_then`
+        once here, so its state-independent part is folded once per chain
+        rather than once per child.  The masks are unions over the chain and
+        the rule.  A state that already holds every precondition gets the
+        one empty chain; a missing precondition that no collective can
+        establish leaves none.
         """
+        by_post = self.theory.comm_rules_by_post
         option_sets: List[List[Rule]] = []
-        for bit in self._ordered_pre(rule):
+        for index, bit in self._ordered_pre(rule):
             if pbits & bit:
                 continue
             options = [
                 comm
-                for comm in self.theory.comm_rules_by_post.get(bit, ())
+                for comm in by_post.get(index, ())
                 if comm.pre_mask & pbits == comm.pre_mask and not comm.comm_mask & cbits
             ]
             if not options:
@@ -1202,13 +1306,13 @@ class ProgramSynthesizer:
         rule_plan = self._replay_runtime(rule, ratios)[0]
         chains: List[Tuple] = []
         for comms in itertools.product(*option_sets):
-            plan: Tuple = ()
+            plan = _EMPTY_PLAN
             post, comm_mask = rule.post_mask, rule.comm_mask
             for comm in comms:
-                plan += self._replay_runtime(comm, ratios)[0]
+                plan = _then(plan, self._replay_runtime(comm, ratios)[0])
                 post |= comm.post_mask
                 comm_mask |= comm.comm_mask
-            chains.append((comms, plan + rule_plan, post, comm_mask))
+            chains.append((comms, _then(plan, rule_plan), post, comm_mask))
         return chains
 
     def _expansion_scope(self, rule: Rule) -> Tuple[int, int]:
@@ -1221,8 +1325,8 @@ class ProgramSynthesizer:
         the same chains.
         """
         scope_p, scope_c = rule.pre_mask, 0
-        for bit in self._ordered_pre(rule):
-            for comm in self.theory.comm_rules_by_post.get(bit, ()):
+        for index, _ in self._ordered_pre(rule):
+            for comm in self.theory.comm_rules_by_post.get(index, ()):
                 scope_p |= comm.pre_mask
                 scope_c |= comm.comm_mask
         return scope_p, scope_c
@@ -1233,7 +1337,7 @@ class ProgramSynthesizer:
         Each enabling collective gets a lineage node that carries only
         ``parent`` and ``rule``, as :meth:`_replay_block`'s do.
         """
-        (pbits, completed, cbits), closed, stage, ideal, topo_ptr, state, rule, comms = child
+        (pbits, completed, cbits), closed, stage, _, ideal, topo_ptr, state, rule, comms = child
         parent = state
         for comm in comms:
             parent = _SearchNode.link(parent, comm)
@@ -1250,8 +1354,9 @@ class ProgramSynthesizer:
         node.topo_ptr = topo_ptr
         return node
 
-    def _ordered_pre(self, rule: Rule) -> Tuple[int, ...]:
-        """Precondition bits of a rule in a deterministic, name-independent order.
+    def _ordered_pre(self, rule: Rule) -> Tuple[Tuple[int, int], ...]:
+        """A rule's preconditions as ``(property index, bit)`` pairs, in a
+        deterministic, name-independent order.
 
         ``rule.pre`` is a frozenset, whose iteration order depends on the hash
         values of the reference names; enumerating missing preconditions in
@@ -1281,7 +1386,9 @@ class ProgramSynthesizer:
                 )
                 ordered.extend(leftover)
             bits = self.theory.prop_bits
-            entry = self._pre_order_cache[id(rule)] = tuple(bits[p] for p in ordered)
+            entry = self._pre_order_cache[id(rule)] = tuple(
+                (bits[p].bit_length() - 1, bits[p]) for p in ordered
+            )
         return entry
 
     # -- unrestricted A* search (Fig. 10) ----------------------------------------------
@@ -1303,17 +1410,15 @@ class ProgramSynthesizer:
             next_node = self._next_node(current)
             if next_node is None:
                 return None, generated
-            children: List[_SearchNode] = []
+            children: List[Tuple] = []
             memo: Dict[int, Tuple] = {}
             for rule in self.theory.comp_rules_by_node.get(next_node, []):
-                children.extend(
-                    self._materialize(child)
-                    for child in self._expand(current, rule, ratios, memo)
-                )
+                children.extend(self._expand(current, rule, ratios, memo))
             generated += len(children)
             if not children:
                 return None, generated
-            current = min(children, key=lambda s: (self._final_cost(s), sum(s.stage_comp)))
+            # The first child of least (final cost, work): the rank key.
+            current = self._materialize(min(children, key=lambda child: child[3]))
         return current, generated
 
     def _astar_search(self, ratios: Sequence[float], _allow_trim: bool = True) -> SynthesisResult:

@@ -14,8 +14,15 @@ from repro.core import (
     ProgramSynthesizer,
     SynthesisConfig,
 )
-from repro.core.costmodel import beam_rank_order
-from repro.core.synthesizer import _SearchNode
+from repro.core.instructions import CommInstruction
+from repro.core.synthesizer import (
+    _EMPTY_PLAN,
+    _CostPlan,
+    _replay,
+    _SearchNode,
+    _then,
+    beam_rank_order,
+)
 from repro.graph import DType, GraphBuilder
 from repro.graph.ops import OpKind
 
@@ -180,12 +187,12 @@ def _one_apply_at_a_time(synthesizer, state, rule, ratios):
     if state.completed & synthesizer._completes_mask[id(rule)]:
         return [], 0
     option_sets = []
-    for bit in synthesizer._ordered_pre(rule):
+    for index, bit in synthesizer._ordered_pre(rule):
         if state.pbits & bit:
             continue
         options = [
             comm
-            for comm in synthesizer.theory.comm_rules_by_post.get(bit, ())
+            for comm in synthesizer.theory.comm_rules_by_post.get(index, ())
             if comm.pre_mask & state.pbits == comm.pre_mask
             and not comm.comm_mask & state.cbits
         ]
@@ -214,6 +221,125 @@ def _bits(x):
     return float(x).hex()
 
 
+def _left_to_right(stage):
+    """Total work of an open stage summed left to right, as the beam ranks it."""
+    work = 0.0
+    for c in stage:
+        work += c
+    return work
+
+
+def _step_replay(steps, closed, stage):
+    """Replay ``("sync", cost)`` / ``("comp", deltas)`` steps one at a time."""
+    for kind, payload in steps:
+        if kind == "sync":
+            closed += max(stage) + payload
+            stage = (0.0,) * len(stage)
+        else:
+            stage = tuple([s + t for s, t in zip(stage, payload)])
+    return closed, stage
+
+
+def _compile(steps, devices):
+    """The compiled plan of a step list, joined one step at a time."""
+    plan = _EMPTY_PLAN
+    for kind, payload in steps:
+        if kind == "sync":
+            step = _CostPlan((), payload, (), (0.0,) * devices, 0.0, 0.0)
+        else:
+            step = _CostPlan((payload,), None, (), None, None, None)
+        plan = _then(plan, step)
+    return plan
+
+
+def _rule_steps(synthesizer, rules, ratios):
+    """The cost-model steps of a chain of rules' instructions, in order."""
+    steps = []
+    for rule in rules:
+        for instr in rule.instructions:
+            if isinstance(instr, CommInstruction):
+                if instr.synchronises:
+                    steps.append(("sync", synthesizer.cost_model.comm_time(instr, ratios)))
+            else:
+                times = tuple(synthesizer.cost_model.comp_times(instr, ratios))
+                steps.append(("comp", times))
+    return steps
+
+
+def _assert_replay_exact(plan, steps, closed, stage):
+    """Compiled replay equals step replay bit for bit: closed cost, open
+    stage, and the rank key's max and work a synchronising plan carries."""
+    want_closed, want_stage = _step_replay(steps, closed, stage)
+    for open_cost in (None, max(stage)):
+        got_closed, got_stage = _replay(plan, closed, stage, open_cost)
+        assert _bits(got_closed) == _bits(want_closed)
+        assert [_bits(c) for c in got_stage] == [_bits(c) for c in want_stage]
+    if plan.sync is not None:
+        assert _bits(got_closed + plan.stage_max) == _bits(
+            max(want_closed + c for c in want_stage)
+        )
+        assert _bits(plan.work) == _bits(_left_to_right(want_stage))
+
+
+class TestCompiledReplay:
+    """A compiled cost plan replays exactly like its steps one at a time."""
+
+    STATES = [
+        (0.0, (0.0, 0.0, 0.0)),
+        (0.1, (0.3, 0.7, 1e-9)),
+        (1 / 3, (2 / 3, 0.1 + 0.2, 1e16)),
+    ]
+    PLANS = {
+        "comp only": [("comp", (0.1, 0.2, 0.3)), ("comp", (1e-17, 0.7, 1 / 7))],
+        "sync first": [("sync", 0.35), ("comp", (0.1, 0.2, 0.3))],
+        "comp sync comp": [
+            ("comp", (0.1, 0.2, 0.3)),
+            ("sync", 1 / 3),
+            ("comp", (0.3, 1e-9, 0.2)),
+        ],
+        "two syncs": [
+            ("comp", (1 / 3, 0.2, 0.1)),
+            ("sync", 0.1),
+            ("comp", (0.7, 0.1, 1 / 9)),
+            ("comp", (0.2, 0.3, 1e-12)),
+            ("sync", 1 / 7),
+            ("comp", (0.6, 1 / 11, 0.5)),
+        ],
+    }
+
+    @pytest.mark.parametrize("shape", sorted(PLANS))
+    def test_hand_built_plans(self, shape):
+        steps = self.PLANS[shape]
+        plan = _compile(steps, 3)
+        assert (plan.sync is None) == all(kind == "comp" for kind, _ in steps)
+        for closed, stage in self.STATES:
+            _assert_replay_exact(plan, steps, closed, stage)
+
+    @pytest.mark.parametrize("builder", [build_tiny_transformer, build_tiny_moe])
+    def test_every_chain_of_the_tiny_graphs(self, builder, four_device_cluster):
+        """Every chain ``_chains`` builds along the beam search's levels,
+        replayed on the state it was built for."""
+        training = build_training_graph(builder()).graph
+        synthesizer = ProgramSynthesizer(
+            training, four_device_cluster, SynthesisConfig(beam_width=4)
+        )
+        synthesizer.synthesize()
+        ratios = synthesizer._plan_ratios
+        states = [synthesizer._root()]
+        syncs_seen = {0: 0, 1: 0, 2: 0}
+        for node_name in synthesizer._topo_order:
+            for state in states:
+                for rule in synthesizer.theory.comp_rules_by_node[node_name]:
+                    chains = synthesizer._chains(rule, state.pbits, state.cbits, ratios)
+                    for comms, plan, _, _ in chains:
+                        steps = _rule_steps(synthesizer, comms + (rule,), ratios)
+                        syncs = sum(kind == "sync" for kind, _ in steps)
+                        syncs_seen[min(syncs, 2)] += 1
+                        _assert_replay_exact(plan, steps, state.closed_cost, state.stage_comp)
+            states = synthesizer._beam_level(states, node_name, ratios, 4)
+        assert all(syncs_seen.values()), syncs_seen
+
+
 class TestExpansion:
     """The per-level expansion yields exactly the children of one ``_apply`` at a time.
 
@@ -237,14 +363,17 @@ class TestExpansion:
             for state in states:
                 for rule in synthesizer.theory.comp_rules_by_node[node_name]:
                     expected, missing = _one_apply_at_a_time(synthesizer, state, rule, ratios)
-                    actual = [
-                        synthesizer._materialize(child)
-                        for child in synthesizer._expand(state, rule, ratios, memo)
-                    ]
+                    children = synthesizer._expand(state, rule, ratios, memo)
+                    actual = [synthesizer._materialize(child) for child in children]
                     assert len(actual) == len(expected)
                     if expected and missing in chains_seen:
                         chains_seen[missing] += 1
-                    for got, want in zip(actual, expected):
+                    for child, got, want in zip(children, actual, expected):
+                        cost, work = child[3]
+                        assert _bits(cost) == _bits(
+                            max(got.closed_cost + c for c in got.stage_comp)
+                        )
+                        assert _bits(work) == _bits(_left_to_right(got.stage_comp))
                         assert (got.pbits, got.completed, got.cbits) == (
                             want.pbits,
                             want.completed,
@@ -411,26 +540,32 @@ class TestPlannerConfigValidation:
 
 
 class TestBeamRankOrder:
-    """Ranking key ``(max(vector), sum(stage))``; exact ties keep input order."""
+    """Ranking key ``(max(vector), work(stage))``; exact ties keep input order."""
+
+    @staticmethod
+    def rank(vectors, stages):
+        return beam_rank_order(
+            [(max(v), _left_to_right(s)) for v, s in zip(vectors, stages)]
+        )
 
     def test_equal_keys_keep_input_order(self):
         vectors = [(2.0, 1.0)] * 4
         stages = [(0.5, 0.5)] * 4
-        assert beam_rank_order(vectors, stages) == [0, 1, 2, 3]
+        assert self.rank(vectors, stages) == [0, 1, 2, 3]
 
     def test_tie_resolution_depends_on_input_order(self):
         """Position, not content, decides a pure tie."""
         tied_a = (2.0, 1.0)
         tied_b = (1.0, 2.0)  # same max, same sum
         stages = [(0.5, 0.5), (0.5, 0.5)]
-        assert beam_rank_order([tied_a, tied_b], stages) == [0, 1]
-        assert beam_rank_order([tied_b, tied_a], stages) == [0, 1]
+        assert self.rank([tied_a, tied_b], stages) == [0, 1]
+        assert self.rank([tied_b, tied_a], stages) == [0, 1]
 
     def test_primary_key_then_work_tie_break(self):
         vectors = [(4.0, 1.0), (2.0, 3.0), (3.0, 2.0)]
         stages = [(1.0, 1.0), (3.0, 1.0), (0.5, 0.5)]
         # finals 4.0, 3.0, 3.0; works 2.0, 4.0, 1.0
-        assert beam_rank_order(vectors, stages) == [2, 1, 0]
+        assert self.rank(vectors, stages) == [2, 1, 0]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_inputs_match_a_stable_sort(self, seed):
@@ -445,4 +580,4 @@ class TestBeamRankOrder:
             vectors.append(tuple(closed + s for s in stage))
             stages.append(stage)
         keys = [(max(v), sum(s)) for v, s in zip(vectors, stages)]
-        assert beam_rank_order(vectors, stages) == sorted(range(17), key=keys.__getitem__)
+        assert self.rank(vectors, stages) == sorted(range(17), key=keys.__getitem__)
