@@ -49,27 +49,17 @@ class SynthesisConfig:
         enable_replicated_sources: allow ``Placeholder()``/``Parameter()``
             (fully replicated) besides the sharded variants.
         beam_width: number of candidate distribution states kept per level by
-            the beam search (and cap on the open list of the A* search);
-            ``None`` keeps every candidate.
+            the beam search; ``None`` keeps every candidate.  A* ignores it.
         search_strategy: ``"beam"`` (default) runs a level-synchronised beam
             search — one level per single-device node, keeping the
-            ``beam_width`` cheapest distribution states per level; this is
-            what makes Python-side synthesis scale to the full benchmark
-            models.  ``"astar"`` runs the priority-queue search of Fig. 10.
-        follow_topological_order: A* only.  When True (the default) the A*
-            search emulates computation nodes following one fixed
-            topological order of the single-device graph and applies
-            communication rules only when they enable the next node.  This is
-            the reproduction's analogue of the paper's search-time
-            optimisations for large models: it preserves the per-node
-            sharding/communication choices (the decisions that matter for
-            cost) while removing the combinatorial freedom of interleaving
-            unrelated instructions.  Setting it to False recovers the
-            unrestricted search of Fig. 10, which is only practical for small
-            graphs in pure Python.  The beam search always walks the
-            topological order, replaying repeated blocks (transformer layers,
-            their backward blocks, per-layer optimizer updates) from the
-            decisions recorded on an earlier occurrence, and ignores the flag.
+            ``beam_width`` cheapest distribution states per level and
+            replaying repeated blocks (transformer layers, their backward
+            blocks, per-layer optimizer updates) from the decisions recorded
+            on an earlier occurrence; this is what makes Python-side
+            synthesis scale to the full benchmark models.  ``"astar"`` runs
+            the priority-queue search of Fig. 10, exact over the same
+            topological-order space: the oracle the tests check the beam
+            search against, practical only on small graphs.
         verify_after_plan: run the static program verifier
             (:func:`repro.verify.verify_program` — dataflow, collective
             legality, compute-flag and cost-accounting checks) on the
@@ -85,7 +75,6 @@ class SynthesisConfig:
     enable_grouped_all_gather: bool = True
     enable_replicated_sources: bool = True
     beam_width: Optional[int] = 32
-    follow_topological_order: bool = True
     search_strategy: str = "beam"
     verify_after_plan: bool = field(default_factory=verify_default)
     # Baseline-emulation switches (used by repro.baselines, not by HAP itself):

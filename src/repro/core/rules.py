@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..collectives.cost import CollectiveKind
@@ -162,21 +161,6 @@ class Theory:
 
     def __len__(self) -> int:
         return len(self.rules)
-
-    @cached_property
-    def rules_by_pre_ref(self) -> Dict[str, List[Rule]]:
-        """Rules indexed by the reference tensors in their preconditions.
-
-        Only the unrestricted A* search reads it, so it is built on that
-        search's first use rather than with every theory.  Rules without a
-        precondition are listed under ``"__empty__"``.
-        """
-        index: Dict[str, List[Rule]] = {}
-        for rule in self.rules:
-            refs = {p.ref for p in rule.pre} or {"__empty__"}
-            for ref in refs:
-                index.setdefault(ref, []).append(rule)
-        return index
 
     def encode(self, properties: Iterable[Property]) -> int:
         """Bit mask of a set of the theory's properties."""

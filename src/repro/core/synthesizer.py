@@ -1,4 +1,4 @@
-"""A*-based distributed-program synthesis (Sec. 4.3 of the paper).
+"""Distributed-program synthesis (Sec. 4.3 of the paper).
 
 The synthesizer searches the space of distributed programs defined by the
 background theory (:mod:`repro.core.rules`).  A partial program is represented
@@ -7,10 +7,26 @@ single-device nodes, the set of communicated tensors, and the cost bookkeeping
 of the stage currently being filled.  The three sets are machine ints — bit
 masks over the theory's property index and over graph positions — so a union
 is ``|``, a precondition check is ``pre & bits == pre`` and a state key is a
-tuple of three ints.  The search repeatedly pops the
-lowest-score state from a priority queue and appends every applicable Hoare
-triple, exactly as in Fig. 10, with the paper's three search-time
-optimisations:
+tuple of three ints.
+
+Both searches walk one topological order of the single-device graph: a step
+emulates the next pending node with one of its sharding variants, preceded
+by the collectives that establish the variant's missing preconditions.
+
+* The beam search is the planner's search.  It keeps the ``beam_width``
+  cheapest states per node and replays repeated blocks from the decisions
+  recorded on an earlier occurrence.
+* A* (Fig. 10) is the exact oracle over the same space, the search the tests
+  check the beam against.  It repeatedly pops the lowest-score state from a
+  priority queue and expands it as the beam would.  Its heuristic,
+  the remaining nodes' :meth:`~repro.core.costmodel.CostModel.ideal_node_time`,
+  is admissible, so the first popped score at or above the best complete
+  cost proves that program optimal.  Its dominance check generalises lines
+  9–14 of Fig. 10: two partial programs with identical state are compared
+  by their per-device accumulated cost vectors, with a ``1e-12`` slack, and
+  the dominated one is discarded.
+
+Both apply the paper's three search-time optimisations:
 
 1. source instructions are pre-fused into consumer rules (done in
    :func:`repro.core.rules.build_theory`);
@@ -18,10 +34,6 @@ optimisations:
    parameters are never communicated (they are created already sharded);
 3. properties of tensors whose consumers have all been emulated are dropped,
    which lets the dominance check merge many more states.
-
-The dominance check itself generalises lines 9–14 of Fig. 10: two partial
-programs with identical state are compared by their per-device accumulated
-cost vectors, and the dominated one is discarded.
 """
 
 from __future__ import annotations
@@ -45,7 +57,7 @@ from .program import DistributedProgram
 from .properties import Property
 from .rules import Rule, Theory, build_theory
 
-#: Hard cap on A* expansions (safety valve).
+#: Most states A* expands; reaching it raises :class:`SynthesisError`.
 MAX_SEARCH_STEPS = 2_000_000
 
 
@@ -118,9 +130,8 @@ def _replay(
 ) -> Tuple[float, Tuple[float, ...]]:
     """Accumulate a cost plan onto a closed cost and an open-stage vector.
 
-    The search's one replay: :meth:`ProgramSynthesizer._apply`,
-    :meth:`~ProgramSynthesizer._replay_block` and
-    :meth:`~ProgramSynthesizer._expand` all run it, so a state's cost is the
+    The search's one replay: :meth:`ProgramSynthesizer._replay_block` and
+    :meth:`~ProgramSynthesizer._expand` both run it, so a state's cost is the
     same float operations in the same order whichever path built it.  A
     caller replaying many plans onto one state passes ``max(stage)`` as
     ``open_cost`` to compute it once.
@@ -237,7 +248,7 @@ class _SearchNode:
         self.completed_ideal = completed_ideal
         self.depth = depth
         #: index into the synthesizer's topological order of the first node
-        #: not yet emulated (maintained incrementally by ``_apply``).
+        #: not yet emulated (maintained incrementally by ``_expand``).
         self.topo_ptr = topo_ptr
 
     @staticmethod
@@ -374,31 +385,22 @@ class ProgramSynthesizer:
             if n.kind is not OpKind.SOURCE
         )
         self._ideal_cache: Dict[str, float] = {}
-        # Topological emulation order (non-source nodes only): the beam
-        # search's, and A*'s when ``config.follow_topological_order`` is set.
+        # Topological emulation order (non-source nodes only), walked by
+        # both searches.
         self._topo_order = [n.name for n in graph if n.kind is not OpKind.SOURCE]
         #: completion-bitmask of each topological-order node (topo_ptr scans).
         self._topo_masks = [1 << self._node_index[name] for name in self._topo_order]
-        #: all-zero open-stage vector reused by _apply.
+        #: all-zero open-stage vector of the root and of collectives' plans.
         self._zero_stage: Tuple[float, ...] = (0.0,) * cluster.num_devices
         # -- hot-path indexes: state-independent quantities precomputed once ---
-        #: id(rule) -> bitmask over graph nodes the rule completes.
-        self._completes_mask: Dict[int, int] = {}
         #: ref -> (consumer bitmask, participates-in-liveness flag).
         self._liveness_mask: Dict[str, Tuple[int, bool]] = {}
-        #: node name -> candidate rules of the topological-order search.
-        self._topo_candidates: Dict[str, List[Rule]] = {}
         #: id(rule) -> (completes mask, ideal deltas, liveness drops).
         self._rule_static_cache: Dict[int, Tuple[int, Tuple[float, ...], Tuple[Tuple[int, int], ...]]] = {}
         #: id(rule) -> (cost plan, completes mask, ideals, liveness drops)
-        #: — the single-lookup cache of _apply (cleared whenever the ratios
-        #: change, since the cost plans depend on them).
+        #: — :meth:`_replay_runtime`'s single-lookup cache (cleared whenever
+        #: the ratios change, since the cost plans depend on them).
         self._rule_runtime: Dict[int, Tuple] = {}
-        for rule in self.theory.rules:
-            mask = 0
-            for name in rule.completes:
-                mask |= 1 << self._node_index[name]
-            self._completes_mask[id(rule)] = mask
         for name in graph.node_names:
             consumers = self._consumers.get(name, [])
             mask = 0
@@ -490,44 +492,6 @@ class ProgramSynthesizer:
             self._rule_static_cache[id(rule)] = info
         return info
 
-    def _apply(self, node: _SearchNode, rule: Rule, ratios: Sequence[float]) -> _SearchNode:
-        """Append a rule to a partial program, updating state and cost."""
-        runtime = self._rule_runtime.get(id(rule))
-        if runtime is None:
-            runtime = self._replay_runtime(rule, ratios)
-        plan, mask, ideals, drops = runtime
-        closed, stage = _replay(plan, node.closed_cost, node.stage_comp)
-        completed = node.completed | mask if mask else node.completed
-        completed_ideal = node.completed_ideal
-        for ideal in ideals:
-            completed_ideal += ideal
-        topo_ptr = (
-            self._advance_topo_ptr(node.topo_ptr, completed) if mask else node.topo_ptr
-        )
-        # Post union, then optimisation #3: drop the properties of tensors
-        # that can no longer be consumed (every consumer already emulated).
-        # Program outputs with no consumers (updated parameters, the loss) are
-        # dropped as well — the completion bitmask tracks them, and removing
-        # them lets the dominance check merge programs that made different
-        # (already-paid-for) choices for earlier parts of the model.  A pure
-        # communication rule completes nothing and has no drops.
-        pbits = node.pbits | rule.post_mask
-        for consumers, prop_mask in drops:
-            if completed & consumers == consumers:
-                pbits &= ~prop_mask
-        child = _SearchNode.__new__(_SearchNode)
-        child.parent = node
-        child.rule = rule
-        child.pbits = pbits
-        child.completed = completed
-        child.cbits = node.cbits | rule.comm_mask
-        child.closed_cost = closed
-        child.stage_comp = stage
-        child.completed_ideal = completed_ideal
-        child.depth = node.depth + 1
-        child.topo_ptr = topo_ptr
-        return child
-
     def _advance_topo_ptr(self, ptr: int, completed: int) -> int:
         """First index >= ptr in topological order not yet emulated."""
         topo_masks = self._topo_masks
@@ -536,94 +500,12 @@ class ProgramSynthesizer:
             ptr += 1
         return ptr
 
-    def _applicable_rules(self, node: _SearchNode) -> List[Rule]:
-        """Rules whose precondition holds and whose application adds something."""
-        if self.config.follow_topological_order:
-            candidates = self._topological_candidates(node)
-        else:
-            candidates = self._unrestricted_candidates(node)
-        out: List[Rule] = []
-        pbits, cbits = node.pbits, node.cbits
-        completed = node.completed
-        masks = self._completes_mask
-        for rule in candidates:
-            if rule.completes:
-                if completed & masks[id(rule)]:
-                    continue
-            else:
-                # pure communication rule: must add a new property
-                if not rule.post_mask & ~pbits:
-                    continue
-            if rule.comm_mask & cbits:
-                continue
-            if rule.pre_mask & pbits == rule.pre_mask:
-                out.append(rule)
-        return out
-
-    def _unrestricted_candidates(self, node: _SearchNode) -> List[Rule]:
-        """All rules triggered by the live properties (paper's Fig. 10 search)."""
-        candidates: List[Rule] = list(self.theory.rules_by_pre_ref.get("__empty__", []))
-        seen: Set[int] = set()
-        pbits = node.pbits
-        # Live refs in graph order (``ref_masks`` is kept in graph order).
-        for ref, ref_mask in self.theory.ref_masks.items():
-            if not pbits & ref_mask:
-                continue
-            for rule in self.theory.rules_by_pre_ref.get(ref, []):
-                rid = id(rule)
-                if rid not in seen:
-                    seen.add(rid)
-                    candidates.append(rule)
-        return candidates
-
-    def _next_node(self, node: _SearchNode) -> Optional[str]:
-        """First non-source node in topological order not yet emulated."""
-        if node.topo_ptr < len(self._topo_order):
-            return self._topo_order[node.topo_ptr]
-        return None
-
-    def _topological_candidates(self, node: _SearchNode) -> List[Rule]:
-        """Rules for the next node in topological order plus enabling comms.
-
-        The computation candidates are the sharding variants of the next
-        pending node.  The communication candidates are restricted to
-        collectives whose output property appears in the precondition of one
-        of those variants — i.e. collectives that can enable the next node.
-        The candidate list depends only on the next pending node, so it is
-        computed once per node and reused.
-        """
-        next_node = self._next_node(node)
-        if next_node is None:
-            return []
-        cached = self._topo_candidates.get(next_node)
-        if cached is None:
-            cached = self._topo_candidates[next_node] = self._candidates_for(next_node)
-        return cached
-
-    def _candidates_for(self, next_node: str) -> List[Rule]:
-        comp_rules = self.theory.comp_rules_by_node.get(next_node, [])
-        # The needed properties' refs in first-use order over the variants'
-        # ordered preconditions (hash-seed free).
-        props = self.theory.props
-        needed = 0
-        refs: Dict[str, None] = {}
-        for rule in comp_rules:
-            for index, bit in self._ordered_pre(rule):
-                needed |= bit
-                refs.setdefault(props[index].ref)
-        candidates: List[Rule] = list(comp_rules)
-        for ref in refs:
-            for comm_rule in self.theory.comm_rules_by_ref.get(ref, []):
-                if comm_rule.post_mask & needed:
-                    candidates.append(comm_rule)
-        return candidates
-
     # -- main search ----------------------------------------------------------------
     def synthesize(self, ratios: Optional[Sequence[float]] = None) -> SynthesisResult:
         """Synthesize the optimal distributed program for the given ratios.
 
         Dispatches to the level-synchronised beam search (default) or the
-        unrestricted A* search of Fig. 10 according to the configuration.
+        exact A* search of Fig. 10 according to the configuration.
 
         Args:
             ratios: sharding ratios ``B`` (defaults to computation-proportional
@@ -634,7 +516,8 @@ class ProgramSynthesizer:
 
         Raises:
             SynthesisError: if no complete program exists in the search space
-                (indicates a missing rule for some operator).
+                (indicates a missing rule for some operator), or if A* reaches
+                :data:`MAX_SEARCH_STEPS` before it proves a program optimal.
         """
         # Keep the ratios as a tuple: the cost-model memo keys on it, and
         # tuple(t) on a tuple is free.
@@ -1121,7 +1004,7 @@ class ProgramSynthesizer:
     def _replay_runtime(self, rule: Rule, ratios: Sequence[float]) -> Tuple:
         """(cost plan, completes mask, ideal deltas, liveness drops).
 
-        The per-rule entry of the runtime cache that :meth:`_apply` reads.
+        The per-rule entry of the runtime cache.
         """
         rid = id(rule)
         runtime = self._rule_runtime.get(rid)
@@ -1207,14 +1090,14 @@ class ProgramSynthesizer:
 
         Returns one plain tuple per child, ``((pbits, completed, cbits),
         closed_cost, stage_comp, rank, completed_ideal, topo_ptr, state,
-        rule, collectives)``, in the order that applying each chain's
-        collectives and then the rule one :meth:`_apply` at a time would
-        generate them; :meth:`_materialize` builds a child's search node.
-        ``rank`` is the child's :func:`beam_rank_order` key.
+        rule, collectives)``, in :meth:`_chains` order; :meth:`_materialize`
+        builds a child's search node.  ``rank`` is the child's
+        :func:`beam_rank_order` key.
 
-        The caller owns ``memo`` (one per beam level).  Per rule it holds the
-        rule's static data and its chains (:meth:`_chains`), keyed by the
-        only state bits they read: ``(pbits & scope_p, cbits & scope_c)``.
+        The caller owns ``memo`` (one per beam level, one per A* search).
+        Per rule it holds the rule's static data and its chains
+        (:meth:`_chains`), keyed by the only state bits they read:
+        ``(pbits & scope_p, cbits & scope_c)``.
         Collectives complete nothing and drop nothing, so the completion
         mask, ideal time, topological pointer, liveness drops and
         ``max(stage_comp)`` are computed once per state and rule.  A child
@@ -1246,8 +1129,12 @@ class ProgramSynthesizer:
         ideal = state.completed_ideal
         for delta in ideals:
             ideal += delta
-        # Optimisation #3 (see _apply): the properties of tensors whose
-        # consumers are now all emulated leave the state.
+        # Optimisation #3: the properties of tensors that can no longer be
+        # consumed (every consumer emulated) leave the state.  Program outputs
+        # with no consumers (updated parameters, the loss) leave it as well —
+        # the completion bitmask tracks them, and dropping them lets the
+        # dominance checks merge programs that made different (already
+        # paid-for) choices for earlier parts of the model.
         drop = 0
         for consumers, prop_mask in drops:
             if completed & consumers == consumers:
@@ -1391,37 +1278,18 @@ class ProgramSynthesizer:
             )
         return entry
 
-    # -- unrestricted A* search (Fig. 10) ----------------------------------------------
-    def _greedy_complete(
-        self, node: _SearchNode, ratios: Sequence[float]
-    ) -> Tuple[Optional[_SearchNode], int]:
-        """Extend a partial program to completion with width-1 beam steps.
+    # -- exact A* search (Fig. 10) -------------------------------------------------
+    def _astar_search(self, ratios: Sequence[float]) -> SynthesisResult:
+        """Exact A* over the beam search's space (the beam's oracle).
 
-        Used as the completion fallback when open-list trimming discarded
-        every completable state: follow the topological order from the
-        prefix, picking the cheapest sharding variant (with enabling
-        collectives) of each remaining node.  Returns the completed state
-        (suboptimal but valid) and the number of children generated, or
-        ``None`` if some node has no reachable variant from the prefix.
+        A state's successors are the beam's children of its next
+        topological-order node (:meth:`_expand`), so the two searches
+        explore one space and differ only in pruning.  States are expanded
+        in score order until the lowest open score reaches the best complete
+        cost.  Raises :class:`SynthesisError` when the search exhausts
+        without a complete program or reaches :data:`MAX_SEARCH_STEPS`
+        first; it never returns a program it has not proved optimal.
         """
-        current = node
-        generated = 0
-        while not self._is_complete(current):
-            next_node = self._next_node(current)
-            if next_node is None:
-                return None, generated
-            children: List[Tuple] = []
-            memo: Dict[int, Tuple] = {}
-            for rule in self.theory.comp_rules_by_node.get(next_node, []):
-                children.extend(self._expand(current, rule, ratios, memo))
-            generated += len(children)
-            if not children:
-                return None, generated
-            # The first child of least (final cost, work): the rank key.
-            current = self._materialize(min(children, key=lambda child: child[3]))
-        return current, generated
-
-    def _astar_search(self, ratios: Sequence[float], _allow_trim: bool = True) -> SynthesisResult:
         start = _time.perf_counter()
         root = self._root()
         counter = itertools.count()
@@ -1435,73 +1303,48 @@ class ProgramSynthesizer:
         fronts: Dict[Tuple[int, int, int], ParetoFront] = {}
         best_complete: Optional[_SearchNode] = None
         best_cost = float("inf")
-        #: Most-progressed state popped so far — the completion-fallback seed.
-        best_prefix = root
-        trim = _allow_trim and self.config.beam_width is not None
         expanded = 0
         generated = 1
-        # Local bindings of loop-invariant lookups (hot loop).
+        memo: Dict[int, Tuple] = {}
         output_mask = self._output_mask
-        total_ideal = self._total_ideal
-        heappush, heappop = heapq.heappush, heapq.heappop
 
         while heap:
-            score, _, _, node = heappop(heap)
+            score, _, _, node = heapq.heappop(heap)
             if score >= best_cost:
                 break
             if expanded >= MAX_SEARCH_STEPS:
-                break
+                best = (
+                    f"best complete cost so far {best_cost:.6g}"
+                    if best_complete is not None
+                    else "no complete program found yet"
+                )
+                raise SynthesisError(
+                    f"A* search reached MAX_SEARCH_STEPS={MAX_SEARCH_STEPS} after "
+                    f"expanding {expanded} states; lowest open score {score:.6g}, {best}"
+                )
             expanded += 1
-            if node.completed_ideal > best_prefix.completed_ideal or (
-                node.completed_ideal == best_prefix.completed_ideal
-                and self._final_cost(node) < self._final_cost(best_prefix)
-            ):
-                best_prefix = node
-
-            for rule in self._applicable_rules(node):
-                child = self._apply(node, rule, ratios)
-                generated += 1
-                closed = child.closed_cost
-                stage_comp = child.stage_comp
-                open_cost = max(stage_comp) if stage_comp else 0.0
-                if (child.completed & output_mask) == output_mask:
-                    cost = closed + open_cost
-                    if cost < best_cost:
-                        best_cost = cost
-                        best_complete = child
-                    continue
-                key = (child.pbits, child.completed, child.cbits)
-                vector = tuple([closed + c for c in stage_comp])
-                front = fronts.get(key)
-                if front is None:
-                    front = fronts[key] = ParetoFront(eps=1e-12)
-                if not front.insert(vector):
-                    continue  # dominated by an already-known program
-                remaining = total_ideal - child.completed_ideal
-                if remaining < 0.0:
-                    remaining = 0.0
-                child_score = closed + (open_cost if open_cost > remaining else remaining)
-                if child_score < best_cost:
-                    heappush(heap, (child_score, -child.depth, next(counter), child))
-
-            if trim and len(heap) > 4 * self.config.beam_width:
-                heap = heapq.nsmallest(self.config.beam_width, heap)
-                heapq.heapify(heap)
+            # A pushed state is incomplete, so some node is still pending.
+            next_node = self._topo_order[node.topo_ptr]
+            for rule in self.theory.comp_rules_by_node.get(next_node, ()):
+                for child in self._expand(node, rule, ratios, memo):
+                    generated += 1
+                    key, closed, stage = child[:3]
+                    if key[1] & output_mask == output_mask:
+                        cost = closed + max(stage)
+                        if cost < best_cost:
+                            best_cost, best_complete = cost, self._materialize(child)
+                        continue
+                    front = fronts.get(key)
+                    if front is None:
+                        front = fronts[key] = ParetoFront(eps=1e-12)
+                    if not front.insert(tuple([closed + c for c in stage])):
+                        continue  # dominated by an already-known program
+                    state = self._materialize(child)
+                    child_score = self._score(state)
+                    if child_score < best_cost:
+                        heapq.heappush(heap, (child_score, -state.depth, next(counter), state))
 
         if best_complete is None:
-            # Completion fallback (ROADMAP dead-end): trimming the open list
-            # can discard every completable state.  Greedily complete the
-            # most-progressed prefix; if even that dead-ends, redo the search
-            # without trimming before giving up.
-            for prefix in (best_prefix, root):
-                completed, extra = self._greedy_complete(prefix, ratios)
-                generated += extra
-                if completed is not None:
-                    return self._result(
-                        completed, self._final_cost(completed), expanded, generated, start
-                    )
-            if trim:
-                return self._astar_search(ratios, _allow_trim=False)
             raise SynthesisError(
                 "A* search exhausted without finding a complete distributed program; "
                 "the background theory may be missing rules for some operator"

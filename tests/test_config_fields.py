@@ -34,9 +34,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 #: Fields that nothing outside ``tests/`` sets, each with why it stays.
 SET_ONLY_BY_TESTS = {
     "SynthesisConfig.search_strategy":
-        "'astar' is the tests' reference search (Fig. 10) for the beam search",
-    "SynthesisConfig.follow_topological_order":
-        "False is the unrestricted Fig. 10 A* search the tests run on small graphs",
+        "the exact oracle the tests check the beam search against",
     "HierarchicalConfig.schedules":
         "the only way a test reaches an interleaved plan's runtime, verifier and remap "
         "paths: the default grid prices interleaved-1f1b but selects it on no workload",

@@ -215,7 +215,7 @@ class TestLazyRecording:
 
 class TestPlainNodeSchedule:
     """Beam search walks one schedule; a graph without repeated blocks is
-    all plain nodes, and ``follow_topological_order`` only changes A*."""
+    all plain nodes."""
 
     def test_graph_without_repeats_is_the_plain_loop(self, training_graphs, parity_cluster):
         graph = training_graphs["mlp"]
@@ -227,23 +227,6 @@ class TestPlainNodeSchedule:
         with plain_beam():
             reference = _synthesize(graph, parity_cluster)
         _assert_search_identical(reference, result, "mlp/beam")
-
-    @pytest.mark.parametrize("model", [*sorted(MODEL_BUILDERS), "deep3"])
-    def test_beam_ignores_follow_topological_order(self, model, training_graphs, parity_cluster):
-        if model == "deep3":
-            graph = build_training_graph(build_deep_transformer(layers=3)).graph
-        else:
-            graph = training_graphs[model]
-        runs = []
-        for ordered in (True, False):
-            config = SynthesisConfig(
-                search_strategy="beam", beam_width=8, follow_topological_order=ordered
-            )
-            synthesizer = ProgramSynthesizer(graph, parity_cluster, config)
-            runs.append((synthesizer.synthesize(), synthesizer.reuse_stats))
-        (ordered, ordered_stats), (unordered, unordered_stats) = runs
-        _assert_search_identical(ordered, unordered, f"{model}/beam/unordered")
-        assert ordered_stats == unordered_stats
 
 
 @pytest.fixture(scope="module")

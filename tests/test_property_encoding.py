@@ -160,9 +160,8 @@ def _reversed_bits(theory: Theory) -> Theory:
     [
         {"search_strategy": "beam"},
         {"search_strategy": "astar"},
-        {"search_strategy": "astar", "follow_topological_order": False},
     ],
-    ids=["beam", "astar", "astar-unordered"],
+    ids=["beam", "astar"],
 )
 def test_bit_order_never_orders_the_search(search):
     theory = _theory("tiny_moe")

@@ -13,6 +13,7 @@ from repro.core import (
     PlannerConfig,
     ProgramSynthesizer,
     SynthesisConfig,
+    SynthesisError,
 )
 from repro.core.instructions import CommInstruction
 from repro.core.synthesizer import (
@@ -27,6 +28,17 @@ from repro.graph import DType, GraphBuilder
 from repro.graph.ops import OpKind
 
 from .conftest import build_mlp, build_tiny_moe, build_tiny_transformer, make_cluster
+
+
+def build_tiny_matmul():
+    """One matmul and a cross-entropy loss: the smallest training graph."""
+    b = GraphBuilder("tiny")
+    x = b.placeholder((16, 8), name="x")
+    w = b.parameter((8, 4), name="w")
+    y = b.matmul(x, w)
+    labels = b.placeholder((16,), dtype=DType.INT64, name="labels")
+    b.loss(b.cross_entropy(y, labels))
+    return b.build()
 
 
 def synthesize(graph, cluster, **cfg_kwargs):
@@ -120,14 +132,7 @@ class TestSearchMechanics:
         assert result.program.num_computations > 0
 
     def test_astar_on_small_graph(self, two_device_cluster):
-        b = GraphBuilder("tiny")
-        x = b.placeholder((16, 8), name="x")
-        w = b.parameter((8, 4), name="w")
-        y = b.matmul(x, w)
-        labels = b.placeholder((16,), dtype=DType.INT64, name="labels")
-        loss = b.cross_entropy(y, labels)
-        b.loss(loss)
-        training = build_training_graph(b.build()).graph
+        training = build_training_graph(build_tiny_matmul()).graph
         config = SynthesisConfig(search_strategy="astar", beam_width=None)
         result = ProgramSynthesizer(training, two_device_cluster, config).synthesize()
         assert result.cost > 0
@@ -146,7 +151,7 @@ class TestSearchMechanics:
         beam = ProgramSynthesizer(
             training, two_device_cluster, SynthesisConfig(search_strategy="beam", beam_width=16)
         ).synthesize()
-        assert astar.cost <= beam.cost * 1.01
+        assert astar.cost <= beam.cost
 
     def test_program_is_over_the_input_graph(self, mlp_training, four_device_cluster):
         result = ProgramSynthesizer(mlp_training.graph, four_device_cluster).synthesize()
@@ -176,6 +181,37 @@ class TestSearchMechanics:
         assert balanced.cost != pytest.approx(skewed.cost)
 
 
+def _apply(synthesizer, node, rule, ratios):
+    """Append one rule to a partial program: the step-by-step reference.
+
+    Replays the rule's own cost plan, ORs in its completions, posts and
+    communications, and drops the properties of every tensor whose
+    consumers are then all emulated.
+    """
+    plan, mask, ideals, drops = synthesizer._replay_runtime(rule, ratios)
+    closed, stage = _replay(plan, node.closed_cost, node.stage_comp)
+    completed = node.completed | mask
+    completed_ideal = node.completed_ideal
+    for ideal in ideals:
+        completed_ideal += ideal
+    pbits = node.pbits | rule.post_mask
+    for consumers, prop_mask in drops:
+        if completed & consumers == consumers:
+            pbits &= ~prop_mask
+    return _SearchNode(
+        node,
+        rule,
+        pbits,
+        completed,
+        node.cbits | rule.comm_mask,
+        closed,
+        stage,
+        completed_ideal,
+        node.depth + 1,
+        synthesizer._advance_topo_ptr(node.topo_ptr, completed),
+    )
+
+
 def _one_apply_at_a_time(synthesizer, state, rule, ratios):
     """The children of firing ``rule`` on ``state``, one ``_apply`` per rule.
 
@@ -184,7 +220,7 @@ def _one_apply_at_a_time(synthesizer, state, rule, ratios):
     tensor not yet communicated), in ``itertools.product`` order, then the
     rule.  Returns the children and the number of option sets they combine.
     """
-    if state.completed & synthesizer._completes_mask[id(rule)]:
+    if state.completed & synthesizer._replay_runtime(rule, ratios)[1]:
         return [], 0
     option_sets = []
     for index, bit in synthesizer._ordered_pre(rule):
@@ -203,8 +239,8 @@ def _one_apply_at_a_time(synthesizer, state, rule, ratios):
     for comms in itertools.product(*option_sets):
         node = state
         for comm in comms:
-            node = synthesizer._apply(node, comm, ratios)
-        children.append(synthesizer._apply(node, rule, ratios))
+            node = _apply(synthesizer, node, comm, ratios)
+        children.append(_apply(synthesizer, node, rule, ratios))
     return children, len(option_sets)
 
 
@@ -460,54 +496,42 @@ class TestProgramStructure:
         assert all(v is None for v in result.program.parameter_shardings().values())
 
 
-class TestAStarCompletionFallback:
-    """Trimming the unrestricted A* open list must never yield failure.
-
-    The ROADMAP-listed dead-end: with ``follow_topological_order=False`` and
-    ``beam_width`` set, open-list trimming can discard every completable
-    state.  The completion fallback (greedy best-prefix completion, then an
-    untrimmed retry) must always return a valid program on the registry
-    models.
-    """
+class TestAStarOracle:
+    """A* is the beam search's exact oracle over the same space."""
 
     @pytest.mark.parametrize(
-        "model", ["vgg19", "vit", "bert_base", "bert_moe"]
+        "graph",
+        [
+            pytest.param(lambda: build_training_graph(build_tiny_matmul()).graph, id="tiny"),
+            pytest.param(build_mlp, id="mlp_forward"),
+            pytest.param(build_tiny_moe, id="moe_forward"),
+        ],
     )
-    def test_registry_models_never_fail(self, model, four_device_cluster):
-        from repro.models import build_tiny_model
+    @pytest.mark.parametrize(
+        "gpus", [("A100", "P100"), ("A100", "A100", "P100", "P100")], ids=["2dev", "4dev"]
+    )
+    def test_astar_equals_exhaustive_beam(self, graph, gpus):
+        """Where the unpruned beam finishes, A* returns its program bit for bit."""
+        graph, cluster = graph(), make_cluster(gpus)
+        astar = ProgramSynthesizer(
+            graph, cluster, SynthesisConfig(search_strategy="astar")
+        ).synthesize()
+        beam = ProgramSynthesizer(graph, cluster, SynthesisConfig(beam_width=None)).synthesize()
+        assert astar.cost.hex() == beam.cost.hex()
+        assert astar.program.instructions == beam.program.instructions
 
-        training = build_training_graph(build_tiny_model(model)).graph
-        config = SynthesisConfig(
-            search_strategy="astar",
-            follow_topological_order=False,
-            beam_width=8,
-        )
-        result = ProgramSynthesizer(training, four_device_cluster, config).synthesize()
-        # The fallback program is complete: every output is established.
-        established = {p.ref for p in result.program.properties}
-        assert set(training.outputs) <= established
-        assert result.cost > 0
+    def test_step_cap_raises(self, mlp_training, four_device_cluster, monkeypatch):
+        """A* never returns an unproved program: reaching the cap is an error."""
+        import repro.core.synthesizer as synthesizer_module
 
-    def test_fallback_program_is_executable(self, four_device_cluster):
-        import numpy as np
-
-        from repro.runtime import SingleDeviceExecutor
-        from repro.runtime.spmd import SPMDExecutor
-
-        from .conftest import bindings_for
-
-        training = build_training_graph(build_mlp())
-        config = SynthesisConfig(
-            search_strategy="astar", follow_topological_order=False, beam_width=8
-        )
-        result = ProgramSynthesizer(training.graph, four_device_cluster, config).synthesize()
-        bindings = bindings_for(training.graph, seed=7)
-        ratios = four_device_cluster.proportional_ratios()
-        spmd = SPMDExecutor(result.program, ratios).run(bindings)
-        reference = SingleDeviceExecutor(training.graph).run(bindings)
-        assert spmd.loss == pytest.approx(
-            float(reference[training.loss]), rel=2e-4, abs=1e-4
-        )
+        monkeypatch.setattr(synthesizer_module, "MAX_SEARCH_STEPS", 100)
+        config = SynthesisConfig(search_strategy="astar")
+        synthesizer = ProgramSynthesizer(mlp_training.graph, four_device_cluster, config)
+        with pytest.raises(SynthesisError) as excinfo:
+            synthesizer.synthesize()
+        message = str(excinfo.value)
+        assert "MAX_SEARCH_STEPS=100" in message
+        assert "after expanding 100 states" in message
 
 
 class TestSearchConfigValidation:
