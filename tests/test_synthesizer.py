@@ -508,7 +508,9 @@ class TestAStarOracle:
         ],
     )
     @pytest.mark.parametrize(
-        "gpus", [("A100", "P100"), ("A100", "A100", "P100", "P100")], ids=["2dev", "4dev"]
+        "gpus",
+        [("A100", "P100"), ("A100", "A100", "P100", "P100"), ("A100", "V100", "P100")],
+        ids=["2dev", "4dev", "3dev"],
     )
     def test_astar_equals_exhaustive_beam(self, graph, gpus):
         """Where the unpruned beam finishes, A* returns its program bit for bit."""
@@ -532,6 +534,93 @@ class TestAStarOracle:
         message = str(excinfo.value)
         assert "MAX_SEARCH_STEPS=100" in message
         assert "after expanding 100 states" in message
+
+    def test_step_cap_raises_after_a_complete_program(self, two_device_cluster, monkeypatch):
+        """A complete program found before the cap is not returned unproved.
+
+        The tiny training graph's A* proves its optimum after 18 expansions
+        and has found a costlier complete program by the 17th.
+        """
+        import repro.core.synthesizer as synthesizer_module
+
+        training = build_training_graph(build_tiny_matmul()).graph
+        config = SynthesisConfig(search_strategy="astar")
+        optimum = ProgramSynthesizer(training, two_device_cluster, config).synthesize()
+        assert optimum.expanded_states == 18
+        monkeypatch.setattr(synthesizer_module, "MAX_SEARCH_STEPS", 17)
+        synthesizer = ProgramSynthesizer(training, two_device_cluster, config)
+        with pytest.raises(SynthesisError) as excinfo:
+            synthesizer.synthesize()
+        message = str(excinfo.value)
+        assert "MAX_SEARCH_STEPS=17" in message
+        assert "after expanding 17 states" in message
+        best = float(message.rsplit("best complete cost so far ", 1)[1])
+        assert best > optimum.cost
+
+    def test_step_cap_counts_expansions(self, two_device_cluster, monkeypatch):
+        """A cap equal to the expansions the search needs does not fire."""
+        import repro.core.synthesizer as synthesizer_module
+
+        training = build_training_graph(build_tiny_matmul()).graph
+        config = SynthesisConfig(search_strategy="astar")
+        optimum = ProgramSynthesizer(training, two_device_cluster, config).synthesize()
+        monkeypatch.setattr(synthesizer_module, "MAX_SEARCH_STEPS", optimum.expanded_states)
+        capped = ProgramSynthesizer(training, two_device_cluster, config).synthesize()
+        assert capped.cost.hex() == optimum.cost.hex()
+        assert capped.program.instructions == optimum.program.instructions
+        assert capped.expanded_states == optimum.expanded_states
+
+    @pytest.mark.parametrize("width", [1, 2, None])
+    def test_astar_ignores_beam_width(self, width, mlp_training, four_device_cluster):
+        """A* keeps its whole open list whatever ``beam_width`` says."""
+        graph = mlp_training.graph
+        default = ProgramSynthesizer(
+            graph, four_device_cluster, SynthesisConfig(search_strategy="astar")
+        ).synthesize()
+        result = ProgramSynthesizer(
+            graph, four_device_cluster, SynthesisConfig(search_strategy="astar", beam_width=width)
+        ).synthesize()
+        assert result.cost.hex() == default.cost.hex()
+        assert result.program.instructions == default.program.instructions
+        assert (result.expanded_states, result.generated_states) == (
+            default.expanded_states,
+            default.generated_states,
+        )
+
+    @pytest.mark.parametrize("width", [1, 4, 16, 64])
+    def test_beam_at_any_width_is_bounded_by_astar(self, width, four_device_cluster):
+        """No beam width finds a program cheaper than the oracle's optimum."""
+        graph = build_tiny_moe()
+        astar = ProgramSynthesizer(
+            graph, four_device_cluster, SynthesisConfig(search_strategy="astar")
+        ).synthesize()
+        beam = ProgramSynthesizer(
+            graph, four_device_cluster, SynthesisConfig(beam_width=width)
+        ).synthesize()
+        assert beam.cost >= astar.cost
+
+    @pytest.mark.parametrize("builder", [build_mlp, build_tiny_moe], ids=["mlp", "tiny_moe"])
+    @pytest.mark.parametrize(
+        "gpus",
+        [("A100", "A100", "P100", "P100"), ("A100",) * 4 + ("P100",) * 4],
+        ids=["parity4", "mixed8"],
+    )
+    def test_oracle_program_is_executable(self, builder, gpus):
+        """The optimum runs under the SPMD runtime to the single-device loss."""
+        from repro.runtime import SingleDeviceExecutor
+        from repro.runtime.spmd import SPMDExecutor
+
+        from .conftest import bindings_for
+
+        training, cluster = build_training_graph(builder()), make_cluster(gpus)
+        config = SynthesisConfig(search_strategy="astar")
+        result = ProgramSynthesizer(training.graph, cluster, config).synthesize()
+        bindings = bindings_for(training.graph, seed=7)
+        spmd = SPMDExecutor(result.program, cluster.proportional_ratios()).run(bindings)
+        reference = SingleDeviceExecutor(training.graph).run(bindings)
+        assert spmd.loss == pytest.approx(
+            float(reference[training.loss]), rel=2e-4, abs=1e-4
+        )
 
 
 class TestSearchConfigValidation:
