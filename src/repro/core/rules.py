@@ -16,8 +16,10 @@ Rules come in three families:
    enables sufficient factor broadcasting (Sec. 4.4).
 2. **Source rules** for placeholders/parameters/constants
    (``Placeholder-Shard(d)`` etc.).  Following the paper's first search-time
-   optimisation these are *fused* into their consumers so that the search
-   never has to decide where to place them.
+   optimisation these are *fused* into consumers so that the search never has
+   to decide where to place them: each source is created by the rules of its
+   first consumer in graph order (:func:`first_use_sources`), and every later
+   consumer requires it as a precondition.
 3. **Communication rules**, converting a tensor between distribution states
    with a collective.  Only conversions from a state some rule can produce to
    a state some rule wants are generated, and each reference tensor may be
@@ -31,7 +33,6 @@ is exactly how GShard-style systems treat them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -39,7 +40,7 @@ from ..collectives.cost import CollectiveKind
 from ..graph.graph import ComputationGraph, Node
 from ..graph.ops import OpKind
 from .config import SynthesisConfig
-from .instructions import CommInstruction, CompInstruction, Instruction, is_source_op
+from .instructions import CommInstruction, CompInstruction, Instruction
 from .properties import DistState, Property
 
 
@@ -52,7 +53,9 @@ class Rule:
         instructions: distributed instructions appended when the rule fires.
         post: properties established by the instructions.
         completes: single-device nodes emulated by this rule (each node may be
-            emulated at most once per program).
+            emulated at most once per program): a computation rule's node
+            plus the sources that node consumes first, so every rule of a
+            node completes the same set.
         communicates: reference tensors communicated by this rule (each may be
             communicated at most once per program).
         pre_mask, post_mask: ``pre`` / ``post`` as bit masks over the owning
@@ -134,8 +137,9 @@ class Theory:
         self.ref_masks: Dict[str, int] = {
             name: by_ref[name] for name in graph.node_names if name in by_ref
         }
-        # Index rules by the computation node they emulate / the tensor they
-        # communicate (used by the topological-order searches).
+        # Index rules by the computation node they emulate (the last
+        # instruction's) / the tensor they communicate (used by the
+        # topological-order searches).
         self.comp_rules_by_node: Dict[str, List[Rule]] = {}
         self.comm_rules_by_ref: Dict[str, List[Rule]] = {}
         for rule in rules:
@@ -143,9 +147,8 @@ class Theory:
                 for ref in {p.ref for p in rule.pre}:
                     self.comm_rules_by_ref.setdefault(ref, []).append(rule)
             else:
-                primary = _primary_completed_node(rule, graph)
-                if primary is not None:
-                    self.comp_rules_by_node.setdefault(primary, []).append(rule)
+                node = rule.instructions[-1].node  # type: ignore[union-attr]
+                self.comp_rules_by_node.setdefault(node, []).append(rule)
         # Communication rules keyed by the index ``i`` of the property
         # ``props[i]`` they establish (a small int hashes in O(1), a bit mask
         # in O(bits)).  Lists preserve the relative order of
@@ -181,18 +184,6 @@ class Theory:
         """Multi-line listing of (a prefix of) the rules."""
         rules = self.rules[:limit] if limit else self.rules
         return "\n".join(r.describe() for r in rules)
-
-
-def _primary_completed_node(rule: Rule, graph: ComputationGraph) -> Optional[str]:
-    """The non-source node a computation rule emulates (None for comm rules)."""
-    primary = None
-    for name in rule.completes:
-        if not is_source_op(graph[name].op):
-            primary = name
-    if primary is None and rule.completes:
-        # Pure-source rule (should not occur after fusion); index by any node.
-        primary = next(iter(rule.completes))
-    return primary
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +584,8 @@ def build_theory(
         config: synthesizer configuration (defaults to full HAP).
 
     Returns:
-        A :class:`Theory` containing computation, fused-source and
-        communication rules.
+        A :class:`Theory` containing the computation rules, each with its
+        node's first-use sources fused in, and the communication rules.
     """
     cfg = config or SynthesisConfig()
     graph.validate()
@@ -618,7 +609,8 @@ def build_theory(
             found = pool[(ref, state)] = Property(ref, state)
         return found
 
-    # 1. computation rules ------------------------------------------------------
+    # 1. computation rules, each source fused into its first consumer
+    #    (search-time optimisation #1) ----------------------------------------
     comp_rules: List[_RuleParts] = []
     produced: Dict[str, Set[DistState]] = {name: set() for name in graph.node_names}
     wanted: Dict[str, Set[DistState]] = {name: set() for name in graph.node_names}
@@ -626,17 +618,35 @@ def build_theory(
     for name, states in source_states.items():
         produced[name].update(states)
 
-    for node in graph:
-        if node.kind is OpKind.SOURCE:
-            continue
+    for name, fused_refs in first_use_sources(graph).items():
+        node = graph[name]
         if single_device:
             variants = [Variant((R,) * len(node.inputs), R, flops_sharded=False)]
         else:
             variants = node_variants(node, graph, cfg, num_devices)
-        completes = frozenset((node.name,))
+        completes = frozenset((node.name, *fused_refs))
         for variant in variants:
             inputs = tuple(map(prop, node.inputs, variant.input_states))
             out_prop = prop(node.name, variant.output_state)
+            produced[node.name].add(variant.output_state)
+            for inp, state in zip(node.inputs, variant.input_states):
+                wanted[inp].add(state)
+            # The variant's first-use sources, in input order.  No rule
+            # establishes a source property, so a variant wanting one in a
+            # state the source cannot be created in can never fire.
+            fused = [p for p in dict.fromkeys(inputs) if p.ref in fused_refs]
+            if any(p.state not in source_states[p.ref] for p in fused):
+                continue
+            creates = tuple(
+                CompInstruction(
+                    node=p.ref,
+                    op=graph[p.ref].op,
+                    inputs=(),
+                    output=p,
+                    flops_sharded=p.state.is_sharded,
+                )
+                for p in fused
+            )
             instr = CompInstruction(
                 node=node.name,
                 op=node.op,
@@ -645,18 +655,16 @@ def build_theory(
                 flops_sharded=variant.flops_sharded,
             )
             comp_rules.append(
-                (frozenset(inputs), (instr,), frozenset((out_prop,)), completes, _NO_REFS)
+                (
+                    frozenset(inputs).difference(fused),
+                    creates + (instr,),
+                    frozenset((*fused, out_prop)),
+                    completes,
+                    _NO_REFS,
+                )
             )
-            produced[node.name].add(variant.output_state)
-            for inp, state in zip(node.inputs, variant.input_states):
-                wanted[inp].add(state)
 
-    # 2. fuse source rules into consumers (search-time optimisation #1) ---------
-    fused_rules: List[_RuleParts] = []
-    for parts in comp_rules:
-        fused_rules.extend(_fuse_sources(parts, graph, source_states))
-
-    # 3. communication rules -----------------------------------------------------
+    # 2. communication rules -----------------------------------------------------
     comm_rules: List[_RuleParts] = []
     for node in graph:
         name = node.name
@@ -674,8 +682,29 @@ def build_theory(
                     continue
                 comm_rules.extend(_comm_rules_for(name, src, dst, cfg, name in restricted, prop))
 
-    rules, props = _index_rules(graph, comp_rules + fused_rules + comm_rules, pool.values())
+    rules, props = _index_rules(graph, comp_rules + comm_rules, pool.values())
     return Theory(graph, num_devices, cfg, rules, restricted, props)
+
+
+def first_use_sources(graph: ComputationGraph) -> Dict[str, FrozenSet[str]]:
+    """Every computation node's name, in graph order, with the sources it
+    consumes first.
+
+    A source is created exactly once, by the rules of its first consumer in
+    graph order; the searches emulate nodes in that order.  Sources nothing
+    consumes appear under no node.
+    """
+    seen: Set[str] = set()
+    out: Dict[str, FrozenSet[str]] = {}
+    for node in graph:
+        if node.kind is OpKind.SOURCE:
+            continue
+        fresh = frozenset(
+            name for name in node.inputs if name not in seen and graph[name].kind is OpKind.SOURCE
+        )
+        seen.update(fresh)
+        out[node.name] = fresh
+    return out
 
 
 def _index_rules(
@@ -708,51 +737,6 @@ def _index_rules(
         for pre, instructions, post, completes, communicates in parts
     ]
     return rules, props
-
-
-def _fuse_sources(
-    parts: _RuleParts, graph: ComputationGraph, source_states: Dict[str, List[DistState]]
-) -> List[_RuleParts]:
-    """Fuse source-producing instructions into a consumer rule.
-
-    For every subset of the rule's preconditions that refer to source nodes,
-    produce a variant whose instructions create those sources inline and whose
-    precondition no longer mentions them.  Source preconditions are taken in
-    the computation instruction's input order (not ``pre``'s hash-seed
-    dependent set order), which fixes both the fused rules' order and the
-    order of their source instructions.
-    """
-    pre, instructions, post, completes, communicates = parts
-    (instr,) = instructions
-    assert isinstance(instr, CompInstruction)
-    source_pre = [p for p in dict.fromkeys(instr.inputs) if p.ref in source_states]
-    fused: List[_RuleParts] = []
-    if not source_pre:
-        return fused
-    # Only fuse preconditions whose state the source can actually be created in.
-    feasible = [p for p in source_pre if p.state in source_states[p.ref]]
-    for k in range(1, len(feasible) + 1):
-        for subset in itertools.combinations(feasible, k):
-            prefix_instrs = tuple(
-                CompInstruction(
-                    node=p.ref,
-                    op=graph[p.ref].op,
-                    inputs=(),
-                    output=p,
-                    flops_sharded=p.state.is_sharded,
-                )
-                for p in subset
-            )
-            fused.append(
-                (
-                    frozenset(p for p in pre if p not in subset),
-                    prefix_instrs + instructions,
-                    post | frozenset(subset),
-                    completes | frozenset(p.ref for p in subset),
-                    communicates,
-                )
-            )
-    return fused
 
 
 def _comm_rules_for(

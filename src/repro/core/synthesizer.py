@@ -1,17 +1,21 @@
 """Distributed-program synthesis (Sec. 4.3 of the paper).
 
 The synthesizer searches the space of distributed programs defined by the
-background theory (:mod:`repro.core.rules`).  A partial program is represented
-by its *search state*: the set of live properties, the set of emulated
-single-device nodes, the set of communicated tensors, and the cost bookkeeping
-of the stage currently being filled.  The three sets are machine ints — bit
-masks over the theory's property index and over graph positions — so a union
-is ``|``, a precondition check is ``pre & bits == pre`` and a state key is a
-tuple of three ints.
+background theory (:mod:`repro.core.rules`).  Both searches walk one
+topological order of the single-device graph: a step emulates the next
+pending node with one of its sharding variants, preceded by the collectives
+that establish the variant's missing preconditions.
 
-Both searches walk one topological order of the single-device graph: a step
-emulates the next pending node with one of its sharding variants, preceded
-by the collectives that establish the variant's missing preconditions.
+A partial program is represented by its *search state*: the set of live
+properties and the set of communicated tensors at a topological position,
+plus the cost bookkeeping of the stage currently being filled.  The two sets
+are machine ints — bit masks over the theory's property index and over graph
+positions — so a union is ``|``, a precondition check is
+``pre & bits == pre`` and a state key is ``(pbits, cbits)``.  The set of
+emulated nodes is not part of the state: every source is created by its
+first consumer, so all states at one position have emulated the same nodes,
+and a beam level computes that set, its ideal time and its liveness drop
+once.
 
 * The beam search is the planner's search.  It keeps the ``beam_width``
   cheapest states per node and replays repeated blocks from the decisions
@@ -28,8 +32,8 @@ by the collectives that establish the variant's missing preconditions.
 
 Both apply the paper's three search-time optimisations:
 
-1. source instructions are pre-fused into consumer rules (done in
-   :func:`repro.core.rules.build_theory`);
+1. each source instruction is pre-fused into the rules of its first
+   consumer in graph order (done in :func:`repro.core.rules.build_theory`);
 2. every reference tensor may be communicated at most once, and placeholders /
    parameters are never communicated (they are created already sharded);
 3. properties of tensors whose consumers have all been emulated are dropped,
@@ -189,18 +193,22 @@ class SynthesisResult:
 class _SearchNode:
     """One partial program in the search (immutable once created).
 
-    Its state is ``(pbits, completed, cbits)`` plus the cost bookkeeping:
+    Its state is ``(pbits, cbits)`` at topological position ``topo_ptr``,
+    plus the cost bookkeeping:
 
     * ``pbits``: the live properties, a bit mask over the theory's property
       index (:attr:`Theory.props`);
-    * ``completed``: the emulated single-device nodes, bits at their
-      ``graph.node_names`` positions;
-    * ``cbits``: the communicated reference tensors, bits at the same
-      positions.
+    * ``cbits``: the communicated reference tensors, bits at their
+      ``graph.node_names`` positions.
 
-    The triple is the dedupe / dominance key of both searches.  Bit order
-    never orders the search: candidates are visited in rule and
-    precondition order, whatever bits they own.
+    ``completed`` (the emulated single-device nodes, bits at the same
+    positions) and ``completed_ideal`` belong to the position: every state
+    at one position holds the same values, and a beam level's survivors
+    share one ``completed`` int.  The beam dedupes a level's children on
+    ``(pbits, cbits)``; A* keys its dominance check on
+    ``(pbits, cbits, topo_ptr)``.  Bit order never orders the search:
+    candidates are visited in rule and precondition order, whatever bits
+    they own.
 
     The beam search also makes parent-only lineage nodes (:meth:`link`),
     which set just ``parent`` and ``rule``: one per enabling collective of
@@ -248,7 +256,7 @@ class _SearchNode:
         self.completed_ideal = completed_ideal
         self.depth = depth
         #: index into the synthesizer's topological order of the first node
-        #: not yet emulated (maintained incrementally by ``_expand``).
+        #: not yet emulated.
         self.topo_ptr = topo_ptr
 
     @staticmethod
@@ -332,12 +340,12 @@ class _BlockRecord:
     template's beam kept but no exit state descends from were padding and are
     not replayed.  The last level is in exit-beam order.  ``exit_rel``
     describes, per exit-beam position, the block-relevant part of the
-    template's exit state — (property encodings, communicated ref indices,
-    completed ref indices) — from which a replay reconstructs the
-    occurrence's exit states directly: context irrelevant to the block passes
-    through a block unchanged (liveness drops, completions and communications
-    only ever touch the block's own references), so only cost accumulation
-    needs to walk the decision chains.
+    template's exit state — (property encodings, communicated ref indices) —
+    from which a replay reconstructs the occurrence's exit states directly:
+    context irrelevant to the block passes through a block unchanged
+    (liveness drops and communications only ever touch the block's own
+    references), and completion belongs to the position, so only cost
+    accumulation needs to walk the decision chains.
     """
 
     __slots__ = ("entry_sig", "entry", "exits", "info", "levels", "exit_rel")
@@ -388,19 +396,16 @@ class ProgramSynthesizer:
         # Topological emulation order (non-source nodes only), walked by
         # both searches.
         self._topo_order = [n.name for n in graph if n.kind is not OpKind.SOURCE]
-        #: completion-bitmask of each topological-order node (topo_ptr scans).
-        self._topo_masks = [1 << self._node_index[name] for name in self._topo_order]
         #: all-zero open-stage vector of the root and of collectives' plans.
         self._zero_stage: Tuple[float, ...] = (0.0,) * cluster.num_devices
         # -- hot-path indexes: state-independent quantities precomputed once ---
         #: ref -> (consumer bitmask, participates-in-liveness flag).
         self._liveness_mask: Dict[str, Tuple[int, bool]] = {}
-        #: id(rule) -> (completes mask, ideal deltas, liveness drops).
-        self._rule_static_cache: Dict[int, Tuple[int, Tuple[float, ...], Tuple[Tuple[int, int], ...]]] = {}
-        #: id(rule) -> (cost plan, completes mask, ideals, liveness drops)
-        #: — :meth:`_replay_runtime`'s single-lookup cache (cleared whenever
-        #: the ratios change, since the cost plans depend on them).
-        self._rule_runtime: Dict[int, Tuple] = {}
+        #: node -> (completion mask, ideal time, liveness drops) of its level.
+        self._node_static_cache: Dict[str, Tuple[int, float, Tuple[Tuple[int, int], ...]]] = {}
+        #: id(rule) -> compiled cost plan (cleared whenever the ratios
+        #: change, since the cost plans depend on them).
+        self._rule_plans: Dict[int, _CostPlan] = {}
         for name in graph.node_names:
             consumers = self._consumers.get(name, [])
             mask = 0
@@ -444,42 +449,42 @@ class ProgramSynthesizer:
     def _rule_plan(self, rule: Rule, ratios: Sequence[float]) -> _CostPlan:
         """Compiled cost plan of a rule's instructions for fixed ratios.
 
-        Cached through :meth:`_replay_runtime`; :meth:`_chains` joins the
-        plans of a chain's rules with :func:`_then`.
+        Cached per rule; :meth:`_chains` joins the plans of a chain's rules
+        with :func:`_then`.
         """
-        plan = _EMPTY_PLAN
-        zero = self._zero_stage
-        for instr in rule.instructions:
-            if isinstance(instr, CommInstruction):
-                if not instr.synchronises:
-                    continue  # local slice: no synchronisation, no cost
-                cost = self.cost_model.comm_time(instr, ratios)
-                step = _CostPlan((), cost, (), zero, 0.0, 0.0)
-            else:
-                times = tuple(self.cost_model.comp_times(instr, ratios))
-                step = _CostPlan((times,), None, (), None, None, None)
-            plan = _then(plan, step)
+        plan = self._rule_plans.get(id(rule))
+        if plan is None:
+            plan = _EMPTY_PLAN
+            zero = self._zero_stage
+            for instr in rule.instructions:
+                if isinstance(instr, CommInstruction):
+                    if not instr.synchronises:
+                        continue  # local slice: no synchronisation, no cost
+                    cost = self.cost_model.comm_time(instr, ratios)
+                    step = _CostPlan((), cost, (), zero, 0.0, 0.0)
+                else:
+                    times = tuple(self.cost_model.comp_times(instr, ratios))
+                    step = _CostPlan((times,), None, (), None, None, None)
+                plan = _then(plan, step)
+            self._rule_plans[id(rule)] = plan
         return plan
 
-    def _rule_static(
-        self, rule: Rule
-    ) -> Tuple[int, Tuple[float, ...], Tuple[Tuple[int, int], ...]]:
-        """State-independent per-rule quantities.
+    def _node_static(self, node_name: str) -> Tuple[int, float, Tuple[Tuple[int, int], ...]]:
+        """State-independent quantities of the level that emulates a node.
 
-        Returns the bitmask of nodes the rule completes, their ideal-time
-        contributions (in ``rule.completes`` order), and the liveness drops:
-        per reference tensor whose liveness may change when the rule fires,
-        ``(consumer mask, property mask)`` — once every consumer is
-        completed, the ref's property bits leave the state.
+        Every rule of the node completes the same nodes: the node and the
+        sources it consumes first.  Returns their bitmask, the node's ideal
+        time (a source's is zero), and the liveness drops: per reference
+        tensor whose liveness may change at this level, ``(consumer mask,
+        property mask)`` — once every consumer is completed, the ref's
+        property bits leave the state.
         """
-        info = self._rule_static_cache.get(id(rule))
+        info = self._node_static_cache.get(node_name)
         if info is None:
             mask = 0
-            ideals: List[float] = []
             dead_candidates: Set[str] = set()
-            for name in rule.completes:
+            for name in self.theory.comp_rules_by_node[node_name][0].completes:
                 mask |= 1 << self._node_index[name]
-                ideals.append(self._ideal(name))
                 dead_candidates.update(self.graph[name].inputs)
                 dead_candidates.add(name)
             drops = []
@@ -488,17 +493,9 @@ class ProgramSynthesizer:
                 prop_mask = self.theory.ref_masks.get(ref, 0)
                 if relevant and prop_mask:
                     drops.append((consumers, prop_mask))
-            info = (mask, tuple(ideals), tuple(drops))
-            self._rule_static_cache[id(rule)] = info
+            info = (mask, self._ideal(node_name), tuple(drops))
+            self._node_static_cache[node_name] = info
         return info
-
-    def _advance_topo_ptr(self, ptr: int, completed: int) -> int:
-        """First index >= ptr in topological order not yet emulated."""
-        topo_masks = self._topo_masks
-        n = len(topo_masks)
-        while ptr < n and completed & topo_masks[ptr]:
-            ptr += 1
-        return ptr
 
     # -- main search ----------------------------------------------------------------
     def synthesize(self, ratios: Optional[Sequence[float]] = None) -> SynthesisResult:
@@ -529,7 +526,7 @@ class ProgramSynthesizer:
         # The rule cost plans are only valid for one ratio vector; drop them
         # when the ratios change between synthesize() calls.
         if ratios != self._plan_ratios:
-            self._rule_runtime.clear()
+            self._rule_plans.clear()
             self._plan_ratios = ratios
         if self.config.search_strategy == "beam":
             return self._beam_search(ratios)
@@ -615,41 +612,32 @@ class ProgramSynthesizer:
     ) -> List[_SearchNode]:
         """Expand one topological-order node and keep the best states.
 
-        Children stay plain tuples (see :meth:`_expand`) through the merge
-        and the ranking; only the at most ``beam_width`` survivors become
-        search nodes.  The chain memo lives for this level only: the node's
-        rules fire at no other level.
+        :meth:`_expand` returns the level's children as plain tuples; they
+        stay tuples through the merge and the ranking, and only the at most
+        ``beam_width`` survivors become search nodes, all sharing the
+        level's ``completed`` int.  The chain memo lives for this level
+        only: the node's rules fire at no other level.
 
-        The merge keeps one child per state key, at the position of the
-        key's first child.  A later child with the same key is dropped when
-        the kept one dominates it: each device's ``closed + stage_comp`` is
-        at most the later child's plus ``1e-15``.  Otherwise the later child
-        replaces the kept one, even when it ranks worse.  Those vectors are
+        The merge keeps one child per state key ``(pbits, cbits)``, at the
+        position of the key's first child.  A later child with the same key
+        is dropped when the kept one dominates it: each device's ``closed +
+        stage_comp`` is at most the later child's plus ``1e-15``.  Otherwise
+        the later child replaces the kept one, even when it ranks worse.  Those vectors are
         built only for such a key collision.  The survivors are then ranked
         by the keys :meth:`_expand` carries (:func:`beam_rank_order`).
         """
-        children: Dict[Tuple[int, int, int], Tuple] = {}
-        comp_rules = self.theory.comp_rules_by_node.get(node_name, [])
-        if not comp_rules:
-            raise SynthesisError(f"no sharding rules for node {node_name!r}")
-        memo: Dict[int, Tuple] = {}
-        expand = self._expand
-        generated = 0
-        for state in states:
-            for rule in comp_rules:
-                batch = expand(state, rule, ratios, memo)
-                generated += len(batch)
-                for child in batch:
-                    existing = children.setdefault(child[0], child)
-                    if existing is not child:
-                        kept, closed = existing[1], child[1]
-                        if not all(
-                            kept + e <= closed + c + 1e-15
-                            for e, c in zip(existing[2], child[2])
-                        ):
-                            children[child[0]] = child
+        level, batch = self._expand(states, node_name, ratios, {})
+        children: Dict[Tuple[int, int], Tuple] = {}
+        for child in batch:
+            existing = children.setdefault(child[0], child)
+            if existing is not child:
+                kept, closed = existing[1], child[1]
+                if not all(
+                    kept + e <= closed + c + 1e-15 for e, c in zip(existing[2], child[2])
+                ):
+                    children[child[0]] = child
         self._bm_expanded += len(states)
-        self._bm_generated += generated
+        self._bm_generated += len(batch)
         if not children:
             raise SynthesisError(
                 f"beam search dead-ended at node {node_name!r}: no variant of the "
@@ -661,7 +649,7 @@ class ProgramSynthesizer:
         # states at the same level and would therefore make them tie.
         entries = list(children.values())
         order = beam_rank_order([child[3] for child in entries])
-        return [self._materialize(entries[i]) for i in order[:beam_width]]
+        return [self._materialize(entries[i], level) for i in order[:beam_width]]
 
     # -- repeated-block record/replay ---------------------------------------------------
     def _reuse_schedule(self) -> List[Tuple]:
@@ -764,12 +752,9 @@ class ProgramSynthesizer:
             (ref_idx[p.ref], p.state)
             for p in self.theory.decode(state.pbits & info.prop_mask)
         )
-        cbits, completed = state.cbits, state.completed
+        cbits = state.cbits
         rel_comm = tuple(i for i, bit in enumerate(info.ref_bits) if cbits & bit)
-        rel_completed = tuple(
-            i for i, bit in enumerate(info.ref_bits) if completed & bit
-        )
-        return (rel_props, rel_comm, rel_completed)
+        return (rel_props, rel_comm)
 
     def _normalized(self, record: _BlockRecord) -> List[List[Tuple]]:
         """The record's decisions as block-local descriptor chains.
@@ -888,44 +873,38 @@ class ProgramSynthesizer:
     def _block_entry_signature(self, states: List[_SearchNode], info: _OccurrenceInfo) -> Tuple:
         """Structural signature of the beam at a block boundary.
 
-        Per state, block-relevant properties / communicated refs / completion
-        bits are expressed in block-local indices; everything irrelevant to
-        the block is reduced to a distinctness-pattern id across the beam (the
-        block's decisions can only depend on *which states share* irrelevant
-        context, not on what it is).  ``ext_pending`` captures, per relevant
-        reference, whether consumers outside the block are still pending —
-        this determines when the liveness optimisation may drop the reference
-        mid-block, so it must agree with the template's.
+        Per state, block-relevant properties and communicated refs are
+        expressed in block-local indices; everything irrelevant to the block
+        is reduced to a distinctness-pattern id across the beam (the block's
+        decisions can only depend on *which states share* irrelevant context,
+        not on what it is).  The beam's states share one ``completed``, so
+        the completion bits of the block's refs and ``ext_pending`` are the
+        beam's.  ``ext_pending`` captures, per relevant reference, whether
+        consumers outside the block are still pending — this determines when
+        the liveness optimisation may drop the reference mid-block, so it
+        must agree with the template's.
         """
         ref_idx = info.ref_idx
         ref_bits = info.ref_bits
-        pending_masks = info.pending_masks
         relevant_mask = info.relevant_mask
         prop_mask = info.prop_mask
         decode = self.theory.decode
+        completed = states[0].completed
+        rel_completed = tuple(1 if completed & bit else 0 for bit in ref_bits)
+        ext_pending = tuple(1 if mask & ~completed else 0 for mask in info.pending_masks)
         pattern_ids: Dict[Tuple, int] = {}
-        sig: List[Tuple] = []
+        sig: List[Tuple] = [rel_completed, ext_pending]
         for state in states:
-            pbits, cbits, completed = state.pbits, state.cbits, state.completed
+            pbits, cbits = state.pbits, state.cbits
             rel_props = [
                 (ref_idx[p.ref], p.state.kind.value, p.state.dim)
                 for p in decode(pbits & prop_mask)
             ]
             rel_props.sort(key=lambda t: (t[0], t[1], -1 if t[2] is None else t[2]))
             rel_comm = [i for i, bit in enumerate(ref_bits) if cbits & bit]
-            rel_completed = tuple(
-                1 if completed & bit else 0 for bit in ref_bits
-            )
-            ext_pending = tuple(
-                1 if mask & ~completed else 0 for mask in pending_masks
-            )
-            pattern_key = (
-                pbits & ~prop_mask,
-                cbits & ~relevant_mask,
-                completed & ~relevant_mask,
-            )
+            pattern_key = (pbits & ~prop_mask, cbits & ~relevant_mask)
             pid = pattern_ids.setdefault(pattern_key, len(pattern_ids))
-            sig.append((tuple(rel_props), tuple(rel_comm), rel_completed, ext_pending, pid))
+            sig.append((tuple(rel_props), tuple(rel_comm), pid))
         return tuple(sig)
 
     def _replay_block(
@@ -951,41 +930,43 @@ class ProgramSynthesizer:
         Returns ``None`` on any mismatch (untranslatable rule, missing
         parent), in which case the caller re-expands the occurrence in full.
         """
-        # Per position: (closed, stage, completed_ideal, depth, tail, root idx).
+        # Per position: (closed, stage, depth, tail, root idx).
         current: Dict[int, Tuple] = {
-            i: (s.closed_cost, s.stage_comp, s.completed_ideal, s.depth, s, i)
-            for i, s in enumerate(states)
+            i: (s.closed_cost, s.stage_comp, s.depth, s, i) for i, s in enumerate(states)
         }
+        # Completion and ideal time belong to the level, as in _expand.
+        completed, ideal = states[0].completed, states[0].completed_ideal
         levels = self._normalized(record)
         applied = 0
         for level, decisions in enumerate(levels):
             node_name = info.node_names[level]
+            mask, delta, _ = self._node_static(node_name)
+            completed |= mask
+            ideal += delta
             new_states: Dict[int, Tuple] = {}
             for position, (parent_idx, chain) in enumerate(decisions):
                 entry = current.get(parent_idx)
                 if entry is None:
                     return None
-                closed, stage, ideal, depth, tail, root_idx = entry
+                closed, stage, depth, tail, root_idx = entry
                 for descriptor in chain:
                     rule = self._translate_descriptor(descriptor, info, node_name)
                     if rule is None:
                         return None
-                    plan, _, ideals, _ = self._replay_runtime(rule, ratios)
-                    closed, stage = _replay(plan, closed, stage)
-                    for delta in ideals:
-                        ideal += delta
+                    closed, stage = _replay(self._rule_plan(rule, ratios), closed, stage)
                     tail = _SearchNode.link(tail, rule)
                     depth += 1
                     applied += 1
-                new_states[position] = (closed, stage, ideal, depth, tail, root_idx)
+                new_states[position] = (closed, stage, depth, tail, root_idx)
             if not new_states:
                 return None
             current = new_states
         self._bm_generated += applied
         self._bm_expanded += len(levels)
         # Reconstruct the exit beam (the last level is in exit-beam order).
+        topo_ptr = states[0].topo_ptr + len(levels)
         out: List[_SearchNode] = []
-        for exit_rel, (closed, stage, ideal, depth, tail, root_idx) in zip(
+        for exit_rel, (closed, stage, depth, tail, root_idx) in zip(
             record.exit_rel, current.values()
         ):
             exit_state = self._reconstruct_exit(
@@ -994,26 +975,12 @@ class ProgramSynthesizer:
                 info,
                 closed,
                 stage,
-                ideal,
+                (completed, ideal, topo_ptr),
                 depth,
                 tail,
             )
             out.append(exit_state)
         return out
-
-    def _replay_runtime(self, rule: Rule, ratios: Sequence[float]) -> Tuple:
-        """(cost plan, completes mask, ideal deltas, liveness drops).
-
-        The per-rule entry of the runtime cache.
-        """
-        rid = id(rule)
-        runtime = self._rule_runtime.get(rid)
-        if runtime is None:
-            runtime = self._rule_runtime[rid] = (
-                self._rule_plan(rule, ratios),
-                *self._rule_static(rule),
-            )
-        return runtime
 
     def _reconstruct_exit(
         self,
@@ -1022,12 +989,14 @@ class ProgramSynthesizer:
         info: _OccurrenceInfo,
         closed: float,
         stage: Tuple[float, ...],
-        ideal: float,
+        level: Tuple[int, float, int],
         depth: int,
         tail: _SearchNode,
     ) -> _SearchNode:
-        """Build a full exit state from pass-through context + template encoding."""
-        rel_props, rel_comm, rel_completed = exit_rel
+        """Build a full exit state from pass-through context + template
+        encoding, at the exit position ``level`` (completed, ideal time,
+        topological pointer)."""
+        rel_props, rel_comm = exit_rel
         occ_refs = info.occ_refs
         pbits = (root.pbits & ~info.prop_mask) | self.theory.encode(
             Property(occ_refs[i], state) for i, state in rel_props
@@ -1035,20 +1004,15 @@ class ProgramSynthesizer:
         cbits = root.cbits & ~info.relevant_mask
         for i in rel_comm:
             cbits |= info.ref_bits[i]
-        completed = root.completed & ~info.relevant_mask
-        for i in rel_completed:
-            completed |= info.ref_bits[i]
         node = _SearchNode.__new__(_SearchNode)
         node.parent = tail.parent
         node.rule = tail.rule
         node.pbits = pbits
-        node.completed = completed
         node.cbits = cbits
         node.closed_cost = closed
         node.stage_comp = stage
-        node.completed_ideal = ideal
+        node.completed, node.completed_ideal, node.topo_ptr = level
         node.depth = depth
-        node.topo_ptr = self._advance_topo_ptr(root.topo_ptr, completed)
         return node
 
     def _translate_descriptor(
@@ -1081,54 +1045,48 @@ class ProgramSynthesizer:
 
     def _expand(
         self,
-        state: _SearchNode,
-        rule: Rule,
+        states: Sequence[_SearchNode],
+        node_name: str,
         ratios: Sequence[float],
-        memo: Dict[int, Tuple],
-    ) -> List[Tuple]:
-        """Fire a computation rule on a state, enabling collectives included.
+        memo: Dict[str, List[Tuple]],
+    ) -> Tuple[Tuple[int, float, int], List[Tuple]]:
+        """Every child of one level: each state fires each rule of ``node_name``.
 
-        Returns one plain tuple per child, ``((pbits, completed, cbits),
-        closed_cost, stage_comp, rank, completed_ideal, topo_ptr, state,
-        rule, collectives)``, in :meth:`_chains` order; :meth:`_materialize`
-        builds a child's search node.  ``rank`` is the child's
+        ``states`` all sit at the node's topological position, so they share
+        ``completed`` and ``completed_ideal``: every source is fused into its
+        first consumer (:func:`repro.core.rules.build_theory`).  The level's
+        completion mask, ideal time, topological pointer and liveness drop
+        are therefore computed once, from ``states[0]``, and returned first
+        as ``(completed, completed_ideal, topo_ptr)``.
+
+        Then one plain tuple per child, ``((pbits, cbits), closed_cost,
+        stage_comp, rank, state, rule, collectives)``, state by state, rule
+        by rule, in :meth:`_chains` order; :meth:`_materialize` builds a
+        child's search node.  ``rank`` is the child's
         :func:`beam_rank_order` key.
 
         The caller owns ``memo`` (one per beam level, one per A* search).
-        Per rule it holds the rule's static data and its chains
-        (:meth:`_chains`), keyed by the only state bits they read:
-        ``(pbits & scope_p, cbits & scope_c)``.
-        Collectives complete nothing and drop nothing, so the completion
-        mask, ideal time, topological pointer, liveness drops and
-        ``max(stage_comp)`` are computed once per state and rule.  A child
-        then costs one :func:`_replay` of its chain's compiled plan: for a
+        Per node it holds each rule with its chains (:meth:`_chains`), keyed
+        by the only state bits they read: ``(pbits & scope_p, cbits &
+        scope_c)``.  A child then costs one :func:`_replay` of its chain's
+        compiled plan, with ``max(stage_comp)`` taken once per state: for a
         chain that starts with a collective, a few float adds, with the open
         stage and the rank key's ``max`` and work taken from the plan.  Only
         a chain with no collective before its computation builds a new
         open-stage vector.
         """
-        entry = memo.get(id(rule))
-        if entry is None:
-            _, mask, ideals, drops = self._replay_runtime(rule, ratios)
-            entry = memo[id(rule)] = (mask, ideals, drops, *self._expansion_scope(rule), {})
-        mask, ideals, drops, scope_p, scope_c, by_bits = entry
-        completed = state.completed
-        if completed & mask:
-            return []
-        pbits, cbits = state.pbits, state.cbits
-        key = (pbits & scope_p, cbits & scope_c)
-        chains = by_bits.get(key)
-        if chains is None:
-            chains = by_bits[key] = self._chains(rule, pbits, cbits, ratios)
-        if not chains:
-            return []
-        topo_ptr = state.topo_ptr
-        if mask:
-            completed |= mask
-            topo_ptr = self._advance_topo_ptr(topo_ptr, completed)
-        ideal = state.completed_ideal
-        for delta in ideals:
-            ideal += delta
+        rules = memo.get(node_name)
+        if rules is None:
+            comp_rules = self.theory.comp_rules_by_node.get(node_name)
+            if not comp_rules:
+                raise SynthesisError(f"no sharding rules for node {node_name!r}")
+            rules = memo[node_name] = [
+                (rule, *self._expansion_scope(rule), {}) for rule in comp_rules
+            ]
+        mask, delta, drops = self._node_static(node_name)
+        first = states[0]
+        completed = first.completed | mask
+        level = (completed, first.completed_ideal + delta, first.topo_ptr + 1)
         # Optimisation #3: the properties of tensors that can no longer be
         # consumed (every consumer emulated) leave the state.  Program outputs
         # with no consumers (updated parameters, the loss) leave it as well —
@@ -1140,29 +1098,36 @@ class ProgramSynthesizer:
             if completed & consumers == consumers:
                 drop |= prop_mask
         keep = ~drop
-        closed0, stage0 = state.closed_cost, state.stage_comp
-        open0 = max(stage0)
-        out = []
-        for comms, plan, post, comm in chains:
-            closed, stage = _replay(plan, closed0, stage0, open0)
-            if plan.sync is None:
-                rank = (closed + max(stage), _work(stage))
-            else:
-                rank = (closed + plan.stage_max, plan.work)
-            out.append(
-                (
-                    ((pbits | post) & keep, completed, cbits | comm),
-                    closed,
-                    stage,
-                    rank,
-                    ideal,
-                    topo_ptr,
-                    state,
-                    rule,
-                    comms,
-                )
-            )
-        return out
+        children: List[Tuple] = []
+        append = children.append
+        chains_of = self._chains
+        for state in states:
+            pbits, cbits = state.pbits, state.cbits
+            closed0, stage0 = state.closed_cost, state.stage_comp
+            open0 = max(stage0)
+            for rule, scope_p, scope_c, by_bits in rules:
+                key = (pbits & scope_p, cbits & scope_c)
+                chains = by_bits.get(key)
+                if chains is None:
+                    chains = by_bits[key] = chains_of(rule, pbits, cbits, ratios)
+                for comms, plan, post, comm in chains:
+                    closed, stage = _replay(plan, closed0, stage0, open0)
+                    if plan.sync is None:
+                        rank = (closed + max(stage), _work(stage))
+                    else:
+                        rank = (closed + plan.stage_max, plan.work)
+                    append(
+                        (
+                            ((pbits | post) & keep, cbits | comm),
+                            closed,
+                            stage,
+                            rank,
+                            state,
+                            rule,
+                            comms,
+                        )
+                    )
+        return level, children
 
     def _chains(self, rule: Rule, pbits: int, cbits: int, ratios: Sequence[float]) -> List[Tuple]:
         """Every chain of enabling collectives that lets ``rule`` fire.
@@ -1190,13 +1155,13 @@ class ProgramSynthesizer:
             if not options:
                 return []
             option_sets.append(options)
-        rule_plan = self._replay_runtime(rule, ratios)[0]
+        rule_plan = self._rule_plan(rule, ratios)
         chains: List[Tuple] = []
         for comms in itertools.product(*option_sets):
             plan = _EMPTY_PLAN
             post, comm_mask = rule.post_mask, rule.comm_mask
             for comm in comms:
-                plan = _then(plan, self._replay_runtime(comm, ratios)[0])
+                plan = _then(plan, self._rule_plan(comm, ratios))
                 post |= comm.post_mask
                 comm_mask |= comm.comm_mask
             chains.append((comms, _then(plan, rule_plan), post, comm_mask))
@@ -1218,13 +1183,13 @@ class ProgramSynthesizer:
                 scope_c |= comm.comm_mask
         return scope_p, scope_c
 
-    def _materialize(self, child: Tuple) -> _SearchNode:
-        """The search node of an :meth:`_expand` child.
+    def _materialize(self, child: Tuple, level: Tuple[int, float, int]) -> _SearchNode:
+        """The search node of an :meth:`_expand` child at its ``level``.
 
         Each enabling collective gets a lineage node that carries only
         ``parent`` and ``rule``, as :meth:`_replay_block`'s do.
         """
-        (pbits, completed, cbits), closed, stage, _, ideal, topo_ptr, state, rule, comms = child
+        (pbits, cbits), closed, stage, _, state, rule, comms = child
         parent = state
         for comm in comms:
             parent = _SearchNode.link(parent, comm)
@@ -1232,13 +1197,11 @@ class ProgramSynthesizer:
         node.parent = parent
         node.rule = rule
         node.pbits = pbits
-        node.completed = completed
         node.cbits = cbits
         node.closed_cost = closed
         node.stage_comp = stage
-        node.completed_ideal = ideal
+        node.completed, node.completed_ideal, node.topo_ptr = level
         node.depth = state.depth + len(comms) + 1
-        node.topo_ptr = topo_ptr
         return node
 
     def _ordered_pre(self, rule: Rule) -> Tuple[Tuple[int, int], ...]:
@@ -1283,8 +1246,10 @@ class ProgramSynthesizer:
         """Exact A* over the beam search's space (the beam's oracle).
 
         A state's successors are the beam's children of its next
-        topological-order node (:meth:`_expand`), so the two searches
-        explore one space and differ only in pruning.  States are expanded
+        topological-order node (:meth:`_expand` on that one state), so the
+        two searches explore one space and differ only in pruning.  The
+        dominance check keys on ``(pbits, cbits, topo_ptr)``: the position
+        fixes ``completed``.  States are expanded
         in score order until the lowest open score reaches the best complete
         cost.  Raises :class:`SynthesisError` when the search exhausts
         without a complete program or reaches :data:`MAX_SEARCH_STEPS`
@@ -1305,7 +1270,7 @@ class ProgramSynthesizer:
         best_cost = float("inf")
         expanded = 0
         generated = 1
-        memo: Dict[int, Tuple] = {}
+        memo: Dict[str, List[Tuple]] = {}
         output_mask = self._output_mask
 
         while heap:
@@ -1324,25 +1289,28 @@ class ProgramSynthesizer:
                 )
             expanded += 1
             # A pushed state is incomplete, so some node is still pending.
-            next_node = self._topo_order[node.topo_ptr]
-            for rule in self.theory.comp_rules_by_node.get(next_node, ()):
-                for child in self._expand(node, rule, ratios, memo):
-                    generated += 1
-                    key, closed, stage = child[:3]
-                    if key[1] & output_mask == output_mask:
-                        cost = closed + max(stage)
-                        if cost < best_cost:
-                            best_cost, best_complete = cost, self._materialize(child)
-                        continue
-                    front = fronts.get(key)
-                    if front is None:
-                        front = fronts[key] = ParetoFront(eps=1e-12)
-                    if not front.insert(tuple([closed + c for c in stage])):
-                        continue  # dominated by an already-known program
-                    state = self._materialize(child)
-                    child_score = self._score(state)
-                    if child_score < best_cost:
-                        heapq.heappush(heap, (child_score, -state.depth, next(counter), state))
+            level, children = self._expand(
+                [node], self._topo_order[node.topo_ptr], ratios, memo
+            )
+            generated += len(children)
+            completed, _, topo_ptr = level
+            for child in children:
+                (pbits, cbits), closed, stage = child[:3]
+                if completed & output_mask == output_mask:
+                    cost = closed + max(stage)
+                    if cost < best_cost:
+                        best_cost, best_complete = cost, self._materialize(child, level)
+                    continue
+                key = (pbits, cbits, topo_ptr)
+                front = fronts.get(key)
+                if front is None:
+                    front = fronts[key] = ParetoFront(eps=1e-12)
+                if not front.insert(tuple([closed + c for c in stage])):
+                    continue  # dominated by an already-known program
+                state = self._materialize(child, level)
+                child_score = self._score(state)
+                if child_score < best_cost:
+                    heapq.heappush(heap, (child_score, -state.depth, next(counter), state))
 
         if best_complete is None:
             raise SynthesisError(

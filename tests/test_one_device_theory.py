@@ -61,10 +61,20 @@ def test_one_device_program_is_the_single_device_program(model, strategy, enable
     assert not any(rule.is_communication for rule in theory.rules)
     compute = [n.name for n in graph if not is_source_op(n.op)]
     assert sorted(theory.comp_rules_by_node) == sorted(compute)
+    first_consumer = {}
+    for node in graph:
+        for inp in node.inputs:
+            if is_source_op(graph[inp].op):
+                first_consumer.setdefault(inp, node.name)
     for name in compute:
-        # One variant per node; the rest are its source-fused copies.
-        unfused = [r for r in theory.comp_rules_by_node[name] if len(r.instructions) == 1]
-        assert len(unfused) == 1
+        # Exactly one rule per node, which fuses exactly the node's
+        # first-use sources.
+        (rule,) = theory.comp_rules_by_node[name]
+        fused = {src for src, consumer in first_consumer.items() if consumer == name}
+        *creates, instr = rule.instructions
+        assert instr.node == name
+        assert sorted(i.node for i in creates) == sorted(fused)
+        assert rule.completes == {name} | fused
 
     result = ProgramSynthesizer(graph, cluster, config).synthesize()
     program = result.program

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.autodiff import build_training_graph
 from repro.collectives import CollectiveKind
 from repro.core import (
     DistState,
@@ -16,6 +17,10 @@ from repro.core import (
 )
 from repro.core.rules import _reshape_dim_map, source_variants
 from repro.graph import DType, GraphBuilder
+from repro.graph.ops import OpKind
+from repro.models import build_tiny_model
+
+from .conftest import build_mlp, build_tiny_moe, build_tiny_transformer
 
 
 class TestProperties:
@@ -216,8 +221,6 @@ class TestTheory:
         theory = build_theory(transformer_training.graph, four_device_cluster.num_devices)
         assert len(theory) > 100
         # every non-source node has at least one computation rule
-        from repro.graph.ops import OpKind
-
         for node in transformer_training.graph:
             if node.kind is not OpKind.SOURCE:
                 assert node.name in theory.comp_rules_by_node, node.name
@@ -233,6 +236,37 @@ class TestTheory:
             if not any(p.ref in sources for p in r.pre) and r.completes & sources
         ]
         assert fully_fused, "expected at least one rule with inlined source instructions"
+
+    @pytest.mark.parametrize("num_devices", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "builder",
+        [build_mlp, build_tiny_transformer, build_tiny_moe, lambda: build_tiny_model("bert_moe")],
+        ids=["mlp", "tiny_transformer", "tiny_moe", "bert_moe"],
+    )
+    def test_each_source_is_fused_into_its_first_consumer(self, builder, num_devices):
+        """A computation rule of node n completes n and exactly the sources
+        whose first consumer in graph order is n; it requires every other
+        source input as a precondition."""
+        graph = build_training_graph(builder()).graph
+        theory = build_theory(graph, num_devices)
+        first_consumer = {}
+        for node in graph:
+            for inp in node.inputs:
+                if graph[inp].kind is OpKind.SOURCE:
+                    first_consumer.setdefault(inp, node.name)
+        checked = 0
+        for name, rules in theory.comp_rules_by_node.items():
+            first_use = {s for s, consumer in first_consumer.items() if consumer == name}
+            later_use = {
+                inp for inp in graph[name].inputs if inp in first_consumer
+            } - first_use
+            for rule in rules:
+                assert rule.completes == {name} | first_use
+                pre_refs = {p.ref for p in rule.pre}
+                assert not pre_refs & first_use
+                assert later_use <= pre_refs
+                checked += 1
+        assert checked and first_consumer
 
     def test_comm_rules_cover_partial_to_replicated(self, mlp_training):
         theory = build_theory(mlp_training.graph, 4)

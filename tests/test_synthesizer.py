@@ -186,18 +186,31 @@ def _apply(synthesizer, node, rule, ratios):
 
     Replays the rule's own cost plan, ORs in its completions, posts and
     communications, and drops the properties of every tensor whose
-    consumers are then all emulated.
+    consumers are then all emulated.  Reads no level data: completion,
+    ideal time, liveness and the topological pointer come from the rule
+    and the graph.
     """
-    plan, mask, ideals, drops = synthesizer._replay_runtime(rule, ratios)
-    closed, stage = _replay(plan, node.closed_cost, node.stage_comp)
-    completed = node.completed | mask
-    completed_ideal = node.completed_ideal
-    for ideal in ideals:
-        completed_ideal += ideal
+    graph = synthesizer.graph
+    position = {name: i for i, name in enumerate(graph.node_names)}
+    consumers = graph.consumers()
+    closed, stage = _replay(
+        synthesizer._rule_plan(rule, ratios), node.closed_cost, node.stage_comp
+    )
+    completed, completed_ideal = node.completed, node.completed_ideal
+    for name in rule.completes:
+        completed |= 1 << position[name]
+        completed_ideal += synthesizer._ideal(name)
     pbits = node.pbits | rule.post_mask
-    for consumers, prop_mask in drops:
-        if completed & consumers == consumers:
-            pbits &= ~prop_mask
+    for name in rule.completes:
+        for ref in (*graph[name].inputs, name):
+            users = consumers[ref]
+            if (users or ref in graph.outputs) and all(
+                completed >> position[user] & 1 for user in users
+            ):
+                pbits &= ~synthesizer.theory.ref_masks.get(ref, 0)
+    topo_ptr, order = node.topo_ptr, synthesizer._topo_order
+    while topo_ptr < len(order) and completed >> position[order[topo_ptr]] & 1:
+        topo_ptr += 1
     return _SearchNode(
         node,
         rule,
@@ -208,7 +221,7 @@ def _apply(synthesizer, node, rule, ratios):
         stage,
         completed_ideal,
         node.depth + 1,
-        synthesizer._advance_topo_ptr(node.topo_ptr, completed),
+        topo_ptr,
     )
 
 
@@ -220,8 +233,6 @@ def _one_apply_at_a_time(synthesizer, state, rule, ratios):
     tensor not yet communicated), in ``itertools.product`` order, then the
     rule.  Returns the children and the number of option sets they combine.
     """
-    if state.completed & synthesizer._replay_runtime(rule, ratios)[1]:
-        return [], 0
     option_sets = []
     for index, bit in synthesizer._ordered_pre(rule):
         if state.pbits & bit:
@@ -377,11 +388,11 @@ class TestCompiledReplay:
 
 
 class TestExpansion:
-    """The per-level expansion yields exactly the children of one ``_apply`` at a time.
+    """One level's expansion yields exactly the children of one ``_apply`` at a time.
 
-    The walk follows the beam search level by level and, with one chain memo
-    per level as ``_beam_level`` keeps it, compares every (state, rule) pair
-    of every level.  Floats are compared bit for bit.
+    The walk follows the beam search level by level, expands each real beam
+    level in one :meth:`_expand` call, and compares its children with the
+    per-(state, rule) reference, in order.  Floats are compared bit for bit.
     """
 
     @pytest.mark.parametrize("builder", [build_tiny_transformer, build_tiny_moe])
@@ -394,41 +405,57 @@ class TestExpansion:
         ratios = synthesizer._plan_ratios
         states = [synthesizer._root()]
         chains_seen = {1: 0, 2: 0}
+        multi_state_levels = 0
         for node_name in synthesizer._topo_order:
-            memo = {}
+            level, children = synthesizer._expand(states, node_name, ratios, {})
+            expected = []
             for state in states:
                 for rule in synthesizer.theory.comp_rules_by_node[node_name]:
-                    expected, missing = _one_apply_at_a_time(synthesizer, state, rule, ratios)
-                    children = synthesizer._expand(state, rule, ratios, memo)
-                    actual = [synthesizer._materialize(child) for child in children]
-                    assert len(actual) == len(expected)
-                    if expected and missing in chains_seen:
+                    # No rule completes a node some state has already emulated.
+                    assert not any(
+                        state.completed >> training.node_names.index(name) & 1
+                        for name in rule.completes
+                    )
+                    batch, missing = _one_apply_at_a_time(synthesizer, state, rule, ratios)
+                    if batch and missing in chains_seen:
                         chains_seen[missing] += 1
-                    for child, got, want in zip(children, actual, expected):
-                        cost, work = child[3]
-                        assert _bits(cost) == _bits(
-                            max(got.closed_cost + c for c in got.stage_comp)
-                        )
-                        assert _bits(work) == _bits(_left_to_right(got.stage_comp))
-                        assert (got.pbits, got.completed, got.cbits) == (
-                            want.pbits,
-                            want.completed,
-                            want.cbits,
-                        )
-                        assert _bits(got.closed_cost) == _bits(want.closed_cost)
-                        assert [_bits(c) for c in got.stage_comp] == [
-                            _bits(c) for c in want.stage_comp
-                        ]
-                        assert _bits(got.completed_ideal) == _bits(want.completed_ideal)
-                        assert (got.depth, got.topo_ptr) == (want.depth, want.topo_ptr)
-                        assert got.instructions() == want.instructions()
-                        got_rules = _lineage(got, state)
-                        want_rules = _lineage(want, state)
-                        assert len(got_rules) == len(want_rules)
-                        assert all(a is b for a, b in zip(got_rules, want_rules))
+                    expected.extend((state, rule, want) for want in batch)
+            assert len(children) == len(expected)
+            if len(states) > 1 and children:
+                multi_state_levels += 1
+            for child, (state, rule, want) in zip(children, expected):
+                assert child[4] is state and child[5] is rule
+                got = synthesizer._materialize(child, level)
+                # The merge key, and the rank key that orders the level.
+                assert child[0] == (want.pbits, want.cbits)
+                cost, work = child[3]
+                assert _bits(cost) == _bits(
+                    max(want.closed_cost + c for c in want.stage_comp)
+                )
+                assert _bits(work) == _bits(_left_to_right(want.stage_comp))
+                assert (got.pbits, got.completed, got.cbits) == (
+                    want.pbits,
+                    want.completed,
+                    want.cbits,
+                )
+                assert _bits(got.closed_cost) == _bits(want.closed_cost)
+                assert [_bits(c) for c in got.stage_comp] == [
+                    _bits(c) for c in want.stage_comp
+                ]
+                assert _bits(got.completed_ideal) == _bits(want.completed_ideal)
+                assert (got.depth, got.topo_ptr) == (want.depth, want.topo_ptr)
+                assert got.instructions() == want.instructions()
+                got_rules = _lineage(got, state)
+                want_rules = _lineage(want, state)
+                assert len(got_rules) == len(want_rules)
+                assert all(a is b for a, b in zip(got_rules, want_rules))
             states = synthesizer._beam_level(states, node_name, ratios, 4)
+            # The survivors share the level's one ``completed`` int.
+            assert states[0].completed == level[0]
+            assert all(state.completed is states[0].completed for state in states)
         # Both shapes occurred: one missing precondition, and two (two option sets).
         assert chains_seen[1] > 0 and chains_seen[2] > 0
+        assert multi_state_levels > 0
 
     def test_synthesizer_keeps_no_per_state_memo(
         self, transformer_training, four_device_cluster, monkeypatch
