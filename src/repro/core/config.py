@@ -52,14 +52,12 @@ class SynthesisConfig:
             the beam search; ``None`` keeps every candidate.  A* ignores it.
         search_strategy: ``"beam"`` (default) runs a level-synchronised beam
             search — one level per single-device node, keeping the
-            ``beam_width`` cheapest distribution states per level and
-            replaying repeated blocks (transformer layers, their backward
-            blocks, per-layer optimizer updates) from the decisions recorded
-            on an earlier occurrence; this is what makes Python-side
-            synthesis scale to the full benchmark models.  ``"astar"`` runs
-            the priority-queue search of Fig. 10, exact over the same
-            topological-order space: the oracle the tests check the beam
-            search against, practical only on small graphs.
+            ``beam_width`` cheapest distribution states per level; this is
+            what makes Python-side synthesis scale to the full benchmark
+            models.  ``"astar"`` runs the priority-queue search of Fig. 10,
+            exact over the same topological-order space: the oracle the
+            tests check the beam search against, practical only on small
+            graphs.
         verify_after_plan: run the static program verifier
             (:func:`repro.verify.verify_program` — dataflow, collective
             legality, compute-flag and cost-accounting checks) on the

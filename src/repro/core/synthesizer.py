@@ -17,9 +17,8 @@ first consumer, so all states at one position have emulated the same nodes,
 and a beam level computes that set, its ideal time and its liveness drop
 once.
 
-* The beam search is the planner's search.  It keeps the ``beam_width``
-  cheapest states per node and replays repeated blocks from the decisions
-  recorded on an earlier occurrence.
+* The beam search is the planner's search.  It expands every node of the
+  order in turn and keeps the ``beam_width`` cheapest states per node.
 * A* (Fig. 10) is the exact oracle over the same space, the search the tests
   check the beam against.  It repeatedly pops the lowest-score state from a
   priority queue and expands it as the beam would.  Its heuristic,
@@ -50,7 +49,6 @@ from operator import add
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..cluster.spec import ClusterSpec
-from ..graph.canonical import BlockRun, find_repeated_blocks
 from ..graph.graph import ComputationGraph
 from ..graph.ops import OpKind
 from .config import SynthesisConfig
@@ -134,11 +132,10 @@ def _replay(
 ) -> Tuple[float, Tuple[float, ...]]:
     """Accumulate a cost plan onto a closed cost and an open-stage vector.
 
-    The search's one replay: :meth:`ProgramSynthesizer._replay_block` and
-    :meth:`~ProgramSynthesizer._expand` both run it, so a state's cost is the
-    same float operations in the same order whichever path built it.  A
-    caller replaying many plans onto one state passes ``max(stage)`` as
-    ``open_cost`` to compute it once.
+    :meth:`~ProgramSynthesizer._expand` runs it once per child, for both
+    searches, so a state's cost is the same float operations in the same
+    order whichever search built it.  A caller replaying many plans onto one
+    state passes ``max(stage)`` as ``open_cost`` to compute it once.
     """
     head, sync, closes, final, _, _ = plan
     if head:
@@ -210,14 +207,11 @@ class _SearchNode:
     candidates are visited in rule and precondition order, whatever bits
     they own.
 
-    The beam search also makes parent-only lineage nodes (:meth:`link`),
+    Both searches also make parent-only lineage nodes (:meth:`link`),
     which set just ``parent`` and ``rule``: one per enabling collective of
-    a surviving child (:meth:`ProgramSynthesizer._materialize`) and one per
-    rule a block replay applies (:meth:`ProgramSynthesizer._replay_block`).
-    They are never search states.  Only lineage walks reach them
-    (:meth:`instructions`, :meth:`ProgramSynthesizer._normalized`, and
-    :meth:`ProgramSynthesizer._reconstruct_exit` on a replay's last one),
-    and those read nothing but the two fields.
+    a materialized child (:meth:`ProgramSynthesizer._materialize`).  They
+    are never search states.  Only :meth:`instructions` reaches them, and
+    it reads nothing but the two fields.
     """
 
     __slots__ = (
@@ -283,88 +277,6 @@ class _SearchNode:
         return max(self.stage_comp) if self.stage_comp else 0.0
 
 
-class _OccurrenceInfo:
-    """Static (ratio-independent) data of one repeated-block occurrence."""
-
-    __slots__ = (
-        "node_names",
-        "occ_refs",
-        "ref_idx",
-        "ref_bits",
-        "relevant_mask",
-        "prop_mask",
-        "pending_masks",
-        "sigmaps",
-    )
-
-    def __init__(
-        self,
-        node_names: Tuple[str, ...],
-        occ_refs: Tuple[str, ...],
-        ref_idx: Dict[str, int],
-        ref_bits: Tuple[int, ...],
-        relevant_mask: int,
-        prop_mask: int,
-        pending_masks: Tuple[int, ...],
-    ) -> None:
-        self.node_names = node_names
-        self.occ_refs = occ_refs
-        self.ref_idx = ref_idx
-        #: graph-position bits of the block's refs (the ``completed`` and
-        #: ``cbits`` space) and their union
-        self.ref_bits = ref_bits
-        self.relevant_mask = relevant_mask
-        #: every property bit of the block's refs (the ``pbits`` space)
-        self.prop_mask = prop_mask
-        self.pending_masks = pending_masks
-        #: lazily-built signature -> rule maps per candidate list (signatures
-        #: are structural, so the maps survive across synthesize() calls).
-        self.sigmaps: Dict[Tuple, Dict[Tuple, Rule]] = {}
-
-
-class _BlockRecord:
-    """Recorded beam decisions of one block template, normalized lazily.
-
-    A full expansion keeps only the beam it entered the block with
-    (``entry``) and the beam it left with (``exits``).  Search nodes are
-    immutable and point at their parents, so each exit state's lineage back
-    to the entry beam holds the decisions that led to it.  Only when a later
-    occurrence's entry signature matches are they read back, once, by
-    :meth:`ProgramSynthesizer._normalized`; most recorded blocks never match
-    and never pay for it.
-
-    Normalized, ``levels[j]`` lists the distinct level-``j`` states on those
-    lineages as ``(parent position in level j-1, or in the entry beam for
-    j = 0; descriptor chain)``: the applied rules (enabling collectives, then
-    the computation rule) as block-local structural descriptors.  States the
-    template's beam kept but no exit state descends from were padding and are
-    not replayed.  The last level is in exit-beam order.  ``exit_rel``
-    describes, per exit-beam position, the block-relevant part of the
-    template's exit state — (property encodings, communicated ref indices) —
-    from which a replay reconstructs the occurrence's exit states directly:
-    context irrelevant to the block passes through a block unchanged
-    (liveness drops and communications only ever touch the block's own
-    references), and completion belongs to the position, so only cost
-    accumulation needs to walk the decision chains.
-    """
-
-    __slots__ = ("entry_sig", "entry", "exits", "info", "levels", "exit_rel")
-
-    def __init__(
-        self,
-        entry_sig: Tuple,
-        entry: List[_SearchNode],
-        exits: List[_SearchNode],
-        info: _OccurrenceInfo,
-    ) -> None:
-        self.entry_sig = entry_sig
-        self.entry = entry
-        self.exits = exits
-        self.info = info
-        self.levels: Optional[List[List[Tuple]]] = None
-        self.exit_rel: List[Tuple] = []
-
-
 class ProgramSynthesizer:
     """Synthesizes the optimal distributed program for fixed sharding ratios."""
 
@@ -418,14 +330,6 @@ class ProgramSynthesizer:
         #: id(rule) -> (index, bit) of its preconditions in deterministic order
         #: (_ordered_pre).
         self._pre_order_cache: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-        # -- block reuse (beam search) ------------------------------------------
-        #: segment schedule over the topological order: plain nodes plus
-        #: repeated-block occurrences (built lazily on first beam search).
-        self._reuse_segments: Optional[List[Tuple]] = None
-        #: (id(run), occurrence index) -> per-occurrence static info.
-        self._occ_info: Dict[Tuple[int, int], _OccurrenceInfo] = {}
-        #: per-synthesize block-reuse accounting (inspectable after a run).
-        self.reuse_stats: Dict[str, int] = {}
 
     # -- helpers -----------------------------------------------------------------
     def _ideal(self, name: str) -> float:
@@ -573,28 +477,14 @@ class ProgramSynthesizer:
         that establish the variant's missing preconditions, and keeps the
         ``beam_width`` cheapest resulting states (after merging children that
         share a state key, see :meth:`_beam_level`; ``None`` keeps them all).
-
-        The order is walked as :meth:`_reuse_schedule`'s plain nodes and
-        repeated-block occurrences; an occurrence replays an earlier one's
-        decisions, with exact costs, when their entry signatures match.
         """
         start = _time.perf_counter()
         beam_width = self.config.beam_width
         states: List[_SearchNode] = [self._root()]
         self._bm_expanded = 0
         self._bm_generated = 1
-        self.reuse_stats = {"occurrences": 0, "replayed": 0, "recorded": 0, "fallbacks": 0}
-        # id(run) -> template decisions (per call: they depend on the ratios).
-        records: Dict[int, _BlockRecord] = {}
-        for segment in self._reuse_schedule():
-            if segment[0] == "node":
-                states = self._beam_level(states, segment[1], ratios, beam_width)
-            else:
-                _, run, occ_idx = segment
-                states = self._block_occurrence(
-                    states, run, occ_idx, ratios, beam_width, records
-                )
-
+        for node_name in self._topo_order:
+            states = self._beam_level(states, node_name, ratios, beam_width)
         complete = [s for s in states if self._is_complete(s)]
         if not complete:
             raise SynthesisError("beam search finished without a complete program")
@@ -650,398 +540,6 @@ class ProgramSynthesizer:
         entries = list(children.values())
         order = beam_rank_order([child[3] for child in entries])
         return [self._materialize(entries[i], level) for i in order[:beam_width]]
-
-    # -- repeated-block record/replay ---------------------------------------------------
-    def _reuse_schedule(self) -> List[Tuple]:
-        """Segment the topological order into plain nodes and block occurrences."""
-        if self._reuse_segments is not None:
-            return self._reuse_segments
-        runs = find_repeated_blocks(self.graph, self._topo_order)
-        occurrence_at: Dict[int, Tuple[BlockRun, int]] = {}
-        for run in runs:
-            for occ_idx, start in enumerate(run.occurrence_starts):
-                occurrence_at[start] = (run, occ_idx)
-        segments: List[Tuple] = []
-        i = 0
-        n = len(self._topo_order)
-        while i < n:
-            entry = occurrence_at.get(i)
-            if entry is not None:
-                run, occ_idx = entry
-                segments.append(("block", run, occ_idx))
-                self._occ_info[(id(run), occ_idx)] = self._build_occ_info(run, occ_idx)
-                i += run.length
-            else:
-                segments.append(("node", self._topo_order[i]))
-                i += 1
-        self._reuse_segments = segments
-        return segments
-
-    def _build_occ_info(self, run: BlockRun, occ_idx: int) -> _OccurrenceInfo:
-        mapping = run.maps[occ_idx]
-        start = run.occurrence_starts[occ_idx]
-        node_names = tuple(self._topo_order[start : start + run.length])
-        occ_refs = tuple(mapping[ref] for ref in run.refs)
-        ref_idx = {ref: i for i, ref in enumerate(occ_refs)}
-        ref_bits = tuple(1 << self._node_index[ref] for ref in occ_refs)
-        relevant_mask = 0
-        for bit in ref_bits:
-            relevant_mask |= bit
-        prop_mask = 0
-        for ref in occ_refs:
-            prop_mask |= self.theory.ref_masks.get(ref, 0)
-        block_nodes = set(node_names)
-        pending_masks: List[int] = []
-        for ref in occ_refs:
-            mask = 0
-            for consumer in self._consumers.get(ref, []):
-                if consumer not in block_nodes:
-                    mask |= 1 << self._node_index[consumer]
-            pending_masks.append(mask)
-        return _OccurrenceInfo(
-            node_names=node_names,
-            occ_refs=occ_refs,
-            ref_idx=ref_idx,
-            ref_bits=ref_bits,
-            relevant_mask=relevant_mask,
-            prop_mask=prop_mask,
-            pending_masks=tuple(pending_masks),
-        )
-
-    def _block_occurrence(
-        self,
-        states: List[_SearchNode],
-        run: BlockRun,
-        occ_idx: int,
-        ratios: Sequence[float],
-        beam_width: Optional[int],
-        records: Dict[int, _BlockRecord],
-    ) -> List[_SearchNode]:
-        """Process one occurrence of a repeated block: replay or record.
-
-        The first occurrence (and any occurrence whose entry signature differs
-        from the recorded template's) is expanded in full with its decisions
-        recorded; matching occurrences replay the recorded decision chains,
-        re-running the exact cost model per applied rule.  Replay bails out to
-        full expansion on any structural mismatch.
-        """
-        info = self._occ_info[(id(run), occ_idx)]
-        sig = self._block_entry_signature(states, info)
-        record = records.get(id(run))
-        self.reuse_stats["occurrences"] += 1
-        if record is not None and record.entry_sig == sig:
-            replayed = self._replay_block(states, info, record, ratios)
-            if replayed is not None:
-                self.reuse_stats["replayed"] += 1
-                return replayed
-            self.reuse_stats["fallbacks"] += 1
-        self.reuse_stats["recorded"] += 1
-        entry = states
-        for node_name in info.node_names:
-            states = self._beam_level(states, node_name, ratios, beam_width)
-        records[id(run)] = _BlockRecord(sig, entry, states, info)
-        return states
-
-    def _exit_encoding(self, state: _SearchNode, info: _OccurrenceInfo) -> Tuple:
-        """Block-relevant part of an exit state, in block-local indices.
-
-        Only the block's own property bits are decoded.
-        """
-        ref_idx = info.ref_idx
-        rel_props = tuple(
-            (ref_idx[p.ref], p.state)
-            for p in self.theory.decode(state.pbits & info.prop_mask)
-        )
-        cbits = state.cbits
-        rel_comm = tuple(i for i, bit in enumerate(info.ref_bits) if cbits & bit)
-        return (rel_props, rel_comm)
-
-    def _normalized(self, record: _BlockRecord) -> List[List[Tuple]]:
-        """The record's decisions as block-local descriptor chains.
-
-        Built, with ``exit_rel``, on the record's first entry-signature
-        match, by walking each exit state's parents back to the entry beam.
-        Every level applies exactly one computation rule, which closes it.
-        """
-        if record.levels is None:
-            info = record.info
-            origin = {id(state): i for i, state in enumerate(record.entry)}
-            levels: List[List[Tuple]] = [[] for _ in info.node_names]
-            positions: List[Dict[int, int]] = [{} for _ in info.node_names]
-            for exit_state in record.exits:
-                lineage: List[_SearchNode] = []
-                cursor: Optional[_SearchNode] = exit_state
-                while cursor is not None and id(cursor) not in origin:
-                    lineage.append(cursor)
-                    cursor = cursor.parent
-                assert cursor is not None
-                parent, level, rules = origin[id(cursor)], 0, []
-                for node in reversed(lineage):
-                    rule: Rule = node.rule  # type: ignore[assignment]
-                    rules.append(rule)
-                    if not rule.completes:
-                        continue  # an enabling collective
-                    position = positions[level].get(id(node))
-                    if position is None:
-                        position = positions[level][id(node)] = len(levels[level])
-                        chain = tuple(self._rule_descriptor(r, info) for r in rules)
-                        levels[level].append((parent, chain))
-                    parent, level, rules = position, level + 1, []
-            record.levels = levels
-            record.exit_rel = [self._exit_encoding(state, info) for state in record.exits]
-        return record.levels
-
-    def _rule_descriptor(self, rule: Rule, info: _OccurrenceInfo) -> Tuple:
-        """Block-local descriptor of a rule: (kind, lookup ref index, signature).
-
-        Computation rules are looked up among the sharding variants of the
-        occurrence's node at the same in-block level; communication rules
-        among the collectives of the translated reference.  The signature is
-        entirely in terms of block-local reference indices, so it transfers
-        between occurrences without a rename pass; an untranslatable rule
-        yields a ``None`` signature, which makes replay fall back.
-        """
-        sig = self._rule_sig(rule, info.ref_idx)
-        if rule.completes:
-            return ("comp", -1, sig)
-        lookup = -1
-        if sig is not None:
-            lookup = min(info.ref_idx[p.ref] for p in rule.pre)
-        return ("comm", lookup, sig)
-
-    def _rule_sig(self, rule: Rule, ref_idx: Dict[str, int]) -> Optional[Tuple]:
-        """Name-free structural signature of a rule (block-local ref indices)."""
-
-        def prop(p: Property) -> Optional[Tuple]:
-            i = ref_idx.get(p.ref)
-            if i is None:
-                return None
-            return (i, p.state.kind.value, p.state.dim)
-
-        pre = []
-        for p in rule.pre:
-            enc = prop(p)
-            if enc is None:
-                return None
-            pre.append(enc)
-        post = []
-        for p in rule.post:
-            enc = prop(p)
-            if enc is None:
-                return None
-            post.append(enc)
-        completes = []
-        for name in rule.completes:
-            i = ref_idx.get(name)
-            if i is None:
-                return None
-            completes.append(i)
-        communicates = []
-        for name in rule.communicates:
-            i = ref_idx.get(name)
-            if i is None:
-                return None
-            communicates.append(i)
-        instrs: List[Tuple] = []
-        for instr in rule.instructions:
-            if isinstance(instr, CommInstruction):
-                src = prop(instr.input)
-                dst = prop(instr.output)
-                if src is None or dst is None:
-                    return None
-                instrs.append(("m", instr.kind.value, src, dst, instr.dim, instr.dim2))
-            else:
-                node_i = ref_idx.get(instr.node)
-                out = prop(instr.output)
-                if node_i is None or out is None:
-                    return None
-                inputs = []
-                for p in instr.inputs:
-                    enc = prop(p)
-                    if enc is None:
-                        return None
-                    inputs.append(enc)
-                instrs.append(("c", node_i, instr.op, tuple(inputs), out, instr.flops_sharded))
-        return (
-            tuple(sorted(pre)),
-            tuple(instrs),
-            tuple(sorted(post)),
-            tuple(sorted(completes)),
-            tuple(sorted(communicates)),
-        )
-
-    def _block_entry_signature(self, states: List[_SearchNode], info: _OccurrenceInfo) -> Tuple:
-        """Structural signature of the beam at a block boundary.
-
-        Per state, block-relevant properties and communicated refs are
-        expressed in block-local indices; everything irrelevant to the block
-        is reduced to a distinctness-pattern id across the beam (the block's
-        decisions can only depend on *which states share* irrelevant context,
-        not on what it is).  The beam's states share one ``completed``, so
-        the completion bits of the block's refs and ``ext_pending`` are the
-        beam's.  ``ext_pending`` captures, per relevant reference, whether
-        consumers outside the block are still pending — this determines when
-        the liveness optimisation may drop the reference mid-block, so it
-        must agree with the template's.
-        """
-        ref_idx = info.ref_idx
-        ref_bits = info.ref_bits
-        relevant_mask = info.relevant_mask
-        prop_mask = info.prop_mask
-        decode = self.theory.decode
-        completed = states[0].completed
-        rel_completed = tuple(1 if completed & bit else 0 for bit in ref_bits)
-        ext_pending = tuple(1 if mask & ~completed else 0 for mask in info.pending_masks)
-        pattern_ids: Dict[Tuple, int] = {}
-        sig: List[Tuple] = [rel_completed, ext_pending]
-        for state in states:
-            pbits, cbits = state.pbits, state.cbits
-            rel_props = [
-                (ref_idx[p.ref], p.state.kind.value, p.state.dim)
-                for p in decode(pbits & prop_mask)
-            ]
-            rel_props.sort(key=lambda t: (t[0], t[1], -1 if t[2] is None else t[2]))
-            rel_comm = [i for i, bit in enumerate(ref_bits) if cbits & bit]
-            pattern_key = (pbits & ~prop_mask, cbits & ~relevant_mask)
-            pid = pattern_ids.setdefault(pattern_key, len(pattern_ids))
-            sig.append((tuple(rel_props), tuple(rel_comm), pid))
-        return tuple(sig)
-
-    def _replay_block(
-        self,
-        states: List[_SearchNode],
-        info: _OccurrenceInfo,
-        record: _BlockRecord,
-        ratios: Sequence[float],
-    ) -> Optional[List[_SearchNode]]:
-        """Replay a recorded block's decision chains on this occurrence.
-
-        Cost accumulation must be exact, so the chains are walked rule by
-        rule through the occurrence's own (signature-translated) rules and
-        cost plans — the identical float operations the full expansion would
-        perform on the winning lineages.  State sets need no walking: context
-        irrelevant to the block passes through unchanged and the relevant
-        part of each exit state is recorded on the template, so exit states
-        are reconstructed directly.  Intermediate steps only allocate
-        parent-only lineage nodes (:meth:`_SearchNode.link`) carrying the
-        applied rule, which is what program reconstruction walks at the end
-        of the search.
-
-        Returns ``None`` on any mismatch (untranslatable rule, missing
-        parent), in which case the caller re-expands the occurrence in full.
-        """
-        # Per position: (closed, stage, depth, tail, root idx).
-        current: Dict[int, Tuple] = {
-            i: (s.closed_cost, s.stage_comp, s.depth, s, i) for i, s in enumerate(states)
-        }
-        # Completion and ideal time belong to the level, as in _expand.
-        completed, ideal = states[0].completed, states[0].completed_ideal
-        levels = self._normalized(record)
-        applied = 0
-        for level, decisions in enumerate(levels):
-            node_name = info.node_names[level]
-            mask, delta, _ = self._node_static(node_name)
-            completed |= mask
-            ideal += delta
-            new_states: Dict[int, Tuple] = {}
-            for position, (parent_idx, chain) in enumerate(decisions):
-                entry = current.get(parent_idx)
-                if entry is None:
-                    return None
-                closed, stage, depth, tail, root_idx = entry
-                for descriptor in chain:
-                    rule = self._translate_descriptor(descriptor, info, node_name)
-                    if rule is None:
-                        return None
-                    closed, stage = _replay(self._rule_plan(rule, ratios), closed, stage)
-                    tail = _SearchNode.link(tail, rule)
-                    depth += 1
-                    applied += 1
-                new_states[position] = (closed, stage, depth, tail, root_idx)
-            if not new_states:
-                return None
-            current = new_states
-        self._bm_generated += applied
-        self._bm_expanded += len(levels)
-        # Reconstruct the exit beam (the last level is in exit-beam order).
-        topo_ptr = states[0].topo_ptr + len(levels)
-        out: List[_SearchNode] = []
-        for exit_rel, (closed, stage, depth, tail, root_idx) in zip(
-            record.exit_rel, current.values()
-        ):
-            exit_state = self._reconstruct_exit(
-                states[root_idx],
-                exit_rel,
-                info,
-                closed,
-                stage,
-                (completed, ideal, topo_ptr),
-                depth,
-                tail,
-            )
-            out.append(exit_state)
-        return out
-
-    def _reconstruct_exit(
-        self,
-        root: _SearchNode,
-        exit_rel: Tuple,
-        info: _OccurrenceInfo,
-        closed: float,
-        stage: Tuple[float, ...],
-        level: Tuple[int, float, int],
-        depth: int,
-        tail: _SearchNode,
-    ) -> _SearchNode:
-        """Build a full exit state from pass-through context + template
-        encoding, at the exit position ``level`` (completed, ideal time,
-        topological pointer)."""
-        rel_props, rel_comm = exit_rel
-        occ_refs = info.occ_refs
-        pbits = (root.pbits & ~info.prop_mask) | self.theory.encode(
-            Property(occ_refs[i], state) for i, state in rel_props
-        )
-        cbits = root.cbits & ~info.relevant_mask
-        for i in rel_comm:
-            cbits |= info.ref_bits[i]
-        node = _SearchNode.__new__(_SearchNode)
-        node.parent = tail.parent
-        node.rule = tail.rule
-        node.pbits = pbits
-        node.cbits = cbits
-        node.closed_cost = closed
-        node.stage_comp = stage
-        node.completed, node.completed_ideal, node.topo_ptr = level
-        node.depth = depth
-        return node
-
-    def _translate_descriptor(
-        self, descriptor: Tuple, info: _OccurrenceInfo, node_name: str
-    ) -> Optional[Rule]:
-        """Resolve a block-local rule descriptor against this occurrence.
-
-        Candidate rules (the node's sharding variants, or the reference's
-        collectives) are indexed by structural signature once per occurrence
-        and cached on the occurrence info, so repeated replays — including
-        across planner rounds with different ratios — are dictionary lookups.
-        """
-        kind, lookup, sig = descriptor
-        if sig is None:
-            return None
-        map_key = (kind, node_name) if kind == "comp" else (kind, lookup)
-        sigmap = info.sigmaps.get(map_key)
-        if sigmap is None:
-            if kind == "comp":
-                candidates = self.theory.comp_rules_by_node.get(node_name, [])
-            else:
-                candidates = self.theory.comm_rules_by_ref.get(info.occ_refs[lookup], [])
-            sigmap = {}
-            for candidate in candidates:
-                candidate_sig = self._rule_sig(candidate, info.ref_idx)
-                if candidate_sig is not None and candidate_sig not in sigmap:
-                    sigmap[candidate_sig] = candidate
-            info.sigmaps[map_key] = sigmap
-        return sigmap.get(sig)
 
     def _expand(
         self,
@@ -1187,7 +685,7 @@ class ProgramSynthesizer:
         """The search node of an :meth:`_expand` child at its ``level``.
 
         Each enabling collective gets a lineage node that carries only
-        ``parent`` and ``rule``, as :meth:`_replay_block`'s do.
+        ``parent`` and ``rule`` (:meth:`_SearchNode.link`).
         """
         (pbits, cbits), closed, stage, _, state, rule, comms = child
         parent = state

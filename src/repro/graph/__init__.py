@@ -8,9 +8,7 @@ from .analysis import (
 )
 from .builder import GraphBuilder
 from .canonical import (
-    BlockRun,
     canonical_order,
-    find_repeated_blocks,
     fingerprint_with_order,
     graph_fingerprint,
     structural_hashes,
@@ -38,9 +36,7 @@ __all__ = [
     "cut_transfer_bytes",
     "interleaved_pipeline_cut",
     "pipeline_cut",
-    "BlockRun",
     "canonical_order",
-    "find_repeated_blocks",
     "fingerprint_with_order",
     "graph_fingerprint",
     "structural_hashes",

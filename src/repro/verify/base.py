@@ -5,8 +5,8 @@ the synthesizer and hierarchical planner are supposed to maintain — dataflow
 well-formedness of :class:`~repro.core.program.DistributedProgram`, structural
 consistency of :class:`~repro.core.hierarchical.HierarchicalPlan`, and
 deadlock-freedom of the pipeline task orders — from first principles, without
-trusting the machinery that produced them.  A bug in block-reuse replay,
-cache remapping or the parallel grid merge therefore surfaces as a
+trusting the machinery that produced them.  A bug in the synthesizer,
+cache remapping or sub-plan dedupe therefore surfaces as a
 :class:`Diagnostic` instead of a silently wrong plan.
 
 Three building blocks:

@@ -1,7 +1,7 @@
 """Seeded-corruption helpers for the verifier's negative tests.
 
 Each mutator takes a well-formed artifact, applies one targeted corruption of
-the kind a buggy cache remap, block-reuse replay or parallel merge could
+the kind a buggy cache remap, sub-plan rename or synthesizer could
 introduce, and returns ``(mutated, expected_code)`` — the diagnostic code the
 verifier MUST report for the mutation.  The test harness asserts exactly
 that, so the verifier's checks are pinned to real failure modes rather than

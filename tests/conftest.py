@@ -124,6 +124,23 @@ def build_tiny_moe(batch=8, seq=8, hidden=32, experts=4, vocab=50, classes=11):
     return b.build()
 
 
+def build_deep_transformer(layers, batch=8, seq=4, hidden=16, heads=2):
+    """Multi-layer transformer LM forward graph: a stack of identical layers
+    (the single-layer registry models never repeat)."""
+    b = GraphBuilder("deep")
+    ids = b.placeholder((batch, seq), dtype=DType.INT64, name="input_ids")
+    table = b.parameter((50, hidden), name="embed_table")
+    x = b.embedding(ids, table)
+    for i in range(layers):
+        x = b.transformer_layer(x, num_heads=heads, ffn_hidden=hidden * 2, prefix=f"layer{i}")
+    x = b.reshape(x, (batch * seq, hidden))
+    logits = b.linear(x, 7)
+    labels2d = b.placeholder((batch, seq), dtype=DType.INT64, name="labels")
+    labels = b.reshape(labels2d, (batch * seq,))
+    b.loss(b.cross_entropy(logits, labels))
+    return b.build()
+
+
 @pytest.fixture
 def mlp_forward():
     return build_mlp()

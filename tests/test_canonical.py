@@ -1,4 +1,4 @@
-"""Canonical fingerprints and repeated-block detection (graph/canonical.py).
+"""Canonical fingerprints (graph/canonical.py).
 
 The cache layer keys plans by graph fingerprints, so the fingerprint must be
 *invariant* under everything that does not change the planning problem (node
@@ -15,7 +15,6 @@ from repro.graph import (
     DType,
     GraphBuilder,
     canonical_order,
-    find_repeated_blocks,
     fingerprint_with_order,
     graph_fingerprint,
     structural_hashes,
@@ -205,79 +204,3 @@ class TestCanonicalOrder:
             assert (twin.op, twin.spec) == (node.op, node.spec)
             assert tuple(twin.inputs) == tuple(rename[i] for i in node.inputs)
         assert rename[a.loss] == b.loss
-
-
-def _deep_transformer(layers=3, batch=8, seq=4, hidden=16, heads=2):
-    b = GraphBuilder("deep")
-    ids = b.placeholder((batch, seq), dtype=DType.INT64, name="input_ids")
-    table = b.parameter((50, hidden), name="embed_table")
-    x = b.embedding(ids, table)
-    for i in range(layers):
-        x = b.transformer_layer(x, num_heads=heads, ffn_hidden=hidden * 2, prefix=f"layer{i}")
-    x = b.reshape(x, (batch * seq, hidden))
-    logits = b.linear(x, 7)
-    labels2d = b.placeholder((batch, seq), dtype=DType.INT64, name="labels")
-    labels = b.reshape(labels2d, (batch * seq,))
-    b.loss(b.cross_entropy(logits, labels))
-    return b.build()
-
-
-class TestRepeatedBlocks:
-    @pytest.fixture(scope="class")
-    def training(self):
-        return build_training_graph(_deep_transformer()).graph
-
-    def test_finds_layer_blocks(self, training):
-        runs = find_repeated_blocks(training)
-        assert runs, "a 3-layer transformer training graph must contain repeats"
-        # Every run repeats at least twice and never overlaps another run.
-        claimed = set()
-        for run in runs:
-            assert run.num_occurrences >= 2
-            assert run.occurrence_starts[0] == run.start
-            for s in run.occurrence_starts:
-                span = set(range(s, s + run.length))
-                assert not span & claimed
-                claimed |= span
-        # The forward/backward/optimizer repeats should cover most positions.
-        order = [n.name for n in training if n.kind.name != "SOURCE"]
-        assert len(claimed) > len(order) // 2
-
-    def test_occurrence_maps_preserve_content(self, training):
-        order = [n.name for n in training if n.kind.name != "SOURCE"]
-        for run in find_repeated_blocks(training):
-            assert set(run.maps[0].keys()) == set(run.refs)
-            assert all(run.maps[0][r] == r for r in run.refs)
-            block_nodes = set(order[run.start : run.start + run.length])
-            for mapping in run.maps[1:]:
-                for src, dst in mapping.items():
-                    # Specs always carry over; ops must match for the block's
-                    # own nodes and for source inputs.  External *activation*
-                    # inputs pair by spec only — a backward block's forward
-                    # activation legitimately comes from a different op per
-                    # occurrence (embedding output vs residual add).
-                    assert training[src].spec == training[dst].spec
-                    if src in block_nodes or training[src].kind.name == "SOURCE":
-                        assert training[src].op == training[dst].op
-
-    def test_detection_is_name_independent(self, training):
-        renamed = ComputationGraph("renamed")
-        new_name = {name: f"n{i}" for i, name in enumerate(training.node_names)}
-        for node in training:
-            renamed.add_node(
-                new_name[node.name],
-                node.op,
-                tuple(new_name[i] for i in node.inputs),
-                dict(node.attrs),
-            )
-        if training.loss is not None:
-            renamed.mark_loss(new_name[training.loss])
-        original = find_repeated_blocks(training)
-        mirrored = find_repeated_blocks(renamed)
-        assert [(r.start, r.length, r.occurrence_starts) for r in original] == [
-            (r.start, r.length, r.occurrence_starts) for r in mirrored
-        ]
-
-    def test_min_saved_filters_small_runs(self, training):
-        runs = find_repeated_blocks(training, min_saved=10**9)
-        assert runs == []

@@ -8,16 +8,20 @@ configuration and records
   is free of node names and of the interpreter's hash seed;
 * the synthesizer's cost estimate as ``float.hex`` (bit-exact);
 * the ``expanded_states`` / ``generated_states`` counters, which pin what
-  the search explored, not only what it returned, and for the beam search
-  the synthesizer's ``reuse_stats`` (which block occurrences were replayed).
+  the search explored, not only what it returned.
 
 The models are the ``mlp`` / ``tiny_transformer`` / ``tiny_moe`` fixtures of
-``tests/conftest.py`` plus a three-layer transformer whose repeated layers
-give the beam search's block reuse something to replay.  The clusters are
-the 4-device cluster of ``tests/test_optimization_parity.py`` and an
-8-device A100/P100 cluster.  The exact A* search, the beam search's oracle,
+``tests/conftest.py`` plus a three-layer ``build_deep_transformer``.  The
+clusters are the 4-device cluster of ``tests/test_optimization_parity.py``
+and an 8-device A100/P100 cluster.  The exact A* search, the beam search's oracle,
 runs on ``mlp`` and ``tiny_moe`` only: on the transformers it does not
 finish in reasonable time and memory.
+
+Two deep beam cases, an 8-layer transformer training graph and the
+12-layer ``bert_base`` forward graph at beam width 16, are pinned by the
+sha256 of their program encoding and their cost only, so the file stays
+small.
+
 Refactors of the theory or the synthesizer must leave every record unchanged
 under any ``PYTHONHASHSEED``.
 
@@ -29,6 +33,7 @@ alter synthesized programs, and say so in the change description) with::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from functools import lru_cache
@@ -40,34 +45,24 @@ import pytest
 from benchmarks.e2e.workloads import _program_encoding
 from repro.autodiff import build_training_graph
 from repro.core import ProgramSynthesizer, SynthesisConfig
-from repro.graph import DType, GraphBuilder
+from repro.models import BenchmarkScale, build_model
 
-from .conftest import build_mlp, build_tiny_moe, build_tiny_transformer, make_cluster
+from .conftest import (
+    build_deep_transformer,
+    build_mlp,
+    build_tiny_moe,
+    build_tiny_transformer,
+    make_cluster,
+)
 
 GOLDEN = Path(__file__).with_name("golden") / "programs.json"
-
-
-def build_three_layer_transformer():
-    """Three identical transformer layers: repeated blocks for block reuse."""
-    b = GraphBuilder("three_layer")
-    ids = b.placeholder((8, 4), dtype=DType.INT64, name="input_ids")
-    table = b.parameter((50, 16), name="embed_table")
-    x = b.embedding(ids, table)
-    for i in range(3):
-        x = b.transformer_layer(x, num_heads=2, ffn_hidden=32, prefix=f"layer{i}")
-    x = b.reshape(x, (32, 16))
-    logits = b.linear(x, 7)
-    labels2d = b.placeholder((8, 4), dtype=DType.INT64, name="labels")
-    labels = b.reshape(labels2d, (32,))
-    b.loss(b.cross_entropy(logits, labels))
-    return b.build()
 
 
 MODELS = {
     "mlp": build_mlp,
     "tiny_transformer": build_tiny_transformer,
     "tiny_moe": build_tiny_moe,
-    "three_layer": build_three_layer_transformer,
+    "three_layer": lambda: build_deep_transformer(layers=3),
 }
 
 CLUSTERS = {
@@ -97,6 +92,24 @@ def _case_ids():
 CASES = tuple(_case_ids())
 
 
+def _bert12_forward():
+    """The 12-layer ``bert_base`` forward graph for 8 devices."""
+    scale = BenchmarkScale("deep", layer_fraction=1.0, batch_per_device=32)
+    return build_model("bert_base", num_gpus=8, scale=scale)
+
+
+#: Deep graphs, pinned by digest so ``programs.json`` stays small: case ->
+#: (graph builder, cluster devices, beam width).
+DEEP_CASES = {
+    "deep8/parity4/beam": (
+        lambda: build_training_graph(build_deep_transformer(layers=8)).graph,
+        CLUSTERS["parity4"],
+        8,
+    ),
+    "bert12_forward/alternating8/beam16": (_bert12_forward, ("A100", "P100") * 4, 16),
+}
+
+
 @lru_cache(maxsize=None)
 def _training_graph(model: str):
     return build_training_graph(MODELS[model]()).graph
@@ -112,17 +125,22 @@ def program_record(case: str) -> Dict[str, Any]:
     model, cluster_name, search = _parse(case)
     config = SynthesisConfig(beam_width=8, **SEARCHES[search])
     cluster = make_cluster(CLUSTERS[cluster_name])
-    synthesizer = ProgramSynthesizer(_training_graph(model), cluster, config)
-    result = synthesizer.synthesize()
-    record = {
+    result = ProgramSynthesizer(_training_graph(model), cluster, config).synthesize()
+    return {
         "program": list(_program_encoding(result.program)),
         "cost": result.cost.hex(),
         "expanded_states": result.expanded_states,
         "generated_states": result.generated_states,
     }
-    if config.search_strategy == "beam":
-        record["reuse_stats"] = dict(synthesizer.reuse_stats)
-    return record
+
+
+def deep_record(case: str) -> Dict[str, str]:
+    """Synthesize a deep ``case``: the sha256 of its program encoding and its cost."""
+    build, devices, beam_width = DEEP_CASES[case]
+    config = SynthesisConfig(beam_width=beam_width)
+    result = ProgramSynthesizer(build(), make_cluster(devices), config).synthesize()
+    encoding = repr(_program_encoding(result.program)).encode()
+    return {"program_sha256": hashlib.sha256(encoding).hexdigest(), "cost": result.cost.hex()}
 
 
 @pytest.fixture(scope="module")
@@ -131,12 +149,17 @@ def golden():
 
 
 def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted(CASES)
+    assert sorted(golden) == sorted(CASES + tuple(DEEP_CASES))
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_program_matches_golden(case, golden):
     assert program_record(case) == golden[case]
+
+
+@pytest.mark.parametrize("case", DEEP_CASES)
+def test_deep_program_matches_golden(case, golden):
+    assert deep_record(case) == golden[case]
 
 
 @pytest.mark.parametrize(
@@ -154,5 +177,6 @@ if __name__ == "__main__":
         sys.exit("usage: python -m tests.test_golden_programs --regenerate")
     GOLDEN.parent.mkdir(exist_ok=True)
     records = {case: program_record(case) for case in CASES}
+    records.update({case: deep_record(case) for case in DEEP_CASES})
     GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")

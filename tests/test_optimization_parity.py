@@ -1,8 +1,7 @@
 """Result-identical speed-ups checked against a reference path.
 
-Block reuse replays the beam decisions recorded on one repeated layer across
-the later ones and must synthesize the same program as the plain per-node
-search, which :func:`plain_beam` recovers by hiding the repeated blocks.
+The beam search is reproducible: fresh synthesizers, and a warm re-run on
+one synthesizer, return the same program and explore the same states.
 ``CostModel.evaluate_many`` must agree bit for bit with scalar ``evaluate``.
 The synthesizer's rule-cost memo must be dropped when the ratios change, and
 the planner's per-round pricing must agree with a fresh cost model.  Sub-plan dedupe in the
@@ -10,8 +9,6 @@ hierarchical planner must actually fire on repeated layers and rename plans
 that equal planning each chunk from scratch.  The synthesized programs of
 the default search are pinned by ``tests/golden/programs.json``.
 """
-
-import contextlib
 
 import pytest
 
@@ -26,10 +23,15 @@ from repro.core import (
     ProgramSynthesizer,
     SynthesisConfig,
 )
-from repro.graph import DType, GraphBuilder
 from repro.hap import hap_pipeline
 
-from .conftest import build_mlp, build_tiny_moe, build_tiny_transformer, make_cluster
+from .conftest import (
+    build_deep_transformer,
+    build_mlp,
+    build_tiny_moe,
+    build_tiny_transformer,
+    make_cluster,
+)
 
 MODEL_BUILDERS = {
     "mlp": build_mlp,
@@ -41,15 +43,6 @@ MODEL_BUILDERS = {
 def _synthesize(graph, cluster):
     config = SynthesisConfig(search_strategy="beam", beam_width=8)
     return ProgramSynthesizer(graph, cluster, config).synthesize()
-
-
-@contextlib.contextmanager
-def plain_beam():
-    """The beam search without block reuse: with no repeated blocks found,
-    every topological-order node is a plain beam level."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("repro.core.synthesizer.find_repeated_blocks", lambda *a, **k: [])
-        yield
 
 
 def _assert_identical(reference, candidate, label):
@@ -67,6 +60,15 @@ def _assert_search_identical(reference, candidate, label):
     assert candidate.program.describe() == reference.program.describe(), label
 
 
+def _assert_reproducible(graph, cluster, config, label):
+    """Two fresh synthesizers agree, and a second search on one of them,
+    on warm rule-cost memos, agrees with its cold one."""
+    reference = ProgramSynthesizer(graph, cluster, config).synthesize()
+    synthesizer = ProgramSynthesizer(graph, cluster, config)
+    _assert_search_identical(reference, synthesizer.synthesize(), label)
+    _assert_search_identical(reference, synthesizer.synthesize(), f"{label}/warm")
+
+
 @pytest.fixture(scope="module")
 def parity_cluster():
     return make_cluster(("A100", "A100", "P100", "P100"))
@@ -80,153 +82,12 @@ def training_graphs():
     }
 
 
-def build_deep_transformer(layers, batch=8, seq=4, hidden=16, heads=2):
-    """Multi-layer transformer: the repeated layers are what block reuse and
-    sub-plan dedupe exploit (the single-layer registry models never repeat)."""
-    b = GraphBuilder("deep")
-    ids = b.placeholder((batch, seq), dtype=DType.INT64, name="input_ids")
-    table = b.parameter((50, hidden), name="embed_table")
-    x = b.embedding(ids, table)
-    for i in range(layers):
-        x = b.transformer_layer(x, num_heads=heads, ffn_hidden=hidden * 2, prefix=f"layer{i}")
-    x = b.reshape(x, (batch * seq, hidden))
-    logits = b.linear(x, 7)
-    labels2d = b.placeholder((batch, seq), dtype=DType.INT64, name="labels")
-    labels = b.reshape(labels2d, (batch * seq,))
-    b.loss(b.cross_entropy(logits, labels))
-    return b.build()
-
-
-class TestBlockReuseParity:
-    """The beam search replays recorded rule chains across repeated layer
-    blocks; the replay must be bit-identical to searching each block."""
-
-    @pytest.fixture(scope="class")
-    def deep_training(self):
-        return build_training_graph(build_deep_transformer(layers=3)).graph
-
-    def test_block_reuse_is_result_identical(self, deep_training, parity_cluster):
-        with plain_beam():
-            reference = _synthesize(deep_training, parity_cluster)
-        config = SynthesisConfig(search_strategy="beam", beam_width=8)
-        synthesizer = ProgramSynthesizer(deep_training, parity_cluster, config)
-        reused = synthesizer.synthesize()
-        _assert_identical(reference, reused, "deep/beam/block-reuse")
-        # Reuse must actually replay — a silent no-op would pass parity.
-        assert synthesizer.reuse_stats["replayed"] > 0
-        assert synthesizer.reuse_stats["fallbacks"] == 0
-
-    def test_block_reuse_across_ratio_changes(self, deep_training, parity_cluster):
-        """Replayed rule costs are recomputed when the shard ratios change."""
-        config = SynthesisConfig(search_strategy="beam", beam_width=8)
-        synthesizer = ProgramSynthesizer(deep_training, parity_cluster, config)
-        reference = ProgramSynthesizer(deep_training, parity_cluster, config)
-        for ratios in ([0.25] * 4, [0.4, 0.3, 0.2, 0.1], [0.25] * 4):
-            with plain_beam():
-                expected = reference.synthesize(ratios)
-            _assert_identical(
-                expected,
-                synthesizer.synthesize(ratios),
-                f"deep/beam/block-reuse/ratios={ratios}",
-            )
-
-
-    def test_twelve_layer_bert_is_result_identical(self):
-        """A wide beam on a deep registry model: exit beams of many distinct
-        states, whose block-relevant parts a replay must pair with the right
-        lineages."""
-        from repro.models import BenchmarkScale, build_model
-
-        cluster = make_cluster(("A100", "P100") * 4)
-        scale = BenchmarkScale("deep", layer_fraction=1.0, batch_per_device=32)
-        graph = build_model("bert_base", num_gpus=8, scale=scale)
-        config = SynthesisConfig(search_strategy="beam", beam_width=16)
-        with plain_beam():
-            reference = ProgramSynthesizer(graph, cluster, config).synthesize()
-        synthesizer = ProgramSynthesizer(graph, cluster, config)
-        _assert_identical(reference, synthesizer.synthesize(), "bert12/beam/block-reuse")
-        assert synthesizer.reuse_stats == {
-            "occurrences": 12, "replayed": 8, "recorded": 4, "fallbacks": 0
-        }
-
-
-class TestBlockReuseDepth:
-    """Block reuse records a fixed set of block templates and replays every
-    later matching occurrence, so recording stays flat as layers are added
-    while replays and the search-work saving grow.  Counts, not wall-clock
-    time, so the guard holds on any host."""
-
-    @pytest.fixture(scope="class")
-    def runs(self, parity_cluster):
-        config = SynthesisConfig(search_strategy="beam", beam_width=8)
-        out = {}
-        for layers in (3, 8):
-            graph = build_training_graph(build_deep_transformer(layers=layers)).graph
-            synthesizer = ProgramSynthesizer(graph, parity_cluster, config)
-            out[layers] = (synthesizer.synthesize(), dict(synthesizer.reuse_stats), graph)
-        return out
-
-    def test_recording_is_flat_across_depth(self, runs):
-        assert runs[3][1]["recorded"] == runs[8][1]["recorded"]
-
-    @pytest.mark.parametrize("layers", [3, 8])
-    def test_no_fallbacks(self, runs, layers):
-        assert runs[layers][1]["fallbacks"] == 0
-
-    def test_replay_grows_with_depth(self, runs):
-        assert runs[8][1]["replayed"] > runs[3][1]["replayed"] > 0
-
-    def test_replay_halves_the_search_at_depth(self, runs, parity_cluster):
-        result, _, graph = runs[8]
-        with plain_beam():
-            reference = _synthesize(graph, parity_cluster)
-        _assert_identical(reference, result, "deep8/beam/block-reuse")
-        assert 2 * result.expanded_states < reference.expanded_states
-
-
-class TestLazyRecording:
-    """A fully searched occurrence keeps its raw decisions; they are turned
-    into replayable descriptors only when a later occurrence matches."""
-
-    def test_only_matched_records_are_normalized(self, parity_cluster, monkeypatch):
-        import repro.core.synthesizer as synthesizer_module
-
-        created = []
-
-        class Recording(synthesizer_module._BlockRecord):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                super().__init__(*args)
-                created.append(self)
-
-        monkeypatch.setattr(synthesizer_module, "_BlockRecord", Recording)
-        graph = build_training_graph(build_deep_transformer(layers=3)).graph
-        synthesizer = ProgramSynthesizer(
-            graph, parity_cluster, SynthesisConfig(search_strategy="beam", beam_width=8)
-        )
-        synthesizer.synthesize()
-        stats = synthesizer.reuse_stats
-        normalized = [record for record in created if record.levels is not None]
-        assert len(created) == stats["recorded"]
-        assert 0 < len(normalized) <= stats["replayed"] + stats["fallbacks"]
-        assert len(normalized) < len(created)
-
-
 class TestPlainNodeSchedule:
-    """Beam search walks one schedule; a graph without repeated blocks is
-    all plain nodes."""
+    """The beam search is one walk over the topological order, node by node."""
 
-    def test_graph_without_repeats_is_the_plain_loop(self, training_graphs, parity_cluster):
-        graph = training_graphs["mlp"]
-        synthesizer = ProgramSynthesizer(
-            graph, parity_cluster, SynthesisConfig(search_strategy="beam", beam_width=8)
-        )
-        result = synthesizer.synthesize()
-        assert synthesizer.reuse_stats["occurrences"] == 0
-        with plain_beam():
-            reference = _synthesize(graph, parity_cluster)
-        _assert_search_identical(reference, result, "mlp/beam")
+    def test_search_is_reproducible(self, training_graphs, parity_cluster):
+        config = SynthesisConfig(search_strategy="beam", beam_width=8)
+        _assert_reproducible(training_graphs["mlp"], parity_cluster, config, "mlp/beam")
 
 
 @pytest.fixture(scope="module")
@@ -239,29 +100,17 @@ def registry_models():
 
 
 class TestRegistryModels:
-    """The serial search is reproducible on every registry model, and block
-    reuse leaves its result unchanged there too."""
+    """The search is reproducible on every registry model, and its programs
+    verify."""
 
     @pytest.fixture(scope="class")
     def grouped_cluster(self):
         return make_cluster(("A100", "A100", "P100", "P100"), group=True)
 
     @pytest.mark.parametrize("model_name", ["vgg19", "vit", "bert_base", "bert_moe"])
-    @pytest.mark.parametrize("reuse", [False, True], ids=["plain", "block-reuse"])
-    def test_search_is_reproducible(
-        self, registry_models, grouped_cluster, model_name, reuse
-    ):
-        graph = registry_models[model_name]
+    def test_search_is_reproducible(self, registry_models, grouped_cluster, model_name):
         config = SynthesisConfig(search_strategy="beam", beam_width=6)
-        with plain_beam():
-            reference = ProgramSynthesizer(graph, grouped_cluster, config).synthesize()
-        with plain_beam() if not reuse else contextlib.nullcontext():
-            synthesizer = ProgramSynthesizer(graph, grouped_cluster, config)
-            label = f"{model_name}/{'block-reuse' if reuse else 'plain'}"
-            _assert_search_identical(reference, synthesizer.synthesize(), label)
-            # A second search on the same synthesizer runs on warm rule-cost
-            # memos and must not differ from the cold one.
-            _assert_search_identical(reference, synthesizer.synthesize(), f"{label}/warm")
+        _assert_reproducible(registry_models[model_name], grouped_cluster, config, model_name)
 
     @pytest.mark.parametrize("model_name", ["vgg19", "vit", "bert_base", "bert_moe"])
     def test_program_verifies(self, registry_models, grouped_cluster, model_name):

@@ -390,7 +390,7 @@ class TestCompiledReplay:
 class TestExpansion:
     """One level's expansion yields exactly the children of one ``_apply`` at a time.
 
-    The walk follows the beam search level by level, expands each real beam
+    The walk follows the beam search level by level, expands each beam
     level in one :meth:`_expand` call, and compares its children with the
     per-(state, rule) reference, in order.  Floats are compared bit for bit.
     """
