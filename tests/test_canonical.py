@@ -21,7 +21,7 @@ from repro.graph import (
 )
 from repro.models import MODEL_NAMES, build_tiny_model
 
-from .conftest import rename_nodes
+from .conftest import build_deep_transformer, rename_nodes
 
 
 def _mlp_graph(names, hidden=(8, 4), shape=(16, 8), dtype=DType.FLOAT32, scale=0.5):
@@ -160,6 +160,13 @@ class TestFingerprintSensitivity:
 
         assert graph_fingerprint(build(False)) != graph_fingerprint(build(True))
 
+    def test_sensitive_to_depth(self):
+        fingerprints = {
+            graph_fingerprint(build_training_graph(build_deep_transformer(layers)).graph)
+            for layers in (1, 2, 3)
+        }
+        assert len(fingerprints) == 3
+
     def test_sensitive_to_loss_marker(self):
         a, b = _mlp_graph(NAMES_A), _mlp_graph(NAMES_A)
         b_loss = b.add_node("l", "reduce_mean", ("y",), {})
@@ -204,3 +211,21 @@ class TestCanonicalOrder:
             assert (twin.op, twin.spec) == (node.op, node.spec)
             assert tuple(twin.inputs) == tuple(rename[i] for i in node.inputs)
         assert rename[a.loss] == b.loss
+
+    def test_orders_pair_a_renamed_deep_stack(self):
+        """Identical layers give equal-content parameters in every layer; the
+        order still pairs each node with its own renamed twin."""
+        forward = build_deep_transformer(layers=3)
+        a = build_training_graph(forward).graph
+        b = build_training_graph(rename_nodes(forward)).graph
+        order = canonical_order(a)
+        position = {node: i for i, node in enumerate(order)}
+        for node in a:
+            assert all(position[i] < position[node.name] for i in node.inputs)
+        rename = dict(zip(order, canonical_order(b)))
+        for node in forward:
+            assert rename[node.name] == "r_" + node.name
+        for node in a:
+            twin = b[rename[node.name]]
+            assert (twin.op, twin.spec) == (node.op, node.spec)
+            assert tuple(twin.inputs) == tuple(rename[i] for i in node.inputs)

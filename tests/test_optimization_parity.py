@@ -1,7 +1,9 @@
 """Result-identical speed-ups checked against a reference path.
 
 The beam search is reproducible: fresh synthesizers, and a warm re-run on
-one synthesizer, return the same program and explore the same states.
+one synthesizer, return the same program and explore the same states.  It
+searches one level per topological-order node, on stacks of identical layers
+too, and expands at most ``beam_width`` states per level.
 ``CostModel.evaluate_many`` must agree bit for bit with scalar ``evaluate``.
 The synthesizer's rule-cost memo must be dropped when the ratios change, and
 the planner's per-round pricing must agree with a fresh cost model.  Sub-plan dedupe in the
@@ -37,6 +39,7 @@ MODEL_BUILDERS = {
     "mlp": build_mlp,
     "tiny_transformer": build_tiny_transformer,
     "tiny_moe": build_tiny_moe,
+    "deep3": lambda: build_deep_transformer(layers=3),
 }
 
 
@@ -88,6 +91,73 @@ class TestPlainNodeSchedule:
     def test_search_is_reproducible(self, training_graphs, parity_cluster):
         config = SynthesisConfig(search_strategy="beam", beam_width=8)
         _assert_reproducible(training_graphs["mlp"], parity_cluster, config, "mlp/beam")
+
+    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+    def test_levels_follow_topological_order(
+        self, model, training_graphs, parity_cluster, monkeypatch
+    ):
+        """``_beam_search`` runs one ``_beam_level`` per non-source node, in
+        topological order, and nothing else."""
+        levels = []
+        beam_level = ProgramSynthesizer._beam_level
+
+        def spy(self, states, node_name, ratios, beam_width):
+            levels.append(node_name)
+            return beam_level(self, states, node_name, ratios, beam_width)
+
+        monkeypatch.setattr(ProgramSynthesizer, "_beam_level", spy)
+        config = SynthesisConfig(search_strategy="beam", beam_width=8)
+        synthesizer = ProgramSynthesizer(training_graphs[model], parity_cluster, config)
+        synthesizer.synthesize()
+        assert levels == synthesizer._topo_order
+        assert len(set(levels)) == len(levels)
+
+
+class TestBeamDepth:
+    """The beam search on stacks of identical transformer layers: every layer
+    is searched, so the work grows with depth and stays within what the beam
+    width allows per level.  Counts, not wall-clock time, so the checks hold
+    on any host."""
+
+    DEPTHS = (1, 2, 3, 4)
+    BEAM_WIDTH = 8
+
+    @pytest.fixture(scope="class")
+    def runs(self, parity_cluster):
+        config = SynthesisConfig(search_strategy="beam", beam_width=self.BEAM_WIDTH)
+        out = {}
+        for layers in self.DEPTHS:
+            graph = build_training_graph(build_deep_transformer(layers=layers)).graph
+            synthesizer = ProgramSynthesizer(graph, parity_cluster, config)
+            out[layers] = (synthesizer.synthesize(), len(synthesizer._topo_order))
+        return out
+
+    @pytest.mark.parametrize("layers", DEPTHS)
+    def test_program_verifies(self, runs, parity_cluster, layers):
+        from repro.verify.program import verify_program
+
+        result, _ = runs[layers]
+        report = verify_program(
+            result.program, parity_cluster, parity_cluster.proportional_ratios()
+        )
+        assert report.ok, report
+
+    @pytest.mark.parametrize("layers", DEPTHS)
+    def test_expansion_is_bounded_by_beam_width(self, runs, layers):
+        """The root level expands the root alone, every later level between
+        one and ``beam_width`` states."""
+        result, levels = runs[layers]
+        assert levels <= result.expanded_states <= 1 + (levels - 1) * self.BEAM_WIDTH
+        assert result.generated_states > levels
+
+    def test_search_work_grows_with_depth(self, runs):
+        levels = [runs[layers][1] for layers in self.DEPTHS]
+        expanded = [runs[layers][0].expanded_states for layers in self.DEPTHS]
+        generated = [runs[layers][0].generated_states for layers in self.DEPTHS]
+        # Each added layer adds the same number of levels.
+        assert len({b - a for a, b in zip(levels, levels[1:])}) == 1
+        assert expanded == sorted(set(expanded))
+        assert generated == sorted(set(generated))
 
 
 @pytest.fixture(scope="module")
