@@ -116,15 +116,15 @@ class HierarchicalConfig:
             when the cluster's flat network is the slow inter-rack bottleneck.
         planner: configuration of the flat HAP planner run per stage.
         plan_cache: a :class:`~repro.core.plancache.InMemoryPlanCache` /
-            :class:`~repro.core.plancache.DiskPlanCache` consulted for every
-            chunk plan and for the final whole plan, keyed by content
-            fingerprints (see :mod:`repro.core.plancache`).  ``None`` (the
-            default) disables cross-call caching.  Within one :meth:`plan`
-            call each distinct (chunk-graph content, machine group, planner
-            config) problem is planned once either way, and the plan is
-            renamed onto every isomorphic chunk — repeated transformer layers
-            produce isomorphic chunk graphs across the (stage x schedule x
-            microbatch) grid.
+            :class:`~repro.core.plancache.DiskPlanCache` holding whole plans,
+            keyed by the forward graph's content fingerprint, the cluster and
+            this configuration (see :mod:`repro.core.plancache`).  ``None``
+            (the default) disables cross-call caching.  Within one
+            :meth:`plan` call each distinct (chunk-graph content, machine
+            group, planner config) problem is planned once either way, and
+            the plan is renamed onto every isomorphic chunk — repeated
+            transformer layers produce isomorphic chunk graphs across the
+            (stage x schedule x microbatch) grid.
         verify_after_plan: run the static plan verifier
             (:func:`repro.verify.verify_plan` — partition, boundary,
             round-robin, memory, per-chunk program and schedule checks) on
@@ -133,8 +133,9 @@ class HierarchicalConfig:
             :class:`~repro.verify.base.PlanVerificationError` on any
             error-severity diagnostic.  Defaults to the ``REPRO_VERIFY``
             environment variable (on in tests).  Independent of this flag,
-            every plan-cache hit is *always* structurally verified before it
-            is returned — a corrupt or stale entry becomes a diagnosed miss
+            every whole-plan cache hit is *always* structurally verified
+            before it is returned — a corrupt or stale entry becomes a
+            diagnosed miss
             (``reuse_stats["cache_rejects"]``) and planning falls through to
             fresh synthesis.  Excluded from plan-cache keys (verification
             never changes the plan).
@@ -320,9 +321,9 @@ class HierarchicalPlan:
         reuse_stats: how much flat-HAP planning the reuse machinery avoided:
             ``subplans_planned`` chunk plans were actually synthesized,
             ``subplans_deduped`` were renamed from an isomorphic chunk planned
-            earlier in the same call, ``cache_hits`` came from the configured
-            plan cache, and ``whole_plan_hit`` is 1 when the entire plan was
-            served from the cache.
+            earlier in the same call, ``cache_rejects`` counts whole-plan
+            cache entries that failed verification, and ``whole_plan_hit``
+            is 1 when the entire plan was served from the cache.
     """
 
     cluster: ClusterSpec
@@ -434,11 +435,9 @@ class HierarchicalPlan:
         if self.reuse_stats:
             planned = self.reuse_stats.get("subplans_planned", 0)
             deduped = self.reuse_stats.get("subplans_deduped", 0)
-            cached = self.reuse_stats.get("cache_hits", 0)
             note = " (whole plan from cache)" if self.reuse_stats.get("whole_plan_hit") else ""
             lines.append(
-                f"  reuse: {planned} chunk plan(s) synthesized, "
-                f"{deduped} deduped, {cached} cache hit(s){note}"
+                f"  reuse: {planned} chunk plan(s) synthesized, {deduped} deduped{note}"
             )
         return "\n".join(lines)
 
@@ -522,18 +521,19 @@ class HierarchicalPlanner:
                 raise PlanVerificationError(graph_report)
         self.batch_size = self._batch_size()
         self.overlap = cluster.comm_overlap_efficiency
-        # Within-call sub-plan dedupe table and reuse counters; reset per plan().
-        self._local_plans: Dict[str, CachedPlan] = {}
-        # content_key -> phase_profile buckets: each distinct (chunk graph,
-        # group, planner config) problem is profiled once per plan() call.
+        self._reset()
+
+    def _reset(self) -> None:
+        """Start a fresh :meth:`plan` call: empty tables, zero reuse counters."""
+        # content key -> (plan, canonical order it was planned under): the
+        # within-call sub-plan dedupe table.
+        self._local_plans: Dict[str, Tuple[HAPPlan, List[str]]] = {}
+        # content key -> phase_profile buckets: each distinct (chunk graph,
+        # group, planner config) problem is profiled once per call.
         self._profile_memo: Dict[str, Dict[str, float]] = {}
-        self.reuse_stats: Dict[str, int] = {
-            "subplans_planned": 0,
-            "subplans_deduped": 0,
-            "cache_hits": 0,
-            "cache_rejects": 0,
-            "whole_plan_hit": 0,
-        }
+        self.reuse_stats: Dict[str, int] = dict.fromkeys(
+            ("subplans_planned", "subplans_deduped", "cache_rejects", "whole_plan_hit"), 0
+        )
 
     def _batch_size(self) -> Optional[int]:
         leading = {
@@ -585,48 +585,24 @@ class HierarchicalPlanner:
 
     # -- per-candidate construction -------------------------------------------------
     def _plan_chunk(self, graph: ComputationGraph, group: ClusterSpec) -> Tuple[HAPPlan, str]:
-        """Flat-HAP plan for one chunk graph, reusing isomorphic work.
+        """Flat-HAP plan for one chunk graph, deduped within the call.
 
-        Lookup order: the within-call dedupe table (isomorphic chunks planned
-        earlier in this :meth:`plan` call — repeated layers, or the same cut
-        re-planned for another schedule variant), then the configured
-        persistent cache.  Both key on content only — chunk-graph fingerprint
-        x machine-group signature x planner config — and a hit is renamed
-        onto this chunk's node names, so the result is identical to planning
-        from scratch.  Returns the plan and its content key.
+        An isomorphic chunk planned earlier in this :meth:`plan` call — a
+        repeated layer, or the same cut re-planned for another schedule
+        variant — has the same content key (chunk-graph fingerprint x
+        machine-group signature x planner config); its plan is renamed onto
+        this chunk's node names, so the result is identical to planning from
+        scratch.  Returns the plan and its content key.
         """
         fingerprint, order = fingerprint_with_order(graph)
         key = plan_key(fingerprint, group, self.config.planner)
-        entry = self._local_plans.get(key)
-        if entry is not None:
+        known = self._local_plans.get(key)
+        if known is not None:
             self.reuse_stats["subplans_deduped"] += 1
-            return remap_plan(entry.plan, entry.node_names, graph, order), key
-        if self.config.plan_cache is not None:
-            entry = self.config.plan_cache.get(key)
-            if entry is not None:
-                # Trust-but-verify: a cached chunk plan crossed a process or
-                # filesystem boundary, so its program is structurally checked
-                # (cheap, O(instructions)) before it is accepted.  A corrupt
-                # or stale entry becomes a diagnosed miss and the chunk is
-                # re-synthesized (overwriting the bad entry below).
-                from ..verify.program import verify_program
-
-                try:
-                    remapped = remap_plan(entry.plan, entry.node_names, graph, order)
-                    accept = verify_program(remapped.program, check_cost=False).ok
-                except Exception:  # unreadable entry == failed verification
-                    accept = False
-                if accept:
-                    self.reuse_stats["cache_hits"] += 1
-                    self._local_plans[key] = entry
-                    return remapped, key
-                self.reuse_stats["cache_rejects"] += 1
+            return remap_plan(known[0], known[1], graph, order), key
         plan = HAPPlanner(graph, group, self.config.planner).plan()
         self.reuse_stats["subplans_planned"] += 1
-        entry = CachedPlan(key=key, node_names=order, plan=plan)
-        self._local_plans[key] = entry
-        if self.config.plan_cache is not None:
-            self.config.plan_cache.put(entry)
+        self._local_plans[key] = (plan, order)
         return plan, key
 
     def _chunk_training_graph(self, cut: PipelineCut, k: int) -> TrainingGraphInfo:
@@ -886,7 +862,7 @@ class HierarchicalPlanner:
         cut.  Each chunk's training graph is rebuilt from the renamed cut the
         way :meth:`_build_stages` builds it, and the chunk's program is renamed
         onto it against the chunk's canonical order stored in
-        ``entry.extra["chunk_orders"]``.  Sizes, costs and the schedule carry
+        ``entry.chunk_orders``.  Sizes, costs and the schedule carry
         over untouched: they never depend on names.  The identity rename
         returns the cached plan itself.  A malformed entry raises.
         """
@@ -900,7 +876,7 @@ class HierarchicalPlanner:
             return plan
         rename = dict(zip(entry.node_names, order))
         chunks = plan.chunk_sequence()
-        chunk_orders = entry.extra["chunk_orders"]
+        chunk_orders = entry.chunk_orders
         if len(chunk_orders) != len(chunks):
             raise ValueError(
                 f"cached plan has {len(chunks)} chunks but {len(chunk_orders)} chunk orders"
@@ -937,26 +913,19 @@ class HierarchicalPlanner:
         together with the canonical orders of the forward graph and of each
         chosen chunk graph.  A later request for the same problem — under any
         node names — is served whole: the cached plan is renamed onto the
-        request (:meth:`_remap_whole`) and structurally verified.  A request
-        that misses the whole plan still takes every chunk plan it shares
-        with earlier requests from the chunk-level entries.
+        request (:meth:`_remap_whole`) and structurally verified.  The cache
+        holds whole plans only: a request that misses (another
+        configuration, or a rejected entry) plans from scratch, deduping
+        isomorphic chunks within the call.
         """
-        self._local_plans = {}
-        self._profile_memo = {}
-        self.reuse_stats = {
-            "subplans_planned": 0,
-            "subplans_deduped": 0,
-            "cache_hits": 0,
-            "cache_rejects": 0,
-            "whole_plan_hit": 0,
-        }
+        self._reset()
         cache = self.config.plan_cache
-        whole_key = None
+        key: Optional[str] = None
         order: List[str] = []
         if cache is not None:
             fingerprint, order = fingerprint_with_order(self.forward)
-            whole_key = plan_key("hierarchical:" + fingerprint, self.cluster, self.config)
-            entry = cache.get(whole_key)
+            key = plan_key(fingerprint, self.cluster, self.config)
+            entry = cache.get(key)
             if entry is not None:
                 # A whole plan from the cache is verified structurally (no
                 # cost re-derivation, keeping warm hits O(plan size)) before
@@ -993,16 +962,9 @@ class HierarchicalPlanner:
         best.candidate_times = candidate_times
         best.schedule_candidate_times = combo_times
         best.reuse_stats = dict(self.reuse_stats)
-        if cache is not None and whole_key is not None:
+        if cache is not None and key is not None:
             chunk_orders = [canonical_order(c.info.graph) for c in best.chunk_sequence()]
-            cache.put(
-                CachedPlan(
-                    key=whole_key,
-                    node_names=order,
-                    plan=best,
-                    extra={"chunk_orders": chunk_orders},
-                )
-            )
+            cache.put(CachedPlan(key=key, node_names=order, plan=best, chunk_orders=chunk_orders))
         if self.config.verify_after_plan:
             # Imported lazily: repro.verify depends on this module.
             from ..verify.base import PlanVerificationError

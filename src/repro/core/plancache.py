@@ -1,23 +1,23 @@
-"""Content-addressed plan cache: never synthesize the same problem twice.
+"""Content-addressed plan cache: never plan the same problem twice.
 
-Planning a (training graph, machine group) pair is a pure function of three
+Planning a (training graph, cluster) pair is a pure function of three
 ingredients — the graph's *content* (ops, shapes, attributes, wiring), the
-group's hardware model, and the planner configuration.  Node names are not an
-ingredient: flat HAP plans for two isomorphic chunk graphs differ only by a
-reference renaming.  This module turns that observation into a cache:
+cluster's hardware model, and the planner configuration.  Node names are not
+an ingredient: plans for two isomorphic graphs differ only by a reference
+renaming.  This module turns that observation into a cache of whole
+hierarchical plans:
 
 * :func:`plan_key` hashes the three ingredients into a stable content address
   (graph via :func:`repro.graph.canonical.graph_fingerprint`, cluster via
   :func:`cluster_signature`, configuration via :func:`config_signature`);
-* :class:`CachedPlan` stores a :class:`~repro.core.pipeline.HAPPlan` together
-  with the canonical node order it was keyed under, so a hit can be
-  re-expressed in the requesting graph's own node names (:func:`remap_plan`
-  pairs the stored order position-wise with the requesting graph's
-  canonical order from :func:`repro.graph.canonical.canonical_order`).
-  The hierarchical planner's whole-plan entries are name-free the same way:
-  they store the forward graph's canonical order and each chosen chunk
-  graph's, and a hit is renamed onto the request
+* :class:`CachedPlan` stores a whole
+  :class:`~repro.core.hierarchical.HierarchicalPlan` with the forward
+  graph's canonical node order and each chosen chunk graph's, so a hit is
+  renamed onto the requesting graph's own node names
   (:meth:`repro.core.hierarchical.HierarchicalPlanner.plan`);
+  :func:`remap_plan` renames one chunk's flat plan by pairing a stored
+  canonical order position-wise with the target graph's
+  (:func:`repro.graph.canonical.canonical_order`);
 * :class:`InMemoryPlanCache` and :class:`DiskPlanCache` provide the two
   obvious backends; the disk backend writes atomically and keeps a
   write-through in-memory layer, which makes it safe to share one directory
@@ -92,7 +92,10 @@ from .properties import Property
 #: v8: the load-balancer config (with its memory-row switch) and the
 #: hierarchical recompute policy, ZeRO optimizer-state switch and learning
 #: rate left the configs, and ``HierarchicalPlan`` lost its ZeRO flag.
-CACHE_VERSION = 8
+#: v9: the cache holds whole plans only: per-chunk entries are gone, the
+#: whole-plan key lost its ``"hierarchical:"`` prefix and ``CachedPlan``'s
+#: ``extra["chunk_orders"]`` became the typed ``chunk_orders`` field.
+CACHE_VERSION = 9
 
 #: Configuration fields excluded from cache keys: the cache itself and the
 #: static-verifier flag (verification never changes the plan).
@@ -240,19 +243,17 @@ def remap_plan(
 # -- cache backends ------------------------------------------------------------------
 @dataclass
 class CachedPlan:
-    """One cache entry: a plan plus the canonical node order it is keyed under.
+    """One cache entry: a whole plan plus the canonical orders it is keyed under.
 
-    ``node_names`` lets a hit be renamed onto the requesting graph; ``extra``
-    carries small planner-specific payloads (the hierarchical planner's
-    whole-plan entries store the canonical order of each chosen chunk graph
-    under ``"chunk_orders"``, in virtual-stage order, so every chunk program
-    can be renamed too).
+    ``node_names`` is the forward graph's canonical order and
+    ``chunk_orders`` each chosen chunk graph's, in virtual-stage order; a hit
+    renames the pipeline cut and every chunk program onto the request.
     """
 
     key: str
     node_names: List[str]
     plan: object
-    extra: Dict[str, object] = field(default_factory=dict)
+    chunk_orders: List[List[str]] = field(default_factory=list)
 
 
 class InMemoryPlanCache:

@@ -390,8 +390,14 @@ def simulate_hierarchical(
     inter-group link with the plan's communication-overlap efficiency
     (boundary transfers expose only their non-hidden part), and the
     run-to-run noise the flat simulator applies per stage is applied to the
-    pipelined iteration total.  A 1-stage plan reduces to the flat
-    simulation of its single program (whole batch, no transfers).
+    pipelined iteration total.  A 1-stage plan runs its single program on
+    the whole batch with no transfers, but is *not* bit-equal to
+    :func:`simulate_plan` of that program: this path sums noise-free phase
+    profiles and draws noise once on the total, while the flat path replays
+    events and draws noise per stage.  On the e2e ``flat-deep`` program
+    :func:`simulate_plan` gives 564.694 ms and this function 569.435 ms
+    (+0.84%); ROADMAP item 6 ("One simulated iteration") merges the two
+    timing paths.
     """
     overheads = OverheadModel()
 

@@ -106,13 +106,12 @@ def test_hap_pipeline_with_disk_cache_creates_no_cycles(tmp_path):
     assert remapped.estimated_time == cold.estimated_time
 
     # Two machines give max_stages=2 the same grid as the default 4 but
-    # another whole-plan key: the renamed request replans from chunk entries.
+    # another whole-plan key: the renamed request misses and replans.
     replan = _no_cycles(
         lambda: hap_pipeline(renamed, cluster, _hier_config(cache_dir, max_stages=2))
     )
     assert replan.reuse_stats["whole_plan_hit"] == 0
-    assert replan.reuse_stats["subplans_planned"] == 0
-    assert replan.reuse_stats["cache_hits"] > 0
+    assert replan.reuse_stats["subplans_planned"] == cold.reuse_stats["subplans_planned"]
     assert replan.estimated_time == cold.estimated_time
 
     for plan in (remapped, replan):

@@ -32,11 +32,11 @@ from repro.core import (
     remap_plan,
 )
 from repro.graph import (
-    ComputationGraph,
     canonical_order,
     fingerprint_with_order,
     graph_fingerprint,
 )
+from repro.hap import hap_pipeline
 from repro.models import MODEL_NAMES, build_tiny_model
 from repro.runtime import SingleDeviceExecutor, run_hierarchical_plan
 from repro.verify import verify_plan, verify_program
@@ -380,7 +380,7 @@ class TestHierarchicalIntegration:
         HierarchicalPlanner(forward, cluster, config).plan()
         warm = HierarchicalPlanner(renamed, cluster, config).plan()
         # Node names are not part of a plan: the whole entry is renamed onto
-        # the request instead of being replanned from chunk entries.
+        # the request instead of being replanned.
         assert warm.reuse_stats["whole_plan_hit"] == 1
         assert warm.reuse_stats["subplans_planned"] == 0
         cold = HierarchicalPlanner(
@@ -393,31 +393,24 @@ class TestHierarchicalIntegration:
             assert chunk.program.graph is chunk.info.graph
             assert set(chunk.info.forward_nodes) <= set(renamed.node_names)
 
-    def test_renamed_forward_falls_back_to_chunk_cache(self, cluster):
-        """A renamed request that misses the whole-plan key takes every chunk
-        plan from the chunk entries: ``max_stages`` keys the whole plan,
-        while chunk keys use only the flat planner's configuration."""
-        forward = build_mlp()
-        renamed = rename_nodes(forward)
-        config = HierarchicalConfig(
-            planner=small_planner_config(), plan_cache=InMemoryPlanCache(), max_stages=2
-        )
-        HierarchicalPlanner(forward, cluster, config).plan()
-        one_stage = dataclasses.replace(config, max_stages=1)
-        warm = HierarchicalPlanner(renamed, cluster, one_stage).plan()
-        assert warm.reuse_stats["whole_plan_hit"] == 0
-        assert warm.reuse_stats["subplans_planned"] == 0
-        assert warm.reuse_stats["cache_hits"] > 0
-        cold = HierarchicalPlanner(
-            renamed, cluster, dataclasses.replace(one_stage, plan_cache=None)
-        ).plan()
-        assert warm.estimated_time == cold.estimated_time
+    def test_cold_fill_writes_one_whole_plan_entry(self, tmp_path):
+        """The cache holds whole plans only: a cold run reads one key (the
+        whole plan, a miss) and writes one entry, however many chunks it
+        plans."""
+        cache = DiskPlanCache(str(tmp_path))
+        config = HierarchicalConfig(planner=small_planner_config(), plan_cache=cache)
+        plan = hap_pipeline(build_mlp(), make_cluster(("A100", "P100"), group=True), config)
+        assert plan.reuse_stats["subplans_planned"] > 1
+        assert (cache.hits, cache.misses) == (0, 1)
+        (path,) = tmp_path.glob("*.plan")
+        entry = pickle.loads(path.read_bytes())
+        assert len(entry.chunk_orders) == len(plan.chunk_sequence())
 
-    def test_renamed_model_hits_disk_chunk_entries(self, tmp_path):
-        """A renamed model planned over the full grid of a two-machine
-        cluster takes every chunk from a disk cache primed by the original.
-        ``max_stages=2`` evaluates the same grid as the default 4 on two
-        machines, but keys a different whole plan."""
+    def test_other_max_stages_misses_and_replans(self, tmp_path):
+        """A renamed model under another ``max_stages`` misses the whole
+        plan of the primed cache and plans exactly as an uncached run of its
+        own configuration.  ``max_stages=2`` evaluates the same grid as the
+        default 4 on two machines, but keys a different whole plan."""
         forward = build_mlp()
         hetero = make_cluster(("A100", "P100"), group=True)
         config = HierarchicalConfig(planner=small_planner_config())
@@ -432,9 +425,25 @@ class TestHierarchicalIntegration:
         ).plan()
         cold = HierarchicalPlanner(renamed, hetero, two_stages).plan()
         assert warm.reuse_stats["whole_plan_hit"] == 0
-        assert warm.reuse_stats["subplans_planned"] == 0
-        assert warm.reuse_stats["cache_hits"] > 0
+        assert warm.reuse_stats["subplans_planned"] == cold.reuse_stats["subplans_planned"] > 0
+        assert warm.reuse_stats["subplans_deduped"] == cold.reuse_stats["subplans_deduped"]
         _assert_same_plan(warm, cold)
+        assert len(list(tmp_path.glob("*.plan"))) == 2  # one whole plan per config
+
+    def test_reuse_stats_has_exactly_four_keys(self, cluster):
+        keys = {"subplans_planned", "subplans_deduped", "cache_rejects", "whole_plan_hit"}
+        forward = build_mlp()
+        config = HierarchicalConfig(
+            planner=small_planner_config(), plan_cache=InMemoryPlanCache(), max_stages=2
+        )
+        planner = HierarchicalPlanner(forward, cluster, config)
+        assert set(planner.reuse_stats) == keys
+        cold = planner.plan()
+        warm = HierarchicalPlanner(forward, cluster, config).plan()
+        assert warm.reuse_stats["whole_plan_hit"] == 1
+        for plan in (cold, warm):
+            assert set(plan.reuse_stats) == keys
+            assert "cache hit" not in plan.describe()
 
     def test_renamed_model_hits_disk_whole_entry(self, tmp_path):
         forward = build_mlp()

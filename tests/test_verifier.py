@@ -277,17 +277,12 @@ class TestVerifyAfterPlan:
 
 class TestCacheCorruption:
     def _corrupt_on_disk(self, directory: str) -> int:
-        """Hand-corrupt every entry file in a DiskPlanCache directory."""
+        """Break a chunk's boundary accounting in every whole-plan entry of a
+        DiskPlanCache directory (the cache holds no other entries)."""
         corrupted = 0
         for path in Path(directory).glob("*.plan"):
             entry = pickle.loads(path.read_bytes())
-            if "chunk_orders" in entry.extra:
-                # Whole-plan entry: break a chunk's boundary accounting.
-                entry.plan.stages[0].chunks[0].send_bytes += 999
-            else:
-                # Chunk entry: corrupt its dataflow (a duplicated emulation).
-                bad, _ = duplicate_instruction(entry.plan.program)
-                entry.plan = dataclasses.replace(entry.plan, program=bad)
+            entry.plan.stages[0].chunks[0].send_bytes += 999
             path.write_bytes(pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL))
             corrupted += 1
         return corrupted
@@ -299,7 +294,7 @@ class TestCacheCorruption:
             two_group_cluster(),
             hier_config(plan_cache=DiskPlanCache(directory)),
         ).plan()
-        assert self._corrupt_on_disk(directory) > 0
+        assert self._corrupt_on_disk(directory) == 1
 
         # Fresh cache instance: reads actually hit the corrupted files.
         warm = HierarchicalPlanner(
@@ -308,17 +303,24 @@ class TestCacheCorruption:
             hier_config(plan_cache=DiskPlanCache(directory)),
         ).plan()
         assert warm.reuse_stats["whole_plan_hit"] == 0
-        assert warm.reuse_stats["cache_rejects"] > 0
+        assert warm.reuse_stats["cache_rejects"] == 1
         assert warm.reuse_stats["subplans_planned"] > 0  # fell through to synthesis
         # The replanned result is clean and matches the cold plan.
         assert verify_plan(warm, bert_forward).ok
         assert warm.estimated_time == cold.estimated_time
         assert warm.schedule_name == cold.schedule_name
+        # The replan rewrote the bad entry: the next request is a whole hit.
+        again = HierarchicalPlanner(
+            bert_forward,
+            two_group_cluster(),
+            hier_config(plan_cache=DiskPlanCache(directory)),
+        ).plan()
+        assert again.reuse_stats["whole_plan_hit"] == 1
 
     @pytest.mark.parametrize("damage", ["shuffled", "truncated"])
     def test_bad_chunk_order_is_a_diagnosed_miss(self, bert_forward, tmp_path, damage):
         """A renamed request reads the whole entry's stored chunk orders; a
-        damaged one is rejected and the plan comes from the chunk entries."""
+        damaged one is rejected and the plan is synthesized afresh."""
         directory = str(tmp_path / "plans")
         cold = HierarchicalPlanner(
             bert_forward,
@@ -328,9 +330,7 @@ class TestCacheCorruption:
         damaged = 0
         for path in Path(directory).glob("*.plan"):
             entry = pickle.loads(path.read_bytes())
-            if "chunk_orders" not in entry.extra:
-                continue
-            order = entry.extra["chunk_orders"][-1]
+            order = entry.chunk_orders[-1]
             order[:] = order[::-1] if damage == "shuffled" else order[:-1]
             path.write_bytes(pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL))
             damaged += 1
@@ -344,7 +344,7 @@ class TestCacheCorruption:
         ).plan()
         assert warm.reuse_stats["whole_plan_hit"] == 0
         assert warm.reuse_stats["cache_rejects"] == 1
-        assert warm.reuse_stats["subplans_planned"] == 0  # chunk entries are intact
+        assert warm.reuse_stats["subplans_planned"] > 0  # fell through to synthesis
         assert verify_plan(warm, renamed).ok
         assert warm.estimated_time == cold.estimated_time
         assert warm.schedule_candidate_times == cold.schedule_candidate_times
