@@ -11,7 +11,7 @@ from .hierarchical import (
     stage_forward_graph,
 )
 from .instructions import CommInstruction, CompInstruction, Instruction, is_source_op
-from .load_balancer import LoadBalancer, LoadBalanceResult
+from .load_balancer import LoadBalanceError, LoadBalancer, LoadBalanceResult
 from .pareto import ParetoFront
 from .pipeline import HAPPlan, HAPPlanner, OptimizationRound
 from .plancache import (
@@ -41,6 +41,7 @@ __all__ = [
     "Instruction",
     "is_source_op",
     "LoadBalancer",
+    "LoadBalanceError",
     "LoadBalanceResult",
     "ParetoFront",
     "HAPPlanner",

@@ -142,8 +142,7 @@ class HAPPlanner:
                 balance_start = _time.perf_counter()
                 balance = self.load_balancer.optimize(program, self.cost_model)
                 balance_seconds = _time.perf_counter() - balance_start
-                if balance.success:
-                    ratios = balance.ratios
+                ratios = balance.ratios
             # Evaluation is pure, so pricing the pre-balance ratios after the
             # LP (in one batched call with the post-balance ratios, over the
             # stage lines the LP just read) yields the same numbers as

@@ -17,6 +17,12 @@ from repro.graph import shard_sizes
 from .conftest import build_mlp, build_tiny_transformer
 
 
+def _assert_objective_is_exact(result, program, cost_model):
+    """The LP objective is the cost model's time at the returned ratios."""
+    evaluated = cost_model.evaluate(program, result.ratios).total
+    assert result.objective == pytest.approx(evaluated, rel=1e-12)
+
+
 @pytest.fixture
 def dp_setup(four_device_cluster):
     """A data-parallel program on a heterogeneous 4-GPU cluster."""
@@ -31,7 +37,7 @@ class TestLoadBalancer:
     def test_ratios_sum_to_one(self, dp_setup):
         _, program, cost_model, cluster = dp_setup
         result = LoadBalancer(cluster).optimize(program, cost_model)
-        assert result.success
+        _assert_objective_is_exact(result, program, cost_model)
         assert len(result.ratios) == cluster.num_devices
         assert sum(result.ratios) == pytest.approx(1.0, abs=1e-6)
         assert all(r >= -1e-9 for r in result.ratios)
@@ -48,8 +54,15 @@ class TestLoadBalancer:
     def test_lp_objective_matches_cost_model(self, dp_setup):
         _, program, cost_model, cluster = dp_setup
         result = LoadBalancer(cluster).optimize(program, cost_model)
-        evaluated = cost_model.evaluate(program, result.ratios).total
-        assert result.objective == pytest.approx(evaluated, rel=0.05)
+        _assert_objective_is_exact(result, program, cost_model)
+
+    def test_lp_objective_matches_cost_model_on_tiny_transformer(self, four_device_cluster):
+        training = build_training_graph(build_tiny_transformer()).graph
+        config = SynthesisConfig(beam_width=8)
+        program = ProgramSynthesizer(training, four_device_cluster, config).synthesize().program
+        cost_model = CostModel(training, four_device_cluster)
+        result = LoadBalancer(four_device_cluster).optimize(program, cost_model)
+        _assert_objective_is_exact(result, program, cost_model)
 
     def test_fast_devices_get_larger_share_when_compute_bound(self, four_device_cluster):
         # Huge compute, negligible communication: ratios should follow flops.
@@ -88,7 +101,7 @@ class TestLoadBalancer:
         )
         roomy = LoadBalancer(cluster).optimize(program, cost_model)
         cramped = LoadBalancer(tight).optimize(program, CostModel(training, tight))
-        assert cramped.success
+        _assert_objective_is_exact(cramped, program, CostModel(training, tight))
         assert cramped.ratios == roomy.ratios
         assert cramped.objective == roomy.objective
 
