@@ -1,4 +1,10 @@
-"""Collective communication: analytic cost models and functional emulation."""
+"""Collective communication: analytic cost models.
+
+The planner and the simulator price collectives with :mod:`.cost`.  The
+numpy functional emulation the SPMD runtime executes lives in
+:mod:`repro.collectives.functional`; it is not re-exported here, so
+importing this package does not import numpy.
+"""
 
 from .cost import (
     MEMCPY_BANDWIDTH,
@@ -7,7 +13,6 @@ from .cost import (
     CommRequest,
     max_ratio,
 )
-from .functional import all_gather, all_reduce, all_to_all, broadcast, reduce_scatter, split
 
 __all__ = [
     "CollectiveCostModel",
@@ -15,10 +20,4 @@ __all__ = [
     "CommRequest",
     "MEMCPY_BANDWIDTH",
     "max_ratio",
-    "all_gather",
-    "all_reduce",
-    "all_to_all",
-    "broadcast",
-    "reduce_scatter",
-    "split",
 ]

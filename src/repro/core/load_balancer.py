@@ -26,25 +26,24 @@ memory model plans are judged by.
 The paper solves the LP with CBC; here a small simplex solves it in-tree
 (:func:`solve_lp`), with no solver dependency.  It runs on the LP's dual,
 which is feasible at its slack basis because the objective is
-non-negative, so no phase I is needed.  A dense revised simplex over numpy
-finds the optimal basis: the entering column has the most negative reduced
-cost, and after a run of degenerate (zero-step) pivots the rule switches to
-Bland's until a pivot makes progress, so the solve cannot cycle.  An exact
-phase in :class:`fractions.Fraction` then proves that basis optimal (or
-pivots on, by Bland's rule, to one that is), and the returned point is the
-basis's vertex, solved exactly and rounded once — so the ratios do not
-depend on the pivot order, the BLAS build or solver tolerances.
+non-negative, so no phase I is needed.  A revised simplex in plain Python
+floats finds the optimal basis: the entering column has the most negative
+reduced cost, and after a run of degenerate (zero-step) pivots the rule
+switches to Bland's until a pivot makes progress, so the solve cannot
+cycle.  An exact phase in :class:`fractions.Fraction` then proves that
+basis optimal (or pivots on, by Bland's rule, to one that is), and the
+returned point is the basis's vertex, solved exactly and rounded once — so
+the ratios do not depend on the pivot order or solver tolerances.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-import numpy as np
 
 from ..cluster.spec import ClusterSpec
 from .costmodel import CostModel, StageCoefficients
@@ -93,7 +92,8 @@ class LinearProgram:
 
         min sum_i T_i  s.t.  rows[r] . x <= rhs[r],  sum_j B_j = 1,  x >= 0
 
-    ``rows`` are sparse ``(column, coefficient)`` pairs.  Equation ids name
+    ``rows`` are sparse ``(column, coefficient)`` pairs, at most three per
+    row (a ratio ``B_j``, ``M`` and one ``T_i``).  Equation ids name
     the constraints a vertex can make tight: ``r < len(rows)`` is row ``r``,
     ``len(rows)`` the ratio sum and ``len(rows) + 1 + k`` the bound
     ``x_k = 0``.
@@ -129,17 +129,6 @@ class LinearProgram:
             exact = {k: Fraction(sign * v) for k, v in coeffs.items()}, Fraction(sign * bound)
             self._exact[eq] = exact
         return exact
-
-    @cached_property
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The rows as flat ``(row, column, value)`` arrays, and the right-hand sides."""
-        entries = [(r, k, v) for r, row in enumerate(self.rows) for k, v in row]
-        return (
-            np.array([e[0] for e in entries], dtype=np.intp),
-            np.array([e[1] for e in entries], dtype=np.intp),
-            np.array([e[2] for e in entries], dtype=float),
-            np.array(self.rhs, dtype=float),
-        )
 
 
 class LPSolution(NamedTuple):
@@ -249,81 +238,123 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 def _float_basis(lp: LinearProgram) -> List[int]:
     """Equation ids of a basis the float simplex on the dual finds optimal.
 
-    A revised simplex with an explicit inverse of the ``n x n`` basis.  The
-    dual's columns are ``y_r = -row_r`` (cost ``rhs_r``), ``w+ = a`` (cost
-    ``-1``), ``w- = -a`` (cost ``1``) and the slacks ``e_k`` (cost ``0``);
-    the slack basis is feasible because ``c >= 0``, so there is no phase I.
+    A revised simplex with an explicit inverse of the ``n x n`` basis, kept
+    as one Python list per row.  The dual's columns are ``y_r = -row_r``
+    (cost ``rhs_r``), ``w+ = a`` (cost ``-1``), ``w- = -a`` (cost ``1``) and
+    the slacks ``e_k`` (cost ``0``); the slack basis is feasible because
+    ``c >= 0``, so there is no phase I.  A pivot touches only the inverse's
+    rows where ``direction`` is nonzero, moves the prices along the new
+    pivot row, and re-prices only the columns whose prices moved, so every
+    reduced cost equals its from-scratch value; a heap of ``(reduced cost,
+    column)`` finds the most negative one.
     """
     m, n, num_rows = lp.num_devices, lp.num_vars, len(lp.rows)
     w_col = num_rows
     slack0 = num_rows + 2
-    row_of, col_of, values, bounds = lp.arrays
     # Scale the time unit by a power of two (exactly) so the stage rows'
     # coefficients and the reduced costs are of order one.
-    timed = np.zeros(num_rows, dtype=bool)
-    timed[row_of[col_of > m]] = True
-    scaled = timed[row_of] & (col_of <= m)
-    scale = max(np.abs(values[scaled]).max(initial=0.0), np.abs(bounds[timed]).max(initial=0.0))
+    timed = [bool(row) and max(row)[0] > m for row in lp.rows]
+    scale = max(
+        [abs(v) for row, t in zip(lp.rows, timed) if t for k, v in row if k <= m]
+        + [abs(b) for b, t in zip(lp.rhs, timed) if t],
+        default=0.0,
+    )
     inv = math.ldexp(1.0, -math.frexp(scale)[1]) if scale > 0.0 else 1.0
-    values = np.where(scaled, values * inv, values)
-    costs = np.concatenate([np.where(timed, bounds * inv, bounds), [-1.0, 1.0], np.zeros(n)])
-    starts = np.searchsorted(row_of, np.arange(num_rows + 1))
+    # Every row has at most three entries.  Each is priced as one expression
+    # ``(cost, k0, v0, k1, v1, k2, v2)``, padded on column ``n``, whose price
+    # stays zero.
+    priced: List[List] = []
+    rows_of: List[List[int]] = [[] for _ in range(n)]
+    for r, (row, bound, t) in enumerate(zip(lp.rows, lp.rhs, timed)):
+        entry: List = [bound * inv if t else bound]
+        for k, v in row:
+            entry += (k, v * inv if t and k <= m else v)
+            rows_of[k].append(r)
+        priced.append(entry + [n, 0.0] * (3 - len(row)))
+    reduced = [entry[0] for entry in priced] + [-1.0, 1.0] + [0.0] * n
+    heap = [(v, j) for j, v in enumerate(reduced)]
+    heapq.heapify(heap)
 
     basis = list(range(slack0, slack0 + n))
-    basis_inv = np.eye(n)
-    basic_costs = np.zeros(n)
-    primal = np.zeros(n)  # the basic columns' values: the dual's solution
-    primal[m + 1:] = 1.0
-    reduced = costs.copy()
+    is_basic = [False] * slack0 + [True] * n
+    # The basis inverse's rows, each with a zero entry for the padding column.
+    basis_inv = [[0.0] * (n + 1) for _ in range(n)]
+    for i, row in enumerate(basis_inv):
+        row[i] = 1.0
+    prices = [0.0] * (n + 1)
+    primal = [0.0] * (m + 1) + [1.0] * (n - m - 1)  # the dual's solution
     degenerate = 0
     for _ in range(MAX_PIVOTS):
-        prices = basic_costs @ basis_inv
-        price_sum = prices[:m].sum()
-        reduced[:num_rows] = costs[:num_rows] + np.bincount(
-            row_of, values * prices[col_of], minlength=num_rows
-        )
-        reduced[w_col] = -1.0 - price_sum
-        reduced[w_col + 1] = 1.0 + price_sum
-        reduced[slack0:] = -prices
-        reduced[basis] = 0.0  # exactly, not up to rounding
         bland = degenerate >= BLAND_AFTER
         if bland:
-            entering = np.flatnonzero(reduced < -_COST_TOL)
-            if not entering.size:
+            col = next((j for j, r in enumerate(reduced) if r < -_COST_TOL), -1)
+            if col < 0:
                 break
-            col = int(entering[0])
         else:
-            col = int(reduced.argmin())
-            if reduced[col] >= -_COST_TOL:
+            while reduced[heap[0][1]] != heap[0][0]:
+                heapq.heappop(heap)  # stale: the column was re-priced
+            low, col = heap[0]
+            if low >= -_COST_TOL:
                 break
-        column = np.zeros(n)
         if col < w_col:
-            column[col_of[starts[col]:starts[col + 1]]] = -values[starts[col]:starts[col + 1]]
+            _, k0, v0, k1, v1, k2, v2 = priced[col]
+            direction = [-(r[k0] * v0 + r[k1] * v1 + r[k2] * v2) for r in basis_inv]
         elif col < slack0:
-            column[:m] = 1.0 if col == w_col else -1.0
+            direction = [sum(r[:m]) for r in basis_inv]
+            if col != w_col:
+                direction = [-d for d in direction]
         else:
-            column[col - slack0] = 1.0
-        direction = basis_inv @ column
-        candidates = np.flatnonzero(direction > _PIVOT_TOL * np.abs(direction).max())
-        if not candidates.size:
+            k = col - slack0
+            direction = [r[k] for r in basis_inv]
+        nonzero = [(i, d) for i, d in enumerate(direction) if d]
+        tol = _PIVOT_TOL * max([abs(d) for _, d in nonzero], default=0.0)
+        pivot, step = -1, math.inf
+        for i, d in nonzero:
+            if d > tol and primal[i] / d < step:
+                pivot, step = i, primal[i] / d
+        if pivot < 0:
             break  # unbounded in floats: the exact phase decides
-        steps = primal[candidates] / direction[candidates]
-        step = steps.min()
         if bland:
-            ties = candidates[steps <= step + _STEP_TOL]
-            pivot = int(min(ties, key=basis.__getitem__))
-        else:
-            pivot = int(candidates[steps.argmin()])
+            pivot = min(
+                (i for i, d in nonzero if d > tol and primal[i] / d <= step + _STEP_TOL),
+                key=basis.__getitem__,
+            )
         degenerate = degenerate + 1 if step <= _STEP_TOL else 0
         step = primal[pivot] / direction[pivot]
-        primal -= step * direction
+        for i, d in nonzero:
+            x = primal[i] - step * d
+            primal[i] = x if x > 0.0 else 0.0
         primal[pivot] = step
-        np.maximum(primal, 0.0, out=primal)
-        basis_inv[pivot] /= direction[pivot]
-        direction[pivot] = 0.0
-        basis_inv -= np.outer(direction, basis_inv[pivot])
-        basic_costs[pivot] = costs[col]
+        pivot_row = basis_inv[pivot]
+        moved = [k for k, x in enumerate(pivot_row) if x]
+        for k in moved:
+            pivot_row[k] /= direction[pivot]
+        for i, d in nonzero:
+            if i != pivot:
+                row = basis_inv[i]
+                for k in moved:
+                    row[k] -= d * pivot_row[k]
+        entering_cost = reduced[col]
+        for k in moved:
+            prices[k] += entering_cost * pivot_row[k]
+        leaving = basis[pivot]
         basis[pivot] = col
+        is_basic[leaving], is_basic[col] = False, True
+        reduced[col] = 0.0  # exactly, not up to rounding
+        stale = {r for k in moved for r in rows_of[k]}
+        stale.update([slack0 + k for k in moved] + [w_col, w_col + 1, leaving])
+        price_sum = sum(prices[:m])
+        for j in stale:
+            if is_basic[j]:
+                continue
+            if j < w_col:
+                c, k0, v0, k1, v1, k2, v2 = priced[j]
+                reduced[j] = c + (prices[k0] * v0 + prices[k1] * v1 + prices[k2] * v2)
+            elif j < slack0:
+                reduced[j] = -1.0 - price_sum if j == w_col else 1.0 + price_sum
+            else:
+                reduced[j] = -prices[j - slack0]
+            heapq.heappush(heap, (reduced[j], j))
     return [min(col, w_col) if col < slack0 else col - 1 for col in basis]
 
 
@@ -387,24 +418,27 @@ def _first_violated(
     """
     m, num_rows = lp.num_devices, len(lp.rows)
     basic = set(basis)
-    row_of, col_of, values, bounds = lp.arrays
-    terms = values * np.array([float(v) for v in vertex])[col_of]
-    slack = bounds - np.bincount(row_of, terms, minlength=num_rows)
-    size = np.abs(bounds) + np.bincount(row_of, np.abs(terms), minlength=num_rows)
+    point = [float(v) for v in vertex]
     # Exactly, in integers: vertex = numerators / denominator, and every
     # float is p / 2^e, so scaling a row by its largest 2^e clears it.
     denominator = math.lcm(*(v.denominator for v in vertex))
     numerators = [v.numerator * (denominator // v.denominator) for v in vertex]
-    for r in np.flatnonzero(slack <= 1e-9 * size).tolist():
+    for r, (row, bound) in enumerate(zip(lp.rows, lp.rhs)):
         if r in basic:
             continue
-        ratios = [v.as_integer_ratio() for _, v in lp.rows[r]]
-        bound_num, bound_den = lp.rhs[r].as_integer_ratio()
+        lhs = 0.0
+        size = abs(bound)
+        for k, v in row:
+            term = v * point[k]
+            lhs += term
+            size += abs(term)
+        if bound - lhs > 1e-9 * size:
+            continue
+        ratios = [v.as_integer_ratio() for _, v in row]
+        bound_num, bound_den = bound.as_integer_ratio()
         scale = max([bound_den] + [d for _, d in ratios])
-        lhs = sum(
-            p * (scale // d) * numerators[k] for (k, _), (p, d) in zip(lp.rows[r], ratios)
-        )
-        if lhs > bound_num * (scale // bound_den) * denominator:
+        exact = sum(p * (scale // d) * numerators[k] for (k, _), (p, d) in zip(row, ratios))
+        if exact > bound_num * (scale // bound_den) * denominator:
             return r, 1
     if num_rows not in basic:
         total = sum(vertex[:m], Fraction(0))

@@ -4,7 +4,8 @@ Reverse-mode autodiff (:mod:`repro.autodiff`) expands a forward graph into a
 training graph; the backward pass needs a handful of additional primitive
 operators (vector-Jacobian products).  They are registered here, in the same
 registry as the forward ops, so the synthesizer, cost model and runtime treat
-them uniformly.
+them uniformly; their numpy kernels live with the forward ones in
+:mod:`repro.runtime.kernels`.
 
 Importing this module has the side effect of registering the operators; it is
 imported by :mod:`repro.graph` consumers via :mod:`repro.autodiff`.
@@ -12,24 +13,9 @@ imported by :mod:`repro.graph` consumers via :mod:`repro.autodiff`.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
-import numpy as np
-
-from .ops import (
-    Attrs,
-    OpDef,
-    OpKind,
-    _check_arity,
-    _conv_out_hw,
-    _elementwise_flops,
-    col2im,
-    im2col,
-    moe_routing,
-    register_op,
-    registered_ops,
-)
+from .ops import Attrs, OpDef, OpKind, _check_arity, _elementwise_flops, register_op, registered_ops
 from .tensor import TensorSpec
 
 
@@ -51,16 +37,7 @@ def _broadcast_infer(specs: Sequence[TensorSpec], attrs: Attrs) -> TensorSpec:
 
 
 _register_once(
-    OpDef(
-        "broadcast_to",
-        OpKind.BROADCAST,
-        _broadcast_infer,
-        _elementwise_flops(1.0),
-        lambda inputs, attrs: np.broadcast_to(
-            inputs[0], tuple(int(d) for d in attrs["shape"])
-        ).astype(inputs[0].dtype, copy=True),
-        1,
-    )
+    OpDef("broadcast_to", OpKind.BROADCAST, _broadcast_infer, _elementwise_flops(1.0), 1)
 )
 
 
@@ -77,9 +54,6 @@ _register_once(
         OpKind.SUM_LEADING,
         _sum_leading_infer,
         lambda specs, out, attrs: float(specs[0].numel),
-        lambda inputs, attrs: np.sum(
-            inputs[0].reshape(-1, inputs[0].shape[-1]), axis=0
-        ),
         1,
     )
 )
@@ -98,83 +72,26 @@ def _binary_same_shape_infer(specs: Sequence[TensorSpec], _attrs: Attrs) -> Tens
     return specs[0]
 
 
-def _register_ew_grad(name: str, fn, cost: float = 2.0) -> None:
+for _name, _cost in (
+    ("relu_grad", 2.0),
+    ("gelu_grad", 10.0),
+    ("sigmoid_grad", 6.0),
+    ("tanh_grad", 6.0),
+    ("square_grad", 2.0),
+):
     _register_once(
-        OpDef(
-            name,
-            OpKind.ELEMENTWISE,
-            _binary_same_shape_infer,
-            _elementwise_flops(cost),
-            lambda inputs, attrs, _fn=fn: _fn(inputs[0], inputs[1]),
-            2,
-        )
+        OpDef(_name, OpKind.ELEMENTWISE, _binary_same_shape_infer, _elementwise_flops(_cost), 2)
     )
-
-
-def _gelu_grad(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
-    c = math.sqrt(2.0 / math.pi)
-    t = np.tanh(c * (x + 0.044715 * x ** 3))
-    dt = (1.0 - t ** 2) * c * (1.0 + 3 * 0.044715 * x ** 2)
-    return dy * (0.5 * (1.0 + t) + 0.5 * x * dt)
-
-
-_register_ew_grad("relu_grad", lambda dy, x: dy * (x > 0.0).astype(dy.dtype))
-_register_ew_grad("gelu_grad", _gelu_grad, cost=10.0)
-_register_ew_grad("sigmoid_grad", lambda dy, x: dy * (1.0 / (1.0 + np.exp(-x))) * (1.0 - 1.0 / (1.0 + np.exp(-x))), cost=6.0)
-_register_ew_grad("tanh_grad", lambda dy, x: dy * (1.0 - np.tanh(x) ** 2), cost=6.0)
-_register_ew_grad("square_grad", lambda dy, x: 2.0 * dy * x)
 
 
 # ---------------------------------------------------------------------------
 # softmax / layernorm gradients (normalised axis in attrs)
 # ---------------------------------------------------------------------------
 
-def _softmax_grad_execute(inputs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
-    dy, y = inputs
-    axis = int(attrs.get("axis", -1))
-    dot = np.sum(dy * y, axis=axis, keepdims=True)
-    return (dy - dot) * y
-
-
-_register_once(
-    OpDef(
-        "softmax_grad",
-        OpKind.NORMALIZATION,
-        _binary_same_shape_infer,
-        _elementwise_flops(6.0),
-        _softmax_grad_execute,
-        2,
+for _name, _cost in (("softmax_grad", 6.0), ("layernorm_grad", 12.0)):
+    _register_once(
+        OpDef(_name, OpKind.NORMALIZATION, _binary_same_shape_infer, _elementwise_flops(_cost), 2)
     )
-)
-
-
-def _layernorm_grad_execute(inputs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
-    dy, x = inputs
-    axis = int(attrs.get("axis", -1))
-    eps = float(attrs.get("eps", 1e-5))
-    n = x.shape[axis]
-    mean = np.mean(x, axis=axis, keepdims=True)
-    var = np.var(x, axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv
-    dxhat = dy
-    return inv * (
-        dxhat
-        - np.mean(dxhat, axis=axis, keepdims=True)
-        - xhat * np.mean(dxhat * xhat, axis=axis, keepdims=True)
-    )
-
-
-_register_once(
-    OpDef(
-        "layernorm_grad",
-        OpKind.NORMALIZATION,
-        _binary_same_shape_infer,
-        _elementwise_flops(12.0),
-        _layernorm_grad_execute,
-        2,
-    )
-)
 
 
 # ---------------------------------------------------------------------------
@@ -191,22 +108,12 @@ def _xent_grad_infer(specs: Sequence[TensorSpec], _attrs: Attrs) -> TensorSpec:
     return logits
 
 
-def _xent_grad_execute(inputs: Sequence[np.ndarray], _attrs: Attrs) -> np.ndarray:
-    dy, logits, labels = inputs
-    labels = labels.astype(np.int64)
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
-    probs = np.exp(shifted) / np.sum(np.exp(shifted), axis=1, keepdims=True)
-    probs[np.arange(logits.shape[0]), labels] -= 1.0
-    return probs * dy
-
-
 _register_once(
     OpDef(
         "cross_entropy_grad",
         OpKind.CROSS_ENTROPY,
         _xent_grad_infer,
         lambda specs, out, attrs: 6.0 * out.numel,
-        _xent_grad_execute,
         3,
     )
 )
@@ -225,22 +132,12 @@ def _embedding_grad_infer(specs: Sequence[TensorSpec], attrs: Attrs) -> TensorSp
     return TensorSpec((vocab, dy.shape[-1]), dy.dtype)
 
 
-def _embedding_grad_execute(inputs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
-    dy, ids = inputs
-    vocab = int(attrs["vocab_size"])
-    hidden = dy.shape[-1]
-    out = np.zeros((vocab, hidden), dtype=dy.dtype)
-    np.add.at(out, ids.astype(np.int64).reshape(-1), dy.reshape(-1, hidden))
-    return out
-
-
 _register_once(
     OpDef(
         "embedding_grad",
         OpKind.EMBEDDING_GRAD,
         _embedding_grad_infer,
         lambda specs, out, attrs: float(specs[0].numel),
-        _embedding_grad_execute,
         2,
     )
 )
@@ -256,38 +153,10 @@ def _conv2d_grad_input_infer(specs: Sequence[TensorSpec], attrs: Attrs) -> Tenso
     return TensorSpec(tuple(int(d) for d in attrs["input_shape"]), dy.dtype)
 
 
-def _conv2d_grad_input_execute(inputs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
-    dy, w = inputs
-    stride = int(attrs.get("stride", 1))
-    padding = int(attrs.get("padding", 0))
-    x_shape = tuple(int(d) for d in attrs["input_shape"])
-    kernel = w.shape[2]
-    n = dy.shape[0]
-    # dcols = dy (N, O, OH, OW) -> (N, OH*OW, O) @ wmat (O, C*K*K)
-    dy2 = np.transpose(dy, (0, 2, 3, 1)).reshape(n, -1, w.shape[0])
-    wmat = w.reshape(w.shape[0], -1)
-    dcols = np.matmul(dy2, wmat)
-    return col2im(dcols, x_shape, kernel, stride, padding)
-
-
 def _conv2d_grad_weight_infer(specs: Sequence[TensorSpec], attrs: Attrs) -> TensorSpec:
     _check_arity("conv2d_grad_weight", specs, 2)
     dy, _x = specs
     return TensorSpec(tuple(int(d) for d in attrs["weight_shape"]), dy.dtype)
-
-
-def _conv2d_grad_weight_execute(inputs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
-    dy, x = inputs
-    stride = int(attrs.get("stride", 1))
-    padding = int(attrs.get("padding", 0))
-    w_shape = tuple(int(d) for d in attrs["weight_shape"])
-    kernel = w_shape[2]
-    n = dy.shape[0]
-    cols = im2col(x, kernel, stride, padding)  # (N, OH*OW, C*K*K)
-    dy2 = np.transpose(dy, (0, 2, 3, 1)).reshape(n, -1, w_shape[0])  # (N, OH*OW, O)
-    # dW = sum_n dy2^T @ cols  -> (O, C*K*K)
-    dw = np.einsum("npo,npk->ok", dy2, cols)
-    return dw.reshape(w_shape)
 
 
 def _conv_grad_flops(specs: Sequence[TensorSpec], out: TensorSpec, attrs: Attrs) -> float:
@@ -302,10 +171,10 @@ def _conv_grad_flops(specs: Sequence[TensorSpec], out: TensorSpec, attrs: Attrs)
 
 
 _register_once(
-    OpDef("conv2d_grad_input", OpKind.CONV_GRAD_INPUT, _conv2d_grad_input_infer, _conv_grad_flops, _conv2d_grad_input_execute, 2)
+    OpDef("conv2d_grad_input", OpKind.CONV_GRAD_INPUT, _conv2d_grad_input_infer, _conv_grad_flops, 2)
 )
 _register_once(
-    OpDef("conv2d_grad_weight", OpKind.CONV_GRAD_WEIGHT, _conv2d_grad_weight_infer, _conv_grad_flops, _conv2d_grad_weight_execute, 2)
+    OpDef("conv2d_grad_weight", OpKind.CONV_GRAD_WEIGHT, _conv2d_grad_weight_infer, _conv_grad_flops, 2)
 )
 
 
@@ -319,46 +188,8 @@ def _pool_grad_infer(specs: Sequence[TensorSpec], attrs: Attrs) -> TensorSpec:
     return x
 
 
-def _maxpool_grad_execute(inputs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
-    dy, x = inputs
-    kernel = int(attrs.get("kernel", 2))
-    stride = int(attrs.get("stride", kernel))
-    n, c, h, w = x.shape
-    oh, ow = _conv_out_hw(h, w, kernel, stride, 0)
-    dx = np.zeros_like(x)
-    for i in range(oh):
-        for j in range(ow):
-            window = x[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel]
-            flat = window.reshape(n, c, -1)
-            arg = np.argmax(flat, axis=2)
-            grad = np.zeros_like(flat)
-            np.put_along_axis(grad, arg[:, :, None], dy[:, :, i, j][:, :, None], axis=2)
-            dx[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel] += grad.reshape(window.shape)
-    return dx
-
-
-def _avgpool_grad_execute(inputs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
-    dy, x = inputs
-    kernel = int(attrs.get("kernel", 2))
-    stride = int(attrs.get("stride", kernel))
-    n, c, h, w = x.shape
-    oh, ow = _conv_out_hw(h, w, kernel, stride, 0)
-    dx = np.zeros_like(x)
-    scale = 1.0 / (kernel * kernel)
-    for i in range(oh):
-        for j in range(ow):
-            dx[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel] += (
-                dy[:, :, i, j][:, :, None, None] * scale
-            )
-    return dx
-
-
-_register_once(
-    OpDef("maxpool2d_grad", OpKind.POOL, _pool_grad_infer, _elementwise_flops(4.0), _maxpool_grad_execute, 2)
-)
-_register_once(
-    OpDef("avgpool2d_grad", OpKind.POOL, _pool_grad_infer, _elementwise_flops(2.0), _avgpool_grad_execute, 2)
-)
+_register_once(OpDef("maxpool2d_grad", OpKind.POOL, _pool_grad_infer, _elementwise_flops(4.0), 2))
+_register_once(OpDef("avgpool2d_grad", OpKind.POOL, _pool_grad_infer, _elementwise_flops(2.0), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -373,25 +204,12 @@ def _moe_dispatch_grad_infer(specs: Sequence[TensorSpec], attrs: Attrs) -> Tenso
     return TensorSpec((gates.shape[0], dy.shape[2]), dy.dtype)
 
 
-def _moe_dispatch_grad_execute(inputs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
-    dy, gates = inputs
-    capacity = dy.shape[1]
-    route = moe_routing(gates, capacity)
-    out = np.zeros((gates.shape[0], dy.shape[2]), dtype=dy.dtype)
-    for t in range(gates.shape[0]):
-        e, slot = route[t]
-        if e >= 0:
-            out[t] = dy[e, slot]
-    return out
-
-
 _register_once(
     OpDef(
         "moe_dispatch_grad",
         OpKind.MOE_COMBINE,  # same data movement pattern as combine
         _moe_dispatch_grad_infer,
         lambda specs, out, attrs: float(out.numel),
-        _moe_dispatch_grad_execute,
         2,
     )
 )
@@ -406,27 +224,12 @@ def _moe_combine_grad_infer(specs: Sequence[TensorSpec], attrs: Attrs) -> Tensor
     return TensorSpec((gates.shape[1], capacity, dy.shape[1]), dy.dtype)
 
 
-def _moe_combine_grad_execute(inputs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
-    dy, gates = inputs
-    capacity = int(attrs["capacity"])
-    route = moe_routing(gates, capacity)
-    shifted = gates - np.max(gates, axis=1, keepdims=True)
-    probs = np.exp(shifted) / np.sum(np.exp(shifted), axis=1, keepdims=True)
-    out = np.zeros((gates.shape[1], capacity, dy.shape[1]), dtype=dy.dtype)
-    for t in range(gates.shape[0]):
-        e, slot = route[t]
-        if e >= 0:
-            out[e, slot] = dy[t] * probs[t, e]
-    return out
-
-
 _register_once(
     OpDef(
         "moe_combine_grad",
         OpKind.MOE_DISPATCH,  # same data movement pattern as dispatch
         _moe_combine_grad_infer,
         lambda specs, out, attrs: float(out.numel),
-        _moe_combine_grad_execute,
         2,
     )
 )

@@ -4,10 +4,13 @@ Every operator used by the model zoo is described by an :class:`OpDef` that
 bundles:
 
 * shape inference (``infer``),
-* a floating-point-operation estimate (``flops``) used by the cost model,
-* a numpy reference implementation (``execute``) used by the runtime, and
+* a floating-point-operation estimate (``flops``) used by the cost model, and
 * an :class:`OpKind` category consumed by the HAP rule generator
   (:mod:`repro.core.rules`) to derive sharding semantics.
+
+The numpy kernels that execute the operators belong to the runtime
+(:mod:`repro.runtime.kernels`), so the IR and everything that plans over it
+import no numpy.
 
 The operator set intentionally mirrors the subset of PyTorch ops exercised by
 the paper's four benchmark models (VGG19, ViT, BERT-Base, BERT-MoE): dense and
@@ -20,11 +23,9 @@ optimizer step applied to each parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
-
-import numpy as np
 
 from .tensor import DType, TensorSpec
 
@@ -68,7 +69,6 @@ class OpDef:
         kind: semantic category.
         infer: ``(input_specs, attrs) -> TensorSpec`` shape inference.
         flops: ``(input_specs, output_spec, attrs) -> float`` flop estimate.
-        execute: ``(inputs, attrs) -> np.ndarray`` reference implementation.
         num_inputs: expected arity (``None`` for variadic).
     """
 
@@ -76,7 +76,6 @@ class OpDef:
     kind: OpKind
     infer: Callable[[Sequence[TensorSpec], Attrs], TensorSpec]
     flops: Callable[[Sequence[TensorSpec], TensorSpec, Attrs], float]
-    execute: Callable[[Sequence[np.ndarray], Attrs], np.ndarray]
     num_inputs: Optional[int] = None
 
 
@@ -142,16 +141,9 @@ def _source_infer(specs: Sequence[TensorSpec], attrs: Attrs) -> TensorSpec:
     return TensorSpec(tuple(shape), dtype)
 
 
-def _source_execute(_inputs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
-    raise RuntimeError(
-        "source operators are bound to external data by the runtime; "
-        "they cannot be executed directly"
-    )
-
-
-register_op(OpDef("placeholder", OpKind.SOURCE, _source_infer, _zero_flops, _source_execute, 0))
-register_op(OpDef("parameter", OpKind.SOURCE, _source_infer, _zero_flops, _source_execute, 0))
-register_op(OpDef("constant", OpKind.SOURCE, _source_infer, _zero_flops, _source_execute, 0))
+register_op(OpDef("placeholder", OpKind.SOURCE, _source_infer, _zero_flops, 0))
+register_op(OpDef("parameter", OpKind.SOURCE, _source_infer, _zero_flops, 0))
+register_op(OpDef("constant", OpKind.SOURCE, _source_infer, _zero_flops, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -172,59 +164,20 @@ def _binary_infer(specs: Sequence[TensorSpec], _attrs: Attrs) -> TensorSpec:
     return TensorSpec(specs[0].shape, _same_dtype(specs))
 
 
-def _register_unary(name: str, fn: Callable[[np.ndarray], np.ndarray], cost: float = 1.0) -> None:
-    register_op(
-        OpDef(
-            name,
-            OpKind.ELEMENTWISE,
-            _unary_infer,
-            _elementwise_flops(cost),
-            lambda inputs, attrs, _fn=fn: _fn(inputs[0]),
-            1,
-        )
-    )
-
-
-def _register_binary(name: str, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
-    register_op(
-        OpDef(
-            name,
-            OpKind.ELEMENTWISE,
-            _binary_infer,
-            _elementwise_flops(1.0),
-            lambda inputs, attrs, _fn=fn: _fn(inputs[0], inputs[1]),
-            2,
-        )
-    )
-
-
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3)))
-
-
-_register_unary("identity", lambda x: x, cost=0.0)
-_register_unary("relu", lambda x: np.maximum(x, 0.0))
-_register_unary("gelu", _gelu, cost=8.0)
-_register_unary("sigmoid", lambda x: 1.0 / (1.0 + np.exp(-x)), cost=4.0)
-_register_unary("tanh", np.tanh, cost=4.0)
-_register_unary("neg", lambda x: -x)
-_register_unary("square", lambda x: x * x)
-_register_unary("dropout", lambda x: x, cost=1.0)  # modelled as identity (inference-mode cost)
-
-_register_binary("add", lambda a, b: a + b)
-_register_binary("sub", lambda a, b: a - b)
-_register_binary("mul", lambda a, b: a * b)
-_register_binary("div", lambda a, b: a / b)
-_register_binary("maximum", np.maximum)
-
-
-def _scale_execute(inputs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
-    return inputs[0] * float(attrs.get("factor", 1.0))
-
-
-register_op(
-    OpDef("scale", OpKind.ELEMENTWISE, _unary_infer, _elementwise_flops(1.0), _scale_execute, 1)
-)
+for _name, _cost in (
+    ("identity", 0.0),
+    ("relu", 1.0),
+    ("gelu", 8.0),
+    ("sigmoid", 4.0),
+    ("tanh", 4.0),
+    ("neg", 1.0),
+    ("square", 1.0),
+    ("dropout", 1.0),  # modelled as identity (inference-mode cost)
+    ("scale", 1.0),
+):
+    register_op(OpDef(_name, OpKind.ELEMENTWISE, _unary_infer, _elementwise_flops(_cost), 1))
+for _name in ("add", "sub", "mul", "div", "maximum"):
+    register_op(OpDef(_name, OpKind.ELEMENTWISE, _binary_infer, _elementwise_flops(1.0), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +194,7 @@ def _bias_infer(specs: Sequence[TensorSpec], _attrs: Attrs) -> TensorSpec:
     return data
 
 
-register_op(
-    OpDef(
-        "bias_add",
-        OpKind.BROADCAST_BIAS,
-        _bias_infer,
-        _elementwise_flops(1.0),
-        lambda inputs, attrs: inputs[0] + inputs[1],
-        2,
-    )
-)
+register_op(OpDef("bias_add", OpKind.BROADCAST_BIAS, _bias_infer, _elementwise_flops(1.0), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +229,7 @@ def _matmul_flops(specs: Sequence[TensorSpec], out: TensorSpec, _attrs: Attrs) -
     return 2.0 * out.numel * k
 
 
-def _matmul_execute(inputs: Sequence[np.ndarray], _attrs: Attrs) -> np.ndarray:
-    return np.matmul(inputs[0], inputs[1])
-
-
-register_op(OpDef("matmul", OpKind.MATMUL, _matmul_infer, _matmul_flops, _matmul_execute, 2))
+register_op(OpDef("matmul", OpKind.MATMUL, _matmul_infer, _matmul_flops, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -305,26 +245,8 @@ def _reduce_flops(specs: Sequence[TensorSpec], _out: TensorSpec, _attrs: Attrs) 
     return float(specs[0].numel)
 
 
-register_op(
-    OpDef(
-        "reduce_sum",
-        OpKind.REDUCTION,
-        _reduce_infer,
-        _reduce_flops,
-        lambda inputs, attrs: np.asarray(np.sum(inputs[0])),
-        1,
-    )
-)
-register_op(
-    OpDef(
-        "reduce_mean",
-        OpKind.REDUCTION,
-        _reduce_infer,
-        _reduce_flops,
-        lambda inputs, attrs: np.asarray(np.mean(inputs[0])),
-        1,
-    )
-)
+register_op(OpDef("reduce_sum", OpKind.REDUCTION, _reduce_infer, _reduce_flops, 1))
+register_op(OpDef("reduce_mean", OpKind.REDUCTION, _reduce_infer, _reduce_flops, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -336,31 +258,8 @@ def _norm_infer(specs: Sequence[TensorSpec], _attrs: Attrs) -> TensorSpec:
     return specs[0]
 
 
-def _softmax_execute(inputs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
-    axis = int(attrs.get("axis", -1))
-    x = inputs[0]
-    x = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def _layernorm_execute(inputs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
-    axis = int(attrs.get("axis", -1))
-    eps = float(attrs.get("eps", 1e-5))
-    x = inputs[0]
-    mean = np.mean(x, axis=axis, keepdims=True)
-    var = np.var(x, axis=axis, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps)
-
-
-register_op(
-    OpDef("softmax", OpKind.NORMALIZATION, _norm_infer, _elementwise_flops(5.0), _softmax_execute, 1)
-)
-register_op(
-    OpDef(
-        "layernorm", OpKind.NORMALIZATION, _norm_infer, _elementwise_flops(8.0), _layernorm_execute, 1
-    )
-)
+register_op(OpDef("softmax", OpKind.NORMALIZATION, _norm_infer, _elementwise_flops(5.0), 1))
+register_op(OpDef("layernorm", OpKind.NORMALIZATION, _norm_infer, _elementwise_flops(8.0), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -377,16 +276,7 @@ def _reshape_infer(specs: Sequence[TensorSpec], attrs: Attrs) -> TensorSpec:
     return TensorSpec(new_shape, specs[0].dtype)
 
 
-register_op(
-    OpDef(
-        "reshape",
-        OpKind.RESHAPE,
-        _reshape_infer,
-        _zero_flops,
-        lambda inputs, attrs: np.reshape(inputs[0], tuple(int(d) for d in attrs["shape"])),
-        1,
-    )
-)
+register_op(OpDef("reshape", OpKind.RESHAPE, _reshape_infer, _zero_flops, 1))
 
 
 def _transpose_infer(specs: Sequence[TensorSpec], attrs: Attrs) -> TensorSpec:
@@ -397,16 +287,7 @@ def _transpose_infer(specs: Sequence[TensorSpec], attrs: Attrs) -> TensorSpec:
     return TensorSpec(tuple(specs[0].shape[p] for p in perm), specs[0].dtype)
 
 
-register_op(
-    OpDef(
-        "transpose",
-        OpKind.TRANSPOSE,
-        _transpose_infer,
-        _zero_flops,
-        lambda inputs, attrs: np.transpose(inputs[0], tuple(int(p) for p in attrs["perm"])),
-        1,
-    )
-)
+register_op(OpDef("transpose", OpKind.TRANSPOSE, _transpose_infer, _zero_flops, 1))
 
 
 def _flatten_infer(specs: Sequence[TensorSpec], _attrs: Attrs) -> TensorSpec:
@@ -418,16 +299,7 @@ def _flatten_infer(specs: Sequence[TensorSpec], _attrs: Attrs) -> TensorSpec:
     return TensorSpec((spec.shape[0], rest), spec.dtype)
 
 
-register_op(
-    OpDef(
-        "flatten",
-        OpKind.FLATTEN,
-        _flatten_infer,
-        _zero_flops,
-        lambda inputs, attrs: np.reshape(inputs[0], (inputs[0].shape[0], -1)),
-        1,
-    )
-)
+register_op(OpDef("flatten", OpKind.FLATTEN, _flatten_infer, _zero_flops, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -446,23 +318,15 @@ def _embedding_flops(specs: Sequence[TensorSpec], out: TensorSpec, _attrs: Attrs
     return float(out.numel)
 
 
-register_op(
-    OpDef(
-        "embedding",
-        OpKind.EMBEDDING,
-        _embedding_infer,
-        _embedding_flops,
-        lambda inputs, attrs: inputs[1][inputs[0].astype(np.int64)],
-        2,
-    )
-)
+register_op(OpDef("embedding", OpKind.EMBEDDING, _embedding_infer, _embedding_flops, 2))
 
 
 # ---------------------------------------------------------------------------
 # conv2d / pooling
 # ---------------------------------------------------------------------------
 
-def _conv_out_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> tuple:
+def conv_out_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> tuple:
+    """Output height and width of a convolution or pooling window."""
     oh = (h + 2 * padding - kernel) // stride + 1
     ow = (w + 2 * padding - kernel) // stride + 1
     return oh, ow
@@ -478,7 +342,7 @@ def _conv2d_infer(specs: Sequence[TensorSpec], attrs: Attrs) -> TensorSpec:
     stride = int(attrs.get("stride", 1))
     padding = int(attrs.get("padding", 0))
     kernel = w.shape[2]
-    oh, ow = _conv_out_hw(x.shape[2], x.shape[3], kernel, stride, padding)
+    oh, ow = conv_out_hw(x.shape[2], x.shape[3], kernel, stride, padding)
     if oh <= 0 or ow <= 0:
         raise ValueError("conv2d output spatial size is non-positive")
     return TensorSpec((x.shape[0], w.shape[0], oh, ow), x.dtype)
@@ -490,53 +354,7 @@ def _conv2d_flops(specs: Sequence[TensorSpec], out: TensorSpec, _attrs: Attrs) -
     return 2.0 * out.numel * k
 
 
-def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Unfold NCHW input into (N, OH*OW, C*K*K) patches."""
-    n, c, h, w = x.shape
-    oh, ow = _conv_out_hw(h, w, kernel, stride, padding)
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((n, oh * ow, c * kernel * kernel), dtype=x.dtype)
-    idx = 0
-    for i in range(oh):
-        for j in range(ow):
-            patch = xp[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel]
-            cols[:, idx, :] = patch.reshape(n, -1)
-            idx += 1
-    return cols
-
-
-def col2im(
-    cols: np.ndarray, x_shape: tuple, kernel: int, stride: int, padding: int
-) -> np.ndarray:
-    """Fold (N, OH*OW, C*K*K) patches back, accumulating overlaps (adjoint of im2col)."""
-    n, c, h, w = x_shape
-    oh, ow = _conv_out_hw(h, w, kernel, stride, padding)
-    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    idx = 0
-    for i in range(oh):
-        for j in range(ow):
-            patch = cols[:, idx, :].reshape(n, c, kernel, kernel)
-            xp[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel] += patch
-            idx += 1
-    if padding:
-        return xp[:, :, padding:-padding, padding:-padding]
-    return xp
-
-
-def _conv2d_execute(inputs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
-    x, w = inputs
-    stride = int(attrs.get("stride", 1))
-    padding = int(attrs.get("padding", 0))
-    kernel = w.shape[2]
-    n = x.shape[0]
-    oh, ow = _conv_out_hw(x.shape[2], x.shape[3], kernel, stride, padding)
-    cols = im2col(x, kernel, stride, padding)  # (N, OH*OW, C*K*K)
-    wmat = w.reshape(w.shape[0], -1)  # (O, C*K*K)
-    out = np.matmul(cols, wmat.T)  # (N, OH*OW, O)
-    return np.transpose(out, (0, 2, 1)).reshape(n, w.shape[0], oh, ow)
-
-
-register_op(OpDef("conv2d", OpKind.CONV, _conv2d_infer, _conv2d_flops, _conv2d_execute, 2))
+register_op(OpDef("conv2d", OpKind.CONV, _conv2d_infer, _conv2d_flops, 2))
 
 
 def _pool_infer(specs: Sequence[TensorSpec], attrs: Attrs) -> TensorSpec:
@@ -546,7 +364,7 @@ def _pool_infer(specs: Sequence[TensorSpec], attrs: Attrs) -> TensorSpec:
         raise ValueError("pooling expects NCHW input")
     kernel = int(attrs.get("kernel", 2))
     stride = int(attrs.get("stride", kernel))
-    oh, ow = _conv_out_hw(x.shape[2], x.shape[3], kernel, stride, 0)
+    oh, ow = conv_out_hw(x.shape[2], x.shape[3], kernel, stride, 0)
     return TensorSpec((x.shape[0], x.shape[1], oh, ow), x.dtype)
 
 
@@ -555,31 +373,8 @@ def _pool_flops(specs: Sequence[TensorSpec], out: TensorSpec, attrs: Attrs) -> f
     return float(out.numel * kernel * kernel)
 
 
-def _pool_execute(inputs: Sequence[np.ndarray], attrs: Attrs, reducer=np.max) -> np.ndarray:
-    x = inputs[0]
-    kernel = int(attrs.get("kernel", 2))
-    stride = int(attrs.get("stride", kernel))
-    n, c, h, w = x.shape
-    oh, ow = _conv_out_hw(h, w, kernel, stride, 0)
-    out = np.empty((n, c, oh, ow), dtype=x.dtype)
-    for i in range(oh):
-        for j in range(ow):
-            window = x[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel]
-            out[:, :, i, j] = reducer(window, axis=(2, 3))
-    return out
-
-
-register_op(OpDef("maxpool2d", OpKind.POOL, _pool_infer, _pool_flops, _pool_execute, 1))
-register_op(
-    OpDef(
-        "avgpool2d",
-        OpKind.POOL,
-        _pool_infer,
-        _pool_flops,
-        lambda inputs, attrs: _pool_execute(inputs, attrs, reducer=np.mean),
-        1,
-    )
-)
+register_op(OpDef("maxpool2d", OpKind.POOL, _pool_infer, _pool_flops, 1))
+register_op(OpDef("avgpool2d", OpKind.POOL, _pool_infer, _pool_flops, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -600,28 +395,15 @@ def _xent_flops(specs: Sequence[TensorSpec], _out: TensorSpec, _attrs: Attrs) ->
     return 6.0 * specs[0].numel
 
 
-def _xent_execute(inputs: Sequence[np.ndarray], _attrs: Attrs) -> np.ndarray:
-    logits, labels = inputs
-    labels = labels.astype(np.int64)
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
-    logsumexp = np.log(np.sum(np.exp(shifted), axis=1))
-    picked = shifted[np.arange(logits.shape[0]), labels]
-    # Sum (not mean): keeps the loss additive across batch shards so that the
-    # partial losses computed under data parallelism All-Reduce to the
-    # single-device value exactly.
-    return np.asarray(np.sum(logsumexp - picked))
-
-
-register_op(
-    OpDef("cross_entropy", OpKind.CROSS_ENTROPY, _xent_infer, _xent_flops, _xent_execute, 2)
-)
+register_op(OpDef("cross_entropy", OpKind.CROSS_ENTROPY, _xent_infer, _xent_flops, 2))
 
 
 # ---------------------------------------------------------------------------
 # Mixture-of-Experts primitives (GShard-style top-1 routing)
 # ---------------------------------------------------------------------------
 
-def _moe_capacity(num_tokens: int, num_experts: int, capacity_factor: float) -> int:
+def moe_capacity(num_tokens: int, num_experts: int, capacity_factor: float) -> int:
+    """Token slots per expert in a ``moe_dispatch`` buffer."""
     return max(1, int(math.ceil(num_tokens / num_experts * capacity_factor)))
 
 
@@ -633,7 +415,7 @@ def _moe_dispatch_infer(specs: Sequence[TensorSpec], attrs: Attrs) -> TensorSpec
             f"moe_dispatch expects tokens [N, H] and gates [N, E], got {tokens.shape}, {gates.shape}"
         )
     num_experts = gates.shape[1]
-    capacity = _moe_capacity(tokens.shape[0], num_experts, float(attrs.get("capacity_factor", 1.25)))
+    capacity = moe_capacity(tokens.shape[0], num_experts, float(attrs.get("capacity_factor", 1.25)))
     return TensorSpec((num_experts, capacity, tokens.shape[1]), tokens.dtype)
 
 
@@ -641,50 +423,7 @@ def _moe_dispatch_flops(specs: Sequence[TensorSpec], out: TensorSpec, _attrs: At
     return float(specs[0].numel + out.numel)
 
 
-def moe_routing(gates: np.ndarray, capacity: int) -> np.ndarray:
-    """Top-1 routing table.
-
-    Returns an int array ``route`` of shape (N, 3): expert index, slot within
-    the expert's capacity buffer (or -1 if dropped), and a flag.  Routing is
-    deterministic given the gate values.
-    """
-    num_tokens, _num_experts = gates.shape
-    choice = np.argmax(gates, axis=1)
-    route = np.full((num_tokens, 2), -1, dtype=np.int64)
-    counts: Dict[int, int] = {}
-    for t in range(num_tokens):
-        e = int(choice[t])
-        slot = counts.get(e, 0)
-        if slot < capacity:
-            route[t, 0] = e
-            route[t, 1] = slot
-            counts[e] = slot + 1
-    return route
-
-
-def _moe_dispatch_execute(inputs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
-    tokens, gates = inputs
-    num_experts = gates.shape[1]
-    capacity = _moe_capacity(tokens.shape[0], num_experts, float(attrs.get("capacity_factor", 1.25)))
-    route = moe_routing(gates, capacity)
-    out = np.zeros((num_experts, capacity, tokens.shape[1]), dtype=tokens.dtype)
-    for t in range(tokens.shape[0]):
-        e, slot = route[t]
-        if e >= 0:
-            out[e, slot] = tokens[t]
-    return out
-
-
-register_op(
-    OpDef(
-        "moe_dispatch",
-        OpKind.MOE_DISPATCH,
-        _moe_dispatch_infer,
-        _moe_dispatch_flops,
-        _moe_dispatch_execute,
-        2,
-    )
-)
+register_op(OpDef("moe_dispatch", OpKind.MOE_DISPATCH, _moe_dispatch_infer, _moe_dispatch_flops, 2))
 
 
 def _moe_combine_infer(specs: Sequence[TensorSpec], attrs: Attrs) -> TensorSpec:
@@ -701,32 +440,7 @@ def _moe_combine_flops(specs: Sequence[TensorSpec], out: TensorSpec, _attrs: Att
     return float(2 * out.numel)
 
 
-def _moe_combine_execute(inputs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
-    expert_out, gates = inputs
-    capacity = expert_out.shape[1]
-    route = moe_routing(gates, capacity)
-    num_tokens = gates.shape[0]
-    out = np.zeros((num_tokens, expert_out.shape[2]), dtype=expert_out.dtype)
-    # Softmax-normalised gate weight of the selected expert.
-    shifted = gates - np.max(gates, axis=1, keepdims=True)
-    probs = np.exp(shifted) / np.sum(np.exp(shifted), axis=1, keepdims=True)
-    for t in range(num_tokens):
-        e, slot = route[t]
-        if e >= 0:
-            out[t] = expert_out[e, slot] * probs[t, e]
-    return out
-
-
-register_op(
-    OpDef(
-        "moe_combine",
-        OpKind.MOE_COMBINE,
-        _moe_combine_infer,
-        _moe_combine_flops,
-        _moe_combine_execute,
-        2,
-    )
-)
+register_op(OpDef("moe_combine", OpKind.MOE_COMBINE, _moe_combine_infer, _moe_combine_flops, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -743,11 +457,4 @@ def _sgd_infer(specs: Sequence[TensorSpec], _attrs: Attrs) -> TensorSpec:
     return param
 
 
-def _sgd_execute(inputs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
-    lr = float(attrs.get("lr", 0.01))
-    return inputs[0] - lr * inputs[1]
-
-
-register_op(
-    OpDef("sgd_update", OpKind.OPTIMIZER, _sgd_infer, _elementwise_flops(2.0), _sgd_execute, 2)
-)
+register_op(OpDef("sgd_update", OpKind.OPTIMIZER, _sgd_infer, _elementwise_flops(2.0), 2))

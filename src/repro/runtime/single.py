@@ -1,8 +1,9 @@
 """Single-device reference executor for computation graphs.
 
-Executes a :class:`~repro.graph.graph.ComputationGraph` with numpy, producing
-exactly the values the distributed SPMD runtime must emulate.  Used by tests
-(gradient checks, SPMD equivalence) and by the examples.
+Executes a :class:`~repro.graph.graph.ComputationGraph` with the numpy kernels
+of :mod:`repro.runtime.kernels`, producing exactly the values the distributed
+SPMD runtime must emulate.  Used by tests (gradient checks, SPMD equivalence)
+and by the examples.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from typing import Dict, Iterable, Mapping, Optional
 
 import numpy as np
 
-from ..graph import grad_ops  # noqa: F401  (ensure backward ops are registered)
 from ..graph.graph import ComputationGraph, GraphError
-from ..graph.ops import get_op
+from .kernels import KERNELS
 
 
 def init_parameters(
@@ -73,10 +73,8 @@ class SingleDeviceExecutor:
                 value = np.asarray(node.attrs.get("value", 0.0), dtype=np.float32)
                 env[node.name] = np.broadcast_to(value, node.spec.shape).astype(np.float32)
             else:
-                op = get_op(node.op)
                 args = [env[i] for i in node.inputs]
-                result = op.execute(args, node.attrs)
-                env[node.name] = np.asarray(result)
+                env[node.name] = np.asarray(KERNELS[node.op](args, node.attrs))
         if keep_all:
             return env
         return {name: env[name] for name in wanted}

@@ -3,9 +3,10 @@
 The paper executes the synthesized program ``Q`` on every worker with the
 PyTorch runtime and NCCL collectives.  This reproduction emulates the same
 execution inside one process: every virtual device is a *rank* holding numpy
-arrays, computation instructions run the reference operator kernel on each
-rank's local operands, and collective instructions call the functional
-implementations in :mod:`repro.collectives.functional`.
+arrays, computation instructions run the operator's numpy kernel
+(:mod:`repro.runtime.kernels`) on each rank's local operands, and collective
+instructions call the functional implementations in
+:mod:`repro.collectives.functional`.
 
 The runtime is the semantic ground truth used by the test suite: for any
 synthesized program, the loss and the updated parameters it produces must
@@ -16,7 +17,7 @@ floating-point reduction-order noise).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,9 +26,9 @@ from ..collectives import functional
 from ..collectives.cost import CollectiveKind
 from ..core.instructions import CommInstruction, CompInstruction, Instruction
 from ..core.program import DistributedProgram
-from ..core.properties import DistState, Property, StateKind
+from ..core.properties import DistState, Property
 from ..graph.graph import ComputationGraph, GraphError
-from ..graph.ops import get_op
+from .kernels import KERNELS
 from .sharding import local_sizes, split_along
 
 
@@ -193,7 +194,7 @@ class SPMDExecutor:
         if instr.op in ("placeholder", "parameter", "constant"):
             self._run_source(instr, bindings)
             return
-        op = get_op(instr.op)
+        kernel = KERNELS[instr.op]
         node = self.graph[instr.node]
         locals_per_rank: List[np.ndarray] = []
         inputs_per_rank = [
@@ -203,7 +204,7 @@ class SPMDExecutor:
         for rank in range(self.world):
             args = [operand[rank] for operand in inputs_per_rank]
             attrs = self._local_attrs(instr, node.attrs, args, rank, batch_scaled)
-            locals_per_rank.append(np.asarray(op.execute(args, attrs)))
+            locals_per_rank.append(np.asarray(kernel(args, attrs)))
         self._store(instr.output, locals_per_rank)
 
     def _input_is_batch_scaled(

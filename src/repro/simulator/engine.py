@@ -24,14 +24,15 @@ perfect dual-stream execution; results report busy/idle/exposed-communication
 breakdowns per stream either way.  (The planner's cost model keeps the
 LP-expressible per-stage window approximation of the same idea — the
 simulator, as everywhere else, is the richer of the two.)
+
+numpy is imported only where the run-to-run noise is drawn and averaged, so
+importing the simulator (as the planner does) does not import it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 from ..cluster.spec import ClusterSpec, CommOverlapModel
 from ..collectives.cost import CollectiveCostModel
@@ -120,6 +121,8 @@ class ExecutionSimulator:
     ) -> None:
         self.cluster = cluster
         self.overheads = overheads or OverheadModel()
+        import numpy as np
+
         self.collectives = CollectiveCostModel(cluster)
         self.rng = np.random.default_rng(seed)
         self.overlap_model = (
@@ -217,6 +220,8 @@ class ExecutionSimulator:
             ValueError: when the program or ``ratios`` is sized for a
                 different device count than the simulator's cluster.
         """
+        import numpy as np
+
         m = self.cluster.num_devices
         for what, n in (("program", program.num_devices), ("ratio vector", len(ratios))):
             if n != m:
@@ -399,6 +404,8 @@ def simulate_hierarchical(
     (+0.84%); ROADMAP item 6 ("One simulated iteration") merges the two
     timing paths.
     """
+    import numpy as np
+
     overheads = OverheadModel()
 
     def profile(chunk) -> Dict[str, float]:

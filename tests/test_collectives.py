@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import a100_pair, heterogeneous_testbed
-from repro.collectives import (
-    CollectiveCostModel,
-    CollectiveKind,
+from repro.collectives import CollectiveCostModel, CollectiveKind, max_ratio
+from repro.collectives.functional import (
     all_gather,
     all_reduce,
     all_to_all,
     broadcast,
-    max_ratio,
     reduce_scatter,
     split,
 )

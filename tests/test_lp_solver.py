@@ -195,16 +195,64 @@ def test_infeasible_lp_raises_typed_error():
         lb.solve_lp(lp)
 
 
-def test_import_loads_no_scipy():
+#: Run in a fresh interpreter: import the planner, plan a small flat and a
+#: small hierarchical problem, then fill a disk plan cache and serve a
+#: whole-plan hit from it, printing the SciPy and numpy modules loaded
+#: after each step.
+_NO_NUMPY_SCRIPT = """
+import sys
+import tempfile
+
+import repro.hap, repro.models, repro.verify, repro.simulator, repro.cluster
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "numpy"))
+
+print("import", loaded())
+
+from repro.cluster import ClusterSpec, Machine, device_type
+from repro.core import DiskPlanCache, HierarchicalConfig
+from repro.graph import DType, GraphBuilder
+from repro.hap import hap, hap_pipeline
+
+b = GraphBuilder("mlp")
+features = b.placeholder((16, 32), name="features")
+logits = b.linear(b.relu(b.linear(features, 64)), 10)
+labels = b.placeholder((16,), dtype=DType.INT64, name="labels")
+b.loss(b.cross_entropy(logits, labels))
+model = b.build()
+gpus = ("A100", "A100", "P100", "P100")
+machines = [Machine(f"m{i}", device_type(g), num_gpus=1) for i, g in enumerate(gpus)]
+cluster = ClusterSpec(machines, group_by_machine=True)
+hap(model, cluster)
+hap_pipeline(model, cluster)
+print("plan", loaded())
+
+with tempfile.TemporaryDirectory() as cache_dir:
+    hap_pipeline(model, cluster, HierarchicalConfig(plan_cache=DiskPlanCache(cache_dir)))
+    hit = hap_pipeline(model, cluster, HierarchicalConfig(plan_cache=DiskPlanCache(cache_dir)))
+    assert hit.reuse_stats["whole_plan_hit"] == 1
+print("cache", loaded())
+"""
+
+
+def test_planning_loads_no_scipy_or_numpy():
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, repro.hap; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["import []", "plan []", "cache []"]
+
+
+@pytest.mark.parametrize("record", _load_golden(), ids=lambda r: r["id"])
+def test_float_basis_is_already_optimal(record):
+    # The exact phase only proves the float basis optimal: no pivot, and no
+    # restart from the slack basis.
+    lp = _lp(record)
+    basis = lb._float_basis(lp)
+    assert lb._exact_simplex(lp, list(basis)).basis == basis
 
 
 def _record(workload: str, index: int, lp: lb.LinearProgram) -> dict:

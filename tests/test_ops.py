@@ -1,4 +1,7 @@
-"""Tests for the operator registry: shape inference, flops and numpy kernels."""
+"""Tests for the operator registry (shape inference, flops) and the runtime's numpy kernels."""
+
+import ast
+import inspect
 
 import numpy as np
 import pytest
@@ -6,6 +9,8 @@ import pytest
 import repro.graph.grad_ops  # noqa: F401  (register backward ops)
 from repro.graph import DType, TensorSpec, get_op, registered_ops
 from repro.graph.ops import OpKind
+from repro.runtime import kernels
+from repro.runtime.kernels import KERNELS
 
 
 def spec(*shape, dtype=DType.FLOAT32):
@@ -31,7 +36,7 @@ class TestRegistry:
 
         existing = get_op("relu")
         with pytest.raises(ValueError):
-            register_op(OpDef("relu", existing.kind, existing.infer, existing.flops, existing.execute, 1))
+            register_op(OpDef("relu", existing.kind, existing.infer, existing.flops, 1))
 
 
 class TestShapeInference:
@@ -144,70 +149,83 @@ class TestFlops:
         assert op.flops([s], s, {}) == pytest.approx(256)
 
 
+class TestKernelTable:
+    def test_one_kernel_per_registered_op(self):
+        # Keys of the table's literal, so a duplicate key cannot hide a kernel.
+        table = next(
+            node.value
+            for node in ast.parse(inspect.getsource(kernels)).body
+            if isinstance(node, ast.AnnAssign) and node.target.id == "KERNELS"
+        )
+        names = [key.value for key in table.keys]
+        assert len(names) == len(set(names))
+        assert sorted(names) == registered_ops() == sorted(KERNELS)
+
+
 class TestExecution:
     def test_relu(self, rng):
         x = rng.normal(size=(4, 5))
-        out = get_op("relu").execute([x], {})
+        out = KERNELS["relu"]([x], {})
         np.testing.assert_allclose(out, np.maximum(x, 0))
 
     def test_softmax_rows_sum_to_one(self, rng):
         x = rng.normal(size=(6, 9))
-        out = get_op("softmax").execute([x], {"axis": -1})
+        out = KERNELS["softmax"]([x], {"axis": -1})
         np.testing.assert_allclose(out.sum(axis=-1), np.ones(6), rtol=1e-6)
 
     def test_layernorm_zero_mean_unit_var(self, rng):
         x = rng.normal(size=(5, 32)) * 3 + 1
-        out = get_op("layernorm").execute([x], {"axis": -1})
+        out = KERNELS["layernorm"]([x], {"axis": -1})
         np.testing.assert_allclose(out.mean(axis=-1), np.zeros(5), atol=1e-6)
         np.testing.assert_allclose(out.var(axis=-1), np.ones(5), rtol=1e-3)
 
     def test_matmul_matches_numpy(self, rng):
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 5))
-        np.testing.assert_allclose(get_op("matmul").execute([a, b], {}), a @ b)
+        np.testing.assert_allclose(KERNELS["matmul"]([a, b], {}), a @ b)
 
     def test_conv2d_matches_direct_convolution(self, rng):
         x = rng.normal(size=(1, 2, 5, 5))
         w = rng.normal(size=(3, 2, 3, 3))
-        out = get_op("conv2d").execute([x, w], {"stride": 1, "padding": 0})
+        out = KERNELS["conv2d"]([x, w], {"stride": 1, "padding": 0})
         # direct computation of one output element
         expected = np.sum(x[0, :, 1:4, 2:5] * w[1])
         assert out[0, 1, 1, 2] == pytest.approx(expected, rel=1e-6)
 
     def test_maxpool(self, rng):
         x = rng.normal(size=(1, 1, 4, 4))
-        out = get_op("maxpool2d").execute([x], {"kernel": 2, "stride": 2})
+        out = KERNELS["maxpool2d"]([x], {"kernel": 2, "stride": 2})
         assert out[0, 0, 0, 0] == pytest.approx(x[0, 0, :2, :2].max())
 
     def test_avgpool(self, rng):
         x = rng.normal(size=(1, 1, 4, 4))
-        out = get_op("avgpool2d").execute([x], {"kernel": 2, "stride": 2})
+        out = KERNELS["avgpool2d"]([x], {"kernel": 2, "stride": 2})
         assert out[0, 0, 1, 1] == pytest.approx(x[0, 0, 2:, 2:].mean())
 
     def test_embedding_lookup(self, rng):
         table = rng.normal(size=(10, 4))
         ids = np.array([[1, 3], [0, 9]])
-        out = get_op("embedding").execute([ids, table], {})
+        out = KERNELS["embedding"]([ids, table], {})
         np.testing.assert_allclose(out[0, 1], table[3])
 
     def test_cross_entropy_is_sum_not_mean(self, rng):
         logits = rng.normal(size=(6, 4))
         labels = rng.integers(0, 4, size=(6,))
-        loss = get_op("cross_entropy").execute([logits, labels], {})
-        half = get_op("cross_entropy").execute([logits[:3], labels[:3]], {}) + get_op(
+        loss = KERNELS["cross_entropy"]([logits, labels], {})
+        half = KERNELS["cross_entropy"]([logits[:3], labels[:3]], {}) + KERNELS[
             "cross_entropy"
-        ).execute([logits[3:], labels[3:]], {})
+        ]([logits[3:], labels[3:]], {})
         assert float(loss) == pytest.approx(float(half), rel=1e-6)
 
     def test_cross_entropy_positive(self, rng):
         logits = rng.normal(size=(6, 4))
         labels = rng.integers(0, 4, size=(6,))
-        assert float(get_op("cross_entropy").execute([logits, labels], {})) > 0
+        assert float(KERNELS["cross_entropy"]([logits, labels], {})) > 0
 
     def test_moe_dispatch_combine_roundtrip_is_weighted(self, rng):
         tokens = rng.normal(size=(8, 4))
         gates = rng.normal(size=(8, 3))
-        dispatched = get_op("moe_dispatch").execute([tokens, gates], {"capacity_factor": 3.0})
-        combined = get_op("moe_combine").execute([dispatched, gates], {})
+        dispatched = KERNELS["moe_dispatch"]([tokens, gates], {"capacity_factor": 3.0})
+        combined = KERNELS["moe_combine"]([dispatched, gates], {})
         probs = np.exp(gates - gates.max(axis=1, keepdims=True))
         probs = probs / probs.sum(axis=1, keepdims=True)
         chosen = probs[np.arange(8), np.argmax(gates, axis=1)]
@@ -217,7 +235,7 @@ class TestExecution:
         tokens = rng.normal(size=(8, 4))
         gates = np.zeros((8, 2))
         gates[:, 0] = 1.0  # all tokens route to expert 0
-        dispatched = get_op("moe_dispatch").execute([tokens, gates], {"capacity_factor": 1.0})
+        dispatched = KERNELS["moe_dispatch"]([tokens, gates], {"capacity_factor": 1.0})
         # capacity = ceil(8/2 * 1.0) = 4, so only 4 tokens are kept
         assert dispatched.shape == (2, 4, 4)
         assert np.count_nonzero(np.abs(dispatched[0]).sum(axis=1)) == 4
@@ -226,16 +244,16 @@ class TestExecution:
     def test_sgd_update(self, rng):
         p = rng.normal(size=(3, 3))
         g = rng.normal(size=(3, 3))
-        out = get_op("sgd_update").execute([p, g], {"lr": 0.1})
+        out = KERNELS["sgd_update"]([p, g], {"lr": 0.1})
         np.testing.assert_allclose(out, p - 0.1 * g)
 
     def test_source_execute_raises(self):
         with pytest.raises(RuntimeError):
-            get_op("placeholder").execute([], {"shape": (2,)})
+            KERNELS["placeholder"]([], {"shape": (2,)})
 
     def test_scale(self, rng):
         x = rng.normal(size=(4,))
-        np.testing.assert_allclose(get_op("scale").execute([x], {"factor": 2.5}), 2.5 * x)
+        np.testing.assert_allclose(KERNELS["scale"]([x], {"factor": 2.5}), 2.5 * x)
 
 
 class TestKinds:
