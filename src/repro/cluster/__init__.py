@@ -5,9 +5,7 @@ from .spec import (
     DEFAULT_COMM_OVERLAP_EFFICIENCY,
     ClusterPartition,
     ClusterSpec,
-    CommOverlapModel,
     NetworkSpec,
-    Subcluster,
     a100_p100_pair,
     a100_pair,
     heterogeneous_testbed,
@@ -25,10 +23,8 @@ __all__ = [
     "device_type",
     "ClusterPartition",
     "ClusterSpec",
-    "CommOverlapModel",
     "DEFAULT_COMM_OVERLAP_EFFICIENCY",
     "NetworkSpec",
-    "Subcluster",
     "heterogeneous_testbed",
     "homogeneous_testbed",
     "memory_constrained_testbed",

@@ -3,12 +3,13 @@
 A :class:`ClusterSpec` gathers machines, the inter-machine network, and the
 mapping to HAP virtual devices (one virtual device per GPU, or one per machine
 when ``group_by_machine`` is requested — the configuration used for the paper's
-64-GPU runs).
+64-GPU runs).  It is the one input every pricer reads, including the
+communication-overlap efficiency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .device import DeviceType, Machine, VirtualDevice, device_type
@@ -21,52 +22,6 @@ from .device import DeviceType, Machine, VirtualDevice, device_type
 #: the rest.  Set a cluster's ``comm_overlap_efficiency`` to 0 to recover the
 #: fully serialized (pre-overlap) cost model everywhere.
 DEFAULT_COMM_OVERLAP_EFFICIENCY = 0.6
-
-
-@dataclass(frozen=True)
-class CommOverlapModel:
-    """How much communication hides behind independent compute (dual-stream).
-
-    Every device is modelled with a *compute stream* and a *communication
-    stream*.  A transfer of duration ``C`` that is independent of ``I``
-    seconds of concurrently available compute exposes only
-    ``C - efficiency * min(C, I)`` seconds on the critical path; the rest is
-    hidden behind the compute stream.  ``efficiency = 0`` reproduces the
-    fully blocking (additive) model bit-for-bit, ``efficiency = 1`` is a
-    perfect dual-stream timeline.
-
-    Attributes:
-        efficiency: fraction of the overlappable window actually hidden,
-            in ``[0, 1]``.
-    """
-
-    efficiency: float = DEFAULT_COMM_OVERLAP_EFFICIENCY
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(
-                f"overlap efficiency must be in [0, 1], got {self.efficiency!r}"
-            )
-
-    @classmethod
-    def from_cluster(cls, cluster) -> CommOverlapModel:
-        """The overlap model a cluster's software stack achieves."""
-        return cls(efficiency=getattr(
-            cluster, "comm_overlap_efficiency", DEFAULT_COMM_OVERLAP_EFFICIENCY
-        ))
-
-    @classmethod
-    def disabled(cls) -> CommOverlapModel:
-        """Fully serialized streams (the pre-overlap blocking model)."""
-        return cls(efficiency=0.0)
-
-    def hidden(self, comm_time: float, independent_compute: float) -> float:
-        """Seconds of ``comm_time`` hidden behind ``independent_compute``."""
-        return self.efficiency * min(comm_time, max(independent_compute, 0.0))
-
-    def exposed(self, comm_time: float, independent_compute: float) -> float:
-        """Seconds of ``comm_time`` left on the critical path."""
-        return comm_time - self.hidden(comm_time, independent_compute)
 
 
 @dataclass(frozen=True)
@@ -101,9 +56,14 @@ class ClusterSpec:
             checks use :meth:`device_memory`, so reserving headroom here
             tightens every out-of-memory decision consistently.
         comm_overlap_efficiency: fraction of communication the cluster's
-            software stack hides behind independent compute (dedicated
-            communication streams); see :class:`CommOverlapModel`.  0 means
-            collectives and compute serialize fully.
+            software stack hides behind independent compute, in ``[0, 1]``.
+            Every device has a compute stream and a communication stream; a
+            transfer of ``C`` seconds independent of ``I`` seconds of
+            concurrent compute exposes ``C - e * min(C, I)`` seconds on the
+            critical path.  0 serializes collectives and compute fully, 1 is
+            a perfect dual-stream timeline.  This is the one place the
+            efficiency is set: the cost model, the simulator and the
+            hierarchical planner all read it from the cluster they price.
     """
 
     def __init__(
@@ -121,8 +81,10 @@ class ClusterSpec:
             raise ValueError(
                 f"memory_reserve_fraction must be in [0, 1), got {memory_reserve_fraction!r}"
             )
-        # CommOverlapModel owns the [0, 1] validation of overlap efficiencies.
-        CommOverlapModel(efficiency=comm_overlap_efficiency)
+        if not 0.0 <= comm_overlap_efficiency <= 1.0:
+            raise ValueError(
+                f"comm_overlap_efficiency must be in [0, 1], got {comm_overlap_efficiency!r}"
+            )
         self.machines: List[Machine] = list(machines)
         self.network = network or NetworkSpec()
         self.group_by_machine = group_by_machine
@@ -192,23 +154,6 @@ class ClusterSpec:
         n = self.num_devices
         return [1.0 / n] * n
 
-    def is_heterogeneous(self) -> bool:
-        """True if the cluster mixes more than one GPU model."""
-        return len({m.gpu.name for m in self.machines}) > 1
-
-    def subset(self, num_machines: int, name: Optional[str] = None) -> ClusterSpec:
-        """A cluster consisting of the first ``num_machines`` machines."""
-        if not 1 <= num_machines <= len(self.machines):
-            raise ValueError(f"num_machines must be in [1, {len(self.machines)}]")
-        return ClusterSpec(
-            self.machines[:num_machines],
-            network=self.network,
-            group_by_machine=self.group_by_machine,
-            name=name or f"{self.name}[:{num_machines}]",
-            memory_reserve_fraction=self.memory_reserve_fraction,
-            comm_overlap_efficiency=self.comm_overlap_efficiency,
-        )
-
     # -- hierarchical partitioning ---------------------------------------------
     def partition(
         self,
@@ -230,8 +175,14 @@ class ClusterSpec:
             intra_group_network: network model used *inside* every group;
                 defaults to the cluster's own (flat) network.
 
+        Every group is a plain :class:`ClusterSpec` over its machines: it
+        keeps this cluster's ``group_by_machine``,
+        ``memory_reserve_fraction`` and ``comm_overlap_efficiency``, so the
+        flat planner, cost model, simulator and SPMD runtime accept it
+        unchanged and price it at the same overlap.
+
         Returns:
-            A :class:`ClusterPartition` with one :class:`Subcluster` per group.
+            A :class:`ClusterPartition` with one :class:`ClusterSpec` per group.
         """
         if not 1 <= num_groups <= len(self.machines):
             raise ValueError(
@@ -239,18 +190,15 @@ class ClusterSpec:
             )
         weights = [m.total_flops for m in self.machines]
         boundaries = _balanced_boundaries(weights, num_groups)
-        groups: List[Subcluster] = []
+        groups: List[ClusterSpec] = []
         start = 0
         for idx, end in enumerate(boundaries):
             groups.append(
-                Subcluster(
+                ClusterSpec(
                     self.machines[start:end],
                     network=intra_group_network or self.network,
                     group_by_machine=self.group_by_machine,
                     name=f"{self.name}/stage{idx}",
-                    parent=self,
-                    group_index=idx,
-                    machine_offset=start,
                     memory_reserve_fraction=self.memory_reserve_fraction,
                     comm_overlap_efficiency=self.comm_overlap_efficiency,
                 )
@@ -302,57 +250,21 @@ def _balanced_boundaries(weights: Sequence[float], num_groups: int) -> List[int]
     return boundaries
 
 
-class Subcluster(ClusterSpec):
-    """A contiguous machine group of a parent cluster (one pipeline stage).
-
-    Behaves exactly like a :class:`ClusterSpec` over its own machines — the
-    flat HAP planner, cost model, simulator and SPMD runtime all accept it
-    unchanged — while remembering where it sits inside the parent cluster.
-
-    Attributes:
-        parent: the cluster this group was partitioned from.
-        group_index: position of this group in the partition.
-        machine_offset: index of the group's first machine in the parent.
-    """
-
-    def __init__(
-        self,
-        machines: Sequence[Machine],
-        network: Optional[NetworkSpec] = None,
-        group_by_machine: bool = True,
-        name: str = "subcluster",
-        parent: Optional[ClusterSpec] = None,
-        group_index: int = 0,
-        machine_offset: int = 0,
-        memory_reserve_fraction: float = 0.0,
-        comm_overlap_efficiency: float = DEFAULT_COMM_OVERLAP_EFFICIENCY,
-    ) -> None:
-        super().__init__(
-            machines,
-            network=network,
-            group_by_machine=group_by_machine,
-            name=name,
-            memory_reserve_fraction=memory_reserve_fraction,
-            comm_overlap_efficiency=comm_overlap_efficiency,
-        )
-        self.parent = parent
-        self.group_index = group_index
-        self.machine_offset = machine_offset
-
-
 @dataclass
 class ClusterPartition:
     """A contiguous split of a cluster into pipeline-stage machine groups.
 
     Attributes:
         cluster: the partitioned cluster.
-        groups: one :class:`Subcluster` per stage, in machine order.
+        groups: one :class:`ClusterSpec` per stage, in machine order, each
+            carrying the partitioned cluster's overlap efficiency and memory
+            reserve (see :meth:`ClusterSpec.partition`).
         inter_group_network: the network activations/gradients cross between
             adjacent groups (the parent cluster's network, preserved).
     """
 
     cluster: ClusterSpec
-    groups: List[Subcluster]
+    groups: List[ClusterSpec]
     inter_group_network: NetworkSpec
 
     @property

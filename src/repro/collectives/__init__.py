@@ -10,14 +10,12 @@ from .cost import (
     MEMCPY_BANDWIDTH,
     CollectiveCostModel,
     CollectiveKind,
-    CommRequest,
     max_ratio,
 )
 
 __all__ = [
     "CollectiveCostModel",
     "CollectiveKind",
-    "CommRequest",
     "MEMCPY_BANDWIDTH",
     "max_ratio",
 ]

@@ -19,7 +19,6 @@ variant wins, reproducing the crossover in Fig. 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence, Tuple
 
@@ -48,21 +47,6 @@ def max_ratio(ratios: Sequence[float]) -> float:
     if not ratios:
         raise ValueError("ratios must be non-empty")
     return min(max(max(ratios), 1.0 / len(ratios)), 1.0)
-
-
-@dataclass(frozen=True)
-class CommRequest:
-    """One collective to be costed.
-
-    Attributes:
-        kind: the collective primitive.
-        total_bytes: size of the full (unsharded) reference tensor in bytes.
-        ratios: sharding ratios across the participating virtual devices.
-    """
-
-    kind: CollectiveKind
-    total_bytes: float
-    ratios: Tuple[float, ...]
 
 
 class CollectiveCostModel:
@@ -155,10 +139,6 @@ class CollectiveCostModel:
             # Purely local: a strided copy of the device's own slice.
             return total_bytes * max_ratio(ratios) / MEMCPY_BANDWIDTH
         raise ValueError(f"unknown collective kind {kind!r}")
-
-    def time(self, request: CommRequest) -> float:
-        """Time of a :class:`CommRequest`."""
-        return self.collective_time(request.kind, request.total_bytes, request.ratios)
 
     def best_all_gather(
         self, total_bytes: float, ratios: Sequence[float]

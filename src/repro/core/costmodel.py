@@ -11,18 +11,19 @@ bottlenecked by the largest shard).  The same model serves three purposes:
 * producing the linear coefficients consumed by the LP load balancer.
 
 Real stacks do not serialize: collectives run on a dedicated communication
-stream and hide behind the compute that does not consume their result
-(:class:`~repro.cluster.spec.CommOverlapModel`).  The dual-stream stage time
-is
+stream and hide behind the compute that does not consume their result.  The
+dual-stream stage time is
 
     ``max_j [ comp_j + comm - e * min(comm, indep_j) ]``
 
 where ``indep_j`` is device ``j``'s compute in the stage that does *not*
 (transitively) depend on the stage's collective output
-(:meth:`~repro.core.program.Stage.dependent_mask`) and ``e`` is the overlap
-efficiency.  ``e = 0`` reduces to the serialized sum bit-for-bit.  The model
-is still piecewise linear in the ratios, so the LP load balancer optimises
-the same overlapped objective.
+(:meth:`~repro.core.program.Stage.dependent_mask`) and ``e`` is the
+cluster's ``comm_overlap_efficiency``, the one place the efficiency is set.
+``e = 0`` reduces to the serialized sum bit-for-bit; :meth:`CostModel.evaluate`
+alone takes a per-call ``overlap`` so the verifier can ask for that
+serialized price on any cluster.  The model is still piecewise linear in the
+ratios, so the LP load balancer optimises the same overlapped objective.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..cluster.spec import ClusterSpec, CommOverlapModel
+from ..cluster.spec import ClusterSpec
 from ..collectives.cost import CollectiveCostModel
 from ..graph.graph import ComputationGraph
 from .instructions import CommInstruction, CompInstruction
@@ -134,27 +135,14 @@ class CostModel:
 
     Args:
         graph: the single-device training graph being distributed.
-        cluster: the target cluster.
-        overlap: communication/computation overlap efficiency used by
-            :meth:`evaluate` and :meth:`phase_profile`; defaults to the
-            cluster's ``comm_overlap_efficiency``.  Pass 0.0 for the fully
-            serialized (blocking) model.
+        cluster: the target cluster; its ``comm_overlap_efficiency`` is the
+            overlap every method prices at (:attr:`overlap`).
     """
 
-    def __init__(
-        self,
-        graph: ComputationGraph,
-        cluster: ClusterSpec,
-        overlap: Optional[float] = None,
-    ) -> None:
+    def __init__(self, graph: ComputationGraph, cluster: ClusterSpec) -> None:
         self.graph = graph
         self.cluster = cluster
-        self.overlap_model = (
-            CommOverlapModel.from_cluster(cluster)
-            if overlap is None
-            else CommOverlapModel(efficiency=overlap)
-        )
-        self.overlap = self.overlap_model.efficiency
+        self.overlap = cluster.comm_overlap_efficiency
         self.devices = cluster.virtual_devices
         self.num_devices = cluster.num_devices
         self.collectives = CollectiveCostModel(cluster)
@@ -237,8 +225,9 @@ class CostModel:
         Args:
             program: the distributed program.
             ratios: sharding ratios (one entry per virtual device).
-            overlap: overlap efficiency overriding the model's default
-                (``self.overlap``); 0.0 gives the serialized estimate.
+            overlap: overlap efficiency overriding the cluster's
+                (``self.overlap``); 0.0 gives the serialized estimate the
+                verifier cross-checks.
         """
         e = self.overlap if overlap is None else overlap
         return _price(self.stage_coefficients(program), ratios, e)
@@ -247,16 +236,14 @@ class CostModel:
         self,
         program: DistributedProgram,
         ratio_sets: Sequence[Sequence[float]],
-        overlap: Optional[float] = None,
     ) -> List[CostBreakdown]:
         """:meth:`evaluate` for ``K`` ratio vectors of one program.
 
         Each breakdown is exactly what :meth:`evaluate` returns for that
         vector.
         """
-        e = self.overlap if overlap is None else overlap
         coeffs = self.stage_coefficients(program)
-        return [_price(coeffs, ratios, e) for ratios in ratio_sets]
+        return [_price(coeffs, ratios, self.overlap) for ratios in ratio_sets]
 
     def phase_profile(
         self,
@@ -266,7 +253,6 @@ class CostModel:
         comp_times_fn=None,
         comm_time_fn=None,
         per_stage_overhead: float = 0.0,
-        overlap: Optional[float] = None,
     ) -> Dict[str, float]:
         """Split a program's estimated time into pipeline phases.
 
@@ -293,15 +279,15 @@ class CostModel:
         all-reduce may only hide behind other sync work (parameter updates,
         independent collectives' consumers), never behind the full-batch
         backward window it would overstate by the microbatch count.
-        ``overlap=0`` leaves every bucket exactly as the serialized model
-        computed it.
+        On a cluster with ``comm_overlap_efficiency == 0`` every bucket is
+        exactly what the serialized model computes.
 
         Returns:
             ``{"forward": s, "backward": s, "sync": s}`` in seconds.
         """
         comp_times_fn = comp_times_fn or self.comp_times
         comm_time_fn = comm_time_fn or self.comm_time
-        e = self.overlap if overlap is None else overlap
+        e = self.overlap
         phases = program.instruction_phases(forward_nodes)
         phase_of = {id(instr): p for instr, p in zip(program.instructions, phases)}
         buckets: Dict[str, float] = {"forward": 0.0, "backward": 0.0, "sync": 0.0}

@@ -24,13 +24,14 @@ plain run does not fit), rejecting combinations whose per-device
 peak memory — in-flight microbatch activations plus resident
 parameter/gradient/optimizer state — exceeds the machine group's capacity
 from the :class:`~repro.cluster.device.DeviceType` specs.  Candidates are
-priced with the dual-stream overlap model
-(:class:`~repro.cluster.spec.CommOverlapModel`): per-stage collectives and
-boundary transfers count only their **exposed** (non-hidden) part, so on
-slow networks overlap-friendly combinations can win.  The cheapest
-memory-feasible candidate wins.  One stage is always a candidate and
-reproduces flat HAP exactly, so flat planning is the degenerate case of
-hierarchical planning rather than a parallel code path.  This follows
+priced with the dual-stream overlap model at the cluster's
+``comm_overlap_efficiency`` (every partition group carries the same value):
+per-stage collectives and boundary transfers count only their **exposed**
+(non-hidden) part, so on slow networks overlap-friendly combinations can
+win.  The cheapest memory-feasible candidate wins.  One stage is always a
+candidate and reproduces flat HAP exactly, so flat planning is the
+degenerate case of hierarchical planning rather than a parallel code path.
+This follows
 HetPipe's pipelining across heterogeneous machine groups, PipeDream/Megatron
 1F1B scheduling and Hetu's hierarchical heterogeneous SPMD annotations (see
 PAPERS.md).
@@ -89,7 +90,8 @@ class HierarchicalConfig:
     Candidates are priced with the cluster's ``comm_overlap_efficiency``
     (the schedule search ranks combinations by their *exposed*
     boundary-transfer and collective time); the same efficiency prices the
-    synthesis of every chunk, since partitions copy it to every group.  Use a
+    synthesis of every chunk, because every partition group is a
+    :class:`~repro.cluster.spec.ClusterSpec` carrying it.  Use a
     cluster with ``comm_overlap_efficiency=0.0`` for the fully blocking
     model.  Microbatch counts come from :data:`MICROBATCH_CANDIDATES`.
     Activation recomputation is not a knob: every combination is tried plain
@@ -315,9 +317,6 @@ class HierarchicalPlan:
         schedule_candidate_times: estimated time of every
             (stage count, schedule, microbatches, recompute) combination.
         batch_size: global mini-batch size (for runtime ratio snapping).
-        overlap: communication overlap efficiency the plan was priced with
-            (boundary transfers and per-stage collectives expose only their
-            non-hidden part).
         reuse_stats: how much flat-HAP planning the reuse machinery avoided:
             ``subplans_planned`` chunk plans were actually synthesized,
             ``subplans_deduped`` were renamed from an isomorphic chunk planned
@@ -337,7 +336,6 @@ class HierarchicalPlan:
     num_model_chunks: int = 1
     recompute: bool = False
     fits_memory: bool = True
-    overlap: float = 0.0
     peak_memory: List[float] = field(default_factory=list)
     stage_memory_capacity: List[float] = field(default_factory=list)
     stage_memory_utilization: List[float] = field(default_factory=list)
@@ -348,6 +346,15 @@ class HierarchicalPlan:
     batch_size: Optional[int] = None
     microbatch_overhead: float = 0.0
     reuse_stats: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def overlap(self) -> float:
+        """Communication overlap efficiency the plan was priced with.
+
+        The cluster's ``comm_overlap_efficiency``: boundary transfers and
+        per-stage collectives expose only their non-hidden part.
+        """
+        return self.cluster.comm_overlap_efficiency
 
     @property
     def num_stages(self) -> int:
@@ -754,7 +761,6 @@ class HierarchicalPlanner:
             num_model_chunks=schedule.num_model_chunks,
             recompute=recompute,
             fits_memory=fits,
-            overlap=self.overlap,
             peak_memory=list(schedule.peak_memory),
             stage_memory_capacity=[float(s.subcluster.total_memory()) for s in stages],
             stage_memory_utilization=utilization,

@@ -95,7 +95,10 @@ from .properties import Property
 #: v9: the cache holds whole plans only: per-chunk entries are gone, the
 #: whole-plan key lost its ``"hierarchical:"`` prefix and ``CachedPlan``'s
 #: ``extra["chunk_orders"]`` became the typed ``chunk_orders`` field.
-CACHE_VERSION = 9
+#: v10: ``HierarchicalPlan.overlap`` is derived from the plan's cluster
+#: instead of stored, and partition groups are plain ``ClusterSpec`` objects
+#: without parent links, so the pickled plan layout changed.
+CACHE_VERSION = 10
 
 #: Configuration fields excluded from cache keys: the cache itself and the
 #: static-verifier flag (verification never changes the plan).

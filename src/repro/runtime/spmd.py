@@ -28,8 +28,8 @@ from ..core.instructions import CommInstruction, CompInstruction, Instruction
 from ..core.program import DistributedProgram
 from ..core.properties import DistState, Property
 from ..graph.graph import ComputationGraph, GraphError
+from ..graph.tensor import shard_sizes
 from .kernels import KERNELS
-from .sharding import local_sizes, split_along
 
 
 @dataclass
@@ -107,8 +107,6 @@ class SPMDExecutor:
             if len(batch_sizes) != 1:
                 return ratios
             batch = batch_sizes.pop()
-        from ..graph.tensor import shard_sizes
-
         sizes = shard_sizes(batch, ratios)
         return [s / batch for s in sizes]
 
@@ -273,7 +271,9 @@ class SPMDExecutor:
         if state.is_replicated:
             arrays = [value.copy() for _ in range(self.world)]
         elif state.is_sharded:
-            arrays = split_along(value, state.dim, self.ratios)
+            arrays = functional.split(
+                value, state.dim, shard_sizes(value.shape[state.dim], self.ratios)
+            )
         else:
             raise GraphError(f"source {instr.node!r} cannot be created in a partial state")
         self._store(instr.output, arrays)
@@ -350,14 +350,15 @@ class SPMDExecutor:
             dim = instr.output.state.dim
             # The actual operand size, not the spec's: under microbatched
             # execution batch-derived dimensions run at 1/batch_scale.
-            sizes = local_sizes(arrays[0].shape[dim], self.ratios)
+            sizes = shard_sizes(arrays[0].shape[dim], self.ratios)
             out = functional.reduce_scatter(arrays, dim, sizes)
         elif kind is CollectiveKind.ALL_TO_ALL:
             out = self._run_all_to_all(instr, arrays)
         elif kind is CollectiveKind.SLICE:
             dim = instr.output.state.dim
+            sizes = shard_sizes(arrays[0].shape[dim], self.ratios)
             out = [
-                split_along(arrays[rank], dim, self.ratios)[rank]
+                functional.split(arrays[rank], dim, sizes)[rank]
                 for rank in range(self.world)
             ]
         elif kind is CollectiveKind.BROADCAST:
@@ -380,7 +381,7 @@ class SPMDExecutor:
         if dst_total in self._uneven_splits and len(self._uneven_splits[dst_total]) == self.world:
             dst_sizes = self._uneven_splits[dst_total]
         else:
-            dst_sizes = local_sizes(dst_total, self.ratios)
+            dst_sizes = shard_sizes(dst_total, self.ratios)
         return functional.all_to_all(arrays, src_dim, dst_dim, dst_sizes)
 
     # -- environment helpers --------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Execution simulator: the reproduction's stand-in for running on GPUs."""
 
-from ..cluster.spec import DEFAULT_COMM_OVERLAP_EFFICIENCY, CommOverlapModel
+from ..cluster.spec import DEFAULT_COMM_OVERLAP_EFFICIENCY
 from .engine import (
     ExecutionSimulator,
     HierarchicalSimulationResult,
@@ -24,7 +24,6 @@ from .schedule import (
 )
 
 __all__ = [
-    "CommOverlapModel",
     "DEFAULT_COMM_OVERLAP_EFFICIENCY",
     "ExecutionSimulator",
     "OverheadModel",

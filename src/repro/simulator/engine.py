@@ -17,11 +17,13 @@ where each collective enters the communication stream as soon as its input
 tensor has been produced and only the compute that (transitively) consumes a
 collective's output waits for it.  On real synthesized programs this is what
 hides the gradient all-reduce tail behind the tail of the backward pass and
-the parameter updates behind later collectives.  The
-:class:`~repro.cluster.spec.CommOverlapModel` efficiency interpolates between
-the two timelines: 0 reproduces the additive model bit-for-bit, 1 is the
-perfect dual-stream execution; results report busy/idle/exposed-communication
-breakdowns per stream either way.  (The planner's cost model keeps the
+the parameter updates behind later collectives.  The cluster's
+``comm_overlap_efficiency`` interpolates between the two timelines: 0
+reproduces the additive model bit-for-bit, 1 is the perfect dual-stream
+execution; results report busy/idle/exposed-communication breakdowns per
+stream either way.  A simulator replays at the efficiency of the cluster it
+was built for; to replay at another efficiency, build it on a cluster that
+carries that efficiency.  (The planner's cost model keeps the
 LP-expressible per-stage window approximation of the same idea — the
 simulator, as everywhere else, is the richer of the two.)
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..cluster.spec import ClusterSpec, CommOverlapModel
+from ..cluster.spec import ClusterSpec
 from ..collectives.cost import CollectiveCostModel
 from ..core.costmodel import CostModel
 from ..core.instructions import CommInstruction, CompInstruction
@@ -107,9 +109,9 @@ class ExecutionSimulator:
         cluster: the cluster model to replay on.
         overheads: secondary-effect model (launch latencies, noise, ...).
         seed: RNG seed for the run-to-run noise.
-        overlap: communication/computation overlap efficiency; ``None``
-            takes the cluster's ``comm_overlap_efficiency``, 0.0 forces the
-            serialized single-stream replay.
+
+    The replay's overlap efficiency (:attr:`overlap`) is the cluster's
+    ``comm_overlap_efficiency``.
     """
 
     def __init__(
@@ -117,7 +119,6 @@ class ExecutionSimulator:
         cluster: ClusterSpec,
         overheads: Optional[OverheadModel] = None,
         seed: int = 0,
-        overlap: Optional[float] = None,
     ) -> None:
         self.cluster = cluster
         self.overheads = overheads or OverheadModel()
@@ -125,12 +126,7 @@ class ExecutionSimulator:
 
         self.collectives = CollectiveCostModel(cluster)
         self.rng = np.random.default_rng(seed)
-        self.overlap_model = (
-            CommOverlapModel.from_cluster(cluster)
-            if overlap is None
-            else CommOverlapModel(efficiency=overlap)
-        )
-        self.overlap = self.overlap_model.efficiency
+        self.overlap = cluster.comm_overlap_efficiency
 
     # -- per-instruction times ------------------------------------------------------
     def _comp_time(
@@ -228,7 +224,7 @@ class ExecutionSimulator:
                 raise ValueError(
                     f"{what} is for {n} device(s) but cluster {self.cluster.name!r} has {m}"
                 )
-        cost_model = CostModel(program.graph, self.cluster, overlap=self.overlap)
+        cost_model = CostModel(program.graph, self.cluster)
         e = self.overlap
         totals = []
         comm_total = comp_total = overhead_total = exposed_total = 0.0
@@ -341,7 +337,7 @@ class ExecutionSimulator:
         simulator's dual-stream replay hides behind independent compute is
         subtracted from the collective's phase.
         """
-        cost_model = CostModel(program.graph, self.cluster, overlap=self.overlap)
+        cost_model = CostModel(program.graph, self.cluster)
         return cost_model.phase_profile(
             program,
             ratios,
@@ -352,7 +348,6 @@ class ExecutionSimulator:
             ],
             comm_time_fn=lambda instr, r: self._comm_time(cost_model, instr, r),
             per_stage_overhead=self.overheads.framework_per_stage,
-            overlap=self.overlap,
         )
 
 
@@ -409,9 +404,7 @@ def simulate_hierarchical(
     overheads = OverheadModel()
 
     def profile(chunk) -> Dict[str, float]:
-        sim = ExecutionSimulator(
-            chunk.subcluster, overheads=overheads, seed=seed, overlap=plan.overlap
-        )
+        sim = ExecutionSimulator(chunk.subcluster, overheads=overheads, seed=seed)
         return sim.profile_program(chunk.program, chunk.ratios, chunk.forward_nodes)
 
     # profile_program is noise-free, so chunks sharing a content key are

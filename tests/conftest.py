@@ -37,6 +37,23 @@ def make_cluster(gpus=("A100", "A100", "P100", "P100"), network=None, group=Fals
     return ClusterSpec(machines, network=network or fast_network(), group_by_machine=group)
 
 
+def with_overlap(cluster: ClusterSpec, efficiency: float) -> ClusterSpec:
+    """The same cluster at another communication-overlap efficiency."""
+    return ClusterSpec(
+        cluster.machines,
+        network=cluster.network,
+        group_by_machine=cluster.group_by_machine,
+        name=cluster.name,
+        memory_reserve_fraction=cluster.memory_reserve_fraction,
+        comm_overlap_efficiency=efficiency,
+    )
+
+
+def blocking_cluster(cluster: ClusterSpec) -> ClusterSpec:
+    """The same cluster with the fully blocking (no-overlap) model."""
+    return with_overlap(cluster, 0.0)
+
+
 @pytest.fixture
 def two_device_cluster() -> ClusterSpec:
     return make_cluster(("A100", "P100"))

@@ -60,7 +60,6 @@ class TestClusterSpec:
         cluster = heterogeneous_testbed(64)
         assert cluster.num_gpus == 64
         assert cluster.num_devices == 8  # machine-level virtual devices
-        assert cluster.is_heterogeneous()
         gpu_names = {m.gpu.name for m in cluster.machines}
         assert gpu_names == {"V100", "P100"}
 
@@ -71,7 +70,7 @@ class TestClusterSpec:
 
     def test_homogeneous_testbed(self):
         cluster = homogeneous_testbed(32)
-        assert not cluster.is_heterogeneous()
+        assert {m.gpu.name for m in cluster.machines} == {"P100"}
         assert cluster.num_devices == 4
 
     def test_invalid_gpu_count_rejected(self):
@@ -93,13 +92,6 @@ class TestClusterSpec:
     def test_even_ratios(self):
         cluster = a100_pair()
         assert cluster.even_ratios() == [0.25] * 4
-
-    def test_subset(self):
-        cluster = heterogeneous_testbed(64)
-        sub = cluster.subset(2)
-        assert sub.num_gpus == 16
-        with pytest.raises(ValueError):
-            cluster.subset(0)
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
@@ -125,8 +117,7 @@ class TestClusterSpec:
         )
         assert reserved.device_memory() == [int(m * 0.75) for m in full.device_memory()]
         assert reserved.total_memory() == sum(reserved.device_memory())
-        # Propagates through subsets and pipeline partitions.
-        assert reserved.subset(1).memory_reserve_fraction == 0.25
+        # Propagates through pipeline partitions.
         partition = reserved.partition(2)
         assert all(g.memory_reserve_fraction == 0.25 for g in partition.groups)
         with pytest.raises(ValueError):

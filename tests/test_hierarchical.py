@@ -17,7 +17,6 @@ from repro.autodiff import GRAD_SEED_SUFFIX, build_stage_training_graph, build_t
 from repro.cluster import (
     ClusterSpec,
     NetworkSpec,
-    Subcluster,
     heterogeneous_testbed,
     homogeneous_testbed,
 )
@@ -87,13 +86,24 @@ class TestClusterPartition:
         ratios = cluster.partition(2).compute_ratios()
         assert ratios == pytest.approx([0.5, 0.5])
 
-    def test_subclusters_are_cluster_specs(self):
-        cluster = heterogeneous_testbed(num_gpus=32)
-        group = cluster.partition(2).groups[0]
-        assert isinstance(group, Subcluster)
-        assert group.parent is cluster
-        assert group.num_devices == len(group.machines)  # group_by_machine
-        assert sum(group.proportional_ratios()) == pytest.approx(1.0)
+    @pytest.mark.parametrize("intra", [None, NetworkSpec(bandwidth=100e9)])
+    def test_groups_are_cluster_specs(self, intra):
+        base = heterogeneous_testbed(num_gpus=32)
+        cluster = ClusterSpec(
+            base.machines,
+            network=base.network,
+            group_by_machine=True,
+            memory_reserve_fraction=0.1,
+            comm_overlap_efficiency=0.3,
+        )
+        for group in cluster.partition(2, intra_group_network=intra).groups:
+            assert type(group) is ClusterSpec
+            assert group.network is (intra or cluster.network)
+            assert group.group_by_machine == cluster.group_by_machine
+            assert group.memory_reserve_fraction == cluster.memory_reserve_fraction
+            assert group.comm_overlap_efficiency == cluster.comm_overlap_efficiency
+            assert group.num_devices == len(group.machines)  # group_by_machine
+            assert sum(group.proportional_ratios()) == pytest.approx(1.0)
 
     def test_invalid_group_counts_rejected(self):
         cluster = homogeneous_testbed()

@@ -25,9 +25,11 @@ from repro.core import (
     ProgramSynthesizer,
     SynthesisConfig,
 )
+from repro.core.instructions import CommInstruction
 from repro.hap import hap_pipeline
 
 from .conftest import (
+    blocking_cluster,
     build_deep_transformer,
     build_mlp,
     build_tiny_moe,
@@ -248,13 +250,44 @@ class TestCostPricing:
             assert b.hidden_communication == scalar.hidden_communication
             assert list(b.stage_times) == list(scalar.stage_times)
 
-    def test_evaluate_many_honours_overlap_override(self, training_graphs, parity_cluster):
-        graph = training_graphs["mlp"]
+    def test_blocking_cluster_prices_like_serialized_evaluate(self, parity_cluster):
+        """The serialized price has two routes: a cluster whose overlap
+        efficiency is 0, and ``evaluate(overlap=0.0)`` on any cluster.  Both
+        must agree bit for bit, and the blocking cluster's phase profile must
+        be the plain serialized walk (collective plus per-phase slowest
+        device, per stage)."""
+        info = build_training_graph(build_mlp())
+        graph = info.graph
         program = _synthesize(graph, parity_cluster).program
-        cost_model = CostModel(graph, parity_cluster)
-        (serialized,) = cost_model.evaluate_many(program, self.RATIO_SETS[:1], overlap=0.0)
-        assert serialized == cost_model.evaluate(program, self.RATIO_SETS[0], overlap=0.0)
-        assert serialized.exposed_communication == serialized.communication
+        overlapped = CostModel(graph, parity_cluster)
+        blocking = CostModel(graph, blocking_cluster(parity_cluster))
+        assert overlapped.overlap > 0.0 and blocking.overlap == 0.0
+        batched = blocking.evaluate_many(program, self.RATIO_SETS)
+        for ratios, b in zip(self.RATIO_SETS, batched):
+            serialized = overlapped.evaluate(program, ratios, overlap=0.0)
+            assert b.total == serialized.total
+            assert list(b.stage_times) == list(serialized.stage_times)
+            assert b.exposed_communication == serialized.exposed_communication
+            assert b.exposed_communication == b.communication
+
+        ratios = self.RATIO_SETS[1]
+        phase_of = dict(
+            zip(map(id, program.instructions), program.instruction_phases(info.forward_nodes))
+        )
+        walk = {"forward": 0.0, "backward": 0.0, "sync": 0.0}
+        for stage in program.stages():
+            if stage.comm is not None:
+                walk[phase_of[id(stage.comm)]] += blocking.comm_time(stage.comm, ratios)
+            vectors = {}
+            for comp in stage.comps:
+                if isinstance(comp, CommInstruction):
+                    continue
+                vec = vectors.setdefault(phase_of[id(comp)], [0.0] * len(ratios))
+                for j, t in enumerate(blocking.comp_times(comp, ratios)):
+                    vec[j] += t
+            for phase, vec in vectors.items():
+                walk[phase] += max(vec)
+        assert blocking.phase_profile(program, ratios, info.forward_nodes) == walk
 
     def test_stage_lines_are_linearised_once(self, training_graphs, parity_cluster):
         graph = training_graphs["mlp"]

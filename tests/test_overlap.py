@@ -1,8 +1,8 @@
 """Tests of the event-driven dual-stream overlap model.
 
-Covers every layer the overlap refactor touched: the
-:class:`~repro.cluster.spec.CommOverlapModel` itself, the cost model's
-overlap-aware evaluation, the execution simulator's dual-stream replay, the
+Covers every layer that reads a cluster's ``comm_overlap_efficiency``: the
+cluster spec's validation and propagation, the cost model's overlap-aware
+evaluation, the execution simulator's dual-stream replay, the
 pipeline-schedule engine's asynchronous boundary transfers (hand-computed
 partial-overlap case, ``overlap=0`` blocking-equivalence and monotonicity
 properties for all three schedules), the hierarchical planner's
@@ -19,7 +19,6 @@ from repro.autodiff import build_training_graph
 from repro.cluster import (
     DEFAULT_COMM_OVERLAP_EFFICIENCY,
     ClusterSpec,
-    CommOverlapModel,
     Machine,
     NetworkSpec,
     device_type,
@@ -44,7 +43,13 @@ from repro.simulator import (
     simulate_pipeline,
 )
 
-from .conftest import bindings_for, build_tiny_transformer, make_cluster
+from .conftest import (
+    bindings_for,
+    blocking_cluster,
+    build_tiny_transformer,
+    make_cluster,
+    with_overlap,
+)
 
 
 def small_planner(beam_width=8):
@@ -56,18 +61,6 @@ def small_planner(beam_width=8):
 def hier_config(**kwargs):
     kwargs.setdefault("planner", small_planner())
     return HierarchicalConfig(**kwargs)
-
-
-def blocking_cluster(cluster):
-    """The same cluster with the fully blocking (no-overlap) model."""
-    return ClusterSpec(
-        cluster.machines,
-        network=cluster.network,
-        group_by_machine=cluster.group_by_machine,
-        name=cluster.name,
-        memory_reserve_fraction=cluster.memory_reserve_fraction,
-        comm_overlap_efficiency=0.0,
-    )
 
 
 def random_stages(rng, s):
@@ -85,38 +78,31 @@ def random_stages(rng, s):
 
 
 # ---------------------------------------------------------------------------
-# the overlap model itself
+# the efficiency on the cluster spec
 # ---------------------------------------------------------------------------
 
-class TestCommOverlapModel:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CommOverlapModel(efficiency=-0.1)
-        with pytest.raises(ValueError):
-            CommOverlapModel(efficiency=1.1)
+class TestClusterOverlapEfficiency:
+    @pytest.mark.parametrize("efficiency", [-0.1, 1.1, 2.0, float("nan")])
+    def test_validation(self, efficiency):
         with pytest.raises(ValueError):
             ClusterSpec(
                 [Machine("m", device_type("A100"), num_gpus=1)],
-                comm_overlap_efficiency=2.0,
+                comm_overlap_efficiency=efficiency,
             )
 
-    def test_hidden_and_exposed_split(self):
-        model = CommOverlapModel(efficiency=0.5)
-        assert model.hidden(4.0, 2.0) == pytest.approx(1.0)  # window-bound
-        assert model.hidden(2.0, 10.0) == pytest.approx(1.0)  # comm-bound
-        assert model.exposed(4.0, 2.0) == pytest.approx(3.0)
-        assert CommOverlapModel.disabled().hidden(4.0, 100.0) == 0.0
-
-    def test_default_comes_from_cluster_spec(self):
-        default = make_cluster()
-        assert CommOverlapModel.from_cluster(default).efficiency == pytest.approx(
+    def test_pricers_read_the_cluster(self, synthesized_program):
+        training, _program, cluster = synthesized_program
+        assert cluster.comm_overlap_efficiency == pytest.approx(
             DEFAULT_COMM_OVERLAP_EFFICIENCY
         )
-        blocking = make_cluster()
-        blocking.comm_overlap_efficiency = 0.0
-        assert CommOverlapModel.from_cluster(blocking).efficiency == 0.0
+        blocking = blocking_cluster(cluster)
+        for spec in (cluster, blocking):
+            e = spec.comm_overlap_efficiency
+            assert CostModel(training, spec).overlap == e
+            assert ExecutionSimulator(spec).overlap == e
+        assert blocking.comm_overlap_efficiency == 0.0
 
-    def test_cluster_propagates_to_partitions_and_subsets(self):
+    def test_cluster_propagates_to_partitions(self):
         cluster = heterogeneous_testbed(num_gpus=32)
         assert cluster.comm_overlap_efficiency == DEFAULT_COMM_OVERLAP_EFFICIENCY
         tweaked = ClusterSpec(
@@ -128,7 +114,6 @@ class TestCommOverlapModel:
         assert all(
             g.comm_overlap_efficiency == 0.25 for g in tweaked.partition(2).groups
         )
-        assert tweaked.subset(2).comm_overlap_efficiency == 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +341,9 @@ class TestCostModelOverlap:
         graph, program, forward_nodes = window_program(cluster)
         model = CostModel(graph, cluster)
         ratios = cluster.even_ratios()
-        blocking = model.phase_profile(program, ratios, forward_nodes, overlap=0.0)
+        blocking = CostModel(graph, blocking_cluster(cluster)).phase_profile(
+            program, ratios, forward_nodes
+        )
         overlapped = model.phase_profile(program, ratios, forward_nodes)
         for phase in ("forward", "backward", "sync"):
             assert overlapped[phase] <= blocking[phase] + 1e-12
@@ -370,12 +357,10 @@ class TestSimulatorOverlap:
         # updates behind later collectives.
         _, program, cluster = synthesized_program
         ratios = cluster.proportional_ratios()
-        blocking = ExecutionSimulator(cluster, seed=0, overlap=0.0).simulate(
+        blocking = ExecutionSimulator(blocking_cluster(cluster), seed=0).simulate(
             program, ratios, 2
         )
-        overlapped = ExecutionSimulator(cluster, seed=0, overlap=None).simulate(
-            program, ratios, 2
-        )
+        overlapped = ExecutionSimulator(cluster, seed=0).simulate(program, ratios, 2)
         assert overlapped.total < blocking.total
         assert overlapped.hidden_communication > 0.0
         # Raw collective load and compute are stream-local and unchanged.
@@ -386,7 +371,9 @@ class TestSimulatorOverlap:
         _, program, cluster = synthesized_program
         ratios = cluster.proportional_ratios()
         totals = [
-            ExecutionSimulator(cluster, seed=3, overlap=e).simulate(program, ratios, 1).total
+            ExecutionSimulator(with_overlap(cluster, e), seed=3)
+            .simulate(program, ratios, 1)
+            .total
             for e in (0.0, 0.25, 0.5, 0.75, 1.0)
         ]
         assert all(b <= a + 1e-15 for a, b in zip(totals, totals[1:]))

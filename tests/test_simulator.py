@@ -7,7 +7,7 @@ from repro.autodiff import build_training_graph
 from repro.core import CostModel, ProgramSynthesizer, SynthesisConfig
 from repro.simulator import ExecutionSimulator, OverheadModel, simulate_plan
 
-from .conftest import build_mlp, build_tiny_transformer
+from .conftest import blocking_cluster, build_mlp, build_tiny_transformer
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +47,7 @@ class TestSimulator:
             result.exposed_communication + result.hidden_communication, rel=1e-6
         )
         # With serialized streams the classic additive identity holds.
-        blocking = ExecutionSimulator(cluster, seed=0, overlap=0.0).simulate(
+        blocking = ExecutionSimulator(blocking_cluster(cluster), seed=0).simulate(
             program, cluster.even_ratios(), 1
         )
         assert blocking.total == pytest.approx(
