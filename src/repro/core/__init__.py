@@ -27,8 +27,9 @@ from .plancache import (
 )
 from .program import DistributedProgram, Stage
 from .properties import DistState, Property, StateKind, partial, replicated, sharded
-from .rules import Rule, Theory, Variant, build_theory, moe_restricted_refs, node_variants
+from .rules import Rule, Theory, build_theory
 from .synthesizer import ProgramSynthesizer, SynthesisError, SynthesisResult
+from .variants import Variant, moe_restricted_refs, node_variants
 
 __all__ = [
     "SynthesisConfig",

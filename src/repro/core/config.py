@@ -36,7 +36,7 @@ class SynthesisConfig:
     ``force_data_parallel`` keeps its restricted theory.
 
     Every search, whatever the flags, holds a state as three ints — the live
-    properties as a bit mask over the theory's property index, and the
+    properties as a bit mask over bits recycled over ref lifetimes, and the
     completed and communicated nodes as bit masks over graph positions — plus
     its costs.  No flag changes that representation, and bit order never
     orders the search.

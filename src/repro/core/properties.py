@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 
 class StateKind(Enum):
@@ -58,7 +58,10 @@ class DistState:
 
     @staticmethod
     def sharded(dim: int) -> DistState:
-        return DistState(StateKind.SHARDED, dim)
+        state = _SHARDED.get(dim)
+        if state is None:
+            state = _SHARDED[dim] = DistState(StateKind.SHARDED, dim)
+        return state
 
     @property
     def sort_key(self) -> Tuple[int, int]:
@@ -89,6 +92,9 @@ class DistState:
 _KIND_RANK = {kind: rank for rank, kind in enumerate(StateKind)}
 _REPLICATED = DistState(StateKind.REPLICATED)
 _PARTIAL = DistState(StateKind.PARTIAL)
+#: one ``sharded(dim)`` state per dim, so the convenience constructors return
+#: one object per value and states may be compared with ``is``
+_SHARDED: Dict[int, DistState] = {}
 
 
 @dataclass(frozen=True)

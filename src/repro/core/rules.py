@@ -11,9 +11,10 @@ Hoare triples that the synthesizer searches over.  Each triple (a
 Rules come in three families:
 
 1. **Computation rules**, one per (node, sharding variant): generated from the
-   mathematical characteristics of the node's operator (``OpKind``), e.g. the
-   three MatMul sharding rules of Fig. 9 plus the duplicated-compute rule that
-   enables sufficient factor broadcasting (Sec. 4.4).
+   mathematical characteristics of the node's operator (``OpKind``; the
+   variant tables are :mod:`repro.core.variants`), e.g. the three MatMul
+   sharding rules of Fig. 9 plus the duplicated-compute rule that enables
+   sufficient factor broadcasting (Sec. 4.4).
 2. **Source rules** for placeholders/parameters/constants
    (``Placeholder-Shard(d)`` etc.).  Following the paper's first search-time
    optimisation these are *fused* into consumers so that the search never has
@@ -25,16 +26,33 @@ Rules come in three families:
    a state some rule wants are generated, and each reference tensor may be
    communicated at most once per program (the paper's second optimisation).
 
-Mixture-of-Experts capacity tensors carry device-local routing; gathering them
-back to a "replicated" tensor would not reproduce the reference value, so such
-tensors are restricted to All-To-All communication (expert parallelism), which
-is exactly how GShard-style systems treat them.
+Only rules that can fire are built: an order-free reachability fixpoint over
+(ref, state) pairs (:func:`fireable_rules`) drops the candidates whose
+preconditions no fired rule establishes.  Property bits are recycled over
+ref lifetimes (:func:`ref_lifetimes`), so a mask spans the live frontier,
+not the graph's depth.
+
+Mixture-of-Experts capacity tensors are restricted to All-To-All
+communication (:func:`~repro.core.variants.moe_restricted_refs`).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Collection,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..collectives.cost import CollectiveKind
 from ..graph.graph import ComputationGraph, Node
@@ -42,6 +60,7 @@ from ..graph.ops import OpKind
 from .config import SynthesisConfig
 from .instructions import CommInstruction, CompInstruction, Instruction
 from .properties import DistState, Property
+from .variants import R, Variant, moe_restricted_refs, node_variants, source_variants
 
 
 @dataclass(frozen=True)
@@ -58,14 +77,17 @@ class Rule:
             node completes the same set.
         communicates: reference tensors communicated by this rule (each may be
             communicated at most once per program).
-        pre_mask, post_mask: ``pre`` / ``post`` as bit masks over the owning
-            theory's property index (:attr:`Theory.props`).
+        pre_mask, post_mask: ``pre`` / ``post`` as bit masks, the OR of their
+            properties' bits (:attr:`Theory.prop_bits`).
         comm_mask: ``communicates`` as a bit mask over graph positions.
 
-    :func:`build_theory` builds each rule once, masks included, after the
-    property index is sorted; every property a rule mentions (in ``pre``,
-    ``post`` or an instruction) is the interned object at its bit in
-    :attr:`Theory.props`.  The masks take no part in rule equality.
+    :func:`build_theory` builds only rules that can fire, each once, masks
+    included, after the property bits are assigned.  Every property a rule
+    mentions (in ``pre``, ``post`` or an instruction) is the interned object
+    at its index in :attr:`Theory.props`.  A one-element ``pre`` or
+    ``post`` is its property's one shared set; a communication rule also
+    shares its ``communicates`` set and its masks with the other rules over
+    the same ref and properties.  The masks take no part in rule equality.
     """
 
     pre: FrozenSet[Property]
@@ -90,25 +112,23 @@ class Rule:
         return f"{{ {pre} }} {body} {{ {post} }}"
 
 
-@dataclass(frozen=True)
-class Variant:
-    """One sharding variant of a computation node: input states -> output state."""
-
-    input_states: Tuple[DistState, ...]
-    output_state: DistState
-    flops_sharded: bool
-
-
 class Theory:
     """The background theory for one training graph on one cluster size.
 
-    Every property that appears in a rule owns one bit: bit ``i`` stands for
-    ``props[i]``, so a set of properties is an ``int`` (see :meth:`encode` /
-    :meth:`decode`).  Bits are ordered by the ref's position in
-    ``graph.node_names``, then state kind, then dim, so isomorphic graphs
-    share one layout and each ref's properties are contiguous bits.  Each
-    property exists once: ``props[i]`` is the very object every rule holds
-    for that (ref, state) pair.
+    The theory holds only rules that can fire (:func:`fireable_rules`), and
+    only the properties those rules mention.  ``props`` lists them by the
+    ref's position in ``graph.node_names``, then state kind, then dim;
+    ``prop_index`` maps each to its index there.  Each property exists once:
+    ``props[i]`` is the very object every rule holds for that (ref, state)
+    pair.
+
+    A set of properties the search can hold is an ``int`` (see
+    :meth:`encode` / :meth:`decode`).  Bits are recycled over ref lifetimes
+    (:func:`ref_lifetimes`): a ref lives from the topological level that
+    creates it to the level of its last consumer, and properties of refs
+    whose lifetimes overlap get distinct bits.  Masks therefore span the
+    live frontier, not the graph's depth, and a mask is unambiguous only
+    among co-live properties, the sets one search state can hold.
     """
 
     def __init__(
@@ -119,6 +139,11 @@ class Theory:
         rules: List[Rule],
         restricted_refs: FrozenSet[str],
         props: Tuple[Property, ...],
+        prop_bits: Dict[Property, int],
+        lifetimes: Dict[str, Tuple[int, int]],
+        comp_rules_by_node: Dict[str, List[Rule]],
+        comm_rules_by_ref: Dict[str, List[Rule]],
+        comm_rules_by_post: Dict[int, List[Rule]],
     ) -> None:
         self.graph = graph
         self.num_devices = num_devices
@@ -126,57 +151,58 @@ class Theory:
         self.rules = rules
         #: refs restricted to All-To-All communication (MoE capacity tensors)
         self.restricted_refs = restricted_refs
-        #: the property index: bit i of a property mask stands for props[i]
+        #: every property a rule mentions, in graph, state-kind, dim order
         self.props = props
-        self.prop_bits: Dict[Property, int] = {p: 1 << i for i, p in enumerate(props)}
+        self.prop_index: Dict[Property, int] = {p: i for i, p in enumerate(props)}
+        #: property -> its bit (one shared ``int`` per property)
+        self.prop_bits = prop_bits
+        #: ref -> (birth, death) topological levels (:func:`ref_lifetimes`)
+        self.lifetimes = lifetimes
         #: ref -> mask of all of its properties (the liveness drop), in
-        #: graph order whatever the bit order
-        by_ref: Dict[str, int] = {}
-        for prop, bit in self.prop_bits.items():
-            by_ref[prop.ref] = by_ref.get(prop.ref, 0) | bit
-        self.ref_masks: Dict[str, int] = {
-            name: by_ref[name] for name in graph.node_names if name in by_ref
-        }
-        # Index rules by the computation node they emulate (the last
-        # instruction's) / the tensor they communicate (used by the
-        # topological-order searches).
-        self.comp_rules_by_node: Dict[str, List[Rule]] = {}
-        self.comm_rules_by_ref: Dict[str, List[Rule]] = {}
-        for rule in rules:
-            if rule.is_communication:
-                for ref in {p.ref for p in rule.pre}:
-                    self.comm_rules_by_ref.setdefault(ref, []).append(rule)
-            else:
-                node = rule.instructions[-1].node  # type: ignore[union-attr]
-                self.comp_rules_by_node.setdefault(node, []).append(rule)
-        # Communication rules keyed by the index ``i`` of the property
-        # ``props[i]`` they establish (a small int hashes in O(1), a bit mask
-        # in O(bits)).  Lists preserve the relative order of
-        # ``comm_rules_by_ref`` so that indexed candidate enumeration visits
-        # rules in exactly the same order as a filtering scan of that table
-        # (byte-identical synthesis results).
-        index = {p: i for i, p in enumerate(props)}
-        self.comm_rules_by_post: Dict[int, List[Rule]] = {}
-        for rules_for_ref in self.comm_rules_by_ref.values():
-            for rule in rules_for_ref:
-                for prop in rule.post:
-                    self.comm_rules_by_post.setdefault(index[prop], []).append(rule)
+        #: graph order
+        self.ref_masks: Dict[str, int] = {}
+        for prop in props:
+            self.ref_masks[prop.ref] = self.ref_masks.get(prop.ref, 0) | prop_bits[prop]
+        #: the rules of each computation node (the last instruction's), in
+        #: rule order
+        self.comp_rules_by_node = comp_rules_by_node
+        #: the communication rules of each ref, in rule order
+        self.comm_rules_by_ref = comm_rules_by_ref
+        #: communication rules keyed by the index (in ``props``) of the
+        #: property they establish, in rule order: the relative order of
+        #: ``comm_rules_by_ref``, so indexed candidate enumeration visits
+        #: rules in exactly the order of a filtering scan of that table
+        self.comm_rules_by_post = comm_rules_by_post
 
     def __len__(self) -> int:
         return len(self.rules)
 
     def encode(self, properties: Iterable[Property]) -> int:
-        """Bit mask of a set of the theory's properties."""
-        # A sum is an OR here: the set holds each bit at most once.
-        return sum(map(self.prop_bits.__getitem__, frozenset(properties)))
+        """Bit mask of a set of co-live properties of the theory."""
+        bits = 0
+        for prop in properties:
+            bits |= self.prop_bits[prop]
+        return bits
 
-    def decode(self, bits: int) -> FrozenSet[Property]:
-        """The properties whose bits are set in ``bits``."""
-        props = self.props
+    def decode(self, bits: int, position: int) -> FrozenSet[Property]:
+        """The properties live at topological level ``position`` whose bits
+        are set in ``bits``.
+
+        A search state at ``topo_ptr`` holds properties live at level
+        ``topo_ptr``.  Raises ``ValueError`` for a bit no live property owns.
+        """
+        lifetimes = self.lifetimes
+        live = {
+            bit: prop
+            for prop, bit in self.prop_bits.items()
+            if lifetimes[prop.ref][0] <= position <= lifetimes[prop.ref][1]
+        }
         out = []
         while bits:
             low = bits & -bits
-            out.append(props[low.bit_length() - 1])
+            if low not in live:
+                raise ValueError(f"bit {low.bit_length() - 1} is not live at level {position}")
+            out.append(live[low])
             bits ^= low
         return frozenset(out)
 
@@ -187,371 +213,24 @@ class Theory:
 
 
 # ---------------------------------------------------------------------------
-# sharding-variant generation per operator kind
-# ---------------------------------------------------------------------------
-
-R = DistState.replicated()
-P = DistState.partial()
-
-#: Tensor dimensions smaller than this (or than the device count) are never
-#: considered as sharding dimensions.
-MIN_SHARD_DIM_SIZE = 2
-
-
-def S(dim: int) -> DistState:
-    return DistState.sharded(dim)
-
-
-def _input_shardable(spec_shape: Tuple[int, ...], dim: int, num_devices: int) -> bool:
-    if dim >= len(spec_shape):
-        return False
-    return spec_shape[dim] >= max(MIN_SHARD_DIM_SIZE, num_devices)
-
-
-def node_variants(
-    node: Node, graph: ComputationGraph, cfg: SynthesisConfig, num_devices: int
-) -> List[Variant]:
-    """All sharding variants of one computation node.
-
-    This is the reproduction of the rule tables sketched in Fig. 9: for each
-    operator kind we enumerate the combinations of input distribution states
-    under which running the operator locally yields an output in a known
-    distribution state.
-    """
-    kind = node.kind
-    in_specs = graph.input_specs(node)
-    out_spec = node.spec
-    variants: List[Variant] = []
-
-    def add(in_states: Sequence[DistState], out_state: DistState, sharded: bool) -> None:
-        variants.append(Variant(tuple(in_states), out_state, sharded))
-
-    def out_dims() -> List[int]:
-        return [
-            d
-            for d, size in enumerate(out_spec.shape)
-            if size >= max(MIN_SHARD_DIM_SIZE, num_devices)
-        ]
-
-    arity = len(node.inputs)
-
-    if kind is OpKind.SOURCE:
-        raise ValueError("source nodes are handled by source_variants()")
-
-    # -- shape-preserving elementwise maps -----------------------------------
-    if kind is OpKind.ELEMENTWISE:
-        add([R] * arity, R, sharded=False)
-        for d in out_dims():
-            add([S(d)] * arity, S(d), sharded=True)
-        # Linear ops propagate partial values (needed on gradient paths).
-        if node.op in ("identity", "dropout", "neg", "scale"):
-            add([P], P, sharded=False)
-        if node.op == "add":
-            add([P, P], P, sharded=False)
-        return variants
-
-    if kind is OpKind.BROADCAST_BIAS:
-        add([R, R], R, sharded=False)
-        for d in out_dims():
-            if d == out_spec.rank - 1:
-                add([S(d), S(0)], S(d), sharded=True)
-            else:
-                add([S(d), R], S(d), sharded=True)
-        return variants
-
-    if kind is OpKind.MATMUL:
-        a, b = in_specs
-        if cfg.enable_sfb:
-            add([R, R], R, sharded=False)  # duplicated compute (enables SFB)
-        if a.rank == 2 and b.rank == 2:
-            if _input_shardable(a.shape, 0, num_devices):
-                add([S(0), R], S(0), sharded=True)
-            if _input_shardable(b.shape, 1, num_devices):
-                add([R, S(1)], S(1), sharded=True)
-            if _input_shardable(a.shape, 1, num_devices):
-                add([S(1), S(0)], P, sharded=True)
-        elif a.rank == 3 and b.rank == 3:
-            if _input_shardable(a.shape, 0, num_devices):
-                add([S(0), S(0)], S(0), sharded=True)
-            if _input_shardable(a.shape, 1, num_devices):
-                add([S(1), R], S(1), sharded=True)
-            if _input_shardable(b.shape, 2, num_devices):
-                add([R, S(2)], S(2), sharded=True)
-            if _input_shardable(a.shape, 2, num_devices):
-                add([S(2), S(1)], P, sharded=True)
-        elif a.rank == 3 and b.rank == 2:
-            if _input_shardable(a.shape, 0, num_devices):
-                add([S(0), R], S(0), sharded=True)
-            if _input_shardable(a.shape, 1, num_devices):
-                add([S(1), R], S(1), sharded=True)
-            if _input_shardable(b.shape, 1, num_devices):
-                add([R, S(1)], S(2), sharded=True)
-            if _input_shardable(a.shape, 2, num_devices):
-                add([S(2), S(0)], P, sharded=True)
-        return variants
-
-    if kind is OpKind.REDUCTION:
-        add([R], R, sharded=False)
-        if node.op == "reduce_sum":
-            for d, size in enumerate(in_specs[0].shape):
-                if size >= max(MIN_SHARD_DIM_SIZE, num_devices):
-                    add([S(d)], P, sharded=True)
-        return variants
-
-    if kind is OpKind.NORMALIZATION:
-        axis = int(node.attrs.get("axis", -1)) % out_spec.rank
-        add([R] * arity, R, sharded=False)
-        for d in out_dims():
-            if d != axis:
-                add([S(d)] * arity, S(d), sharded=True)
-        return variants
-
-    if kind in (OpKind.RESHAPE, OpKind.FLATTEN):
-        add([R], R, sharded=False)
-        add([P], P, sharded=False)
-        for din, dout in _reshape_dim_map(in_specs[0].shape, out_spec.shape):
-            if _input_shardable(in_specs[0].shape, din, num_devices):
-                add([S(din)], S(dout), sharded=True)
-        return variants
-
-    if kind is OpKind.TRANSPOSE:
-        perm = tuple(int(p) for p in node.attrs["perm"])
-        add([R], R, sharded=False)
-        add([P], P, sharded=False)
-        for dout, din in enumerate(perm):
-            if _input_shardable(in_specs[0].shape, din, num_devices):
-                add([S(din)], S(dout), sharded=True)
-        return variants
-
-    if kind is OpKind.EMBEDDING:
-        ids, table = in_specs
-        add([R, R], R, sharded=False)
-        for d in range(ids.rank):
-            if _input_shardable(ids.shape, d, num_devices):
-                add([S(d), R], S(d), sharded=True)
-        if _input_shardable(table.shape, 1, num_devices):
-            add([R, S(1)], S(out_spec.rank - 1), sharded=True)
-        return variants
-
-    if kind in (OpKind.CONV, OpKind.POOL, OpKind.CONV_GRAD_INPUT):
-        add([R] * arity, R, sharded=False)
-        if _input_shardable(out_spec.shape, 0, num_devices):
-            states = [S(0)] + [R] * (arity - 1)
-            if kind is OpKind.POOL and arity == 2:  # pool grads take (dy, x)
-                states = [S(0), S(0)]
-            add(states, S(0), sharded=True)
-        return variants
-
-    if kind is OpKind.CONV_GRAD_WEIGHT:
-        add([R, R], R, sharded=False)
-        if _input_shardable(in_specs[0].shape, 0, num_devices):
-            add([S(0), S(0)], P, sharded=True)
-        return variants
-
-    if kind is OpKind.CROSS_ENTROPY:
-        if node.op == "cross_entropy":
-            add([R, R], R, sharded=False)
-            if _input_shardable(in_specs[0].shape, 0, num_devices):
-                add([S(0), S(0)], P, sharded=True)
-        else:  # cross_entropy_grad(dy, logits, labels)
-            add([R, R, R], R, sharded=False)
-            if _input_shardable(in_specs[1].shape, 0, num_devices):
-                add([R, S(0), S(0)], S(0), sharded=True)
-        return variants
-
-    if kind is OpKind.BROADCAST:
-        add([R], R, sharded=False)
-        return variants
-
-    if kind is OpKind.SUM_LEADING:
-        src = in_specs[0]
-        add([R], R, sharded=False)
-        for d in range(src.rank - 1):
-            if _input_shardable(src.shape, d, num_devices):
-                add([S(d)], P, sharded=True)
-        if _input_shardable(src.shape, src.rank - 1, num_devices):
-            add([S(src.rank - 1)], S(0), sharded=True)
-        return variants
-
-    if kind is OpKind.EMBEDDING_GRAD:
-        dy, ids = in_specs
-        add([R, R], R, sharded=False)
-        for d in range(ids.rank):
-            if _input_shardable(ids.shape, d, num_devices):
-                add([S(d), S(d)], P, sharded=True)
-        if _input_shardable(dy.shape, dy.rank - 1, num_devices):
-            add([S(dy.rank - 1), R], S(1), sharded=True)
-        return variants
-
-    if kind is OpKind.MOE_DISPATCH:
-        # moe_dispatch(tokens [N,H], gates [N,E]) -> [E, C, H]
-        # moe_combine_grad(dy [N,H], gates [N,E]) -> [E, C, H]
-        add([R, R], R, sharded=False)
-        if _input_shardable(in_specs[0].shape, 0, num_devices):
-            add([S(0), S(0)], S(1), sharded=True)
-        return variants
-
-    if kind is OpKind.MOE_COMBINE:
-        # moe_combine(expert_out [E,C,H], gates [N,E]) -> [N,H]
-        # moe_dispatch_grad(dy [E,C,H], gates [N,E]) -> [N,H]
-        add([R, R], R, sharded=False)
-        if _input_shardable(in_specs[1].shape, 0, num_devices):
-            add([S(1), S(0)], S(0), sharded=True)
-        return variants
-
-    if kind is OpKind.OPTIMIZER:
-        add([R, R], R, sharded=False)
-        for d in out_dims():
-            add([S(d), S(d)], S(d), sharded=True)
-        return variants
-
-    raise ValueError(f"no sharding rules defined for operator kind {kind!r} (node {node.name!r})")
-
-
-def _reshape_dim_map(
-    in_shape: Tuple[int, ...], out_shape: Tuple[int, ...]
-) -> List[Tuple[int, int]]:
-    """Pairs (input dim, output dim) along which a sharded reshape stays local.
-
-    A shard along an input dimension survives a local reshape when either the
-    dimension lies in the longest common prefix/suffix of the two shapes, or
-    it is the outermost dimension and the reshape only merges/splits leading
-    dimensions (e.g. ``[B, S, H] -> [B*S, H]`` or ``[B*h, S, d] ->
-    [B, h, S, d]``): the locally reshaped shards concatenate to the reshaped
-    reference tensor because the trailing "row" layout is unchanged.
-    """
-    pairs: List[Tuple[int, int]] = []
-    rin, rout = len(in_shape), len(out_shape)
-    # common prefix
-    prefix = 0
-    while prefix < min(rin, rout) and in_shape[prefix] == out_shape[prefix]:
-        prefix += 1
-    for d in range(prefix):
-        pairs.append((d, d))
-    # common suffix
-    suffix = 0
-    while (
-        suffix < min(rin, rout) - prefix
-        and in_shape[rin - 1 - suffix] == out_shape[rout - 1 - suffix]
-    ):
-        suffix += 1
-    for k in range(suffix):
-        pairs.append((rin - 1 - k, rout - 1 - k))
-    # merging all leading input dims into output dim 0, or splitting input
-    # dim 0 into several leading output dims
-    if rout < rin and suffix >= rout - 1:
-        pairs.append((0, 0))
-    if rout > rin and suffix >= rin - 1:
-        pairs.append((0, 0))
-    return sorted(set(pairs))
-
-
-def source_variants(
-    node: Node, cfg: SynthesisConfig, num_devices: int
-) -> List[DistState]:
-    """Distribution states a source node can be created in."""
-    states: List[DistState] = []
-    if node.op == "constant":
-        return [R]
-    if cfg.force_data_parallel:
-        # Baseline emulation: placeholders are always sharded along the batch
-        # dimension, parameters are replicated (except expert parameters when
-        # expert parallelism is requested, as in DeepSpeed-MoE).
-        if node.op == "placeholder":
-            if node.spec.rank and node.spec.shape[0] >= max(MIN_SHARD_DIM_SIZE, num_devices):
-                return [S(0)]
-            return [R]
-        if cfg.expert_parallel_parameters and node.spec.rank == 3:
-            return [S(0)]
-        return [R]
-    for d, size in enumerate(node.spec.shape):
-        if size >= max(MIN_SHARD_DIM_SIZE, num_devices):
-            states.append(S(d))
-    if cfg.enable_replicated_sources or not states:
-        states.append(R)
-    return states
-
-
-# ---------------------------------------------------------------------------
-# MoE capacity-tensor taint
-# ---------------------------------------------------------------------------
-
-def moe_restricted_refs(graph: ComputationGraph) -> FrozenSet[str]:
-    """Reference tensors that live in the MoE expert-capacity layout.
-
-    The outputs of ``moe_dispatch``/``moe_combine_grad`` hold one row per
-    *capacity slot*, and slots are assigned by device-local routing when the
-    tokens are sharded.  Any tensor that still carries that capacity dimension
-    (tracked positionally through transposes, element-wise ops and batched
-    matmuls) may only be re-distributed with All-To-All — gathering it to a
-    "replicated" tensor would not reproduce the reference value.  Tensors that
-    contract the capacity dimension away (e.g. expert weight gradients) leave
-    the restricted set and can be all-reduced normally.
-    """
-    capacity_dim: Dict[str, int] = {}
-    for node in graph:
-        if node.op in ("moe_dispatch", "moe_combine_grad"):
-            capacity_dim[node.name] = 1
-            continue
-        if node.op in ("moe_combine", "moe_dispatch_grad"):
-            continue
-        tainted_inputs = [(inp, capacity_dim[inp]) for inp in node.inputs if inp in capacity_dim]
-        if not tainted_inputs:
-            continue
-        dim = _propagate_capacity_dim(node, graph, dict(tainted_inputs))
-        if dim is not None:
-            capacity_dim[node.name] = dim
-    return frozenset(capacity_dim)
-
-
-def _propagate_capacity_dim(
-    node: Node, graph: ComputationGraph, tainted: Dict[str, int]
-) -> Optional[int]:
-    """Position of the capacity dimension in a node's output, if it survives."""
-    kind = node.kind
-    first_ref, first_dim = next(iter(tainted.items()))
-    if kind is OpKind.TRANSPOSE:
-        perm = tuple(int(p) for p in node.attrs["perm"])
-        return perm.index(first_dim) if first_dim in perm else None
-    if kind in (OpKind.ELEMENTWISE, OpKind.BROADCAST_BIAS, OpKind.NORMALIZATION):
-        return first_dim
-    if kind is OpKind.MATMUL:
-        a_name, b_name = node.inputs
-        a, b = graph.input_specs(node)
-        if a.rank == 3 and b.rank == 3:
-            if a_name in tainted:
-                dim = tainted[a_name]
-                if dim == 1:
-                    return 1  # rows survive as output dim 1
-                return None  # capacity was the contracted dimension
-            if b_name in tainted:
-                dim = tainted[b_name]
-                if dim == 2:
-                    return 2
-                return None
-        return None
-    if kind in (OpKind.RESHAPE, OpKind.FLATTEN):
-        for din, dout in _reshape_dim_map(graph.input_specs(node)[0].shape, node.spec.shape):
-            if din == first_dim:
-                return dout
-        return None
-    # Reductions and other contractions drop the capacity layout.
-    return None
-
-
-# ---------------------------------------------------------------------------
 # theory construction
 # ---------------------------------------------------------------------------
 
-#: A rule before its masks are known: (pre, instructions, post, completes,
-#: communicates), over interned properties.
-_RuleParts = Tuple[
-    FrozenSet[Property],
-    Tuple[Instruction, ...],
-    FrozenSet[Property],
-    FrozenSet[str],
-    FrozenSet[str],
-]
+class _CompCandidate(NamedTuple):
+    """A computation rule before the fixpoint, over interned properties."""
+
+    node: Node
+    completes: FrozenSet[str]
+    flops_sharded: bool
+    inputs: Tuple[Property, ...]
+    output: Property
+    #: the first-use sources the rule creates, in input order
+    fused: Tuple[Property, ...]
+    pre: FrozenSet[Property]
+
+
+#: The collectives of one conversion: (kind, dim, dim2, counts as communication).
+_Collective = Tuple[CollectiveKind, Optional[int], Optional[int], bool]
 _NO_REFS: FrozenSet[str] = frozenset()
 
 
@@ -573,10 +252,12 @@ def build_theory(
     group's intra-machine data parallelism is priced by the cost model, not
     by the theory.
 
-    The build is one pass.  Each (ref, state) property is interned on first
-    use, and each instruction is built once over interned properties.  Once
-    every rule's parts are known, the property index is sorted and each
-    :class:`Rule` is built exactly once with its masks.
+    The build has three steps.  It enumerates the candidate rules as
+    (ref, state) pairs, each property interned on first use.  An order-free
+    reachability fixpoint (:func:`fireable_rules`) then keeps the candidates
+    that can fire.  Last, the kept properties get their bits
+    (:func:`_assign_bits`) and each kept rule is built exactly once, with
+    its masks, into the theory's indexes.
 
     Args:
         graph: single-device training graph (forward + backward + updates).
@@ -584,8 +265,9 @@ def build_theory(
         config: synthesizer configuration (defaults to full HAP).
 
     Returns:
-        A :class:`Theory` containing the computation rules, each with its
-        node's first-use sources fused in, and the communication rules.
+        A :class:`Theory` containing the fireable computation rules, each
+        with its node's first-use sources fused in, and the fireable
+        communication rules.
     """
     cfg = config or SynthesisConfig()
     graph.validate()
@@ -600,7 +282,7 @@ def build_theory(
             )
 
     # Every (ref, state) property is built once: rules and instructions share
-    # one object per value, the one at its bit in the property index.
+    # one object per value, the one at its index in the property index.
     pool: Dict[Tuple[str, DistState], Property] = {}
 
     def prop(ref: str, state: DistState) -> Property:
@@ -609,9 +291,19 @@ def build_theory(
             found = pool[(ref, state)] = Property(ref, state)
         return found
 
+    # One shared one-element set per property: every rule whose pre- or
+    # postcondition is that one property holds it.
+    singletons: Dict[Property, FrozenSet[Property]] = {}
+
+    def one(p: Property) -> FrozenSet[Property]:
+        found = singletons.get(p)
+        if found is None:
+            found = singletons[p] = frozenset((p,))
+        return found
+
     # 1. computation rules, each source fused into its first consumer
     #    (search-time optimisation #1) ----------------------------------------
-    comp_rules: List[_RuleParts] = []
+    comp: List[_CompCandidate] = []
     produced: Dict[str, Set[DistState]] = {name: set() for name in graph.node_names}
     wanted: Dict[str, Set[DistState]] = {name: set() for name in graph.node_names}
 
@@ -627,45 +319,31 @@ def build_theory(
         completes = frozenset((node.name, *fused_refs))
         for variant in variants:
             inputs = tuple(map(prop, node.inputs, variant.input_states))
-            out_prop = prop(node.name, variant.output_state)
             produced[node.name].add(variant.output_state)
             for inp, state in zip(node.inputs, variant.input_states):
                 wanted[inp].add(state)
             # The variant's first-use sources, in input order.  No rule
             # establishes a source property, so a variant wanting one in a
             # state the source cannot be created in can never fire.
-            fused = [p for p in dict.fromkeys(inputs) if p.ref in fused_refs]
+            fused = tuple(p for p in dict.fromkeys(inputs) if p.ref in fused_refs)
             if any(p.state not in source_states[p.ref] for p in fused):
                 continue
-            creates = tuple(
-                CompInstruction(
-                    node=p.ref,
-                    op=graph[p.ref].op,
-                    inputs=(),
-                    output=p,
-                    flops_sharded=p.state.is_sharded,
-                )
-                for p in fused
-            )
-            instr = CompInstruction(
-                node=node.name,
-                op=node.op,
-                inputs=inputs,
-                output=out_prop,
-                flops_sharded=variant.flops_sharded,
-            )
-            comp_rules.append(
-                (
-                    frozenset(inputs).difference(fused),
-                    creates + (instr,),
-                    frozenset((*fused, out_prop)),
+            pre = frozenset(inputs).difference(fused)
+            comp.append(
+                _CompCandidate(
+                    node,
                     completes,
-                    _NO_REFS,
+                    variant.flops_sharded,
+                    inputs,
+                    prop(node.name, variant.output_state),
+                    fused,
+                    one(*pre) if len(pre) == 1 else pre,
                 )
             )
 
-    # 2. communication rules -----------------------------------------------------
-    comm_rules: List[_RuleParts] = []
+    # 2. communication rules: conversions from a state some rule produces to
+    #    a state some rule wants -------------------------------------------------
+    conversions: List[Tuple[Property, Property, Tuple[_Collective, ...]]] = []
     for node in graph:
         name = node.name
         if node.kind is OpKind.SOURCE:
@@ -673,17 +351,110 @@ def build_theory(
         # Sorted, not set order: a set of states iterates in hash-seed order,
         # and rule order is the search's candidate order.
         targets = sorted(wanted[name], key=lambda st: st.sort_key)
-        sources = sorted(produced[name], key=lambda st: st.sort_key)
-        if not sources or not targets:
-            continue
-        for src in sources:
+        for src in sorted(produced[name], key=lambda st: st.sort_key):
             for dst in targets:
-                if src == dst:
+                if src is dst:
                     continue
-                comm_rules.extend(_comm_rules_for(name, src, dst, cfg, name in restricted, prop))
+                collectives = _collectives(src, dst, cfg, name in restricted)
+                if collectives:
+                    conversions.append((prop(name, src), prop(name, dst), collectives))
 
-    rules, props = _index_rules(graph, comp_rules + comm_rules, pool.values())
-    return Theory(graph, num_devices, cfg, rules, restricted, props)
+    # 3. keep what can fire, assign bits, build each kept rule once ------------
+    fires, reached = fireable_rules(
+        [c.pre for c in comp] + [(src,) for src, _, _ in conversions],
+        [(*c.fused, c.output) for c in comp] + [(dst,) for _, dst, _ in conversions],
+    )
+    position = {name: i for i, name in enumerate(graph.node_names)}
+    props = tuple(sorted(reached, key=lambda p: (position[p.ref], p.state.sort_key)))
+    lifetimes = ref_lifetimes(graph)
+    bits = _assign_bits(props, lifetimes, position)
+
+    def mask(properties: Iterable[Property]) -> int:
+        out = 0
+        for p in properties:
+            out |= bits[p]
+        return out
+
+    rules: List[Rule] = []
+    comp_rules_by_node: Dict[str, List[Rule]] = {}
+    for (node, completes, flops_sharded, inputs, out_prop, fused, pre), fired in zip(comp, fires):
+        if not fired:
+            continue
+        creates = tuple(
+            CompInstruction(
+                node=p.ref,
+                op=graph[p.ref].op,
+                inputs=(),
+                output=p,
+                flops_sharded=p.state.is_sharded,
+            )
+            for p in fused
+        )
+        instr = CompInstruction(
+            node=node.name,
+            op=node.op,
+            inputs=inputs,
+            output=out_prop,
+            flops_sharded=flops_sharded,
+        )
+        post = frozenset((*fused, out_prop)) if fused else one(out_prop)
+        rule = Rule(
+            pre=pre,
+            instructions=creates + (instr,),
+            post=post,
+            completes=completes,
+            communicates=_NO_REFS,
+            pre_mask=mask(pre),
+            post_mask=mask(post),
+        )
+        rules.append(rule)
+        comp_rules_by_node.setdefault(node.name, []).append(rule)
+
+    prop_index = {p: i for i, p in enumerate(props)}
+    comm_rules_by_ref: Dict[str, List[Rule]] = {}
+    comm_rules_by_post: Dict[int, List[Rule]] = {}
+    for (pin, pout, collectives), fired in zip(conversions, fires[len(comp) :]):
+        if not fired:
+            continue
+        ref = pin.ref
+        pre, post = one(pin), one(pout)
+        by_ref = comm_rules_by_ref.get(ref)
+        if by_ref is None:
+            # The conversions of one ref are contiguous: its one-element set
+            # and its bit, shared by its rules, are made once, here.
+            by_ref = comm_rules_by_ref[ref] = []
+            refs, ref_bit = frozenset((ref,)), 1 << position[ref]
+        by_post = comm_rules_by_post.setdefault(prop_index[pout], [])
+        for kind, dim, dim2, counts in collectives:
+            rule = Rule(
+                pre=pre,
+                instructions=(
+                    CommInstruction(kind=kind, input=pin, output=pout, dim=dim, dim2=dim2),
+                ),
+                post=post,
+                completes=_NO_REFS,
+                communicates=refs if counts else _NO_REFS,
+                pre_mask=bits[pin],
+                post_mask=bits[pout],
+                comm_mask=ref_bit if counts else 0,
+            )
+            rules.append(rule)
+            by_ref.append(rule)
+            by_post.append(rule)
+
+    return Theory(
+        graph,
+        num_devices,
+        cfg,
+        rules,
+        restricted,
+        props,
+        bits,
+        lifetimes,
+        comp_rules_by_node,
+        comm_rules_by_ref,
+        comm_rules_by_post,
+    )
 
 
 def first_use_sources(graph: ComputationGraph) -> Dict[str, FrozenSet[str]]:
@@ -707,89 +478,137 @@ def first_use_sources(graph: ComputationGraph) -> Dict[str, FrozenSet[str]]:
     return out
 
 
-def _index_rules(
-    graph: ComputationGraph, parts: List[_RuleParts], pool: Iterable[Property]
-) -> Tuple[List[Rule], Tuple[Property, ...]]:
-    """Order the property index and build each rule once, with its masks.
+def fireable_rules(
+    pres: Sequence[Collection[Hashable]], posts: Sequence[Collection[Hashable]]
+) -> Tuple[List[bool], Set[Hashable]]:
+    """The order-free reachability fixpoint over rules given as
+    ``(pres[i], posts[i])``, each a collection of distinct properties.
 
-    ``pool`` holds exactly the (interned) properties the parts mention.
-    Returns the rules, in ``parts`` order, and the property index: every
-    property of a pre- or postcondition, ordered by the ref's graph
-    position, then state kind, then dim.
+    Starting from no properties, a rule fires once every property of its
+    precondition has been established by a fired rule, and then establishes
+    its postcondition.  Topological order and the one-communication-per-ref
+    budget are ignored, so the fixpoint over-approximates what any program
+    can reach: a rule it leaves unfired is on no search path.  Returns, per
+    rule, whether it fires, and the set of established properties.  Linear
+    in the rules' total size: each rule counts its missing preconditions.
     """
-    position = {name: i for i, name in enumerate(graph.node_names)}
-    props = tuple(sorted(pool, key=lambda p: (position[p.ref], p.state.sort_key)))
-    # Keyed by identity: every property is interned, and id() is far cheaper
-    # than Property.__hash__.  A mask is the sum of distinct bits, which
-    # equals their OR.
-    bit_of = {id(p): 1 << i for i, p in enumerate(props)}.__getitem__
-    rules = [
-        Rule(
-            pre=pre,
-            instructions=instructions,
-            post=post,
-            completes=completes,
-            communicates=communicates,
-            pre_mask=sum(map(bit_of, map(id, pre))),
-            post_mask=sum(map(bit_of, map(id, post))),
-            comm_mask=sum(1 << position[ref] for ref in communicates),
-        )
-        for pre, instructions, post, completes, communicates in parts
-    ]
-    return rules, props
+    waiting: Dict[Hashable, List[int]] = {}
+    missing = [len(pre) for pre in pres]
+    ready = [i for i, count in enumerate(missing) if not count]
+    for i, pre in enumerate(pres):
+        for p in pre:
+            waiting.setdefault(p, []).append(i)
+    fires = [False] * len(pres)
+    reached: Set[Hashable] = set()
+    while ready:
+        i = ready.pop()
+        fires[i] = True
+        for p in posts[i]:
+            if p in reached:
+                continue
+            reached.add(p)
+            for j in waiting.get(p, ()):
+                missing[j] -= 1
+                if not missing[j]:
+                    ready.append(j)
+    return fires, reached
 
 
-def _comm_rules_for(
-    ref: str,
-    src: DistState,
-    dst: DistState,
-    cfg: SynthesisConfig,
-    restricted: bool,
-    prop: Callable[[str, DistState], Property],
-) -> List[_RuleParts]:
-    """Communication rules converting ``ref`` from state ``src`` to ``dst``.
+def ref_lifetimes(graph: ComputationGraph) -> Dict[str, Tuple[int, int]]:
+    """Each ref's lifetime ``(birth, death)`` in topological levels.
 
-    ``prop`` interns a property; it is called only when a rule is made, so
-    the pool holds no property that no rule mentions.
+    Level ``k`` emulates the ``k``-th computation node in graph order (the
+    searches' order).  A ref is born at its producer's level; a source, at
+    its first consumer's, which creates it.  It dies at its last consumer's
+    level, or at its own for a program output nothing consumes.  A non-output
+    ref nothing consumes never dies: its death is the number of levels.  A
+    source nothing consumes is never created and has no lifetime.
+
+    The liveness drop clears a ref's properties at its death level, so they
+    are in use over the closed interval ``[birth, death]``.
     """
-    rules: List[_RuleParts] = []
+    levels: Dict[str, int] = {}
+    births: Dict[str, int] = {}
+    deaths: Dict[str, int] = {}
+    for node in graph:
+        if node.kind is OpKind.SOURCE:
+            continue
+        level = levels[node.name] = births[node.name] = len(levels)
+        for inp in node.inputs:
+            births.setdefault(inp, level)
+            deaths[inp] = level
+    outputs = set(graph.outputs)
+    never = len(levels)
+    return {
+        name: (birth, deaths.get(name, birth if name in outputs else never))
+        for name, birth in births.items()
+    }
 
-    def make(
-        kind: CollectiveKind,
-        dim: Optional[int] = None,
-        dim2: Optional[int] = None,
-        counts_as_communication: bool = True,
-    ) -> _RuleParts:
-        pin, pout = prop(ref, src), prop(ref, dst)
-        instr = CommInstruction(kind=kind, input=pin, output=pout, dim=dim, dim2=dim2)
-        return (
-            frozenset((pin,)),
-            (instr,),
-            frozenset((pout,)),
-            _NO_REFS,
-            frozenset((ref,)) if counts_as_communication else _NO_REFS,
-        )
 
+def _assign_bits(
+    props: Sequence[Property],
+    lifetimes: Dict[str, Tuple[int, int]],
+    position: Dict[str, int],
+) -> Dict[Property, int]:
+    """One bit per property, recycled over ref lifetimes.
+
+    Interval colouring: refs are taken in order of birth, ties broken by
+    graph position (never by name); every ref whose death level lies before
+    the birth frees its slots, and each of the ref's properties (in
+    ``props`` order) takes the lowest free slot.  Greedy colouring of
+    intervals is optimal, so the width is the largest number of properties
+    live at one level.  Returns one shared ``int`` per property.
+    """
+    by_ref: Dict[str, List[Property]] = {}
+    for p in props:
+        by_ref.setdefault(p.ref, []).append(p)
+    free: List[int] = []
+    dying: List[Tuple[int, int, List[int]]] = []
+    slot_bits: List[int] = []
+    bits: Dict[Property, int] = {}
+    for ref in sorted(by_ref, key=lambda r: (lifetimes[r][0], position[r])):
+        birth, death = lifetimes[ref]
+        while dying and dying[0][0] < birth:
+            for slot in heapq.heappop(dying)[2]:
+                heapq.heappush(free, slot)
+        slots = []
+        for p in by_ref[ref]:
+            if free:
+                slot = heapq.heappop(free)
+            else:
+                slot = len(slot_bits)
+                slot_bits.append(1 << slot)
+            slots.append(slot)
+            bits[p] = slot_bits[slot]
+        heapq.heappush(dying, (death, position[ref], slots))
+    return bits
+
+
+def _collectives(
+    src: DistState, dst: DistState, cfg: SynthesisConfig, restricted: bool
+) -> Tuple[_Collective, ...]:
+    """The collectives converting a tensor from state ``src`` to ``dst``,
+    each ``(kind, dim, dim2, counts as communication)``."""
     if restricted:
         if src.is_sharded and dst.is_sharded and src.dim != dst.dim:
-            rules.append(make(CollectiveKind.ALL_TO_ALL, dim=src.dim, dim2=dst.dim))
-        return rules
-
+            return ((CollectiveKind.ALL_TO_ALL, src.dim, dst.dim, True),)
+        return ()
     if src.is_partial and dst.is_replicated:
-        rules.append(make(CollectiveKind.ALL_REDUCE))
-    elif src.is_partial and dst.is_sharded:
-        rules.append(make(CollectiveKind.REDUCE_SCATTER, dim=dst.dim))
-    elif src.is_sharded and dst.is_replicated:
-        rules.append(make(CollectiveKind.ALL_GATHER, dim=src.dim))
+        return ((CollectiveKind.ALL_REDUCE, None, None, True),)
+    if src.is_partial and dst.is_sharded:
+        return ((CollectiveKind.REDUCE_SCATTER, dst.dim, None, True),)
+    if src.is_sharded and dst.is_replicated:
         if cfg.enable_grouped_all_gather:
-            rules.append(make(CollectiveKind.ALL_GATHER_GROUPED, dim=src.dim))
-    elif src.is_sharded and dst.is_sharded and src.dim != dst.dim:
-        rules.append(make(CollectiveKind.ALL_TO_ALL, dim=src.dim, dim2=dst.dim))
-    elif src.is_replicated and dst.is_sharded:
+            return (
+                (CollectiveKind.ALL_GATHER, src.dim, None, True),
+                (CollectiveKind.ALL_GATHER_GROUPED, src.dim, None, True),
+            )
+        return ((CollectiveKind.ALL_GATHER, src.dim, None, True),)
+    if src.is_sharded and dst.is_sharded and src.dim != dst.dim:
+        return ((CollectiveKind.ALL_TO_ALL, src.dim, dst.dim, True),)
+    if src.is_replicated and dst.is_sharded:
         # Each device keeps only its own slice of the replicated tensor; this
         # involves no network traffic and does not count against the
         # one-communication-per-tensor budget.
-        rules.append(
-            make(CollectiveKind.SLICE, dim=dst.dim, counts_as_communication=False)
-        )
-    return rules
+        return ((CollectiveKind.SLICE, dst.dim, None, False),)
+    return ()

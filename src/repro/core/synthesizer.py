@@ -9,13 +9,15 @@ that establish the variant's missing preconditions.
 A partial program is represented by its *search state*: the set of live
 properties and the set of communicated tensors at a topological position,
 plus the cost bookkeeping of the stage currently being filled.  The two sets
-are machine ints — bit masks over the theory's property index and over graph
+are machine ints — bit masks over the theory's property bits and over graph
 positions — so a union is ``|``, a precondition check is
-``pre & bits == pre`` and a state key is ``(pbits, cbits)``.  The set of
-emulated nodes is not part of the state: every source is created by its
-first consumer, so all states at one position have emulated the same nodes,
-and a beam level computes that set, its ideal time and its liveness drop
-once.
+``pre & bits == pre`` and a state key is ``(pbits, cbits)``.  Property bits
+are recycled over ref lifetimes (:attr:`~repro.core.rules.Theory.lifetimes`),
+so a ``pbits`` mask is unambiguous among the states of one position, the
+only states a key compares.  The set of emulated nodes is not part of the
+state: every source is created by its first consumer, so all states at one
+position have emulated the same nodes, and a beam level computes that set,
+its ideal time and its liveness drop once.
 
 * The beam search is the planner's search.  It expands every node of the
   order in turn and keeps the ``beam_width`` cheapest states per node.
@@ -36,7 +38,8 @@ Both apply the paper's three search-time optimisations:
 2. every reference tensor may be communicated at most once, and placeholders /
    parameters are never communicated (they are created already sharded);
 3. properties of tensors whose consumers have all been emulated are dropped,
-   which lets the dominance check merge many more states.
+   which lets the dominance check merge many more states.  The drop reads
+   the theory's lifetime table, the one that recycles the dropped bits.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import itertools
 import time as _time
 from dataclasses import dataclass
 from operator import add
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..cluster.spec import ClusterSpec
 from ..graph.graph import ComputationGraph
@@ -193,8 +196,10 @@ class _SearchNode:
     Its state is ``(pbits, cbits)`` at topological position ``topo_ptr``,
     plus the cost bookkeeping:
 
-    * ``pbits``: the live properties, a bit mask over the theory's property
-      index (:attr:`Theory.props`);
+    * ``pbits``: the live properties, the OR of their bits
+      (:attr:`Theory.prop_bits`); bits are recycled over ref lifetimes, so
+      only properties live at ``topo_ptr`` own the set bits
+      (:meth:`Theory.decode`);
     * ``cbits``: the communicated reference tensors, bits at their
       ``graph.node_names`` positions.
 
@@ -203,9 +208,9 @@ class _SearchNode:
     at one position holds the same values, and a beam level's survivors
     share one ``completed`` int.  The beam dedupes a level's children on
     ``(pbits, cbits)``; A* keys its dominance check on
-    ``(pbits, cbits, topo_ptr)``.  Bit order never orders the search:
-    candidates are visited in rule and precondition order, whatever bits
-    they own.
+    ``(pbits, cbits, topo_ptr)``: both compare states of one position only.
+    Bit order never orders the search: candidates are visited in rule and
+    precondition order, whatever bits they own.
 
     Both searches also make parent-only lineage nodes (:meth:`link`),
     which set just ``parent`` and ``rule``: one per enabling collective of
@@ -294,8 +299,6 @@ class ProgramSynthesizer:
         self.theory = theory or build_theory(graph, cluster.num_devices, self.config)
         self.cost_model = cost_model or CostModel(graph, cluster)
         self._node_index = {name: i for i, name in enumerate(graph.node_names)}
-        self._consumers = graph.consumers()
-        self._outputs = set(graph.outputs)
         self._output_mask = 0
         for name in graph.outputs:
             self._output_mask |= 1 << self._node_index[name]
@@ -311,19 +314,17 @@ class ProgramSynthesizer:
         #: all-zero open-stage vector of the root and of collectives' plans.
         self._zero_stage: Tuple[float, ...] = (0.0,) * cluster.num_devices
         # -- hot-path indexes: state-independent quantities precomputed once ---
-        #: ref -> (consumer bitmask, participates-in-liveness flag).
-        self._liveness_mask: Dict[str, Tuple[int, bool]] = {}
-        #: node -> (completion mask, ideal time, liveness drops) of its level.
-        self._node_static_cache: Dict[str, Tuple[int, float, Tuple[Tuple[int, int], ...]]] = {}
+        #: per topological level, the property bits of the refs that die
+        #: there: the theory's lifetime table, which also recycles the bits.
+        self._drops = [0] * (len(self._topo_order) + 1)
+        ref_masks = self.theory.ref_masks
+        for ref, (_, death) in self.theory.lifetimes.items():
+            self._drops[death] |= ref_masks.get(ref, 0)
+        #: node -> (completion mask, ideal time) of its level.
+        self._node_static_cache: Dict[str, Tuple[int, float]] = {}
         #: id(rule) -> compiled cost plan (cleared whenever the ratios
         #: change, since the cost plans depend on them).
         self._rule_plans: Dict[int, _CostPlan] = {}
-        for name in graph.node_names:
-            consumers = self._consumers.get(name, [])
-            mask = 0
-            for consumer in consumers:
-                mask |= 1 << self._node_index[consumer]
-            self._liveness_mask[name] = (mask, bool(consumers) or name in self._outputs)
         # -- per-search caches -------------------------------------------------
         #: the ratios the runtime cache's cost plans were built for.
         self._plan_ratios: Optional[Tuple[float, ...]] = None
@@ -373,31 +374,19 @@ class ProgramSynthesizer:
             self._rule_plans[id(rule)] = plan
         return plan
 
-    def _node_static(self, node_name: str) -> Tuple[int, float, Tuple[Tuple[int, int], ...]]:
+    def _node_static(self, node_name: str) -> Tuple[int, float]:
         """State-independent quantities of the level that emulates a node.
 
         Every rule of the node completes the same nodes: the node and the
-        sources it consumes first.  Returns their bitmask, the node's ideal
-        time (a source's is zero), and the liveness drops: per reference
-        tensor whose liveness may change at this level, ``(consumer mask,
-        property mask)`` — once every consumer is completed, the ref's
-        property bits leave the state.
+        sources it consumes first.  Returns their bitmask and the node's
+        ideal time (a source's is zero).
         """
         info = self._node_static_cache.get(node_name)
         if info is None:
             mask = 0
-            dead_candidates: Set[str] = set()
             for name in self.theory.comp_rules_by_node[node_name][0].completes:
                 mask |= 1 << self._node_index[name]
-                dead_candidates.update(self.graph[name].inputs)
-                dead_candidates.add(name)
-            drops = []
-            for ref in dead_candidates:
-                consumers, relevant = self._liveness_mask[ref]
-                prop_mask = self.theory.ref_masks.get(ref, 0)
-                if relevant and prop_mask:
-                    drops.append((consumers, prop_mask))
-            info = (mask, self._ideal(node_name), tuple(drops))
+            info = (mask, self._ideal(node_name))
             self._node_static_cache[node_name] = info
         return info
 
@@ -581,7 +570,7 @@ class ProgramSynthesizer:
             rules = memo[node_name] = [
                 (rule, *self._expansion_scope(rule), {}) for rule in comp_rules
             ]
-        mask, delta, drops = self._node_static(node_name)
+        mask, delta = self._node_static(node_name)
         first = states[0]
         completed = first.completed | mask
         level = (completed, first.completed_ideal + delta, first.topo_ptr + 1)
@@ -590,12 +579,9 @@ class ProgramSynthesizer:
         # with no consumers (updated parameters, the loss) leave it as well —
         # the completion bitmask tracks them, and dropping them lets the
         # dominance checks merge programs that made different (already
-        # paid-for) choices for earlier parts of the model.
-        drop = 0
-        for consumers, prop_mask in drops:
-            if completed & consumers == consumers:
-                drop |= prop_mask
-        keep = ~drop
+        # paid-for) choices for earlier parts of the model.  Their bits are
+        # then free for the refs born at later levels.
+        keep = ~self._drops[first.topo_ptr]
         children: List[Tuple] = []
         append = children.append
         chains_of = self._chains
@@ -704,7 +690,8 @@ class ProgramSynthesizer:
 
     def _ordered_pre(self, rule: Rule) -> Tuple[Tuple[int, int], ...]:
         """A rule's preconditions as ``(property index, bit)`` pairs, in a
-        deterministic, name-independent order.
+        deterministic, name-independent order; the index is
+        :attr:`Theory.prop_index`'s, the key of ``comm_rules_by_post``.
 
         ``rule.pre`` is a frozenset, whose iteration order depends on the hash
         values of the reference names; enumerating missing preconditions in
@@ -733,9 +720,9 @@ class ProgramSynthesizer:
                     ),
                 )
                 ordered.extend(leftover)
-            bits = self.theory.prop_bits
+            index, bits = self.theory.prop_index, self.theory.prop_bits
             entry = self._pre_order_cache[id(rule)] = tuple(
-                (bits[p].bit_length() - 1, bits[p]) for p in ordered
+                (index[p], bits[p]) for p in ordered
             )
         return entry
 

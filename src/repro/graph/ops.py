@@ -5,8 +5,8 @@ bundles:
 
 * shape inference (``infer``),
 * a floating-point-operation estimate (``flops``) used by the cost model, and
-* an :class:`OpKind` category consumed by the HAP rule generator
-  (:mod:`repro.core.rules`) to derive sharding semantics.
+* an :class:`OpKind` category consumed by the HAP sharding-variant tables
+  (:mod:`repro.core.variants`) to derive sharding semantics.
 
 The numpy kernels that execute the operators belong to the runtime
 (:mod:`repro.runtime.kernels`), so the IR and everything that plans over it

@@ -39,7 +39,7 @@ from ..core.costmodel import CostModel
 from ..core.instructions import CommInstruction, CompInstruction, is_source_op
 from ..core.program import DistributedProgram
 from ..core.properties import Property
-from ..core.rules import moe_restricted_refs
+from ..core.variants import moe_restricted_refs
 from .base import Diagnostic, Severity, VerificationReport, VerifierPass, run_passes
 
 #: Relative tolerance of the P008 cost cross-check.  The cost model and the

@@ -1,13 +1,17 @@
 """Tests for the background theory: properties, sharding variants, Hoare rules."""
 
+import re
+
 import pytest
 
 from repro.autodiff import build_training_graph
 from repro.collectives import CollectiveKind
 from repro.core import (
     DistState,
+    ProgramSynthesizer,
     StateKind,
     SynthesisConfig,
+    SynthesisError,
     build_theory,
     moe_restricted_refs,
     node_variants,
@@ -15,12 +19,13 @@ from repro.core import (
     replicated,
     sharded,
 )
-from repro.core.rules import _reshape_dim_map, source_variants
+from repro.core.rules import fireable_rules
+from repro.core.variants import Variant, _reshape_dim_map, source_variants
 from repro.graph import DType, GraphBuilder
 from repro.graph.ops import OpKind
 from repro.models import build_tiny_model
 
-from .conftest import build_mlp, build_tiny_moe, build_tiny_transformer
+from .conftest import build_mlp, build_tiny_moe, build_tiny_transformer, make_cluster
 
 
 class TestProperties:
@@ -28,6 +33,13 @@ class TestProperties:
         assert DistState.replicated().is_replicated
         assert DistState.partial().is_partial
         assert DistState.sharded(1).dim == 1
+
+    def test_state_constructors_return_one_object_per_value(self):
+        assert DistState.replicated() is DistState.replicated()
+        assert DistState.partial() is DistState.partial()
+        assert DistState.sharded(1) is DistState.sharded(1)
+        assert DistState.sharded(0) is not DistState.sharded(1)
+        assert DistState.sharded(2) == DistState(StateKind.SHARDED, 2)
 
     def test_invalid_states(self):
         with pytest.raises(ValueError):
@@ -323,3 +335,64 @@ class TestTheory:
                 for instr in rule.instructions:
                     if instr.is_communication and instr.input.ref == ref:
                         assert instr.kind is CollectiveKind.ALL_TO_ALL
+
+
+def _keep_all(pres, posts):
+    """A fixpoint that keeps every candidate: the theory before filtering."""
+    return [True] * len(pres), {p for sets in (pres, posts) for props in sets for p in props}
+
+
+@pytest.mark.parametrize("force_data_parallel", [False, True], ids=["hap", "data-parallel"])
+@pytest.mark.parametrize("num_devices", [1, 2, 4])
+@pytest.mark.parametrize(
+    "builder", [build_tiny_transformer, build_tiny_moe], ids=["tiny_transformer", "tiny_moe"]
+)
+class TestFireableRules:
+    def test_fixpoint_over_a_built_theory_removes_nothing(
+        self, builder, num_devices, force_data_parallel
+    ):
+        config = SynthesisConfig(force_data_parallel=force_data_parallel)
+        theory = build_theory(build_training_graph(builder()).graph, num_devices, config)
+        fires, reached = fireable_rules(
+            [r.pre for r in theory.rules], [r.post for r in theory.rules]
+        )
+        assert all(fires)
+        assert reached == set(theory.props)
+
+    def test_theory_is_the_candidates_filtered_to_fireable_rules(
+        self, builder, num_devices, force_data_parallel, monkeypatch
+    ):
+        """The kept rules are exactly the fireable candidates, in candidate
+        order."""
+        config = SynthesisConfig(force_data_parallel=force_data_parallel)
+        graph = build_training_graph(builder()).graph
+        theory = build_theory(graph, num_devices, config)
+        monkeypatch.setattr("repro.core.rules.fireable_rules", _keep_all)
+        candidates = build_theory(graph, num_devices, config).rules
+        fires, _ = fireable_rules([r.pre for r in candidates], [r.post for r in candidates])
+        assert [rule for rule, fired in zip(candidates, fires) if fired] == theory.rules
+        if num_devices > 1 or force_data_parallel:
+            assert len(theory.rules) < len(candidates)
+
+
+def test_node_with_no_fireable_rule_raises_naming_it(monkeypatch):
+    """A node whose every variant wants a property no rule establishes keeps
+    no rule, and synthesis fails at that node."""
+    b = GraphBuilder()
+    x = b.placeholder((8, 16), name="x")
+    y = b.relu(x)
+    z = b.relu(y)
+    b.output(b.relu(z))
+    graph = b.build()
+
+    def variants(node, *args):
+        if node.name == z:  # wants y partial, which nothing produces
+            return [Variant((DistState.partial(),), DistState.replicated(), False)]
+        return node_variants(node, *args)
+
+    monkeypatch.setattr("repro.core.rules.node_variants", variants)
+    theory = build_theory(graph, 2)
+    assert y in theory.comp_rules_by_node and z not in theory.comp_rules_by_node
+    cluster = make_cluster(("A100", "P100"))
+    with pytest.raises(SynthesisError, match=re.escape(repr(z))):
+        ProgramSynthesizer(graph, cluster, theory=theory).synthesize()
