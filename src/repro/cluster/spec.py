@@ -160,26 +160,19 @@ class ClusterSpec:
         num_groups: int,
         intra_group_network: Optional[NetworkSpec] = None,
     ) -> ClusterPartition:
-        """Split the machines into ``num_groups`` contiguous stage groups.
+        """Split the machines into ``num_groups`` groups of equal flops.
 
         The groups are contiguous slices of the machine list, balanced by
-        aggregate sustained flops (each group gets at least one machine).  The
-        cluster's own network is preserved as the *inter-group* link — the
-        link pipeline-parallel activations and gradients travel over — while
-        each group may optionally use a faster ``intra_group_network`` (the
-        common physical situation: fast links inside a rack, a slow shared
-        link between racks, which is exactly when pipelining over SPMD pays).
+        aggregate sustained flops before any model cut is known (each group
+        gets at least one machine): :meth:`split` at
+        :func:`_balanced_boundaries`.  This is where the hierarchical planner
+        starts; it then resizes the groups to the flops of the stages it cuts
+        (:meth:`~repro.core.hierarchical.HierarchicalPlanner._candidate_partition`).
 
         Args:
             num_groups: number of contiguous machine groups.
             intra_group_network: network model used *inside* every group;
                 defaults to the cluster's own (flat) network.
-
-        Every group is a plain :class:`ClusterSpec` over its machines: it
-        keeps this cluster's ``group_by_machine``,
-        ``memory_reserve_fraction`` and ``comm_overlap_efficiency``, so the
-        flat planner, cost model, simulator and SPMD runtime accept it
-        unchanged and price it at the same overlap.
 
         Returns:
             A :class:`ClusterPartition` with one :class:`ClusterSpec` per group.
@@ -189,7 +182,49 @@ class ClusterSpec:
                 f"num_groups must be in [1, {len(self.machines)}], got {num_groups}"
             )
         weights = [m.total_flops for m in self.machines]
-        boundaries = _balanced_boundaries(weights, num_groups)
+        return self.split(_balanced_boundaries(weights, num_groups), intra_group_network)
+
+    def split(
+        self,
+        boundaries: Sequence[int],
+        intra_group_network: Optional[NetworkSpec] = None,
+    ) -> ClusterPartition:
+        """Split the machines into contiguous groups ending at ``boundaries``.
+
+        Group ``i`` holds ``machines[boundaries[i - 1]:boundaries[i]]``
+        (group 0 starts at machine 0), so ``boundaries`` must increase
+        strictly, start above 0 and end at ``len(machines)``: every machine
+        lands in exactly one non-empty group.  The cluster's own network is
+        preserved as the *inter-group* link — the link pipeline-parallel
+        activations and gradients travel over — while each group may use a
+        faster ``intra_group_network`` (the common physical situation: fast
+        links inside a rack, a slow shared link between racks, which is
+        exactly when pipelining over SPMD pays).
+
+        Every group is a plain :class:`ClusterSpec` over its machines: it
+        keeps this cluster's ``group_by_machine``,
+        ``memory_reserve_fraction`` and ``comm_overlap_efficiency``, so the
+        flat planner, cost model, simulator and SPMD runtime accept it
+        unchanged and price it at the same overlap.
+
+        Raises:
+            ValueError: when ``boundaries`` is empty, does not increase
+                strictly, leaves a group empty or does not end at the last
+                machine.
+        """
+        n = len(self.machines)
+        boundaries = list(boundaries)
+        if not boundaries:
+            raise ValueError("boundaries must name at least one group")
+        if any(b <= a for a, b in zip([0] + boundaries, boundaries)):
+            raise ValueError(
+                f"boundaries must increase strictly from above 0 (no empty group), "
+                f"got {boundaries}"
+            )
+        if boundaries[-1] != n:
+            raise ValueError(
+                f"boundaries must end at the machine count {n}, got {boundaries}"
+            )
         groups: List[ClusterSpec] = []
         start = 0
         for idx, end in enumerate(boundaries):
@@ -258,7 +293,7 @@ class ClusterPartition:
         cluster: the partitioned cluster.
         groups: one :class:`ClusterSpec` per stage, in machine order, each
             carrying the partitioned cluster's overlap efficiency and memory
-            reserve (see :meth:`ClusterSpec.partition`).
+            reserve (see :meth:`ClusterSpec.split`).
         inter_group_network: the network activations/gradients cross between
             adjacent groups (the parent cluster's network, preserved).
     """

@@ -4,12 +4,19 @@ Flat HAP synthesizes one SPMD program spanning every device, which makes the
 slow inter-machine link carry the full gradient traffic on heterogeneous,
 bandwidth-constrained clusters.  The hierarchical planner instead
 
-1. partitions the cluster into contiguous machine groups
-   (:meth:`~repro.cluster.spec.ClusterSpec.partition`),
+1. splits the cluster into contiguous machine groups sized to the cut
+   (:meth:`HierarchicalPlanner._candidate_partition`): it starts at equal
+   group flops (:meth:`~repro.cluster.spec.ClusterSpec.partition`), cuts the
+   graph, moves to the contiguous split
+   (:meth:`~repro.cluster.spec.ClusterSpec.split`) that minimises
+   ``max_i stage_flops_i / group_flops_i`` and cuts again until a split
+   repeats, keeping the visited split with the lowest bottleneck — no
+   synthesis runs until the split is fixed,
 2. cuts the model into contiguous chunks balanced against each group's
    aggregate compute (:func:`~repro.graph.analysis.interleaved_pipeline_cut`
    — one chunk per stage normally, ``s * v`` round-robin chunks for the
-   interleaved schedule),
+   interleaved schedule); a cut with a piece that has no forward flops
+   drops that stage count like a cut with too few blocks,
 3. differentiates each chunk in isolation
    (:func:`~repro.autodiff.build_stage_training_graph`), and
 4. runs the *existing* flat :class:`~repro.core.pipeline.HAPPlanner` on every
@@ -42,6 +49,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 from dataclasses import dataclass, field
+from itertools import accumulate, combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..autodiff.backward import TrainingGraphInfo, build_stage_training_graph
@@ -487,6 +495,30 @@ def _divisors(n: int) -> List[int]:
     return small + large[::-1]
 
 
+def _is_shortfall(cut: PipelineCut, pieces: int) -> bool:
+    """True when ``cut`` cannot host ``pieces`` pipeline pieces.
+
+    Either the graph had too few splittable blocks for that many pieces, or
+    a piece of a multi-piece cut has no forward flops.  One piece is the
+    whole graph and always builds.
+    """
+    if cut.num_stages != pieces:
+        return True
+    return pieces > 1 and min(cut.stage_flops) <= 0
+
+
+def _bottleneck(
+    stage_flops: Sequence[float], machine_flops: Sequence[float], boundaries: Sequence[int]
+) -> float:
+    """``max_i stage_flops_i / group_flops_i`` of the split ending at ``boundaries``."""
+    worst = 0.0
+    start = 0
+    for flops, end in zip(stage_flops, boundaries):
+        worst = max(worst, flops / sum(machine_flops[start:end]))
+        start = end
+    return worst
+
+
 def _nearest_divisor(n: int, target: int) -> int:
     """The divisor of ``n`` closest to ``target`` (ties prefer the larger).
 
@@ -625,16 +657,18 @@ class HierarchicalPlanner:
     ) -> Optional[Tuple[PipelineCut, List[StagePlan]]]:
         """Cut ``s * num_chunks`` real chunks and plan each with flat HAP.
 
-        Returns ``None`` when the graph has too few splittable layer blocks
-        for that many contiguous pieces — the caller then drops the chunked
-        (or multi-stage) variant rather than falling back to a synthetic
-        equal-chunk model.
+        Returns ``None``, before any synthesis, when the cut falls short
+        (:func:`_is_shortfall`): the graph has too few splittable layer
+        blocks for that many contiguous pieces, or a piece computes nothing
+        and would cost a pipeline hop and a machine group for no work.  The
+        caller then drops the chunked (or multi-stage) variant rather than
+        falling back to a synthetic equal-chunk model.
         """
         s = partition.num_groups
         cut = interleaved_pipeline_cut(
             self.forward, partition.compute_ratios(), num_chunks
         )
-        if cut.num_stages != s * num_chunks:
+        if _is_shortfall(cut, s * num_chunks):
             return None
         chunk_plans: List[ChunkPlan] = []
         for k in range(cut.num_stages):
@@ -693,10 +727,43 @@ class HierarchicalPlanner:
         return cut, stages
 
     def _candidate_partition(self, num_stages: int) -> ClusterPartition:
-        # The intra-group network only applies to proper partitions: a single
-        # group is the whole cluster and still spans the slow flat network.
-        intra = self.config.intra_group_network if num_stages > 1 else None
-        return self.cluster.partition(num_stages, intra_group_network=intra)
+        """The contiguous machine split of one stage count, sized to its cut.
+
+        One stage is the whole cluster, which still spans the slow flat
+        network (the intra-group network applies to proper partitions only).
+        For ``s >= 2`` the split starts at equal group flops
+        (:meth:`~repro.cluster.spec.ClusterSpec.partition`) and alternates
+        without synthesis: cut the graph against the split's compute ratios,
+        then move to the contiguous split that minimises the cut's bottleneck
+        ``max_i stage_flops_i / group_flops_i``, ties going to the
+        lexicographically smallest boundaries.  It stops when a split repeats
+        and returns the visited split whose own cut has the lowest
+        bottleneck; a cut that :meth:`_build_stages` would drop counts as an
+        infinite bottleneck.
+        """
+        if num_stages == 1:
+            return self.cluster.partition(1)
+        intra = self.config.intra_group_network
+        machine_flops = [m.total_flops for m in self.cluster.machines]
+        n = len(machine_flops)
+        splits = [(*b, n) for b in combinations(range(1, n), num_stages - 1)]
+        partition = self.cluster.partition(num_stages, intra)
+        boundaries = tuple(accumulate(len(g.machines) for g in partition.groups))
+        # split -> bottleneck of its own cut, in visiting order.
+        visited: Dict[Tuple[int, ...], float] = {}
+        while boundaries not in visited:
+            partition = self.cluster.split(boundaries, intra)
+            cut = interleaved_pipeline_cut(self.forward, partition.compute_ratios(), 1)
+            if _is_shortfall(cut, num_stages):
+                visited[boundaries] = float("inf")
+                if cut.num_stages != num_stages:
+                    break  # too few blocks: no split can help
+            else:
+                visited[boundaries] = _bottleneck(cut.stage_flops, machine_flops, boundaries)
+            boundaries = min(
+                splits, key=lambda b, f=cut.stage_flops: _bottleneck(f, machine_flops, b)
+            )
+        return self.cluster.split(min(visited, key=visited.__getitem__), intra)
 
     def _candidate_variants(self, num_stages: int) -> List[int]:
         """Model-chunk counts some (schedule, microbatch) combo will consume.

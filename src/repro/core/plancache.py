@@ -98,7 +98,10 @@ from .properties import Property
 #: v10: ``HierarchicalPlan.overlap`` is derived from the plan's cluster
 #: instead of stored, and partition groups are plain ``ClusterSpec`` objects
 #: without parent links, so the pickled plan layout changed.
-CACHE_VERSION = 10
+#: v11: each stage count's machine split is sized to its cut instead of
+#: split by equal flops, so a v10 entry may hold a plan on a split the
+#: planner no longer picks.
+CACHE_VERSION = 11
 
 #: Configuration fields excluded from cache keys: the cache itself and the
 #: static-verifier flag (verification never changes the plan).

@@ -92,10 +92,10 @@ def hap_pipeline(
 ) -> HierarchicalPlan:
     """Plan hierarchical (pipeline-over-SPMD) training of ``model``.
 
-    Partitions the cluster into contiguous machine groups, cuts the model
-    into real chunks balanced against each group's compute (one per stage,
-    or ``s * num_model_chunks`` round-robin chunks for the interleaved
-    schedule), plans every chunk with flat HAP, and searches (stage count x
+    Splits the cluster into contiguous machine groups sized to the cut's
+    stage flops, cuts the model into real chunks balanced against each
+    group's compute (one per stage, or ``s * num_model_chunks`` round-robin
+    chunks for the interleaved schedule), plans every chunk with flat HAP, and searches (stage count x
     schedule x microbatch count x recomputation) for the cheapest
     memory-feasible iteration (1 stage = flat HAP).  The result can be
     executed with :func:`repro.runtime.run_hierarchical_plan` or simulated

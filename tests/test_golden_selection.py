@@ -4,9 +4,9 @@ A selection record is everything ``hap_pipeline`` weighed when it chose a
 plan: the estimated time of every stage count (``candidate_times``) and of
 every (stage count, schedule, microbatches, recompute) combination
 (``schedule_candidate_times``), both as ``float.hex`` so the comparison is
-bit-exact, plus the winner's schedule name, stage and microbatch counts and
-memory verdict.  Refactors of the theory, the synthesizer or the schedule
-search must leave these records unchanged.
+bit-exact, plus the winner's schedule name, stage and microbatch counts,
+machines per stage and memory verdict.  Refactors of the theory, the
+synthesizer or the schedule search must leave these records unchanged.
 
 The two problems are the end-to-end benchmark's (``benchmarks/e2e``):
 
@@ -56,6 +56,7 @@ def selection_record(problem: str) -> Dict[str, Any]:
         },
         "schedule_name": plan.schedule_name,
         "num_stages": plan.num_stages,
+        "stage_machines": [len(group.machines) for group in plan.partition.groups],
         "num_microbatches": plan.num_microbatches,
         "fits_memory": plan.fits_memory,
     }

@@ -20,6 +20,7 @@ from repro.cluster import (
     heterogeneous_testbed,
     homogeneous_testbed,
 )
+from repro.cluster.spec import _balanced_boundaries
 from repro.core import (
     HierarchicalConfig,
     HierarchicalPlanner,
@@ -111,6 +112,47 @@ class TestClusterPartition:
             cluster.partition(0)
         with pytest.raises(ValueError):
             cluster.partition(len(cluster.machines) + 1)
+
+    @pytest.mark.parametrize("num_groups", [1, 2, 3, 4, 8])
+    def test_partition_is_split_at_balanced_boundaries(self, num_groups):
+        cluster = heterogeneous_testbed(num_gpus=64)
+        fast = NetworkSpec(bandwidth=100e9)
+        boundaries = _balanced_boundaries(
+            [m.total_flops for m in cluster.machines], num_groups
+        )
+        by_partition = cluster.partition(num_groups, intra_group_network=fast)
+        by_split = cluster.split(boundaries, intra_group_network=fast)
+        assert [g.machines for g in by_partition.groups] == [
+            g.machines for g in by_split.groups
+        ]
+        assert [g.name for g in by_partition.groups] == [g.name for g in by_split.groups]
+        assert all(g.network is fast for g in by_split.groups)
+        assert by_split.inter_group_network is cluster.network
+
+    def test_split_groups_end_at_the_boundaries(self):
+        cluster = heterogeneous_testbed(num_gpus=32)  # v1 | p1 p2 p3
+        partition = cluster.split([1, 4])
+        assert [[m.name for m in g.machines] for g in partition.groups] == [
+            ["v1"], ["p1", "p2", "p3"]
+        ]
+        assert cluster.split((4,)).groups[0].machines == cluster.machines
+
+    @pytest.mark.parametrize(
+        "boundaries",
+        [
+            [],  # no group at all
+            [2, 2, 4],  # does not increase: empty middle group
+            [3, 2, 4],  # decreases
+            [0, 4],  # empty first group
+            [-1, 4],  # out of range below
+            [2, 5],  # out of range above
+            [1, 3],  # leaves the last machine in no group
+        ],
+    )
+    def test_split_rejects_bad_boundaries(self, boundaries):
+        cluster = homogeneous_testbed()  # 4 machines
+        with pytest.raises(ValueError):
+            cluster.split(boundaries)
 
 
 # ---------------------------------------------------------------------------
