@@ -39,23 +39,10 @@ def main() -> None:
     print(plan.partition.describe())
     print()
 
-    chunks = f" x{plan.num_model_chunks} model chunks" if plan.num_model_chunks > 1 else ""
     recompute = "on" if plan.recompute else "off"
-    print(f"chosen schedule:        {plan.schedule_name}{chunks}")
+    print(f"chosen schedule:        {plan.schedule_name}")
     print(f"microbatches:           {plan.num_microbatches}")
     print(f"activation recompute:   {recompute}")
-    if plan.num_model_chunks > 1:
-        # Interleaved plans are built from s*v real chunk programs: each
-        # virtual stage has its own flat-HAP plan, and wrap hops (last
-        # physical stage back to stage 0) carry their true boundary bytes.
-        for chunk in plan.chunk_sequence():
-            print(
-                f"  chunk {chunk.chunk} on stage {chunk.stage_index} "
-                f"(virtual {chunk.virtual_index}): "
-                f"{len(chunk.info.graph)} nodes, "
-                f"est {chunk.plan.estimated_time.total * 1e3:.2f} ms flat, "
-                f"sends {chunk.send_bytes / 1e6:.2f} MB to the next virtual stage"
-            )
     for stage in plan.stages:
         peak = plan.peak_memory[stage.index]
         cap = plan.stage_memory_capacity[stage.index]

@@ -15,13 +15,13 @@ from typing import List, Optional, Sequence
 
 from ..cluster.spec import ClusterSpec
 from ..core.config import PlannerConfig, SynthesisConfig
-from ..core.costmodel import CostBreakdown, CostModel
+from ..core.costmodel import CostBreakdown
 from ..core.hierarchical import (
     OPTIMIZER_STATE_FACTOR,
     HierarchicalConfig,
     HierarchicalPlan,
 )
-from ..core.pipeline import HAPPlan, HAPPlanner
+from ..core.pipeline import HAPPlan
 from ..core.program import DistributedProgram
 from ..core.synthesizer import ProgramSynthesizer
 from ..graph.graph import ComputationGraph

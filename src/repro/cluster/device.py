@@ -12,8 +12,8 @@ HAP's decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 
 GB = 1024 ** 3

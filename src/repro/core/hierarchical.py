@@ -12,11 +12,10 @@ bandwidth-constrained clusters.  The hierarchical planner instead
    ``max_i stage_flops_i / group_flops_i`` and cuts again until a split
    repeats, keeping the visited split with the lowest bottleneck — no
    synthesis runs until the split is fixed,
-2. cuts the model into contiguous chunks balanced against each group's
-   aggregate compute (:func:`~repro.graph.analysis.interleaved_pipeline_cut`
-   — one chunk per stage normally, ``s * v`` round-robin chunks for the
-   interleaved schedule); a cut with a piece that has no forward flops
-   drops that stage count like a cut with too few blocks,
+2. cuts the model into one contiguous chunk per stage, balanced against
+   each group's aggregate compute (:func:`~repro.graph.analysis.pipeline_cut`);
+   a cut with a stage that has no forward flops drops that stage count like
+   a cut with too few blocks,
 3. differentiates each chunk in isolation
    (:func:`~repro.autodiff.build_stage_training_graph`), and
 4. runs the *existing* flat :class:`~repro.core.pipeline.HAPPlanner` on every
@@ -24,7 +23,7 @@ bandwidth-constrained clusters.  The hierarchical planner instead
    load balancing is reused unchanged inside each chunk.
 
 For every stage count the planner then searches jointly over the pipeline
-**schedule** (GPipe, 1F1B, interleaved 1F1B — :mod:`repro.simulator.schedule`),
+**schedule** (GPipe or 1F1B — :mod:`repro.simulator.schedule`),
 the **microbatch count** (snapped to divisors of the global batch) and
 **activation recomputation** (tried only for a multi-stage combination whose
 plain run does not fit), rejecting combinations whose per-device
@@ -54,7 +53,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..autodiff.backward import TrainingGraphInfo, build_stage_training_graph
 from ..cluster.spec import ClusterPartition, ClusterSpec, NetworkSpec
-from ..graph.analysis import PipelineCut, interleaved_pipeline_cut
+from ..graph.analysis import PipelineCut, pipeline_cut
 # ``graph_fingerprint`` is not called here (``fingerprint_with_order`` yields
 # the same fingerprint); it stays a module attribute because the e2e
 # benchmark's tracer wraps it on this module by name.
@@ -78,13 +77,15 @@ from .pipeline import HAPPlan, HAPPlanner
 from .plancache import CachedPlan, InMemoryPlanCache, plan_key, remap_plan
 from .program import DistributedProgram
 
+# The e2e benchmark's tracer wraps the cut under this name (ROADMAP item 10).
+interleaved_pipeline_cut = pipeline_cut
+
 #: Multiplier turning parameter bytes into resident state: the parameter, its
 #: gradient, and one optimizer moment (the same convention as
 #: :func:`repro.baselines.planners.estimate_memory_per_device`).
 OPTIMIZER_STATE_FACTOR = 3.0
 #: Microbatch counts tried per (stage count, schedule); each is snapped to the
-#: nearest divisor of the global batch (and to a multiple of the stage count
-#: for the interleaved schedule, which also tries ``s`` and ``2s``).
+#: nearest divisor of the global batch.
 MICROBATCH_CANDIDATES = (2, 4, 8, 16, 32)
 #: Fixed per-microbatch launch/scheduling cost (seconds) of a multi-stage
 #: pipeline; it does not shrink with the microbatch size.
@@ -114,13 +115,8 @@ class HierarchicalConfig:
             evaluated.  1 is flat HAP.
         schedules: pipeline schedules searched; ``None`` (the default)
             searches all of :data:`repro.simulator.schedule.SCHEDULE_NAMES`.
-            An empty sequence is rejected.
-        num_model_chunks: model chunks per stage for ``interleaved-1f1b``.
-            The planner cuts ``num_stages * num_model_chunks`` real chunks,
-            plans each with flat HAP and simulates the schedule with the
-            per-chunk profiles; when the graph has too few splittable blocks
-            for that many chunks the interleaved schedule is skipped at that
-            stage count (never approximated with synthetic equal chunks).
+            An empty sequence is rejected, and so is a name outside that
+            list.
         intra_group_network: network model inside each machine group; defaults
             to the cluster's own network.  Pass the fast rack-local network
             when the cluster's flat network is the slow inter-rack bottleneck.
@@ -134,10 +130,10 @@ class HierarchicalConfig:
             group, planner config) problem is planned once either way, and
             the plan is renamed onto every isomorphic chunk — repeated
             transformer layers produce isomorphic chunk graphs across the
-            (stage x schedule x microbatch) grid.
+            stages.
         verify_after_plan: run the static plan verifier
             (:func:`repro.verify.verify_plan` — partition, boundary,
-            round-robin, memory, per-chunk program and schedule checks) on
+            stage coverage, memory, per-chunk program and schedule checks) on
             the winning plan before :meth:`~HierarchicalPlanner.plan`
             returns, raising
             :class:`~repro.verify.base.PlanVerificationError` on any
@@ -153,16 +149,14 @@ class HierarchicalConfig:
 
     max_stages: int = 4
     schedules: Optional[Sequence[str]] = None
-    num_model_chunks: int = 2
     intra_group_network: Optional[NetworkSpec] = None
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     plan_cache: Optional[InMemoryPlanCache] = None
     verify_after_plan: bool = field(default_factory=verify_default)
 
     def __post_init__(self) -> None:
-        for name in ("max_stages", "num_model_chunks"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.max_stages < 1:
+            raise ValueError(f"max_stages must be >= 1, got {self.max_stages}")
         if self.schedules is not None:
             if not self.schedules:
                 raise ValueError(
@@ -178,25 +172,17 @@ class HierarchicalConfig:
 
 @dataclass
 class ChunkPlan:
-    """One model chunk: a flat HAP plan for one chunk graph on one group.
-
-    A plan's pipeline is a sequence of ``s * v`` *virtual stages* (``v`` model
-    chunks round-robin over ``s`` physical stages); virtual stage
-    ``k = chunk * s + stage_index`` runs this chunk's program.  With ``v == 1``
-    a chunk is exactly a whole pipeline stage.
+    """One model chunk: a flat HAP plan for one stage's chunk graph.
 
     Attributes:
-        chunk: model-chunk index ``c`` in ``0..v-1``.
-        stage_index: physical stage (machine group) hosting the chunk.
-        virtual_index: position ``k = chunk * s + stage_index`` in the
-            virtual-stage order.
+        stage_index: pipeline stage (machine group) hosting the chunk, which
+            is also the chunk's position in the cut.
         subcluster: the machine group this chunk runs on.
         plan: the flat HAP plan for the chunk's training graph.
         info: chunk-graph book-keeping (boundary refs, gradient seeds,
             per-parameter updates) used by the hierarchical runtime.
-        send_bytes: full-mini-batch activation bytes handed to later virtual
-            stages — for a chunk on the last physical stage that is the
-            wrap-around hop back to physical stage 0.
+        send_bytes: full-mini-batch activation bytes handed to the next
+            stage (0 on the last stage).
         activation_bytes: full-mini-batch forward activation bytes the chunk
             stashes for its backward pass.
         sharded_param_bytes: parameter bytes the chunk program shards across
@@ -210,9 +196,7 @@ class ChunkPlan:
             distinct key once.
     """
 
-    chunk: int
     stage_index: int
-    virtual_index: int
     subcluster: ClusterSpec
     plan: HAPPlan
     info: TrainingGraphInfo
@@ -221,6 +205,11 @@ class ChunkPlan:
     sharded_param_bytes: int = 0
     replicated_param_bytes: int = 0
     content_key: Optional[str] = None
+
+    @property
+    def virtual_index(self) -> int:
+        """The e2e plan digest's name for :attr:`stage_index` (ROADMAP item 10)."""
+        return self.stage_index
 
     @property
     def program(self) -> DistributedProgram:
@@ -244,37 +233,30 @@ class ChunkPlan:
 
 @dataclass
 class StagePlan:
-    """One physical pipeline stage: the model chunks resident on one group.
-
-    With a non-interleaved schedule a stage hosts exactly one chunk;
-    interleaved stages host ``num_model_chunks`` chunk programs.
+    """One pipeline stage: a model chunk planned on one machine group.
 
     Attributes:
         index: stage position in the pipeline.
         subcluster: the machine group this stage runs on.
-        chunks: the stage's :class:`ChunkPlan`\\ s, in model-chunk order.
+        chunk: the stage's :class:`ChunkPlan`.
     """
 
     index: int
     subcluster: ClusterSpec
-    chunks: List[ChunkPlan]
-
-    @property
-    def num_chunks(self) -> int:
-        return len(self.chunks)
+    chunk: ChunkPlan
 
     @property
     def send_bytes(self) -> int:
-        """Full-mini-batch bytes this stage ships downstream (all chunks)."""
-        return sum(c.send_bytes for c in self.chunks)
+        """Full-mini-batch bytes this stage ships downstream."""
+        return self.chunk.send_bytes
 
     @property
     def activation_bytes(self) -> int:
-        return sum(c.activation_bytes for c in self.chunks)
+        return self.chunk.activation_bytes
 
     def weight_bytes_total(self) -> float:
         """Group-aggregate resident parameter/gradient/optimizer bytes."""
-        return sum(c.weight_bytes_total() for c in self.chunks)
+        return self.chunk.weight_bytes_total()
 
     def peak_device_memory(self, peak_stash: float) -> List[float]:
         """Per-device peak bytes given the schedule's aggregate stash.
@@ -282,20 +264,15 @@ class StagePlan:
         ``peak_stash`` is the stage's group-aggregate activation-stash peak
         from :class:`~repro.simulator.schedule.ScheduleResult`.  Activations
         are batch-sharded, so each device holds its sharding-ratio share of
-        the stash — chunks may be balanced differently, so the device's worst
-        chunk ratio bounds its share — on top of its resident parameter
-        state.
+        the stash on top of its resident parameter state.
         """
-        peaks: List[float] = []
-        for j in range(self.subcluster.num_devices):
-            weight = sum(
-                OPTIMIZER_STATE_FACTOR * c.replicated_param_bytes
-                + OPTIMIZER_STATE_FACTOR * c.sharded_param_bytes * c.ratios[j]
-                for c in self.chunks
-            )
-            share = max(c.ratios[j] for c in self.chunks)
-            peaks.append(weight + peak_stash * share)
-        return peaks
+        c = self.chunk
+        return [
+            OPTIMIZER_STATE_FACTOR * c.replicated_param_bytes
+            + OPTIMIZER_STATE_FACTOR * c.sharded_param_bytes * c.ratios[j]
+            + peak_stash * c.ratios[j]
+            for j in range(self.subcluster.num_devices)
+        ]
 
 
 @dataclass
@@ -310,8 +287,7 @@ class HierarchicalPlan:
         num_microbatches: microbatch count of the schedule.
         estimated_time: planner estimate of the pipelined iteration time.
         schedule: the schedule estimate behind ``estimated_time``.
-        schedule_name: winning schedule (``gpipe``/``1f1b``/…).
-        num_model_chunks: model chunks per stage (interleaved only).
+        schedule_name: winning schedule (``gpipe`` or ``1f1b``).
         recompute: whether the plan recomputes activations in the backward.
         fits_memory: True when every stage's per-device peak memory fits its
             group's device capacity.
@@ -341,7 +317,6 @@ class HierarchicalPlan:
     estimated_time: float
     schedule: ScheduleResult
     schedule_name: str = "gpipe"
-    num_model_chunks: int = 1
     recompute: bool = False
     fits_memory: bool = True
     peak_memory: List[float] = field(default_factory=list)
@@ -365,6 +340,12 @@ class HierarchicalPlan:
         return self.cluster.comm_overlap_efficiency
 
     @property
+    def num_model_chunks(self) -> int:
+        """Model chunks per stage: always 1.  The e2e plan digest reads this
+        name (ROADMAP item 10)."""
+        return 1
+
+    @property
     def num_stages(self) -> int:
         return len(self.stages)
 
@@ -374,15 +355,8 @@ class HierarchicalPlan:
         return self.num_stages == 1
 
     def chunk_sequence(self) -> List[ChunkPlan]:
-        """All chunk plans in virtual-stage order (``k = chunk * s + stage``).
-
-        The order activations flow through the pipeline: chunk 0 of every
-        stage front to back, then chunk 1 front to back (entered via the
-        wrap hop), and so on.  With ``num_model_chunks == 1`` this is simply
-        the stages in pipeline order.
-        """
-        v = max(stage.num_chunks for stage in self.stages)
-        return [stage.chunks[c] for c in range(v) for stage in self.stages]
+        """The stages' chunk plans in pipeline order."""
+        return [stage.chunk for stage in self.stages]
 
     @property
     def num_communications(self) -> int:
@@ -398,9 +372,6 @@ class HierarchicalPlan:
     def describe(self) -> str:
         """Readable plan summary (stages, groups, schedule estimate, memory)."""
         recompute = ", recompute" if self.recompute else ""
-        chunks = (
-            f" x{self.num_model_chunks} chunks" if self.num_model_chunks > 1 else ""
-        )
         overlap_note = ""
         if self.overlap > 0 and self.schedule.transfer > 0:
             hidden_pct = 100.0 * self.schedule.hidden_transfer / self.schedule.transfer
@@ -409,7 +380,7 @@ class HierarchicalPlan:
             )
         lines = [
             f"Hierarchical plan on {self.cluster.name!r}: {self.num_stages} stage(s), "
-            f"{self.schedule_name}{chunks} schedule, {self.num_microbatches} microbatches"
+            f"{self.schedule_name} schedule, {self.num_microbatches} microbatches"
             f"{recompute}, estimated {self.estimated_time * 1e3:.2f} ms/iteration "
             f"(bubble {self.schedule.bubble_fraction * 100:.0f}%{overlap_note})"
         ]
@@ -431,15 +402,11 @@ class HierarchicalPlan:
                 else ""
             )
             mem = f", peak mem {peak / 1e9:.2f}/{cap / 1e9:.0f} GB{util}" if cap else ""
-            nodes = sum(len(c.info.graph) for c in stage.chunks)
-            est = sum(c.plan.estimated_time.total for c in stage.chunks)
-            chunk_note = (
-                f" in {stage.num_chunks} chunk programs" if stage.num_chunks > 1 else ""
-            )
+            chunk = stage.chunk
             lines.append(
-                f"  stage {stage.index}: {nodes} nodes{chunk_note} on "
+                f"  stage {stage.index}: {len(chunk.info.graph)} nodes on "
                 f"{group.name} ({group.num_gpus} GPUs), "
-                f"est {est * 1e3:.2f} ms flat, "
+                f"est {chunk.plan.estimated_time.total * 1e3:.2f} ms flat, "
                 f"sends {stage.send_bytes / 1e6:.2f} MB downstream{mem}"
             )
         if self.candidate_times:
@@ -584,51 +551,26 @@ class HierarchicalPlanner:
         # 1 stage (flat HAP) is always a candidate.
         return range(1, min(self.config.max_stages, len(self.cluster.machines)) + 1)
 
-    def _microbatch_candidates(self, num_stages: int, schedule_name: str) -> List[int]:
+    def _microbatch_candidates(self) -> List[int]:
         """Microbatch counts to try, snapped to divisors of the global batch.
 
         A microbatch count above the batch size would produce empty
         microbatches and one that does not divide the batch would produce
         ragged ones, so candidates are clamped and snapped to the nearest
         batch divisor whenever the batch size is known (graphs with mixed
-        leading dimensions fall back to the raw candidate list).  The
-        interleaved schedule additionally requires multiples of the stage
-        count, so non-conforming candidates are dropped and ``s``/``2s`` are
-        offered instead.
+        leading dimensions fall back to the raw candidate list).
         """
-        base = list(MICROBATCH_CANDIDATES)
-        if schedule_name == "interleaved-1f1b":
-            base += [num_stages, 2 * num_stages]
-        out: Set[int] = set()
-        if schedule_name == "interleaved-1f1b" and self.batch_size is not None:
-            # The interleaved schedule needs m to divide the batch *and* be a
-            # multiple of the stage count.  Snap every candidate to the
-            # nearest such divisor — the candidate list stays bounded by
-            # MICROBATCH_CANDIDATES instead of enumerating every multiple
-            # of the stage count up to the batch (an O(batch) blow-up at
-            # production batch sizes).  An empty ``valid`` means the schedule
-            # is genuinely infeasible at this stage count.
-            valid = [d for d in _divisors(self.batch_size) if d % num_stages == 0]
-            if not valid:
-                return []
-            for m in base:
-                out.add(min(valid, key=lambda d, m=m: (abs(d - m), -d)))
-            return sorted(out)
-        for m in base:
-            if self.batch_size is not None:
-                m = _nearest_divisor(self.batch_size, m)
-            if schedule_name == "interleaved-1f1b" and m % num_stages != 0:
-                continue
-            out.add(m)
-        return sorted(out)
+        if self.batch_size is None:
+            return list(MICROBATCH_CANDIDATES)
+        return sorted({_nearest_divisor(self.batch_size, m) for m in MICROBATCH_CANDIDATES})
 
     # -- per-candidate construction -------------------------------------------------
     def _plan_chunk(self, graph: ComputationGraph, group: ClusterSpec) -> Tuple[HAPPlan, str]:
         """Flat-HAP plan for one chunk graph, deduped within the call.
 
         An isomorphic chunk planned earlier in this :meth:`plan` call — a
-        repeated layer, or the same cut re-planned for another schedule
-        variant — has the same content key (chunk-graph fingerprint x
+        repeated layer, or the same group shape at another stage count — has
+        the same content key (chunk-graph fingerprint x
         machine-group signature x planner config); its plan is renamed onto
         this chunk's node names, so the result is identical to planning from
         scratch.  Returns the plan and its content key.
@@ -645,7 +587,7 @@ class HierarchicalPlanner:
         return plan, key
 
     def _chunk_training_graph(self, cut: PipelineCut, k: int) -> TrainingGraphInfo:
-        """Training graph of virtual stage ``k`` of ``cut``, differentiated alone."""
+        """Training graph of stage ``k`` of ``cut``, differentiated alone."""
         return build_stage_training_graph(
             stage_forward_graph(self.forward, cut, k),
             boundary_inputs=tuple(cut.incoming_refs(k)),
@@ -653,36 +595,32 @@ class HierarchicalPlanner:
         )
 
     def _build_stages(
-        self, partition: ClusterPartition, num_chunks: int
+        self, partition: ClusterPartition
     ) -> Optional[Tuple[PipelineCut, List[StagePlan]]]:
-        """Cut ``s * num_chunks`` real chunks and plan each with flat HAP.
+        """Cut one chunk per stage and plan each with flat HAP.
 
         Returns ``None``, before any synthesis, when the cut falls short
         (:func:`_is_shortfall`): the graph has too few splittable layer
         blocks for that many contiguous pieces, or a piece computes nothing
         and would cost a pipeline hop and a machine group for no work.  The
-        caller then drops the chunked (or multi-stage) variant rather than
-        falling back to a synthetic equal-chunk model.
+        caller then drops the stage count.
         """
         s = partition.num_groups
-        cut = interleaved_pipeline_cut(
-            self.forward, partition.compute_ratios(), num_chunks
-        )
-        if _is_shortfall(cut, s * num_chunks):
+        cut = interleaved_pipeline_cut(self.forward, partition.compute_ratios())
+        if _is_shortfall(cut, s):
             return None
-        chunk_plans: List[ChunkPlan] = []
-        for k in range(cut.num_stages):
-            stage_idx = k % s
+        stages: List[StagePlan] = []
+        for k, group in enumerate(partition.groups):
             info = self._chunk_training_graph(cut, k)
-            plan, content_key = self._plan_chunk(info.graph, partition.groups[stage_idx])
-            # Bytes the chunk's *outgoing hop* actually ships: every tensor in
-            # flight across virtual boundary k, including skip-connection
-            # tensors produced by earlier chunks that this hop merely relays
+            plan, content_key = self._plan_chunk(info.graph, group)
+            # Bytes the stage's *outgoing hop* actually ships: every tensor in
+            # flight across boundary k, including skip-connection tensors
+            # produced by earlier stages that this hop merely relays
             # (charging those only at their producer's hop under-priced every
-            # interior hop they cross).  The final virtual stage sends nothing.
+            # interior hop they cross).  The final stage sends nothing.
             send_bytes = (
                 sum(self.forward[ref].spec.size_bytes for ref in cut.crossing_refs(k))
-                if k < cut.num_stages - 1
+                if k < s - 1
                 else 0
             )
             activation_bytes = sum(
@@ -701,29 +639,18 @@ class HierarchicalPlanner:
                 for p in info.graph.parameters()
                 if shardings.get(p.name) is None
             )
-            chunk_plans.append(
-                ChunkPlan(
-                    chunk=k // s,
-                    stage_index=stage_idx,
-                    virtual_index=k,
-                    subcluster=partition.groups[stage_idx],
-                    plan=plan,
-                    info=info,
-                    send_bytes=send_bytes,
-                    activation_bytes=activation_bytes,
-                    sharded_param_bytes=sharded,
-                    replicated_param_bytes=replicated,
-                    content_key=content_key,
-                )
+            chunk = ChunkPlan(
+                stage_index=k,
+                subcluster=group,
+                plan=plan,
+                info=info,
+                send_bytes=send_bytes,
+                activation_bytes=activation_bytes,
+                sharded_param_bytes=sharded,
+                replicated_param_bytes=replicated,
+                content_key=content_key,
             )
-        stages = [
-            StagePlan(
-                index=i,
-                subcluster=partition.groups[i],
-                chunks=[c for c in chunk_plans if c.stage_index == i],
-            )
-            for i in range(s)
-        ]
+            stages.append(StagePlan(index=k, subcluster=group, chunk=chunk))
         return cut, stages
 
     def _candidate_partition(self, num_stages: int) -> ClusterPartition:
@@ -753,7 +680,7 @@ class HierarchicalPlanner:
         visited: Dict[Tuple[int, ...], float] = {}
         while boundaries not in visited:
             partition = self.cluster.split(boundaries, intra)
-            cut = interleaved_pipeline_cut(self.forward, partition.compute_ratios(), 1)
+            cut = interleaved_pipeline_cut(self.forward, partition.compute_ratios())
             if _is_shortfall(cut, num_stages):
                 visited[boundaries] = float("inf")
                 if cut.num_stages != num_stages:
@@ -765,48 +692,22 @@ class HierarchicalPlanner:
             )
         return self.cluster.split(min(visited, key=visited.__getitem__), intra)
 
-    def _candidate_variants(self, num_stages: int) -> List[int]:
-        """Model-chunk counts some (schedule, microbatch) combo will consume.
-
-        Flat-HAP planning per chunk is the expensive part of a candidate, so
-        an interleaved-only search skips the 1-chunk cut and a schedule with
-        no valid microbatch count (e.g. no batch divisor is a multiple of the
-        stage count) never triggers the ``s * v`` cut whose results the
-        search would discard.
-        """
-        v = self.config.num_model_chunks
-        needed: Set[int] = set()
-        if num_stages == 1:
-            needed.add(1)
-        else:
-            for name in list(self.config.schedules or SCHEDULE_NAMES):
-                chunks = v if (name == "interleaved-1f1b" and v > 1) else 1
-                if self._microbatch_candidates(num_stages, name):
-                    needed.add(chunks)
-        return sorted(needed)
-
     def build_candidate(self, num_stages: int) -> Optional[HierarchicalPlan]:
-        """Best plan at one stage count, or ``None`` when none exists.
+        """Best plan at one stage count, or ``None`` when its cut falls short.
 
-        Cuts, plans and profiles every model-chunk variant the stage count
-        needs (the expensive part), then searches schedules, microbatch
-        counts and recomputation over the profiles.
+        Cuts, plans and profiles one chunk per stage (the expensive part),
+        then searches schedules, microbatch counts and recomputation over the
+        profiles.
         """
         partition = self._candidate_partition(num_stages)
-        # variant key = model chunks per stage -> (cut, stages, times).
-        variants: Dict[int, Tuple[PipelineCut, List[StagePlan], List[StageTimes]]] = {}
-        for chunks in self._candidate_variants(num_stages):
-            built = self._build_stages(partition, chunks)
-            if built is not None:
-                times = profile_stages(built[1], self._profile_chunk, self._profile_memo)
-                variants[chunks] = (built[0], built[1], times)
-        if not variants:
+        built = self._build_stages(partition)
+        if built is None:
             return None  # the graph has fewer splittable layer blocks
-        best = self._search_schedules(partition, variants)
-        if best is None:
-            return None  # no (schedule, microbatch) combination at this stage count
-        schedule, schedule_name, recompute, fits, combo_times, win_chunks = best
-        cut, stages, _times = variants[win_chunks]
+        cut, stages = built
+        times = profile_stages(stages, self._profile_chunk, self._profile_memo)
+        schedule, schedule_name, recompute, fits, combo_times = self._search_schedules(
+            partition, stages, times
+        )
         utilization: List[float] = []
         for stage, stash in zip(stages, schedule.peak_stash):
             peaks = stage.peak_device_memory(stash)
@@ -825,7 +726,6 @@ class HierarchicalPlanner:
             estimated_time=schedule.total,
             schedule=schedule,
             schedule_name=schedule_name,
-            num_model_chunks=schedule.num_model_chunks,
             recompute=recompute,
             fits_memory=fits,
             peak_memory=list(schedule.peak_memory),
@@ -855,27 +755,17 @@ class HierarchicalPlanner:
     def _search_schedules(
         self,
         partition: ClusterPartition,
-        variants: Dict[int, Tuple[PipelineCut, List[StagePlan], List[StageTimes]]],
-    ) -> Optional[
-        Tuple[ScheduleResult, str, bool, bool, Dict[Tuple[int, str, int, bool], float], int]
-    ]:
-        """Best (schedule, microbatch count, recompute) across chunk variants.
-
-        ``variants`` maps a model-chunk count to its real per-chunk plans and
-        profiles: non-interleaved schedules evaluate the 1-chunk variant,
-        ``interleaved-1f1b`` evaluates the ``num_model_chunks`` variant and is
-        skipped entirely when that cut is infeasible — an interleaved plan is
-        only ever built from real chunk programs it can execute.
+        stages: Sequence[StagePlan],
+        times: Sequence[StageTimes],
+    ) -> Tuple[ScheduleResult, str, bool, bool, Dict[Tuple[int, str, int, bool], float]]:
+        """Best (schedule, microbatch count, recompute) over the stage profiles.
 
         Combinations are ranked memory-feasible first, then by estimated
         time; activation recomputation trades one extra forward per
         microbatch for an O(1) activation stash, so it can never beat a
         memory-feasible plain run — the recomputing variant of a multi-stage
         combination is only simulated when plain stashing exceeds device
-        memory.  Returns ``None`` when no (schedule, microbatch)
-        combination exists for this stage count (e.g. an interleaved-only
-        search whose batch has no divisor that is a multiple of the stage
-        count) — the flat 1-stage candidate always exists.
+        memory.
         """
         network = partition.inter_group_network
         num_stages = partition.num_groups
@@ -883,27 +773,16 @@ class HierarchicalPlanner:
         # A single stage is flat SPMD: the whole batch runs at once, so no
         # microbatching (and no per-microbatch overhead) applies.
         if num_stages == 1:
-            combos: List[Tuple[str, int, int]] = [("gpipe", 1, 1)]
+            combos: List[Tuple[str, int]] = [("gpipe", 1)]
         else:
-            schedules = list(self.config.schedules or SCHEDULE_NAMES)
-            combos = []
-            for name in schedules:
-                chunks = 1
-                if name == "interleaved-1f1b" and self.config.num_model_chunks > 1:
-                    chunks = self.config.num_model_chunks
-                if chunks not in variants:
-                    continue  # no real cut at this chunk count: not executable
-                combos.extend(
-                    (name, m, chunks)
-                    for m in self._microbatch_candidates(num_stages, name)
-                )
-        if not combos:
-            return None
-        best: Optional[
-            Tuple[Tuple[int, float, int], ScheduleResult, str, bool, bool, int]
-        ] = None
-        for order, (name, m, chunks) in enumerate(combos):
-            _cut, stages, times = variants[chunks]
+            counts = self._microbatch_candidates()
+            combos = [
+                (name, m)
+                for name in self.config.schedules or SCHEDULE_NAMES
+                for m in counts
+            ]
+        best: Optional[Tuple[Tuple[int, float, int], ScheduleResult, str, bool, bool]] = None
+        for order, (name, m) in enumerate(combos):
             for rc in (False, True):
                 result = simulate_pipeline(
                     times,
@@ -912,7 +791,6 @@ class HierarchicalPlanner:
                     inter_group_latency=network.latency,
                     microbatch_overhead=0.0 if num_stages == 1 else MICROBATCH_OVERHEAD,
                     schedule=name,
-                    num_model_chunks=chunks,
                     recompute=rc,
                     overlap=self.overlap,
                 )
@@ -920,12 +798,12 @@ class HierarchicalPlanner:
                 combo_times[(num_stages, name, m, rc)] = result.total
                 key = (0 if fits else 1, result.total, order)
                 if best is None or key < best[0]:
-                    best = (key, result, name, rc, fits, chunks)
+                    best = (key, result, name, rc, fits)
                 if fits or num_stages == 1:
                     break  # only a multi-stage run that does not fit retries
         assert best is not None  # combos is non-empty
-        _, result, name, rc, fits, chunks = best
-        return result, name, rc, fits, combo_times, chunks
+        _, result, name, rc, fits = best
+        return result, name, rc, fits, combo_times
 
     def _remap_whole(self, entry: CachedPlan, order: List[str]) -> HierarchicalPlan:
         """Re-express a cached whole plan over this request's node names.
@@ -948,11 +826,10 @@ class HierarchicalPlanner:
         if entry.node_names == order:
             return plan
         rename = dict(zip(entry.node_names, order))
-        chunks = plan.chunk_sequence()
         chunk_orders = entry.chunk_orders
-        if len(chunk_orders) != len(chunks):
+        if len(chunk_orders) != plan.num_stages:
             raise ValueError(
-                f"cached plan has {len(chunks)} chunks but {len(chunk_orders)} chunk orders"
+                f"cached plan has {plan.num_stages} chunks but {len(chunk_orders)} chunk orders"
             )
         cached_cut = plan.cut
         cut = PipelineCut(
@@ -962,19 +839,18 @@ class HierarchicalPlanner:
             stage_flops=cached_cut.stage_flops,
             consumers=self.forward.consumers(),
         )
-        renamed: Dict[int, ChunkPlan] = {}
-        for chunk, chunk_order in zip(chunks, chunk_orders):
-            info = self._chunk_training_graph(cut, chunk.virtual_index)
+        stages: List[StagePlan] = []
+        for stage, chunk_order in zip(plan.stages, chunk_orders):
+            chunk = stage.chunk
+            info = self._chunk_training_graph(cut, chunk.stage_index)
             chunk_plan = remap_plan(
                 chunk.plan, chunk_order, info.graph, canonical_order(info.graph)
             )
-            renamed[chunk.virtual_index] = dataclasses.replace(chunk, plan=chunk_plan, info=info)
-        stages = [
-            dataclasses.replace(
-                stage, chunks=[renamed[c.virtual_index] for c in stage.chunks]
+            stages.append(
+                dataclasses.replace(
+                    stage, chunk=dataclasses.replace(chunk, plan=chunk_plan, info=info)
+                )
             )
-            for stage in plan.stages
-        ]
         return dataclasses.replace(plan, cut=cut, stages=stages)
 
     # -- main entry point -----------------------------------------------------------

@@ -101,7 +101,11 @@ from .properties import Property
 #: v11: each stage count's machine split is sized to its cut instead of
 #: split by equal flops, so a v10 entry may hold a plan on a split the
 #: planner no longer picks.
-CACHE_VERSION = 11
+#: v12: the interleaved schedule is gone: ``HierarchicalConfig`` lost
+#: ``num_model_chunks``, a ``StagePlan`` holds one ``chunk`` instead of a
+#: ``chunks`` list, and ``ChunkPlan`` lost its ``chunk`` and
+#: ``virtual_index`` fields, so the pickled plan and config layouts changed.
+CACHE_VERSION = 12
 
 #: Configuration fields excluded from cache keys: the cache itself and the
 #: static-verifier flag (verification never changes the plan).
@@ -252,7 +256,7 @@ class CachedPlan:
     """One cache entry: a whole plan plus the canonical orders it is keyed under.
 
     ``node_names`` is the forward graph's canonical order and
-    ``chunk_orders`` each chosen chunk graph's, in virtual-stage order; a hit
+    ``chunk_orders`` each chosen chunk graph's, in stage order; a hit
     renames the pipeline cut and every chunk program onto the request.
     """
 

@@ -9,7 +9,6 @@ so the full paper-scale sweep and a CI-sized sweep share the same code path.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np

@@ -3,7 +3,6 @@
 from .analysis import (
     PipelineCut,
     cut_transfer_bytes,
-    interleaved_pipeline_cut,
     pipeline_cut,
 )
 from .builder import GraphBuilder
@@ -34,7 +33,6 @@ __all__ = [
     "GraphBuilder",
     "PipelineCut",
     "cut_transfer_bytes",
-    "interleaved_pipeline_cut",
     "pipeline_cut",
     "canonical_order",
     "fingerprint_with_order",

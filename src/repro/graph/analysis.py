@@ -82,7 +82,7 @@ class PipelineCut:
 
         Computed once per cut so per-boundary queries are a range test
         instead of re-deriving every ref's consumer stages (which would be
-        quadratic in the stage count for deep interleaved cuts).
+        quadratic in the stage count for deep cuts).
         """
         cached = getattr(self, "_spans_cache", None)
         if cached is None:
@@ -297,34 +297,3 @@ def cut_transfer_bytes(graph: ComputationGraph, cut: PipelineCut) -> List[int]:
         sum(graph[ref].spec.size_bytes for ref in cut.crossing_refs(boundary))
         for boundary in range(cut.num_stages - 1)
     ] + [0]
-
-
-def interleaved_pipeline_cut(
-    graph: ComputationGraph,
-    stage_weights: Sequence[float],
-    num_chunks: int,
-    balance_tolerance: float = 0.1,
-) -> PipelineCut:
-    """Cut a forward graph into ``s * num_chunks`` round-robin model chunks.
-
-    Megatron-style interleaved schedules place ``v = num_chunks`` model chunks
-    on each of the ``s`` physical pipeline stages: virtual stage (chunk piece)
-    ``k`` of the contiguous topological cut runs on physical stage ``k % s``,
-    so each group hosts pieces ``k % s == i`` and microbatches wrap from the
-    last physical stage back to the first between chunks.  The per-piece flop
-    targets repeat the group compute weights round-robin, which balances each
-    group's *total* work across its ``v`` pieces on a heterogeneous cluster
-    exactly like :func:`pipeline_cut` balances whole stages.
-
-    The returned :class:`PipelineCut` has (up to) ``s * num_chunks`` stages —
-    one per *virtual* stage; callers must check ``cut.num_stages`` and treat a
-    shortfall as "the graph has too few splittable blocks for this chunk
-    count".  ``num_chunks == 1`` is exactly :func:`pipeline_cut`.
-    """
-    if num_chunks < 1:
-        raise ValueError("num_chunks must be >= 1")
-    if not stage_weights:
-        raise ValueError("stage_weights must be non-empty")
-    s = len(stage_weights)
-    weights = [stage_weights[k % s] for k in range(s * num_chunks)]
-    return pipeline_cut(graph, weights, balance_tolerance=balance_tolerance)

@@ -9,10 +9,9 @@ names.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from .graph import ComputationGraph, Node
-from .ops import OpKind
+from .graph import ComputationGraph
 from .tensor import DType, TensorSpec
 
 

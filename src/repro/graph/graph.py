@@ -11,7 +11,7 @@ mirrors how tracing a PyTorch module produces a linearised program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .ops import OpDef, OpKind, get_op

@@ -93,10 +93,9 @@ def hap_pipeline(
     """Plan hierarchical (pipeline-over-SPMD) training of ``model``.
 
     Splits the cluster into contiguous machine groups sized to the cut's
-    stage flops, cuts the model into real chunks balanced against each
-    group's compute (one per stage, or ``s * num_model_chunks`` round-robin
-    chunks for the interleaved schedule), plans every chunk with flat HAP, and searches (stage count x
-    schedule x microbatch count x recomputation) for the cheapest
+    stage flops, cuts the model into one chunk per stage balanced against
+    each group's compute, plans every chunk with flat HAP, and searches
+    (stage count x schedule x microbatch count x recomputation) for the cheapest
     memory-feasible iteration (1 stage = flat HAP).  The result can be
     executed with :func:`repro.runtime.run_hierarchical_plan` or simulated
     with :func:`repro.simulator.simulate_hierarchical`.  The cyclic garbage

@@ -13,7 +13,6 @@ All models follow two conventions required by the SPMD runtime:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..graph.builder import GraphBuilder
 from ..graph.graph import ComputationGraph

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..collectives import functional
 from ..collectives.cost import CollectiveKind
-from ..core.instructions import CommInstruction, CompInstruction, Instruction
+from ..core.instructions import CommInstruction, CompInstruction
 from ..core.program import DistributedProgram
 from ..core.properties import DistState, Property
 from ..graph.graph import ComputationGraph, GraphError
@@ -423,7 +423,7 @@ class BoundaryChannel:
     while microbatch ``k``'s output is still undelivered, which is exactly
     the task order the schedule simulator times.
 
-    The channel records an event log (``("send"|"drain", kind, virtual_stage,
+    The channel records an event log (``("send"|"drain", kind, stage,
     microbatch)``) and the peak number of simultaneously in-flight payloads,
     so tests can assert the double-buffered ordering and the extra buffer
     occupancy it costs.
@@ -440,7 +440,7 @@ class BoundaryChannel:
         self.peak_inflight_payloads = 0
 
     def send_activations(
-        self, virtual_stage: int, microbatch: int, payload: Mapping[str, np.ndarray]
+        self, stage: int, microbatch: int, payload: Mapping[str, np.ndarray]
     ) -> None:
         """Issue a forward task's boundary activations without blocking."""
         store = self._acts.setdefault(microbatch, {})
@@ -450,10 +450,10 @@ class BoundaryChannel:
         self.peak_inflight_payloads = max(
             self.peak_inflight_payloads, self.inflight_payloads
         )
-        self.events.append(("send", "act", virtual_stage, microbatch))
+        self.events.append(("send", "act", stage, microbatch))
 
     def send_gradients(
-        self, virtual_stage: int, microbatch: int, payload: Mapping[str, np.ndarray]
+        self, stage: int, microbatch: int, payload: Mapping[str, np.ndarray]
     ) -> None:
         """Issue a backward task's upstream gradient contributions."""
         store = self._grads.setdefault(microbatch, {})
@@ -463,11 +463,11 @@ class BoundaryChannel:
         self.peak_inflight_payloads = max(
             self.peak_inflight_payloads, self.inflight_payloads
         )
-        self.events.append(("send", "grad", virtual_stage, microbatch))
+        self.events.append(("send", "grad", stage, microbatch))
 
     def drain(
         self,
-        virtual_stage: int,
+        stage: int,
         microbatch: int,
         activations: Dict[str, np.ndarray],
         grads: Dict[str, np.ndarray],
@@ -490,7 +490,7 @@ class BoundaryChannel:
                 for extra in contributions[1:]:
                     total = total + extra
                 grads[ref] = grads[ref] + total if ref in grads else total
-        self.events.append(("drain", "any", virtual_stage, microbatch))
+        self.events.append(("drain", "any", stage, microbatch))
 
     @property
     def drained(self) -> bool:
@@ -522,17 +522,13 @@ class HierarchicalResult:
 class HierarchicalExecutor:
     """Executes a :class:`~repro.core.hierarchical.HierarchicalPlan`.
 
-    Every *model chunk* of the plan is an independent :class:`SPMDExecutor`
-    over its stage's machine group — an interleaved plan keeps ``v`` chunk
-    programs resident per group, a plain pipeline keeps one (the degenerate
-    ``v == 1`` case of the same code path).  Execution chains the chunks in
-    virtual-stage order (``k = chunk * s + stage``) through explicit
-    activation/gradient handoff on **every virtual boundary** — interior hops
-    and the interleaved wrap hops from the last physical stage back to the
-    first alike — the emulation analogue of the point-to-point sends of a
+    Every stage's chunk program is an independent :class:`SPMDExecutor` over
+    the stage's machine group.  Execution chains the stages in pipeline
+    order through explicit activation/gradient handoff on **every stage
+    boundary** — the emulation analogue of the point-to-point sends of a
     real pipeline schedule:
 
-    1. a *forward task* of virtual stage ``k`` runs its chunk program only
+    1. a *forward task* of stage ``k`` runs its chunk program only
        until its boundary-output activations are produced (the backward
        instructions never execute; gradient seeds are bound to zeros purely
        as a fallback), and hands the activations downstream;
@@ -544,17 +540,15 @@ class HierarchicalExecutor:
     The mini-batch is split into the plan's ``m`` microbatches along the
     leading dimension (``m`` falls back to 1 when it does not divide the
     global batch; one microbatch is the whole batch, run through the same
-    loop) and the tasks execute **in the plan's schedule order**
-    (Megatron-style interleaved 1F1B included; a sequential sweep when the
-    schedule cannot express ``m``), resolved one task at a time through the
-    same dependency rules as the schedule simulator, with boundary handoff
-    double-buffered through a :class:`BoundaryChannel`.  The task order
-    only affects timing, not numerics: per-parameter gradients are
-    accumulated across microbatches (per physical stage the backward tasks
-    of a chunk run in microbatch order, so the accumulation order matches a
-    sequential sweep) and the SGD update is applied exactly once per
-    iteration, mirroring the once-per-iteration gradient synchronisation of
-    the simulated schedules.
+    loop) and the tasks execute **in the plan's schedule order**, resolved
+    one task at a time through the same dependency rules as the schedule
+    simulator, with boundary handoff double-buffered through a
+    :class:`BoundaryChannel`.  The task order only affects timing, not
+    numerics: per-parameter gradients are accumulated across microbatches
+    (per stage the backward tasks run in microbatch order, so the
+    accumulation order matches a sequential sweep) and the SGD update is
+    applied exactly once per iteration, mirroring the once-per-iteration
+    gradient synchronisation of the simulated schedules.
     Because the IR's loss reductions are sums over the batch, the summed
     microbatch gradients and losses match the full-batch run bit-for-bit up
     to floating-point reduction order.
@@ -568,8 +562,7 @@ class HierarchicalExecutor:
     def __init__(self, plan, num_microbatches: Optional[int] = None) -> None:
         self.plan = plan
         self.chunks = list(plan.chunk_sequence())
-        self.num_stages = len(plan.stages)
-        self.chunks_per_stage = len(self.chunks) // self.num_stages
+        self.num_stages = len(self.chunks)
         m = plan.num_microbatches if num_microbatches is None else num_microbatches
         batch = plan.batch_size
         if m > 1 and (batch is None or batch % m != 0):
@@ -616,7 +609,7 @@ class HierarchicalExecutor:
                 out[name] = np.asarray(bindings[name])
             else:
                 raise GraphError(
-                    f"virtual stage {chunk.virtual_index}: no binding or "
+                    f"stage {chunk.stage_index}: no binding or "
                     f"upstream activation for {name!r}"
                 )
         return out
@@ -640,42 +633,25 @@ class HierarchicalExecutor:
         return names
 
     def _record_bytes(
-        self, per_chunk_bytes: List[List[int]], k: int, rank_bytes: Sequence[int]
+        self, per_stage_bytes: List[List[int]], k: int, rank_bytes: Sequence[int]
     ) -> None:
-        if per_chunk_bytes[k]:
-            per_chunk_bytes[k] = [
-                max(a, b) for a, b in zip(per_chunk_bytes[k], rank_bytes)
+        if per_stage_bytes[k]:
+            per_stage_bytes[k] = [
+                max(a, b) for a, b in zip(per_stage_bytes[k], rank_bytes)
             ]
         else:
-            per_chunk_bytes[k] = list(rank_bytes)
-
-    def _per_stage_bytes(self, per_chunk_bytes: List[List[int]]) -> List[List[int]]:
-        """Fold per-chunk rank footprints into per-physical-stage totals.
-
-        Chunk programs of one group are resident simultaneously, so their
-        peak footprints add.
-        """
-        per_stage: List[List[int]] = []
-        for stage in self.plan.stages:
-            totals: Optional[List[int]] = None
-            for chunk in stage.chunks:
-                b = per_chunk_bytes[chunk.virtual_index]
-                if not b:
-                    continue
-                totals = list(b) if totals is None else [x + y for x, y in zip(totals, b)]
-            per_stage.append(totals or [])
-        return per_stage
+            per_stage_bytes[k] = list(rank_bytes)
 
     def _forward_task(
         self,
         k: int,
         micro_bindings: Mapping[str, np.ndarray],
         activations: Dict[str, np.ndarray],
-        per_chunk_bytes: List[List[int]],
+        per_stage_bytes: List[List[int]],
         channel: BoundaryChannel,
         microbatch: int,
     ) -> None:
-        """Run chunk ``k``'s forward up to its boundary and issue the send.
+        """Run stage ``k``'s forward up to its boundary and issue the send.
 
         The boundary activations are issued as an in-flight payload on the
         :class:`BoundaryChannel`: the sender's next task may run before the
@@ -683,13 +659,13 @@ class HierarchicalExecutor:
         """
         chunk = self.chunks[k]
         if not chunk.info.boundary_outputs:
-            return  # final chunk: its forward is folded into the backward task
+            return  # final stage: its forward is folded into the backward task
         executor = self.executors[k]
         result = executor.run(
             self._chunk_bindings(chunk, micro_bindings, activations, None),
             stop_after=chunk.info.boundary_outputs,
         )
-        self._record_bytes(per_chunk_bytes, k, result.per_rank_bytes)
+        self._record_bytes(per_stage_bytes, k, result.per_rank_bytes)
         channel.send_activations(
             k, microbatch, {ref: result.outputs[ref] for ref in chunk.info.boundary_outputs}
         )
@@ -701,11 +677,11 @@ class HierarchicalExecutor:
         activations: Dict[str, np.ndarray],
         grads: Dict[str, np.ndarray],
         gradients: Dict[str, np.ndarray],
-        per_chunk_bytes: List[List[int]],
+        per_stage_bytes: List[List[int]],
         channel: BoundaryChannel,
         microbatch: int,
     ) -> Optional[float]:
-        """Full run of chunk ``k`` with downstream gradient seeds bound.
+        """Full run of stage ``k`` with downstream gradient seeds bound.
 
         Accumulates per-parameter gradients into ``gradients``, issues the
         upstream boundary gradients through the double-buffered ``channel``
@@ -717,7 +693,7 @@ class HierarchicalExecutor:
         result = executor.run(
             self._chunk_bindings(chunk, micro_bindings, activations, grads)
         )
-        self._record_bytes(per_chunk_bytes, k, result.per_rank_bytes)
+        self._record_bytes(per_stage_bytes, k, result.per_rank_bytes)
         for param, grad_node in chunk.info.gradients.items():
             value = executor.gather(grad_node)
             if value is not None:
@@ -735,43 +711,13 @@ class HierarchicalExecutor:
             grads.pop(ref, None)
         return result.loss if chunk.info.loss is not None else None
 
-    def _task_orders(self, m: int) -> List[List]:
-        """Per-physical-stage task lists in the plan's schedule order.
-
-        Falls back to a sequential per-microbatch sweep when the plan's
-        schedule cannot express the configuration (e.g. a microbatch count
-        override that violates the interleaved divisibility rule, a whole
-        batch run of an interleaved plan, or a single-chunk schedule name
-        with several resident chunks).
-        """
-        from ..simulator.schedule import get_schedule
-
-        s, v = self.num_stages, self.chunks_per_stage
-        name = getattr(self.plan, "schedule_name", "gpipe")
-        try:
-            impl = get_schedule(name, num_model_chunks=v)
-            if impl.num_model_chunks != v:
-                raise ValueError(f"schedule {name!r} cannot host {v} chunks per stage")
-            impl.validate(s, m)
-            return impl.task_orders(s, m, v)
-        except (KeyError, ValueError):
-            orders: List[List] = [[] for _ in range(s)]
-            for j in range(m):
-                for c in range(v):
-                    for i in range(s):
-                        orders[i].append(("F", c, j))
-                for c in reversed(range(v)):
-                    for i in range(s):
-                        orders[i].append(("B", c, j))
-            return orders
-
     def run(self, bindings: Mapping[str, np.ndarray]) -> HierarchicalResult:
-        """Execute one training iteration across all pipeline chunks.
+        """Execute one training iteration across all pipeline stages.
 
         Tasks are executed one at a time in the schedule's task order; a
         stage's head task runs as soon as its dependencies are met (forward:
-        upstream chunk forward done; backward: own forward and downstream
-        backward done) — the same rules the schedule simulator times, minus
+        upstream forward done; backward: own forward and downstream backward
+        done) — the same rules the schedule simulator times, minus
         the clock.  Boundary handoff is double-buffered through a
         :class:`BoundaryChannel`: a completed task issues its send and its
         stage immediately proceeds to the next task in its order, draining
@@ -803,8 +749,9 @@ class HierarchicalExecutor:
                     else:
                         mb[name] = arr
                 micro_bindings.append(mb)
-        orders = self._task_orders(m)
-        last = len(self.chunks) - 1
+        from ..simulator.schedule import get_schedule
+
+        orders = get_schedule(self.plan.schedule_name).task_orders(s, m)
         activations: List[Dict[str, np.ndarray]] = [{} for _ in range(m)]
         grads: List[Dict[str, np.ndarray]] = [{} for _ in range(m)]
         channel = self.channel = BoundaryChannel()
@@ -812,42 +759,41 @@ class HierarchicalExecutor:
         done_b: set = set()
         heads = [0] * s
         remaining = sum(len(order) for order in orders)
-        per_chunk_bytes: List[List[int]] = [[] for _ in self.chunks]
+        per_stage_bytes: List[List[int]] = [[] for _ in range(s)]
         grad_sums: Dict[str, np.ndarray] = {}
         loss_total: Optional[float] = None
         while remaining:
             progressed = False
             for i in range(s):
                 while heads[i] < len(orders[i]):
-                    kind, c, j = orders[i][heads[i]]
-                    k = c * s + i
+                    kind, j = orders[i][heads[i]]
                     if kind == "F":
-                        if k > 0 and (k - 1, j) not in done_f:
+                        if i > 0 and (i - 1, j) not in done_f:
                             break
-                        channel.drain(k, j, activations[j], grads[j])
+                        channel.drain(i, j, activations[j], grads[j])
                         self._forward_task(
-                            k, micro_bindings[j], activations[j], per_chunk_bytes, channel, j
+                            i, micro_bindings[j], activations[j], per_stage_bytes, channel, j
                         )
-                        done_f.add((k, j))
+                        done_f.add((i, j))
                     else:
-                        if (k, j) not in done_f or (
-                            k != last and (k + 1, j) not in done_b
+                        if (i, j) not in done_f or (
+                            i != s - 1 and (i + 1, j) not in done_b
                         ):
                             break
-                        channel.drain(k, j, activations[j], grads[j])
+                        channel.drain(i, j, activations[j], grads[j])
                         loss = self._backward_task(
-                            k,
+                            i,
                             micro_bindings[j],
                             activations[j],
                             grads[j],
                             grad_sums,
-                            per_chunk_bytes,
+                            per_stage_bytes,
                             channel,
                             j,
                         )
                         if loss is not None:
                             loss_total = loss if loss_total is None else loss_total + loss
-                        done_b.add((k, j))
+                        done_b.add((i, j))
                     heads[i] += 1
                     remaining -= 1
                     progressed = True
@@ -871,7 +817,7 @@ class HierarchicalExecutor:
             loss=loss_total,
             updated_parameters=updated,
             outputs=outputs,
-            per_stage_rank_bytes=self._per_stage_bytes(per_chunk_bytes),
+            per_stage_rank_bytes=per_stage_bytes,
         )
 
     def _apply_updates(

@@ -11,9 +11,7 @@ from .engine import (
 )
 from .schedule import (
     SCHEDULE_NAMES,
-    ChunkTimes,
     GPipeSchedule,
-    InterleavedOneFOneBSchedule,
     OneFOneBSchedule,
     PipelineSchedule,
     ScheduleResult,
@@ -35,11 +33,9 @@ __all__ = [
     "PipelineSchedule",
     "GPipeSchedule",
     "OneFOneBSchedule",
-    "InterleavedOneFOneBSchedule",
     "get_schedule",
     "ScheduleResult",
     "StageTimes",
-    "ChunkTimes",
     "simulate_pipeline",
     "profile_stages",
 ]

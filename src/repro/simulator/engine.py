@@ -381,14 +381,12 @@ def simulate_hierarchical(
 ) -> HierarchicalSimulationResult:
     """Simulate a :class:`~repro.core.hierarchical.HierarchicalPlan`.
 
-    Every chunk program is profiled on its machine group with the full
-    overhead model (interleaved stages host several chunk programs; their
-    per-chunk profiles and true per-virtual-boundary bytes — wrap hops
-    included — are handed to the schedule), the plan's pipeline schedule
-    (GPipe, 1F1B or interleaved 1F1B, with the plan's microbatch count and
-    recomputation choice) combines the stages over the partition's
-    inter-group link with the plan's communication-overlap efficiency
-    (boundary transfers expose only their non-hidden part), and the
+    Every stage's chunk program is profiled on its machine group with the
+    full overhead model, the plan's pipeline schedule (GPipe or 1F1B, with
+    the plan's microbatch count and recomputation choice) combines the
+    stages over the partition's inter-group link with the plan's
+    communication-overlap efficiency (boundary transfers expose only their
+    non-hidden part), and the
     run-to-run noise the flat simulator applies per stage is applied to the
     pipelined iteration total.  A 1-stage plan runs its single program on
     the whole batch with no transfers, but is *not* bit-equal to
@@ -418,7 +416,6 @@ def simulate_hierarchical(
         inter_group_latency=network.latency,
         microbatch_overhead=plan.microbatch_overhead,
         schedule=plan.schedule_name,
-        num_model_chunks=plan.num_model_chunks,
         recompute=plan.recompute,
         overlap=plan.overlap,
     )

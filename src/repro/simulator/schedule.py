@@ -2,7 +2,7 @@
 
 Flat HAP executes one SPMD program on the whole cluster; the hierarchical
 planner instead runs one SPMD program per machine group and pipelines
-microbatches through them.  This module simulates such an iteration for three
+microbatches through them.  This module simulates such an iteration for two
 schedules sharing one fill/steady/drain dependency engine:
 
 * ``gpipe`` — all microbatch forwards fill the pipeline front to back, all
@@ -18,42 +18,24 @@ schedules sharing one fill/steady/drain dependency engine:
   real win is that the activation footprint is bounded by the pipeline depth
   ``s`` instead of ``m`` — which is what makes large microbatch counts
   feasible at all.
-* ``interleaved-1f1b`` — Megatron-LM's interleaved schedule: each stage hosts
-  ``v`` model chunks of roughly ``1/v`` of its work, shrinking the warm-up
-  bubble by roughly ``v`` at the price of ``v`` times more boundary
-  crossings.  The warm-up depth follows Megatron's
-  ``2*(s - i - 1) + (v - 1)*s`` formula (the in-flight peak is one more).
 
-Each :class:`StageTimes` may carry **per-chunk profiles**
-(:class:`ChunkTimes`): real forward/backward times, boundary bytes and
-activation bytes for every model chunk resident on the stage, as produced by
-the hierarchical planner's per-chunk flat-HAP programs.  The dependency
-engine then times every virtual stage with its own chunk's numbers, and every
-virtual boundary — including the wrap-around hop from the last physical stage
-back to stage 0 between chunks — with the true bytes of that cut.  (Earlier
-revisions modelled chunks as ``v`` equal slices and faked the wrap hop with
-the mean interior boundary; that approximation is gone.)  When per-chunk
-profiles are absent the chunks fall back to equal slices of the stage
-aggregate and every hop of stage ``i`` — wrap hops included — carries the
-stage's own ``send_bytes``; exact interleaved estimates require real chunks.
-
-Every schedule reports per-stage **peak memory**: the peak bytes of the
-activation stash actually observed during the dependency simulation (each
-in-flight task stashes *its own chunk's* bytes, so unbalanced chunks are
-accounted exactly), plus the stage's resident weight/optimizer-state bytes.
-An optional activation-recomputation mode re-runs the forward before each
-backward (one extra forward per microbatch), shrinking the per-task stash to
-the chunk's boundary input.
+Each stage hosts one model chunk, profiled from the hierarchical planner's
+per-chunk flat-HAP program, and every boundary hop carries the true bytes of
+its cut.  Every schedule reports per-stage **peak memory**: the peak bytes
+of the activation stash actually observed during the dependency simulation,
+plus the stage's resident weight/optimizer-state bytes.  An optional
+activation-recomputation mode re-runs the forward before each backward (one
+extra forward per microbatch), shrinking the per-task stash to the stage's
+boundary input.
 
 Boundary transfers are modelled as **asynchronous events on the sender's
 communication stream**: a stage's compute stream is free the moment a task
 ends — its next task runs while the previous microbatch's output is still in
 flight — and an ``overlap`` efficiency lets each send stream out during the
 tail of its producing task, shrinking the exposed latency on the dependency
-edge to ``xfer - overlap * min(xfer, producer_time)`` (1F1B steady state and
-interleaved wrap hops alike).  ``overlap = 0`` reproduces the fully blocking
-results exactly; results report exposed vs hidden transfer seconds and
-per-stage communication-stream load.
+edge to ``xfer - overlap * min(xfer, producer_time)``.  ``overlap = 0``
+reproduces the fully blocking results exactly; results report exposed vs
+hidden transfer seconds and per-stage communication-stream load.
 
 This module is deliberately free of imports from the rest of the package: it
 consumes plain per-stage timings (:class:`StageTimes`) that either the cost
@@ -69,35 +51,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 
 @dataclass(frozen=True)
-class ChunkTimes:
-    """Timing and memory of *one model chunk* of a stage, full mini-batch.
-
-    Attributes:
-        forward: forward time of the chunk program for the whole mini-batch
-            (scaled by ``1/num_microbatches`` per microbatch).
-        backward: backward (gradient) time for the whole mini-batch.
-        send_bytes: activation bytes this chunk hands to the **next virtual
-            stage** for the whole mini-batch — for a chunk on the last
-            physical stage that is the wrap-around hop back to physical
-            stage 0 (the backward pass returns gradients of the same size).
-        activation_bytes: forward activation bytes the chunk stashes for its
-            backward pass, for the whole mini-batch.
-    """
-
-    forward: float
-    backward: float
-    send_bytes: float = 0.0
-    activation_bytes: float = 0.0
-
-
-@dataclass(frozen=True)
 class StageTimes:
     """Timing and memory inputs of one pipeline stage, for the *full* mini-batch.
 
     Attributes:
         forward: forward time of the stage program for the whole mini-batch
-            (scaled by ``1/num_microbatches`` per microbatch), summed over
-            the stage's model chunks.
+            (scaled by ``1/num_microbatches`` per microbatch).
         backward: backward (gradient) time for the whole mini-batch.
         sync: once-per-iteration work — parameter collectives, gradient
             all-reduce and optimizer updates — paid after the stage drains.
@@ -106,13 +65,9 @@ class StageTimes:
             same size).
         activation_bytes: forward activation bytes the stage must stash for
             its backward pass, for the whole mini-batch (each in-flight
-            microbatch holds one chunk's share of this).
+            microbatch holds its share of this).
         weight_bytes: resident parameter + gradient + optimizer-state bytes
             of the stage, independent of the schedule.
-        chunks: optional per-model-chunk profiles.  When an interleaved
-            schedule runs with ``v`` chunks, either every stage provides
-            exactly ``v`` :class:`ChunkTimes` (exact per-chunk simulation) or
-            none does (equal-slice fallback, see the module docstring).
     """
 
     forward: float
@@ -121,7 +76,6 @@ class StageTimes:
     send_bytes: float = 0.0
     activation_bytes: float = 0.0
     weight_bytes: float = 0.0
-    chunks: Optional[Tuple[ChunkTimes, ...]] = None
 
     @property
     def total(self) -> float:
@@ -133,15 +87,13 @@ def profile_stages(
     profile: Callable[[Any], Dict[str, float]],
     memo: Dict[str, Dict[str, float]],
 ) -> List[StageTimes]:
-    """Per-stage (and per-chunk) :class:`StageTimes` of a pipeline's stages.
+    """Per-stage :class:`StageTimes` of a pipeline's stages.
 
     ``stages`` are :class:`~repro.core.hierarchical.StagePlan` objects (read
-    duck-typed: ``chunks``, ``send_bytes``, ``activation_bytes`` and
-    ``weight_bytes_total()``).  ``profile(chunk)`` returns the chunk
+    duck-typed: ``chunk``, ``send_bytes``, ``activation_bytes`` and
+    ``weight_bytes_total()``).  ``profile(chunk)`` returns the stage's chunk
     program's ``{"forward", "backward", "sync"}`` seconds — the planner
     passes the cost model's phase profile, the simulator its measured one.
-    Every chunk keeps its own bytes, so the schedule sees real per-virtual
-    boundary transfers, wrap hops included.
 
     Chunks sharing a ``content_key`` (isomorphic graph, same group
     signature, same planner config) have bit-identical profiles — neither
@@ -151,35 +103,21 @@ def profile_stages(
     """
     times: List[StageTimes] = []
     for stage in stages:
-        chunk_times: List[ChunkTimes] = []
-        fwd = bwd = sync = 0.0
-        for chunk in stage.chunks:
-            key = chunk.content_key
-            buckets = memo.get(key) if key is not None else None
-            if buckets is None:
-                buckets = profile(chunk)
-                if key is not None:
-                    memo[key] = buckets
-            chunk_times.append(
-                ChunkTimes(
-                    forward=buckets["forward"],
-                    backward=buckets["backward"],
-                    send_bytes=float(chunk.send_bytes),
-                    activation_bytes=float(chunk.activation_bytes),
-                )
-            )
-            fwd += buckets["forward"]
-            bwd += buckets["backward"]
-            sync += buckets["sync"]
+        chunk = stage.chunk
+        key = chunk.content_key
+        buckets = memo.get(key) if key is not None else None
+        if buckets is None:
+            buckets = profile(chunk)
+            if key is not None:
+                memo[key] = buckets
         times.append(
             StageTimes(
-                forward=fwd,
-                backward=bwd,
-                sync=sync,
+                forward=buckets["forward"],
+                backward=buckets["backward"],
+                sync=buckets["sync"],
                 send_bytes=float(stage.send_bytes),
                 activation_bytes=float(stage.activation_bytes),
                 weight_bytes=stage.weight_bytes_total(),
-                chunks=tuple(chunk_times),
             )
         )
     return times
@@ -200,23 +138,22 @@ class ScheduleResult:
         bubble_fraction: ``bubble / total`` (0 for a single stage).
         transfer: total activation+gradient transfer seconds on the critical
             path accounting (sum over boundaries and microbatches).
-        peak_inflight: per-stage maximum number of in-flight tasks
-            (microbatch x chunk forwards without a matching backward yet)
-            observed during the simulated iteration.
+        peak_inflight: per-stage maximum number of in-flight microbatches
+            (forwards without a matching backward yet) observed during the
+            simulated iteration.
         peak_stash: per-stage peak bytes of the activation stash alone —
-            every in-flight task contributes its own chunk's per-microbatch
+            every in-flight microbatch contributes the stage's per-microbatch
             activation bytes (or boundary-input bytes under recomputation,
-            plus the chunk being rematerialised during its backward).
+            plus the microbatch being rematerialised during its backward).
         peak_memory: per-stage peak bytes — ``weight_bytes + peak_stash``.
         recompute: whether activation recomputation was modelled.
-        num_model_chunks: model chunks per stage (1 unless interleaved).
         overlap: communication/computation overlap efficiency the schedule
             ran with (0 = fully blocking boundary transfers).
         exposed_transfer: transfer seconds left on the dependency edges after
             overlapping each send with the tail of its producing task.
         hidden_transfer: transfer seconds hidden behind producing compute
             (``exposed_transfer + hidden_transfer == transfer``).
-        comm_busy: per-physical-stage seconds the stage's communication
+        comm_busy: per-stage seconds the stage's communication
             stream spends sending activations/gradients downstream/upstream.
     """
 
@@ -232,51 +169,14 @@ class ScheduleResult:
     peak_stash: List[float] = field(default_factory=list)
     peak_memory: List[float] = field(default_factory=list)
     recompute: bool = False
-    num_model_chunks: int = 1
     overlap: float = 0.0
     exposed_transfer: float = 0.0
     hidden_transfer: float = 0.0
     comm_busy: List[float] = field(default_factory=list)
 
 
-#: A task is (kind, chunk, microbatch); kind is "F" or "B".
-_Task = Tuple[str, int, int]
-
-
-def _chunk_profiles(
-    stages: Sequence[StageTimes], num_chunks: int
-) -> List[Tuple[ChunkTimes, ...]]:
-    """Per-stage tuples of exactly ``num_chunks`` chunk profiles.
-
-    Stages carrying real per-chunk profiles must match the schedule's chunk
-    count exactly; a stage without profiles falls back to ``num_chunks``
-    equal slices of its aggregates, every slice sending the stage's own
-    ``send_bytes`` on its outgoing hop (wrap hops included — there is no
-    synthetic wrap boundary any more, so exact interleaved estimates need
-    real chunk data).
-    """
-    profiles: List[Tuple[ChunkTimes, ...]] = []
-    for i, st in enumerate(stages):
-        if st.chunks is not None:
-            if len(st.chunks) != num_chunks:
-                raise ValueError(
-                    f"stage {i} provides {len(st.chunks)} chunk profiles but the "
-                    f"schedule runs {num_chunks} model chunks per stage"
-                )
-            profiles.append(tuple(st.chunks))
-        else:
-            profiles.append(
-                tuple(
-                    ChunkTimes(
-                        forward=st.forward / num_chunks,
-                        backward=st.backward / num_chunks,
-                        send_bytes=st.send_bytes,
-                        activation_bytes=st.activation_bytes / num_chunks,
-                    )
-                    for _ in range(num_chunks)
-                )
-            )
-    return profiles
+#: A task is (kind, microbatch); kind is "F" or "B".
+_Task = Tuple[str, int]
 
 
 def _validate_inputs(
@@ -297,23 +197,17 @@ def _validate_inputs(
 class PipelineSchedule:
     """Base class: one microbatch schedule over ``s`` pipeline stages.
 
-    Subclasses provide :meth:`task_orders` — for every physical stage, the
+    Subclasses provide :meth:`task_orders` — for every stage, the
     sequence of per-microbatch forward/backward tasks in execution order —
     and the shared dependency engine in :meth:`simulate` computes start and
     finish times, transfer load, bubble and peak memory from it.
     """
 
     name: str = "abstract"
-    num_model_chunks: int = 1
 
     # -- schedule-specific pieces -------------------------------------------------
-    def task_orders(
-        self, num_stages: int, num_microbatches: int, num_chunks: int
-    ) -> List[List[_Task]]:
+    def task_orders(self, num_stages: int, num_microbatches: int) -> List[List[_Task]]:
         raise NotImplementedError
-
-    def validate(self, num_stages: int, num_microbatches: int) -> None:
-        """Reject (s, m) combinations the schedule cannot run."""
 
     # -- shared dependency engine -------------------------------------------------
     def simulate(
@@ -328,14 +222,12 @@ class PipelineSchedule:
     ) -> ScheduleResult:
         """Simulate one pipelined iteration over the given stages.
 
-        Per-microbatch forward/backward times of virtual stage ``k`` are its
-        chunk's full-batch times divided by ``num_microbatches`` plus a fixed
+        Per-microbatch forward/backward times of stage ``k`` are its
+        full-batch times divided by ``num_microbatches`` plus a fixed
         ``microbatch_overhead`` (kernel-launch / scheduling cost that does
-        not shrink with the microbatch).  A transfer of the producing chunk's
+        not shrink with the microbatch).  A transfer of the producing stage's
         ``send_bytes / num_microbatches`` over the inter-group link separates
-        adjacent virtual stages in both directions — interleaved wrap hops
-        (physical ``s-1 -> 0``) carry their chunk's true boundary bytes.
-        With one stage and one microbatch the schedule degenerates to
+        adjacent stages in both directions.  With one stage and one microbatch the schedule degenerates to
         ``forward + backward + sync`` — the flat SPMD time.
 
         Boundary transfers are asynchronous events on the sender's
@@ -353,49 +245,38 @@ class PipelineSchedule:
             raise ValueError(f"overlap must be in [0, 1], got {overlap!r}")
         s = len(stages)
         m = num_microbatches
-        v = self.num_model_chunks if s > 1 else 1
-        self.validate(s, m)
-        total_virtual = s * v
-        chunks = _chunk_profiles(stages, v)
 
-        def chunk_of(k: int) -> ChunkTimes:
-            return chunks[k % s][k // s]
-
-        fwd = [chunk_of(k).forward / m + microbatch_overhead for k in range(total_virtual)]
-        bwd = [chunk_of(k).backward / m + microbatch_overhead for k in range(total_virtual)]
+        fwd = [st.forward / m + microbatch_overhead for st in stages]
+        bwd = [st.backward / m + microbatch_overhead for st in stages]
         if recompute:
-            # Gradient checkpointing: re-run the chunk forward before each
+            # Gradient checkpointing: re-run the stage forward before each
             # backward so only the boundary input has to stay resident.
             bwd = [b + f for b, f in zip(bwd, fwd)]
 
-        # Per-microbatch transfer time after virtual stage k (k -> k+1),
-        # carrying the producing chunk's boundary bytes.
+        # Per-microbatch transfer time after stage k (k -> k+1), carrying the
+        # producing stage's boundary bytes.
         xfer = [
-            inter_group_latency + (chunk_of(k).send_bytes / m) / inter_group_bandwidth
-            for k in range(total_virtual - 1)
+            inter_group_latency + (stages[k].send_bytes / m) / inter_group_bandwidth
+            for k in range(s - 1)
         ]
         # Exposed per-microbatch transfer on each dependency edge: the part of
         # hop k's send that cannot stream out during its producing task.  The
-        # forward producer of hop k is virtual stage k; the backward producer
-        # is virtual stage k+1's backward.
-        hidden_f = [overlap * min(xfer[k], fwd[k]) for k in range(total_virtual - 1)]
-        hidden_b = [overlap * min(xfer[k], bwd[k + 1]) for k in range(total_virtual - 1)]
+        # forward producer of hop k is stage k; the backward producer is
+        # stage k+1's backward.
+        hidden_f = [overlap * min(xfer[k], fwd[k]) for k in range(s - 1)]
+        hidden_b = [overlap * min(xfer[k], bwd[k + 1]) for k in range(s - 1)]
         exposed_f = [x - h for x, h in zip(xfer, hidden_f)]
         exposed_b = [x - h for x, h in zip(xfer, hidden_b)]
 
-        # Per-task stash bytes: without recomputation an in-flight task holds
-        # its chunk's activations; with recomputation only the chunk's
-        # boundary input (the previous virtual stage's send) stays, and the
-        # chunk's activations are transiently rematerialised in its backward.
-        def act_task(k: int) -> float:
-            return chunk_of(k).activation_bytes / m
-
-        def recv_task(k: int) -> float:
-            return chunk_of(k - 1).send_bytes / m if k > 0 else 0.0
-
+        # Per-task stash bytes: without recomputation an in-flight microbatch
+        # holds the stage's activations; with recomputation only its boundary
+        # input (the previous stage's send) stays, and the activations are
+        # transiently rematerialised in its backward.
+        act_task = [st.activation_bytes / m for st in stages]
+        recv_task = [0.0] + [st.send_bytes / m for st in stages[:-1]]
         stash_task = recv_task if recompute else act_task
 
-        orders = self.task_orders(s, m, v)
+        orders = self.task_orders(s, m)
         finish_f: Dict[Tuple[int, int], float] = {}
         finish_b: Dict[Tuple[int, int], float] = {}
         heads = [0] * s
@@ -406,9 +287,8 @@ class PipelineSchedule:
         peak_stash = [0.0] * s
         remaining = sum(len(o) for o in orders)
 
-        def _ready_time(phys: int, task: _Task) -> Optional[float]:
-            kind, chunk, j = task
-            k = chunk * s + phys
+        def _ready_time(k: int, task: _Task) -> Optional[float]:
+            kind, j = task
             if kind == "F":
                 if k == 0:
                     return 0.0
@@ -417,7 +297,7 @@ class PipelineSchedule:
             own = finish_f.get((k, j))
             if own is None:
                 return None
-            if k == total_virtual - 1:
+            if k == s - 1:
                 return own
             dep = finish_b.get((k + 1, j))
             return None if dep is None else max(own, dep + exposed_b[k])
@@ -437,47 +317,41 @@ class PipelineSchedule:
             if best is None:  # pragma: no cover - defensive (orders are valid)
                 raise RuntimeError(
                     f"pipeline schedule {self.name!r} deadlocked with "
-                    f"{remaining} tasks left (s={s}, m={m}, v={v})"
+                    f"{remaining} tasks left (s={s}, m={m})"
                 )
-            start, i, (kind, chunk, j) = best
-            k = chunk * s + i
+            start, k, (kind, j) = best
             if kind == "F":
                 end = start + fwd[k]
                 finish_f[(k, j)] = end
-                inflight[i] += 1
-                peak_inflight[i] = max(peak_inflight[i], inflight[i])
-                stash[i] += stash_task(k)
-                peak_stash[i] = max(peak_stash[i], stash[i])
+                inflight[k] += 1
+                peak_inflight[k] = max(peak_inflight[k], inflight[k])
+                stash[k] += stash_task[k]
+                peak_stash[k] = max(peak_stash[k], stash[k])
             else:
                 end = start + bwd[k]
                 finish_b[(k, j)] = end
-                inflight[i] -= 1
+                inflight[k] -= 1
                 if recompute:
-                    # The chunk's activations live again while its backward
+                    # The stage's activations live again while its backward
                     # rematerialises them on top of the boundary stashes.
-                    peak_stash[i] = max(peak_stash[i], stash[i] + act_task(k))
-                stash[i] -= stash_task(k)
-            busy[i] = end
-            heads[i] += 1
+                    peak_stash[k] = max(peak_stash[k], stash[k] + act_task[k])
+                stash[k] -= stash_task[k]
+            busy[k] = end
+            heads[k] += 1
             remaining -= 1
 
         stage_finish = [busy[i] + stages[i].sync for i in range(s)]
         total = max(stage_finish)
-        stage_busy = [
-            m * sum(fwd[c * s + i] + bwd[c * s + i] for c in range(v)) + stages[i].sync
-            for i in range(s)
-        ]
+        stage_busy = [m * (fwd[i] + bwd[i]) + stages[i].sync for i in range(s)]
         bubble = sum(max(total - b, 0.0) for b in stage_busy) / s
         transfer = 2.0 * m * sum(xfer) if s > 1 else 0.0
         hidden = m * (sum(hidden_f) + sum(hidden_b)) if s > 1 else 0.0
-        # Sender-side communication-stream load: virtual stage k ships its
-        # forward output from physical stage k % s, and its backward gradient
-        # for hop k - 1 from physical stage k % s as well.
+        # Sender-side communication-stream load: stage k ships its forward
+        # output over hop k, and stage k + 1 ships hop k's backward gradient.
         comm_busy = [0.0] * s
-        if s > 1:
-            for k in range(total_virtual - 1):
-                comm_busy[k % s] += m * xfer[k]  # forward sends of hop k
-                comm_busy[(k + 1) % s] += m * xfer[k]  # gradient sends of hop k
+        for k in range(s - 1):
+            comm_busy[k] += m * xfer[k]  # forward sends of hop k
+            comm_busy[k + 1] += m * xfer[k]  # gradient sends of hop k
 
         peak_memory = [st.weight_bytes + peak_stash[i] for i, st in enumerate(stages)]
 
@@ -494,7 +368,6 @@ class PipelineSchedule:
             peak_stash=list(peak_stash),
             peak_memory=peak_memory,
             recompute=recompute,
-            num_model_chunks=v,
             overlap=overlap,
             exposed_transfer=transfer - hidden,
             hidden_transfer=hidden,
@@ -507,9 +380,9 @@ class GPipeSchedule(PipelineSchedule):
 
     name = "gpipe"
 
-    def task_orders(self, s: int, m: int, v: int) -> List[List[_Task]]:
+    def task_orders(self, s: int, m: int) -> List[List[_Task]]:
         return [
-            [("F", 0, j) for j in range(m)] + [("B", 0, j) for j in reversed(range(m))]
+            [("F", j) for j in range(m)] + [("B", j) for j in reversed(range(m))]
             for _ in range(s)
         ]
 
@@ -519,97 +392,29 @@ class OneFOneBSchedule(PipelineSchedule):
 
     name = "1f1b"
 
-    def task_orders(self, s: int, m: int, v: int) -> List[List[_Task]]:
+    def task_orders(self, s: int, m: int) -> List[List[_Task]]:
         orders: List[List[_Task]] = []
         for i in range(s):
             warmup = min(s - 1 - i, m)
-            order: List[_Task] = [("F", 0, j) for j in range(warmup)]
+            order: List[_Task] = [("F", j) for j in range(warmup)]
             for j in range(m - warmup):
-                order.append(("F", 0, warmup + j))
-                order.append(("B", 0, j))
-            order.extend(("B", 0, j) for j in range(m - warmup, m))
-            orders.append(order)
-        return orders
-
-
-class InterleavedOneFOneBSchedule(PipelineSchedule):
-    """Megatron-LM interleaved 1F1B over ``num_model_chunks`` chunks per stage.
-
-    Requires ``num_microbatches`` to be a multiple of the stage count (the
-    same restriction as Megatron-LM); the planner snaps its candidates
-    accordingly.  Task enumeration follows Megatron's ``schedules.py``:
-    forwards advance in groups of ``s`` microbatches chunk by chunk, the
-    warm-up depth of stage ``i`` is ``2*(s - i - 1) + (v - 1)*s``, and
-    backwards mirror the forwards with the chunk order reversed.
-    """
-
-    name = "interleaved-1f1b"
-
-    def __init__(self, num_model_chunks: int = 2) -> None:
-        if num_model_chunks < 1:
-            raise ValueError("num_model_chunks must be >= 1")
-        self.num_model_chunks = num_model_chunks
-
-    def validate(self, s: int, m: int) -> None:
-        # Megatron's grouped microbatch enumeration needs m % s == 0; with a
-        # single chunk the schedule *is* plain 1F1B (see task_orders), which
-        # runs any microbatch count.
-        if self.num_model_chunks > 1 and s > 1 and m % s != 0:
-            raise ValueError(
-                f"interleaved-1f1b needs num_microbatches divisible by the "
-                f"stage count (got m={m}, s={s})"
-            )
-
-    def _enumerate(self, s: int, m: int, v: int, forward: bool) -> List[Tuple[int, int]]:
-        """(chunk, microbatch) pairs in Megatron execution order."""
-        pairs: List[Tuple[int, int]] = []
-        group = 0
-        while group * s < m:
-            width = min(s, m - group * s)
-            chunks = range(v) if forward else reversed(range(v))
-            for c in chunks:
-                for slot in range(width):
-                    pairs.append((c, group * s + slot))
-            group += 1
-        return pairs
-
-    def task_orders(self, s: int, m: int, v: int) -> List[List[_Task]]:
-        if v == 1:
-            # One chunk per stage is exactly plain 1F1B; emit its task order
-            # (Megatron's 2*(s - i - 1) warm-up depth is an artefact of the
-            # grouped enumeration and would stash twice as much) so that the
-            # degenerate case reduces to the 1F1B path instead of a deeper
-            # lookalike.
-            return OneFOneBSchedule().task_orders(s, m, v)
-        orders: List[List[_Task]] = []
-        for i in range(s):
-            fs = self._enumerate(s, m, v, forward=True)
-            bs = self._enumerate(s, m, v, forward=False)
-            warmup = min(2 * (s - i - 1) + (v - 1) * s, len(fs))
-            order: List[_Task] = [("F", c, j) for c, j in fs[:warmup]]
-            steady = len(fs) - warmup
-            for n in range(steady):
-                c, j = fs[warmup + n]
-                order.append(("F", c, j))
-                bc, bj = bs[n]
-                order.append(("B", bc, bj))
-            order.extend(("B", c, j) for c, j in bs[steady:])
+                order.append(("F", warmup + j))
+                order.append(("B", j))
+            order.extend(("B", j) for j in range(m - warmup, m))
             orders.append(order)
         return orders
 
 
 #: Registry of the schedules the planner searches over.
-SCHEDULE_NAMES = ["gpipe", "1f1b", "interleaved-1f1b"]
+SCHEDULE_NAMES = ["gpipe", "1f1b"]
 
 
-def get_schedule(name: str, num_model_chunks: int = 2) -> PipelineSchedule:
+def get_schedule(name: str) -> PipelineSchedule:
     """Look up a schedule implementation by name."""
     if name == "gpipe":
         return GPipeSchedule()
     if name == "1f1b":
         return OneFOneBSchedule()
-    if name == "interleaved-1f1b":
-        return InterleavedOneFOneBSchedule(num_model_chunks=num_model_chunks)
     raise KeyError(f"unknown pipeline schedule {name!r}; known: {SCHEDULE_NAMES}")
 
 
@@ -620,23 +425,19 @@ def simulate_pipeline(
     inter_group_latency: float = 0.0,
     microbatch_overhead: float = 0.0,
     schedule: Union[str, PipelineSchedule] = "gpipe",
-    num_model_chunks: int = 1,
     recompute: bool = False,
     overlap: float = 0.0,
 ) -> ScheduleResult:
     """Simulate one pipelined iteration (GPipe by default, for compatibility).
 
     Args:
-        stages: per-stage full-batch timings and memory inputs; attach
-            :class:`ChunkTimes` profiles (``StageTimes.chunks``) for exact
-            per-chunk interleaved simulation.
+        stages: per-stage full-batch timings and memory inputs.
         num_microbatches: microbatches per iteration.
         inter_group_bandwidth: point-to-point bytes/s between adjacent stages;
             must be positive when there is more than one stage.
         inter_group_latency: per-transfer latency in seconds.
-        microbatch_overhead: fixed per-microbatch (per-chunk) launch cost.
+        microbatch_overhead: fixed per-microbatch launch cost.
         schedule: schedule name (see :data:`SCHEDULE_NAMES`) or instance.
-        num_model_chunks: chunks per stage for ``interleaved-1f1b``.
         recompute: model activation recomputation (one extra forward per
             microbatch, O(1) activation stash per in-flight microbatch).
         overlap: communication/computation overlap efficiency in ``[0, 1]``;
@@ -649,10 +450,7 @@ def simulate_pipeline(
     Returns:
         The :class:`ScheduleResult`; ``total`` is the iteration time.
     """
-    if isinstance(schedule, PipelineSchedule):
-        impl = schedule
-    else:
-        impl = get_schedule(schedule, num_model_chunks=max(1, num_model_chunks))
+    impl = schedule if isinstance(schedule, PipelineSchedule) else get_schedule(schedule)
     return impl.simulate(
         stages,
         num_microbatches,

@@ -16,9 +16,9 @@ Entry points:
   training, or planner-cut stage graph);
 * :func:`verify_program` — P001–P008 over one ``DistributedProgram``;
 * :func:`verify_plan` — L001–L004 plus per-chunk program checks, S001–S003
-  schedule checks, and (by default) the W001–W006 lints over one
+  schedule checks, and (by default) the W001–W004 and W006 lints over one
   ``HierarchicalPlan``;
-* :func:`lint_plan` — only the W001–W006 performance lints;
+* :func:`lint_plan` — only the W001–W004 and W006 performance lints;
 * :func:`verify_schedule_orders` — S001–S003 over explicit task orders;
 * ``python -m repro.verify`` — plan + verify every registry model
   (``--lint`` adds the performance lints, ``--strict-warnings`` makes

@@ -119,7 +119,7 @@ def verify_registry(
             for chunk in plan.chunk_sequence():
                 report.merge(
                     verify_graph(chunk.info.graph),
-                    prefix=f"chunk graph {chunk.virtual_index}",
+                    prefix=f"chunk graph {chunk.stage_index}",
                 )
             report.merge(verify_plan(plan, forward, lint=False), prefix="plan")
             verify_seconds = time.perf_counter() - t0

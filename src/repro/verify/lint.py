@@ -22,13 +22,13 @@ imbalanced or its links oversubscribed.
 * ``W004`` — memory headroom: a stage's worst device sits above
   :data:`MEMORY_HEADROOM_FRACTION` of its capacity — one activation spike
   from an OOM even though the plan nominally fits.
-* ``W005`` — degenerate interleaving: the plan pays interleaved complexity
-  (``num_model_chunks > 1``) although a non-interleaved candidate at the
-  same stage count simulated at least as fast.
 * ``W006`` — dominated collective: a paid All-Gather variant is slower than
   the other variant in the paper's Sec. 2.5.1 rule table by more than
   :data:`DOMINATED_COMM_RTOL` (the synthesizer should have picked the
   cheaper implementation for these sharding ratios).
+
+``W005`` flagged a pipeline schedule the planner no longer has; the code is
+retired, not reused.
 
 :func:`lint_plan` is the entry point; :func:`~repro.verify.plan.verify_plan`
 folds it in by default so cache hits are linted alongside the structural
@@ -161,37 +161,6 @@ class MemoryHeadroomPass(VerifierPass):
                 )
 
 
-class DegenerateInterleavingPass(VerifierPass):
-    """W005: interleaving is paid for but buys no simulated bubble win."""
-
-    name = "lint-degenerate-interleaving"
-    codes = ("W005",)
-
-    def run(
-        self, plan: HierarchicalPlan, context: Dict[str, Any]
-    ) -> Iterable[Diagnostic]:
-        if plan.num_model_chunks <= 1:
-            return
-        rivals = [
-            time
-            for (stages, name, _m, _rc), time in plan.schedule_candidate_times.items()
-            if stages == plan.num_stages and name != "interleaved-1f1b"
-        ]
-        if not rivals:
-            return
-        best_rival = min(rivals)
-        if best_rival <= plan.estimated_time:
-            yield Diagnostic(
-                "W005",
-                Severity.WARNING,
-                f"interleaving with {plan.num_model_chunks} model chunks is "
-                f"estimated at {plan.estimated_time:.4g}s but a non-interleaved "
-                f"candidate at the same stage count simulated {best_rival:.4g}s; "
-                f"the extra chunk machinery buys no bubble win",
-                f"schedule {plan.schedule_name}",
-            )
-
-
 class DominatedCollectivePass(VerifierPass):
     """W006: an All-Gather variant dominated by the paper's rule table."""
 
@@ -223,7 +192,7 @@ class DominatedCollectivePass(VerifierPass):
                         f"{instr.kind.value} of {ref} costs {paid:.3g}s but "
                         f"{best_kind.value} would cost {best:.3g}s for these "
                         f"sharding ratios (Sec. 2.5.1 rule table)",
-                        f"virtual stage {chunk.virtual_index}: {instr.describe()}",
+                        f"stage {chunk.stage_index}: {instr.describe()}",
                     )
 
 
@@ -233,7 +202,6 @@ LINT_PASSES = (
     ExposedCommPass(),
     StageImbalancePass(),
     MemoryHeadroomPass(),
-    DegenerateInterleavingPass(),
     DominatedCollectivePass(),
 )
 

@@ -246,10 +246,10 @@ def move_backward_early(orders: Sequence[Sequence[Task]]) -> Tuple[Orders, str]:
     """Move a backward before its own forward on one stage -> S001 (deadlock)."""
     mutated = _copy_orders(orders)
     for order in mutated:
-        for pos, (kind, c, j) in enumerate(order):
+        for pos, (kind, j) in enumerate(order):
             if kind != "B":
                 continue
-            fpos = order.index(("F", c, j))
+            fpos = order.index(("F", j))
             if fpos < pos:
                 order.insert(fpos, order.pop(pos))
                 return mutated, "S001"
@@ -281,24 +281,23 @@ SCHEDULE_MUTATIONS: Dict[
 def inflate_stage_memory(plan: HierarchicalPlan) -> Tuple[HierarchicalPlan, str]:
     """Blow a stage's resident parameter bytes past any device -> L004."""
     mutated = copy.deepcopy(plan)
-    chunk = mutated.stages[0].chunks[0]
+    chunk = mutated.stages[0].chunk
     capacity = max(mutated.stages[0].subcluster.device_memory())
     chunk.replicated_param_bytes += int(capacity * 10)
     return mutated, "L004"
 
 
-def corrupt_virtual_index(plan: HierarchicalPlan) -> Tuple[HierarchicalPlan, str]:
-    """Break the ``k = chunk * s + stage`` round-robin assignment -> L003."""
+def corrupt_stage_index(plan: HierarchicalPlan) -> Tuple[HierarchicalPlan, str]:
+    """Put the last stage's chunk at another stage's position -> L003."""
     mutated = copy.deepcopy(plan)
-    chunk = mutated.stages[-1].chunks[-1]
-    chunk.virtual_index += 1
+    mutated.stages[-1].chunk.stage_index += 1
     return mutated, "L003"
 
 
 def corrupt_send_bytes(plan: HierarchicalPlan) -> Tuple[HierarchicalPlan, str]:
     """Mis-account a boundary hop's transfer bytes -> L002."""
     mutated = copy.deepcopy(plan)
-    mutated.stages[0].chunks[0].send_bytes += 12345
+    mutated.stages[0].chunk.send_bytes += 12345
     return mutated, "L002"
 
 
@@ -307,6 +306,6 @@ PLAN_MUTATIONS: Dict[
     str, Callable[[HierarchicalPlan], Tuple[HierarchicalPlan, str]]
 ] = {
     "inflate_stage_memory": inflate_stage_memory,
-    "corrupt_virtual_index": corrupt_virtual_index,
+    "corrupt_stage_index": corrupt_stage_index,
     "corrupt_send_bytes": corrupt_send_bytes,
 }

@@ -11,9 +11,9 @@ result — against the original forward graph:
   refs, every incoming activation has a placeholder seed in the chunk graph,
   and ``send_bytes`` equals the bytes actually in flight across the chunk's
   outgoing hop (skip-connection tensors relayed across the hop included).
-* ``L003`` — round-robin coverage: the ``ChunkPlan`` lists cover the
-  ``s * v`` virtual stages exactly once each, with
-  ``virtual_index == chunk * s + stage_index``.
+* ``L003`` — stage coverage: stage ``i`` sits at position ``i`` and hosts
+  the chunk of cut piece ``i`` (``stage_index == i``), and the cut has
+  exactly one piece per stage.
 * ``L004`` — memory feasibility: per-device peak memory re-derived from the
   chunk plans and the schedule's activation-stash peaks must agree with the
   plan's ``fits_memory`` verdict against the groups' device capacities.
@@ -26,8 +26,7 @@ the ``python -m repro.verify`` CLI.
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, Iterable, Set
+from typing import Any, Dict, Iterable
 
 from ..core.hierarchical import HierarchicalPlan
 from ..core.instructions import is_source_op
@@ -81,7 +80,7 @@ class PartitionPass(VerifierPass):
                 )
         # Each chunk's forward compute must be exactly its cut stage's compute.
         for chunk in plan.chunk_sequence():
-            k = chunk.virtual_index
+            k = chunk.stage_index
             if not 0 <= k < cut.num_stages:
                 continue  # L003's finding
             stage_compute = {
@@ -103,7 +102,7 @@ class PartitionPass(VerifierPass):
                     Severity.ERROR,
                     f"chunk forward compute differs from its cut stage "
                     f"(extra: {extra}, missing: {missing})",
-                    f"virtual stage {k}",
+                    f"stage {k}",
                 )
 
 
@@ -119,10 +118,10 @@ class BoundaryPass(VerifierPass):
         forward: ComputationGraph = context["forward"]
         cut = plan.cut
         for chunk in plan.chunk_sequence():
-            k = chunk.virtual_index
+            k = chunk.stage_index
             if not 0 <= k < cut.num_stages:
                 continue  # L003's finding
-            where = f"virtual stage {k}"
+            where = f"stage {k}"
             if list(chunk.info.boundary_outputs) != list(cut.cut_refs[k]):
                 yield Diagnostic(
                     "L002",
@@ -161,7 +160,7 @@ class BoundaryPass(VerifierPass):
 
 
 class ChunkCoveragePass(VerifierPass):
-    """L003: chunk plans cover the ``s * v`` round-robin assignment exactly."""
+    """L003: one chunk per stage, each at its own cut piece."""
 
     name = "plan-chunk-coverage"
     codes = ("L003",)
@@ -170,8 +169,6 @@ class ChunkCoveragePass(VerifierPass):
         self, plan: HierarchicalPlan, context: Dict[str, Any]
     ) -> Iterable[Diagnostic]:
         s = plan.num_stages
-        v = max(1, plan.num_model_chunks)
-        seen: Set[int] = set()
         for i, stage in enumerate(plan.stages):
             if stage.index != i:
                 yield Diagnostic(
@@ -180,48 +177,18 @@ class ChunkCoveragePass(VerifierPass):
                     f"stage at position {i} carries index {stage.index}",
                     f"stage {i}",
                 )
-            if stage.num_chunks != v:
+            if stage.chunk.stage_index != i:
                 yield Diagnostic(
                     "L003",
                     Severity.ERROR,
-                    f"stage hosts {stage.num_chunks} chunks, expected {v}",
+                    f"chunk carries stage_index={stage.chunk.stage_index}, expected {i}",
                     f"stage {i}",
                 )
-            for c, chunk in enumerate(stage.chunks):
-                where = f"stage {i} chunk {c}"
-                if chunk.chunk != c or chunk.stage_index != i:
-                    yield Diagnostic(
-                        "L003",
-                        Severity.ERROR,
-                        f"chunk carries (chunk={chunk.chunk}, "
-                        f"stage_index={chunk.stage_index}), expected ({c}, {i})",
-                        where,
-                    )
-                expected_k = chunk.chunk * s + chunk.stage_index
-                if chunk.virtual_index != expected_k:
-                    yield Diagnostic(
-                        "L003",
-                        Severity.ERROR,
-                        f"virtual_index={chunk.virtual_index} but round-robin "
-                        f"assignment requires chunk * s + stage = {expected_k}",
-                        where,
-                    )
-                seen.add(chunk.virtual_index)
-        expected = set(range(s * v))
-        if seen != expected:
+        if plan.cut.num_stages != s:
             yield Diagnostic(
                 "L003",
                 Severity.ERROR,
-                f"virtual stages covered: {sorted(seen)}, expected "
-                f"{sorted(expected)}",
-                "chunks",
-            )
-        if plan.cut.num_stages != s * v:
-            yield Diagnostic(
-                "L003",
-                Severity.ERROR,
-                f"cut has {plan.cut.num_stages} stages for an s*v = {s * v} "
-                "round-robin",
+                f"cut has {plan.cut.num_stages} stages for {s} pipeline stages",
                 "cut",
             )
 
@@ -306,7 +273,7 @@ def verify_plan(
         check_cost: include the P008 cost cross-check per program (the most
             expensive check; the cache-hit guard disables it to keep warm
             lookups O(instructions)).
-        lint: run the W001–W006 performance lints.  Warnings never flip
+        lint: run the W001–W004 and W006 performance lints.  Warnings never flip
             ``report.ok``, so cache-hit acceptance is unaffected — but hits
             get the same audit trail as freshly planned requests.
     """
@@ -322,14 +289,11 @@ def verify_plan(
             ratios=chunk.ratios,
             check_cost=check_cost,
         )
-        report.merge(sub, prefix=f"virtual stage {chunk.virtual_index}")
+        report.merge(sub, prefix=f"stage {chunk.stage_index}")
     s = plan.num_stages
-    v = max(1, plan.num_model_chunks)
     try:
-        orders = get_schedule(plan.schedule_name, num_model_chunks=v).task_orders(
-            s, plan.num_microbatches, v
-        )
-    except (KeyError, ValueError) as exc:
+        orders = get_schedule(plan.schedule_name).task_orders(s, plan.num_microbatches)
+    except KeyError as exc:
         report.add(
             Diagnostic(
                 "S003",
@@ -343,7 +307,6 @@ def verify_plan(
             orders,
             num_stages=s,
             num_microbatches=plan.num_microbatches,
-            num_chunks=v,
             schedule_name=plan.schedule_name,
         )
         report.merge(sub, prefix=f"schedule {plan.schedule_name}")

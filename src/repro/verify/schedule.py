@@ -1,23 +1,22 @@
 """Schedule checks: is a pipeline task order executable and deadlock-free?
 
-The schedule engine (:mod:`repro.simulator.schedule`) consumes, per physical
-stage, an ordered list of ``(kind, chunk, microbatch)`` tasks and executes
-them under in-order head consumption.  These passes prove the order sound
+The schedule engine (:mod:`repro.simulator.schedule`) consumes, per stage,
+an ordered list of ``(kind, microbatch)`` tasks and executes them under
+in-order head consumption.  These passes prove the order sound
 *statically*, before anything is simulated or executed:
 
 * ``S001`` — deadlock-freedom: the dependency graph combining per-stage
   sequential order with the data edges (``F(k-1, j) -> F(k, j)``,
-  ``F(k, j) -> B(k, j)``, ``B(k+1, j) -> B(k, j)``) must be acyclic.  These
+  ``F(k, j) -> B(k, j)``, ``B(k+1, j) -> B(k, j)`` for stage ``k`` and
+  microbatch ``j``) must be acyclic.  These
   are exactly the send/recv dependencies of the pipelined execution, so a
   cycle is a guaranteed runtime deadlock.
 * ``S002`` — task completeness and matched send/recv pairing: every
-  ``(kind, chunk, microbatch)`` task appears exactly once on its physical
-  stage, so every boundary send — interleaved wrap hops included — has
-  exactly one matching receive.
+  ``(kind, microbatch)`` task appears exactly once on every stage, so every
+  boundary send has exactly one matching receive.
 * ``S003`` — per-microbatch ordering legality: the order must equal the
-  canonical task enumeration of the named schedule
-  (``gpipe``/``1f1b``/``interleaved-1f1b``), which encodes e.g. GPipe's
-  reversed backward drain and Megatron's grouped interleaving.
+  canonical task enumeration of the named schedule (``gpipe`` or ``1f1b``),
+  which encodes e.g. GPipe's reversed backward drain.
 """
 
 from __future__ import annotations
@@ -28,12 +27,12 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..simulator.schedule import get_schedule
 from .base import Diagnostic, Severity, VerificationReport, VerifierPass, run_passes
 
-#: A task is (kind, chunk, microbatch); kind is "F" or "B".
-Task = Tuple[str, int, int]
+#: A task is (kind, microbatch); kind is "F" or "B".
+Task = Tuple[str, int]
 
 
-def _schedule_context(context: Dict[str, Any]) -> Tuple[int, int, int]:
-    return context["num_stages"], context["num_microbatches"], context["num_chunks"]
+def _schedule_context(context: Dict[str, Any]) -> Tuple[int, int]:
+    return context["num_stages"], context["num_microbatches"]
 
 
 class TaskCompletenessPass(VerifierPass):
@@ -45,7 +44,7 @@ class TaskCompletenessPass(VerifierPass):
     def run(
         self, orders: Sequence[Sequence[Task]], context: Dict[str, Any]
     ) -> Iterable[Diagnostic]:
-        s, m, v = _schedule_context(context)
+        s, m = _schedule_context(context)
         if len(orders) != s:
             yield Diagnostic(
                 "S002",
@@ -54,9 +53,7 @@ class TaskCompletenessPass(VerifierPass):
                 "task orders",
             )
             return
-        expected_per_stage = {
-            ("F", c, j) for c in range(v) for j in range(m)
-        } | {("B", c, j) for c in range(v) for j in range(m)}
+        expected_per_stage = {(kind, j) for kind in ("F", "B") for j in range(m)}
         for i, order in enumerate(orders):
             seen: Dict[Task, int] = {}
             for pos, task in enumerate(order):
@@ -72,8 +69,7 @@ class TaskCompletenessPass(VerifierPass):
                     yield Diagnostic(
                         "S002",
                         Severity.ERROR,
-                        f"task {task} is outside the (kind, chunk<{v}, microbatch<{m}) "
-                        "grid",
+                        f"task {task} is outside the (kind, microbatch<{m}) grid",
                         f"stage {i} order[{pos}]",
                     )
             missing = expected_per_stage - set(seen)
@@ -99,22 +95,21 @@ class AcyclicityPass(VerifierPass):
     def run(
         self, orders: Sequence[Sequence[Task]], context: Dict[str, Any]
     ) -> Iterable[Diagnostic]:
-        s, m, v = _schedule_context(context)
-        total_virtual = s * v
-        # Node = (stage, kind, chunk, microbatch); edges = in-order execution
-        # per stage plus the cross-stage data dependencies the engine enforces.
-        nodes: List[Tuple[int, str, int, int]] = []
-        index: Dict[Tuple[int, str, int, int], int] = {}
+        s, _m = _schedule_context(context)
+        # Node = (stage, kind, microbatch); edges = in-order execution per
+        # stage plus the cross-stage data dependencies the engine enforces.
+        nodes: List[Tuple[int, str, int]] = []
+        index: Dict[Tuple[int, str, int], int] = {}
         for i, order in enumerate(orders[:s]):
-            for kind, c, j in order:
-                node = (i, kind, c, j)
+            for kind, j in order:
+                node = (i, kind, j)
                 if node not in index:  # duplicates are S002's finding
                     index[node] = len(nodes)
                     nodes.append(node)
         succ: List[List[int]] = [[] for _ in nodes]
         indeg = [0] * len(nodes)
 
-        def add_edge(a: Tuple[int, str, int, int], b: Tuple[int, str, int, int]) -> None:
+        def add_edge(a: Tuple[int, str, int], b: Tuple[int, str, int]) -> None:
             ia, ib = index.get(a), index.get(b)
             if ia is None or ib is None or ia == ib:
                 return
@@ -124,15 +119,14 @@ class AcyclicityPass(VerifierPass):
         for i, order in enumerate(orders[:s]):
             for prev, nxt in zip(order, order[1:]):
                 add_edge((i, *prev), (i, *nxt))
-        for i, kind, c, j in nodes:
-            k = c * s + i
+        for i, kind, j in nodes:
             if kind == "F":
-                if k > 0:
-                    add_edge(((k - 1) % s, "F", (k - 1) // s, j), (i, "F", c, j))
+                if i > 0:
+                    add_edge((i - 1, "F", j), (i, "F", j))
             else:
-                add_edge((i, "F", c, j), (i, "B", c, j))
-                if k < total_virtual - 1:
-                    add_edge(((k + 1) % s, "B", (k + 1) // s, j), (i, "B", c, j))
+                add_edge((i, "F", j), (i, "B", j))
+                if i < s - 1:
+                    add_edge((i + 1, "B", j), (i, "B", j))
         # Kahn's algorithm: every node left unconsumed sits on a cycle.
         queue = deque(i for i, d in enumerate(indeg) if d == 0)
         consumed = 0
@@ -146,7 +140,7 @@ class AcyclicityPass(VerifierPass):
         if consumed != len(nodes):
             stuck = [nodes[i] for i, d in enumerate(indeg) if d > 0]
             sample = ", ".join(
-                f"stage {i}:{kind}({c},{j})" for i, kind, c, j in stuck[:4]
+                f"stage {i}:{kind}({j})" for i, kind, j in stuck[:4]
             )
             yield Diagnostic(
                 "S001",
@@ -167,13 +161,11 @@ class CanonicalOrderPass(VerifierPass):
     def run(
         self, orders: Sequence[Sequence[Task]], context: Dict[str, Any]
     ) -> Iterable[Diagnostic]:
-        s, m, v = _schedule_context(context)
+        s, m = _schedule_context(context)
         schedule_name: Optional[str] = context.get("schedule_name")
         if schedule_name is None:
             return
-        canonical = get_schedule(schedule_name, num_model_chunks=max(1, v)).task_orders(
-            s, m, v
-        )
+        canonical = get_schedule(schedule_name).task_orders(s, m)
         for i, (got, want) in enumerate(zip(orders, canonical)):
             if list(got) == list(want):
                 continue
@@ -203,7 +195,6 @@ def verify_schedule_orders(
     orders: Sequence[Sequence[Task]],
     num_stages: int,
     num_microbatches: int,
-    num_chunks: int = 1,
     schedule_name: Optional[str] = None,
 ) -> VerificationReport:
     """Run every schedule check over explicit per-stage task orders.
@@ -217,7 +208,6 @@ def verify_schedule_orders(
     context: Dict[str, Any] = {
         "num_stages": num_stages,
         "num_microbatches": num_microbatches,
-        "num_chunks": max(1, num_chunks),
         "schedule_name": schedule_name,
     }
     return run_passes(SCHEDULE_PASSES, orders, context)

@@ -36,11 +36,8 @@ SET_ONLY_BY_TESTS = {
     "SynthesisConfig.search_strategy":
         "the exact oracle the tests check the beam search against",
     "HierarchicalConfig.schedules":
-        "the only way a test reaches an interleaved plan's runtime, verifier and remap "
-        "paths: the default grid prices interleaved-1f1b but selects it on no workload",
-    "HierarchicalConfig.num_model_chunks":
-        "the only way a test reaches an interleaved plan's runtime, verifier and remap "
-        "paths with more chunks per stage than the default",
+        "pins one schedule so a test can price or run a gpipe or 1f1b plan the default "
+        "grid does not select",
 }
 
 

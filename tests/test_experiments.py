@@ -1,7 +1,5 @@
 """Tests for the experiment harness and the figure regenerators (CI-sized)."""
 
-import os
-
 import pytest
 
 from repro.cluster import heterogeneous_testbed

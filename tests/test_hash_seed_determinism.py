@@ -38,7 +38,7 @@ plan = hap_pipeline(
 )
 print(json.dumps({
     "chunks": [
-        [chunk.virtual_index, [repr(instr) for instr in chunk.program.instructions]]
+        [chunk.stage_index, [repr(instr) for instr in chunk.program.instructions]]
         for chunk in plan.chunk_sequence()
     ],
     "total": simulate_hierarchical(plan, seed=0).total.hex(),

@@ -37,7 +37,6 @@ from repro.models.bert import BERTConfig, build_bert
 from repro.models.vit import ViTConfig, build_vit
 from repro.runtime import SingleDeviceExecutor, run_hierarchical_plan
 from repro.simulator import (
-    ChunkTimes,
     StageTimes,
     profile_stages,
     simulate_hierarchical,
@@ -349,7 +348,7 @@ class TestScheduleSimulator:
 
 
 # ---------------------------------------------------------------------------
-# 1F1B / interleaved schedules and memory accounting
+# 1F1B schedule and memory accounting
 # ---------------------------------------------------------------------------
 
 class TestOneFOneBSchedule:
@@ -435,34 +434,6 @@ class TestOneFOneBSchedule:
             assert all(o < g for o, g in zip(ofob.peak_memory, gpipe.peak_memory))
             assert all(i <= min(s - idx, m) for idx, i in enumerate(ofob.peak_inflight))
 
-    def test_interleaved_shrinks_bubble(self):
-        stages = [
-            StageTimes(forward=2.0, backward=4.0, activation_bytes=10.0),
-            StageTimes(forward=2.0, backward=4.0, activation_bytes=10.0),
-        ]
-        ofob = simulate_pipeline(stages, 8, inter_group_bandwidth=1e9, schedule="1f1b")
-        inter = simulate_pipeline(
-            stages, 8, inter_group_bandwidth=1e9,
-            schedule="interleaved-1f1b", num_model_chunks=2,
-        )
-        assert inter.total < ofob.total
-        assert inter.bubble_fraction < ofob.bubble_fraction
-        assert inter.num_model_chunks == 2
-
-    def test_interleaved_requires_multiple_of_stage_count(self):
-        stages = [StageTimes(1.0, 2.0, send_bytes=1.0), StageTimes(1.0, 2.0)]
-        with pytest.raises(ValueError, match="divisible"):
-            simulate_pipeline(
-                stages, 3, inter_group_bandwidth=1.0,
-                schedule="interleaved-1f1b", num_model_chunks=2,
-            )
-        # With a single chunk the schedule is plain 1F1B and runs any m.
-        result = simulate_pipeline(
-            stages, 3, inter_group_bandwidth=1.0,
-            schedule="interleaved-1f1b", num_model_chunks=1,
-        )
-        assert result.total > 0
-
     def test_recomputation_trades_time_for_memory(self):
         stages = [
             StageTimes(forward=2.0, backward=4.0, send_bytes=0.5, activation_bytes=64.0),
@@ -487,171 +458,6 @@ class TestOneFOneBSchedule:
             inter_group_bandwidth=1.0,
         )
         assert result.peak_memory == pytest.approx([2.0 + 16.0])
-
-
-# ---------------------------------------------------------------------------
-# per-chunk interleaved schedules (exact chunk profiles, real wrap hops)
-# ---------------------------------------------------------------------------
-
-class TestPerChunkSchedule:
-    def unbalanced_chunked_stages(self, wrap_bytes=4.0):
-        # 2 stages x 2 chunks, m=2.  Full-batch chunk profiles (per-mb is /2):
-        # k0=(s0,c0): f2 b4 sends 2;  k1=(s1,c0): f4 b8 sends 4 (the WRAP hop);
-        # k2=(s0,c1): f6 b8 sends 6;  k3=(s1,c1): f2 b2 sends 0.
-        return [
-            StageTimes(
-                forward=8.0, backward=12.0, sync=1.0, send_bytes=8.0,
-                activation_bytes=20.0, weight_bytes=3.0,
-                chunks=(
-                    ChunkTimes(forward=2.0, backward=4.0, send_bytes=2.0, activation_bytes=8.0),
-                    ChunkTimes(forward=6.0, backward=8.0, send_bytes=6.0, activation_bytes=12.0),
-                ),
-            ),
-            StageTimes(
-                forward=6.0, backward=10.0, sync=0.5, send_bytes=4.0,
-                activation_bytes=6.0, weight_bytes=1.5,
-                chunks=(
-                    ChunkTimes(
-                        forward=4.0, backward=8.0,
-                        send_bytes=wrap_bytes, activation_bytes=4.0,
-                    ),
-                    ChunkTimes(forward=2.0, backward=2.0, send_bytes=0.0, activation_bytes=2.0),
-                ),
-            ),
-        ]
-
-    def test_hand_computed_unbalanced_interleaved_example(self):
-        # Hand-traced dependency engine (bandwidth 1, m=2): per-mb times
-        # fwd=[1,2,3,1], bwd=[2,4,4,1] over virtual stages k=c*2+i, hops of
-        # 1s/2s/3s after k=0/1/2 (the 2s hop is the wrap: physical 1 -> 0).
-        # Stage 0 runs F(k0,0..1) @0-2, F(k2,0) @6-9, F(k2,1) @9-12,
-        # B(k2,0) @17-21, B(k2,1) @21-25, B(k0,0) @28-30, B(k0,1) @32-34;
-        # stage 1 finishes its last backward at 31.  Totals: 34+1 / 31+0.5.
-        result = simulate_pipeline(
-            self.unbalanced_chunked_stages(), 2, inter_group_bandwidth=1.0,
-            schedule="interleaved-1f1b", num_model_chunks=2,
-        )
-        assert result.total == pytest.approx(35.0)
-        assert result.stage_finish == pytest.approx([35.0, 31.5])
-        assert result.stage_busy == pytest.approx([21.0, 16.5])
-        assert result.bubble == pytest.approx(((35 - 21) + (35 - 16.5)) / 2)
-        assert result.transfer == pytest.approx(24.0)  # 2 dirs x 2 mb x (1+2+3)
-        # Unequal per-chunk stashes: stage 0 holds both microbatches of both
-        # chunks at its peak (8+8+12+12)/2; stage 1 peaks at 2 c0-tasks + 1
-        # c1-task (4+4+2)/2.
-        assert result.peak_inflight == [4, 3]
-        assert result.peak_stash == pytest.approx([20.0, 5.0])
-        assert result.peak_memory == pytest.approx([23.0, 6.5])
-
-    def test_wrap_hop_bytes_are_real_not_mean_interior(self):
-        # The wrap hop (physical s-1 -> 0 between chunks) carries its chunk's
-        # true boundary bytes: fattening only that hop must slow the
-        # schedule.  (The old model faked it with the mean interior boundary,
-        # which would ignore this entirely.)
-        thin = simulate_pipeline(
-            self.unbalanced_chunked_stages(wrap_bytes=4.0), 2,
-            inter_group_bandwidth=1.0, schedule="interleaved-1f1b", num_model_chunks=2,
-        )
-        fat = simulate_pipeline(
-            self.unbalanced_chunked_stages(wrap_bytes=8.0), 2,
-            inter_group_bandwidth=1.0, schedule="interleaved-1f1b", num_model_chunks=2,
-        )
-        assert fat.total > thin.total
-        assert fat.total == pytest.approx(39.0)
-
-    def test_v1_interleaved_equals_plain_1f1b(self):
-        # Property: with a single model chunk the interleaved schedule IS
-        # plain 1F1B — identical totals, per-stage finishes and memory for
-        # any (s, m), including m not divisible by s.
-        import random
-
-        rng = random.Random(7)
-        for _ in range(50):
-            s = rng.randint(2, 5)
-            m = rng.randint(2, 20)
-            stages = [
-                StageTimes(
-                    forward=rng.uniform(0.3, 4),
-                    backward=rng.uniform(0.3, 6),
-                    sync=rng.uniform(0, 2),
-                    send_bytes=rng.uniform(0, 5),
-                    activation_bytes=rng.uniform(1, 100),
-                    weight_bytes=rng.uniform(0, 10),
-                )
-                for _ in range(s)
-            ]
-            plain = simulate_pipeline(stages, m, inter_group_bandwidth=1.0, schedule="1f1b")
-            inter = simulate_pipeline(
-                stages, m, inter_group_bandwidth=1.0,
-                schedule="interleaved-1f1b", num_model_chunks=1,
-            )
-            assert inter.total == pytest.approx(plain.total)
-            assert inter.stage_finish == pytest.approx(plain.stage_finish)
-            assert inter.peak_inflight == plain.peak_inflight
-            assert inter.peak_memory == pytest.approx(plain.peak_memory)
-
-    def test_equal_chunks_reproduce_equal_slice_estimate(self):
-        # When the real chunks happen to be equal slices of each stage (and
-        # the wrap chunk's boundary equals the last stage's send_bytes), the
-        # per-chunk simulation must reproduce the equal-chunk fallback — the
-        # exact path strictly generalises the old model.
-        import random
-
-        rng = random.Random(11)
-        for _ in range(20):
-            s = rng.randint(2, 4)
-            m = s * rng.randint(1, 4)
-            aggregates = [
-                dict(
-                    forward=rng.uniform(0.5, 4),
-                    backward=rng.uniform(0.5, 6),
-                    sync=rng.uniform(0, 1),
-                    send_bytes=rng.uniform(0.1, 5),
-                    activation_bytes=rng.uniform(1, 50),
-                    weight_bytes=rng.uniform(0, 10),
-                )
-                for _ in range(s)
-            ]
-            plain = [StageTimes(**agg) for agg in aggregates]
-            chunked = [
-                StageTimes(
-                    **agg,
-                    chunks=tuple(
-                        ChunkTimes(
-                            forward=agg["forward"] / 2,
-                            backward=agg["backward"] / 2,
-                            send_bytes=agg["send_bytes"],
-                            activation_bytes=agg["activation_bytes"] / 2,
-                        )
-                        for _ in range(2)
-                    ),
-                )
-                for agg in aggregates
-            ]
-            a = simulate_pipeline(
-                plain, m, inter_group_bandwidth=1.0,
-                schedule="interleaved-1f1b", num_model_chunks=2,
-            )
-            b = simulate_pipeline(
-                chunked, m, inter_group_bandwidth=1.0,
-                schedule="interleaved-1f1b", num_model_chunks=2,
-            )
-            assert b.total == pytest.approx(a.total)
-            assert b.peak_memory == pytest.approx(a.peak_memory)
-
-    def test_chunk_count_mismatch_rejected(self):
-        stages = [
-            StageTimes(
-                forward=1.0, backward=2.0,
-                chunks=(ChunkTimes(0.5, 1.0), ChunkTimes(0.5, 1.0), ChunkTimes(0.5, 1.0)),
-            ),
-            StageTimes(forward=1.0, backward=2.0),
-        ]
-        with pytest.raises(ValueError, match="chunk profiles"):
-            simulate_pipeline(
-                stages, 2, inter_group_bandwidth=1.0,
-                schedule="interleaved-1f1b", num_model_chunks=2,
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +520,7 @@ class TestHierarchicalPlanner:
         forward = build_tiny_transformer()  # batch 16
         planner = HierarchicalPlanner(forward, make_cluster(), hier_config(max_stages=2))
         assert max(MICROBATCH_CANDIDATES) > 16
-        assert planner._microbatch_candidates(2, "gpipe") == [2, 4, 8, 16]
+        assert planner._microbatch_candidates() == [2, 4, 8, 16]
         plan = planner.plan()
         assert plan.batch_size == 16
         assert plan.num_microbatches <= 16
@@ -842,7 +648,6 @@ class TestHierarchicalPlanner:
         "field,value",
         [
             ("max_stages", 0),
-            ("num_model_chunks", 0),
             # An empty sequence must not fall through to every schedule.
             ("schedules", []),
             ("schedules", ()),
@@ -857,32 +662,13 @@ class TestHierarchicalPlanner:
             assert "'zig-zag'" in str(excinfo.value)
 
     def test_smallest_valid_config_accepted(self):
-        config = HierarchicalConfig(max_stages=1, num_model_chunks=1)
-        assert (config.max_stages, config.num_model_chunks) == (1, 1)
+        assert HierarchicalConfig(max_stages=1).max_stages == 1
 
-    def test_interleaved_only_with_incompatible_batch_falls_back_to_flat(self):
-        # Batch 16 has no divisor that is a multiple of 3, so an
-        # interleaved-only search has no valid microbatch count at 3 stages;
-        # the planner must skip that candidate (not crash) and keep the
-        # always-valid flat plan.
-        forward = build_tiny_transformer()  # batch 16
-        cluster = make_cluster(("A100", "A100", "P100"))
-        planner = HierarchicalPlanner(
-            forward, cluster, hier_config(schedules=["interleaved-1f1b"], max_stages=3)
-        )
-        assert planner.build_candidate(3) is None
-        plan = planner.plan()
-        assert 3 not in plan.candidate_times
-        assert 1 in plan.candidate_times
-        # With a compatible stage count the interleaved-only search works and
-        # discovers batch divisors that are multiples of the stage count.
-        plan2 = HierarchicalPlanner(
-            forward,
-            cluster,
-            hier_config(schedules=["interleaved-1f1b"], max_stages=2),
-        ).plan()
-        combos = {k for k in plan2.schedule_candidate_times if k[0] == 2}
-        assert combos and all(k[2] % 2 == 0 for k in combos)
+    def test_removed_interleaved_schedule_rejected(self):
+        # The interleaved schedule is gone; asking for it names the
+        # schedules that remain.
+        with pytest.raises(ValueError, match=r"known: \['gpipe', '1f1b'\]"):
+            HierarchicalConfig(schedules=("interleaved-1f1b",))
 
     def test_pipelines_on_bandwidth_constrained_heterogeneous_testbed(self):
         # The whimpy-cluster scenario: machine groups with fast internal
@@ -906,157 +692,63 @@ class TestHierarchicalPlanner:
 
 
 # ---------------------------------------------------------------------------
-# per-chunk interleaved planning
+# per-stage chunk planning
 # ---------------------------------------------------------------------------
 
-class TestPerChunkPlanner:
-    def interleaved_candidate(self, forward, num_chunks=2, cluster=None):
-        config = hier_config(schedules=["interleaved-1f1b"], num_model_chunks=num_chunks)
-        planner = HierarchicalPlanner(forward, cluster or make_cluster(), config)
+class TestChunkPlanner:
+    def two_stage_candidate(self, forward, cluster=None):
+        planner = HierarchicalPlanner(forward, cluster or make_cluster(), hier_config())
         return planner.build_candidate(2)
-
-    def test_interleaved_plan_builds_real_chunk_programs(self):
-        forward = build_tiny_transformer()
-        plan = self.interleaved_candidate(forward)
-        assert plan is not None
-        assert plan.schedule_name == "interleaved-1f1b"
-        assert plan.num_model_chunks == 2
-        assert [stage.num_chunks for stage in plan.stages] == [2, 2]
-        seq = plan.chunk_sequence()
-        # Virtual order is chunk-major round-robin: (c0,s0),(c0,s1),(c1,s0),(c1,s1).
-        assert [(c.chunk, c.stage_index) for c in seq] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert [c.virtual_index for c in seq] == [0, 1, 2, 3]
-        # Every chunk carries its own flat-HAP program and training info.
-        assert len({id(c.program) for c in seq}) == 4
-        # The schedule consumed real per-chunk profiles, not equal slices.
-        planner = HierarchicalPlanner(forward, make_cluster(), hier_config())
-        chunk_fwd = [
-            [ct.forward for ct in times.chunks]
-            for times in profile_stages(plan.stages, planner._profile_chunk, {})
-        ]
-        assert all(len(f) == 2 for f in chunk_fwd)
 
     def test_chunk_parameters_cover_model_exactly_once(self):
         forward = build_tiny_transformer()
-        plan = self.interleaved_candidate(forward)
+        plan = self.two_stage_candidate(forward)
         updated = [p for c in plan.chunk_sequence() for p in c.info.updates]
         full = build_training_graph(forward)
         assert sorted(updated) == sorted(full.updates.keys())
 
-    def test_wrap_hop_bytes_recorded_on_last_stage_chunks(self):
-        forward = build_tiny_transformer()
-        plan = self.interleaved_candidate(forward)
-        # Chunk (c=0, stage=s-1) sends the wrap hop to (c=1, stage=0): its
-        # cut is interior to the model, so it must carry real bytes.
-        wrap_chunk = plan.stages[-1].chunks[0]
-        assert wrap_chunk.send_bytes > 0
-        # The final chunk of the final stage ends at the loss: nothing sent.
-        assert plan.stages[-1].chunks[-1].send_bytes == 0
-
-    def test_v1_reduces_to_single_chunk_stages(self):
-        forward = build_tiny_transformer()
-        plan = HierarchicalPlanner(
-            forward, make_cluster(), hier_config(max_stages=2, num_model_chunks=1)
-        ).plan()
-        assert all(stage.num_chunks == 1 for stage in plan.stages)
-        # With one chunk per stage, virtual stage k is physical stage k.
+    def test_each_stage_hosts_one_chunk(self):
+        plan = self.two_stage_candidate(build_tiny_transformer())
+        assert plan.num_model_chunks == 1
         for stage in plan.stages:
-            (chunk,) = stage.chunks
-            assert chunk.chunk == 0
+            chunk = stage.chunk
             assert chunk.stage_index == chunk.virtual_index == stage.index
             assert chunk.subcluster is stage.subcluster
-        assert plan.chunk_sequence() == [stage.chunks[0] for stage in plan.stages]
-
-    def test_interleaved_stages_report_chunk_aggregates(self):
-        plan = self.interleaved_candidate(build_tiny_transformer())
-        stage = plan.stages[0]
-        assert stage.num_chunks > 1
-        # Aggregates stay available for reporting.
-        assert stage.send_bytes > 0
-        assert stage.weight_bytes_total() > 0
-        assert stage.send_bytes == sum(c.send_bytes for c in stage.chunks)
+            assert stage.send_bytes == chunk.send_bytes
+        assert plan.chunk_sequence() == [stage.chunk for stage in plan.stages]
+        assert len({id(c.program) for c in plan.chunk_sequence()}) == 2
+        # The final stage ends at the loss: nothing sent.
+        assert plan.stages[-1].send_bytes == 0
 
     def test_resident_state_splits_by_sharding_ratio(self):
         # With no stash, the per-device peaks of a stage add up to its
-        # group-aggregate resident state: each chunk's ratios sum to one.
+        # group-aggregate resident state: the chunk's ratios sum to one.
         cluster = make_cluster(("A100", "P100", "A100", "P100"))
-        plan = self.interleaved_candidate(build_tiny_transformer(), cluster=cluster)
+        plan = self.two_stage_candidate(build_tiny_transformer(), cluster=cluster)
         for stage in plan.stages:
-            assert stage.num_chunks == 2
             assert sum(stage.peak_device_memory(0.0)) == pytest.approx(
                 stage.weight_bytes_total(), rel=1e-12
             )
 
-    def test_stash_share_is_the_worst_chunk_ratio(self):
-        # Chunks of one stage may be balanced differently; each device holds
-        # the stash share of its largest-ratio chunk.
+    def test_stash_share_is_the_chunk_ratio(self):
+        # Each device holds its sharding-ratio share of the stage's stash.
         cluster = make_cluster(("A100", "P100", "A100", "P100"))
-        plan = self.interleaved_candidate(build_tiny_transformer(), cluster=cluster)
+        plan = self.two_stage_candidate(build_tiny_transformer(), cluster=cluster)
         stash = 1e6
         for stage in plan.stages:
             base = stage.peak_device_memory(0.0)
             loaded = stage.peak_device_memory(stash)
             for j, (bare, full) in enumerate(zip(base, loaded)):
-                share = max(chunk.ratios[j] for chunk in stage.chunks)
-                assert full - bare == pytest.approx(stash * share, rel=1e-9)
-        # On this mixed-GPU group the A100 takes the larger share.
-        first = plan.stages[0].peak_device_memory(stash)
-        assert first[0] > first[1]
-
-    def test_round_robin_cut_balances_group_compute(self):
-        from repro.graph import interleaved_pipeline_cut
-
-        graph = build_tiny_model("bert_base")
-        cut = interleaved_pipeline_cut(graph, [3.0, 1.0], 2)
-        assert cut.num_stages == 4
-        total = sum(cut.stage_flops)
-        # Chunks k=0,2 run on the 3x group, k=1,3 on the 1x group: each
-        # group's total share tracks its weight.
-        heavy = (cut.stage_flops[0] + cut.stage_flops[2]) / total
-        assert heavy > 0.55
-
-    def test_infeasible_chunk_cut_skips_interleaved(self):
-        # An MLP has too few splittable blocks for 2 stages x 8 chunks; the
-        # interleaved-only search must skip the schedule (never model fake
-        # equal chunks) and fall back to the flat plan.
-        forward = build_mlp()
-        plan = HierarchicalPlanner(
-            forward,
-            make_cluster(),
-            hier_config(
-                schedules=["interleaved-1f1b"], max_stages=2, num_model_chunks=8
-            ),
-        ).plan()
-        assert plan.num_stages == 1
-        assert not any(
-            key[0] == 2 and key[1] == "interleaved-1f1b"
-            for key in plan.schedule_candidate_times
-        )
-
-    def test_estimate_matches_simulator_schedule_shape(self):
-        # The planner estimate and the measured simulation run the same
-        # per-chunk schedule: same chunk count, same microbatch count, and a
-        # schedule whose per-stage profiles carry per-chunk data.
-        plan = self.interleaved_candidate(build_tiny_transformer())
-        sim = simulate_hierarchical(plan, iterations=1, seed=0)
-        assert sim.schedule.num_model_chunks == 2
-        assert sim.schedule.num_microbatches == plan.num_microbatches
-        assert all(len(t.chunks) == 2 for t in sim.stage_times)
+                assert full - bare == pytest.approx(stash * stage.chunk.ratios[j], rel=1e-9)
 
     def test_microbatch_candidates_bounded_for_large_batches(self):
-        # Regression: the interleaved candidate list used to append every
-        # multiple of the stage count up to the batch size — O(batch) work
-        # and an unbounded combo grid.  It must stay bounded by
-        # MICROBATCH_CANDIDATES (plus s and 2s) and contain only valid divisors.
+        # The candidate list stays bounded by MICROBATCH_CANDIDATES at any
+        # batch size and holds only batch divisors.
         forward = build_mlp(batch=4096)
         planner = HierarchicalPlanner(forward, make_cluster(), hier_config())
-        for s in (2, 3, 4):
-            cands = planner._microbatch_candidates(s, "interleaved-1f1b")
-            assert len(cands) <= len(MICROBATCH_CANDIDATES) + 2
-            assert all(4096 % m == 0 and m % s == 0 for m in cands)
-        # Incompatible batch: no divisor is a multiple of 3 for batch 16.
-        small = HierarchicalPlanner(build_mlp(batch=16), make_cluster(), hier_config())
-        assert small._microbatch_candidates(3, "interleaved-1f1b") == []
+        cands = planner._microbatch_candidates()
+        assert len(cands) <= len(MICROBATCH_CANDIDATES)
+        assert all(4096 % m == 0 for m in cands)
 
     def test_divisor_helpers(self):
         from repro.core.hierarchical import _divisors, _nearest_divisor
@@ -1080,7 +772,7 @@ class TestProfileOnce:
 
     @pytest.fixture(scope="class")
     def two_machines(self):
-        """Two heterogeneous machines: a 3-cell (stage, chunk-variant) grid."""
+        """Two heterogeneous machines: stage counts 1 and 2."""
         return make_cluster(("A100", "P100"), group=True)
 
     def test_profile_stages_profiles_each_key_once(self):
@@ -1091,15 +783,19 @@ class TestProfileOnce:
                 content_key=key, fwd=fwd, send_bytes=send, activation_bytes=2 * send
             )
 
-        def stage(*chunks):
+        def stage(c):
             return SimpleNamespace(
-                chunks=list(chunks),
-                send_bytes=sum(c.send_bytes for c in chunks),
-                activation_bytes=sum(c.activation_bytes for c in chunks),
+                chunk=c,
+                send_bytes=c.send_bytes,
+                activation_bytes=c.activation_bytes,
                 weight_bytes_total=lambda: 7.0,
             )
 
-        stages = [stage(chunk("a", 1.0, 10), chunk("b", 2.0, 20)), stage(chunk("a", 9.0, 30))]
+        stages = [
+            stage(chunk("a", 1.0, 10)),
+            stage(chunk("b", 2.0, 20)),
+            stage(chunk("a", 9.0, 30)),
+        ]
         calls = []
 
         def profile(c):
@@ -1110,20 +806,18 @@ class TestProfileOnce:
         times = profile_stages(stages, profile, memo)
         assert calls == ["a", "b"]  # the second "a" chunk reuses the first's buckets
         assert sorted(memo) == ["a", "b"]
-        assert times[1] == StageTimes(
+        assert times[2] == StageTimes(
             forward=1.0,
             backward=2.0,
             sync=0.5,
             send_bytes=30.0,
             activation_bytes=60.0,
             weight_bytes=7.0,
-            chunks=(ChunkTimes(1.0, 2.0, send_bytes=30.0, activation_bytes=60.0),),
         )
-        assert times[0].forward == 3.0 and times[0].sync == 1.0
+        assert times[1].forward == 2.0 and times[1].sync == 0.5
         # Keyless chunks are profiled every time.
         for st in stages:
-            for c in st.chunks:
-                c.content_key = None
+            st.chunk.content_key = None
         calls.clear()
         profile_stages(stages, profile, {})
         assert calls == [None, None, None]
@@ -1243,7 +937,7 @@ class TestHierarchicalRuntimeParity:
         # Gradient accumulation over equal microbatches with sum-reduced
         # losses is mathematically identical to the full-batch iteration, so
         # the microbatched 1F1B runtime must reproduce single-device training
-        # (the schedule's interleaving only affects timing, not numerics).
+        # (the schedule's task order only affects timing, not numerics).
         forward = builder()
         planner = HierarchicalPlanner(forward, make_cluster(), hier_config())
         plan = planner.build_candidate(2)
@@ -1307,85 +1001,6 @@ class TestHierarchicalRuntimeParity:
         result = run_hierarchical_plan(plan, bindings)
         reference = SingleDeviceExecutor(training.graph).run(bindings)
         assert result.loss == pytest.approx(float(reference[training.loss]), rel=2e-4, abs=1e-4)
-
-
-# ---------------------------------------------------------------------------
-# interleaved runtime execution
-# ---------------------------------------------------------------------------
-
-class TestInterleavedRuntimeParity:
-    def interleaved_plan(self, forward):
-        config = hier_config(schedules=["interleaved-1f1b"], num_model_chunks=2)
-        plan = HierarchicalPlanner(forward, make_cluster(), config).build_candidate(2)
-        assert plan is not None and plan.num_model_chunks == 2
-        return plan
-
-    @pytest.mark.parametrize(
-        "builder,num_microbatches,rtol",
-        [
-            (build_tiny_transformer, None, 2e-4),  # the plan's own schedule
-            (build_tiny_transformer, 1, 2e-4),
-            (build_tiny_transformer, 4, 2e-4),
-            (build_tiny_moe, None, 1e-3),
-            (build_tiny_moe, 4, 1e-3),
-        ],
-    )
-    def test_matches_single_device_training(self, builder, num_microbatches, rtol):
-        # Four resident chunk programs (2 stages x 2 chunks) executed in the
-        # interleaved task order, with activation/gradient handoff on every
-        # virtual boundary including the wrap hops, must reproduce
-        # single-device full-batch training.
-        forward = builder()
-        plan = self.interleaved_plan(forward)
-        training = build_training_graph(forward)
-        bindings = bindings_for(training.graph, seed=2)
-        reference = SingleDeviceExecutor(training.graph).run(bindings)
-        result = run_hierarchical_plan(plan, bindings, num_microbatches=num_microbatches)
-        assert result.loss == pytest.approx(
-            float(reference[training.loss]), rel=rtol, abs=1e-4
-        )
-        for param, update_node in training.updates.items():
-            np.testing.assert_allclose(
-                result.updated_parameters[param],
-                reference[update_node],
-                rtol=rtol,
-                atol=1e-4,
-                err_msg=f"parameter {param} diverged (m={num_microbatches})",
-            )
-        for param in set(result.updated_parameters) - set(training.updates):
-            np.testing.assert_allclose(
-                result.updated_parameters[param],
-                bindings[param],
-                rtol=rtol,
-                atol=1e-4,
-                err_msg=f"pruned parameter {param} must stay unchanged",
-            )
-
-    def test_executor_follows_megatron_task_order(self):
-        from repro.runtime.spmd import HierarchicalExecutor
-        from repro.simulator import get_schedule
-
-        plan = self.interleaved_plan(build_tiny_transformer())
-        executor = HierarchicalExecutor(plan, num_microbatches=4)
-        assert executor.chunks_per_stage == 2
-        assert len(executor.executors) == 4  # one resident program per chunk
-        orders = executor._task_orders(4)
-        expected = get_schedule("interleaved-1f1b", num_model_chunks=2).task_orders(2, 4, 2)
-        assert orders == expected
-
-    def test_executor_falls_back_to_sweep_on_incompatible_microbatches(self):
-        from repro.runtime.spmd import HierarchicalExecutor
-
-        plan = self.interleaved_plan(build_tiny_transformer())  # batch 16, s=2
-        # m=8 divides the batch; the interleaved order applies.  A
-        # hypothetical odd m that divides the batch does not exist for 16,
-        # so exercise the fallback through the order helper directly.
-        executor = HierarchicalExecutor(plan, num_microbatches=8)
-        sweep = executor._task_orders(3)  # 3 % s != 0 -> sequential sweep
-        assert all(len(order) == 3 * 2 * 2 for order in sweep)
-        for order in sweep:
-            # Per microbatch: forwards chunk 0 then 1, backwards reversed.
-            assert order[:4] == [("F", 0, 0), ("F", 1, 0), ("B", 1, 0), ("B", 0, 0)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.data import batches_for_graph
-from repro.graph.graph import GraphError
 from repro.models import (
     MODEL_NAMES,
     PER_DEVICE_BATCH,

@@ -212,9 +212,7 @@ class TestSubplanDedupe:
                 max_rounds=1,
                 synthesis=SynthesisConfig(search_strategy="beam", beam_width=4),
             ),
-            max_stages=2,
-            schedules=["interleaved-1f1b"],
-            num_model_chunks=2,
+            max_stages=4,
         )
         plan = HierarchicalPlanner(forward, cluster, config).plan()
         assert plan.reuse_stats["subplans_deduped"] > 0
@@ -314,7 +312,7 @@ class TestCostPricing:
             == reference.evaluate(plan.program, plan.rounds[-1].ratios).total
         )
 
-    @pytest.mark.parametrize("schedule", ["gpipe", "interleaved-1f1b"])
+    @pytest.mark.parametrize("schedule", ["gpipe", "1f1b"])
     def test_pipeline_chunks_price_like_scalar_evaluate(self, schedule):
         """Every chunk's estimate is a fresh cost model's scalar ``evaluate``
         of the chunk program at ``chunk.ratios`` on the chunk's machine group."""
@@ -334,7 +332,7 @@ class TestCostPricing:
         for chunk in plan.chunk_sequence():
             reference = CostModel(chunk.program.graph, chunk.subcluster)
             expected = reference.evaluate(chunk.program, chunk.ratios)
-            assert chunk.plan.estimated_time == expected, chunk.virtual_index
+            assert chunk.plan.estimated_time == expected, chunk.stage_index
 
 
 class TestParityAcrossRatios:

@@ -168,21 +168,18 @@ class TestScheduleOverlap:
 
     @pytest.mark.parametrize("schedule", SCHEDULE_NAMES)
     def test_overlap_zero_reproduces_blocking_times_exactly(self, schedule):
-        # Property: overlap=0 is bit-for-bit today's blocking engine for all
-        # three schedules, on random stage profiles.
+        # Property: overlap=0 is bit-for-bit today's blocking engine for
+        # every schedule, on random stage profiles.
         rng = random.Random(23)
         for _ in range(40):
             s = rng.randint(2, 5)
-            chunks = 2 if schedule == "interleaved-1f1b" else 1
-            m = s * rng.randint(1, 5) if chunks > 1 else rng.randint(2, 20)
+            m = rng.randint(2, 20)
             stages = random_stages(rng, s)
             blocking = simulate_pipeline(
-                stages, m, inter_group_bandwidth=1.0,
-                schedule=schedule, num_model_chunks=chunks,
+                stages, m, inter_group_bandwidth=1.0, schedule=schedule
             )
             zero = simulate_pipeline(
-                stages, m, inter_group_bandwidth=1.0,
-                schedule=schedule, num_model_chunks=chunks, overlap=0.0,
+                stages, m, inter_group_bandwidth=1.0, schedule=schedule, overlap=0.0
             )
             assert zero.total == blocking.total
             assert zero.stage_finish == blocking.stage_finish
@@ -196,13 +193,11 @@ class TestScheduleOverlap:
         grid = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
         for _ in range(25):
             s = rng.randint(2, 4)
-            chunks = 2 if schedule == "interleaved-1f1b" else 1
-            m = s * rng.randint(1, 4) if chunks > 1 else rng.randint(2, 16)
+            m = rng.randint(2, 16)
             stages = random_stages(rng, s)
             totals = [
                 simulate_pipeline(
-                    stages, m, inter_group_bandwidth=1.0,
-                    schedule=schedule, num_model_chunks=chunks, overlap=e,
+                    stages, m, inter_group_bandwidth=1.0, schedule=schedule, overlap=e
                 ).total
                 for e in grid
             ]
@@ -518,9 +513,9 @@ class TestPerHopTransferBytes:
             sum(graph[ref].spec.size_bytes for ref in cut.crossing_refs(b))
             for b in range(cut.num_stages - 1)
         ]
-        for chunk in (stage.chunks[0] for stage in candidate.stages[:-1]):
-            assert chunk.send_bytes == hop_bytes[chunk.virtual_index]
-        assert candidate.stages[-1].chunks[-1].send_bytes == 0
+        for stage in candidate.stages[:-1]:
+            assert stage.chunk.send_bytes == hop_bytes[stage.index]
+        assert candidate.stages[-1].chunk.send_bytes == 0
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +551,7 @@ class TestDoubleBufferedHandoff:
             for idx, (kind, what, k, j) in enumerate(events)
             if kind == "drain" and k == 1
         ]
-        # Stage 0 issued its second microbatch's send before virtual stage 1
+        # Stage 0 issued its second microbatch's send before stage 1
         # drained anything: compute for k+1 ran while k was in flight.
         assert len(sends0) >= 2 and drains1
         assert sends0[1] < drains1[0]

@@ -467,10 +467,9 @@ class TestHierarchicalIntegration:
         [
             (build_mlp, None, 2e-4),
             (build_tiny_transformer, None, 2e-4),
-            (build_tiny_transformer, ["interleaved-1f1b"], 2e-4),
             (build_tiny_moe, None, 1e-3),
         ],
-        ids=["mlp", "transformer", "transformer-interleaved", "moe"],
+        ids=["mlp", "transformer", "moe"],
     )
     def test_renamed_whole_hit_matches_single_device_training(self, builder, schedules, rtol):
         """The renamed chunk graphs, boundaries and gradient seeds of a

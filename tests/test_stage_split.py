@@ -18,7 +18,7 @@ import pytest
 
 from benchmarks.e2e import workloads
 from repro.core import HierarchicalConfig, HierarchicalPlanner
-from repro.graph import interleaved_pipeline_cut
+from repro.graph import pipeline_cut
 
 WORKLOADS = ("hetero-pipeline", "moe-memory")
 
@@ -45,7 +45,7 @@ def _exhaustive_best(
     for ends in combinations(range(1, n), num_stages - 1):
         boundaries = (*ends, n)
         partition = cluster.split(boundaries, planner.config.intra_group_network)
-        cut = interleaved_pipeline_cut(planner.forward, partition.compute_ratios(), 1)
+        cut = pipeline_cut(planner.forward, partition.compute_ratios())
         if cut.num_stages < num_stages or min(cut.stage_flops) == 0:
             continue  # the planner cannot build this split
         monkeypatch.setattr(planner, "_candidate_partition", lambda s, p=partition: p)
@@ -75,8 +75,8 @@ def test_no_candidate_has_a_zero_flop_stage(workload, monkeypatch):
     built = []
     build_stages = planner._build_stages
 
-    def recording(partition, num_chunks):
-        result = build_stages(partition, num_chunks)
+    def recording(partition):
+        result = build_stages(partition)
         if result is not None:
             built.append(result[0])
         return result

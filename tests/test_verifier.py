@@ -139,14 +139,10 @@ class TestPositive:
         assert report.ok, report.describe()
 
     def test_canonical_schedules_verify(self):
-        for name, s, m, v in (
-            ("gpipe", 4, 8, 1),
-            ("1f1b", 4, 8, 1),
-            ("interleaved-1f1b", 2, 4, 2),
-        ):
-            orders = get_schedule(name, num_model_chunks=v).task_orders(s, m, v)
+        for name, s, m in (("gpipe", 4, 8), ("1f1b", 4, 8)):
+            orders = get_schedule(name).task_orders(s, m)
             report = verify_schedule_orders(
-                orders, num_stages=s, num_microbatches=m, num_chunks=v, schedule_name=name
+                orders, num_stages=s, num_microbatches=m, schedule_name=name
             )
             assert report.ok, (name, report.describe())
 
@@ -177,30 +173,17 @@ class TestProgramMutations:
 
 class TestScheduleMutations:
     @pytest.mark.parametrize("mutation", sorted(SCHEDULE_MUTATIONS))
-    @pytest.mark.parametrize("schedule,s,m,v", [("1f1b", 4, 8, 1), ("gpipe", 3, 6, 1)])
-    def test_mutation_caught(self, mutation, schedule, s, m, v):
-        orders = get_schedule(schedule, num_model_chunks=v).task_orders(s, m, v)
+    @pytest.mark.parametrize("schedule,s,m", [("1f1b", 4, 8), ("gpipe", 3, 6)])
+    def test_mutation_caught(self, mutation, schedule, s, m):
+        orders = get_schedule(schedule).task_orders(s, m)
         mutated, expected = SCHEDULE_MUTATIONS[mutation](orders)
         report = verify_schedule_orders(
-            mutated, num_stages=s, num_microbatches=m, num_chunks=v, schedule_name=schedule
+            mutated, num_stages=s, num_microbatches=m, schedule_name=schedule
         )
         assert not report.ok, f"{mutation} went undiagnosed"
         assert expected in report.codes(), (
             f"{mutation}: expected {expected}, got {report.codes()}\n{report.describe()}"
         )
-
-    def test_interleaved_wrap_hop_pairing(self):
-        # Dropping a task from an interleaved order strands the matching
-        # send/recv of a *wrap* hop (last stage -> stage 0) too.
-        orders = get_schedule("interleaved-1f1b", num_model_chunks=2).task_orders(2, 4, 2)
-        mutated = [list(o) for o in orders]
-        mutated[-1].remove(("F", 1, 0))  # chunk-1 forward arrives via the wrap hop
-        report = verify_schedule_orders(
-            mutated, num_stages=2, num_microbatches=4, num_chunks=2,
-            schedule_name="interleaved-1f1b",
-        )
-        assert "S002" in report.codes(), report.describe()
-
 
 class TestPlanMutations:
     @pytest.mark.parametrize("mutation", sorted(PLAN_MUTATIONS))
@@ -215,17 +198,17 @@ class TestPlanMutations:
     def test_corrupt_chunk_program_caught_at_plan_level(self, bert_plan, bert_forward):
         mutated = dataclasses.replace(bert_plan)
         mutated.stages = [dataclasses.replace(s) for s in bert_plan.stages]
-        mutated.stages[0].chunks = [dataclasses.replace(c) for c in bert_plan.stages[0].chunks]
+        mutated.stages[0].chunk = dataclasses.replace(bert_plan.stages[0].chunk)
         # A chunk on a one-machine group has no collectives, so corrupt the
         # dataflow instead: emulate one node twice.
-        chunk = mutated.stages[0].chunks[0]
+        chunk = mutated.stages[0].chunk
         bad_program, expected = duplicate_instruction(chunk.program)
         chunk.plan = dataclasses.replace(chunk.plan, program=bad_program)
         report = verify_plan(mutated, bert_forward)
         assert expected in report.codes(), report.describe()
-        # The diagnostic is anchored to the owning virtual stage.
+        # The diagnostic is anchored to the owning stage.
         assert any(
-            d.code == expected and "virtual stage 0" in d.location
+            d.code == expected and d.location.startswith("stage 0")
             for d in report.errors
         ), report.describe()
 
@@ -282,7 +265,7 @@ class TestCacheCorruption:
         corrupted = 0
         for path in Path(directory).glob("*.plan"):
             entry = pickle.loads(path.read_bytes())
-            entry.plan.stages[0].chunks[0].send_bytes += 999
+            entry.plan.stages[0].chunk.send_bytes += 999
             path.write_bytes(pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL))
             corrupted += 1
         return corrupted
@@ -386,7 +369,7 @@ class TestStageBoundaryAudit:
                 else:
                     refs = {p.ref for p in instr.inputs} | {instr.output.ref, instr.node}
                 assert refs <= names, (
-                    f"virtual stage {chunk.virtual_index}: {sorted(refs - names)} "
+                    f"stage {chunk.stage_index}: {sorted(refs - names)} "
                     "not in the chunk graph"
                 )
 
@@ -421,7 +404,7 @@ class TestGraphChecker:
             for chunk in plan.chunk_sequence():
                 report = verify_graph(chunk.info.graph)
                 assert report.ok and not report.warnings, (
-                    f"virtual stage {chunk.virtual_index}: {report.describe()}"
+                    f"stage {chunk.stage_index}: {report.describe()}"
                 )
 
     def test_batch_mixing_detected(self):
@@ -521,19 +504,6 @@ class TestLint:
         # An honestly-infeasible plan is L004's business, not a headroom lint.
         bad.fits_memory = False
         assert "W004" not in lint_plan(bad).codes()
-
-    def test_w005_degenerate_interleaving(self, bert_plan):
-        bad = copy.deepcopy(bert_plan)
-        bad.num_model_chunks = 2
-        key = (bad.num_stages, "1f1b", bad.num_microbatches, False)
-        bad.schedule_candidate_times[key] = bad.estimated_time  # no win
-        assert "W005" in lint_plan(bad).codes()
-        # With a genuine bubble win over *every* non-interleaved candidate at
-        # this stage count the interleaving is earning its keep.
-        for rival in list(bad.schedule_candidate_times):
-            if rival[0] == bad.num_stages and rival[1] != "interleaved-1f1b":
-                bad.schedule_candidate_times[rival] = 2.0 * bad.estimated_time
-        assert "W005" not in lint_plan(bad).codes()
 
     def test_w006_dominated_collective(self, sharded_plan):
         bad = copy.deepcopy(sharded_plan)
