@@ -8,9 +8,9 @@ in-order head consumption.  These passes prove the order sound
 * ``S001`` — deadlock-freedom: the dependency graph combining per-stage
   sequential order with the data edges (``F(k-1, j) -> F(k, j)``,
   ``F(k, j) -> B(k, j)``, ``B(k+1, j) -> B(k, j)`` for stage ``k`` and
-  microbatch ``j``) must be acyclic.  These
-  are exactly the send/recv dependencies of the pipelined execution, so a
-  cycle is a guaranteed runtime deadlock.
+  microbatch ``j``) must be acyclic.  These are exactly the send/recv
+  dependencies of the pipelined execution, so a cycle is a guaranteed
+  runtime deadlock.
 * ``S002`` — task completeness and matched send/recv pairing: every
   ``(kind, microbatch)`` task appears exactly once on every stage, so every
   boundary send has exactly one matching receive.
