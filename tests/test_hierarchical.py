@@ -37,7 +37,9 @@ from repro.models.bert import BERTConfig, build_bert
 from repro.models.vit import ViTConfig, build_vit
 from repro.runtime import SingleDeviceExecutor, run_hierarchical_plan
 from repro.simulator import (
+    SCHEDULE_NAMES,
     StageTimes,
+    get_schedule,
     profile_stages,
     simulate_hierarchical,
     simulate_pipeline,
@@ -346,6 +348,23 @@ class TestScheduleSimulator:
         result = simulate_pipeline([StageTimes(1.0, 2.0)], 1, inter_group_bandwidth=0.0)
         assert result.total == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("schedule", SCHEDULE_NAMES)
+    def test_boundary_hop_carries_its_stage_bytes(self, schedule):
+        # Each hop is priced from its own stage's send bytes: fattening
+        # the one boundary slows the iteration and raises the transfer
+        # load by exactly the added bytes.
+        def stages(send_bytes):
+            return [
+                StageTimes(forward=2.0, backward=6.0, sync=1.0, send_bytes=send_bytes),
+                StageTimes(forward=4.0, backward=2.0, sync=0.5),
+            ]
+
+        thin = simulate_pipeline(stages(2.0), 2, inter_group_bandwidth=1.0, schedule=schedule)
+        fat = simulate_pipeline(stages(6.0), 2, inter_group_bandwidth=1.0, schedule=schedule)
+        assert thin.transfer == pytest.approx(4.0)  # 2 dirs x 2 mb x 1s
+        assert fat.transfer == pytest.approx(12.0)  # 2 dirs x 2 mb x 3s
+        assert fat.total > thin.total
+
 
 # ---------------------------------------------------------------------------
 # 1F1B schedule and memory accounting
@@ -385,6 +404,38 @@ class TestOneFOneBSchedule:
         # stage's weight bytes to inflight x per-microbatch activations.
         assert result.peak_inflight == [2, 1]
         assert result.peak_memory == pytest.approx([1.0 + 2 * 2.0, 1.0 + 1 * 1.0])
+
+    def test_hand_computed_unbalanced_example(self):
+        # Two unbalanced stages, m=2, 1s per hop.  Per-microbatch forward
+        # 1s / 2s, backward 3s / 1s.  Stage 0 runs F0 F1 B0 B1, stage 1
+        # F0 B0 F1 B1:
+        # F0s0 0-1, F1s0 1-2, F0s1 2-4, B0s1 4-5, F1s1 5-7, B0s0 6-9,
+        # B1s1 7-8, B1s0 9-12.  Finish: stage0 12+1=13, stage1 8+0.5=8.5.
+        # GPipe (F0 F1 B1 B0 on both) runs F0s1 2-4, F1s1 4-6, B1s1 6-7,
+        # B0s1 7-8, B1s0 8-11, B0s0 11-14 and finishes at 15: the
+        # alternation starts stage 0's backwards a microbatch earlier.
+        stages = [
+            StageTimes(
+                forward=2.0, backward=6.0, sync=1.0, send_bytes=2.0,
+                activation_bytes=8.0, weight_bytes=1.0,
+            ),
+            StageTimes(
+                forward=4.0, backward=2.0, sync=0.5,
+                activation_bytes=4.0, weight_bytes=1.0,
+            ),
+        ]
+        result = simulate_pipeline(stages, 2, inter_group_bandwidth=1.0, schedule="1f1b")
+        assert result.total == pytest.approx(13.0)
+        assert result.stage_finish == pytest.approx([13.0, 8.5])
+        assert result.stage_busy == pytest.approx([9.0, 6.5])
+        assert result.bubble == pytest.approx(((13 - 9) + (13 - 6.5)) / 2)
+        assert result.transfer == pytest.approx(4.0)
+        assert result.peak_inflight == [2, 1]
+        assert result.peak_memory == pytest.approx([1.0 + 2 * 4.0, 1.0 + 1 * 2.0])
+        gpipe = simulate_pipeline(stages, 2, inter_group_bandwidth=1.0)
+        assert gpipe.total == pytest.approx(15.0)
+        assert gpipe.stage_finish == pytest.approx([15.0, 8.5])
+        assert gpipe.peak_inflight == [2, 2]
 
     def test_gpipe_peak_memory_grows_with_microbatches(self):
         result = simulate_pipeline(self.two_stage_inputs(), 4, inter_group_bandwidth=1.0)
@@ -458,6 +509,33 @@ class TestOneFOneBSchedule:
             inter_group_bandwidth=1.0,
         )
         assert result.peak_memory == pytest.approx([2.0 + 16.0])
+
+
+class TestTaskOrders:
+    """Structural invariants of every schedule's per-stage task orders,
+    which the simulator times and the runtime executes."""
+
+    SHAPES = [(1, 1), (2, 1), (2, 4), (3, 2), (4, 8)]
+
+    @pytest.mark.parametrize("s,m", SHAPES)
+    @pytest.mark.parametrize("schedule", SCHEDULE_NAMES)
+    def test_every_task_once_with_forward_before_backward(self, schedule, s, m):
+        orders = get_schedule(schedule).task_orders(s, m)
+        assert len(orders) == s
+        expected = sorted([("F", j) for j in range(m)] + [("B", j) for j in range(m)])
+        for order in orders:
+            assert sorted(order) == expected
+            for j in range(m):
+                assert order.index(("F", j)) < order.index(("B", j))
+        # The shared dependency engine runs the orders to completion, and
+        # the in-flight peak is the schedule's: m for GPipe, the remaining
+        # depth min(s - i, m) for 1F1B.
+        stages = [StageTimes(forward=1.0, backward=2.0, send_bytes=1.0) for _ in range(s)]
+        result = simulate_pipeline(stages, m, inter_group_bandwidth=1.0, schedule=schedule)
+        if schedule == "gpipe":
+            assert result.peak_inflight == [m] * s
+        else:
+            assert result.peak_inflight == [min(s - i, m) for i in range(s)]
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +797,41 @@ class TestChunkPlanner:
         assert len({id(c.program) for c in plan.chunk_sequence()}) == 2
         # The final stage ends at the loss: nothing sent.
         assert plan.stages[-1].send_bytes == 0
+
+    @pytest.mark.parametrize("num_stages", [2, 3])
+    def test_interior_stages_send_their_cut_bytes(self, num_stages):
+        # Every interior boundary carries the real bytes of the refs its
+        # cut crosses; the schedule prices each hop from them.
+        forward = build_tiny_transformer()
+        plan = HierarchicalPlanner(
+            forward, make_cluster(), hier_config()
+        ).build_candidate(num_stages)
+        assert plan is not None and plan.num_stages == num_stages
+        for stage in plan.stages[:-1]:
+            hop = sum(
+                forward[ref].spec.size_bytes
+                for ref in plan.cut.crossing_refs(stage.index)
+            )
+            assert hop > 0
+            assert stage.send_bytes == hop
+        assert plan.stages[-1].send_bytes == 0
+
+    @pytest.mark.parametrize("schedule", SCHEDULE_NAMES)
+    def test_estimate_matches_simulator_schedule_shape(self, schedule):
+        # The planner estimate and the measured simulation run the same
+        # schedule: same name, microbatch count, recomputation choice and
+        # one profile per stage, so the same in-flight peaks.
+        forward = build_tiny_transformer()
+        plan = HierarchicalPlanner(
+            forward, make_cluster(), hier_config(schedules=[schedule])
+        ).build_candidate(2)
+        assert plan is not None and plan.schedule_name == schedule
+        sim = simulate_hierarchical(plan, iterations=1, seed=0)
+        assert sim.schedule.schedule == schedule
+        assert sim.schedule.num_microbatches == plan.num_microbatches
+        assert sim.schedule.recompute == plan.recompute
+        assert len(sim.stage_times) == plan.num_stages
+        assert sim.schedule.peak_inflight == plan.schedule.peak_inflight
 
     def test_resident_state_splits_by_sharding_ratio(self):
         # With no stash, the per-device peaks of a stage add up to its
@@ -1001,6 +1114,79 @@ class TestHierarchicalRuntimeParity:
         result = run_hierarchical_plan(plan, bindings)
         reference = SingleDeviceExecutor(training.graph).run(bindings)
         assert result.loss == pytest.approx(float(reference[training.loss]), rel=2e-4, abs=1e-4)
+
+
+class TestScheduleRuntimeParity:
+    """A plan searched under one schedule executes that schedule's task
+    order and still reproduces single-device training."""
+
+    def schedule_plan(self, forward, schedule):
+        config = hier_config(schedules=[schedule])
+        plan = HierarchicalPlanner(forward, make_cluster(), config).build_candidate(2)
+        assert plan is not None and plan.schedule_name == schedule
+        return plan
+
+    @pytest.mark.parametrize(
+        "builder,num_microbatches,rtol",
+        [
+            (build_tiny_transformer, None, 2e-4),  # the plan's own count
+            (build_tiny_transformer, 1, 2e-4),
+            (build_tiny_transformer, 4, 2e-4),
+            (build_tiny_moe, None, 1e-3),
+            (build_tiny_moe, 4, 1e-3),
+        ],
+    )
+    @pytest.mark.parametrize("schedule", SCHEDULE_NAMES)
+    def test_matches_single_device_training(self, schedule, builder, num_microbatches, rtol):
+        forward = builder()
+        plan = self.schedule_plan(forward, schedule)
+        training = build_training_graph(forward)
+        bindings = bindings_for(training.graph, seed=2)
+        reference = SingleDeviceExecutor(training.graph).run(bindings)
+        result = run_hierarchical_plan(plan, bindings, num_microbatches=num_microbatches)
+        assert result.loss == pytest.approx(
+            float(reference[training.loss]), rel=rtol, abs=1e-4
+        )
+        for param, update_node in training.updates.items():
+            np.testing.assert_allclose(
+                result.updated_parameters[param],
+                reference[update_node],
+                rtol=rtol,
+                atol=1e-4,
+                err_msg=f"parameter {param} diverged ({schedule}, m={num_microbatches})",
+            )
+        for param in set(result.updated_parameters) - set(training.updates):
+            np.testing.assert_allclose(
+                result.updated_parameters[param],
+                bindings[param],
+                rtol=rtol,
+                atol=1e-4,
+                err_msg=f"pruned parameter {param} must stay unchanged",
+            )
+
+    @pytest.mark.parametrize("schedule", SCHEDULE_NAMES)
+    def test_executor_follows_schedule_task_order(self, schedule, monkeypatch):
+        from repro.runtime.spmd import HierarchicalExecutor
+
+        forward = build_tiny_transformer()
+        plan = self.schedule_plan(forward, schedule)
+        executor = HierarchicalExecutor(plan, num_microbatches=4)
+        executed = [[] for _ in range(executor.num_stages)]
+        run_forward, run_backward = executor._forward_task, executor._backward_task
+
+        def forward_task(k, *args):
+            executed[k].append(("F", args[-1]))
+            return run_forward(k, *args)
+
+        def backward_task(k, *args):
+            executed[k].append(("B", args[-1]))
+            return run_backward(k, *args)
+
+        monkeypatch.setattr(executor, "_forward_task", forward_task)
+        monkeypatch.setattr(executor, "_backward_task", backward_task)
+        training = build_training_graph(forward)
+        executor.run(bindings_for(training.graph, seed=5))
+        assert executed == get_schedule(schedule).task_orders(executor.num_stages, 4)
 
 
 # ---------------------------------------------------------------------------
