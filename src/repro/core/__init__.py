@@ -3,7 +3,6 @@
 from .config import PlannerConfig, SynthesisConfig
 from .costmodel import CostBreakdown, CostModel, StageCoefficients
 from .hierarchical import (
-    ChunkPlan,
     HierarchicalConfig,
     HierarchicalPlan,
     HierarchicalPlanner,
@@ -74,7 +73,6 @@ __all__ = [
     "plan_key",
     "remap_plan",
     "remap_program",
-    "ChunkPlan",
     "HierarchicalConfig",
     "HierarchicalPlan",
     "HierarchicalPlanner",

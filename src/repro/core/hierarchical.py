@@ -171,32 +171,32 @@ class HierarchicalConfig:
 
 
 @dataclass
-class ChunkPlan:
-    """One model chunk: a flat HAP plan for one stage's chunk graph.
+class StagePlan:
+    """One pipeline stage: a flat HAP plan for its chunk graph on one group.
 
     Attributes:
-        stage_index: pipeline stage (machine group) hosting the chunk, which
-            is also the chunk's position in the cut.
-        subcluster: the machine group this chunk runs on.
-        plan: the flat HAP plan for the chunk's training graph.
+        index: stage position in the pipeline, which is also the chunk's
+            position in the cut.
+        subcluster: the machine group this stage runs on.
+        plan: the flat HAP plan for the stage's chunk training graph.
         info: chunk-graph book-keeping (boundary refs, gradient seeds,
             per-parameter updates) used by the hierarchical runtime.
         send_bytes: full-mini-batch activation bytes handed to the next
             stage (0 on the last stage).
-        activation_bytes: full-mini-batch forward activation bytes the chunk
+        activation_bytes: full-mini-batch forward activation bytes the stage
             stashes for its backward pass.
-        sharded_param_bytes: parameter bytes the chunk program shards across
+        sharded_param_bytes: parameter bytes the stage program shards across
             its group (each device holds its ratio's worth).
         replicated_param_bytes: parameter bytes replicated on every device.
         content_key: content address of the (chunk graph, group, planner
             config) planning problem (see :func:`repro.core.plancache.plan_key`);
-            the planner sets it on every chunk.  Two chunks with the same
+            the planner sets it on every stage.  Two stages with the same
             key have bit-identical cost profiles (the cost model never looks
             at node names), so the planner and simulator profile each
             distinct key once.
     """
 
-    stage_index: int
+    index: int
     subcluster: ClusterSpec
     plan: HAPPlan
     info: TrainingGraphInfo
@@ -207,9 +207,14 @@ class ChunkPlan:
     content_key: Optional[str] = None
 
     @property
+    def stage_index(self) -> int:
+        """The e2e plan digest's name for :attr:`index` (ROADMAP item 10)."""
+        return self.index
+
+    @property
     def virtual_index(self) -> int:
-        """The e2e plan digest's name for :attr:`stage_index` (ROADMAP item 10)."""
-        return self.stage_index
+        """The e2e plan digest's name for :attr:`index` (ROADMAP item 10)."""
+        return self.index
 
     @property
     def program(self) -> DistributedProgram:
@@ -230,34 +235,6 @@ class ChunkPlan:
             self.replicated_param_bytes * n + self.sharded_param_bytes
         )
 
-
-@dataclass
-class StagePlan:
-    """One pipeline stage: a model chunk planned on one machine group.
-
-    Attributes:
-        index: stage position in the pipeline.
-        subcluster: the machine group this stage runs on.
-        chunk: the stage's :class:`ChunkPlan`.
-    """
-
-    index: int
-    subcluster: ClusterSpec
-    chunk: ChunkPlan
-
-    @property
-    def send_bytes(self) -> int:
-        """Full-mini-batch bytes this stage ships downstream."""
-        return self.chunk.send_bytes
-
-    @property
-    def activation_bytes(self) -> int:
-        return self.chunk.activation_bytes
-
-    def weight_bytes_total(self) -> float:
-        """Group-aggregate resident parameter/gradient/optimizer bytes."""
-        return self.chunk.weight_bytes_total()
-
     def peak_device_memory(self, peak_stash: float) -> List[float]:
         """Per-device peak bytes given the schedule's aggregate stash.
 
@@ -266,11 +243,10 @@ class StagePlan:
         are batch-sharded, so each device holds its sharding-ratio share of
         the stash on top of its resident parameter state.
         """
-        c = self.chunk
         return [
-            OPTIMIZER_STATE_FACTOR * c.replicated_param_bytes
-            + OPTIMIZER_STATE_FACTOR * c.sharded_param_bytes * c.ratios[j]
-            + peak_stash * c.ratios[j]
+            OPTIMIZER_STATE_FACTOR * self.replicated_param_bytes
+            + OPTIMIZER_STATE_FACTOR * self.sharded_param_bytes * self.ratios[j]
+            + peak_stash * self.ratios[j]
             for j in range(self.subcluster.num_devices)
         ]
 
@@ -354,18 +330,19 @@ class HierarchicalPlan:
         """True when planning degenerated to a single flat SPMD program."""
         return self.num_stages == 1
 
-    def chunk_sequence(self) -> List[ChunkPlan]:
-        """The stages' chunk plans in pipeline order."""
-        return [stage.chunk for stage in self.stages]
+    def chunk_sequence(self) -> List[StagePlan]:
+        """:attr:`stages` under the name the e2e plan digest reads (ROADMAP
+        item 10)."""
+        return list(self.stages)
 
     @property
     def num_communications(self) -> int:
-        return sum(c.program.num_communications for c in self.chunk_sequence())
+        return sum(stage.program.num_communications for stage in self.stages)
 
     def communication_kinds(self) -> Dict[str, int]:
         hist: Dict[str, int] = {}
-        for chunk in self.chunk_sequence():
-            for kind, count in chunk.program.communication_kinds().items():
+        for stage in self.stages:
+            for kind, count in stage.program.communication_kinds().items():
                 hist[kind] = hist.get(kind, 0) + count
         return hist
 
@@ -402,11 +379,10 @@ class HierarchicalPlan:
                 else ""
             )
             mem = f", peak mem {peak / 1e9:.2f}/{cap / 1e9:.0f} GB{util}" if cap else ""
-            chunk = stage.chunk
             lines.append(
-                f"  stage {stage.index}: {len(chunk.info.graph)} nodes on "
+                f"  stage {stage.index}: {len(stage.info.graph)} nodes on "
                 f"{group.name} ({group.num_gpus} GPUs), "
-                f"est {chunk.plan.estimated_time.total * 1e3:.2f} ms flat, "
+                f"est {stage.plan.estimated_time.total * 1e3:.2f} ms flat, "
                 f"sends {stage.send_bytes / 1e6:.2f} MB downstream{mem}"
             )
         if self.candidate_times:
@@ -639,18 +615,19 @@ class HierarchicalPlanner:
                 for p in info.graph.parameters()
                 if shardings.get(p.name) is None
             )
-            chunk = ChunkPlan(
-                stage_index=k,
-                subcluster=group,
-                plan=plan,
-                info=info,
-                send_bytes=send_bytes,
-                activation_bytes=activation_bytes,
-                sharded_param_bytes=sharded,
-                replicated_param_bytes=replicated,
-                content_key=content_key,
+            stages.append(
+                StagePlan(
+                    index=k,
+                    subcluster=group,
+                    plan=plan,
+                    info=info,
+                    send_bytes=send_bytes,
+                    activation_bytes=activation_bytes,
+                    sharded_param_bytes=sharded,
+                    replicated_param_bytes=replicated,
+                    content_key=content_key,
+                )
             )
-            stages.append(StagePlan(index=k, subcluster=group, chunk=chunk))
         return cut, stages
 
     def _candidate_partition(self, num_stages: int) -> ClusterPartition:
@@ -736,10 +713,10 @@ class HierarchicalPlanner:
             microbatch_overhead=0.0 if num_stages == 1 else MICROBATCH_OVERHEAD,
         )
 
-    def _profile_chunk(self, chunk: ChunkPlan) -> Dict[str, float]:
-        """Cost-model phase buckets of one chunk program on its group."""
-        cost_model = CostModel(chunk.program.graph, chunk.subcluster)
-        return cost_model.phase_profile(chunk.program, chunk.ratios, chunk.forward_nodes)
+    def _profile_chunk(self, stage: StagePlan) -> Dict[str, float]:
+        """Cost-model phase buckets of one stage program on its group."""
+        cost_model = CostModel(stage.program.graph, stage.subcluster)
+        return cost_model.phase_profile(stage.program, stage.ratios, stage.forward_nodes)
 
     def _fits_memory(
         self, stages: Sequence[StagePlan], result: ScheduleResult
@@ -841,16 +818,11 @@ class HierarchicalPlanner:
         )
         stages: List[StagePlan] = []
         for stage, chunk_order in zip(plan.stages, chunk_orders):
-            chunk = stage.chunk
-            info = self._chunk_training_graph(cut, chunk.stage_index)
+            info = self._chunk_training_graph(cut, stage.index)
             chunk_plan = remap_plan(
-                chunk.plan, chunk_order, info.graph, canonical_order(info.graph)
+                stage.plan, chunk_order, info.graph, canonical_order(info.graph)
             )
-            stages.append(
-                dataclasses.replace(
-                    stage, chunk=dataclasses.replace(chunk, plan=chunk_plan, info=info)
-                )
-            )
+            stages.append(dataclasses.replace(stage, plan=chunk_plan, info=info))
         return dataclasses.replace(plan, cut=cut, stages=stages)
 
     # -- main entry point -----------------------------------------------------------
@@ -912,7 +884,7 @@ class HierarchicalPlanner:
         best.schedule_candidate_times = combo_times
         best.reuse_stats = dict(self.reuse_stats)
         if cache is not None and key is not None:
-            chunk_orders = [canonical_order(c.info.graph) for c in best.chunk_sequence()]
+            chunk_orders = [canonical_order(stage.info.graph) for stage in best.stages]
             cache.put(CachedPlan(key=key, node_names=order, plan=best, chunk_orders=chunk_orders))
         if self.config.verify_after_plan:
             # Imported lazily: repro.verify depends on this module.

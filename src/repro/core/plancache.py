@@ -102,9 +102,8 @@ from .properties import Property
 #: split by equal flops, so a v10 entry may hold a plan on a split the
 #: planner no longer picks.
 #: v12: the interleaved schedule is gone: ``HierarchicalConfig`` lost
-#: ``num_model_chunks``, a ``StagePlan`` holds one ``chunk`` instead of a
-#: ``chunks`` list, and ``ChunkPlan`` lost its ``chunk`` and
-#: ``virtual_index`` fields, so the pickled plan and config layouts changed.
+#: ``num_model_chunks`` and ``ChunkPlan`` was folded into ``StagePlan`` (one
+#: chunk per stage), so the pickled plan and config layouts changed.
 CACHE_VERSION = 12
 
 #: Configuration fields excluded from cache keys: the cache itself and the

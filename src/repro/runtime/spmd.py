@@ -561,7 +561,7 @@ class HierarchicalExecutor:
 
     def __init__(self, plan, num_microbatches: Optional[int] = None) -> None:
         self.plan = plan
-        self.chunks = list(plan.chunk_sequence())
+        self.chunks = list(plan.stages)
         self.num_stages = len(self.chunks)
         m = plan.num_microbatches if num_microbatches is None else num_microbatches
         batch = plan.batch_size
@@ -609,7 +609,7 @@ class HierarchicalExecutor:
                 out[name] = np.asarray(bindings[name])
             else:
                 raise GraphError(
-                    f"stage {chunk.stage_index}: no binding or "
+                    f"stage {chunk.index}: no binding or "
                     f"upstream activation for {name!r}"
                 )
         return out

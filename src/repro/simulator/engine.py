@@ -401,11 +401,11 @@ def simulate_hierarchical(
 
     overheads = OverheadModel()
 
-    def profile(chunk) -> Dict[str, float]:
-        sim = ExecutionSimulator(chunk.subcluster, overheads=overheads, seed=seed)
-        return sim.profile_program(chunk.program, chunk.ratios, chunk.forward_nodes)
+    def profile(stage) -> Dict[str, float]:
+        sim = ExecutionSimulator(stage.subcluster, overheads=overheads, seed=seed)
+        return sim.profile_program(stage.program, stage.ratios, stage.forward_nodes)
 
-    # profile_program is noise-free, so chunks sharing a content key are
+    # profile_program is noise-free, so stages sharing a content key are
     # measured once per simulation.
     stage_times = profile_stages(plan.stages, profile, {})
     network = plan.partition.inter_group_network

@@ -90,24 +90,23 @@ def profile_stages(
     """Per-stage :class:`StageTimes` of a pipeline's stages.
 
     ``stages`` are :class:`~repro.core.hierarchical.StagePlan` objects (read
-    duck-typed: ``chunk``, ``send_bytes``, ``activation_bytes`` and
-    ``weight_bytes_total()``).  ``profile(chunk)`` returns the stage's chunk
+    duck-typed: ``content_key``, ``send_bytes``, ``activation_bytes`` and
+    ``weight_bytes_total()``).  ``profile(stage)`` returns the stage's chunk
     program's ``{"forward", "backward", "sync"}`` seconds — the planner
     passes the cost model's phase profile, the simulator its measured one.
 
-    Chunks sharing a ``content_key`` (isomorphic graph, same group
+    Stages sharing a ``content_key`` (isomorphic graph, same group
     signature, same planner config) have bit-identical profiles — neither
     profiler reads node names — so ``profile`` runs once per distinct key
-    and the buckets are kept in ``memo``.  A chunk whose key is ``None`` is
+    and the buckets are kept in ``memo``.  A stage whose key is ``None`` is
     profiled every time.
     """
     times: List[StageTimes] = []
     for stage in stages:
-        chunk = stage.chunk
-        key = chunk.content_key
+        key = stage.content_key
         buckets = memo.get(key) if key is not None else None
         if buckets is None:
-            buckets = profile(chunk)
+            buckets = profile(stage)
             if key is not None:
                 memo[key] = buckets
         times.append(

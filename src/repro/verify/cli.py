@@ -116,10 +116,10 @@ def verify_registry(
             plan = hap_pipeline(forward, cluster, _config(beam))
             t0 = time.perf_counter()
             report = verify_graph(forward)
-            for chunk in plan.chunk_sequence():
+            for chunk in plan.stages:
                 report.merge(
                     verify_graph(chunk.info.graph),
-                    prefix=f"chunk graph {chunk.stage_index}",
+                    prefix=f"chunk graph {chunk.index}",
                 )
             report.merge(verify_plan(plan, forward, lint=False), prefix="plan")
             verify_seconds = time.perf_counter() - t0

@@ -170,7 +170,7 @@ class DominatedCollectivePass(VerifierPass):
     def run(
         self, plan: HierarchicalPlan, context: Dict[str, Any]
     ) -> Iterable[Diagnostic]:
-        for chunk in plan.chunk_sequence():
+        for chunk in plan.stages:
             model = CollectiveCostModel(chunk.subcluster)
             ratios = chunk.ratios
             program = chunk.program
@@ -192,7 +192,7 @@ class DominatedCollectivePass(VerifierPass):
                         f"{instr.kind.value} of {ref} costs {paid:.3g}s but "
                         f"{best_kind.value} would cost {best:.3g}s for these "
                         f"sharding ratios (Sec. 2.5.1 rule table)",
-                        f"stage {chunk.stage_index}: {instr.describe()}",
+                        f"stage {chunk.index}: {instr.describe()}",
                     )
 
 

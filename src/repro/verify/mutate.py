@@ -281,23 +281,22 @@ SCHEDULE_MUTATIONS: Dict[
 def inflate_stage_memory(plan: HierarchicalPlan) -> Tuple[HierarchicalPlan, str]:
     """Blow a stage's resident parameter bytes past any device -> L004."""
     mutated = copy.deepcopy(plan)
-    chunk = mutated.stages[0].chunk
-    capacity = max(mutated.stages[0].subcluster.device_memory())
-    chunk.replicated_param_bytes += int(capacity * 10)
+    stage = mutated.stages[0]
+    stage.replicated_param_bytes += int(max(stage.subcluster.device_memory()) * 10)
     return mutated, "L004"
 
 
 def corrupt_stage_index(plan: HierarchicalPlan) -> Tuple[HierarchicalPlan, str]:
-    """Put the last stage's chunk at another stage's position -> L003."""
+    """Give the last stage another stage's position -> L003."""
     mutated = copy.deepcopy(plan)
-    mutated.stages[-1].chunk.stage_index += 1
+    mutated.stages[-1].index += 1
     return mutated, "L003"
 
 
 def corrupt_send_bytes(plan: HierarchicalPlan) -> Tuple[HierarchicalPlan, str]:
     """Mis-account a boundary hop's transfer bytes -> L002."""
     mutated = copy.deepcopy(plan)
-    mutated.stages[0].chunk.send_bytes += 12345
+    mutated.stages[0].send_bytes += 12345
     return mutated, "L002"
 
 

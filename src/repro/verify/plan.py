@@ -11,9 +11,9 @@ result — against the original forward graph:
   refs, every incoming activation has a placeholder seed in the chunk graph,
   and ``send_bytes`` equals the bytes actually in flight across the chunk's
   outgoing hop (skip-connection tensors relayed across the hop included).
-* ``L003`` — stage coverage: stage ``i`` sits at position ``i`` and hosts
-  the chunk of cut piece ``i`` (``stage_index == i``), and the cut has
-  exactly one piece per stage.
+* ``L003`` — stage coverage: stage ``i`` sits at position ``i`` (and so
+  hosts the chunk of cut piece ``i``), and the cut has exactly one piece
+  per stage.
 * ``L004`` — memory feasibility: per-device peak memory re-derived from the
   chunk plans and the schedule's activation-stash peaks must agree with the
   plan's ``fits_memory`` verdict against the groups' device capacities.
@@ -79,8 +79,8 @@ class PartitionPass(VerifierPass):
                     "cut",
                 )
         # Each chunk's forward compute must be exactly its cut stage's compute.
-        for chunk in plan.chunk_sequence():
-            k = chunk.stage_index
+        for stage in plan.stages:
+            k = stage.index
             if not 0 <= k < cut.num_stages:
                 continue  # L003's finding
             stage_compute = {
@@ -90,9 +90,9 @@ class PartitionPass(VerifierPass):
             }
             chunk_compute = {
                 name
-                for name in chunk.info.forward_nodes
-                if name in chunk.info.graph
-                and not is_source_op(chunk.info.graph[name].op)
+                for name in stage.info.forward_nodes
+                if name in stage.info.graph
+                and not is_source_op(stage.info.graph[name].op)
             }
             if chunk_compute != stage_compute:
                 extra = sorted(chunk_compute - stage_compute)[:3]
@@ -117,21 +117,21 @@ class BoundaryPass(VerifierPass):
     ) -> Iterable[Diagnostic]:
         forward: ComputationGraph = context["forward"]
         cut = plan.cut
-        for chunk in plan.chunk_sequence():
-            k = chunk.stage_index
+        for stage in plan.stages:
+            k = stage.index
             if not 0 <= k < cut.num_stages:
                 continue  # L003's finding
             where = f"stage {k}"
-            if list(chunk.info.boundary_outputs) != list(cut.cut_refs[k]):
+            if list(stage.info.boundary_outputs) != list(cut.cut_refs[k]):
                 yield Diagnostic(
                     "L002",
                     Severity.ERROR,
-                    f"chunk boundary outputs {list(chunk.info.boundary_outputs)} "
+                    f"chunk boundary outputs {list(stage.info.boundary_outputs)} "
                     f"do not match the cut's refs {list(cut.cut_refs[k])}",
                     where,
                 )
             for ref in cut.incoming_refs(k):
-                if ref not in chunk.info.graph or chunk.info.graph[ref].op != "placeholder":
+                if ref not in stage.info.graph or stage.info.graph[ref].op != "placeholder":
                     yield Diagnostic(
                         "L002",
                         Severity.ERROR,
@@ -149,11 +149,11 @@ class BoundaryPass(VerifierPass):
                 )
             else:
                 expected = 0
-            if chunk.send_bytes != expected:
+            if stage.send_bytes != expected:
                 yield Diagnostic(
                     "L002",
                     Severity.ERROR,
-                    f"send_bytes={chunk.send_bytes} but the hop actually ships "
+                    f"send_bytes={stage.send_bytes} but the hop actually ships "
                     f"{expected} bytes",
                     where,
                 )
@@ -175,13 +175,6 @@ class ChunkCoveragePass(VerifierPass):
                     "L003",
                     Severity.ERROR,
                     f"stage at position {i} carries index {stage.index}",
-                    f"stage {i}",
-                )
-            if stage.chunk.stage_index != i:
-                yield Diagnostic(
-                    "L003",
-                    Severity.ERROR,
-                    f"chunk carries stage_index={stage.chunk.stage_index}, expected {i}",
                     f"stage {i}",
                 )
         if plan.cut.num_stages != s:
@@ -282,14 +275,14 @@ def verify_plan(
         from .lint import lint_plan  # local import: lint depends on plan types
 
         report.merge(lint_plan(plan), prefix="lint")
-    for chunk in plan.chunk_sequence():
+    for stage in plan.stages:
         sub = verify_program(
-            chunk.program,
-            cluster=chunk.subcluster,
-            ratios=chunk.ratios,
+            stage.program,
+            cluster=stage.subcluster,
+            ratios=stage.ratios,
             check_cost=check_cost,
         )
-        report.merge(sub, prefix=f"stage {chunk.stage_index}")
+        report.merge(sub, prefix=f"stage {stage.index}")
     s = plan.num_stages
     try:
         orders = get_schedule(plan.schedule_name).task_orders(s, plan.num_microbatches)

@@ -38,8 +38,8 @@ plan = hap_pipeline(
 )
 print(json.dumps({
     "chunks": [
-        [chunk.stage_index, [repr(instr) for instr in chunk.program.instructions]]
-        for chunk in plan.chunk_sequence()
+        [chunk.index, [repr(instr) for instr in chunk.program.instructions]]
+        for chunk in plan.stages
     ],
     "total": simulate_hierarchical(plan, seed=0).total.hex(),
 }))

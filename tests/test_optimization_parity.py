@@ -216,7 +216,7 @@ class TestSubplanDedupe:
         )
         plan = HierarchicalPlanner(forward, cluster, config).plan()
         assert plan.reuse_stats["subplans_deduped"] > 0
-        for chunk in plan.chunk_sequence():
+        for chunk in plan.stages:
             fresh = HAPPlanner(chunk.info.graph, chunk.subcluster, config.planner).plan()
             assert list(chunk.plan.program.instructions) == list(fresh.program.instructions)
             assert chunk.plan.estimated_time.total == fresh.estimated_time.total
@@ -329,10 +329,10 @@ class TestCostPricing:
         )
         plan = hap_pipeline(build_deep_transformer(layers=4), cluster, config)
         assert plan.num_stages == 2
-        for chunk in plan.chunk_sequence():
+        for chunk in plan.stages:
             reference = CostModel(chunk.program.graph, chunk.subcluster)
             expected = reference.evaluate(chunk.program, chunk.ratios)
-            assert chunk.plan.estimated_time == expected, chunk.stage_index
+            assert chunk.plan.estimated_time == expected, chunk.index
 
 
 class TestParityAcrossRatios:

@@ -514,8 +514,8 @@ class TestPerHopTransferBytes:
             for b in range(cut.num_stages - 1)
         ]
         for stage in candidate.stages[:-1]:
-            assert stage.chunk.send_bytes == hop_bytes[stage.index]
-        assert candidate.stages[-1].chunk.send_bytes == 0
+            assert stage.send_bytes == hop_bytes[stage.index]
+        assert candidate.stages[-1].send_bytes == 0
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +578,6 @@ class TestDoubleBufferedHandoff:
         assert channel is not None and channel.drained
         assert any(kind == "send" for kind, _, _, _ in channel.events)
         expected = {training.loss}
-        for chunk in plan.chunk_sequence():
+        for chunk in plan.stages:
             expected.update(chunk.info.updates.values())
         assert set(result.outputs) == expected

@@ -389,7 +389,7 @@ class TestHierarchicalIntegration:
         _assert_same_plan(warm, cold)
         report = verify_plan(warm, renamed)
         assert report.ok, report.describe()
-        for chunk in warm.chunk_sequence():
+        for chunk in warm.stages:
             assert chunk.program.graph is chunk.info.graph
             assert set(chunk.info.forward_nodes) <= set(renamed.node_names)
 
@@ -404,7 +404,7 @@ class TestHierarchicalIntegration:
         assert (cache.hits, cache.misses) == (0, 1)
         (path,) = tmp_path.glob("*.plan")
         entry = pickle.loads(path.read_bytes())
-        assert len(entry.chunk_orders) == len(plan.chunk_sequence())
+        assert len(entry.chunk_orders) == len(plan.stages)
 
     def test_other_max_stages_misses_and_replans(self, tmp_path):
         """A renamed model under another ``max_stages`` misses the whole
@@ -463,22 +463,21 @@ class TestHierarchicalIntegration:
         _assert_same_plan(warm, cold)
 
     @pytest.mark.parametrize(
-        "builder,schedules,rtol",
+        "builder,rtol",
         [
-            (build_mlp, None, 2e-4),
-            (build_tiny_transformer, None, 2e-4),
-            (build_tiny_moe, None, 1e-3),
+            (build_mlp, 2e-4),
+            (build_tiny_transformer, 2e-4),
+            (build_tiny_moe, 1e-3),
         ],
         ids=["mlp", "transformer", "moe"],
     )
-    def test_renamed_whole_hit_matches_single_device_training(self, builder, schedules, rtol):
+    def test_renamed_whole_hit_matches_single_device_training(self, builder, rtol):
         """The renamed chunk graphs, boundaries and gradient seeds of a
         remapped pipeline plan execute to the single-device numerics."""
         forward = builder()
         renamed = rename_nodes(forward)
         config = HierarchicalConfig(
             planner=small_planner_config(),
-            schedules=schedules,
             intra_group_network=NetworkSpec(bandwidth=100e9 / 8),
             max_stages=2,
             plan_cache=InMemoryPlanCache(),

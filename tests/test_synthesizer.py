@@ -62,7 +62,7 @@ def bert_e2e_last_chunk():
     )
     config = HierarchicalConfig(intra_group_network=NetworkSpec(bandwidth=100e9 / 8))
     planner = HierarchicalPlanner(forward, heterogeneous_testbed(32, 8), config)
-    chunk = planner.build_candidate(2).stages[-1].chunk
+    chunk = planner.build_candidate(2).stages[-1]
     assert len(chunk.info.graph) == 19 and chunk.subcluster.num_devices == 3
     return chunk.info.graph, chunk.subcluster
 

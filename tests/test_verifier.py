@@ -198,12 +198,11 @@ class TestPlanMutations:
     def test_corrupt_chunk_program_caught_at_plan_level(self, bert_plan, bert_forward):
         mutated = dataclasses.replace(bert_plan)
         mutated.stages = [dataclasses.replace(s) for s in bert_plan.stages]
-        mutated.stages[0].chunk = dataclasses.replace(bert_plan.stages[0].chunk)
         # A chunk on a one-machine group has no collectives, so corrupt the
         # dataflow instead: emulate one node twice.
-        chunk = mutated.stages[0].chunk
-        bad_program, expected = duplicate_instruction(chunk.program)
-        chunk.plan = dataclasses.replace(chunk.plan, program=bad_program)
+        stage = mutated.stages[0]
+        bad_program, expected = duplicate_instruction(stage.program)
+        stage.plan = dataclasses.replace(stage.plan, program=bad_program)
         report = verify_plan(mutated, bert_forward)
         assert expected in report.codes(), report.describe()
         # The diagnostic is anchored to the owning stage.
@@ -265,7 +264,7 @@ class TestCacheCorruption:
         corrupted = 0
         for path in Path(directory).glob("*.plan"):
             entry = pickle.loads(path.read_bytes())
-            entry.plan.stages[0].chunk.send_bytes += 999
+            entry.plan.stages[0].send_bytes += 999
             path.write_bytes(pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL))
             corrupted += 1
         return corrupted
@@ -361,7 +360,7 @@ class TestStageBoundaryAudit:
     """
 
     def test_chunk_instructions_reference_only_chunk_tensors(self, bert_plan):
-        for chunk in bert_plan.chunk_sequence():
+        for chunk in bert_plan.stages:
             names = set(chunk.info.graph.node_names)
             for instr in chunk.program.instructions:
                 if isinstance(instr, CommInstruction):
@@ -369,12 +368,12 @@ class TestStageBoundaryAudit:
                 else:
                     refs = {p.ref for p in instr.inputs} | {instr.output.ref, instr.node}
                 assert refs <= names, (
-                    f"stage {chunk.stage_index}: {sorted(refs - names)} "
+                    f"stage {chunk.index}: {sorted(refs - names)} "
                     "not in the chunk graph"
                 )
 
     def test_dependent_mask_and_phases_consistent_per_chunk(self, bert_plan):
-        for chunk in bert_plan.chunk_sequence():
+        for chunk in bert_plan.stages:
             program = chunk.program
             phases = program.instruction_phases(chunk.info.forward_nodes)
             assert len(phases) == len(program.instructions)
@@ -401,10 +400,10 @@ class TestGraphChecker:
 
     def test_all_chunk_graphs_check_clean(self, bert_plan, sharded_plan):
         for plan in (bert_plan, sharded_plan):
-            for chunk in plan.chunk_sequence():
+            for chunk in plan.stages:
                 report = verify_graph(chunk.info.graph)
                 assert report.ok and not report.warnings, (
-                    f"stage {chunk.stage_index}: {report.describe()}"
+                    f"stage {chunk.index}: {report.describe()}"
                 )
 
     def test_batch_mixing_detected(self):
@@ -507,7 +506,7 @@ class TestLint:
 
     def test_w006_dominated_collective(self, sharded_plan):
         bad = copy.deepcopy(sharded_plan)
-        for chunk in bad.chunk_sequence():
+        for chunk in bad.stages:
             model = CollectiveCostModel(chunk.subcluster)
             instructions = chunk.program.instructions
             for idx, instr in enumerate(instructions):
