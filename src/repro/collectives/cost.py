@@ -145,8 +145,11 @@ class CollectiveCostModel:
     ) -> Tuple[CollectiveKind, float]:
         """Choose the faster All-Gather implementation for these ratios.
 
-        Returns the winning kind and its predicted time; this is the decision
-        HAP folds into program synthesis via the Grouped-Broadcast rule.
+        Returns the winning kind and its predicted time, the padded kind on
+        a tie.  Program synthesis makes the same decision by price: of the
+        two All-Gather rules of a conversion, it enables a missing
+        precondition with the one whose cost is strictly lower for the
+        ratios it synthesizes at, the padded one on a tie.
         """
         padded = self.all_gather_padded(total_bytes, ratios)
         grouped = self.all_gather_grouped(total_bytes, ratios)

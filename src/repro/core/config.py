@@ -45,7 +45,13 @@ class SynthesisConfig:
         enable_sfb: include the duplicated-computation MatMul rule that makes
             sufficient factor broadcasting reachable (Sec. 4.4).
         enable_grouped_all_gather: include the grouped-Broadcast
-            implementation of All-Gather as an alternative instruction.
+            implementation of All-Gather as an alternative instruction.  The
+            theory then holds both implementations of each sharded to
+            replicated conversion, and synthesis enables a missing
+            precondition with the one the cost model prices lower for the
+            ratios being synthesized (Sec. 2.5.1, Fig. 4), the padded one on
+            a tie.  ``False`` (the baselines and the Fig. 15 ablation) leaves
+            only the padded All-Gather.
         enable_replicated_sources: allow ``Placeholder()``/``Parameter()``
             (fully replicated) besides the sharded variants.
         beam_width: number of candidate distribution states kept per level by

@@ -102,7 +102,8 @@ class HierarchicalConfig:
     synthesis of every chunk, because every partition group is a
     :class:`~repro.cluster.spec.ClusterSpec` carrying it.  Use a
     cluster with ``comm_overlap_efficiency=0.0`` for the fully blocking
-    model.  Microbatch counts come from :data:`MICROBATCH_CANDIDATES`.
+    model.  Every schedule of :data:`repro.simulator.schedule.SCHEDULE_NAMES`
+    is searched, over the microbatch counts of :data:`MICROBATCH_CANDIDATES`.
     Activation recomputation is not a knob: every combination is tried plain
     first, and a multi-stage combination is retried with recomputation only
     when its plain run does not fit device memory (recomputation costs one
@@ -113,10 +114,6 @@ class HierarchicalConfig:
     Attributes:
         max_stages: stage counts ``1..min(max_stages, num_machines)`` are
             evaluated.  1 is flat HAP.
-        schedules: pipeline schedules searched; ``None`` (the default)
-            searches all of :data:`repro.simulator.schedule.SCHEDULE_NAMES`.
-            An empty sequence is rejected, and so is a name outside that
-            list.
         intra_group_network: network model inside each machine group; defaults
             to the cluster's own network.  Pass the fast rack-local network
             when the cluster's flat network is the slow inter-rack bottleneck.
@@ -148,7 +145,6 @@ class HierarchicalConfig:
     """
 
     max_stages: int = 4
-    schedules: Optional[Sequence[str]] = None
     intra_group_network: Optional[NetworkSpec] = None
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     plan_cache: Optional[InMemoryPlanCache] = None
@@ -157,17 +153,6 @@ class HierarchicalConfig:
     def __post_init__(self) -> None:
         if self.max_stages < 1:
             raise ValueError(f"max_stages must be >= 1, got {self.max_stages}")
-        if self.schedules is not None:
-            if not self.schedules:
-                raise ValueError(
-                    "schedules must be None (search every schedule) or name at "
-                    "least one schedule, got an empty sequence"
-                )
-            unknown = [name for name in self.schedules if name not in SCHEDULE_NAMES]
-            if unknown:
-                raise ValueError(
-                    f"schedules names unknown schedule(s) {unknown}; known: {SCHEDULE_NAMES}"
-                )
 
 
 @dataclass
@@ -753,11 +738,7 @@ class HierarchicalPlanner:
             combos: List[Tuple[str, int]] = [("gpipe", 1)]
         else:
             counts = self._microbatch_candidates()
-            combos = [
-                (name, m)
-                for name in self.config.schedules or SCHEDULE_NAMES
-                for m in counts
-            ]
+            combos = [(name, m) for name in SCHEDULE_NAMES for m in counts]
         best: Optional[Tuple[Tuple[int, float, int], ScheduleResult, str, bool, bool]] = None
         for order, (name, m) in enumerate(combos):
             for rc in (False, True):

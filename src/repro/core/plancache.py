@@ -104,7 +104,9 @@ from .properties import Property
 #: v12: the interleaved schedule is gone: ``HierarchicalConfig`` lost
 #: ``num_model_chunks`` and ``ChunkPlan`` was folded into ``StagePlan`` (one
 #: chunk per stage), so the pickled plan and config layouts changed.
-CACHE_VERSION = 12
+#: v13: ``HierarchicalConfig`` lost ``schedules`` (the planner always
+#: searches every schedule), so the config signature changed.
+CACHE_VERSION = 13
 
 #: Configuration fields excluded from cache keys: the cache itself and the
 #: static-verifier flag (verification never changes the plan).

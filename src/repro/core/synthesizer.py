@@ -40,6 +40,14 @@ Both apply the paper's three search-time optimisations:
 3. properties of tensors whose consumers have all been emulated are dropped,
    which lets the dominance check merge many more states.  The drop reads
    the theory's lifetime table, the one that recycles the dropped bits.
+
+Both also price the All-Gather implementation instead of searching both
+(Sec. 2.5.1): a missing precondition that the padded and the grouped
+All-Gather can each establish is enabled by the one whose cost is strictly
+lower at the ratios being synthesized, the padded one on a tie
+(:meth:`ProgramSynthesizer._chains`).  The other's children would differ
+only in a closed cost that is never lower, so both searches' merges would
+discard them; pricing up front drops them before they are generated.
 """
 
 from __future__ import annotations
@@ -151,6 +159,12 @@ def _replay(
     for close in closes:
         closed += close
     return closed, final
+
+
+def _twins(a: Rule, b: Rule) -> bool:
+    """True for two collectives of one conversion: equal pre, post and comm
+    masks (the padded and grouped All-Gather)."""
+    return a.pre_mask == b.pre_mask and a.post_mask == b.post_mask and a.comm_mask == b.comm_mask
 
 
 def beam_rank_order(keys: Sequence[Tuple[float, float]]) -> List[int]:
@@ -625,17 +639,32 @@ class ProgramSynthesizer:
         the rule.  A state that already holds every precondition gets the
         one empty chain; a missing precondition that no collective can
         establish leaves none.
+
+        A missing precondition's options keep one rule of each twin pair:
+        the padded and grouped All-Gather of one conversion, which
+        :func:`repro.core.rules.build_theory` lists next to each other with
+        equal ``pre_mask``, ``post_mask`` and ``comm_mask``.  The kept rule
+        is the one whose sync is strictly lower for these ratios, the
+        padded one (listed first) on a tie.  The twins' chains differ in
+        that one sync term, so their children share a state key and an open
+        stage, and the costlier child's closed cost is never lower: both
+        searches' merges would discard it.
         """
         by_post = self.theory.comm_rules_by_post
         option_sets: List[List[Rule]] = []
         for index, bit in self._ordered_pre(rule):
             if pbits & bit:
                 continue
-            options = [
-                comm
-                for comm in by_post.get(index, ())
-                if comm.pre_mask & pbits == comm.pre_mask and not comm.comm_mask & cbits
-            ]
+            options: List[Rule] = []
+            for comm in by_post.get(index, ()):
+                if comm.pre_mask & pbits != comm.pre_mask or comm.comm_mask & cbits:
+                    continue
+                if options and _twins(options[-1], comm):
+                    twin = options[-1]
+                    if self._rule_plan(comm, ratios).sync < self._rule_plan(twin, ratios).sync:
+                        options[-1] = comm
+                else:
+                    options.append(comm)
             if not options:
                 return []
             option_sets.append(options)

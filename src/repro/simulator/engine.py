@@ -394,7 +394,7 @@ def simulate_hierarchical(
     profiles and draws noise once on the total, while the flat path replays
     events and draws noise per stage.  On the e2e ``flat-deep`` program
     :func:`simulate_plan` gives 564.694 ms and this function 569.435 ms
-    (+0.84%); ROADMAP item 6 ("One simulated iteration") merges the two
+    (+0.84%); ROADMAP item 3 ("One simulated iteration") merges the two
     timing paths.
     """
     import numpy as np

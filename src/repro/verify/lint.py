@@ -24,8 +24,9 @@ imbalanced or its links oversubscribed.
   from an OOM even though the plan nominally fits.
 * ``W006`` — dominated collective: a paid All-Gather variant is slower than
   the other variant in the paper's Sec. 2.5.1 rule table by more than
-  :data:`DOMINATED_COMM_RTOL` (the synthesizer should have picked the
-  cheaper implementation for these sharding ratios).
+  :data:`DOMINATED_COMM_RTOL`.  Synthesis keeps the cheaper variant for the
+  ratios it synthesizes at, so this fires only when the LP load balancer
+  then moves the ratios past the two variants' crossover point.
 
 ``W005`` flagged a pipeline schedule the planner no longer has; the code is
 retired, not reused.

@@ -35,9 +35,6 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 SET_ONLY_BY_TESTS = {
     "SynthesisConfig.search_strategy":
         "the exact oracle the tests check the beam search against",
-    "HierarchicalConfig.schedules":
-        "pins one schedule so a test can price or run a gpipe or 1f1b plan the default "
-        "grid does not select",
 }
 
 

@@ -62,6 +62,36 @@ def hier_config(**kwargs):
     return HierarchicalConfig(**kwargs)
 
 
+def scheduled_candidate(forward, num_stages, schedule):
+    """The ``num_stages`` candidate on :func:`make_cluster`, re-run under one
+    pipeline schedule at the candidate's own microbatch count and
+    recomputation choice.  The planner searches every schedule, so this is
+    how a test pins one."""
+    planner = HierarchicalPlanner(forward, make_cluster(), hier_config())
+    plan = planner.build_candidate(num_stages)
+    assert plan is not None and plan.num_stages == num_stages
+    times = profile_stages(plan.stages, planner._profile_chunk, planner._profile_memo)
+    network = plan.partition.inter_group_network
+    result = simulate_pipeline(
+        times,
+        num_microbatches=plan.num_microbatches,
+        inter_group_bandwidth=network.bandwidth,
+        inter_group_latency=network.latency,
+        microbatch_overhead=plan.microbatch_overhead,
+        schedule=schedule,
+        recompute=plan.recompute,
+        overlap=plan.overlap,
+    )
+    return dataclasses.replace(
+        plan,
+        schedule=result,
+        schedule_name=schedule,
+        estimated_time=result.total,
+        fits_memory=planner._fits_memory(plan.stages, result),
+        peak_memory=list(result.peak_memory),
+    )
+
+
 # ---------------------------------------------------------------------------
 # cluster partitioning
 # ---------------------------------------------------------------------------
@@ -637,7 +667,7 @@ class TestHierarchicalPlanner:
 
         cluster = memory_constrained_testbed()
         forward = build_bert(BERTConfig(batch_size=64, num_layers=2))
-        config = hier_config(schedules=["gpipe", "1f1b"], max_stages=2)
+        config = hier_config(max_stages=2)
         planner = HierarchicalPlanner(forward, cluster, config)
         plan = planner.plan()
         assert plan.num_stages == 2
@@ -688,7 +718,7 @@ class TestHierarchicalPlanner:
         from repro.simulator import get_schedule
 
         forward = build_bert(BERTConfig(batch_size=64, num_layers=2))
-        config = hier_config(schedules=["gpipe", "1f1b"], max_stages=2)
+        config = hier_config(max_stages=2)
         planner = HierarchicalPlanner(forward, memory_constrained_testbed(), config)
         plan = planner.plan()
         assert plan.num_stages == 2
@@ -726,27 +756,14 @@ class TestHierarchicalPlanner:
         "field,value",
         [
             ("max_stages", 0),
-            # An empty sequence must not fall through to every schedule.
-            ("schedules", []),
-            ("schedules", ()),
-            # A typo names the field and the unknown schedule.
-            ("schedules", ["gpipe", "zig-zag"]),
         ],
     )
     def test_out_of_range_config_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field) as excinfo:
+        with pytest.raises(ValueError, match=field):
             HierarchicalConfig(**{field: value})
-        if field == "schedules" and value:
-            assert "'zig-zag'" in str(excinfo.value)
 
     def test_smallest_valid_config_accepted(self):
         assert HierarchicalConfig(max_stages=1).max_stages == 1
-
-    def test_removed_interleaved_schedule_rejected(self):
-        # The interleaved schedule is gone; asking for it names the
-        # schedules that remain.
-        with pytest.raises(ValueError, match=r"known: \['gpipe', '1f1b'\]"):
-            HierarchicalConfig(schedules=("interleaved-1f1b",))
 
     def test_pipelines_on_bandwidth_constrained_heterogeneous_testbed(self):
         # The whimpy-cluster scenario: machine groups with fast internal
@@ -818,11 +835,7 @@ class TestChunkPlanner:
         # The planner estimate and the measured simulation run the same
         # schedule: same name, microbatch count, recomputation choice and
         # one profile per stage, so the same in-flight peaks.
-        forward = build_tiny_transformer()
-        plan = HierarchicalPlanner(
-            forward, make_cluster(), hier_config(schedules=[schedule])
-        ).build_candidate(2)
-        assert plan is not None and plan.schedule_name == schedule
+        plan = scheduled_candidate(build_tiny_transformer(), 2, schedule)
         sim = simulate_hierarchical(plan, iterations=1, seed=0)
         assert sim.schedule.schedule == schedule
         assert sim.schedule.num_microbatches == plan.num_microbatches
@@ -997,10 +1010,7 @@ class TestHierarchicalRuntimeParity:
     @pytest.mark.parametrize("schedule", SCHEDULE_NAMES)
     def test_matches_single_device_training(self, schedule, builder, num_stages, rtol):
         forward = builder()
-        config = hier_config(schedules=[schedule])
-        plan = HierarchicalPlanner(forward, make_cluster(), config).build_candidate(num_stages)
-        assert plan is not None and plan.num_stages == num_stages
-        assert plan.schedule_name == schedule
+        plan = scheduled_candidate(forward, num_stages, schedule)
         training = build_training_graph(forward)
         bindings = bindings_for(training.graph, seed=0)
         reference = SingleDeviceExecutor(training.graph).run(bindings)
@@ -1051,9 +1061,7 @@ class TestHierarchicalRuntimeParity:
         # under either schedule (the task order only affects timing, not
         # numerics).
         forward = builder()
-        config = hier_config(schedules=[schedule])
-        plan = HierarchicalPlanner(forward, make_cluster(), config).build_candidate(2)
-        assert plan is not None and plan.schedule_name == schedule
+        plan = scheduled_candidate(forward, 2, schedule)
         training = build_training_graph(forward)
         bindings = bindings_for(training.graph, seed=3)
         reference = SingleDeviceExecutor(training.graph).run(bindings)
@@ -1075,10 +1083,7 @@ class TestHierarchicalRuntimeParity:
         from repro.runtime.spmd import HierarchicalExecutor
 
         forward = build_tiny_transformer()
-        plan = HierarchicalPlanner(
-            forward, make_cluster(), hier_config(schedules=[schedule])
-        ).build_candidate(2)
-        assert plan is not None and plan.schedule_name == schedule
+        plan = scheduled_candidate(forward, 2, schedule)
         executor = HierarchicalExecutor(plan, num_microbatches=4)
         executed = [[] for _ in range(executor.num_stages)]
         run_forward, run_backward = executor._forward_task, executor._backward_task

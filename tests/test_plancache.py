@@ -169,7 +169,6 @@ class TestKeySensitivity:
 #: :func:`_other_value` (flip a bool, increment a number) cannot derive.
 OTHER_VALUES = {
     "search_strategy": "astar",
-    "schedules": ("1f1b",),
     "intra_group_network": NetworkSpec(bandwidth=1e9),
     "synthesis": SynthesisConfig(enable_sfb=False),
     "planner": PlannerConfig(max_rounds=2),

@@ -251,13 +251,16 @@ def _apply(synthesizer, node, rule, ratios):
     )
 
 
-def _one_apply_at_a_time(synthesizer, state, rule, ratios):
+def _one_apply_at_a_time(synthesizer, state, rule, ratios, collapse=True):
     """The children of firing ``rule`` on ``state``, one ``_apply`` per rule.
 
     Every combination of the collectives that establish the missing
     preconditions (each collective's own precondition held by ``state``, its
     tensor not yet communicated), in ``itertools.product`` order, then the
-    rule.  Returns the children and the number of option sets they combine.
+    rule.  With ``collapse``, of two twin collectives (equal pre, post and
+    comm masks) only the one the cost model prices strictly lower is an
+    option, the first on a tie.  Returns the children and the number of
+    option sets they combine.
     """
     option_sets = []
     for index, bit in synthesizer._ordered_pre(rule):
@@ -269,6 +272,11 @@ def _one_apply_at_a_time(synthesizer, state, rule, ratios):
             if comm.pre_mask & state.pbits == comm.pre_mask
             and not comm.comm_mask & state.cbits
         ]
+        if collapse:
+            options = _collapse_twins(
+                options,
+                lambda comm: synthesizer.cost_model.comm_time(comm.instructions[0], ratios),
+            )
         if not options:
             return [], 0
         option_sets.append(options)
@@ -279,6 +287,23 @@ def _one_apply_at_a_time(synthesizer, state, rule, ratios):
             node = _apply(synthesizer, node, comm, ratios)
         children.append(_apply(synthesizer, node, rule, ratios))
     return children, len(option_sets)
+
+
+def _twins(a, b):
+    return (a.pre_mask, a.post_mask, a.comm_mask) == (b.pre_mask, b.post_mask, b.comm_mask)
+
+
+def _collapse_twins(options, price):
+    """``options`` with each twin pair reduced to its strictly cheaper rule
+    under ``price``, the first of the pair on a tie."""
+    kept = []
+    for comm in options:
+        twin = next((k for k in kept if _twins(k, comm)), None)
+        if twin is None:
+            kept.append(comm)
+        elif price(comm) < price(twin):
+            kept[kept.index(twin)] = comm
+    return kept
 
 
 def _lineage(node, stop):
@@ -413,6 +438,102 @@ class TestCompiledReplay:
         assert all(syncs_seen.values()), syncs_seen
 
 
+def _assert_expansion_matches_reference(builder, cluster, config, collapse=True):
+    """Walk the beam search level by level and check each level's one
+    :meth:`_expand` call against :func:`_one_apply_at_a_time`, in order."""
+    training = build_training_graph(builder()).graph
+    synthesizer = ProgramSynthesizer(training, cluster, config)
+    synthesizer.synthesize()
+    if not collapse:
+        assert all(
+            _twin_of(synthesizer, comm) is None
+            for comm in synthesizer.theory.rules
+            if comm.is_communication
+        )
+    ratios = synthesizer._plan_ratios
+    states = [synthesizer._root()]
+    chains_seen = {1: 0, 2: 0}
+    multi_state_levels = 0
+    for node_name in synthesizer._topo_order:
+        level, children = synthesizer._expand(states, node_name, ratios, {})
+        expected = []
+        for state in states:
+            for rule in synthesizer.theory.comp_rules_by_node[node_name]:
+                # No rule completes a node some state has already emulated.
+                assert not any(
+                    state.completed >> training.node_names.index(name) & 1
+                    for name in rule.completes
+                )
+                batch, missing = _one_apply_at_a_time(
+                    synthesizer, state, rule, ratios, collapse
+                )
+                if batch and missing in chains_seen:
+                    chains_seen[missing] += 1
+                expected.extend((state, rule, want) for want in batch)
+        assert len(children) == len(expected)
+        if len(states) > 1 and children:
+            multi_state_levels += 1
+        for child, (state, rule, want) in zip(children, expected):
+            assert child[4] is state and child[5] is rule
+            got = synthesizer._materialize(child, level)
+            # The merge key, and the rank key that orders the level.
+            assert child[0] == (want.pbits, want.cbits)
+            cost, work = child[3]
+            assert _bits(cost) == _bits(
+                max(want.closed_cost + c for c in want.stage_comp)
+            )
+            assert _bits(work) == _bits(_left_to_right(want.stage_comp))
+            assert (got.pbits, got.completed, got.cbits) == (
+                want.pbits,
+                want.completed,
+                want.cbits,
+            )
+            assert _bits(got.closed_cost) == _bits(want.closed_cost)
+            assert [_bits(c) for c in got.stage_comp] == [
+                _bits(c) for c in want.stage_comp
+            ]
+            assert _bits(got.completed_ideal) == _bits(want.completed_ideal)
+            assert (got.depth, got.topo_ptr) == (want.depth, want.topo_ptr)
+            assert got.instructions() == want.instructions()
+            got_rules = _lineage(got, state)
+            want_rules = _lineage(want, state)
+            assert len(got_rules) == len(want_rules)
+            assert all(a is b for a, b in zip(got_rules, want_rules))
+        states = synthesizer._beam_level(states, node_name, ratios, 4)
+        # The survivors share the level's one ``completed`` int.
+        assert states[0].completed == level[0]
+        assert all(state.completed is states[0].completed for state in states)
+    # Both shapes occurred: one missing precondition, and two (two option sets).
+    assert chains_seen[1] > 0 and chains_seen[2] > 0
+    assert multi_state_levels > 0
+
+
+def _beam_levels(forward, cluster, ratios=None, width=4):
+    """The synthesizer and the :meth:`_expand` children of every level of
+    its beam search at ``ratios``."""
+    training = build_training_graph(forward).graph
+    synthesizer = ProgramSynthesizer(training, cluster, SynthesisConfig(beam_width=width))
+    synthesizer.synthesize(ratios)
+    ratios = synthesizer._plan_ratios
+    states, levels = [synthesizer._root()], []
+    for node_name in synthesizer._topo_order:
+        _, children = synthesizer._expand(states, node_name, ratios, {})
+        levels.append(children)
+        states = synthesizer._beam_level(states, node_name, ratios, width)
+    return synthesizer, levels
+
+
+def _twin_of(synthesizer, comm):
+    """The other rule of ``comm``'s twin pair, or ``None``."""
+    ref = comm.instructions[0].input.ref
+    twins = [
+        other for other in synthesizer.theory.comm_rules_by_ref.get(ref, ())
+        if other is not comm and _twins(other, comm)
+    ]
+    assert len(twins) <= 1
+    return twins[0] if twins else None
+
+
 class TestExpansion:
     """One level's expansion yields exactly the children of one ``_apply`` at a time.
 
@@ -423,65 +544,86 @@ class TestExpansion:
 
     @pytest.mark.parametrize("builder", [build_tiny_transformer, build_tiny_moe])
     def test_matches_one_apply_at_a_time(self, builder, four_device_cluster):
-        training = build_training_graph(builder()).graph
-        synthesizer = ProgramSynthesizer(
-            training, four_device_cluster, SynthesisConfig(beam_width=4)
+        _assert_expansion_matches_reference(
+            builder, four_device_cluster, SynthesisConfig(beam_width=4)
         )
-        synthesizer.synthesize()
+
+    def test_without_grouped_all_gather_nothing_collapses(self, four_device_cluster):
+        """Without the grouped rule the theory has no twins, and every level
+        yields the full product of the options, as before the collapse."""
+        _assert_expansion_matches_reference(
+            build_tiny_transformer,
+            four_device_cluster,
+            SynthesisConfig(beam_width=4, enable_grouped_all_gather=False),
+            collapse=False,
+        )
+
+    @pytest.mark.parametrize(
+        "size,ratios,winners",
+        [
+            # Small tensors at proportional ratios: the padded kind always wins.
+            ({}, None, {CollectiveKind.ALL_GATHER}),
+            # Larger tensors on skewed ratios: each kind wins some tensors.
+            (
+                {"batch": 64, "hidden": 256},
+                (0.7, 0.1, 0.1, 0.1),
+                {CollectiveKind.ALL_GATHER, CollectiveKind.ALL_GATHER_GROUPED},
+            ),
+        ],
+        ids=["small-proportional", "large-skewed"],
+    )
+    def test_no_child_holds_the_costlier_twin(
+        self, size, ratios, winners, four_device_cluster
+    ):
+        """Every enabling All-Gather of every level's children is the
+        cheaper of its twin pair."""
+        synthesizer, levels = _beam_levels(
+            build_tiny_transformer(**size), four_device_cluster, ratios
+        )
         ratios = synthesizer._plan_ratios
-        states = [synthesizer._root()]
-        chains_seen = {1: 0, 2: 0}
-        multi_state_levels = 0
-        for node_name in synthesizer._topo_order:
-            level, children = synthesizer._expand(states, node_name, ratios, {})
-            expected = []
-            for state in states:
-                for rule in synthesizer.theory.comp_rules_by_node[node_name]:
-                    # No rule completes a node some state has already emulated.
-                    assert not any(
-                        state.completed >> training.node_names.index(name) & 1
-                        for name in rule.completes
+        price = synthesizer.cost_model.comm_time
+        kept = set()
+        for children in levels:
+            for child in children:
+                for comm in child[6]:
+                    twin = _twin_of(synthesizer, comm)
+                    if twin is None:
+                        continue
+                    assert price(comm.instructions[0], ratios) <= price(
+                        twin.instructions[0], ratios
                     )
-                    batch, missing = _one_apply_at_a_time(synthesizer, state, rule, ratios)
-                    if batch and missing in chains_seen:
-                        chains_seen[missing] += 1
-                    expected.extend((state, rule, want) for want in batch)
-            assert len(children) == len(expected)
-            if len(states) > 1 and children:
-                multi_state_levels += 1
-            for child, (state, rule, want) in zip(children, expected):
-                assert child[4] is state and child[5] is rule
-                got = synthesizer._materialize(child, level)
-                # The merge key, and the rank key that orders the level.
-                assert child[0] == (want.pbits, want.cbits)
-                cost, work = child[3]
-                assert _bits(cost) == _bits(
-                    max(want.closed_cost + c for c in want.stage_comp)
-                )
-                assert _bits(work) == _bits(_left_to_right(want.stage_comp))
-                assert (got.pbits, got.completed, got.cbits) == (
-                    want.pbits,
-                    want.completed,
-                    want.cbits,
-                )
-                assert _bits(got.closed_cost) == _bits(want.closed_cost)
-                assert [_bits(c) for c in got.stage_comp] == [
-                    _bits(c) for c in want.stage_comp
-                ]
-                assert _bits(got.completed_ideal) == _bits(want.completed_ideal)
-                assert (got.depth, got.topo_ptr) == (want.depth, want.topo_ptr)
-                assert got.instructions() == want.instructions()
-                got_rules = _lineage(got, state)
-                want_rules = _lineage(want, state)
-                assert len(got_rules) == len(want_rules)
-                assert all(a is b for a, b in zip(got_rules, want_rules))
-            states = synthesizer._beam_level(states, node_name, ratios, 4)
-            # The survivors share the level's one ``completed`` int.
-            assert states[0].completed == level[0]
-            assert all(state.completed is states[0].completed for state in states)
-        # Both shapes occurred: one missing precondition, and two (two option sets).
-        assert chains_seen[1] > 0 and chains_seen[2] > 0
-        assert multi_state_levels > 0
+                    kept.add(comm.instructions[0].kind)
+        assert kept == winners
+
+    @pytest.mark.parametrize("grouped_offset", [0.0, -1e-9])
+    def test_equal_prices_keep_the_padded_all_gather(
+        self, grouped_offset, four_device_cluster, monkeypatch
+    ):
+        """Priced alike, the twins leave the padded All-Gather, listed first;
+        priced a hair lower, the grouped one wins instead."""
+        comm_time = CostModel.comm_time
+
+        def flat_all_gather(self, instr, ratios):
+            if instr.kind is CollectiveKind.ALL_GATHER:
+                return 1e-3
+            if instr.kind is CollectiveKind.ALL_GATHER_GROUPED:
+                return 1e-3 + grouped_offset
+            return comm_time(self, instr, ratios)
+
+        monkeypatch.setattr(CostModel, "comm_time", flat_all_gather)
+        synthesizer, levels = _beam_levels(build_tiny_transformer(), four_device_cluster)
+        winner = (
+            CollectiveKind.ALL_GATHER if grouped_offset == 0.0
+            else CollectiveKind.ALL_GATHER_GROUPED
+        )
+        kept = [
+            comm.instructions[0].kind
+            for children in levels
+            for child in children
+            for comm in child[6]
+            if _twin_of(synthesizer, comm) is not None
+        ]
+        assert kept and set(kept) == {winner}
 
     def test_synthesizer_keeps_no_per_state_memo(
         self, transformer_training, four_device_cluster, monkeypatch
