@@ -134,6 +134,23 @@ class TestCostModel:
         assert even_kind is CollectiveKind.ALL_GATHER
         assert skew_kind is CollectiveKind.ALL_GATHER_GROUPED
 
+    def test_best_all_gather_tie_goes_to_padded(self):
+        from repro.cluster import ClusterSpec, Machine, device_type
+
+        # One device: both implementations are free, so they tie.
+        cluster = ClusterSpec([Machine("m0", device_type("V100"), 1)], group_by_machine=False)
+        model = CollectiveCostModel(cluster)
+        assert model.best_all_gather(1e6, [1.0]) == (CollectiveKind.ALL_GATHER, 0.0)
+
+    @pytest.mark.parametrize(
+        "ratios", [[0.25] * 4, [0.95, 0.02, 0.02, 0.01]], ids=["even", "skewed"]
+    )
+    def test_best_all_gather_returns_the_cheaper_price(self, model, ratios):
+        _, time = model.best_all_gather(4e6, ratios)
+        assert time == min(
+            model.all_gather_padded(4e6, ratios), model.all_gather_grouped(4e6, ratios)
+        )
+
     def test_single_device_collectives_free(self):
         from repro.cluster import ClusterSpec, Machine, device_type
 

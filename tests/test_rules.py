@@ -305,6 +305,30 @@ class TestTheory:
 
         assert grouped_count(on) >= grouped_count(off)
 
+    @pytest.mark.parametrize("builder", [build_mlp, build_tiny_transformer, build_tiny_moe])
+    def test_all_gather_twins_are_adjacent_in_comm_rules_by_post(self, builder):
+        """Each grouped All-Gather follows its padded twin, with equal pre,
+        post and comm masks, in its ``comm_rules_by_post`` list: synthesis
+        compares a collective with the option just before it to keep the
+        cheaper twin."""
+        training = build_training_graph(builder())
+        theory = build_theory(training.graph, 4)
+        pairs = 0
+        for rules in theory.comm_rules_by_post.values():
+            for index, rule in enumerate(rules):
+                if rule.instructions[0].kind is not CollectiveKind.ALL_GATHER_GROUPED:
+                    continue
+                assert index > 0
+                padded = rules[index - 1]
+                assert padded.instructions[0].kind is CollectiveKind.ALL_GATHER
+                assert (padded.pre_mask, padded.post_mask, padded.comm_mask) == (
+                    rule.pre_mask,
+                    rule.post_mask,
+                    rule.comm_mask,
+                )
+                pairs += 1
+        assert pairs > 0
+
     def test_rule_describe_round_trips(self, mlp_training):
         theory = build_theory(mlp_training.graph, 4)
         text = theory.describe(limit=5)

@@ -595,6 +595,34 @@ class TestExpansion:
                     kept.add(comm.instructions[0].kind)
         assert kept == winners
 
+    @pytest.mark.parametrize(
+        "size,ratios",
+        [({}, None), ({"batch": 64, "hidden": 256}, (0.7, 0.1, 0.1, 0.1))],
+        ids=["small-proportional", "large-skewed"],
+    )
+    def test_kept_twin_is_the_best_all_gather(self, size, ratios, four_device_cluster):
+        """Synthesis keeps the All-Gather implementation that
+        :meth:`CollectiveCostModel.best_all_gather` picks for the tensor's
+        bytes at the synthesized ratios."""
+        synthesizer, levels = _beam_levels(
+            build_tiny_transformer(**size), four_device_cluster, ratios
+        )
+        ratios = synthesizer._plan_ratios
+        model = synthesizer.cost_model
+        checked = 0
+        for children in levels:
+            for child in children:
+                for comm in child[6]:
+                    if _twin_of(synthesizer, comm) is None:
+                        continue
+                    instr = comm.instructions[0]
+                    best, _ = model.collectives.best_all_gather(
+                        float(model.ref_bytes(instr.input.ref)), ratios
+                    )
+                    assert instr.kind is best
+                    checked += 1
+        assert checked > 0
+
     @pytest.mark.parametrize("grouped_offset", [0.0, -1e-9])
     def test_equal_prices_keep_the_padded_all_gather(
         self, grouped_offset, four_device_cluster, monkeypatch
