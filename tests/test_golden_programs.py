@@ -17,6 +17,13 @@ and an 8-device A100/P100 cluster.  The exact A* search, the beam search's oracl
 runs on ``mlp`` and ``tiny_moe`` only: on the transformers it does not
 finish in reasonable time and memory.
 
+The four baselines (DP-EV, DP-CP, DeepSpeed, TAG) on ``tiny_transformer``
+and ``tiny_moe`` at beam width 8 record their program, their fixed ratios
+and their cost-model estimate, the last two as ``float.hex``.  DeepSpeed
+has no program for ``tiny_moe`` on eight devices (four experts do not shard
+over eight devices without the padding the experiment harness adds), so that
+record holds the synthesis error instead.
+
 Two deep beam cases, an 8-layer transformer training graph and the
 12-layer ``bert_base`` forward graph at beam width 16, are pinned by the
 sha256 of their program encoding and their cost only, so the file stays
@@ -44,7 +51,8 @@ import pytest
 
 from benchmarks.e2e.workloads import _program_encoding
 from repro.autodiff import build_training_graph
-from repro.core import ProgramSynthesizer, SynthesisConfig
+from repro.baselines import plan_baseline
+from repro.core import ProgramSynthesizer, SynthesisConfig, SynthesisError
 from repro.models import BenchmarkScale, build_model
 
 from .conftest import (
@@ -98,6 +106,15 @@ def _bert12_forward():
     return build_model("bert_base", num_gpus=8, scale=scale)
 
 
+#: Baseline cases: model/cluster/baseline.
+BASELINE_CASES = tuple(
+    f"{model}/{cluster}/{name}"
+    for model in ("tiny_transformer", "tiny_moe")
+    for cluster in CLUSTERS
+    for name in ("DP-EV", "DP-CP", "DeepSpeed", "TAG")
+)
+
+
 #: Deep graphs, pinned by digest so ``programs.json`` stays small: case ->
 #: (graph builder, cluster devices, beam width).
 DEEP_CASES = {
@@ -134,6 +151,21 @@ def program_record(case: str) -> Dict[str, Any]:
     }
 
 
+def baseline_record(case: str) -> Dict[str, Any]:
+    """Plan the baseline of ``case`` and return its record (JSON-ready)."""
+    model, cluster_name, name = _parse(case)
+    cluster = make_cluster(CLUSTERS[cluster_name])
+    try:
+        plan = plan_baseline(name, _training_graph(model), cluster, SynthesisConfig(beam_width=8))
+    except SynthesisError as exc:
+        return {"error": str(exc)}
+    return {
+        "program": list(_program_encoding(plan.program)),
+        "ratios": [r.hex() for r in plan.flat_ratios],
+        "estimate": plan.estimated_time.total.hex(),
+    }
+
+
 def deep_record(case: str) -> Dict[str, str]:
     """Synthesize a deep ``case``: the sha256 of its program encoding and its cost."""
     build, devices, beam_width = DEEP_CASES[case]
@@ -149,12 +181,17 @@ def golden():
 
 
 def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted(CASES + tuple(DEEP_CASES))
+    assert sorted(golden) == sorted(CASES + BASELINE_CASES + tuple(DEEP_CASES))
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_program_matches_golden(case, golden):
     assert program_record(case) == golden[case]
+
+
+@pytest.mark.parametrize("case", BASELINE_CASES)
+def test_baseline_matches_golden(case, golden):
+    assert baseline_record(case) == golden[case]
 
 
 @pytest.mark.parametrize("case", DEEP_CASES)
@@ -177,6 +214,7 @@ if __name__ == "__main__":
         sys.exit("usage: python -m tests.test_golden_programs --regenerate")
     GOLDEN.parent.mkdir(exist_ok=True)
     records = {case: program_record(case) for case in CASES}
+    records.update({case: baseline_record(case) for case in BASELINE_CASES})
     records.update({case: deep_record(case) for case in DEEP_CASES})
     GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
