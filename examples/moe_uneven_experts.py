@@ -17,6 +17,7 @@ from repro.baselines import plan_baseline
 from repro.cluster import a100_p100_pair
 from repro.core import PlannerConfig, SynthesisConfig
 from repro.graph import shard_sizes
+from repro.hap import hap
 from repro.models import BERTMoEConfig, build_bert_moe
 from repro.simulator import ExecutionSimulator
 
@@ -47,7 +48,7 @@ def main() -> None:
     planner.synthesis = SynthesisConfig(beam_width=args.beam)
     simulator = ExecutionSimulator(cluster, seed=0)
 
-    hap_plan = plan_baseline("HAP", build(args.experts), cluster, planner)
+    hap_plan = hap(build(args.experts), cluster, planner)
     hap_time = simulator.simulate(hap_plan.program, hap_plan.flat_ratios, iterations=2).total
 
     padded = ((args.experts + 3) // 4) * 4

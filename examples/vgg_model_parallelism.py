@@ -20,6 +20,7 @@ from repro.autodiff import build_training_graph
 from repro.baselines import plan_baseline
 from repro.cluster import heterogeneous_testbed
 from repro.core import PlannerConfig, SynthesisConfig
+from repro.hap import hap
 from repro.models import VGGConfig, build_vgg19
 from repro.simulator import ExecutionSimulator
 
@@ -44,10 +45,12 @@ def main() -> None:
     planner.synthesis = SynthesisConfig(beam_width=args.beam)
     simulator = ExecutionSimulator(cluster, seed=0)
 
+    plans = {"HAP": hap(graph, cluster, planner)}
+    for system in ("DP-EV", "DP-CP"):
+        plans[system] = plan_baseline(system, graph, cluster, planner.synthesis)
+
     results = {}
-    for system in ("HAP", "DP-EV", "DP-CP"):
-        config = planner if system == "HAP" else planner.synthesis
-        plan = plan_baseline(system, graph, cluster, config)
+    for system, plan in plans.items():
         time = simulator.simulate(plan.program, plan.flat_ratios, iterations=2).total
         results[system] = (plan, time)
         print(f"{system:8s}: {time * 1e3:8.1f} ms/iteration   collectives={plan.program.communication_kinds()}")

@@ -1,40 +1,17 @@
 """Baseline training systems the paper compares against (Sec. 7.1).
 
-Each baseline is expressed as a restricted planner over the same IR, cluster
-model and simulator as HAP, so that the comparison isolates the *strategy*
-(sharding/ratio/communication decisions) exactly as the paper's testbed
-isolates the systems:
-
-* :func:`plan_dp_ev` — PyTorch-DDP-style data parallelism with even ratios.
-* :func:`plan_dp_cp` — data parallelism with computation-proportional ratios.
-* :func:`plan_deepspeed_like` — ZeRO-style data parallelism plus expert
-  parallelism (with expert-count padding) for MoE layers.
-* :func:`plan_tag_like` — data parallelism with automatic sufficient-factor
-  broadcasting, a simplified stand-in for TAG.
+Each baseline is HAP's synthesizer run over a restricted theory at fixed
+ratios, on the same IR, cluster model and simulator as HAP, so the comparison
+isolates the *strategy* (sharding/ratio/communication decisions) exactly as
+the paper's testbed isolates the systems.  :func:`plan_baseline` plans
+DP-EV, DP-CP, DeepSpeed or TAG by name and returns a
+:class:`~repro.core.pipeline.HAPPlan`.
 """
 
-from .planners import (
-    BASELINE_NAMES,
-    BaselinePlan,
-    estimate_memory_per_device,
-    plan_baseline,
-    plan_deepspeed_like,
-    plan_dp_cp,
-    plan_dp_ev,
-    plan_hap,
-    plan_hap_pipeline,
-    plan_tag_like,
-)
+from .planners import BASELINE_NAMES, estimate_memory_per_device, plan_baseline
 
 __all__ = [
-    "BaselinePlan",
     "plan_baseline",
-    "plan_dp_ev",
-    "plan_dp_cp",
-    "plan_deepspeed_like",
-    "plan_tag_like",
-    "plan_hap",
-    "plan_hap_pipeline",
     "estimate_memory_per_device",
     "BASELINE_NAMES",
 ]

@@ -170,13 +170,24 @@ class HAPPlanner:
 
         assert best is not None  # at least one round always runs
         program, ratios, cost, synthesis = best
-        plan = HAPPlan(
-            program=program,
-            ratios=[ratios],
-            estimated_time=cost,
-            rounds=rounds,
-            synthesis=synthesis,
+        return self.verified(
+            HAPPlan(
+                program=program,
+                ratios=[ratios],
+                estimated_time=cost,
+                rounds=rounds,
+                synthesis=synthesis,
+            )
         )
+
+    def verified(self, plan: HAPPlan) -> HAPPlan:
+        """Return ``plan`` after the ``verify_after_plan`` program check.
+
+        With the flag on, :func:`~repro.verify.verify_program` runs on the
+        plan's program at its ratios and any error-severity diagnostic
+        raises :class:`~repro.verify.base.PlanVerificationError`; the graph
+        check ran when the planner was built.
+        """
         if self.config.synthesis.verify_after_plan:
             # Imported lazily: repro.verify depends on this module.
             from ..verify.base import PlanVerificationError

@@ -30,6 +30,7 @@ from ..core.pipeline import HAPPlanner
 from ..core.synthesizer import ProgramSynthesizer
 from ..graph.builder import GraphBuilder
 from ..graph.tensor import DType
+from ..hap import hap
 from ..models import (
     BenchmarkScale,
     BERTConfig,
@@ -42,7 +43,7 @@ from ..models import (
     table1_inventory,
 )
 from ..simulator import ExecutionSimulator
-from .harness import ComparisonResult, compare_systems, default_planner_config
+from .harness import ComparisonResult, compare_systems, default_planner_config, out_of_memory
 
 Row = Dict[str, object]
 
@@ -312,7 +313,11 @@ def fig15_ablation(
 
         # DP-EV reference.
         dp = plan_baseline("DP-EV", graph, cluster, SynthesisConfig(beam_width=beam_width))
-        throughputs["DP-EV"] = _throughput(simulator, dp)
+        throughputs["DP-EV"] = (
+            0.0
+            if out_of_memory(dp, cluster)
+            else 1.0 / simulator.simulate(dp.program, dp.flat_ratios, iterations=2).total
+        )
 
         # Q: synthesizer only (even ratios, no communication optimisation).
         q_cfg = PlannerConfig(max_rounds=1, enable_load_balancer=False)
@@ -351,12 +356,6 @@ def fig15_ablation(
     return rows
 
 
-def _throughput(simulator: ExecutionSimulator, plan) -> float:
-    if plan.out_of_memory:
-        return 0.0
-    return 1.0 / simulator.simulate(plan.program, plan.flat_ratios, iterations=2).total
-
-
 # ---------------------------------------------------------------------------
 # Fig. 16 — concurrent training on homogeneous subsets vs HAP
 # ---------------------------------------------------------------------------
@@ -393,7 +392,7 @@ def fig16_concurrent_training(
             gpus = cluster.num_gpus
             forward = build_model(model, num_gpus=gpus, scale=scale)
             graph = build_training_graph(forward).graph
-            plan = plan_baseline("HAP", graph, cluster, planner_config)
+            plan = hap(graph, cluster, planner_config)
             sim = ExecutionSimulator(cluster, seed=0).simulate(
                 plan.program, plan.flat_ratios, iterations=2
             )
@@ -455,13 +454,11 @@ def fig17_uneven_experts(
             )
             return build_training_graph(build_bert_moe(config)).graph
 
-        hap_plan = plan_baseline("HAP", moe_graph(experts), cluster, planner_config)
+        hap_plan = hap(moe_graph(experts), cluster, planner_config)
         hap_time = simulator.simulate(hap_plan.program, hap_plan.flat_ratios, 2).total
 
         padded = ((experts + num_devices - 1) // num_devices) * num_devices
-        ds_plan = plan_baseline(
-            "DeepSpeed", moe_graph(padded), cluster, planner_config.synthesis
-        )
+        ds_plan = plan_baseline("DeepSpeed", moe_graph(padded), cluster, planner_config.synthesis)
         ds_time = simulator.simulate(ds_plan.program, ds_plan.flat_ratios, 2).total
 
         rows.append(
@@ -512,7 +509,7 @@ def fig18_cost_model_accuracy(
                     vocab_size=8192,
                 )
                 graph = build_training_graph(build_bert(config, name=f"bert_{layers}l_{hidden}h_{seq}s")).graph
-                plan = plan_baseline("HAP", graph, cluster, planner_config)
+                plan = hap(graph, cluster, planner_config)
                 actual = simulator.simulate(plan.program, plan.flat_ratios, 2).total
                 estimates.append(plan.estimated_time.total)
                 actuals.append(actual)

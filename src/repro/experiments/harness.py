@@ -11,22 +11,21 @@ systems are compared under one execution model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from ..autodiff import build_training_graph
-from ..baselines import BaselinePlan, plan_baseline
+from ..baselines import estimate_memory_per_device, plan_baseline
 from ..cluster.spec import ClusterSpec
 from ..core.config import PlannerConfig, SynthesisConfig
-from ..core.hierarchical import HierarchicalConfig, HierarchicalPlan
+from ..core.pipeline import HAPPlan
 from ..graph.graph import ComputationGraph
+from ..hap import hap
 from ..models import BenchmarkScale, build_model
-from ..simulator import ExecutionSimulator, simulate_hierarchical
+from ..simulator import ExecutionSimulator
 
 #: Systems compared in Figs. 13-14 (TAG only supports VGG19 and BERT-Base in
-#: the paper; DP baselines go out of memory on BERT-MoE).  ``HAP-Pipeline``
-#: (hierarchical pipeline-over-SPMD planning) is opt-in: it additionally needs
-#: the forward graph, which the harness builds from ``model_name``.
+#: the paper; DP baselines go out of memory on BERT-MoE).
 DEFAULT_SYSTEMS = ["HAP", "DP-EV", "DP-CP", "DeepSpeed", "TAG"]
 
 
@@ -82,7 +81,7 @@ class ComparisonResult:
         candidates = [
             r
             for name, r in self.results.items()
-            if name not in ("HAP", "HAP-Pipeline")
+            if name != "HAP"
             and r.simulated_time is not None
             and not r.out_of_memory
         ]
@@ -108,8 +107,6 @@ def compare_systems(
     planner_config: Optional[PlannerConfig] = None,
     synthesis_config: Optional[SynthesisConfig] = None,
     training_graph: Optional[ComputationGraph] = None,
-    forward_graph: Optional[ComputationGraph] = None,
-    hierarchical_config: Optional[HierarchicalConfig] = None,
     simulator_seed: int = 0,
     simulation_iterations: int = 3,
 ) -> ComparisonResult:
@@ -125,11 +122,6 @@ def compare_systems(
         synthesis_config: configuration shared by baseline planners.
         training_graph: pre-built training graph (overrides ``model_name``
             construction; used to avoid rebuilding across systems).
-        forward_graph: pre-built forward graph (required for ``HAP-Pipeline``
-            when ``training_graph`` is supplied; stages are differentiated
-            individually from it).
-        hierarchical_config: configuration of the ``HAP-Pipeline`` planner;
-            defaults to ``HierarchicalConfig(planner=planner_config)``.
         simulator_seed: RNG seed of the execution simulator.
         simulation_iterations: iterations averaged by the simulator.
 
@@ -140,50 +132,23 @@ def compare_systems(
 
     num_gpus = num_gpus or cluster.num_gpus
     if training_graph is None:
-        if forward_graph is None:
-            forward_graph = build_model(model_name, num_gpus=num_gpus, scale=scale)
-        training_graph = build_training_graph(forward_graph).graph
+        forward = build_model(model_name, num_gpus=num_gpus, scale=scale)
+        training_graph = build_training_graph(forward).graph
     planner_config = planner_config or default_planner_config()
-    synthesis_config = synthesis_config or replace(
-        planner_config.synthesis, force_data_parallel=False
-    )
+    synthesis_config = synthesis_config or planner_config.synthesis
     simulator = ExecutionSimulator(cluster, seed=simulator_seed)
 
     results: Dict[str, SystemResult] = {}
     for system in systems:
         start = _time.perf_counter()
-        if system == "HAP-Pipeline":
-            if forward_graph is None:
-                raise ValueError(
-                    "HAP-Pipeline needs the forward graph; pass forward_graph= "
-                    "alongside training_graph="
-                )
-            config = hierarchical_config or HierarchicalConfig(planner=planner_config)
-            hplan: HierarchicalPlan = plan_baseline(system, forward_graph, cluster, config)
-            planning_seconds = _time.perf_counter() - start
-            oom = _hierarchical_out_of_memory(hplan)
-            simulated = None
-            if not oom:
-                simulated = simulate_hierarchical(
-                    hplan, iterations=simulation_iterations, seed=simulator_seed
-                ).total
-            results[system] = SystemResult(
-                system=system,
-                simulated_time=simulated,
-                estimated_time=hplan.estimated_time,
-                out_of_memory=oom,
-                num_collectives=hplan.num_communications,
-                comm_kinds=hplan.communication_kinds(),
-                planning_seconds=planning_seconds,
-            )
-            continue
         if system == "HAP":
-            plan: BaselinePlan = plan_baseline(system, training_graph, cluster, planner_config)
+            plan = hap(training_graph, cluster, planner_config)
         else:
             plan = plan_baseline(system, training_graph, cluster, synthesis_config)
         planning_seconds = _time.perf_counter() - start
+        oom = out_of_memory(plan, cluster)
         simulated = None
-        if not plan.out_of_memory:
+        if not oom:
             simulated = simulator.simulate(
                 plan.program, plan.flat_ratios, iterations=simulation_iterations
             ).total
@@ -191,7 +156,7 @@ def compare_systems(
             system=system,
             simulated_time=simulated,
             estimated_time=plan.estimated_time.total,
-            out_of_memory=plan.out_of_memory,
+            out_of_memory=oom,
             num_collectives=plan.program.num_communications,
             comm_kinds=plan.program.communication_kinds(),
             planning_seconds=planning_seconds,
@@ -204,23 +169,14 @@ def compare_systems(
     )
 
 
-def _hierarchical_out_of_memory(plan: HierarchicalPlan) -> bool:
-    """True if any pipeline stage exceeds its machine group's memory.
+def out_of_memory(plan: HAPPlan, cluster: ClusterSpec) -> bool:
+    """True if ``plan``'s per-device memory estimate exceeds some device's capacity.
 
-    The hierarchical planner performs schedule-aware accounting (in-flight
-    microbatch activations plus resident parameter state, per device) for
-    every candidate and records the verdict on the plan; a plan flagged
-    infeasible means *no* (schedule, microbatch, recomputation) combination
-    fit, so the workload is reported as OOM like the flat baselines.
-
-    Note the model is deliberately stricter than the flat baselines'
-    :func:`~repro.baselines.planners.estimate_memory_per_device`, whose 0.25
-    activation discount approximates fusion/rematerialisation: pipeline
-    stages must genuinely stash in-flight activations until their backward,
-    so near the boundary a 1-stage pipeline plan can be flagged OOM where
-    the discounted flat estimate is not.
+    The estimate is :func:`~repro.baselines.estimate_memory_per_device`
+    (the paper reports OOM for the DP baselines on BERT-MoE).
     """
-    return not plan.fits_memory
+    memory = estimate_memory_per_device(plan.program, plan.flat_ratios, cluster)
+    return any(m > cap for m, cap in zip(memory, cluster.device_memory()))
 
 
 def format_comparison(comparison: ComparisonResult) -> str:

@@ -44,9 +44,16 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _is_training_graph(graph: ComputationGraph) -> bool:
-    """True if the graph already contains optimizer-update nodes."""
-    return any(node.kind is OpKind.OPTIMIZER for node in graph)
+def _training_graph(model: ComputationGraph) -> ComputationGraph:
+    """``model`` itself if it has optimizer-update nodes, else its training graph."""
+    if any(node.kind is OpKind.OPTIMIZER for node in model):
+        return model
+    if model.loss is None:
+        raise ValueError(
+            "planning needs either a training graph (with sgd_update nodes) or a "
+            "forward graph with a marked loss"
+        )
+    return build_training_graph(model).graph
 
 
 def hap(
@@ -74,15 +81,7 @@ def hap(
         The :class:`HAPPlan` with program, ratios and estimated iteration time.
     """
     with _collector_paused():
-        graph = model
-        if not _is_training_graph(model):
-            if model.loss is None:
-                raise ValueError(
-                    "hap() needs either a training graph (with sgd_update nodes) or a "
-                    "forward graph with a marked loss"
-                )
-            graph = build_training_graph(model).graph
-        return HAPPlanner(graph, cluster, config).plan()
+        return HAPPlanner(_training_graph(model), cluster, config).plan()
 
 
 def hap_pipeline(

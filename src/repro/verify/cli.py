@@ -82,15 +82,14 @@ def _testbeds(num_gpus: int, gpus_per_machine: int) -> List[ClusterSpec]:
 
 
 def _config(beam: int) -> HierarchicalConfig:
+    # Planning is the CLI's scaffolding, not its subject: the explicit
+    # verify_graph()/verify_plan() below are the check, so the planner's own
+    # hooks are off, the hierarchical one and every chunk's.
+    synthesis = SynthesisConfig(beam_width=beam, verify_after_plan=False)
     return HierarchicalConfig(
-        planner=PlannerConfig(
-            max_rounds=1, synthesis=SynthesisConfig(beam_width=beam)
-        ),
+        planner=PlannerConfig(max_rounds=1, synthesis=synthesis),
         intra_group_network=NetworkSpec(bandwidth=100e9 / 8),
         max_stages=2,
-        # Planning is the CLI's scaffolding, not its subject: the explicit
-        # verify_graph()/verify_plan() below are the check, so the planner's
-        # own hook is off.
         verify_after_plan=False,
     )
 

@@ -3,17 +3,8 @@
 import pytest
 
 from repro.autodiff import build_training_graph
-from repro.baselines import (
-    BASELINE_NAMES,
-    estimate_memory_per_device,
-    plan_baseline,
-    plan_deepspeed_like,
-    plan_dp_cp,
-    plan_dp_ev,
-    plan_hap,
-    plan_tag_like,
-)
-from repro.core import SynthesisConfig
+from repro.baselines import BASELINE_NAMES, estimate_memory_per_device, plan_baseline
+from repro.core import HAPPlan, SynthesisConfig
 
 from .conftest import build_mlp, build_tiny_moe, build_tiny_transformer
 
@@ -35,37 +26,36 @@ def cfg():
 
 class TestDataParallelBaselines:
     def test_dp_ev_even_ratios(self, transformer_graph, four_device_cluster, cfg):
-        plan = plan_dp_ev(transformer_graph, four_device_cluster, cfg)
-        assert plan.name == "DP-EV"
-        assert plan.ratios == four_device_cluster.even_ratios()
+        plan = plan_baseline("DP-EV", transformer_graph, four_device_cluster, cfg)
+        assert plan.flat_ratios == four_device_cluster.even_ratios()
 
     def test_dp_cp_proportional_ratios(self, transformer_graph, four_device_cluster, cfg):
-        plan = plan_dp_cp(transformer_graph, four_device_cluster, cfg)
-        assert plan.ratios == four_device_cluster.proportional_ratios()
+        plan = plan_baseline("DP-CP", transformer_graph, four_device_cluster, cfg)
+        assert plan.flat_ratios == four_device_cluster.proportional_ratios()
 
     def test_dp_keeps_parameters_replicated(self, transformer_graph, four_device_cluster, cfg):
-        plan = plan_dp_ev(transformer_graph, four_device_cluster, cfg)
+        plan = plan_baseline("DP-EV", transformer_graph, four_device_cluster, cfg)
         assert all(d is None for d in plan.program.parameter_shardings().values())
 
     def test_dp_synchronises_gradients(self, transformer_graph, four_device_cluster, cfg):
-        plan = plan_dp_ev(transformer_graph, four_device_cluster, cfg)
+        plan = plan_baseline("DP-EV", transformer_graph, four_device_cluster, cfg)
         kinds = plan.program.communication_kinds()
         assert kinds.get("all_reduce", 0) + kinds.get("reduce_scatter", 0) > 0
 
     def test_dp_cp_same_program_as_dp_ev(self, transformer_graph, four_device_cluster, cfg):
-        ev = plan_dp_ev(transformer_graph, four_device_cluster, cfg)
-        cp = plan_dp_cp(transformer_graph, four_device_cluster, cfg)
+        ev = plan_baseline("DP-EV", transformer_graph, four_device_cluster, cfg)
+        cp = plan_baseline("DP-CP", transformer_graph, four_device_cluster, cfg)
         assert ev.program.num_computations == cp.program.num_computations
 
     def test_accepts_forward_graph(self, four_device_cluster, cfg):
         forward = build_mlp(batch=32)
-        plan = plan_dp_ev(forward, four_device_cluster, cfg)
+        plan = plan_baseline("DP-EV", forward, four_device_cluster, cfg)
         assert plan.program.num_computations > len(forward)
 
 
 class TestDeepSpeedLike:
     def test_expert_parameters_sharded(self, moe_graph, four_device_cluster, cfg):
-        plan = plan_deepspeed_like(moe_graph, four_device_cluster, cfg)
+        plan = plan_baseline("DeepSpeed", moe_graph, four_device_cluster, cfg)
         shardings = plan.program.parameter_shardings()
         expert_params = [
             name for name in shardings if moe_graph[name].spec.rank == 3
@@ -75,60 +65,79 @@ class TestDeepSpeedLike:
             assert shardings[name] == 0  # sharded on the expert dimension
 
     def test_dense_parameters_replicated(self, moe_graph, four_device_cluster, cfg):
-        plan = plan_deepspeed_like(moe_graph, four_device_cluster, cfg)
+        plan = plan_baseline("DeepSpeed", moe_graph, four_device_cluster, cfg)
         shardings = plan.program.parameter_shardings()
         dense = [n for n in shardings if moe_graph[n].spec.rank < 3]
         assert any(shardings[n] is None for n in dense)
 
     def test_uses_all_to_all_for_expert_layers(self, moe_graph, four_device_cluster, cfg):
-        plan = plan_deepspeed_like(moe_graph, four_device_cluster, cfg)
+        plan = plan_baseline("DeepSpeed", moe_graph, four_device_cluster, cfg)
         assert plan.program.communication_kinds().get("all_to_all", 0) >= 2
 
     def test_lower_memory_than_dp_on_moe(self, moe_graph, four_device_cluster, cfg):
-        dp = plan_dp_ev(moe_graph, four_device_cluster, cfg)
-        ds = plan_deepspeed_like(moe_graph, four_device_cluster, cfg)
-        assert max(ds.memory_per_device) < max(dp.memory_per_device)
+        dp = plan_baseline("DP-EV", moe_graph, four_device_cluster, cfg)
+        ds = plan_baseline("DeepSpeed", moe_graph, four_device_cluster, cfg)
+        dp_memory = estimate_memory_per_device(dp.program, dp.flat_ratios, four_device_cluster)
+        ds_memory = estimate_memory_per_device(ds.program, ds.flat_ratios, four_device_cluster)
+        assert max(ds_memory) < max(dp_memory)
 
 
 class TestTAGLike:
     def test_tag_plans_successfully(self, transformer_graph, four_device_cluster, cfg):
-        plan = plan_tag_like(transformer_graph, four_device_cluster, cfg)
-        assert plan.name == "TAG"
+        plan = plan_baseline("TAG", transformer_graph, four_device_cluster, cfg)
         assert plan.estimated_time.total > 0
 
     def test_tag_not_slower_than_dp_ev_estimate(self, transformer_graph, four_device_cluster, cfg):
         """TAG's search space is a superset of DP-EV's (adds SFB)."""
-        tag = plan_tag_like(transformer_graph, four_device_cluster, cfg)
-        dp = plan_dp_ev(transformer_graph, four_device_cluster, cfg)
+        tag = plan_baseline("TAG", transformer_graph, four_device_cluster, cfg)
+        dp = plan_baseline("DP-EV", transformer_graph, four_device_cluster, cfg)
         assert tag.estimated_time.total <= dp.estimated_time.total * 1.05
 
 
 class TestRegistryAndMemory:
     def test_plan_baseline_by_name(self, transformer_graph, four_device_cluster, cfg):
-        for name in ("DP-EV", "DP-CP", "DeepSpeed", "TAG"):
+        for name in BASELINE_NAMES:
             plan = plan_baseline(name, transformer_graph, four_device_cluster, cfg)
-            assert plan.name == name
+            assert isinstance(plan, HAPPlan)
+            assert plan.rounds == []
+            assert plan.synthesis.program is plan.program
 
-    def test_unknown_baseline_rejected(self, transformer_graph, four_device_cluster):
+    @pytest.mark.parametrize("name", ["HAP", "HAP-Pipeline", "Megatron"])
+    def test_unknown_baseline_rejected(self, name, transformer_graph, four_device_cluster):
         with pytest.raises(KeyError):
-            plan_baseline("Megatron", transformer_graph, four_device_cluster)
+            plan_baseline(name, transformer_graph, four_device_cluster)
 
     def test_baseline_names_constant(self):
-        assert "HAP" in BASELINE_NAMES and "DP-EV" in BASELINE_NAMES
+        assert BASELINE_NAMES == ["DP-EV", "DP-CP", "DeepSpeed", "TAG"]
+
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_plans_go_through_the_verify_hooks(
+        self, verify, monkeypatch, transformer_graph, four_device_cluster
+    ):
+        import repro.verify.graph
+        import repro.verify.program
+
+        calls = []
+        for module, name in (
+            (repro.verify.graph, "verify_graph"),
+            (repro.verify.program, "verify_program"),
+        ):
+            check = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *args, _c=check, _n=name: calls.append(_n) or _c(*args)
+            )
+        config = SynthesisConfig(beam_width=8, verify_after_plan=verify)
+        plan_baseline("TAG", transformer_graph, four_device_cluster, config)
+        assert calls == (["verify_graph", "verify_program"] if verify else [])
 
     def test_memory_estimate_positive_and_per_device(self, transformer_graph, four_device_cluster, cfg):
-        plan = plan_dp_ev(transformer_graph, four_device_cluster, cfg)
-        memory = estimate_memory_per_device(plan.program, plan.ratios, four_device_cluster)
+        plan = plan_baseline("DP-EV", transformer_graph, four_device_cluster, cfg)
+        memory = estimate_memory_per_device(plan.program, plan.flat_ratios, four_device_cluster)
         assert len(memory) == four_device_cluster.num_devices
         assert all(m > 0 for m in memory)
 
     def test_replicated_parameters_dominate_dp_memory(self, transformer_graph, four_device_cluster, cfg):
-        plan = plan_dp_ev(transformer_graph, four_device_cluster, cfg)
-        memory = estimate_memory_per_device(plan.program, plan.ratios, four_device_cluster)
+        plan = plan_baseline("DP-EV", transformer_graph, four_device_cluster, cfg)
+        memory = estimate_memory_per_device(plan.program, plan.flat_ratios, four_device_cluster)
         params = transformer_graph.parameter_bytes()
         assert min(memory) >= 3.0 * params * 0.9
-
-    def test_hap_wrapper(self, transformer_graph, four_device_cluster, small_planner_config):
-        plan = plan_hap(transformer_graph, four_device_cluster, small_planner_config)
-        assert plan.name == "HAP"
-        assert plan.estimated_time.total >= 0

@@ -51,7 +51,7 @@ import pytest
 
 from benchmarks.e2e.workloads import _program_encoding
 from repro.autodiff import build_training_graph
-from repro.baselines import plan_baseline
+from repro.baselines import BASELINE_NAMES, plan_baseline
 from repro.core import ProgramSynthesizer, SynthesisConfig, SynthesisError
 from repro.models import BenchmarkScale, build_model
 
@@ -111,7 +111,7 @@ BASELINE_CASES = tuple(
     f"{model}/{cluster}/{name}"
     for model in ("tiny_transformer", "tiny_moe")
     for cluster in CLUSTERS
-    for name in ("DP-EV", "DP-CP", "DeepSpeed", "TAG")
+    for name in BASELINE_NAMES
 )
 
 

@@ -1152,37 +1152,26 @@ class TestHierarchicalRuntimeParity:
 # ---------------------------------------------------------------------------
 
 class TestHarnessIntegration:
-    def test_hap_pipeline_is_a_first_class_system(self):
-        from repro.baselines import BASELINE_NAMES, plan_baseline
-        from repro.experiments.harness import compare_systems
+    def test_compare_systems_reads_hap_and_baseline_plans(self):
+        from repro.baselines import plan_baseline
+        from repro.experiments.harness import compare_systems, out_of_memory
 
-        assert "HAP-Pipeline" in BASELINE_NAMES
-        forward = build_tiny_transformer()
         cluster = make_cluster()
-        plan = plan_baseline("HAP-Pipeline", forward, cluster, hier_config(max_stages=2))
-        assert plan.num_stages >= 1
+        training = build_training_graph(build_tiny_transformer()).graph
         comparison = compare_systems(
             "tiny",
             cluster,
-            systems=["HAP", "HAP-Pipeline"],
+            systems=["HAP", "DP-EV"],
             planner_config=small_planner(),
-            training_graph=build_training_graph(forward).graph,
-            forward_graph=forward,
-            hierarchical_config=hier_config(max_stages=2),
+            training_graph=training,
         )
-        result = comparison.results["HAP-Pipeline"]
-        assert result.simulated_time is not None and result.simulated_time > 0
-        assert result.estimated_time > 0
-
-    def test_hap_pipeline_requires_forward_graph(self):
-        from repro.experiments.harness import compare_systems
-
-        training = build_training_graph(build_mlp()).graph
-        with pytest.raises(ValueError):
-            compare_systems(
-                "tiny",
-                make_cluster(),
-                systems=["HAP-Pipeline"],
-                planner_config=small_planner(),
-                training_graph=training,
-            )
+        plans = {
+            "HAP": hap(training, cluster, small_planner()),
+            "DP-EV": plan_baseline("DP-EV", training, cluster, small_planner().synthesis),
+        }
+        for system, plan in plans.items():
+            result = comparison.results[system]
+            assert result.estimated_time == plan.estimated_time.total
+            assert result.out_of_memory == out_of_memory(plan, cluster)
+            assert result.comm_kinds == plan.program.communication_kinds()
+            assert result.simulated_time is not None and result.simulated_time > 0

@@ -87,7 +87,7 @@ class TestUserAPI:
     def test_hap_estimate_not_worse_than_dp_baselines(self, four_device_cluster):
         """HAP's search space includes data parallelism, so its cost-model
         estimate can never be meaningfully worse than DP-EV / DP-CP."""
-        from repro.baselines import plan_dp_cp, plan_dp_ev
+        from repro.baselines import plan_baseline
         from repro.core import CostModel
 
         training = build_training_graph(
@@ -96,8 +96,10 @@ class TestUserAPI:
         plan = hap(training, four_device_cluster, planner_config())
         cost_model = CostModel(training, four_device_cluster)
         hap_time = cost_model.evaluate(plan.program, plan.flat_ratios).total
-        for baseline in (plan_dp_ev, plan_dp_cp):
-            base = baseline(training, four_device_cluster, SynthesisConfig(beam_width=8))
+        for baseline in ("DP-EV", "DP-CP"):
+            base = plan_baseline(
+                baseline, training, four_device_cluster, SynthesisConfig(beam_width=8)
+            )
             base_time = cost_model.evaluate(base.program, base.flat_ratios).total
             # Beam-search slack: tiny toy workloads have many near-ties.
             assert hap_time <= base_time * 1.3

@@ -579,6 +579,14 @@ class TestVerifyCli:
         monkeypatch.setattr(verify_cli, "verify_registry", fake)
         assert verify_cli.main([]) == 1
 
+    def test_planner_hooks_are_off(self, monkeypatch):
+        # The CLI runs the checks itself, so neither the hierarchical hook
+        # nor any chunk planner's hook may verify the plan a second time.
+        monkeypatch.setenv("REPRO_VERIFY", "1")
+        config = verify_cli._config(8)
+        assert config.verify_after_plan is False
+        assert config.planner.synthesis.verify_after_plan is False
+
     def test_json_output_is_machine_readable(self, monkeypatch, capsys):
         monkeypatch.setattr(verify_cli, "verify_registry", self._fake_registry(True))
         assert verify_cli.main(["--lint", "--json"]) == 0
