@@ -43,11 +43,14 @@ def main() -> None:
     print(f"chosen schedule:        {plan.schedule_name}")
     print(f"microbatches:           {plan.num_microbatches}")
     print(f"activation recompute:   {recompute}")
-    for stage in plan.stages:
-        peak = plan.peak_memory[stage.index]
-        cap = plan.stage_memory_capacity[stage.index]
+    for stage, stash in zip(plan.stages, plan.schedule.peak_stash):
+        # The worst device under the per-device model the planner judged by.
+        peak, cap = max(
+            zip(stage.peak_device_memory(stash), stage.subcluster.device_memory()),
+            key=lambda pair: pair[0] / pair[1],
+        )
         print(
-            f"stage {stage.index} peak memory:     {peak / 1e9:6.2f} GB "
+            f"stage {stage.index} worst device:    {peak / 1e9:6.2f} GB "
             f"of {cap / 1e9:.0f} GB on {stage.subcluster.name} "
             f"(in-flight microbatches: {plan.schedule.peak_inflight[stage.index]})"
         )

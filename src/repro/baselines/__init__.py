@@ -8,10 +8,9 @@ DP-EV, DP-CP, DeepSpeed or TAG by name and returns a
 :class:`~repro.core.pipeline.HAPPlan`.
 """
 
-from .planners import BASELINE_NAMES, estimate_memory_per_device, plan_baseline
+from .planners import BASELINE_NAMES, plan_baseline
 
 __all__ = [
     "plan_baseline",
-    "estimate_memory_per_device",
     "BASELINE_NAMES",
 ]

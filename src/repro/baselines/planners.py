@@ -22,13 +22,11 @@ that can be costed, simulated, verified and executed like HAP's own.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from ..cluster.spec import ClusterSpec
 from ..core.config import PlannerConfig, SynthesisConfig
-from ..core.hierarchical import OPTIMIZER_STATE_FACTOR
 from ..core.pipeline import HAPPlan, HAPPlanner
-from ..core.program import DistributedProgram
 from ..graph.graph import ComputationGraph
 from ..hap import _training_graph
 
@@ -42,35 +40,6 @@ _BASELINES = {
 }
 
 BASELINE_NAMES = list(_BASELINES)
-
-
-def estimate_memory_per_device(
-    program: DistributedProgram, ratios: Sequence[float], cluster: ClusterSpec
-) -> List[float]:
-    """Per-device memory estimate for parameters, gradients and optimizer state.
-
-    Sharded parameters contribute proportionally to the device's ratio,
-    replicated parameters contribute fully; the total is multiplied by
-    :data:`~repro.core.hierarchical.OPTIMIZER_STATE_FACTOR` to account for
-    the gradient and one optimizer moment, plus an activation term
-    proportional to the batch shard.
-    """
-    graph = program.graph
-    shardings = program.parameter_shardings()
-    sharded_bytes = sum(
-        p.spec.size_bytes for p in graph.parameters() if shardings.get(p.name) is not None
-    )
-    replicated_bytes = sum(
-        p.spec.size_bytes for p in graph.parameters() if shardings.get(p.name) is None
-    )
-    activation_bytes = graph.activation_bytes()
-    totals = []
-    for j in range(cluster.num_devices):
-        share = ratios[j]
-        params = replicated_bytes + sharded_bytes * share
-        acts = activation_bytes * share * 0.25  # re-materialisation / fusion discount
-        totals.append(OPTIMIZER_STATE_FACTOR * params + acts)
-    return totals
 
 
 def plan_baseline(
@@ -97,9 +66,4 @@ def plan_baseline(
         enable_grouped_all_gather=False,
     )
     config = PlannerConfig(synthesis=restricted)
-    ratios = ratio_rule(cluster)
-    # One synthesis at the fixed ratios, through the planner's verify hooks.
-    planner = HAPPlanner(_training_graph(model), cluster, config)
-    result = planner.synthesizer.synthesize(ratios)
-    estimated = planner.cost_model.evaluate(result.program, ratios)
-    return planner.verified(HAPPlan(result.program, [ratios], estimated, [], result))
+    return HAPPlanner(_training_graph(model), cluster, config).plan_at(ratio_rule(cluster))

@@ -109,13 +109,10 @@ class PlannerConfig:
             :meth:`HAPPlanner.plan` stops; any ``max_rounds >= 1`` yields
             ``len(plan.rounds) == 1``.
         synthesis: synthesizer configuration.
-        enable_load_balancer: if False the initial (computation-proportional)
-            ratios are kept — the "Q"-only ablation point.
     """
 
     max_rounds: int = 4
     synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)
-    enable_load_balancer: bool = True
 
     def __post_init__(self) -> None:
         if self.max_rounds < 1:

@@ -81,8 +81,7 @@ from .program import DistributedProgram
 interleaved_pipeline_cut = pipeline_cut
 
 #: Multiplier turning parameter bytes into resident state: the parameter, its
-#: gradient, and one optimizer moment (the same convention as
-#: :func:`repro.baselines.planners.estimate_memory_per_device`).
+#: gradient, and one optimizer moment (read only by :func:`device_peak_memory`).
 OPTIMIZER_STATE_FACTOR = 3.0
 #: Microbatch counts tried per (stage count, schedule); each is snapped to the
 #: nearest divisor of the global batch.
@@ -90,6 +89,45 @@ MICROBATCH_CANDIDATES = (2, 4, 8, 16, 32)
 #: Fixed per-microbatch launch/scheduling cost (seconds) of a multi-stage
 #: pipeline; it does not shrink with the microbatch size.
 MICROBATCH_OVERHEAD = 50e-6
+
+
+def parameter_bytes_split(program: DistributedProgram) -> Tuple[int, int]:
+    """``(sharded, replicated)`` parameter bytes of ``program``.
+
+    A parameter with a sharding dimension is split across the devices by
+    their ratios; one without is replicated on every device.
+    """
+    shardings = program.parameter_shardings()
+    sharded = replicated = 0
+    for p in program.graph.parameters():
+        if shardings.get(p.name) is None:
+            replicated += p.spec.size_bytes
+        else:
+            sharded += p.spec.size_bytes
+    return sharded, replicated
+
+
+def device_peak_memory(
+    sharded_param_bytes: float,
+    replicated_param_bytes: float,
+    stash: float,
+    ratios: Sequence[float],
+) -> List[float]:
+    """Peak bytes of every device of one SPMD program: the one memory model.
+
+    Device ``j`` holds the resident state of every replicated parameter and
+    its ratio ``r_j`` of the sharded ones (each times
+    :data:`OPTIMIZER_STATE_FACTOR`), plus ``r_j`` of the activation
+    ``stash``, which is batch-sharded like the program.  A pipeline stage's
+    stash is its schedule's in-flight peak; a flat plan's is its whole
+    forward pass, the one-stage case.
+    """
+    return [
+        OPTIMIZER_STATE_FACTOR * replicated_param_bytes
+        + OPTIMIZER_STATE_FACTOR * sharded_param_bytes * r
+        + stash * r
+        for r in ratios
+    ]
 
 
 @dataclass
@@ -213,27 +251,34 @@ class StagePlan:
     def forward_nodes(self) -> Set[str]:
         return set(self.info.forward_nodes)
 
-    def weight_bytes_total(self) -> float:
-        """Group-aggregate resident parameter/gradient/optimizer bytes."""
-        n = self.subcluster.num_devices
-        return OPTIMIZER_STATE_FACTOR * (
-            self.replicated_param_bytes * n + self.sharded_param_bytes
+    def peak_device_memory(self, peak_stash: float) -> List[float]:
+        """Per-device peak bytes given the schedule's stash peak.
+
+        ``peak_stash`` is the stage's activation-stash peak from
+        :class:`~repro.simulator.schedule.ScheduleResult`; see
+        :func:`device_peak_memory`.
+        """
+        return device_peak_memory(
+            self.sharded_param_bytes, self.replicated_param_bytes, peak_stash, self.ratios
         )
 
-    def peak_device_memory(self, peak_stash: float) -> List[float]:
-        """Per-device peak bytes given the schedule's aggregate stash.
 
-        ``peak_stash`` is the stage's group-aggregate activation-stash peak
-        from :class:`~repro.simulator.schedule.ScheduleResult`.  Activations
-        are batch-sharded, so each device holds its sharding-ratio share of
-        the stash on top of its resident parameter state.
-        """
-        return [
-            OPTIMIZER_STATE_FACTOR * self.replicated_param_bytes
-            + OPTIMIZER_STATE_FACTOR * self.sharded_param_bytes * self.ratios[j]
-            + peak_stash * self.ratios[j]
-            for j in range(self.subcluster.num_devices)
-        ]
+def memory_verdict(
+    stages: Sequence[StagePlan], peak_stash: Sequence[float]
+) -> Tuple[bool, List[float]]:
+    """``(fits, utilization)`` of stages under their schedule's stash peaks.
+
+    ``fits`` is True when every device of every stage holds its peak bytes;
+    ``utilization`` is each stage's worst-device fraction of capacity.
+    """
+    fits = True
+    utilization: List[float] = []
+    for stage, stash in zip(stages, peak_stash):
+        peaks = stage.peak_device_memory(stash)
+        capacities = stage.subcluster.device_memory()
+        fits = fits and all(peak <= cap for peak, cap in zip(peaks, capacities))
+        utilization.append(max(peak / cap for peak, cap in zip(peaks, capacities)))
+    return fits, utilization
 
 
 @dataclass
@@ -251,13 +296,7 @@ class HierarchicalPlan:
         schedule_name: winning schedule (``gpipe`` or ``1f1b``).
         recompute: whether the plan recomputes activations in the backward.
         fits_memory: True when every stage's per-device peak memory fits its
-            group's device capacity.
-        peak_memory: per-stage group-aggregate peak bytes of the schedule.
-        stage_memory_capacity: per-stage group-aggregate memory capacity.
-        stage_memory_utilization: per-stage worst-device fraction of device
-            capacity at the schedule's in-flight peak — the number behind the
-            ``fits_memory`` verdict (>1 means some device does not fit even
-            if the group aggregates look comfortable).
+            group's device capacity (see :func:`memory_verdict`).
         candidate_times: estimated time of every stage count evaluated.
         schedule_candidate_times: estimated time of every
             (stage count, schedule, microbatches, recompute) combination.
@@ -280,9 +319,6 @@ class HierarchicalPlan:
     schedule_name: str = "gpipe"
     recompute: bool = False
     fits_memory: bool = True
-    peak_memory: List[float] = field(default_factory=list)
-    stage_memory_capacity: List[float] = field(default_factory=list)
-    stage_memory_utilization: List[float] = field(default_factory=list)
     candidate_times: Dict[int, float] = field(default_factory=dict)
     schedule_candidate_times: Dict[Tuple[int, str, int, bool], float] = field(
         default_factory=dict
@@ -299,6 +335,12 @@ class HierarchicalPlan:
         per-stage collectives expose only their non-hidden part.
         """
         return self.cluster.comm_overlap_efficiency
+
+    @property
+    def stage_memory_utilization(self) -> List[float]:
+        """Per-stage worst-device fraction of device capacity at the
+        schedule's stash peak (>1: some device does not fit)."""
+        return memory_verdict(self.stages, self.schedule.peak_stash)[1]
 
     @property
     def num_model_chunks(self) -> int:
@@ -348,27 +390,14 @@ class HierarchicalPlan:
         ]
         if not self.fits_memory:
             lines.append("  WARNING: no memory-feasible candidate; best infeasible plan kept")
-        for stage in self.stages:
+        for stage, util in zip(self.stages, self.stage_memory_utilization):
             group = stage.subcluster
-            peak = (
-                self.peak_memory[stage.index] if stage.index < len(self.peak_memory) else 0.0
-            )
-            cap = (
-                self.stage_memory_capacity[stage.index]
-                if stage.index < len(self.stage_memory_capacity)
-                else 0.0
-            )
-            util = (
-                f", worst device {self.stage_memory_utilization[stage.index] * 100:.0f}%"
-                if stage.index < len(self.stage_memory_utilization)
-                else ""
-            )
-            mem = f", peak mem {peak / 1e9:.2f}/{cap / 1e9:.0f} GB{util}" if cap else ""
             lines.append(
                 f"  stage {stage.index}: {len(stage.info.graph)} nodes on "
                 f"{group.name} ({group.num_gpus} GPUs), "
                 f"est {stage.plan.estimated_time.total * 1e3:.2f} ms flat, "
-                f"sends {stage.send_bytes / 1e6:.2f} MB downstream{mem}"
+                f"sends {stage.send_bytes / 1e6:.2f} MB downstream, "
+                f"worst device at {util * 100:.0f}% of memory"
             )
         if self.candidate_times:
             ranked = ", ".join(
@@ -589,17 +618,7 @@ class HierarchicalPlanner:
                 for name in info.forward_nodes
                 if info.graph[name].kind is not OpKind.SOURCE
             )
-            shardings = plan.program.parameter_shardings()
-            sharded = sum(
-                p.spec.size_bytes
-                for p in info.graph.parameters()
-                if shardings.get(p.name) is not None
-            )
-            replicated = sum(
-                p.spec.size_bytes
-                for p in info.graph.parameters()
-                if shardings.get(p.name) is None
-            )
+            sharded, replicated = parameter_bytes_split(plan.program)
             stages.append(
                 StagePlan(
                     index=k,
@@ -670,15 +689,6 @@ class HierarchicalPlanner:
         schedule, schedule_name, recompute, fits, combo_times = self._search_schedules(
             partition, stages, times
         )
-        utilization: List[float] = []
-        for stage, stash in zip(stages, schedule.peak_stash):
-            peaks = stage.peak_device_memory(stash)
-            utilization.append(
-                max(
-                    peak / cap
-                    for peak, cap in zip(peaks, stage.subcluster.device_memory())
-                )
-            )
         return HierarchicalPlan(
             cluster=self.cluster,
             partition=partition,
@@ -690,9 +700,6 @@ class HierarchicalPlanner:
             schedule_name=schedule_name,
             recompute=recompute,
             fits_memory=fits,
-            peak_memory=list(schedule.peak_memory),
-            stage_memory_capacity=[float(s.subcluster.total_memory()) for s in stages],
-            stage_memory_utilization=utilization,
             schedule_candidate_times=combo_times,
             batch_size=self.batch_size,
             microbatch_overhead=0.0 if num_stages == 1 else MICROBATCH_OVERHEAD,
@@ -702,17 +709,6 @@ class HierarchicalPlanner:
         """Cost-model phase buckets of one stage program on its group."""
         cost_model = CostModel(stage.program.graph, stage.subcluster)
         return cost_model.phase_profile(stage.program, stage.ratios, stage.forward_nodes)
-
-    def _fits_memory(
-        self, stages: Sequence[StagePlan], result: ScheduleResult
-    ) -> bool:
-        """True when every device of every stage group fits its peak bytes."""
-        for stage, stash in zip(stages, result.peak_stash):
-            capacities = stage.subcluster.device_memory()
-            peaks = stage.peak_device_memory(stash)
-            if any(peak > cap for peak, cap in zip(peaks, capacities)):
-                return False
-        return True
 
     def _search_schedules(
         self,
@@ -752,7 +748,7 @@ class HierarchicalPlanner:
                     recompute=rc,
                     overlap=self.overlap,
                 )
-                fits = self._fits_memory(stages, result)
+                fits, _ = memory_verdict(stages, result.peak_stash)
                 combo_times[(num_stages, name, m, rc)] = result.total
                 key = (0 if fits else 1, result.total, order)
                 if best is None or key < best[0]:

@@ -19,9 +19,8 @@ simulator all read.  With ``e = 0`` both constraint families coincide with
 the paper's original serialized LP.  The overlap efficiency ``e`` is taken
 from the cost model (ultimately the cluster spec), so the LP and
 :meth:`CostModel.evaluate` optimise and score the same objective.  The LP
-has no memory rows: the hierarchical planner's per-device check
-(:meth:`repro.core.hierarchical.StagePlan.peak_device_memory`) is the one
-memory model plans are judged by.
+has no memory rows: :func:`repro.core.hierarchical.device_peak_memory` is
+the one memory model plans are judged by.
 
 The paper solves the LP with CBC; here a small simplex solves it in-tree
 (:func:`solve_lp`), with no solver dependency.  It runs on the LP's dual,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..cluster.spec import ClusterSpec
 from ..graph.graph import ComputationGraph
@@ -137,12 +137,10 @@ class HAPPlanner:
             program = synthesis.program
             ratios_q = ratios
 
-            balance_seconds = 0.0
-            if self.config.enable_load_balancer:
-                balance_start = _time.perf_counter()
-                balance = self.load_balancer.optimize(program, self.cost_model)
-                balance_seconds = _time.perf_counter() - balance_start
-                ratios = balance.ratios
+            balance_start = _time.perf_counter()
+            balance = self.load_balancer.optimize(program, self.cost_model)
+            balance_seconds = _time.perf_counter() - balance_start
+            ratios = balance.ratios
             # Evaluation is pure, so pricing the pre-balance ratios after the
             # LP (in one batched call with the post-balance ratios, over the
             # stage lines the LP just read) yields the same numbers as
@@ -179,6 +177,13 @@ class HAPPlanner:
                 synthesis=synthesis,
             )
         )
+
+    def plan_at(self, ratios: Sequence[float]) -> HAPPlan:
+        """One synthesis at the fixed ``ratios``, with no load balancing."""
+        ratios = list(ratios)
+        synthesis = self.synthesizer.synthesize(ratios)
+        cost = self.cost_model.evaluate(synthesis.program, ratios)
+        return self.verified(HAPPlan(synthesis.program, [ratios], cost, [], synthesis))
 
     def verified(self, plan: HAPPlan) -> HAPPlan:
         """Return ``plan`` after the ``verify_after_plan`` program check.

@@ -106,7 +106,12 @@ from .properties import Property
 #: chunk per stage), so the pickled plan and config layouts changed.
 #: v13: ``HierarchicalConfig`` lost ``schedules`` (the planner always
 #: searches every schedule), so the config signature changed.
-CACHE_VERSION = 13
+#: v14: ``HierarchicalPlan`` lost its stored ``peak_memory``,
+#: ``stage_memory_capacity`` and ``stage_memory_utilization``,
+#: ``ScheduleResult`` its ``peak_memory``, and ``PlannerConfig`` its
+#: ``enable_load_balancer``, so the pickled plan layout and the config
+#: signature changed.
+CACHE_VERSION = 14
 
 #: Configuration fields excluded from cache keys: the cache itself and the
 #: static-verifier flag (verification never changes the plan).

@@ -26,9 +26,10 @@ from ..cluster.spec import (
 from ..collectives.cost import CollectiveCostModel, CollectiveKind
 from ..core.config import PlannerConfig, SynthesisConfig
 from ..core.costmodel import CostModel
-from ..core.pipeline import HAPPlanner
+from ..core.pipeline import HAPPlan, HAPPlanner
 from ..core.synthesizer import ProgramSynthesizer
 from ..graph.builder import GraphBuilder
+from ..graph.graph import ComputationGraph
 from ..graph.tensor import DType
 from ..hap import hap
 from ..models import (
@@ -315,17 +316,13 @@ def fig15_ablation(
         dp = plan_baseline("DP-EV", graph, cluster, SynthesisConfig(beam_width=beam_width))
         throughputs["DP-EV"] = (
             0.0
-            if out_of_memory(dp, cluster)
+            if out_of_memory(dp, forward, cluster)
             else 1.0 / simulator.simulate(dp.program, dp.flat_ratios, iterations=2).total
         )
 
         # Q: synthesizer only (even ratios, no communication optimisation).
-        q_cfg = PlannerConfig(max_rounds=1, enable_load_balancer=False)
-        q_cfg.synthesis = SynthesisConfig(
-            beam_width=beam_width, enable_sfb=False, enable_grouped_all_gather=False
-        )
-        q_plan = HAPPlanner(graph, cluster, q_cfg).plan()
-        throughputs["Q"] = 1.0 / simulator.simulate(q_plan.program, cluster.even_ratios(), 2).total
+        q_plan = fig15_q_plan(graph, cluster, beam_width)
+        throughputs["Q"] = 1.0 / simulator.simulate(q_plan.program, q_plan.flat_ratios, 2).total
 
         # Q+B: add the LP load balancer.
         qb_cfg = PlannerConfig(max_rounds=2)
@@ -354,6 +351,20 @@ def fig15_ablation(
                 }
             )
     return rows
+
+
+def fig15_q_plan(graph: ComputationGraph, cluster: ClusterSpec, beam_width: int) -> HAPPlan:
+    """Fig. 15's "Q" point: one synthesis at even ratios, with neither load
+    balancing nor SFB and the grouped All-Gather.
+
+    The program is synthesized at the ratios it is simulated at
+    (:meth:`~repro.core.pipeline.HAPPlanner.plan_at`, as the baselines are).
+    """
+    synthesis = SynthesisConfig(
+        beam_width=beam_width, enable_sfb=False, enable_grouped_all_gather=False
+    )
+    planner = HAPPlanner(graph, cluster, PlannerConfig(synthesis=synthesis))
+    return planner.plan_at(cluster.even_ratios())
 
 
 # ---------------------------------------------------------------------------

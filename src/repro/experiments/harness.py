@@ -12,12 +12,13 @@ systems are compared under one execution model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..autodiff import build_training_graph
-from ..baselines import estimate_memory_per_device, plan_baseline
+from ..baselines import plan_baseline
 from ..cluster.spec import ClusterSpec
 from ..core.config import PlannerConfig, SynthesisConfig
+from ..core.hierarchical import device_peak_memory, parameter_bytes_split
 from ..core.pipeline import HAPPlan
 from ..graph.graph import ComputationGraph
 from ..hap import hap
@@ -45,7 +46,7 @@ class SystemResult:
         simulated_time: per-iteration time on the simulated cluster, in
             seconds (None when the configuration runs out of memory).
         estimated_time: the planner's own cost-model estimate.
-        out_of_memory: True if the per-device memory estimate exceeds capacity.
+        out_of_memory: True if some device's peak memory exceeds its capacity.
         num_collectives: number of collective instructions in the program.
         comm_kinds: histogram of collective kinds.
         planning_seconds: wall-clock planning time.
@@ -106,7 +107,7 @@ def compare_systems(
     scale: Optional[BenchmarkScale] = None,
     planner_config: Optional[PlannerConfig] = None,
     synthesis_config: Optional[SynthesisConfig] = None,
-    training_graph: Optional[ComputationGraph] = None,
+    forward: Optional[ComputationGraph] = None,
     simulator_seed: int = 0,
     simulation_iterations: int = 3,
 ) -> ComparisonResult:
@@ -120,8 +121,8 @@ def compare_systems(
         scale: model scale (paper or reduced).
         planner_config: configuration for the HAP planner.
         synthesis_config: configuration shared by baseline planners.
-        training_graph: pre-built training graph (overrides ``model_name``
-            construction; used to avoid rebuilding across systems).
+        forward: pre-built forward graph with a marked loss (overrides
+            ``model_name`` construction).
         simulator_seed: RNG seed of the execution simulator.
         simulation_iterations: iterations averaged by the simulator.
 
@@ -131,9 +132,9 @@ def compare_systems(
     import time as _time
 
     num_gpus = num_gpus or cluster.num_gpus
-    if training_graph is None:
+    if forward is None:
         forward = build_model(model_name, num_gpus=num_gpus, scale=scale)
-        training_graph = build_training_graph(forward).graph
+    training_graph = build_training_graph(forward).graph
     planner_config = planner_config or default_planner_config()
     synthesis_config = synthesis_config or planner_config.synthesis
     simulator = ExecutionSimulator(cluster, seed=simulator_seed)
@@ -146,7 +147,7 @@ def compare_systems(
         else:
             plan = plan_baseline(system, training_graph, cluster, synthesis_config)
         planning_seconds = _time.perf_counter() - start
-        oom = out_of_memory(plan, cluster)
+        oom = out_of_memory(plan, forward, cluster)
         simulated = None
         if not oom:
             simulated = simulator.simulate(
@@ -169,14 +170,26 @@ def compare_systems(
     )
 
 
-def out_of_memory(plan: HAPPlan, cluster: ClusterSpec) -> bool:
-    """True if ``plan``'s per-device memory estimate exceeds some device's capacity.
+def flat_peak_memory(plan: HAPPlan, forward: ComputationGraph) -> List[float]:
+    """Per-device peak bytes of a flat plan of ``forward``'s training graph.
 
-    The estimate is :func:`~repro.baselines.estimate_memory_per_device`
-    (the paper reports OOM for the DP baselines on BERT-MoE).
+    A flat plan is the one-stage pipeline: it stashes the activations of the
+    whole forward pass, so its peaks are
+    :func:`~repro.core.hierarchical.device_peak_memory` with ``forward``'s
+    non-source bytes as the stash — the peaks the hierarchical planner
+    judges its one-stage candidate by.
     """
-    memory = estimate_memory_per_device(plan.program, plan.flat_ratios, cluster)
-    return any(m > cap for m, cap in zip(memory, cluster.device_memory()))
+    sharded, replicated = parameter_bytes_split(plan.program)
+    return device_peak_memory(sharded, replicated, forward.activation_bytes(), plan.flat_ratios)
+
+
+def out_of_memory(plan: HAPPlan, forward: ComputationGraph, cluster: ClusterSpec) -> bool:
+    """True if some device's peak (:func:`flat_peak_memory`) exceeds its capacity.
+
+    The paper reports OOM for the DP baselines on BERT-MoE.
+    """
+    peaks = flat_peak_memory(plan, forward)
+    return any(peak > cap for peak, cap in zip(peaks, cluster.device_memory()))
 
 
 def format_comparison(comparison: ComparisonResult) -> str:

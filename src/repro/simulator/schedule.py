@@ -1,4 +1,4 @@
-"""Pipeline-schedule subsystem: time *and* memory of pipelined SPMD stages.
+"""Pipeline-schedule subsystem: time *and* stash of pipelined SPMD stages.
 
 Flat HAP executes one SPMD program on the whole cluster; the hierarchical
 planner instead runs one SPMD program per machine group and pipelines
@@ -21,9 +21,11 @@ schedules sharing one fill/steady/drain dependency engine:
 
 Each stage hosts one model chunk, profiled from the hierarchical planner's
 per-chunk flat-HAP program, and every boundary hop carries the true bytes of
-its cut.  Every schedule reports per-stage **peak memory**: the peak bytes
-of the activation stash actually observed during the dependency simulation,
-plus the stage's resident weight/optimizer-state bytes.  An optional
+its cut.  Every schedule reports each stage's **peak activation stash**:
+the peak bytes of in-flight activations observed during the dependency
+simulation (the planner's per-device memory model,
+:func:`repro.core.hierarchical.device_peak_memory`, adds the resident
+parameter state and splits the stash by sharding ratio).  An optional
 activation-recomputation mode re-runs the forward before each backward (one
 extra forward per microbatch), shrinking the per-task stash to the stage's
 boundary input.
@@ -52,7 +54,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 @dataclass(frozen=True)
 class StageTimes:
-    """Timing and memory inputs of one pipeline stage, for the *full* mini-batch.
+    """Timing and stash inputs of one pipeline stage, for the *full* mini-batch.
 
     Attributes:
         forward: forward time of the stage program for the whole mini-batch
@@ -66,8 +68,6 @@ class StageTimes:
         activation_bytes: forward activation bytes the stage must stash for
             its backward pass, for the whole mini-batch (each in-flight
             microbatch holds its share of this).
-        weight_bytes: resident parameter + gradient + optimizer-state bytes
-            of the stage, independent of the schedule.
     """
 
     forward: float
@@ -75,7 +75,6 @@ class StageTimes:
     sync: float = 0.0
     send_bytes: float = 0.0
     activation_bytes: float = 0.0
-    weight_bytes: float = 0.0
 
     @property
     def total(self) -> float:
@@ -90,8 +89,7 @@ def profile_stages(
     """Per-stage :class:`StageTimes` of a pipeline's stages.
 
     ``stages`` are :class:`~repro.core.hierarchical.StagePlan` objects (read
-    duck-typed: ``content_key``, ``send_bytes``, ``activation_bytes`` and
-    ``weight_bytes_total()``).  ``profile(stage)`` returns the stage's chunk
+    duck-typed: ``content_key``, ``send_bytes`` and ``activation_bytes``).  ``profile(stage)`` returns the stage's chunk
     program's ``{"forward", "backward", "sync"}`` seconds — the planner
     passes the cost model's phase profile, the simulator its measured one.
 
@@ -116,7 +114,6 @@ def profile_stages(
                 sync=buckets["sync"],
                 send_bytes=float(stage.send_bytes),
                 activation_bytes=float(stage.activation_bytes),
-                weight_bytes=stage.weight_bytes_total(),
             )
         )
     return times
@@ -144,7 +141,6 @@ class ScheduleResult:
             every in-flight microbatch contributes the stage's per-microbatch
             activation bytes (or boundary-input bytes under recomputation,
             plus the microbatch being rematerialised during its backward).
-        peak_memory: per-stage peak bytes — ``weight_bytes + peak_stash``.
         recompute: whether activation recomputation was modelled.
         overlap: communication/computation overlap efficiency the schedule
             ran with (0 = fully blocking boundary transfers).
@@ -166,7 +162,6 @@ class ScheduleResult:
     transfer: float = 0.0
     peak_inflight: List[int] = field(default_factory=list)
     peak_stash: List[float] = field(default_factory=list)
-    peak_memory: List[float] = field(default_factory=list)
     recompute: bool = False
     overlap: float = 0.0
     exposed_transfer: float = 0.0
@@ -199,7 +194,7 @@ class PipelineSchedule:
     Subclasses provide :meth:`task_orders` — for every stage, the
     sequence of per-microbatch forward/backward tasks in execution order —
     and the shared dependency engine in :meth:`simulate` computes start and
-    finish times, transfer load, bubble and peak memory from it.
+    finish times, transfer load, bubble and stash peaks from it.
     """
 
     name: str = "abstract"
@@ -352,8 +347,6 @@ class PipelineSchedule:
             comm_busy[k] += m * xfer[k]  # forward sends of hop k
             comm_busy[k + 1] += m * xfer[k]  # gradient sends of hop k
 
-        peak_memory = [st.weight_bytes + peak_stash[i] for i, st in enumerate(stages)]
-
         return ScheduleResult(
             total=total,
             num_microbatches=m,
@@ -365,7 +358,6 @@ class PipelineSchedule:
             transfer=transfer,
             peak_inflight=peak_inflight,
             peak_stash=list(peak_stash),
-            peak_memory=peak_memory,
             recompute=recompute,
             overlap=overlap,
             exposed_transfer=transfer - hidden,
@@ -427,10 +419,10 @@ def simulate_pipeline(
     recompute: bool = False,
     overlap: float = 0.0,
 ) -> ScheduleResult:
-    """Simulate one pipelined iteration (GPipe by default, for compatibility).
+    """Simulate one pipelined iteration under ``schedule`` (GPipe by default).
 
     Args:
-        stages: per-stage full-batch timings and memory inputs.
+        stages: per-stage full-batch timings and stash inputs.
         num_microbatches: microbatches per iteration.
         inter_group_bandwidth: point-to-point bytes/s between adjacent stages;
             must be positive when there is more than one stage.

@@ -3,20 +3,31 @@
 import pytest
 
 from repro.autodiff import build_training_graph
-from repro.baselines import BASELINE_NAMES, estimate_memory_per_device, plan_baseline
+from repro.baselines import BASELINE_NAMES, plan_baseline
 from repro.core import HAPPlan, SynthesisConfig
+from repro.experiments.harness import flat_peak_memory
 
 from .conftest import build_mlp, build_tiny_moe, build_tiny_transformer
 
 
 @pytest.fixture(scope="module")
-def transformer_graph():
-    return build_training_graph(build_tiny_transformer(batch=32, seq=8, hidden=32)).graph
+def transformer():
+    return build_tiny_transformer(batch=32, seq=8, hidden=32)
 
 
 @pytest.fixture(scope="module")
-def moe_graph():
-    return build_training_graph(build_tiny_moe(batch=16, seq=8, hidden=32, experts=8)).graph
+def transformer_graph(transformer):
+    return build_training_graph(transformer).graph
+
+
+@pytest.fixture(scope="module")
+def moe():
+    return build_tiny_moe(batch=16, seq=8, hidden=32, experts=8)
+
+
+@pytest.fixture(scope="module")
+def moe_graph(moe):
+    return build_training_graph(moe).graph
 
 
 @pytest.fixture
@@ -74,12 +85,10 @@ class TestDeepSpeedLike:
         plan = plan_baseline("DeepSpeed", moe_graph, four_device_cluster, cfg)
         assert plan.program.communication_kinds().get("all_to_all", 0) >= 2
 
-    def test_lower_memory_than_dp_on_moe(self, moe_graph, four_device_cluster, cfg):
+    def test_lower_memory_than_dp_on_moe(self, moe, moe_graph, four_device_cluster, cfg):
         dp = plan_baseline("DP-EV", moe_graph, four_device_cluster, cfg)
         ds = plan_baseline("DeepSpeed", moe_graph, four_device_cluster, cfg)
-        dp_memory = estimate_memory_per_device(dp.program, dp.flat_ratios, four_device_cluster)
-        ds_memory = estimate_memory_per_device(ds.program, ds.flat_ratios, four_device_cluster)
-        assert max(ds_memory) < max(dp_memory)
+        assert max(flat_peak_memory(ds, moe)) < max(flat_peak_memory(dp, moe))
 
 
 class TestTAGLike:
@@ -130,14 +139,18 @@ class TestRegistryAndMemory:
         plan_baseline("TAG", transformer_graph, four_device_cluster, config)
         assert calls == (["verify_graph", "verify_program"] if verify else [])
 
-    def test_memory_estimate_positive_and_per_device(self, transformer_graph, four_device_cluster, cfg):
+    def test_memory_estimate_positive_and_per_device(
+        self, transformer, transformer_graph, four_device_cluster, cfg
+    ):
         plan = plan_baseline("DP-EV", transformer_graph, four_device_cluster, cfg)
-        memory = estimate_memory_per_device(plan.program, plan.flat_ratios, four_device_cluster)
+        memory = flat_peak_memory(plan, transformer)
         assert len(memory) == four_device_cluster.num_devices
         assert all(m > 0 for m in memory)
 
-    def test_replicated_parameters_dominate_dp_memory(self, transformer_graph, four_device_cluster, cfg):
+    def test_replicated_parameters_dominate_dp_memory(
+        self, transformer, transformer_graph, four_device_cluster, cfg
+    ):
         plan = plan_baseline("DP-EV", transformer_graph, four_device_cluster, cfg)
-        memory = estimate_memory_per_device(plan.program, plan.flat_ratios, four_device_cluster)
+        memory = flat_peak_memory(plan, transformer)
         params = transformer_graph.parameter_bytes()
         assert min(memory) >= 3.0 * params * 0.9

@@ -63,6 +63,37 @@ class TestHarness:
 
 
 class TestFigureRegenerators:
+    def test_fig15_q_simulated_at_the_ratios_it_was_synthesized_at(self, monkeypatch):
+        from repro.experiments import figures
+
+        plans, simulated = [], []
+        q_plan = figures.fig15_q_plan
+        simulate = figures.ExecutionSimulator.simulate
+
+        def recording_q_plan(*args):
+            plans.append(q_plan(*args))
+            return plans[-1]
+
+        def recording_simulate(self, program, ratios, *args, **kwargs):
+            simulated.append((program, list(ratios)))
+            return simulate(self, program, ratios, *args, **kwargs)
+
+        monkeypatch.setattr(figures, "fig15_q_plan", recording_q_plan)
+        monkeypatch.setattr(figures.ExecutionSimulator, "simulate", recording_simulate)
+        figures.fig15_ablation(
+            models=("bert_base",),
+            num_gpus=16,
+            scale=BenchmarkScale("ci", layer_fraction=0.1, batch_per_device=16),
+            beam_width=4,
+        )
+        (q,) = plans
+        assert q.flat_ratios == heterogeneous_testbed(16).even_ratios()
+        # Synthesized at those ratios: the search's own cost is the plan's
+        # estimate there.
+        assert q.synthesis.cost == pytest.approx(q.estimated_time.total, rel=1e-9)
+        ratios = [r for program, r in simulated if program is q.program]
+        assert ratios and all(r == q.flat_ratios for r in ratios)
+
     def test_table1_rows(self):
         rows = table1_models(num_gpus=8)
         assert len(rows) == 4

@@ -28,7 +28,7 @@ from repro.core import (
     SynthesisConfig,
     stage_forward_graph,
 )
-from repro.core.hierarchical import MICROBATCH_CANDIDATES
+from repro.core.hierarchical import MICROBATCH_CANDIDATES, device_peak_memory, memory_verdict
 from repro.graph import cut_transfer_bytes, pipeline_cut
 from repro.graph.ops import OpKind
 from repro.hap import hap, hap_pipeline
@@ -87,8 +87,7 @@ def scheduled_candidate(forward, num_stages, schedule):
         schedule=result,
         schedule_name=schedule,
         estimated_time=result.total,
-        fits_memory=planner._fits_memory(plan.stages, result),
-        peak_memory=list(result.peak_memory),
+        fits_memory=memory_verdict(plan.stages, result.peak_stash)[0],
     )
 
 
@@ -404,16 +403,12 @@ class TestOneFOneBSchedule:
     def two_stage_inputs(self):
         # Per-microbatch (m=4): forward 1s, backward 2s on both stages, 0.5s
         # transfer per hop; syncs of 3s and 1s; activations of 8/4 bytes
-        # full-batch (2/1 bytes per in-flight microbatch), 1 byte of weights.
+        # full-batch (2/1 bytes per in-flight microbatch).
         return [
             StageTimes(
-                forward=4.0, backward=8.0, sync=3.0, send_bytes=2.0,
-                activation_bytes=8.0, weight_bytes=1.0,
+                forward=4.0, backward=8.0, sync=3.0, send_bytes=2.0, activation_bytes=8.0
             ),
-            StageTimes(
-                forward=4.0, backward=8.0, sync=1.0,
-                activation_bytes=4.0, weight_bytes=1.0,
-            ),
+            StageTimes(forward=4.0, backward=8.0, sync=1.0, activation_bytes=4.0),
         ]
 
     def test_hand_computed_two_stage_four_microbatch_example(self):
@@ -430,10 +425,10 @@ class TestOneFOneBSchedule:
         assert result.stage_busy == pytest.approx([15.0, 13.0])
         assert result.bubble == pytest.approx(((20 - 15) + (20 - 13)) / 2)
         assert result.transfer == pytest.approx(4.0)  # 2 dirs x 4 mb x 0.5
-        # Peak in-flight: min(s - i, m) -> [2, 1]; peak memory adds the
-        # stage's weight bytes to inflight x per-microbatch activations.
+        # Peak in-flight: min(s - i, m) -> [2, 1]; the stash peak is
+        # inflight x per-microbatch activations.
         assert result.peak_inflight == [2, 1]
-        assert result.peak_memory == pytest.approx([1.0 + 2 * 2.0, 1.0 + 1 * 1.0])
+        assert result.peak_stash == pytest.approx([2 * 2.0, 1 * 1.0])
 
     def test_hand_computed_unbalanced_example(self):
         # Two unbalanced stages, m=2, 1s per hop.  Per-microbatch forward
@@ -446,13 +441,9 @@ class TestOneFOneBSchedule:
         # alternation starts stage 0's backwards a microbatch earlier.
         stages = [
             StageTimes(
-                forward=2.0, backward=6.0, sync=1.0, send_bytes=2.0,
-                activation_bytes=8.0, weight_bytes=1.0,
+                forward=2.0, backward=6.0, sync=1.0, send_bytes=2.0, activation_bytes=8.0
             ),
-            StageTimes(
-                forward=4.0, backward=2.0, sync=0.5,
-                activation_bytes=4.0, weight_bytes=1.0,
-            ),
+            StageTimes(forward=4.0, backward=2.0, sync=0.5, activation_bytes=4.0),
         ]
         result = simulate_pipeline(stages, 2, inter_group_bandwidth=1.0, schedule="1f1b")
         assert result.total == pytest.approx(13.0)
@@ -461,7 +452,7 @@ class TestOneFOneBSchedule:
         assert result.bubble == pytest.approx(((13 - 9) + (13 - 6.5)) / 2)
         assert result.transfer == pytest.approx(4.0)
         assert result.peak_inflight == [2, 1]
-        assert result.peak_memory == pytest.approx([1.0 + 2 * 4.0, 1.0 + 1 * 2.0])
+        assert result.peak_stash == pytest.approx([2 * 4.0, 1 * 2.0])
         gpipe = simulate_pipeline(stages, 2, inter_group_bandwidth=1.0)
         assert gpipe.total == pytest.approx(15.0)
         assert gpipe.stage_finish == pytest.approx([15.0, 8.5])
@@ -470,7 +461,7 @@ class TestOneFOneBSchedule:
     def test_gpipe_peak_memory_grows_with_microbatches(self):
         result = simulate_pipeline(self.two_stage_inputs(), 4, inter_group_bandwidth=1.0)
         assert result.peak_inflight == [4, 4]
-        assert result.peak_memory == pytest.approx([1.0 + 8.0, 1.0 + 4.0])
+        assert result.peak_stash == pytest.approx([8.0, 4.0])
 
     def test_1f1b_matches_gpipe_time_on_balanced_stages(self):
         # With balanced stages and negligible transfers GPipe and 1F1B have
@@ -506,13 +497,12 @@ class TestOneFOneBSchedule:
                     sync=rng.uniform(0, 2),
                     send_bytes=rng.uniform(0, 5),
                     activation_bytes=rng.uniform(1, 100),
-                    weight_bytes=rng.uniform(0, 10),
                 )
                 for _ in range(s)
             ]
             gpipe = simulate_pipeline(stages, m, inter_group_bandwidth=1.0)
             ofob = simulate_pipeline(stages, m, inter_group_bandwidth=1.0, schedule="1f1b")
-            assert all(o < g for o, g in zip(ofob.peak_memory, gpipe.peak_memory))
+            assert all(o < g for o, g in zip(ofob.peak_stash, gpipe.peak_stash))
             assert all(i <= min(s - idx, m) for idx, i in enumerate(ofob.peak_inflight))
 
     def test_recomputation_trades_time_for_memory(self):
@@ -529,16 +519,19 @@ class TestOneFOneBSchedule:
         # O(1) boundary stash beats stashing full activations.  The last
         # stage holds a single microbatch either way, so recomputation only
         # adds the rematerialised activations there.
-        assert rc.peak_memory[0] < plain.peak_memory[0]
+        assert rc.peak_stash[0] < plain.peak_stash[0]
         assert rc.recompute and not plain.recompute
 
     def test_single_stage_peak_memory_is_weights_plus_activations(self):
         result = simulate_pipeline(
-            [StageTimes(forward=3.0, backward=4.0, activation_bytes=16.0, weight_bytes=2.0)],
+            [StageTimes(forward=3.0, backward=4.0, activation_bytes=16.0)],
             1,
             inter_group_bandwidth=1.0,
         )
-        assert result.peak_memory == pytest.approx([2.0 + 16.0])
+        assert result.peak_stash == [16.0]
+        # One device, one replicated parameter byte: 3 bytes of resident
+        # state under the one memory model, plus the whole stash.
+        assert device_peak_memory(0, 1, result.peak_stash[0], [1.0]) == [3.0 + 16.0]
 
 
 class TestTaskOrders:
@@ -681,11 +674,11 @@ class TestHierarchicalPlanner:
         gpipe = get_schedule("gpipe").simulate(
             times, plan.num_microbatches, network.bandwidth, network.latency
         )
-        assert not planner._fits_memory(plan.stages, gpipe)
+        assert not memory_verdict(plan.stages, gpipe.peak_stash)[0]
         ofob = get_schedule("1f1b").simulate(
             times, plan.num_microbatches, network.bandwidth, network.latency
         )
-        assert planner._fits_memory(plan.stages, ofob)
+        assert memory_verdict(plan.stages, ofob.peak_stash)[0]
 
     def test_recompute_auto_only_wins_under_memory_pressure(self):
         # With abundant memory the planner must not pick recomputation (it
@@ -731,7 +724,7 @@ class TestHierarchicalPlanner:
             if stages != 2 or rc:
                 continue
             plain = get_schedule(name).simulate(times, m, network.bandwidth, network.latency)
-            if not planner._fits_memory(plan.stages, plain):
+            if not memory_verdict(plan.stages, plain.peak_stash)[0]:
                 assert (stages, name, m, True) in combos
                 retried.add(name)
             else:
@@ -844,14 +837,15 @@ class TestChunkPlanner:
         assert sim.schedule.peak_inflight == plan.schedule.peak_inflight
 
     def test_resident_state_splits_by_sharding_ratio(self):
-        # With no stash, the per-device peaks of a stage add up to its
-        # group-aggregate resident state: the chunk's ratios sum to one.
+        # With no stash, the per-device peaks of a stage add up to one
+        # replicated copy per device plus one sharded copy, times the
+        # optimizer-state factor: the chunk's ratios sum to one.
         cluster = make_cluster(("A100", "P100", "A100", "P100"))
         plan = self.two_stage_candidate(build_tiny_transformer(), cluster=cluster)
         for stage in plan.stages:
-            assert sum(stage.peak_device_memory(0.0)) == pytest.approx(
-                stage.weight_bytes_total(), rel=1e-12
-            )
+            n = stage.subcluster.num_devices
+            resident = 3.0 * (stage.replicated_param_bytes * n + stage.sharded_param_bytes)
+            assert sum(stage.peak_device_memory(0.0)) == pytest.approx(resident, rel=1e-12)
 
     def test_stash_share_is_the_chunk_ratio(self):
         # Each device holds its sharding-ratio share of the stage's stash.
@@ -910,7 +904,6 @@ class TestProfileOnce:
                 fwd=fwd,
                 send_bytes=send,
                 activation_bytes=2 * send,
-                weight_bytes_total=lambda: 7.0,
             )
 
         stages = [stage("a", 1.0, 10), stage("b", 2.0, 20), stage("a", 9.0, 30)]
@@ -930,7 +923,6 @@ class TestProfileOnce:
             sync=0.5,
             send_bytes=30.0,
             activation_bytes=60.0,
-            weight_bytes=7.0,
         )
         assert times[1].forward == 2.0 and times[1].sync == 0.5
         # Keyless stages are profiled every time.
@@ -1157,13 +1149,14 @@ class TestHarnessIntegration:
         from repro.experiments.harness import compare_systems, out_of_memory
 
         cluster = make_cluster()
-        training = build_training_graph(build_tiny_transformer()).graph
+        forward = build_tiny_transformer()
+        training = build_training_graph(forward).graph
         comparison = compare_systems(
             "tiny",
             cluster,
             systems=["HAP", "DP-EV"],
             planner_config=small_planner(),
-            training_graph=training,
+            forward=forward,
         )
         plans = {
             "HAP": hap(training, cluster, small_planner()),
@@ -1172,6 +1165,6 @@ class TestHarnessIntegration:
         for system, plan in plans.items():
             result = comparison.results[system]
             assert result.estimated_time == plan.estimated_time.total
-            assert result.out_of_memory == out_of_memory(plan, cluster)
+            assert result.out_of_memory == out_of_memory(plan, forward, cluster)
             assert result.comm_kinds == plan.program.communication_kinds()
             assert result.simulated_time is not None and result.simulated_time > 0

@@ -1,0 +1,100 @@
+"""One per-device memory model judges every plan.
+
+:func:`repro.core.hierarchical.device_peak_memory` is the only memory
+formula: pipeline stages, the planner's schedule search, the plan verifier
+and the experiment harness's flat out-of-memory flag all read it.  A flat
+plan is the one-stage pipeline, so its verdict is the one-stage candidate's.
+"""
+
+import ast
+from pathlib import Path
+
+from repro.cluster import ClusterSpec
+from repro.core import HierarchicalConfig, HierarchicalPlanner, PlannerConfig, SynthesisConfig
+from repro.experiments.harness import flat_peak_memory, out_of_memory
+from repro.hap import hap
+
+from .conftest import build_tiny_transformer, make_cluster
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def reserved(cluster, fraction):
+    """``cluster`` with ``fraction`` of every device's memory withheld."""
+    return ClusterSpec(
+        cluster.machines,
+        network=cluster.network,
+        group_by_machine=cluster.group_by_machine,
+        name=cluster.name,
+        memory_reserve_fraction=fraction,
+        comm_overlap_efficiency=cluster.comm_overlap_efficiency,
+    )
+
+
+def flat_and_one_stage(forward, cluster):
+    config = PlannerConfig(max_rounds=1, synthesis=SynthesisConfig(beam_width=8))
+    flat = hap(forward, cluster, config)
+    one = HierarchicalPlanner(forward, cluster, HierarchicalConfig(planner=config))
+    return flat, one.build_candidate(1)
+
+
+def test_flat_plan_verdict_is_the_one_stage_verdict():
+    forward = build_tiny_transformer()
+    base = make_cluster(("A100", "P100", "A100", "P100"))
+    flat, one = flat_and_one_stage(forward, base)
+    stage = one.stages[0]
+    peaks = flat_peak_memory(flat, forward)
+    assert peaks == stage.peak_device_memory(one.schedule.peak_stash[0])
+    # Reserve memory so the worst device's capacity sits just above its
+    # peak, then just below it: both verdicts flip together.
+    headroom = max(peak / cap for peak, cap in zip(peaks, base.device_memory()))
+    for scale, fits in ((1.001, True), (0.999, False)):
+        cluster = reserved(base, 1.0 - headroom * scale)
+        flat, one = flat_and_one_stage(forward, cluster)
+        stage = one.stages[0]
+        assert flat_peak_memory(flat, forward) == peaks
+        assert stage.peak_device_memory(one.schedule.peak_stash[0]) == peaks
+        assert one.fits_memory is fits
+        assert out_of_memory(flat, forward, cluster) is not fits
+
+
+class _FactorReads(ast.NodeVisitor):
+    """Every read of ``OPTIMIZER_STATE_FACTOR``, with its enclosing function."""
+
+    NAME = "OPTIMIZER_STATE_FACTOR"
+
+    def __init__(self, module):
+        self.module = module
+        self.functions = []
+        self.reads = set()  # (module, enclosing function or None)
+
+    def visit_FunctionDef(self, node):
+        self.functions.append(node.name)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    def _read(self):
+        self.reads.add((self.module, self.functions[-1] if self.functions else None))
+
+    def visit_Name(self, node):
+        if node.id == self.NAME and isinstance(node.ctx, ast.Load):
+            self._read()
+
+    def visit_Attribute(self, node):
+        if node.attr == self.NAME:
+            self._read()
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if any(alias.name == self.NAME for alias in node.names):
+            self._read()
+
+
+def test_optimizer_state_factor_is_read_only_by_the_memory_model():
+    reads = set()
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((REPO_ROOT / top).rglob("*.py")):
+            visitor = _FactorReads(path.relative_to(REPO_ROOT).as_posix())
+            visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+            reads |= visitor.reads
+    assert reads == {("src/repro/core/hierarchical.py", "device_peak_memory")}

@@ -71,7 +71,6 @@ def random_stages(rng, s):
             sync=rng.uniform(0, 2),
             send_bytes=rng.uniform(0, 5),
             activation_bytes=rng.uniform(1, 100),
-            weight_bytes=rng.uniform(0, 10),
         )
         for _ in range(s)
     ]
@@ -183,7 +182,7 @@ class TestScheduleOverlap:
             )
             assert zero.total == blocking.total
             assert zero.stage_finish == blocking.stage_finish
-            assert zero.peak_memory == blocking.peak_memory
+            assert zero.peak_stash == blocking.peak_stash
             assert zero.hidden_transfer == 0.0
             assert zero.exposed_transfer == blocking.transfer
 

@@ -34,12 +34,14 @@ class TestHAPPlanner:
         plan = HAPPlanner(training, four_device_cluster, planner_config()).plan()
         assert plan.estimated_time.total <= min(r.cost_after_balancing for r in plan.rounds) * 1.001
 
-    def test_disable_load_balancer_keeps_proportional_ratios(self, four_device_cluster):
+    def test_plan_at_keeps_the_fixed_ratios(self, four_device_cluster):
         training = build_training_graph(build_mlp(batch=64, hidden=64)).graph
-        config = planner_config(rounds=1)
-        config.enable_load_balancer = False
-        plan = HAPPlanner(training, four_device_cluster, config).plan()
-        assert plan.flat_ratios == pytest.approx(four_device_cluster.proportional_ratios())
+        planner = HAPPlanner(training, four_device_cluster, planner_config(rounds=1))
+        ratios = four_device_cluster.proportional_ratios()
+        plan = planner.plan_at(ratios)
+        assert plan.flat_ratios == ratios
+        assert plan.rounds == []
+        assert plan.program is plan.synthesis.program
 
     def test_describe_mentions_ratios(self, four_device_cluster):
         training = build_training_graph(build_mlp(batch=32)).graph

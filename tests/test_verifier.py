@@ -495,10 +495,20 @@ class TestLint:
         clean.schedule.stage_busy = [1.0, 1.2]
         assert "W003" not in lint_plan(clean).codes()
 
-    def test_w004_memory_headroom(self, bert_plan):
+    def test_w004_memory_headroom(self, bert_plan, bert_forward):
         bad = copy.deepcopy(bert_plan)
-        bad.stage_memory_utilization = [0.95] + bad.stage_memory_utilization[1:]
+        # Raise stage 0's stash peak until its worst device holds 95%.
+        stage = bad.stages[0]
+        resident = stage.peak_device_memory(0.0)
+        bad.schedule.peak_stash[0] = min(
+            (0.95 * cap - peak) / ratio
+            for peak, cap, ratio in zip(
+                resident, stage.subcluster.device_memory(), stage.ratios
+            )
+        )
+        assert bad.stage_memory_utilization[0] == pytest.approx(0.95)
         assert bad.fits_memory
+        assert "L004" not in verify_plan_structure(bad, bert_forward).codes()
         assert "W004" in lint_plan(bad).codes()
         # An honestly-infeasible plan is L004's business, not a headroom lint.
         bad.fits_memory = False
