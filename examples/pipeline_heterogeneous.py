@@ -36,7 +36,17 @@ def main() -> None:
     plan = hap_pipeline(forward, cluster, config)
     print(plan.describe())
     print()
-    print(plan.partition.describe())
+    # Each stage runs on its own machine group; the cluster's flat network
+    # is the link between the groups.
+    print(f"inter-group link: {cluster.network.bandwidth * 8 / 1e9:.1f} Gbps")
+    for stage in plan.stages:
+        group = stage.subcluster
+        gpus = ", ".join(f"{m.num_gpus}x{m.gpu.name}" for m in group.machines)
+        share = group.total_flops() / cluster.total_flops()
+        print(
+            f"  {group.name}: {len(group.machines)} machines ({gpus}), "
+            f"{share:.0%} of cluster compute"
+        )
     print()
 
     recompute = "on" if plan.recompute else "off"

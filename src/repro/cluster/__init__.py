@@ -3,7 +3,6 @@
 from .device import DEVICE_CATALOG, GB, DeviceType, Machine, VirtualDevice, device_type
 from .spec import (
     DEFAULT_COMM_OVERLAP_EFFICIENCY,
-    ClusterPartition,
     ClusterSpec,
     NetworkSpec,
     a100_p100_pair,
@@ -21,7 +20,6 @@ __all__ = [
     "Machine",
     "VirtualDevice",
     "device_type",
-    "ClusterPartition",
     "ClusterSpec",
     "DEFAULT_COMM_OVERLAP_EFFICIENCY",
     "NetworkSpec",

@@ -155,57 +155,32 @@ class ClusterSpec:
         return [1.0 / n] * n
 
     # -- hierarchical partitioning ---------------------------------------------
-    def partition(
-        self,
-        num_groups: int,
-        intra_group_network: Optional[NetworkSpec] = None,
-    ) -> ClusterPartition:
-        """Split the machines into ``num_groups`` groups of equal flops.
-
-        The groups are contiguous slices of the machine list, balanced by
-        aggregate sustained flops before any model cut is known (each group
-        gets at least one machine): :meth:`split` at
-        :func:`_balanced_boundaries`.  This is where the hierarchical planner
-        starts; it then resizes the groups to the flops of the stages it cuts
-        (:meth:`~repro.core.hierarchical.HierarchicalPlanner._candidate_partition`).
-
-        Args:
-            num_groups: number of contiguous machine groups.
-            intra_group_network: network model used *inside* every group;
-                defaults to the cluster's own (flat) network.
-
-        Returns:
-            A :class:`ClusterPartition` with one :class:`ClusterSpec` per group.
-        """
-        if not 1 <= num_groups <= len(self.machines):
-            raise ValueError(
-                f"num_groups must be in [1, {len(self.machines)}], got {num_groups}"
-            )
-        weights = [m.total_flops for m in self.machines]
-        return self.split(_balanced_boundaries(weights, num_groups), intra_group_network)
-
     def split(
         self,
         boundaries: Sequence[int],
         intra_group_network: Optional[NetworkSpec] = None,
-    ) -> ClusterPartition:
+    ) -> List[ClusterSpec]:
         """Split the machines into contiguous groups ending at ``boundaries``.
 
         Group ``i`` holds ``machines[boundaries[i - 1]:boundaries[i]]``
         (group 0 starts at machine 0), so ``boundaries`` must increase
         strictly, start above 0 and end at ``len(machines)``: every machine
-        lands in exactly one non-empty group.  The cluster's own network is
-        preserved as the *inter-group* link — the link pipeline-parallel
-        activations and gradients travel over — while each group may use a
-        faster ``intra_group_network`` (the common physical situation: fast
-        links inside a rack, a slow shared link between racks, which is
-        exactly when pipelining over SPMD pays).
+        lands in exactly one non-empty group.  This cluster's own network
+        stays the *inter-group* link — the link pipeline-parallel
+        activations and gradients travel over, which a pipeline plan reads
+        from its whole cluster — while each group may use a faster
+        ``intra_group_network`` (the common physical situation: fast links
+        inside a rack, a slow shared link between racks, which is exactly
+        when pipelining over SPMD pays).
 
         Every group is a plain :class:`ClusterSpec` over its machines: it
         keeps this cluster's ``group_by_machine``,
         ``memory_reserve_fraction`` and ``comm_overlap_efficiency``, so the
         flat planner, cost model, simulator and SPMD runtime accept it
         unchanged and price it at the same overlap.
+
+        Returns:
+            One :class:`ClusterSpec` per group, in machine order.
 
         Raises:
             ValueError: when ``boundaries`` is empty, does not increase
@@ -239,9 +214,7 @@ class ClusterSpec:
                 )
             )
             start = end
-        return ClusterPartition(
-            cluster=self, groups=groups, inter_group_network=self.network
-        )
+        return groups
 
     def describe(self) -> str:
         """Human-readable cluster summary."""
@@ -259,76 +232,6 @@ class ClusterSpec:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ClusterSpec(name={self.name!r}, gpus={self.num_gpus}, devices={self.num_devices})"
-
-
-def _balanced_boundaries(weights: Sequence[float], num_groups: int) -> List[int]:
-    """End indices of a contiguous split of ``weights`` into balanced groups.
-
-    Greedy cumulative split against equal-weight targets, constrained so every
-    group keeps at least one element and no elements are left over.  Exact for
-    the small machine counts clusters have.
-    """
-    n = len(weights)
-    total = sum(weights) or float(n)
-    boundaries: List[int] = []
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w if total > 0 else 1.0
-        remaining_groups = num_groups - len(boundaries)
-        remaining_items = n - (i + 1)
-        if len(boundaries) < num_groups - 1 and (
-            acc >= total * (len(boundaries) + 1) / num_groups
-            or remaining_items <= remaining_groups - 1
-        ):
-            boundaries.append(i + 1)
-    boundaries.append(n)
-    return boundaries
-
-
-@dataclass
-class ClusterPartition:
-    """A contiguous split of a cluster into pipeline-stage machine groups.
-
-    Attributes:
-        cluster: the partitioned cluster.
-        groups: one :class:`ClusterSpec` per stage, in machine order, each
-            carrying the partitioned cluster's overlap efficiency and memory
-            reserve (see :meth:`ClusterSpec.split`).
-        inter_group_network: the network activations/gradients cross between
-            adjacent groups (the parent cluster's network, preserved).
-    """
-
-    cluster: ClusterSpec
-    groups: List[ClusterSpec]
-    inter_group_network: NetworkSpec
-
-    @property
-    def num_groups(self) -> int:
-        return len(self.groups)
-
-    def group_flops(self) -> List[float]:
-        """Aggregate sustained flops of every group."""
-        return [g.total_flops() for g in self.groups]
-
-    def compute_ratios(self) -> List[float]:
-        """Fraction of the cluster's compute held by each group."""
-        flops = self.group_flops()
-        total = sum(flops)
-        return [f / total for f in flops]
-
-    def describe(self) -> str:
-        """Human-readable partition summary."""
-        lines = [
-            f"ClusterPartition of {self.cluster.name!r} into {self.num_groups} groups "
-            f"(inter-group {self.inter_group_network.bandwidth * 8 / 1e9:.1f} Gbps)"
-        ]
-        for group, share in zip(self.groups, self.compute_ratios()):
-            gpus = ", ".join(f"{m.num_gpus}x{m.gpu.name}" for m in group.machines)
-            lines.append(
-                f"  {group.name}: {len(group.machines)} machines ({gpus}), "
-                f"{share * 100:.0f}% of cluster compute"
-            )
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from typing import Optional
 
 
 def verify_default() -> bool:
-    """Default of the ``verify_after_plan`` flags.
+    """Default of :attr:`SynthesisConfig.verify_after_plan`.
 
     Reads the ``REPRO_VERIFY`` environment variable so test runs can turn the
     static verifier on for every plan any test builds (``tests/conftest.py``
@@ -64,11 +64,14 @@ class SynthesisConfig:
             exact over the same topological-order space: the oracle the
             tests check the beam search against, practical only on small
             graphs.
-        verify_after_plan: run the static program verifier
-            (:func:`repro.verify.verify_program` — dataflow, collective
-            legality, compute-flag and cost-accounting checks) on the
-            synthesized program at the end of every
-            :meth:`~repro.core.pipeline.HAPPlanner.plan` call, raising
+        verify_after_plan: the one static-verifier switch.  Every
+            :meth:`~repro.core.pipeline.HAPPlanner.plan` call checks its
+            input graph and runs :func:`repro.verify.verify_program` —
+            dataflow, collective legality, compute-flag and cost-accounting
+            checks — on the synthesized program; the hierarchical planner
+            reads the same switch from its ``planner.synthesis`` to check
+            the forward graph and run :func:`repro.verify.verify_plan` on
+            the winning pipeline plan.  Either raises
             :class:`~repro.verify.base.PlanVerificationError` on any
             error-severity diagnostic.  Defaults to the ``REPRO_VERIFY``
             environment variable (on in tests); excluded from plan-cache keys

@@ -6,12 +6,12 @@ bandwidth-constrained clusters.  The hierarchical planner instead
 
 1. splits the cluster into contiguous machine groups sized to the cut
    (:meth:`HierarchicalPlanner._candidate_partition`): it starts at equal
-   group flops (:meth:`~repro.cluster.spec.ClusterSpec.partition`), cuts the
-   graph, moves to the contiguous split
-   (:meth:`~repro.cluster.spec.ClusterSpec.split`) that minimises
-   ``max_i stage_flops_i / group_flops_i`` and cuts again until a split
-   repeats, keeping the visited split with the lowest bottleneck — no
-   synthesis runs until the split is fixed,
+   group flops (:func:`_balanced_boundaries`), cuts the graph, moves to the
+   contiguous split (:meth:`~repro.cluster.spec.ClusterSpec.split`) that
+   minimises ``max_i stage_flops_i / group_flops_i`` and cuts again until a
+   split repeats, keeping the visited split with the lowest bottleneck — no
+   synthesis runs until the split is fixed; each stage keeps its group as
+   its ``subcluster``,
 2. cuts the model into one contiguous chunk per stage, balanced against
    each group's aggregate compute (:func:`~repro.graph.analysis.pipeline_cut`);
    a cut with a stage that has no forward flops drops that stage count like
@@ -31,7 +31,7 @@ peak memory — in-flight microbatch activations plus resident
 parameter/gradient/optimizer state — exceeds the machine group's capacity
 from the :class:`~repro.cluster.device.DeviceType` specs.  Candidates are
 priced with the dual-stream overlap model at the cluster's
-``comm_overlap_efficiency`` (every partition group carries the same value):
+``comm_overlap_efficiency`` (every machine group carries the same value):
 per-stage collectives and boundary transfers count only their **exposed**
 (non-hidden) part, so on slow networks overlap-friendly combinations can
 win.  The cheapest memory-feasible candidate wins.  One stage is always a
@@ -48,12 +48,12 @@ from __future__ import annotations
 import copy
 import dataclasses
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..autodiff.backward import TrainingGraphInfo, build_stage_training_graph
-from ..cluster.spec import ClusterPartition, ClusterSpec, NetworkSpec
-from ..graph.analysis import PipelineCut, pipeline_cut
+from ..cluster.spec import ClusterSpec, NetworkSpec
+from ..graph.analysis import PipelineCut, cut_transfer_bytes, pipeline_cut
 # ``graph_fingerprint`` is not called here (``fingerprint_with_order`` yields
 # the same fingerprint); it stays a module attribute because the e2e
 # benchmark's tracer wraps it on this module by name.
@@ -71,7 +71,7 @@ from ..simulator.schedule import (
     profile_stages,
     simulate_pipeline,
 )
-from .config import PlannerConfig, verify_default
+from .config import PlannerConfig
 from .costmodel import CostModel
 from .pipeline import HAPPlan, HAPPlanner
 from .plancache import CachedPlan, InMemoryPlanCache, plan_key, remap_plan
@@ -89,6 +89,15 @@ MICROBATCH_CANDIDATES = (2, 4, 8, 16, 32)
 #: Fixed per-microbatch launch/scheduling cost (seconds) of a multi-stage
 #: pipeline; it does not shrink with the microbatch size.
 MICROBATCH_OVERHEAD = 50e-6
+
+
+def _microbatch_overhead(num_stages: int) -> float:
+    """Per-microbatch launch cost of a ``num_stages``-stage pipeline.
+
+    A single stage is flat SPMD: the whole batch runs at once, so no
+    microbatching (and no per-microbatch overhead) applies.
+    """
+    return 0.0 if num_stages == 1 else MICROBATCH_OVERHEAD
 
 
 def parameter_bytes_split(program: DistributedProgram) -> Tuple[int, int]:
@@ -137,7 +146,7 @@ class HierarchicalConfig:
     Candidates are priced with the cluster's ``comm_overlap_efficiency``
     (the schedule search ranks combinations by their *exposed*
     boundary-transfer and collective time); the same efficiency prices the
-    synthesis of every chunk, because every partition group is a
+    synthesis of every chunk, because every machine group is a
     :class:`~repro.cluster.spec.ClusterSpec` carrying it.  Use a
     cluster with ``comm_overlap_efficiency=0.0`` for the fully blocking
     model.  Every schedule of :data:`repro.simulator.schedule.SCHEDULE_NAMES`
@@ -148,6 +157,15 @@ class HierarchicalConfig:
     extra forward per microbatch, so it never beats a plain run that fits).
     Stage graphs store the default learning rate of
     :func:`~repro.autodiff.build_stage_training_graph` on their update nodes.
+    The static verifier runs under ``planner.synthesis.verify_after_plan``:
+    with it on, the planner checks the forward graph before planning and
+    the winning plan (:func:`repro.verify.verify_plan`) before
+    :meth:`~HierarchicalPlanner.plan` returns, raising
+    :class:`~repro.verify.base.PlanVerificationError` on any error-severity
+    diagnostic.  Every whole-plan cache hit is structurally verified either
+    way: a corrupt or stale entry becomes a diagnosed miss
+    (``reuse_stats["cache_rejects"]``) and planning falls through to fresh
+    synthesis.
 
     Attributes:
         max_stages: stage counts ``1..min(max_stages, num_machines)`` are
@@ -166,27 +184,12 @@ class HierarchicalConfig:
             the plan is renamed onto every isomorphic chunk — repeated
             transformer layers produce isomorphic chunk graphs across the
             stages.
-        verify_after_plan: run the static plan verifier
-            (:func:`repro.verify.verify_plan` — partition, boundary,
-            stage coverage, memory, per-chunk program and schedule checks) on
-            the winning plan before :meth:`~HierarchicalPlanner.plan`
-            returns, raising
-            :class:`~repro.verify.base.PlanVerificationError` on any
-            error-severity diagnostic.  Defaults to the ``REPRO_VERIFY``
-            environment variable (on in tests).  Independent of this flag,
-            every whole-plan cache hit is *always* structurally verified
-            before it is returned — a corrupt or stale entry becomes a
-            diagnosed miss
-            (``reuse_stats["cache_rejects"]``) and planning falls through to
-            fresh synthesis.  Excluded from plan-cache keys (verification
-            never changes the plan).
     """
 
     max_stages: int = 4
     intra_group_network: Optional[NetworkSpec] = None
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     plan_cache: Optional[InMemoryPlanCache] = None
-    verify_after_plan: bool = field(default_factory=verify_default)
 
     def __post_init__(self) -> None:
         if self.max_stages < 1:
@@ -285,16 +288,19 @@ def memory_verdict(
 class HierarchicalPlan:
     """A pipeline of per-group SPMD plans (flat HAP when ``num_stages == 1``).
 
+    The schedule choice lives in :attr:`schedule` alone, and each stage's
+    machine group in its ``subcluster``: :attr:`schedule_name`,
+    :attr:`num_microbatches`, :attr:`recompute` and :attr:`estimated_time`
+    read the schedule, and the inter-group link is the cluster's own
+    network.
+
     Attributes:
-        cluster: the full target cluster.
-        partition: the machine-group partition the stages run on.
+        cluster: the full target cluster; its network is the inter-group
+            link between adjacent stages.
         stages: per-stage plans, in pipeline order.
         cut: the layer cut that produced the stage graphs.
-        num_microbatches: microbatch count of the schedule.
-        estimated_time: planner estimate of the pipelined iteration time.
-        schedule: the schedule estimate behind ``estimated_time``.
-        schedule_name: winning schedule (``gpipe`` or ``1f1b``).
-        recompute: whether the plan recomputes activations in the backward.
+        schedule: the winning schedule estimate (schedule name, microbatch
+            count, recomputation and the iteration time).
         fits_memory: True when every stage's per-device peak memory fits its
             group's device capacity (see :func:`memory_verdict`).
         candidate_times: estimated time of every stage count evaluated.
@@ -310,22 +316,41 @@ class HierarchicalPlan:
     """
 
     cluster: ClusterSpec
-    partition: ClusterPartition
     stages: List[StagePlan]
     cut: PipelineCut
-    num_microbatches: int
-    estimated_time: float
     schedule: ScheduleResult
-    schedule_name: str = "gpipe"
-    recompute: bool = False
     fits_memory: bool = True
     candidate_times: Dict[int, float] = field(default_factory=dict)
     schedule_candidate_times: Dict[Tuple[int, str, int, bool], float] = field(
         default_factory=dict
     )
     batch_size: Optional[int] = None
-    microbatch_overhead: float = 0.0
     reuse_stats: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def schedule_name(self) -> str:
+        """Winning schedule (``gpipe`` or ``1f1b``)."""
+        return self.schedule.schedule
+
+    @property
+    def num_microbatches(self) -> int:
+        """Microbatch count of the schedule."""
+        return self.schedule.num_microbatches
+
+    @property
+    def recompute(self) -> bool:
+        """Whether the plan recomputes activations in the backward."""
+        return self.schedule.recompute
+
+    @property
+    def estimated_time(self) -> float:
+        """Planner estimate of the pipelined iteration time."""
+        return self.schedule.total
+
+    @property
+    def microbatch_overhead(self) -> float:
+        """Fixed per-microbatch launch cost the schedule was priced with."""
+        return _microbatch_overhead(self.num_stages)
 
     @property
     def overlap(self) -> float:
@@ -476,6 +501,37 @@ def _bottleneck(
     return worst
 
 
+def _balanced_boundaries(weights: Sequence[float], num_groups: int) -> List[int]:
+    """End indices of a contiguous split of ``weights`` into balanced groups.
+
+    Greedy cumulative split against equal-weight targets, constrained so every
+    group keeps at least one element and no elements are left over.  Exact for
+    the small machine counts clusters have.
+    """
+    n = len(weights)
+    total = sum(weights) or float(n)
+    boundaries: List[int] = []
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w if total > 0 else 1.0
+        remaining_groups = num_groups - len(boundaries)
+        remaining_items = n - (i + 1)
+        if len(boundaries) < num_groups - 1 and (
+            acc >= total * (len(boundaries) + 1) / num_groups
+            or remaining_items <= remaining_groups - 1
+        ):
+            boundaries.append(i + 1)
+    boundaries.append(n)
+    return boundaries
+
+
+def _compute_ratios(groups: Sequence[ClusterSpec]) -> List[float]:
+    """Fraction of the groups' summed compute held by each group."""
+    flops = [g.total_flops() for g in groups]
+    total = sum(flops)
+    return [f / total for f in flops]
+
+
 def _nearest_divisor(n: int, target: int) -> int:
     """The divisor of ``n`` closest to ``target`` (ties prefer the larger).
 
@@ -506,7 +562,7 @@ class HierarchicalPlanner:
         self.forward = forward
         self.cluster = cluster
         self.config = config or HierarchicalConfig()
-        if self.config.verify_after_plan:
+        if self.config.planner.synthesis.verify_after_plan:
             # Pre-planning IR check of the forward graph; the per-chunk
             # training graphs are checked again by each HAPPlanner.
             from ..verify.base import PlanVerificationError
@@ -585,9 +641,9 @@ class HierarchicalPlanner:
         )
 
     def _build_stages(
-        self, partition: ClusterPartition
+        self, groups: Sequence[ClusterSpec]
     ) -> Optional[Tuple[PipelineCut, List[StagePlan]]]:
-        """Cut one chunk per stage and plan each with flat HAP.
+        """Cut one chunk per machine group and plan each with flat HAP.
 
         Returns ``None``, before any synthesis, when the cut falls short
         (:func:`_is_shortfall`): the graph has too few splittable layer
@@ -595,24 +651,16 @@ class HierarchicalPlanner:
         and would cost a pipeline hop and a machine group for no work.  The
         caller then drops the stage count.
         """
-        s = partition.num_groups
-        cut = interleaved_pipeline_cut(self.forward, partition.compute_ratios())
-        if _is_shortfall(cut, s):
+        cut = interleaved_pipeline_cut(self.forward, _compute_ratios(groups))
+        if _is_shortfall(cut, len(groups)):
             return None
+        # Bytes each stage's outgoing hop ships, relayed skip connections
+        # included; the final stage sends nothing.
+        hop_bytes = cut_transfer_bytes(self.forward, cut)
         stages: List[StagePlan] = []
-        for k, group in enumerate(partition.groups):
+        for k, group in enumerate(groups):
             info = self._chunk_training_graph(cut, k)
             plan, content_key = self._plan_chunk(info.graph, group)
-            # Bytes the stage's *outgoing hop* actually ships: every tensor in
-            # flight across boundary k, including skip-connection tensors
-            # produced by earlier stages that this hop merely relays
-            # (charging those only at their producer's hop under-priced every
-            # interior hop they cross).  The final stage sends nothing.
-            send_bytes = (
-                sum(self.forward[ref].spec.size_bytes for ref in cut.crossing_refs(k))
-                if k < s - 1
-                else 0
-            )
             activation_bytes = sum(
                 info.graph[name].spec.size_bytes
                 for name in info.forward_nodes
@@ -625,7 +673,7 @@ class HierarchicalPlanner:
                     subcluster=group,
                     plan=plan,
                     info=info,
-                    send_bytes=send_bytes,
+                    send_bytes=hop_bytes[k],
                     activation_bytes=activation_bytes,
                     sharded_param_bytes=sharded,
                     replicated_param_bytes=replicated,
@@ -634,34 +682,34 @@ class HierarchicalPlanner:
             )
         return cut, stages
 
-    def _candidate_partition(self, num_stages: int) -> ClusterPartition:
-        """The contiguous machine split of one stage count, sized to its cut.
+    def _candidate_partition(self, num_stages: int) -> List[ClusterSpec]:
+        """The contiguous machine groups of one stage count, sized to its cut.
 
-        One stage is the whole cluster, which still spans the slow flat
-        network (the intra-group network applies to proper partitions only).
-        For ``s >= 2`` the split starts at equal group flops
-        (:meth:`~repro.cluster.spec.ClusterSpec.partition`) and alternates
-        without synthesis: cut the graph against the split's compute ratios,
-        then move to the contiguous split that minimises the cut's bottleneck
-        ``max_i stage_flops_i / group_flops_i``, ties going to the
-        lexicographically smallest boundaries.  It stops when a split repeats
-        and returns the visited split whose own cut has the lowest
+        Returns one :class:`~repro.cluster.spec.ClusterSpec` per stage, which
+        becomes that stage's ``subcluster``.  One stage is one group of the
+        whole cluster, which still spans the slow flat network (the
+        intra-group network applies to proper splits only).  For ``s >= 2``
+        the split starts at equal group flops (:func:`_balanced_boundaries`)
+        and alternates without synthesis: cut the graph against the split's
+        compute ratios, then move to the contiguous split that minimises the
+        cut's bottleneck ``max_i stage_flops_i / group_flops_i``, ties going
+        to the lexicographically smallest boundaries.  It stops when a split
+        repeats and returns the visited split whose own cut has the lowest
         bottleneck; a cut that :meth:`_build_stages` would drop counts as an
         infinite bottleneck.
         """
+        n = len(self.cluster.machines)
         if num_stages == 1:
-            return self.cluster.partition(1)
+            return self.cluster.split([n])
         intra = self.config.intra_group_network
         machine_flops = [m.total_flops for m in self.cluster.machines]
-        n = len(machine_flops)
         splits = [(*b, n) for b in combinations(range(1, n), num_stages - 1)]
-        partition = self.cluster.partition(num_stages, intra)
-        boundaries = tuple(accumulate(len(g.machines) for g in partition.groups))
+        boundaries = tuple(_balanced_boundaries(machine_flops, num_stages))
         # split -> bottleneck of its own cut, in visiting order.
         visited: Dict[Tuple[int, ...], float] = {}
         while boundaries not in visited:
-            partition = self.cluster.split(boundaries, intra)
-            cut = interleaved_pipeline_cut(self.forward, partition.compute_ratios())
+            groups = self.cluster.split(boundaries, intra)
+            cut = interleaved_pipeline_cut(self.forward, _compute_ratios(groups))
             if _is_shortfall(cut, num_stages):
                 visited[boundaries] = float("inf")
                 if cut.num_stages != num_stages:
@@ -680,29 +728,20 @@ class HierarchicalPlanner:
         then searches schedules, microbatch counts and recomputation over the
         profiles.
         """
-        partition = self._candidate_partition(num_stages)
-        built = self._build_stages(partition)
+        built = self._build_stages(self._candidate_partition(num_stages))
         if built is None:
             return None  # the graph has fewer splittable layer blocks
         cut, stages = built
         times = profile_stages(stages, self._profile_chunk, self._profile_memo)
-        schedule, schedule_name, recompute, fits, combo_times = self._search_schedules(
-            partition, stages, times
-        )
+        schedule, fits, combo_times = self._search_schedules(stages, times)
         return HierarchicalPlan(
             cluster=self.cluster,
-            partition=partition,
             stages=stages,
             cut=cut,
-            num_microbatches=schedule.num_microbatches,
-            estimated_time=schedule.total,
             schedule=schedule,
-            schedule_name=schedule_name,
-            recompute=recompute,
             fits_memory=fits,
             schedule_candidate_times=combo_times,
             batch_size=self.batch_size,
-            microbatch_overhead=0.0 if num_stages == 1 else MICROBATCH_OVERHEAD,
         )
 
     def _profile_chunk(self, stage: StagePlan) -> Dict[str, float]:
@@ -711,11 +750,8 @@ class HierarchicalPlanner:
         return cost_model.phase_profile(stage.program, stage.ratios, stage.forward_nodes)
 
     def _search_schedules(
-        self,
-        partition: ClusterPartition,
-        stages: Sequence[StagePlan],
-        times: Sequence[StageTimes],
-    ) -> Tuple[ScheduleResult, str, bool, bool, Dict[Tuple[int, str, int, bool], float]]:
+        self, stages: Sequence[StagePlan], times: Sequence[StageTimes]
+    ) -> Tuple[ScheduleResult, bool, Dict[Tuple[int, str, int, bool], float]]:
         """Best (schedule, microbatch count, recompute) over the stage profiles.
 
         Combinations are ranked memory-feasible first, then by estimated
@@ -725,17 +761,16 @@ class HierarchicalPlanner:
         combination is only simulated when plain stashing exceeds device
         memory.
         """
-        network = partition.inter_group_network
-        num_stages = partition.num_groups
+        network = self.cluster.network
+        num_stages = len(stages)
         combo_times: Dict[Tuple[int, str, int, bool], float] = {}
-        # A single stage is flat SPMD: the whole batch runs at once, so no
-        # microbatching (and no per-microbatch overhead) applies.
+        # A single stage is flat SPMD: the whole batch runs at once.
         if num_stages == 1:
             combos: List[Tuple[str, int]] = [("gpipe", 1)]
         else:
             counts = self._microbatch_candidates()
             combos = [(name, m) for name in SCHEDULE_NAMES for m in counts]
-        best: Optional[Tuple[Tuple[int, float, int], ScheduleResult, str, bool, bool]] = None
+        best: Optional[Tuple[Tuple[int, float, int], ScheduleResult, bool]] = None
         for order, (name, m) in enumerate(combos):
             for rc in (False, True):
                 result = simulate_pipeline(
@@ -743,7 +778,7 @@ class HierarchicalPlanner:
                     num_microbatches=m,
                     inter_group_bandwidth=network.bandwidth,
                     inter_group_latency=network.latency,
-                    microbatch_overhead=0.0 if num_stages == 1 else MICROBATCH_OVERHEAD,
+                    microbatch_overhead=_microbatch_overhead(num_stages),
                     schedule=name,
                     recompute=rc,
                     overlap=self.overlap,
@@ -752,12 +787,12 @@ class HierarchicalPlanner:
                 combo_times[(num_stages, name, m, rc)] = result.total
                 key = (0 if fits else 1, result.total, order)
                 if best is None or key < best[0]:
-                    best = (key, result, name, rc, fits)
+                    best = (key, result, fits)
                 if fits or num_stages == 1:
                     break  # only a multi-stage run that does not fit retries
         assert best is not None  # combos is non-empty
-        _, result, name, rc, fits = best
-        return result, name, rc, fits, combo_times
+        _, result, fits = best
+        return result, fits, combo_times
 
     def _remap_whole(self, entry: CachedPlan, order: List[str]) -> HierarchicalPlan:
         """Re-express a cached whole plan over this request's node names.
@@ -863,7 +898,7 @@ class HierarchicalPlanner:
         if cache is not None and key is not None:
             chunk_orders = [canonical_order(stage.info.graph) for stage in best.stages]
             cache.put(CachedPlan(key=key, node_names=order, plan=best, chunk_orders=chunk_orders))
-        if self.config.verify_after_plan:
+        if self.config.planner.synthesis.verify_after_plan:
             # Imported lazily: repro.verify depends on this module.
             from ..verify.base import PlanVerificationError
             from ..verify.plan import verify_plan

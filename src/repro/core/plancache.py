@@ -111,7 +111,12 @@ from .properties import Property
 #: ``ScheduleResult`` its ``peak_memory``, and ``PlannerConfig`` its
 #: ``enable_load_balancer``, so the pickled plan layout and the config
 #: signature changed.
-CACHE_VERSION = 14
+#: v15: ``HierarchicalPlan`` lost ``partition`` (each stage's ``subcluster``
+#: is its machine group) and its stored copies of the schedule
+#: (``num_microbatches``, ``estimated_time``, ``schedule_name``,
+#: ``recompute``, ``microbatch_overhead``), so the pickled plan layout
+#: changed.
+CACHE_VERSION = 15
 
 #: Configuration fields excluded from cache keys: the cache itself and the
 #: static-verifier flag (verification never changes the plan).

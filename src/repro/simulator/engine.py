@@ -160,7 +160,7 @@ class ExecutionSimulator:
         base = cost_model.comm_time(instr, ratios)
         return base * self.overheads.congestion + self.overheads.collective_launch
 
-    # -- per-program replay (shared by simulate() and profile_program()) -----------------
+    # -- per-program replay (simulate()'s deterministic core) -----------------------------
     def _replay_stages(
         self,
         cost_model: CostModel,
@@ -169,11 +169,13 @@ class ExecutionSimulator:
     ):
         """Yield ``(stage, comm_time, per_device_comp, per_comp_times)``.
 
-        This is the deterministic core of the simulator: every secondary
+        This is the deterministic core of :meth:`simulate`: every secondary
         effect (kernel launches, memory-bandwidth bounds, congestion) is
-        applied, but run-to-run noise is left to the caller so the same
-        replay can back both the noisy :meth:`simulate` and the
-        noise-free :meth:`profile_program`.  ``per_comp_times`` aligns with
+        applied, but run-to-run noise is left to the caller, which draws it
+        per stage.  (:meth:`profile_program` does not replay: it prices the
+        same per-instruction time models through
+        :meth:`~repro.core.costmodel.CostModel.phase_profile`.)
+        ``per_comp_times`` aligns with
         ``stage.comps`` and holds each computation's per-device times
         (``None`` for zero-cost local slice pseudo-collectives), so the
         dual-stream event timeline can replay individual instructions
@@ -384,9 +386,9 @@ def simulate_hierarchical(
     Every stage's chunk program is profiled on its machine group with the
     full overhead model, the plan's pipeline schedule (GPipe or 1F1B, with
     the plan's microbatch count and recomputation choice) combines the
-    stages over the partition's inter-group link with the plan's
-    communication-overlap efficiency (boundary transfers expose only their
-    non-hidden part), and the
+    stages over the inter-group link (the plan cluster's own network) with
+    the plan's communication-overlap efficiency (boundary transfers expose
+    only their non-hidden part), and the
     run-to-run noise the flat simulator applies per stage is applied to the
     pipelined iteration total.  A 1-stage plan runs its single program on
     the whole batch with no transfers, but is *not* bit-equal to
@@ -408,7 +410,7 @@ def simulate_hierarchical(
     # profile_program is noise-free, so stages sharing a content key are
     # measured once per simulation.
     stage_times = profile_stages(plan.stages, profile, {})
-    network = plan.partition.inter_group_network
+    network = plan.cluster.network
     schedule = simulate_pipeline(
         stage_times,
         num_microbatches=plan.num_microbatches,

@@ -15,10 +15,10 @@ Entry points:
 * :func:`verify_graph` — G001–G006 over one ``ComputationGraph`` (forward,
   training, or planner-cut stage graph);
 * :func:`verify_program` — P001–P008 over one ``DistributedProgram``;
-* :func:`verify_plan` — L001–L004 plus per-chunk program checks, S001–S003
-  schedule checks, and (by default) the W001–W004 and W006 lints over one
-  ``HierarchicalPlan``;
-* :func:`lint_plan` — only the W001–W004 and W006 performance lints;
+* :func:`verify_plan` — L001–L004 plus per-chunk program checks and
+  S001–S003 schedule checks over one ``HierarchicalPlan`` (errors only);
+* :func:`lint_plan` — the W001–W004 and W006 performance lints, the one
+  lint entry point;
 * :func:`verify_schedule_orders` — S001–S003 over explicit task orders;
 * ``python -m repro.verify`` — plan + verify every registry model
   (``--lint`` adds the performance lints, ``--strict-warnings`` makes

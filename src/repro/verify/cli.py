@@ -83,14 +83,13 @@ def _testbeds(num_gpus: int, gpus_per_machine: int) -> List[ClusterSpec]:
 
 def _config(beam: int) -> HierarchicalConfig:
     # Planning is the CLI's scaffolding, not its subject: the explicit
-    # verify_graph()/verify_plan() below are the check, so the planner's own
-    # hooks are off, the hierarchical one and every chunk's.
+    # verify_graph()/verify_plan() below are the check, so the planner's
+    # hooks are off (one switch: the hierarchical one and every chunk's).
     synthesis = SynthesisConfig(beam_width=beam, verify_after_plan=False)
     return HierarchicalConfig(
         planner=PlannerConfig(max_rounds=1, synthesis=synthesis),
         intra_group_network=NetworkSpec(bandwidth=100e9 / 8),
         max_stages=2,
-        verify_after_plan=False,
     )
 
 
@@ -120,7 +119,7 @@ def verify_registry(
                     verify_graph(chunk.info.graph),
                     prefix=f"chunk graph {chunk.index}",
                 )
-            report.merge(verify_plan(plan, forward, lint=False), prefix="plan")
+            report.merge(verify_plan(plan, forward), prefix="plan")
             verify_seconds = time.perf_counter() - t0
             lint_seconds = 0.0
             if lint:

@@ -20,8 +20,10 @@ result — against the original forward graph:
 
 :func:`verify_plan` composes these with the program checks over every chunk
 program and the schedule checks over the plan's canonical task orders — the
-one-call entry point used by ``verify_after_plan``, the cache-hit guard and
-the ``python -m repro.verify`` CLI.
+one-call entry point used by the planner's ``verify_after_plan`` hook, the
+cache-hit guard and the ``python -m repro.verify`` CLI.  It reports errors
+only; the warning-severity performance lints are
+:func:`repro.verify.lint.lint_plan`'s.
 """
 
 from __future__ import annotations
@@ -251,14 +253,14 @@ def verify_plan(
     plan: HierarchicalPlan,
     forward: ComputationGraph,
     check_cost: bool = True,
-    lint: bool = True,
 ) -> VerificationReport:
     """Verify a hierarchical plan end to end.
 
     Composes the plan structure checks with the program checks over every
     chunk program (each against its own machine group and sharding ratios)
-    and the schedule checks over the plan's canonical task orders, plus the
-    warning-severity performance lints (:mod:`repro.verify.lint`).
+    and the schedule checks over the plan's canonical task orders.  The
+    performance lints are not part of it: run
+    :func:`~repro.verify.lint.lint_plan` for those.
 
     Args:
         plan: the plan to verify.
@@ -266,15 +268,8 @@ def verify_plan(
         check_cost: include the P008 cost cross-check per program (the most
             expensive check; the cache-hit guard disables it to keep warm
             lookups O(instructions)).
-        lint: run the W001–W004 and W006 performance lints.  Warnings never flip
-            ``report.ok``, so cache-hit acceptance is unaffected — but hits
-            get the same audit trail as freshly planned requests.
     """
     report = verify_plan_structure(plan, forward)
-    if lint:
-        from .lint import lint_plan  # local import: lint depends on plan types
-
-        report.merge(lint_plan(plan), prefix="lint")
     for stage in plan.stages:
         sub = verify_program(
             stage.program,

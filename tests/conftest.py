@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 # Turn the static plan verifier on for every plan any test builds: the
-# ``verify_after_plan`` flags of SynthesisConfig/HierarchicalConfig default to
-# this environment variable, so the whole suite doubles as a positive-path
-# verification corpus.  Must be set before any config is *instantiated*
+# ``SynthesisConfig.verify_after_plan`` switch, which the hierarchical planner
+# reads too, defaults to this environment variable, so the whole suite
+# doubles as a positive-path verification corpus.  Must be set before any config is *instantiated*
 # (the defaults are read per construction, not at import).
 os.environ.setdefault("REPRO_VERIFY", "1")
 

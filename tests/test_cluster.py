@@ -117,9 +117,9 @@ class TestClusterSpec:
         )
         assert reserved.device_memory() == [int(m * 0.75) for m in full.device_memory()]
         assert reserved.total_memory() == sum(reserved.device_memory())
-        # Propagates through pipeline partitions.
-        partition = reserved.partition(2)
-        assert all(g.memory_reserve_fraction == 0.25 for g in partition.groups)
+        # Propagates to the machine groups of a pipeline split.
+        groups = reserved.split([1, len(reserved.machines)])
+        assert all(g.memory_reserve_fraction == 0.25 for g in groups)
         with pytest.raises(ValueError):
             ClusterSpec(full.machines, memory_reserve_fraction=1.5)
 

@@ -56,7 +56,7 @@ def selection_record(problem: str) -> Dict[str, Any]:
         },
         "schedule_name": plan.schedule_name,
         "num_stages": plan.num_stages,
-        "stage_machines": [len(group.machines) for group in plan.partition.groups],
+        "stage_machines": [len(stage.subcluster.machines) for stage in plan.stages],
         "num_microbatches": plan.num_microbatches,
         "fits_memory": plan.fits_memory,
     }

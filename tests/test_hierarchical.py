@@ -1,6 +1,6 @@
 """Tests of the hierarchical (pipeline-over-SPMD) planning stack.
 
-Covers every new layer: cluster partitioning invariants, the pipeline layer
+Covers every new layer: cluster splitting invariants, the pipeline layer
 cut on the registry models, the GPipe schedule simulator against a
 hand-computed example, the hierarchical planner (flat HAP as the 1-stage
 special case, degeneration on a homogeneous testbed, pipelining wins on a
@@ -9,6 +9,7 @@ of hierarchical execution against single-device training.
 """
 
 import dataclasses
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -20,15 +21,21 @@ from repro.cluster import (
     heterogeneous_testbed,
     homogeneous_testbed,
 )
-from repro.cluster.spec import _balanced_boundaries
 from repro.core import (
     HierarchicalConfig,
+    HierarchicalPlan,
     HierarchicalPlanner,
     PlannerConfig,
     SynthesisConfig,
     stage_forward_graph,
 )
-from repro.core.hierarchical import MICROBATCH_CANDIDATES, device_peak_memory, memory_verdict
+from repro.core.hierarchical import (
+    MICROBATCH_CANDIDATES,
+    _balanced_boundaries,
+    _compute_ratios,
+    device_peak_memory,
+    memory_verdict,
+)
 from repro.graph import cut_transfer_bytes, pipeline_cut
 from repro.graph.ops import OpKind
 from repro.hap import hap, hap_pipeline
@@ -70,51 +77,52 @@ def scheduled_candidate(forward, num_stages, schedule):
     planner = HierarchicalPlanner(forward, make_cluster(), hier_config())
     plan = planner.build_candidate(num_stages)
     assert plan is not None and plan.num_stages == num_stages
+    result = rescheduled(planner, plan, schedule, plan.num_microbatches, plan.recompute)
+    return dataclasses.replace(
+        plan, schedule=result, fits_memory=memory_verdict(plan.stages, result.peak_stash)[0]
+    )
+
+
+def rescheduled(planner, plan, schedule, num_microbatches, recompute):
+    """``plan``'s stage profiles re-run under one (schedule, microbatch
+    count, recomputation) combination, priced the way the planner prices
+    it."""
     times = profile_stages(plan.stages, planner._profile_chunk, planner._profile_memo)
-    network = plan.partition.inter_group_network
-    result = simulate_pipeline(
+    network = plan.cluster.network
+    return simulate_pipeline(
         times,
-        num_microbatches=plan.num_microbatches,
+        num_microbatches=num_microbatches,
         inter_group_bandwidth=network.bandwidth,
         inter_group_latency=network.latency,
         microbatch_overhead=plan.microbatch_overhead,
         schedule=schedule,
-        recompute=plan.recompute,
+        recompute=recompute,
         overlap=plan.overlap,
     )
-    return dataclasses.replace(
-        plan,
-        schedule=result,
-        schedule_name=schedule,
-        estimated_time=result.total,
-        fits_memory=memory_verdict(plan.stages, result.peak_stash)[0],
-    )
 
 
 # ---------------------------------------------------------------------------
-# cluster partitioning
+# cluster splitting
 # ---------------------------------------------------------------------------
 
-class TestClusterPartition:
+class TestClusterSplit:
     def test_groups_are_contiguous_and_cover_all_machines(self):
-        cluster = heterogeneous_testbed(num_gpus=64)
-        for s in range(1, len(cluster.machines) + 1):
-            partition = cluster.partition(s)
-            assert partition.num_groups == s
-            flattened = [m for g in partition.groups for m in g.machines]
-            assert flattened == cluster.machines
-            assert all(len(g.machines) >= 1 for g in partition.groups)
-
-    def test_inter_group_network_preserved(self):
-        cluster = heterogeneous_testbed(num_gpus=32)
-        fast = NetworkSpec(bandwidth=100e9)
-        partition = cluster.partition(2, intra_group_network=fast)
-        assert partition.inter_group_network is cluster.network
-        assert all(g.network is fast for g in partition.groups)
+        cluster = heterogeneous_testbed(num_gpus=48)  # 6 machines
+        n = len(cluster.machines)
+        for s in range(1, n + 1):
+            for ends in combinations(range(1, n), s - 1):
+                boundaries = (*ends, n)
+                groups = cluster.split(boundaries)
+                assert len(groups) == s
+                start = 0
+                for group, end in zip(groups, boundaries):
+                    assert group.machines == cluster.machines[start:end]
+                    start = end
 
     def test_balance_tracks_compute(self):
         cluster = homogeneous_testbed()  # 4 identical machines
-        ratios = cluster.partition(2).compute_ratios()
+        weights = [m.total_flops for m in cluster.machines]
+        ratios = _compute_ratios(cluster.split(_balanced_boundaries(weights, 2)))
         assert ratios == pytest.approx([0.5, 0.5])
 
     @pytest.mark.parametrize("intra", [None, NetworkSpec(bandwidth=100e9)])
@@ -127,7 +135,7 @@ class TestClusterPartition:
             memory_reserve_fraction=0.1,
             comm_overlap_efficiency=0.3,
         )
-        for group in cluster.partition(2, intra_group_network=intra).groups:
+        for group in cluster.split([1, len(cluster.machines)], intra_group_network=intra):
             assert type(group) is ClusterSpec
             assert group.network is (intra or cluster.network)
             assert group.group_by_machine == cluster.group_by_machine
@@ -136,36 +144,34 @@ class TestClusterPartition:
             assert group.num_devices == len(group.machines)  # group_by_machine
             assert sum(group.proportional_ratios()) == pytest.approx(1.0)
 
-    def test_invalid_group_counts_rejected(self):
-        cluster = homogeneous_testbed()
-        with pytest.raises(ValueError):
-            cluster.partition(0)
-        with pytest.raises(ValueError):
-            cluster.partition(len(cluster.machines) + 1)
-
     @pytest.mark.parametrize("num_groups", [1, 2, 3, 4, 8])
-    def test_partition_is_split_at_balanced_boundaries(self, num_groups):
+    def test_balanced_boundaries_are_a_valid_split(self, num_groups):
+        # The planner's start split: num_groups non-empty contiguous groups
+        # over all 8 machines, each cumulative boundary at or past its
+        # equal-flops target unless the remaining groups need the machines.
         cluster = heterogeneous_testbed(num_gpus=64)
-        fast = NetworkSpec(bandwidth=100e9)
-        boundaries = _balanced_boundaries(
-            [m.total_flops for m in cluster.machines], num_groups
-        )
-        by_partition = cluster.partition(num_groups, intra_group_network=fast)
-        by_split = cluster.split(boundaries, intra_group_network=fast)
-        assert [g.machines for g in by_partition.groups] == [
-            g.machines for g in by_split.groups
-        ]
-        assert [g.name for g in by_partition.groups] == [g.name for g in by_split.groups]
-        assert all(g.network is fast for g in by_split.groups)
-        assert by_split.inter_group_network is cluster.network
+        weights = [m.total_flops for m in cluster.machines]
+        boundaries = _balanced_boundaries(weights, num_groups)
+        groups = cluster.split(boundaries)
+        assert len(groups) == num_groups
+        assert [m for g in groups for m in g.machines] == cluster.machines
+        total = sum(weights)
+        for i, end in enumerate(boundaries[:-1]):
+            reserved = len(cluster.machines) - end == num_groups - 1 - i
+            assert reserved or sum(weights[:end]) >= total * (i + 1) / num_groups
+
+    def test_balanced_boundaries_on_equal_weights(self):
+        assert _balanced_boundaries([1.0] * 8, 4) == [2, 4, 6, 8]
+        assert _balanced_boundaries([1.0] * 8, 8) == list(range(1, 9))
+        assert _balanced_boundaries([0.0] * 3, 3) == [1, 2, 3]
 
     def test_split_groups_end_at_the_boundaries(self):
         cluster = heterogeneous_testbed(num_gpus=32)  # v1 | p1 p2 p3
-        partition = cluster.split([1, 4])
-        assert [[m.name for m in g.machines] for g in partition.groups] == [
+        groups = cluster.split([1, 4])
+        assert [[m.name for m in g.machines] for g in groups] == [
             ["v1"], ["p1", "p2", "p3"]
         ]
-        assert cluster.split((4,)).groups[0].machines == cluster.machines
+        assert cluster.split((4,))[0].machines == cluster.machines
 
     @pytest.mark.parametrize(
         "boundaries",
@@ -670,7 +676,7 @@ class TestHierarchicalPlanner:
         assert plan.num_microbatches > config.max_stages
         # GPipe at the very same microbatch count exceeds device memory.
         times = profile_stages(plan.stages, planner._profile_chunk, planner._profile_memo)
-        network = plan.partition.inter_group_network
+        network = plan.cluster.network
         gpipe = get_schedule("gpipe").simulate(
             times, plan.num_microbatches, network.bandwidth, network.latency
         )
@@ -717,7 +723,7 @@ class TestHierarchicalPlanner:
         assert plan.num_stages == 2
         combos = plan.schedule_candidate_times
         times = profile_stages(plan.stages, planner._profile_chunk, planner._profile_memo)
-        network = plan.partition.inter_group_network
+        network = plan.cluster.network
         retried = set()
         for stages, name, m, rc in combos:
             assert (stages, name, m, False) in combos
@@ -835,6 +841,68 @@ class TestChunkPlanner:
         assert sim.schedule.recompute == plan.recompute
         assert len(sim.stage_times) == plan.num_stages
         assert sim.schedule.peak_inflight == plan.schedule.peak_inflight
+
+    def test_replacing_the_schedule_alone_reschedules_the_plan(self, monkeypatch):
+        # ``schedule`` is the plan's one record of its schedule choice: swap
+        # in another schedule, microbatch count and recomputation choice,
+        # and every reader follows it.
+        from repro.runtime.spmd import HierarchicalExecutor
+        from repro.verify import verify_plan
+
+        forward = build_tiny_transformer()
+        planner = HierarchicalPlanner(forward, make_cluster(), hier_config())
+        plan = planner.build_candidate(2)
+        # The planner prices over the cluster's own network.
+        assert plan.schedule == rescheduled(
+            planner, plan, plan.schedule_name, plan.num_microbatches, plan.recompute
+        )
+        (name,) = [n for n in SCHEDULE_NAMES if n != plan.schedule_name]
+        m = max(c for c in planner._microbatch_candidates() if c != plan.num_microbatches)
+        result = rescheduled(planner, plan, name, m, not plan.recompute)
+        assert memory_verdict(plan.stages, result.peak_stash)[0] == plan.fits_memory
+        swapped = dataclasses.replace(plan, schedule=result)
+        assert (
+            swapped.schedule_name,
+            swapped.num_microbatches,
+            swapped.recompute,
+            swapped.estimated_time,
+        ) == (name, m, not plan.recompute, result.total)
+        report = verify_plan(swapped, forward)
+        assert report.ok, report.describe()
+        sim = simulate_hierarchical(swapped, iterations=1, seed=0).schedule
+        assert (sim.schedule, sim.num_microbatches, sim.recompute) == (
+            name, m, not plan.recompute
+        )
+        executor = HierarchicalExecutor(swapped)
+        assert executor.num_microbatches == m
+        executed = [[] for _ in range(executor.num_stages)]
+        run_forward, run_backward = executor._forward_task, executor._backward_task
+
+        def forward_task(k, *args):
+            executed[k].append(("F", args[-1]))
+            return run_forward(k, *args)
+
+        def backward_task(k, *args):
+            executed[k].append(("B", args[-1]))
+            return run_backward(k, *args)
+
+        monkeypatch.setattr(executor, "_forward_task", forward_task)
+        monkeypatch.setattr(executor, "_backward_task", backward_task)
+        executor.run(bindings_for(build_training_graph(forward).graph, seed=5))
+        assert executed == get_schedule(name).task_orders(executor.num_stages, m)
+
+    def test_plan_fields_state_each_decision_once(self):
+        assert [f.name for f in dataclasses.fields(HierarchicalPlan)] == [
+            "cluster",
+            "stages",
+            "cut",
+            "schedule",
+            "fits_memory",
+            "candidate_times",
+            "schedule_candidate_times",
+            "batch_size",
+            "reuse_stats",
+        ]
 
     def test_resident_state_splits_by_sharding_ratio(self):
         # With no stash, the per-device peaks of a stage add up to one

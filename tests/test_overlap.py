@@ -111,7 +111,7 @@ class TestClusterOverlapEfficiency:
             comm_overlap_efficiency=0.25,
         )
         assert all(
-            g.comm_overlap_efficiency == 0.25 for g in tweaked.partition(2).groups
+            g.comm_overlap_efficiency == 0.25 for g in tweaked.split([1, len(tweaked.machines)])
         )
 
 

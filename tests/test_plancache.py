@@ -19,6 +19,7 @@ import pytest
 from repro.autodiff import build_training_graph
 from repro.cluster import ClusterSpec, Machine, NetworkSpec, device_type
 from repro.core import (
+    CACHE_VERSION,
     CachedPlan,
     DiskPlanCache,
     HAPPlanner,
@@ -39,6 +40,7 @@ from repro.graph import (
 from repro.hap import hap_pipeline
 from repro.models import MODEL_NAMES, build_tiny_model
 from repro.runtime import SingleDeviceExecutor, run_hierarchical_plan
+from repro.simulator import simulate_hierarchical
 from repro.verify import verify_plan, verify_program
 
 from .conftest import (
@@ -404,6 +406,31 @@ class TestHierarchicalIntegration:
         (path,) = tmp_path.glob("*.plan")
         entry = pickle.loads(path.read_bytes())
         assert len(entry.chunk_orders) == len(plan.stages)
+
+    def test_disk_whole_plan_hit_round_trips(self, tmp_path):
+        """A whole plan read back from disk has the current layout (no
+        ``partition``: a stage's machine group is its ``subcluster``) and
+        simulates to the same total as the plan that was stored."""
+        assert CACHE_VERSION == 15
+        forward = build_mlp()
+        cluster = _two_group_cluster()
+        config = HierarchicalConfig(planner=small_planner_config(), max_stages=2)
+        stored = HierarchicalPlanner(
+            forward, cluster, dataclasses.replace(config, plan_cache=DiskPlanCache(str(tmp_path)))
+        ).plan()
+        hit = HierarchicalPlanner(
+            forward, cluster, dataclasses.replace(config, plan_cache=DiskPlanCache(str(tmp_path)))
+        ).plan()
+        assert hit.reuse_stats["whole_plan_hit"] == 1
+        assert hit.num_stages == stored.num_stages == 2
+        assert not hasattr(hit, "partition")
+        assert [s.subcluster.name for s in hit.stages] == [
+            s.subcluster.name for s in stored.stages
+        ]
+        assert (
+            simulate_hierarchical(hit, seed=0).total
+            == simulate_hierarchical(stored, seed=0).total
+        )
 
     def test_other_max_stages_misses_and_replans(self, tmp_path):
         """A renamed model under another ``max_stages`` misses the whole

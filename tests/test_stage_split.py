@@ -18,6 +18,7 @@ import pytest
 
 from benchmarks.e2e import workloads
 from repro.core import HierarchicalConfig, HierarchicalPlanner
+from repro.core.hierarchical import _compute_ratios
 from repro.graph import pipeline_cut
 
 WORKLOADS = ("hetero-pipeline", "moe-memory")
@@ -31,8 +32,8 @@ def _planner(workload: str) -> HierarchicalPlanner:
     return HierarchicalPlanner(forward, cluster, HierarchicalConfig(intra_group_network=intra))
 
 
-def _boundaries(partition) -> Tuple[int, ...]:
-    return tuple(accumulate(len(group.machines) for group in partition.groups))
+def _boundaries(groups) -> Tuple[int, ...]:
+    return tuple(accumulate(len(group.machines) for group in groups))
 
 
 def _exhaustive_best(
@@ -44,11 +45,11 @@ def _exhaustive_best(
     ranked = []
     for ends in combinations(range(1, n), num_stages - 1):
         boundaries = (*ends, n)
-        partition = cluster.split(boundaries, planner.config.intra_group_network)
-        cut = pipeline_cut(planner.forward, partition.compute_ratios())
+        groups = cluster.split(boundaries, planner.config.intra_group_network)
+        cut = pipeline_cut(planner.forward, _compute_ratios(groups))
         if cut.num_stages < num_stages or min(cut.stage_flops) == 0:
             continue  # the planner cannot build this split
-        monkeypatch.setattr(planner, "_candidate_partition", lambda s, p=partition: p)
+        monkeypatch.setattr(planner, "_candidate_partition", lambda s, g=groups: g)
         candidate = planner.build_candidate(num_stages)
         monkeypatch.undo()
         assert candidate is not None
@@ -75,8 +76,8 @@ def test_no_candidate_has_a_zero_flop_stage(workload, monkeypatch):
     built = []
     build_stages = planner._build_stages
 
-    def recording(partition):
-        result = build_stages(partition)
+    def recording(groups):
+        result = build_stages(groups)
         if result is not None:
             built.append(result[0])
         return result

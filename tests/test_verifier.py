@@ -3,8 +3,8 @@
 Positive direction: every registry model's graph IR (forward, training, and
 planner-cut chunk graphs) must check clean, and every hierarchically planned
 program, plan and schedule must verify clean (and the ``verify_after_plan``
-hooks — on suite-wide via ``REPRO_VERIFY`` — mean every *other* test's plans
-are verified too).  Negative direction: every seeded corruption from the
+switch — on suite-wide via ``REPRO_VERIFY`` — means every *other* test's
+plans are verified too).  Negative direction: every seeded corruption from the
 mutation harness must be caught with its expected diagnostic code, every
 performance lint must fire on its deliberately-bad fixture plan and stay
 silent on a clean one, and a cache entry hand-corrupted on disk must be
@@ -232,16 +232,23 @@ class TestVerifyAfterPlan:
     def test_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY", "0")
         assert not verify_default()
-        assert not HierarchicalConfig().verify_after_plan
-        assert not SynthesisConfig().verify_after_plan
+        assert not HierarchicalConfig().planner.synthesis.verify_after_plan
         monkeypatch.setenv("REPRO_VERIFY", "1")
-        assert HierarchicalConfig().verify_after_plan
-        assert SynthesisConfig().verify_after_plan
+        assert HierarchicalConfig().planner.synthesis.verify_after_plan
 
     def test_suite_runs_with_verifier_on(self):
-        # tests/conftest.py turns the flag on suite-wide: every plan built by
-        # any test goes through the verifier (this is the positive corpus).
-        assert HierarchicalConfig().verify_after_plan
+        # tests/conftest.py turns the switch on suite-wide: every plan built
+        # by any test goes through the verifier (this is the positive corpus).
+        assert SynthesisConfig().verify_after_plan
+
+    def test_one_switch_gates_the_hierarchical_checks(self, bert_forward):
+        # The hierarchical planner's forward-graph check follows the chunk
+        # planners' switch: off, a corrupt forward graph is not checked.
+        mutated, _ = GRAPH_MUTATIONS["dangle_input"](bert_forward)
+        quiet = PlannerConfig(
+            max_rounds=1, synthesis=SynthesisConfig(beam_width=8, verify_after_plan=False)
+        )
+        HierarchicalPlanner(mutated, two_group_cluster(), hier_config(planner=quiet))
 
     def test_error_carries_report(self):
         from repro.verify.base import Diagnostic, VerificationReport
@@ -536,16 +543,13 @@ class TestLint:
                 return
         pytest.fail("sharded_plan has no collective to flip")
 
-    def test_verify_plan_folds_lint_in(self, bert_plan, bert_forward):
+    def test_verify_plan_leaves_linting_to_lint_plan(self, bert_plan, bert_forward):
         bad = copy.deepcopy(bert_plan)
         bad.schedule.exposed_transfer = 0.5 * bad.schedule.total
         report = verify_plan(bad, bert_forward)
-        assert report.ok  # still no error-severity findings
-        assert "W002" in report.codes()
-        assert any("lint" in d.location for d in report.warnings)
-        # Opting out skips the W passes entirely.
-        quiet = verify_plan(bad, bert_forward, lint=False)
-        assert not [c for c in quiet.codes() if c.startswith("W")]
+        assert report.ok, report.describe()  # no error-severity findings
+        assert not [c for c in report.codes() if c.startswith("W")]
+        assert "W002" in lint_plan(bad).codes()
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +595,10 @@ class TestVerifyCli:
 
     def test_planner_hooks_are_off(self, monkeypatch):
         # The CLI runs the checks itself, so neither the hierarchical hook
-        # nor any chunk planner's hook may verify the plan a second time.
+        # nor any chunk planner's hook may verify the plan a second time:
+        # one switch turns both off.
         monkeypatch.setenv("REPRO_VERIFY", "1")
         config = verify_cli._config(8)
-        assert config.verify_after_plan is False
         assert config.planner.synthesis.verify_after_plan is False
 
     def test_json_output_is_machine_readable(self, monkeypatch, capsys):
