@@ -5,8 +5,10 @@ plan: the estimated time of every stage count (``candidate_times``) and of
 every (stage count, schedule, microbatches, recompute) combination
 (``schedule_candidate_times``), both as ``float.hex`` so the comparison is
 bit-exact, plus the winner's schedule name, stage and microbatch counts,
-machines per stage and memory verdict.  Refactors of the theory, the
-synthesizer or the schedule search must leave these records unchanged.
+machines per stage and memory verdict, and the winner's simulated iteration
+time (``simulate_hierarchical(plan, seed=0).total``, also ``float.hex``).
+Refactors of the theory, the synthesizer, the schedule search or the
+simulator must leave these records unchanged.
 
 The two problems are the end-to-end benchmark's (``benchmarks/e2e``):
 
@@ -33,6 +35,7 @@ import pytest
 from benchmarks.e2e import workloads
 from repro.cluster import memory_constrained_testbed
 from repro.core import cluster_signature
+from repro.simulator import simulate_hierarchical
 
 GOLDEN = Path(__file__).with_name("golden") / "selection.json"
 
@@ -59,6 +62,7 @@ def selection_record(problem: str) -> Dict[str, Any]:
         "stage_machines": [len(stage.subcluster.machines) for stage in plan.stages],
         "num_microbatches": plan.num_microbatches,
         "fits_memory": plan.fits_memory,
+        "simulated_total": simulate_hierarchical(plan, seed=0).total.hex(),
     }
 
 

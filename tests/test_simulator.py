@@ -121,6 +121,16 @@ class TestSimulator:
         result = simulate_plan(plan, four_device_cluster, iterations=2)
         assert result.total > 0
 
+    def test_simulated_time_is_pinned(self, four_device_cluster, small_planner_config):
+        """One small flat plan's simulated time, bit for bit (``float.hex``):
+        a refactor of the simulator's pricing must leave it unchanged."""
+        from repro.core import HAPPlanner
+
+        training = build_training_graph(build_mlp(batch=32)).graph
+        plan = HAPPlanner(training, four_device_cluster, small_planner_config).plan()
+        total = simulate_plan(plan, four_device_cluster, iterations=2, seed=0).total
+        assert total.hex() == "0x1.6f67eea4b71a8p-12"
+
     def test_rejects_a_cluster_of_the_wrong_size(self, dp_program_and_cluster, two_device_cluster):
         """A 4-device program replayed on 2 devices (or the reverse) is refused
         with both device counts named, not silently priced on the wrong devices."""
