@@ -139,6 +139,11 @@ class CostModel:
             overlap every method prices at (:attr:`overlap`).
     """
 
+    #: Fixed seconds :meth:`phase_profile` charges per synchronisation stage
+    #: (the planner's model charges none; the simulator's charges its
+    #: framework overhead).
+    per_stage_overhead: float = 0.0
+
     def __init__(self, graph: ComputationGraph, cluster: ClusterSpec) -> None:
         self.graph = graph
         self.cluster = cluster
@@ -250,9 +255,6 @@ class CostModel:
         program: DistributedProgram,
         ratios: Sequence[float],
         forward_nodes,
-        comp_times_fn=None,
-        comm_time_fn=None,
-        per_stage_overhead: float = 0.0,
     ) -> Dict[str, float]:
         """Split a program's estimated time into pipeline phases.
 
@@ -262,9 +264,11 @@ class CostModel:
         :meth:`~repro.core.program.DistributedProgram.instruction_phases`):
         per-stage communication goes to the collective's phase, and the
         per-device computation vectors are accumulated — and maxed — per
-        phase.  The execution simulator injects its richer per-instruction
-        models through ``comp_times_fn`` / ``comm_time_fn`` so planner
-        estimates and simulator measurements share one decomposition.
+        phase, plus :attr:`per_stage_overhead` per stage.  The execution
+        simulator's cost model overrides :meth:`comp_times`,
+        :meth:`comm_time` and :attr:`per_stage_overhead` with its richer
+        prices, so planner estimates and simulator measurements share one
+        decomposition.
 
         With a non-zero overlap efficiency the part of each stage's
         collective that hides behind the stage's own *independent* compute
@@ -285,8 +289,6 @@ class CostModel:
         Returns:
             ``{"forward": s, "backward": s, "sync": s}`` in seconds.
         """
-        comp_times_fn = comp_times_fn or self.comp_times
-        comm_time_fn = comm_time_fn or self.comm_time
         e = self.overlap
         phases = program.instruction_phases(forward_nodes)
         phase_of = {id(instr): p for instr, p in zip(program.instructions, phases)}
@@ -297,7 +299,7 @@ class CostModel:
             comm_t = 0.0
             if stage.comm is not None:
                 stage_phase = phase_of[id(stage.comm)]
-                comm_t = comm_time_fn(stage.comm, ratios)
+                comm_t = self.comm_time(stage.comm, ratios)
                 buckets[stage_phase] += comm_t
             vectors: Dict[str, List[float]] = {}
             comm_phase = stage_phase
@@ -310,7 +312,7 @@ class CostModel:
                 if stage_phase is None:
                     stage_phase = phase
                 vec = vectors.setdefault(phase, [0.0] * m)
-                times = comp_times_fn(comp, ratios)
+                times = self.comp_times(comp, ratios)
                 for j, t in enumerate(times):
                     vec[j] += t
                 if (
@@ -335,7 +337,7 @@ class CostModel:
                 )
                 hidden = max(window) + comm_t - dual
                 buckets[comm_phase] -= max(hidden, 0.0)
-            buckets[stage_phase or "forward"] += per_stage_overhead
+            buckets[stage_phase or "forward"] += self.per_stage_overhead
         return buckets
 
     # -- LP-facing linearisation ---------------------------------------------------

@@ -26,7 +26,7 @@ from .costmodel import CostBreakdown, CostModel
 from .load_balancer import LoadBalancer
 from .program import DistributedProgram
 from .rules import build_theory
-from .synthesizer import ProgramSynthesizer, SynthesisResult
+from .synthesizer import ProgramSynthesizer
 
 #: Relative cost improvement below which the (Q, B) alternation stops.  Known
 #: defect: the previous cost starts at ``inf``, so round 1 always passes this
@@ -59,14 +59,12 @@ class HAPPlan:
             iterates this field row by row.  Read :attr:`flat_ratios`.
         estimated_time: cost-model estimate of the per-iteration time.
         rounds: per-round optimisation history.
-        synthesis: statistics of the final synthesis run.
     """
 
     program: DistributedProgram
     ratios: List[List[float]]
     estimated_time: CostBreakdown
     rounds: List[OptimizationRound]
-    synthesis: SynthesisResult
 
     @property
     def flat_ratios(self) -> List[float]:
@@ -124,17 +122,14 @@ class HAPPlanner:
     def plan(self) -> HAPPlan:
         """Run the iterative optimisation and return the best (Q, B) pair."""
         ratios = list(self.cluster.proportional_ratios())
-        best: Optional[
-            Tuple[DistributedProgram, List[float], CostBreakdown, SynthesisResult]
-        ] = None
+        best: Optional[Tuple[DistributedProgram, List[float], CostBreakdown]] = None
         rounds: List[OptimizationRound] = []
         previous_cost = float("inf")
 
         for round_index in range(self.config.max_rounds):
             synth_start = _time.perf_counter()
-            synthesis = self.synthesizer.synthesize(ratios)
+            program = self.synthesizer.synthesize(ratios).program
             synth_seconds = _time.perf_counter() - synth_start
-            program = synthesis.program
             ratios_q = ratios
 
             balance_start = _time.perf_counter()
@@ -159,7 +154,7 @@ class HAPPlanner:
             )
 
             if best is None or cost_b.total < best[2].total:
-                best = (program, list(ratios), cost_b, synthesis)
+                best = (program, list(ratios), cost_b)
 
             improvement = previous_cost - cost_b.total
             if improvement <= CONVERGENCE_TOLERANCE * max(previous_cost, 1e-12):
@@ -167,23 +162,17 @@ class HAPPlanner:
             previous_cost = cost_b.total
 
         assert best is not None  # at least one round always runs
-        program, ratios, cost, synthesis = best
+        program, ratios, cost = best
         return self.verified(
-            HAPPlan(
-                program=program,
-                ratios=[ratios],
-                estimated_time=cost,
-                rounds=rounds,
-                synthesis=synthesis,
-            )
+            HAPPlan(program=program, ratios=[ratios], estimated_time=cost, rounds=rounds)
         )
 
     def plan_at(self, ratios: Sequence[float]) -> HAPPlan:
         """One synthesis at the fixed ``ratios``, with no load balancing."""
         ratios = list(ratios)
-        synthesis = self.synthesizer.synthesize(ratios)
-        cost = self.cost_model.evaluate(synthesis.program, ratios)
-        return self.verified(HAPPlan(synthesis.program, [ratios], cost, [], synthesis))
+        program = self.synthesizer.synthesize(ratios).program
+        cost = self.cost_model.evaluate(program, ratios)
+        return self.verified(HAPPlan(program, [ratios], cost, []))
 
     def verified(self, plan: HAPPlan) -> HAPPlan:
         """Return ``plan`` after the ``verify_after_plan`` program check.

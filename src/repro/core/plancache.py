@@ -61,7 +61,7 @@ import hashlib
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
@@ -116,7 +116,9 @@ from .properties import Property
 #: (``num_microbatches``, ``estimated_time``, ``schedule_name``,
 #: ``recompute``, ``microbatch_overhead``), so the pickled plan layout
 #: changed.
-CACHE_VERSION = 15
+#: v16: ``HAPPlan`` lost ``synthesis`` (its program is ``program``), so the
+#: pickled plan layout changed.
+CACHE_VERSION = 16
 
 #: Configuration fields excluded from cache keys: the cache itself and the
 #: static-verifier flag (verification never changes the plan).
@@ -257,7 +259,6 @@ def remap_plan(
         ratios=[list(r) for r in plan.ratios],
         estimated_time=plan.estimated_time,
         rounds=list(plan.rounds),
-        synthesis=replace(plan.synthesis, program=program),
     )
 
 

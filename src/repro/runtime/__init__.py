@@ -2,7 +2,6 @@
 
 from .single import SingleDeviceExecutor, init_parameters
 from .spmd import (
-    BoundaryChannel,
     HierarchicalExecutor,
     HierarchicalResult,
     SPMDExecutor,
@@ -14,7 +13,6 @@ from .spmd import (
 __all__ = [
     "SingleDeviceExecutor",
     "init_parameters",
-    "BoundaryChannel",
     "SPMDExecutor",
     "SPMDResult",
     "run_plan",

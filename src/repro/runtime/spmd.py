@@ -12,6 +12,12 @@ The runtime is the semantic ground truth used by the test suite: for any
 synthesized program, the loss and the updated parameters it produces must
 match the single-device execution of the original training graph (up to
 floating-point reduction-order noise).
+
+:class:`HierarchicalExecutor` runs a pipeline plan the same way: one
+:class:`SPMDExecutor` per stage, microbatch tasks in exactly the order the
+plan's own schedule names (:func:`~repro.simulator.schedule.task_orders`
+at the plan's microbatch count), and boundary activations and gradients
+handed from task to task.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from ..core.program import DistributedProgram
 from ..core.properties import DistState, Property
 from ..graph.graph import ComputationGraph, GraphError
 from ..graph.tensor import shard_sizes
+from ..simulator.schedule import task_orders
 from .kernels import KERNELS
 
 
@@ -40,12 +47,10 @@ class SPMDResult:
         loss: the global scalar loss (partial losses summed across ranks when
             the loss is held in a partial state).
         outputs: per-output global tensors, reassembled from the ranks.
-        per_rank_bytes: rough per-rank memory footprint of live tensors.
     """
 
     loss: Optional[float]
     outputs: Dict[str, np.ndarray]
-    per_rank_bytes: List[int]
 
 
 class SPMDExecutor:
@@ -158,14 +163,14 @@ class SPMDExecutor:
             loss = self._gather_ref(self.graph.loss)
             if loss is not None:
                 loss_value = float(loss)
-        per_rank = [0] * self.world
-        for (_ref, _state), arrays in self._env.items():
-            for j, arr in enumerate(arrays):
-                per_rank[j] += arr.nbytes
-        return SPMDResult(loss=loss_value, outputs=outputs, per_rank_bytes=per_rank)
+        return SPMDResult(loss=loss_value, outputs=outputs)
 
     def _gather_ref(self, ref: str) -> Optional[np.ndarray]:
-        """Reassemble the global value of a reference tensor from any state."""
+        """Reassemble the global value of a reference tensor from any state.
+
+        Not limited to the graph's marked outputs: the hierarchical runtime
+        harvests raw per-parameter gradients with it.
+        """
         for (name, state), arrays in self._env.items():
             if name != ref:
                 continue
@@ -177,15 +182,6 @@ class SPMDExecutor:
                 parts = [a for a in arrays if a.size > 0]
                 return np.concatenate(parts, axis=state.dim)
         return None
-
-    def gather(self, ref: str) -> Optional[np.ndarray]:
-        """Global value of any tensor produced by the most recent :meth:`run`.
-
-        Unlike :class:`SPMDResult` outputs this is not limited to the graph's
-        marked outputs; the hierarchical runtime uses it to harvest raw
-        per-parameter gradients for cross-microbatch accumulation.
-        """
-        return self._gather_ref(ref)
 
     # -- computation instructions -------------------------------------------------------
     def _run_comp(self, instr: CompInstruction, bindings: Mapping[str, np.ndarray]) -> None:
@@ -410,94 +406,6 @@ def run_plan(
 # Hierarchical (pipeline-over-SPMD) execution
 # ---------------------------------------------------------------------------
 
-class BoundaryChannel:
-    """Double-buffered boundary handoff between pipeline tasks.
-
-    The emulation analogue of asynchronous sends on a stage's communication
-    stream: a task *issues* its boundary payload (activations downstream,
-    gradient contributions upstream) the moment it completes and immediately
-    frees its compute stream for the next task in its schedule order; the
-    receiving task *drains* the payloads of its microbatch when it starts.
-    Between issue and drain the payload is in flight — with a 1F1B steady
-    state the sender typically runs the compute for microbatch ``k + 1``
-    while microbatch ``k``'s output is still undelivered, which is exactly
-    the task order the schedule simulator times.
-
-    The channel records an event log (``("send"|"drain", kind, stage,
-    microbatch)``) and the peak number of simultaneously in-flight payloads,
-    so tests can assert the double-buffered ordering and the extra buffer
-    occupancy it costs.
-    """
-
-    def __init__(self) -> None:
-        #: microbatch -> ref -> activation payload awaiting delivery.
-        self._acts: Dict[int, Dict[str, np.ndarray]] = {}
-        #: microbatch -> ref -> list of gradient contributions awaiting
-        #: delivery (several downstream consumers may send for the same ref).
-        self._grads: Dict[int, Dict[str, List[np.ndarray]]] = {}
-        self.events: List[Tuple[str, str, int, int]] = []
-        self.inflight_payloads = 0
-        self.peak_inflight_payloads = 0
-
-    def send_activations(
-        self, stage: int, microbatch: int, payload: Mapping[str, np.ndarray]
-    ) -> None:
-        """Issue a forward task's boundary activations without blocking."""
-        store = self._acts.setdefault(microbatch, {})
-        for ref, value in payload.items():
-            store[ref] = value
-            self.inflight_payloads += 1
-        self.peak_inflight_payloads = max(
-            self.peak_inflight_payloads, self.inflight_payloads
-        )
-        self.events.append(("send", "act", stage, microbatch))
-
-    def send_gradients(
-        self, stage: int, microbatch: int, payload: Mapping[str, np.ndarray]
-    ) -> None:
-        """Issue a backward task's upstream gradient contributions."""
-        store = self._grads.setdefault(microbatch, {})
-        for ref, value in payload.items():
-            store.setdefault(ref, []).append(value)
-            self.inflight_payloads += 1
-        self.peak_inflight_payloads = max(
-            self.peak_inflight_payloads, self.inflight_payloads
-        )
-        self.events.append(("send", "grad", stage, microbatch))
-
-    def drain(
-        self,
-        stage: int,
-        microbatch: int,
-        activations: Dict[str, np.ndarray],
-        grads: Dict[str, np.ndarray],
-    ) -> None:
-        """Deliver every in-flight payload of ``microbatch`` to the consumer.
-
-        Gradient contributions for the same reference are summed on
-        delivery, mirroring the accumulation the blocking handoff performed
-        at send time.
-        """
-        acts = self._acts.pop(microbatch, None)
-        if acts:
-            self.inflight_payloads -= len(acts)
-            activations.update(acts)
-        pending = self._grads.pop(microbatch, None)
-        if pending:
-            for ref, contributions in pending.items():
-                self.inflight_payloads -= len(contributions)
-                total = contributions[0]
-                for extra in contributions[1:]:
-                    total = total + extra
-                grads[ref] = grads[ref] + total if ref in grads else total
-        self.events.append(("drain", "any", stage, microbatch))
-
-    @property
-    def drained(self) -> bool:
-        """True when nothing is left in flight (end-of-iteration invariant)."""
-        return not self._acts and not self._grads
-
-
 @dataclass
 class HierarchicalResult:
     """Result of one emulated iteration of a hierarchical plan.
@@ -510,13 +418,11 @@ class HierarchicalResult:
         outputs: the updated parameters keyed by their chunk's update-node
             name, plus the loss under the loss-node name.  Boundary
             activations and gradients are not reassembled.
-        per_stage_rank_bytes: per-stage per-rank memory footprints.
     """
 
     loss: Optional[float]
     updated_parameters: Dict[str, np.ndarray]
     outputs: Dict[str, np.ndarray]
-    per_stage_rank_bytes: List[List[int]]
 
 
 class HierarchicalExecutor:
@@ -538,15 +444,17 @@ class HierarchicalExecutor:
        it sends upstream.
 
     The mini-batch is split into the plan's ``m`` microbatches along the
-    leading dimension (``m`` falls back to 1 when it does not divide the
-    global batch; one microbatch is the whole batch, run through the same
-    loop) and the tasks execute **in the plan's schedule order**, resolved
-    one task at a time through the same dependency rules as the schedule
-    simulator, with boundary handoff double-buffered through a
-    :class:`BoundaryChannel`.  The task order only affects timing, not
-    numerics: per-parameter gradients are accumulated across microbatches
-    (per stage the backward tasks run in microbatch order, so the
-    accumulation order matches a sequential sweep) and the SGD update is
+    leading dimension (``m`` falls back to 1 when the plan's batch size is
+    unknown or not divisible by ``m``, as a plan read from a disk cache may
+    be; one microbatch is the whole batch, run through the same loop)
+    and the tasks execute **in the plan's schedule order**
+    (:func:`~repro.simulator.schedule.task_orders`), resolved one task at a
+    time through the same dependency rules as the schedule simulator.  Each
+    microbatch's handoffs live in that microbatch's activation and gradient
+    dicts until the consuming task runs.  The task order only affects
+    timing, not numerics: per-parameter gradients are accumulated across
+    microbatches (per stage the backward tasks run in microbatch order, so
+    the accumulation order matches a sequential sweep) and the SGD update is
     applied exactly once per iteration, mirroring the once-per-iteration
     gradient synchronisation of the simulated schedules.
     Because the IR's loss reductions are sums over the batch, the summed
@@ -559,23 +467,20 @@ class HierarchicalExecutor:
     matches single-device training up to floating-point reduction order.
     """
 
-    def __init__(self, plan, num_microbatches: Optional[int] = None) -> None:
+    def __init__(self, plan) -> None:
         self.plan = plan
         self.chunks = list(plan.stages)
         self.num_stages = len(self.chunks)
-        m = plan.num_microbatches if num_microbatches is None else num_microbatches
+        m = plan.num_microbatches
         batch = plan.batch_size
         if m > 1 and (batch is None or batch % m != 0):
             m = 1  # cannot split evenly: run the whole batch at once
-        self.num_microbatches = max(1, int(m))
-        scale = self.num_microbatches
-        hint = batch // scale if (batch is not None and scale > 1) else batch
+        self.num_microbatches = m
+        hint = batch // m if (batch is not None and m > 1) else batch
         self.executors = [
-            SPMDExecutor(chunk.program, chunk.ratios, batch_hint=hint, batch_scale=scale)
+            SPMDExecutor(chunk.program, chunk.ratios, batch_hint=hint, batch_scale=m)
             for chunk in self.chunks
         ]
-        #: Boundary channel of the most recent run (for inspection).
-        self.channel: Optional[BoundaryChannel] = None
 
     def _chunk_bindings(
         self,
@@ -632,83 +537,60 @@ class HierarchicalExecutor:
                     names.add(node.name)
         return names
 
-    def _record_bytes(
-        self, per_stage_bytes: List[List[int]], k: int, rank_bytes: Sequence[int]
-    ) -> None:
-        if per_stage_bytes[k]:
-            per_stage_bytes[k] = [
-                max(a, b) for a, b in zip(per_stage_bytes[k], rank_bytes)
-            ]
-        else:
-            per_stage_bytes[k] = list(rank_bytes)
-
     def _forward_task(
         self,
         k: int,
-        micro_bindings: Mapping[str, np.ndarray],
-        activations: Dict[str, np.ndarray],
-        per_stage_bytes: List[List[int]],
-        channel: BoundaryChannel,
-        microbatch: int,
+        j: int,
+        micro_bindings: Sequence[Mapping[str, np.ndarray]],
+        activations: Sequence[Dict[str, np.ndarray]],
     ) -> None:
-        """Run stage ``k``'s forward up to its boundary and issue the send.
-
-        The boundary activations are issued as an in-flight payload on the
-        :class:`BoundaryChannel`: the sender's next task may run before the
-        receiver drains it.
-        """
+        """Task ``("F", j)`` of stage ``k``: run the stage's forward for
+        microbatch ``j`` up to its boundary and hand the activations on."""
         chunk = self.chunks[k]
         if not chunk.info.boundary_outputs:
             return  # final stage: its forward is folded into the backward task
-        executor = self.executors[k]
-        result = executor.run(
-            self._chunk_bindings(chunk, micro_bindings, activations, None),
+        result = self.executors[k].run(
+            self._chunk_bindings(chunk, micro_bindings[j], activations[j], None),
             stop_after=chunk.info.boundary_outputs,
         )
-        self._record_bytes(per_stage_bytes, k, result.per_rank_bytes)
-        channel.send_activations(
-            k, microbatch, {ref: result.outputs[ref] for ref in chunk.info.boundary_outputs}
-        )
+        for ref in chunk.info.boundary_outputs:
+            activations[j][ref] = result.outputs[ref]
 
     def _backward_task(
         self,
         k: int,
-        micro_bindings: Mapping[str, np.ndarray],
-        activations: Dict[str, np.ndarray],
-        grads: Dict[str, np.ndarray],
+        j: int,
+        micro_bindings: Sequence[Mapping[str, np.ndarray]],
+        activations: Sequence[Dict[str, np.ndarray]],
+        grads: Sequence[Dict[str, np.ndarray]],
         gradients: Dict[str, np.ndarray],
-        per_stage_bytes: List[List[int]],
-        channel: BoundaryChannel,
-        microbatch: int,
     ) -> Optional[float]:
-        """Full run of stage ``k`` with downstream gradient seeds bound.
+        """Task ``("B", j)`` of stage ``k``: a full run of the stage for
+        microbatch ``j`` with the downstream gradient seeds bound.
 
-        Accumulates per-parameter gradients into ``gradients``, issues the
-        upstream boundary gradients through the double-buffered ``channel``
-        and frees the chunk's own handoffs — once its backward ran, every
-        downstream consumer of this microbatch is already done and drained.
+        Accumulates per-parameter gradients into ``gradients``, adds the
+        upstream boundary gradients into ``grads[j]`` and frees the chunk's
+        own handoffs — once its backward ran, every downstream consumer of
+        this microbatch is already done.
         """
         chunk = self.chunks[k]
         executor = self.executors[k]
+        mb_acts, mb_grads = activations[j], grads[j]
         result = executor.run(
-            self._chunk_bindings(chunk, micro_bindings, activations, grads)
+            self._chunk_bindings(chunk, micro_bindings[j], mb_acts, mb_grads)
         )
-        self._record_bytes(per_stage_bytes, k, result.per_rank_bytes)
         for param, grad_node in chunk.info.gradients.items():
-            value = executor.gather(grad_node)
+            value = executor._gather_ref(grad_node)
             if value is not None:
                 gradients[param] = (
                     value if param not in gradients else gradients[param] + value
                 )
-        upstream = {
-            ref: result.outputs[grad_node]
-            for ref, grad_node in chunk.info.grad_output_of.items()
-        }
-        if upstream:
-            channel.send_gradients(k, microbatch, upstream)
+        for ref, grad_node in chunk.info.grad_output_of.items():
+            value = result.outputs[grad_node]
+            mb_grads[ref] = mb_grads[ref] + value if ref in mb_grads else value
         for ref in chunk.info.boundary_outputs:
-            activations.pop(ref, None)
-            grads.pop(ref, None)
+            mb_acts.pop(ref, None)
+            mb_grads.pop(ref, None)
         return result.loss if chunk.info.loss is not None else None
 
     def run(self, bindings: Mapping[str, np.ndarray]) -> HierarchicalResult:
@@ -717,13 +599,10 @@ class HierarchicalExecutor:
         Tasks are executed one at a time in the schedule's task order; a
         stage's head task runs as soon as its dependencies are met (forward:
         upstream forward done; backward: own forward and downstream backward
-        done) — the same rules the schedule simulator times, minus
-        the clock.  Boundary handoff is double-buffered through a
-        :class:`BoundaryChannel`: a completed task issues its send and its
-        stage immediately proceeds to the next task in its order, draining
-        incoming payloads only when the consuming task actually starts — the
-        executed task order therefore matches the asynchronous-transfer model
-        the schedule simulator prices.
+        done) — the same rules the schedule simulator times, minus the
+        clock.  A stage therefore proceeds to its next task while the
+        handoff of its previous one still waits for its consumer, which is
+        the asynchronous-transfer order the schedule simulator prices.
 
         Args:
             bindings: global values for every placeholder and parameter of
@@ -749,17 +628,13 @@ class HierarchicalExecutor:
                     else:
                         mb[name] = arr
                 micro_bindings.append(mb)
-        from ..simulator.schedule import get_schedule
-
-        orders = get_schedule(self.plan.schedule_name).task_orders(s, m)
+        orders = task_orders(self.plan.schedule_name, s, m)
         activations: List[Dict[str, np.ndarray]] = [{} for _ in range(m)]
         grads: List[Dict[str, np.ndarray]] = [{} for _ in range(m)]
-        channel = self.channel = BoundaryChannel()
         done_f: set = set()
         done_b: set = set()
         heads = [0] * s
         remaining = sum(len(order) for order in orders)
-        per_stage_bytes: List[List[int]] = [[] for _ in range(s)]
         grad_sums: Dict[str, np.ndarray] = {}
         loss_total: Optional[float] = None
         while remaining:
@@ -770,26 +645,15 @@ class HierarchicalExecutor:
                     if kind == "F":
                         if i > 0 and (i - 1, j) not in done_f:
                             break
-                        channel.drain(i, j, activations[j], grads[j])
-                        self._forward_task(
-                            i, micro_bindings[j], activations[j], per_stage_bytes, channel, j
-                        )
+                        self._forward_task(i, j, micro_bindings, activations)
                         done_f.add((i, j))
                     else:
                         if (i, j) not in done_f or (
                             i != s - 1 and (i + 1, j) not in done_b
                         ):
                             break
-                        channel.drain(i, j, activations[j], grads[j])
                         loss = self._backward_task(
-                            i,
-                            micro_bindings[j],
-                            activations[j],
-                            grads[j],
-                            grad_sums,
-                            per_stage_bytes,
-                            channel,
-                            j,
+                            i, j, micro_bindings, activations, grads, grad_sums
                         )
                         if loss is not None:
                             loss_total = loss if loss_total is None else loss_total + loss
@@ -801,7 +665,6 @@ class HierarchicalExecutor:
                 raise GraphError(
                     f"pipeline task order deadlocked with {remaining} tasks left"
                 )
-        assert channel.drained, "boundary channel must be empty after the iteration"
 
         updated = self._apply_updates(bindings, grad_sums)
         # Per-iteration outputs: the updated parameters under their
@@ -813,12 +676,7 @@ class HierarchicalExecutor:
                 outputs[update_node] = updated[param]
             if chunk.info.loss is not None and loss_total is not None:
                 outputs[chunk.info.loss] = np.asarray(loss_total, dtype=np.float32)
-        return HierarchicalResult(
-            loss=loss_total,
-            updated_parameters=updated,
-            outputs=outputs,
-            per_stage_rank_bytes=per_stage_bytes,
-        )
+        return HierarchicalResult(loss=loss_total, updated_parameters=updated, outputs=outputs)
 
     def _apply_updates(
         self, bindings: Mapping[str, np.ndarray], gradients: Mapping[str, np.ndarray]
@@ -843,10 +701,6 @@ class HierarchicalExecutor:
         return updated
 
 
-def run_hierarchical_plan(
-    plan,
-    bindings: Mapping[str, np.ndarray],
-    num_microbatches: Optional[int] = None,
-) -> HierarchicalResult:
+def run_hierarchical_plan(plan, bindings: Mapping[str, np.ndarray]) -> HierarchicalResult:
     """Execute a :class:`~repro.core.hierarchical.HierarchicalPlan` once."""
-    return HierarchicalExecutor(plan, num_microbatches=num_microbatches).run(bindings)
+    return HierarchicalExecutor(plan).run(bindings)

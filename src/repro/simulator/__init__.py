@@ -11,14 +11,11 @@ from .engine import (
 )
 from .schedule import (
     SCHEDULE_NAMES,
-    GPipeSchedule,
-    OneFOneBSchedule,
-    PipelineSchedule,
     ScheduleResult,
     StageTimes,
-    get_schedule,
     profile_stages,
     simulate_pipeline,
+    task_orders,
 )
 
 __all__ = [
@@ -30,10 +27,7 @@ __all__ = [
     "HierarchicalSimulationResult",
     "simulate_hierarchical",
     "SCHEDULE_NAMES",
-    "PipelineSchedule",
-    "GPipeSchedule",
-    "OneFOneBSchedule",
-    "get_schedule",
+    "task_orders",
     "ScheduleResult",
     "StageTimes",
     "simulate_pipeline",

@@ -37,10 +37,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..cluster.spec import ClusterSpec
-from ..collectives.cost import CollectiveCostModel
 from ..core.costmodel import CostModel
 from ..core.instructions import CommInstruction, CompInstruction
 from ..core.program import DistributedProgram
+from ..graph.graph import ComputationGraph
 from ..graph.ops import OpKind
 from .schedule import ScheduleResult, StageTimes, profile_stages, simulate_pipeline
 
@@ -102,6 +102,53 @@ class SimulationResult:
     per_device_idle: List[float] = field(default_factory=list)
 
 
+class _SimulatedCostModel(CostModel):
+    """The simulator's per-instruction prices: the cost model's plus overheads.
+
+    Computation adds a memory-bandwidth bound for element-wise operators and
+    a kernel launch per instruction; collectives are slowed by congestion
+    and pay a launch; every synchronisation stage pays the framework's
+    :attr:`per_stage_overhead`.  Both :meth:`ExecutionSimulator.simulate`'s
+    replay and :meth:`ExecutionSimulator.profile_program` price through this
+    one model.
+    """
+
+    def __init__(
+        self, graph: ComputationGraph, cluster: ClusterSpec, overheads: OverheadModel
+    ) -> None:
+        super().__init__(graph, cluster)
+        self.overheads = overheads
+        self.per_stage_overhead = overheads.framework_per_stage
+
+    def comp_times(self, instr: CompInstruction, ratios: Sequence[float]) -> List[float]:
+        return [self._comp_time(instr, j, ratios[j]) for j in range(self.num_devices)]
+
+    def _comp_time(self, instr: CompInstruction, device_idx: int, ratio: float) -> float:
+        node = self.graph[instr.node]
+        share = ratio if instr.flops_sharded else 1.0
+        flops = self.node_flops(instr.node) * share
+        device = self.devices[device_idx]
+        compute_bound = flops / device.flops if flops else 0.0
+        # Element-wise / data-movement operators are bound by memory bandwidth.
+        bytes_touched = 3.0 * node.spec.size_bytes * share
+        memory_bound = bytes_touched / (self.overheads.memory_bandwidth * device.num_gpus)
+        kind = node.kind
+        if kind in (OpKind.MATMUL, OpKind.CONV, OpKind.CONV_GRAD_INPUT, OpKind.CONV_GRAD_WEIGHT):
+            base = compute_bound
+        elif kind is OpKind.SOURCE:
+            base = 0.0
+        else:
+            base = max(compute_bound, memory_bound)
+        base += self._intra_sync_time(instr, device_idx, share)
+        if kind is not OpKind.SOURCE:
+            base += self.overheads.kernel_launch
+        return base
+
+    def comm_time(self, instr: CommInstruction, ratios: Sequence[float]) -> float:
+        base = super().comm_time(instr, ratios)
+        return base * self.overheads.congestion + self.overheads.collective_launch
+
+
 class ExecutionSimulator:
     """Replays distributed programs on the modelled cluster.
 
@@ -124,46 +171,13 @@ class ExecutionSimulator:
         self.overheads = overheads or OverheadModel()
         import numpy as np
 
-        self.collectives = CollectiveCostModel(cluster)
         self.rng = np.random.default_rng(seed)
         self.overlap = cluster.comm_overlap_efficiency
-
-    # -- per-instruction times ------------------------------------------------------
-    def _comp_time(
-        self,
-        cost_model: CostModel,
-        instr: CompInstruction,
-        device_idx: int,
-        ratio: float,
-    ) -> float:
-        node = cost_model.graph[instr.node]
-        share = ratio if instr.flops_sharded else 1.0
-        flops = cost_model.node_flops(instr.node) * share
-        device = self.cluster.virtual_devices[device_idx]
-        compute_bound = flops / device.flops if flops else 0.0
-        # Element-wise / data-movement operators are bound by memory bandwidth.
-        bytes_touched = 3.0 * node.spec.size_bytes * share
-        memory_bound = bytes_touched / (self.overheads.memory_bandwidth * device.num_gpus)
-        kind = node.kind
-        if kind in (OpKind.MATMUL, OpKind.CONV, OpKind.CONV_GRAD_INPUT, OpKind.CONV_GRAD_WEIGHT):
-            base = compute_bound
-        elif kind is OpKind.SOURCE:
-            base = 0.0
-        else:
-            base = max(compute_bound, memory_bound)
-        base += cost_model._intra_sync_time(instr, device_idx, share)
-        if kind is not OpKind.SOURCE:
-            base += self.overheads.kernel_launch
-        return base
-
-    def _comm_time(self, cost_model: CostModel, instr: CommInstruction, ratios: Sequence[float]) -> float:
-        base = cost_model.comm_time(instr, ratios)
-        return base * self.overheads.congestion + self.overheads.collective_launch
 
     # -- per-program replay (simulate()'s deterministic core) -----------------------------
     def _replay_stages(
         self,
-        cost_model: CostModel,
+        cost_model: _SimulatedCostModel,
         program: DistributedProgram,
         ratios: Sequence[float],
     ):
@@ -173,7 +187,7 @@ class ExecutionSimulator:
         effect (kernel launches, memory-bandwidth bounds, congestion) is
         applied, but run-to-run noise is left to the caller, which draws it
         per stage.  (:meth:`profile_program` does not replay: it prices the
-        same per-instruction time models through
+        same :class:`_SimulatedCostModel` through
         :meth:`~repro.core.costmodel.CostModel.phase_profile`.)
         ``per_comp_times`` aligns with
         ``stage.comps`` and holds each computation's per-device times
@@ -185,16 +199,14 @@ class ExecutionSimulator:
         for stage in program.stages():
             comm = 0.0
             if stage.comm is not None:
-                comm = self._comm_time(cost_model, stage.comm, ratios)
+                comm = cost_model.comm_time(stage.comm, ratios)
             device_time = [0.0] * m
             per_comp: List[Optional[List[float]]] = []
             for comp in stage.comps:
                 if isinstance(comp, CommInstruction):
                     per_comp.append(None)  # local slice pseudo-collective
                     continue
-                times = [
-                    self._comp_time(cost_model, comp, j, ratios[j]) for j in range(m)
-                ]
+                times = cost_model.comp_times(comp, ratios)
                 per_comp.append(times)
                 for j, t in enumerate(times):
                     device_time[j] += t
@@ -226,7 +238,7 @@ class ExecutionSimulator:
                 raise ValueError(
                     f"{what} is for {n} device(s) but cluster {self.cluster.name!r} has {m}"
                 )
-        cost_model = CostModel(program.graph, self.cluster)
+        cost_model = _SimulatedCostModel(program.graph, self.cluster, self.overheads)
         e = self.overlap
         totals = []
         comm_total = comp_total = overhead_total = exposed_total = 0.0
@@ -246,7 +258,7 @@ class ExecutionSimulator:
                 replay.append((stage, comm, device_time, per_comp, factor, comp))
                 iter_comm += comm
                 iter_comp += comp
-                iter_overhead += self.overheads.framework_per_stage
+                iter_overhead += cost_model.per_stage_overhead
             if e == 0.0:
                 iter_exposed = iter_comm
             else:
@@ -257,7 +269,7 @@ class ExecutionSimulator:
             # timeline has no per-stage walls to report).
             scale = iter_exposed / iter_comm if iter_comm > 0 else 1.0
             iter_stages = [
-                comp + comm * scale + self.overheads.framework_per_stage
+                comp + comm * scale + cost_model.per_stage_overhead
                 for _stage, comm, _dt, _pc, _f, comp in replay
             ]
             totals.append(iter_comp + iter_exposed + iter_overhead)
@@ -332,25 +344,15 @@ class ExecutionSimulator:
 
         Splits the simulated per-iteration time of a pipeline-stage program
         into the ``{"forward", "backward", "sync"}`` phase buckets the
-        pipeline-schedule simulator consumes, using the same per-instruction
-        time models as :meth:`simulate` via
-        :meth:`~repro.core.costmodel.CostModel.phase_profile`.  The phases
+        pipeline-schedule simulator consumes: the phase split of
+        :meth:`~repro.core.costmodel.CostModel.phase_profile`, priced by the
+        same :class:`_SimulatedCostModel` as :meth:`simulate`.  The phases
         carry **exposed** communication: the part of each collective the
         simulator's dual-stream replay hides behind independent compute is
         subtracted from the collective's phase.
         """
-        cost_model = CostModel(program.graph, self.cluster)
-        return cost_model.phase_profile(
-            program,
-            ratios,
-            forward_nodes,
-            comp_times_fn=lambda instr, r: [
-                self._comp_time(cost_model, instr, j, r[j])
-                for j in range(self.cluster.num_devices)
-            ],
-            comm_time_fn=lambda instr, r: self._comm_time(cost_model, instr, r),
-            per_stage_overhead=self.overheads.framework_per_stage,
-        )
+        cost_model = _SimulatedCostModel(program.graph, self.cluster, self.overheads)
+        return cost_model.phase_profile(program, ratios, forward_nodes)
 
 
 def simulate_plan(plan, cluster: ClusterSpec, iterations: int = 3, seed: int = 0) -> SimulationResult:

@@ -2,8 +2,10 @@
 
 Flat HAP executes one SPMD program on the whole cluster; the hierarchical
 planner instead runs one SPMD program per machine group and pipelines
-microbatches through them.  This module simulates such an iteration for two
-schedules sharing one fill/steady/drain dependency engine:
+microbatches through them.  This module simulates such an iteration.  A
+schedule is nothing but its per-stage task order, :func:`task_orders`; one
+dependency engine, :func:`simulate_pipeline`, times any order.  The
+schedules are named in :data:`SCHEDULE_NAMES`:
 
 * ``gpipe`` — all microbatch forwards fill the pipeline front to back, all
   backwards drain it in reverse microbatch order.  Simple, but every stage
@@ -49,7 +51,7 @@ and one stage-profile assembly (:func:`profile_stages`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -188,202 +190,28 @@ def _validate_inputs(
         )
 
 
-class PipelineSchedule:
-    """Base class: one microbatch schedule over ``s`` pipeline stages.
+#: The schedules the planner searches over.
+SCHEDULE_NAMES = ["gpipe", "1f1b"]
 
-    Subclasses provide :meth:`task_orders` — for every stage, the
-    sequence of per-microbatch forward/backward tasks in execution order —
-    and the shared dependency engine in :meth:`simulate` computes start and
-    finish times, transfer load, bubble and stash peaks from it.
+
+def task_orders(schedule: str, num_stages: int, num_microbatches: int) -> List[List[_Task]]:
+    """Every stage's forward/backward tasks in ``schedule``'s execution order.
+
+    ``gpipe`` fills with all forwards and drains with all backwards in
+    reverse microbatch order; ``1f1b`` (PipeDream-flush / Megatron) warms
+    stage ``i`` up with ``min(s - 1 - i, m)`` forwards, then alternates one
+    forward with one backward.
+
+    Raises:
+        KeyError: ``schedule`` is not in :data:`SCHEDULE_NAMES`.
     """
-
-    name: str = "abstract"
-
-    # -- schedule-specific pieces -------------------------------------------------
-    def task_orders(self, num_stages: int, num_microbatches: int) -> List[List[_Task]]:
-        raise NotImplementedError
-
-    # -- shared dependency engine -------------------------------------------------
-    def simulate(
-        self,
-        stages: Sequence[StageTimes],
-        num_microbatches: int,
-        inter_group_bandwidth: float,
-        inter_group_latency: float = 0.0,
-        microbatch_overhead: float = 0.0,
-        recompute: bool = False,
-        overlap: float = 0.0,
-    ) -> ScheduleResult:
-        """Simulate one pipelined iteration over the given stages.
-
-        Per-microbatch forward/backward times of stage ``k`` are its
-        full-batch times divided by ``num_microbatches`` plus a fixed
-        ``microbatch_overhead`` (kernel-launch / scheduling cost that does
-        not shrink with the microbatch).  A transfer of the producing stage's
-        ``send_bytes / num_microbatches`` over the inter-group link separates
-        adjacent stages in both directions.  With one stage and one microbatch the schedule degenerates to
-        ``forward + backward + sync`` — the flat SPMD time.
-
-        Boundary transfers are asynchronous events on the sender's
-        communication stream: the sender's compute stream is free as soon as
-        the producing task ends (its next task runs while the output is in
-        flight), and with ``overlap > 0`` the send additionally streams out
-        during the tail of the producing task itself, so only
-        ``xfer - overlap * min(xfer, producer_time)`` separates the producer
-        from its consumer on the dependency edge.  ``overlap = 0`` reduces
-        exactly to the blocking model (the consumer waits the full transfer
-        after the producer finishes).
-        """
-        _validate_inputs(stages, num_microbatches, inter_group_bandwidth)
-        if not 0.0 <= overlap <= 1.0:
-            raise ValueError(f"overlap must be in [0, 1], got {overlap!r}")
-        s = len(stages)
-        m = num_microbatches
-
-        fwd = [st.forward / m + microbatch_overhead for st in stages]
-        bwd = [st.backward / m + microbatch_overhead for st in stages]
-        if recompute:
-            # Gradient checkpointing: re-run the stage forward before each
-            # backward so only the boundary input has to stay resident.
-            bwd = [b + f for b, f in zip(bwd, fwd)]
-
-        # Per-microbatch transfer time after stage k (k -> k+1), carrying the
-        # producing stage's boundary bytes.
-        xfer = [
-            inter_group_latency + (stages[k].send_bytes / m) / inter_group_bandwidth
-            for k in range(s - 1)
-        ]
-        # Exposed per-microbatch transfer on each dependency edge: the part of
-        # hop k's send that cannot stream out during its producing task.  The
-        # forward producer of hop k is stage k; the backward producer is
-        # stage k+1's backward.
-        hidden_f = [overlap * min(xfer[k], fwd[k]) for k in range(s - 1)]
-        hidden_b = [overlap * min(xfer[k], bwd[k + 1]) for k in range(s - 1)]
-        exposed_f = [x - h for x, h in zip(xfer, hidden_f)]
-        exposed_b = [x - h for x, h in zip(xfer, hidden_b)]
-
-        # Per-task stash bytes: without recomputation an in-flight microbatch
-        # holds the stage's activations; with recomputation only its boundary
-        # input (the previous stage's send) stays, and the activations are
-        # transiently rematerialised in its backward.
-        act_task = [st.activation_bytes / m for st in stages]
-        recv_task = [0.0] + [st.send_bytes / m for st in stages[:-1]]
-        stash_task = recv_task if recompute else act_task
-
-        orders = self.task_orders(s, m)
-        finish_f: Dict[Tuple[int, int], float] = {}
-        finish_b: Dict[Tuple[int, int], float] = {}
-        heads = [0] * s
-        busy = [0.0] * s
-        inflight = [0] * s
-        peak_inflight = [1 if m > 0 else 0 for _ in range(s)]
-        stash = [0.0] * s
-        peak_stash = [0.0] * s
-        remaining = sum(len(o) for o in orders)
-
-        def _ready_time(k: int, task: _Task) -> Optional[float]:
-            kind, j = task
-            if kind == "F":
-                if k == 0:
-                    return 0.0
-                dep = finish_f.get((k - 1, j))
-                return None if dep is None else dep + exposed_f[k - 1]
-            own = finish_f.get((k, j))
-            if own is None:
-                return None
-            if k == s - 1:
-                return own
-            dep = finish_b.get((k + 1, j))
-            return None if dep is None else max(own, dep + exposed_b[k])
-
-        while remaining:
-            best: Optional[Tuple[float, int, _Task]] = None
-            for i in range(s):
-                if heads[i] >= len(orders[i]):
-                    continue
-                task = orders[i][heads[i]]
-                ready = _ready_time(i, task)
-                if ready is None:
-                    continue
-                start = max(ready, busy[i])
-                if best is None or start < best[0]:
-                    best = (start, i, task)
-            if best is None:  # pragma: no cover - defensive (orders are valid)
-                raise RuntimeError(
-                    f"pipeline schedule {self.name!r} deadlocked with "
-                    f"{remaining} tasks left (s={s}, m={m})"
-                )
-            start, k, (kind, j) = best
-            if kind == "F":
-                end = start + fwd[k]
-                finish_f[(k, j)] = end
-                inflight[k] += 1
-                peak_inflight[k] = max(peak_inflight[k], inflight[k])
-                stash[k] += stash_task[k]
-                peak_stash[k] = max(peak_stash[k], stash[k])
-            else:
-                end = start + bwd[k]
-                finish_b[(k, j)] = end
-                inflight[k] -= 1
-                if recompute:
-                    # The stage's activations live again while its backward
-                    # rematerialises them on top of the boundary stashes.
-                    peak_stash[k] = max(peak_stash[k], stash[k] + act_task[k])
-                stash[k] -= stash_task[k]
-            busy[k] = end
-            heads[k] += 1
-            remaining -= 1
-
-        stage_finish = [busy[i] + stages[i].sync for i in range(s)]
-        total = max(stage_finish)
-        stage_busy = [m * (fwd[i] + bwd[i]) + stages[i].sync for i in range(s)]
-        bubble = sum(max(total - b, 0.0) for b in stage_busy) / s
-        transfer = 2.0 * m * sum(xfer) if s > 1 else 0.0
-        hidden = m * (sum(hidden_f) + sum(hidden_b)) if s > 1 else 0.0
-        # Sender-side communication-stream load: stage k ships its forward
-        # output over hop k, and stage k + 1 ships hop k's backward gradient.
-        comm_busy = [0.0] * s
-        for k in range(s - 1):
-            comm_busy[k] += m * xfer[k]  # forward sends of hop k
-            comm_busy[k + 1] += m * xfer[k]  # gradient sends of hop k
-
-        return ScheduleResult(
-            total=total,
-            num_microbatches=m,
-            schedule=self.name,
-            stage_finish=stage_finish,
-            stage_busy=stage_busy,
-            bubble=bubble,
-            bubble_fraction=bubble / total if total > 0 else 0.0,
-            transfer=transfer,
-            peak_inflight=peak_inflight,
-            peak_stash=list(peak_stash),
-            recompute=recompute,
-            overlap=overlap,
-            exposed_transfer=transfer - hidden,
-            hidden_transfer=hidden,
-            comm_busy=comm_busy,
-        )
-
-
-class GPipeSchedule(PipelineSchedule):
-    """GPipe: fill with all forwards, drain with all backwards (reversed)."""
-
-    name = "gpipe"
-
-    def task_orders(self, s: int, m: int) -> List[List[_Task]]:
+    s, m = num_stages, num_microbatches
+    if schedule == "gpipe":
         return [
             [("F", j) for j in range(m)] + [("B", j) for j in reversed(range(m))]
             for _ in range(s)
         ]
-
-
-class OneFOneBSchedule(PipelineSchedule):
-    """PipeDream-flush / Megatron 1F1B: bounded-depth steady state."""
-
-    name = "1f1b"
-
-    def task_orders(self, s: int, m: int) -> List[List[_Task]]:
+    if schedule == "1f1b":
         orders: List[List[_Task]] = []
         for i in range(s):
             warmup = min(s - 1 - i, m)
@@ -394,19 +222,7 @@ class OneFOneBSchedule(PipelineSchedule):
             order.extend(("B", j) for j in range(m - warmup, m))
             orders.append(order)
         return orders
-
-
-#: Registry of the schedules the planner searches over.
-SCHEDULE_NAMES = ["gpipe", "1f1b"]
-
-
-def get_schedule(name: str) -> PipelineSchedule:
-    """Look up a schedule implementation by name."""
-    if name == "gpipe":
-        return GPipeSchedule()
-    if name == "1f1b":
-        return OneFOneBSchedule()
-    raise KeyError(f"unknown pipeline schedule {name!r}; known: {SCHEDULE_NAMES}")
+    raise KeyError(f"unknown pipeline schedule {schedule!r}; known: {SCHEDULE_NAMES}")
 
 
 def simulate_pipeline(
@@ -415,11 +231,32 @@ def simulate_pipeline(
     inter_group_bandwidth: float,
     inter_group_latency: float = 0.0,
     microbatch_overhead: float = 0.0,
-    schedule: Union[str, PipelineSchedule] = "gpipe",
+    schedule: str = "gpipe",
     recompute: bool = False,
     overlap: float = 0.0,
 ) -> ScheduleResult:
     """Simulate one pipelined iteration under ``schedule`` (GPipe by default).
+
+    Per-microbatch forward/backward times of stage ``k`` are its full-batch
+    times divided by ``num_microbatches`` plus a fixed ``microbatch_overhead``
+    (kernel-launch / scheduling cost that does not shrink with the
+    microbatch).  A transfer of the producing stage's ``send_bytes /
+    num_microbatches`` over the inter-group link separates adjacent stages in
+    both directions.  With one stage and one microbatch the schedule
+    degenerates to ``forward + backward + sync`` — the flat SPMD time.
+
+    Each stage runs its :func:`task_orders` in order; a task starts once its
+    stage is free and its dependencies finished (forward: the upstream
+    forward of the same microbatch; backward: its own forward and the
+    downstream backward).  Boundary transfers are asynchronous events on the
+    sender's communication stream: the sender's compute stream is free as
+    soon as the producing task ends (its next task runs while the output is
+    in flight), and with ``overlap > 0`` the send additionally streams out
+    during the tail of the producing task itself, so only ``xfer - overlap *
+    min(xfer, producer_time)`` separates the producer from its consumer on
+    the dependency edge.  ``overlap = 0`` reduces exactly to the blocking
+    model (the consumer waits the full transfer after the producer
+    finishes).
 
     Args:
         stages: per-stage full-batch timings and stash inputs.
@@ -428,7 +265,7 @@ def simulate_pipeline(
             must be positive when there is more than one stage.
         inter_group_latency: per-transfer latency in seconds.
         microbatch_overhead: fixed per-microbatch launch cost.
-        schedule: schedule name (see :data:`SCHEDULE_NAMES`) or instance.
+        schedule: schedule name (see :data:`SCHEDULE_NAMES`).
         recompute: model activation recomputation (one extra forward per
             microbatch, O(1) activation stash per in-flight microbatch).
         overlap: communication/computation overlap efficiency in ``[0, 1]``;
@@ -440,14 +277,137 @@ def simulate_pipeline(
 
     Returns:
         The :class:`ScheduleResult`; ``total`` is the iteration time.
+
+    Raises:
+        KeyError: ``schedule`` is not in :data:`SCHEDULE_NAMES`.
     """
-    impl = schedule if isinstance(schedule, PipelineSchedule) else get_schedule(schedule)
-    return impl.simulate(
-        stages,
-        num_microbatches,
-        inter_group_bandwidth,
-        inter_group_latency=inter_group_latency,
-        microbatch_overhead=microbatch_overhead,
+    _validate_inputs(stages, num_microbatches, inter_group_bandwidth)
+    if not 0.0 <= overlap <= 1.0:
+        raise ValueError(f"overlap must be in [0, 1], got {overlap!r}")
+    s = len(stages)
+    m = num_microbatches
+
+    fwd = [st.forward / m + microbatch_overhead for st in stages]
+    bwd = [st.backward / m + microbatch_overhead for st in stages]
+    if recompute:
+        # Gradient checkpointing: re-run the stage forward before each
+        # backward so only the boundary input has to stay resident.
+        bwd = [b + f for b, f in zip(bwd, fwd)]
+
+    # Per-microbatch transfer time after stage k (k -> k+1), carrying the
+    # producing stage's boundary bytes.
+    xfer = [
+        inter_group_latency + (stages[k].send_bytes / m) / inter_group_bandwidth
+        for k in range(s - 1)
+    ]
+    # Exposed per-microbatch transfer on each dependency edge: the part of
+    # hop k's send that cannot stream out during its producing task.  The
+    # forward producer of hop k is stage k; the backward producer is
+    # stage k+1's backward.
+    hidden_f = [overlap * min(xfer[k], fwd[k]) for k in range(s - 1)]
+    hidden_b = [overlap * min(xfer[k], bwd[k + 1]) for k in range(s - 1)]
+    exposed_f = [x - h for x, h in zip(xfer, hidden_f)]
+    exposed_b = [x - h for x, h in zip(xfer, hidden_b)]
+
+    # Per-task stash bytes: without recomputation an in-flight microbatch
+    # holds the stage's activations; with recomputation only its boundary
+    # input (the previous stage's send) stays, and the activations are
+    # transiently rematerialised in its backward.
+    act_task = [st.activation_bytes / m for st in stages]
+    recv_task = [0.0] + [st.send_bytes / m for st in stages[:-1]]
+    stash_task = recv_task if recompute else act_task
+
+    orders = task_orders(schedule, s, m)
+    finish_f: Dict[Tuple[int, int], float] = {}
+    finish_b: Dict[Tuple[int, int], float] = {}
+    heads = [0] * s
+    busy = [0.0] * s
+    inflight = [0] * s
+    peak_inflight = [1 if m > 0 else 0 for _ in range(s)]
+    stash = [0.0] * s
+    peak_stash = [0.0] * s
+    remaining = sum(len(o) for o in orders)
+
+    def _ready_time(k: int, task: _Task) -> Optional[float]:
+        kind, j = task
+        if kind == "F":
+            if k == 0:
+                return 0.0
+            dep = finish_f.get((k - 1, j))
+            return None if dep is None else dep + exposed_f[k - 1]
+        own = finish_f.get((k, j))
+        if own is None:
+            return None
+        if k == s - 1:
+            return own
+        dep = finish_b.get((k + 1, j))
+        return None if dep is None else max(own, dep + exposed_b[k])
+
+    while remaining:
+        best: Optional[Tuple[float, int, _Task]] = None
+        for i in range(s):
+            if heads[i] >= len(orders[i]):
+                continue
+            task = orders[i][heads[i]]
+            ready = _ready_time(i, task)
+            if ready is None:
+                continue
+            start = max(ready, busy[i])
+            if best is None or start < best[0]:
+                best = (start, i, task)
+        if best is None:  # pragma: no cover - defensive (orders are valid)
+            raise RuntimeError(
+                f"pipeline schedule {schedule!r} deadlocked with "
+                f"{remaining} tasks left (s={s}, m={m})"
+            )
+        start, k, (kind, j) = best
+        if kind == "F":
+            end = start + fwd[k]
+            finish_f[(k, j)] = end
+            inflight[k] += 1
+            peak_inflight[k] = max(peak_inflight[k], inflight[k])
+            stash[k] += stash_task[k]
+            peak_stash[k] = max(peak_stash[k], stash[k])
+        else:
+            end = start + bwd[k]
+            finish_b[(k, j)] = end
+            inflight[k] -= 1
+            if recompute:
+                # The stage's activations live again while its backward
+                # rematerialises them on top of the boundary stashes.
+                peak_stash[k] = max(peak_stash[k], stash[k] + act_task[k])
+            stash[k] -= stash_task[k]
+        busy[k] = end
+        heads[k] += 1
+        remaining -= 1
+
+    stage_finish = [busy[i] + stages[i].sync for i in range(s)]
+    total = max(stage_finish)
+    stage_busy = [m * (fwd[i] + bwd[i]) + stages[i].sync for i in range(s)]
+    bubble = sum(max(total - b, 0.0) for b in stage_busy) / s
+    transfer = 2.0 * m * sum(xfer) if s > 1 else 0.0
+    hidden = m * (sum(hidden_f) + sum(hidden_b)) if s > 1 else 0.0
+    # Sender-side communication-stream load: stage k ships its forward
+    # output over hop k, and stage k + 1 ships hop k's backward gradient.
+    comm_busy = [0.0] * s
+    for k in range(s - 1):
+        comm_busy[k] += m * xfer[k]  # forward sends of hop k
+        comm_busy[k + 1] += m * xfer[k]  # gradient sends of hop k
+
+    return ScheduleResult(
+        total=total,
+        num_microbatches=m,
+        schedule=schedule,
+        stage_finish=stage_finish,
+        stage_busy=stage_busy,
+        bubble=bubble,
+        bubble_fraction=bubble / total if total > 0 else 0.0,
+        transfer=transfer,
+        peak_inflight=peak_inflight,
+        peak_stash=list(peak_stash),
         recompute=recompute,
         overlap=overlap,
+        exposed_transfer=transfer - hidden,
+        hidden_transfer=hidden,
+        comm_busy=comm_busy,
     )

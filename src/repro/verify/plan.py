@@ -33,7 +33,7 @@ from typing import Any, Dict, Iterable
 from ..core.hierarchical import HierarchicalPlan
 from ..core.instructions import is_source_op
 from ..graph.graph import ComputationGraph
-from ..simulator.schedule import get_schedule
+from ..simulator.schedule import task_orders
 from .base import Diagnostic, Severity, VerificationReport, VerifierPass, run_passes
 from .program import verify_program
 from .schedule import verify_schedule_orders
@@ -280,7 +280,7 @@ def verify_plan(
         report.merge(sub, prefix=f"stage {stage.index}")
     s = plan.num_stages
     try:
-        orders = get_schedule(plan.schedule_name).task_orders(s, plan.num_microbatches)
+        orders = task_orders(plan.schedule_name, s, plan.num_microbatches)
     except KeyError as exc:
         report.add(
             Diagnostic(

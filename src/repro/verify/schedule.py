@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..simulator.schedule import get_schedule
+from ..simulator.schedule import task_orders
 from .base import Diagnostic, Severity, VerificationReport, VerifierPass, run_passes
 
 #: A task is (kind, microbatch); kind is "F" or "B".
@@ -165,7 +165,7 @@ class CanonicalOrderPass(VerifierPass):
         schedule_name: Optional[str] = context.get("schedule_name")
         if schedule_name is None:
             return
-        canonical = get_schedule(schedule_name).task_orders(s, m)
+        canonical = task_orders(schedule_name, s, m)
         for i, (got, want) in enumerate(zip(orders, canonical)):
             if list(got) == list(want):
                 continue

@@ -109,7 +109,6 @@ class TestRegistryAndMemory:
             plan = plan_baseline(name, transformer_graph, four_device_cluster, cfg)
             assert isinstance(plan, HAPPlan)
             assert plan.rounds == []
-            assert plan.synthesis.program is plan.program
 
     @pytest.mark.parametrize("name", ["HAP", "HAP-Pipeline", "Megatron"])
     def test_unknown_baseline_rejected(self, name, transformer_graph, four_device_cluster):

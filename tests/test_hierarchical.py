@@ -46,11 +46,11 @@ from repro.runtime import SingleDeviceExecutor, run_hierarchical_plan
 from repro.simulator import (
     SCHEDULE_NAMES,
     StageTimes,
-    get_schedule,
     profile_stages,
     simulate_hierarchical,
     simulate_pipeline,
     simulate_plan,
+    task_orders,
 )
 
 from .conftest import bindings_for, build_mlp, build_tiny_moe, build_tiny_transformer, make_cluster
@@ -69,15 +69,18 @@ def hier_config(**kwargs):
     return HierarchicalConfig(**kwargs)
 
 
-def scheduled_candidate(forward, num_stages, schedule):
+def scheduled_candidate(forward, num_stages, schedule, num_microbatches=None):
     """The ``num_stages`` candidate on :func:`make_cluster`, re-run under one
-    pipeline schedule at the candidate's own microbatch count and
-    recomputation choice.  The planner searches every schedule, so this is
-    how a test pins one."""
+    pipeline schedule at ``num_microbatches`` (default: the candidate's own
+    count) and the candidate's recomputation choice.  The planner searches
+    every schedule, so this is how a test pins one; the runtime runs the
+    plan's own schedule, so it is also how a test picks the microbatch count
+    the runtime executes."""
     planner = HierarchicalPlanner(forward, make_cluster(), hier_config())
     plan = planner.build_candidate(num_stages)
     assert plan is not None and plan.num_stages == num_stages
-    result = rescheduled(planner, plan, schedule, plan.num_microbatches, plan.recompute)
+    m = plan.num_microbatches if num_microbatches is None else num_microbatches
+    result = rescheduled(planner, plan, schedule, m, plan.recompute)
     return dataclasses.replace(
         plan, schedule=result, fits_memory=memory_verdict(plan.stages, result.peak_stash)[0]
     )
@@ -405,7 +408,7 @@ class TestScheduleSimulator:
 # 1F1B schedule and memory accounting
 # ---------------------------------------------------------------------------
 
-class TestOneFOneBSchedule:
+class TestOneFOneB:
     def two_stage_inputs(self):
         # Per-microbatch (m=4): forward 1s, backward 2s on both stages, 0.5s
         # transfer per hop; syncs of 3s and 1s; activations of 8/4 bytes
@@ -549,7 +552,7 @@ class TestTaskOrders:
     @pytest.mark.parametrize("s,m", SHAPES)
     @pytest.mark.parametrize("schedule", SCHEDULE_NAMES)
     def test_every_task_once_with_forward_before_backward(self, schedule, s, m):
-        orders = get_schedule(schedule).task_orders(s, m)
+        orders = task_orders(schedule, s, m)
         assert len(orders) == s
         expected = sorted([("F", j) for j in range(m)] + [("B", j) for j in range(m)])
         for order in orders:
@@ -565,6 +568,15 @@ class TestTaskOrders:
             assert result.peak_inflight == [m] * s
         else:
             assert result.peak_inflight == [min(s - i, m) for i in range(s)]
+
+    def test_unknown_schedule_name_is_a_key_error(self):
+        # The name is the schedule: an unknown one fails in both the order
+        # lookup and the engine, naming the known schedules.
+        with pytest.raises(KeyError, match="interleaved.*gpipe.*1f1b"):
+            task_orders("interleaved", 2, 4)
+        stages = [StageTimes(forward=1.0, backward=2.0, send_bytes=1.0) for _ in range(2)]
+        with pytest.raises(KeyError, match="interleaved.*gpipe.*1f1b"):
+            simulate_pipeline(stages, 4, inter_group_bandwidth=1.0, schedule="interleaved")
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +674,6 @@ class TestHierarchicalPlanner:
         # pipeline depth and fits, so the planner must choose it with more
         # microbatches than stages.
         from repro.cluster import memory_constrained_testbed
-        from repro.simulator import get_schedule
 
         cluster = memory_constrained_testbed()
         forward = build_bert(BERTConfig(batch_size=64, num_layers=2))
@@ -677,12 +688,12 @@ class TestHierarchicalPlanner:
         # GPipe at the very same microbatch count exceeds device memory.
         times = profile_stages(plan.stages, planner._profile_chunk, planner._profile_memo)
         network = plan.cluster.network
-        gpipe = get_schedule("gpipe").simulate(
-            times, plan.num_microbatches, network.bandwidth, network.latency
+        gpipe = simulate_pipeline(
+            times, plan.num_microbatches, network.bandwidth, network.latency, schedule="gpipe"
         )
         assert not memory_verdict(plan.stages, gpipe.peak_stash)[0]
-        ofob = get_schedule("1f1b").simulate(
-            times, plan.num_microbatches, network.bandwidth, network.latency
+        ofob = simulate_pipeline(
+            times, plan.num_microbatches, network.bandwidth, network.latency, schedule="1f1b"
         )
         assert memory_verdict(plan.stages, ofob.peak_stash)[0]
 
@@ -714,7 +725,6 @@ class TestHierarchicalPlanner:
         # Recomputation is priced for a multi-stage combination exactly when
         # its plain run exceeds device memory, and never on its own.
         from repro.cluster import memory_constrained_testbed
-        from repro.simulator import get_schedule
 
         forward = build_bert(BERTConfig(batch_size=64, num_layers=2))
         config = hier_config(max_stages=2)
@@ -729,7 +739,9 @@ class TestHierarchicalPlanner:
             assert (stages, name, m, False) in combos
             if stages != 2 or rc:
                 continue
-            plain = get_schedule(name).simulate(times, m, network.bandwidth, network.latency)
+            plain = simulate_pipeline(
+                times, m, network.bandwidth, network.latency, schedule=name
+            )
             if not memory_verdict(plan.stages, plain.peak_stash)[0]:
                 assert (stages, name, m, True) in combos
                 retried.add(name)
@@ -878,18 +890,18 @@ class TestChunkPlanner:
         executed = [[] for _ in range(executor.num_stages)]
         run_forward, run_backward = executor._forward_task, executor._backward_task
 
-        def forward_task(k, *args):
-            executed[k].append(("F", args[-1]))
-            return run_forward(k, *args)
+        def forward_task(k, j, *args):
+            executed[k].append(("F", j))
+            return run_forward(k, j, *args)
 
-        def backward_task(k, *args):
-            executed[k].append(("B", args[-1]))
-            return run_backward(k, *args)
+        def backward_task(k, j, *args):
+            executed[k].append(("B", j))
+            return run_backward(k, j, *args)
 
         monkeypatch.setattr(executor, "_forward_task", forward_task)
         monkeypatch.setattr(executor, "_backward_task", backward_task)
         executor.run(bindings_for(build_training_graph(forward).graph, seed=5))
-        assert executed == get_schedule(name).task_orders(executor.num_stages, m)
+        assert executed == task_orders(name, executor.num_stages, m)
 
     def test_plan_fields_state_each_decision_once(self):
         assert [f.name for f in dataclasses.fields(HierarchicalPlan)] == [
@@ -1121,11 +1133,11 @@ class TestHierarchicalRuntimeParity:
         # under either schedule (the task order only affects timing, not
         # numerics).
         forward = builder()
-        plan = scheduled_candidate(forward, 2, schedule)
+        plan = scheduled_candidate(forward, 2, schedule, num_microbatches)
         training = build_training_graph(forward)
         bindings = bindings_for(training.graph, seed=3)
         reference = SingleDeviceExecutor(training.graph).run(bindings)
-        result = run_hierarchical_plan(plan, bindings, num_microbatches=num_microbatches)
+        result = run_hierarchical_plan(plan, bindings)
         assert result.loss == pytest.approx(
             float(reference[training.loss]), rel=rtol, abs=1e-4
         )
@@ -1143,32 +1155,41 @@ class TestHierarchicalRuntimeParity:
         from repro.runtime.spmd import HierarchicalExecutor
 
         forward = build_tiny_transformer()
-        plan = scheduled_candidate(forward, 2, schedule)
-        executor = HierarchicalExecutor(plan, num_microbatches=4)
+        plan = scheduled_candidate(forward, 2, schedule, 4)
+        executor = HierarchicalExecutor(plan)
+        assert executor.num_microbatches == 4
         executed = [[] for _ in range(executor.num_stages)]
         run_forward, run_backward = executor._forward_task, executor._backward_task
 
-        def forward_task(k, *args):
-            executed[k].append(("F", args[-1]))
-            return run_forward(k, *args)
+        def forward_task(k, j, *args):
+            executed[k].append(("F", j))
+            return run_forward(k, j, *args)
 
-        def backward_task(k, *args):
-            executed[k].append(("B", args[-1]))
-            return run_backward(k, *args)
+        def backward_task(k, j, *args):
+            executed[k].append(("B", j))
+            return run_backward(k, j, *args)
 
         monkeypatch.setattr(executor, "_forward_task", forward_task)
         monkeypatch.setattr(executor, "_backward_task", backward_task)
         training = build_training_graph(forward)
         executor.run(bindings_for(training.graph, seed=5))
-        assert executed == get_schedule(schedule).task_orders(executor.num_stages, 4)
+        assert executed == task_orders(schedule, executor.num_stages, 4)
 
-    def test_microbatched_matches_full_batch_hierarchical_run(self):
+    @pytest.mark.parametrize("schedule", SCHEDULE_NAMES)
+    def test_microbatched_matches_full_batch_hierarchical_run(self, schedule):
         forward = build_tiny_transformer()
-        plan = HierarchicalPlanner(forward, make_cluster(), hier_config()).build_candidate(2)
         training = build_training_graph(forward)
         bindings = bindings_for(training.graph, seed=4)
-        full = run_hierarchical_plan(plan, bindings, num_microbatches=1)
-        micro = run_hierarchical_plan(plan, bindings, num_microbatches=4)
+        whole = scheduled_candidate(forward, 2, schedule, 1)
+        full = run_hierarchical_plan(whole, bindings)
+        micro = run_hierarchical_plan(scheduled_candidate(forward, 2, schedule, 4), bindings)
+        # One microbatch is the one-microbatch case of the scheduled loop:
+        # the outputs are the updated parameters plus the loss, with no
+        # boundary tensors.
+        expected = {training.loss}
+        for chunk in whole.stages:
+            expected.update(chunk.info.updates.values())
+        assert set(full.outputs) == expected
         assert micro.loss == pytest.approx(full.loss, rel=2e-4, abs=1e-5)
         for param, value in full.updated_parameters.items():
             np.testing.assert_allclose(
@@ -1176,11 +1197,11 @@ class TestHierarchicalRuntimeParity:
             )
 
     def test_indivisible_microbatch_count_falls_back_to_full_batch(self):
-        forward = build_mlp()  # batch 16
-        plan = HierarchicalPlanner(forward, make_cluster(), hier_config()).build_candidate(2)
         from repro.runtime.spmd import HierarchicalExecutor
 
-        executor = HierarchicalExecutor(plan, num_microbatches=5)  # 5 does not divide 16
+        plan = scheduled_candidate(build_mlp(), 2, "gpipe", 5)  # 5 does not divide 16
+        assert plan.num_microbatches == 5
+        executor = HierarchicalExecutor(plan)
         assert executor.num_microbatches == 1
 
     def test_plan_without_batch_size_runs_as_one_microbatch(self):

@@ -7,8 +7,8 @@ pipeline-schedule engine's asynchronous boundary transfers (hand-computed
 partial-overlap case, ``overlap=0`` blocking-equivalence and monotonicity
 properties for all three schedules), the hierarchical planner's
 exposed-communication ranking (a slow-network testbed where the default
-overlap selects a different plan), per-hop skip-connection byte charging,
-and the runtime's double-buffered boundary handoff.
+overlap selects a different plan) and per-hop skip-connection byte
+charging.
 """
 
 import random
@@ -34,7 +34,6 @@ from repro.core import (
 )
 from repro.graph import DType, GraphBuilder, cut_transfer_bytes, pipeline_cut
 from repro.models.bert import BERTConfig, build_bert
-from repro.runtime import SingleDeviceExecutor
 from repro.simulator import (
     SCHEDULE_NAMES,
     ExecutionSimulator,
@@ -44,7 +43,6 @@ from repro.simulator import (
 )
 
 from .conftest import (
-    bindings_for,
     blocking_cluster,
     build_tiny_transformer,
     make_cluster,
@@ -515,68 +513,3 @@ class TestPerHopTransferBytes:
         for stage in candidate.stages[:-1]:
             assert stage.send_bytes == hop_bytes[stage.index]
         assert candidate.stages[-1].send_bytes == 0
-
-
-# ---------------------------------------------------------------------------
-# runtime: double-buffered boundary handoff
-# ---------------------------------------------------------------------------
-
-class TestDoubleBufferedHandoff:
-    def test_sender_runs_ahead_of_drain_and_channel_empties(self):
-        forward = build_tiny_transformer()
-        planner = HierarchicalPlanner(forward, make_cluster(), hier_config())
-        plan = planner.build_candidate(2)
-        assert plan is not None
-        training = build_training_graph(forward)
-        bindings = bindings_for(training.graph, seed=7)
-        from repro.runtime.spmd import HierarchicalExecutor
-
-        executor = HierarchicalExecutor(plan, num_microbatches=4)
-        result = executor.run(bindings)
-        channel = executor.channel
-        assert channel is not None and channel.drained
-        # Double buffering: at some point at least two payloads were in
-        # flight simultaneously (the sender issued microbatch k+1's send
-        # before the receiver drained microbatch k's).
-        assert channel.peak_inflight_payloads >= 2
-        events = channel.events
-        sends0 = [
-            idx
-            for idx, (kind, what, k, j) in enumerate(events)
-            if kind == "send" and k == 0
-        ]
-        drains1 = [
-            idx
-            for idx, (kind, what, k, j) in enumerate(events)
-            if kind == "drain" and k == 1
-        ]
-        # Stage 0 issued its second microbatch's send before stage 1
-        # drained anything: compute for k+1 ran while k was in flight.
-        assert len(sends0) >= 2 and drains1
-        assert sends0[1] < drains1[0]
-        # Numerics are untouched by the buffering.
-        reference = SingleDeviceExecutor(training.graph).run(bindings)
-        assert result.loss == pytest.approx(
-            float(reference[training.loss]), rel=2e-4, abs=1e-4
-        )
-
-    def test_whole_batch_runs_through_the_channel(self):
-        # One microbatch is the one-microbatch case of the scheduled loop:
-        # the handoff still goes through the channel, and the outputs are
-        # the updated parameters plus the loss, with no boundary tensors.
-        forward = build_tiny_transformer()
-        plan = HierarchicalPlanner(
-            forward, make_cluster(), hier_config()
-        ).build_candidate(2)
-        from repro.runtime.spmd import HierarchicalExecutor
-
-        training = build_training_graph(forward)
-        executor = HierarchicalExecutor(plan, num_microbatches=1)
-        result = executor.run(bindings_for(training.graph, seed=1))
-        channel = executor.channel
-        assert channel is not None and channel.drained
-        assert any(kind == "send" for kind, _, _, _ in channel.events)
-        expected = {training.loss}
-        for chunk in plan.stages:
-            expected.update(chunk.info.updates.values())
-        assert set(result.outputs) == expected

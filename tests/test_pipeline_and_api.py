@@ -1,9 +1,11 @@
 """Tests for the iterative (Q, B) optimisation loop and the user-facing API."""
 
+import dataclasses
+
 import pytest
 
 from repro.autodiff import build_training_graph
-from repro.core import HAPPlanner, PlannerConfig, SynthesisConfig
+from repro.core import HAPPlan, HAPPlanner, PlannerConfig, SynthesisConfig
 from repro.hap import hap
 
 from .conftest import build_mlp, build_tiny_transformer, make_cluster
@@ -41,7 +43,14 @@ class TestHAPPlanner:
         plan = planner.plan_at(ratios)
         assert plan.flat_ratios == ratios
         assert plan.rounds == []
-        assert plan.program is plan.synthesis.program
+
+    def test_plan_stores_its_program_once(self):
+        assert [f.name for f in dataclasses.fields(HAPPlan)] == [
+            "program",
+            "ratios",
+            "estimated_time",
+            "rounds",
+        ]
 
     def test_describe_mentions_ratios(self, four_device_cluster):
         training = build_training_graph(build_mlp(batch=32)).graph

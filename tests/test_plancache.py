@@ -409,9 +409,10 @@ class TestHierarchicalIntegration:
 
     def test_disk_whole_plan_hit_round_trips(self, tmp_path):
         """A whole plan read back from disk has the current layout (no
-        ``partition``: a stage's machine group is its ``subcluster``) and
-        simulates to the same total as the plan that was stored."""
-        assert CACHE_VERSION == 15
+        ``partition``: a stage's machine group is its ``subcluster``; no
+        ``synthesis``: a chunk plan stores its program once) and simulates
+        to the same total as the plan that was stored."""
+        assert CACHE_VERSION == 16
         forward = build_mlp()
         cluster = _two_group_cluster()
         config = HierarchicalConfig(planner=small_planner_config(), max_stages=2)
@@ -424,6 +425,7 @@ class TestHierarchicalIntegration:
         assert hit.reuse_stats["whole_plan_hit"] == 1
         assert hit.num_stages == stored.num_stages == 2
         assert not hasattr(hit, "partition")
+        assert not any(hasattr(s.plan, "synthesis") for s in hit.stages)
         assert [s.subcluster.name for s in hit.stages] == [
             s.subcluster.name for s in stored.stages
         ]

@@ -35,7 +35,7 @@ from repro.core.config import verify_default
 from repro.core.instructions import CommInstruction
 from repro.graph.graph import ComputationGraph
 from repro.models.registry import MODEL_NAMES, build_tiny_model
-from repro.simulator.schedule import get_schedule
+from repro.simulator.schedule import task_orders
 from repro.verify import (
     PlanVerificationError,
     Severity,
@@ -140,7 +140,7 @@ class TestPositive:
 
     def test_canonical_schedules_verify(self):
         for name, s, m in (("gpipe", 4, 8), ("1f1b", 4, 8)):
-            orders = get_schedule(name).task_orders(s, m)
+            orders = task_orders(name, s, m)
             report = verify_schedule_orders(
                 orders, num_stages=s, num_microbatches=m, schedule_name=name
             )
@@ -175,7 +175,7 @@ class TestScheduleMutations:
     @pytest.mark.parametrize("mutation", sorted(SCHEDULE_MUTATIONS))
     @pytest.mark.parametrize("schedule,s,m", [("1f1b", 4, 8), ("gpipe", 3, 6)])
     def test_mutation_caught(self, mutation, schedule, s, m):
-        orders = get_schedule(schedule).task_orders(s, m)
+        orders = task_orders(schedule, s, m)
         mutated, expected = SCHEDULE_MUTATIONS[mutation](orders)
         report = verify_schedule_orders(
             mutated, num_stages=s, num_microbatches=m, schedule_name=schedule
