@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.spec import ClusterSpec
-from ..collectives.cost import CollectiveCostModel
+from ..collectives.cost import CollectiveCostModel, CollectiveKind
 from ..graph.graph import ComputationGraph
 from .instructions import CommInstruction, CompInstruction
 from .program import DistributedProgram
@@ -153,6 +153,9 @@ class CostModel:
         self.collectives = CollectiveCostModel(cluster)
         self._flops_cache: Dict[str, float] = {}
         self._bytes_cache: Dict[str, int] = {}
+        #: (kind, bytes) -> collective time at the ratios ``_comm_ratios``.
+        self._comm_cache: Dict[Tuple[CollectiveKind, float], float] = {}
+        self._comm_ratios: Optional[Tuple[float, ...]] = None
         self._device_flops = cluster.device_flops()
         # Per-program coefficient cache.  Keys are object ids; the values
         # keep a strong reference to the keyed program so an id can never be
@@ -200,10 +203,23 @@ class CostModel:
         return 2.0 * (g - 1) / g * grad_bytes / device.intra_bandwidth
 
     def comm_time(self, instr: CommInstruction, ratios: Sequence[float]) -> float:
-        """Execution time of one collective instruction."""
+        """Execution time of one collective instruction.
+
+        It depends only on the kind, the tensor's bytes and the ratios, so
+        the times at the last ratio tuple priced are cached by (kind, bytes):
+        synthesis prices thousands of collectives over a few dozen pairs.
+        The cache keys on the tuple's identity; a tuple cannot change.
+        """
         nbytes = float(self.ref_bytes(instr.input.ref))
-        time = self.collectives.collective_time(instr.kind, nbytes, ratios)
-        time += self._intra_collective_overhead(nbytes, ratios)
+        if ratios is not self._comm_ratios:
+            self._comm_cache.clear()
+            self._comm_ratios = ratios if type(ratios) is tuple else None
+        key = (instr.kind, nbytes)
+        time = self._comm_cache.get(key)
+        if time is None:
+            time = self.collectives.collective_time(instr.kind, nbytes, ratios)
+            time += self._intra_collective_overhead(nbytes, ratios)
+            self._comm_cache[key] = time
         return time
 
     def _intra_collective_overhead(self, nbytes: float, ratios: Sequence[float]) -> float:

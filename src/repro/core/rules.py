@@ -344,10 +344,13 @@ def build_theory(
     # 2. communication rules: conversions from a state some rule produces to
     #    a state some rule wants -------------------------------------------------
     conversions: List[Tuple[Property, Property, Tuple[_Collective, ...]]] = []
+    # The collectives of each (src, dst, restricted) conversion, derived once.
+    convert: Dict[Tuple[DistState, DistState, bool], Tuple[_Collective, ...]] = {}
     for node in graph:
         name = node.name
         if node.kind is OpKind.SOURCE:
             continue  # optimisation #2: sources use *-Shard instructions instead
+        only_all_to_all = name in restricted
         # Sorted, not set order: a set of states iterates in hash-seed order,
         # and rule order is the search's candidate order.
         targets = sorted(wanted[name], key=lambda st: st.sort_key)
@@ -355,7 +358,10 @@ def build_theory(
             for dst in targets:
                 if src is dst:
                     continue
-                collectives = _collectives(src, dst, cfg, name in restricted)
+                key = (src, dst, only_all_to_all)
+                collectives = convert.get(key)
+                if collectives is None:
+                    collectives = convert[key] = _collectives(src, dst, cfg, only_all_to_all)
                 if collectives:
                     conversions.append((prop(name, src), prop(name, dst), collectives))
 
@@ -380,33 +386,14 @@ def build_theory(
     for (node, completes, flops_sharded, inputs, out_prop, fused, pre), fired in zip(comp, fires):
         if not fired:
             continue
+        # Positional arguments throughout: keywords cost a frozen dataclass
+        # measurably more, thousands of times per theory.
         creates = tuple(
-            CompInstruction(
-                node=p.ref,
-                op=graph[p.ref].op,
-                inputs=(),
-                output=p,
-                flops_sharded=p.state.is_sharded,
-            )
-            for p in fused
+            CompInstruction(p.ref, graph[p.ref].op, (), p, p.state.is_sharded) for p in fused
         )
-        instr = CompInstruction(
-            node=node.name,
-            op=node.op,
-            inputs=inputs,
-            output=out_prop,
-            flops_sharded=flops_sharded,
-        )
+        instr = CompInstruction(node.name, node.op, inputs, out_prop, flops_sharded)
         post = frozenset((*fused, out_prop)) if fused else one(out_prop)
-        rule = Rule(
-            pre=pre,
-            instructions=creates + (instr,),
-            post=post,
-            completes=completes,
-            communicates=_NO_REFS,
-            pre_mask=mask(pre),
-            post_mask=mask(post),
-        )
+        rule = Rule(pre, creates + (instr,), post, completes, _NO_REFS, mask(pre), mask(post))
         rules.append(rule)
         comp_rules_by_node.setdefault(node.name, []).append(rule)
 
@@ -427,16 +414,14 @@ def build_theory(
         by_post = comm_rules_by_post.setdefault(prop_index[pout], [])
         for kind, dim, dim2, counts in collectives:
             rule = Rule(
-                pre=pre,
-                instructions=(
-                    CommInstruction(kind=kind, input=pin, output=pout, dim=dim, dim2=dim2),
-                ),
-                post=post,
-                completes=_NO_REFS,
-                communicates=refs if counts else _NO_REFS,
-                pre_mask=bits[pin],
-                post_mask=bits[pout],
-                comm_mask=ref_bit if counts else 0,
+                pre,
+                (CommInstruction(kind, pin, pout, dim, dim2),),
+                post,
+                _NO_REFS,
+                refs if counts else _NO_REFS,
+                bits[pin],
+                bits[pout],
+                ref_bit if counts else 0,
             )
             rules.append(rule)
             by_ref.append(rule)

@@ -57,7 +57,7 @@ import itertools
 import time as _time
 from dataclasses import dataclass
 from operator import add
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..cluster.spec import ClusterSpec
 from ..graph.graph import ComputationGraph
@@ -93,6 +93,11 @@ class _CostPlan(NamedTuple):
 
     Without a collective the last three are ``None``: the open stage is the
     state's plus the head.
+
+    All-zero deltas are left out: an open-stage entry is a sum of
+    non-negative times, never ``-0.0``, and ``x + 0.0 == x`` bit for bit
+    for every such ``x``.  A plan of free steps is therefore
+    :data:`_EMPTY_PLAN`, and its children keep their parent's open stage.
     """
 
     head: Tuple[Tuple[float, ...], ...]
@@ -107,14 +112,14 @@ class _CostPlan(NamedTuple):
 _EMPTY_PLAN = _CostPlan((), None, (), None, None, None)
 
 
-def _work(stage: Tuple[float, ...]) -> float:
-    """Total device work of an open stage, accumulated left to right.
+def _work(times: Iterable[float]) -> float:
+    """Total of ``times`` (an open stage's device work), accumulated left to right.
 
-    Not ``sum``: from Python 3.12 it compensates rounding, and the beam's
-    tie-breaker must not depend on the interpreter.
+    Not ``sum``: from Python 3.12 it compensates rounding, and neither the
+    beam's tie-breaker nor A*'s heuristic may depend on the interpreter.
     """
     work = 0.0
-    for c in stage:
+    for c in times:
         work += c
     return work
 
@@ -133,32 +138,6 @@ def _then(first: _CostPlan, second: _CostPlan) -> _CostPlan:
         closes += (max(stage) + second.sync,) + second.closes
         stage = second.stage
     return _CostPlan(first.head, first.sync, closes, stage, max(stage), _work(stage))
-
-
-def _replay(
-    plan: _CostPlan,
-    closed: float,
-    stage: Tuple[float, ...],
-    open_cost: Optional[float] = None,
-) -> Tuple[float, Tuple[float, ...]]:
-    """Accumulate a cost plan onto a closed cost and an open-stage vector.
-
-    :meth:`~ProgramSynthesizer._expand` runs it once per child, for both
-    searches, so a state's cost is the same float operations in the same
-    order whichever search built it.  A caller replaying many plans onto one
-    state passes ``max(stage)`` as ``open_cost`` to compute it once.
-    """
-    head, sync, closes, final, _, _ = plan
-    if head:
-        for delta in head:
-            stage = tuple(map(add, stage, delta))
-        open_cost = None
-    if sync is None:
-        return closed, stage
-    closed += (max(stage) if open_cost is None else open_cost) + sync
-    for close in closes:
-        closed += close
-    return closed, final
 
 
 def _twins(a: Rule, b: Rule) -> bool:
@@ -316,15 +295,11 @@ class ProgramSynthesizer:
         self._output_mask = 0
         for name in graph.outputs:
             self._output_mask |= 1 << self._node_index[name]
-        self._total_ideal = sum(
-            self.cost_model.ideal_node_time(n.name)
-            for n in graph
-            if n.kind is not OpKind.SOURCE
-        )
         self._ideal_cache: Dict[str, float] = {}
         # Topological emulation order (non-source nodes only), walked by
         # both searches.
         self._topo_order = [n.name for n in graph if n.kind is not OpKind.SOURCE]
+        self._total_ideal = _work(map(self._ideal, self._topo_order))
         #: all-zero open-stage vector of the root and of collectives' plans.
         self._zero_stage: Tuple[float, ...] = (0.0,) * cluster.num_devices
         # -- hot-path indexes: state-independent quantities precomputed once ---
@@ -369,7 +344,9 @@ class ProgramSynthesizer:
         """Compiled cost plan of a rule's instructions for fixed ratios.
 
         Cached per rule; :meth:`_chains` joins the plans of a chain's rules
-        with :func:`_then`.
+        with :func:`_then`.  A computation that costs zero on every device
+        (a source's creation, a zero-flop op) is left out: adding it would
+        return every open-stage entry unchanged (:class:`_CostPlan`).
         """
         plan = self._rule_plans.get(id(rule))
         if plan is None:
@@ -383,6 +360,8 @@ class ProgramSynthesizer:
                     step = _CostPlan((), cost, (), zero, 0.0, 0.0)
                 else:
                     times = tuple(self.cost_model.comp_times(instr, ratios))
+                    if not any(times):
+                        continue
                     step = _CostPlan((times,), None, (), None, None, None)
                 plan = _then(plan, step)
             self._rule_plans[id(rule)] = plan
@@ -569,12 +548,14 @@ class ProgramSynthesizer:
         The caller owns ``memo`` (one per beam level, one per A* search).
         Per node it holds each rule with its chains (:meth:`_chains`), keyed
         by the only state bits they read: ``(pbits & scope_p, cbits &
-        scope_c)``.  A child then costs one :func:`_replay` of its chain's
-        compiled plan, with ``max(stage_comp)`` taken once per state: for a
-        chain that starts with a collective, a few float adds, with the open
-        stage and the rank key's ``max`` and work taken from the plan.  Only
-        a chain with no collective before its computation builds a new
-        open-stage vector.
+        scope_c)``.  A child then applies its chain's compiled plan inline,
+        with the float operations of a step-by-step replay in their order,
+        and ``max(stage_comp)`` taken once per state.  A chain that starts
+        with a collective costs a few float adds, with the open stage and
+        the rank key's ``max`` and work taken from the plan.  A free chain
+        (:data:`_EMPTY_PLAN`) passes on the state's open stage and the
+        state's rank key, computed once.  Only a chain with computation
+        before its first collective builds a new open-stage vector.
         """
         rules = memo.get(node_name)
         if rules is None:
@@ -603,17 +584,27 @@ class ProgramSynthesizer:
             pbits, cbits = state.pbits, state.cbits
             closed0, stage0 = state.closed_cost, state.stage_comp
             open0 = max(stage0)
+            rank0 = None
             for rule, scope_p, scope_c, by_bits in rules:
                 key = (pbits & scope_p, cbits & scope_c)
                 chains = by_bits.get(key)
                 if chains is None:
                     chains = by_bits[key] = chains_of(rule, pbits, cbits, ratios)
-                for comms, plan, post, comm in chains:
-                    closed, stage = _replay(plan, closed0, stage0, open0)
-                    if plan.sync is None:
+                for comms, (head, sync, closes, final, final_max, work), post, comm in chains:
+                    closed, stage = closed0, stage0
+                    for delta in head:
+                        stage = tuple(map(add, stage, delta))
+                    if sync is not None:
+                        closed += (max(stage) if head else open0) + sync
+                        for close in closes:
+                            closed += close
+                        stage, rank = final, (closed + final_max, work)
+                    elif head:
                         rank = (closed + max(stage), _work(stage))
                     else:
-                        rank = (closed + plan.stage_max, plan.work)
+                        if rank0 is None:
+                            rank0 = (closed0 + open0, _work(stage0))
+                        rank = rank0
                     append(
                         (
                             ((pbits | post) & keep, cbits | comm),

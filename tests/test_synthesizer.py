@@ -23,7 +23,6 @@ from repro.core.instructions import CommInstruction
 from repro.core.synthesizer import (
     _EMPTY_PLAN,
     _CostPlan,
-    _replay,
     _SearchNode,
     _then,
     beam_rank_order,
@@ -210,17 +209,17 @@ class TestSearchMechanics:
 def _apply(synthesizer, node, rule, ratios):
     """Append one rule to a partial program: the step-by-step reference.
 
-    Replays the rule's own cost plan, ORs in its completions, posts and
-    communications, and drops the properties of every tensor whose
-    consumers are then all emulated.  Reads no level data: completion,
-    ideal time, liveness and the topological pointer come from the rule
-    and the graph.
+    Replays the rule's cost-model steps one at a time, ORs in its
+    completions, posts and communications, and drops the properties of
+    every tensor whose consumers are then all emulated.  Reads no level
+    data: completion, ideal time, liveness and the topological pointer come
+    from the rule and the graph.
     """
     graph = synthesizer.graph
     position = {name: i for i, name in enumerate(graph.node_names)}
     consumers = graph.consumers()
-    closed, stage = _replay(
-        synthesizer._rule_plan(rule, ratios), node.closed_cost, node.stage_comp
+    closed, stage = _step_replay(
+        _rule_steps(synthesizer, [rule], ratios), node.closed_cost, node.stage_comp
     )
     completed, completed_ideal = node.completed, node.completed_ideal
     for name in rule.completes:
@@ -338,12 +337,15 @@ def _step_replay(steps, closed, stage):
     return closed, stage
 
 
-def _compile(steps, devices):
-    """The compiled plan of a step list, joined one step at a time."""
+def _compile(steps, devices, drop_zeros=True):
+    """The compiled plan of a step list, joined one step at a time; with
+    ``drop_zeros``, all-zero deltas are left out, as ``_rule_plan`` does."""
     plan = _EMPTY_PLAN
     for kind, payload in steps:
         if kind == "sync":
             step = _CostPlan((), payload, (), (0.0,) * devices, 0.0, 0.0)
+        elif drop_zeros and not any(payload):
+            continue
         else:
             step = _CostPlan((payload,), None, (), None, None, None)
         plan = _then(plan, step)
@@ -364,19 +366,38 @@ def _rule_steps(synthesizer, rules, ratios):
     return steps
 
 
+@functools.lru_cache(maxsize=None)
+def _replay_synthesizer():
+    """A synthesizer whose ``_expand`` applies hand-fed chains: the chains
+    come from the memo, so neither its graph nor its cluster matters."""
+    training = build_training_graph(build_tiny_matmul()).graph
+    return ProgramSynthesizer(training, make_cluster(("A100", "P100")))
+
+
+def _expand_replay(plan, closed, stage):
+    """``(closed, stage, rank)`` of the one child ``_expand`` makes when it
+    applies ``plan`` to a state with that closed cost and open stage."""
+    synthesizer = _replay_synthesizer()
+    state = synthesizer._root()
+    state.closed_cost, state.stage_comp = closed, stage
+    node_name = synthesizer._topo_order[0]
+    memo = {node_name: [(None, 0, 0, {(0, 0): [((), plan, 0, 0)]})]}
+    _, (child,) = synthesizer._expand([state], node_name, None, memo)
+    return child[1], child[2], child[3]
+
+
 def _assert_replay_exact(plan, steps, closed, stage):
-    """Compiled replay equals step replay bit for bit: closed cost, open
-    stage, and the rank key's max and work a synchronising plan carries."""
+    """``_expand``'s inline replay of a compiled plan equals step replay bit
+    for bit: closed cost, open stage, and the rank key's max and work."""
     want_closed, want_stage = _step_replay(steps, closed, stage)
-    for open_cost in (None, max(stage)):
-        got_closed, got_stage = _replay(plan, closed, stage, open_cost)
-        assert _bits(got_closed) == _bits(want_closed)
-        assert [_bits(c) for c in got_stage] == [_bits(c) for c in want_stage]
+    got_closed, got_stage, (cost, work) = _expand_replay(plan, closed, stage)
+    assert _bits(got_closed) == _bits(want_closed)
+    assert [_bits(c) for c in got_stage] == [_bits(c) for c in want_stage]
+    assert _bits(cost) == _bits(max(want_closed + c for c in want_stage))
+    assert _bits(work) == _bits(_left_to_right(want_stage))
     if plan.sync is not None:
-        assert _bits(got_closed + plan.stage_max) == _bits(
-            max(want_closed + c for c in want_stage)
-        )
-        assert _bits(plan.work) == _bits(_left_to_right(want_stage))
+        assert _bits(got_closed + plan.stage_max) == _bits(cost)
+        assert _bits(plan.work) == _bits(work)
 
 
 class TestCompiledReplay:
@@ -386,6 +407,8 @@ class TestCompiledReplay:
         (0.0, (0.0, 0.0, 0.0)),
         (0.1, (0.3, 0.7, 1e-9)),
         (1 / 3, (2 / 3, 0.1 + 0.2, 1e16)),
+        # ulp(1e16) is 2: a sync adds ``max(stage) + sync`` in one rounding.
+        (1e16, (1.0, 0.5, 0.25)),
     ]
     PLANS = {
         "comp only": [("comp", (0.1, 0.2, 0.3)), ("comp", (1e-17, 0.7, 1 / 7))],
@@ -403,15 +426,49 @@ class TestCompiledReplay:
             ("sync", 1 / 7),
             ("comp", (0.6, 1 / 11, 0.5)),
         ],
+        "all-zero deltas": [("comp", (0.0, 0.0, 0.0)), ("comp", (0.0, -0.0, 0.0))],
+        "zeros between deltas": [
+            ("comp", (0.1, 0.2, 0.3)),
+            ("comp", (0.0, 0.0, 0.0)),
+            ("comp", (1e-17, 0.7, 1 / 7)),
+            ("comp", (0.0, 0.0, 0.0)),
+        ],
+        "zeros after a sync": [
+            ("comp", (0.1, 1 / 3, 0.0)),
+            ("sync", 0.35),
+            ("comp", (0.0, 0.0, 0.0)),
+            ("sync", 1 / 7),
+            ("comp", (0.0, 0.0, 0.0)),
+            ("comp", (0.2, 0.0, 1 / 9)),
+            ("comp", (0.0, 0.0, 0.0)),
+        ],
     }
 
+    @pytest.mark.parametrize("drop_zeros", [True, False], ids=["zeros-dropped", "zeros-kept"])
     @pytest.mark.parametrize("shape", sorted(PLANS))
-    def test_hand_built_plans(self, shape):
+    def test_hand_built_plans(self, shape, drop_zeros):
         steps = self.PLANS[shape]
-        plan = _compile(steps, 3)
+        plan = _compile(steps, 3, drop_zeros)
         assert (plan.sync is None) == all(kind == "comp" for kind, _ in steps)
         for closed, stage in self.STATES:
             _assert_replay_exact(plan, steps, closed, stage)
+
+    @pytest.mark.parametrize("builder", [build_tiny_transformer, build_tiny_moe])
+    def test_rule_plans_leave_out_free_steps(self, builder, four_device_cluster):
+        """No rule's compiled plan holds an all-zero delta, and a rule whose
+        steps all cost nothing compiles to the empty plan itself."""
+        training = build_training_graph(builder()).graph
+        synthesizer = ProgramSynthesizer(training, four_device_cluster)
+        ratios = tuple(four_device_cluster.proportional_ratios())
+        free = 0
+        for rule in synthesizer.theory.rules:
+            plan = synthesizer._rule_plan(rule, ratios)
+            assert all(any(delta) for delta in plan.head)
+            steps = _rule_steps(synthesizer, [rule], ratios)
+            if not any(kind == "sync" or any(payload) for kind, payload in steps):
+                free += 1
+                assert plan is _EMPTY_PLAN
+        assert free > 0
 
     @pytest.mark.parametrize("builder", [build_tiny_transformer, build_tiny_moe])
     def test_every_chain_of_the_tiny_graphs(self, builder, four_device_cluster):
@@ -653,6 +710,29 @@ class TestExpansion:
         ]
         assert kept and set(kept) == {winner}
 
+    @pytest.mark.parametrize("builder", [build_tiny_transformer, build_tiny_moe])
+    def test_free_chain_passes_the_parent_stage_and_rank(self, builder, four_device_cluster):
+        """A child whose chain's steps all cost zero holds its parent's open
+        stage tuple itself, and the parent's rank key, built once per parent."""
+        synthesizer, levels = _beam_levels(builder(), four_device_cluster)
+        ratios = synthesizer._plan_ratios
+        free = 0
+        for children in levels:
+            ranks = {}
+            for child in children:
+                state, rule, comms = child[4], child[5], child[6]
+                steps = _rule_steps(synthesizer, comms + (rule,), ratios)
+                if any(kind == "sync" or any(payload) for kind, payload in steps):
+                    continue
+                free += 1
+                assert child[1] == state.closed_cost and child[2] is state.stage_comp
+                assert child[3] == (
+                    state.closed_cost + max(state.stage_comp),
+                    _left_to_right(state.stage_comp),
+                )
+                assert ranks.setdefault(id(state), child[3]) is child[3]
+        assert free > 0
+
     def test_synthesizer_keeps_no_per_state_memo(
         self, transformer_training, four_device_cluster, monkeypatch
     ):
@@ -744,6 +824,21 @@ class TestAStarOracle:
         beam = ProgramSynthesizer(graph, cluster, SynthesisConfig(beam_width=None)).synthesize()
         assert astar.cost.hex() == beam.cost.hex()
         assert astar.program.instructions == beam.program.instructions
+
+    def test_heuristic_total_is_the_left_to_right_fold(self):
+        """The heuristic's total ideal time adds the nodes' ideal times left
+        to right, in graph order, on every interpreter: not with ``sum``,
+        which compensates rounding from Python 3.12 and moves this total."""
+        forward = build_model(
+            "bert_base", 8, BenchmarkScale("e2e", layer_fraction=0.25, batch_per_device=32)
+        )
+        graph = build_training_graph(forward).graph
+        synthesizer = ProgramSynthesizer(graph, make_cluster(("A100", "P100") * 4))
+        want = 0.0
+        for node in graph:
+            if node.kind is not OpKind.SOURCE:
+                want += synthesizer.cost_model.ideal_node_time(node.name)
+        assert _bits(synthesizer._total_ideal) == _bits(want)
 
     def test_step_cap_raises(self, mlp_training, four_device_cluster, monkeypatch):
         """A* never returns an unproved program: reaching the cap is an error."""
