@@ -592,8 +592,8 @@ class ProgramSynthesizer:
                     chains = by_bits[key] = chains_of(rule, pbits, cbits, ratios)
                 for comms, (head, sync, closes, final, final_max, work), post, comm in chains:
                     closed, stage = closed0, stage0
-                    for delta in head:
-                        stage = tuple(map(add, stage, delta))
+                    for times in head:
+                        stage = tuple(map(add, stage, times))
                     if sync is not None:
                         closed += (max(stage) if head else open0) + sync
                         for close in closes:

@@ -184,6 +184,31 @@ class TestCostModelLinearisation:
             assert const + slope / n == pytest.approx(even, rel=1e-6)
             assert const + slope == pytest.approx(skew, rel=1e-6)
 
+    def test_comm_time_cache_follows_the_ratios(self, dp_setup):
+        """One cost model priced at alternating ratio tuples, at lists, and
+        at a list changed in place agrees bit for bit with a fresh model."""
+        training, _, cost_model, cluster = dp_setup
+        theory = ProgramSynthesizer(training, cluster).theory
+        comms = [
+            rule.instructions[0]
+            for rule in theory.rules
+            if rule.is_communication and rule.instructions[0].synchronises
+        ]
+        even, skew = tuple(cluster.even_ratios()), (0.7, 0.1, 0.1, 0.1)
+
+        def check(ratios):
+            for instr in comms:
+                fresh = CostModel(training, cluster).comm_time(instr, tuple(ratios))
+                assert cost_model.comm_time(instr, ratios).hex() == fresh.hex()
+
+        assert any(cost_model.comm_time(i, even) != cost_model.comm_time(i, skew) for i in comms)
+        for ratios in (even, skew, even, tuple(list(even)), list(skew)):
+            check(ratios)
+        mutable = list(even)
+        check(mutable)
+        mutable[:] = skew
+        check(mutable)
+
     def test_breakdown_components_sum(self, dp_setup):
         # The dual-stream model prices the critical path by *exposed*
         # communication; the raw collective seconds split exactly into
