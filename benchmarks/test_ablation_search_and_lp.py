@@ -39,6 +39,8 @@ def test_ablation_beam_width(benchmark, record_rows):
                     "beam_width": beam,
                     "cost_ms": result.cost * 1e3,
                     "synthesis_seconds": time.perf_counter() - start,
+                    "expanded_states": result.expanded_states,
+                    "generated_states": result.generated_states,
                     "collectives": result.program.num_communications,
                 }
             )
@@ -49,8 +51,9 @@ def test_ablation_beam_width(benchmark, record_rows):
     # Wider beams never produce worse plans (they search a superset).
     costs = [row["cost_ms"] for row in rows]
     assert costs[-1] <= costs[0] * 1.001
-    # Narrower beams are not slower to search than the widest beam.
-    assert rows[0]["synthesis_seconds"] <= rows[-1]["synthesis_seconds"] * 1.5
+    # Narrower beams search no more than the widest beam.  Counted in
+    # states, not seconds: wall-clock time on a shared host is noise.
+    assert rows[0]["generated_states"] <= rows[-1]["generated_states"]
 
 
 def test_ablation_load_balancer(benchmark, record_rows):

@@ -77,7 +77,8 @@ from .pipeline import HAPPlan, HAPPlanner
 from .plancache import CachedPlan, InMemoryPlanCache, plan_key, remap_plan
 from .program import DistributedProgram
 
-# The e2e benchmark's tracer wraps the cut under this name (ROADMAP item 10).
+# The e2e benchmark's tracer wraps the cut under this name (ROADMAP item "One
+# tracer, in the library").
 interleaved_pipeline_cut = pipeline_cut
 
 #: Multiplier turning parameter bytes into resident state: the parameter, its
@@ -234,12 +235,14 @@ class StagePlan:
 
     @property
     def stage_index(self) -> int:
-        """The e2e plan digest's name for :attr:`index` (ROADMAP item 10)."""
+        """The e2e plan digest's name for :attr:`index` (ROADMAP item "One
+        tracer, in the library")."""
         return self.index
 
     @property
     def virtual_index(self) -> int:
-        """The e2e plan digest's name for :attr:`index` (ROADMAP item 10)."""
+        """The e2e plan digest's name for :attr:`index` (ROADMAP item "One
+        tracer, in the library")."""
         return self.index
 
     @property
@@ -273,7 +276,10 @@ def memory_verdict(
 
     ``fits`` is True when every device of every stage holds its peak bytes;
     ``utilization`` is each stage's worst-device fraction of capacity.
+    Raises ``ValueError`` unless there is one stash peak per stage.
     """
+    if len(stages) != len(peak_stash):
+        raise ValueError(f"{len(peak_stash)} stash peaks for {len(stages)} stages")
     fits = True
     utilization: List[float] = []
     for stage, stash in zip(stages, peak_stash):
@@ -288,11 +294,13 @@ def memory_verdict(
 class HierarchicalPlan:
     """A pipeline of per-group SPMD plans (flat HAP when ``num_stages == 1``).
 
-    The schedule choice lives in :attr:`schedule` alone, and each stage's
-    machine group in its ``subcluster``: :attr:`schedule_name`,
-    :attr:`num_microbatches`, :attr:`recompute` and :attr:`estimated_time`
-    read the schedule, and the inter-group link is the cluster's own
-    network.
+    A plan stores decisions, not verdicts derived from them.  The schedule
+    choice lives in :attr:`schedule` alone, and each stage's machine group
+    in its ``subcluster``: :attr:`schedule_name`, :attr:`num_microbatches`,
+    :attr:`recompute` and :attr:`estimated_time` read the schedule,
+    :attr:`fits_memory` and :attr:`stage_memory_utilization` judge the
+    stages under the schedule's stash peaks (:func:`memory_verdict`), and
+    the inter-group link is the cluster's own network.
 
     Attributes:
         cluster: the full target cluster; its network is the inter-group
@@ -301,8 +309,6 @@ class HierarchicalPlan:
         cut: the layer cut that produced the stage graphs.
         schedule: the winning schedule estimate (schedule name, microbatch
             count, recomputation and the iteration time).
-        fits_memory: True when every stage's per-device peak memory fits its
-            group's device capacity (see :func:`memory_verdict`).
         candidate_times: estimated time of every stage count evaluated.
         schedule_candidate_times: estimated time of every
             (stage count, schedule, microbatches, recompute) combination.
@@ -319,7 +325,6 @@ class HierarchicalPlan:
     stages: List[StagePlan]
     cut: PipelineCut
     schedule: ScheduleResult
-    fits_memory: bool = True
     candidate_times: Dict[int, float] = field(default_factory=dict)
     schedule_candidate_times: Dict[Tuple[int, str, int, bool], float] = field(
         default_factory=dict
@@ -362,6 +367,12 @@ class HierarchicalPlan:
         return self.cluster.comm_overlap_efficiency
 
     @property
+    def fits_memory(self) -> bool:
+        """True when every stage's per-device peak memory fits its group's
+        device capacity at the schedule's stash peaks."""
+        return memory_verdict(self.stages, self.schedule.peak_stash)[0]
+
+    @property
     def stage_memory_utilization(self) -> List[float]:
         """Per-stage worst-device fraction of device capacity at the
         schedule's stash peak (>1: some device does not fit)."""
@@ -370,7 +381,7 @@ class HierarchicalPlan:
     @property
     def num_model_chunks(self) -> int:
         """Model chunks per stage: always 1.  The e2e plan digest reads this
-        name (ROADMAP item 10)."""
+        name (ROADMAP item "One tracer, in the library")."""
         return 1
 
     @property
@@ -384,7 +395,7 @@ class HierarchicalPlan:
 
     def chunk_sequence(self) -> List[StagePlan]:
         """:attr:`stages` under the name the e2e plan digest reads (ROADMAP
-        item 10)."""
+        item "One tracer, in the library")."""
         return list(self.stages)
 
     @property
@@ -733,13 +744,12 @@ class HierarchicalPlanner:
             return None  # the graph has fewer splittable layer blocks
         cut, stages = built
         times = profile_stages(stages, self._profile_chunk, self._profile_memo)
-        schedule, fits, combo_times = self._search_schedules(stages, times)
+        schedule, combo_times = self._search_schedules(stages, times)
         return HierarchicalPlan(
             cluster=self.cluster,
             stages=stages,
             cut=cut,
             schedule=schedule,
-            fits_memory=fits,
             schedule_candidate_times=combo_times,
             batch_size=self.batch_size,
         )
@@ -751,7 +761,7 @@ class HierarchicalPlanner:
 
     def _search_schedules(
         self, stages: Sequence[StagePlan], times: Sequence[StageTimes]
-    ) -> Tuple[ScheduleResult, bool, Dict[Tuple[int, str, int, bool], float]]:
+    ) -> Tuple[ScheduleResult, Dict[Tuple[int, str, int, bool], float]]:
         """Best (schedule, microbatch count, recompute) over the stage profiles.
 
         Combinations are ranked memory-feasible first, then by estimated
@@ -770,7 +780,7 @@ class HierarchicalPlanner:
         else:
             counts = self._microbatch_candidates()
             combos = [(name, m) for name in SCHEDULE_NAMES for m in counts]
-        best: Optional[Tuple[Tuple[int, float, int], ScheduleResult, bool]] = None
+        best: Optional[Tuple[Tuple[int, float, int], ScheduleResult]] = None
         for order, (name, m) in enumerate(combos):
             for rc in (False, True):
                 result = simulate_pipeline(
@@ -787,12 +797,11 @@ class HierarchicalPlanner:
                 combo_times[(num_stages, name, m, rc)] = result.total
                 key = (0 if fits else 1, result.total, order)
                 if best is None or key < best[0]:
-                    best = (key, result, fits)
+                    best = (key, result)
                 if fits or num_stages == 1:
                     break  # only a multi-stage run that does not fit retries
         assert best is not None  # combos is non-empty
-        _, result, fits = best
-        return result, fits, combo_times
+        return best[1], combo_times
 
     def _remap_whole(self, entry: CachedPlan, order: List[str]) -> HierarchicalPlan:
         """Re-express a cached whole plan over this request's node names.

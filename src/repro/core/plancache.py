@@ -118,7 +118,10 @@ from .properties import Property
 #: changed.
 #: v16: ``HAPPlan`` lost ``synthesis`` (its program is ``program``), so the
 #: pickled plan layout changed.
-CACHE_VERSION = 16
+#: v17: ``HierarchicalPlan`` lost its stored ``fits_memory`` (a property
+#: derived from the stages and the schedule's stash peaks), so the pickled
+#: plan layout changed.
+CACHE_VERSION = 17
 
 #: Configuration fields excluded from cache keys: the cache itself and the
 #: static-verifier flag (verification never changes the plan).

@@ -15,11 +15,10 @@ Entry points:
 * :func:`verify_graph` — G001–G006 over one ``ComputationGraph`` (forward,
   training, or planner-cut stage graph);
 * :func:`verify_program` — P001–P008 over one ``DistributedProgram``;
-* :func:`verify_plan` — L001–L004 plus per-chunk program checks and
-  S001–S003 schedule checks over one ``HierarchicalPlan`` (errors only);
+* :func:`verify_plan` — L001–L004 plus per-chunk program checks and the
+  S003 unknown-schedule check over one ``HierarchicalPlan`` (errors only);
 * :func:`lint_plan` — the W001–W004 and W006 performance lints, the one
   lint entry point;
-* :func:`verify_schedule_orders` — S001–S003 over explicit task orders;
 * ``python -m repro.verify`` — plan + verify every registry model
   (``--lint`` adds the performance lints, ``--strict-warnings`` makes
   warnings fail the run, ``--json`` emits a machine-readable report).
@@ -37,7 +36,6 @@ from .graph import GRAPH_PASSES, verify_graph
 from .lint import LINT_PASSES, lint_plan
 from .plan import PLAN_PASSES, verify_plan, verify_plan_structure
 from .program import PROGRAM_PASSES, verify_program
-from .schedule import SCHEDULE_PASSES, verify_schedule_orders
 
 __all__ = [
     "Diagnostic",
@@ -50,11 +48,9 @@ __all__ = [
     "LINT_PASSES",
     "PROGRAM_PASSES",
     "PLAN_PASSES",
-    "SCHEDULE_PASSES",
     "verify_graph",
     "lint_plan",
     "verify_program",
     "verify_plan",
     "verify_plan_structure",
-    "verify_schedule_orders",
 ]

@@ -2,18 +2,17 @@
 
 The verifier is an *independent* analysis layer: it re-derives the invariants
 the synthesizer and hierarchical planner are supposed to maintain — dataflow
-well-formedness of :class:`~repro.core.program.DistributedProgram`, structural
-consistency of :class:`~repro.core.hierarchical.HierarchicalPlan`, and
-deadlock-freedom of the pipeline task orders — from first principles, without
-trusting the machinery that produced them.  A bug in the synthesizer,
-cache remapping or sub-plan dedupe therefore surfaces as a
-:class:`Diagnostic` instead of a silently wrong plan.
+well-formedness of :class:`~repro.core.program.DistributedProgram` and
+structural consistency of :class:`~repro.core.hierarchical.HierarchicalPlan`
+— from first principles, without trusting the machinery that produced them.
+A bug in the synthesizer, cache remapping or sub-plan dedupe therefore
+surfaces as a :class:`Diagnostic` instead of a silently wrong plan.
 
 Three building blocks:
 
 * :class:`Diagnostic` — one finding, with a stable code (``G0xx`` graph-IR
-  checks, ``P0xx`` program checks, ``L0xx`` plan checks, ``S0xx`` schedule
-  checks, ``W0xx`` warning-severity performance lints), a
+  checks, ``P0xx`` program checks, ``L0xx`` plan checks, ``S003`` an unknown
+  schedule name, ``W0xx`` warning-severity performance lints), a
   :class:`Severity` and a human-readable location.
 * :class:`VerificationReport` — an ordered collection of diagnostics plus the
   names of the passes that ran; ``ok`` means *no error-severity findings*.
@@ -33,7 +32,6 @@ class Severity(Enum):
 
     ERROR = "error"
     WARNING = "warning"
-    INFO = "info"
 
 
 @dataclass(frozen=True)
@@ -41,12 +39,14 @@ class Diagnostic:
     """One verifier finding.
 
     Attributes:
-        code: stable diagnostic code (``P001`` … ``P008``, ``L001`` … ``L004``,
-            ``S001`` … ``S003``); tests and tooling key on it.
+        code: stable diagnostic code (``G001`` … ``G006``, ``P001`` …
+            ``P008``, ``L001`` … ``L004``, ``S003``, ``W001`` … ``W004``,
+            ``W006``); tests and tooling key on it.  ``S001``, ``S002`` and
+            ``W005`` are retired, not reused.
         severity: :class:`Severity` of the finding.
         message: human-readable description of the violated invariant.
         location: where in the artifact the finding anchors (instruction
-            index, stage/chunk coordinates, task-order position, …).
+            index, stage/chunk coordinates, schedule name, …).
     """
 
     code: str

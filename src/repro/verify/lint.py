@@ -149,7 +149,7 @@ class MemoryHeadroomPass(VerifierPass):
         self, plan: HierarchicalPlan, context: Dict[str, Any]
     ) -> Iterable[Diagnostic]:
         if not plan.fits_memory:
-            return  # infeasibility is the L004 error's business, not a lint
+            return  # an infeasible plan says so in its verdict; headroom is moot
         for i, utilization in enumerate(plan.stage_memory_utilization):
             if utilization >= MEMORY_HEADROOM_FRACTION:
                 yield Diagnostic(

@@ -7,14 +7,12 @@ verifier MUST report for the mutation.  The test harness asserts exactly
 that, so the verifier's checks are pinned to real failure modes rather than
 to whatever they happen to flag today.
 
-Four families, mirroring the pass families:
+Three families, mirroring the pass families:
 
 * graph mutations (:data:`GRAPH_MUTATIONS`) — corrupt a
   :class:`~repro.graph.graph.ComputationGraph` behind the builder's back;
 * program mutations (:data:`PROGRAM_MUTATIONS`) — corrupt a
   :class:`~repro.core.program.DistributedProgram`;
-* schedule mutations (:data:`SCHEDULE_MUTATIONS`) — corrupt per-stage task
-  orders;
 * plan mutations (:data:`PLAN_MUTATIONS`) — corrupt a
   :class:`~repro.core.hierarchical.HierarchicalPlan` in place of the planner.
 
@@ -26,7 +24,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..core.hierarchical import HierarchicalPlan
 from ..core.instructions import CommInstruction, CompInstruction, Instruction
@@ -36,7 +34,6 @@ from ..core.properties import DistState, Property
 from ..graph.graph import ComputationGraph, Node
 from ..graph.ops import OpKind, get_op
 from ..graph.tensor import DType, TensorSpec
-from .schedule import Task
 
 
 class MutationError(RuntimeError):
@@ -223,66 +220,12 @@ PROGRAM_MUTATIONS: Dict[
 }
 
 
-# -- schedule mutations --------------------------------------------------------
-
-Orders = List[List[Task]]
-
-
-def _copy_orders(orders: Sequence[Sequence[Task]]) -> Orders:
-    return [list(order) for order in orders]
-
-
-def reorder_task(orders: Sequence[Sequence[Task]]) -> Tuple[Orders, str]:
-    """Swap two adjacent tasks on one stage -> S003 (canonical order broken)."""
-    mutated = _copy_orders(orders)
-    for order in mutated:
-        if len(order) >= 2:
-            order[0], order[1] = order[1], order[0]
-            return mutated, "S003"
-    raise MutationError("no stage has two tasks to swap")
-
-
-def move_backward_early(orders: Sequence[Sequence[Task]]) -> Tuple[Orders, str]:
-    """Move a backward before its own forward on one stage -> S001 (deadlock)."""
-    mutated = _copy_orders(orders)
-    for order in mutated:
-        for pos, (kind, j) in enumerate(order):
-            if kind != "B":
-                continue
-            fpos = order.index(("F", j))
-            if fpos < pos:
-                order.insert(fpos, order.pop(pos))
-                return mutated, "S001"
-    raise MutationError("no backward task follows its forward")
-
-
-def drop_task(orders: Sequence[Sequence[Task]]) -> Tuple[Orders, str]:
-    """Delete one task from one stage -> S002 (send/recv pairing unmatched)."""
-    mutated = _copy_orders(orders)
-    for order in mutated:
-        if order:
-            order.pop()
-            return mutated, "S002"
-    raise MutationError("all task orders are empty")
-
-
-#: name -> mutator over per-stage task orders.
-SCHEDULE_MUTATIONS: Dict[
-    str, Callable[[Sequence[Sequence[Task]]], Tuple[Orders, str]]
-] = {
-    "reorder_task": reorder_task,
-    "move_backward_early": move_backward_early,
-    "drop_task": drop_task,
-}
-
-
 # -- plan mutations ------------------------------------------------------------
 
-def inflate_stage_memory(plan: HierarchicalPlan) -> Tuple[HierarchicalPlan, str]:
-    """Blow a stage's resident parameter bytes past any device -> L004."""
+def truncate_stash_peaks(plan: HierarchicalPlan) -> Tuple[HierarchicalPlan, str]:
+    """Drop the last stage's activation-stash peak -> L004."""
     mutated = copy.deepcopy(plan)
-    stage = mutated.stages[0]
-    stage.replicated_param_bytes += int(max(stage.subcluster.device_memory()) * 10)
+    mutated.schedule.peak_stash.pop()
     return mutated, "L004"
 
 
@@ -304,7 +247,7 @@ def corrupt_send_bytes(plan: HierarchicalPlan) -> Tuple[HierarchicalPlan, str]:
 PLAN_MUTATIONS: Dict[
     str, Callable[[HierarchicalPlan], Tuple[HierarchicalPlan, str]]
 ] = {
-    "inflate_stage_memory": inflate_stage_memory,
+    "truncate_stash_peaks": truncate_stash_peaks,
     "corrupt_stage_index": corrupt_stage_index,
     "corrupt_send_bytes": corrupt_send_bytes,
 }

@@ -14,15 +14,19 @@ result — against the original forward graph:
 * ``L003`` — stage coverage: stage ``i`` sits at position ``i`` (and so
   hosts the chunk of cut piece ``i``), and the cut has exactly one piece
   per stage.
-* ``L004`` — memory feasibility: per-device peak memory re-derived from the
-  chunk plans and the schedule's activation-stash peaks must agree with the
-  plan's ``fits_memory`` verdict against the groups' device capacities.
+* ``L004`` — stash peaks: the schedule reports one activation-stash peak
+  per stage.  The plan's memory verdict (``fits_memory``) is derived from
+  those peaks, so it needs no check of its own, but a short list would
+  leave stages unjudged.
 
 :func:`verify_plan` composes these with the program checks over every chunk
-program and the schedule checks over the plan's canonical task orders — the
-one-call entry point used by the planner's ``verify_after_plan`` hook, the
-cache-hit guard and the ``python -m repro.verify`` CLI.  It reports errors
-only; the warning-severity performance lints are
+program and ``S003``, a schedule name outside
+:data:`~repro.simulator.schedule.SCHEDULE_NAMES` — the one-call entry point
+used by the planner's ``verify_after_plan`` hook, the cache-hit guard and
+the ``python -m repro.verify`` CLI.  The task orders of a known schedule
+are the library's own :func:`~repro.simulator.schedule.task_orders`, which
+its tests check; a plan carries only the name.  ``verify_plan`` reports
+errors only; the warning-severity performance lints are
 :func:`repro.verify.lint.lint_plan`'s.
 """
 
@@ -33,10 +37,9 @@ from typing import Any, Dict, Iterable
 from ..core.hierarchical import HierarchicalPlan
 from ..core.instructions import is_source_op
 from ..graph.graph import ComputationGraph
-from ..simulator.schedule import task_orders
+from ..simulator.schedule import SCHEDULE_NAMES
 from .base import Diagnostic, Severity, VerificationReport, VerifierPass, run_passes
 from .program import verify_program
-from .schedule import verify_schedule_orders
 
 
 class PartitionPass(VerifierPass):
@@ -188,10 +191,10 @@ class ChunkCoveragePass(VerifierPass):
             )
 
 
-class MemoryPass(VerifierPass):
-    """L004: re-derived per-device peak memory agrees with ``fits_memory``."""
+class StashPeaksPass(VerifierPass):
+    """L004: the schedule reports one stash peak per stage."""
 
-    name = "plan-memory"
+    name = "plan-stash-peaks"
     codes = ("L004",)
 
     def run(
@@ -206,31 +209,6 @@ class MemoryPass(VerifierPass):
                 f"{plan.num_stages} stages",
                 "schedule",
             )
-            return
-        derived_fits = True
-        for i, stage in enumerate(plan.stages):
-            capacities = stage.subcluster.device_memory()
-            peaks = stage.peak_device_memory(stash[i])
-            for j, (peak, cap) in enumerate(zip(peaks, capacities)):
-                if peak > cap:
-                    derived_fits = False
-                    yield Diagnostic(
-                        "L004",
-                        Severity.ERROR if plan.fits_memory else Severity.INFO,
-                        f"device {j} needs {peak / 1e9:.3f} GB but its capacity "
-                        f"is {cap / 1e9:.3f} GB",
-                        f"stage {i} device {j}",
-                    )
-        if derived_fits and not plan.fits_memory:
-            yield Diagnostic(
-                "L004",
-                Severity.ERROR,
-                "plan claims fits_memory=False but every device fits the "
-                "re-derived peak",
-                "memory verdict",
-            )
-        # (fits_memory=True with an over-capacity device already produced an
-        # error diagnostic per offending device above.)
 
 
 #: The default plan-check pipeline, in execution order.
@@ -238,7 +216,7 @@ PLAN_PASSES = (
     ChunkCoveragePass(),
     PartitionPass(),
     BoundaryPass(),
-    MemoryPass(),
+    StashPeaksPass(),
 )
 
 
@@ -258,7 +236,7 @@ def verify_plan(
 
     Composes the plan structure checks with the program checks over every
     chunk program (each against its own machine group and sharding ratios)
-    and the schedule checks over the plan's canonical task orders.  The
+    and reports a schedule name outside ``SCHEDULE_NAMES`` as ``S003``.  The
     performance lints are not part of it: run
     :func:`~repro.verify.lint.lint_plan` for those.
 
@@ -278,24 +256,13 @@ def verify_plan(
             check_cost=check_cost,
         )
         report.merge(sub, prefix=f"stage {stage.index}")
-    s = plan.num_stages
-    try:
-        orders = task_orders(plan.schedule_name, s, plan.num_microbatches)
-    except KeyError as exc:
+    if plan.schedule_name not in SCHEDULE_NAMES:
         report.add(
             Diagnostic(
                 "S003",
                 Severity.ERROR,
-                f"plan's schedule is not constructible: {exc}",
+                f"unknown schedule; the known ones are {', '.join(SCHEDULE_NAMES)}",
                 f"schedule {plan.schedule_name!r}",
             )
         )
-    else:
-        sub = verify_schedule_orders(
-            orders,
-            num_stages=s,
-            num_microbatches=plan.num_microbatches,
-            schedule_name=plan.schedule_name,
-        )
-        report.merge(sub, prefix=f"schedule {plan.schedule_name}")
     return report

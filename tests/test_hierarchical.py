@@ -81,9 +81,7 @@ def scheduled_candidate(forward, num_stages, schedule, num_microbatches=None):
     assert plan is not None and plan.num_stages == num_stages
     m = plan.num_microbatches if num_microbatches is None else num_microbatches
     result = rescheduled(planner, plan, schedule, m, plan.recompute)
-    return dataclasses.replace(
-        plan, schedule=result, fits_memory=memory_verdict(plan.stages, result.peak_stash)[0]
-    )
+    return dataclasses.replace(plan, schedule=result)
 
 
 def rescheduled(planner, plan, schedule, num_microbatches, recompute):
@@ -547,7 +545,9 @@ class TestTaskOrders:
     """Structural invariants of every schedule's per-stage task orders,
     which the simulator times and the runtime executes."""
 
-    SHAPES = [(1, 1), (2, 1), (2, 4), (3, 2), (4, 8)]
+    # Up to the default ``max_stages`` (4) and the largest microbatch count
+    # the planner tries (32): the e2e hetero plan runs gpipe at m = 32.
+    SHAPES = [(1, 1), (2, 1), (2, 4), (3, 2), (4, 8), (2, 32), (3, 16), (4, 3), (4, 32)]
 
     @pytest.mark.parametrize("s,m", SHAPES)
     @pytest.mark.parametrize("schedule", SCHEDULE_NAMES)
@@ -871,14 +871,20 @@ class TestChunkPlanner:
         (name,) = [n for n in SCHEDULE_NAMES if n != plan.schedule_name]
         m = max(c for c in planner._microbatch_candidates() if c != plan.num_microbatches)
         result = rescheduled(planner, plan, name, m, not plan.recompute)
-        assert memory_verdict(plan.stages, result.peak_stash)[0] == plan.fits_memory
         swapped = dataclasses.replace(plan, schedule=result)
         assert (
             swapped.schedule_name,
             swapped.num_microbatches,
             swapped.recompute,
             swapped.estimated_time,
-        ) == (name, m, not plan.recompute, result.total)
+            swapped.fits_memory,
+        ) == (
+            name,
+            m,
+            not plan.recompute,
+            result.total,
+            memory_verdict(plan.stages, result.peak_stash)[0],
+        )
         report = verify_plan(swapped, forward)
         assert report.ok, report.describe()
         sim = simulate_hierarchical(swapped, iterations=1, seed=0).schedule
@@ -909,12 +915,15 @@ class TestChunkPlanner:
             "stages",
             "cut",
             "schedule",
-            "fits_memory",
             "candidate_times",
             "schedule_candidate_times",
             "batch_size",
             "reuse_stats",
         ]
+        # The memory verdict is derived from the stages and the schedule,
+        # so it cannot be stored out of step with them.
+        verdict = HierarchicalPlan.fits_memory
+        assert isinstance(verdict, property) and verdict.fset is None
 
     def test_resident_state_splits_by_sharding_ratio(self):
         # With no stash, the per-device peaks of a stage add up to one

@@ -1,16 +1,20 @@
 """One per-device memory model judges every plan.
 
 :func:`repro.core.hierarchical.device_peak_memory` is the only memory
-formula: pipeline stages, the planner's schedule search, the plan verifier
-and the experiment harness's flat out-of-memory flag all read it.  A flat
-plan is the one-stage pipeline, so its verdict is the one-stage candidate's.
+formula: pipeline stages, the planner's schedule search, a plan's derived
+``fits_memory`` verdict and the experiment harness's flat out-of-memory flag
+all read it.  A flat plan is the one-stage pipeline, so its verdict is the
+one-stage candidate's.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 from repro.cluster import ClusterSpec
 from repro.core import HierarchicalConfig, HierarchicalPlanner, PlannerConfig, SynthesisConfig
+from repro.core.hierarchical import memory_verdict
 from repro.experiments.harness import flat_peak_memory, out_of_memory
 from repro.hap import hap
 
@@ -31,8 +35,12 @@ def reserved(cluster, fraction):
     )
 
 
+def small_config():
+    return PlannerConfig(max_rounds=1, synthesis=SynthesisConfig(beam_width=8))
+
+
 def flat_and_one_stage(forward, cluster):
-    config = PlannerConfig(max_rounds=1, synthesis=SynthesisConfig(beam_width=8))
+    config = small_config()
     flat = hap(forward, cluster, config)
     one = HierarchicalPlanner(forward, cluster, HierarchicalConfig(planner=config))
     return flat, one.build_candidate(1)
@@ -56,6 +64,34 @@ def test_flat_plan_verdict_is_the_one_stage_verdict():
         assert stage.peak_device_memory(one.schedule.peak_stash[0]) == peaks
         assert one.fits_memory is fits
         assert out_of_memory(flat, forward, cluster) is not fits
+
+
+@pytest.mark.parametrize("reserve,fits", [(0.0, True), (0.999999, False)])
+def test_fits_memory_is_the_memory_verdict_of_every_candidate(reserve, fits):
+    # A plan stores no verdict: on a fitting cluster and on a memory-starved
+    # one alike, every candidate's ``fits_memory`` is its stages judged
+    # under its own schedule's stash peaks.
+    cluster = reserved(make_cluster(), reserve)
+    config = HierarchicalConfig(planner=small_config())
+    planner = HierarchicalPlanner(build_tiny_transformer(), cluster, config)
+    candidates = [planner.build_candidate(s) for s in planner._candidates()]
+    candidates = [c for c in candidates if c is not None]
+    assert {c.num_stages for c in candidates} >= {1, 2}
+    for candidate in candidates:
+        verdict = memory_verdict(candidate.stages, candidate.schedule.peak_stash)[0]
+        assert candidate.fits_memory is verdict is fits
+
+
+def test_memory_verdict_rejects_a_stash_list_of_another_length():
+    # One stash peak per stage: a short list would leave the last stage
+    # unjudged, and a long one belongs to some other plan.
+    config = HierarchicalConfig(planner=small_config())
+    two = HierarchicalPlanner(build_tiny_transformer(), make_cluster(), config).build_candidate(2)
+    stash = two.schedule.peak_stash
+    assert len(stash) == 2
+    for peaks in (stash[:1], stash + stash[:1], []):
+        with pytest.raises(ValueError, match=f"^{len(peaks)} stash peaks for 2 stages$"):
+            memory_verdict(two.stages, peaks)
 
 
 class _FactorReads(ast.NodeVisitor):

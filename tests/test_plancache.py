@@ -410,9 +410,10 @@ class TestHierarchicalIntegration:
     def test_disk_whole_plan_hit_round_trips(self, tmp_path):
         """A whole plan read back from disk has the current layout (no
         ``partition``: a stage's machine group is its ``subcluster``; no
-        ``synthesis``: a chunk plan stores its program once) and simulates
-        to the same total as the plan that was stored."""
-        assert CACHE_VERSION == 16
+        ``synthesis``: a chunk plan stores its program once; no stored
+        ``fits_memory``: the verdict is derived) and simulates to the same
+        total as the plan that was stored."""
+        assert CACHE_VERSION == 17
         forward = build_mlp()
         cluster = _two_group_cluster()
         config = HierarchicalConfig(planner=small_planner_config(), max_stages=2)
@@ -426,6 +427,8 @@ class TestHierarchicalIntegration:
         assert hit.num_stages == stored.num_stages == 2
         assert not hasattr(hit, "partition")
         assert not any(hasattr(s.plan, "synthesis") for s in hit.stages)
+        assert "fits_memory" not in vars(hit)
+        assert hit.fits_memory == stored.fits_memory
         assert [s.subcluster.name for s in hit.stages] == [
             s.subcluster.name for s in stored.stages
         ]

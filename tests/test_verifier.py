@@ -35,7 +35,6 @@ from repro.core.config import verify_default
 from repro.core.instructions import CommInstruction
 from repro.graph.graph import ComputationGraph
 from repro.models.registry import MODEL_NAMES, build_tiny_model
-from repro.simulator.schedule import task_orders
 from repro.verify import (
     PlanVerificationError,
     Severity,
@@ -43,7 +42,6 @@ from repro.verify import (
     verify_graph,
     verify_plan,
     verify_program,
-    verify_schedule_orders,
 )
 from repro.verify import cli as verify_cli
 from repro.verify.base import Diagnostic, VerificationReport
@@ -51,7 +49,6 @@ from repro.verify.mutate import (
     GRAPH_MUTATIONS,
     PLAN_MUTATIONS,
     PROGRAM_MUTATIONS,
-    SCHEDULE_MUTATIONS,
     duplicate_instruction,
 )
 from repro.verify.plan import verify_plan_structure
@@ -129,22 +126,14 @@ class TestPositive:
         plan = HierarchicalPlanner(forward, two_group_cluster(), hier_config()).plan()
         report = verify_plan(plan, forward)
         assert report.ok, report.describe()
-        # All three pass families actually ran.
+        # Both pass families actually ran.
         ran = set(report.passes_run)
-        assert {"plan-partition", "program-dataflow", "schedule-acyclicity"} <= ran
+        assert {"plan-partition", "plan-stash-peaks", "program-dataflow"} <= ran
 
     def test_flat_program_verifies(self, flat_plan):
         cluster = make_cluster()
         report = verify_program(flat_plan.program, cluster, flat_plan.flat_ratios)
         assert report.ok, report.describe()
-
-    def test_canonical_schedules_verify(self):
-        for name, s, m in (("gpipe", 4, 8), ("1f1b", 4, 8)):
-            orders = task_orders(name, s, m)
-            report = verify_schedule_orders(
-                orders, num_stages=s, num_microbatches=m, schedule_name=name
-            )
-            assert report.ok, (name, report.describe())
 
 
 # ---------------------------------------------------------------------------
@@ -170,20 +159,6 @@ class TestProgramMutations:
         assert expected in report.codes()
         assert not report.ok
 
-
-class TestScheduleMutations:
-    @pytest.mark.parametrize("mutation", sorted(SCHEDULE_MUTATIONS))
-    @pytest.mark.parametrize("schedule,s,m", [("1f1b", 4, 8), ("gpipe", 3, 6)])
-    def test_mutation_caught(self, mutation, schedule, s, m):
-        orders = task_orders(schedule, s, m)
-        mutated, expected = SCHEDULE_MUTATIONS[mutation](orders)
-        report = verify_schedule_orders(
-            mutated, num_stages=s, num_microbatches=m, schedule_name=schedule
-        )
-        assert not report.ok, f"{mutation} went undiagnosed"
-        assert expected in report.codes(), (
-            f"{mutation}: expected {expected}, got {report.codes()}\n{report.describe()}"
-        )
 
 class TestPlanMutations:
     @pytest.mark.parametrize("mutation", sorted(PLAN_MUTATIONS))
@@ -211,17 +186,24 @@ class TestPlanMutations:
             for d in report.errors
         ), report.describe()
 
-    def test_memory_mutation_is_error_only_when_plan_claims_fit(self, bert_plan, bert_forward):
-        mutated, _ = PLAN_MUTATIONS["inflate_stage_memory"](bert_plan)
-        # The plan still claims fits_memory=True, so the violation is an error...
-        assert any(
-            d.severity is Severity.ERROR and d.code == "L004"
-            for d in verify_plan_structure(mutated, bert_forward).diagnostics
+    def test_unknown_schedule_name_is_s003(self, bert_plan, bert_forward):
+        # A cache entry can name a schedule this planner no longer has.
+        mutated = dataclasses.replace(
+            bert_plan, schedule=dataclasses.replace(bert_plan.schedule, schedule="interleaved")
         )
-        # ...but a plan that honestly reports infeasibility is not lying.
-        mutated.fits_memory = False
-        honest = verify_plan_structure(mutated, bert_forward)
-        assert not [d for d in honest.errors if d.code == "L004"], honest.describe()
+        report = verify_plan(mutated, bert_forward)
+        assert [d.code for d in report.errors] == ["S003"], report.describe()
+        assert "'interleaved'" in report.errors[0].location
+        assert "S003" not in verify_plan(bert_plan, bert_forward).codes()
+
+    def test_infeasible_plan_is_not_an_error(self, bert_plan, bert_forward):
+        # The memory verdict is derived, so an over-capacity plan reports
+        # its infeasibility through ``fits_memory`` and verifies clean.
+        mutated = copy.deepcopy(bert_plan)
+        stage = mutated.stages[0]
+        stage.replicated_param_bytes += int(max(stage.subcluster.device_memory()) * 10)
+        assert not mutated.fits_memory
+        assert verify_plan(mutated, bert_forward).ok
 
 
 # ---------------------------------------------------------------------------
@@ -503,23 +485,29 @@ class TestLint:
         assert "W003" not in lint_plan(clean).codes()
 
     def test_w004_memory_headroom(self, bert_plan, bert_forward):
-        bad = copy.deepcopy(bert_plan)
-        # Raise stage 0's stash peak until its worst device holds 95%.
-        stage = bad.stages[0]
-        resident = stage.peak_device_memory(0.0)
-        bad.schedule.peak_stash[0] = min(
-            (0.95 * cap - peak) / ratio
-            for peak, cap, ratio in zip(
-                resident, stage.subcluster.device_memory(), stage.ratios
+        def at_utilization(fraction):
+            """``bert_plan`` with stage 0's stash peak raised until its worst
+            device holds ``fraction`` of its capacity."""
+            plan = copy.deepcopy(bert_plan)
+            stage = plan.stages[0]
+            resident = stage.peak_device_memory(0.0)
+            plan.schedule.peak_stash[0] = min(
+                (fraction * cap - peak) / ratio
+                for peak, cap, ratio in zip(
+                    resident, stage.subcluster.device_memory(), stage.ratios
+                )
             )
-        )
-        assert bad.stage_memory_utilization[0] == pytest.approx(0.95)
+            assert plan.stage_memory_utilization[0] == pytest.approx(fraction)
+            return plan
+
+        bad = at_utilization(0.95)
         assert bad.fits_memory
         assert "L004" not in verify_plan_structure(bad, bert_forward).codes()
         assert "W004" in lint_plan(bad).codes()
-        # An honestly-infeasible plan is L004's business, not a headroom lint.
-        bad.fits_memory = False
-        assert "W004" not in lint_plan(bad).codes()
+        # An infeasible plan says so in its verdict; headroom is not its lint.
+        over = at_utilization(1.05)
+        assert not over.fits_memory
+        assert "W004" not in lint_plan(over).codes()
 
     def test_w006_dominated_collective(self, sharded_plan):
         bad = copy.deepcopy(sharded_plan)
