@@ -20,7 +20,10 @@ bandwidth-constrained clusters.  The hierarchical planner instead
    (:func:`~repro.autodiff.build_stage_training_graph`), and
 4. runs the *existing* flat :class:`~repro.core.pipeline.HAPPlanner` on every
    (chunk graph, machine group) pair, so all of HAP's program synthesis and
-   load balancing is reused unchanged inside each chunk.
+   load balancing is reused unchanged inside each chunk.  Each chunk is
+   planned and profiled once; a group that is one virtual device (one
+   machine running data parallelism inside it) costs no search, because the
+   flat planner builds its one program in closed form.
 
 For every stage count the planner then searches jointly over the pipeline
 **schedule** (GPipe or 1F1B — :mod:`repro.simulator.schedule`),
@@ -179,12 +182,7 @@ class HierarchicalConfig:
             :class:`~repro.core.plancache.DiskPlanCache` holding whole plans,
             keyed by the forward graph's content fingerprint, the cluster and
             this configuration (see :mod:`repro.core.plancache`).  ``None``
-            (the default) disables cross-call caching.  Within one
-            :meth:`plan` call each distinct (chunk-graph content, machine
-            group, planner config) problem is planned once either way, and
-            the plan is renamed onto every isomorphic chunk — repeated
-            transformer layers produce isomorphic chunk graphs across the
-            stages.
+            (the default) disables cross-call caching.
     """
 
     max_stages: int = 4
@@ -215,12 +213,6 @@ class StagePlan:
         sharded_param_bytes: parameter bytes the stage program shards across
             its group (each device holds its ratio's worth).
         replicated_param_bytes: parameter bytes replicated on every device.
-        content_key: content address of the (chunk graph, group, planner
-            config) planning problem (see :func:`repro.core.plancache.plan_key`);
-            the planner sets it on every stage.  Two stages with the same
-            key have bit-identical cost profiles (the cost model never looks
-            at node names), so the planner and simulator profile each
-            distinct key once.
     """
 
     index: int
@@ -231,7 +223,6 @@ class StagePlan:
     activation_bytes: int = 0
     sharded_param_bytes: int = 0
     replicated_param_bytes: int = 0
-    content_key: Optional[str] = None
 
     @property
     def stage_index(self) -> int:
@@ -313,12 +304,12 @@ class HierarchicalPlan:
         schedule_candidate_times: estimated time of every
             (stage count, schedule, microbatches, recompute) combination.
         batch_size: global mini-batch size (for runtime ratio snapping).
-        reuse_stats: how much flat-HAP planning the reuse machinery avoided:
-            ``subplans_planned`` chunk plans were actually synthesized,
-            ``subplans_deduped`` were renamed from an isomorphic chunk planned
-            earlier in the same call, ``cache_rejects`` counts whole-plan
-            cache entries that failed verification, and ``whole_plan_hit``
-            is 1 when the entire plan was served from the cache.
+        reuse_stats: how much flat-HAP planning the plan cache avoided:
+            ``subplans_planned`` chunk plans were built (one per stage of
+            every candidate stage count), ``cache_rejects`` counts
+            whole-plan cache entries that failed verification, and
+            ``whole_plan_hit`` is 1 when the entire plan was served from the
+            cache.
     """
 
     cluster: ClusterSpec
@@ -442,11 +433,8 @@ class HierarchicalPlan:
             lines.append(f"  candidates: {ranked}")
         if self.reuse_stats:
             planned = self.reuse_stats.get("subplans_planned", 0)
-            deduped = self.reuse_stats.get("subplans_deduped", 0)
             note = " (whole plan from cache)" if self.reuse_stats.get("whole_plan_hit") else ""
-            lines.append(
-                f"  reuse: {planned} chunk plan(s) synthesized, {deduped} deduped{note}"
-            )
+            lines.append(f"  reuse: {planned} chunk plan(s) built{note}")
         return "\n".join(lines)
 
 
@@ -587,15 +575,9 @@ class HierarchicalPlanner:
         self._reset()
 
     def _reset(self) -> None:
-        """Start a fresh :meth:`plan` call: empty tables, zero reuse counters."""
-        # content key -> (plan, canonical order it was planned under): the
-        # within-call sub-plan dedupe table.
-        self._local_plans: Dict[str, Tuple[HAPPlan, List[str]]] = {}
-        # content key -> phase_profile buckets: each distinct (chunk graph,
-        # group, planner config) problem is profiled once per call.
-        self._profile_memo: Dict[str, Dict[str, float]] = {}
+        """Start a fresh :meth:`plan` call: zero reuse counters."""
         self.reuse_stats: Dict[str, int] = dict.fromkeys(
-            ("subplans_planned", "subplans_deduped", "cache_rejects", "whole_plan_hit"), 0
+            ("subplans_planned", "cache_rejects", "whole_plan_hit"), 0
         )
 
     def _batch_size(self) -> Optional[int]:
@@ -622,26 +604,17 @@ class HierarchicalPlanner:
         return sorted({_nearest_divisor(self.batch_size, m) for m in MICROBATCH_CANDIDATES})
 
     # -- per-candidate construction -------------------------------------------------
-    def _plan_chunk(self, graph: ComputationGraph, group: ClusterSpec) -> Tuple[HAPPlan, str]:
-        """Flat-HAP plan for one chunk graph, deduped within the call.
+    def _plan_chunk(self, graph: ComputationGraph, group: ClusterSpec) -> HAPPlan:
+        """Flat-HAP plan for one chunk graph on its machine group.
 
-        An isomorphic chunk planned earlier in this :meth:`plan` call — a
-        repeated layer, or the same group shape at another stage count — has
-        the same content key (chunk-graph fingerprint x
-        machine-group signature x planner config); its plan is renamed onto
-        this chunk's node names, so the result is identical to planning from
-        scratch.  Returns the plan and its content key.
+        Every chunk is planned afresh, with no within-call dedupe of
+        isomorphic chunks.  On the registry models and paper testbeds only
+        one-device chunks (a one-machine group with machines grouped)
+        recurred, and :class:`~repro.core.pipeline.HAPPlanner` builds those
+        in closed form.
         """
-        fingerprint, order = fingerprint_with_order(graph)
-        key = plan_key(fingerprint, group, self.config.planner)
-        known = self._local_plans.get(key)
-        if known is not None:
-            self.reuse_stats["subplans_deduped"] += 1
-            return remap_plan(known[0], known[1], graph, order), key
-        plan = HAPPlanner(graph, group, self.config.planner).plan()
         self.reuse_stats["subplans_planned"] += 1
-        self._local_plans[key] = (plan, order)
-        return plan, key
+        return HAPPlanner(graph, group, self.config.planner).plan()
 
     def _chunk_training_graph(self, cut: PipelineCut, k: int) -> TrainingGraphInfo:
         """Training graph of stage ``k`` of ``cut``, differentiated alone."""
@@ -671,7 +644,7 @@ class HierarchicalPlanner:
         stages: List[StagePlan] = []
         for k, group in enumerate(groups):
             info = self._chunk_training_graph(cut, k)
-            plan, content_key = self._plan_chunk(info.graph, group)
+            plan = self._plan_chunk(info.graph, group)
             activation_bytes = sum(
                 info.graph[name].spec.size_bytes
                 for name in info.forward_nodes
@@ -688,7 +661,6 @@ class HierarchicalPlanner:
                     activation_bytes=activation_bytes,
                     sharded_param_bytes=sharded,
                     replicated_param_bytes=replicated,
-                    content_key=content_key,
                 )
             )
         return cut, stages
@@ -743,7 +715,7 @@ class HierarchicalPlanner:
         if built is None:
             return None  # the graph has fewer splittable layer blocks
         cut, stages = built
-        times = profile_stages(stages, self._profile_chunk, self._profile_memo)
+        times = profile_stages(stages, self._profile_chunk)
         schedule, combo_times = self._search_schedules(stages, times)
         return HierarchicalPlan(
             cluster=self.cluster,
@@ -857,8 +829,7 @@ class HierarchicalPlanner:
         node names — is served whole: the cached plan is renamed onto the
         request (:meth:`_remap_whole`) and structurally verified.  The cache
         holds whole plans only: a request that misses (another
-        configuration, or a rejected entry) plans from scratch, deduping
-        isomorphic chunks within the call.
+        configuration, or a rejected entry) plans from scratch.
         """
         self._reset()
         cache = self.config.plan_cache

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from ..collectives.cost import CollectiveKind
-from .properties import Property
+from .properties import CachedHash, Property
 
 
 @dataclass(frozen=True)
-class CompInstruction:
+class CompInstruction(CachedHash):
     """One computation instruction executed by every device.
 
     Attributes:
@@ -49,14 +49,16 @@ class CompInstruction:
 
     def __post_init__(self) -> None:
         # Instructions key the cost-model memo tables; cache the hash.
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((self.node, self.op, self.inputs, self.output, self.flops_sharded)),
-        )
+        object.__setattr__(self, "_hash", hash(self._hash_key()))
+
+    def _hash_key(self) -> tuple:
+        return (self.node, self.op, self.inputs, self.output, self.flops_sharded)
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        try:
+            return self._hash  # type: ignore[attr-defined]
+        except AttributeError:  # unpickled (see CachedHash)
+            return self._rehash()
 
     @property
     def is_communication(self) -> bool:
@@ -74,7 +76,7 @@ class CompInstruction:
 
 
 @dataclass(frozen=True)
-class CommInstruction:
+class CommInstruction(CachedHash):
     """One collective communication instruction.
 
     Attributes:
@@ -93,14 +95,16 @@ class CommInstruction:
     dim2: Optional[int] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((self.kind, self.input, self.output, self.dim, self.dim2)),
-        )
+        object.__setattr__(self, "_hash", hash(self._hash_key()))
+
+    def _hash_key(self) -> tuple:
+        return (self.kind, self.input, self.output, self.dim, self.dim2)
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        try:
+            return self._hash  # type: ignore[attr-defined]
+        except AttributeError:  # unpickled (see CachedHash)
+            return self._rehash()
 
     @property
     def node(self) -> str:

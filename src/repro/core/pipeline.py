@@ -25,7 +25,7 @@ from .config import PlannerConfig
 from .costmodel import CostBreakdown, CostModel
 from .load_balancer import LoadBalancer
 from .program import DistributedProgram
-from .rules import build_theory
+from .rules import build_theory, single_device_program
 from .synthesizer import ProgramSynthesizer
 
 #: Relative cost improvement below which the (Q, B) alternation stops.  Known
@@ -91,6 +91,11 @@ class HAPPlanner:
 
     The planner keeps one :class:`~repro.core.synthesizer.ProgramSynthesizer`
     for all optimisation rounds, so its per-rule caches carry across rounds.
+    One virtual device (a whole machine running data parallelism inside it,
+    Sec. 6) is planned in closed form outside baseline emulation
+    (``force_data_parallel``), the way
+    :meth:`~repro.core.load_balancer.LoadBalancer.optimize` short-circuits
+    one device.
     """
 
     def __init__(
@@ -112,15 +117,36 @@ class HAPPlanner:
             if not graph_report.ok:
                 raise PlanVerificationError(graph_report)
         self.cost_model = CostModel(graph, cluster)
-        self.theory = build_theory(graph, cluster.num_devices, self.config.synthesis)
-        self.synthesizer = ProgramSynthesizer(
-            graph, cluster, self.config.synthesis, theory=self.theory, cost_model=self.cost_model
-        )
+        synthesis = self.config.synthesis
+        #: None on one virtual device outside baseline emulation: that
+        #: theory holds one program (:func:`~repro.core.rules.build_theory`),
+        #: which :func:`single_device_program` builds in closed form.
+        self.synthesizer: Optional[ProgramSynthesizer] = None
+        if cluster.num_devices > 1 or synthesis.force_data_parallel:
+            self.synthesizer = ProgramSynthesizer(
+                graph,
+                cluster,
+                synthesis,
+                theory=build_theory(graph, cluster.num_devices, synthesis),
+                cost_model=self.cost_model,
+            )
         self.load_balancer = LoadBalancer(cluster)
 
     # -- main entry point ---------------------------------------------------------
     def plan(self) -> HAPPlan:
-        """Run the iterative optimisation and return the best (Q, B) pair."""
+        """Run the iterative optimisation and return the best (Q, B) pair.
+
+        On one virtual device the single program at ratios ``[1.0]`` is the
+        answer: it is returned with one round record, and no theory,
+        search or LP is built.
+        """
+        if self.synthesizer is None:
+            start = _time.perf_counter()
+            program = single_device_program(self.graph)
+            cost = self.cost_model.evaluate(program, [1.0])
+            seconds = _time.perf_counter() - start
+            rounds = [OptimizationRound(0, cost.total, cost.total, [1.0], seconds, 0.0)]
+            return self.verified(HAPPlan(program, [[1.0]], cost, rounds))
         ratios = list(self.cluster.proportional_ratios())
         best: Optional[Tuple[DistributedProgram, List[float], CostBreakdown]] = None
         rounds: List[OptimizationRound] = []
@@ -170,7 +196,12 @@ class HAPPlanner:
     def plan_at(self, ratios: Sequence[float]) -> HAPPlan:
         """One synthesis at the fixed ``ratios``, with no load balancing."""
         ratios = list(ratios)
-        program = self.synthesizer.synthesize(ratios).program
+        if self.synthesizer is None:
+            if len(ratios) != 1:
+                raise ValueError(f"expected 1 sharding ratio, got {len(ratios)}")
+            program = single_device_program(self.graph)
+        else:
+            program = self.synthesizer.synthesize(ratios).program
         cost = self.cost_model.evaluate(program, ratios)
         return self.verified(HAPPlan(program, [ratios], cost, []))
 

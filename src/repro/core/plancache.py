@@ -121,7 +121,11 @@ from .properties import Property
 #: v17: ``HierarchicalPlan`` lost its stored ``fits_memory`` (a property
 #: derived from the stages and the schedule's stash peaks), so the pickled
 #: plan layout changed.
-CACHE_VERSION = 17
+#: v18: ``StagePlan`` lost ``content_key`` (the within-call chunk dedupe and
+#: the profile memo it keyed are gone), so the pickled plan layout changed.
+#: Hash-cached properties, states and instructions also stopped pickling
+#: their process-local hashes.
+CACHE_VERSION = 18
 
 #: Configuration fields excluded from cache keys: the cache itself and the
 #: static-verifier flag (verification never changes the plan).

@@ -28,6 +28,33 @@ class StateKind(Enum):
     PARTIAL = "partial"        # e | All-Reduce
 
 
+class CachedHash:
+    """Mixin of the frozen value classes that cache their hash in ``_hash``.
+
+    A subclass sets ``_hash`` to ``hash(self._hash_key())`` on construction
+    and its ``__hash__`` returns it, falling back to :meth:`_rehash` when it
+    is missing.  ``hash()`` of a string or an enum member depends on the
+    process's hash seed, so the cached value is left out of the pickled
+    state; an unpickled object computes it on first use, and loading does
+    no per-object work.
+    """
+
+    __slots__ = ()
+
+    def _hash_key(self) -> tuple:
+        raise NotImplementedError
+
+    def _rehash(self) -> int:
+        value = hash(self._hash_key())
+        object.__setattr__(self, "_hash", value)
+        return value
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+
 @dataclass(frozen=True)
 class DistState:
     """Distribution state of one tensor (kind + optional shard dimension)."""
@@ -46,6 +73,11 @@ class DistState:
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
+
+    def __reduce__(self):
+        # Unpickle to this process's interned state, whose hash is this
+        # process's: a pickled hash is only valid under the writer's hash seed.
+        return (_interned_state, (self.kind, self.dim))
 
     # -- convenience constructors ------------------------------------------
     @staticmethod
@@ -97,18 +129,33 @@ _PARTIAL = DistState(StateKind.PARTIAL)
 _SHARDED: Dict[int, DistState] = {}
 
 
+def _interned_state(kind: StateKind, dim: Optional[int]) -> DistState:
+    """The interned state of ``(kind, dim)`` (how a pickled state loads)."""
+    if kind is StateKind.SHARDED:
+        return DistState.sharded(dim)  # type: ignore[arg-type]
+    return _REPLICATED if kind is StateKind.REPLICATED else _PARTIAL
+
+
+
+
 @dataclass(frozen=True)
-class Property:
+class Property(CachedHash):
     """``ref | state``: a reference tensor held in a particular distribution."""
 
     ref: str
     state: DistState
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.ref, self.state)))
+        object.__setattr__(self, "_hash", hash(self._hash_key()))
+
+    def _hash_key(self) -> tuple:
+        return (self.ref, self.state)
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        try:
+            return self._hash  # type: ignore[attr-defined]
+        except AttributeError:  # unpickled (see CachedHash)
+            return self._rehash()
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.ref} | {self.state}"

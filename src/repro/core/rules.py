@@ -59,6 +59,7 @@ from ..graph.graph import ComputationGraph, Node
 from ..graph.ops import OpKind
 from .config import SynthesisConfig
 from .instructions import CommInstruction, CompInstruction, Instruction
+from .program import DistributedProgram
 from .properties import DistState, Property
 from .variants import R, Variant, moe_restricted_refs, node_variants, source_variants
 
@@ -250,7 +251,9 @@ def build_theory(
     at least zero; the collective-free replicated program therefore already
     reaches the lower bound, the sum of its computation times.  A machine
     group's intra-machine data parallelism is priced by the cost model, not
-    by the theory.
+    by the theory.  The planner does not search this theory: it builds its
+    only program in closed form (:func:`single_device_program`).  The branch
+    stays as the reference that closed form is tested against.
 
     The build has three steps.  It enumerates the candidate rules as
     (ref, state) pairs, each property interned on first use.  An order-free
@@ -461,6 +464,38 @@ def first_use_sources(graph: ComputationGraph) -> Dict[str, FrozenSet[str]]:
         seen.update(fresh)
         out[node.name] = fresh
     return out
+
+
+def single_device_program(graph: ComputationGraph) -> DistributedProgram:
+    """The one program of :func:`build_theory`'s one-device theory, built
+    directly.
+
+    Each computation node, in graph order, first creates the sources it
+    consumes first (:func:`first_use_sources`, in input order) and then runs
+    itself, every tensor ``Replicated`` and every flop unsharded: the
+    instructions of the theory's only rule per node, in the order both
+    searches fire them.  No theory, search or cost is involved.
+    """
+    graph.validate()
+    props: Dict[str, Property] = {}
+
+    def prop(ref: str) -> Property:
+        found = props.get(ref)
+        if found is None:
+            found = props[ref] = Property(ref, R)
+        return found
+
+    instructions: List[Instruction] = []
+    for name, fused_refs in first_use_sources(graph).items():
+        node = graph[name]
+        inputs = tuple(map(prop, node.inputs))
+        for p in dict.fromkeys(inputs):
+            if p.ref in fused_refs:
+                instructions.append(CompInstruction(p.ref, graph[p.ref].op, (), p, False))
+        instructions.append(CompInstruction(name, node.op, inputs, prop(name), False))
+    return DistributedProgram(
+        graph, instructions, frozenset(instr.output for instr in instructions), 1
+    )
 
 
 def fireable_rules(

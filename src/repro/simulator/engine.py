@@ -409,9 +409,7 @@ def simulate_hierarchical(
         sim = ExecutionSimulator(stage.subcluster, overheads=overheads, seed=seed)
         return sim.profile_program(stage.program, stage.ratios, stage.forward_nodes)
 
-    # profile_program is noise-free, so stages sharing a content key are
-    # measured once per simulation.
-    stage_times = profile_stages(plan.stages, profile, {})
+    stage_times = profile_stages(plan.stages, profile)
     network = plan.cluster.network
     schedule = simulate_pipeline(
         stage_times,

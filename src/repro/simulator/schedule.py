@@ -84,31 +84,19 @@ class StageTimes:
 
 
 def profile_stages(
-    stages: Sequence[Any],
-    profile: Callable[[Any], Dict[str, float]],
-    memo: Dict[str, Dict[str, float]],
+    stages: Sequence[Any], profile: Callable[[Any], Dict[str, float]]
 ) -> List[StageTimes]:
     """Per-stage :class:`StageTimes` of a pipeline's stages.
 
     ``stages`` are :class:`~repro.core.hierarchical.StagePlan` objects (read
-    duck-typed: ``content_key``, ``send_bytes`` and ``activation_bytes``).  ``profile(stage)`` returns the stage's chunk
-    program's ``{"forward", "backward", "sync"}`` seconds — the planner
-    passes the cost model's phase profile, the simulator its measured one.
-
-    Stages sharing a ``content_key`` (isomorphic graph, same group
-    signature, same planner config) have bit-identical profiles — neither
-    profiler reads node names — so ``profile`` runs once per distinct key
-    and the buckets are kept in ``memo``.  A stage whose key is ``None`` is
-    profiled every time.
+    duck-typed: ``send_bytes`` and ``activation_bytes``).  ``profile(stage)``
+    returns the stage's chunk program's ``{"forward", "backward", "sync"}``
+    seconds — the planner passes the cost model's phase profile, the
+    simulator its measured one — and runs once per stage.
     """
     times: List[StageTimes] = []
     for stage in stages:
-        key = stage.content_key
-        buckets = memo.get(key) if key is not None else None
-        if buckets is None:
-            buckets = profile(stage)
-            if key is not None:
-                memo[key] = buckets
+        buckets = profile(stage)
         times.append(
             StageTimes(
                 forward=buckets["forward"],

@@ -3,8 +3,8 @@
 The synthesizer and hierarchical planner *construct* well-formed artifacts;
 this package *proves* them well-formed after the fact, re-deriving every
 invariant from first principles so corruption introduced anywhere between
-synthesis and use — a stale cache entry, a bad rename in a cache remap,
-a sub-plan dedupe bug — surfaces as a :class:`Diagnostic` instead of a wrong
+synthesis and use — a stale cache entry, or a bad rename in a cache
+remap — surfaces as a :class:`Diagnostic` instead of a wrong
 plan.  On top of the error-severity proofs, the graph checker validates the
 IR *before* planning and the plan linter flags legal-but-slow plans with
 warning-severity findings.  See the README's "Plan verification and static

@@ -5,7 +5,7 @@ the synthesizer and hierarchical planner are supposed to maintain — dataflow
 well-formedness of :class:`~repro.core.program.DistributedProgram` and
 structural consistency of :class:`~repro.core.hierarchical.HierarchicalPlan`
 — from first principles, without trusting the machinery that produced them.
-A bug in the synthesizer, cache remapping or sub-plan dedupe therefore
+A bug in the synthesizer or in cache remapping therefore
 surfaces as a :class:`Diagnostic` instead of a silently wrong plan.
 
 Three building blocks:

@@ -88,7 +88,7 @@ def rescheduled(planner, plan, schedule, num_microbatches, recompute):
     """``plan``'s stage profiles re-run under one (schedule, microbatch
     count, recomputation) combination, priced the way the planner prices
     it."""
-    times = profile_stages(plan.stages, planner._profile_chunk, planner._profile_memo)
+    times = profile_stages(plan.stages, planner._profile_chunk)
     network = plan.cluster.network
     return simulate_pipeline(
         times,
@@ -686,7 +686,7 @@ class TestHierarchicalPlanner:
         assert not plan.recompute
         assert plan.num_microbatches > config.max_stages
         # GPipe at the very same microbatch count exceeds device memory.
-        times = profile_stages(plan.stages, planner._profile_chunk, planner._profile_memo)
+        times = profile_stages(plan.stages, planner._profile_chunk)
         network = plan.cluster.network
         gpipe = simulate_pipeline(
             times, plan.num_microbatches, network.bandwidth, network.latency, schedule="gpipe"
@@ -732,7 +732,7 @@ class TestHierarchicalPlanner:
         plan = planner.plan()
         assert plan.num_stages == 2
         combos = plan.schedule_candidate_times
-        times = profile_stages(plan.stages, planner._profile_chunk, planner._profile_memo)
+        times = profile_stages(plan.stages, planner._profile_chunk)
         network = plan.cluster.network
         retried = set()
         for stages, name, m, rc in combos:
@@ -976,36 +976,29 @@ class TestChunkPlanner:
 
 class TestProfileOnce:
     """Planner and simulator assemble stage profiles through one function,
-    :func:`repro.simulator.schedule.profile_stages`, which runs each
-    distinct chunk content key's profiler once."""
+    :func:`repro.simulator.schedule.profile_stages`, which runs the
+    profiler once per stage."""
 
     @pytest.fixture(scope="class")
     def two_machines(self):
         """Two heterogeneous machines: stage counts 1 and 2."""
         return make_cluster(("A100", "P100"), group=True)
 
-    def test_profile_stages_profiles_each_key_once(self):
+    def test_profile_stages_profiles_each_stage_once(self):
         from types import SimpleNamespace
 
-        def stage(key, fwd, send):
-            return SimpleNamespace(
-                content_key=key,
-                fwd=fwd,
-                send_bytes=send,
-                activation_bytes=2 * send,
-            )
-
-        stages = [stage("a", 1.0, 10), stage("b", 2.0, 20), stage("a", 9.0, 30)]
+        stages = [
+            SimpleNamespace(fwd=fwd, send_bytes=send, activation_bytes=2 * send)
+            for fwd, send in ((1.0, 10), (2.0, 20), (1.0, 30))
+        ]
         calls = []
 
         def profile(c):
-            calls.append(c.content_key)
+            calls.append(c)
             return {"forward": c.fwd, "backward": 2 * c.fwd, "sync": 0.5}
 
-        memo = {}
-        times = profile_stages(stages, profile, memo)
-        assert calls == ["a", "b"]  # the second "a" stage reuses the first's buckets
-        assert sorted(memo) == ["a", "b"]
+        times = profile_stages(stages, profile)
+        assert calls == stages
         assert times[2] == StageTimes(
             forward=1.0,
             backward=2.0,
@@ -1014,14 +1007,8 @@ class TestProfileOnce:
             activation_bytes=60.0,
         )
         assert times[1].forward == 2.0 and times[1].sync == 0.5
-        # Keyless stages are profiled every time.
-        for st in stages:
-            st.content_key = None
-        calls.clear()
-        profile_stages(stages, profile, {})
-        assert calls == [None, None, None]
 
-    def test_planner_profiles_once_per_content_key(self, two_machines, monkeypatch):
+    def test_planner_profiles_each_planned_chunk_once(self, two_machines, monkeypatch):
         from repro.core import CostModel
 
         calls = []
@@ -1034,22 +1021,9 @@ class TestProfileOnce:
         monkeypatch.setattr(CostModel, "phase_profile", counting)
         planner = HierarchicalPlanner(build_mlp(), two_machines, hier_config())
         plan = planner.plan()
-        assert len(calls) == len(planner._profile_memo)
-        before = len(calls)
-        # Re-deriving stage times for already-profiled chunks is free.
-        profile_stages(plan.stages, planner._profile_chunk, planner._profile_memo)
-        assert len(calls) == before
+        assert len(calls) == plan.reuse_stats["subplans_planned"] == 3
 
-    def test_planner_profile_memo_result_identical(self, two_machines):
-        planner = HierarchicalPlanner(build_mlp(), two_machines, hier_config())
-        plan = planner.plan()
-        keyed = profile_stages(plan.stages, planner._profile_chunk, planner._profile_memo)
-        # Without content keys every stage is profiled afresh.
-        for stage in plan.stages:
-            stage.content_key = None
-        assert profile_stages(plan.stages, planner._profile_chunk, {}) == keyed
-
-    def test_simulator_profiles_once_per_key_and_identically(self, two_machines, monkeypatch):
+    def test_simulator_profiles_each_stage_once_and_identically(self, two_machines, monkeypatch):
         plan = HierarchicalPlanner(build_mlp(), two_machines, hier_config()).plan()
         baseline = simulate_hierarchical(plan, iterations=2)
 
@@ -1063,19 +1037,10 @@ class TestProfileOnce:
             return orig(self, *args, **kwargs)
 
         monkeypatch.setattr(engine.ExecutionSimulator, "profile_program", counting)
-        keyed = simulate_hierarchical(plan, iterations=2)
-        distinct = {stage.content_key for stage in plan.stages if stage.content_key}
-        assert len(calls) == len(distinct)
-        assert keyed.total == baseline.total
-        assert keyed.schedule.total == baseline.schedule.total
-
-        # Stripping the keys disables the memo but not the numbers.
-        for stage in plan.stages:
-            stage.content_key = None
-        calls.clear()
-        plain = simulate_hierarchical(plan, iterations=2)
+        again = simulate_hierarchical(plan, iterations=2)
         assert len(calls) == len(plan.stages)
-        assert plain.total == baseline.total
+        assert again.total == baseline.total
+        assert again.schedule.total == baseline.schedule.total
 
 
 class TestHierarchicalRuntimeParity:

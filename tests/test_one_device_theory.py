@@ -2,8 +2,11 @@
 
 On one device there is nothing to distribute, so ``build_theory`` emits one
 replicated computation rule per node and no collective, and the synthesized
-program costs exactly the sum of its computation times.  Baseline emulation
-(``force_data_parallel``) keeps its restricted data-parallel theory there.
+program costs exactly the sum of its computation times.  ``HAPPlanner``
+builds that one program in closed form (``single_device_program``); the
+theory's one-device branch is the reference it is checked against here.
+Baseline emulation (``force_data_parallel``) keeps its restricted
+data-parallel theory there.
 """
 
 from __future__ import annotations
@@ -18,14 +21,23 @@ from repro.autodiff import build_training_graph
 from repro.baselines import plan_baseline
 from repro.cluster import ClusterSpec, Machine, device_type
 from repro.collectives.cost import CollectiveKind
-from repro.core import CostModel, ProgramSynthesizer, SynthesisConfig, build_theory
+from repro.core import (
+    CostModel,
+    HAPPlanner,
+    LoadBalancer,
+    PlannerConfig,
+    ProgramSynthesizer,
+    SynthesisConfig,
+    build_theory,
+)
 from repro.core.instructions import CommInstruction, is_source_op
 from repro.core.properties import DistState
+from repro.core.rules import single_device_program
 from repro.graph.ops import OpKind
 from repro.models import build_tiny_model
 from repro.runtime import SingleDeviceExecutor
 from repro.runtime.spmd import SPMDExecutor
-from repro.verify import verify_program
+from repro.verify import verify_graph, verify_program
 
 from .conftest import bindings_for, fast_network
 
@@ -119,3 +131,86 @@ def test_data_parallel_baseline_keeps_its_theory_on_one_machine():
         if i.is_communication and i.kind is CollectiveKind.ALL_REDUCE
     }
     assert gradients and gradients <= reduced
+
+
+@pytest.mark.parametrize("num_gpus", [1, 8])
+@pytest.mark.parametrize("enable_sfb", [True, False])
+@pytest.mark.parametrize("model", MODELS)
+def test_closed_form_plan_is_the_theory_search_plan(model, enable_sfb, num_gpus):
+    """The planner's closed-form plan equals the plan the one-device theory's
+    beam and A* searches give, bit for bit: program, ratios and estimate."""
+    graph = training_graph(model).graph
+    cluster = one_machine(num_gpus)
+    closed = single_device_program(graph)
+    for strategy in ("beam", "astar"):
+        config = SynthesisConfig(search_strategy=strategy, enable_sfb=enable_sfb)
+        cost_model = CostModel(graph, cluster)
+        searched = ProgramSynthesizer(
+            graph, cluster, config, theory=build_theory(graph, 1, config), cost_model=cost_model
+        ).synthesize(cluster.proportional_ratios()).program
+        ratios = LoadBalancer(cluster).optimize(searched, cost_model).ratios
+        estimate = cost_model.evaluate(searched, ratios)
+        assert closed == searched
+        assert closed.instructions == searched.instructions
+
+        planner = HAPPlanner(graph, cluster, PlannerConfig(synthesis=config))
+        plan = planner.plan()
+        assert plan.program == searched
+        assert plan.ratios == [ratios] == [[1.0]]
+        assert plan.estimated_time == estimate
+        (round_record,) = plan.rounds
+        assert round_record.ratios == [1.0]
+        assert round_record.cost_after_synthesis == estimate.total
+        assert round_record.cost_after_balancing == estimate.total
+
+        fixed = planner.plan_at([1.0])
+        assert fixed.program == searched
+        assert fixed.ratios == [[1.0]]
+        assert fixed.estimated_time == estimate
+        assert fixed.rounds == []
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("one virtual device must not search")
+
+
+def test_one_device_planner_builds_no_theory_or_synthesizer(monkeypatch):
+    monkeypatch.setattr("repro.core.pipeline.build_theory", _raise)
+    monkeypatch.setattr("repro.core.pipeline.ProgramSynthesizer", _raise)
+    graph = training_graph("bert_base").graph
+    planner = HAPPlanner(graph, one_machine(8))
+    assert planner.synthesizer is None
+    assert planner.plan().program == single_device_program(graph)
+    assert planner.plan_at([1.0]).program == single_device_program(graph)
+    with pytest.raises(ValueError, match="1 sharding ratio"):
+        planner.plan_at([0.5, 0.5])
+
+
+def test_one_device_plan_is_verified(monkeypatch):
+    """``verify_after_plan`` checks the graph and the closed-form program."""
+    calls = []
+
+    def recording(name, check):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return check(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr("repro.verify.graph.verify_graph", recording("graph", verify_graph))
+    monkeypatch.setattr(
+        "repro.verify.program.verify_program", recording("program", verify_program)
+    )
+    graph = training_graph("vit").graph
+    config = PlannerConfig(synthesis=SynthesisConfig(verify_after_plan=True))
+    planner = HAPPlanner(graph, one_machine(8), config)
+    assert calls == ["graph"]
+    planner.plan()
+    assert calls == ["graph", "program"]
+    planner.plan_at([1.0])
+    assert calls == ["graph", "program", "program"]
+
+    calls.clear()
+    quiet = PlannerConfig(synthesis=SynthesisConfig(verify_after_plan=False))
+    HAPPlanner(graph, one_machine(8), quiet).plan()
+    assert calls == []

@@ -411,9 +411,10 @@ class TestHierarchicalIntegration:
         """A whole plan read back from disk has the current layout (no
         ``partition``: a stage's machine group is its ``subcluster``; no
         ``synthesis``: a chunk plan stores its program once; no stored
-        ``fits_memory``: the verdict is derived) and simulates to the same
-        total as the plan that was stored."""
-        assert CACHE_VERSION == 17
+        ``fits_memory``: the verdict is derived; no ``content_key``: chunks
+        are not deduped) and simulates to the same total as the plan that
+        was stored."""
+        assert CACHE_VERSION == 18
         forward = build_mlp()
         cluster = _two_group_cluster()
         config = HierarchicalConfig(planner=small_planner_config(), max_stages=2)
@@ -428,6 +429,7 @@ class TestHierarchicalIntegration:
         assert not hasattr(hit, "partition")
         assert not any(hasattr(s.plan, "synthesis") for s in hit.stages)
         assert "fits_memory" not in vars(hit)
+        assert not any(hasattr(s, "content_key") for s in hit.stages)
         assert hit.fits_memory == stored.fits_memory
         assert [s.subcluster.name for s in hit.stages] == [
             s.subcluster.name for s in stored.stages
@@ -457,12 +459,11 @@ class TestHierarchicalIntegration:
         cold = HierarchicalPlanner(renamed, hetero, two_stages).plan()
         assert warm.reuse_stats["whole_plan_hit"] == 0
         assert warm.reuse_stats["subplans_planned"] == cold.reuse_stats["subplans_planned"] > 0
-        assert warm.reuse_stats["subplans_deduped"] == cold.reuse_stats["subplans_deduped"]
         _assert_same_plan(warm, cold)
         assert len(list(tmp_path.glob("*.plan"))) == 2  # one whole plan per config
 
-    def test_reuse_stats_has_exactly_four_keys(self, cluster):
-        keys = {"subplans_planned", "subplans_deduped", "cache_rejects", "whole_plan_hit"}
+    def test_reuse_stats_has_exactly_three_keys(self, cluster):
+        keys = {"subplans_planned", "cache_rejects", "whole_plan_hit"}
         forward = build_mlp()
         config = HierarchicalConfig(
             planner=small_planner_config(), plan_cache=InMemoryPlanCache(), max_stages=2
