@@ -49,10 +49,11 @@ class CompInstruction(CachedHash):
 
     def __post_init__(self) -> None:
         # Instructions key the cost-model memo tables; cache the hash.
-        object.__setattr__(self, "_hash", hash(self._hash_key()))
-
-    def _hash_key(self) -> tuple:
-        return (self.node, self.op, self.inputs, self.output, self.flops_sharded)
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.node, self.op, self.inputs, self.output, self.flops_sharded)),
+        )
 
     def __hash__(self) -> int:
         try:
@@ -95,10 +96,11 @@ class CommInstruction(CachedHash):
     dim2: Optional[int] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self._hash_key()))
-
-    def _hash_key(self) -> tuple:
-        return (self.kind, self.input, self.output, self.dim, self.dim2)
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.kind, self.input, self.output, self.dim, self.dim2)),
+        )
 
     def __hash__(self) -> int:
         try:

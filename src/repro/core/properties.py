@@ -29,11 +29,11 @@ class StateKind(Enum):
 
 
 class CachedHash:
-    """Mixin of the frozen value classes that cache their hash in ``_hash``.
+    """Mixin of the frozen dataclasses that cache their hash in ``_hash``.
 
-    A subclass sets ``_hash`` to ``hash(self._hash_key())`` on construction
-    and its ``__hash__`` returns it, falling back to :meth:`_rehash` when it
-    is missing.  ``hash()`` of a string or an enum member depends on the
+    A subclass's ``__post_init__`` does nothing but set ``_hash``, and its
+    ``__hash__`` returns it, falling back to :meth:`_rehash` when it is
+    missing.  ``hash()`` of a string or an enum member depends on the
     process's hash seed, so the cached value is left out of the pickled
     state; an unpickled object computes it on first use, and loading does
     no per-object work.
@@ -41,13 +41,9 @@ class CachedHash:
 
     __slots__ = ()
 
-    def _hash_key(self) -> tuple:
-        raise NotImplementedError
-
     def _rehash(self) -> int:
-        value = hash(self._hash_key())
-        object.__setattr__(self, "_hash", value)
-        return value
+        self.__post_init__()  # type: ignore[attr-defined]
+        return self._hash  # type: ignore[attr-defined]
 
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
@@ -136,8 +132,6 @@ def _interned_state(kind: StateKind, dim: Optional[int]) -> DistState:
     return _REPLICATED if kind is StateKind.REPLICATED else _PARTIAL
 
 
-
-
 @dataclass(frozen=True)
 class Property(CachedHash):
     """``ref | state``: a reference tensor held in a particular distribution."""
@@ -146,10 +140,7 @@ class Property(CachedHash):
     state: DistState
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self._hash_key()))
-
-    def _hash_key(self) -> tuple:
-        return (self.ref, self.state)
+        object.__setattr__(self, "_hash", hash((self.ref, self.state)))
 
     def __hash__(self) -> int:
         try:
