@@ -49,17 +49,14 @@ class CompInstruction(CachedHash):
 
     def __post_init__(self) -> None:
         # Instructions key the cost-model memo tables; cache the hash.
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((self.node, self.op, self.inputs, self.output, self.flops_sharded)),
-        )
+        object.__setattr__(self, "_hash", None)
 
     def __hash__(self) -> int:
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:  # unpickled (see CachedHash)
-            return self._rehash()
+        value = self._hash  # type: ignore[attr-defined]
+        if value is None:  # first use (see CachedHash)
+            value = hash((self.node, self.op, self.inputs, self.output, self.flops_sharded))
+            object.__setattr__(self, "_hash", value)
+        return value
 
     @property
     def is_communication(self) -> bool:
@@ -96,17 +93,14 @@ class CommInstruction(CachedHash):
     dim2: Optional[int] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((self.kind, self.input, self.output, self.dim, self.dim2)),
-        )
+        object.__setattr__(self, "_hash", None)
 
     def __hash__(self) -> int:
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:  # unpickled (see CachedHash)
-            return self._rehash()
+        value = self._hash  # type: ignore[attr-defined]
+        if value is None:  # first use (see CachedHash)
+            value = hash((self.kind, self.input, self.output, self.dim, self.dim2))
+            object.__setattr__(self, "_hash", value)
+        return value
 
     @property
     def node(self) -> str:

@@ -31,23 +31,18 @@ class StateKind(Enum):
 class CachedHash:
     """Mixin of the frozen dataclasses that cache their hash in ``_hash``.
 
-    A subclass's ``__post_init__`` does nothing but set ``_hash``, and its
-    ``__hash__`` returns it, falling back to :meth:`_rehash` when it is
-    missing.  ``hash()`` of a string or an enum member depends on the
-    process's hash seed, so the cached value is left out of the pickled
-    state; an unpickled object computes it on first use, and loading does
-    no per-object work.
+    A subclass's ``__post_init__`` sets ``_hash`` to ``None`` and its
+    ``__hash__`` computes the hash on first use.  ``hash()`` of a string or
+    an enum member depends on the process's hash seed, so the pickled state
+    carries ``None`` in its place: an unpickled object, too, computes its
+    hash on first use, and loading does no per-object work.
     """
 
     __slots__ = ()
 
-    def _rehash(self) -> int:
-        self.__post_init__()  # type: ignore[attr-defined]
-        return self._hash  # type: ignore[attr-defined]
-
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
-        state.pop("_hash", None)
+        state["_hash"] = None
         return state
 
 
@@ -140,13 +135,14 @@ class Property(CachedHash):
     state: DistState
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.ref, self.state)))
+        object.__setattr__(self, "_hash", None)
 
     def __hash__(self) -> int:
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:  # unpickled (see CachedHash)
-            return self._rehash()
+        value = self._hash  # type: ignore[attr-defined]
+        if value is None:  # first use (see CachedHash)
+            value = hash((self.ref, self.state))
+            object.__setattr__(self, "_hash", value)
+        return value
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.ref} | {self.state}"
