@@ -306,7 +306,7 @@ class HierarchicalPlan:
         batch_size: global mini-batch size (for runtime ratio snapping).
         reuse_stats: how much flat-HAP planning the plan cache avoided:
             ``subplans_planned`` chunk plans were built (one per stage of
-            every candidate stage count), ``cache_rejects`` counts
+            every stage count whose cut builds), ``cache_rejects`` counts
             whole-plan cache entries that failed verification, and
             ``whole_plan_hit`` is 1 when the entire plan was served from the
             cache.
