@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import PlannerConfig, SynthesisConfig
+from repro.core import SynthesisConfig
 from repro.experiments import format_rows
 from repro.models import BenchmarkScale
 
@@ -31,13 +31,9 @@ def bench_scale() -> BenchmarkScale:
     return BenchmarkScale("bench", layer_fraction=0.17)
 
 
-def bench_planner(beam: int = 8, rounds: int = 1) -> PlannerConfig:
+def bench_planner(beam: int = 8) -> SynthesisConfig:
     """HAP planner configuration used by the benchmarks."""
-    if FULL:
-        beam, rounds = 32, 3
-    config = PlannerConfig(max_rounds=rounds)
-    config.synthesis = SynthesisConfig(beam_width=beam)
-    return config
+    return SynthesisConfig(beam_width=32 if FULL else beam)
 
 
 def gpu_counts_hetero() -> tuple:

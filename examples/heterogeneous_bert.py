@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 
 from repro.cluster import heterogeneous_testbed
-from repro.core import PlannerConfig, SynthesisConfig
+from repro.core import SynthesisConfig
 from repro.experiments import compare_systems, format_comparison
 from repro.models import BenchmarkScale
 
@@ -29,8 +29,7 @@ def main() -> None:
     print()
 
     scale = BenchmarkScale("example", layer_fraction=args.layers / 12.0, batch_per_device=64)
-    planner = PlannerConfig(max_rounds=2)
-    planner.synthesis = SynthesisConfig(beam_width=args.beam)
+    planner = SynthesisConfig(beam_width=args.beam)
 
     comparison = compare_systems(
         "bert_base",

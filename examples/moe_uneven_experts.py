@@ -15,7 +15,7 @@ import argparse
 from repro.autodiff import build_training_graph
 from repro.baselines import plan_baseline
 from repro.cluster import a100_p100_pair
-from repro.core import PlannerConfig, SynthesisConfig
+from repro.core import SynthesisConfig
 from repro.graph import shard_sizes
 from repro.hap import hap
 from repro.models import BERTMoEConfig, build_bert_moe
@@ -44,15 +44,14 @@ def main() -> None:
         )
         return build_training_graph(build_bert_moe(config)).graph
 
-    planner = PlannerConfig(max_rounds=2)
-    planner.synthesis = SynthesisConfig(beam_width=args.beam)
+    planner = SynthesisConfig(beam_width=args.beam)
     simulator = ExecutionSimulator(cluster, seed=0)
 
     hap_plan = hap(build(args.experts), cluster, planner)
     hap_time = simulator.simulate(hap_plan.program, hap_plan.flat_ratios, iterations=2).total
 
     padded = ((args.experts + 3) // 4) * 4
-    ds_plan = plan_baseline("DeepSpeed", build(padded), cluster, planner.synthesis)
+    ds_plan = plan_baseline("DeepSpeed", build(padded), cluster, planner)
     ds_time = simulator.simulate(ds_plan.program, ds_plan.flat_ratios, iterations=2).total
 
     print(f"experts requested: {args.experts}   (DeepSpeed pads to {padded})")

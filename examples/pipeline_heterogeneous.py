@@ -12,7 +12,7 @@ Run with:  PYTHONPATH=src python examples/pipeline_heterogeneous.py
 """
 
 from repro.cluster import NetworkSpec, heterogeneous_testbed
-from repro.core import HierarchicalConfig, PlannerConfig, SynthesisConfig
+from repro.core import HierarchicalConfig, SynthesisConfig
 from repro.hap import hap, hap_pipeline
 from repro.models.bert import BERTConfig, build_bert
 from repro.simulator import simulate_hierarchical, simulate_plan
@@ -24,11 +24,10 @@ def main() -> None:
     print()
 
     forward = build_bert(BERTConfig(batch_size=64, num_layers=4))
-    planner_config = PlannerConfig(max_rounds=1)
-    planner_config.synthesis = SynthesisConfig(beam_width=8)
+    synthesis = SynthesisConfig(beam_width=8)
 
     config = HierarchicalConfig(
-        planner=planner_config,
+        synthesis=synthesis,
         # Machine groups are rack-local islands with fast internal links;
         # the cluster's flat 10.4 Gbps network is the inter-group link.
         intra_group_network=NetworkSpec(bandwidth=100e9 / 8),
@@ -66,7 +65,7 @@ def main() -> None:
         )
     print()
 
-    flat = hap(forward, cluster, planner_config)
+    flat = hap(forward, cluster, synthesis)
     pipeline_time = simulate_hierarchical(plan, iterations=3, seed=0).total
     flat_time = simulate_plan(flat, cluster, iterations=3, seed=0).total
     print(f"simulated iteration time, flat HAP:      {flat_time * 1e3:8.1f} ms")

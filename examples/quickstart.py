@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster import ClusterSpec, Machine, NetworkSpec, device_type
-from repro.core import PlannerConfig, SynthesisConfig
+from repro.core import SynthesisConfig
 from repro.data import batches_for_graph
 from repro.graph import DType, GraphBuilder
 from repro.hap import hap
@@ -61,9 +61,7 @@ def main() -> None:
     print(cluster.describe())
     print()
 
-    config = PlannerConfig(max_rounds=2)
-    config.synthesis = SynthesisConfig(beam_width=16)
-    plan = hap(forward, cluster, config)
+    plan = hap(forward, cluster, SynthesisConfig(beam_width=16))
     print(plan.describe())
     print()
     print("First stages of the synthesized distributed program:")

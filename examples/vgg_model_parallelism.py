@@ -19,7 +19,7 @@ from collections import Counter
 from repro.autodiff import build_training_graph
 from repro.baselines import plan_baseline
 from repro.cluster import heterogeneous_testbed
-from repro.core import PlannerConfig, SynthesisConfig
+from repro.core import SynthesisConfig
 from repro.hap import hap
 from repro.models import VGGConfig, build_vgg19
 from repro.simulator import ExecutionSimulator
@@ -41,13 +41,12 @@ def main() -> None:
     print(cluster.describe())
     print()
 
-    planner = PlannerConfig(max_rounds=2)
-    planner.synthesis = SynthesisConfig(beam_width=args.beam)
+    planner = SynthesisConfig(beam_width=args.beam)
     simulator = ExecutionSimulator(cluster, seed=0)
 
     plans = {"HAP": hap(graph, cluster, planner)}
     for system in ("DP-EV", "DP-CP"):
-        plans[system] = plan_baseline(system, graph, cluster, planner.synthesis)
+        plans[system] = plan_baseline(system, graph, cluster, planner)
 
     results = {}
     for system, plan in plans.items():

@@ -25,7 +25,7 @@ from dataclasses import replace
 from typing import Optional
 
 from ..cluster.spec import ClusterSpec
-from ..core.config import PlannerConfig, SynthesisConfig
+from ..core.config import SynthesisConfig
 from ..core.pipeline import HAPPlan, HAPPlanner
 from ..graph.graph import ComputationGraph
 from ..hap import _training_graph
@@ -65,5 +65,4 @@ def plan_baseline(
         enable_sfb=sfb,
         enable_grouped_all_gather=False,
     )
-    config = PlannerConfig(synthesis=restricted)
-    return HAPPlanner(_training_graph(model), cluster, config).plan_at(ratio_rule(cluster))
+    return HAPPlanner(_training_graph(model), cluster, restricted).plan_at(ratio_rule(cluster))

@@ -1,6 +1,6 @@
 """HAP core: properties, background theory, A* synthesis, LP load balancing."""
 
-from .config import PlannerConfig, SynthesisConfig
+from .config import SynthesisConfig
 from .costmodel import CostBreakdown, CostModel, StageCoefficients
 from .hierarchical import (
     HierarchicalConfig,
@@ -32,7 +32,6 @@ from .variants import Variant, moe_restricted_refs, node_variants
 
 __all__ = [
     "SynthesisConfig",
-    "PlannerConfig",
     "CostModel",
     "CostBreakdown",
     "StageCoefficients",

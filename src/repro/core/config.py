@@ -69,7 +69,7 @@ class SynthesisConfig:
             input graph and runs :func:`repro.verify.verify_program` —
             dataflow, collective legality, compute-flag and cost-accounting
             checks — on the synthesized program; the hierarchical planner
-            reads the same switch from its ``planner.synthesis`` to check
+            reads the same switch from its ``synthesis`` to check
             the forward graph and run :func:`repro.verify.verify_plan` on
             the winning pipeline plan.  Either raises
             :class:`~repro.verify.base.PlanVerificationError` on any
@@ -97,26 +97,3 @@ class SynthesisConfig:
             )
         if self.beam_width is not None and self.beam_width < 1:
             raise ValueError(f"beam_width must be None or >= 1, got {self.beam_width}")
-
-
-@dataclass
-class PlannerConfig:
-    """Configuration of the full iterative optimisation (Sec. 3.1).
-
-    Attributes:
-        max_rounds: maximum number of (Q, B) alternation rounds.  Known
-            defect: the alternation never runs a second round.  The previous
-            cost starts at ``inf``, so round 1 always passes the convergence
-            test (``inf - cost <= tolerance * inf``, with
-            :data:`~repro.core.pipeline.CONVERGENCE_TOLERANCE`) and
-            :meth:`HAPPlanner.plan` stops; any ``max_rounds >= 1`` yields
-            ``len(plan.rounds) == 1``.
-        synthesis: synthesizer configuration.
-    """
-
-    max_rounds: int = 4
-    synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)
-
-    def __post_init__(self) -> None:
-        if self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")

@@ -74,7 +74,7 @@ from ..simulator.schedule import (
     profile_stages,
     simulate_pipeline,
 )
-from .config import PlannerConfig
+from .config import SynthesisConfig
 from .costmodel import CostModel
 from .pipeline import HAPPlan, HAPPlanner
 from .plancache import CachedPlan, InMemoryPlanCache, plan_key, remap_plan
@@ -161,7 +161,7 @@ class HierarchicalConfig:
     extra forward per microbatch, so it never beats a plain run that fits).
     Stage graphs store the default learning rate of
     :func:`~repro.autodiff.build_stage_training_graph` on their update nodes.
-    The static verifier runs under ``planner.synthesis.verify_after_plan``:
+    The static verifier runs under ``synthesis.verify_after_plan``:
     with it on, the planner checks the forward graph before planning and
     the winning plan (:func:`repro.verify.verify_plan`) before
     :meth:`~HierarchicalPlanner.plan` returns, raising
@@ -177,7 +177,8 @@ class HierarchicalConfig:
         intra_group_network: network model inside each machine group; defaults
             to the cluster's own network.  Pass the fast rack-local network
             when the cluster's flat network is the slow inter-rack bottleneck.
-        planner: configuration of the flat HAP planner run per stage.
+        synthesis: configuration of the flat HAP planner run on every
+            chunk (one synthesis and one LP per chunk).
         plan_cache: a :class:`~repro.core.plancache.InMemoryPlanCache` /
             :class:`~repro.core.plancache.DiskPlanCache` holding whole plans,
             keyed by the forward graph's content fingerprint, the cluster and
@@ -187,7 +188,7 @@ class HierarchicalConfig:
 
     max_stages: int = 4
     intra_group_network: Optional[NetworkSpec] = None
-    planner: PlannerConfig = field(default_factory=PlannerConfig)
+    synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)
     plan_cache: Optional[InMemoryPlanCache] = None
 
     def __post_init__(self) -> None:
@@ -561,7 +562,7 @@ class HierarchicalPlanner:
         self.forward = forward
         self.cluster = cluster
         self.config = config or HierarchicalConfig()
-        if self.config.planner.synthesis.verify_after_plan:
+        if self.config.synthesis.verify_after_plan:
             # Pre-planning IR check of the forward graph; the per-chunk
             # training graphs are checked again by each HAPPlanner.
             from ..verify.base import PlanVerificationError
@@ -614,7 +615,7 @@ class HierarchicalPlanner:
         in closed form.
         """
         self.reuse_stats["subplans_planned"] += 1
-        return HAPPlanner(graph, group, self.config.planner).plan()
+        return HAPPlanner(graph, group, self.config.synthesis).plan()
 
     def _chunk_training_graph(self, cut: PipelineCut, k: int) -> TrainingGraphInfo:
         """Training graph of stage ``k`` of ``cut``, differentiated alone."""
@@ -875,15 +876,18 @@ class HierarchicalPlanner:
         best.candidate_times = candidate_times
         best.schedule_candidate_times = combo_times
         best.reuse_stats = dict(self.reuse_stats)
-        if cache is not None and key is not None:
-            chunk_orders = [canonical_order(stage.info.graph) for stage in best.stages]
-            cache.put(CachedPlan(key=key, node_names=order, plan=best, chunk_orders=chunk_orders))
-        if self.config.planner.synthesis.verify_after_plan:
-            # Imported lazily: repro.verify depends on this module.
+        if self.config.synthesis.verify_after_plan:
+            # Imported lazily: repro.verify depends on this module.  Checked
+            # before the cache stores the plan: a warm hit is re-verified
+            # only structurally, so a plan failing the full check must never
+            # be cached.
             from ..verify.base import PlanVerificationError
             from ..verify.plan import verify_plan
 
             report = verify_plan(best, self.forward)
             if not report.ok:
                 raise PlanVerificationError(report)
+        if cache is not None and key is not None:
+            chunk_orders = [canonical_order(stage.info.graph) for stage in best.stages]
+            cache.put(CachedPlan(key=key, node_names=order, plan=best, chunk_orders=chunk_orders))
         return best

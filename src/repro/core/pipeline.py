@@ -1,45 +1,40 @@
-"""Iterative joint optimisation of program and sharding ratios (Sec. 3.1).
+"""Joint optimisation of program and sharding ratios (Sec. 3.1).
 
-HAP alternates two optimisers:
+HAP combines two optimisers:
 
-* the program synthesizer produces the best distributed program ``Q`` for the
-  current sharding ratios ``B`` (Eqn. 1), and
-* the load balancer produces the best ratios ``B`` for the current program
-  ``Q`` (Eqn. 2),
+* the program synthesizer produces the best distributed program ``Q`` for
+  given sharding ratios ``B`` (Eqn. 1), and
+* the load balancer produces the best ratios ``B`` for a given program ``Q``
+  (Eqn. 2).
 
-starting from computation-proportional ratios ``B^(0)``, stopping after
-``max_rounds`` rounds or once a round improves the cost by less than
-:data:`CONVERGENCE_TOLERANCE` (relative), and returning the cheapest
-``(Q, B)`` pair seen.
+The paper alternates the two, starting from computation-proportional ratios
+``B^(0)``, until the cost stops improving.  Here the alternation runs once:
+one synthesis at ``B^(0)``, then one LP.  A second round, synthesizing again
+at the LP's ratios, gave back the first round's program, ratios and cost bit
+for bit on every problem it was measured on (see the README), so it is not
+run.
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..cluster.spec import ClusterSpec
 from ..graph.graph import ComputationGraph
-from .config import PlannerConfig
+from .config import SynthesisConfig
 from .costmodel import CostBreakdown, CostModel
 from .load_balancer import LoadBalancer
 from .program import DistributedProgram
 from .rules import build_theory, single_device_program
 from .synthesizer import ProgramSynthesizer
 
-#: Relative cost improvement below which the (Q, B) alternation stops.  Known
-#: defect: the previous cost starts at ``inf``, so round 1 always passes this
-#: test and the alternation never runs a second round (see
-#: :attr:`~repro.core.config.PlannerConfig.max_rounds`).
-CONVERGENCE_TOLERANCE = 1e-3
-
 
 @dataclass
 class OptimizationRound:
-    """Record of one (Q, B) alternation round."""
+    """Record of the one (Q, B) round: the cost before and after the LP."""
 
-    round_index: int
     cost_after_synthesis: float
     cost_after_balancing: float
     ratios: List[float]
@@ -58,7 +53,8 @@ class HAPPlan:
             kept only because the end-to-end benchmark's plan digest
             iterates this field row by row.  Read :attr:`flat_ratios`.
         estimated_time: cost-model estimate of the per-iteration time.
-        rounds: per-round optimisation history.
+        rounds: the optimisation history: one record from :meth:`HAPPlanner.plan`,
+            none from :meth:`HAPPlanner.plan_at`.
     """
 
     program: DistributedProgram
@@ -87,27 +83,28 @@ class HAPPlan:
 
 
 class HAPPlanner:
-    """End-to-end HAP planning: theory construction, A* synthesis, LP balancing.
+    """End-to-end HAP planning: theory construction, synthesis, LP balancing.
 
-    The planner keeps one :class:`~repro.core.synthesizer.ProgramSynthesizer`
-    for all optimisation rounds, so its per-rule caches carry across rounds.
-    One virtual device (a whole machine running data parallelism inside it,
-    Sec. 6) is planned in closed form outside baseline emulation
-    (``force_data_parallel``), the way
-    :meth:`~repro.core.load_balancer.LoadBalancer.optimize` short-circuits
-    one device.
+    :meth:`plan` synthesizes one program at the cluster's
+    computation-proportional ratios and balances it with one LP (the module
+    docstring says why there is no second round).  One virtual device (a
+    whole machine running data parallelism inside it, Sec. 6) outside
+    baseline emulation (``force_data_parallel``) builds no theory or
+    synthesizer: its one program comes from :func:`single_device_program`,
+    and :meth:`~repro.core.load_balancer.LoadBalancer.optimize`
+    short-circuits one device.
     """
 
     def __init__(
         self,
         graph: ComputationGraph,
         cluster: ClusterSpec,
-        config: Optional[PlannerConfig] = None,
+        config: Optional[SynthesisConfig] = None,
     ) -> None:
         self.graph = graph
         self.cluster = cluster
-        self.config = config or PlannerConfig()
-        if self.config.synthesis.verify_after_plan:
+        self.config = config or SynthesisConfig()
+        if self.config.verify_after_plan:
             # Pre-synthesis IR check: a malformed graph fails here with a
             # G-code diagnostic instead of a traceback mid-search.
             from ..verify.base import PlanVerificationError
@@ -117,91 +114,58 @@ class HAPPlanner:
             if not graph_report.ok:
                 raise PlanVerificationError(graph_report)
         self.cost_model = CostModel(graph, cluster)
-        synthesis = self.config.synthesis
         #: None on one virtual device outside baseline emulation: that
         #: theory holds one program (:func:`~repro.core.rules.build_theory`),
         #: which :func:`single_device_program` builds in closed form.
         self.synthesizer: Optional[ProgramSynthesizer] = None
-        if cluster.num_devices > 1 or synthesis.force_data_parallel:
+        if cluster.num_devices > 1 or self.config.force_data_parallel:
             self.synthesizer = ProgramSynthesizer(
                 graph,
                 cluster,
-                synthesis,
-                theory=build_theory(graph, cluster.num_devices, synthesis),
+                self.config,
+                theory=build_theory(graph, cluster.num_devices, self.config),
                 cost_model=self.cost_model,
             )
         self.load_balancer = LoadBalancer(cluster)
 
+    def _program(self, ratios: Sequence[float]) -> DistributedProgram:
+        """The program synthesized at ``ratios``, in closed form on one device."""
+        if self.synthesizer is None:
+            if len(ratios) != 1:
+                raise ValueError(f"expected 1 sharding ratio, got {len(ratios)}")
+            return single_device_program(self.graph)
+        return self.synthesizer.synthesize(ratios).program
+
     # -- main entry point ---------------------------------------------------------
     def plan(self) -> HAPPlan:
-        """Run the iterative optimisation and return the best (Q, B) pair.
+        """Synthesize at proportional ratios, balance them with the LP, and
+        return the program at the LP's ratios with one round record."""
+        proportional = self.cluster.proportional_ratios()
+        synth_start = _time.perf_counter()
+        program = self._program(proportional)
+        synth_seconds = _time.perf_counter() - synth_start
 
-        On one virtual device the single program at ratios ``[1.0]`` is the
-        answer: it is returned with one round record, and no theory,
-        search or LP is built.
-        """
-        if self.synthesizer is None:
-            start = _time.perf_counter()
-            program = single_device_program(self.graph)
-            cost = self.cost_model.evaluate(program, [1.0])
-            seconds = _time.perf_counter() - start
-            rounds = [OptimizationRound(0, cost.total, cost.total, [1.0], seconds, 0.0)]
-            return self.verified(HAPPlan(program, [[1.0]], cost, rounds))
-        ratios = list(self.cluster.proportional_ratios())
-        best: Optional[Tuple[DistributedProgram, List[float], CostBreakdown]] = None
-        rounds: List[OptimizationRound] = []
-        previous_cost = float("inf")
-
-        for round_index in range(self.config.max_rounds):
-            synth_start = _time.perf_counter()
-            program = self.synthesizer.synthesize(ratios).program
-            synth_seconds = _time.perf_counter() - synth_start
-            ratios_q = ratios
-
-            balance_start = _time.perf_counter()
-            balance = self.load_balancer.optimize(program, self.cost_model)
-            balance_seconds = _time.perf_counter() - balance_start
-            ratios = balance.ratios
-            # Evaluation is pure, so pricing the pre-balance ratios after the
-            # LP (in one batched call with the post-balance ratios, over the
-            # stage lines the LP just read) yields the same numbers as
-            # pricing them before it.
-            cost_q, cost_b = self.cost_model.evaluate_many(program, [ratios_q, ratios])
-
-            rounds.append(
-                OptimizationRound(
-                    round_index=round_index,
-                    cost_after_synthesis=cost_q.total,
-                    cost_after_balancing=cost_b.total,
-                    ratios=list(ratios),
-                    synthesis_seconds=synth_seconds,
-                    balancing_seconds=balance_seconds,
-                )
-            )
-
-            if best is None or cost_b.total < best[2].total:
-                best = (program, list(ratios), cost_b)
-
-            improvement = previous_cost - cost_b.total
-            if improvement <= CONVERGENCE_TOLERANCE * max(previous_cost, 1e-12):
-                break
-            previous_cost = cost_b.total
-
-        assert best is not None  # at least one round always runs
-        program, ratios, cost = best
-        return self.verified(
-            HAPPlan(program=program, ratios=[ratios], estimated_time=cost, rounds=rounds)
+        balance_start = _time.perf_counter()
+        ratios = self.load_balancer.optimize(program, self.cost_model).ratios
+        balance_seconds = _time.perf_counter() - balance_start
+        # Evaluation is pure, so pricing the pre-balance ratios after the LP
+        # (in one batched call with the post-balance ratios, over the stage
+        # lines the LP just read) yields the same numbers as pricing them
+        # before it.
+        cost_q, cost_b = self.cost_model.evaluate_many(program, [proportional, ratios])
+        record = OptimizationRound(
+            cost_after_synthesis=cost_q.total,
+            cost_after_balancing=cost_b.total,
+            ratios=list(ratios),
+            synthesis_seconds=synth_seconds,
+            balancing_seconds=balance_seconds,
         )
+        return self.verified(HAPPlan(program, [list(ratios)], cost_b, [record]))
 
     def plan_at(self, ratios: Sequence[float]) -> HAPPlan:
         """One synthesis at the fixed ``ratios``, with no load balancing."""
         ratios = list(ratios)
-        if self.synthesizer is None:
-            if len(ratios) != 1:
-                raise ValueError(f"expected 1 sharding ratio, got {len(ratios)}")
-            program = single_device_program(self.graph)
-        else:
-            program = self.synthesizer.synthesize(ratios).program
+        program = self._program(ratios)
         cost = self.cost_model.evaluate(program, ratios)
         return self.verified(HAPPlan(program, [ratios], cost, []))
 
@@ -213,7 +177,7 @@ class HAPPlanner:
         raises :class:`~repro.verify.base.PlanVerificationError`; the graph
         check ran when the planner was built.
         """
-        if self.config.synthesis.verify_after_plan:
+        if self.config.verify_after_plan:
             # Imported lazily: repro.verify depends on this module.
             from ..verify.base import PlanVerificationError
             from ..verify.program import verify_program

@@ -49,8 +49,8 @@ itself) and ``verify_after_plan`` (verification never changes the plan, so
 verified and unverified runs share entries).  Every other field keys, so a
 knob that does not change the plan does not belong in a configuration.
 Former knobs that are now module constants (``MIN_SHARD_DIM_SIZE``,
-``MAX_SEARCH_STEPS``, ``CONVERGENCE_TOLERANCE``, ``MICROBATCH_CANDIDATES``,
-``MICROBATCH_OVERHEAD``) do not key, so changing one of them needs a
+``MAX_SEARCH_STEPS``, ``MICROBATCH_CANDIDATES``, ``MICROBATCH_OVERHEAD``) do
+not key, so changing one of them needs a
 :data:`CACHE_VERSION` bump.
 """
 
@@ -108,7 +108,7 @@ from .properties import Property
 #: searches every schedule), so the config signature changed.
 #: v14: ``HierarchicalPlan`` lost its stored ``peak_memory``,
 #: ``stage_memory_capacity`` and ``stage_memory_utilization``,
-#: ``ScheduleResult`` its ``peak_memory``, and ``PlannerConfig`` its
+#: ``ScheduleResult`` its ``peak_memory``, and the flat planner's config its
 #: ``enable_load_balancer``, so the pickled plan layout and the config
 #: signature changed.
 #: v15: ``HierarchicalPlan`` lost ``partition`` (each stage's ``subcluster``
@@ -125,7 +125,11 @@ from .properties import Property
 #: the profile memo it keyed are gone), so the pickled plan layout changed.
 #: Hash-cached properties, states and instructions also stopped pickling
 #: their process-local hashes.
-CACHE_VERSION = 18
+#: v19: the flat planner runs one round and takes a bare ``SynthesisConfig``
+#: (``HierarchicalConfig.planner``, which wrapped one with a round count,
+#: became ``synthesis``) and ``OptimizationRound`` lost ``round_index``, so
+#: the config signature and the pickled plan layout changed.
+CACHE_VERSION = 19
 
 #: Configuration fields excluded from cache keys: the cache itself and the
 #: static-verifier flag (verification never changes the plan).

@@ -24,7 +24,7 @@ from ..cluster.spec import (
     p100_a100_mixed,
 )
 from ..collectives.cost import CollectiveCostModel, CollectiveKind
-from ..core.config import PlannerConfig, SynthesisConfig
+from ..core.config import SynthesisConfig
 from ..core.costmodel import CostModel
 from ..core.pipeline import HAPPlan, HAPPlanner
 from ..core.synthesizer import ProgramSynthesizer
@@ -214,7 +214,7 @@ def fig13_heterogeneous_cluster(
     gpu_counts: Sequence[int] = (8, 16, 32, 64),
     systems: Optional[Sequence[str]] = None,
     scale: Optional[BenchmarkScale] = None,
-    planner_config: Optional[PlannerConfig] = None,
+    planner_config: Optional[SynthesisConfig] = None,
 ) -> List[Row]:
     """Fig. 13: per-iteration time on the heterogeneous V100+P100 cluster."""
     scale = scale or BenchmarkScale.reduced()
@@ -240,7 +240,7 @@ def fig14_homogeneous_cluster(
     gpu_counts: Sequence[int] = (8, 16, 24, 32),
     systems: Optional[Sequence[str]] = None,
     scale: Optional[BenchmarkScale] = None,
-    planner_config: Optional[PlannerConfig] = None,
+    planner_config: Optional[SynthesisConfig] = None,
 ) -> List[Row]:
     """Fig. 14: per-iteration time on the homogeneous P100 cluster.
 
@@ -325,16 +325,14 @@ def fig15_ablation(
         throughputs["Q"] = 1.0 / simulator.simulate(q_plan.program, q_plan.flat_ratios, 2).total
 
         # Q+B: add the LP load balancer.
-        qb_cfg = PlannerConfig(max_rounds=2)
-        qb_cfg.synthesis = SynthesisConfig(
+        qb_cfg = SynthesisConfig(
             beam_width=beam_width, enable_sfb=False, enable_grouped_all_gather=False
         )
         qb_plan = HAPPlanner(graph, cluster, qb_cfg).plan()
         throughputs["Q+B"] = 1.0 / simulator.simulate(qb_plan.program, qb_plan.flat_ratios, 2).total
 
         # Q+B+C: full HAP (adds SFB and the grouped All-Gather).
-        full_cfg = PlannerConfig(max_rounds=2)
-        full_cfg.synthesis = SynthesisConfig(beam_width=beam_width)
+        full_cfg = SynthesisConfig(beam_width=beam_width)
         full_plan = HAPPlanner(graph, cluster, full_cfg).plan()
         throughputs["Q+B+C"] = 1.0 / simulator.simulate(
             full_plan.program, full_plan.flat_ratios, 2
@@ -363,7 +361,7 @@ def fig15_q_plan(graph: ComputationGraph, cluster: ClusterSpec, beam_width: int)
     synthesis = SynthesisConfig(
         beam_width=beam_width, enable_sfb=False, enable_grouped_all_gather=False
     )
-    planner = HAPPlanner(graph, cluster, PlannerConfig(synthesis=synthesis))
+    planner = HAPPlanner(graph, cluster, synthesis)
     return planner.plan_at(cluster.even_ratios())
 
 
@@ -374,7 +372,7 @@ def fig15_q_plan(graph: ComputationGraph, cluster: ClusterSpec, beam_width: int)
 def fig16_concurrent_training(
     models: Sequence[str] = ("vgg19", "vit", "bert_base", "bert_moe"),
     scale: Optional[BenchmarkScale] = None,
-    planner_config: Optional[PlannerConfig] = None,
+    planner_config: Optional[SynthesisConfig] = None,
     gpus_per_machine: int = 8,
 ) -> List[Row]:
     """Fig. 16: total throughput of two concurrent jobs on homogeneous subsets
@@ -435,7 +433,7 @@ def fig17_uneven_experts(
     hidden_size: int = 256,
     num_layers: int = 2,
     seq_len: int = 32,
-    planner_config: Optional[PlannerConfig] = None,
+    planner_config: Optional[SynthesisConfig] = None,
 ) -> List[Row]:
     """Fig. 17: BERT-MoE with varying expert counts on 2 A100 + 2 P100 GPUs.
 
@@ -469,7 +467,7 @@ def fig17_uneven_experts(
         hap_time = simulator.simulate(hap_plan.program, hap_plan.flat_ratios, 2).total
 
         padded = ((experts + num_devices - 1) // num_devices) * num_devices
-        ds_plan = plan_baseline("DeepSpeed", moe_graph(padded), cluster, planner_config.synthesis)
+        ds_plan = plan_baseline("DeepSpeed", moe_graph(padded), cluster, planner_config)
         ds_time = simulator.simulate(ds_plan.program, ds_plan.flat_ratios, 2).total
 
         rows.append(
@@ -493,7 +491,7 @@ def fig18_cost_model_accuracy(
     hidden_sizes: Sequence[int] = (256, 512, 768),
     seq_lens: Sequence[int] = (64, 128),
     num_gpus: int = 16,
-    planner_config: Optional[PlannerConfig] = None,
+    planner_config: Optional[SynthesisConfig] = None,
 ) -> List[Row]:
     """Fig. 18: estimated vs simulated ("actual") per-iteration time.
 

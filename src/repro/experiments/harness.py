@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 from ..autodiff import build_training_graph
 from ..baselines import plan_baseline
 from ..cluster.spec import ClusterSpec
-from ..core.config import PlannerConfig, SynthesisConfig
+from ..core.config import SynthesisConfig
 from ..core.hierarchical import device_peak_memory, parameter_bytes_split
 from ..core.pipeline import HAPPlan
 from ..graph.graph import ComputationGraph
@@ -30,11 +30,9 @@ from ..simulator import ExecutionSimulator
 DEFAULT_SYSTEMS = ["HAP", "DP-EV", "DP-CP", "DeepSpeed", "TAG"]
 
 
-def default_planner_config(beam_width: Optional[int] = None, max_rounds: int = 2) -> PlannerConfig:
+def default_planner_config(beam_width: Optional[int] = None) -> SynthesisConfig:
     """Planner configuration used by the experiment harness (beam 16 by default)."""
-    config = PlannerConfig(max_rounds=max_rounds)
-    config.synthesis.beam_width = beam_width or 16
-    return config
+    return SynthesisConfig(beam_width=beam_width or 16)
 
 
 @dataclass
@@ -105,8 +103,7 @@ def compare_systems(
     num_gpus: Optional[int] = None,
     systems: Sequence[str] = DEFAULT_SYSTEMS,
     scale: Optional[BenchmarkScale] = None,
-    planner_config: Optional[PlannerConfig] = None,
-    synthesis_config: Optional[SynthesisConfig] = None,
+    planner_config: Optional[SynthesisConfig] = None,
     forward: Optional[ComputationGraph] = None,
     simulator_seed: int = 0,
     simulation_iterations: int = 3,
@@ -119,8 +116,8 @@ def compare_systems(
         num_gpus: number of GPUs for weak scaling (defaults to the cluster's).
         systems: which systems to evaluate.
         scale: model scale (paper or reduced).
-        planner_config: configuration for the HAP planner.
-        synthesis_config: configuration shared by baseline planners.
+        planner_config: configuration shared by the HAP and baseline
+            planners.
         forward: pre-built forward graph with a marked loss (overrides
             ``model_name`` construction).
         simulator_seed: RNG seed of the execution simulator.
@@ -136,7 +133,6 @@ def compare_systems(
         forward = build_model(model_name, num_gpus=num_gpus, scale=scale)
     training_graph = build_training_graph(forward).graph
     planner_config = planner_config or default_planner_config()
-    synthesis_config = synthesis_config or planner_config.synthesis
     simulator = ExecutionSimulator(cluster, seed=simulator_seed)
 
     results: Dict[str, SystemResult] = {}
@@ -145,7 +141,7 @@ def compare_systems(
         if system == "HAP":
             plan = hap(training_graph, cluster, planner_config)
         else:
-            plan = plan_baseline(system, training_graph, cluster, synthesis_config)
+            plan = plan_baseline(system, training_graph, cluster, planner_config)
         planning_seconds = _time.perf_counter() - start
         oom = out_of_memory(plan, forward, cluster)
         simulated = None

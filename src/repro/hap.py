@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 
 from .autodiff import build_training_graph
 from .cluster.spec import ClusterSpec
-from .core.config import PlannerConfig
+from .core.config import SynthesisConfig
 from .core.hierarchical import HierarchicalConfig, HierarchicalPlan, HierarchicalPlanner
 from .core.pipeline import HAPPlan, HAPPlanner
 from .graph.graph import ComputationGraph
@@ -59,7 +59,7 @@ def _training_graph(model: ComputationGraph) -> ComputationGraph:
 def hap(
     model: ComputationGraph,
     cluster: ClusterSpec,
-    config: Optional[PlannerConfig] = None,
+    config: Optional[SynthesisConfig] = None,
 ) -> HAPPlan:
     """Plan SPMD training of ``model`` on ``cluster``.
 
@@ -75,7 +75,9 @@ def hap(
             as-is, so a caller who wants another learning rate builds the
             training graph first.
         cluster: the (possibly heterogeneous) target cluster.
-        config: planner configuration; defaults to full HAP.
+        config: synthesis configuration; defaults to full HAP.  The planner
+            synthesizes one program and balances it with one LP
+            (:class:`~repro.core.pipeline.HAPPlanner`).
 
     Returns:
         The :class:`HAPPlan` with program, ratios and estimated iteration time.

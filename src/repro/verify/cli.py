@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..cluster.spec import ClusterSpec, NetworkSpec, heterogeneous_testbed, homogeneous_testbed
-from ..core.config import PlannerConfig, SynthesisConfig
+from ..core.config import SynthesisConfig
 from ..core.hierarchical import HierarchicalConfig
 from ..hap import hap_pipeline
 from ..models.registry import MODEL_NAMES, build_tiny_model
@@ -85,9 +85,8 @@ def _config(beam: int) -> HierarchicalConfig:
     # Planning is the CLI's scaffolding, not its subject: the explicit
     # verify_graph()/verify_plan() below are the check, so the planner's
     # hooks are off (one switch: the hierarchical one and every chunk's).
-    synthesis = SynthesisConfig(beam_width=beam, verify_after_plan=False)
     return HierarchicalConfig(
-        planner=PlannerConfig(max_rounds=1, synthesis=synthesis),
+        synthesis=SynthesisConfig(beam_width=beam, verify_after_plan=False),
         intra_group_network=NetworkSpec(bandwidth=100e9 / 8),
         max_stages=2,
     )

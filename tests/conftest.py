@@ -21,7 +21,7 @@ os.environ.setdefault("REPRO_VERIFY", "1")
 
 from repro.autodiff import build_training_graph
 from repro.cluster import ClusterSpec, Machine, NetworkSpec, device_type
-from repro.core import PlannerConfig, SynthesisConfig
+from repro.core import SynthesisConfig
 from repro.graph import ComputationGraph, DType, GraphBuilder
 
 
@@ -83,13 +83,6 @@ def machine_cluster() -> ClusterSpec:
 @pytest.fixture
 def small_synthesis_config() -> SynthesisConfig:
     return SynthesisConfig(beam_width=16)
-
-
-@pytest.fixture
-def small_planner_config(small_synthesis_config) -> PlannerConfig:
-    config = PlannerConfig(max_rounds=2)
-    config.synthesis = small_synthesis_config
-    return config
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core import HierarchicalConfig, PlannerConfig, SynthesisConfig
+from repro.core import HierarchicalConfig, SynthesisConfig
 
-CONFIG_TYPES = (SynthesisConfig, PlannerConfig, HierarchicalConfig)
+CONFIG_TYPES = (SynthesisConfig, HierarchicalConfig)
 
 FIELDS = [(t, f.name) for t in CONFIG_TYPES for f in dataclasses.fields(t)]
 

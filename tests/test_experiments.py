@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import heterogeneous_testbed
-from repro.core import PlannerConfig, SynthesisConfig
+from repro.core import SynthesisConfig
 from repro.experiments import (
     compare_systems,
     fig17_uneven_experts,
@@ -18,9 +18,7 @@ from repro.models import BenchmarkScale
 
 
 def tiny_planner():
-    config = PlannerConfig(max_rounds=1)
-    config.synthesis = SynthesisConfig(beam_width=4)
-    return config
+    return SynthesisConfig(beam_width=4)
 
 
 @pytest.fixture(scope="module")

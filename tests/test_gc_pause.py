@@ -24,7 +24,6 @@ from repro.autodiff import build_training_graph
 from repro.core import (
     DiskPlanCache,
     HierarchicalConfig,
-    PlannerConfig,
     ProgramSynthesizer,
     SynthesisConfig,
 )
@@ -51,11 +50,10 @@ def _no_cycles(call):
 
 
 def _hier_config(cache_dir: str, max_stages: int = 4) -> HierarchicalConfig:
-    planner = PlannerConfig(
-        max_rounds=1, synthesis=SynthesisConfig(search_strategy="beam", beam_width=4)
-    )
     return HierarchicalConfig(
-        planner=planner, plan_cache=DiskPlanCache(cache_dir), max_stages=max_stages
+        synthesis=SynthesisConfig(search_strategy="beam", beam_width=4),
+        plan_cache=DiskPlanCache(cache_dir),
+        max_stages=max_stages,
     )
 
 
@@ -139,9 +137,7 @@ def test_collector_state_is_restored(enabled):
     grouped = make_cluster(("A100", "P100"), group=True)
     training = build_training_graph(forward).graph
     no_loss = _copy(forward, loss=False)
-    config = HierarchicalConfig(
-        planner=PlannerConfig(max_rounds=1, synthesis=SynthesisConfig(beam_width=4))
-    )
+    config = HierarchicalConfig(synthesis=SynthesisConfig(beam_width=4))
     calls = [
         lambda: hap(forward, flat),
         lambda: hap_pipeline(forward, grouped, config),

@@ -29,13 +29,13 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 PLAN_AND_PRINT = """
 import json
 from repro.cluster import NetworkSpec, heterogeneous_testbed
-from repro.core import HierarchicalConfig, PlannerConfig, SynthesisConfig
+from repro.core import HierarchicalConfig, SynthesisConfig
 from repro.hap import hap_pipeline
 from repro.models import build_tiny_model
 from repro.simulator import simulate_hierarchical
 
 config = HierarchicalConfig(
-    planner=PlannerConfig(max_rounds=1, synthesis=SynthesisConfig(beam_width=8)),
+    synthesis=SynthesisConfig(beam_width=8),
     intra_group_network=NetworkSpec(bandwidth=100e9 / 8),
 )
 plan = hap_pipeline(
@@ -73,12 +73,12 @@ def test_plan_is_identical_under_every_hash_seed():
 WRITE_PLAN = """
 import sys
 from repro.cluster import heterogeneous_testbed
-from repro.core import DiskPlanCache, HierarchicalConfig, PlannerConfig, SynthesisConfig
+from repro.core import DiskPlanCache, HierarchicalConfig, SynthesisConfig
 from repro.hap import hap_pipeline
 from repro.models import build_tiny_model
 
 config = HierarchicalConfig(
-    planner=PlannerConfig(max_rounds=1, synthesis=SynthesisConfig(beam_width=4)),
+    synthesis=SynthesisConfig(beam_width=4),
     plan_cache=DiskPlanCache(sys.argv[1]),
 )
 hap_pipeline(

@@ -25,7 +25,6 @@ from repro.core import (
     HierarchicalConfig,
     HierarchicalPlan,
     HierarchicalPlanner,
-    PlannerConfig,
     SynthesisConfig,
     stage_forward_graph,
 )
@@ -58,14 +57,12 @@ from .conftest import bindings_for, build_mlp, build_tiny_moe, build_tiny_transf
 REGISTRY = ["bert_base", "vit", "bert_moe", "vgg19"]
 
 
-def small_planner(beam_width=8, max_rounds=1):
-    config = PlannerConfig(max_rounds=max_rounds)
-    config.synthesis = SynthesisConfig(beam_width=beam_width)
-    return config
+def small_planner(beam_width=8):
+    return SynthesisConfig(beam_width=beam_width)
 
 
 def hier_config(**kwargs):
-    kwargs.setdefault("planner", small_planner())
+    kwargs.setdefault("synthesis", small_planner())
     return HierarchicalConfig(**kwargs)
 
 
@@ -628,7 +625,7 @@ class TestHierarchicalPlanner:
             group_by_machine=cluster.group_by_machine,
             name="homog-fast",
         )
-        plan = hap_pipeline(forward, fast, HierarchicalConfig(planner=small_planner()))
+        plan = hap_pipeline(forward, fast, HierarchicalConfig(synthesis=small_planner()))
         assert plan.num_stages == 1
         assert plan.is_flat
 
@@ -786,7 +783,7 @@ class TestHierarchicalPlanner:
         cluster = heterogeneous_testbed(num_gpus=32, gpus_per_machine=8)
         forward = build_bert(BERTConfig(batch_size=64, num_layers=4))
         config = HierarchicalConfig(
-            planner=small_planner(),
+            synthesis=small_planner(),
             intra_group_network=NetworkSpec(bandwidth=100e9 / 8),
         )
         plan = hap_pipeline(forward, cluster, config)
@@ -1223,7 +1220,7 @@ class TestHarnessIntegration:
         )
         plans = {
             "HAP": hap(training, cluster, small_planner()),
-            "DP-EV": plan_baseline("DP-EV", training, cluster, small_planner().synthesis),
+            "DP-EV": plan_baseline("DP-EV", training, cluster, small_planner()),
         }
         for system, plan in plans.items():
             result = comparison.results[system]

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.core import HierarchicalConfig, HierarchicalPlanner, PlannerConfig, SynthesisConfig
+from repro.core import HierarchicalConfig, HierarchicalPlanner, SynthesisConfig
 from repro.core.hierarchical import memory_verdict
 from repro.experiments.harness import flat_peak_memory, out_of_memory
 from repro.hap import hap
@@ -36,13 +36,13 @@ def reserved(cluster, fraction):
 
 
 def small_config():
-    return PlannerConfig(max_rounds=1, synthesis=SynthesisConfig(beam_width=8))
+    return SynthesisConfig(beam_width=8)
 
 
 def flat_and_one_stage(forward, cluster):
     config = small_config()
     flat = hap(forward, cluster, config)
-    one = HierarchicalPlanner(forward, cluster, HierarchicalConfig(planner=config))
+    one = HierarchicalPlanner(forward, cluster, HierarchicalConfig(synthesis=config))
     return flat, one.build_candidate(1)
 
 
@@ -72,7 +72,7 @@ def test_fits_memory_is_the_memory_verdict_of_every_candidate(reserve, fits):
     # one alike, every candidate's ``fits_memory`` is its stages judged
     # under its own schedule's stash peaks.
     cluster = reserved(make_cluster(), reserve)
-    config = HierarchicalConfig(planner=small_config())
+    config = HierarchicalConfig(synthesis=small_config())
     planner = HierarchicalPlanner(build_tiny_transformer(), cluster, config)
     candidates = [planner.build_candidate(s) for s in planner._candidates()]
     candidates = [c for c in candidates if c is not None]
@@ -85,7 +85,7 @@ def test_fits_memory_is_the_memory_verdict_of_every_candidate(reserve, fits):
 def test_memory_verdict_rejects_a_stash_list_of_another_length():
     # One stash peak per stage: a short list would leave the last stage
     # unjudged, and a long one belongs to some other plan.
-    config = HierarchicalConfig(planner=small_config())
+    config = HierarchicalConfig(synthesis=small_config())
     two = HierarchicalPlanner(build_tiny_transformer(), make_cluster(), config).build_candidate(2)
     stash = two.schedule.peak_stash
     assert len(stash) == 2

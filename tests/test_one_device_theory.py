@@ -25,7 +25,6 @@ from repro.core import (
     CostModel,
     HAPPlanner,
     LoadBalancer,
-    PlannerConfig,
     ProgramSynthesizer,
     SynthesisConfig,
     build_theory,
@@ -153,7 +152,7 @@ def test_closed_form_plan_is_the_theory_search_plan(model, enable_sfb, num_gpus)
         assert closed == searched
         assert closed.instructions == searched.instructions
 
-        planner = HAPPlanner(graph, cluster, PlannerConfig(synthesis=config))
+        planner = HAPPlanner(graph, cluster, config)
         plan = planner.plan()
         assert plan.program == searched
         assert plan.ratios == [ratios] == [[1.0]]
@@ -202,7 +201,7 @@ def test_one_device_plan_is_verified(monkeypatch):
         "repro.verify.program.verify_program", recording("program", verify_program)
     )
     graph = training_graph("vit").graph
-    config = PlannerConfig(synthesis=SynthesisConfig(verify_after_plan=True))
+    config = SynthesisConfig(verify_after_plan=True)
     planner = HAPPlanner(graph, one_machine(8), config)
     assert calls == ["graph"]
     planner.plan()
@@ -211,6 +210,6 @@ def test_one_device_plan_is_verified(monkeypatch):
     assert calls == ["graph", "program", "program"]
 
     calls.clear()
-    quiet = PlannerConfig(synthesis=SynthesisConfig(verify_after_plan=False))
+    quiet = SynthesisConfig(verify_after_plan=False)
     HAPPlanner(graph, one_machine(8), quiet).plan()
     assert calls == []

@@ -6,7 +6,7 @@ searches one level per topological-order node, on stacks of identical layers
 too, and expands at most ``beam_width`` states per level.
 ``CostModel.evaluate_many`` must agree bit for bit with scalar ``evaluate``.
 The synthesizer's rule-cost memo must be dropped when the ratios change, and
-the planner's per-round pricing must agree with a fresh cost model.  Every
+the planner's round pricing must agree with a fresh cost model.  Every
 chunk plan of the hierarchical planner equals planning that chunk from
 scratch.  The synthesized programs of the default search are pinned by
 ``tests/golden/programs.json``.
@@ -21,7 +21,6 @@ from repro.core import (
     HAPPlanner,
     HierarchicalConfig,
     HierarchicalPlanner,
-    PlannerConfig,
     ProgramSynthesizer,
     SynthesisConfig,
 )
@@ -207,15 +206,12 @@ class TestChunkPlans:
         # Identical one-machine groups: isomorphic one-device chunks.
         cluster = make_cluster(("A100", "A100", "A100", "A100"), group=True)
         config = HierarchicalConfig(
-            planner=PlannerConfig(
-                max_rounds=1,
-                synthesis=SynthesisConfig(search_strategy="beam", beam_width=4),
-            ),
+            synthesis=SynthesisConfig(search_strategy="beam", beam_width=4),
             max_stages=4,
         )
         plan = HierarchicalPlanner(forward, cluster, config).plan()
         for chunk in plan.stages:
-            fresh = HAPPlanner(chunk.info.graph, chunk.subcluster, config.planner).plan()
+            fresh = HAPPlanner(chunk.info.graph, chunk.subcluster, config.synthesis).plan()
             assert list(chunk.plan.program.instructions) == list(fresh.program.instructions)
             assert chunk.plan.estimated_time.total == fresh.estimated_time.total
 
@@ -293,22 +289,18 @@ class TestCostPricing:
 
     @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
     def test_planner_prices_like_scalar_evaluate(self, model, training_graphs, parity_cluster):
-        """The planner prices each round through ``evaluate_many``; its
+        """The planner prices its round through ``evaluate_many``; its
         estimate must be a fresh cost model's scalar ``evaluate`` of the one
         ratio vector every consumer reads, ``flat_ratios``."""
         graph = training_graphs[model]
-        config = PlannerConfig(
-            max_rounds=2, synthesis=SynthesisConfig(search_strategy="beam", beam_width=8)
-        )
+        config = SynthesisConfig(search_strategy="beam", beam_width=8)
         plan = HAPPlanner(graph, parity_cluster, config).plan()
         reference = CostModel(graph, parity_cluster)
         assert plan.ratios == [plan.flat_ratios]
         assert plan.estimated_time == reference.evaluate(plan.program, plan.flat_ratios)
-        assert min(r.cost_after_balancing for r in plan.rounds) == plan.estimated_time.total
-        assert (
-            plan.rounds[-1].cost_after_balancing
-            == reference.evaluate(plan.program, plan.rounds[-1].ratios).total
-        )
+        (record,) = plan.rounds
+        assert record.ratios == plan.flat_ratios
+        assert record.cost_after_balancing == plan.estimated_time.total
 
     def test_pipeline_chunks_price_like_scalar_evaluate(self):
         """Every chunk's estimate is a fresh cost model's scalar ``evaluate``
@@ -319,9 +311,7 @@ class TestCostPricing:
         # inside each group: pipelining wins, so the chunks are real.
         cluster = make_cluster(("A100", "P100") * 4, network=NetworkSpec(), group=True)
         config = HierarchicalConfig(
-            planner=PlannerConfig(
-                max_rounds=2, synthesis=SynthesisConfig(search_strategy="beam", beam_width=8)
-            ),
+            synthesis=SynthesisConfig(search_strategy="beam", beam_width=8),
             max_stages=2,
             intra_group_network=NetworkSpec(bandwidth=100e9 / 8),
         )

@@ -28,7 +28,6 @@ from repro.core import (
     CostModel,
     HierarchicalConfig,
     HierarchicalPlanner,
-    PlannerConfig,
     ProgramSynthesizer,
     SynthesisConfig,
 )
@@ -51,13 +50,11 @@ from .conftest import (
 
 
 def small_planner(beam_width=8):
-    config = PlannerConfig(max_rounds=1)
-    config.synthesis = SynthesisConfig(beam_width=beam_width)
-    return config
+    return SynthesisConfig(beam_width=beam_width)
 
 
 def hier_config(**kwargs):
-    kwargs.setdefault("planner", small_planner())
+    kwargs.setdefault("synthesis", small_planner())
     return HierarchicalConfig(**kwargs)
 
 

@@ -26,7 +26,6 @@ from repro.core import (
     HierarchicalConfig,
     HierarchicalPlanner,
     InMemoryPlanCache,
-    PlannerConfig,
     SynthesisConfig,
     cluster_signature,
     plan_key,
@@ -42,6 +41,7 @@ from repro.models import MODEL_NAMES, build_tiny_model
 from repro.runtime import SingleDeviceExecutor, run_hierarchical_plan
 from repro.simulator import simulate_hierarchical
 from repro.verify import verify_plan, verify_program
+from repro.verify.base import Diagnostic, PlanVerificationError, Severity
 
 from .conftest import (
     bindings_for,
@@ -54,10 +54,7 @@ from .conftest import (
 
 
 def small_planner_config(**synthesis):
-    return PlannerConfig(
-        max_rounds=1,
-        synthesis=SynthesisConfig(search_strategy="beam", beam_width=4, **synthesis),
-    )
+    return SynthesisConfig(search_strategy="beam", beam_width=4, **synthesis)
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +70,7 @@ def cluster():
 #: Fields excluded from plan keys on purpose (see ``repro.core.plancache``).
 NON_KEY_FIELDS = {"plan_cache", "verify_after_plan"}
 
-CONFIG_TYPES = (SynthesisConfig, PlannerConfig, HierarchicalConfig)
+CONFIG_TYPES = (SynthesisConfig, HierarchicalConfig)
 
 #: Every (config type, field name) pair that must feed the plan key.
 KEYED_FIELDS = [
@@ -117,9 +114,6 @@ class TestKeySensitivity:
         assert plan_key(fp, cluster, small_planner_config()) != plan_key(
             fp, cluster, small_planner_config(enable_sfb=False)
         )
-        assert plan_key(fp, cluster, small_planner_config()) != plan_key(
-            fp, cluster, PlannerConfig(max_rounds=2, synthesis=SynthesisConfig(beam_width=4))
-        )
 
     def test_insensitive_to_cluster_name(self, mlp_training):
         a = make_cluster(("A100", "P100"))
@@ -141,9 +135,9 @@ class TestKeySensitivity:
     def test_plan_cache_field_never_keys(self, mlp_training, cluster):
         fp = graph_fingerprint(mlp_training)
         with_cache = HierarchicalConfig(
-            planner=small_planner_config(), plan_cache=InMemoryPlanCache()
+            synthesis=small_planner_config(), plan_cache=InMemoryPlanCache()
         )
-        without = HierarchicalConfig(planner=small_planner_config())
+        without = HierarchicalConfig(synthesis=small_planner_config())
         assert plan_key(fp, cluster, with_cache) == plan_key(fp, cluster, without)
 
     def test_verify_flag_never_keys(self, mlp_training, cluster):
@@ -173,7 +167,6 @@ OTHER_VALUES = {
     "search_strategy": "astar",
     "intra_group_network": NetworkSpec(bandwidth=1e9),
     "synthesis": SynthesisConfig(enable_sfb=False),
-    "planner": PlannerConfig(max_rounds=2),
 }
 
 
@@ -359,7 +352,7 @@ class TestHierarchicalIntegration:
         forward = build_mlp()
         cache = InMemoryPlanCache()
         config = HierarchicalConfig(
-            planner=small_planner_config(), plan_cache=cache, max_stages=2
+            synthesis=small_planner_config(), plan_cache=cache, max_stages=2
         )
         cold = HierarchicalPlanner(forward, cluster, config).plan()
         assert cold.reuse_stats["whole_plan_hit"] == 0
@@ -372,11 +365,36 @@ class TestHierarchicalIntegration:
         # The cached entry keeps its own (cold) stats: hits never clobber it.
         assert cold.reuse_stats["whole_plan_hit"] == 0
 
+    def test_plan_failing_verification_is_not_cached(self, cluster, monkeypatch):
+        """With ``verify_after_plan`` on, a plan whose full check fails
+        raises and is not stored.  A warm hit is re-verified only
+        structurally, so a stored one would be served on the next request."""
+        import repro.verify.plan as plan_verifier
+
+        structural = plan_verifier.verify_plan
+
+        def failing_full_check(plan, forward, check_cost=True):
+            report = structural(plan, forward, check_cost=check_cost)
+            if check_cost:
+                report.diagnostics.append(Diagnostic("L001", Severity.ERROR, "injected"))
+            return report
+
+        monkeypatch.setattr(plan_verifier, "verify_plan", failing_full_check)
+        cache = InMemoryPlanCache()
+        config = HierarchicalConfig(
+            synthesis=small_planner_config(verify_after_plan=True),
+            plan_cache=cache,
+            max_stages=2,
+        )
+        with pytest.raises(PlanVerificationError):
+            HierarchicalPlanner(build_mlp(), cluster, config).plan()
+        assert len(cache) == 0
+
     def test_renamed_forward_is_a_whole_hit(self, cluster):
         forward = build_mlp()
         renamed = rename_nodes(forward)
         config = HierarchicalConfig(
-            planner=small_planner_config(), plan_cache=InMemoryPlanCache(), max_stages=2
+            synthesis=small_planner_config(), plan_cache=InMemoryPlanCache(), max_stages=2
         )
         HierarchicalPlanner(forward, cluster, config).plan()
         warm = HierarchicalPlanner(renamed, cluster, config).plan()
@@ -399,7 +417,7 @@ class TestHierarchicalIntegration:
         whole plan, a miss) and writes one entry, however many chunks it
         plans."""
         cache = DiskPlanCache(str(tmp_path))
-        config = HierarchicalConfig(planner=small_planner_config(), plan_cache=cache)
+        config = HierarchicalConfig(synthesis=small_planner_config(), plan_cache=cache)
         plan = hap_pipeline(build_mlp(), make_cluster(("A100", "P100"), group=True), config)
         assert plan.reuse_stats["subplans_planned"] > 1
         assert (cache.hits, cache.misses) == (0, 1)
@@ -412,12 +430,12 @@ class TestHierarchicalIntegration:
         ``partition``: a stage's machine group is its ``subcluster``; no
         ``synthesis``: a chunk plan stores its program once; no stored
         ``fits_memory``: the verdict is derived; no ``content_key``: chunks
-        are not deduped) and simulates to the same total as the plan that
-        was stored."""
-        assert CACHE_VERSION == 18
+        are not deduped; no ``round_index``: a chunk plan has one round) and
+        simulates to the same total as the plan that was stored."""
+        assert CACHE_VERSION == 19
         forward = build_mlp()
         cluster = _two_group_cluster()
-        config = HierarchicalConfig(planner=small_planner_config(), max_stages=2)
+        config = HierarchicalConfig(synthesis=small_planner_config(), max_stages=2)
         stored = HierarchicalPlanner(
             forward, cluster, dataclasses.replace(config, plan_cache=DiskPlanCache(str(tmp_path)))
         ).plan()
@@ -430,6 +448,8 @@ class TestHierarchicalIntegration:
         assert not any(hasattr(s.plan, "synthesis") for s in hit.stages)
         assert "fits_memory" not in vars(hit)
         assert not any(hasattr(s, "content_key") for s in hit.stages)
+        assert [len(s.plan.rounds) for s in hit.stages] == [1] * hit.num_stages
+        assert not any(hasattr(s.plan.rounds[0], "round_index") for s in hit.stages)
         assert hit.fits_memory == stored.fits_memory
         assert [s.subcluster.name for s in hit.stages] == [
             s.subcluster.name for s in stored.stages
@@ -446,7 +466,7 @@ class TestHierarchicalIntegration:
         default 4 on two machines, but keys a different whole plan."""
         forward = build_mlp()
         hetero = make_cluster(("A100", "P100"), group=True)
-        config = HierarchicalConfig(planner=small_planner_config())
+        config = HierarchicalConfig(synthesis=small_planner_config())
         cache_dir = str(tmp_path)
         HierarchicalPlanner(
             forward, hetero, dataclasses.replace(config, plan_cache=DiskPlanCache(cache_dir))
@@ -466,7 +486,7 @@ class TestHierarchicalIntegration:
         keys = {"subplans_planned", "cache_rejects", "whole_plan_hit"}
         forward = build_mlp()
         config = HierarchicalConfig(
-            planner=small_planner_config(), plan_cache=InMemoryPlanCache(), max_stages=2
+            synthesis=small_planner_config(), plan_cache=InMemoryPlanCache(), max_stages=2
         )
         planner = HierarchicalPlanner(forward, cluster, config)
         assert set(planner.reuse_stats) == keys
@@ -480,7 +500,7 @@ class TestHierarchicalIntegration:
     def test_renamed_model_hits_disk_whole_entry(self, tmp_path):
         forward = build_mlp()
         hetero = make_cluster(("A100", "P100"), group=True)
-        config = HierarchicalConfig(planner=small_planner_config())
+        config = HierarchicalConfig(synthesis=small_planner_config())
         cache_dir = str(tmp_path)
         HierarchicalPlanner(
             forward, hetero, dataclasses.replace(config, plan_cache=DiskPlanCache(cache_dir))
@@ -509,7 +529,7 @@ class TestHierarchicalIntegration:
         forward = builder()
         renamed = rename_nodes(forward)
         config = HierarchicalConfig(
-            planner=small_planner_config(),
+            synthesis=small_planner_config(),
             intra_group_network=NetworkSpec(bandwidth=100e9 / 8),
             max_stages=2,
             plan_cache=InMemoryPlanCache(),

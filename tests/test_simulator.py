@@ -113,21 +113,21 @@ class TestSimulator:
         r = float(np.corrcoef(estimates, actuals)[0, 1])
         assert r > 0.8
 
-    def test_simulate_plan_helper(self, four_device_cluster, small_planner_config):
+    def test_simulate_plan_helper(self, four_device_cluster, small_synthesis_config):
         from repro.core import HAPPlanner
 
         training = build_training_graph(build_mlp(batch=32)).graph
-        plan = HAPPlanner(training, four_device_cluster, small_planner_config).plan()
+        plan = HAPPlanner(training, four_device_cluster, small_synthesis_config).plan()
         result = simulate_plan(plan, four_device_cluster, iterations=2)
         assert result.total > 0
 
-    def test_simulated_time_is_pinned(self, four_device_cluster, small_planner_config):
+    def test_simulated_time_is_pinned(self, four_device_cluster, small_synthesis_config):
         """One small flat plan's simulated time, bit for bit (``float.hex``):
         a refactor of the simulator's pricing must leave it unchanged."""
         from repro.core import HAPPlanner
 
         training = build_training_graph(build_mlp(batch=32)).graph
-        plan = HAPPlanner(training, four_device_cluster, small_planner_config).plan()
+        plan = HAPPlanner(training, four_device_cluster, small_synthesis_config).plan()
         total = simulate_plan(plan, four_device_cluster, iterations=2, seed=0).total
         assert total.hex() == "0x1.6f67eea4b71a8p-12"
 
@@ -141,14 +141,14 @@ class TestSimulator:
             ExecutionSimulator(cluster).simulate(program, [0.5, 0.5])
 
     def test_simulate_plan_rejects_a_cluster_of_the_wrong_size(
-        self, four_device_cluster, two_device_cluster, small_planner_config
+        self, four_device_cluster, two_device_cluster, small_synthesis_config
     ):
         from repro.core import HAPPlanner
 
         training = build_training_graph(build_mlp(batch=32)).graph
-        plan = HAPPlanner(training, four_device_cluster, small_planner_config).plan()
+        plan = HAPPlanner(training, four_device_cluster, small_synthesis_config).plan()
         with pytest.raises(ValueError, match=r"4 device\(s\).* has 2"):
             simulate_plan(plan, two_device_cluster)
-        small = HAPPlanner(training, two_device_cluster, small_planner_config).plan()
+        small = HAPPlanner(training, two_device_cluster, small_synthesis_config).plan()
         with pytest.raises(ValueError, match=r"2 device\(s\).* has 4"):
             simulate_plan(small, four_device_cluster)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.autodiff import build_training_graph
 from repro.baselines import plan_baseline
-from repro.core import HAPPlanner, PlannerConfig, ProgramSynthesizer, SynthesisConfig
+from repro.core import HAPPlanner, ProgramSynthesizer, SynthesisConfig
 from repro.runtime import SingleDeviceExecutor
 from repro.runtime.spmd import SPMDExecutor, run_plan
 
@@ -136,6 +136,4 @@ class TestExecutorErrors:
 
 
 def _planner():
-    config = PlannerConfig(max_rounds=2)
-    config.synthesis = SynthesisConfig(beam_width=8)
-    return config
+    return SynthesisConfig(beam_width=8)

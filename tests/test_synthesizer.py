@@ -14,7 +14,6 @@ from repro.core import (
     CostModel,
     HierarchicalConfig,
     HierarchicalPlanner,
-    PlannerConfig,
     ProgramSynthesizer,
     SynthesisConfig,
     SynthesisError,
@@ -963,16 +962,6 @@ class TestSearchConfigValidation:
     def test_valid_search_config_accepted(self, strategy, width):
         config = SynthesisConfig(search_strategy=strategy, beam_width=width)
         assert (config.search_strategy, config.beam_width) == (strategy, width)
-
-
-class TestPlannerConfigValidation:
-    @pytest.mark.parametrize("rounds", [0, -1])
-    def test_non_positive_max_rounds_rejected(self, rounds):
-        with pytest.raises(ValueError, match="max_rounds"):
-            PlannerConfig(max_rounds=rounds)
-
-    def test_smallest_valid_values_accepted(self):
-        assert PlannerConfig(max_rounds=1).max_rounds == 1
 
 
 class TestBeamRankOrder:

@@ -28,7 +28,6 @@ from repro.core import (
     HAPPlanner,
     HierarchicalConfig,
     HierarchicalPlanner,
-    PlannerConfig,
     SynthesisConfig,
 )
 from repro.core.config import verify_default
@@ -57,7 +56,7 @@ from .conftest import build_mlp, make_cluster, rename_nodes
 
 
 def small_planner():
-    return PlannerConfig(max_rounds=1, synthesis=SynthesisConfig(beam_width=8))
+    return SynthesisConfig(beam_width=8)
 
 
 def two_group_cluster() -> ClusterSpec:
@@ -70,7 +69,7 @@ def two_group_cluster() -> ClusterSpec:
 
 
 def hier_config(**kwargs) -> HierarchicalConfig:
-    kwargs.setdefault("planner", small_planner())
+    kwargs.setdefault("synthesis", small_planner())
     kwargs.setdefault("intra_group_network", NetworkSpec(bandwidth=100e9 / 8))
     kwargs.setdefault("max_stages", 2)
     return HierarchicalConfig(**kwargs)
@@ -214,9 +213,9 @@ class TestVerifyAfterPlan:
     def test_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY", "0")
         assert not verify_default()
-        assert not HierarchicalConfig().planner.synthesis.verify_after_plan
+        assert not HierarchicalConfig().synthesis.verify_after_plan
         monkeypatch.setenv("REPRO_VERIFY", "1")
-        assert HierarchicalConfig().planner.synthesis.verify_after_plan
+        assert HierarchicalConfig().synthesis.verify_after_plan
 
     def test_suite_runs_with_verifier_on(self):
         # tests/conftest.py turns the switch on suite-wide: every plan built
@@ -227,10 +226,8 @@ class TestVerifyAfterPlan:
         # The hierarchical planner's forward-graph check follows the chunk
         # planners' switch: off, a corrupt forward graph is not checked.
         mutated, _ = GRAPH_MUTATIONS["dangle_input"](bert_forward)
-        quiet = PlannerConfig(
-            max_rounds=1, synthesis=SynthesisConfig(beam_width=8, verify_after_plan=False)
-        )
-        HierarchicalPlanner(mutated, two_group_cluster(), hier_config(planner=quiet))
+        quiet = SynthesisConfig(beam_width=8, verify_after_plan=False)
+        HierarchicalPlanner(mutated, two_group_cluster(), hier_config(synthesis=quiet))
 
     def test_error_carries_report(self):
         from repro.verify.base import Diagnostic, VerificationReport
@@ -587,7 +584,7 @@ class TestVerifyCli:
         # one switch turns both off.
         monkeypatch.setenv("REPRO_VERIFY", "1")
         config = verify_cli._config(8)
-        assert config.planner.synthesis.verify_after_plan is False
+        assert config.synthesis.verify_after_plan is False
 
     def test_json_output_is_machine_readable(self, monkeypatch, capsys):
         monkeypatch.setattr(verify_cli, "verify_registry", self._fake_registry(True))
