@@ -23,6 +23,18 @@ def planner_config(beam=8):
     return SynthesisConfig(beam_width=beam)
 
 
+def assert_second_round_reproduces_the_first(model, cluster, beam):
+    graph = build_training_graph(MODEL_BUILDERS[model]()).graph
+    planner = HAPPlanner(graph, cluster, planner_config(beam))
+    plan = planner.plan()
+    program = planner.synthesizer.synthesize(plan.flat_ratios).program
+    ratios = planner.load_balancer.optimize(program, planner.cost_model).ratios
+    assert program == plan.program
+    assert list(program.instructions) == list(plan.program.instructions)
+    assert ratios == plan.flat_ratios
+    assert planner.cost_model.evaluate(program, ratios) == plan.estimated_time
+
+
 class TestHAPPlanner:
     def test_plan_runs_one_synthesis_and_one_lp(self, four_device_cluster, monkeypatch):
         calls = []
@@ -56,6 +68,29 @@ class TestHAPPlanner:
         (record,) = plan.rounds
         assert record.cost_after_balancing <= record.cost_after_synthesis * 1.001
 
+    def test_plan_returns_rounds_history(self, four_device_cluster):
+        """The one round record prices the synthesized program at the
+        proportional ratios it was synthesized at, then at the LP's ratios;
+        ``plan_at`` runs no LP and records no round."""
+        training = build_training_graph(build_mlp(batch=64, hidden=128)).graph
+        planner = HAPPlanner(training, four_device_cluster, planner_config())
+        plan = planner.plan()
+        (record,) = plan.rounds
+        fresh = CostModel(training, four_device_cluster)
+        proportional = four_device_cluster.proportional_ratios()
+        assert record.cost_after_synthesis == fresh.evaluate(plan.program, proportional).total
+        assert record.cost_after_balancing == fresh.evaluate(plan.program, record.ratios).total
+        assert record.synthesis_seconds >= 0 and record.balancing_seconds >= 0
+        assert planner.plan_at(proportional).rounds == []
+
+    def test_best_plan_is_minimum_over_rounds(self, four_device_cluster):
+        """The selected estimate is no worse than any price the history
+        records, before or after the LP."""
+        training = build_training_graph(build_mlp(batch=64, hidden=64)).graph
+        plan = HAPPlanner(training, four_device_cluster, planner_config()).plan()
+        prices = [c for r in plan.rounds for c in (r.cost_after_synthesis, r.cost_after_balancing)]
+        assert plan.estimated_time.total <= min(prices) * 1.001
+
     @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
     def test_second_round_reproduces_the_first(self, model):
         """A second (Q, B) round gives back ``plan()``'s result bit for bit.
@@ -67,16 +102,24 @@ class TestHAPPlanner:
         e2e workloads, the Fig. 13/14 cases and the registry models) before
         the alternation loop comes back.
         """
-        graph = build_training_graph(MODEL_BUILDERS[model]()).graph
-        cluster = make_cluster(("A100", "A100", "P100", "P100"))
-        planner = HAPPlanner(graph, cluster, planner_config())
-        plan = planner.plan()
-        program = planner.synthesizer.synthesize(plan.flat_ratios).program
-        ratios = planner.load_balancer.optimize(program, planner.cost_model).ratios
-        assert program == plan.program
-        assert list(program.instructions) == list(plan.program.instructions)
-        assert ratios == plan.flat_ratios
-        assert planner.cost_model.evaluate(program, ratios) == plan.estimated_time
+        assert_second_round_reproduces_the_first(
+            model, make_cluster(("A100", "A100", "P100", "P100")), beam=8
+        )
+
+    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+    @pytest.mark.parametrize(
+        "gpus, beam",
+        [
+            (("A100", "A100", "P100", "P100"), 32),
+            (("A100", "P100") * 4, 8),
+            (("A100", "P100") * 4, 32),
+        ],
+        ids=["4dev-beam32", "8dev-beam8", "8dev-beam32"],
+    )
+    def test_second_round_reproduces_the_first_on_wider_searches(self, model, gpus, beam):
+        """The same tripwire on the rest of the measured fixtures: a wider
+        beam, and eight alternating A100 / P100 devices."""
+        assert_second_round_reproduces_the_first(model, make_cluster(gpus), beam=beam)
 
     def test_plan_at_keeps_the_fixed_ratios(self, four_device_cluster):
         training = build_training_graph(build_mlp(batch=64, hidden=64)).graph

@@ -390,6 +390,39 @@ class TestHierarchicalIntegration:
             HierarchicalPlanner(build_mlp(), cluster, config).plan()
         assert len(cache) == 0
 
+    def test_plan_is_fully_checked_before_it_is_cached(self, cluster, monkeypatch):
+        """With ``verify_after_plan`` on, the full check runs before the
+        store, and a plan that passes it is stored and served warm."""
+        import repro.verify.plan as plan_verifier
+
+        events = []
+        structural = plan_verifier.verify_plan
+
+        def recording_check(plan, forward, check_cost=True):
+            events.append("full check" if check_cost else "hit check")
+            return structural(plan, forward, check_cost=check_cost)
+
+        class RecordingCache(InMemoryPlanCache):
+            def put(self, entry):
+                events.append("put")
+                super().put(entry)
+
+        monkeypatch.setattr(plan_verifier, "verify_plan", recording_check)
+        cache = RecordingCache()
+        config = HierarchicalConfig(
+            synthesis=small_planner_config(verify_after_plan=True),
+            plan_cache=cache,
+            max_stages=2,
+        )
+        cold = HierarchicalPlanner(build_mlp(), cluster, config).plan()
+        assert events == ["full check", "put"]
+        assert len(cache) == 1
+        events.clear()
+        warm = HierarchicalPlanner(build_mlp(), cluster, config).plan()
+        assert warm.reuse_stats["whole_plan_hit"] == 1
+        assert warm.estimated_time == cold.estimated_time
+        assert "put" not in events
+
     def test_renamed_forward_is_a_whole_hit(self, cluster):
         forward = build_mlp()
         renamed = rename_nodes(forward)
