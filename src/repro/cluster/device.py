@@ -71,14 +71,12 @@ class Machine:
         num_gpus: number of GPUs on this machine.
         intra_bandwidth: intra-machine GPU-to-GPU bandwidth in bytes/s
             (NVLink for V100/A100 machines, PCIe otherwise).
-        intra_latency: per-collective launch latency within the machine, in s.
     """
 
     name: str
     gpu: DeviceType
     num_gpus: int = 1
     intra_bandwidth: float = 130e9
-    intra_latency: float = 10e-6
 
     @property
     def total_flops(self) -> float:

@@ -54,16 +54,14 @@ class SynthesisConfig:
             only the padded All-Gather.
         enable_replicated_sources: allow ``Placeholder()``/``Parameter()``
             (fully replicated) besides the sharded variants.
-        beam_width: number of candidate distribution states kept per level by
-            the beam search; ``None`` keeps every candidate.  A* ignores it.
-        search_strategy: ``"beam"`` (default) runs a level-synchronised beam
-            search — one level per single-device node, keeping the
-            ``beam_width`` cheapest distribution states per level; this is
+        beam_width: number of candidate distribution states the synthesizer's
+            level-synchronised beam search keeps per level (one level per
+            single-device node); ``None`` keeps every candidate.  The beam is
             what makes Python-side synthesis scale to the full benchmark
-            models.  ``"astar"`` runs the priority-queue search of Fig. 10,
-            exact over the same topological-order space: the oracle the
-            tests check the beam search against, practical only on small
-            graphs.
+            models.  The exact A* search of Fig. 10,
+            :meth:`~repro.core.synthesizer.ProgramSynthesizer.astar`, is a
+            method rather than a setting: the oracle the tests check the
+            beam search against.
         verify_after_plan: the one static-verifier switch.  Every
             :meth:`~repro.core.pipeline.HAPPlanner.plan` call checks its
             input graph and runs :func:`repro.verify.verify_program` —
@@ -82,7 +80,6 @@ class SynthesisConfig:
     enable_grouped_all_gather: bool = True
     enable_replicated_sources: bool = True
     beam_width: Optional[int] = 32
-    search_strategy: str = "beam"
     verify_after_plan: bool = field(default_factory=verify_default)
     # Baseline-emulation switches (used by repro.baselines, not by HAP itself):
     # restrict the theory so only data-parallel programs exist, optionally with
@@ -91,9 +88,5 @@ class SynthesisConfig:
     expert_parallel_parameters: bool = False
 
     def __post_init__(self) -> None:
-        if self.search_strategy not in ("beam", "astar"):
-            raise ValueError(
-                f"search_strategy must be 'beam' or 'astar', got {self.search_strategy!r}"
-            )
         if self.beam_width is not None and self.beam_width < 1:
             raise ValueError(f"beam_width must be None or >= 1, got {self.beam_width}")

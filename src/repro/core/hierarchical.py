@@ -626,19 +626,9 @@ class HierarchicalPlanner:
         )
 
     def _build_stages(
-        self, groups: Sequence[ClusterSpec]
-    ) -> Optional[Tuple[PipelineCut, List[StagePlan]]]:
-        """Cut one chunk per machine group and plan each with flat HAP.
-
-        Returns ``None``, before any synthesis, when the cut falls short
-        (:func:`_is_shortfall`): the graph has too few splittable layer
-        blocks for that many contiguous pieces, or a piece computes nothing
-        and would cost a pipeline hop and a machine group for no work.  The
-        caller then drops the stage count.
-        """
-        cut = interleaved_pipeline_cut(self.forward, _compute_ratios(groups))
-        if _is_shortfall(cut, len(groups)):
-            return None
+        self, groups: Sequence[ClusterSpec], cut: PipelineCut
+    ) -> List[StagePlan]:
+        """Plan each chunk of ``cut`` with flat HAP on its machine group."""
         # Bytes each stage's outgoing hop ships, relayed skip connections
         # included; the final stage sends nothing.
         hop_bytes = cut_transfer_bytes(self.forward, cut)
@@ -664,58 +654,71 @@ class HierarchicalPlanner:
                     replicated_param_bytes=replicated,
                 )
             )
-        return cut, stages
+        return stages
 
-    def _candidate_partition(self, num_stages: int) -> List[ClusterSpec]:
+    def _candidate_partition(
+        self, num_stages: int
+    ) -> Optional[Tuple[List[ClusterSpec], PipelineCut]]:
         """The contiguous machine groups of one stage count, sized to its cut.
 
         Returns one :class:`~repro.cluster.spec.ClusterSpec` per stage, which
-        becomes that stage's ``subcluster``.  One stage is one group of the
-        whole cluster, which still spans the slow flat network (the
-        intra-group network applies to proper splits only).  For ``s >= 2``
-        the split starts at equal group flops (:func:`_balanced_boundaries`)
-        and alternates without synthesis: cut the graph against the split's
-        compute ratios, then move to the contiguous split that minimises the
-        cut's bottleneck ``max_i stage_flops_i / group_flops_i``, ties going
-        to the lexicographically smallest boundaries.  It stops when a split
-        repeats and returns the visited split whose own cut has the lowest
-        bottleneck; a cut that :meth:`_build_stages` would drop counts as an
-        infinite bottleneck.
+        becomes that stage's ``subcluster``, and the cut of the graph against
+        them.  One stage is one group of the whole cluster, which still spans
+        the slow flat network (the intra-group network applies to proper
+        splits only).  For ``s >= 2`` the split starts at equal group flops
+        (:func:`_balanced_boundaries`) and alternates without synthesis: cut
+        the graph against the split's compute ratios, then move to the
+        contiguous split that minimises the cut's bottleneck ``max_i
+        stage_flops_i / group_flops_i``, ties going to the lexicographically
+        smallest boundaries.  It stops when a split repeats and returns the
+        visited split whose own cut has the lowest bottleneck, with that
+        cut: each split is cut once.
+
+        Returns ``None``, before any synthesis, when every visited cut falls
+        short (:func:`_is_shortfall`, an infinite bottleneck): the graph has
+        too few splittable layer blocks for that many contiguous pieces, or
+        a piece computes nothing and would cost a pipeline hop and a machine
+        group for no work.  The caller then drops the stage count.
         """
         n = len(self.cluster.machines)
         if num_stages == 1:
-            return self.cluster.split([n])
+            groups = self.cluster.split([n])
+            cut = interleaved_pipeline_cut(self.forward, _compute_ratios(groups))
+            return None if _is_shortfall(cut, 1) else (groups, cut)
         intra = self.config.intra_group_network
         machine_flops = [m.total_flops for m in self.cluster.machines]
         splits = [(*b, n) for b in combinations(range(1, n), num_stages - 1)]
         boundaries = tuple(_balanced_boundaries(machine_flops, num_stages))
-        # split -> bottleneck of its own cut, in visiting order.
-        visited: Dict[Tuple[int, ...], float] = {}
+        # split -> (bottleneck of its own cut, groups, cut), in visiting order.
+        visited: Dict[Tuple[int, ...], Tuple[float, List[ClusterSpec], PipelineCut]] = {}
         while boundaries not in visited:
             groups = self.cluster.split(boundaries, intra)
             cut = interleaved_pipeline_cut(self.forward, _compute_ratios(groups))
             if _is_shortfall(cut, num_stages):
-                visited[boundaries] = float("inf")
+                visited[boundaries] = (float("inf"), groups, cut)
                 if cut.num_stages != num_stages:
                     break  # too few blocks: no split can help
             else:
-                visited[boundaries] = _bottleneck(cut.stage_flops, machine_flops, boundaries)
+                bottleneck = _bottleneck(cut.stage_flops, machine_flops, boundaries)
+                visited[boundaries] = (bottleneck, groups, cut)
             boundaries = min(
                 splits, key=lambda b, f=cut.stage_flops: _bottleneck(f, machine_flops, b)
             )
-        return self.cluster.split(min(visited, key=visited.__getitem__), intra)
+        bottleneck, groups, cut = min(visited.values(), key=lambda entry: entry[0])
+        return None if bottleneck == float("inf") else (groups, cut)
 
     def build_candidate(self, num_stages: int) -> Optional[HierarchicalPlan]:
         """Best plan at one stage count, or ``None`` when its cut falls short.
 
-        Cuts, plans and profiles one chunk per stage (the expensive part),
-        then searches schedules, microbatch counts and recomputation over the
-        profiles.
+        Plans and profiles one chunk per stage of the partition's cut (the
+        expensive part), then searches schedules, microbatch counts and
+        recomputation over the profiles.
         """
-        built = self._build_stages(self._candidate_partition(num_stages))
-        if built is None:
+        partition = self._candidate_partition(num_stages)
+        if partition is None:
             return None  # the graph has fewer splittable layer blocks
-        cut, stages = built
+        groups, cut = partition
+        stages = self._build_stages(groups, cut)
         times = profile_stages(stages, self._profile_chunk)
         schedule, combo_times = self._search_schedules(stages, times)
         return HierarchicalPlan(

@@ -129,7 +129,10 @@ from .properties import Property
 #: (``HierarchicalConfig.planner``, which wrapped one with a round count,
 #: became ``synthesis``) and ``OptimizationRound`` lost ``round_index``, so
 #: the config signature and the pickled plan layout changed.
-CACHE_VERSION = 19
+#: v20: ``SynthesisConfig`` lost its search-strategy switch (A* is the
+#: synthesizer's ``astar`` method) and ``Machine`` its intra-machine latency
+#: (no cost read it), so the config and cluster signatures both changed.
+CACHE_VERSION = 20
 
 #: Configuration fields excluded from cache keys: the cache itself and the
 #: static-verifier flag (verification never changes the plan).
@@ -171,7 +174,6 @@ def cluster_signature(cluster: ClusterSpec) -> Tuple:
             d.machine.gpu.sustained_fraction,
             d.num_gpus,
             d.machine.intra_bandwidth,
-            d.machine.intra_latency,
         )
         for d in cluster.virtual_devices
     )

@@ -16,14 +16,16 @@ are recycled over ref lifetimes (:attr:`~repro.core.rules.Theory.lifetimes`),
 so a ``pbits`` mask is unambiguous among the states of one position, the
 only states a key compares.  The set of emulated nodes is not part of the
 state: every source is created by its first consumer, so all states at one
-position have emulated the same nodes, and a beam level computes that set,
-its ideal time and its liveness drop once.
+position have emulated the same nodes, and a beam level computes that set
+and its liveness drop once.
 
-* The beam search is the planner's search.  It expands every node of the
-  order in turn and keeps the ``beam_width`` cheapest states per node.
-* A* (Fig. 10) is the exact oracle over the same space, the search the tests
-  check the beam against.  It repeatedly pops the lowest-score state from a
-  priority queue and expands it as the beam would.  Its heuristic,
+* The beam search (:meth:`ProgramSynthesizer.synthesize`) is the planner's
+  search.  It expands every node of the order in turn and keeps the
+  ``beam_width`` cheapest states per node.
+* A* (Fig. 10, :meth:`ProgramSynthesizer.astar`) is the exact oracle over
+  the same space, the search the tests check the beam against.  It
+  repeatedly pops the lowest-score state from a priority queue and expands
+  it as the beam would.  Its heuristic,
   the remaining nodes' :meth:`~repro.core.costmodel.CostModel.ideal_node_time`,
   is admissible, so the first popped score at or above the best complete
   cost proves that program optimal.  Its dominance check generalises lines
@@ -197,9 +199,9 @@ class _SearchNode:
       ``graph.node_names`` positions.
 
     ``completed`` (the emulated single-device nodes, bits at the same
-    positions) and ``completed_ideal`` belong to the position: every state
-    at one position holds the same values, and a beam level's survivors
-    share one ``completed`` int.  The beam dedupes a level's children on
+    positions) belongs to the position: every state at one position holds
+    the same value, and a beam level's survivors share one ``completed``
+    int.  The beam dedupes a level's children on
     ``(pbits, cbits)``; A* keys its dominance check on
     ``(pbits, cbits, topo_ptr)``: both compare states of one position only.
     Bit order never orders the search: candidates are visited in rule and
@@ -220,7 +222,6 @@ class _SearchNode:
         "cbits",
         "closed_cost",
         "stage_comp",
-        "completed_ideal",
         "depth",
         "topo_ptr",
     )
@@ -234,7 +235,6 @@ class _SearchNode:
         cbits: int,
         closed_cost: float,
         stage_comp: Tuple[float, ...],
-        completed_ideal: float,
         depth: int,
         topo_ptr: int = 0,
     ) -> None:
@@ -245,7 +245,6 @@ class _SearchNode:
         self.cbits = cbits
         self.closed_cost = closed_cost
         self.stage_comp = stage_comp
-        self.completed_ideal = completed_ideal
         self.depth = depth
         #: index into the synthesizer's topological order of the first node
         #: not yet emulated.
@@ -299,7 +298,13 @@ class ProgramSynthesizer:
         # Topological emulation order (non-source nodes only), walked by
         # both searches.
         self._topo_order = [n.name for n in graph if n.kind is not OpKind.SOURCE]
-        self._total_ideal = _work(map(self._ideal, self._topo_order))
+        #: A*'s heuristic per topological position: the ideal time of the
+        #: nodes not yet emulated, the total less the emulated prefix, each
+        #: summed left to right like :func:`_work`, floored at zero.
+        done = [0.0]
+        for name in self._topo_order:
+            done.append(done[-1] + self._ideal(name))
+        self._remaining_ideal = [max(done[-1] - d, 0.0) for d in done]
         #: all-zero open-stage vector of the root and of collectives' plans.
         self._zero_stage: Tuple[float, ...] = (0.0,) * cluster.num_devices
         # -- hot-path indexes: state-independent quantities precomputed once ---
@@ -309,8 +314,8 @@ class ProgramSynthesizer:
         ref_masks = self.theory.ref_masks
         for ref, (_, death) in self.theory.lifetimes.items():
             self._drops[death] |= ref_masks.get(ref, 0)
-        #: node -> (completion mask, ideal time) of its level.
-        self._node_static_cache: Dict[str, Tuple[int, float]] = {}
+        #: node -> completion mask of its level.
+        self._completion_masks: Dict[str, int] = {}
         #: id(rule) -> compiled cost plan (cleared whenever the ratios
         #: change, since the cost plans depend on them).
         self._rule_plans: Dict[int, _CostPlan] = {}
@@ -331,7 +336,7 @@ class ProgramSynthesizer:
         return self._ideal_cache[name]
 
     def _score(self, node: _SearchNode) -> float:
-        remaining = max(self._total_ideal - node.completed_ideal, 0.0)
+        remaining = self._remaining_ideal[node.topo_ptr]
         return node.closed_cost + max(node.open_stage_cost(), remaining)
 
     def _is_complete(self, node: _SearchNode) -> bool:
@@ -367,56 +372,35 @@ class ProgramSynthesizer:
             self._rule_plans[id(rule)] = plan
         return plan
 
-    def _node_static(self, node_name: str) -> Tuple[int, float]:
-        """State-independent quantities of the level that emulates a node.
+    def _completion_mask(self, node_name: str) -> int:
+        """Bitmask of the nodes the level that emulates ``node_name`` completes.
 
         Every rule of the node completes the same nodes: the node and the
-        sources it consumes first.  Returns their bitmask and the node's
-        ideal time (a source's is zero).
+        sources it consumes first.
         """
-        info = self._node_static_cache.get(node_name)
-        if info is None:
+        mask = self._completion_masks.get(node_name)
+        if mask is None:
             mask = 0
             for name in self.theory.comp_rules_by_node[node_name][0].completes:
                 mask |= 1 << self._node_index[name]
-            info = (mask, self._ideal(node_name))
-            self._node_static_cache[node_name] = info
-        return info
+            self._completion_masks[node_name] = mask
+        return mask
 
-    # -- main search ----------------------------------------------------------------
-    def synthesize(self, ratios: Optional[Sequence[float]] = None) -> SynthesisResult:
-        """Synthesize the optimal distributed program for the given ratios.
+    def _use_ratios(self, ratios: Optional[Sequence[float]]) -> Tuple[float, ...]:
+        """A search's ratios as a checked tuple (the cost-model memo's key).
 
-        Dispatches to the level-synchronised beam search (default) or the
-        exact A* search of Fig. 10 according to the configuration.
-
-        Args:
-            ratios: sharding ratios ``B`` (defaults to computation-proportional
-                ratios, the paper's ``B^(0)``).
-
-        Returns:
-            The best complete program found and search statistics.
-
-        Raises:
-            SynthesisError: if no complete program exists in the search space
-                (indicates a missing rule for some operator), or if A* reaches
-                :data:`MAX_SEARCH_STEPS` before it proves a program optimal.
+        ``None`` means computation-proportional ratios.  The compiled rule
+        cost plans hold for one ratio vector, so a new vector drops them.
         """
-        # Keep the ratios as a tuple: the cost-model memo keys on it, and
-        # tuple(t) on a tuple is free.
         ratios = tuple(ratios) if ratios is not None else tuple(self.cluster.proportional_ratios())
         if len(ratios) != self.cluster.num_devices:
             raise ValueError(
                 f"expected {self.cluster.num_devices} sharding ratios, got {len(ratios)}"
             )
-        # The rule cost plans are only valid for one ratio vector; drop them
-        # when the ratios change between synthesize() calls.
         if ratios != self._plan_ratios:
             self._rule_plans.clear()
             self._plan_ratios = ratios
-        if self.config.search_strategy == "beam":
-            return self._beam_search(ratios)
-        return self._astar_search(ratios)
+        return ratios
 
     def _root(self) -> _SearchNode:
         return _SearchNode(
@@ -427,7 +411,6 @@ class ProgramSynthesizer:
             cbits=0,
             closed_cost=0.0,
             stage_comp=self._zero_stage,
-            completed_ideal=0.0,
             depth=0,
         )
 
@@ -451,16 +434,31 @@ class ProgramSynthesizer:
         )
 
     # -- level-synchronised beam search ----------------------------------------------
-    def _beam_search(self, ratios: Sequence[float]) -> SynthesisResult:
-        """Per-node beam search over distribution states.
+    def synthesize(self, ratios: Optional[Sequence[float]] = None) -> SynthesisResult:
+        """Synthesize the best distributed program for the given ratios.
 
-        Processes the single-device nodes in topological order; for every node
-        it tries each sharding variant, optionally preceded by the collectives
-        that establish the variant's missing preconditions, and keeps the
-        ``beam_width`` cheapest resulting states (after merging children that
-        share a state key, see :meth:`_beam_level`; ``None`` keeps them all).
+        The planner's search, a per-node beam search over distribution
+        states.  It processes the single-device nodes in topological order;
+        for every node it tries each sharding variant, optionally preceded
+        by the collectives that establish the variant's missing
+        preconditions, and keeps the ``beam_width`` cheapest resulting
+        states (after merging children that share a state key, see
+        :meth:`_beam_level`; ``None`` keeps them all).
+
+        Args:
+            ratios: sharding ratios ``B`` (defaults to computation-proportional
+                ratios, the paper's ``B^(0)``).
+
+        Returns:
+            The best complete program found and search statistics.
+
+        Raises:
+            ValueError: if ``ratios`` is not one ratio per device.
+            SynthesisError: if no complete program exists in the search space
+                (indicates a missing rule for some operator).
         """
         start = _time.perf_counter()
+        ratios = self._use_ratios(ratios)
         beam_width = self.config.beam_width
         states: List[_SearchNode] = [self._root()]
         self._bm_expanded = 0
@@ -529,15 +527,15 @@ class ProgramSynthesizer:
         node_name: str,
         ratios: Sequence[float],
         memo: Dict[str, List[Tuple]],
-    ) -> Tuple[Tuple[int, float, int], List[Tuple]]:
+    ) -> Tuple[Tuple[int, int], List[Tuple]]:
         """Every child of one level: each state fires each rule of ``node_name``.
 
         ``states`` all sit at the node's topological position, so they share
-        ``completed`` and ``completed_ideal``: every source is fused into its
-        first consumer (:func:`repro.core.rules.build_theory`).  The level's
-        completion mask, ideal time, topological pointer and liveness drop
-        are therefore computed once, from ``states[0]``, and returned first
-        as ``(completed, completed_ideal, topo_ptr)``.
+        ``completed``: every source is fused into its first consumer
+        (:func:`repro.core.rules.build_theory`).  The level's completion
+        mask, topological pointer and liveness drop are therefore computed
+        once, from ``states[0]``, and returned first as ``(completed,
+        topo_ptr)``.
 
         Then one plain tuple per child, ``((pbits, cbits), closed_cost,
         stage_comp, rank, state, rule, collectives)``, state by state, rule
@@ -565,10 +563,9 @@ class ProgramSynthesizer:
             rules = memo[node_name] = [
                 (rule, *self._expansion_scope(rule), {}) for rule in comp_rules
             ]
-        mask, delta = self._node_static(node_name)
         first = states[0]
-        completed = first.completed | mask
-        level = (completed, first.completed_ideal + delta, first.topo_ptr + 1)
+        completed = first.completed | self._completion_mask(node_name)
+        level = (completed, first.topo_ptr + 1)
         # Optimisation #3: the properties of tensors that can no longer be
         # consumed (every consumer emulated) leave the state.  Program outputs
         # with no consumers (updated parameters, the loss) leave it as well —
@@ -687,7 +684,7 @@ class ProgramSynthesizer:
                 scope_c |= comm.comm_mask
         return scope_p, scope_c
 
-    def _materialize(self, child: Tuple, level: Tuple[int, float, int]) -> _SearchNode:
+    def _materialize(self, child: Tuple, level: Tuple[int, int]) -> _SearchNode:
         """The search node of an :meth:`_expand` child at its ``level``.
 
         Each enabling collective gets a lineage node that carries only
@@ -704,7 +701,7 @@ class ProgramSynthesizer:
         node.cbits = cbits
         node.closed_cost = closed
         node.stage_comp = stage
-        node.completed, node.completed_ideal, node.topo_ptr = level
+        node.completed, node.topo_ptr = level
         node.depth = state.depth + len(comms) + 1
         return node
 
@@ -747,20 +744,23 @@ class ProgramSynthesizer:
         return entry
 
     # -- exact A* search (Fig. 10) -------------------------------------------------
-    def _astar_search(self, ratios: Sequence[float]) -> SynthesisResult:
-        """Exact A* over the beam search's space (the beam's oracle).
+    def astar(self, ratios: Optional[Sequence[float]] = None) -> SynthesisResult:
+        """Exact A* over :meth:`synthesize`'s space: the oracle the tests call.
 
-        A state's successors are the beam's children of its next
+        It ignores ``beam_width`` and is practical only on small graphs.  A
+        state's successors are the beam's children of its next
         topological-order node (:meth:`_expand` on that one state), so the
-        two searches explore one space and differ only in pruning.  The
-        dominance check keys on ``(pbits, cbits, topo_ptr)``: the position
-        fixes ``completed``.  States are expanded
-        in score order until the lowest open score reaches the best complete
-        cost.  Raises :class:`SynthesisError` when the search exhausts
-        without a complete program or reaches :data:`MAX_SEARCH_STEPS`
-        first; it never returns a program it has not proved optimal.
+        two searches differ only in pruning.  The dominance check keys on
+        ``(pbits, cbits, topo_ptr)``: the position fixes ``completed``.
+        States are expanded in score order until the lowest open score
+        reaches the best complete cost.  Raises :class:`ValueError` like
+        :meth:`synthesize`, and :class:`SynthesisError` when the search
+        exhausts without a complete program or reaches
+        :data:`MAX_SEARCH_STEPS` first; it never returns a program it has
+        not proved optimal.
         """
         start = _time.perf_counter()
+        ratios = self._use_ratios(ratios)
         root = self._root()
         counter = itertools.count()
         # Ties are broken towards deeper programs so that a first complete
@@ -798,7 +798,7 @@ class ProgramSynthesizer:
                 [node], self._topo_order[node.topo_ptr], ratios, memo
             )
             generated += len(children)
-            completed, _, topo_ptr = level
+            completed, topo_ptr = level
             for child in children:
                 (pbits, cbits), closed, stage = child[:3]
                 if completed & output_mask == output_mask:

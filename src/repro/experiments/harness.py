@@ -105,7 +105,6 @@ def compare_systems(
     scale: Optional[BenchmarkScale] = None,
     planner_config: Optional[SynthesisConfig] = None,
     forward: Optional[ComputationGraph] = None,
-    simulator_seed: int = 0,
     simulation_iterations: int = 3,
 ) -> ComparisonResult:
     """Plan and simulate every requested system on one workload.
@@ -120,8 +119,8 @@ def compare_systems(
             planners.
         forward: pre-built forward graph with a marked loss (overrides
             ``model_name`` construction).
-        simulator_seed: RNG seed of the execution simulator.
-        simulation_iterations: iterations averaged by the simulator.
+        simulation_iterations: iterations averaged by the simulator, which
+            draws its noise from seed 0.
 
     Returns:
         A :class:`ComparisonResult` with one entry per system.
@@ -133,7 +132,7 @@ def compare_systems(
         forward = build_model(model_name, num_gpus=num_gpus, scale=scale)
     training_graph = build_training_graph(forward).graph
     planner_config = planner_config or default_planner_config()
-    simulator = ExecutionSimulator(cluster, seed=simulator_seed)
+    simulator = ExecutionSimulator(cluster)
 
     results: Dict[str, SystemResult] = {}
     for system in systems:

@@ -138,11 +138,13 @@ def _atomic_blocks(
     return blocks
 
 
-def pipeline_cut(
-    graph: ComputationGraph,
-    stage_weights: Sequence[float],
-    balance_tolerance: float = 0.1,
-) -> PipelineCut:
+#: Width of the window around each stage's flop target, as a fraction of the
+#: total forward flops, inside which :func:`pipeline_cut` picks the boundary
+#: with the fewest crossing activation bytes.
+BALANCE_TOLERANCE = 0.1
+
+
+def pipeline_cut(graph: ComputationGraph, stage_weights: Sequence[float]) -> PipelineCut:
     """Split a forward graph into pipeline stages balanced against group compute.
 
     Stages are contiguous slices of the topological order of the compute
@@ -151,7 +153,7 @@ def pipeline_cut(
     machine group's aggregate flops to get compute-proportional stages on a
     heterogeneous cluster).  Like the paper's METIS segmentation objective,
     balance is traded against boundary cost: within a
-    ``balance_tolerance``-of-total-flops window around each target, the
+    :data:`BALANCE_TOLERANCE`-of-total-flops window around each target, the
     position with the fewest activation bytes crossing the boundary wins —
     which lands cuts on the thin residual stream between layers instead of
     inside a layer's fat intermediates.  Parameter-sharing ranges are kept
@@ -206,7 +208,7 @@ def pipeline_cut(
 
     # Pick each boundary inside the tolerance window around its flop target,
     # preferring the cheapest crossing (ties go to the better balance).
-    window = balance_tolerance * total
+    window = BALANCE_TOLERANCE * total
     boundaries: List[int] = []
     previous = 0
     for k in range(num_stages - 1):

@@ -12,7 +12,7 @@ mirrors how tracing a PyTorch module produces a linearised program.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .ops import OpDef, OpKind, get_op
 from .tensor import TensorSpec
@@ -207,16 +207,16 @@ class ComputationGraph:
         """Total size of all non-source node outputs in bytes (peak proxy)."""
         return sum(n.spec.size_bytes for n in self if n.kind is not OpKind.SOURCE)
 
-    def prune_dead(self, extra_roots: Iterable[str] = ()) -> List[str]:
+    def prune_dead(self) -> List[str]:
         """Remove non-source nodes whose results nothing can observe.
 
-        A node is dead when it is not an output, not the loss, not one of
-        ``extra_roots``, and no (transitively live) node consumes it.  Source
-        nodes are kept: an unused placeholder or parameter is a binding, not
-        compute, and other layers account for them (e.g. ``skipped_parameters``
-        in autodiff).  Returns the removed names, in removal order.
+        A node is dead when it is not an output, not the loss, and no
+        (transitively live) node consumes it.  Source nodes are kept: an
+        unused placeholder or parameter is a binding, not compute, and other
+        layers account for them (e.g. ``skipped_parameters`` in autodiff).
+        Returns the removed names, in removal order.
         """
-        roots = set(self._outputs) | set(extra_roots)
+        roots = set(self._outputs)
         if self._loss is not None:
             roots.add(self._loss)
         removed: List[str] = []

@@ -42,14 +42,12 @@ class SingleDeviceExecutor:
         self,
         bindings: Mapping[str, np.ndarray],
         outputs: Optional[Iterable[str]] = None,
-        keep_all: bool = False,
     ) -> Dict[str, np.ndarray]:
         """Execute the graph.
 
         Args:
             bindings: values for every placeholder and parameter node.
             outputs: node names to return; defaults to the graph's outputs.
-            keep_all: if True, return the values of every node.
 
         Returns:
             Map from node name to numpy value.
@@ -75,8 +73,6 @@ class SingleDeviceExecutor:
             else:
                 args = [env[i] for i in node.inputs]
                 env[node.name] = np.asarray(KERNELS[node.op](args, node.attrs))
-        if keep_all:
-            return env
         return {name: env[name] for name in wanted}
 
     def loss_value(self, bindings: Mapping[str, np.ndarray]) -> float:

@@ -40,31 +40,36 @@ from ..cluster.spec import ClusterSpec
 from ..core.costmodel import CostModel
 from ..core.instructions import CommInstruction, CompInstruction
 from ..core.program import DistributedProgram
-from ..graph.graph import ComputationGraph
 from ..graph.ops import OpKind
 from .schedule import ScheduleResult, StageTimes, profile_stages, simulate_pipeline
 
 
+#: Secondary effects the simulator prices and the cost model does not
+#: (:class:`_SimulatedCostModel`): host-side launch latency per computation
+#: instruction, in s.
+KERNEL_LAUNCH = 6e-6
+#: Extra launch latency per collective call, in s.
+COLLECTIVE_LAUNCH = 18e-6
+#: Per-GPU HBM bandwidth, in bytes/s, bounding element-wise operators that
+#: perform almost no arithmetic.
+MEMORY_BANDWIDTH = 600e9
+#: Framework/synchronisation overhead per synchronisation stage, in s.
+FRAMEWORK_PER_STAGE = 30e-6
+#: Multiplier on collective times (shared-network slowdown).
+CONGESTION = 1.12
+
+
 @dataclass(frozen=True)
 class OverheadModel:
-    """Secondary effects included by the simulator but not by the cost model.
+    """The simulator's run-to-run noise, the one secondary effect that is set.
+
+    The other secondary effects are the module constants above.
 
     Attributes:
-        kernel_launch: host-side launch latency per computation instruction.
-        collective_launch: extra launch latency per collective call.
-        memory_bandwidth: per-GPU HBM bandwidth (bytes/s) bounding element-wise
-            operators that perform almost no arithmetic.
-        framework_per_stage: per-stage framework/synchronisation overhead.
         noise: standard deviation of the multiplicative run-to-run noise.
-        congestion: multiplier on collective times (shared-network slowdown).
     """
 
-    kernel_launch: float = 6e-6
-    collective_launch: float = 18e-6
-    memory_bandwidth: float = 600e9
-    framework_per_stage: float = 30e-6
     noise: float = 0.02
-    congestion: float = 1.12
 
 
 @dataclass
@@ -109,16 +114,12 @@ class _SimulatedCostModel(CostModel):
     a kernel launch per instruction; collectives are slowed by congestion
     and pay a launch; every synchronisation stage pays the framework's
     :attr:`per_stage_overhead`.  Both :meth:`ExecutionSimulator.simulate`'s
-    replay and :meth:`ExecutionSimulator.profile_program` price through this
-    one model.
+    replay and :func:`simulate_hierarchical`'s stage profiles price through
+    this one model.
     """
 
-    def __init__(
-        self, graph: ComputationGraph, cluster: ClusterSpec, overheads: OverheadModel
-    ) -> None:
-        super().__init__(graph, cluster)
-        self.overheads = overheads
-        self.per_stage_overhead = overheads.framework_per_stage
+    #: framework/synchronisation overhead of every synchronisation stage.
+    per_stage_overhead = FRAMEWORK_PER_STAGE
 
     def comp_times(self, instr: CompInstruction, ratios: Sequence[float]) -> List[float]:
         return [self._comp_time(instr, j, ratios[j]) for j in range(self.num_devices)]
@@ -131,7 +132,7 @@ class _SimulatedCostModel(CostModel):
         compute_bound = flops / device.flops if flops else 0.0
         # Element-wise / data-movement operators are bound by memory bandwidth.
         bytes_touched = 3.0 * node.spec.size_bytes * share
-        memory_bound = bytes_touched / (self.overheads.memory_bandwidth * device.num_gpus)
+        memory_bound = bytes_touched / (MEMORY_BANDWIDTH * device.num_gpus)
         kind = node.kind
         if kind in (OpKind.MATMUL, OpKind.CONV, OpKind.CONV_GRAD_INPUT, OpKind.CONV_GRAD_WEIGHT):
             base = compute_bound
@@ -141,12 +142,12 @@ class _SimulatedCostModel(CostModel):
             base = max(compute_bound, memory_bound)
         base += self._intra_sync_time(instr, device_idx, share)
         if kind is not OpKind.SOURCE:
-            base += self.overheads.kernel_launch
+            base += KERNEL_LAUNCH
         return base
 
     def comm_time(self, instr: CommInstruction, ratios: Sequence[float]) -> float:
         base = super().comm_time(instr, ratios)
-        return base * self.overheads.congestion + self.overheads.collective_launch
+        return base * CONGESTION + COLLECTIVE_LAUNCH
 
 
 class ExecutionSimulator:
@@ -154,7 +155,7 @@ class ExecutionSimulator:
 
     Args:
         cluster: the cluster model to replay on.
-        overheads: secondary-effect model (launch latencies, noise, ...).
+        overheads: the run-to-run noise model.
         seed: RNG seed for the run-to-run noise.
 
     The replay's overlap efficiency (:attr:`overlap`) is the cluster's
@@ -186,8 +187,8 @@ class ExecutionSimulator:
         This is the deterministic core of :meth:`simulate`: every secondary
         effect (kernel launches, memory-bandwidth bounds, congestion) is
         applied, but run-to-run noise is left to the caller, which draws it
-        per stage.  (:meth:`profile_program` does not replay: it prices the
-        same :class:`_SimulatedCostModel` through
+        per stage.  (:func:`simulate_hierarchical` does not replay: it prices
+        the same :class:`_SimulatedCostModel` through
         :meth:`~repro.core.costmodel.CostModel.phase_profile`.)
         ``per_comp_times`` aligns with
         ``stage.comps`` and holds each computation's per-device times
@@ -238,7 +239,7 @@ class ExecutionSimulator:
                 raise ValueError(
                     f"{what} is for {n} device(s) but cluster {self.cluster.name!r} has {m}"
                 )
-        cost_model = _SimulatedCostModel(program.graph, self.cluster, self.overheads)
+        cost_model = _SimulatedCostModel(program.graph, self.cluster)
         e = self.overlap
         totals = []
         comm_total = comp_total = overhead_total = exposed_total = 0.0
@@ -334,26 +335,6 @@ class ExecutionSimulator:
                 finish[comp_instr.output.ref] = t_comp
         return max(t_comp, t_comm)
 
-    def profile_program(
-        self,
-        program: DistributedProgram,
-        ratios: Sequence[float],
-        forward_nodes,
-    ) -> Dict[str, float]:
-        """Measured (overhead-rich, noise-free) pipeline profile of a program.
-
-        Splits the simulated per-iteration time of a pipeline-stage program
-        into the ``{"forward", "backward", "sync"}`` phase buckets the
-        pipeline-schedule simulator consumes: the phase split of
-        :meth:`~repro.core.costmodel.CostModel.phase_profile`, priced by the
-        same :class:`_SimulatedCostModel` as :meth:`simulate`.  The phases
-        carry **exposed** communication: the part of each collective the
-        simulator's dual-stream replay hides behind independent compute is
-        subtracted from the collective's phase.
-        """
-        cost_model = _SimulatedCostModel(program.graph, self.cluster, self.overheads)
-        return cost_model.phase_profile(program, ratios, forward_nodes)
-
 
 def simulate_plan(plan, cluster: ClusterSpec, iterations: int = 3, seed: int = 0) -> SimulationResult:
     """Simulate an :class:`~repro.core.pipeline.HAPPlan` on a cluster."""
@@ -385,8 +366,11 @@ def simulate_hierarchical(
 ) -> HierarchicalSimulationResult:
     """Simulate a :class:`~repro.core.hierarchical.HierarchicalPlan`.
 
-    Every stage's chunk program is profiled on its machine group with the
-    full overhead model, the plan's pipeline schedule (GPipe or 1F1B, with
+    Every stage's chunk program is profiled on its machine group, noise-free,
+    at the simulator's overhead-rich prices (the
+    :meth:`~repro.core.costmodel.CostModel.phase_profile` of a
+    :class:`_SimulatedCostModel`, whose phases carry exposed communication),
+    the plan's pipeline schedule (GPipe or 1F1B, with
     the plan's microbatch count and recomputation choice) combines the
     stages over the inter-group link (the plan cluster's own network) with
     the plan's communication-overlap efficiency (boundary transfers expose
@@ -403,11 +387,9 @@ def simulate_hierarchical(
     """
     import numpy as np
 
-    overheads = OverheadModel()
-
     def profile(stage) -> Dict[str, float]:
-        sim = ExecutionSimulator(stage.subcluster, overheads=overheads, seed=seed)
-        return sim.profile_program(stage.program, stage.ratios, stage.forward_nodes)
+        cost_model = _SimulatedCostModel(stage.program.graph, stage.subcluster)
+        return cost_model.phase_profile(stage.program, stage.ratios, stage.forward_nodes)
 
     stage_times = profile_stages(plan.stages, profile)
     network = plan.cluster.network
@@ -423,7 +405,7 @@ def simulate_hierarchical(
     )
     rng = np.random.default_rng(seed)
     samples = [
-        schedule.total * max(float(rng.normal(1.0, overheads.noise)), 0.5)
+        schedule.total * max(float(rng.normal(1.0, OverheadModel().noise)), 0.5)
         for _ in range(max(1, iterations))
     ]
     return HierarchicalSimulationResult(

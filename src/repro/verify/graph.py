@@ -20,17 +20,17 @@ as a runtime shape error deep inside synthesis.
   earlier in the graph (unknown, or defined only later — the insertion order
   is required to be topological).
 * ``G004`` — dead node: a non-source node that nothing consumes and that is
-  not a graph output / loss / declared root; the planner would synthesize
-  and pay for a computation whose result is unreachable.
+  not a graph output / loss; the planner would synthesize and pay for a
+  computation whose result is unreachable.
 * ``G005`` — batch-dim inconsistency: an op mixes operands carrying two
   different propagated leading batch dimensions (batch tracking starts at
   the rank>=1 placeholders and follows ops that preserve the leading dim).
 * ``G006`` — op semantics violated: unknown operator, wrong arity, or the
   op's own ``infer`` rejecting the recorded input specs outright.
 
-:func:`verify_graph` is the entry point; ``roots`` names additional liveness
-roots (boundary activations, upstream gradients) for pipeline-stage graphs
-whose interesting outputs are consumed by *other* stages.
+:func:`verify_graph` is the entry point.  A pipeline-stage graph needs no
+extra liveness roots: its boundary activations and exported upstream
+gradients, consumed by *other* stages, are marked as its outputs.
 """
 
 from __future__ import annotations
@@ -139,7 +139,6 @@ class TopologyPass(VerifierPass):
         live: Set[str] = set(graph.outputs)
         if graph.loss is not None:
             live.add(graph.loss)
-        live.update(context.get("roots") or ())
         consumers = graph.consumers()
         for node in graph:
             if node.name in live or consumers.get(node.name):
@@ -151,7 +150,7 @@ class TopologyPass(VerifierPass):
                 "G004",
                 Severity.ERROR,
                 "node is dead: nothing consumes it and it is not an "
-                "output/loss/root",
+                "output/loss",
                 f"node {node.name} ({node.op})",
             )
 
@@ -225,19 +224,12 @@ GRAPH_PASSES = (
 )
 
 
-def verify_graph(
-    graph: ComputationGraph, roots: Optional[Iterable[str]] = None
-) -> VerificationReport:
+def verify_graph(graph: ComputationGraph) -> VerificationReport:
     """Run every graph check over one computation graph.
 
     Args:
-        graph: the forward / training / stage graph to verify.
-        roots: extra liveness roots for the G004 dead-node analysis, beyond
-            the graph's own outputs and loss — a pipeline-stage graph's
-            boundary activations and exported upstream gradients live here,
-            because their consumers are other stages.
+        graph: the forward / training / stage graph to verify.  G004's
+            liveness roots are the graph's own outputs and loss; a
+            pipeline-stage graph marks its boundary refs as outputs.
     """
-    context: Dict[str, Any] = {}
-    if roots is not None:
-        context["roots"] = set(roots)
-    return run_passes(GRAPH_PASSES, graph, context)
+    return run_passes(GRAPH_PASSES, graph, {})

@@ -31,9 +31,10 @@ imbalanced or its links oversubscribed.
 ``W005`` flagged a pipeline schedule the planner no longer has; the code is
 retired, not reused.
 
-:func:`lint_plan` is the entry point; :func:`~repro.verify.plan.verify_plan`
-folds it in by default so cache hits are linted alongside the structural
-re-check.
+:func:`lint_plan` is the one lint entry point.
+:func:`~repro.verify.plan.verify_plan` reports errors only and does not run
+these passes: lint a plan, a cache hit included, by calling
+:func:`lint_plan` on it.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ def _no_cycles(call):
 
 def _hier_config(cache_dir: str, max_stages: int = 4) -> HierarchicalConfig:
     return HierarchicalConfig(
-        synthesis=SynthesisConfig(search_strategy="beam", beam_width=4),
+        synthesis=SynthesisConfig(beam_width=4),
         plan_cache=DiskPlanCache(cache_dir),
         max_stages=max_stages,
     )

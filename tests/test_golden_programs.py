@@ -78,10 +78,10 @@ CLUSTERS = {
     "mixed8": ("A100",) * 4 + ("P100",) * 4,
 }
 
-#: Search configuration name -> SynthesisConfig overrides (beam width 8).
-SEARCHES: Dict[str, Dict[str, Any]] = {
-    "beam": {},
-    "astar": {"search_strategy": "astar"},
+#: Search name -> the ProgramSynthesizer method that runs it (beam width 8).
+SEARCHES = {
+    "beam": ProgramSynthesizer.synthesize,
+    "astar": ProgramSynthesizer.astar,
 }
 
 #: The models the exact A* search finishes on in well under a second.
@@ -140,9 +140,9 @@ def _parse(case: str) -> Tuple[str, str, str]:
 def program_record(case: str) -> Dict[str, Any]:
     """Synthesize ``case`` and return its record (JSON-ready)."""
     model, cluster_name, search = _parse(case)
-    config = SynthesisConfig(beam_width=8, **SEARCHES[search])
+    config = SynthesisConfig(beam_width=8)
     cluster = make_cluster(CLUSTERS[cluster_name])
-    result = ProgramSynthesizer(_training_graph(model), cluster, config).synthesize()
+    result = SEARCHES[search](ProgramSynthesizer(_training_graph(model), cluster, config))
     return {
         "program": list(_program_encoding(result.program)),
         "cost": result.cost.hex(),

@@ -1027,13 +1027,13 @@ class TestProfileOnce:
         import repro.simulator.engine as engine
 
         calls = []
-        orig = engine.ExecutionSimulator.profile_program
+        orig = engine._SimulatedCostModel.phase_profile
 
         def counting(self, *args, **kwargs):
             calls.append(1)
             return orig(self, *args, **kwargs)
 
-        monkeypatch.setattr(engine.ExecutionSimulator, "profile_program", counting)
+        monkeypatch.setattr(engine._SimulatedCostModel, "phase_profile", counting)
         again = simulate_hierarchical(plan, iterations=2)
         assert len(calls) == len(plan.stages)
         assert again.total == baseline.total

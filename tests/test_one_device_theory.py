@@ -66,7 +66,7 @@ def test_one_device_program_is_the_single_device_program(model, strategy, enable
     graph = training.graph
     cluster = one_machine(num_gpus)
     assert cluster.num_devices == 1
-    config = SynthesisConfig(search_strategy=strategy, enable_sfb=enable_sfb)
+    config = SynthesisConfig(enable_sfb=enable_sfb)
 
     theory = build_theory(graph, 1, config)
     assert not any(rule.is_communication for rule in theory.rules)
@@ -87,7 +87,8 @@ def test_one_device_program_is_the_single_device_program(model, strategy, enable
         assert sorted(i.node for i in creates) == sorted(fused)
         assert rule.completes == {name} | fused
 
-    result = ProgramSynthesizer(graph, cluster, config).synthesize()
+    synthesizer = ProgramSynthesizer(graph, cluster, config)
+    result = synthesizer.synthesize() if strategy == "beam" else synthesizer.astar()
     program = result.program
     assert not any(isinstance(i, CommInstruction) for i in program.instructions)
     replicated = DistState.replicated()
@@ -141,12 +142,15 @@ def test_closed_form_plan_is_the_theory_search_plan(model, enable_sfb, num_gpus)
     graph = training_graph(model).graph
     cluster = one_machine(num_gpus)
     closed = single_device_program(graph)
-    for strategy in ("beam", "astar"):
-        config = SynthesisConfig(search_strategy=strategy, enable_sfb=enable_sfb)
+    config = SynthesisConfig(enable_sfb=enable_sfb)
+    for search in (ProgramSynthesizer.synthesize, ProgramSynthesizer.astar):
         cost_model = CostModel(graph, cluster)
-        searched = ProgramSynthesizer(
-            graph, cluster, config, theory=build_theory(graph, 1, config), cost_model=cost_model
-        ).synthesize(cluster.proportional_ratios()).program
+        searched = search(
+            ProgramSynthesizer(
+                graph, cluster, config, theory=build_theory(graph, 1, config), cost_model=cost_model
+            ),
+            cluster.proportional_ratios(),
+        ).program
         ratios = LoadBalancer(cluster).optimize(searched, cost_model).ratios
         estimate = cost_model.evaluate(searched, ratios)
         assert closed == searched

@@ -45,7 +45,7 @@ MODEL_BUILDERS = {
 
 
 def _synthesize(graph, cluster):
-    config = SynthesisConfig(search_strategy="beam", beam_width=8)
+    config = SynthesisConfig(beam_width=8)
     return ProgramSynthesizer(graph, cluster, config).synthesize()
 
 
@@ -90,7 +90,7 @@ class TestPlainNodeSchedule:
     """The beam search is one walk over the topological order, node by node."""
 
     def test_search_is_reproducible(self, training_graphs, parity_cluster):
-        config = SynthesisConfig(search_strategy="beam", beam_width=8)
+        config = SynthesisConfig(beam_width=8)
         _assert_reproducible(training_graphs["mlp"], parity_cluster, config, "mlp/beam")
 
     @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
@@ -107,7 +107,7 @@ class TestPlainNodeSchedule:
             return beam_level(self, states, node_name, ratios, beam_width)
 
         monkeypatch.setattr(ProgramSynthesizer, "_beam_level", spy)
-        config = SynthesisConfig(search_strategy="beam", beam_width=8)
+        config = SynthesisConfig(beam_width=8)
         synthesizer = ProgramSynthesizer(training_graphs[model], parity_cluster, config)
         synthesizer.synthesize()
         assert levels == synthesizer._topo_order
@@ -125,7 +125,7 @@ class TestBeamDepth:
 
     @pytest.fixture(scope="class")
     def runs(self, parity_cluster):
-        config = SynthesisConfig(search_strategy="beam", beam_width=self.BEAM_WIDTH)
+        config = SynthesisConfig(beam_width=self.BEAM_WIDTH)
         out = {}
         for layers in self.DEPTHS:
             graph = build_training_graph(build_deep_transformer(layers=layers)).graph
@@ -180,14 +180,14 @@ class TestRegistryModels:
 
     @pytest.mark.parametrize("model_name", ["vgg19", "vit", "bert_base", "bert_moe"])
     def test_search_is_reproducible(self, registry_models, grouped_cluster, model_name):
-        config = SynthesisConfig(search_strategy="beam", beam_width=6)
+        config = SynthesisConfig(beam_width=6)
         _assert_reproducible(registry_models[model_name], grouped_cluster, config, model_name)
 
     @pytest.mark.parametrize("model_name", ["vgg19", "vit", "bert_base", "bert_moe"])
     def test_program_verifies(self, registry_models, grouped_cluster, model_name):
         from repro.verify.program import verify_program
 
-        config = SynthesisConfig(search_strategy="beam", beam_width=6)
+        config = SynthesisConfig(beam_width=6)
         program = ProgramSynthesizer(
             registry_models[model_name], grouped_cluster, config
         ).synthesize().program
@@ -206,7 +206,7 @@ class TestChunkPlans:
         # Identical one-machine groups: isomorphic one-device chunks.
         cluster = make_cluster(("A100", "A100", "A100", "A100"), group=True)
         config = HierarchicalConfig(
-            synthesis=SynthesisConfig(search_strategy="beam", beam_width=4),
+            synthesis=SynthesisConfig(beam_width=4),
             max_stages=4,
         )
         plan = HierarchicalPlanner(forward, cluster, config).plan()
@@ -293,7 +293,7 @@ class TestCostPricing:
         estimate must be a fresh cost model's scalar ``evaluate`` of the one
         ratio vector every consumer reads, ``flat_ratios``."""
         graph = training_graphs[model]
-        config = SynthesisConfig(search_strategy="beam", beam_width=8)
+        config = SynthesisConfig(beam_width=8)
         plan = HAPPlanner(graph, parity_cluster, config).plan()
         reference = CostModel(graph, parity_cluster)
         assert plan.ratios == [plan.flat_ratios]
@@ -311,7 +311,7 @@ class TestCostPricing:
         # inside each group: pipelining wins, so the chunks are real.
         cluster = make_cluster(("A100", "P100") * 4, network=NetworkSpec(), group=True)
         config = HierarchicalConfig(
-            synthesis=SynthesisConfig(search_strategy="beam", beam_width=8),
+            synthesis=SynthesisConfig(beam_width=8),
             max_stages=2,
             intra_group_network=NetworkSpec(bandwidth=100e9 / 8),
         )
@@ -329,7 +329,7 @@ class TestParityAcrossRatios:
         """Cached rule-cost plans are dropped when the ratios change: one
         synthesizer reused across ratio vectors matches a fresh one per vector."""
         graph = training_graphs[model]
-        config = SynthesisConfig(search_strategy="beam", beam_width=8)
+        config = SynthesisConfig(beam_width=8)
         reused = ProgramSynthesizer(graph, parity_cluster, config)
         for ratios in ([0.25] * 4, [0.4, 0.3, 0.2, 0.1], [0.25] * 4):
             fresh = ProgramSynthesizer(graph, parity_cluster, config).synthesize(ratios)

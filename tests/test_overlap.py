@@ -456,7 +456,7 @@ def build_skip_chain(batch=8, width=32):
 class TestPerHopTransferBytes:
     def test_skip_tensor_charged_once_per_hop_crossed(self):
         graph = build_skip_chain()
-        cut = pipeline_cut(graph, [1.0, 1.0, 1.0], balance_tolerance=0.0)
+        cut = pipeline_cut(graph, [1.0, 1.0, 1.0])
         assert cut.num_stages == 3
         skip_ref = next(
             ref

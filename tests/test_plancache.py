@@ -54,7 +54,7 @@ from .conftest import (
 
 
 def small_planner_config(**synthesis):
-    return SynthesisConfig(search_strategy="beam", beam_width=4, **synthesis)
+    return SynthesisConfig(beam_width=4, **synthesis)
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +164,6 @@ class TestKeySensitivity:
 #: A valid non-default value for every config field the generic rule in
 #: :func:`_other_value` (flip a bool, increment a number) cannot derive.
 OTHER_VALUES = {
-    "search_strategy": "astar",
     "intra_group_network": NetworkSpec(bandwidth=1e9),
     "synthesis": SynthesisConfig(enable_sfb=False),
 }
@@ -465,7 +464,7 @@ class TestHierarchicalIntegration:
         ``fits_memory``: the verdict is derived; no ``content_key``: chunks
         are not deduped; no ``round_index``: a chunk plan has one round) and
         simulates to the same total as the plan that was stored."""
-        assert CACHE_VERSION == 19
+        assert CACHE_VERSION == 20
         forward = build_mlp()
         cluster = _two_group_cluster()
         config = HierarchicalConfig(synthesis=small_planner_config(), max_stages=2)

@@ -275,18 +275,15 @@ def _reversed_bits(theory: Theory) -> Theory:
 
 @pytest.mark.parametrize(
     "search",
-    [
-        {"search_strategy": "beam"},
-        {"search_strategy": "astar"},
-    ],
+    [ProgramSynthesizer.synthesize, ProgramSynthesizer.astar],
     ids=["beam", "astar"],
 )
 def test_bit_order_never_orders_the_search(search):
     theory = _theory("tiny_moe")
     cluster = make_cluster(("A100", "A100", "P100", "P100"))
-    config = SynthesisConfig(beam_width=8, **search)
+    config = SynthesisConfig(beam_width=8)
     results = [
-        ProgramSynthesizer(theory.graph, cluster, config, theory=t).synthesize()
+        search(ProgramSynthesizer(theory.graph, cluster, config, theory=t))
         for t in (theory, _reversed_bits(theory))
     ]
     a, b = results

@@ -361,7 +361,7 @@ class TestTheory:
                         assert instr.kind is CollectiveKind.ALL_TO_ALL
 
 
-def _keep_all(pres, posts):
+def _fire_every_candidate(pres, posts):
     """A fixpoint that keeps every candidate: the theory before filtering."""
     return [True] * len(pres), {p for sets in (pres, posts) for props in sets for p in props}
 
@@ -391,7 +391,7 @@ class TestFireableRules:
         config = SynthesisConfig(force_data_parallel=force_data_parallel)
         graph = build_training_graph(builder()).graph
         theory = build_theory(graph, num_devices, config)
-        monkeypatch.setattr("repro.core.rules.fireable_rules", _keep_all)
+        monkeypatch.setattr("repro.core.rules.fireable_rules", _fire_every_candidate)
         candidates = build_theory(graph, num_devices, config).rules
         fires, _ = fireable_rules([r.pre for r in candidates], [r.post for r in candidates])
         assert [rule for rule, fired in zip(candidates, fires) if fired] == theory.rules

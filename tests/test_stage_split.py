@@ -17,7 +17,7 @@ from typing import Tuple
 import pytest
 
 from benchmarks.e2e import workloads
-from repro.core import HierarchicalConfig, HierarchicalPlanner
+from repro.core import HierarchicalConfig, HierarchicalPlanner, hierarchical
 from repro.core.hierarchical import _compute_ratios
 from repro.graph import pipeline_cut
 
@@ -49,7 +49,7 @@ def _exhaustive_best(
         cut = pipeline_cut(planner.forward, _compute_ratios(groups))
         if cut.num_stages < num_stages or min(cut.stage_flops) == 0:
             continue  # the planner cannot build this split
-        monkeypatch.setattr(planner, "_candidate_partition", lambda s, g=groups: g)
+        monkeypatch.setattr(planner, "_candidate_partition", lambda s, p=(groups, cut): p)
         candidate = planner.build_candidate(num_stages)
         monkeypatch.undo()
         assert candidate is not None
@@ -65,9 +65,11 @@ def test_split_rule_matches_exhaustive_search(workload, monkeypatch):
         best = _exhaustive_best(planner, num_stages, monkeypatch)
         rule = planner._candidate_partition(num_stages)
         if not best:
+            assert rule is None
             assert planner.build_candidate(num_stages) is None
             continue
-        assert _boundaries(rule) == best[0], (num_stages, best)
+        groups, _ = rule
+        assert _boundaries(groups) == best[0], (num_stages, best)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -76,11 +78,9 @@ def test_no_candidate_has_a_zero_flop_stage(workload, monkeypatch):
     built = []
     build_stages = planner._build_stages
 
-    def recording(groups):
-        result = build_stages(groups)
-        if result is not None:
-            built.append(result[0])
-        return result
+    def recording(groups, cut):
+        built.append(cut)
+        return build_stages(groups, cut)
 
     monkeypatch.setattr(planner, "_build_stages", recording)
     plan = planner.plan()
@@ -89,3 +89,20 @@ def test_no_candidate_has_a_zero_flop_stage(workload, monkeypatch):
         assert min(cut.stage_flops) > 0, cut.stage_flops
     # Four stages on four machines leave one machine a stage with no flops.
     assert 4 not in plan.candidate_times
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_each_split_is_cut_once(workload, monkeypatch):
+    """One ``plan()`` call cuts each (stage count, compute ratios) pair at
+    most once: the chosen split's cut is the one the split search made."""
+    planner = _planner(workload)
+    cuts = []
+
+    def recording(graph, stage_weights):
+        cuts.append((len(stage_weights), tuple(stage_weights)))
+        return pipeline_cut(graph, stage_weights)
+
+    monkeypatch.setattr(hierarchical, "interleaved_pipeline_cut", recording)
+    planner.plan()
+    assert cuts
+    assert len(cuts) == len(set(cuts)), cuts

@@ -145,10 +145,11 @@ class TestSearchMechanics:
         assert result.generated_states >= result.expanded_states
         assert result.elapsed_seconds >= 0
 
-    def test_wrong_ratio_length_rejected(self, mlp_training, four_device_cluster):
+    @pytest.mark.parametrize("search", ["synthesize", "astar"])
+    def test_wrong_ratio_length_rejected(self, search, mlp_training, four_device_cluster):
         synthesizer = ProgramSynthesizer(mlp_training.graph, four_device_cluster)
-        with pytest.raises(ValueError):
-            synthesizer.synthesize([0.5, 0.5])
+        with pytest.raises(ValueError, match="expected 4 sharding ratios, got 2"):
+            getattr(synthesizer, search)([0.5, 0.5])
 
     def test_beam_width_one_still_completes(self, mlp_training, four_device_cluster):
         config = SynthesisConfig(beam_width=1)
@@ -157,8 +158,8 @@ class TestSearchMechanics:
 
     def test_astar_on_small_graph(self, two_device_cluster):
         training = build_training_graph(build_tiny_matmul()).graph
-        config = SynthesisConfig(search_strategy="astar", beam_width=None)
-        result = ProgramSynthesizer(training, two_device_cluster, config).synthesize()
+        config = SynthesisConfig(beam_width=None)
+        result = ProgramSynthesizer(training, two_device_cluster, config).astar()
         assert result.cost > 0
 
     def test_astar_not_worse_than_beam_on_small_graph(self, two_device_cluster):
@@ -169,11 +170,9 @@ class TestSearchMechanics:
         labels = b.placeholder((32,), dtype=DType.INT64, name="labels")
         b.loss(b.cross_entropy(y, labels))
         training = build_training_graph(b.build()).graph
-        astar = ProgramSynthesizer(
-            training, two_device_cluster, SynthesisConfig(search_strategy="astar")
-        ).synthesize()
+        astar = ProgramSynthesizer(training, two_device_cluster).astar()
         beam = ProgramSynthesizer(
-            training, two_device_cluster, SynthesisConfig(search_strategy="beam", beam_width=16)
+            training, two_device_cluster, SynthesisConfig(beam_width=16)
         ).synthesize()
         assert astar.cost <= beam.cost
 
@@ -211,8 +210,8 @@ def _apply(synthesizer, node, rule, ratios):
     Replays the rule's cost-model steps one at a time, ORs in its
     completions, posts and communications, and drops the properties of
     every tensor whose consumers are then all emulated.  Reads no level
-    data: completion, ideal time, liveness and the topological pointer come
-    from the rule and the graph.
+    data: completion, liveness and the topological pointer come from the
+    rule and the graph.
     """
     graph = synthesizer.graph
     position = {name: i for i, name in enumerate(graph.node_names)}
@@ -220,10 +219,9 @@ def _apply(synthesizer, node, rule, ratios):
     closed, stage = _step_replay(
         _rule_steps(synthesizer, [rule], ratios), node.closed_cost, node.stage_comp
     )
-    completed, completed_ideal = node.completed, node.completed_ideal
+    completed = node.completed
     for name in rule.completes:
         completed |= 1 << position[name]
-        completed_ideal += synthesizer._ideal(name)
     pbits = node.pbits | rule.post_mask
     for name in rule.completes:
         for ref in (*graph[name].inputs, name):
@@ -243,10 +241,23 @@ def _apply(synthesizer, node, rule, ratios):
         node.cbits | rule.comm_mask,
         closed,
         stage,
-        completed_ideal,
         node.depth + 1,
         topo_ptr,
     )
+
+
+def _remaining_ideal(synthesizer, completed):
+    """A*'s heuristic for a state with ``completed`` emulated: the ideal time
+    of every non-source node less that of the completed ones, each summed
+    left to right in topological order, floored at zero."""
+    position = {name: i for i, name in enumerate(synthesizer.graph.node_names)}
+    total = done = 0.0
+    for name in synthesizer._topo_order:
+        ideal = synthesizer.cost_model.ideal_node_time(name)
+        total += ideal
+        if completed >> position[name] & 1:
+            done += ideal
+    return max(total - done, 0.0)
 
 
 def _one_apply_at_a_time(synthesizer, state, rule, ratios, collapse=True):
@@ -548,7 +559,9 @@ def _assert_expansion_matches_reference(builder, cluster, config, collapse=True)
             assert [_bits(c) for c in got.stage_comp] == [
                 _bits(c) for c in want.stage_comp
             ]
-            assert _bits(got.completed_ideal) == _bits(want.completed_ideal)
+            assert _bits(synthesizer._remaining_ideal[got.topo_ptr]) == _bits(
+                _remaining_ideal(synthesizer, want.completed)
+            )
             assert (got.depth, got.topo_ptr) == (want.depth, want.topo_ptr)
             assert got.instructions() == want.instructions()
             got_rules = _lineage(got, state)
@@ -817,37 +830,44 @@ class TestAStarOracle:
     def test_astar_equals_exhaustive_beam(self, graph, gpus):
         """Where the unpruned beam finishes, A* returns its program bit for bit."""
         graph, cluster = graph(), make_cluster(gpus)
-        astar = ProgramSynthesizer(
-            graph, cluster, SynthesisConfig(search_strategy="astar")
-        ).synthesize()
+        astar = ProgramSynthesizer(graph, cluster).astar()
         beam = ProgramSynthesizer(graph, cluster, SynthesisConfig(beam_width=None)).synthesize()
         assert astar.cost.hex() == beam.cost.hex()
         assert astar.program.instructions == beam.program.instructions
 
     def test_heuristic_total_is_the_left_to_right_fold(self):
-        """The heuristic's total ideal time adds the nodes' ideal times left
-        to right, in graph order, on every interpreter: not with ``sum``,
-        which compensates rounding from Python 3.12 and moves this total."""
+        """The heuristic's remaining ideal times add the nodes' ideal times
+        left to right, in graph order, on every interpreter: not with
+        ``sum``, which compensates rounding from Python 3.12 and moves the
+        total.  Position ``k`` holds the total less the first ``k`` nodes'."""
         forward = build_model(
             "bert_base", 8, BenchmarkScale("e2e", layer_fraction=0.25, batch_per_device=32)
         )
         graph = build_training_graph(forward).graph
         synthesizer = ProgramSynthesizer(graph, make_cluster(("A100", "P100") * 4))
-        want = 0.0
-        for node in graph:
-            if node.kind is not OpKind.SOURCE:
-                want += synthesizer.cost_model.ideal_node_time(node.name)
-        assert _bits(synthesizer._total_ideal) == _bits(want)
+        ideals = [
+            synthesizer.cost_model.ideal_node_time(node.name)
+            for node in graph
+            if node.kind is not OpKind.SOURCE
+        ]
+        total = 0.0
+        for ideal in ideals:
+            total += ideal
+        want, done = [total], 0.0
+        for ideal in ideals:
+            done += ideal
+            want.append(max(total - done, 0.0))
+        assert [_bits(r) for r in synthesizer._remaining_ideal] == [_bits(w) for w in want]
+        assert synthesizer._remaining_ideal[-1] == 0.0
 
     def test_step_cap_raises(self, mlp_training, four_device_cluster, monkeypatch):
         """A* never returns an unproved program: reaching the cap is an error."""
         import repro.core.synthesizer as synthesizer_module
 
         monkeypatch.setattr(synthesizer_module, "MAX_SEARCH_STEPS", 100)
-        config = SynthesisConfig(search_strategy="astar")
-        synthesizer = ProgramSynthesizer(mlp_training.graph, four_device_cluster, config)
+        synthesizer = ProgramSynthesizer(mlp_training.graph, four_device_cluster)
         with pytest.raises(SynthesisError) as excinfo:
-            synthesizer.synthesize()
+            synthesizer.astar()
         message = str(excinfo.value)
         assert "MAX_SEARCH_STEPS=100" in message
         assert "after expanding 100 states" in message
@@ -861,13 +881,12 @@ class TestAStarOracle:
         import repro.core.synthesizer as synthesizer_module
 
         training = build_training_graph(build_tiny_matmul()).graph
-        config = SynthesisConfig(search_strategy="astar")
-        optimum = ProgramSynthesizer(training, two_device_cluster, config).synthesize()
+        optimum = ProgramSynthesizer(training, two_device_cluster).astar()
         assert optimum.expanded_states == 18
         monkeypatch.setattr(synthesizer_module, "MAX_SEARCH_STEPS", 17)
-        synthesizer = ProgramSynthesizer(training, two_device_cluster, config)
+        synthesizer = ProgramSynthesizer(training, two_device_cluster)
         with pytest.raises(SynthesisError) as excinfo:
-            synthesizer.synthesize()
+            synthesizer.astar()
         message = str(excinfo.value)
         assert "MAX_SEARCH_STEPS=17" in message
         assert "after expanding 17 states" in message
@@ -879,10 +898,9 @@ class TestAStarOracle:
         import repro.core.synthesizer as synthesizer_module
 
         training = build_training_graph(build_tiny_matmul()).graph
-        config = SynthesisConfig(search_strategy="astar")
-        optimum = ProgramSynthesizer(training, two_device_cluster, config).synthesize()
+        optimum = ProgramSynthesizer(training, two_device_cluster).astar()
         monkeypatch.setattr(synthesizer_module, "MAX_SEARCH_STEPS", optimum.expanded_states)
-        capped = ProgramSynthesizer(training, two_device_cluster, config).synthesize()
+        capped = ProgramSynthesizer(training, two_device_cluster).astar()
         assert capped.cost.hex() == optimum.cost.hex()
         assert capped.program.instructions == optimum.program.instructions
         assert capped.expanded_states == optimum.expanded_states
@@ -891,12 +909,10 @@ class TestAStarOracle:
     def test_astar_ignores_beam_width(self, width, mlp_training, four_device_cluster):
         """A* keeps its whole open list whatever ``beam_width`` says."""
         graph = mlp_training.graph
-        default = ProgramSynthesizer(
-            graph, four_device_cluster, SynthesisConfig(search_strategy="astar")
-        ).synthesize()
+        default = ProgramSynthesizer(graph, four_device_cluster).astar()
         result = ProgramSynthesizer(
-            graph, four_device_cluster, SynthesisConfig(search_strategy="astar", beam_width=width)
-        ).synthesize()
+            graph, four_device_cluster, SynthesisConfig(beam_width=width)
+        ).astar()
         assert result.cost.hex() == default.cost.hex()
         assert result.program.instructions == default.program.instructions
         assert (result.expanded_states, result.generated_states) == (
@@ -915,9 +931,7 @@ class TestAStarOracle:
     def test_beam_at_any_width_is_bounded_by_astar(self, width, problem):
         """No beam width finds a program cheaper than the oracle's optimum."""
         graph, cluster = problem()
-        astar = ProgramSynthesizer(
-            graph, cluster, SynthesisConfig(search_strategy="astar")
-        ).synthesize()
+        astar = ProgramSynthesizer(graph, cluster).astar()
         beam = ProgramSynthesizer(graph, cluster, SynthesisConfig(beam_width=width)).synthesize()
         assert beam.cost >= astar.cost
 
@@ -935,8 +949,7 @@ class TestAStarOracle:
         from .conftest import bindings_for
 
         training, cluster = build_training_graph(builder()), make_cluster(gpus)
-        config = SynthesisConfig(search_strategy="astar")
-        result = ProgramSynthesizer(training.graph, cluster, config).synthesize()
+        result = ProgramSynthesizer(training.graph, cluster).astar()
         bindings = bindings_for(training.graph, seed=7)
         spmd = SPMDExecutor(result.program, cluster.proportional_ratios()).run(bindings)
         reference = SingleDeviceExecutor(training.graph).run(bindings)
@@ -946,22 +959,14 @@ class TestAStarOracle:
 
 
 class TestSearchConfigValidation:
-    @pytest.mark.parametrize("strategy", ["Beam", "a*", ""])
-    def test_unknown_strategy_rejected(self, strategy):
-        with pytest.raises(ValueError, match="search_strategy"):
-            SynthesisConfig(search_strategy=strategy)
-
     @pytest.mark.parametrize("width", [0, -1])
     def test_non_positive_beam_width_rejected(self, width):
         with pytest.raises(ValueError, match="beam_width"):
             SynthesisConfig(beam_width=width)
 
-    @pytest.mark.parametrize(
-        "strategy,width", [("beam", None), ("beam", 1), ("astar", None), ("astar", 8)]
-    )
-    def test_valid_search_config_accepted(self, strategy, width):
-        config = SynthesisConfig(search_strategy=strategy, beam_width=width)
-        assert (config.search_strategy, config.beam_width) == (strategy, width)
+    @pytest.mark.parametrize("width", [None, 1, 8])
+    def test_valid_search_config_accepted(self, width):
+        assert SynthesisConfig(beam_width=width).beam_width == width
 
 
 class TestBeamRankOrder:

@@ -405,12 +405,14 @@ class TestGraphChecker:
 
     def test_roots_keep_boundary_consumers_alive(self):
         # A stage-graph-style node whose consumer lives in *another* stage is
-        # dead without roots and alive with them.
+        # dead until the stage graph marks it as an output, as stage graphs
+        # mark their boundary refs.
         g = ComputationGraph("stagey")
         g.add_node("x", "placeholder", (), {"shape": (4, 8)})
         g.add_node("y", "relu", ("x",), {})
         assert "G004" in verify_graph(g).codes()
-        assert verify_graph(g, roots=["y"]).ok
+        g.mark_output("y")
+        assert verify_graph(g).ok
 
     def test_flat_planner_rejects_corrupt_graph(self):
         graph = build_training_graph(build_mlp()).graph
