@@ -166,10 +166,13 @@ class HierarchicalConfig:
     the winning plan (:func:`repro.verify.verify_plan`) before
     :meth:`~HierarchicalPlanner.plan` returns, raising
     :class:`~repro.verify.base.PlanVerificationError` on any error-severity
-    diagnostic.  Every whole-plan cache hit is structurally verified either
-    way: a corrupt or stale entry becomes a diagnosed miss
-    (``reuse_stats["cache_rejects"]``) and planning falls through to fresh
-    synthesis.
+    diagnostic.  Either way a plan is structurally verified once before the
+    whole-plan cache stores it (a plan that fails is returned, not stored),
+    so a hit under the stored node names is served without a check; a hit
+    renamed onto other node names is verified structurally again.  A
+    damaged disk entry (its checksum fails) or a renamed hit that fails
+    becomes a diagnosed miss (``reuse_stats["cache_rejects"]``) and planning
+    falls through to fresh synthesis.
 
     Attributes:
         max_stages: stage counts ``1..min(max_stages, num_machines)`` are
@@ -308,7 +311,8 @@ class HierarchicalPlan:
         reuse_stats: how much flat-HAP planning the plan cache avoided:
             ``subplans_planned`` chunk plans were built (one per stage of
             every stage count whose cut builds), ``cache_rejects`` counts
-            whole-plan cache entries that failed verification, and
+            refused whole-plan cache entries (a damaged disk entry, or a
+            renamed hit that failed verification), and
             ``whole_plan_hit`` is 1 when the entire plan was served from the
             cache.
     """
@@ -826,14 +830,16 @@ class HierarchicalPlanner:
     def plan(self) -> HierarchicalPlan:
         """Evaluate every candidate and return the cheapest feasible plan.
 
-        With a configured ``plan_cache`` the finished plan is stored under the
-        (forward-graph fingerprint, cluster signature, config signature) key,
-        together with the canonical orders of the forward graph and of each
-        chosen chunk graph.  A later request for the same problem — under any
-        node names — is served whole: the cached plan is renamed onto the
-        request (:meth:`_remap_whole`) and structurally verified.  The cache
-        holds whole plans only: a request that misses (another
-        configuration, or a rejected entry) plans from scratch.
+        With a configured ``plan_cache`` the finished plan is structurally
+        verified and, if sound, stored under the (forward-graph fingerprint,
+        cluster signature, config signature) key, together with the canonical
+        orders of the forward graph and of each chosen chunk graph.  A later
+        request for the same problem — under any node names — is served
+        whole: under the stored names the cached plan itself, unchecked;
+        under other names a copy renamed onto the request
+        (:meth:`_remap_whole`) and structurally verified.  The cache holds
+        whole plans only: a request that misses (another configuration, or a
+        rejected entry) plans from scratch.
         """
         self._reset()
         cache = self.config.plan_cache
@@ -842,18 +848,21 @@ class HierarchicalPlanner:
         if cache is not None:
             fingerprint, order = fingerprint_with_order(self.forward)
             key = plan_key(fingerprint, self.cluster, self.config)
+            rejects = cache.rejects
             entry = cache.get(key)
+            # A damaged disk entry is a miss the cache itself rejected.
+            self.reuse_stats["cache_rejects"] += cache.rejects - rejects
             if entry is not None:
-                # A whole plan from the cache is verified structurally (no
-                # cost re-derivation, keeping warm hits O(plan size)) before
-                # it is replayed; a corrupt entry is a diagnosed miss and
-                # planning falls through to the fresh path below.
-                from ..verify.plan import verify_plan
-
+                # Only structurally verified plans are stored, and a disk
+                # entry's checksum proves it intact, so the stored plan under
+                # its own names is served as is.  A renamed copy is a new
+                # artifact: it is verified structurally (no cost
+                # re-derivation) before it is served, and one that fails is
+                # a diagnosed miss that falls through to fresh planning.
                 try:
                     hit = self._remap_whole(entry, order)
-                    accept = verify_plan(hit, self.forward, check_cost=False).ok
-                except Exception:  # unreadable entry == failed verification
+                    accept = hit is entry.plan or self._structurally_sound(hit)
+                except Exception:  # malformed entry == failed verification
                     accept = False
                 if accept:
                     self.reuse_stats["whole_plan_hit"] = 1
@@ -879,18 +888,27 @@ class HierarchicalPlanner:
         best.candidate_times = candidate_times
         best.schedule_candidate_times = combo_times
         best.reuse_stats = dict(self.reuse_stats)
-        if self.config.synthesis.verify_after_plan:
-            # Imported lazily: repro.verify depends on this module.  Checked
-            # before the cache stores the plan: a warm hit is re-verified
-            # only structurally, so a plan failing the full check must never
-            # be cached.
+        verified = self.config.synthesis.verify_after_plan
+        if verified:
+            # Imported lazily: repro.verify depends on this module.
             from ..verify.base import PlanVerificationError
             from ..verify.plan import verify_plan
 
             report = verify_plan(best, self.forward)
             if not report.ok:
                 raise PlanVerificationError(report)
-        if cache is not None and key is not None:
+        # A stored plan is served under its own names unchecked, so only a
+        # plan that passes the structural check (which the full check above
+        # includes) is stored; one that fails is still returned.
+        if cache is not None and key is not None and (
+            verified or self._structurally_sound(best)
+        ):
             chunk_orders = [canonical_order(stage.info.graph) for stage in best.stages]
             cache.put(CachedPlan(key=key, node_names=order, plan=best, chunk_orders=chunk_orders))
         return best
+
+    def _structurally_sound(self, plan: HierarchicalPlan) -> bool:
+        """Whether ``plan`` passes :func:`repro.verify.verify_plan` without its cost check."""
+        from ..verify.plan import verify_plan  # lazily: repro.verify imports this module
+
+        return verify_plan(plan, self.forward, check_cost=False).ok

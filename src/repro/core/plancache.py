@@ -26,19 +26,34 @@ hierarchical plans:
 
 **Concurrency guarantee.**  One :class:`DiskPlanCache` directory may be
 shared by any number of *processes* reading and writing concurrently, e.g.
-several planner invocations pointed at one cache directory.  Every ``put`` pickles into a process-private temporary file in
-the cache directory and publishes it with :func:`os.replace`, which is atomic
-on POSIX and on NTFS: a concurrent ``get`` observes either the complete old
-entry, the complete new entry, or no file — never a torn pickle.  Racing
-writers of the *same* key are last-writer-wins, which is harmless because
-keys are content addresses: every writer of a key is storing an equivalent
-plan for the same planning problem.  A corrupt or unreadable entry (e.g. a
-file truncated by the surrounding filesystem, not by this module, or one
-pickled against a module or class that no longer exists) is treated as a miss
-and re-written on the next ``put``.  The in-memory write-through
-layer is per-process and never shared, so no locks are needed anywhere;
-``tests/test_plancache.py`` stress-tests the same-key multi-writer race.  :class:`InMemoryPlanCache` itself is process-local and makes no
-cross-process claims.
+several planner invocations pointed at one cache directory.  Every ``put``
+writes into a process-private temporary file in the cache directory and
+publishes it with :func:`os.replace`, which is atomic on POSIX and on NTFS:
+a concurrent ``get`` observes either the complete old entry, the complete
+new entry, or no file — never a torn one.  Racing writers of the *same* key
+are last-writer-wins, which is harmless because keys are content addresses:
+every writer of a key is storing an equivalent plan for the same planning
+problem.  The in-memory write-through layer is per-process and never
+shared, so no locks are needed anywhere; ``tests/test_plancache.py``
+stress-tests the same-key multi-writer race.  :class:`InMemoryPlanCache`
+itself is process-local and makes no cross-process claims.
+
+**Trust model.**  A disk entry is the 32-byte sha256 digest of its pickled
+payload followed by the payload.  ``get`` compares the digest before it
+unpickles, so an entry damaged anywhere — truncated by the surrounding
+filesystem, or with a flipped byte that would still unpickle cleanly, say
+inside a float — is a *rejected* miss (counted in ``rejects`` and
+re-written on the next ``put``), as is one that no longer unpickles (pickled
+against a module or class that is gone) or that is stored under another
+key.  The checksum does not defend against a malicious writer, and nothing
+could: loading a pickle runs code, so the cache directory was always
+trusted.  What a read-time check can guard against is accidental damage,
+and the checksum covers every byte of it.  That is why the planner checks a
+plan once, when it stores it (:meth:`repro.core.hierarchical.HierarchicalPlanner.plan`
+stores only a plan that passes the structural
+:func:`repro.verify.verify_plan`), and serves an intact entry under its own
+node names without checking it again.  A hit renamed onto other node names
+is a new artifact and is checked structurally before it is served.
 
 Invalidation is purely structural: any change to the graph content, device
 specs, network model, or any configuration field changes the key, and
@@ -132,7 +147,12 @@ from .properties import Property
 #: v20: ``SynthesisConfig`` lost its search-strategy switch (A* is the
 #: synthesizer's ``astar`` method) and ``Machine`` its intra-machine latency
 #: (no cost read it), so the config and cluster signatures both changed.
-CACHE_VERSION = 20
+#: v21: a disk entry starts with the sha256 digest of its pickled payload,
+#: and only structurally verified plans are stored.
+CACHE_VERSION = 21
+
+#: Bytes of the sha256 digest at the head of every disk entry.
+_DIGEST_BYTES = 32
 
 #: Configuration fields excluded from cache keys: the cache itself and the
 #: static-verifier flag (verification never changes the plan).
@@ -292,12 +312,17 @@ class CachedPlan:
 
 
 class InMemoryPlanCache:
-    """Process-local plan cache (no persistence)."""
+    """Process-local plan cache (no persistence).
+
+    ``hits`` and ``misses`` count ``get`` calls; ``rejects`` counts the
+    misses that found a damaged entry, which an in-memory entry never is.
+    """
 
     def __init__(self) -> None:
         self._entries: Dict[str, CachedPlan] = {}
         self.hits = 0
         self.misses = 0
+        self.rejects = 0
 
     def get(self, key: str) -> Optional[CachedPlan]:
         entry = self._entries.get(key)
@@ -320,22 +345,49 @@ class InMemoryPlanCache:
         self._entries.clear()
 
 
-class DiskPlanCache(InMemoryPlanCache):
-    """Persistent plan cache: one pickle per key under ``directory``.
+def _seal_entry(entry: CachedPlan) -> bytes:
+    """The bytes of one disk entry: the payload's sha256 digest, then the payload."""
+    payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+    return hashlib.sha256(payload).digest() + payload
 
+
+def _open_entry(data: bytes, key: str) -> CachedPlan:
+    """The entry sealed in ``data`` under ``key``; ``ValueError`` says why not.
+
+    The digest is compared before anything is unpickled, so damage that
+    would still unpickle (a flipped byte inside a float) is caught too.
+    """
+    digest, payload = data[:_DIGEST_BYTES], data[_DIGEST_BYTES:]
+    if hashlib.sha256(payload).digest() != digest:
+        raise ValueError("checksum mismatch (damaged or truncated entry)")
+    try:
+        entry = pickle.loads(payload)
+    except Exception as exc:  # pickled against code that is gone
+        raise ValueError(f"cannot unpickle: {exc!r}") from exc
+    if not isinstance(entry, CachedPlan) or entry.key != key:
+        raise ValueError("entry is stored under another key")
+    return entry
+
+
+class DiskPlanCache(InMemoryPlanCache):
+    """Persistent plan cache: one checksummed pickle per key under ``directory``.
+
+    Each file is the sha256 digest of the pickled entry, then the pickle.
     Writes go through a temporary file and :func:`os.replace`, so a reader
     never observes a torn entry and concurrent writers of the same key are
-    last-writer-wins.  Reads are write-through cached in memory.  An entry
-    that fails to unpickle for any reason — missing, truncated, or pickled
-    against code that is gone — is treated as a miss (and re-written on
-    ``put``).
-    Safe to share one directory between concurrent processes — see the
-    module docstring for the exact guarantee.
+    last-writer-wins.  Reads are write-through cached in memory.  A missing
+    file is a plain miss; a file that fails the checks — damaged,
+    truncated, pickled against code that is gone, or holding another key —
+    is a miss counted in ``rejects``, its reason kept in ``last_reject``,
+    and is re-written on the next ``put``.  Safe to share one directory
+    between concurrent processes — see the module docstring for the exact
+    guarantee and the trust model.
     """
 
     def __init__(self, directory: str) -> None:
         super().__init__()
         self.directory = directory
+        self.last_reject: Optional[str] = None
         os.makedirs(directory, exist_ok=True)
 
     def _path(self, key: str) -> str:
@@ -348,12 +400,14 @@ class DiskPlanCache(InMemoryPlanCache):
             return entry
         try:
             with open(self._path(key), "rb") as fh:
-                entry = pickle.load(fh)
-        except Exception:  # missing, truncated, or pickled against gone code
+                entry = _open_entry(fh.read(), key)
+        except FileNotFoundError:
             self.misses += 1
             return None
-        if not isinstance(entry, CachedPlan) or entry.key != key:
+        except (OSError, ValueError) as exc:
             self.misses += 1
+            self.rejects += 1
+            self.last_reject = f"{self._path(key)}: {exc}"
             return None
         self._entries[key] = entry
         self.hits += 1
@@ -361,10 +415,11 @@ class DiskPlanCache(InMemoryPlanCache):
 
     def put(self, entry: CachedPlan) -> None:
         super().put(entry)
+        data = _seal_entry(entry)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                pickle.dump(entry, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                fh.write(data)
             os.replace(tmp, self._path(entry.key))
         except BaseException:
             try:

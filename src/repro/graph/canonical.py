@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .graph import ComputationGraph
 
@@ -55,6 +55,23 @@ def _digest(payload: object) -> str:
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
+def _hashes(
+    graph: ComputationGraph, contents: Optional[Dict[str, Tuple]] = None
+) -> Dict[str, str]:
+    """Ancestry hash of every node, recording each node's content in ``contents`` if given.
+
+    Only :func:`fingerprint_with_order` needs the contents again, so
+    :func:`canonical_order` keeps none alive.
+    """
+    hashes: Dict[str, str] = {}
+    for node in graph:
+        content = _node_content(graph, node.name)
+        if contents is not None:
+            contents[node.name] = content
+        hashes[node.name] = _digest((content, tuple(hashes[inp] for inp in node.inputs)))
+    return hashes
+
+
 def structural_hashes(graph: ComputationGraph) -> Dict[str, str]:
     """Ancestry (down) hash of every node.
 
@@ -63,27 +80,11 @@ def structural_hashes(graph: ComputationGraph) -> Dict[str, str]:
     mean the nodes compute identical functions of identically-shaped inputs,
     regardless of what anything is called.
     """
-    hashes: Dict[str, str] = {}
-    for node in graph:
-        payload = (
-            _node_content(graph, node.name),
-            tuple(hashes[inp] for inp in node.inputs),
-        )
-        hashes[node.name] = _digest(payload)
-    return hashes
+    return _hashes(graph)
 
 
-def canonical_order(graph: ComputationGraph) -> List[str]:
-    """Deterministic name-independent topological order of the graph.
-
-    Kahn's algorithm with a heap keyed by (down hash, insertion index):
-    whenever several nodes are simultaneously ready, the one with the
-    smallest ancestry hash comes first, so isomorphic graphs built in the
-    same way linearise identically even when their insertion orders differ
-    on independent branches with distinct content.  The insertion-index
-    tie-break only fires for ancestor-identical twins.
-    """
-    hashes = structural_hashes(graph)
+def _order_by_hashes(graph: ComputationGraph, hashes: Dict[str, str]) -> List[str]:
+    """Kahn's algorithm over ``graph`` with ties broken by (hash, insertion index)."""
     names = graph.node_names
     position = {name: i for i, name in enumerate(names)}
     indegree = {name: len(graph[name].inputs) for name in names}
@@ -103,6 +104,19 @@ def canonical_order(graph: ComputationGraph) -> List[str]:
     return out
 
 
+def canonical_order(graph: ComputationGraph) -> List[str]:
+    """Deterministic name-independent topological order of the graph.
+
+    Kahn's algorithm with a heap keyed by (down hash, insertion index):
+    whenever several nodes are simultaneously ready, the one with the
+    smallest ancestry hash comes first, so isomorphic graphs built in the
+    same way linearise identically even when their insertion orders differ
+    on independent branches with distinct content.  The insertion-index
+    tie-break only fires for ancestor-identical twins.
+    """
+    return _order_by_hashes(graph, structural_hashes(graph))
+
+
 def fingerprint_with_order(graph: ComputationGraph) -> Tuple[str, List[str]]:
     """Fingerprint plus the canonical order it was computed over.
 
@@ -111,13 +125,14 @@ def fingerprint_with_order(graph: ComputationGraph) -> Tuple[str, List[str]]:
     indices), then the outputs and the loss as canonical indices.  Equal
     encodings certify that pairing the two canonical orders position-wise is
     a graph isomorphism.  One canonicalization pass serves both cache-key construction and the
-    rename map a later cache hit needs (``zip(stored_order, new_order)``).
+    rename map a later cache hit needs (``zip(stored_order, new_order)``):
+    each node's content is computed once, for its hash and its encoding.
     """
-    order = canonical_order(graph)
+    contents: Dict[str, Tuple] = {}
+    order = _order_by_hashes(graph, _hashes(graph, contents))
     index = {name: i for i, name in enumerate(order)}
     nodes = tuple(
-        _node_content(graph, name) + (tuple(index[i] for i in graph[name].inputs),)
-        for name in order
+        contents[name] + (tuple(index[i] for i in graph[name].inputs),) for name in order
     )
     outputs = tuple(index[o] for o in graph.outputs)
     loss = index[graph.loss] if graph.loss is not None else -1

@@ -22,8 +22,10 @@ result — against the original forward graph:
 :func:`verify_plan` composes these with the program checks over every chunk
 program and ``S003``, a schedule name outside
 :data:`~repro.simulator.schedule.SCHEDULE_NAMES` — the one-call entry point
-used by the planner's ``verify_after_plan`` hook, the cache-hit guard and
-the ``python -m repro.verify`` CLI.  The task orders of a known schedule
+used by the planner's ``verify_after_plan`` hook, the plan cache's store
+check (a plan is checked structurally once before it is stored, and a hit
+renamed onto other node names again before it is served) and the
+``python -m repro.verify`` CLI.  The task orders of a known schedule
 are the library's own :func:`~repro.simulator.schedule.task_orders`, which
 its tests check; a plan carries only the name.  ``verify_plan`` reports
 errors only; the warning-severity performance lints are
@@ -244,8 +246,8 @@ def verify_plan(
         plan: the plan to verify.
         forward: the forward graph the plan was built from.
         check_cost: include the P008 cost cross-check per program (the most
-            expensive check; the cache-hit guard disables it to keep warm
-            lookups O(instructions)).
+            expensive check; the plan cache's store and renamed-hit checks
+            disable it to stay O(instructions)).
     """
     report = verify_plan_structure(plan, forward)
     for stage in plan.stages:

@@ -7,7 +7,10 @@ beam widths so the whole suite stays fast.
 
 from __future__ import annotations
 
+import hashlib
 import os
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +196,37 @@ def rename_nodes(forward: ComputationGraph, prefix: str = "r_") -> ComputationGr
     if forward.loss is not None:
         copy.mark_loss(prefix + forward.loss)
     return copy
+
+
+#: Bytes of the sha256 digest that heads every ``DiskPlanCache`` file.
+ENTRY_DIGEST_BYTES = 32
+
+
+def seal(payload: bytes) -> bytes:
+    """``payload`` behind its sha256 digest: the bytes of a ``DiskPlanCache`` file."""
+    return hashlib.sha256(payload).digest() + payload
+
+
+def read_cache_entry(path: Path):
+    """Unpickle one ``DiskPlanCache`` file after checking its digest header."""
+    data = path.read_bytes()
+    payload = data[ENTRY_DIGEST_BYTES:]
+    assert seal(payload) == data, "entry fails its checksum"
+    return pickle.loads(payload)
+
+
+def write_cache_entry(path: Path, entry, *, reseal: bool = True) -> None:
+    """Pickle ``entry`` into ``path`` behind a digest header.
+
+    With ``reseal`` the header is the new payload's digest, as a cache
+    writer would write it.  Without it the file keeps its old header, as
+    accidental damage would: the checksum no longer matches.
+    """
+    payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+    if reseal:
+        path.write_bytes(seal(payload))
+    else:
+        path.write_bytes(path.read_bytes()[:ENTRY_DIGEST_BYTES] + payload)
 
 
 def bindings_for(graph, seed=0):

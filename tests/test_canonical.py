@@ -7,6 +7,8 @@ that does (shapes, attributes, dtypes, wiring).  A false positive would alias
 two distinct problems in the cache; a false negative only costs a miss.
 """
 
+import hashlib
+
 import pytest
 
 from repro.autodiff import build_training_graph
@@ -21,7 +23,21 @@ from repro.graph import (
 )
 from repro.models import MODEL_NAMES, build_tiny_model
 
-from .conftest import build_deep_transformer, rename_nodes
+from .conftest import build_deep_transformer, build_mlp, rename_nodes
+
+#: Fingerprint and sha256 of ``repr(canonical_order(g))`` per graph, recorded
+#: before the canonicalization pass was shared: cache keys and rename maps of
+#: existing entries depend on both staying bit-identical.
+PINNED = {
+    "mlp": (
+        "b48558a51da38ca0f60f20818f1e832d8d63bda8fb0a0be79b4830b5c2f06717",
+        "aa87d9e2546842f4653c502555255ff1207e73c0a0c1ee336991d0547f92c328",
+    ),
+    "bert_base": (
+        "2c73a87f1acd8e16c1412ec899b4f7b0d2c409ef0500d6c85432137770163fe0",
+        "31a1b836f2196e40aacaed4fb4edf272833ce6b222a34cc9080b205e2a57f523",
+    ),
+}
 
 
 def _mlp_graph(names, hidden=(8, 4), shape=(16, 8), dtype=DType.FLOAT32, scale=0.5):
@@ -173,6 +189,15 @@ class TestFingerprintSensitivity:
         a.add_node("l", "reduce_mean", ("y",), {})
         b.mark_loss("l")
         assert graph_fingerprint(a) != graph_fingerprint(b)
+
+
+class TestFingerprintWithOrder:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_one_pass_matches_the_separate_functions_and_the_pin(self, name):
+        graph = build_mlp() if name == "mlp" else build_tiny_model(name)
+        fingerprint, order = fingerprint_with_order(graph)
+        assert (fingerprint, order) == (graph_fingerprint(graph), canonical_order(graph))
+        assert (fingerprint, hashlib.sha256(repr(order).encode()).hexdigest()) == PINNED[name]
 
 
 class TestStructuralHashes:

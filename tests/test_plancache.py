@@ -49,7 +49,9 @@ from .conftest import (
     build_tiny_moe,
     build_tiny_transformer,
     make_cluster,
+    read_cache_entry,
     rename_nodes,
+    seal,
 )
 
 
@@ -200,10 +202,19 @@ class TestBackends:
         entry = second.get("k")
         assert entry is not None and entry.plan == {"x": 1}
 
+    def test_disk_entry_is_a_checksummed_pickle(self, tmp_path):
+        cache = DiskPlanCache(str(tmp_path))
+        entry = CachedPlan(key="k", node_names=["a"], plan={"x": 1})
+        cache.put(entry)
+        assert read_cache_entry(tmp_path / "k.plan") == entry
+        assert cache.get("absent") is None  # no file: a miss, not a reject
+        assert (cache.misses, cache.rejects) == (1, 0)
+
     def test_disk_corrupt_entry_is_a_miss(self, tmp_path):
         cache = DiskPlanCache(str(tmp_path))
         (tmp_path / "bad.plan").write_bytes(b"not a pickle")
         assert cache.get("bad") is None
+        assert cache.rejects == 1 and "checksum" in cache.last_reject
 
     @pytest.mark.parametrize("damage", ["truncated", "missing-module"])
     def test_disk_unpicklable_entry_is_a_miss(self, tmp_path, damage):
@@ -212,10 +223,12 @@ class TestBackends:
             data = pickle.dumps(CachedPlan(key=key, node_names=["a"], plan={"x": 1}))[:-5]
         else:
             data = _pickle_from_removed_module(key)
-        (tmp_path / f"{key}.plan").write_bytes(data)
+        # Sealed: the digest matches, so unpickling is what fails.
+        (tmp_path / f"{key}.plan").write_bytes(seal(data))
         cache = DiskPlanCache(str(tmp_path))
         assert cache.get(key) is None
         assert cache.misses == 1 and cache.hits == 0
+        assert cache.rejects == 1 and "unpickle" in cache.last_reject
         # The next put re-writes the entry.
         cache.put(CachedPlan(key=key, node_names=[], plan="fresh"))
         assert DiskPlanCache(str(tmp_path)).get(key).plan == "fresh"
@@ -223,9 +236,10 @@ class TestBackends:
     def test_disk_key_mismatch_is_a_miss(self, tmp_path):
         cache = DiskPlanCache(str(tmp_path))
         (tmp_path / "stolen.plan").write_bytes(
-            pickle.dumps(CachedPlan(key="original", node_names=[], plan=1))
+            seal(pickle.dumps(CachedPlan(key="original", node_names=[], plan=1)))
         )
         assert cache.get("stolen") is None
+        assert cache.rejects == 1 and "another key" in cache.last_reject
 
 
 def _pickle_from_removed_module(key: str) -> bytes:
@@ -346,6 +360,37 @@ class TestRemapPlan:
         assert report.ok, report.describe()
 
 
+def _record_checks(monkeypatch, fail_structural: bool = False) -> list:
+    """Record every ``verify_plan`` call the planner makes, by kind; with
+    ``fail_structural`` a structural-only check reports an injected error."""
+    import repro.verify.plan as plan_verifier
+
+    events = []
+    verify = plan_verifier.verify_plan
+
+    def recording_check(plan, forward, check_cost=True):
+        events.append("full check" if check_cost else "structural check")
+        report = verify(plan, forward, check_cost=check_cost)
+        if fail_structural and not check_cost:
+            report.diagnostics.append(Diagnostic("L001", Severity.ERROR, "injected"))
+        return report
+
+    monkeypatch.setattr(plan_verifier, "verify_plan", recording_check)
+    return events
+
+
+class _RecordingCache(InMemoryPlanCache):
+    """An in-memory cache that records each ``put`` in ``events``."""
+
+    def __init__(self, events: list) -> None:
+        super().__init__()
+        self.events = events
+
+    def put(self, entry):
+        self.events.append("put")
+        super().put(entry)
+
+
 class TestHierarchicalIntegration:
     def test_whole_plan_warm_hit(self, cluster):
         forward = build_mlp()
@@ -366,8 +411,8 @@ class TestHierarchicalIntegration:
 
     def test_plan_failing_verification_is_not_cached(self, cluster, monkeypatch):
         """With ``verify_after_plan`` on, a plan whose full check fails
-        raises and is not stored.  A warm hit is re-verified only
-        structurally, so a stored one would be served on the next request."""
+        raises and is not stored.  A warm hit under the stored names is not
+        re-verified, so a stored one would be served on the next request."""
         import repro.verify.plan as plan_verifier
 
         structural = plan_verifier.verify_plan
@@ -391,23 +436,10 @@ class TestHierarchicalIntegration:
 
     def test_plan_is_fully_checked_before_it_is_cached(self, cluster, monkeypatch):
         """With ``verify_after_plan`` on, the full check runs before the
-        store, and a plan that passes it is stored and served warm."""
-        import repro.verify.plan as plan_verifier
-
-        events = []
-        structural = plan_verifier.verify_plan
-
-        def recording_check(plan, forward, check_cost=True):
-            events.append("full check" if check_cost else "hit check")
-            return structural(plan, forward, check_cost=check_cost)
-
-        class RecordingCache(InMemoryPlanCache):
-            def put(self, entry):
-                events.append("put")
-                super().put(entry)
-
-        monkeypatch.setattr(plan_verifier, "verify_plan", recording_check)
-        cache = RecordingCache()
+        store (and stands in for the structural one), and a plan that passes
+        it is stored and served warm without another check."""
+        events = _record_checks(monkeypatch)
+        cache = _RecordingCache(events)
         config = HierarchicalConfig(
             synthesis=small_planner_config(verify_after_plan=True),
             plan_cache=cache,
@@ -420,7 +452,34 @@ class TestHierarchicalIntegration:
         warm = HierarchicalPlanner(build_mlp(), cluster, config).plan()
         assert warm.reuse_stats["whole_plan_hit"] == 1
         assert warm.estimated_time == cold.estimated_time
-        assert "put" not in events
+        assert events == []  # an identity hit is a lookup: no check, no put
+        # A renamed hit is a new artifact: one structural check, no put.
+        renamed = HierarchicalPlanner(rename_nodes(build_mlp()), cluster, config).plan()
+        assert renamed.reuse_stats["whole_plan_hit"] == 1
+        assert events == ["structural check"]
+
+    @pytest.mark.parametrize("sound", [True, False])
+    def test_plan_is_structurally_checked_before_it_is_cached(
+        self, cluster, monkeypatch, sound
+    ):
+        """With ``verify_after_plan`` off (set explicitly: the suite turns it
+        on), the store still runs exactly one structural check first.  A plan
+        that fails it is returned but not stored."""
+        events = _record_checks(monkeypatch, fail_structural=not sound)
+        cache = _RecordingCache(events)
+        config = HierarchicalConfig(
+            synthesis=small_planner_config(verify_after_plan=False),
+            plan_cache=cache,
+            max_stages=2,
+        )
+        plan = HierarchicalPlanner(build_mlp(), cluster, config).plan()
+        assert plan.reuse_stats["subplans_planned"] > 0
+        if sound:
+            assert events == ["structural check", "put"]
+            assert len(cache) == 1
+        else:
+            assert events == ["structural check"]
+            assert len(cache) == 0
 
     def test_renamed_forward_is_a_whole_hit(self, cluster):
         forward = build_mlp()
@@ -454,7 +513,7 @@ class TestHierarchicalIntegration:
         assert plan.reuse_stats["subplans_planned"] > 1
         assert (cache.hits, cache.misses) == (0, 1)
         (path,) = tmp_path.glob("*.plan")
-        entry = pickle.loads(path.read_bytes())
+        entry = read_cache_entry(path)
         assert len(entry.chunk_orders) == len(plan.stages)
 
     def test_disk_whole_plan_hit_round_trips(self, tmp_path):
@@ -464,7 +523,7 @@ class TestHierarchicalIntegration:
         ``fits_memory``: the verdict is derived; no ``content_key``: chunks
         are not deduped; no ``round_index``: a chunk plan has one round) and
         simulates to the same total as the plan that was stored."""
-        assert CACHE_VERSION == 20
+        assert CACHE_VERSION == 21
         forward = build_mlp()
         cluster = _two_group_cluster()
         config = HierarchicalConfig(synthesis=small_planner_config(), max_stages=2)

@@ -16,6 +16,7 @@ import copy
 import dataclasses
 import json
 import pickle
+import struct
 from pathlib import Path
 
 import pytest
@@ -52,7 +53,14 @@ from repro.verify.mutate import (
 )
 from repro.verify.plan import verify_plan_structure
 
-from .conftest import build_mlp, make_cluster, rename_nodes
+from .conftest import (
+    ENTRY_DIGEST_BYTES,
+    build_mlp,
+    make_cluster,
+    read_cache_entry,
+    rename_nodes,
+    write_cache_entry,
+)
 
 
 def small_planner():
@@ -244,34 +252,44 @@ class TestVerifyAfterPlan:
 # ---------------------------------------------------------------------------
 
 class TestCacheCorruption:
-    def _corrupt_on_disk(self, directory: str) -> int:
-        """Break a chunk's boundary accounting in every whole-plan entry of a
-        DiskPlanCache directory (the cache holds no other entries)."""
-        corrupted = 0
+    """A damaged disk entry is a diagnosed miss, and so is a renamed hit that
+    fails verification; either way planning falls through to synthesis."""
+
+    def _cold_fill(self, bert_forward, directory: str):
+        return HierarchicalPlanner(
+            bert_forward,
+            two_group_cluster(),
+            hier_config(plan_cache=DiskPlanCache(directory)),
+        ).plan()
+
+    def _damage_on_disk(self, directory: str, damage, *, reseal: bool) -> int:
+        """Apply ``damage`` to every whole-plan entry of a DiskPlanCache
+        directory (the cache holds no other entries)."""
+        damaged = 0
         for path in Path(directory).glob("*.plan"):
-            entry = pickle.loads(path.read_bytes())
-            entry.plan.stages[0].send_bytes += 999
-            path.write_bytes(pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL))
-            corrupted += 1
-        return corrupted
+            entry = read_cache_entry(path)
+            damage(entry)
+            write_cache_entry(path, entry, reseal=reseal)
+            damaged += 1
+        return damaged
+
+    def _bump_send_bytes(self, entry) -> None:
+        entry.plan.stages[0].send_bytes += 999
 
     def test_corrupt_entries_become_diagnosed_misses(self, bert_forward, tmp_path):
         directory = str(tmp_path / "plans")
-        cold = HierarchicalPlanner(
-            bert_forward,
-            two_group_cluster(),
-            hier_config(plan_cache=DiskPlanCache(directory)),
-        ).plan()
-        assert self._corrupt_on_disk(directory) == 1
+        cold = self._cold_fill(bert_forward, directory)
+        # Accidental damage: the payload changes under the old digest.
+        assert self._damage_on_disk(directory, self._bump_send_bytes, reseal=False) == 1
 
         # Fresh cache instance: reads actually hit the corrupted files.
+        cache = DiskPlanCache(directory)
         warm = HierarchicalPlanner(
-            bert_forward,
-            two_group_cluster(),
-            hier_config(plan_cache=DiskPlanCache(directory)),
+            bert_forward, two_group_cluster(), hier_config(plan_cache=cache)
         ).plan()
         assert warm.reuse_stats["whole_plan_hit"] == 0
         assert warm.reuse_stats["cache_rejects"] == 1
+        assert "checksum" in cache.last_reject
         assert warm.reuse_stats["subplans_planned"] > 0  # fell through to synthesis
         # The replanned result is clean and matches the cold plan.
         assert verify_plan(warm, bert_forward).ok
@@ -285,42 +303,76 @@ class TestCacheCorruption:
         ).plan()
         assert again.reuse_stats["whole_plan_hit"] == 1
 
+    @pytest.mark.parametrize("request_names", ["identity", "renamed"])
+    def test_flipped_byte_that_still_unpickles_is_rejected(
+        self, bert_forward, tmp_path, request_names
+    ):
+        """One flipped byte inside the pickled estimate leaves a payload that
+        unpickles cleanly; only the checksum can tell, for either request."""
+        directory = str(tmp_path / "plans")
+        cold = self._cold_fill(bert_forward, directory)
+        (path,) = Path(directory).glob("*.plan")
+        data = bytearray(path.read_bytes())
+        estimate = b"G" + struct.pack(">d", cold.estimated_time)  # pickle BINFLOAT
+        at = data.index(estimate, ENTRY_DIGEST_BYTES) + len(estimate) - 1
+        data[at] ^= 0x01  # the lowest mantissa byte
+        path.write_bytes(bytes(data))
+        flipped = pickle.loads(bytes(data[ENTRY_DIGEST_BYTES:]))
+        assert flipped.plan.estimated_time != cold.estimated_time
+
+        forward = bert_forward if request_names == "identity" else rename_nodes(bert_forward)
+        cache = DiskPlanCache(directory)
+        warm = HierarchicalPlanner(
+            forward, two_group_cluster(), hier_config(plan_cache=cache)
+        ).plan()
+        assert warm.reuse_stats["whole_plan_hit"] == 0
+        assert warm.reuse_stats["cache_rejects"] == 1
+        assert (cache.hits, cache.misses, cache.rejects) == (0, 1, 1)
+        assert "checksum" in cache.last_reject
+        assert warm.estimated_time == cold.estimated_time
+
+    def _renamed_warm(self, bert_forward, directory: str):
+        renamed = rename_nodes(bert_forward)
+        cache = DiskPlanCache(directory)
+        warm = HierarchicalPlanner(
+            renamed, two_group_cluster(), hier_config(plan_cache=cache)
+        ).plan()
+        assert cache.rejects == 0  # the entry itself is intact
+        assert warm.reuse_stats["whole_plan_hit"] == 0
+        assert warm.reuse_stats["cache_rejects"] == 1
+        assert warm.reuse_stats["subplans_planned"] > 0  # fell through to synthesis
+        assert verify_plan(warm, renamed).ok
+        return warm
+
     @pytest.mark.parametrize("damage", ["shuffled", "truncated"])
     def test_bad_chunk_order_is_a_diagnosed_miss(self, bert_forward, tmp_path, damage):
         """A renamed request reads the whole entry's stored chunk orders; a
         damaged one is rejected and the plan is synthesized afresh."""
         directory = str(tmp_path / "plans")
-        cold = HierarchicalPlanner(
-            bert_forward,
-            two_group_cluster(),
-            hier_config(plan_cache=DiskPlanCache(directory)),
-        ).plan()
-        damaged = 0
-        for path in Path(directory).glob("*.plan"):
-            entry = pickle.loads(path.read_bytes())
+        cold = self._cold_fill(bert_forward, directory)
+
+        def damage_order(entry):
             order = entry.chunk_orders[-1]
             order[:] = order[::-1] if damage == "shuffled" else order[:-1]
-            path.write_bytes(pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL))
-            damaged += 1
-        assert damaged == 1
 
-        renamed = rename_nodes(bert_forward)
-        warm = HierarchicalPlanner(
-            renamed,
-            two_group_cluster(),
-            hier_config(plan_cache=DiskPlanCache(directory)),
-        ).plan()
-        assert warm.reuse_stats["whole_plan_hit"] == 0
-        assert warm.reuse_stats["cache_rejects"] == 1
-        assert warm.reuse_stats["subplans_planned"] > 0  # fell through to synthesis
-        assert verify_plan(warm, renamed).ok
+        assert self._damage_on_disk(directory, damage_order, reseal=True) == 1
+        warm = self._renamed_warm(bert_forward, directory)
         assert warm.estimated_time == cold.estimated_time
         assert warm.schedule_candidate_times == cold.schedule_candidate_times
 
+    def test_renamed_hit_is_verified_structurally(self, bert_forward, tmp_path):
+        """An intact entry (its digest matches) whose plan miscounts a
+        boundary's bytes: a renamed copy of it is a new artifact, checked
+        before it is served, so it is rejected."""
+        directory = str(tmp_path / "plans")
+        cold = self._cold_fill(bert_forward, directory)
+        assert self._damage_on_disk(directory, self._bump_send_bytes, reseal=True) == 1
+        warm = self._renamed_warm(bert_forward, directory)
+        assert warm.estimated_time == cold.estimated_time
+
     def test_intact_cache_still_hits(self, bert_forward, tmp_path):
         directory = str(tmp_path / "plans")
-        config = hier_config(plan_cache=DiskPlanCache(directory))
-        HierarchicalPlanner(bert_forward, two_group_cluster(), config).plan()
+        self._cold_fill(bert_forward, directory)
         warm = HierarchicalPlanner(
             bert_forward,
             two_group_cluster(),
