@@ -60,11 +60,7 @@ from ..graph.analysis import PipelineCut, cut_transfer_bytes, pipeline_cut
 # ``graph_fingerprint`` is not called here (``fingerprint_with_order`` yields
 # the same fingerprint); it stays a module attribute because the e2e
 # benchmark's tracer wraps it on this module by name.
-from ..graph.canonical import (
-    canonical_order,
-    fingerprint_with_order,
-    graph_fingerprint,  # noqa: F401
-)
+from ..graph.canonical import fingerprint_with_order, graph_fingerprint  # noqa: F401
 from ..graph.graph import ComputationGraph, GraphError
 from ..graph.ops import OpKind
 from ..simulator.schedule import (
@@ -168,11 +164,12 @@ class HierarchicalConfig:
     :class:`~repro.verify.base.PlanVerificationError` on any error-severity
     diagnostic.  Either way a plan is structurally verified once before the
     whole-plan cache stores it (a plan that fails is returned, not stored),
-    so a hit under the stored node names is served without a check; a hit
-    renamed onto other node names is verified structurally again.  A
-    damaged disk entry (its checksum fails) or a renamed hit that fails
-    becomes a diagnosed miss (``reuse_stats["cache_rejects"]``) and planning
-    falls through to fresh synthesis.
+    so a hit is served without a check: under the stored node names as is,
+    under other names through a checked positional rename.  A damaged disk
+    entry (its checksum fails) or a stored chunk graph that does not pair
+    with the request's becomes a diagnosed miss
+    (``reuse_stats["cache_rejects"]``) and planning falls through to fresh
+    synthesis.
 
     Attributes:
         max_stages: stage counts ``1..min(max_stages, num_machines)`` are
@@ -311,8 +308,8 @@ class HierarchicalPlan:
         reuse_stats: how much flat-HAP planning the plan cache avoided:
             ``subplans_planned`` chunk plans were built (one per stage of
             every stage count whose cut builds), ``cache_rejects`` counts
-            refused whole-plan cache entries (a damaged disk entry, or a
-            renamed hit that failed verification), and
+            refused whole-plan cache entries (a damaged disk entry, or one
+            whose stored chunk graph does not pair with the request's), and
             ``whole_plan_hit`` is 1 when the entire plan was served from the
             cache.
     """
@@ -789,11 +786,19 @@ class HierarchicalPlanner:
         ``entry.node_names`` is the canonical forward order the plan was
         stored under and ``order`` is the request's; pairing them renames the
         cut.  Each chunk's training graph is rebuilt from the renamed cut the
-        way :meth:`_build_stages` builds it, and the chunk's program is renamed
-        onto it against the chunk's canonical order stored in
-        ``entry.chunk_orders``.  Sizes, costs and the schedule carry
-        over untouched: they never depend on names.  The identity rename
-        returns the cached plan itself.  A malformed entry raises.
+        way :meth:`_build_stages` builds it, in the stored cut's node order,
+        and :func:`~repro.core.plancache.remap_plan` renames the chunk's
+        program onto it by pairing it with the stored chunk graph position
+        by position.  Sizes, costs and the schedule carry over untouched:
+        they never depend on names.  The identity rename returns the cached
+        plan itself.  An entry that does not pair raises ``ValueError``
+        naming the chunk and the node.
+
+        The result needs no verification.  The forward fingerprint
+        certifies the forward rename, ``remap_plan`` proves each chunk
+        rename an isomorphism, and the stored plan was structurally verified
+        before it was stored, so the result is the isomorphic image of a
+        verified plan.
         """
         plan = entry.plan
         if len(entry.node_names) != len(order):
@@ -804,11 +809,6 @@ class HierarchicalPlanner:
         if entry.node_names == order:
             return plan
         rename = dict(zip(entry.node_names, order))
-        chunk_orders = entry.chunk_orders
-        if len(chunk_orders) != plan.num_stages:
-            raise ValueError(
-                f"cached plan has {plan.num_stages} chunks but {len(chunk_orders)} chunk orders"
-            )
         cached_cut = plan.cut
         cut = PipelineCut(
             stages=tuple(tuple(rename[n] for n in stage) for stage in cached_cut.stages),
@@ -818,11 +818,12 @@ class HierarchicalPlanner:
             consumers=self.forward.consumers(),
         )
         stages: List[StagePlan] = []
-        for stage, chunk_order in zip(plan.stages, chunk_orders):
+        for stage in plan.stages:
             info = self._chunk_training_graph(cut, stage.index)
-            chunk_plan = remap_plan(
-                stage.plan, chunk_order, info.graph, canonical_order(info.graph)
-            )
+            try:
+                chunk_plan = remap_plan(stage.plan, info.graph)
+            except ValueError as exc:
+                raise ValueError(f"chunk {stage.index}: {exc}") from exc
             stages.append(dataclasses.replace(stage, plan=chunk_plan, info=info))
         return dataclasses.replace(plan, cut=cut, stages=stages)
 
@@ -832,14 +833,16 @@ class HierarchicalPlanner:
 
         With a configured ``plan_cache`` the finished plan is structurally
         verified and, if sound, stored under the (forward-graph fingerprint,
-        cluster signature, config signature) key, together with the canonical
-        orders of the forward graph and of each chosen chunk graph.  A later
-        request for the same problem — under any node names — is served
-        whole: under the stored names the cached plan itself, unchecked;
-        under other names a copy renamed onto the request
-        (:meth:`_remap_whole`) and structurally verified.  The cache holds
-        whole plans only: a request that misses (another configuration, or a
-        rejected entry) plans from scratch.
+        cluster signature, config signature) key, together with the forward
+        graph's canonical order.  A later request for the same problem —
+        under any node names — is served whole and unchecked: under the
+        stored names the cached plan itself; under other names a copy
+        renamed onto the request through a checked positional rename
+        (:meth:`_remap_whole`).  An entry whose stored chunk graph does not
+        pair with the request's is a diagnosed miss (``last_reject`` on the
+        cache says why).  The cache holds whole plans only: a request that
+        misses (another configuration, or a rejected entry) plans from
+        scratch.
         """
         self._reset()
         cache = self.config.plan_cache
@@ -854,22 +857,20 @@ class HierarchicalPlanner:
             self.reuse_stats["cache_rejects"] += cache.rejects - rejects
             if entry is not None:
                 # Only structurally verified plans are stored, and a disk
-                # entry's checksum proves it intact, so the stored plan under
-                # its own names is served as is.  A renamed copy is a new
-                # artifact: it is verified structurally (no cost
-                # re-derivation) before it is served, and one that fails is
-                # a diagnosed miss that falls through to fresh planning.
+                # entry's checksum proves it intact, so the stored plan is
+                # served as is, or as its checked rename onto the request.
+                # An entry that does not pair is a diagnosed miss that falls
+                # through to fresh planning.
                 try:
                     hit = self._remap_whole(entry, order)
-                    accept = hit is entry.plan or self._structurally_sound(hit)
-                except Exception:  # malformed entry == failed verification
-                    accept = False
-                if accept:
+                except ValueError as exc:
+                    cache.last_reject = f"{key}: cannot remap: {exc}"
+                    self.reuse_stats["cache_rejects"] += 1
+                else:
                     self.reuse_stats["whole_plan_hit"] = 1
                     # Shallow copy: the cached entry keeps its own stats and
                     # stays immutable from the caller's point of view.
                     return dataclasses.replace(hit, reuse_stats=dict(self.reuse_stats))
-                self.reuse_stats["cache_rejects"] += 1
         best: Optional[HierarchicalPlan] = None
         candidate_times: Dict[int, float] = {}
         combo_times: Dict[Tuple[int, str, int, bool], float] = {}
@@ -903,8 +904,7 @@ class HierarchicalPlanner:
         if cache is not None and key is not None and (
             verified or self._structurally_sound(best)
         ):
-            chunk_orders = [canonical_order(stage.info.graph) for stage in best.stages]
-            cache.put(CachedPlan(key=key, node_names=order, plan=best, chunk_orders=chunk_orders))
+            cache.put(CachedPlan(key=key, node_names=order, plan=best))
         return best
 
     def _structurally_sound(self, plan: HierarchicalPlan) -> bool:

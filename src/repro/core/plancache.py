@@ -12,12 +12,12 @@ hierarchical plans:
   :func:`cluster_signature`, configuration via :func:`config_signature`);
 * :class:`CachedPlan` stores a whole
   :class:`~repro.core.hierarchical.HierarchicalPlan` with the forward
-  graph's canonical node order and each chosen chunk graph's, so a hit is
-  renamed onto the requesting graph's own node names
+  graph's canonical node order, so a hit is renamed onto the requesting
+  graph's own node names
   (:meth:`repro.core.hierarchical.HierarchicalPlanner.plan`);
-  :func:`remap_plan` renames one chunk's flat plan by pairing a stored
-  canonical order position-wise with the target graph's
-  (:func:`repro.graph.canonical.canonical_order`);
+  :func:`remap_plan` renames one chunk's flat plan onto the chunk training
+  graph rebuilt for the request, pairing the two graphs' nodes by position
+  and checking in one pass that the pairing is an isomorphism;
 * :class:`InMemoryPlanCache` and :class:`DiskPlanCache` provide the two
   obvious backends; the disk backend writes atomically and keeps a
   write-through in-memory layer, which makes it safe to share one directory
@@ -53,7 +53,10 @@ plan once, when it stores it (:meth:`repro.core.hierarchical.HierarchicalPlanner
 stores only a plan that passes the structural
 :func:`repro.verify.verify_plan`), and serves an intact entry under its own
 node names without checking it again.  A hit renamed onto other node names
-is a new artifact and is checked structurally before it is served.
+is not verified again either: the forward fingerprint certifies the forward
+rename and :func:`remap_plan` proves each chunk rename an isomorphism, so
+the served plan is the isomorphic image of a verified plan.  A chunk graph
+that does not pair is a diagnosed miss (``last_reject`` names the node).
 
 Invalidation is purely structural: any change to the graph content, device
 specs, network model, or any configuration field changes the key, and
@@ -76,7 +79,7 @@ import hashlib
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
@@ -149,7 +152,10 @@ from .properties import Property
 #: (no cost read it), so the config and cluster signatures both changed.
 #: v21: a disk entry starts with the sha256 digest of its pickled payload,
 #: and only structurally verified plans are stored.
-CACHE_VERSION = 21
+#: v22: ``CachedPlan`` lost ``chunk_orders``: a renamed hit pairs each stored
+#: chunk graph with the rebuilt one by position, so the pickled entry layout
+#: changed.
+CACHE_VERSION = 22
 
 #: Bytes of the sha256 digest at the head of every disk entry.
 _DIGEST_BYTES = 32
@@ -262,33 +268,42 @@ def remap_program(
     )
 
 
-def remap_plan(
-    plan: HAPPlan,
-    source_names: List[str],
-    target: ComputationGraph,
-    target_order: List[str],
-) -> HAPPlan:
+def remap_plan(plan: HAPPlan, target: ComputationGraph) -> HAPPlan:
     """Re-express a cached :class:`HAPPlan` over ``target``'s node names.
 
-    ``source_names`` is the canonical node order the plan was stored under
-    and ``target_order`` is ``target``'s canonical order (the caller has it
-    from fingerprinting); pairing them position-wise yields the rename map
-    (the graphs are isomorphic by construction — they share a fingerprint).
-    Orders of different lengths raise ``ValueError``: a cache entry read from
-    disk may be stale.  Costs, ratios and round history carry over
-    untouched: the cost model only sees shapes and states, never names.
+    ``target`` is built the way ``plan.program.graph`` was, so the two
+    graphs list their nodes in the same order.  Pairing them by position
+    gives the rename, and one pass proves it an isomorphism: each pair has
+    equal ``op``, ``attrs`` and ``spec``, the renamed inputs equal the
+    target node's inputs in order, and the outputs and loss map onto each
+    other.  Any mismatch raises ``ValueError`` naming the stored node.
+    Costs, ratios and round history carry over untouched: the cost model
+    only sees shapes and states, never names.  A plan remapped onto its own
+    graph is returned as is.
     """
-    if len(source_names) != len(target_order):
-        raise ValueError(
-            f"cannot remap: {len(source_names)} cached nodes vs "
-            f"{len(target_order)} target nodes"
-        )
-    if source_names == target_order:
+    source = plan.program.graph
+    if target is source:
         return plan
-    rename = dict(zip(source_names, target_order))
-    program = remap_program(plan.program, rename, target)
+    if len(source) != len(target):
+        raise ValueError(
+            f"cannot remap: {len(source)} cached nodes vs {len(target)} target nodes"
+        )
+    rename: Dict[str, str] = {}
+    for old, new in zip(source, target):
+        if (
+            old.op != new.op
+            or old.attrs != new.attrs
+            or old.spec != new.spec
+            or tuple(rename.get(i) for i in old.inputs) != new.inputs
+        ):
+            raise ValueError(f"cannot remap: node {old.name!r} does not pair with {new.name!r}")
+        rename[old.name] = new.name
+    if [rename[o] for o in source.outputs] != target.outputs or (
+        (source.loss and rename[source.loss]) != target.loss
+    ):
+        raise ValueError("cannot remap: the outputs or the loss do not pair")
     return HAPPlan(
-        program=program,
+        program=remap_program(plan.program, rename, target),
         ratios=[list(r) for r in plan.ratios],
         estimated_time=plan.estimated_time,
         rounds=list(plan.rounds),
@@ -298,17 +313,17 @@ def remap_plan(
 # -- cache backends ------------------------------------------------------------------
 @dataclass
 class CachedPlan:
-    """One cache entry: a whole plan plus the canonical orders it is keyed under.
+    """One cache entry: a whole plan plus the canonical order it is keyed under.
 
-    ``node_names`` is the forward graph's canonical order and
-    ``chunk_orders`` each chosen chunk graph's, in stage order; a hit
-    renames the pipeline cut and every chunk program onto the request.
+    ``node_names`` is the forward graph's canonical order; a hit renames
+    the pipeline cut by it, and every chunk program onto the chunk graph
+    rebuilt from the renamed cut (:func:`remap_plan` pairs it with the
+    stored ``stage.plan.program.graph`` by position).
     """
 
     key: str
     node_names: List[str]
     plan: object
-    chunk_orders: List[List[str]] = field(default_factory=list)
 
 
 class InMemoryPlanCache:
@@ -316,6 +331,9 @@ class InMemoryPlanCache:
 
     ``hits`` and ``misses`` count ``get`` calls; ``rejects`` counts the
     misses that found a damaged entry, which an in-memory entry never is.
+    ``last_reject`` says why the last entry was refused, by the cache or
+    by the planner (a stored chunk graph that does not pair with the
+    request's).
     """
 
     def __init__(self) -> None:
@@ -323,6 +341,7 @@ class InMemoryPlanCache:
         self.hits = 0
         self.misses = 0
         self.rejects = 0
+        self.last_reject: Optional[str] = None
 
     def get(self, key: str) -> Optional[CachedPlan]:
         entry = self._entries.get(key)
@@ -387,7 +406,6 @@ class DiskPlanCache(InMemoryPlanCache):
     def __init__(self, directory: str) -> None:
         super().__init__()
         self.directory = directory
-        self.last_reject: Optional[str] = None
         os.makedirs(directory, exist_ok=True)
 
     def _path(self, key: str) -> str:

@@ -194,7 +194,7 @@ def flip_compute_flag(program: DistributedProgram) -> Tuple[DistributedProgram, 
 def swap_node_names(program: DistributedProgram) -> Tuple[DistributedProgram, str]:
     """Swap two computed nodes' names throughout the program -> P003.
 
-    What a cached program renamed by a shuffled canonical order looks like:
+    What a program renamed by a wrong rename map looks like:
     its dataflow stays self-consistent, but instructions land on graph nodes
     with another op.
     """

@@ -23,8 +23,9 @@ result — against the original forward graph:
 program and ``S003``, a schedule name outside
 :data:`~repro.simulator.schedule.SCHEDULE_NAMES` — the one-call entry point
 used by the planner's ``verify_after_plan`` hook, the plan cache's store
-check (a plan is checked structurally once before it is stored, and a hit
-renamed onto other node names again before it is served) and the
+check (a plan is checked structurally once before it is stored; a hit,
+under its own node names or through a checked rename onto others, is
+served without another check) and the
 ``python -m repro.verify`` CLI.  The task orders of a known schedule
 are the library's own :func:`~repro.simulator.schedule.task_orders`, which
 its tests check; a plan carries only the name.  ``verify_plan`` reports
@@ -246,8 +247,8 @@ def verify_plan(
         plan: the plan to verify.
         forward: the forward graph the plan was built from.
         check_cost: include the P008 cost cross-check per program (the most
-            expensive check; the plan cache's store and renamed-hit checks
-            disable it to stay O(instructions)).
+            expensive check; the plan cache's store check disables it to
+            stay O(instructions)).
     """
     report = verify_plan_structure(plan, forward)
     for stage in plan.stages:

@@ -12,7 +12,10 @@ every chunk program and the identical simulated iteration time.
 A plan pickled by a :class:`~repro.core.plancache.DiskPlanCache` under one
 hash seed must also be usable under another: properties, states and
 instructions do not carry their writer's cached hashes across, and a state
-loads as the reader's interned instance.
+loads as the reader's interned instance.  A renamed request read under
+another seed must still be a whole-plan hit: the hit pairs each stored chunk
+graph with the rebuilt one by position, which relies on autodiff adding
+nodes in an order that no hash seed changes.
 """
 
 from __future__ import annotations
@@ -142,3 +145,36 @@ def test_disk_cached_plan_hashes_under_another_seed(tmp_path):
     assert counts["properties"] > 0 and counts["instructions"] > 0
     assert counts["found"] == counts["interned"] == counts["properties"]
     assert counts["rehashed"] == counts["instructions"]
+
+
+RENAMED_REQUEST = """
+import json, sys
+from repro.cluster import heterogeneous_testbed
+from repro.core import DiskPlanCache, HierarchicalConfig, SynthesisConfig
+from repro.graph import ComputationGraph
+from repro.hap import hap_pipeline
+from repro.models import build_tiny_model
+
+forward = build_tiny_model("bert_base")
+renamed = ComputationGraph("r_" + forward.name)
+for node in forward:
+    renamed.add_node("r_" + node.name, node.op, tuple("r_" + i for i in node.inputs), node.attrs)
+renamed.mark_loss("r_" + forward.loss)
+cache = DiskPlanCache(sys.argv[1])
+config = HierarchicalConfig(synthesis=SynthesisConfig(beam_width=4), plan_cache=cache)
+plan = hap_pipeline(renamed, heterogeneous_testbed(num_gpus=8, gpus_per_machine=4), config)
+print(json.dumps({**plan.reuse_stats, "reject": cache.last_reject}))
+"""
+
+
+def test_renamed_request_hits_an_entry_written_under_another_seed(tmp_path):
+    import json
+
+    _run(WRITE_PLAN, 1, str(tmp_path))
+    stats = json.loads(_run(RENAMED_REQUEST, 2, str(tmp_path)))
+    assert stats == {
+        "whole_plan_hit": 1,
+        "cache_rejects": 0,
+        "subplans_planned": 0,
+        "reject": None,
+    }

@@ -32,7 +32,9 @@ from repro.core import (
     remap_plan,
 )
 from repro.graph import (
-    canonical_order,
+    ComputationGraph,
+    DType,
+    GraphBuilder,
     fingerprint_with_order,
     graph_fingerprint,
 )
@@ -310,15 +312,27 @@ class TestDiskCacheConcurrency:
         assert DiskPlanCache(str(tmp_path)).get(key).plan == ["payload2"]
 
 
+def _rebuilt(graph: ComputationGraph, order=None, attrs=None) -> ComputationGraph:
+    """A copy of ``graph`` with its nodes added in ``order`` (default: its
+    own) and ``attrs`` overriding the attributes of the nodes it names."""
+    copy = ComputationGraph(graph.name)
+    for name in order or graph.node_names:
+        node = graph[name]
+        copy.add_node(name, node.op, node.inputs, (attrs or {}).get(name, node.attrs))
+    for out in graph.outputs:
+        copy.mark_output(out)
+    if graph.loss is not None:
+        copy.mark_loss(graph.loss)
+    return copy
+
+
 class TestRemapPlan:
     def test_remap_onto_renamed_graph(self, mlp_training, cluster):
         plan = HAPPlanner(mlp_training, cluster, small_planner_config()).plan()
-        _, order = fingerprint_with_order(mlp_training)
-
         renamed = rename_nodes(mlp_training)
         assert graph_fingerprint(renamed) == graph_fingerprint(mlp_training)
 
-        mapped = remap_plan(plan, order, renamed, fingerprint_with_order(renamed)[1])
+        mapped = remap_plan(plan, renamed)
         assert mapped.program.graph is renamed
         assert mapped.estimated_time.total == plan.estimated_time.total
         assert mapped.ratios == plan.ratios
@@ -335,15 +349,39 @@ class TestRemapPlan:
 
     def test_remap_identity_is_free(self, mlp_training, cluster):
         plan = HAPPlanner(mlp_training, cluster, small_planner_config()).plan()
-        _, order = fingerprint_with_order(mlp_training)
-        assert remap_plan(plan, order, mlp_training, order) is plan
+        assert remap_plan(plan, plan.program.graph) is plan
 
-    def test_remap_rejects_an_order_of_another_length(self, mlp_training, cluster):
-        # A stale disk entry may store an order that no longer matches.
+    def test_remap_rejects_a_graph_of_another_length(self, mlp_training, cluster):
         plan = HAPPlanner(mlp_training, cluster, small_planner_config()).plan()
-        _, order = fingerprint_with_order(mlp_training)
+        longer = rename_nodes(mlp_training)
+        longer.add_node("extra", "relu", (longer.node_names[-1],))
         with pytest.raises(ValueError, match="cannot remap"):
-            remap_plan(plan, order[:-1], mlp_training, order)
+            remap_plan(plan, longer)
+
+    @pytest.mark.parametrize("damage", ["attrs", "order"])
+    def test_remap_rejects_a_graph_that_does_not_pair(self, mlp_training, cluster, damage):
+        """The stored and the target graph are paired by position, so a node
+        whose content differs, or two nodes added the other way round (an
+        isomorphic graph built in another order), raise naming a stored
+        node."""
+        plan = HAPPlanner(mlp_training, cluster, small_planner_config()).plan()
+        names = mlp_training.node_names
+        if damage == "attrs":
+            name = names[-1]
+            target = _rebuilt(mlp_training, attrs={name: {**mlp_training[name].attrs, "lr": 0.5}})
+        else:
+            # The first two adjacent independent nodes of different ops.
+            i = next(
+                i
+                for i, (a, b) in enumerate(zip(names, names[1:]))
+                if a not in mlp_training[b].inputs and mlp_training[a].op != mlp_training[b].op
+            )
+            swapped = names[:i] + [names[i + 1], names[i]] + names[i + 2 :]
+            target = _rebuilt(mlp_training, order=swapped)
+            name = names[i]
+            assert graph_fingerprint(target) == graph_fingerprint(mlp_training)
+        with pytest.raises(ValueError, match=f"node {name!r} does not pair"):
+            remap_plan(plan, target)
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_remap_onto_renamed_registry_model(self, name, cluster):
@@ -351,8 +389,7 @@ class TestRemapPlan:
         training = build_training_graph(forward).graph
         renamed = build_training_graph(rename_nodes(forward)).graph
         plan = HAPPlanner(training, cluster, small_planner_config()).plan()
-        _, order = fingerprint_with_order(training)
-        mapped = remap_plan(plan, order, renamed, canonical_order(renamed))
+        mapped = remap_plan(plan, renamed)
         assert mapped.program.graph is renamed
         assert mapped.estimated_time == plan.estimated_time
         assert all(i.node in renamed for i in mapped.program.instructions)
@@ -437,7 +474,8 @@ class TestHierarchicalIntegration:
     def test_plan_is_fully_checked_before_it_is_cached(self, cluster, monkeypatch):
         """With ``verify_after_plan`` on, the full check runs before the
         store (and stands in for the structural one), and a plan that passes
-        it is stored and served warm without another check."""
+        it is stored and served warm, under its own or other node names,
+        without another check."""
         events = _record_checks(monkeypatch)
         cache = _RecordingCache(events)
         config = HierarchicalConfig(
@@ -453,10 +491,11 @@ class TestHierarchicalIntegration:
         assert warm.reuse_stats["whole_plan_hit"] == 1
         assert warm.estimated_time == cold.estimated_time
         assert events == []  # an identity hit is a lookup: no check, no put
-        # A renamed hit is a new artifact: one structural check, no put.
+        # A renamed hit is a checked rename of the verified plan: no check,
+        # no put.
         renamed = HierarchicalPlanner(rename_nodes(build_mlp()), cluster, config).plan()
         assert renamed.reuse_stats["whole_plan_hit"] == 1
-        assert events == ["structural check"]
+        assert events == []
 
     @pytest.mark.parametrize("sound", [True, False])
     def test_plan_is_structurally_checked_before_it_is_cached(
@@ -503,6 +542,44 @@ class TestHierarchicalIntegration:
             assert chunk.program.graph is chunk.info.graph
             assert set(chunk.info.forward_nodes) <= set(renamed.node_names)
 
+    def test_unpaired_chunk_graph_is_a_diagnosed_miss(self, cluster):
+        """A stored chunk graph that does not pair with the one rebuilt for
+        a renamed request is refused with a reason that names the chunk and
+        the node, and the request replans."""
+        forward = build_mlp()
+        cache = InMemoryPlanCache()
+        config = HierarchicalConfig(
+            synthesis=small_planner_config(), plan_cache=cache, max_stages=2
+        )
+        cold = HierarchicalPlanner(forward, cluster, config).plan()
+        (entry,) = cache._entries.values()
+        stage = entry.plan.stages[-1]
+        node = stage.plan.program.graph.nodes[-1]
+        node.attrs = {**node.attrs, "damaged": True}
+        warm = HierarchicalPlanner(rename_nodes(forward), cluster, config).plan()
+        assert warm.reuse_stats["whole_plan_hit"] == 0
+        assert warm.reuse_stats["cache_rejects"] == 1
+        assert cache.rejects == 0  # the cache itself found nothing wrong
+        assert f"chunk {stage.index}: cannot remap: node {node.name!r}" in cache.last_reject
+        assert warm.estimated_time == cold.estimated_time
+
+    def test_a_remap_bug_is_not_a_miss(self, cluster, monkeypatch):
+        """Only the remap's ``ValueError`` (an entry that does not pair) is a
+        miss; any other exception is a bug and propagates."""
+        import repro.core.hierarchical as hierarchical
+
+        config = HierarchicalConfig(
+            synthesis=small_planner_config(), plan_cache=InMemoryPlanCache(), max_stages=2
+        )
+        HierarchicalPlanner(build_mlp(), cluster, config).plan()
+
+        def broken_remap(plan, target):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr(hierarchical, "remap_plan", broken_remap)
+        with pytest.raises(TypeError, match="a bug"):
+            HierarchicalPlanner(rename_nodes(build_mlp()), cluster, config).plan()
+
     def test_cold_fill_writes_one_whole_plan_entry(self, tmp_path):
         """The cache holds whole plans only: a cold run reads one key (the
         whole plan, a miss) and writes one entry, however many chunks it
@@ -514,16 +591,18 @@ class TestHierarchicalIntegration:
         assert (cache.hits, cache.misses) == (0, 1)
         (path,) = tmp_path.glob("*.plan")
         entry = read_cache_entry(path)
-        assert len(entry.chunk_orders) == len(plan.stages)
+        assert entry.node_names == fingerprint_with_order(build_mlp())[1]
+        assert entry.plan.num_stages == plan.num_stages
 
     def test_disk_whole_plan_hit_round_trips(self, tmp_path):
         """A whole plan read back from disk has the current layout (no
         ``partition``: a stage's machine group is its ``subcluster``; no
         ``synthesis``: a chunk plan stores its program once; no stored
         ``fits_memory``: the verdict is derived; no ``content_key``: chunks
-        are not deduped; no ``round_index``: a chunk plan has one round) and
-        simulates to the same total as the plan that was stored."""
-        assert CACHE_VERSION == 21
+        are not deduped; no ``round_index``: a chunk plan has one round; no
+        ``chunk_orders``: chunk graphs are paired by position) and simulates
+        to the same total as the plan that was stored."""
+        assert CACHE_VERSION == 22
         forward = build_mlp()
         cluster = _two_group_cluster()
         config = HierarchicalConfig(synthesis=small_planner_config(), max_stages=2)
@@ -535,6 +614,8 @@ class TestHierarchicalIntegration:
         ).plan()
         assert hit.reuse_stats["whole_plan_hit"] == 1
         assert hit.num_stages == stored.num_stages == 2
+        (path,) = tmp_path.glob("*.plan")
+        assert not hasattr(read_cache_entry(path), "chunk_orders")
         assert not hasattr(hit, "partition")
         assert not any(hasattr(s.plan, "synthesis") for s in hit.stages)
         assert "fits_memory" not in vars(hit)
@@ -642,6 +723,55 @@ class TestHierarchicalIntegration:
                 atol=1e-4,
                 err_msg=f"parameter {param} diverged",
             )
+
+
+def _twin_branch_forward(batch=16, features=32, hidden=64, classes=10):
+    """An MLP whose first layer is two ancestor-identical twin branches (as
+    in ``tests/test_canonical.py``): canonical orders tie-break them by
+    insertion index."""
+    b = GraphBuilder("twins")
+    x = b.placeholder((batch, features), name="features")
+    h = b.add(b.relu(b.linear(x, hidden)), b.relu(b.linear(x, hidden)))
+    h = b.relu(b.linear(h, hidden))
+    logits = b.linear(h, classes)
+    labels = b.placeholder((batch,), dtype=DType.INT64, name="labels")
+    b.loss(b.cross_entropy(logits, labels))
+    return b.build()
+
+
+class TestRenamedHitExactness:
+    """A renamed whole-plan hit is exactly the plan a cache-free planner
+    builds for the renamed graph: the checked positional rename neither
+    loses nor invents anything, so it is served without re-verification."""
+
+    @pytest.mark.parametrize("name", [*MODEL_NAMES, "twin_branches"])
+    def test_renamed_hit_equals_a_fresh_plan(self, name):
+        forward = _twin_branch_forward() if name == "twin_branches" else build_tiny_model(name)
+        renamed = rename_nodes(forward)
+        cluster = _two_group_cluster()
+        config = HierarchicalConfig(
+            synthesis=small_planner_config(),
+            intra_group_network=NetworkSpec(bandwidth=100e9 / 8),
+            max_stages=2,
+        )
+        cache = InMemoryPlanCache()
+        cached = dataclasses.replace(config, plan_cache=cache)
+        HierarchicalPlanner(forward, cluster, cached).plan()
+        hit = HierarchicalPlanner(renamed, cluster, cached).plan()
+        fresh = HierarchicalPlanner(renamed, cluster, config).plan()
+        assert hit.reuse_stats["whole_plan_hit"] == 1
+        assert cache.last_reject is None
+        assert hit.num_stages == fresh.num_stages == 2  # boundaries are remapped too
+        assert hit.cut.stages == fresh.cut.stages
+        assert hit.cut.cut_refs == fresh.cut.cut_refs
+        for h, f in zip(hit.stages, fresh.stages):
+            assert h.program.graph is h.info.graph
+            assert h.info.graph.node_names == f.info.graph.node_names
+            assert h.program.instructions == f.program.instructions
+            assert h.ratios == f.ratios
+            assert h.plan.estimated_time == f.plan.estimated_time
+        assert hit.estimated_time == fresh.estimated_time
+        assert hit.schedule == fresh.schedule
 
 
 def _two_group_cluster() -> ClusterSpec:

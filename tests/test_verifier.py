@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.e2e import workloads
 from repro.autodiff import build_training_graph
 from repro.cluster import ClusterSpec, Machine, NetworkSpec, device_type
 from repro.collectives.cost import CollectiveCostModel, CollectiveKind
@@ -248,12 +249,14 @@ class TestVerifyAfterPlan:
 
 
 # ---------------------------------------------------------------------------
-# cache corruption: verify-on-hit turns bad entries into diagnosed misses
+# cache corruption: the checksum and the checked rename turn bad entries
+# into diagnosed misses
 # ---------------------------------------------------------------------------
 
 class TestCacheCorruption:
-    """A damaged disk entry is a diagnosed miss, and so is a renamed hit that
-    fails verification; either way planning falls through to synthesis."""
+    """A damaged disk entry is a diagnosed miss, and so is an entry whose
+    stored chunk graph does not pair with a renamed request's; either way
+    planning falls through to synthesis."""
 
     def _cold_fill(self, bert_forward, directory: str):
         return HierarchicalPlanner(
@@ -342,33 +345,54 @@ class TestCacheCorruption:
         assert warm.reuse_stats["cache_rejects"] == 1
         assert warm.reuse_stats["subplans_planned"] > 0  # fell through to synthesis
         assert verify_plan(warm, renamed).ok
-        return warm
+        return warm, cache
 
     @pytest.mark.parametrize("damage", ["shuffled", "truncated"])
     def test_bad_chunk_order_is_a_diagnosed_miss(self, bert_forward, tmp_path, damage):
-        """A renamed request reads the whole entry's stored chunk orders; a
-        damaged one is rejected and the plan is synthesized afresh."""
+        """A renamed request pairs each stored chunk graph with the one it
+        rebuilds, node by node; a stored chunk graph whose node order is
+        damaged is rejected with the chunk named, and the plan is
+        synthesized afresh."""
         directory = str(tmp_path / "plans")
         cold = self._cold_fill(bert_forward, directory)
+        last = cold.stages[-1].index
 
         def damage_order(entry):
-            order = entry.chunk_orders[-1]
-            order[:] = order[::-1] if damage == "shuffled" else order[:-1]
+            graph = entry.plan.stages[-1].plan.program.graph
+            if damage == "shuffled":
+                graph._order.reverse()
+            else:
+                del graph._nodes[graph._order.pop()]
 
         assert self._damage_on_disk(directory, damage_order, reseal=True) == 1
-        warm = self._renamed_warm(bert_forward, directory)
+        warm, cache = self._renamed_warm(bert_forward, directory)
+        assert f"chunk {last}: cannot remap" in cache.last_reject
         assert warm.estimated_time == cold.estimated_time
         assert warm.schedule_candidate_times == cold.schedule_candidate_times
 
-    def test_renamed_hit_is_verified_structurally(self, bert_forward, tmp_path):
+    def test_renamed_hit_trusts_a_resealed_entry_as_an_identity_hit_does(
+        self, bert_forward, tmp_path
+    ):
         """An intact entry (its digest matches) whose plan miscounts a
-        boundary's bytes: a renamed copy of it is a new artifact, checked
-        before it is served, so it is rejected."""
+        boundary's bytes is trusted by both kinds of hit: the stored plan
+        was verified once before it was stored, and a renamed hit is its
+        checked rename, not a new artifact.  Both requests serve the same
+        plan, up to node names."""
         directory = str(tmp_path / "plans")
-        cold = self._cold_fill(bert_forward, directory)
+        self._cold_fill(bert_forward, directory)
         assert self._damage_on_disk(directory, self._bump_send_bytes, reseal=True) == 1
-        warm = self._renamed_warm(bert_forward, directory)
-        assert warm.estimated_time == cold.estimated_time
+        served = []
+        for forward in (bert_forward, rename_nodes(bert_forward)):
+            cache = DiskPlanCache(directory)
+            plan = HierarchicalPlanner(
+                forward, two_group_cluster(), hier_config(plan_cache=cache)
+            ).plan()
+            assert plan.reuse_stats["whole_plan_hit"] == 1
+            assert plan.reuse_stats["cache_rejects"] == 0
+            served.append(plan)
+        identity, renamed = served
+        assert identity.stages[0].send_bytes == renamed.stages[0].send_bytes
+        assert workloads.digest(identity) == workloads.digest(renamed)
 
     def test_intact_cache_still_hits(self, bert_forward, tmp_path):
         directory = str(tmp_path / "plans")
